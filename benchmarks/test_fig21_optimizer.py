@@ -1,22 +1,29 @@
 """Figure 21 (extension): the cost-based plan optimizer on a mixed workload.
 
-The optimizer's claim is operational, not semantic: with
-``IMPConfig.optimize_plans`` on, user predicates are pushed through
-projections and joins down to the scans, merged with the use-rewrite's sketch
-disjunctions and served from ordered indexes, and join clusters are re-ordered
-smallest-first -- while every query result and every captured sketch stays
-bit-identical to the unoptimized plans.
+The optimizer's claim is operational, not semantic: user predicates are
+pushed through projections and joins down to the scans, merged with the
+use-rewrite's sketch disjunctions and served from ordered indexes, and join
+clusters are re-ordered smallest-first -- while every query result stays
+bit-identical to the reference oracle
+(``Database.query(..., optimize_plans=False, vectorize=False)``: the literal
+plan shape on the row-at-a-time operators).
 
 Measured on a mixed query/update workload whose queries deliberately defeat
-the unoptimized index path (WHERE above an explicit JOIN, three-way join with
-a selective filter, sketch queries with extra user predicates):
+the literal plans' index path (WHERE above an explicit JOIN, three-way join
+with a selective filter, sketch queries with extra user predicates).  Three
+systems run it, each on its own copy of the data: the oracle, the engine
+without sketches (``NoSketchSystem`` -- the like-for-like comparison, only
+plan shape and execution differ) and ``IMPSystem`` (reported, and checked for
+identical answers; its capture and maintenance reads make its counters a
+different quantity):
 
-* fewer full-table scans (``Database.full_scan_count``) and at least as many
-  index range scans (``Database.index_scan_count``),
+* the engine reads fewer whole tables (``Database.scan_count``) and serves
+  more selections from the index (``Database.index_scan_count``) than the
+  oracle,
 * lower median query latency over >= 3 repeats,
-* identical relations and identical sketch fragments under both settings.
+* identical relations, operation by operation, from all three.
 
-Set ``FIG21_SMOKE=1`` (the CI smoke job does) to run a single repeat and skip
+Set ``BENCH_SMOKE=1`` (the CI smoke job does) to run a single repeat and skip
 the wall-clock comparison; the deterministic counter and bit-identity
 assertions always run.  All table values are integers so aggregate sums are
 exact and insensitive to the different row orders the two plan shapes produce.
@@ -26,15 +33,15 @@ from __future__ import annotations
 
 import os
 import random
+import time
 
 from repro.bench.harness import ExperimentResult
-from repro.imp.engine import IMPConfig
-from repro.imp.middleware import IMPSystem
+from repro.imp.middleware import IMPSystem, NoSketchSystem
 from repro.storage.database import Database
 
 from benchmarks.conftest import median_rounds, print_rows, save_artifact
 
-SMOKE = os.environ.get("FIG21_SMOKE") == "1"
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 NUM_ROWS = 4000
 NUM_GROUPS = 150
 NUM_OPERATIONS = 24
@@ -97,93 +104,96 @@ def materialise_operations(seed: int = 29):
     return operations
 
 
-def make_system(optimize: bool) -> IMPSystem:
+class ReferenceSystem:
+    """Answers every query with the reference oracle, behind the workload API
+    of the middleware systems so one driver runs all three."""
+
+    def __init__(self, database: Database) -> None:
+        self.database = database
+
+    def run_query(self, sql: str):
+        return self.database.query(sql, optimize_plans=False, vectorize=False)
+
+    def apply_update(self, table: str, inserts) -> None:
+        self.database.insert(table, inserts)
+
+
+SYSTEMS = {
+    "reference": ReferenceSystem,
+    "engine": NoSketchSystem,
+    "imp": lambda database: IMPSystem(database, num_fragments=32),
+}
+
+
+def run_workload(setting: str, operations) -> tuple[list, float, Database]:
+    """Query results, total query seconds and the database (for its scan
+    counters) of one system run over a fresh copy of the data."""
     database = Database()
     load_tables(database)
-    return IMPSystem(
-        database, config=IMPConfig(optimize_plans=optimize), num_fragments=32
-    )
-
-
-def run_workload(system: IMPSystem, operations) -> tuple[list, float]:
+    system = SYSTEMS[setting](database)
     results = []
+    seconds = 0.0
     for kind, payload in operations:
         if kind == "query":
+            started = time.perf_counter()
             results.append(system.run_query(payload))
+            seconds += time.perf_counter() - started
         else:
             system.apply_update("r", inserts=payload)
-    return results, system.statistics.query_seconds
+    return results, seconds, database
 
 
 def test_fig21_optimizer_counters_and_bit_identity(benchmark):
-    """Deterministic core: optimized plans do fewer full scans, route more
-    selections through indexes, and change neither results nor sketches."""
+    """Deterministic core: the engine does fewer full scans, routes more
+    selections through indexes, and changes no result."""
     operations = materialise_operations()
 
-    def run_pair():
-        systems = {flag: make_system(flag) for flag in (True, False)}
-        outputs = {
-            flag: run_workload(system, operations)[0]
-            for flag, system in systems.items()
-        }
-        return systems, outputs
+    def run_all():
+        return {setting: run_workload(setting, operations) for setting in SYSTEMS}
 
-    systems, outputs = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     # Bit-identical query results, operation by operation.
-    for optimized, unoptimized in zip(outputs[True], outputs[False]):
-        assert optimized == unoptimized
+    reference_results = runs["reference"][0]
+    assert len(reference_results) == NUM_OPERATIONS
+    for setting in ("engine", "imp"):
+        for got, expected in zip(runs[setting][0], reference_results, strict=True):
+            assert got == expected, setting
 
-    # Identical sketches: optimization changes evaluation, never provenance.
-    on_store, off_store = systems[True].store, systems[False].store
-    assert len(on_store) == len(off_store) > 0
-    for entry in on_store.entries():
-        twin = off_store.get(entry.template)
-        assert twin is not None
-        assert set(entry.sketch.fragment_ids()) == set(twin.sketch.fragment_ids())
-
-    on_db, off_db = systems[True].database, systems[False].database
-    RESULTS.add(
-        setting="optimized",
-        full_scans=on_db.full_scan_count,
-        index_scans=on_db.index_scan_count,
-    )
-    RESULTS.add(
-        setting="unoptimized",
-        full_scans=off_db.full_scan_count,
-        index_scans=off_db.index_scan_count,
-    )
-    print_rows(RESULTS, "Fig. 21: backend scans under optimize_plans on/off")
+    for setting, (_results, _seconds, database) in runs.items():
+        RESULTS.add(
+            setting=setting,
+            full_scans=database.scan_count,
+            index_scans=database.index_scan_count,
+        )
+    print_rows(RESULTS, "Fig. 21: backend scans, engine and IMP vs reference oracle")
     save_artifact(RESULTS, "fig21")
 
     # The optimizer cuts index-scan misses: fewer full scans, more index scans.
-    assert on_db.full_scan_count < off_db.full_scan_count
-    assert on_db.index_scan_count >= off_db.index_scan_count
+    engine_db, reference_db = runs["engine"][2], runs["reference"][2]
+    assert engine_db.scan_count < reference_db.scan_count
+    assert engine_db.index_scan_count > reference_db.index_scan_count
 
 
 def test_fig21_optimizer_median_latency(benchmark):
-    """Shape check: optimized plans answer the mixed workload's queries faster
-    (median of >= 3 repeats; skipped under FIG21_SMOKE, where a single repeat
-    only proves the workload still runs end to end)."""
+    """Shape check: the engine answers the mixed workload's queries faster
+    than the oracle (median of >= 3 repeats; skipped under BENCH_SMOKE, where
+    a single repeat only proves the workload still runs end to end)."""
     operations = materialise_operations()
 
     def one_round():
-        seconds = {}
-        for flag in (True, False):
-            system = make_system(flag)
-            seconds[flag] = run_workload(system, operations)[1]
-        return seconds[True], seconds[False]
+        return tuple(run_workload(setting, operations)[1] for setting in SYSTEMS)
 
     def run_rounds():
         return median_rounds(one_round, repeats=REPEATS)
 
-    optimized, unoptimized = benchmark.pedantic(run_rounds, rounds=1, iterations=1)
+    medians = dict(zip(SYSTEMS, benchmark.pedantic(run_rounds, rounds=1, iterations=1)))
     local = ExperimentResult("fig21-latency")
-    local.add(setting="optimized", seconds=round(optimized, 4))
-    local.add(setting="unoptimized", seconds=round(unoptimized, 4))
+    for setting, seconds in medians.items():
+        local.add(setting=setting, seconds=round(seconds, 4))
     print_rows(local, "Fig. 21: query seconds for the mixed workload")
     if not SMOKE:
-        assert optimized < unoptimized, (
-            f"optimized plans should answer queries faster "
-            f"({optimized:.4f}s vs {unoptimized:.4f}s)"
+        assert medians["engine"] < medians["reference"], (
+            f"the engine should answer queries faster than the oracle "
+            f"({medians['engine']:.4f}s vs {medians['reference']:.4f}s)"
         )

@@ -1,40 +1,42 @@
 """Figure 22 (extension): the vectorized columnar execution engine.
 
-The vectorized engine's claim is purely about constant factors: plan subtrees
+The engine's claim here is purely about constant factors: plan subtrees
 built from kernel-covered operators execute column-at-a-time over
 :class:`~repro.relational.columnar.ColumnBatch` data (batch-compiled
 expression kernels, per-version column caches in the stored tables) instead
-of dispatching the row interpreter per tuple -- while every relation and
-every sketch stays bit-identical to the row engine.
+of running the row operators per tuple -- while every relation stays
+bit-identical to the reference oracle
+(``Database.query(..., optimize_plans=False, vectorize=False)``).
 
-Measured on full-scan workloads over a >= 100k row table (no indexes, plans
-kept literal, so nothing but the execution engine differs):
+Measured on full-scan workloads over a >= 100k row table (no indexes and
+single-table plans, so the optimizer has nothing to rewrite and only the
+execution differs):
 
 * full-scan selection, projection (with arithmetic), grouped aggregation and
   distinct each answer >= 2x faster (median of >= 3 GC-quiesced repeats via
-  ``time_callable``) on the vectorized engine,
-* results are bit-identical for every workload, and IMP systems running with
-  ``IMPConfig.vectorize`` on and off capture identical sketches and answers,
+  ``time_callable``) on the engine than on the reference oracle,
+* results are bit-identical for every workload, and ``IMPSystem`` answers
+  equal the oracle's after every update batch,
 * the measurements are written to the ``BENCH_fig22.json`` artifact.
 
-Set ``FIG22_SMOKE=1`` (the gating CI job does) to shrink the table and skip
+Set ``BENCH_SMOKE=1`` (the gating CI job does) to shrink the table and skip
 the wall-clock comparison; bit-identity, the fallback boundary check and the
 JSON artifact always run.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 
 from repro.bench.harness import ExperimentResult, time_callable
-from repro.imp.engine import IMPConfig
 from repro.imp.middleware import IMPSystem
 from repro.storage.database import Database
 
 from benchmarks.conftest import print_rows, save_artifact
 
-SMOKE = os.environ.get("FIG22_SMOKE") == "1"
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 NUM_ROWS = 20_000 if SMOKE else 120_000
 NUM_GROUPS = 200
 REPEATS = 1 if SMOKE else 3
@@ -46,7 +48,7 @@ WORKLOADS = [
     ("aggregation", "SELECT a, sum(b) AS sb, avg(c) AS ac, count(*) AS n FROM big GROUP BY a"),
     ("distinct", "SELECT DISTINCT a FROM big WHERE b < 500"),
     # TopK has no kernel: the subtree below the LIMIT runs vectorized, the
-    # LIMIT itself on the row engine (fallback boundary; no speedup claim).
+    # LIMIT itself on the row operator (fallback boundary; no speedup claim).
     ("topk-fallback", "SELECT id, b FROM big WHERE b < 200 ORDER BY b, id LIMIT 10"),
 ]
 
@@ -65,89 +67,76 @@ def load_big(database: Database, seed: int = 7) -> None:
     )
 
 
+def reference_query(database: Database, query):
+    """The reference oracle: literal plan shape, row-at-a-time operators."""
+    return database.query(query, optimize_plans=False, vectorize=False)
+
+
 def test_fig22_vectorized_speedup_and_bit_identity(benchmark):
     database = Database()
     load_big(database)
-    # Plans are pre-translated and kept literal (optimize_plans=False, no
-    # indexes) so the comparison isolates the execution engine itself.
     plans = {name: database.plan(sql) for name, sql in WORKLOADS}
+    systems = (
+        ("engine", database.query),
+        ("reference", functools.partial(reference_query, database)),
+    )
 
     def run_all():
         for name, _sql in WORKLOADS:
-            # Bit-identical results between the two engines.
-            vectorized = database.query(plans[name], optimize_plans=False, vectorize=True)
-            row = database.query(plans[name], optimize_plans=False, vectorize=False)
-            assert vectorized == row, name
+            plan = plans[name]
+            assert database.query(plan) == reference_query(database, plan), name
         for name, _sql in WORKLOADS:
-            for vectorize in (True, False):
+            for system, run in systems:
                 seconds = time_callable(
-                    lambda: database.query(
-                        plans[name], optimize_plans=False, vectorize=vectorize
-                    ),
-                    repeats=REPEATS,
-                    warmup=1,
+                    lambda: run(plans[name]), repeats=REPEATS, warmup=1
                 )
-                RESULTS.add(
-                    workload=name,
-                    system="vectorized" if vectorize else "row",
-                    rows=NUM_ROWS,
-                    seconds=seconds,
-                )
+                RESULTS.add(workload=name, system=system, rows=NUM_ROWS, seconds=seconds)
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
-    print_rows(RESULTS, "Fig. 22: vectorized vs row engine (median seconds)")
+    print_rows(RESULTS, "Fig. 22: engine vs reference oracle (median seconds)")
     save_artifact(RESULTS, "fig22")
     if SMOKE:
         return
     for name, _sql in WORKLOADS:
         if name == "topk-fallback":
             continue
-        fast = float(RESULTS.value("seconds", workload=name, system="vectorized"))
-        slow = float(RESULTS.value("seconds", workload=name, system="row"))
+        fast = float(RESULTS.value("seconds", workload=name, system="engine"))
+        slow = float(RESULTS.value("seconds", workload=name, system="reference"))
         ratio = slow / max(fast, 1e-12)
         assert ratio >= MIN_SPEEDUP, (
-            f"vectorized expected >= {MIN_SPEEDUP}x on {name}, measured {ratio:.2f}x "
+            f"engine expected >= {MIN_SPEEDUP}x on {name}, measured {ratio:.2f}x "
             f"({fast:.4f}s vs {slow:.4f}s)"
         )
 
 
-def test_fig22_sketches_identical_under_vectorize_toggle():
-    """IMP with vectorize on/off answers identically and captures/maintains
-    byte-for-byte identical sketches (vectorization never touches capture or
-    incremental maintenance, which stay row-based annotated semantics)."""
+def test_fig22_imp_answers_match_the_reference_oracle():
+    """IMP answers every query exactly as the reference oracle does, after
+    every update batch (capture and incremental maintenance are row-based
+    annotated semantics; only the final evaluation is vectorized)."""
     rng = random.Random(13)
     queries = [
         "SELECT a, avg(b) AS ab FROM r GROUP BY a HAVING avg(c) < 1500",
         "SELECT a, sum(c) AS sc FROM r WHERE b BETWEEN 200 AND 1500 GROUP BY a",
     ]
     data_rng = random.Random(17)
-    rows = [
-        (i, data_rng.randrange(150), data_rng.randrange(2000), data_rng.randrange(2000))
-        for i in range(4000)
-    ]
-    systems = []
-    for vectorize in (True, False):
-        database = Database()
-        database.create_table("r", ["id", "a", "b", "c"], primary_key="id")
-        database.insert("r", rows)
-        systems.append(
-            IMPSystem(database, config=IMPConfig(vectorize=vectorize), num_fragments=32)
-        )
+    database = Database()
+    database.create_table("r", ["id", "a", "b", "c"], primary_key="id")
+    database.insert(
+        "r",
+        [
+            (i, data_rng.randrange(150), data_rng.randrange(2000), data_rng.randrange(2000))
+            for i in range(4000)
+        ],
+    )
+    system = IMPSystem(database, num_fragments=32)
     next_id = 10_000
     for step in range(8):
         sql = queries[step % len(queries)]
-        answers = [system.run_query(sql) for system in systems]
-        assert answers[0] == answers[1], sql
+        assert system.run_query(sql) == reference_query(database, sql), sql
         inserts = [
             (next_id + i, rng.randrange(150), rng.randrange(2000), rng.randrange(2000))
             for i in range(5)
         ]
         next_id += len(inserts)
-        for system in systems:
-            system.apply_update("r", inserts=inserts)
-    stores = [system.store for system in systems]
-    assert len(stores[0]) == len(stores[1]) > 0
-    for entry in stores[0].entries():
-        twin = stores[1].get(entry.template)
-        assert twin is not None
-        assert set(entry.sketch.fragment_ids()) == set(twin.sketch.fragment_ids())
+        system.apply_update("r", inserts=inserts)
+    assert system.statistics.sketch_hits == 8

@@ -20,7 +20,7 @@ bit-identical while the writer commits, and match a post-hoc session
 re-pinned at the same version.  The measurements are written to the
 ``BENCH_fig23.json`` artifact.
 
-Set ``FIG23_SMOKE=1`` to shrink the run and skip the wall-clock ratio (the
+Set ``BENCH_SMOKE=1`` to shrink the run and skip the wall-clock ratio (the
 deterministic consistency assertions and the artifact always run).
 """
 
@@ -36,7 +36,7 @@ from repro.workloads.synthetic import load_synthetic
 
 from benchmarks.conftest import print_rows, save_artifact
 
-SMOKE = os.environ.get("FIG23_SMOKE") == "1"
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 NUM_ROWS = 500 if SMOKE else 1_000
 NUM_GROUPS = 50
 DURATION = 0.25 if SMOKE else 1.5

@@ -23,7 +23,7 @@ Asserted (non-smoke): ``fsync="always"`` commits no faster than
 takes at least as long as the shortest (replay work scales).  The
 bit-identity checks and the artifact always run.
 
-Set ``FIG26_SMOKE=1`` (the gating CI job does) to shrink the workload and
+Set ``BENCH_SMOKE=1`` (the gating CI job does) to shrink the workload and
 skip the wall-clock comparisons.
 """
 
@@ -39,7 +39,7 @@ from repro.storage.wal import FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_OFF
 
 from benchmarks.conftest import median_seconds, print_rows, save_artifact
 
-SMOKE = os.environ.get("FIG26_SMOKE") == "1"
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 COMMITS = 60 if SMOKE else 200
 DELTA_ROWS = 20
 REPEATS = 3

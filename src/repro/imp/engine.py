@@ -56,27 +56,6 @@ class IMPConfig:
         Keep only the best ``l`` values / tuples in min-max and top-k operator
         state; ``None`` stores everything.  Smaller buffers save memory but may
         force a recapture when deletions exhaust them.
-    ``compile_expressions``
-        Specialise predicates, projections, group keys and order keys into
-        schema-resolved closures instead of interpreting the expression AST
-        per tuple.  Results are identical either way; ``False`` exists for the
-        interpreted baseline in benchmarks and differential tests.
-    ``optimize_plans``
-        Run backend query plans (instrumented or fallback) through the
-        logical plan optimizer before evaluation, so pushed-down user
-        predicates merge with the sketch BETWEEN disjunctions and every scan
-        can be served from an ordered index.  Results are identical either
-        way; ``False`` keeps the translator's literal plan shape for the
-        unoptimized baseline in benchmarks and differential tests.
-    ``vectorize``
-        Execute backend query plans (instrumented or fallback) on the
-        vectorized columnar engine: operators with batch kernels run
-        column-at-a-time over :class:`~repro.relational.columnar.ColumnBatch`
-        data, falling back to the row engine per operator where no kernel
-        exists (e.g. TopK).  Results are bit-identical either way; ``False``
-        keeps the row-at-a-time engine for the baseline in benchmarks and
-        differential tests.  Sketch capture and incremental maintenance are
-        row-based regardless (annotated semantics tracks per-row provenance).
     """
 
     use_bloom_filters: bool = True
@@ -84,20 +63,6 @@ class IMPConfig:
     min_max_buffer: int | None = None
     topk_buffer: int | None = None
     bloom_false_positive_rate: float = 0.01
-    compile_expressions: bool = True
-    optimize_plans: bool = True
-    vectorize: bool = True
-
-    def describe(self) -> str:
-        """Compact textual form used by the benchmark reports."""
-        return (
-            f"bloom={'on' if self.use_bloom_filters else 'off'}, "
-            f"pushdown={'on' if self.selection_pushdown else 'off'}, "
-            f"minmax_buffer={self.min_max_buffer}, topk_buffer={self.topk_buffer}, "
-            f"compile={'on' if self.compile_expressions else 'off'}, "
-            f"optimize={'on' if self.optimize_plans else 'off'}, "
-            f"vectorize={'on' if self.vectorize else 'off'}"
-        )
 
 
 @dataclass
@@ -132,7 +97,6 @@ class IncrementalEngine:
     # -- compilation ---------------------------------------------------------------
 
     def _compile(self, node: PlanNode) -> IncrementalOperator:
-        compile_expressions = self.config.compile_expressions
         if isinstance(node, TableScan):
             return IncrementalTableAccess(
                 node.table,
@@ -141,22 +105,17 @@ class IncrementalEngine:
                 self.partition,
                 self.database,
                 self.statistics,
-                compile_expressions=compile_expressions,
             )
         if isinstance(node, Selection):
             child = self._compile(node.child)
             if self.config.selection_pushdown:
                 self._push_delta_filter(node, child)
-            return IncrementalSelection(
-                child, node.predicate, self.statistics,
-                compile_expressions=compile_expressions,
-            )
+            return IncrementalSelection(child, node.predicate, self.statistics)
         if isinstance(node, Projection):
             child = self._compile(node.child)
             schema = Schema(item.alias for item in node.items)
             return IncrementalProjection(
-                child, [item.expression for item in node.items], schema, self.statistics,
-                compile_expressions=compile_expressions,
+                child, [item.expression for item in node.items], schema, self.statistics
             )
         if isinstance(node, Join):
             left = self._compile(node.left)
@@ -173,7 +132,6 @@ class IncrementalEngine:
                 self.statistics,
                 use_bloom_filters=self.config.use_bloom_filters,
                 bloom_false_positive_rate=self.config.bloom_false_positive_rate,
-                compile_expressions=compile_expressions,
             )
         if isinstance(node, Aggregation):
             child = self._compile(node.child)
@@ -184,7 +142,6 @@ class IncrementalEngine:
                 node.output_schema(self.database),
                 self.statistics,
                 min_max_buffer=self.config.min_max_buffer,
-                compile_expressions=compile_expressions,
             )
         if isinstance(node, Distinct):
             return IncrementalDistinct(self._compile(node.child), self.statistics)
@@ -195,7 +152,6 @@ class IncrementalEngine:
                 node.order_by,
                 self.statistics,
                 buffer_limit=self.config.topk_buffer,
-                compile_expressions=compile_expressions,
             )
         raise PlanError(
             f"IMP does not support incremental maintenance of {type(node).__name__}; "

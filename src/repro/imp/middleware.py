@@ -133,23 +133,11 @@ class NoSketchSystem(WorkloadSystem):
 
     name = "no-sketch"
 
-    def __init__(
-        self,
-        database: Database,
-        optimize_plans: bool = True,
-        vectorize: bool = True,
-    ) -> None:
-        super().__init__(database)
-        self.optimize_plans = optimize_plans
-        self.vectorize = vectorize
-
     def run_query(self, sql: str) -> Relation:
         started = time.perf_counter()
         # Under the write lock so multi-table plans read one committed state.
         with self.database.lock:
-            result = self.database.query(
-                sql, optimize_plans=self.optimize_plans, vectorize=self.vectorize
-            )
+            result = self.database.query(sql)
         with self._statistics_lock:
             self.statistics.queries += 1
             self.statistics.query_seconds += time.perf_counter() - started
@@ -167,16 +155,11 @@ class SketchBasedSystem(WorkloadSystem):
         strategy: MaintenanceStrategy | None = None,
         store_capacity: int | None = None,
         store_max_bytes: int | None = None,
-        compact_deltas: bool = True,
-        optimize_plans: bool = True,
-        vectorize: bool = True,
     ) -> None:
         super().__init__(database)
         self.num_fragments = num_fragments
         self.partition_method = partition_method
         self.strategy = strategy or LazyStrategy()
-        self.optimize_plans = optimize_plans
-        self.vectorize = vectorize
         # One optimizer per system: its cardinality estimator shares the
         # database's per-version statistics cache across queries.
         self._plan_optimizer = PlanOptimizer(database)
@@ -185,9 +168,7 @@ class SketchBasedSystem(WorkloadSystem):
         # paths run through the shared-delta scheduler: one audit-log fetch
         # per distinct (table, version) group per round, compacted before
         # fan-out to the stale maintainers.
-        self.scheduler = MaintenanceScheduler(
-            database, self.store, compact_deltas=compact_deltas
-        )
+        self.scheduler = MaintenanceScheduler(database, self.store)
         # Serializes first-capture of a template: two sessions racing on the
         # same cold query must not both build partitions, indexes and
         # operator state.
@@ -215,19 +196,26 @@ class SketchBasedSystem(WorkloadSystem):
             entry = self.store.get(template)
             if entry is None:
                 entry = self._capture_entry(sql, template, plan)
+            if (
+                entry is not None
+                and entry.sql != sql
+                and entry.plan.explain() != plan.explain()
+            ):
+                # The store is keyed by constant-free template, but an entry's
+                # sketch and plan belong to the constants it was captured
+                # with: another binding of the template is not answered from
+                # them.
+                entry = None
             if entry is None:
-                # No safe sketch attribute or unsupported operator: answer the
-                # query without provenance-based data skipping.  Held under
-                # the write lock so a multi-table plan cannot observe half of
-                # a concurrent commit across its scans.
+                # No usable sketch (no safe sketch attribute, unsupported
+                # operator, or other constants): answer the query without
+                # provenance-based data skipping.  Held under the write lock
+                # so a multi-table plan cannot observe half of a concurrent
+                # commit across its scans.
                 with self._statistics_lock:
                     self.statistics.fallback_queries += 1
                 with self.database.lock:
-                    result = self.database.query(
-                        plan,
-                        optimize_plans=self.optimize_plans,
-                        vectorize=self.vectorize,
-                    )
+                    result = self.database.query(plan)
                 return result
             with self._statistics_lock:
                 self.statistics.sketch_hits += 1
@@ -324,12 +312,9 @@ class SketchBasedSystem(WorkloadSystem):
         # read-heavy workloads pay for the rewrite once per maintenance.
         plan = entry.instrumented_plan
         if plan is None or entry.instrumented_at_version != sketch_version:
-            optimizer = self._plan_optimizer if self.optimize_plans else None
-            plan = instrument_plan(entry.plan, sketch, optimizer=optimizer)
+            plan = self._plan_optimizer.optimize(instrument_plan(entry.plan, sketch))
             entry.set_instrumented(plan, sketch_version)
-        return self.database.query(
-            plan, optimize_plans=False, vectorize=self.vectorize
-        )
+        return self.database.query(plan)
 
     # -- update path (eager maintenance hook) ----------------------------------------------------
 
@@ -448,7 +433,6 @@ class IMPSystem(SketchBasedSystem):
         strategy: MaintenanceStrategy | None = None,
         store_capacity: int | None = None,
         store_max_bytes: int | None = None,
-        compact_deltas: bool = True,
     ) -> None:
         self.config = config or IMPConfig()
         super().__init__(
@@ -458,9 +442,6 @@ class IMPSystem(SketchBasedSystem):
             strategy=strategy,
             store_capacity=store_capacity,
             store_max_bytes=store_max_bytes,
-            compact_deltas=compact_deltas,
-            optimize_plans=self.config.optimize_plans,
-            vectorize=self.config.vectorize,
         )
 
     def _make_maintainer(self, plan: PlanNode, partition) -> BaseMaintainer:

@@ -135,7 +135,6 @@ class IncrementalTableAccess(IncrementalOperator):
         provider,
         statistics: EngineStatistics,
         delta_filter: Expression | None = None,
-        compile_expressions: bool = True,
     ) -> None:
         super().__init__(base_schema.qualify(alias), statistics)
         self.table = table.lower()
@@ -143,7 +142,6 @@ class IncrementalTableAccess(IncrementalOperator):
         self.base_schema = base_schema
         self.partition = partition
         self.provider = provider
-        self._compile_expressions = compile_expressions
         self._delta_filter: Expression | None = None
         self._delta_filter_fn: CompiledExpression | None = None
         self.delta_filter = delta_filter
@@ -165,7 +163,7 @@ class IncrementalTableAccess(IncrementalOperator):
         self._delta_filter_fn = (
             None
             if expression is None
-            else compile_expression(expression, self.output_schema, self._compile_expressions)
+            else compile_expression(expression, self.output_schema)
         )
 
     def initialize(self) -> AnnotatedRelation:
@@ -212,14 +210,11 @@ class IncrementalSelection(IncrementalOperator):
         child: IncrementalOperator,
         predicate: Expression,
         statistics: EngineStatistics,
-        compile_expressions: bool = True,
     ) -> None:
         super().__init__(child.output_schema, statistics)
         self.child = child
         self.predicate = predicate
-        self._predicate_fn = compile_expression(
-            predicate, child.output_schema, compile_expressions
-        )
+        self._predicate_fn = compile_expression(predicate, child.output_schema)
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
@@ -256,14 +251,11 @@ class IncrementalProjection(IncrementalOperator):
         expressions: Sequence[Expression],
         output_schema: Schema,
         statistics: EngineStatistics,
-        compile_expressions: bool = True,
     ) -> None:
         super().__init__(output_schema, statistics)
         self.child = child
         self.expressions = list(expressions)
-        self._project = compile_row_expressions(
-            self.expressions, child.output_schema, compile_expressions
-        )
+        self._project = compile_row_expressions(self.expressions, child.output_schema)
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
@@ -316,7 +308,6 @@ class IncrementalJoin(IncrementalOperator):
         statistics: EngineStatistics,
         use_bloom_filters: bool = True,
         bloom_false_positive_rate: float = 0.01,
-        compile_expressions: bool = True,
     ) -> None:
         super().__init__(left.output_schema.concat(right.output_schema), statistics)
         self.left = left
@@ -324,11 +315,10 @@ class IncrementalJoin(IncrementalOperator):
         self.left_plan = left_plan
         self.right_plan = right_plan
         self.condition = condition
-        self._compile_expressions = compile_expressions
         self._condition_fn = (
             None
             if condition is None
-            else compile_expression(condition, self.output_schema, compile_expressions)
+            else compile_expression(condition, self.output_schema)
         )
         self.provider = provider
         self.partition = partition
@@ -477,10 +467,7 @@ class IncrementalJoin(IncrementalOperator):
     def _evaluate_side(self, plan: PlanNode, shipped: int) -> AnnotatedRelation:
         self.statistics.backend_round_trips += 1
         self.statistics.tuples_shipped_to_backend += shipped
-        evaluator = AnnotatedEvaluator(
-            self.provider, self.partition, compile_expressions=self._compile_expressions
-        )
-        return evaluator.evaluate(plan)
+        return AnnotatedEvaluator(self.provider, self.partition).evaluate(plan)
 
     def _join_delta_with_state(
         self,
@@ -588,7 +575,6 @@ class IncrementalAggregation(IncrementalOperator):
         output_schema: Schema,
         statistics: EngineStatistics,
         min_max_buffer: int | None = None,
-        compile_expressions: bool = True,
     ) -> None:
         super().__init__(output_schema, statistics)
         self.child = child
@@ -597,9 +583,7 @@ class IncrementalAggregation(IncrementalOperator):
         self.min_max_buffer = min_max_buffer
         self.state = AggregationState()
         child_schema = child.output_schema
-        self._group_key = compile_row_expressions(
-            self.group_by, child_schema, compile_expressions
-        )
+        self._group_key = compile_row_expressions(self.group_by, child_schema)
         # COUNT(*) has no argument; a constant placeholder keeps the value
         # tuple aligned with the accumulators (CountStarAccumulator ignores it).
         self._argument_values = compile_row_expressions(
@@ -608,7 +592,6 @@ class IncrementalAggregation(IncrementalOperator):
                 for aggregate in self.aggregates
             ],
             child_schema,
-            compile_expressions,
         )
 
     def children(self) -> Sequence[IncrementalOperator]:
@@ -736,7 +719,6 @@ class IncrementalTopK(IncrementalOperator):
         order_by: Sequence[OrderItem],
         statistics: EngineStatistics,
         buffer_limit: int | None = None,
-        compile_expressions: bool = True,
     ) -> None:
         super().__init__(child.output_schema, statistics)
         self.child = child
@@ -749,7 +731,7 @@ class IncrementalTopK(IncrementalOperator):
         self._sort_key = make_order_key(
             self.order_by,
             [
-                compile_expression(item.expression, child.output_schema, compile_expressions)
+                compile_expression(item.expression, child.output_schema)
                 for item in self.order_by
             ],
         )

@@ -280,7 +280,6 @@ class StatePersistence:
                 "selection_pushdown": maintainer.config.selection_pushdown,
                 "min_max_buffer": maintainer.config.min_max_buffer,
                 "topk_buffer": maintainer.config.topk_buffer,
-                "compile_expressions": maintainer.config.compile_expressions,
             },
             "engine_state": dump_engine_state(maintainer.engine),
         }
@@ -324,7 +323,16 @@ class StatePersistence:
         try:
             sql = payload["sql"]
             partition = _partition_from_payload(payload["partition"])
-            config = IMPConfig(**payload["config"])
+            # Reads exactly the keys save_maintainer writes: payloads from
+            # earlier versions carry settings that no longer exist, and those
+            # must not make a good entry unreadable.
+            stored_config = payload["config"]
+            config = IMPConfig(
+                use_bloom_filters=stored_config["use_bloom_filters"],
+                selection_pushdown=stored_config["selection_pushdown"],
+                min_max_buffer=stored_config["min_max_buffer"],
+                topk_buffer=stored_config["topk_buffer"],
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise StateError(
                 f"persisted state for key {key!r} is malformed: {exc!r}"

@@ -98,15 +98,9 @@ class SchedulerStatistics:
 class MaintenanceScheduler:
     """Runs shared-delta maintenance rounds over a sketch store."""
 
-    def __init__(
-        self,
-        database: Database,
-        store: SketchStore,
-        compact_deltas: bool = True,
-    ) -> None:
+    def __init__(self, database: Database, store: SketchStore) -> None:
         self.database = database
         self.store = store
-        self.compact_deltas = compact_deltas
         self.statistics = SchedulerStatistics()
         # Maintainer operator state is single-writer: one lock serializes
         # shared-delta rounds (eager updates, the background maintenance
@@ -248,8 +242,7 @@ class MaintenanceScheduler:
             delta = self.database.delta_since(table, since, target)
             report.delta_fetches += 1
             report.fetched_tuples += len(delta)
-            if self.compact_deltas:
-                delta = delta.compacted()
+            delta = delta.compacted()
             report.compacted_tuples += len(delta)
             shared[(table, since)] = delta
         report.groups = len(groups)

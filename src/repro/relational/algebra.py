@@ -29,6 +29,11 @@ class SchemaProvider(Protocol):
 class PlanNode:
     """Base class of logical plan operators."""
 
+    optimized = False
+    """Set by :meth:`~repro.relational.optimizer.PlanOptimizer.optimize` on the
+    root of the plan it returns: the evaluator rewrites only plans that are
+    not yet optimizer output, so a cached optimized plan is evaluated as is."""
+
     def children(self) -> tuple["PlanNode", ...]:
         """The child operators (empty for leaves)."""
         raise NotImplementedError

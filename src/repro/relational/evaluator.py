@@ -131,56 +131,45 @@ def make_order_key(
 class Evaluator:
     """Evaluate logical plans against a :class:`RelationProvider`.
 
-    Expressions are compiled per ``(expression, schema)`` before the per-row
-    loops, so selection, projection, join and aggregation evaluate without
-    per-row schema lookups; ``compile_expressions=False`` falls back to the
-    interpreted ``Expression.evaluate`` (used as the baseline in benchmarks).
+    There is one engine: the plan is rewritten by the logical optimizer
+    (:mod:`repro.relational.optimizer` -- predicates pushed down to the scans
+    where the index-scan fast path can serve them, joins re-ordered by
+    estimated cardinality, unused columns pruned) and then runs
+    column-at-a-time over :class:`ColumnBatch` data (table scan, selection
+    including the index-scan recheck path, projection, equi hash join,
+    distinct, grouped aggregation), converting to a :class:`Relation` at the
+    boundary.  Operators without a kernel -- TopK (whose LIMIT tie-breaking
+    depends on row encounter order), cross products and non-equi theta joins
+    -- run on the row operators below, with vectorized children converted at
+    the boundary.  A plan that already is optimizer output
+    (:attr:`PlanNode.optimized`) is not rewritten again, so callers that
+    repeat a query keep the :meth:`optimized` plan and pay for the rewrite
+    once (sessions per SQL text, the sketch middleware per sketch version).
 
-    With ``optimize_plans=True`` plans are first rewritten by the logical
-    optimizer (:mod:`repro.relational.optimizer`): predicates are pushed down
-    to the scans (where the index-scan fast path can serve them), joins are
-    re-ordered by estimated cardinality and unused columns are pruned.  The
-    default is off so a bare ``Evaluator`` stays the literal reference
-    semantics used as the oracle in differential tests;
-    :meth:`repro.storage.database.Database.evaluator` turns it on.
-
-    With ``vectorize=True`` plan subtrees built from the operators that have
-    columnar kernels (table scan, selection including the index-scan recheck
-    path, projection, equi hash join, distinct, grouped aggregation) are
-    executed column-at-a-time over :class:`ColumnBatch` data and converted to
-    a :class:`Relation` only at the subtree boundary.  Operators without a
-    kernel -- TopK (whose LIMIT tie-breaking depends on row encounter order),
-    cross products and non-equi theta joins -- run on the row engine, with
-    vectorized children converted at the boundary, so results are
-    bit-identical either way.  Vectorization implies compiled expressions;
-    with ``compile_expressions=False`` the flag is ignored and the
-    interpreted row engine runs.  Like ``optimize_plans`` the default is off
-    for the bare reference evaluator and on for
-    :meth:`repro.storage.database.Database.evaluator`.
+    ``Evaluator(provider, optimize_plans=False, vectorize=False)`` is the
+    reference oracle: the literal plan shape on the row-at-a-time operators.
+    The differential tests and the benchmark's verify pass compare the engine
+    against it; results are bit-identical, including float-aggregate
+    accumulation order.
     """
 
     def __init__(
         self,
         provider: RelationProvider,
-        compile_expressions: bool = True,
-        optimize_plans: bool = False,
-        vectorize: bool = False,
+        optimize_plans: bool = True,
+        vectorize: bool = True,
     ) -> None:
         self._provider = provider
-        self._compile_expressions = compile_expressions
         self._optimize_plans = optimize_plans
-        self._vectorize = vectorize and compile_expressions
+        self._vectorize = vectorize
         self._optimizer = None
         self._estimator = None
-
-    def _compiled(self, expression: Expression, schema: Schema) -> CompiledExpression:
-        return compile_expression(expression, schema, self._compile_expressions)
 
     # -- public API --------------------------------------------------------------
 
     def evaluate(self, plan: PlanNode) -> Relation:
         """Evaluate ``plan`` and return its output relation."""
-        if self._optimize_plans:
+        if self._optimize_plans and not plan.optimized:
             plan = self.optimized(plan)
         return self._evaluate(plan)
 
@@ -383,7 +372,7 @@ class Evaluator:
             return indexed
         child = self._evaluate(node.child)
         result = Relation(child.schema)
-        predicate = self._compiled(node.predicate, child.schema)
+        predicate = compile_expression(node.predicate, child.schema)
         for row, multiplicity in child.items():
             if predicate(row) is True:
                 result.add(row, multiplicity)
@@ -403,7 +392,7 @@ class Evaluator:
             return None
         schema, attribute, intervals = choice
         result = Relation(schema)
-        predicate = self._compiled(node.predicate, schema)
+        predicate = compile_expression(node.predicate, schema)
         for row, multiplicity in self._provider.index_scan(
             node.child.table, attribute, intervals
         ):
@@ -462,9 +451,7 @@ class Evaluator:
         schema = Schema(item.alias for item in node.items)
         result = Relation(schema)
         project = compile_row_expressions(
-            [item.expression for item in node.items],
-            child.schema,
-            self._compile_expressions,
+            [item.expression for item in node.items], child.schema
         )
         for row, multiplicity in child.items():
             result.add(project(row), multiplicity)
@@ -480,7 +467,7 @@ class Evaluator:
             self._hash_join(node, left, right, schema, result, pairs)
             return result
         condition = (
-            None if node.condition is None else self._compiled(node.condition, schema)
+            None if node.condition is None else compile_expression(node.condition, schema)
         )
         for left_row, left_mult in left.items():
             for right_row, right_mult in right.items():
@@ -538,7 +525,7 @@ class Evaluator:
         left_positions = [pair[0] for pair in pairs]
         right_positions = [pair[1] for pair in pairs]
         condition = (
-            None if node.condition is None else self._compiled(node.condition, schema)
+            None if node.condition is None else compile_expression(node.condition, schema)
         )
         index: dict[tuple, list[tuple[Row, int]]] = {}
         for right_row, right_mult in right.items():
@@ -554,11 +541,9 @@ class Evaluator:
     def _aggregation(self, node: Aggregation) -> Relation:
         child = self._evaluate(node.child)
         schema = node.output_schema(self._provider)
-        group_key = compile_row_expressions(
-            node.group_by, child.schema, self._compile_expressions
-        )
+        group_key = compile_row_expressions(node.group_by, child.schema)
         argument_fns = [
-            None if agg.argument is None else self._compiled(agg.argument, child.schema)
+            None if agg.argument is None else compile_expression(agg.argument, child.schema)
             for agg in node.aggregates
         ]
         groups: dict[tuple, list[tuple[Row, int]]] = {}
@@ -603,7 +588,7 @@ class Evaluator:
         child = self._evaluate(node.child)
         order_key = make_order_key(
             node.order_by,
-            [self._compiled(item.expression, child.schema) for item in node.order_by],
+            [compile_expression(item.expression, child.schema) for item in node.order_by],
         )
         ordered = sorted(child.items(), key=lambda item: order_key(item[0]))
         result = Relation(child.schema)

@@ -9,19 +9,18 @@ evaluated).
 
 Every node implements
 
-* ``evaluate(row, schema)`` -- compute the value for a tuple,
 * ``compile(schema)`` -- specialise the expression for a schema, returning a
   closure ``row -> value`` with all column positions pre-resolved,
+* ``compile_batch(schema)`` -- the column-at-a-time twin of ``compile``,
 * ``columns()`` -- the set of referenced attribute names,
 * ``rename(mapping)`` -- structural copy with column names substituted, and
 * a deterministic ``canonical()`` string used for query templates.
 
-``evaluate`` is the reference semantics; ``compile`` produces a closure with
-identical results but without the per-row ``schema.index_of`` lookups and
-isinstance dispatch, which dominates the constant factor of every hot path
-(selection, projection, join conditions, group keys, order keys).  Hot-path
-callers go through :func:`compile_expression`, which caches compiled forms per
-``(expression, schema)`` so repeated maintenance rounds reuse them.
+Callers go through :func:`compile_expression` /
+:func:`compile_batch_expression`, which cache compiled forms per
+``(expression, schema)`` so repeated maintenance rounds reuse them.  The
+tree-walking interpreter that defines the semantics both lowerings are tested
+against lives with the tests (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -50,18 +49,13 @@ reference) -- callers must treat both as read-only.
 class Expression:
     """Base class for scalar expressions."""
 
-    def evaluate(self, row: Row, schema: Schema) -> Any:
-        """Evaluate the expression for ``row`` interpreted under ``schema``."""
-        raise NotImplementedError
-
     def compile(self, schema: Schema) -> CompiledExpression:
         """Specialise the expression for ``schema``.
 
-        The returned closure computes exactly ``evaluate(row, schema)`` for
-        every row of the schema.  Constant subexpressions are folded: an
-        expression referencing no columns is evaluated once at compile time
-        (unless evaluating it raises, in which case folding is skipped so the
-        error surfaces per-row exactly as under interpretation).
+        Constant subexpressions are folded: an expression referencing no
+        columns is evaluated once at compile time (unless evaluating it
+        raises, in which case folding is skipped so the error surfaces
+        per-row).
         """
         fn = self._compile(schema)
         if not self.columns() and not self.contains_aggregate():
@@ -147,9 +141,6 @@ class ColumnRef(Expression):
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def evaluate(self, row: Row, schema: Schema) -> Any:
-        return row[schema.index_of(self.name)]
-
     def _compile(self, schema: Schema) -> CompiledExpression:
         return operator.itemgetter(schema.index_of(self.name))
 
@@ -175,9 +166,6 @@ class Literal(Expression):
 
     def __init__(self, value: Any) -> None:
         self.value = value
-
-    def evaluate(self, row: Row, schema: Schema) -> Any:
-        return self.value
 
     def _compile(self, schema: Schema) -> CompiledExpression:
         value = self.value
@@ -221,13 +209,6 @@ class BinaryOp(Expression):
         self.op = op
         self.left = left
         self.right = right
-
-    def evaluate(self, row: Row, schema: Schema) -> Any:
-        left = self.left.evaluate(row, schema)
-        right = self.right.evaluate(row, schema)
-        if left is None or right is None:
-            return None
-        return _ARITHMETIC[self.op](left, right)
 
     def _compile(self, schema: Schema) -> CompiledExpression:
         left = self.left.compile(schema)
@@ -279,10 +260,6 @@ class UnaryMinus(Expression):
 
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
-
-    def evaluate(self, row: Row, schema: Schema) -> Any:
-        value = self.operand.evaluate(row, schema)
-        return None if value is None else -value
 
     def _compile(self, schema: Schema) -> CompiledExpression:
         operand = self.operand.compile(schema)
@@ -336,13 +313,6 @@ class Comparison(Expression):
         self.op = op
         self.left = left
         self.right = right
-
-    def evaluate(self, row: Row, schema: Schema) -> bool | None:
-        left = self.left.evaluate(row, schema)
-        right = self.right.evaluate(row, schema)
-        if left is None or right is None:
-            return None
-        return bool(_COMPARISONS[self.op](left, right))
 
     def _compile(self, schema: Schema) -> CompiledExpression:
         operation = _COMPARISONS[self.op]
@@ -428,14 +398,6 @@ class Between(Expression):
         self.low = low
         self.high = high
 
-    def evaluate(self, row: Row, schema: Schema) -> bool | None:
-        value = self.operand.evaluate(row, schema)
-        low = self.low.evaluate(row, schema)
-        high = self.high.evaluate(row, schema)
-        if value is None or low is None or high is None:
-            return None
-        return low <= value <= high
-
     def _compile(self, schema: Schema) -> CompiledExpression:
         operand = self.operand.compile(schema)
         low = self.low.compile(schema)
@@ -512,11 +474,6 @@ class IsNull(Expression):
         self.operand = operand
         self.negated = negated
 
-    def evaluate(self, row: Row, schema: Schema) -> bool:
-        value = self.operand.evaluate(row, schema)
-        result = value is None
-        return not result if self.negated else result
-
     def _compile(self, schema: Schema) -> CompiledExpression:
         operand = self.operand.compile(schema)
         if self.negated:
@@ -559,23 +516,9 @@ class LogicalOp(Expression):
         self.op = op
         self.operands = tuple(operands)
 
-    def evaluate(self, row: Row, schema: Schema) -> bool | None:
-        values = [operand.evaluate(row, schema) for operand in self.operands]
-        if self.op == "AND":
-            if any(value is False for value in values):
-                return False
-            if any(value is None for value in values):
-                return None
-            return True
-        if any(value is True for value in values):
-            return True
-        if any(value is None for value in values):
-            return None
-        return False
-
     def _compile(self, schema: Schema) -> CompiledExpression:
-        # Every operand is evaluated (no short-circuit), exactly like the
-        # interpreted form: a later operand that raises must raise either way.
+        # Every operand is evaluated (no short-circuit): a later operand
+        # that raises must raise whatever the earlier ones return.
         compiled = [operand.compile(schema) for operand in self.operands]
         if self.op == "AND":
 
@@ -675,12 +618,6 @@ class Not(Expression):
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
 
-    def evaluate(self, row: Row, schema: Schema) -> bool | None:
-        value = self.operand.evaluate(row, schema)
-        if value is None:
-            return None
-        return not value
-
     def _compile(self, schema: Schema) -> CompiledExpression:
         operand = self.operand.compile(schema)
 
@@ -750,20 +687,9 @@ class FunctionCall(Expression):
         """Whether this is one of the supported aggregate functions."""
         return self.name in AGGREGATE_FUNCTIONS
 
-    def evaluate(self, row: Row, schema: Schema) -> Any:
-        if self.is_aggregate:
-            raise UnsupportedOperationError(
-                f"aggregate {self.name}() cannot be evaluated per-row; "
-                "the translator must place it in an Aggregation operator"
-            )
-        handler = _SCALAR_FUNCTIONS.get(self.name)
-        if handler is None:
-            raise UnsupportedOperationError(f"unsupported scalar function {self.name!r}")
-        return handler([arg.evaluate(row, schema) for arg in self.args])
-
     def _compile(self, schema: Schema) -> CompiledExpression:
-        # Aggregates and unknown functions keep raising per-row, matching the
-        # interpreted semantics (the error belongs to evaluation, not planning).
+        # Aggregates and unknown functions raise per-row: the error belongs
+        # to evaluation, not planning.
         if self.is_aggregate:
             name = self.name
 
@@ -789,7 +715,7 @@ class FunctionCall(Expression):
         handler = _SCALAR_FUNCTIONS.get(self.name)
         if self.is_aggregate or handler is None:
             # Keep raising per element via the generic row fallback, matching
-            # the interpreted and row-compiled semantics.
+            # the row-compiled semantics.
             return super()._compile_batch(schema)
         compiled = [arg.compile_batch(schema) for arg in self.args]
 
@@ -824,22 +750,15 @@ _COMPILE_CACHE: dict[tuple[str, Schema, str], Callable] = {}
 _COMPILE_CACHE_LIMIT = 4096
 
 
-def compile_expression(
-    expression: Expression, schema: Schema, enabled: bool = True
-) -> CompiledExpression:
+def compile_expression(expression: Expression, schema: Schema) -> CompiledExpression:
     """Compiled form of ``expression`` under ``schema``, cached.
 
     Compiled closures depend only on the expression structure, the schema and
     the compilation mode, so they are shared across plan nodes and
     maintenance rounds via a process-wide cache keyed on ``(canonical form,
     schema, mode)`` -- row-compiled and batch-compiled forms of the same
-    expression coexist.  With ``enabled=False`` the interpreted ``evaluate``
-    is wrapped instead -- same call shape, no specialisation -- which is how
-    the engine's compilation toggle and the interpreted-vs-compiled
-    benchmarks are implemented.
+    expression coexist.
     """
-    if not enabled:
-        return lambda row: expression.evaluate(row, schema)
     key = (expression.canonical(), schema, "row")
     compiled = _COMPILE_CACHE.get(key)
     if compiled is None:
@@ -856,9 +775,7 @@ def compile_batch_expression(
     """Batch-compiled form of ``expression`` under ``schema``, cached.
 
     The columnar twin of :func:`compile_expression`, sharing its cache under
-    the ``"batch"`` mode key.  There is no ``enabled`` toggle: the vectorized
-    engine only runs with compilation on (the interpreted baseline is
-    row-at-a-time by definition).
+    the ``"batch"`` mode key.
     """
     key = (expression.canonical(), schema, "batch")
     compiled = _COMPILE_CACHE.get(key)
@@ -876,7 +793,7 @@ def clear_compile_cache() -> None:
 
 
 def compile_row_expressions(
-    expressions: Sequence[Expression], schema: Schema, enabled: bool = True
+    expressions: Sequence[Expression], schema: Schema
 ) -> Callable[[Row], tuple]:
     """Compile a list of expressions into one ``row -> tuple`` closure.
 
@@ -887,14 +804,14 @@ def compile_row_expressions(
     """
     if not expressions:
         return lambda row: ()
-    if enabled and all(isinstance(e, ColumnRef) for e in expressions):
+    if all(isinstance(e, ColumnRef) for e in expressions):
         positions = [schema.index_of(e.name) for e in expressions]
         if len(positions) == 1:
             getter = operator.itemgetter(positions[0])
             return lambda row: (getter(row),)
         # itemgetter with several indices already returns a tuple.
         return operator.itemgetter(*positions)
-    compiled = [compile_expression(e, schema, enabled) for e in expressions]
+    compiled = [compile_expression(e, schema) for e in expressions]
     return lambda row: tuple(fn(row) for fn in compiled)
 
 

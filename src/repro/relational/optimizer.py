@@ -102,7 +102,7 @@ def fold_expression(expression: Expression) -> Expression:
         return folded
     if not folded.columns() and not folded.contains_aggregate():
         try:
-            return Literal(folded.evaluate((), _EMPTY_SCHEMA))
+            return Literal(folded.compile(_EMPTY_SCHEMA)(()))
         except Exception:
             return folded
     if isinstance(folded, LogicalOp):
@@ -432,6 +432,7 @@ class PlanOptimizer:
         plan = self._reorder(plan)
         plan = self._collapse(plan)
         plan = self._prune(plan, None)
+        plan.optimized = True
         return plan
 
     # -- predicate decomposition & pushdown ----------------------------------------------

@@ -35,7 +35,6 @@ from repro.relational.evaluator import (
 )
 from repro.relational.expressions import (
     CompiledExpression,
-    Expression,
     compile_expression,
     compile_row_expressions,
 )
@@ -108,18 +107,9 @@ class AnnotatedEvaluator:
     specialised closures across rounds.
     """
 
-    def __init__(
-        self,
-        provider: RelationProvider,
-        partition: DatabasePartition,
-        compile_expressions: bool = True,
-    ) -> None:
+    def __init__(self, provider: RelationProvider, partition: DatabasePartition) -> None:
         self._provider = provider
         self._partition = partition
-        self._compile_expressions = compile_expressions
-
-    def _compiled(self, expression: Expression, schema: Schema) -> CompiledExpression:
-        return compile_expression(expression, schema, self._compile_expressions)
 
     # -- public API ------------------------------------------------------------------
 
@@ -175,7 +165,7 @@ class AnnotatedEvaluator:
     def _selection(self, node: Selection) -> AnnotatedRelation:
         child = self._evaluate(node.child)
         result = AnnotatedRelation(child.schema)
-        predicate = self._compiled(node.predicate, child.schema)
+        predicate = compile_expression(node.predicate, child.schema)
         for row, annotation, multiplicity in child.items():
             if predicate(row) is True:
                 result.add(row, annotation, multiplicity)
@@ -186,9 +176,7 @@ class AnnotatedEvaluator:
         schema = Schema(item.alias for item in node.items)
         result = AnnotatedRelation(schema)
         project = compile_row_expressions(
-            [item.expression for item in node.items],
-            child.schema,
-            self._compile_expressions,
+            [item.expression for item in node.items], child.schema
         )
         for row, annotation, multiplicity in child.items():
             result.add(project(row), annotation, multiplicity)
@@ -200,7 +188,7 @@ class AnnotatedEvaluator:
         schema = left.schema.concat(right.schema)
         result = AnnotatedRelation(schema)
         condition = (
-            None if node.condition is None else self._compiled(node.condition, schema)
+            None if node.condition is None else compile_expression(node.condition, schema)
         )
         keys = node.equi_join_keys()
         if keys is not None:
@@ -246,11 +234,9 @@ class AnnotatedEvaluator:
     def _aggregation(self, node: Aggregation) -> AnnotatedRelation:
         child = self._evaluate(node.child)
         schema = node.output_schema(self._provider)  # type: ignore[arg-type]
-        group_key = compile_row_expressions(
-            node.group_by, child.schema, self._compile_expressions
-        )
+        group_key = compile_row_expressions(node.group_by, child.schema)
         argument_fns = [
-            None if agg.argument is None else self._compiled(agg.argument, child.schema)
+            None if agg.argument is None else compile_expression(agg.argument, child.schema)
             for agg in node.aggregates
         ]
         groups: dict[tuple, dict[str, object]] = {}
@@ -307,7 +293,7 @@ class AnnotatedEvaluator:
         child = self._evaluate(node.child)
         order_key = make_order_key(
             node.order_by,
-            [self._compiled(item.expression, child.schema) for item in node.order_by],
+            [compile_expression(item.expression, child.schema) for item in node.order_by],
         )
         entries = sorted(child.items(), key=lambda entry: order_key(entry[0]))
         result = AnnotatedRelation(child.schema)

@@ -68,25 +68,8 @@ def sketch_predicate(
     return LogicalOp("OR", disjuncts)
 
 
-def instrument_plan(
-    plan: PlanNode, sketch: ProvenanceSketch, optimizer=None
-) -> PlanNode:
-    """Rewrite ``plan`` so scans of partitioned tables filter by ``sketch``.
-
-    When ``optimizer`` (a :class:`repro.relational.optimizer.PlanOptimizer`)
-    is given, the instrumented plan is optimized before being returned: user
-    predicates are pushed down and merged with the injected BETWEEN
-    disjunctions into one selection per scan, so the backend can serve the
-    combined predicate from a single index range scan even when projections,
-    joins or HAVING clauses sit between the selection and the scan.
-    """
-    instrumented = _instrument(plan, sketch)
-    if optimizer is not None:
-        return optimizer.optimize(instrumented)
-    return instrumented
-
-
-def _instrument(plan: PlanNode, sketch: ProvenanceSketch) -> PlanNode:
+def instrument_plan(plan: PlanNode, sketch: ProvenanceSketch) -> PlanNode:
+    """Rewrite ``plan`` so scans of partitioned tables filter by ``sketch``."""
     if isinstance(plan, TableScan):
         predicate = sketch_predicate(sketch, plan.table)
         if predicate is None:
@@ -96,21 +79,21 @@ def _instrument(plan: PlanNode, sketch: ProvenanceSketch) -> PlanNode:
         predicate = _requalify(predicate, partition.attribute, qualified)
         return Selection(plan, predicate)
     if isinstance(plan, Selection):
-        return Selection(_instrument(plan.child, sketch), plan.predicate)
+        return Selection(instrument_plan(plan.child, sketch), plan.predicate)
     if isinstance(plan, Projection):
-        return Projection(_instrument(plan.child, sketch), plan.items)
+        return Projection(instrument_plan(plan.child, sketch), plan.items)
     if isinstance(plan, Join):
         return Join(
-            _instrument(plan.left, sketch),
-            _instrument(plan.right, sketch),
+            instrument_plan(plan.left, sketch),
+            instrument_plan(plan.right, sketch),
             plan.condition,
         )
     if isinstance(plan, Aggregation):
-        return Aggregation(_instrument(plan.child, sketch), plan.group_by, plan.aggregates)
+        return Aggregation(instrument_plan(plan.child, sketch), plan.group_by, plan.aggregates)
     if isinstance(plan, Distinct):
-        return Distinct(_instrument(plan.child, sketch))
+        return Distinct(instrument_plan(plan.child, sketch))
     if isinstance(plan, TopK):
-        return TopK(_instrument(plan.child, sketch), plan.k, plan.order_by)
+        return TopK(instrument_plan(plan.child, sketch), plan.k, plan.order_by)
     return plan
 
 

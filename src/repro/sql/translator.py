@@ -64,29 +64,18 @@ class Translator:
 
     # -- public API --------------------------------------------------------------
 
-    def translate(self, statement: SelectStatement, optimize: bool = False) -> PlanNode:
-        """Translate ``statement`` into a logical plan.
-
-        With ``optimize=True`` the logical plan optimizer
-        (:mod:`repro.relational.optimizer`) rewrites the translated plan:
-        predicates are decomposed and pushed down to the scans, joins are
-        re-ordered by estimated cardinality and unused columns pruned.
-        """
+    def translate(self, statement: SelectStatement) -> PlanNode:
+        """Translate ``statement`` into a logical plan."""
         plan = self._build_from(statement)
         plan = self._apply_where(plan, statement.where)
         plan = self._apply_aggregation(plan, statement)
         if statement.distinct:
             plan = Distinct(plan)
-        plan = self._apply_top_k(plan, statement)
-        if optimize:
-            from repro.relational.optimizer import PlanOptimizer
+        return self._apply_top_k(plan, statement)
 
-            plan = PlanOptimizer(self._catalog).optimize(plan)
-        return plan
-
-    def translate_sql(self, sql: str, optimize: bool = False) -> PlanNode:
+    def translate_sql(self, sql: str) -> PlanNode:
         """Parse and translate a SQL string."""
-        return self.translate(parse_select(sql), optimize=optimize)
+        return self.translate(parse_select(sql))
 
     # -- FROM clause -------------------------------------------------------------
 

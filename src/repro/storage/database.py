@@ -238,18 +238,6 @@ class Database:
         """Number of selections served by an index range scan."""
         return self._index_scan_counter
 
-    @property
-    def full_scan_count(self) -> int:
-        """Alias of :attr:`scan_count` under the name the optimizer work uses.
-
-        Every :meth:`relation` call fetches a whole table (query table scans,
-        but also capture and maintenance reads); selections served through
-        :meth:`index_scan` bypass it.  Comparing this counter across systems
-        running the same workload is how the fig. 21 benchmark shows the
-        optimizer turning full scans into index scans.
-        """
-        return self._scan_counter
-
     def row_count(self, table: str) -> int:
         """Current number of rows of ``table`` (duplicates included)."""
         return len(self.table(table))
@@ -531,28 +519,22 @@ class Database:
 
     # -- query evaluation -----------------------------------------------------------------
 
-    def evaluator(self, optimize_plans: bool = True, vectorize: bool = True) -> Evaluator:
-        """An evaluator bound to this database.
+    def evaluator(self) -> Evaluator:
+        """The query engine bound to this database.
 
-        Plans are optimized by default (predicate pushdown to the scans, join
+        Plans are optimized (predicate pushdown to the scans, join
         reordering, projection pruning) and executed on the vectorized
-        columnar engine where kernels exist; ``optimize_plans=False`` keeps
-        the literal plan shape and ``vectorize=False`` the row-at-a-time
-        engine, both for differential testing.
+        columnar engine where kernels exist.
         """
-        return Evaluator(self, optimize_plans=optimize_plans, vectorize=vectorize)
+        return Evaluator(self)
 
     def translator(self) -> Translator:
         """A SQL-to-algebra translator bound to this database's catalog."""
         return Translator(self)
 
-    def plan(self, sql: str, optimize: bool = False) -> PlanNode:
-        """Parse and translate a SQL query into a logical plan.
-
-        With ``optimize=True`` the cost-based plan optimizer is applied,
-        using this database's statistics for cardinality estimates.
-        """
-        return self.translator().translate_sql(sql, optimize=optimize)
+    def plan(self, sql: str) -> PlanNode:
+        """Parse and translate a SQL query into a logical plan."""
+        return self.translator().translate_sql(sql)
 
     def query(
         self,
@@ -560,15 +542,21 @@ class Database:
         optimize_plans: bool = True,
         vectorize: bool = True,
     ) -> Relation:
-        """Evaluate a SQL string, parsed statement, or logical plan."""
+        """Evaluate a SQL string, parsed statement, or logical plan.
+
+        ``optimize_plans=False, vectorize=False`` selects the reference
+        oracle (literal plan shape, row-at-a-time operators) that the
+        differential tests and the benchmark's verify pass compare against;
+        see :class:`~repro.relational.evaluator.Evaluator`.
+        """
         if isinstance(query, str):
             plan = self.plan(query)
         elif isinstance(query, SelectStatement):
             plan = self.translator().translate(query)
         else:
             plan = query
-        return self.evaluator(
-            optimize_plans=optimize_plans, vectorize=vectorize
+        return Evaluator(
+            self, optimize_plans=optimize_plans, vectorize=vectorize
         ).evaluate(plan)
 
     def execute(self, sql: str) -> Relation | int:

@@ -253,7 +253,7 @@ class Session:
         # time (a drop+recreate with a different schema must re-translate).
         self._plan_cache: dict[str, PlanNode] = {}
         self._optimized_cache: dict[str, PlanNode] = {}
-        self._evaluators: dict[tuple[bool, bool], Evaluator] = {}
+        self._evaluator = Evaluator(self._view)
         self._closed = False
         self.statistics = SessionStatistics()
         registry.pin(version)
@@ -307,12 +307,7 @@ class Session:
             self._plan_cache[sql] = plan
         return plan
 
-    def query(
-        self,
-        query: str | PlanNode | SelectStatement,
-        optimize_plans: bool = True,
-        vectorize: bool = True,
-    ) -> Relation:
+    def query(self, query: str | PlanNode | SelectStatement) -> Relation:
         """Evaluate a query against the pinned snapshot.
 
         Accepts SQL text, a parsed SELECT statement, or a logical plan, like
@@ -322,38 +317,23 @@ class Session:
         """
         self._check_open()
         started = time.perf_counter()
+        evaluator = self._evaluator
         if isinstance(query, str):
-            if optimize_plans:
-                # Serving-layer fast path: optimize once per (SQL, pinned
-                # version), then evaluate the cached optimized plan directly
-                # on every repeat of the query.
-                plan = self._optimized_cache.get(query)
-                if plan is None:
-                    evaluator = self._evaluator(True, vectorize)
-                    plan = evaluator.optimized(self.plan(query))
-                    self._optimized_cache[query] = plan
-                optimize_plans = False
-            else:
-                plan = self.plan(query)
+            # Serving-layer fast path: optimize once per (SQL, pinned
+            # version); the evaluator runs an optimized plan as is on every
+            # repeat of the query.
+            plan = self._optimized_cache.get(query)
+            if plan is None:
+                plan = evaluator.optimized(self.plan(query))
+                self._optimized_cache[query] = plan
         elif isinstance(query, SelectStatement):
             plan = Translator(self._view).translate(query)
         else:
             plan = query
-        evaluator = self._evaluator(optimize_plans, vectorize)
         result = evaluator.evaluate(plan)
         self.statistics.queries += 1
         self.statistics.query_seconds += time.perf_counter() - started
         return result
-
-    def _evaluator(self, optimize_plans: bool, vectorize: bool) -> Evaluator:
-        key = (optimize_plans, vectorize)
-        evaluator = self._evaluators.get(key)
-        if evaluator is None:
-            evaluator = Evaluator(
-                self._view, optimize_plans=optimize_plans, vectorize=vectorize
-            )
-            self._evaluators[key] = evaluator
-        return evaluator
 
     # -- writes (autocommit, read-your-writes) -----------------------------------
 
@@ -428,7 +408,7 @@ class Session:
     def _repin(self, version: int) -> None:
         self._registry.repin(self._view.version, version)
         self._view = SnapshotView(self._database, version)
-        self._evaluators.clear()
+        self._evaluator = Evaluator(self._view)
         self._plan_cache.clear()
         self._optimized_cache.clear()
         # Moving a pin up can strand snapshot batches below the new retention

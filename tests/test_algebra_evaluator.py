@@ -92,27 +92,35 @@ class TestPlanNodes:
         assert "Selection" in text and "TableScan(r)" in text
 
 
+@pytest.fixture(params=["engine", "reference"])
+def evaluator_for(request):
+    """The engine and the reference oracle give every operator one semantics."""
+    if request.param == "engine":
+        return Evaluator
+    return lambda provider: Evaluator(provider, optimize_plans=False, vectorize=False)
+
+
 class TestEvaluator:
-    def test_table_scan_preserves_multiplicities(self, small_db):
-        result = Evaluator(small_db).evaluate(TableScan("r"))
+    def test_table_scan_preserves_multiplicities(self, small_db, evaluator_for):
+        result = evaluator_for(small_db).evaluate(TableScan("r"))
         assert result.multiplicity((1, 10)) == 2
         assert len(result) == 4
 
-    def test_selection(self, small_db):
+    def test_selection(self, small_db, evaluator_for):
         plan = Selection(TableScan("r"), Comparison(">=", ColumnRef("a"), Literal(2)))
-        result = Evaluator(small_db).evaluate(plan)
+        result = evaluator_for(small_db).evaluate(plan)
         assert sorted(result.rows()) == [(2, 20), (3, 30)]
 
-    def test_projection_with_expression(self, small_db):
+    def test_projection_with_expression(self, small_db, evaluator_for):
         plan = Projection(
             TableScan("r"),
             [ProjectionItem(BinaryOp("*", ColumnRef("b"), Literal(2)), "double_b")],
         )
-        result = Evaluator(small_db).evaluate(plan)
+        result = evaluator_for(small_db).evaluate(plan)
         assert result.schema.attributes == ("double_b",)
         assert result.multiplicity((20,)) == 2
 
-    def test_hash_join_matches_nested_loop(self, small_db):
+    def test_hash_join_matches_nested_loop(self, small_db, evaluator_for):
         condition = Comparison("=", ColumnRef("b"), ColumnRef("c"))
         equi = Join(TableScan("r"), TableScan("s"), condition)
         theta = Join(
@@ -120,17 +128,17 @@ class TestEvaluator:
             TableScan("s"),
             Comparison("<=", ColumnRef("b"), ColumnRef("c")),
         )
-        equi_result = Evaluator(small_db).evaluate(equi)
+        equi_result = evaluator_for(small_db).evaluate(equi)
         assert equi_result.multiplicity((1, 10, 10, "x")) == 2
         assert len(equi_result) == 3
-        theta_result = Evaluator(small_db).evaluate(theta)
+        theta_result = evaluator_for(small_db).evaluate(theta)
         assert len(theta_result) > len(equi_result)
 
-    def test_cross_product_cardinality(self, small_db):
-        result = Evaluator(small_db).evaluate(CrossProduct(TableScan("r"), TableScan("s")))
+    def test_cross_product_cardinality(self, small_db, evaluator_for):
+        result = evaluator_for(small_db).evaluate(CrossProduct(TableScan("r"), TableScan("s")))
         assert len(result) == 4 * 3
 
-    def test_aggregation_sum_count_avg(self, small_db):
+    def test_aggregation_sum_count_avg(self, small_db, evaluator_for):
         plan = Aggregation(
             TableScan("r"),
             [ColumnRef("a")],
@@ -140,12 +148,12 @@ class TestEvaluator:
                 Aggregate(AggregateFunction.AVG, ColumnRef("b"), "mean"),
             ],
         )
-        result = Evaluator(small_db).evaluate(plan)
+        result = evaluator_for(small_db).evaluate(plan)
         rows = {row[0]: row[1:] for row in result.rows()}
         assert rows[1] == (20.0, 2, 10.0)
         assert rows[2] == (20.0, 1, 20.0)
 
-    def test_aggregation_min_max(self, small_db):
+    def test_aggregation_min_max(self, small_db, evaluator_for):
         plan = Aggregation(
             TableScan("r"),
             [],
@@ -154,38 +162,38 @@ class TestEvaluator:
                 Aggregate(AggregateFunction.MAX, ColumnRef("b"), "hi"),
             ],
         )
-        result = Evaluator(small_db).evaluate(plan)
+        result = evaluator_for(small_db).evaluate(plan)
         assert list(result.rows()) == [(10, 30)]
 
-    def test_global_aggregation_over_empty_input(self, small_db):
+    def test_global_aggregation_over_empty_input(self, small_db, evaluator_for):
         plan = Aggregation(
             Selection(TableScan("r"), Comparison(">", ColumnRef("a"), Literal(100))),
             [],
             [Aggregate(AggregateFunction.COUNT, None, "cnt")],
         )
-        result = Evaluator(small_db).evaluate(plan)
+        result = evaluator_for(small_db).evaluate(plan)
         assert list(result.rows()) == [(0,)]
 
-    def test_distinct(self, small_db):
-        result = Evaluator(small_db).evaluate(Distinct(TableScan("r")))
+    def test_distinct(self, small_db, evaluator_for):
+        result = evaluator_for(small_db).evaluate(Distinct(TableScan("r")))
         assert result.multiplicity((1, 10)) == 1
         assert len(result) == 3
 
-    def test_top_k_ascending_and_descending(self, small_db):
+    def test_top_k_ascending_and_descending(self, small_db, evaluator_for):
         ascending = TopK(TableScan("r"), 2, [OrderItem(ColumnRef("b"))])
         descending = TopK(TableScan("r"), 2, [OrderItem(ColumnRef("b"), ascending=False)])
-        asc_rows = Evaluator(small_db).evaluate(ascending)
-        desc_rows = Evaluator(small_db).evaluate(descending)
+        asc_rows = evaluator_for(small_db).evaluate(ascending)
+        desc_rows = evaluator_for(small_db).evaluate(descending)
         assert sorted(asc_rows.rows()) == [(1, 10), (1, 10)]
         assert sorted(desc_rows.rows()) == [(2, 20), (3, 30)]
 
-    def test_top_k_truncates_multiplicity(self, small_db):
+    def test_top_k_truncates_multiplicity(self, small_db, evaluator_for):
         plan = TopK(TableScan("r"), 1, [OrderItem(ColumnRef("b"))])
-        result = Evaluator(small_db).evaluate(plan)
+        result = evaluator_for(small_db).evaluate(plan)
         assert len(result) == 1
         assert result.multiplicity((1, 10)) == 1
 
-    def test_aggregation_ignores_nulls(self):
+    def test_aggregation_ignores_nulls(self, evaluator_for):
         database = Database()
         database.create_table("t", ["g", "v"])
         database.insert("t", [(1, None), (1, 4), (1, 6), (2, None)])
@@ -197,6 +205,6 @@ class TestEvaluator:
                 Aggregate(AggregateFunction.COUNT, ColumnRef("v"), "cnt"),
             ],
         )
-        rows = {row[0]: row[1:] for row in Evaluator(database).evaluate(plan).rows()}
+        rows = {row[0]: row[1:] for row in evaluator_for(database).evaluate(plan).rows()}
         assert rows[1] == (5.0, 2)
         assert rows[2] == (None, 0)

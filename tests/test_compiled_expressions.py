@@ -1,20 +1,16 @@
 """Tests for the compiled-expression layer.
 
-``Expression.compile(schema)`` must agree with the interpreted
-``Expression.evaluate`` on every input, and the engines threaded with compiled
-expressions (reference evaluator, annotated capture, incremental operators)
-must produce bit-identical results with compilation on and off.
+``Expression.compile(schema)`` (row closures) and
+``Expression.compile_batch(schema)`` (column kernels) must agree with the
+reference interpreter (:func:`tests.reference.interpret`) on every input.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.errors import UnsupportedOperationError
-from repro.imp.engine import IMPConfig, IncrementalEngine
-from repro.relational.evaluator import Evaluator, order_sort_key
+from repro.relational.evaluator import order_sort_key
 from repro.relational.expressions import (
     Between,
     BinaryOp,
@@ -30,20 +26,16 @@ from repro.relational.expressions import (
     compile_expression,
 )
 from repro.relational.schema import Schema
-from repro.sketch.capture import AnnotatedEvaluator
-from repro.sketch.selection import build_database_partition
 from repro.storage.database import Database
+from tests.reference import checked_value
 
 SCHEMA = Schema(["a", "b", "c"])
 ROWS = [(10, 4, None), (0, -3, 7), (None, None, None), (5, 5, 5)]
 
 
 def both(expression, row):
-    """Evaluate interpreted and compiled; assert they agree and return the value."""
-    interpreted = expression.evaluate(row, SCHEMA)
-    compiled = expression.compile(SCHEMA)(row)
-    assert compiled == interpreted or (compiled is None and interpreted is None)
-    return compiled
+    """Interpreted ≡ row-compiled ≡ batch-compiled; returns the value."""
+    return checked_value(expression, row, SCHEMA)
 
 
 class TestCompileMatchesEvaluate:
@@ -105,7 +97,7 @@ class TestCompileMatchesEvaluate:
             fn((1, 2, 3))
 
     def test_logical_ops_do_not_short_circuit(self):
-        # The interpreted form evaluates every operand, so a raising later
+        # The reference semantics evaluate every operand, so a raising later
         # operand must raise in the compiled form too -- even when an earlier
         # operand already decides the outcome.
         decided_false = Comparison("<", ColumnRef("a"), Literal(0))
@@ -131,106 +123,6 @@ class TestCompileCache:
         expression = ColumnRef("a")
         assert compile_expression(expression, SCHEMA)((1, 2, 3)) == 1
         assert compile_expression(expression, other)((1, 2)) == 2
-
-    def test_disabled_compilation_interprets(self):
-        expression = Comparison("<", ColumnRef("a"), Literal(5))
-        fn = compile_expression(expression, SCHEMA, enabled=False)
-        assert fn((1, 0, 0)) is True
-        assert fn((9, 0, 0)) is False
-
-
-QUERIES = [
-    "SELECT brand, SUM(price * numsold) AS rev FROM sales "
-    "GROUP BY brand HAVING SUM(price * numsold) > 5000",
-    "SELECT sid, price FROM sales WHERE price BETWEEN 400 AND 1300",
-    "SELECT brand, avg(price) AS ap FROM sales WHERE numsold >= 1 GROUP BY brand",
-    "SELECT brand, count(*) AS n FROM sales GROUP BY brand ORDER BY brand DESC LIMIT 2",
-]
-
-
-class TestEvaluatorCompiledVsInterpreted:
-    @pytest.mark.parametrize("sql", QUERIES)
-    def test_results_identical(self, sales_db, sql):
-        plan = sales_db.plan(sql)
-        compiled = Evaluator(sales_db, compile_expressions=True).evaluate(plan)
-        interpreted = Evaluator(sales_db, compile_expressions=False).evaluate(plan)
-        assert compiled == interpreted
-
-    @pytest.mark.parametrize("sql", QUERIES)
-    def test_annotated_capture_identical(self, sales_db, sales_partition, sql):
-        plan = sales_db.plan(sql)
-        compiled = AnnotatedEvaluator(sales_db, sales_partition, compile_expressions=True)
-        interpreted = AnnotatedEvaluator(
-            sales_db, sales_partition, compile_expressions=False
-        )
-        assert set(compiled.capture(plan).fragment_ids()) == set(
-            interpreted.capture(plan).fragment_ids()
-        )
-        assert (
-            compiled.evaluate(plan).to_relation()
-            == interpreted.evaluate(plan).to_relation()
-        )
-
-
-ENGINE_QUERIES = [
-    "SELECT a, avg(b) AS ab FROM r GROUP BY a HAVING avg(c) < 550",
-    "SELECT a, avg(b) AS ab FROM r WHERE b < 300 GROUP BY a HAVING avg(c) < 700",
-    "SELECT a, avg(b) AS ab FROM r GROUP BY a ORDER BY a LIMIT 4",
-]
-
-
-class TestEngineCompilationToggle:
-    @pytest.mark.parametrize("sql", ENGINE_QUERIES)
-    def test_sketch_deltas_identical_with_compilation_on_and_off(self, sql):
-        def build(compile_expressions: bool):
-            rng = random.Random(99)
-            database = Database()
-            database.create_table("r", ["id", "a", "b", "c"], primary_key="id")
-            rows = [
-                (i, rng.randrange(12), rng.randrange(500), rng.randrange(1000))
-                for i in range(300)
-            ]
-            database.insert("r", rows)
-            plan = database.plan(sql)
-            partition = build_database_partition(database, plan, 8)
-            engine = IncrementalEngine(
-                plan, partition, database,
-                IMPConfig(compile_expressions=compile_expressions),
-            )
-            return database, rows, engine
-
-        db_on, rows_on, engine_on = build(True)
-        db_off, rows_off, engine_off = build(False)
-        assert rows_on == rows_off
-        sketch_on = engine_on.initialize()
-        sketch_off = engine_off.initialize()
-        assert set(sketch_on.fragment_ids()) == set(sketch_off.fragment_ids())
-
-        rng = random.Random(7)
-        next_id = 10_000
-        for _step in range(4):
-            inserts = [
-                (next_id + i, rng.randrange(12), rng.randrange(500), rng.randrange(1000))
-                for i in range(20)
-            ]
-            next_id += 20
-            deletes = rng.sample(rows_on, 10)
-            for victim in deletes:
-                rows_on.remove(victim)
-            rows_on.extend(inserts)
-            for database in (db_on, db_off):
-                version = database.version
-                database.insert("r", inserts)
-                database.delete_rows("r", deletes)
-            delta_on = db_on.database_delta_since(["r"], db_on.version - 2)
-            delta_off = db_off.database_delta_since(["r"], db_off.version - 2)
-            outcome_on = engine_on.maintain(delta_on)
-            outcome_off = engine_off.maintain(delta_off)
-            assert outcome_on.sketch_delta == outcome_off.sketch_delta
-            assert outcome_on.needs_recapture == outcome_off.needs_recapture
-            assert set(engine_on.current_sketch().fragment_ids()) == set(
-                engine_off.current_sketch().fragment_ids()
-            )
 
 
 class TestBooleanOrdering:

@@ -18,33 +18,40 @@ from repro.relational.expressions import (
     conjuncts,
 )
 from repro.relational.schema import Schema
+from tests.reference import checked_value
 
 SCHEMA = Schema(["a", "b", "c"])
 ROW = (10, 4, None)
 
 
+def value(expression):
+    """The expression's value for ``ROW``: reference-interpreted, with both
+    compiled forms checked against it."""
+    return checked_value(expression, ROW, SCHEMA)
+
+
 class TestBasicExpressions:
     def test_column_ref(self):
-        assert ColumnRef("b").evaluate(ROW, SCHEMA) == 4
+        assert value(ColumnRef("b")) == 4
         assert ColumnRef("a").columns() == {"a"}
 
     def test_literal(self):
-        assert Literal(7).evaluate(ROW, SCHEMA) == 7
+        assert value(Literal(7)) == 7
         assert Literal("x").columns() == set()
 
     def test_arithmetic(self):
         expr = BinaryOp("+", ColumnRef("a"), BinaryOp("*", ColumnRef("b"), Literal(2)))
-        assert expr.evaluate(ROW, SCHEMA) == 18
+        assert value(expr) == 18
 
     def test_division_by_zero_is_null(self):
-        assert BinaryOp("/", Literal(1), Literal(0)).evaluate(ROW, SCHEMA) is None
+        assert value(BinaryOp("/", Literal(1), Literal(0))) is None
 
     def test_arithmetic_with_null_is_null(self):
-        assert BinaryOp("+", ColumnRef("c"), Literal(1)).evaluate(ROW, SCHEMA) is None
+        assert value(BinaryOp("+", ColumnRef("c"), Literal(1))) is None
 
     def test_unary_minus(self):
-        assert UnaryMinus(ColumnRef("b")).evaluate(ROW, SCHEMA) == -4
-        assert UnaryMinus(ColumnRef("c")).evaluate(ROW, SCHEMA) is None
+        assert value(UnaryMinus(ColumnRef("b"))) == -4
+        assert value(UnaryMinus(ColumnRef("c"))) is None
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(UnsupportedOperationError):
@@ -53,40 +60,40 @@ class TestBasicExpressions:
 
 class TestPredicates:
     def test_comparisons(self):
-        assert Comparison(">", ColumnRef("a"), Literal(5)).evaluate(ROW, SCHEMA) is True
-        assert Comparison("<=", ColumnRef("b"), Literal(3)).evaluate(ROW, SCHEMA) is False
-        assert Comparison("<>", Literal(1), Literal(2)).evaluate(ROW, SCHEMA) is True
+        assert value(Comparison(">", ColumnRef("a"), Literal(5))) is True
+        assert value(Comparison("<=", ColumnRef("b"), Literal(3))) is False
+        assert value(Comparison("<>", Literal(1), Literal(2))) is True
 
     def test_comparison_with_null_is_unknown(self):
-        assert Comparison("=", ColumnRef("c"), Literal(1)).evaluate(ROW, SCHEMA) is None
+        assert value(Comparison("=", ColumnRef("c"), Literal(1))) is None
 
     def test_between_inclusive(self):
         expr = Between(ColumnRef("b"), Literal(4), Literal(10))
-        assert expr.evaluate(ROW, SCHEMA) is True
-        assert Between(ColumnRef("b"), Literal(5), Literal(10)).evaluate(ROW, SCHEMA) is False
+        assert value(expr) is True
+        assert value(Between(ColumnRef("b"), Literal(5), Literal(10))) is False
 
     def test_is_null(self):
-        assert IsNull(ColumnRef("c")).evaluate(ROW, SCHEMA) is True
-        assert IsNull(ColumnRef("a")).evaluate(ROW, SCHEMA) is False
-        assert IsNull(ColumnRef("c"), negated=True).evaluate(ROW, SCHEMA) is False
+        assert value(IsNull(ColumnRef("c"))) is True
+        assert value(IsNull(ColumnRef("a"))) is False
+        assert value(IsNull(ColumnRef("c"), negated=True)) is False
 
     def test_three_valued_and(self):
         unknown = Comparison("=", ColumnRef("c"), Literal(1))
         true = Literal(True)
         false = Comparison(">", Literal(1), Literal(2))
-        assert LogicalOp("AND", [true, false]).evaluate(ROW, SCHEMA) is False
-        assert LogicalOp("AND", [true, unknown]).evaluate(ROW, SCHEMA) is None
+        assert value(LogicalOp("AND", [true, false])) is False
+        assert value(LogicalOp("AND", [true, unknown])) is None
 
     def test_three_valued_or(self):
         unknown = Comparison("=", ColumnRef("c"), Literal(1))
         true = Comparison("<", Literal(1), Literal(2))
         false = Comparison(">", Literal(1), Literal(2))
-        assert LogicalOp("OR", [false, true]).evaluate(ROW, SCHEMA) is True
-        assert LogicalOp("OR", [false, unknown]).evaluate(ROW, SCHEMA) is None
+        assert value(LogicalOp("OR", [false, true])) is True
+        assert value(LogicalOp("OR", [false, unknown])) is None
 
     def test_not(self):
-        assert Not(Comparison(">", Literal(2), Literal(1))).evaluate(ROW, SCHEMA) is False
-        assert Not(Comparison("=", ColumnRef("c"), Literal(1))).evaluate(ROW, SCHEMA) is None
+        assert value(Not(Comparison(">", Literal(2), Literal(1)))) is False
+        assert value(Not(Comparison("=", ColumnRef("c"), Literal(1)))) is None
 
 
 class TestFunctions:
@@ -96,15 +103,15 @@ class TestFunctions:
 
     def test_aggregate_cannot_be_evaluated_per_row(self):
         with pytest.raises(UnsupportedOperationError):
-            FunctionCall("sum", [ColumnRef("a")]).evaluate(ROW, SCHEMA)
+            value(FunctionCall("sum", [ColumnRef("a")]))
 
     def test_scalar_functions(self):
-        assert FunctionCall("abs", [UnaryMinus(ColumnRef("a"))]).evaluate(ROW, SCHEMA) == 10
-        assert FunctionCall("coalesce", [ColumnRef("c"), Literal(5)]).evaluate(ROW, SCHEMA) == 5
+        assert value(FunctionCall("abs", [UnaryMinus(ColumnRef("a"))])) == 10
+        assert value(FunctionCall("coalesce", [ColumnRef("c"), Literal(5)])) == 5
 
     def test_unknown_scalar_function_rejected(self):
         with pytest.raises(UnsupportedOperationError):
-            FunctionCall("mystery", [Literal(1)]).evaluate(ROW, SCHEMA)
+            value(FunctionCall("mystery", [Literal(1)]))
 
     def test_contains_aggregate_propagates(self):
         expr = Comparison(">", FunctionCall("sum", [ColumnRef("a")]), Literal(10))

@@ -15,7 +15,7 @@ from repro.imp.strategies import EagerStrategy, LazyStrategy
 from repro.sketch.capture import capture_sketch
 from repro.sketch.selection import build_database_partition
 from repro.sql.template import template_of
-from repro.workloads.queries import q_groups
+from repro.workloads.queries import q_endtoend, q_groups
 from repro.workloads.synthetic import load_synthetic
 from repro.storage.database import Database
 from tests.conftest import Q_TOP, S8
@@ -247,6 +247,25 @@ class TestMiddleware:
             "SELECT label, count(*) AS n FROM names GROUP BY label HAVING count(*) > 0"
         )
         assert len(result) == 2
+        assert system.statistics.fallback_queries == 1
+
+    @pytest.mark.parametrize("system_class", [IMPSystem, FullMaintenanceSystem])
+    def test_other_constants_of_a_template_are_not_answered_from_its_sketch(
+        self, system_class
+    ):
+        # Both bindings share one constant-free template, hence one store
+        # entry -- whose sketch and plan belong to the first binding only.
+        database = self._loaded_db()
+        system = system_class(database, num_fragments=16)
+        first, second = q_endtoend(low=200, high=300), q_endtoend(low=400, high=700)
+        assert template_of(first) == template_of(second)
+        assert database.query(first) != database.query(second)
+        for sql in (first, second, first):
+            assert system.run_query(sql) == database.query(sql), sql
+        # Spelling alone (case, whitespace) is not another binding.
+        assert system.run_query(first.replace("SELECT", "select  ")) == database.query(first)
+        assert system.statistics.sketch_captures == 1
+        assert system.statistics.sketch_hits == 3
         assert system.statistics.fallback_queries == 1
 
     def test_eager_strategy_maintains_on_update(self):

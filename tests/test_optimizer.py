@@ -3,9 +3,10 @@
 The optimizer must be *invisible* in results: every rewrite (constant folding,
 predicate pushdown, conjunct merging, projection pruning, join reordering)
 preserves bag semantics and the output schema exactly.  The Hypothesis
-differential tests at the bottom check optimized against unoptimized plans --
-and IMP systems with ``optimize_plans`` on against off -- across generated
-query templates and updates.
+differential tests at the bottom check optimized against unoptimized plans,
+and ``IMPSystem`` / ``NoSketchSystem`` answers against the reference oracle
+(``Database.query(..., optimize_plans=False, vectorize=False)``) after every
+update batch, across generated query templates and updates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.imp.engine import IMPConfig
 from repro.imp.middleware import IMPSystem
 from repro.relational.algebra import (
     Aggregation,
@@ -37,6 +37,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.optimizer import PlanOptimizer, fold_expression
 from repro.storage.database import Database
+from tests.reference import assert_systems_match_oracle, random_insert_batches
 from repro.storage.statistics import (
     equi_depth_boundaries,
     equi_depth_fraction,
@@ -217,10 +218,10 @@ class TestPushdown:
     def test_empty_sketch_contradiction_needs_no_scan(self):
         database = make_three_table_db()
         plan = Selection(TableScan("r"), Comparison("=", Literal(1), Literal(0)))
-        before = database.full_scan_count
+        before = database.scan_count
         result = database.query(plan, optimize_plans=True)
         assert len(result) == 0
-        assert database.full_scan_count == before
+        assert database.scan_count == before
 
     def test_contradiction_merged_with_user_predicate_needs_no_scan(self):
         # Regression: a folded False conjunct merged with a pushed user
@@ -231,10 +232,10 @@ class TestPushdown:
             Comparison("<", ColumnRef("r.b"), Literal(50)),
         )
         optimized = PlanOptimizer(database).optimize(plan)
-        before = database.full_scan_count
+        before = database.scan_count
         result = database.query(optimized, optimize_plans=False)
         assert len(result) == 0
-        assert database.full_scan_count == before
+        assert database.scan_count == before
 
 
 # -- join reordering -------------------------------------------------------------------
@@ -319,11 +320,39 @@ class TestEvaluatorIntegration:
         sql = "SELECT r.id, s.e FROM r JOIN s ON (a = d) WHERE r.b BETWEEN 10 AND 20"
         database.query(sql, optimize_plans=False)
         unopt_index = database.index_scan_count
-        unopt_full = database.full_scan_count
+        unopt_full = database.scan_count
         database.query(sql, optimize_plans=True)
         assert database.index_scan_count - unopt_index == 1
         # The optimized plan reads r through the index, not a full scan.
-        assert database.full_scan_count - unopt_full == 1  # only s
+        assert database.scan_count - unopt_full == 1  # only s
+
+    def test_an_optimized_plan_is_not_rewritten_again(self, monkeypatch):
+        calls = []
+        original = PlanOptimizer.optimize
+
+        def counting(self, plan):
+            calls.append(plan)
+            return original(self, plan)
+
+        monkeypatch.setattr(PlanOptimizer, "optimize", counting)
+        database = make_three_table_db()
+        database.create_index("r", "b")
+        sql = "SELECT r.id, s.e FROM r JOIN s ON (a = d) WHERE r.b BETWEEN 10 AND 20"
+        plan = database.plan(sql)
+        assert not plan.optimized
+        expected = database.query(plan)
+        assert len(calls) == 1 and not plan.optimized
+        optimized = database.evaluator().optimized(plan)
+        assert optimized.optimized and len(calls) == 2
+        assert database.query(optimized) == expected
+        # Sessions and the sketch middleware rely on this for repeated queries.
+        with database.connect() as session:
+            assert session.query(sql) == session.query(sql) == expected
+        system = IMPSystem(database, num_fragments=16)
+        group_sql = "SELECT a, avg(c) AS ac FROM r GROUP BY a HAVING avg(c) < 200"
+        assert system.run_query(group_sql) == system.run_query(group_sql)
+        assert system.statistics.sketch_hits == 2
+        assert len(calls) == 2 + 1 + 1
 
     def test_table_scan_result_is_caller_owned(self):
         database = make_three_table_db()
@@ -340,7 +369,8 @@ class TestEvaluatorIntegration:
         result = Evaluator(database).evaluate(TableScan("r", "x"))
         assert list(result.schema) == ["x.id", "x.a", "x.b", "x.c"]
 
-    def test_hash_join_with_mixed_condition(self):
+    @pytest.mark.parametrize("vectorize", [False, True])
+    def test_hash_join_with_mixed_condition(self, vectorize):
         database = make_three_table_db()
         condition = LogicalOp(
             "AND",
@@ -350,7 +380,9 @@ class TestEvaluatorIntegration:
             ],
         )
         join = Join(TableScan("r"), TableScan("s"), condition)
-        evaluator = Evaluator(database)
+        # Unoptimized on purpose: the optimizer would rewrite the reference
+        # below into the very join it is compared against.
+        evaluator = Evaluator(database, optimize_plans=False, vectorize=vectorize)
         hashed = evaluator.evaluate(join)
         # Reference: the same theta join as a filtered cross product.
         reference = evaluator.evaluate(
@@ -509,43 +541,16 @@ class TestDifferential:
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**20), st.integers(2, 5))
-    def test_imp_systems_agree_and_capture_identical_sketches(self, seed, ops):
+    def test_systems_match_the_reference_oracle_after_every_update(self, seed, ops):
         rng = random.Random(seed)
+        low = rng.randrange(40)
         queries = [
-            "SELECT a, avg(b) AS ab FROM r GROUP BY a HAVING avg(c) < {0}".format(
-                150 + rng.randrange(100)
-            ),
-            "SELECT a, avg(c) AS ac FROM r WHERE b > {0} GROUP BY a".format(
-                rng.randrange(40)
-            ),
+            f"SELECT a, avg(b) AS ab FROM r GROUP BY a HAVING avg(c) < {150 + rng.randrange(100)}",
+            f"SELECT a, avg(c) AS ac FROM r WHERE b > {low} GROUP BY a",
+            f"SELECT d, sum(e) AS se FROM r JOIN s ON (a = d) WHERE r.b > {low} GROUP BY d",
         ]
-        systems = []
-        for optimize in (True, False):
-            database = make_three_table_db(num_rows=150, seed=5)
-            systems.append(
-                IMPSystem(
-                    database,
-                    config=IMPConfig(optimize_plans=optimize),
-                    num_fragments=16,
-                )
-            )
-        next_id = 20_000
-        for step in range(ops):
-            sql = queries[step % len(queries)]
-            results = [system.run_query(sql) for system in systems]
-            assert results[0] == results[1], sql
-            inserts = [
-                (next_id + i, rng.randrange(15), rng.randrange(100), rng.randrange(300))
-                for i in range(rng.randrange(1, 4))
-            ]
-            next_id += len(inserts)
-            for system in systems:
-                system.apply_update("r", inserts=inserts)
-        # The sketches captured and maintained by both systems are identical:
-        # optimization only changes how plans are evaluated, never provenance.
-        stores = [system.store for system in systems]
-        assert len(stores[0]) == len(stores[1]) > 0
-        for entry in list(stores[0].entries()):
-            twin = stores[1].get(entry.template)
-            assert twin is not None
-            assert set(entry.sketch.fragment_ids()) == set(twin.sketch.fragment_ids())
+        database = make_three_table_db(num_rows=150, seed=5)
+        imp = assert_systems_match_oracle(database, queries, random_insert_batches(rng, ops))
+        # The optimizer only ever sees instrumented or fallback plans; every
+        # template above is answered through its sketch.
+        assert imp.statistics.sketch_hits == ops * len(queries)

@@ -239,6 +239,29 @@ class TestCorruptPayloads:
         with pytest.raises(StateError, match="operator"):
             persistence.load_maintainer("trimmed")
 
+    def test_payload_from_before_the_toggles_were_retired_still_restores(self, loaded_db):
+        database, _table = loaded_db
+        sql = q_groups(threshold=900)
+        plan = database.plan(sql)
+        partition = build_database_partition(database, plan, 16)
+        maintainer = IncrementalMaintainer(
+            database, plan, partition, IMPConfig(use_bloom_filters=False, topk_buffer=7)
+        )
+        maintainer.capture()
+        persistence = StatePersistence(database)
+        persistence.save_maintainer("old", sql, maintainer)
+        payload = json.loads(database.table(STATE_TABLE).lookup_by_key("old")[1])
+        assert sorted(payload["config"]) == [
+            "min_max_buffer", "selection_pushdown", "topk_buffer", "use_bloom_filters",
+        ]
+        # What PRs 1-11 wrote: the same config plus the since-retired setting.
+        payload["config"]["compile_expressions"] = False
+        self._overwrite(database, "old", json.dumps(payload))
+        restored_sql, restored = persistence.load_maintainer("old")
+        assert restored_sql == sql
+        assert restored.config == maintainer.config
+        assert set(restored.sketch.fragment_ids()) == set(maintainer.sketch.fragment_ids())
+
     def test_load_or_capture_restores_a_good_entry(self, loaded_db):
         database, _table = loaded_db
         sql = q_groups(threshold=900)

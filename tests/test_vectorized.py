@@ -3,9 +3,10 @@
 The engine must be *invisible* in results: every kernel (scan, selection
 including the index recheck path, projection, hash join, distinct, grouped
 aggregation) and every batch-compiled expression produces bit-identical
-relations to the row-at-a-time reference, and IMP systems with
-``IMPConfig.vectorize`` on and off capture identical sketches.  The
-Hypothesis differential tests run generated query/update workloads over
+relations to the row-at-a-time reference, and ``IMPSystem`` /
+``NoSketchSystem`` answers equal the reference oracle
+(``Database.query(..., optimize_plans=False, vectorize=False)``) after every
+update batch.  The Hypothesis differential tests run generated query/update workloads over
 mixed-type columns with NULLs; the unit tests pin down the batch
 representation, the three-valued-logic kernels, the fallback boundary around
 TopK and the index-ranking selection.
@@ -18,8 +19,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.imp.engine import IMPConfig
-from repro.imp.middleware import IMPSystem
 from repro.relational.algebra import OrderItem, Selection, TableScan, TopK
 from repro.relational.columnar import ColumnBatch
 from repro.relational.evaluator import Evaluator
@@ -38,6 +37,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Relation, Schema
 from repro.storage.database import Database
+from tests.reference import assert_systems_match_oracle, random_insert_batches
 
 STRINGS = ["ash", "birch", "cedar", "oak", None]
 
@@ -265,9 +265,9 @@ class TestFallbackBoundary:
         for sql in queries:
             counters = []
             for vectorize in (True, False):
-                before = (database.full_scan_count, database.index_scan_count)
+                before = (database.scan_count, database.index_scan_count)
                 database.query(sql, vectorize=vectorize)
-                after = (database.full_scan_count, database.index_scan_count)
+                after = (database.scan_count, database.index_scan_count)
                 counters.append((after[0] - before[0], after[1] - before[1]))
             assert counters[0] == counters[1], sql
 
@@ -413,7 +413,7 @@ class TestDifferential:
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**20), st.integers(2, 5))
-    def test_imp_sketches_identical_under_vectorize_toggle(self, seed, ops):
+    def test_systems_match_the_reference_oracle_after_every_update(self, seed, ops):
         rng = random.Random(seed)
         queries = [
             "SELECT a, avg(b) AS ab FROM r GROUP BY a HAVING avg(c) < {0}".format(
@@ -428,36 +428,11 @@ class TestDifferential:
             (i, data_rng.randrange(15), data_rng.randrange(100), data_rng.randrange(300))
             for i in range(150)
         ]
-        systems = []
-        for vectorize in (True, False):
-            database = Database()
-            database.create_table("r", ["id", "a", "b", "c"], primary_key="id")
-            database.insert("r", rows)
-            systems.append(
-                IMPSystem(
-                    database,
-                    config=IMPConfig(vectorize=vectorize),
-                    num_fragments=16,
-                )
-            )
-        next_id = 20_000
-        for step in range(ops):
-            sql = queries[step % len(queries)]
-            results = [system.run_query(sql) for system in systems]
-            assert results[0] == results[1], sql
-            inserts = [
-                (next_id + i, rng.randrange(15), rng.randrange(100), rng.randrange(300))
-                for i in range(rng.randrange(1, 4))
-            ]
-            next_id += len(inserts)
-            for system in systems:
-                system.apply_update("r", inserts=inserts)
-        stores = [system.store for system in systems]
-        assert len(stores[0]) == len(stores[1]) > 0
-        for entry in list(stores[0].entries()):
-            twin = stores[1].get(entry.template)
-            assert twin is not None
-            assert set(entry.sketch.fragment_ids()) == set(twin.sketch.fragment_ids())
+        database = Database()
+        database.create_table("r", ["id", "a", "b", "c"], primary_key="id")
+        database.insert("r", rows)
+        imp = assert_systems_match_oracle(database, queries, random_insert_batches(rng, ops))
+        assert imp.statistics.sketch_hits > 0
 
 
 # -- evaluator without the database provider -------------------------------------------
@@ -480,7 +455,7 @@ class _PlainProvider:
 def test_vectorized_evaluator_works_without_column_batch_provider():
     provider = _PlainProvider()
     plan = Selection(TableScan("t"), Comparison(">", ColumnRef("x"), Literal(1)))
-    vectorized = Evaluator(provider, vectorize=True).evaluate(plan)
-    row = Evaluator(provider, vectorize=False).evaluate(plan)
-    assert vectorized == row
-    assert vectorized.to_set() == {(3, 4)}
+    engine = Evaluator(provider).evaluate(plan)
+    reference = Evaluator(provider, optimize_plans=False, vectorize=False).evaluate(plan)
+    assert engine == reference
+    assert engine.to_set() == {(3, 4)}
