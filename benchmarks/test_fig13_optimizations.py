@@ -25,7 +25,7 @@ from repro.workloads.queries import q_joinsel, q_selpd, q_space
 from repro.workloads.synthetic import load_join_helper, load_synthetic
 from repro.workloads.tpch import load_tpch
 
-from benchmarks.conftest import print_rows
+from benchmarks.conftest import median_rounds, print_rows
 
 
 def _selpd_scenario(pushdown: bool):
@@ -46,28 +46,35 @@ def test_fig13a_selection_pushdown(benchmark, matching_fraction):
     """Push-down cost grows with the delta fraction matching the WHERE clause
     and never loses to the no-push-down variant."""
 
-    def measure_once(pushdown: bool) -> float:
-        database, table, maintainer = _selpd_scenario(pushdown)
+    def run():
+        scenarios = {pushdown: _selpd_scenario(pushdown) for pushdown in (True, False)}
         delta_size = 100
         matching = int(delta_size * matching_fraction)
-        rows = []
-        base_id = 1_000_000
         padding = (0.0,) * 7  # attributes d..j of the synthetic schema
-        for i in range(delta_size):
-            # b below the WHERE threshold for "matching" rows, above otherwise.
-            b_value = 500 if i < matching else 5000
-            rows.append((base_id + i, i % 200, b_value, (i % 200) * 10.0) + padding)
-        database.insert("r", rows)
-        started = time.perf_counter()
-        maintainer.maintain()
-        return time.perf_counter() - started
+        next_id = 1_000_000
 
-    def run():
-        timings = {}
-        for pushdown in (True, False):
-            samples = sorted(measure_once(pushdown) for _ in range(3))
-            timings[pushdown] = samples[1]
-        return timings
+        def one_round() -> tuple[float, float]:
+            nonlocal next_id
+            rows = []
+            for i in range(delta_size):
+                # b below the WHERE threshold for "matching" rows, above otherwise.
+                b_value = 500 if i < matching else 5000
+                rows.append((next_id + i, i % 200, b_value, (i % 200) * 10.0) + padding)
+            next_id += delta_size
+            seconds = []
+            for pushdown in (True, False):
+                database, _table, maintainer = scenarios[pushdown]
+                database.insert("r", rows)
+                started = time.perf_counter()
+                maintainer.maintain()
+                seconds.append(time.perf_counter() - started)
+            return tuple(seconds)
+
+        # One maintenance run is a few hundred microseconds, the same order as
+        # a garbage-collector pause or a speed change of the host: compare
+        # medians of interleaved rounds on two warm scenarios, not first runs.
+        with_pushdown, without = median_rounds(one_round, repeats=15)
+        return {True: with_pushdown, False: without}
 
     timings = benchmark.pedantic(run, rounds=1, iterations=1)
     result = ExperimentResult("fig13a")
@@ -87,7 +94,7 @@ def test_fig13a_selection_pushdown(benchmark, matching_fraction):
 def test_fig13b_bloom_filter_join_pruning(benchmark, join_selectivity, delta_size):
     """Bloom filters reduce maintenance cost across selectivities and delta sizes."""
 
-    def measure_once(use_bloom: bool) -> tuple[float, int]:
+    def build(use_bloom: bool):
         database = Database()
         table = load_synthetic(database, num_rows=3000, num_groups=200, seed=5)
         load_join_helper(
@@ -104,22 +111,28 @@ def test_fig13b_bloom_filter_join_pruning(benchmark, join_selectivity, delta_siz
             database, plan, partition, IMPConfig(use_bloom_filters=use_bloom)
         )
         maintainer.capture()
-        deletes = table.pick_deletes(delta_size // 2)
-        inserts = table.make_inserts(delta_size - len(deletes))
-        if deletes:
-            database.delete_rows("r", deletes)
-        database.insert("r", inserts)
-        started = time.perf_counter()
-        maintainer.maintain()
-        return time.perf_counter() - started, maintainer.statistics.bloom_filtered_tuples
+        return database, table, maintainer
 
     def run():
-        timings = {}
-        for use_bloom in (True, False):
-            samples = sorted(measure_once(use_bloom) for _ in range(3))
-            median_seconds, filtered = samples[1]
-            timings[use_bloom] = median_seconds
-            timings[f"stats_{use_bloom}"] = filtered
+        scenarios = {use_bloom: build(use_bloom) for use_bloom in (True, False)}
+
+        def one_round() -> tuple[float, float]:
+            seconds = []
+            for database, table, maintainer in scenarios.values():
+                deletes = table.pick_deletes(delta_size // 2)
+                inserts = table.make_inserts(delta_size - len(deletes))
+                if deletes:
+                    database.delete_rows("r", deletes)
+                database.insert("r", inserts)
+                started = time.perf_counter()
+                maintainer.maintain()
+                seconds.append(time.perf_counter() - started)
+            return tuple(seconds)
+
+        # Interleaved rounds on two warm scenarios (see fig13a).
+        timings = dict(zip(scenarios, median_rounds(one_round, repeats=9)))
+        for use_bloom, (_database, _table, maintainer) in scenarios.items():
+            timings[f"stats_{use_bloom}"] = maintainer.statistics.bloom_filtered_tuples
         return timings
 
     timings = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -13,6 +13,18 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask`` in ascending order.
+
+    Peels the lowest set bit per step, so the cost is proportional to the
+    number of set bits, not to the position of the highest one.
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class BitSet:
     """A set of non-negative integers backed by a Python integer bit mask.
 
@@ -102,13 +114,7 @@ class BitSet:
     # -- inspection -----------------------------------------------------------
 
     def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        index = 0
-        while bits:
-            if bits & 1:
-                yield index
-            bits >>= 1
-            index += 1
+        return iter_bits(self._bits)
 
     def __len__(self) -> int:
         return self._bits.bit_count()

@@ -22,7 +22,7 @@ This package contains the paper's primary contribution:
   full-maintenance baseline systems used in the mixed-workload experiments.
 """
 
-from repro.imp.annotated import AnnotatedDelta, AnnotatedDeltaTuple
+from repro.imp.annotated import AnnotatedDelta
 from repro.imp.engine import EngineStatistics, IMPConfig, IncrementalEngine
 from repro.imp.maintenance import FullMaintainer, IncrementalMaintainer, MaintenanceResult
 from repro.imp.middleware import IMPSystem, NoSketchSystem, FullMaintenanceSystem
@@ -33,7 +33,6 @@ from repro.imp.strategies import EagerStrategy, LazyStrategy, MaintenanceStrateg
 
 __all__ = [
     "AnnotatedDelta",
-    "AnnotatedDeltaTuple",
     "EagerStrategy",
     "EngineStatistics",
     "FullMaintainer",

@@ -1,234 +1,105 @@
 """Sketch-annotated delta relations.
 
 The incremental operators exchange *annotated deltas*: bags of signed tuples
-``Δ+/Δ- ⟨t, P⟩`` where ``P`` is the partial provenance sketch of ``t`` encoded
-as a bitvector over the global fragment identifiers of the database partition
-(paper Sec. 4.3).  The class also offers a columnar chunk view mirroring IMP's
-storage layout (Sec. 7.1: data chunks with the sketch annotations stored in a
-separate column as bit sets).
+``Δ+/Δ- ⟨t, P⟩`` where ``P`` is the partial provenance sketch of ``t`` over the
+global fragment identifiers of the database partition (paper Sec. 4.3).  The
+layout is IMP's (Sec. 7.1): data in one column, the sketch annotations in a
+separate column of bit sets -- here three parallel lists per delta.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from itertools import compress
 
-from repro.core.bitset import BitSet
 from repro.relational.schema import Row, Schema
-from repro.storage.delta import DELETE, INSERT
-
-
-@dataclass(frozen=True)
-class AnnotatedDeltaTuple:
-    """A signed, annotated tuple with multiplicity."""
-
-    sign: int
-    row: Row
-    annotation: BitSet
-    multiplicity: int = 1
-
-    @property
-    def is_insert(self) -> bool:
-        return self.sign == INSERT
-
-    @property
-    def is_delete(self) -> bool:
-        return self.sign == DELETE
 
 
 class AnnotatedDelta:
-    """A bag of signed annotated tuples over one schema.
+    """A bag of signed annotated tuples over one schema, stored column-wise.
 
-    Entries with the same ``(sign, row, annotation)`` are merged by adding
-    multiplicities, which keeps delta processing linear in the number of
-    *distinct* annotated tuples.
+    Entry ``i`` is the tuple ``rows[i]`` annotated with the fragment bit mask
+    ``annotations[i]`` (a plain ``int``; :class:`~repro.core.bitset.BitSet` is
+    the API-edge type, not the pipeline's) occurring ``counts[i]`` times:
+    positive counts are insertions (``Δ+``), negative counts deletions
+    (``Δ-``).  Entries are not merged -- every operator is linear in the
+    counts; only the join calls :meth:`consolidated` -- and their order is the
+    order the child produced them in, which is what float accumulators add in.
     """
 
-    __slots__ = ("schema", "_entries")
-
-    def __init__(self, schema: Schema) -> None:
-        self.schema = schema
-        self._entries: dict[tuple[int, Row, BitSet], int] = {}
-
-    # -- construction -----------------------------------------------------------------
-
-    @classmethod
-    def empty(cls, schema: Schema) -> "AnnotatedDelta":
-        """An empty annotated delta."""
-        return cls(schema)
-
-    def copy(self) -> "AnnotatedDelta":
-        clone = AnnotatedDelta(self.schema)
-        clone._entries = dict(self._entries)
-        return clone
-
-    # -- mutation ---------------------------------------------------------------------
-
-    def add(self, sign: int, row: Row, annotation: BitSet, multiplicity: int = 1) -> None:
-        """Add a signed annotated tuple."""
-        if multiplicity <= 0:
-            return
-        if sign not in (INSERT, DELETE):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        key = (sign, tuple(row), annotation)
-        self._entries[key] = self._entries.get(key, 0) + multiplicity
-
-    def add_insert(self, row: Row, annotation: BitSet, multiplicity: int = 1) -> None:
-        """Add an insertion (``Δ+``)."""
-        self.add(INSERT, row, annotation, multiplicity)
-
-    def add_delete(self, row: Row, annotation: BitSet, multiplicity: int = 1) -> None:
-        """Add a deletion (``Δ-``)."""
-        self.add(DELETE, row, annotation, multiplicity)
-
-    def add_signed(self, row: Row, annotation: BitSet, signed_multiplicity: int) -> None:
-        """Add with a signed multiplicity (positive = insert, negative = delete)."""
-        if signed_multiplicity > 0:
-            self.add(INSERT, row, annotation, signed_multiplicity)
-        elif signed_multiplicity < 0:
-            self.add(DELETE, row, annotation, -signed_multiplicity)
-
-    def extend(self, tuples: Iterable[AnnotatedDeltaTuple]) -> None:
-        """Add every tuple of ``tuples``."""
-        for entry in tuples:
-            self.add(entry.sign, entry.row, entry.annotation, entry.multiplicity)
-
-    def merge(self, other: "AnnotatedDelta") -> None:
-        """Append the contents of another annotated delta."""
-        for entry in other.tuples():
-            self.add(entry.sign, entry.row, entry.annotation, entry.multiplicity)
-
-    # -- queries ----------------------------------------------------------------------
-
-    def tuples(self) -> Iterator[AnnotatedDeltaTuple]:
-        """Iterate over all signed annotated tuples."""
-        for (sign, row, annotation), multiplicity in self._entries.items():
-            yield AnnotatedDeltaTuple(sign, row, annotation, multiplicity)
-
-    def inserts(self) -> Iterator[AnnotatedDeltaTuple]:
-        """Iterate over insertions only."""
-        return (entry for entry in self.tuples() if entry.is_insert)
-
-    def deletes(self) -> Iterator[AnnotatedDeltaTuple]:
-        """Iterate over deletions only."""
-        return (entry for entry in self.tuples() if entry.is_delete)
-
-    @property
-    def insert_count(self) -> int:
-        """Number of inserted tuples (with multiplicities)."""
-        return sum(
-            multiplicity
-            for (sign, _row, _annotation), multiplicity in self._entries.items()
-            if sign == INSERT
-        )
-
-    @property
-    def delete_count(self) -> int:
-        """Number of deleted tuples (with multiplicities)."""
-        return sum(
-            multiplicity
-            for (sign, _row, _annotation), multiplicity in self._entries.items()
-            if sign == DELETE
-        )
-
-    def __len__(self) -> int:
-        return sum(self._entries.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AnnotatedDelta(+{self.insert_count}/-{self.delete_count})"
-
-    # -- signed (z-relation) view --------------------------------------------------------
-
-    def signed_entries(self) -> dict[tuple[Row, BitSet], int]:
-        """Collapse to a mapping ``(row, annotation) -> signed multiplicity``.
-
-        Insertions count positive, deletions negative; entries that cancel out
-        are dropped.  Used by the incremental join to combine its three delta
-        terms without double counting.
-        """
-        collapsed: dict[tuple[Row, BitSet], int] = {}
-        for (sign, row, annotation), multiplicity in self._entries.items():
-            key = (row, annotation)
-            collapsed[key] = collapsed.get(key, 0) + sign * multiplicity
-        return {key: value for key, value in collapsed.items() if value != 0}
-
-    @classmethod
-    def from_signed(
-        cls, schema: Schema, entries: dict[tuple[Row, BitSet], int]
-    ) -> "AnnotatedDelta":
-        """Build an annotated delta from a signed-multiplicity mapping."""
-        delta = cls(schema)
-        for (row, annotation), signed in entries.items():
-            delta.add_signed(row, annotation, signed)
-        return delta
-
-    # -- columnar chunk view ---------------------------------------------------------------
-
-    def to_chunks(self, chunk_size: int = 1024) -> list["DeltaChunk"]:
-        """Split the delta into columnar chunks (IMP's storage layout, Sec. 7.1).
-
-        Inserted and deleted tuples are placed in separate chunks; within a
-        chunk values are stored column-wise and annotations in a dedicated
-        column of bit sets.
-        """
-        inserts = [entry for entry in self.tuples() if entry.is_insert]
-        deletes = [entry for entry in self.tuples() if entry.is_delete]
-        chunks: list[DeltaChunk] = []
-        for sign, entries in ((INSERT, inserts), (DELETE, deletes)):
-            for start in range(0, len(entries), chunk_size):
-                chunks.append(
-                    DeltaChunk.from_tuples(self.schema, sign, entries[start : start + chunk_size])
-                )
-        return chunks
-
-
-class DeltaChunk:
-    """A columnar chunk of annotated delta tuples of one sign."""
-
-    __slots__ = ("schema", "sign", "columns", "annotations", "multiplicities")
+    __slots__ = ("schema", "rows", "annotations", "counts")
 
     def __init__(
         self,
         schema: Schema,
-        sign: int,
-        columns: list[list[object]],
-        annotations: list[BitSet],
-        multiplicities: list[int],
+        rows: list[Row] | None = None,
+        annotations: list[int] | None = None,
+        counts: list[int] | None = None,
     ) -> None:
         self.schema = schema
-        self.sign = sign
-        self.columns = columns
-        self.annotations = annotations
-        self.multiplicities = multiplicities
+        self.rows = [] if rows is None else rows
+        self.annotations = [] if annotations is None else annotations
+        self.counts = [] if counts is None else counts
 
-    @classmethod
-    def from_tuples(
-        cls, schema: Schema, sign: int, entries: list[AnnotatedDeltaTuple]
-    ) -> "DeltaChunk":
-        """Build a chunk from row-oriented annotated tuples."""
-        columns: list[list[object]] = [[] for _ in range(len(schema))]
-        annotations: list[BitSet] = []
-        multiplicities: list[int] = []
-        for entry in entries:
-            for index, value in enumerate(entry.row):
-                columns[index].append(value)
-            annotations.append(entry.annotation)
-            multiplicities.append(entry.multiplicity)
-        return cls(schema, sign, columns, annotations, multiplicities)
+    def append(self, row: Row, annotation: int, count: int) -> None:
+        """Add ``count`` (signed, non-zero) occurrences of an annotated tuple."""
+        self.rows.append(row)
+        self.annotations.append(annotation)
+        self.counts.append(count)
+
+    def entries(self) -> Iterator[tuple[Row, int, int]]:
+        """Iterate over ``(row, annotation mask, signed count)`` triples."""
+        return zip(self.rows, self.annotations, self.counts)
+
+    def columns(self) -> list[tuple]:
+        """The rows pivoted into value columns (input of batch expressions)."""
+        return list(zip(*self.rows))
+
+    def filter(self, keep: Iterable[object]) -> "AnnotatedDelta":
+        """The entries whose ``keep`` value is truthy."""
+        keep = list(keep)
+        return AnnotatedDelta(
+            self.schema,
+            list(compress(self.rows, keep)),
+            list(compress(self.annotations, keep)),
+            list(compress(self.counts, keep)),
+        )
+
+    def with_rows(self, schema: Schema, rows: list[Row]) -> "AnnotatedDelta":
+        """Copies of the annotations and counts beside new (projected) rows."""
+        return AnnotatedDelta(schema, rows, list(self.annotations), list(self.counts))
+
+    def consolidated(self) -> "AnnotatedDelta":
+        """One entry per ``(row, annotation)`` holding the summed count, in
+        first-occurrence order; entries whose counts cancel are dropped."""
+        totals: dict[tuple[Row, int], int] = {}
+        for key, count in zip(zip(self.rows, self.annotations), self.counts):
+            total = totals.get(key, 0) + count
+            if total:
+                totals[key] = total
+            else:
+                del totals[key]
+        if not totals:
+            return AnnotatedDelta(self.schema)
+        rows, annotations = map(list, zip(*totals))
+        return AnnotatedDelta(self.schema, rows, annotations, list(totals.values()))
+
+    @property
+    def insert_count(self) -> int:
+        """Number of inserted tuples (with multiplicities)."""
+        return sum(count for count in self.counts if count > 0)
+
+    @property
+    def delete_count(self) -> int:
+        """Number of deleted tuples (with multiplicities)."""
+        return -sum(count for count in self.counts if count < 0)
 
     def __len__(self) -> int:
-        return len(self.annotations)
+        """Number of delta tuples (with multiplicities, both signs)."""
+        return sum(map(abs, self.counts))
 
-    def row_at(self, index: int) -> Row:
-        """Reconstruct the row stored at position ``index``."""
-        return tuple(column[index] for column in self.columns)
+    def __bool__(self) -> bool:
+        return bool(self.counts)
 
-    def tuples(self) -> Iterator[AnnotatedDeltaTuple]:
-        """Iterate over the chunk's annotated tuples (row-oriented view)."""
-        for index in range(len(self)):
-            yield AnnotatedDeltaTuple(
-                self.sign, self.row_at(index), self.annotations[index], self.multiplicities[index]
-            )
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"AnnotatedDelta(+{self.insert_count}/-{self.delete_count})"

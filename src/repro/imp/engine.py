@@ -233,10 +233,6 @@ class IncrementalEngine:
                 restricted.set_delta(table, delta)
         return restricted
 
-    def maintain_with(self, db_delta: DatabaseDelta) -> MaintenanceOutcome:
-        """Maintain from a shared multi-table delta, ignoring unrelated tables."""
-        return self.maintain(self.restrict_delta(db_delta))
-
     def reset(self) -> None:
         """Discard all operator state (e.g. before a recapture)."""
         self.statistics = EngineStatistics()

@@ -13,35 +13,47 @@ single bottom-up passes.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.bitset import BitSet
 from repro.core.bloom import BloomFilter
-from repro.core.timing import MemoryMeter
 from repro.relational.algebra import Aggregate, OrderItem, PlanNode
 from repro.relational.evaluator import make_order_key
 from repro.relational.expressions import (
-    CompiledExpression,
+    ColumnRef,
+    CompiledBatchExpression,
     Expression,
     Literal,
+    compile_batch_expression,
     compile_expression,
     compile_row_expressions,
 )
+from repro.relational.kernels import strict_boolean
 from repro.relational.schema import Row, Schema
-from repro.sketch.capture import AnnotatedEvaluator, AnnotatedRelation
+from repro.sketch.capture import AnnotatedEvaluator, AnnotatedRelation, annotated_scan
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import SketchDelta
-from repro.storage.delta import DELETE, INSERT, DatabaseDelta
+from repro.storage.delta import DatabaseDelta
 from repro.imp.annotated import AnnotatedDelta
 from repro.imp.state import (
     AggregationState,
     DistinctState,
     MergeState,
-    MinMaxAccumulator,
     TopKState,
     make_accumulator,
 )
+
+
+def compile_batch_predicate(
+    predicate: Expression, schema: Schema
+) -> CompiledBatchExpression:
+    """Batch form of a selection predicate whose value column can drive
+    :func:`itertools.compress`: true exactly where the row form ``is True``."""
+    evaluate = compile_batch_expression(predicate, schema)
+    if strict_boolean(predicate):
+        return evaluate
+    return lambda columns, n: [value is True for value in evaluate(columns, n)]
 
 
 @dataclass
@@ -143,7 +155,7 @@ class IncrementalTableAccess(IncrementalOperator):
         self.partition = partition
         self.provider = provider
         self._delta_filter: Expression | None = None
-        self._delta_filter_fn: CompiledExpression | None = None
+        self._delta_filter_fn: CompiledBatchExpression | None = None
         self.delta_filter = delta_filter
         self._attribute_index: int | None = None
         if partition.has_table(self.table):
@@ -157,45 +169,46 @@ class IncrementalTableAccess(IncrementalOperator):
 
     @delta_filter.setter
     def delta_filter(self, expression: Expression | None) -> None:
-        # Compile eagerly on assignment so the per-tuple loop stays lookup-free
-        # even when selection push-down installs the filter after construction.
+        # Compile eagerly on assignment: selection push-down installs the
+        # filter after construction.
         self._delta_filter = expression
         self._delta_filter_fn = (
             None
             if expression is None
-            else compile_expression(expression, self.output_schema)
+            else compile_batch_predicate(expression, self.output_schema)
         )
 
     def initialize(self) -> AnnotatedRelation:
-        base = self.provider.relation(self.table)
-        result = AnnotatedRelation(self.output_schema)
-        for row, multiplicity in base.items():
-            result.add(row, self._annotate(row), multiplicity)
-        return result
+        return annotated_scan(self.provider, self.partition, self.table, self.alias)
 
     def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
-        output = AnnotatedDelta(self.output_schema)
         delta = db_delta.get(self.table)
-        if delta is None:
-            return output
-        for sign, rows in ((INSERT, delta.inserts()), (DELETE, delta.deletes())):
-            for row, multiplicity in rows:
-                self.statistics.tuples_processed += multiplicity
-                if self._delta_filter_fn is not None:
-                    if self._delta_filter_fn(row) is not True:
-                        self.statistics.delta_tuples_filtered += multiplicity
-                        continue
-                self.statistics.delta_tuples_fetched += multiplicity
-                output.add(sign, row, self._annotate(row), multiplicity)
-        return output
-
-    def _annotate(self, row: Row) -> BitSet:
-        annotation = BitSet()
+        if not delta:
+            return AnnotatedDelta(self.output_schema)
+        # Entry order: inserts then deletes, each in the delta's own order.
+        entries = list(delta.inserts())
+        inserted = len(entries)
+        entries.extend(delta.deletes())
+        rows, counts = map(list, zip(*entries))
+        counts[inserted:] = [-count for count in counts[inserted:]]
+        # Annotated below, once the delta filter has dropped what it can.
+        output = AnnotatedDelta(self.output_schema, rows, [0] * len(rows), counts)
+        fetched = len(output)
+        self.statistics.tuples_processed += fetched
+        if self._delta_filter_fn is not None:
+            output = output.filter(self._delta_filter_fn(output.columns(), len(rows)))
+            self.statistics.delta_tuples_filtered += fetched - len(output)
+            fetched = len(output)
+        self.statistics.delta_tuples_fetched += fetched
         if self._attribute_index is not None:
-            value = row[self._attribute_index]
-            if value is not None:
-                annotation.add(self.partition.fragment_of(self.table, value))
-        return annotation
+            position = self._attribute_index
+            fragments = self.partition.fragments_of(
+                self.table, [row[position] for row in output.rows]
+            )
+            output.annotations = [
+                0 if fragment is None else 1 << fragment for fragment in fragments
+            ]
+        return output
 
     def describe(self) -> str:
         suffix = " [delta filter]" if self.delta_filter is not None else ""
@@ -215,6 +228,7 @@ class IncrementalSelection(IncrementalOperator):
         self.child = child
         self.predicate = predicate
         self._predicate_fn = compile_expression(predicate, child.output_schema)
+        self._predicate_batch = compile_batch_predicate(predicate, child.output_schema)
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
@@ -230,13 +244,10 @@ class IncrementalSelection(IncrementalOperator):
 
     def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
         child = self.child.process(db_delta)
-        output = AnnotatedDelta(self.output_schema)
-        predicate = self._predicate_fn
-        for entry in child.tuples():
-            self.statistics.tuples_processed += entry.multiplicity
-            if predicate(entry.row) is True:
-                output.add(entry.sign, entry.row, entry.annotation, entry.multiplicity)
-        return output
+        if not child:
+            return child
+        self.statistics.tuples_processed += len(child)
+        return child.filter(self._predicate_batch(child.columns(), len(child.rows)))
 
     def describe(self) -> str:
         return f"IncSelection({self.predicate.canonical()})"
@@ -256,6 +267,10 @@ class IncrementalProjection(IncrementalOperator):
         self.child = child
         self.expressions = list(expressions)
         self._project = compile_row_expressions(self.expressions, child.output_schema)
+        self._project_batch = [
+            compile_batch_expression(expression, child.output_schema)
+            for expression in self.expressions
+        ]
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
@@ -270,12 +285,12 @@ class IncrementalProjection(IncrementalOperator):
 
     def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
         child = self.child.process(db_delta)
-        output = AnnotatedDelta(self.output_schema)
-        project = self._project
-        for entry in child.tuples():
-            self.statistics.tuples_processed += entry.multiplicity
-            output.add(entry.sign, project(entry.row), entry.annotation, entry.multiplicity)
-        return output
+        if not child:
+            return AnnotatedDelta(self.output_schema)
+        self.statistics.tuples_processed += len(child)
+        columns, n = child.columns(), len(child.rows)
+        values = [evaluate(columns, n) for evaluate in self._project_batch]
+        return child.with_rows(self.output_schema, list(zip(*values)) if values else [()] * n)
 
     def describe(self) -> str:
         return f"IncProjection({len(self.expressions)} expressions)"
@@ -324,17 +339,18 @@ class IncrementalJoin(IncrementalOperator):
         self.partition = partition
         self.use_bloom_filters = use_bloom_filters
         self.bloom_false_positive_rate = bloom_false_positive_rate
-        self._left_key_positions: list[int] | None = None
-        self._right_key_positions: list[int] | None = None
+        # ``row -> join key tuple`` per side; None unless this is an equi-join.
+        self._left_key: Callable[[Row], tuple] | None = None
+        self._right_key: Callable[[Row], tuple] | None = None
         if equi_keys is not None:
-            self._resolve_key_positions(equi_keys)
+            self._resolve_keys(equi_keys)
         self.left_bloom: BloomFilter | None = None
         self.right_bloom: BloomFilter | None = None
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.left, self.right)
 
-    def _resolve_key_positions(self, equi_keys: tuple[list[str], list[str]]) -> None:
+    def _resolve_keys(self, equi_keys: tuple[list[str], list[str]]) -> None:
         first, second = equi_keys
         left_schema, right_schema = self.left.output_schema, self.right.output_schema
         if all(left_schema.has(k) for k in first) and all(right_schema.has(k) for k in second):
@@ -343,13 +359,15 @@ class IncrementalJoin(IncrementalOperator):
             left_keys, right_keys = second, first
         else:
             return
-        self._left_key_positions = [left_schema.index_of(k) for k in left_keys]
-        self._right_key_positions = [right_schema.index_of(k) for k in right_keys]
+        self._left_key = compile_row_expressions([ColumnRef(k) for k in left_keys], left_schema)
+        self._right_key = compile_row_expressions(
+            [ColumnRef(k) for k in right_keys], right_schema
+        )
 
     @property
     def is_equi_join(self) -> bool:
         """Whether the join condition is a conjunction of attribute equalities."""
-        return self._left_key_positions is not None
+        return self._left_key is not None
 
     # -- initialisation -------------------------------------------------------------------
 
@@ -361,17 +379,12 @@ class IncrementalJoin(IncrementalOperator):
         return self._join_annotated(left, right)
 
     def _build_blooms(self, left: AnnotatedRelation, right: AnnotatedRelation) -> None:
-        left_keys = {self._key_of(row, self._left_key_positions) for row, _a, _m in left.items()}
-        right_keys = {self._key_of(row, self._right_key_positions) for row, _a, _m in right.items()}
+        left_keys = {self._left_key(row) for row, _a, _m in left.items()}
+        right_keys = {self._right_key(row) for row, _a, _m in right.items()}
         self.left_bloom = BloomFilter(max(len(left_keys), 16), self.bloom_false_positive_rate)
         self.left_bloom.add_all(left_keys)
         self.right_bloom = BloomFilter(max(len(right_keys), 16), self.bloom_false_positive_rate)
         self.right_bloom.add_all(right_keys)
-
-    @staticmethod
-    def _key_of(row: Row, positions: list[int] | None) -> tuple:
-        assert positions is not None
-        return tuple(row[p] for p in positions)
 
     def _join_annotated(
         self, left: AnnotatedRelation, right: AnnotatedRelation
@@ -381,12 +394,12 @@ class IncrementalJoin(IncrementalOperator):
         if self.is_equi_join:
             index: dict[tuple, list[tuple[Row, BitSet, int]]] = {}
             for row, annotation, multiplicity in right.items():
-                index.setdefault(self._key_of(row, self._right_key_positions), []).append(
+                index.setdefault(self._right_key(row), []).append(
                     (row, annotation, multiplicity)
                 )
             for row, annotation, multiplicity in left.items():
                 for other_row, other_annotation, other_mult in index.get(
-                    self._key_of(row, self._left_key_positions), ()
+                    self._left_key(row), ()
                 ):
                     combined = row + other_row
                     if condition is None or condition(combined) is True:
@@ -408,12 +421,9 @@ class IncrementalJoin(IncrementalOperator):
     def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
         left_delta = self.left.process(db_delta)
         right_delta = self.right.process(db_delta)
-        combined: dict[tuple[Row, BitSet], int] = {}
+        output = AnnotatedDelta(self.output_schema)
         if not left_delta and not right_delta:
-            return AnnotatedDelta(self.output_schema)
-
-        left_signed = left_delta.signed_entries()
-        right_signed = right_delta.signed_entries()
+            return output
 
         # Refresh the Bloom filters with this batch's insertions FIRST: the
         # backend already holds the new state of both sides, so a delta tuple
@@ -421,47 +431,50 @@ class IncrementalJoin(IncrementalOperator):
         # Pruning against stale filters would drop those combinations from the
         # ΔQ1 ⋈ Q2' / Q1' ⋈ ΔQ2 terms while the ΔQ1 ⋈ ΔQ2 correction still
         # subtracts them, breaking the over-approximation guarantee.
-        self._update_blooms(left_delta, right_delta)
+        self._update_bloom(self.left_bloom, left_delta, self._left_key)
+        self._update_bloom(self.right_bloom, right_delta, self._right_key)
+        # An insert and a delete of the same annotated tuple cancel before
+        # anything is probed, shipped or joined.
+        left_delta = left_delta.consolidated()
+        right_delta = right_delta.consolidated()
 
         # Term A: ΔQ1 ⋈ Q2' (outsourced to the backend database).
-        surviving_left = self._bloom_filter(left_signed, self._left_key_positions, self.right_bloom)
-        if surviving_left:
-            right_state = self._evaluate_side(self.right_plan, len(surviving_left))
-            self._join_delta_with_state(
-                surviving_left, right_state, combined, delta_on_left=True
-            )
+        surviving = self._bloom_filter(left_delta, self._left_key, self.right_bloom)
+        if surviving:
+            self.statistics.tuples_processed += len(surviving)
+            right_state = self._evaluate_side(self.right_plan, len(surviving.rows))
+            self._join_pairs(surviving, _masked(right_state), output, delta_on_left=True)
         # Term B: Q1' ⋈ ΔQ2.
-        surviving_right = self._bloom_filter(
-            right_signed, self._right_key_positions, self.left_bloom
-        )
-        if surviving_right:
-            left_state = self._evaluate_side(self.left_plan, len(surviving_right))
-            self._join_delta_with_state(
-                surviving_right, left_state, combined, delta_on_left=False
-            )
+        surviving = self._bloom_filter(right_delta, self._right_key, self.left_bloom)
+        if surviving:
+            self.statistics.tuples_processed += len(surviving)
+            left_state = self._evaluate_side(self.left_plan, len(surviving.rows))
+            self._join_pairs(surviving, _masked(left_state), output, delta_on_left=False)
         # Term C: − ΔQ1 ⋈ ΔQ2 (computed in memory; corrects double counting).
-        if left_signed and right_signed:
-            self._join_deltas(left_signed, right_signed, combined)
-
-        return AnnotatedDelta.from_signed(self.output_schema, combined)
+        if left_delta and right_delta:
+            negated = AnnotatedDelta(
+                left_delta.schema,
+                left_delta.rows,
+                left_delta.annotations,
+                [-count for count in left_delta.counts],
+            )
+            self._join_pairs(negated, right_delta.entries(), output, delta_on_left=True)
+        # Entries of opposite sign cancel across the three terms.
+        return output.consolidated()
 
     def _bloom_filter(
         self,
-        signed: dict[tuple[Row, BitSet], int],
-        positions: list[int] | None,
+        delta: AnnotatedDelta,
+        key: Callable[[Row], tuple] | None,
         other_bloom: BloomFilter | None,
-    ) -> dict[tuple[Row, BitSet], int]:
-        if not signed:
-            return signed
-        if not self.use_bloom_filters or other_bloom is None or positions is None:
-            return signed
-        surviving: dict[tuple[Row, BitSet], int] = {}
-        for (row, annotation), multiplicity in signed.items():
-            key = self._key_of(row, positions)
-            if key in other_bloom:
-                surviving[(row, annotation)] = multiplicity
-            else:
-                self.statistics.bloom_filtered_tuples += abs(multiplicity)
+    ) -> AnnotatedDelta:
+        if not delta or not self.use_bloom_filters or other_bloom is None or key is None:
+            return delta
+        # Delta tuples share join keys: probe the filter once per distinct key.
+        keys = list(map(key, delta.rows))
+        passes = {k: k in other_bloom for k in set(keys)}
+        surviving = delta.filter([passes[k] for k in keys])
+        self.statistics.bloom_filtered_tuples += len(delta) - len(surviving)
         return surviving
 
     def _evaluate_side(self, plan: PlanNode, shipped: int) -> AnnotatedRelation:
@@ -469,87 +482,42 @@ class IncrementalJoin(IncrementalOperator):
         self.statistics.tuples_shipped_to_backend += shipped
         return AnnotatedEvaluator(self.provider, self.partition).evaluate(plan)
 
-    def _join_delta_with_state(
+    def _join_pairs(
         self,
-        signed: dict[tuple[Row, BitSet], int],
-        state: AnnotatedRelation,
-        combined: dict[tuple[Row, BitSet], int],
+        delta: AnnotatedDelta,
+        other: Iterable[tuple[Row, int, int]],
+        output: AnnotatedDelta,
         delta_on_left: bool,
     ) -> None:
+        """Append every combination of a delta tuple with an ``other`` tuple
+        that satisfies the join condition.  An equi-join probes a hash index
+        of ``other``, so only key matches are ever materialised."""
         if self.is_equi_join:
-            state_positions = (
-                self._right_key_positions if delta_on_left else self._left_key_positions
-            )
-            delta_positions = (
-                self._left_key_positions if delta_on_left else self._right_key_positions
-            )
-            index: dict[tuple, list[tuple[Row, BitSet, int]]] = {}
-            for row, annotation, multiplicity in state.items():
-                index.setdefault(self._key_of(row, state_positions), []).append(
-                    (row, annotation, multiplicity)
-                )
-            for (row, annotation), signed_mult in signed.items():
-                self.statistics.tuples_processed += abs(signed_mult)
-                for other_row, other_annotation, other_mult in index.get(
-                    self._key_of(row, delta_positions), ()
-                ):
-                    self._emit(
-                        combined, row, other_row, annotation, other_annotation,
-                        signed_mult * other_mult, delta_on_left,
-                    )
-            return
-        for (row, annotation), signed_mult in signed.items():
-            self.statistics.tuples_processed += abs(signed_mult)
-            for other_row, other_annotation, other_mult in state.items():
-                self._emit(
-                    combined, row, other_row, annotation, other_annotation,
-                    signed_mult * other_mult, delta_on_left,
-                )
-
-    def _join_deltas(
-        self,
-        left_signed: dict[tuple[Row, BitSet], int],
-        right_signed: dict[tuple[Row, BitSet], int],
-        combined: dict[tuple[Row, BitSet], int],
-    ) -> None:
-        for (left_row, left_annotation), left_mult in left_signed.items():
-            for (right_row, right_annotation), right_mult in right_signed.items():
-                # Subtracted term of the delta identity.
-                self._emit(
-                    combined, left_row, right_row, left_annotation, right_annotation,
-                    -(left_mult * right_mult), delta_on_left=True,
-                )
-
-    def _emit(
-        self,
-        combined: dict[tuple[Row, BitSet], int],
-        row: Row,
-        other_row: Row,
-        annotation: BitSet,
-        other_annotation: BitSet,
-        signed_multiplicity: int,
-        delta_on_left: bool,
-    ) -> None:
-        if delta_on_left:
-            joined = row + other_row
+            delta_key, other_key = self._left_key, self._right_key
+            if not delta_on_left:
+                delta_key, other_key = other_key, delta_key
+            index: dict[tuple, list[tuple[Row, int, int]]] = {}
+            for entry in other:
+                index.setdefault(other_key(entry[0]), []).append(entry)
+            partners = [index.get(key, ()) for key in map(delta_key, delta.rows)]
         else:
-            joined = other_row + row
-        if self._condition_fn is not None and self._condition_fn(joined) is not True:
-            return
-        key = (joined, annotation | other_annotation)
-        combined[key] = combined.get(key, 0) + signed_multiplicity
-        if combined[key] == 0:
-            del combined[key]
+            partners = [list(other)] * len(delta.rows)
+        condition, append = self._condition_fn, output.append
+        for (row, annotation, count), matches in zip(delta.entries(), partners):
+            for other_row, other_annotation, multiplicity in matches:
+                joined = row + other_row if delta_on_left else other_row + row
+                if condition is None or condition(joined) is True:
+                    append(joined, annotation | other_annotation, count * multiplicity)
 
-    def _update_blooms(self, left_delta: AnnotatedDelta, right_delta: AnnotatedDelta) -> None:
-        if not self.use_bloom_filters or not self.is_equi_join:
+    def _update_bloom(
+        self,
+        bloom: BloomFilter | None,
+        delta: AnnotatedDelta,
+        key: Callable[[Row], tuple] | None,
+    ) -> None:
+        if bloom is None or key is None or not self.use_bloom_filters:
             return
-        if self.left_bloom is not None:
-            for entry in left_delta.inserts():
-                self.left_bloom.add(self._key_of(entry.row, self._left_key_positions))
-        if self.right_bloom is not None:
-            for entry in right_delta.inserts():
-                self.right_bloom.add(self._key_of(entry.row, self._right_key_positions))
+        bloom.add_all({key(row) for row, count in zip(delta.rows, delta.counts) if count > 0})
 
     def memory_bytes(self) -> int:
         total = 0
@@ -616,7 +584,7 @@ class IncrementalAggregation(IncrementalOperator):
         for row, annotation, multiplicity in child.items():
             key = self._group_key(row)
             group = self.state.get_or_create(key, factory)
-            group.apply(self._argument_values(row), annotation, multiplicity)
+            group.apply(self._argument_values(row), annotation.mask, multiplicity)
         result = AnnotatedRelation(self.output_schema)
         for group in self.state:
             result.add(group.key + group.output_values(), group.sketch(), 1)
@@ -627,31 +595,37 @@ class IncrementalAggregation(IncrementalOperator):
         output = AnnotatedDelta(self.output_schema)
         if not child:
             return output
+        self.statistics.tuples_processed += len(child)
+        state = self.state
         factory = self._accumulator_factory()
-        snapshots: dict[tuple, tuple[bool, tuple, BitSet]] = {}
-        for entry in child.tuples():
-            self.statistics.tuples_processed += entry.multiplicity
-            key = self._group_key(entry.row)
-            group = self.state.get_or_create(key, factory)
+        # Output values and sketch mask each touched group had before the batch
+        # (None: the group produced no output tuple).
+        snapshots: dict[tuple, tuple[tuple, int] | None] = {}
+        for key, values, annotation, count in zip(
+            map(self._group_key, child.rows),
+            map(self._argument_values, child.rows),
+            child.annotations,
+            child.counts,
+        ):
+            group = state.get_or_create(key, factory)
             if key not in snapshots:
-                if group.exists and not group.exhausted():
-                    snapshots[key] = (True, group.output_values(), group.sketch())
-                else:
-                    snapshots[key] = (False, (), BitSet())
-            signed = entry.multiplicity if entry.is_insert else -entry.multiplicity
-            group.apply(self._argument_values(entry.row), entry.annotation, signed)
-        for key, (existed, old_values, old_sketch) in snapshots.items():
-            group = self.state.get(key)
-            assert group is not None
-            if group.exhausted():
+                snapshots[key] = (
+                    (group.output_values(), group.mask)
+                    if group.exists and not group.exhausted()
+                    else None
+                )
+            group.apply(values, annotation, count)
+        for key, snapshot in snapshots.items():
+            group = state.groups[key]
+            exhausted = group.exhausted()
+            if exhausted:
                 self.needs_recapture = True
-            new_exists = group.exists and not group.exhausted()
-            if existed:
-                output.add_delete(key + old_values, old_sketch, 1)
-            if new_exists:
-                output.add_insert(key + group.output_values(), group.sketch(), 1)
+            if snapshot is not None:
+                output.append(key + snapshot[0], snapshot[1], -1)
             if not group.exists:
-                self.state.drop(key)
+                state.drop(key)
+            elif not exhausted:
+                output.append(key + group.output_values(), group.mask, 1)
         return output
 
     def memory_bytes(self) -> int:
@@ -676,7 +650,7 @@ class IncrementalDistinct(IncrementalOperator):
     def initialize(self) -> AnnotatedRelation:
         child = self.child.initialize()
         for row, annotation, multiplicity in child.items():
-            self.state.get_or_create(row).apply([], annotation, multiplicity)
+            self.state.get_or_create(row).apply((), annotation.mask, multiplicity)
         result = AnnotatedRelation(self.output_schema)
         for row, group in self.state.rows.items():
             result.add(row, group.sketch(), 1)
@@ -687,20 +661,20 @@ class IncrementalDistinct(IncrementalOperator):
         output = AnnotatedDelta(self.output_schema)
         if not child:
             return output
-        snapshots: dict[Row, tuple[bool, BitSet]] = {}
-        for entry in child.tuples():
-            self.statistics.tuples_processed += entry.multiplicity
-            group = self.state.get_or_create(entry.row)
-            if entry.row not in snapshots:
-                snapshots[entry.row] = (group.exists, group.sketch())
-            signed = entry.multiplicity if entry.is_insert else -entry.multiplicity
-            group.apply([], entry.annotation, signed)
-        for row, (existed, old_sketch) in snapshots.items():
+        self.statistics.tuples_processed += len(child)
+        # Sketch mask each touched row had before the batch (None: absent).
+        snapshots: dict[Row, int | None] = {}
+        for row, annotation, count in child.entries():
+            group = self.state.get_or_create(row)
+            if row not in snapshots:
+                snapshots[row] = group.mask if group.exists else None
+            group.apply((), annotation, count)
+        for row, old_mask in snapshots.items():
             group = self.state.rows[row]
-            if existed:
-                output.add_delete(row, old_sketch, 1)
+            if old_mask is not None:
+                output.append(row, old_mask, -1)
             if group.exists:
-                output.add_insert(row, group.sketch(), 1)
+                output.append(row, group.mask, 1)
             else:
                 self.state.drop(row)
         return output
@@ -745,11 +719,11 @@ class IncrementalTopK(IncrementalOperator):
         remaining = self.buffer_limit
         for row, annotation, multiplicity in entries:
             if remaining is None:
-                self.state.add(self._sort_key(row), row, annotation, multiplicity)
+                self.state.add(self._sort_key(row), row, annotation.mask, multiplicity)
                 continue
             if remaining > 0:
                 take = min(multiplicity, remaining)
-                self.state.add(self._sort_key(row), row, annotation, take)
+                self.state.add(self._sort_key(row), row, annotation.mask, take)
                 remaining -= take
                 overflow = multiplicity - take
             else:
@@ -757,7 +731,7 @@ class IncrementalTopK(IncrementalOperator):
             self.state.overflow_count += overflow
         result = AnnotatedRelation(self.output_schema)
         for row, annotation, multiplicity in self.state.top_k(self.k):
-            result.add(row, annotation, multiplicity)
+            result.add(row, BitSet.from_mask(annotation), multiplicity)
         return result
 
     def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
@@ -765,28 +739,29 @@ class IncrementalTopK(IncrementalOperator):
         output = AnnotatedDelta(self.output_schema)
         if not child:
             return output
-        old_top = self.state.top_k(self.k) if self.state.can_answer(self.k) else []
-        for entry in child.tuples():
-            self.statistics.tuples_processed += entry.multiplicity
-            key = self._sort_key(entry.row)
-            if entry.is_insert:
-                self.state.add(key, entry.row, entry.annotation, entry.multiplicity)
+        self.statistics.tuples_processed += len(child)
+        state = self.state
+        old_top = state.top_k(self.k) if state.can_answer(self.k) else []
+        for sort_key, row, annotation, count in zip(
+            map(self._sort_key, child.rows), child.rows, child.annotations, child.counts
+        ):
+            if count > 0:
+                state.add(sort_key, row, annotation, count)
             else:
-                self.state.remove(key, entry.row, entry.annotation, entry.multiplicity)
-        if not self.state.can_answer(self.k):
+                state.remove(sort_key, row, annotation, -count)
+        if not state.can_answer(self.k):
             self.needs_recapture = True
             return output
-        new_top = self.state.top_k(self.k)
         old_bag = _to_bag(old_top)
-        new_bag = _to_bag(new_top)
-        for key, multiplicity in old_bag.items():
-            surviving = min(multiplicity, new_bag.get(key, 0))
-            if multiplicity > surviving:
-                output.add_delete(key[0], key[1], multiplicity - surviving)
-        for key, multiplicity in new_bag.items():
-            surviving = min(multiplicity, old_bag.get(key, 0))
-            if multiplicity > surviving:
-                output.add_insert(key[0], key[1], multiplicity - surviving)
+        new_bag = _to_bag(state.top_k(self.k))
+        for (row, annotation), multiplicity in old_bag.items():
+            dropped = multiplicity - new_bag.get((row, annotation), 0)
+            if dropped > 0:
+                output.append(row, annotation, -dropped)
+        for (row, annotation), multiplicity in new_bag.items():
+            added = multiplicity - old_bag.get((row, annotation), 0)
+            if added > 0:
+                output.append(row, annotation, added)
         return output
 
     def memory_bytes(self) -> int:
@@ -797,8 +772,13 @@ class IncrementalTopK(IncrementalOperator):
         return f"IncTopK(k={self.k}, buffer={buffer})"
 
 
-def _to_bag(entries: list[tuple[Row, BitSet, int]]) -> dict[tuple[Row, BitSet], int]:
-    bag: dict[tuple[Row, BitSet], int] = {}
+def _masked(relation: AnnotatedRelation) -> Iterator[tuple[Row, int, int]]:
+    """The relation's ``(row, annotation mask, multiplicity)`` triples."""
+    return ((row, annotation.mask, m) for row, annotation, m in relation.items())
+
+
+def _to_bag(entries: list[tuple[Row, int, int]]) -> dict[tuple[Row, int], int]:
+    bag: dict[tuple[Row, int], int] = {}
     for row, annotation, multiplicity in entries:
         key = (row, annotation)
         bag[key] = bag.get(key, 0) + multiplicity
@@ -818,9 +798,9 @@ class MergeOperator(IncrementalOperator):
 
     def initialize(self) -> AnnotatedRelation:
         child = self.child.initialize()
-        for _row, annotation, multiplicity in child.items():
-            for fragment in annotation:
-                self.state.update(fragment, multiplicity)
+        self.state.apply(
+            (annotation.mask, multiplicity) for _row, annotation, multiplicity in child.items()
+        )
         return child
 
     def current_fragments(self) -> set[int]:
@@ -833,22 +813,7 @@ class MergeOperator(IncrementalOperator):
     def process_to_sketch_delta(self, db_delta: DatabaseDelta) -> SketchDelta:
         """Process a database delta and return the resulting sketch delta."""
         child = self.child.process(db_delta)
-        before: dict[int, int] = {}
-        for entry in child.tuples():
-            signed = entry.multiplicity if entry.is_insert else -entry.multiplicity
-            for fragment in entry.annotation:
-                if fragment not in before:
-                    before[fragment] = self.state.count(fragment)
-                self.state.update(fragment, signed)
-        added = set()
-        removed = set()
-        for fragment, old_count in before.items():
-            new_count = self.state.count(fragment)
-            if old_count <= 0 < new_count:
-                added.add(fragment)
-            elif old_count > 0 >= new_count:
-                removed.add(fragment)
-        return SketchDelta(frozenset(added), frozenset(removed))
+        return SketchDelta(*self.state.apply(zip(child.annotations, child.counts)))
 
     def memory_bytes(self) -> int:
         return self.state.memory_bytes()

@@ -137,7 +137,7 @@ def _topk_payload(operator: IncrementalTopK) -> dict[str, Any]:
                 {
                     "sort_key": _encode_value(sort_key),
                     "row": _encode_value(row),
-                    "annotation": annotation.mask,
+                    "annotation": annotation,
                     "multiplicity": multiplicity,
                 }
             )
@@ -158,7 +158,7 @@ def _load_topk(operator: IncrementalTopK, payload: dict[str, Any]) -> None:
         state.add(
             _decode_value(entry["sort_key"]),
             _decode_value(entry["row"]),
-            BitSet.from_mask(int(entry["annotation"])),
+            int(entry["annotation"]),
             entry["multiplicity"],
         )
     # ``add`` may evict when a buffer limit is set; restore the recorded

@@ -22,10 +22,10 @@ them through the backend database (Sec. 2).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import Any
 
-from repro.core.bitset import BitSet
+from repro.core.bitset import BitSet, iter_bits
 from repro.core.errors import StateError
 from repro.core.rbtree import RedBlackTree, SortedMultiSet
 from repro.core.timing import MemoryMeter
@@ -37,6 +37,9 @@ class SumCountAccumulator:
     """Accumulator shared by ``sum``, ``count`` and ``avg`` (Sec. 5.2.5)."""
 
     __slots__ = ("function", "total", "non_null_count", "star_count")
+
+    #: Only min/max accumulators can lose track of their value (Sec. 7.2).
+    exhausted = False
 
     def __init__(self, function: AggregateFunction) -> None:
         self.function = function
@@ -208,29 +211,41 @@ def make_accumulator(
 
 
 class GroupState:
-    """Per-group state of an incremental aggregation operator."""
+    """Per-group state of an incremental aggregation operator.
 
-    __slots__ = ("key", "total_count", "fragment_counts", "accumulators")
+    ``mask`` is the group's sketch as a fragment bit mask: the ranges whose
+    ``ℱ_g`` count is positive.  It only changes when a count crosses zero,
+    so it is kept up to date there instead of being rebuilt from the counts.
+    """
+
+    __slots__ = ("key", "total_count", "fragment_counts", "mask", "accumulators")
 
     def __init__(self, key: tuple, accumulators: list) -> None:
         self.key = key
         self.total_count = 0
         self.fragment_counts: dict[int, int] = {}
+        self.mask = 0
         self.accumulators = accumulators
 
-    def apply(
-        self, argument_values: list[object], annotation: BitSet, signed_multiplicity: int
-    ) -> None:
-        """Apply one annotated input tuple of the group."""
-        self.total_count += signed_multiplicity
+    def apply(self, argument_values: Iterable[object], annotation: int, count: int) -> None:
+        """Apply ``count`` (signed) occurrences of one annotated input tuple."""
+        self.total_count += count
         for accumulator, value in zip(self.accumulators, argument_values):
-            accumulator.update(value, signed_multiplicity)
-        for fragment in annotation:
-            updated = self.fragment_counts.get(fragment, 0) + signed_multiplicity
+            accumulator.update(value, count)
+        fragment_counts = self.fragment_counts
+        for fragment in iter_bits(annotation):
+            updated = fragment_counts.get(fragment, 0) + count
             if updated:
-                self.fragment_counts[fragment] = updated
+                fragment_counts[fragment] = updated
             else:
-                self.fragment_counts.pop(fragment, None)
+                fragment_counts.pop(fragment, None)
+            # ``updated - count`` is the count before: touch the mask only
+            # when the count crosses zero.
+            if updated > 0:
+                if updated <= count:
+                    self.mask |= 1 << fragment
+            elif updated > count:
+                self.mask &= ~(1 << fragment)
 
     @property
     def exists(self) -> bool:
@@ -239,20 +254,15 @@ class GroupState:
 
     def output_values(self) -> tuple:
         """The aggregate results for the group."""
-        return tuple(accumulator.result() for accumulator in self.accumulators)
+        return tuple([accumulator.result() for accumulator in self.accumulators])
 
     def sketch(self) -> BitSet:
         """The group's sketch: ranges with a positive contribution count."""
-        return BitSet(
-            fragment for fragment, count in self.fragment_counts.items() if count > 0
-        )
+        return BitSet.from_mask(self.mask)
 
     def exhausted(self) -> bool:
         """Whether any min/max accumulator lost track of its extreme value."""
-        return any(
-            isinstance(accumulator, MinMaxAccumulator) and accumulator.exhausted
-            for accumulator in self.accumulators
-        )
+        return any([accumulator.exhausted for accumulator in self.accumulators])
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -275,6 +285,7 @@ class GroupState:
         state = cls(tuple(payload["key"]), accumulators)
         state.total_count = payload["total_count"]
         state.fragment_counts = {int(k): v for k, v in payload["fragment_counts"].items()}
+        state.mask = sum(1 << k for k, v in state.fragment_counts.items() if v > 0)
         return state
 
 
@@ -283,9 +294,6 @@ class AggregationState:
 
     def __init__(self) -> None:
         self.groups: dict[tuple, GroupState] = {}
-
-    def get(self, key: tuple) -> GroupState | None:
-        return self.groups.get(key)
 
     def get_or_create(self, key: tuple, accumulator_factory) -> GroupState:
         state = self.groups.get(key)
@@ -352,7 +360,7 @@ class TopKState:
     """
 
     def __init__(self, buffer_limit: int | None = None) -> None:
-        self.tree: RedBlackTree[tuple, dict[tuple[Row, BitSet], int]] = RedBlackTree()
+        self.tree: RedBlackTree[tuple, dict[tuple[Row, int], int]] = RedBlackTree()
         self.buffer_limit = buffer_limit
         self.stored_count = 0
         self.overflow_count = 0
@@ -360,8 +368,8 @@ class TopKState:
 
     # -- updates ------------------------------------------------------------------
 
-    def add(self, sort_key: tuple, row: Row, annotation: BitSet, multiplicity: int) -> None:
-        """Insert ``multiplicity`` copies of an annotated tuple."""
+    def add(self, sort_key: tuple, row: Row, annotation: int, multiplicity: int) -> None:
+        """Insert ``multiplicity`` copies of a tuple annotated with a fragment mask."""
         bucket = self.tree.get(sort_key)
         if bucket is None:
             bucket = {}
@@ -371,7 +379,7 @@ class TopKState:
         self.stored_count += multiplicity
         self._evict_overflow()
 
-    def remove(self, sort_key: tuple, row: Row, annotation: BitSet, multiplicity: int) -> None:
+    def remove(self, sort_key: tuple, row: Row, annotation: int, multiplicity: int) -> None:
         """Remove up to ``multiplicity`` copies of an annotated tuple."""
         bucket = self.tree.get(sort_key)
         entry = (row, annotation)
@@ -415,11 +423,12 @@ class TopKState:
 
     # -- queries ------------------------------------------------------------------
 
-    def top_k(self, k: int) -> list[tuple[Row, BitSet, int]]:
-        """The current top-k annotated tuples (with truncated multiplicities)."""
+    def top_k(self, k: int) -> list[tuple[Row, int, int]]:
+        """The current top-k ``(row, fragment mask, multiplicity)`` entries
+        (with truncated multiplicities)."""
         if self.exhausted:
             raise StateError("top-k state exhausted; sketch must be recaptured")
-        result: list[tuple[Row, BitSet, int]] = []
+        result: list[tuple[Row, int, int]] = []
         remaining = k
         for _key, bucket in self.tree.items():
             for (row, annotation), multiplicity in bucket.items():
@@ -457,17 +466,28 @@ class MergeState:
     def __init__(self) -> None:
         self.counts: dict[int, int] = {}
 
-    def update(self, fragment: int, signed_multiplicity: int) -> int:
-        """Adjust the count of ``fragment``; returns the new count."""
-        updated = self.counts.get(fragment, 0) + signed_multiplicity
-        if updated:
-            self.counts[fragment] = updated
-        else:
-            self.counts.pop(fragment, None)
-        return updated
+    def apply(
+        self, entries: Iterable[tuple[int, int]]
+    ) -> tuple[frozenset[int], frozenset[int]]:
+        """Add ``count`` (signed) references to every fragment of each
+        ``(annotation mask, count)`` entry.
 
-    def count(self, fragment: int) -> int:
-        return self.counts.get(fragment, 0)
+        Returns the fragments that ``(entered, left)`` the sketch, i.e. whose
+        reference count became positive / stopped being positive.
+        """
+        totals = self.counts
+        before: dict[int, int] = {}
+        for annotation, count in entries:
+            for fragment in iter_bits(annotation):
+                current = totals.get(fragment, 0)
+                before.setdefault(fragment, current)
+                if current + count:
+                    totals[fragment] = current + count
+                else:
+                    totals.pop(fragment, None)
+        entered = {f for f, old in before.items() if old <= 0 < totals.get(f, 0)}
+        left = {f for f, old in before.items() if old > 0 >= totals.get(f, 0)}
+        return frozenset(entered), frozenset(left)
 
     def active_fragments(self) -> set[int]:
         """Fragments with a positive reference count (the current sketch)."""

@@ -57,6 +57,15 @@ class AnnotatedRelation:
         self.schema = schema
         self._entries: dict[tuple[Row, BitSet], int] = {}
 
+    @classmethod
+    def from_entries(
+        cls, schema: Schema, entries: dict[tuple[Row, BitSet], int]
+    ) -> "AnnotatedRelation":
+        """Adopt a ``(row tuple, annotation) -> positive multiplicity`` mapping."""
+        relation = cls(schema)
+        relation._entries = entries
+        return relation
+
     def add(self, row: Row, annotation: BitSet, multiplicity: int = 1) -> None:
         """Add ``multiplicity`` copies of the annotated tuple."""
         if multiplicity <= 0:
@@ -96,6 +105,35 @@ class AnnotatedRelation:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AnnotatedRelation(rows={len(self)}, distinct={self.distinct_count()})"
+
+
+def annotated_scan(
+    provider: RelationProvider, partition: DatabasePartition, table: str, alias: str
+) -> AnnotatedRelation:
+    """The table's rows, each annotated with the fragment its partition value
+    falls into (no fragment for NULL values and unpartitioned tables).
+
+    Rows of one fragment share a single :class:`BitSet`; annotations of an
+    :class:`AnnotatedRelation` are never mutated in place.
+    """
+    base = provider.relation(table)
+    entries = list(base.items())
+    if partition.has_table(table):
+        position = base.schema.index_of(partition.partition_of(table).attribute)
+        fragments = partition.fragments_of(table, [row[position] for row, _m in entries])
+    else:
+        fragments = [None] * len(entries)
+    shared = {
+        fragment: BitSet() if fragment is None else BitSet.from_mask(1 << fragment)
+        for fragment in set(fragments)
+    }
+    return AnnotatedRelation.from_entries(
+        base.schema.qualify(alias),
+        {
+            (row, shared[fragment]): multiplicity
+            for (row, multiplicity), fragment in zip(entries, fragments)
+        },
+    )
 
 
 class AnnotatedEvaluator:
@@ -146,21 +184,7 @@ class AnnotatedEvaluator:
     # -- operators ---------------------------------------------------------------------
 
     def _table_scan(self, node: TableScan) -> AnnotatedRelation:
-        base = self._provider.relation(node.table)
-        schema = base.schema.qualify(node.alias)
-        result = AnnotatedRelation(schema)
-        partitioned = self._partition.has_table(node.table)
-        if partitioned:
-            partition = self._partition.partition_of(node.table)
-            attribute_index = base.schema.index_of(partition.attribute)
-        for row, multiplicity in base.items():
-            annotation = BitSet()
-            if partitioned:
-                value = row[attribute_index]
-                if value is not None:
-                    annotation.add(self._partition.fragment_of(node.table, value))
-            result.add(row, annotation, multiplicity)
-        return result
+        return annotated_scan(self._provider, self._partition, node.table, node.alias)
 
     def _selection(self, node: Selection) -> AnnotatedRelation:
         child = self._evaluate(node.child)

@@ -148,12 +148,36 @@ class RangePartition:
                 f"NULL value has no fragment in partition on {self.table}.{self.attribute}"
             )
         if value < self._boundaries[0] or value > self._boundaries[-1]:
-            raise SketchError(
-                f"value {value!r} outside the domain of partition on "
-                f"{self.table}.{self.attribute}"
-            )
+            raise self._outside_domain(value)
         index = bisect.bisect_right(self._boundaries, value) - 1
         return min(index, self.num_fragments - 1)
+
+    def _outside_domain(self, value: float) -> SketchError:
+        return SketchError(
+            f"value {value!r} outside the domain of partition on "
+            f"{self.table}.{self.attribute}"
+        )
+
+    def fragments_of(self, values: Iterable[float | None], offset: int = 0) -> list[int | None]:
+        """Batch :meth:`fragment_of`: ``offset`` + fragment index per value.
+
+        A NULL value belongs to no fragment (``None``); a value outside the
+        partition's domain raises like the per-value lookup.
+        """
+        boundaries = self._boundaries
+        low, high = boundaries[0], boundaries[-1]
+        if low != -math.inf or high != math.inf:
+            values = list(values)
+            for value in values:
+                if value is not None and (value < low or value > high):
+                    raise self._outside_domain(value)
+        shift = offset - 1
+        last = offset + self.num_fragments - 1
+        search = bisect.bisect_right
+        return [
+            None if value is None else min(search(boundaries, value) + shift, last)
+            for value in values
+        ]
 
     def byte_size(self) -> int:
         """Memory footprint of the boundary list (Fig. 18, "Memory of Ranges")."""
@@ -263,7 +287,12 @@ class DatabasePartition:
     def fragment_of(self, table: str, value: float) -> int:
         """Global fragment id of ``value`` in the partition of ``table``."""
         partition = self.partition_of(table)
-        return self.global_id(table, partition.fragment_of(value))
+        return self._offsets[partition.table] + partition.fragment_of(value)
+
+    def fragments_of(self, table: str, values: Iterable[float | None]) -> list[int | None]:
+        """Global fragment id per value (``None`` for NULL) in one pass."""
+        partition = self.partition_of(table)
+        return partition.fragments_of(values, self._offsets[partition.table])
 
     def byte_size(self) -> int:
         """Memory footprint of all boundary lists."""

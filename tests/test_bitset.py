@@ -95,6 +95,11 @@ class TestInspection:
     def test_iteration_is_sorted(self):
         assert list(BitSet([9, 1, 5])) == [1, 5, 9]
 
+    def test_iteration_of_a_sparse_set_visits_members_only(self):
+        members = [3, 64, 200_003, 1_000_000]
+        assert list(BitSet(members)) == members
+        assert list(BitSet()) == []
+
     def test_max_bit_of_empty_is_minus_one(self):
         assert BitSet().max_bit() == -1
 

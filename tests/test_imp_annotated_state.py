@@ -6,7 +6,7 @@ from repro.core.bitset import BitSet
 from repro.core.errors import StateError
 from repro.relational.algebra import AggregateFunction
 from repro.relational.schema import Schema
-from repro.imp.annotated import AnnotatedDelta, AnnotatedDeltaTuple
+from repro.imp.annotated import AnnotatedDelta
 from repro.imp.state import (
     AggregationState,
     CountStarAccumulator,
@@ -22,79 +22,65 @@ SCHEMA = Schema(["a", "b"])
 
 
 class TestAnnotatedDelta:
-    def test_add_and_counts(self):
+    def _delta(self) -> AnnotatedDelta:
         delta = AnnotatedDelta(SCHEMA)
-        delta.add_insert((1, 2), BitSet([0]), 2)
-        delta.add_delete((3, 4), BitSet([1]))
-        assert delta.insert_count == 2
+        delta.append((1, 2), 0b001, 2)
+        delta.append((3, 4), 0b010, -1)
+        delta.append((5, 6), 0b110, 1)
+        return delta
+
+    def test_signed_counts(self):
+        delta = self._delta()
+        assert delta.insert_count == 3
         assert delta.delete_count == 1
+        assert len(delta) == 4
+        assert delta
+        assert not AnnotatedDelta(SCHEMA)
+
+    def test_annotations_are_plain_masks(self):
+        delta = self._delta()
+        assert all(type(annotation) is int for annotation in delta.annotations)
+        assert sorted(BitSet.from_mask(delta.annotations[2])) == [1, 2]
+
+    def test_entries_stay_in_append_order_and_are_not_merged(self):
+        delta = AnnotatedDelta(SCHEMA)
+        delta.append((1, 2), 1, 1)
+        delta.append((1, 2), 1, -1)
+        delta.append((1, 2), 1, 1)
+        assert list(delta.entries()) == [((1, 2), 1, 1), ((1, 2), 1, -1), ((1, 2), 1, 1)]
         assert len(delta) == 3
 
-    def test_duplicate_entries_merge(self):
+    def test_columns_pivot_rows(self):
+        assert self._delta().columns() == [(1, 3, 5), (2, 4, 6)]
+
+    def test_filter_keeps_the_three_lists_aligned(self):
+        kept = self._delta().filter([True, False, True])
+        assert kept.schema == SCHEMA
+        assert list(kept.entries()) == [((1, 2), 0b001, 2), ((5, 6), 0b110, 1)]
+        assert not self._delta().filter([False, None, False])
+
+    def test_with_rows_keeps_annotations_and_counts(self):
+        delta = self._delta()
+        narrow = Schema(["a"])
+        projected = delta.with_rows(narrow, [(row[0],) for row in delta.rows])
+        assert projected.schema == narrow
+        assert list(projected.entries()) == [((1,), 0b001, 2), ((3,), 0b010, -1), ((5,), 0b110, 1)]
+        # The lists are copies: appending to one delta leaves the other aligned.
+        projected.append((7,), 0b001, 1)
+        assert len(delta.rows) == len(delta.annotations) == len(delta.counts) == 3
+
+    def test_consolidated_sums_per_annotated_row_and_drops_cancelled(self):
         delta = AnnotatedDelta(SCHEMA)
-        delta.add_insert((1, 2), BitSet([0]))
-        delta.add_insert((1, 2), BitSet([0]), 3)
-        assert len(list(delta.tuples())) == 1
-        assert next(delta.inserts()).multiplicity == 4
-
-    def test_same_row_different_annotation_stays_distinct(self):
-        delta = AnnotatedDelta(SCHEMA)
-        delta.add_insert((1, 2), BitSet([0]))
-        delta.add_insert((1, 2), BitSet([1]))
-        assert len(list(delta.tuples())) == 2
-
-    def test_invalid_sign_rejected(self):
-        with pytest.raises(ValueError):
-            AnnotatedDelta(SCHEMA).add(0, (1, 2), BitSet())
-
-    def test_zero_multiplicity_ignored(self):
-        delta = AnnotatedDelta(SCHEMA)
-        delta.add_insert((1, 2), BitSet(), 0)
-        assert not delta
-
-    def test_signed_entries_cancel(self):
-        delta = AnnotatedDelta(SCHEMA)
-        delta.add_insert((1, 2), BitSet([0]), 2)
-        delta.add_delete((1, 2), BitSet([0]), 2)
-        assert delta.signed_entries() == {}
-
-    def test_from_signed_roundtrip(self):
-        entries = {((1, 2), BitSet([0])): 2, ((3, 4), BitSet([1])): -1}
-        delta = AnnotatedDelta.from_signed(SCHEMA, entries)
-        assert delta.insert_count == 2
-        assert delta.delete_count == 1
-
-    def test_add_signed(self):
-        delta = AnnotatedDelta(SCHEMA)
-        delta.add_signed((1, 2), BitSet(), 3)
-        delta.add_signed((1, 2), BitSet(), -1)
-        delta.add_signed((1, 2), BitSet(), 0)
-        assert delta.insert_count == 3 and delta.delete_count == 1
-
-    def test_merge_and_extend(self):
-        first = AnnotatedDelta(SCHEMA)
-        first.add_insert((1, 1), BitSet([0]))
-        second = AnnotatedDelta(SCHEMA)
-        second.add_delete((2, 2), BitSet([1]))
-        first.merge(second)
-        first.extend([AnnotatedDeltaTuple(+1, (3, 3), BitSet([2]))])
-        assert len(first) == 3
-
-    def test_chunk_roundtrip(self):
-        delta = AnnotatedDelta(SCHEMA)
-        for i in range(10):
-            delta.add_insert((i, i * 2), BitSet([i % 3]), 1)
-        for i in range(5):
-            delta.add_delete((i, i), BitSet([i % 2]), 2)
-        chunks = delta.to_chunks(chunk_size=4)
-        rebuilt = AnnotatedDelta(SCHEMA)
-        for chunk in chunks:
-            rebuilt.extend(chunk.tuples())
-        assert rebuilt.insert_count == delta.insert_count
-        assert rebuilt.delete_count == delta.delete_count
-        assert {c.sign for c in chunks} == {+1, -1}
-        assert all(len(chunk) <= 4 for chunk in chunks)
-        assert chunks[0].row_at(0) == tuple(chunks[0].tuples().__next__().row)
+        delta.append((1, 2), 0b01, 2)
+        delta.append((3, 4), 0b10, 1)
+        delta.append((1, 2), 0b10, 1)  # same row, other annotation: kept apart
+        delta.append((3, 4), 0b10, -1)
+        delta.append((1, 2), 0b01, -3)
+        assert list(delta.consolidated().entries()) == [((1, 2), 0b01, -1), ((1, 2), 0b10, 1)]
+        assert len(delta.rows) == 5  # the source is left as it was
+        delta.append((1, 2), 0b10, -1)
+        delta.append((1, 2), 0b01, 1)
+        assert not delta.consolidated()
 
 
 class TestAccumulators:
@@ -178,36 +164,53 @@ class TestAccumulators:
 class TestGroupAndMergeState:
     def test_group_state_tracks_fragments_and_existence(self):
         group = GroupState((1,), [SumCountAccumulator(AggregateFunction.SUM)])
-        group.apply([10], BitSet([2]), 1)
-        group.apply([20], BitSet([3]), 1)
+        group.apply([10], 1 << 2, 1)
+        group.apply([20], 1 << 3, 1)
         assert group.exists
         assert sorted(group.sketch()) == [2, 3]
-        group.apply([10], BitSet([2]), -1)
+        group.apply([10], 1 << 2, -1)
+        assert group.mask == 1 << 3
         assert sorted(group.sketch()) == [3]
-        group.apply([20], BitSet([3]), -1)
+        group.apply([20], 1 << 3, -1)
         assert not group.exists
+        assert group.mask == 0 and group.fragment_counts == {}
+
+    def test_group_mask_changes_only_at_zero_crossings(self):
+        group = GroupState((1,), [])
+        group.apply((), 0b101, 2)
+        assert group.mask == 0b101
+        group.apply((), 0b100, -1)
+        assert group.mask == 0b101 and group.fragment_counts == {0: 2, 2: 1}
+        group.apply((), 0b100, -1)
+        assert group.mask == 0b001
+        # A count below zero (a delete seen before its insert) is not in the sketch.
+        group.apply((), 0b010, -1)
+        assert group.mask == 0b001
+        group.apply((), 0b010, 2)
+        assert group.mask == 0b011
 
     def test_group_state_payload_roundtrip(self):
         group = GroupState((1, "x"), [SumCountAccumulator(AggregateFunction.SUM)])
-        group.apply([5], BitSet([1]), 2)
+        group.apply([5], 1 << 1, 2)
         restored = GroupState.from_payload(group.to_payload())
         assert restored.output_values() == group.output_values()
-        assert sorted(restored.sketch()) == sorted(group.sketch())
+        assert restored.mask == group.mask == 1 << 1
 
     def test_aggregation_state_payload_roundtrip(self):
         state = AggregationState()
         group = state.get_or_create((5,), lambda: [SumCountAccumulator(AggregateFunction.SUM)])
-        group.apply([2], BitSet([0]), 1)
+        group.apply([2], 1, 1)
         restored = AggregationState.from_payload(state.to_payload())
         assert len(restored) == 1
-        assert restored.get((5,)).output_values() == (2.0,)
+        assert restored.groups[(5,)].output_values() == (2.0,)
 
     def test_merge_state_counts(self):
         merge = MergeState()
-        assert merge.update(3, 2) == 2
-        assert merge.update(3, -2) == 0
-        assert merge.count(3) == 0
-        merge.update(1, 1)
+        assert merge.apply([(0b1000, 2)]) == ({3}, set())
+        assert merge.apply([(0b1000, -1), (0b0010, 1)]) == ({1}, set())
+        assert merge.counts == {3: 1, 1: 1}
+        # Entering and leaving within one batch is no change.
+        assert merge.apply([(0b0100, 1), (0b1100, -1)]) == (set(), {3})
         assert merge.active_fragments() == {1}
         restored = MergeState.from_payload(merge.to_payload())
         assert restored.active_fragments() == {1}
@@ -215,7 +218,7 @@ class TestGroupAndMergeState:
     def test_memory_accounting_is_positive(self):
         state = AggregationState()
         group = state.get_or_create((1,), lambda: [SumCountAccumulator(AggregateFunction.SUM)])
-        group.apply([1], BitSet([0]), 1)
+        group.apply([1], 1, 1)
         assert state.memory_bytes() > 0
         assert MergeState().memory_bytes() > 0
 
@@ -223,34 +226,34 @@ class TestGroupAndMergeState:
 class TestTopKState:
     def test_top_k_walks_in_order(self):
         state = TopKState()
-        state.add((2,), ("b",), BitSet([1]), 1)
-        state.add((1,), ("a",), BitSet([0]), 2)
+        state.add((2,), ("b",), 0b10, 1)
+        state.add((1,), ("a",), 0b01, 2)
         top = state.top_k(2)
-        assert top[0][0] == ("a",) and top[0][2] == 2
+        assert top[0] == (("a",), 0b01, 2)
 
     def test_remove_and_missing_entries(self):
         state = TopKState()
-        state.add((1,), ("a",), BitSet(), 1)
-        state.remove((1,), ("a",), BitSet(), 1)
+        state.add((1,), ("a",), 0, 1)
+        state.remove((1,), ("a",), 0, 1)
         assert state.stored_count == 0
         # Removing something never stored exhausts the state only when there
         # is no overflow accounting for it.
-        state.remove((9,), ("z",), BitSet(), 1)
+        state.remove((9,), ("z",), 0, 1)
         assert state.exhausted
 
     def test_buffer_eviction_and_overflow(self):
         state = TopKState(buffer_limit=2)
         for i in range(5):
-            state.add((i,), (f"row{i}",), BitSet(), 1)
+            state.add((i,), (f"row{i}",), 0, 1)
         assert state.stored_count == 2
         assert state.overflow_count == 3
         assert state.can_answer(2)
         # Deleting non-buffered tuples is fine.
-        state.remove((4,), ("row4",), BitSet(), 1)
+        state.remove((4,), ("row4",), 0, 1)
         assert not state.exhausted
         # Deleting buffered tuples below k makes it unable to answer.
-        state.remove((0,), ("row0",), BitSet(), 1)
-        state.remove((1,), ("row1",), BitSet(), 1)
+        state.remove((0,), ("row0",), 0, 1)
+        state.remove((1,), ("row1",), 0, 1)
         assert not state.can_answer(2)
 
     def test_exhausted_topk_raises(self):
@@ -261,5 +264,5 @@ class TestTopKState:
 
     def test_memory_bytes(self):
         state = TopKState()
-        state.add((1,), ("payload" * 10,), BitSet([1]), 1)
+        state.add((1,), ("payload" * 10,), 0b10, 1)
         assert state.memory_bytes() > 0

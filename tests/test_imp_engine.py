@@ -298,6 +298,56 @@ class TestJoinMaintenance:
         assert engine.statistics.backend_round_trips == 0
         assert not outcome.sketch_delta
 
+    def test_insert_and_delete_of_one_row_cancel_before_the_join(self):
+        """An uncompacted delta that inserts and deletes the same row is not
+        probed, shipped to the backend or counted by the join."""
+        database, _r, _s = self._setup(seed=23)
+        plan = database.plan("SELECT a, e FROM r JOIN s ON b = d")
+        partition = build_database_partition(database, plan, 10)
+        engine = IncrementalEngine(plan, partition, database)
+        engine.initialize()
+        version = database.version
+        transient = (66_666, 3, 5, 10)  # b = 5 has join partners in s
+        database.insert("r", [transient])
+        database.delete_rows("r", [transient])
+        db_delta = database.database_delta_since(plan.referenced_tables(), version)
+        assert dict(db_delta.get("r").inserts()) == dict(db_delta.get("r").deletes())
+        outcome = engine.maintain(db_delta)
+        assert not outcome.sketch_delta
+        statistics = engine.statistics
+        assert statistics.tuples_processed == 2  # the table access saw both
+        assert statistics.backend_round_trips == 0
+        assert statistics.tuples_shipped_to_backend == 0
+        assert statistics.bloom_filtered_tuples == 0
+
+    def test_two_sided_join_delta_only_pairs_key_matches(self):
+        """The ΔQ1 ⋈ ΔQ2 term probes a hash index: 1000 x 1000 delta tuples
+        with one partner each cost 1000 condition checks, not a million."""
+        database, _r, _s = self._setup(seed=29)
+        plan = database.plan("SELECT a, e FROM r JOIN s ON b = d")
+        partition = build_database_partition(database, plan, 10)
+        engine = IncrementalEngine(plan, partition, database)
+        sketch = engine.initialize()
+        join = engine._root_child.child
+        checked = []
+        condition = join._condition_fn
+
+        def counting_condition(row):
+            checked.append(row)
+            return condition(row)
+
+        join._condition_fn = counting_condition
+        version = database.version
+        # Keys 10_000.. exist on neither side before the batch.
+        database.insert("r", [(50_000 + i, i % 20, 10_000 + i, i) for i in range(1000)])
+        database.insert("s", [(60_000 + i, 10_000 + i, i % 50) for i in range(1000)])
+        outcome = engine.maintain(
+            database.database_delta_since(plan.referenced_tables(), version)
+        )
+        assert len(checked) == 3 * 1000  # one partner per delta tuple and term
+        sketch = sketch.apply_delta(outcome.sketch_delta)
+        assert maintained_matches_truth(engine, sketch, plan, partition, database)
+
     def test_bloom_filters_disabled_forces_round_trip(self):
         database, _r, _s = self._setup(seed=19)
         sql = "SELECT a, sum(e) AS se FROM r JOIN s ON b = d GROUP BY a HAVING sum(e) > 0"

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitset import BitSet
+from repro.core.bitset import BitSet, iter_bits
 from repro.core.bloom import BloomFilter
 from repro.core.rbtree import RedBlackTree, SortedMultiSet
 
@@ -14,6 +14,14 @@ class TestBitSetProperties:
     @given(index_sets)
     def test_roundtrip_through_iteration(self, members):
         assert set(BitSet(members)) == members
+
+    @given(index_sets, st.integers(min_value=200_000, max_value=400_000))
+    def test_iteration_is_sorted_members_also_when_sparse(self, members, far_bit):
+        # Iteration costs one step per member, not per bit position.
+        assert list(BitSet(members)) == sorted(members)
+        sparse = members | {far_bit}
+        assert list(BitSet(sparse)) == sorted(sparse)
+        assert list(iter_bits(BitSet(sparse).mask)) == sorted(sparse)
 
     @given(index_sets, index_sets)
     def test_union_matches_python_sets(self, a, b):

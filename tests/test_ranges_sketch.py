@@ -93,6 +93,35 @@ class TestDatabasePartition:
         assert database_partition.fragment_of("sales", 349) == 0
         assert database_partition.fragment_of("s", 75) == 5
 
+    def test_fragments_of_matches_per_value_lookup(self, database_partition):
+        # Boundaries, both closed domain ends, interior values and NULLs.
+        prices = [1, 600, 601, 1000.5, 1001, 1501, 9999, 10000, None, 349]
+        assert database_partition.fragments_of("sales", prices) == [
+            None if price is None else database_partition.fragment_of("sales", price)
+            for price in prices
+        ]
+        assert database_partition.fragments_of("S", [0, 50, None, 100]) == [4, 5, None, 5]
+        assert database_partition.fragments_of("s", iter([])) == []
+
+    def test_fragments_of_covered_domain_ends(self):
+        covered = RangePartition.from_boundaries("t", "a", [10, 20, 30], cover_domain=True)
+        partition = DatabasePartition([RangePartition("u", "x", [0, 1]), covered])
+        values = [-math.inf, -1e300, 10, 19.999, 20, 1e300, math.inf, None]
+        assert partition.fragments_of("t", values) == [1, 1, 1, 1, 2, 2, 2, None]
+        assert partition.fragments_of("t", values[:-1]) == [
+            partition.fragment_of("t", value) for value in values[:-1]
+        ]
+
+    def test_fragments_of_rejects_out_of_domain_values(self):
+        bounded = RangePartition.equi_width("t", "a", 0, 100, 4, cover_domain=False)
+        partition = DatabasePartition([bounded])
+        assert partition.fragments_of("t", [0, 25, 100]) == [0, 1, 3]
+        for outside in (-0.5, 100.5):
+            with pytest.raises(SketchError, match="outside the domain"):
+                partition.fragments_of("t", [50, None, outside])
+        with pytest.raises(SketchError):
+            partition.fragments_of("missing", [1])
+
     def test_duplicate_table_rejected(self, price_partition):
         partition = DatabasePartition([price_partition])
         with pytest.raises(SketchError):

@@ -234,9 +234,9 @@ class TestSchedulerDifferential:
         mirror.assert_sketches_identical()
 
 
-class TestEngineMaintainWith:
-    def test_engine_maintain_with_restricts_shared_delta(self):
-        """The engine-level shared-delta entry point equals restrict+maintain."""
+class TestEngineRestrictDelta:
+    def test_engine_restricts_shared_delta_before_maintaining(self):
+        """restrict_delta + maintain on a shared delta ignores unrelated tables."""
         from repro.storage.delta import DatabaseDelta
 
         database = Database()
@@ -253,7 +253,9 @@ class TestEngineMaintainWith:
         shared = DatabaseDelta()
         shared.set_delta("r", database.delta_since("r", version))
         shared.set_delta("unrelated", database.delta_since("unrelated", version))
-        outcome = maintainer.engine.maintain_with(shared)
+        restricted = maintainer.engine.restrict_delta(shared)
+        assert list(restricted.tables()) == ["r"]
+        outcome = maintainer.engine.maintain(restricted)
         assert not outcome.needs_recapture
         sketch = maintainer.sketch.apply_delta(outcome.sketch_delta)
         # Ground truth: an identically-captured engine fed the restricted delta.
