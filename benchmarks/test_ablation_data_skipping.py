@@ -22,7 +22,7 @@ import pytest
 from repro.bench.harness import ExperimentResult
 from repro.relational.algebra import Selection, TableScan, walk_plan
 from repro.relational.predicates import extract_intervals
-from repro.sketch.capture import capture_sketch
+from repro.imp.engine import capture_sketch
 from repro.sketch.selection import build_database_partition
 from repro.sketch.use import estimated_selectivity, instrument_plan
 from repro.storage.database import Database

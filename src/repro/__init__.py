@@ -17,8 +17,8 @@ Sub-packages:
 * :mod:`repro.relational` -- bag-semantics relational algebra and evaluation.
 * :mod:`repro.sql` -- SQL parser and translation to algebra.
 * :mod:`repro.storage` -- the versioned in-memory backend database.
-* :mod:`repro.sketch` -- provenance sketches: partitions, capture, use, safety.
-* :mod:`repro.imp` -- the incremental maintenance engine and middleware.
+* :mod:`repro.sketch` -- provenance sketches: partitions, use, safety.
+* :mod:`repro.imp` -- sketch capture, the incremental maintenance engine and middleware.
 * :mod:`repro.workloads` -- TPC-H / Crimes / synthetic data and queries.
 * :mod:`repro.bench` -- the benchmark harness.
 """
@@ -31,13 +31,13 @@ from repro.imp import (
     IncrementalEngine,
     IncrementalMaintainer,
     NoSketchSystem,
+    capture_sketch,
 )
 from repro.relational import Relation, Schema
 from repro.sketch import (
     DatabasePartition,
     ProvenanceSketch,
     RangePartition,
-    capture_sketch,
     instrument_plan,
 )
 from repro.sketch.selection import build_database_partition, build_partition

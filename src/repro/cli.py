@@ -493,8 +493,8 @@ def command_info(_args: argparse.Namespace) -> int:
         ("repro.relational", "bag-semantics relational algebra and evaluation"),
         ("repro.sql", "SQL parser and translation to algebra"),
         ("repro.storage", "versioned in-memory backend database with indexes"),
-        ("repro.sketch", "provenance sketches: capture, use, safety, adaptivity"),
-        ("repro.imp", "incremental maintenance engine, strategies, middleware"),
+        ("repro.sketch", "provenance sketches: partitions, use, safety, adaptivity"),
+        ("repro.imp", "sketch capture, incremental maintenance engine, strategies, middleware"),
         ("repro.workloads", "synthetic / TPC-H / Crimes data and query templates"),
         ("repro.bench", "benchmark harness and reporting"),
     ]

@@ -9,7 +9,8 @@ This package contains the paper's primary contribution:
 * :mod:`repro.imp.operators` -- the incremental relational algebra operators
   over annotated deltas (Sec. 5.2),
 * :mod:`repro.imp.engine` -- compiling logical plans into incremental operator
-  trees, state initialisation, and maintenance (Sec. 7),
+  trees, sketch capture / state initialisation (a from-scratch pass), and
+  maintenance (a delta pass) (Sec. 7),
 * :mod:`repro.imp.maintenance` -- the maintainer objects (incremental and the
   full-maintenance baseline) used by the experiments (Sec. 8),
 * :mod:`repro.imp.strategies` -- eager (batched) and lazy maintenance
@@ -23,7 +24,7 @@ This package contains the paper's primary contribution:
 """
 
 from repro.imp.annotated import AnnotatedDelta
-from repro.imp.engine import EngineStatistics, IMPConfig, IncrementalEngine
+from repro.imp.engine import EngineStatistics, IMPConfig, IncrementalEngine, capture_sketch
 from repro.imp.maintenance import FullMaintainer, IncrementalMaintainer, MaintenanceResult
 from repro.imp.middleware import IMPSystem, NoSketchSystem, FullMaintenanceSystem
 from repro.imp.persistence import StatePersistence, dump_engine_state, load_engine_state
@@ -51,6 +52,7 @@ __all__ = [
     "SketchEntry",
     "SketchStore",
     "StatePersistence",
+    "capture_sketch",
     "dump_engine_state",
     "load_engine_state",
 ]

@@ -1,15 +1,22 @@
 """The IMP incremental engine.
 
-:class:`IncrementalEngine` compiles a logical query plan into a tree of
-incremental operators (Sec. 5.2) topped by the merge operator ``μ`` (Sec. 5.1),
-builds operator state by evaluating the query once under annotated semantics
-(which doubles as sketch capture), and afterwards turns database deltas into
-sketch deltas in time proportional to the delta size.
+:func:`compile_plan` turns a logical query plan into a tree of incremental
+operators (Sec. 5.2); :class:`IncrementalEngine` tops it with the merge
+operator ``μ`` (Sec. 5.1) and runs it in two ways.  ``initialize`` is one
+from-scratch pass -- the whole database as an insert delta through empty
+state -- which builds operator state and doubles as sketch capture;
+``maintain`` is a delta pass that turns a database delta into a sketch delta
+in time proportional to the delta size.
+
+:func:`capture_sketch` is the same from-scratch pass over a tree that is
+thrown away afterwards.  It is the only annotated evaluation of a plan in
+``src/``; the row-at-a-time oracle it is tested against lives in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.errors import PlanError
 from repro.relational.algebra import (
@@ -22,6 +29,7 @@ from repro.relational.algebra import (
     TableScan,
     TopK,
 )
+from repro.relational.evaluator import RelationProvider
 from repro.relational.expressions import Expression, conjuncts, conjunction
 from repro.relational.schema import Schema
 from repro.sketch.ranges import DatabasePartition
@@ -39,6 +47,7 @@ from repro.imp.operators import (
     IncrementalTableAccess,
     IncrementalTopK,
     MergeOperator,
+    Pass,
 )
 
 
@@ -74,6 +83,96 @@ class MaintenanceOutcome:
     statistics: EngineStatistics = field(default_factory=EngineStatistics)
 
 
+def compile_plan(
+    node: PlanNode, partition: DatabasePartition, provider: RelationProvider, config: IMPConfig
+) -> IncrementalOperator:
+    """Compile a logical plan into a tree of incremental operators (without ``μ``)."""
+
+    def compile_child(plan: PlanNode) -> IncrementalOperator:
+        return compile_plan(plan, partition, provider, config)
+
+    if isinstance(node, TableScan):
+        return IncrementalTableAccess(
+            node.table, node.alias, provider.schema_of(node.table), partition, provider
+        )
+    if isinstance(node, Selection):
+        child = compile_child(node.child)
+        if config.selection_pushdown:
+            _push_delta_filter(node, child)
+        return IncrementalSelection(child, node.predicate)
+    if isinstance(node, Projection):
+        return IncrementalProjection(
+            compile_child(node.child),
+            [item.expression for item in node.items],
+            Schema(item.alias for item in node.items),
+        )
+    if isinstance(node, Join):
+        # What the join evaluates a whole side on is thrown away after one
+        # from-scratch pass: it never prunes, so it needs no Bloom filters.
+        side_config = replace(config, use_bloom_filters=False)
+        return IncrementalJoin(
+            compile_child(node.left),
+            compile_child(node.right),
+            node.left,
+            node.right,
+            node.condition,
+            node.equi_join_keys(),
+            lambda plan: compile_plan(plan, partition, provider, side_config),
+            use_bloom_filters=config.use_bloom_filters,
+            bloom_false_positive_rate=config.bloom_false_positive_rate,
+        )
+    if isinstance(node, Aggregation):
+        return IncrementalAggregation(
+            compile_child(node.child),
+            node.group_by,
+            node.aggregates,
+            node.output_schema(provider),
+            min_max_buffer=config.min_max_buffer,
+        )
+    if isinstance(node, Distinct):
+        return IncrementalDistinct(compile_child(node.child))
+    if isinstance(node, TopK):
+        return IncrementalTopK(
+            compile_child(node.child), node.k, node.order_by, buffer_limit=config.topk_buffer
+        )
+    raise PlanError(
+        f"IMP does not support incremental maintenance of {type(node).__name__}; "
+        "fall back to full maintenance"
+    )
+
+
+def _push_delta_filter(node: Selection, child: IncrementalOperator) -> None:
+    """Push selection conditions down to delta fetching (Sec. 7.2).
+
+    Only applies when every operator below the selection is stateless,
+    i.e. the chain down to the table access consists of selections only.
+    """
+    target = child
+    while isinstance(target, IncrementalSelection):
+        target = target.child
+    if not isinstance(target, IncrementalTableAccess):
+        return
+    pushable: list[Expression] = []
+    for predicate in conjuncts(node.predicate):
+        if all(target.output_schema.has(column) for column in predicate.columns()):
+            pushable.append(predicate)
+    if not pushable:
+        return
+    target.delta_filter = conjunction(pushable + conjuncts(target.delta_filter))
+
+
+def capture_sketch(
+    plan: PlanNode, partition: DatabasePartition, provider: RelationProvider
+) -> ProvenanceSketch:
+    """Capture a provenance sketch for ``plan`` over the current database state:
+    one from-scratch pass over an operator tree that is thrown away."""
+    merge = MergeOperator(
+        compile_plan(plan, partition, provider, IMPConfig(use_bloom_filters=False))
+    )
+    merge.process_to_sketch_delta(Pass.scratch())
+    return ProvenanceSketch(partition, merge.current_fragments())
+
+
 class IncrementalEngine:
     """Compiles and drives the incremental operator tree for one query."""
 
@@ -89,105 +188,21 @@ class IncrementalEngine:
         self.database = database
         self.config = config or IMPConfig()
         self.statistics = EngineStatistics()
-        self._root_child = self._compile(plan)
-        self._merge = MergeOperator(self._root_child, self.statistics)
+        self._merge = MergeOperator(compile_plan(plan, partition, database, self.config))
         self._initialized = False
         self.initialized_at_version: int | None = None
-
-    # -- compilation ---------------------------------------------------------------
-
-    def _compile(self, node: PlanNode) -> IncrementalOperator:
-        if isinstance(node, TableScan):
-            return IncrementalTableAccess(
-                node.table,
-                node.alias,
-                self.database.schema_of(node.table),
-                self.partition,
-                self.database,
-                self.statistics,
-            )
-        if isinstance(node, Selection):
-            child = self._compile(node.child)
-            if self.config.selection_pushdown:
-                self._push_delta_filter(node, child)
-            return IncrementalSelection(child, node.predicate, self.statistics)
-        if isinstance(node, Projection):
-            child = self._compile(node.child)
-            schema = Schema(item.alias for item in node.items)
-            return IncrementalProjection(
-                child, [item.expression for item in node.items], schema, self.statistics
-            )
-        if isinstance(node, Join):
-            left = self._compile(node.left)
-            right = self._compile(node.right)
-            return IncrementalJoin(
-                left,
-                right,
-                node.left,
-                node.right,
-                node.condition,
-                node.equi_join_keys(),
-                self.database,
-                self.partition,
-                self.statistics,
-                use_bloom_filters=self.config.use_bloom_filters,
-                bloom_false_positive_rate=self.config.bloom_false_positive_rate,
-            )
-        if isinstance(node, Aggregation):
-            child = self._compile(node.child)
-            return IncrementalAggregation(
-                child,
-                node.group_by,
-                node.aggregates,
-                node.output_schema(self.database),
-                self.statistics,
-                min_max_buffer=self.config.min_max_buffer,
-            )
-        if isinstance(node, Distinct):
-            return IncrementalDistinct(self._compile(node.child), self.statistics)
-        if isinstance(node, TopK):
-            return IncrementalTopK(
-                self._compile(node.child),
-                node.k,
-                node.order_by,
-                self.statistics,
-                buffer_limit=self.config.topk_buffer,
-            )
-        raise PlanError(
-            f"IMP does not support incremental maintenance of {type(node).__name__}; "
-            "fall back to full maintenance"
-        )
-
-    def _push_delta_filter(self, node: Selection, child: IncrementalOperator) -> None:
-        """Push selection conditions down to delta fetching (Sec. 7.2).
-
-        Only applies when every operator below the selection is stateless,
-        i.e. the chain down to the table access consists of selections only.
-        """
-        target = child
-        while isinstance(target, IncrementalSelection):
-            target = target.child
-        if not isinstance(target, IncrementalTableAccess):
-            return
-        pushable: list[Expression] = []
-        for predicate in conjuncts(node.predicate):
-            if all(target.output_schema.has(column) for column in predicate.columns()):
-                pushable.append(predicate)
-        if not pushable:
-            return
-        combined = conjunction(pushable + conjuncts(target.delta_filter))
-        target.delta_filter = combined
 
     # -- lifecycle ----------------------------------------------------------------------
 
     def initialize(self) -> ProvenanceSketch:
         """Build all operator state and capture the initial sketch.
 
-        This corresponds to executing the capture query: one pass over the data
-        under annotated semantics that simultaneously fills the state of every
-        stateful operator.
+        This corresponds to executing the capture query: one from-scratch pass
+        that simultaneously fills the state of every stateful operator, which
+        must be empty (a new engine, or one that was :meth:`reset`).  It is not
+        delta work, so the engine's counters stay as they are.
         """
-        self._merge.initialize()
+        self._merge.process_to_sketch_delta(Pass.scratch())
         self._initialized = True
         self.initialized_at_version = self.database.version
         return self.current_sketch()
@@ -205,8 +220,10 @@ class IncrementalEngine:
         """Incrementally maintain the sketch for a database delta."""
         if not self._initialized:
             raise PlanError("engine must be initialized before maintenance")
+        if db_delta is None:
+            raise PlanError("maintenance needs a database delta")
         self.statistics.maintenance_runs += 1
-        sketch_delta = self._merge.process_to_sketch_delta(db_delta)
+        sketch_delta = self._merge.process_to_sketch_delta(Pass(db_delta, self.statistics))
         needs_recapture = self._merge.recapture_needed()
         if needs_recapture:
             self.statistics.recaptures += 1
@@ -234,10 +251,11 @@ class IncrementalEngine:
         return restricted
 
     def reset(self) -> None:
-        """Discard all operator state (e.g. before a recapture)."""
-        self.statistics = EngineStatistics()
-        self._root_child = self._compile(self.plan)
-        self._merge = MergeOperator(self._root_child, self.statistics)
+        """Discard all operator state (e.g. before a recapture); the counters
+        are cumulative over the engine's lifetime and stay."""
+        self._merge = MergeOperator(
+            compile_plan(self.plan, self.partition, self.database, self.config)
+        )
         self._initialized = False
         self.initialized_at_version = None
 

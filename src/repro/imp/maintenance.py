@@ -13,10 +13,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.imp.engine import IMPConfig, IncrementalEngine
+from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch
 from repro.imp.operators import EngineStatistics
 from repro.relational.algebra import PlanNode
-from repro.sketch.capture import capture_sketch
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import ProvenanceSketch, SketchDelta
 from repro.storage.database import Database

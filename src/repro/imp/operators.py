@@ -1,22 +1,32 @@
 """Incremental relational algebra operators over sketch-annotated deltas.
 
-Each operator implements the incremental semantics of Sec. 5.2 of the paper:
-it consumes the annotated delta produced by its child (or the database delta,
-for table access), updates its internal state, and produces an annotated
-output delta.  The merge operator ``μ`` at the root turns the final annotated
-delta into a sketch delta.
+Each operator implements the incremental semantics of Sec. 5.2 of the paper
+as one transformation: it consumes the annotated delta produced by its child
+(or the database, for table access), updates its internal state, and produces
+an annotated output delta.  The merge operator ``μ`` at the root turns the
+final annotated delta into a sketch delta.
 
-Operators are arranged in a tree mirroring the logical plan; both state
-initialisation (which doubles as sketch capture) and delta processing are
-single bottom-up passes.
+Operators are arranged in a tree mirroring the logical plan, and a
+:class:`Pass` is one bottom-up run of that tree.  There are two kinds, and
+they share every line of operator code but the join's choice of terms and
+the row a scalar aggregate has over empty input:
+
+* a *delta pass* propagates a :class:`~repro.storage.delta.DatabaseDelta`
+  through state built earlier (incremental maintenance);
+* a *from-scratch pass* propagates the whole database as one insert delta
+  through empty state.  That is the paper's capture query: it fills the state
+  of every stateful operator and its output at ``μ`` is the sketch, so it
+  serves state initialisation, sketch capture, the full-maintenance baseline
+  and the side of a join the paper outsources to the backend.
+
+Annotations are plain ``int`` fragment masks throughout.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.bitset import BitSet
 from repro.core.bloom import BloomFilter
 from repro.relational.algebra import Aggregate, OrderItem, PlanNode
 from repro.relational.evaluator import make_order_key
@@ -31,7 +41,6 @@ from repro.relational.expressions import (
 )
 from repro.relational.kernels import strict_boolean
 from repro.relational.schema import Row, Schema
-from repro.sketch.capture import AnnotatedEvaluator, AnnotatedRelation, annotated_scan
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import SketchDelta
 from repro.storage.delta import DatabaseDelta
@@ -87,23 +96,43 @@ class EngineStatistics:
         self.recaptures += other.recaptures
 
 
+@dataclass
+class Pass:
+    """One bottom-up run of an operator tree.
+
+    ``Pass(db_delta, statistics)`` is a *delta pass*: it propagates a database
+    delta through existing state and counts its work into ``statistics``.
+    ``Pass.scratch()`` is a *from-scratch pass*: every table access emits its
+    whole table as an insert delta, which is only meaningful on empty state.
+    The counters measure delta work, so it counts into a throwaway object.
+    """
+
+    db_delta: DatabaseDelta | None
+    statistics: EngineStatistics
+
+    @classmethod
+    def scratch(cls) -> "Pass":
+        """A from-scratch pass."""
+        return cls(None, EngineStatistics())
+
+    @property
+    def from_scratch(self) -> bool:
+        """Whether the pass reads the whole database instead of a delta."""
+        return self.db_delta is None
+
+
 class IncrementalOperator:
     """Base class of incremental operators."""
 
-    def __init__(self, output_schema: Schema, statistics: EngineStatistics) -> None:
+    def __init__(self, output_schema: Schema) -> None:
         self.output_schema = output_schema
-        self.statistics = statistics
         self.needs_recapture = False
 
     # -- lifecycle -------------------------------------------------------------------
 
-    def initialize(self) -> AnnotatedRelation:
-        """Build operator state from the current database; return the operator's
-        annotated output relation (used by the parent's initialisation)."""
-        raise NotImplementedError
-
-    def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
-        """Process a database delta and return this operator's output delta."""
+    def process(self, run: Pass) -> AnnotatedDelta:
+        """Turn the child's output for this pass into this operator's output
+        delta, updating operator state on the way."""
         raise NotImplementedError
 
     def children(self) -> Sequence["IncrementalOperator"]:
@@ -132,10 +161,11 @@ class IncrementalOperator:
 class IncrementalTableAccess(IncrementalOperator):
     """Incremental table access (Sec. 5.2.1).
 
-    Pulls the table's delta out of the database delta, annotates each tuple
-    with the range its partition-attribute value belongs to, and optionally
-    pre-filters the delta with pushed-down selection conditions (Sec. 7.2,
-    "Filtering Deltas Based On Selections").
+    Reads the table's delta out of the database delta -- or, on a from-scratch
+    pass, the whole table as an insert delta -- pre-filters it with pushed-down
+    selection conditions (Sec. 7.2, "Filtering Deltas Based On Selections") and
+    annotates each surviving tuple with the range its partition-attribute
+    value belongs to.
     """
 
     def __init__(
@@ -145,10 +175,9 @@ class IncrementalTableAccess(IncrementalOperator):
         base_schema: Schema,
         partition: DatabasePartition,
         provider,
-        statistics: EngineStatistics,
         delta_filter: Expression | None = None,
     ) -> None:
-        super().__init__(base_schema.qualify(alias), statistics)
+        super().__init__(base_schema.qualify(alias))
         self.table = table.lower()
         self.alias = alias
         self.base_schema = base_schema
@@ -178,28 +207,32 @@ class IncrementalTableAccess(IncrementalOperator):
             else compile_batch_predicate(expression, self.output_schema)
         )
 
-    def initialize(self) -> AnnotatedRelation:
-        return annotated_scan(self.provider, self.partition, self.table, self.alias)
-
-    def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
-        delta = db_delta.get(self.table)
-        if not delta:
+    def process(self, run: Pass) -> AnnotatedDelta:
+        # Entry order: table order from scratch; otherwise inserts then
+        # deletes, each in the delta's own order.
+        if run.from_scratch:
+            entries = list(self.provider.relation(self.table).items())
+            inserted = len(entries)
+        else:
+            delta = run.db_delta.get(self.table)
+            if not delta:
+                return AnnotatedDelta(self.output_schema)
+            entries = list(delta.inserts())
+            inserted = len(entries)
+            entries.extend(delta.deletes())
+        if not entries:
             return AnnotatedDelta(self.output_schema)
-        # Entry order: inserts then deletes, each in the delta's own order.
-        entries = list(delta.inserts())
-        inserted = len(entries)
-        entries.extend(delta.deletes())
         rows, counts = map(list, zip(*entries))
         counts[inserted:] = [-count for count in counts[inserted:]]
         # Annotated below, once the delta filter has dropped what it can.
         output = AnnotatedDelta(self.output_schema, rows, [0] * len(rows), counts)
         fetched = len(output)
-        self.statistics.tuples_processed += fetched
+        run.statistics.tuples_processed += fetched
         if self._delta_filter_fn is not None:
             output = output.filter(self._delta_filter_fn(output.columns(), len(rows)))
-            self.statistics.delta_tuples_filtered += fetched - len(output)
+            run.statistics.delta_tuples_filtered += fetched - len(output)
             fetched = len(output)
-        self.statistics.delta_tuples_fetched += fetched
+        run.statistics.delta_tuples_fetched += fetched
         if self._attribute_index is not None:
             position = self._attribute_index
             fragments = self.partition.fragments_of(
@@ -218,35 +251,20 @@ class IncrementalTableAccess(IncrementalOperator):
 class IncrementalSelection(IncrementalOperator):
     """Stateless incremental selection (Sec. 5.2.3)."""
 
-    def __init__(
-        self,
-        child: IncrementalOperator,
-        predicate: Expression,
-        statistics: EngineStatistics,
-    ) -> None:
-        super().__init__(child.output_schema, statistics)
+    def __init__(self, child: IncrementalOperator, predicate: Expression) -> None:
+        super().__init__(child.output_schema)
         self.child = child
         self.predicate = predicate
-        self._predicate_fn = compile_expression(predicate, child.output_schema)
         self._predicate_batch = compile_batch_predicate(predicate, child.output_schema)
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
 
-    def initialize(self) -> AnnotatedRelation:
-        child = self.child.initialize()
-        result = AnnotatedRelation(self.output_schema)
-        predicate = self._predicate_fn
-        for row, annotation, multiplicity in child.items():
-            if predicate(row) is True:
-                result.add(row, annotation, multiplicity)
-        return result
-
-    def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
-        child = self.child.process(db_delta)
+    def process(self, run: Pass) -> AnnotatedDelta:
+        child = self.child.process(run)
         if not child:
             return child
-        self.statistics.tuples_processed += len(child)
+        run.statistics.tuples_processed += len(child)
         return child.filter(self._predicate_batch(child.columns(), len(child.rows)))
 
     def describe(self) -> str:
@@ -261,12 +279,10 @@ class IncrementalProjection(IncrementalOperator):
         child: IncrementalOperator,
         expressions: Sequence[Expression],
         output_schema: Schema,
-        statistics: EngineStatistics,
     ) -> None:
-        super().__init__(output_schema, statistics)
+        super().__init__(output_schema)
         self.child = child
         self.expressions = list(expressions)
-        self._project = compile_row_expressions(self.expressions, child.output_schema)
         self._project_batch = [
             compile_batch_expression(expression, child.output_schema)
             for expression in self.expressions
@@ -275,19 +291,11 @@ class IncrementalProjection(IncrementalOperator):
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
 
-    def initialize(self) -> AnnotatedRelation:
-        child = self.child.initialize()
-        result = AnnotatedRelation(self.output_schema)
-        project = self._project
-        for row, annotation, multiplicity in child.items():
-            result.add(project(row), annotation, multiplicity)
-        return result
-
-    def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
-        child = self.child.process(db_delta)
+    def process(self, run: Pass) -> AnnotatedDelta:
+        child = self.child.process(run)
         if not child:
             return AnnotatedDelta(self.output_schema)
-        self.statistics.tuples_processed += len(child)
+        run.statistics.tuples_processed += len(child)
         columns, n = child.columns(), len(child.rows)
         values = [evaluate(columns, n) for evaluate in self._project_batch]
         return child.with_rows(self.output_schema, list(zip(*values)) if values else [()] * n)
@@ -307,7 +315,12 @@ class IncrementalJoin(IncrementalOperator):
     Joins of a delta with the full other side are outsourced to the backend
     database (a round trip); Bloom filters on the join attributes prune delta
     tuples without join partners and skip the round trip entirely when nothing
-    survives.
+    survives.  The backend's answer is a from-scratch pass over a throwaway
+    operator tree for the side's plan (``compile_side``).
+
+    On a from-scratch pass the old state of both sides is empty, ``Q1' = ΔQ1``
+    and ``Q2' = ΔQ2``, so the three terms collapse to ``ΔQ1 ⋈ ΔQ2`` and no
+    round trip is needed.
     """
 
     def __init__(
@@ -318,13 +331,11 @@ class IncrementalJoin(IncrementalOperator):
         right_plan: PlanNode,
         condition: Expression | None,
         equi_keys: tuple[list[str], list[str]] | None,
-        provider,
-        partition: DatabasePartition,
-        statistics: EngineStatistics,
+        compile_side: Callable[[PlanNode], IncrementalOperator],
         use_bloom_filters: bool = True,
         bloom_false_positive_rate: float = 0.01,
     ) -> None:
-        super().__init__(left.output_schema.concat(right.output_schema), statistics)
+        super().__init__(left.output_schema.concat(right.output_schema))
         self.left = left
         self.right = right
         self.left_plan = left_plan
@@ -335,8 +346,7 @@ class IncrementalJoin(IncrementalOperator):
             if condition is None
             else compile_expression(condition, self.output_schema)
         )
-        self.provider = provider
-        self.partition = partition
+        self._compile_side = compile_side
         self.use_bloom_filters = use_bloom_filters
         self.bloom_false_positive_rate = bloom_false_positive_rate
         # ``row -> join key tuple`` per side; None unless this is an equi-join.
@@ -369,59 +379,17 @@ class IncrementalJoin(IncrementalOperator):
         """Whether the join condition is a conjunction of attribute equalities."""
         return self._left_key is not None
 
-    # -- initialisation -------------------------------------------------------------------
-
-    def initialize(self) -> AnnotatedRelation:
-        left = self.left.initialize()
-        right = self.right.initialize()
-        if self.use_bloom_filters and self.is_equi_join:
-            self._build_blooms(left, right)
-        return self._join_annotated(left, right)
-
-    def _build_blooms(self, left: AnnotatedRelation, right: AnnotatedRelation) -> None:
-        left_keys = {self._left_key(row) for row, _a, _m in left.items()}
-        right_keys = {self._right_key(row) for row, _a, _m in right.items()}
-        self.left_bloom = BloomFilter(max(len(left_keys), 16), self.bloom_false_positive_rate)
-        self.left_bloom.add_all(left_keys)
-        self.right_bloom = BloomFilter(max(len(right_keys), 16), self.bloom_false_positive_rate)
-        self.right_bloom.add_all(right_keys)
-
-    def _join_annotated(
-        self, left: AnnotatedRelation, right: AnnotatedRelation
-    ) -> AnnotatedRelation:
-        result = AnnotatedRelation(self.output_schema)
-        condition = self._condition_fn
-        if self.is_equi_join:
-            index: dict[tuple, list[tuple[Row, BitSet, int]]] = {}
-            for row, annotation, multiplicity in right.items():
-                index.setdefault(self._right_key(row), []).append(
-                    (row, annotation, multiplicity)
-                )
-            for row, annotation, multiplicity in left.items():
-                for other_row, other_annotation, other_mult in index.get(
-                    self._left_key(row), ()
-                ):
-                    combined = row + other_row
-                    if condition is None or condition(combined) is True:
-                        result.add(
-                            combined, annotation | other_annotation, multiplicity * other_mult
-                        )
-            return result
-        for row, annotation, multiplicity in left.items():
-            for other_row, other_annotation, other_mult in right.items():
-                combined = row + other_row
-                if condition is None or condition(combined) is True:
-                    result.add(
-                        combined, annotation | other_annotation, multiplicity * other_mult
-                    )
-        return result
-
-    # -- delta processing -------------------------------------------------------------------
-
-    def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
-        left_delta = self.left.process(db_delta)
-        right_delta = self.right.process(db_delta)
+    def process(self, run: Pass) -> AnnotatedDelta:
+        left_delta = self.left.process(run)
+        right_delta = self.right.process(run)
         output = AnnotatedDelta(self.output_schema)
+        if run.from_scratch:
+            # The old state is ∅: the child outputs are the complete sides, so
+            # they seed the filters and ΔQ1 ⋈ ΔQ2 is the whole join.
+            self.left_bloom = self._seed_bloom(left_delta, self._left_key)
+            self.right_bloom = self._seed_bloom(right_delta, self._right_key)
+            self._join_pairs(left_delta, right_delta.entries(), output, delta_on_left=True)
+            return output
         if not left_delta and not right_delta:
             return output
 
@@ -431,25 +399,31 @@ class IncrementalJoin(IncrementalOperator):
         # Pruning against stale filters would drop those combinations from the
         # ΔQ1 ⋈ Q2' / Q1' ⋈ ΔQ2 terms while the ΔQ1 ⋈ ΔQ2 correction still
         # subtracts them, breaking the over-approximation guarantee.
-        self._update_bloom(self.left_bloom, left_delta, self._left_key)
-        self._update_bloom(self.right_bloom, right_delta, self._right_key)
+        if self.left_bloom is not None:
+            self.left_bloom.add_all(_inserted_keys(left_delta, self._left_key))
+        if self.right_bloom is not None:
+            self.right_bloom.add_all(_inserted_keys(right_delta, self._right_key))
         # An insert and a delete of the same annotated tuple cancel before
         # anything is probed, shipped or joined.
         left_delta = left_delta.consolidated()
         right_delta = right_delta.consolidated()
 
+        # A filter missing here (persisted state carries none) is seeded from
+        # the first evaluation of its side, which is that side's whole state.
         # Term A: ΔQ1 ⋈ Q2' (outsourced to the backend database).
-        surviving = self._bloom_filter(left_delta, self._left_key, self.right_bloom)
+        surviving = self._bloom_filter(left_delta, self._left_key, self.right_bloom, run)
         if surviving:
-            self.statistics.tuples_processed += len(surviving)
-            right_state = self._evaluate_side(self.right_plan, len(surviving.rows))
-            self._join_pairs(surviving, _masked(right_state), output, delta_on_left=True)
+            right_state = self._evaluate_side(self.right_plan, surviving, run)
+            if self.right_bloom is None:
+                self.right_bloom = self._seed_bloom(right_state, self._right_key)
+            self._join_pairs(surviving, right_state.entries(), output, delta_on_left=True)
         # Term B: Q1' ⋈ ΔQ2.
-        surviving = self._bloom_filter(right_delta, self._right_key, self.left_bloom)
+        surviving = self._bloom_filter(right_delta, self._right_key, self.left_bloom, run)
         if surviving:
-            self.statistics.tuples_processed += len(surviving)
-            left_state = self._evaluate_side(self.left_plan, len(surviving.rows))
-            self._join_pairs(surviving, _masked(left_state), output, delta_on_left=False)
+            left_state = self._evaluate_side(self.left_plan, surviving, run)
+            if self.left_bloom is None:
+                self.left_bloom = self._seed_bloom(left_state, self._left_key)
+            self._join_pairs(surviving, left_state.entries(), output, delta_on_left=False)
         # Term C: − ΔQ1 ⋈ ΔQ2 (computed in memory; corrects double counting).
         if left_delta and right_delta:
             negated = AnnotatedDelta(
@@ -462,25 +436,42 @@ class IncrementalJoin(IncrementalOperator):
         # Entries of opposite sign cancel across the three terms.
         return output.consolidated()
 
+    def _seed_bloom(
+        self, side: AnnotatedDelta, key: Callable[[Row], tuple] | None
+    ) -> BloomFilter | None:
+        """A filter over the join keys of one side's whole state."""
+        if key is None or not self.use_bloom_filters:
+            return None
+        keys = _inserted_keys(side, key)
+        bloom = BloomFilter(max(len(keys), 16), self.bloom_false_positive_rate)
+        bloom.add_all(keys)
+        return bloom
+
     def _bloom_filter(
         self,
         delta: AnnotatedDelta,
         key: Callable[[Row], tuple] | None,
         other_bloom: BloomFilter | None,
+        run: Pass,
     ) -> AnnotatedDelta:
-        if not delta or not self.use_bloom_filters or other_bloom is None or key is None:
+        if not delta or other_bloom is None:
             return delta
         # Delta tuples share join keys: probe the filter once per distinct key.
         keys = list(map(key, delta.rows))
         passes = {k: k in other_bloom for k in set(keys)}
         surviving = delta.filter([passes[k] for k in keys])
-        self.statistics.bloom_filtered_tuples += len(delta) - len(surviving)
+        run.statistics.bloom_filtered_tuples += len(delta) - len(surviving)
         return surviving
 
-    def _evaluate_side(self, plan: PlanNode, shipped: int) -> AnnotatedRelation:
-        self.statistics.backend_round_trips += 1
-        self.statistics.tuples_shipped_to_backend += shipped
-        return AnnotatedEvaluator(self.provider, self.partition).evaluate(plan)
+    def _evaluate_side(
+        self, plan: PlanNode, shipped: AnnotatedDelta, run: Pass
+    ) -> AnnotatedDelta:
+        """The current result of one side's plan, to join ``shipped`` with:
+        a from-scratch pass over a throwaway operator tree."""
+        run.statistics.tuples_processed += len(shipped)
+        run.statistics.backend_round_trips += 1
+        run.statistics.tuples_shipped_to_backend += len(shipped.rows)
+        return self._compile_side(plan).process(Pass.scratch())
 
     def _join_pairs(
         self,
@@ -509,16 +500,6 @@ class IncrementalJoin(IncrementalOperator):
                 if condition is None or condition(joined) is True:
                     append(joined, annotation | other_annotation, count * multiplicity)
 
-    def _update_bloom(
-        self,
-        bloom: BloomFilter | None,
-        delta: AnnotatedDelta,
-        key: Callable[[Row], tuple] | None,
-    ) -> None:
-        if bloom is None or key is None or not self.use_bloom_filters:
-            return
-        bloom.add_all({key(row) for row, count in zip(delta.rows, delta.counts) if count > 0})
-
     def memory_bytes(self) -> int:
         total = 0
         if self.left_bloom is not None:
@@ -532,6 +513,11 @@ class IncrementalJoin(IncrementalOperator):
         return f"IncJoin({kind}, bloom={'on' if self.use_bloom_filters else 'off'})"
 
 
+def _inserted_keys(delta: AnnotatedDelta, key: Callable[[Row], tuple]) -> set[tuple]:
+    """The join keys of the delta's insertions."""
+    return {key(row) for row, count in zip(delta.rows, delta.counts) if count > 0}
+
+
 class IncrementalAggregation(IncrementalOperator):
     """Incremental group-by aggregation (Sec. 5.2.5, 5.2.6)."""
 
@@ -541,10 +527,9 @@ class IncrementalAggregation(IncrementalOperator):
         group_by: Sequence[Expression],
         aggregates: Sequence[Aggregate],
         output_schema: Schema,
-        statistics: EngineStatistics,
         min_max_buffer: int | None = None,
     ) -> None:
-        super().__init__(output_schema, statistics)
+        super().__init__(output_schema)
         self.child = child
         self.group_by = list(group_by)
         self.aggregates = list(aggregates)
@@ -561,45 +546,40 @@ class IncrementalAggregation(IncrementalOperator):
             ],
             child_schema,
         )
+        # The aggregates over no input tuples: what new accumulators report.
+        self._over_nothing = tuple(
+            accumulator.result() for accumulator in self._new_accumulators()
+        )
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
 
-    def _accumulator_factory(self) -> Callable[[], list]:
-        def factory() -> list:
-            return [
-                make_accumulator(
-                    aggregate.function,
-                    aggregate.argument is not None,
-                    self.min_max_buffer,
-                )
-                for aggregate in self.aggregates
-            ]
+    def _new_accumulators(self) -> list:
+        return [
+            make_accumulator(
+                aggregate.function, aggregate.argument is not None, self.min_max_buffer
+            )
+            for aggregate in self.aggregates
+        ]
 
-        return factory
-
-    def initialize(self) -> AnnotatedRelation:
-        child = self.child.initialize()
-        factory = self._accumulator_factory()
-        for row, annotation, multiplicity in child.items():
-            key = self._group_key(row)
-            group = self.state.get_or_create(key, factory)
-            group.apply(self._argument_values(row), annotation.mask, multiplicity)
-        result = AnnotatedRelation(self.output_schema)
-        for group in self.state:
-            result.add(group.key + group.output_values(), group.sketch(), 1)
-        return result
-
-    def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
-        child = self.child.process(db_delta)
+    def process(self, run: Pass) -> AnnotatedDelta:
+        child = self.child.process(run)
         output = AnnotatedDelta(self.output_schema)
+        # Without GROUP BY the single group ``()`` is part of the result even
+        # over empty input, as ``_over_nothing`` annotated with no fragment.
+        # It is not stored: an absent group stands for it.
+        scalar = not self.group_by
         if not child:
+            if scalar and run.from_scratch:
+                output.append(self._over_nothing, 0, 1)
             return output
-        self.statistics.tuples_processed += len(child)
+        run.statistics.tuples_processed += len(child)
         state = self.state
-        factory = self._accumulator_factory()
+        factory = self._new_accumulators
         # Output values and sketch mask each touched group had before the batch
-        # (None: the group produced no output tuple).
+        # (None: the group produced no output tuple).  From scratch nothing was
+        # produced before, not even the scalar group.
+        absent = (self._over_nothing, 0) if scalar and not run.from_scratch else None
         snapshots: dict[tuple, tuple[tuple, int] | None] = {}
         for key, values, annotation, count in zip(
             map(self._group_key, child.rows),
@@ -609,11 +589,12 @@ class IncrementalAggregation(IncrementalOperator):
         ):
             group = state.get_or_create(key, factory)
             if key not in snapshots:
-                snapshots[key] = (
-                    (group.output_values(), group.mask)
-                    if group.exists and not group.exhausted()
-                    else None
-                )
+                if not group.exists:
+                    snapshots[key] = absent
+                elif group.exhausted():
+                    snapshots[key] = None
+                else:
+                    snapshots[key] = (group.output_values(), group.mask)
             group.apply(values, annotation, count)
         for key, snapshot in snapshots.items():
             group = state.groups[key]
@@ -624,6 +605,8 @@ class IncrementalAggregation(IncrementalOperator):
                 output.append(key + snapshot[0], snapshot[1], -1)
             if not group.exists:
                 state.drop(key)
+                if scalar:
+                    output.append(self._over_nothing, 0, 1)
             elif not exhausted:
                 output.append(key + group.output_values(), group.mask, 1)
         return output
@@ -639,29 +622,20 @@ class IncrementalAggregation(IncrementalOperator):
 class IncrementalDistinct(IncrementalOperator):
     """Incremental duplicate elimination (``δ``), kept as per-row counts."""
 
-    def __init__(self, child: IncrementalOperator, statistics: EngineStatistics) -> None:
-        super().__init__(child.output_schema, statistics)
+    def __init__(self, child: IncrementalOperator) -> None:
+        super().__init__(child.output_schema)
         self.child = child
         self.state = DistinctState()
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
 
-    def initialize(self) -> AnnotatedRelation:
-        child = self.child.initialize()
-        for row, annotation, multiplicity in child.items():
-            self.state.get_or_create(row).apply((), annotation.mask, multiplicity)
-        result = AnnotatedRelation(self.output_schema)
-        for row, group in self.state.rows.items():
-            result.add(row, group.sketch(), 1)
-        return result
-
-    def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
-        child = self.child.process(db_delta)
+    def process(self, run: Pass) -> AnnotatedDelta:
+        child = self.child.process(run)
         output = AnnotatedDelta(self.output_schema)
         if not child:
             return output
-        self.statistics.tuples_processed += len(child)
+        run.statistics.tuples_processed += len(child)
         # Sketch mask each touched row had before the batch (None: absent).
         snapshots: dict[Row, int | None] = {}
         for row, annotation, count in child.entries():
@@ -691,10 +665,9 @@ class IncrementalTopK(IncrementalOperator):
         child: IncrementalOperator,
         k: int,
         order_by: Sequence[OrderItem],
-        statistics: EngineStatistics,
         buffer_limit: int | None = None,
     ) -> None:
-        super().__init__(child.output_schema, statistics)
+        super().__init__(child.output_schema)
         self.child = child
         self.k = k
         self.order_by = list(order_by)
@@ -713,33 +686,12 @@ class IncrementalTopK(IncrementalOperator):
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
 
-    def initialize(self) -> AnnotatedRelation:
-        child = self.child.initialize()
-        entries = sorted(child.items(), key=lambda entry: self._sort_key(entry[0]))
-        remaining = self.buffer_limit
-        for row, annotation, multiplicity in entries:
-            if remaining is None:
-                self.state.add(self._sort_key(row), row, annotation.mask, multiplicity)
-                continue
-            if remaining > 0:
-                take = min(multiplicity, remaining)
-                self.state.add(self._sort_key(row), row, annotation.mask, take)
-                remaining -= take
-                overflow = multiplicity - take
-            else:
-                overflow = multiplicity
-            self.state.overflow_count += overflow
-        result = AnnotatedRelation(self.output_schema)
-        for row, annotation, multiplicity in self.state.top_k(self.k):
-            result.add(row, BitSet.from_mask(annotation), multiplicity)
-        return result
-
-    def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:
-        child = self.child.process(db_delta)
+    def process(self, run: Pass) -> AnnotatedDelta:
+        child = self.child.process(run)
         output = AnnotatedDelta(self.output_schema)
         if not child:
             return output
-        self.statistics.tuples_processed += len(child)
+        run.statistics.tuples_processed += len(child)
         state = self.state
         old_top = state.top_k(self.k) if state.can_answer(self.k) else []
         for sort_key, row, annotation, count in zip(
@@ -772,11 +724,6 @@ class IncrementalTopK(IncrementalOperator):
         return f"IncTopK(k={self.k}, buffer={buffer})"
 
 
-def _masked(relation: AnnotatedRelation) -> Iterator[tuple[Row, int, int]]:
-    """The relation's ``(row, annotation mask, multiplicity)`` triples."""
-    return ((row, annotation.mask, m) for row, annotation, m in relation.items())
-
-
 def _to_bag(entries: list[tuple[Row, int, int]]) -> dict[tuple[Row, int], int]:
     bag: dict[tuple[Row, int], int] = {}
     for row, annotation, multiplicity in entries:
@@ -788,31 +735,24 @@ def _to_bag(entries: list[tuple[Row, int, int]]) -> dict[tuple[Row, int], int]:
 class MergeOperator(IncrementalOperator):
     """The merge operator ``μ`` turning result deltas into sketch deltas (Sec. 5.1)."""
 
-    def __init__(self, child: IncrementalOperator, statistics: EngineStatistics) -> None:
-        super().__init__(child.output_schema, statistics)
+    def __init__(self, child: IncrementalOperator) -> None:
+        super().__init__(child.output_schema)
         self.child = child
         self.state = MergeState()
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
 
-    def initialize(self) -> AnnotatedRelation:
-        child = self.child.initialize()
-        self.state.apply(
-            (annotation.mask, multiplicity) for _row, annotation, multiplicity in child.items()
-        )
-        return child
-
     def current_fragments(self) -> set[int]:
         """The fragments currently justified by at least one result tuple."""
         return self.state.active_fragments()
 
-    def process(self, db_delta: DatabaseDelta) -> AnnotatedDelta:  # pragma: no cover
+    def process(self, run: Pass) -> AnnotatedDelta:  # pragma: no cover
         raise NotImplementedError("use process_to_sketch_delta for the merge operator")
 
-    def process_to_sketch_delta(self, db_delta: DatabaseDelta) -> SketchDelta:
-        """Process a database delta and return the resulting sketch delta."""
-        child = self.child.process(db_delta)
+    def process_to_sketch_delta(self, run: Pass) -> SketchDelta:
+        """Run one pass over the tree and return the resulting sketch delta."""
+        child = self.child.process(run)
         return SketchDelta(*self.state.apply(zip(child.annotations, child.counts)))
 
     def memory_bytes(self) -> int:

@@ -17,10 +17,11 @@ This module implements that capability for the reproduction:
   the SQL text and the version the sketch is valid for -- in a regular table of
   the backend database, and rebuilds maintainers from it.
 
-Bloom filters are intentionally *not* persisted: they are cheap to rebuild
-lazily and only affect performance, never correctness, so after a restore the
-first maintenance run simply skips Bloom pruning until the filters have been
-re-populated from the base tables.
+Bloom filters are intentionally *not* persisted: they only affect performance,
+never correctness.  A restored join starts without them and prunes nothing; the
+first time it evaluates a whole side for a delta on the other one (which,
+unpruned, every such delta triggers) it seeds that side's filter from the
+result, and pruning resumes.
 """
 
 from __future__ import annotations
@@ -212,8 +213,8 @@ def load_engine_state(engine: IncrementalEngine, payload: dict[str, Any]) -> Non
     for operator, operator_payload in zip(operators, saved):
         if operator_payload is None:
             if isinstance(operator, IncrementalJoin):
-                # Bloom filters are rebuilt lazily; disabling them for the
-                # restored engine keeps maintenance correct without a scan.
+                # Filters seeded from another database version (the engine
+                # was initialised before the load) must not survive it.
                 operator.left_bloom = None
                 operator.right_bloom = None
             continue

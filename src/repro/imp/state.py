@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from typing import Any
 
-from repro.core.bitset import BitSet, iter_bits
+from repro.core.bitset import iter_bits
 from repro.core.errors import StateError
 from repro.core.rbtree import RedBlackTree, SortedMultiSet
 from repro.core.timing import MemoryMeter
@@ -256,10 +256,6 @@ class GroupState:
         """The aggregate results for the group."""
         return tuple([accumulator.result() for accumulator in self.accumulators])
 
-    def sketch(self) -> BitSet:
-        """The group's sketch: ranges with a positive contribution count."""
-        return BitSet.from_mask(self.mask)
-
     def exhausted(self) -> bool:
         """Whether any min/max accumulator lost track of its extreme value."""
         return any([accumulator.exhausted for accumulator in self.accumulators])
@@ -369,12 +365,25 @@ class TopKState:
     # -- updates ------------------------------------------------------------------
 
     def add(self, sort_key: tuple, row: Row, annotation: int, multiplicity: int) -> None:
-        """Insert ``multiplicity`` copies of a tuple annotated with a fragment mask."""
+        """Insert ``multiplicity`` copies of a tuple annotated with a fragment mask.
+
+        The buffer holds the first ``buffer_limit`` copies in ``(sort key,
+        arrival)`` order -- what a stable sort of everything added would keep.
+        """
         bucket = self.tree.get(sort_key)
+        entry = (row, annotation)
+        if (
+            self.buffer_limit is not None
+            and self.stored_count >= self.buffer_limit
+            and (bucket is None or entry not in bucket)
+            and not (self.tree and sort_key < self.tree.max_key())
+        ):
+            # A new entry that sorts behind everything stored is only counted.
+            self.overflow_count += multiplicity
+            return
         if bucket is None:
             bucket = {}
             self.tree.insert(sort_key, bucket)
-        entry = (row, annotation)
         bucket[entry] = bucket.get(entry, 0) + multiplicity
         self.stored_count += multiplicity
         self._evict_overflow()
@@ -408,7 +417,7 @@ class TopKState:
         while self.stored_count > self.buffer_limit:
             largest_key = self.tree.max_key()
             bucket = self.tree[largest_key]
-            entry = next(iter(bucket))
+            entry = next(reversed(bucket))  # the latest arrival of the worst key
             count = bucket[entry]
             evict = min(count, self.stored_count - self.buffer_limit)
             remaining = count - evict

@@ -8,9 +8,9 @@ top-k.
 
 The substrate is intentionally independent from the storage backend and the
 IMP engine: the backend database evaluates plans with
-:class:`repro.relational.evaluator.Evaluator`, the sketch capture logic
-evaluates the same plans under annotated semantics, and the IMP engine
-compiles them into incremental operators.
+:class:`repro.relational.evaluator.Evaluator`, and the IMP engine compiles
+the same plans into incremental operators over annotated deltas (sketch
+capture is one from-scratch pass of those operators).
 """
 
 from repro.relational.algebra import (

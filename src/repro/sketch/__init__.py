@@ -5,8 +5,8 @@ This package implements the machinery from Niu et al. [37] that IMP builds on:
 * range partitions of tables (:mod:`repro.sketch.ranges`),
 * provenance sketches encoded as bitvectors over the ranges of a partition
   (:mod:`repro.sketch.sketch`),
-* sketch *capture* by evaluating a query under annotated semantics
-  (:mod:`repro.sketch.capture`),
+* sketch *capture* is :func:`repro.imp.engine.capture_sketch`: a from-scratch
+  pass of the incremental engine, which builds on this package,
 * the *use* rewrite that instruments a query to skip data outside a sketch
   (:mod:`repro.sketch.use`),
 * the safety analysis deciding which attributes may carry a sketch
@@ -16,7 +16,6 @@ This package implements the machinery from Niu et al. [37] that IMP builds on:
 """
 
 from repro.sketch.adaptive import PartitionMonitor, RebalanceDecision
-from repro.sketch.capture import AnnotatedEvaluator, AnnotatedRelation, capture_sketch
 from repro.sketch.ranges import DatabasePartition, Range, RangePartition
 from repro.sketch.safety import SafetyAnalyzer, safe_attributes
 from repro.sketch.selection import build_partition, choose_sketch_attribute
@@ -24,8 +23,6 @@ from repro.sketch.sketch import ProvenanceSketch, SketchDelta
 from repro.sketch.use import instrument_plan, sketch_predicate
 
 __all__ = [
-    "AnnotatedEvaluator",
-    "AnnotatedRelation",
     "DatabasePartition",
     "PartitionMonitor",
     "ProvenanceSketch",
@@ -35,7 +32,6 @@ __all__ = [
     "SafetyAnalyzer",
     "SketchDelta",
     "build_partition",
-    "capture_sketch",
     "choose_sketch_attribute",
     "instrument_plan",
     "safe_attributes",

@@ -14,6 +14,13 @@ Whole queries: the reference oracle is
 ``Database.query(q, optimize_plans=False, vectorize=False)`` (literal plan,
 row-at-a-time operators); :func:`assert_systems_match_oracle` drives the
 middleware systems against it.
+
+Sketch capture: :class:`AnnotatedEvaluator` evaluates a plan under the
+paper's annotated semantics (Sec. 4.3) one row at a time over a dict of
+``(row, BitSet)`` entries.  The engine's only annotated evaluation is a
+from-scratch pass of the columnar, int-mask incremental operators
+(``repro.imp.operators``); this oracle shares no code with ``repro.imp`` and
+states what that pass must produce, tuple by tuple and as a sketch.
 """
 
 from __future__ import annotations
@@ -21,8 +28,28 @@ from __future__ import annotations
 import operator
 from typing import Any
 
-from repro.core.errors import UnsupportedOperationError
+from collections.abc import Iterator
+
+from repro.core.bitset import BitSet
+from repro.core.errors import PlanError, UnsupportedOperationError
+from repro.imp.engine import IMPConfig, compile_plan
 from repro.imp.middleware import IMPSystem, NoSketchSystem
+from repro.imp.operators import Pass
+from repro.relational.algebra import (
+    Aggregation,
+    Distinct,
+    Join,
+    PlanNode,
+    Projection,
+    Selection,
+    TableScan,
+    TopK,
+)
+from repro.relational.evaluator import (
+    RelationProvider,
+    compute_aggregate,
+    make_order_key,
+)
 from repro.relational.expressions import (
     AGGREGATE_FUNCTIONS,
     Between,
@@ -37,7 +64,14 @@ from repro.relational.expressions import (
     Not,
     UnaryMinus,
 )
-from repro.relational.schema import Row, Schema
+from repro.relational.expressions import (
+    CompiledExpression,
+    compile_expression,
+    compile_row_expressions,
+)
+from repro.relational.schema import Relation, Row, Schema
+from repro.sketch.ranges import DatabasePartition
+from repro.sketch.sketch import ProvenanceSketch
 
 _ARITHMETIC = {
     "+": operator.add,
@@ -172,3 +206,220 @@ def random_insert_batches(rng, count, first_id=20_000):
         )
         first_id += size
     return batches
+
+
+class AnnotatedRelation:
+    """A bag of sketch-annotated tuples ``⟨t, P⟩`` (paper Def. 4.3).
+
+    Entries are keyed by ``(row, annotation)`` so equal tuples with different
+    provenance stay distinct.
+    """
+
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
+        self._entries: dict[tuple[Row, BitSet], int] = {}
+
+    def add(self, row: Row, annotation: BitSet, multiplicity: int = 1) -> None:
+        """Add ``multiplicity`` copies of the annotated tuple."""
+        if multiplicity <= 0:
+            return
+        key = (tuple(row), annotation)
+        self._entries[key] = self._entries.get(key, 0) + multiplicity
+
+    def items(self) -> Iterator[tuple[Row, BitSet, int]]:
+        """Iterate over ``(row, annotation, multiplicity)`` triples."""
+        for (row, annotation), multiplicity in self._entries.items():
+            yield row, annotation, multiplicity
+
+    def entries(self) -> dict[tuple[Row, BitSet], int]:
+        """``(row, annotation) -> multiplicity``."""
+        return dict(self._entries)
+
+    def to_relation(self) -> Relation:
+        """Drop annotations (the paper's tuple-extraction function ``T``)."""
+        result = Relation(self.schema)
+        for row, _annotation, multiplicity in self.items():
+            result.add(row, multiplicity)
+        return result
+
+    def combined_annotation(self) -> BitSet:
+        """Union of all annotations (the ``S(F(...))`` of the correctness proof)."""
+        combined = BitSet()
+        for _row, annotation, _multiplicity in self.items():
+            combined.update(annotation)
+        return combined
+
+
+class AnnotatedEvaluator:
+    """Evaluate logical plans propagating provenance-sketch annotations."""
+
+    def __init__(self, provider: RelationProvider, partition: DatabasePartition) -> None:
+        self._provider = provider
+        self._partition = partition
+
+    def evaluate(self, plan: PlanNode) -> AnnotatedRelation:
+        """Evaluate ``plan`` under annotated semantics."""
+        return self._evaluate(plan)
+
+    def capture(self, plan: PlanNode) -> ProvenanceSketch:
+        """Capture the provenance sketch of ``plan`` over the current database."""
+        result = self.evaluate(plan)
+        return ProvenanceSketch(self._partition, result.combined_annotation())
+
+    def _evaluate(self, node: PlanNode) -> AnnotatedRelation:
+        if isinstance(node, TableScan):
+            return self._table_scan(node)
+        if isinstance(node, Selection):
+            return self._selection(node)
+        if isinstance(node, Projection):
+            return self._projection(node)
+        if isinstance(node, Join):
+            return self._join(node)
+        if isinstance(node, Aggregation):
+            return self._aggregation(node)
+        if isinstance(node, Distinct):
+            return self._distinct(node)
+        if isinstance(node, TopK):
+            return self._top_k(node)
+        raise PlanError(
+            f"annotated evaluation does not support plan node {type(node).__name__}"
+        )
+
+    def _table_scan(self, node: TableScan) -> AnnotatedRelation:
+        """Each row annotated with the fragment its partition value falls into
+        (no fragment for NULL values and unpartitioned tables)."""
+        base = self._provider.relation(node.table)
+        result = AnnotatedRelation(base.schema.qualify(node.alias))
+        position = None
+        if self._partition.has_table(node.table):
+            attribute = self._partition.partition_of(node.table).attribute
+            position = base.schema.index_of(attribute)
+        for row, multiplicity in base.items():
+            annotation = BitSet()
+            if position is not None and row[position] is not None:
+                annotation.add(self._partition.fragment_of(node.table, row[position]))
+            result.add(row, annotation, multiplicity)
+        return result
+
+    def _selection(self, node: Selection) -> AnnotatedRelation:
+        child = self._evaluate(node.child)
+        result = AnnotatedRelation(child.schema)
+        predicate = compile_expression(node.predicate, child.schema)
+        for row, annotation, multiplicity in child.items():
+            if predicate(row) is True:
+                result.add(row, annotation, multiplicity)
+        return result
+
+    def _projection(self, node: Projection) -> AnnotatedRelation:
+        child = self._evaluate(node.child)
+        schema = Schema(item.alias for item in node.items)
+        result = AnnotatedRelation(schema)
+        project = compile_row_expressions(
+            [item.expression for item in node.items], child.schema
+        )
+        for row, annotation, multiplicity in child.items():
+            result.add(project(row), annotation, multiplicity)
+        return result
+
+    def _join(self, node: Join) -> AnnotatedRelation:
+        left = self._evaluate(node.left)
+        right = self._evaluate(node.right)
+        schema = left.schema.concat(right.schema)
+        result = AnnotatedRelation(schema)
+        condition = (
+            None if node.condition is None else compile_expression(node.condition, schema)
+        )
+        for left_row, left_annotation, left_mult in left.items():
+            for right_row, right_annotation, right_mult in right.items():
+                combined = left_row + right_row
+                if condition is None or condition(combined) is True:
+                    result.add(
+                        combined, left_annotation | right_annotation, left_mult * right_mult
+                    )
+        return result
+
+    def _aggregation(self, node: Aggregation) -> AnnotatedRelation:
+        child = self._evaluate(node.child)
+        schema = node.output_schema(self._provider)  # type: ignore[arg-type]
+        group_key = compile_row_expressions(node.group_by, child.schema)
+        argument_fns = [
+            None if agg.argument is None else compile_expression(agg.argument, child.schema)
+            for agg in node.aggregates
+        ]
+        groups: dict[tuple, dict[str, object]] = {}
+        for row, annotation, multiplicity in child.items():
+            key = group_key(row)
+            group = groups.setdefault(key, {"rows": [], "annotation": BitSet()})
+            group["rows"].append((row, multiplicity))  # type: ignore[union-attr]
+            group["annotation"].update(annotation)  # type: ignore[union-attr]
+        result = AnnotatedRelation(schema)
+        if not groups and not node.group_by:
+            values = tuple(
+                self._aggregate(node, agg_index, argument_fns[agg_index], [])
+                for agg_index in range(len(node.aggregates))
+            )
+            result.add(values, BitSet(), 1)
+            return result
+        for key, group in groups.items():
+            rows = group["rows"]
+            values = tuple(
+                self._aggregate(node, agg_index, argument_fns[agg_index], rows)  # type: ignore[arg-type]
+                for agg_index in range(len(node.aggregates))
+            )
+            result.add(key + values, group["annotation"], 1)  # type: ignore[arg-type]
+        return result
+
+    @staticmethod
+    def _aggregate(
+        node: Aggregation,
+        agg_index: int,
+        argument: CompiledExpression | None,
+        rows: list[tuple[Row, int]],
+    ) -> object:
+        aggregate = node.aggregates[agg_index]
+        if argument is None:
+            return sum(multiplicity for _row, multiplicity in rows)
+        values = ((argument(row), multiplicity) for row, multiplicity in rows)
+        return compute_aggregate(aggregate.function, values)
+
+    def _distinct(self, node: Distinct) -> AnnotatedRelation:
+        child = self._evaluate(node.child)
+        result = AnnotatedRelation(child.schema)
+        merged: dict[Row, BitSet] = {}
+        for row, annotation, _multiplicity in child.items():
+            existing = merged.get(row)
+            if existing is None:
+                merged[row] = annotation.copy()
+            else:
+                existing.update(annotation)
+        for row, annotation in merged.items():
+            result.add(row, annotation, 1)
+        return result
+
+    def _top_k(self, node: TopK) -> AnnotatedRelation:
+        child = self._evaluate(node.child)
+        order_key = make_order_key(
+            node.order_by,
+            [compile_expression(item.expression, child.schema) for item in node.order_by],
+        )
+        entries = sorted(child.items(), key=lambda entry: order_key(entry[0]))
+        result = AnnotatedRelation(child.schema)
+        remaining = node.k
+        for row, annotation, multiplicity in entries:
+            if remaining <= 0:
+                break
+            take = min(multiplicity, remaining)
+            result.add(row, annotation, take)
+            remaining -= take
+        return result
+
+
+def engine_output(plan, partition, database) -> dict[tuple[Row, BitSet], int]:
+    """The root output of the engine's from-scratch pass, shaped like the
+    oracle's entries: ``(row, annotation) -> multiplicity``."""
+    output = compile_plan(plan, partition, database, IMPConfig()).process(Pass.scratch())
+    entries: dict[tuple[Row, BitSet], int] = {}
+    for row, mask, count in output.entries():
+        key = (row, BitSet.from_mask(mask))
+        entries[key] = entries.get(key, 0) + count
+    return entries

@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import SketchError
 from repro.relational.schema import Schema
 from repro.sketch.adaptive import PartitionMonitor
-from repro.sketch.capture import capture_sketch
+from repro.imp.engine import capture_sketch
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.sketch import ProvenanceSketch
 from repro.sketch.use import instrument_plan

@@ -8,13 +8,14 @@ tuple s8 extends it with ρ2.
 import pytest
 
 from repro.relational.algebra import Selection, TableScan, walk_plan
-from repro.sketch.capture import AnnotatedEvaluator, capture_sketch
+from repro.imp.engine import capture_sketch
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.safety import SafetyAnalyzer, safe_attributes
 from repro.sketch.selection import build_database_partition, build_partition, choose_sketch_attribute
 from repro.sketch.sketch import ProvenanceSketch
 from repro.sketch.use import estimated_selectivity, instrument_plan, sketch_predicate
 from tests.conftest import Q_TOP, S8
+from tests.reference import AnnotatedEvaluator, engine_output
 
 
 class TestCapturePaperExample:
@@ -35,14 +36,17 @@ class TestCapturePaperExample:
         annotated = AnnotatedEvaluator(sales_db, sales_partition).evaluate(plan)
         plain = sales_db.query(plan)
         assert annotated.to_relation() == plain
+        # The engine's from-scratch pass emits the oracle's annotated tuples.
+        assert engine_output(plan, sales_partition, sales_db) == annotated.entries()
 
     def test_unpartitioned_table_gets_empty_annotations(self, sales_db):
         partition = DatabasePartition([RangePartition("other", "x", [0, 1])])
         plan = sales_db.plan("SELECT brand FROM sales WHERE price > 1000")
         # 'sales' has no partition in Φ, so annotations are empty and the
         # captured sketch is empty (equivalent to a single all-covering range).
-        sketch = AnnotatedEvaluator(sales_db, partition).capture(plan)
-        assert len(sketch) == 0
+        assert len(AnnotatedEvaluator(sales_db, partition).capture(plan)) == 0
+        assert len(capture_sketch(plan, partition, sales_db)) == 0
+        assert all(not annotation for _row, annotation in engine_output(plan, partition, sales_db))
 
 
 class TestCaptureOperators:

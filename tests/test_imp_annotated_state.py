@@ -167,10 +167,9 @@ class TestGroupAndMergeState:
         group.apply([10], 1 << 2, 1)
         group.apply([20], 1 << 3, 1)
         assert group.exists
-        assert sorted(group.sketch()) == [2, 3]
+        assert group.mask == 1 << 2 | 1 << 3
         group.apply([10], 1 << 2, -1)
         assert group.mask == 1 << 3
-        assert sorted(group.sketch()) == [3]
         group.apply([20], 1 << 3, -1)
         assert not group.exists
         assert group.mask == 0 and group.fragment_counts == {}
@@ -255,6 +254,62 @@ class TestTopKState:
         state.remove((0,), ("row0",), 0, 1)
         state.remove((1,), ("row1",), 0, 1)
         assert not state.can_answer(2)
+
+    @staticmethod
+    def _sorted_fill(entries, buffer_limit):
+        """What sorting everything once and storing the first ``buffer_limit``
+        copies leaves: (bucket entries per sort key, stored, overflow).  Equal
+        ``(row, annotation)`` arrivals merge at their first position; ties on
+        the sort key keep arrival order (stable sort)."""
+        merged = {}
+        for sort_key, row, annotation, multiplicity in entries:
+            key = (sort_key, row, annotation)
+            merged[key] = merged.get(key, 0) + multiplicity
+        buckets, remaining, overflow = {}, buffer_limit, 0
+        for (sort_key, row, annotation), multiplicity in sorted(
+            merged.items(), key=lambda item: item[0][0]
+        ):
+            take = min(multiplicity, remaining)
+            if take:
+                buckets.setdefault(sort_key, []).append(((row, annotation), take))
+            remaining -= take
+            overflow += multiplicity - take
+        return buckets, buffer_limit - remaining, overflow
+
+    @pytest.mark.parametrize("buffer_limit", [1, 3, 4, 5, 7, 20])
+    def test_incremental_adds_leave_what_a_sorted_fill_leaves(self, buffer_limit):
+        """Duplicate sort keys straddle the buffer boundary, multiplicities
+        exceed one, and one annotated tuple arrives twice."""
+        entries = [
+            ((2,), ("c",), 0b0100, 2),
+            ((1,), ("a",), 0b0001, 1),
+            ((2,), ("d",), 0b1000, 3),
+            ((1,), ("b",), 0b0010, 2),
+            ((2,), ("c",), 0b0100, 1),  # again: merges into its first arrival
+            ((0,), ("z",), 0b0001, 1),
+            ((2,), ("e",), 0b0001, 2),
+            ((3,), ("f",), 0b0010, 1),
+        ]
+        state = TopKState(buffer_limit)
+        for entry in entries:
+            state.add(*entry)
+        buckets, stored, overflow = self._sorted_fill(entries, buffer_limit)
+        assert {key: list(bucket.items()) for key, bucket in state.tree.items()} == buckets
+        assert (state.stored_count, state.overflow_count) == (stored, overflow)
+        assert stored + overflow == sum(entry[3] for entry in entries)
+
+    def test_full_buffer_counts_worse_entries_without_storing_them(self):
+        state = TopKState(buffer_limit=2)
+        state.add((1,), ("a",), 0, 1)
+        state.add((1,), ("b",), 0, 1)
+        state.add((1,), ("c",), 0, 4)  # ties with the stored maximum: counted
+        state.add((5,), ("d",), 0, 1)
+        assert list(state.tree[(1,)]) == [(("a",), 0), (("b",), 0)]
+        assert (5,) not in state.tree
+        assert (state.stored_count, state.overflow_count) == (2, 5)
+        state.add((0,), ("first",), 0, 1)  # better: evicts the latest tie
+        assert list(state.tree[(1,)]) == [(("a",), 0)]
+        assert (state.stored_count, state.overflow_count) == (2, 6)
 
     def test_exhausted_topk_raises(self):
         state = TopKState()

@@ -11,12 +11,14 @@ import random
 import pytest
 
 from repro.core.errors import PlanError
-from repro.imp.engine import IMPConfig, IncrementalEngine
-from repro.sketch.capture import capture_sketch
+from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch, compile_plan
+from repro.imp.maintenance import IncrementalMaintainer
+from repro.imp.operators import EngineStatistics, Pass
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.selection import build_database_partition
 from repro.storage.database import Database
 from tests.conftest import Q_TOP, S8
+from tests.reference import AnnotatedEvaluator, engine_output
 
 
 def maintained_matches_truth(engine, maintainer_sketch, plan, partition, database):
@@ -43,6 +45,15 @@ class TestEngineBasics:
         engine = IncrementalEngine(sales_db.plan(Q_TOP), sales_partition, sales_db)
         with pytest.raises(PlanError):
             engine.maintain(sales_db.database_delta_since(["sales"], 0))
+
+    def test_maintain_without_a_delta_rejected(self, sales_db, sales_partition):
+        """No delta is what a from-scratch pass carries; over built state it
+        would count the whole database twice."""
+        engine = IncrementalEngine(sales_db.plan(Q_TOP), sales_partition, sales_db)
+        sketch = engine.initialize()
+        with pytest.raises(PlanError):
+            engine.maintain(None)
+        assert engine.current_sketch() == sketch
 
     def test_paper_example_insertion_adds_rho2(self, sales_db, sales_partition):
         plan = sales_db.plan(Q_TOP)
@@ -328,7 +339,7 @@ class TestJoinMaintenance:
         partition = build_database_partition(database, plan, 10)
         engine = IncrementalEngine(plan, partition, database)
         sketch = engine.initialize()
-        join = engine._root_child.child
+        join = engine._merge.child.child
         checked = []
         condition = join._condition_fn
 
@@ -348,6 +359,46 @@ class TestJoinMaintenance:
         sketch = sketch.apply_delta(outcome.sketch_delta)
         assert maintained_matches_truth(engine, sketch, plan, partition, database)
 
+    def test_initialize_counts_nothing_and_seeds_both_filters(self):
+        """A from-scratch pass is not delta work: no counter moves, the join
+        takes the single ΔQ1 ⋈ ΔQ2 term (no round trip) and seeds its filters
+        from the two child outputs."""
+        database, r_rows, s_rows = self._setup(seed=31)
+        plan = database.plan("SELECT a, e FROM r JOIN s ON b = d")
+        partition = build_database_partition(database, plan, 10)
+        engine = IncrementalEngine(plan, partition, database)
+        sketch = engine.initialize()
+        assert engine.statistics == EngineStatistics()
+        join = engine._merge.child.child
+        assert all((row[2],) in join.left_bloom for row in r_rows)
+        assert all((row[1],) in join.right_bloom for row in s_rows)
+        assert (9_999,) not in join.right_bloom
+        assert set(sketch.fragment_ids()) == set(
+            AnnotatedEvaluator(database, partition).capture(plan).fragment_ids()
+        )
+
+    def test_initialize_on_empty_tables_then_maintain(self):
+        database = Database()
+        database.create_table("r", ["id", "a", "b", "c"], primary_key="id")
+        database.create_table("s", ["sid", "d", "e"], primary_key="sid")
+        plan = database.plan("SELECT a, e FROM r JOIN s ON b = d")
+        partition = DatabasePartition(
+            [
+                RangePartition.equi_width("r", "c", 0, 100, 4),
+                RangePartition.equi_width("s", "e", 0, 100, 4),
+            ]
+        )
+        engine = IncrementalEngine(plan, partition, database)
+        sketch = engine.initialize()
+        assert len(sketch) == 0
+        version = database.version
+        database.insert("r", [(1, 1, 7, 10), (2, 1, 8, 60)])
+        database.insert("s", [(1, 7, 90)])
+        outcome = engine.maintain(database.database_delta_since(["r", "s"], version))
+        sketch = sketch.apply_delta(outcome.sketch_delta)
+        assert maintained_matches_truth(engine, sketch, plan, partition, database)
+        assert len(sketch) == 2
+
     def test_bloom_filters_disabled_forces_round_trip(self):
         database, _r, _s = self._setup(seed=19)
         sql = "SELECT a, sum(e) AS se FROM r JOIN s ON b = d GROUP BY a HAVING sum(e) > 0"
@@ -359,6 +410,96 @@ class TestJoinMaintenance:
         database.insert("r", [(88_888, 3, 9_999, 10)])
         engine.maintain(database.database_delta_since(plan.referenced_tables(), version))
         assert engine.statistics.backend_round_trips >= 1
+
+
+class TestScalarAggregate:
+    """Without GROUP BY the aggregation has one result row even over empty
+    input, annotated with no fragment; joined with another table it carries
+    that table's fragments into the sketch."""
+
+    @staticmethod
+    def _database():
+        database = Database()
+        database.create_table("r", ["a", "b"])
+        database.create_table("s", ["d", "e"])
+        database.insert("s", [(1, 5), (2, 25)])
+        partition = DatabasePartition(
+            [
+                RangePartition.equi_width("r", "b", 0, 100, 4),
+                RangePartition.equi_width("s", "e", 0, 40, 4),
+            ]
+        )
+        return database, partition
+
+    def test_from_scratch_over_empty_input_emits_the_oracles_row(self):
+        database, partition = self._database()
+        plan = database.plan("SELECT count(*) AS n, count(a) AS na, sum(a) AS sa, min(a) AS lo FROM r")
+        oracle = AnnotatedEvaluator(database, partition).evaluate(plan)
+        assert oracle.to_relation() == database.query(plan)
+        assert engine_output(plan, partition, database) == oracle.entries()
+        assert [row for row, _annotation in oracle.entries()] == [(0, 0, None, None)]
+        # A grouped aggregation over empty input has no row.
+        grouped = database.plan("SELECT a, count(*) AS n FROM r GROUP BY a")
+        assert engine_output(grouped, partition, database) == {}
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT n, e FROM (SELECT count(*) AS n FROM r) t, s",
+            "SELECT n, e FROM (SELECT count(*) AS n FROM r) t JOIN s ON (n < d)",
+            # The subquery's WHERE filters every row of r.
+            "SELECT n, e FROM (SELECT count(*) AS n, max(b) AS hi FROM r WHERE a > 100) t, s",
+        ],
+    )
+    def test_empty_side_below_a_join_keeps_the_other_sides_fragments(self, sql):
+        database, partition = self._database()
+        plan = database.plan(sql)
+        tables = sorted(plan.referenced_tables())
+
+        def oracle():
+            return set(AnnotatedEvaluator(database, partition).capture(plan).fragment_ids())
+
+        assert len(database.query(plan)) == 2
+        assert oracle() == {4, 6}
+        assert set(capture_sketch(plan, partition, database).fragment_ids()) == {4, 6}
+        engine = IncrementalEngine(plan, partition, database)
+        sketch = engine.initialize()
+        assert set(sketch.fragment_ids()) == {4, 6}
+        # s grows while r is empty; r becomes non-empty; both shrink again,
+        # so the scalar row is deleted and re-inserted on the way.
+        steps = [
+            lambda: database.insert("s", [(3, 35)]),
+            lambda: database.insert("r", [(1, 10), (2, 60)]),
+            lambda: database.delete_rows("r", [(2, 60)]),
+            lambda: (database.delete_rows("r", [(1, 10)]), database.delete_rows("s", [(3, 35)])),
+        ]
+        for step in steps:
+            version = database.version
+            step()
+            outcome = engine.maintain(database.database_delta_since(tables, version))
+            assert not outcome.needs_recapture
+            sketch = sketch.apply_delta(outcome.sketch_delta)
+            assert set(sketch.fragment_ids()) == oracle()
+            assert set(capture_sketch(plan, partition, database).fragment_ids()) == oracle()
+        assert set(sketch.fragment_ids()) == {4, 6}
+
+    def test_emptied_scalar_group_is_not_kept_in_state(self):
+        database, partition = self._database()
+        plan = database.plan("SELECT sum(b) AS sb FROM r")
+        engine = IncrementalEngine(plan, partition, database)
+        engine.initialize()
+        aggregation = engine._merge.child
+        while not hasattr(aggregation, "state"):
+            aggregation = aggregation.child
+        assert len(aggregation.state) == 0
+        version = database.version
+        database.insert("r", [(1, 10)])
+        engine.maintain(database.database_delta_since(["r"], version))
+        assert len(aggregation.state) == 1 and len(engine.current_sketch()) == 1
+        version = database.version
+        database.delete_rows("r", [(1, 10)])
+        engine.maintain(database.database_delta_since(["r"], version))
+        assert len(aggregation.state) == 0 and len(engine.current_sketch()) == 0
 
 
 class TestBufferedStateRecapture:
@@ -412,6 +553,49 @@ class TestBufferedStateRecapture:
 
 
 class TestStatisticsAndMemory:
+    def test_recapture_keeps_the_cumulative_counters(self):
+        """``reset()`` discards operator state, not what the engine has done."""
+        database = Database()
+        database.create_table("r", ["id", "a", "b", "c"], primary_key="id")
+        rows = [(i, i % 3, i, i) for i in range(40)]
+        database.insert("r", rows)
+        plan = database.plan("SELECT a, min(b) AS lo FROM r GROUP BY a HAVING min(b) < 100")
+        partition = build_database_partition(database, plan, 4)
+        maintainer = IncrementalMaintainer(
+            database, plan, partition, IMPConfig(min_max_buffer=2)
+        )
+        maintainer.capture()
+        victims = sorted((row for row in rows if row[1] == 0), key=lambda r: r[2])[:5]
+        database.delete_rows("r", victims)
+        assert maintainer.maintain().recaptured
+        statistics = maintainer.statistics
+        assert statistics.recaptures == 1
+        assert statistics.maintenance_runs == 1
+        # Only the five deleted tuples were delta work; neither the capture
+        # nor the recapture (two scans of the table) is counted.
+        assert statistics.delta_tuples_fetched == 5
+        assert statistics.tuples_processed < 20
+        assert maintainer.engine.is_initialized
+
+    def test_from_scratch_pass_honours_selection_pushdown(self):
+        database = Database()
+        database.create_table("r", ["id", "a", "b", "c"], primary_key="id")
+        database.insert("r", [(i, i % 5, i % 100, i) for i in range(200)])
+        plan = database.plan("SELECT a, c FROM r WHERE b < 50")
+        partition = build_database_partition(database, plan, 5)
+        outputs = {}
+        for pushdown in (True, False):
+            root = compile_plan(plan, partition, database, IMPConfig(selection_pushdown=pushdown))
+            scan = root
+            while scan.children():
+                (scan,) = scan.children()
+            # Pushed down, the filter runs at the scan: half the table never
+            # gets annotated or reaches the selection.
+            assert len(scan.process(Pass.scratch())) == (100 if pushdown else 200)
+            outputs[pushdown] = root.process(Pass.scratch())
+        assert len(outputs[True].rows) == 100
+        assert list(outputs[True].entries()) == list(outputs[False].entries())
+
     def test_pushdown_filters_delta_tuples(self):
         database = Database()
         database.create_table("r", ["id", "a", "b", "c"], primary_key="id")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.imp.engine import IMPConfig
+from repro.imp.engine import IMPConfig, capture_sketch
 from repro.imp.maintenance import FullMaintainer, IncrementalMaintainer
 from repro.imp.middleware import (
     FullMaintenanceSystem,
@@ -12,13 +12,13 @@ from repro.imp.middleware import (
 )
 from repro.imp.sketch_store import SketchEntry, SketchStore
 from repro.imp.strategies import EagerStrategy, LazyStrategy
-from repro.sketch.capture import capture_sketch
 from repro.sketch.selection import build_database_partition
 from repro.sql.template import template_of
-from repro.workloads.queries import q_endtoend, q_groups
-from repro.workloads.synthetic import load_synthetic
+from repro.workloads.queries import q_endtoend, q_groups, q_join
+from repro.workloads.synthetic import load_join_helper, load_synthetic
 from repro.storage.database import Database
 from tests.conftest import Q_TOP, S8
+from tests.reference import AnnotatedEvaluator
 
 
 @pytest.fixture()
@@ -102,6 +102,23 @@ class TestFullMaintainer:
         assert result.recaptured
         assert sorted(result.sketch.fragment_ids()) == [1, 2, 3]
         assert result.sketch_delta.added == frozenset({1})
+
+    def test_full_maintenance_equals_the_oracle_after_inserts_and_deletes(self):
+        database = Database()
+        table = load_synthetic(database, num_rows=300, num_groups=12, seed=4)
+        load_join_helper(database, num_rows=40, join_domain=12, seed=5)
+        plan = database.plan(q_join(filter_threshold=900, having_threshold=700))
+        partition = build_database_partition(database, plan, 8)
+        maintainer = FullMaintainer(database, plan, partition)
+        previous = maintainer.capture().sketch
+        for _ in range(3):
+            database.delete_rows("r", table.pick_deletes(25))
+            database.insert("r", table.make_inserts(10))
+            result = maintainer.maintain()
+            oracle = AnnotatedEvaluator(database, partition).capture(plan)
+            assert set(result.sketch.fragment_ids()) == set(oracle.fragment_ids())
+            assert previous.apply_delta(result.sketch_delta) == result.sketch
+            previous = result.sketch
 
     def test_full_maintainer_has_no_state_memory(self, sales_db, sales_partition):
         maintainer = FullMaintainer(sales_db, sales_db.plan(Q_TOP), sales_partition)

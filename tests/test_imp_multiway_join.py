@@ -9,9 +9,8 @@ maintained sketch loses fragments and stops being an over-approximation.
 
 import pytest
 
-from repro.imp.engine import IMPConfig, IncrementalEngine
+from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch
 from repro.imp.maintenance import IncrementalMaintainer
-from repro.sketch.capture import capture_sketch
 from repro.sketch.selection import build_database_partition
 from repro.sketch.use import instrument_plan
 from repro.storage.database import Database

@@ -8,9 +8,8 @@ maintenance -> use) on every dataset family used in the evaluation.
 import pytest
 
 from repro.core.bitset import BitSet
-from repro.imp.engine import IncrementalEngine
+from repro.imp.engine import IncrementalEngine, capture_sketch
 from repro.imp.middleware import FullMaintenanceSystem, IMPSystem, NoSketchSystem
-from repro.sketch.capture import AnnotatedEvaluator, capture_sketch
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.use import instrument_plan, sketch_predicate
 from repro.storage.database import Database
@@ -19,6 +18,7 @@ from repro.workloads.queries import q_endtoend, q_groups
 from repro.workloads.synthetic import load_synthetic
 from repro.workloads.tpch import load_tpch, tpch_having_revenue, tpch_q10
 from tests.conftest import Q_TOP, S8
+from tests.reference import AnnotatedEvaluator, engine_output
 
 
 class TestRunningExample:
@@ -141,14 +141,14 @@ class TestAnnotatedSemantics:
             [RangePartition("r", "a", [1, 6, 10]), RangePartition("s", "c", [1, 7, 15])]
         )
         plan = database.plan(TestExample51.SQL)
-        annotated = AnnotatedEvaluator(database, partition).evaluate(plan)
-        by_row = {row: annotation for row, annotation, _m in annotated.items()}
-        assert by_row[(5, 7.0)] == BitSet(
-            [partition.global_id("r", 0), partition.global_id("s", 1)]
-        )
-        assert by_row[(9, 6.0)] == BitSet(
-            [partition.global_id("r", 1), partition.global_id("s", 0)]
-        )
+        expected = {
+            (5, 7.0): BitSet([partition.global_id("r", 0), partition.global_id("s", 1)]),
+            (9, 6.0): BitSet([partition.global_id("r", 1), partition.global_id("s", 0)]),
+        }
+        oracle = AnnotatedEvaluator(database, partition).evaluate(plan).entries()
+        for entries in (oracle, engine_output(plan, partition, database)):
+            by_row = {row: annotation for row, annotation in entries}
+            assert {row: by_row[row] for row in expected} == expected
 
 
 class TestEndToEndSystems:

@@ -13,15 +13,16 @@ import random
 import pytest
 
 from repro.core.errors import StateError
-from repro.imp.engine import IMPConfig, IncrementalEngine
+from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch
 from repro.imp.maintenance import IncrementalMaintainer
+from repro.imp.operators import IncrementalJoin
 from repro.imp.persistence import (
     STATE_TABLE,
     StatePersistence,
+    _operators_in_order,
     dump_engine_state,
     load_engine_state,
 )
-from repro.sketch.capture import capture_sketch
 from repro.sketch.selection import build_database_partition
 from repro.storage.database import Database
 from repro.workloads.queries import q_groups, q_joinsel, q_topk
@@ -161,6 +162,7 @@ class TestBackendPersistence:
         assert restored.valid_at_version == maintainer.valid_at_version
 
     def test_restored_join_query_skips_bloom_but_stays_correct(self, loaded_db):
+        """... until each filter has been seeded again, after which it prunes."""
         database, table = loaded_db
         sql = q_joinsel(filter_threshold=2000, having_threshold=2000)
         plan = database.plan(sql)
@@ -170,11 +172,57 @@ class TestBackendPersistence:
         persistence = StatePersistence(database)
         persistence.save_maintainer("join", sql, maintainer)
 
+        def assert_over_approximates(result):
+            accurate = capture_sketch(plan, partition, database)
+            assert set(result.sketch.fragment_ids()) >= set(accurate.fragment_ids())
+
         database.insert("r", table.make_inserts(15))
         _sql, restored = persistence.load_maintainer("join")
-        result = restored.maintain()
-        accurate = capture_sketch(plan, partition, database)
-        assert set(result.sketch.fragment_ids()) >= set(accurate.fragment_ids())
+        (join,) = [
+            operator
+            for operator in _operators_in_order(restored.engine._merge)
+            if isinstance(operator, IncrementalJoin)
+        ]
+        # Filters are not persisted: the restored join starts without them ...
+        assert join.left_bloom is None and join.right_bloom is None
+        assert_over_approximates(restored.maintain())
+        # ... and seeds each from the first whole-side evaluation it performs:
+        # a delta on r evaluates (and seeds) the tjoinhelp side, and vice versa.
+        assert join.right_bloom is not None and join.left_bloom is None
+        assert restored.statistics.bloom_filtered_tuples == 0
+        database.insert("tjoinhelp", [(10_000 + i, i % 60, i) for i in range(5)])
+        assert_over_approximates(restored.maintain())
+        assert join.left_bloom is not None
+
+        # Pruning works again: r rows whose key has no partner never reach
+        # the backend.
+        round_trips = restored.statistics.backend_round_trips
+        unjoinable = [(row[0], 9_999, *row[2:]) for row in table.make_inserts(4)]
+        database.insert("r", unjoinable)
+        assert_over_approximates(restored.maintain())
+        assert restored.statistics.bloom_filtered_tuples == 4
+        assert restored.statistics.backend_round_trips == round_trips
+
+    def test_loading_into_an_initialised_engine_drops_its_filters(self, loaded_db):
+        """They were seeded from the database the engine saw, not from the
+        state being restored."""
+        database, _table = loaded_db
+        plan = database.plan(q_joinsel(filter_threshold=2000, having_threshold=2000))
+        partition = build_database_partition(database, plan, 16)
+        saved = IncrementalEngine(plan, partition, database)
+        saved.initialize()
+        payload = dump_engine_state(saved)
+        database.insert("tjoinhelp", [(20_000 + i, 7_000 + i, i) for i in range(5)])
+        engine = IncrementalEngine(plan, partition, database)
+        engine.initialize()
+        (join,) = [
+            operator
+            for operator in _operators_in_order(engine._merge)
+            if isinstance(operator, IncrementalJoin)
+        ]
+        assert join.left_bloom is not None and join.right_bloom is not None
+        load_engine_state(engine, payload)
+        assert join.left_bloom is None and join.right_bloom is None
 
     def test_missing_key_and_forget(self, loaded_db):
         database, _table = loaded_db

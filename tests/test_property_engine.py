@@ -14,13 +14,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.imp.engine import IMPConfig, IncrementalEngine
+from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch
 from repro.imp.persistence import dump_engine_state
-from repro.sketch.capture import capture_sketch
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.selection import build_database_partition
 from repro.sketch.use import instrument_plan
 from repro.storage.database import Database
+from tests.reference import AnnotatedEvaluator
 
 QUERIES = [
     "SELECT a, avg(b) AS ab FROM r GROUP BY a HAVING avg(c) < 550",
@@ -62,6 +62,26 @@ OPERATOR_QUERIES = {
     "distinct": "SELECT DISTINCT a FROM r WHERE c < 500",
     "top_k": "SELECT a, b, c FROM r ORDER BY c, a, b LIMIT 6",
     "equi_join": "SELECT a, c, w FROM r JOIN s ON (a = ttid) WHERE c < 700",
+    "theta_join": "SELECT a, c, w FROM r JOIN s ON (a < ttid) WHERE c < 300",
+    "cross_product": "SELECT a, w FROM r, s WHERE c < 200",
+    # A stateful side plan: the join re-evaluates it from scratch whenever
+    # the other side changes, while its own copy is maintained incrementally.
+    "aggregation_below_join": (
+        "SELECT a, n, w FROM (SELECT a AS a, count(*) AS n, min(c) AS lo FROM r GROUP BY a) t "
+        "JOIN s ON (a = ttid) WHERE lo < 300"
+    ),
+    # A scalar aggregate has a result row even over empty input.  Here its
+    # input is often empty (about one r row in 60 qualifies) and comes and
+    # goes with the updates; the row carries s's fragments into the sketch.
+    "scalar_aggregate_below_cross_product": (
+        "SELECT n, lo, w FROM "
+        "(SELECT count(*) AS n, min(b) AS lo FROM r WHERE a = 0 AND c = 900) t, s"
+    ),
+    # ... and here always: no r row has c > 900.
+    "empty_scalar_aggregate_below_theta_join": (
+        "SELECT n, w FROM (SELECT count(*) AS n, sum(b) AS sb FROM r WHERE c > 900) t "
+        "JOIN s ON (n < ttid)"
+    ),
 }
 
 
@@ -112,8 +132,9 @@ def _canonical_state(value):
 
 
 class TestMaintainedEqualsRecaptured:
-    """Maintaining through the columnar delta pipeline gives exactly the
-    sketch a fresh capture gives, for every operator and awkward delta shape."""
+    """Three ways to the same sketch, for every operator and awkward delta
+    shape: maintained by delta passes ≡ captured by a from-scratch pass of the
+    same engine ≡ the row-at-a-time oracle of ``tests/reference.py``."""
 
     @given(
         operator=st.sampled_from(sorted(OPERATOR_QUERIES)),
@@ -128,7 +149,7 @@ class TestMaintainedEqualsRecaptured:
             max_size=4,
         ),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_every_operator_and_delta_shape(self, operator, seed, batches):
         database, contents, partition, rng = build_operator_database(seed)
         plan = database.plan(OPERATOR_QUERIES[operator])
@@ -167,8 +188,11 @@ class TestMaintainedEqualsRecaptured:
             outcome = engine.maintain(db_delta)
             assert not outcome.needs_recapture
             recaptured = capture_sketch(plan, partition, database)
-            assert set(engine.current_sketch().fragment_ids()) == set(
-                recaptured.fragment_ids()
+            oracle = AnnotatedEvaluator(database, partition).capture(plan)
+            assert (
+                set(engine.current_sketch().fragment_ids())
+                == set(recaptured.fragment_ids())
+                == set(oracle.fragment_ids())
             )
             # The operator state itself must equal a fresh initialisation.
             fresh = IncrementalEngine(plan, partition, database)

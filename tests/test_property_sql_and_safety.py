@@ -14,7 +14,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch.capture import capture_sketch
+from repro.imp.engine import capture_sketch
 from repro.sketch.selection import build_database_partition
 from repro.sketch.use import instrument_plan
 from repro.sql.parser import parse_select
