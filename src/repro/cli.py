@@ -252,7 +252,7 @@ def command_maintain(args: argparse.Namespace) -> int:
         f"\nIMP statistics: {stats.delta_tuples_fetched} delta tuples fetched, "
         f"{stats.delta_tuples_filtered} filtered by push-down, "
         f"{stats.bloom_filtered_tuples} pruned by bloom filters, "
-        f"{stats.backend_round_trips} backend round trips"
+        f"{stats.backend_round_trips} join sides built"
     )
     return 0
 

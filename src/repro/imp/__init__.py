@@ -5,7 +5,8 @@ This package contains the paper's primary contribution:
 * :mod:`repro.imp.annotated` -- sketch-annotated delta relations and their
   columnar chunk storage (Sec. 4.3, 7.1),
 * :mod:`repro.imp.state` -- operator state (group accumulators, min/max trees,
-  top-k trees, merge counts) with persistence support (Sec. 5.2, 7.1),
+  top-k trees, join-side key indexes, merge counts) with persistence support
+  (Sec. 5.2, 7.1),
 * :mod:`repro.imp.operators` -- the incremental relational algebra operators
   over annotated deltas (Sec. 5.2),
 * :mod:`repro.imp.engine` -- compiling logical plans into incremental operator

@@ -29,7 +29,6 @@ from repro.relational.algebra import (
     TableScan,
     TopK,
 )
-from repro.relational.evaluator import RelationProvider
 from repro.relational.expressions import Expression, conjuncts, conjunction
 from repro.relational.schema import Schema
 from repro.sketch.ranges import DatabasePartition
@@ -56,8 +55,10 @@ class IMPConfig:
     """Tuning knobs of the incremental engine (Sec. 7.2 optimizations).
 
     ``use_bloom_filters``
-        Maintain Bloom filters on equi-join attributes and use them to prune
-        delta tuples before outsourcing join deltas to the backend.
+        Summarise each equi-join side by a Bloom filter on its join keys and
+        prune delta tuples of the other side with it, so a side whose partners
+        are never needed is never evaluated.  Without filters every side is
+        evaluated (once) at the first delta of the other side.
     ``selection_pushdown``
         Pre-filter deltas fetched from the backend with selection conditions
         whose subtree contains only stateless operators.
@@ -84,16 +85,16 @@ class MaintenanceOutcome:
 
 
 def compile_plan(
-    node: PlanNode, partition: DatabasePartition, provider: RelationProvider, config: IMPConfig
+    node: PlanNode, partition: DatabasePartition, database: Database, config: IMPConfig
 ) -> IncrementalOperator:
     """Compile a logical plan into a tree of incremental operators (without ``μ``)."""
 
     def compile_child(plan: PlanNode) -> IncrementalOperator:
-        return compile_plan(plan, partition, provider, config)
+        return compile_plan(plan, partition, database, config)
 
     if isinstance(node, TableScan):
         return IncrementalTableAccess(
-            node.table, node.alias, provider.schema_of(node.table), partition, provider
+            node.table, node.alias, database.schema_of(node.table), partition, database
         )
     if isinstance(node, Selection):
         child = compile_child(node.child)
@@ -107,7 +108,7 @@ def compile_plan(
             Schema(item.alias for item in node.items),
         )
     if isinstance(node, Join):
-        # What the join evaluates a whole side on is thrown away after one
+        # The tree a join evaluates a whole side on is thrown away after one
         # from-scratch pass: it never prunes, so it needs no Bloom filters.
         side_config = replace(config, use_bloom_filters=False)
         return IncrementalJoin(
@@ -117,7 +118,7 @@ def compile_plan(
             node.right,
             node.condition,
             node.equi_join_keys(),
-            lambda plan: compile_plan(plan, partition, provider, side_config),
+            lambda plan: compile_plan(plan, partition, database, side_config),
             use_bloom_filters=config.use_bloom_filters,
             bloom_false_positive_rate=config.bloom_false_positive_rate,
         )
@@ -126,7 +127,7 @@ def compile_plan(
             compile_child(node.child),
             node.group_by,
             node.aggregates,
-            node.output_schema(provider),
+            node.output_schema(database),
             min_max_buffer=config.min_max_buffer,
         )
     if isinstance(node, Distinct):
@@ -162,14 +163,14 @@ def _push_delta_filter(node: Selection, child: IncrementalOperator) -> None:
 
 
 def capture_sketch(
-    plan: PlanNode, partition: DatabasePartition, provider: RelationProvider
+    plan: PlanNode, partition: DatabasePartition, database: Database
 ) -> ProvenanceSketch:
     """Capture a provenance sketch for ``plan`` over the current database state:
     one from-scratch pass over an operator tree that is thrown away."""
     merge = MergeOperator(
-        compile_plan(plan, partition, provider, IMPConfig(use_bloom_filters=False))
+        compile_plan(plan, partition, database, IMPConfig(use_bloom_filters=False))
     )
-    merge.process_to_sketch_delta(Pass.scratch())
+    merge.process_to_sketch_delta(Pass.scratch(database.version))
     return ProvenanceSketch(partition, merge.current_fragments())
 
 
@@ -202,9 +203,10 @@ class IncrementalEngine:
         must be empty (a new engine, or one that was :meth:`reset`).  It is not
         delta work, so the engine's counters stay as they are.
         """
-        self._merge.process_to_sketch_delta(Pass.scratch())
+        version = self.database.version
+        self._merge.process_to_sketch_delta(Pass.scratch(version))
         self._initialized = True
-        self.initialized_at_version = self.database.version
+        self.initialized_at_version = version
         return self.current_sketch()
 
     @property
@@ -216,14 +218,22 @@ class IncrementalEngine:
         """The sketch justified by the current operator state."""
         return ProvenanceSketch(self.partition, self._merge.current_fragments())
 
-    def maintain(self, db_delta: DatabaseDelta) -> MaintenanceOutcome:
-        """Incrementally maintain the sketch for a database delta."""
+    def maintain(self, db_delta: DatabaseDelta, target_version: int) -> MaintenanceOutcome:
+        """Incrementally maintain the sketch for a database delta.
+
+        ``db_delta`` brings the referenced tables to ``target_version``.
+        Whatever the pass has to read beside the delta -- a join side it
+        evaluates for the first time -- is read as of that version, so commits
+        that land while the pass runs are left, whole, to the next delta.
+        """
         if not self._initialized:
             raise PlanError("engine must be initialized before maintenance")
         if db_delta is None:
             raise PlanError("maintenance needs a database delta")
         self.statistics.maintenance_runs += 1
-        sketch_delta = self._merge.process_to_sketch_delta(Pass(db_delta, self.statistics))
+        sketch_delta = self._merge.process_to_sketch_delta(
+            Pass(db_delta, self.statistics, target_version)
+        )
         needs_recapture = self._merge.recapture_needed()
         if needs_recapture:
             self.statistics.recaptures += 1

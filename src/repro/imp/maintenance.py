@@ -222,7 +222,7 @@ class IncrementalMaintainer(BaseMaintainer):
             return MaintenanceResult(
                 sketch=self.sketch, seconds=time.perf_counter() - started
             )
-        outcome = self.engine.maintain(relevant)
+        outcome = self.engine.maintain(relevant, target_version)
         if outcome.needs_recapture:
             # Deletions exhausted a min/max or top-k buffer: fall back to a
             # full recapture (Sec. 7.2).  The recapture scans *live* tables,

@@ -296,24 +296,20 @@ class SketchBasedSystem(WorkloadSystem):
                 self.statistics.sketch_maintenances += 1
                 self.store.statistics.maintenances += 1
         self.store.record_use(entry)
-        # Read the version *before* the sketch: a background maintenance round
-        # can interleave, and the stale-side mislabeling (newer sketch cached
-        # under an older version) only causes a recompute on the next query,
-        # never a query answered through an outdated cached rewrite.
-        sketch_version = entry.valid_at_version
         sketch = entry.sketch
         assert sketch is not None
         # Optimizing the instrumented plan merges the injected sketch
         # disjunction with pushed-down user predicates at each scan, so the
         # backend serves both from one index range scan; the plan kept in the
         # store entry stays unoptimized (capture and incremental maintenance
-        # operate on the translator's shape).  The rewritten plan is cached on
-        # the entry and reused while the sketch's version is unchanged, so
-        # read-heavy workloads pay for the rewrite once per maintenance.
+        # operate on the translator's shape).  The rewritten plan is a
+        # function of the entry's plan and the sketch, so it is cached on the
+        # entry beside the sketch it was built for and reused until
+        # maintenance actually changes the sketch.
         plan = entry.instrumented_plan
-        if plan is None or entry.instrumented_at_version != sketch_version:
+        if plan is None or entry.instrumented_sketch != sketch:
             plan = self._plan_optimizer.optimize(instrument_plan(entry.plan, sketch))
-            entry.set_instrumented(plan, sketch_version)
+            entry.set_instrumented(plan, sketch)
         return self.database.query(plan)
 
     # -- update path (eager maintenance hook) ----------------------------------------------------

@@ -17,14 +17,17 @@ the row a scalar aggregate has over empty input:
   through empty state.  That is the paper's capture query: it fills the state
   of every stateful operator and its output at ``μ`` is the sketch, so it
   serves state initialisation, sketch capture, the full-maintenance baseline
-  and the side of a join the paper outsources to the backend.
+  and the *first* evaluation of a join side -- the paper's round trip to the
+  backend.  A join keeps what that returns as a key index and brings it
+  forward by the side's own deltas, so no delta pass after it reads a whole
+  table again.
 
 Annotations are plain ``int`` fragment masks throughout.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.bloom import BloomFilter
@@ -43,11 +46,13 @@ from repro.relational.kernels import strict_boolean
 from repro.relational.schema import Row, Schema
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import SketchDelta
+from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta
 from repro.imp.annotated import AnnotatedDelta
 from repro.imp.state import (
     AggregationState,
     DistinctState,
+    JoinSideState,
     MergeState,
     TopKState,
     make_accumulator,
@@ -71,7 +76,16 @@ class EngineStatistics:
 
     These drive the optimization experiments: how many delta tuples were
     fetched from the backend, how many were pruned by selection push-down or
-    Bloom filters, and how many backend round trips the join operators needed.
+    Bloom filters, and how often a join had to evaluate a whole side.
+
+    ``backend_round_trips`` counts join-side builds: a join evaluates a side
+    from scratch the first time a delta tuple of the other side gets past the
+    side's Bloom filter, and keeps the result, so between two
+    (re)initialisations of an engine the counter is bounded by the number of
+    join sides in its plan.  ``tuples_shipped_to_backend`` counts the delta
+    tuples that were looking for partners when those builds happened;
+    ``bloom_filtered_tuples`` the ones a filter pruned while its side was not
+    built yet (a built side answers exactly and needs no filter).
     """
 
     delta_tuples_fetched: int = 0
@@ -100,20 +114,26 @@ class EngineStatistics:
 class Pass:
     """One bottom-up run of an operator tree.
 
-    ``Pass(db_delta, statistics)`` is a *delta pass*: it propagates a database
-    delta through existing state and counts its work into ``statistics``.
-    ``Pass.scratch()`` is a *from-scratch pass*: every table access emits its
-    whole table as an insert delta, which is only meaningful on empty state.
-    The counters measure delta work, so it counts into a throwaway object.
+    ``Pass(db_delta, statistics, version)`` is a *delta pass*: it propagates a
+    database delta through existing state, bringing it to ``version`` (the
+    delta covers every commit up to it), and counts its work into
+    ``statistics``.  ``Pass.scratch(version)`` is a *from-scratch pass*: every
+    table access emits its whole table as of ``version`` as an insert delta,
+    which is only meaningful on empty state.  The counters measure delta
+    work, so a from-scratch pass counts into a throwaway object.
+
+    Either way nothing newer than ``version`` is read: a commit that lands
+    while the pass runs is left, whole, to the next delta.
     """
 
     db_delta: DatabaseDelta | None
     statistics: EngineStatistics
+    version: int
 
     @classmethod
-    def scratch(cls) -> "Pass":
-        """A from-scratch pass."""
-        return cls(None, EngineStatistics())
+    def scratch(cls, version: int) -> "Pass":
+        """A from-scratch pass over the database as of ``version``."""
+        return cls(None, EngineStatistics(), version)
 
     @property
     def from_scratch(self) -> bool:
@@ -162,10 +182,10 @@ class IncrementalTableAccess(IncrementalOperator):
     """Incremental table access (Sec. 5.2.1).
 
     Reads the table's delta out of the database delta -- or, on a from-scratch
-    pass, the whole table as an insert delta -- pre-filters it with pushed-down
-    selection conditions (Sec. 7.2, "Filtering Deltas Based On Selections") and
-    annotates each surviving tuple with the range its partition-attribute
-    value belongs to.
+    pass, the whole table as of the pass's version as an insert delta --
+    pre-filters it with pushed-down selection conditions (Sec. 7.2, "Filtering
+    Deltas Based On Selections") and annotates each surviving tuple with the
+    range its partition-attribute value belongs to.
     """
 
     def __init__(
@@ -174,7 +194,7 @@ class IncrementalTableAccess(IncrementalOperator):
         alias: str,
         base_schema: Schema,
         partition: DatabasePartition,
-        provider,
+        database: Database,
         delta_filter: Expression | None = None,
     ) -> None:
         super().__init__(base_schema.qualify(alias))
@@ -182,7 +202,7 @@ class IncrementalTableAccess(IncrementalOperator):
         self.alias = alias
         self.base_schema = base_schema
         self.partition = partition
-        self.provider = provider
+        self.database = database
         self._delta_filter: Expression | None = None
         self._delta_filter_fn: CompiledBatchExpression | None = None
         self.delta_filter = delta_filter
@@ -211,7 +231,7 @@ class IncrementalTableAccess(IncrementalOperator):
         # Entry order: table order from scratch; otherwise inserts then
         # deletes, each in the delta's own order.
         if run.from_scratch:
-            entries = list(self.provider.relation(self.table).items())
+            entries = list(self.database.snapshot_relation(self.table, run.version).items())
             inserted = len(entries)
         else:
             delta = run.db_delta.get(self.table)
@@ -304,23 +324,44 @@ class IncrementalProjection(IncrementalOperator):
         return f"IncProjection({len(self.expressions)} expressions)"
 
 
+@dataclass
+class JoinSide:
+    """One input of an incremental join: the plan that computes it, the join
+    key of its rows (``()`` for every row of a theta or cross join) and what
+    the join keeps of its current result."""
+
+    plan: PlanNode
+    key: Callable[[Row], tuple]
+    state: JoinSideState = field(default_factory=JoinSideState)
+
+
+def _no_key(_row: Row) -> tuple:
+    return ()
+
+
 class IncrementalJoin(IncrementalOperator):
     """Incremental join / cross product (Sec. 5.2.4, 7.2).
 
-    The delta of a join combines three terms (using the state of both inputs
-    *after* the update, which is what the backend serves)::
+    The delta of a join combines three terms, using the state of both inputs
+    *after* the update::
 
         Δ(Q1 ⋈ Q2) = ΔQ1 ⋈ Q2'  ∪  Q1' ⋈ ΔQ2  −  ΔQ1 ⋈ ΔQ2
 
-    Joins of a delta with the full other side are outsourced to the backend
-    database (a round trip); Bloom filters on the join attributes prune delta
-    tuples without join partners and skip the round trip entirely when nothing
-    survives.  The backend's answer is a from-scratch pass over a throwaway
-    operator tree for the side's plan (``compile_side``).
+    Each side's ``Q'`` is a :class:`~repro.imp.state.JoinSideState`.  While no
+    delta tuple of the other side has needed a partner, the side is only
+    summarised by a Bloom filter on its join keys, which prunes delta tuples
+    without partners and costs nothing when everything is pruned.  The first
+    surviving delta tuple makes the join evaluate the side once -- the paper's
+    round trip to the backend: a from-scratch pass, as of the delta pass's
+    version, over a throwaway operator tree for the side's plan
+    (``compile_side``) -- and keep the result as a key index.  From then on
+    every delta pass first brings the index forward by the side's own child
+    delta, and terms A and B are key probes of it: a round costs
+    ``O(|Δ| · fan-out)``, whatever the size of the sides.
 
     On a from-scratch pass the old state of both sides is empty, ``Q1' = ΔQ1``
-    and ``Q2' = ΔQ2``, so the three terms collapse to ``ΔQ1 ⋈ ΔQ2`` and no
-    round trip is needed.
+    and ``Q2' = ΔQ2``, so the three terms collapse to ``ΔQ1 ⋈ ΔQ2``; the two
+    child outputs, being the complete sides, seed the filters.
     """
 
     def __init__(
@@ -338,8 +379,6 @@ class IncrementalJoin(IncrementalOperator):
         super().__init__(left.output_schema.concat(right.output_schema))
         self.left = left
         self.right = right
-        self.left_plan = left_plan
-        self.right_plan = right_plan
         self.condition = condition
         self._condition_fn = (
             None
@@ -349,18 +388,19 @@ class IncrementalJoin(IncrementalOperator):
         self._compile_side = compile_side
         self.use_bloom_filters = use_bloom_filters
         self.bloom_false_positive_rate = bloom_false_positive_rate
-        # ``row -> join key tuple`` per side; None unless this is an equi-join.
-        self._left_key: Callable[[Row], tuple] | None = None
-        self._right_key: Callable[[Row], tuple] | None = None
-        if equi_keys is not None:
-            self._resolve_keys(equi_keys)
-        self.left_bloom: BloomFilter | None = None
-        self.right_bloom: BloomFilter | None = None
+        keys = None if equi_keys is None else self._resolve_keys(equi_keys)
+        # Whether the condition is a conjunction of attribute equalities.
+        self.is_equi_join = keys is not None
+        left_key, right_key = keys or (_no_key, _no_key)
+        self.sides = (JoinSide(left_plan, left_key), JoinSide(right_plan, right_key))
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.left, self.right)
 
-    def _resolve_keys(self, equi_keys: tuple[list[str], list[str]]) -> None:
+    def _resolve_keys(
+        self, equi_keys: tuple[list[str], list[str]]
+    ) -> tuple[Callable[[Row], tuple], Callable[[Row], tuple]] | None:
+        """``row -> join key tuple`` for the left and the right input."""
         first, second = equi_keys
         left_schema, right_schema = self.left.output_schema, self.right.output_schema
         if all(left_schema.has(k) for k in first) and all(right_schema.has(k) for k in second):
@@ -368,63 +408,52 @@ class IncrementalJoin(IncrementalOperator):
         elif all(left_schema.has(k) for k in second) and all(right_schema.has(k) for k in first):
             left_keys, right_keys = second, first
         else:
-            return
-        self._left_key = compile_row_expressions([ColumnRef(k) for k in left_keys], left_schema)
-        self._right_key = compile_row_expressions(
-            [ColumnRef(k) for k in right_keys], right_schema
+            return None
+        return (
+            compile_row_expressions([ColumnRef(k) for k in left_keys], left_schema),
+            compile_row_expressions([ColumnRef(k) for k in right_keys], right_schema),
         )
 
-    @property
-    def is_equi_join(self) -> bool:
-        """Whether the join condition is a conjunction of attribute equalities."""
-        return self._left_key is not None
+    def forget_sides(self) -> None:
+        """Drop what is kept of both sides (filters and indexes are derived
+        from the database; the next delta pass rebuilds what it needs)."""
+        for side in self.sides:
+            side.state = JoinSideState()
 
     def process(self, run: Pass) -> AnnotatedDelta:
+        left, right = self.sides
         left_delta = self.left.process(run)
         right_delta = self.right.process(run)
         output = AnnotatedDelta(self.output_schema)
         if run.from_scratch:
             # The old state is ∅: the child outputs are the complete sides, so
             # they seed the filters and ΔQ1 ⋈ ΔQ2 is the whole join.
-            self.left_bloom = self._seed_bloom(left_delta, self._left_key)
-            self.right_bloom = self._seed_bloom(right_delta, self._right_key)
-            self._join_pairs(left_delta, right_delta.entries(), output, delta_on_left=True)
+            if self.is_equi_join and self.use_bloom_filters:
+                for side, whole in ((left, left_delta), (right, right_delta)):
+                    side.state.summarise(side.key, whole, self.bloom_false_positive_rate)
+            self._join_pairs(
+                left_delta, left.key, _indexed(right_delta, right.key), output, True
+            )
             return output
         if not left_delta and not right_delta:
             return output
-
-        # Refresh the Bloom filters with this batch's insertions FIRST: the
-        # backend already holds the new state of both sides, so a delta tuple
-        # may join with a row inserted on the other side within the same batch.
-        # Pruning against stale filters would drop those combinations from the
-        # ΔQ1 ⋈ Q2' / Q1' ⋈ ΔQ2 terms while the ΔQ1 ⋈ ΔQ2 correction still
-        # subtracts them, breaking the over-approximation guarantee.
-        if self.left_bloom is not None:
-            self.left_bloom.add_all(_inserted_keys(left_delta, self._left_key))
-        if self.right_bloom is not None:
-            self.right_bloom.add_all(_inserted_keys(right_delta, self._right_key))
         # An insert and a delete of the same annotated tuple cancel before
         # anything is probed, shipped or joined.
         left_delta = left_delta.consolidated()
         right_delta = right_delta.consolidated()
-
-        # A filter missing here (persisted state carries none) is seeded from
-        # the first evaluation of its side, which is that side's whole state.
-        # Term A: ΔQ1 ⋈ Q2' (outsourced to the backend database).
-        surviving = self._bloom_filter(left_delta, self._left_key, self.right_bloom, run)
-        if surviving:
-            right_state = self._evaluate_side(self.right_plan, surviving, run)
-            if self.right_bloom is None:
-                self.right_bloom = self._seed_bloom(right_state, self._right_key)
-            self._join_pairs(surviving, right_state.entries(), output, delta_on_left=True)
+        # Bring both sides forward FIRST: terms A and B join with the *new*
+        # state of the other side, so a delta tuple may join with a row that
+        # arrives on the other side within the same batch.  Probing (or
+        # pruning against) the old state would drop those combinations while
+        # the ΔQ1 ⋈ ΔQ2 correction still subtracts them, breaking the
+        # over-approximation guarantee.
+        left.state.apply(left.key, left_delta)
+        right.state.apply(right.key, right_delta)
+        # Term A: ΔQ1 ⋈ Q2'.
+        self._join_with_side(left_delta, left.key, right, output, run, delta_on_left=True)
         # Term B: Q1' ⋈ ΔQ2.
-        surviving = self._bloom_filter(right_delta, self._right_key, self.left_bloom, run)
-        if surviving:
-            left_state = self._evaluate_side(self.left_plan, surviving, run)
-            if self.left_bloom is None:
-                self.left_bloom = self._seed_bloom(left_state, self._left_key)
-            self._join_pairs(surviving, left_state.entries(), output, delta_on_left=False)
-        # Term C: − ΔQ1 ⋈ ΔQ2 (computed in memory; corrects double counting).
+        self._join_with_side(right_delta, right.key, left, output, run, delta_on_left=False)
+        # Term C: − ΔQ1 ⋈ ΔQ2 (corrects double counting).
         if left_delta and right_delta:
             negated = AnnotatedDelta(
                 left_delta.schema,
@@ -432,25 +461,36 @@ class IncrementalJoin(IncrementalOperator):
                 left_delta.annotations,
                 [-count for count in left_delta.counts],
             )
-            self._join_pairs(negated, right_delta.entries(), output, delta_on_left=True)
+            self._join_pairs(
+                negated, left.key, _indexed(right_delta, right.key), output, True
+            )
         # Entries of opposite sign cancel across the three terms.
         return output.consolidated()
 
-    def _seed_bloom(
-        self, side: AnnotatedDelta, key: Callable[[Row], tuple] | None
-    ) -> BloomFilter | None:
-        """A filter over the join keys of one side's whole state."""
-        if key is None or not self.use_bloom_filters:
-            return None
-        keys = _inserted_keys(side, key)
-        bloom = BloomFilter(max(len(keys), 16), self.bloom_false_positive_rate)
-        bloom.add_all(keys)
-        return bloom
+    def _join_with_side(
+        self,
+        delta: AnnotatedDelta,
+        delta_key: Callable[[Row], tuple],
+        other: JoinSide,
+        output: AnnotatedDelta,
+        run: Pass,
+        delta_on_left: bool,
+    ) -> None:
+        """Append ``delta`` joined with the new state of the ``other`` side,
+        materialising that side if a delta tuple gets past its filter."""
+        state = other.state
+        if state.buckets is None:
+            delta = self._bloom_filter(delta, delta_key, state.bloom, run)
+            if delta:
+                state.materialise(other.key, self._evaluate_side(other.plan, delta, run))
+        if delta:
+            run.statistics.tuples_processed += len(delta)
+            self._join_pairs(delta, delta_key, state.buckets, output, delta_on_left)
 
     def _bloom_filter(
         self,
         delta: AnnotatedDelta,
-        key: Callable[[Row], tuple] | None,
+        key: Callable[[Row], tuple],
         other_bloom: BloomFilter | None,
         run: Pass,
     ) -> AnnotatedDelta:
@@ -466,56 +506,50 @@ class IncrementalJoin(IncrementalOperator):
     def _evaluate_side(
         self, plan: PlanNode, shipped: AnnotatedDelta, run: Pass
     ) -> AnnotatedDelta:
-        """The current result of one side's plan, to join ``shipped`` with:
-        a from-scratch pass over a throwaway operator tree."""
-        run.statistics.tuples_processed += len(shipped)
+        """The whole result of one side's plan as of the pass's version, for
+        ``shipped`` to find partners in: a from-scratch pass over a throwaway
+        operator tree.  Only called to materialise a side."""
         run.statistics.backend_round_trips += 1
         run.statistics.tuples_shipped_to_backend += len(shipped.rows)
-        return self._compile_side(plan).process(Pass.scratch())
+        return self._compile_side(plan).process(Pass.scratch(run.version))
 
     def _join_pairs(
         self,
         delta: AnnotatedDelta,
-        other: Iterable[tuple[Row, int, int]],
+        delta_key: Callable[[Row], tuple],
+        buckets: dict[tuple, dict[tuple[Row, int], int]],
         output: AnnotatedDelta,
         delta_on_left: bool,
     ) -> None:
-        """Append every combination of a delta tuple with an ``other`` tuple
-        that satisfies the join condition.  An equi-join probes a hash index
-        of ``other``, so only key matches are ever materialised."""
-        if self.is_equi_join:
-            delta_key, other_key = self._left_key, self._right_key
-            if not delta_on_left:
-                delta_key, other_key = other_key, delta_key
-            index: dict[tuple, list[tuple[Row, int, int]]] = {}
-            for entry in other:
-                index.setdefault(other_key(entry[0]), []).append(entry)
-            partners = [index.get(key, ()) for key in map(delta_key, delta.rows)]
-        else:
-            partners = [list(other)] * len(delta.rows)
+        """Append every combination of a delta tuple with a tuple in its join
+        key's bucket that satisfies the join condition."""
         condition, append = self._condition_fn, output.append
-        for (row, annotation, count), matches in zip(delta.entries(), partners):
-            for other_row, other_annotation, multiplicity in matches:
+        for key, (row, annotation, count) in zip(
+            map(delta_key, delta.rows), delta.entries()
+        ):
+            bucket = buckets.get(key)
+            if bucket is None:
+                continue
+            for (other_row, other_annotation), multiplicity in bucket.items():
                 joined = row + other_row if delta_on_left else other_row + row
                 if condition is None or condition(joined) is True:
                     append(joined, annotation | other_annotation, count * multiplicity)
 
     def memory_bytes(self) -> int:
-        total = 0
-        if self.left_bloom is not None:
-            total += self.left_bloom.byte_size()
-        if self.right_bloom is not None:
-            total += self.right_bloom.byte_size()
-        return total
+        return sum(side.state.memory_bytes() for side in self.sides)
 
     def describe(self) -> str:
         kind = "equi" if self.is_equi_join else ("cross" if self.condition is None else "theta")
         return f"IncJoin({kind}, bloom={'on' if self.use_bloom_filters else 'off'})"
 
 
-def _inserted_keys(delta: AnnotatedDelta, key: Callable[[Row], tuple]) -> set[tuple]:
-    """The join keys of the delta's insertions."""
-    return {key(row) for row, count in zip(delta.rows, delta.counts) if count > 0}
+def _indexed(
+    side: AnnotatedDelta, key: Callable[[Row], tuple]
+) -> dict[tuple, dict[tuple[Row, int], int]]:
+    """A throwaway key index of ``side``."""
+    state = JoinSideState()
+    state.materialise(key, side)
+    return state.buckets
 
 
 class IncrementalAggregation(IncrementalOperator):

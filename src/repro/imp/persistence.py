@@ -17,11 +17,12 @@ This module implements that capability for the reproduction:
   the SQL text and the version the sketch is valid for -- in a regular table of
   the backend database, and rebuilds maintainers from it.
 
-Bloom filters are intentionally *not* persisted: they only affect performance,
-never correctness.  A restored join starts without them and prunes nothing; the
-first time it evaluates a whole side for a delta on the other one (which,
-unpruned, every such delta triggers) it seeds that side's filter from the
-result, and pruning resumes.
+What a join keeps of its two sides -- Bloom filters, and the key index of a
+side once it has been probed -- is intentionally *not* persisted: it is derived
+from the database and only affects performance, never correctness.  A restored
+join starts with neither and prunes nothing; the first delta on one side makes
+it evaluate the other side once and keep it as a key index, exactly as a
+filter hit does on a freshly captured engine.
 """
 
 from __future__ import annotations
@@ -213,10 +214,9 @@ def load_engine_state(engine: IncrementalEngine, payload: dict[str, Any]) -> Non
     for operator, operator_payload in zip(operators, saved):
         if operator_payload is None:
             if isinstance(operator, IncrementalJoin):
-                # Filters seeded from another database version (the engine
-                # was initialised before the load) must not survive it.
-                operator.left_bloom = None
-                operator.right_bloom = None
+                # Filters and side indexes from another database version (the
+                # engine was initialised before the load) must not survive it.
+                operator.forget_sides()
             continue
         kind = operator_payload["kind"]
         if kind == "aggregation" and isinstance(operator, IncrementalAggregation):

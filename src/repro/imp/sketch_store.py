@@ -43,25 +43,25 @@ class SketchEntry:
     capture_seconds: float = 0.0
     maintenance_seconds: float = 0.0
     last_used_tick: int = 0
-    # Cache of the (optimized) instrumented plan, valid only while the sketch
-    # stays at ``instrumented_at_version``: the sketch at a given database
-    # version is deterministic, so the rewritten plan is too.  Avoids
-    # re-running the use rewrite and the optimizer on every sketch-hit query
-    # of a read-heavy workload.  Set via :meth:`set_instrumented` so the plan
-    # counts toward the store's memory budget.
+    # Cache of the (optimized) instrumented plan, valid while the sketch
+    # equals ``instrumented_sketch``: the rewritten plan is a function of
+    # ``(plan, sketch)``, and most maintenance leaves the sketch as it was.
+    # Avoids re-running the use rewrite and the optimizer on every sketch-hit
+    # query.  Set via :meth:`set_instrumented` so the plan counts toward the
+    # store's memory budget.
     instrumented_plan: PlanNode | None = None
-    instrumented_at_version: int | None = None
+    instrumented_sketch: ProvenanceSketch | None = None
     instrumented_bytes: int = 0
 
-    def set_instrumented(self, plan: PlanNode, version: int | None) -> None:
-        """Cache the instrumented plan for the sketch valid at ``version``.
+    def set_instrumented(self, plan: PlanNode, sketch: ProvenanceSketch) -> None:
+        """Cache the instrumented plan built for ``sketch``.
 
         The plan's footprint is estimated once (node overhead plus rendered
         operator descriptions, which include the sketch's BETWEEN disjunction)
         so ``max_bytes`` eviction sees it.
         """
         self.instrumented_plan = plan
-        self.instrumented_at_version = version
+        self.instrumented_sketch = sketch
         self.instrumented_bytes = sum(
             64 + 2 * len(node.describe()) for node in walk_plan(plan)
         )

@@ -12,23 +12,30 @@ Sec. 5.2 of the paper:
 * top-k: an ordered map from ORDER BY keys to annotated tuples and their
   multiplicities (optionally truncated to ``l ≥ k`` entries);
 * duplicate elimination: per-row reference counts with their ``ℱ`` map;
+* join: per input, a Bloom filter over its join keys until a delta of the
+  other input first needs partners, and from then on the input's annotated
+  result as a key index, brought forward by the input's own deltas;
 * the merge operator ``μ``: a count per range of how many result tuples carry
   that range.
 
-All states support byte-size estimation (for the memory experiments) and a
-plain-Python payload serialisation so the middleware can persist and restore
-them through the backend database (Sec. 2).
+All states support byte-size estimation (for the memory experiments) and, all
+but the join's, a plain-Python payload serialisation so the middleware can
+persist and restore them through the backend database (Sec. 2).  Join state
+is derived data: a restored join rebuilds it lazily.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import sys
+from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 from repro.core.bitset import iter_bits
+from repro.core.bloom import BloomFilter
 from repro.core.errors import StateError
 from repro.core.rbtree import RedBlackTree, SortedMultiSet
 from repro.core.timing import MemoryMeter
+from repro.imp.annotated import AnnotatedDelta
 from repro.relational.algebra import AggregateFunction
 from repro.relational.schema import Row
 
@@ -344,6 +351,93 @@ class DistinctState:
 
     def memory_bytes(self) -> int:
         return MemoryMeter().measure(self.rows)
+
+
+class JoinSideState:
+    """What an incremental join keeps of one input's current result.
+
+    A side is either *summarised* by a Bloom filter over its join keys --
+    enough to tell that a delta tuple of the other side has no partner -- or,
+    from the first time a partner is actually needed, *materialised* as a key
+    index ``buckets[join key][(row, annotation)] = signed count``.
+    Materialising releases the filter: the index answers exactly.  A side
+    with neither (filters disabled, state restored from the backend) prunes
+    nothing and is materialised by the first delta of the other side.
+
+    Buckets are dicts, never sets: probe results feed float accumulators in
+    entry order, so a bucket iterates in insertion order.  A theta or cross
+    join keys every row by ``()`` and so keeps a single bucket.
+    """
+
+    def __init__(self) -> None:
+        self.bloom: BloomFilter | None = None
+        self.buckets: dict[tuple, dict[tuple[Row, int], int]] | None = None
+        self._entries = 0  # entries over all buckets, for memory_bytes()
+
+    def summarise(
+        self, key: Callable[[Row], tuple], whole: AnnotatedDelta, false_positive_rate: float
+    ) -> None:
+        """Seed the filter from the side's ``whole`` result."""
+        keys = set(map(key, whole.rows))
+        self.bloom = BloomFilter(max(len(keys), 16), false_positive_rate)
+        self.bloom.add_all(keys)
+
+    def materialise(self, key: Callable[[Row], tuple], whole: AnnotatedDelta) -> None:
+        """Index the side's ``whole`` result and release the filter."""
+        self.bloom = None
+        self.buckets = {}
+        self._entries = 0
+        self.apply(key, whole)
+
+    def apply(self, key: Callable[[Row], tuple], delta: AnnotatedDelta) -> None:
+        """Bring the side forward by its own delta.  Inserted keys enter the
+        filter of a summarised side; a materialised side adds the signed
+        counts and drops entries (and buckets) that reach zero."""
+        buckets = self.buckets
+        if buckets is None:
+            if self.bloom is not None:
+                self.bloom.add_all(
+                    {key(row) for row, count in zip(delta.rows, delta.counts) if count > 0}
+                )
+            return
+        for join_key, entry, count in zip(
+            map(key, delta.rows), zip(delta.rows, delta.annotations), delta.counts
+        ):
+            bucket = buckets.get(join_key)
+            if bucket is None:
+                bucket = buckets[join_key] = {}
+            previous = bucket.get(entry, 0)
+            if previous + count:
+                bucket[entry] = previous + count
+                if not previous:
+                    self._entries += 1
+            else:
+                del bucket[entry]
+                self._entries -= 1
+                if not bucket:
+                    del buckets[join_key]
+
+    def memory_bytes(self) -> int:
+        """Footprint of the filter or of the index, whichever the side has.
+
+        The index is not walked (a store with a memory budget asks after every
+        round): its bucket and entry counts are multiplied by the size of the
+        first bucket's key tuple (its values are the rows' own) and the deep
+        size of that bucket's first entry, dict slots included.
+        """
+        buckets = self.buckets
+        if buckets is None:
+            return self.bloom.byte_size() if self.bloom is not None else 0
+        size = sys.getsizeof(buckets)
+        if buckets:
+            join_key, bucket = next(iter(buckets.items()))
+            entry = next(iter(bucket))
+            size += len(buckets) * sys.getsizeof(join_key)
+            size += self._entries * (
+                MemoryMeter().measure_many((entry, bucket[entry]))
+                + sys.getsizeof(bucket) // len(bucket)
+            )
+        return size
 
 
 class TopKState:

@@ -778,13 +778,18 @@ class Database:
     # -- maintenance helpers -------------------------------------------------------------------
 
     def snapshot_relation(self, table: str, version: int) -> Relation:
-        """Reconstruct the contents of ``table`` as of ``version``.
+        """The contents of ``table`` as of ``version`` (a fresh mutable copy).
 
-        Served from the per-version snapshot cache (a fresh mutable copy is
-        returned); counts as one scan like :meth:`relation`.
+        That is the live table when no commit after ``version`` touched it --
+        checked and copied under the write lock, so a racing commit falls
+        wholly before the check or wholly after the copy -- and otherwise the
+        per-version snapshot cache, which rolls the table back through the
+        audit log.  Counts as one scan like :meth:`relation`.
         """
         if version > self._version or version < 0:
             raise StorageError(f"unknown version {version}")
         with self._lock:
+            if self.table(table).last_modified_version <= version:
+                return self.relation(table)
             self._scan_counter += 1
         return self.snapshot_batch(table, version).to_relation()

@@ -417,7 +417,8 @@ class AnnotatedEvaluator:
 def engine_output(plan, partition, database) -> dict[tuple[Row, BitSet], int]:
     """The root output of the engine's from-scratch pass, shaped like the
     oracle's entries: ``(row, annotation) -> multiplicity``."""
-    output = compile_plan(plan, partition, database, IMPConfig()).process(Pass.scratch())
+    root = compile_plan(plan, partition, database, IMPConfig())
+    output = root.process(Pass.scratch(database.version))
     entries: dict[tuple[Row, BitSet], int] = {}
     for row, mask, count in output.entries():
         key = (row, BitSet.from_mask(mask))

@@ -62,7 +62,7 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "IMP (ms)" in output
         assert "speedup" in output
-        assert "backend round trips" in output
+        assert "join sides built" in output
 
     def test_maintain_with_optimizations_disabled(self, capsys):
         exit_code = main(

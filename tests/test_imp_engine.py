@@ -44,7 +44,7 @@ class TestEngineBasics:
     def test_maintain_before_initialize_rejected(self, sales_db, sales_partition):
         engine = IncrementalEngine(sales_db.plan(Q_TOP), sales_partition, sales_db)
         with pytest.raises(PlanError):
-            engine.maintain(sales_db.database_delta_since(["sales"], 0))
+            engine.maintain(sales_db.database_delta_since(["sales"], 0), sales_db.version)
 
     def test_maintain_without_a_delta_rejected(self, sales_db, sales_partition):
         """No delta is what a from-scratch pass carries; over built state it
@@ -52,7 +52,7 @@ class TestEngineBasics:
         engine = IncrementalEngine(sales_db.plan(Q_TOP), sales_partition, sales_db)
         sketch = engine.initialize()
         with pytest.raises(PlanError):
-            engine.maintain(None)
+            engine.maintain(None, sales_db.version)
         assert engine.current_sketch() == sketch
 
     def test_paper_example_insertion_adds_rho2(self, sales_db, sales_partition):
@@ -61,7 +61,9 @@ class TestEngineBasics:
         engine.initialize()
         version = sales_db.version
         sales_db.insert("sales", [S8])
-        outcome = engine.maintain(sales_db.database_delta_since(["sales"], version))
+        outcome = engine.maintain(
+            sales_db.database_delta_since(["sales"], version), sales_db.version
+        )
         assert outcome.sketch_delta.added == frozenset({1})
         assert not outcome.sketch_delta.removed
 
@@ -72,14 +74,18 @@ class TestEngineBasics:
         version = sales_db.version
         # Deleting the MacBook Pro drops Apple below the HAVING threshold.
         sales_db.delete_rows("sales", [(4, "Apple", "MacBook Pro 14-inch", 3875, 1)])
-        outcome = engine.maintain(sales_db.database_delta_since(["sales"], version))
+        outcome = engine.maintain(
+            sales_db.database_delta_since(["sales"], version), sales_db.version
+        )
         assert outcome.sketch_delta.removed == frozenset({2, 3})
 
     def test_empty_delta_produces_empty_sketch_delta(self, sales_db, sales_partition):
         plan = sales_db.plan(Q_TOP)
         engine = IncrementalEngine(plan, sales_partition, sales_db)
         engine.initialize()
-        outcome = engine.maintain(sales_db.database_delta_since(["sales"], sales_db.version))
+        outcome = engine.maintain(
+            sales_db.database_delta_since(["sales"], sales_db.version), sales_db.version
+        )
         assert not outcome.sketch_delta
 
     def test_explain_lists_operators(self, sales_db, sales_partition):
@@ -145,7 +151,9 @@ def run_random_maintenance(
             database.insert("r", inserts)
         if deletes:
             database.delete_rows("r", deletes)
-        outcome = engine.maintain(database.database_delta_since(plan.referenced_tables(), version))
+        outcome = engine.maintain(
+            database.database_delta_since(plan.referenced_tables(), version), database.version
+        )
         assert not outcome.needs_recapture
         sketch = sketch.apply_delta(outcome.sketch_delta)
         if maintained_matches_truth(engine, sketch, plan, partition, database):
@@ -288,13 +296,14 @@ class TestJoinMaintenance:
             r_rows.extend(new_r)
             s_rows.extend(new_s)
             outcome = engine.maintain(
-                database.database_delta_since(plan.referenced_tables(), version)
+                database.database_delta_since(plan.referenced_tables(), version),
+                database.version,
             )
             sketch = sketch.apply_delta(outcome.sketch_delta)
             assert maintained_matches_truth(engine, sketch, plan, partition, database)
         assert engine.statistics.backend_round_trips > 0
 
-    def test_bloom_filter_skips_round_trip_for_unjoinable_deltas(self):
+    def test_bloom_filter_keeps_side_unbuilt_for_unjoinable_deltas(self):
         database, r_rows, s_rows = self._setup(seed=13)
         sql = "SELECT a, sum(e) AS se FROM r JOIN s ON b = d GROUP BY a HAVING sum(e) > 0"
         plan = database.plan(sql)
@@ -304,7 +313,9 @@ class TestJoinMaintenance:
         version = database.version
         # b = 9999 joins with nothing in s (d ranges over [0, 150)).
         database.insert("r", [(77_777, 3, 9_999, 10)])
-        outcome = engine.maintain(database.database_delta_since(plan.referenced_tables(), version))
+        outcome = engine.maintain(
+            database.database_delta_since(plan.referenced_tables(), version), database.version
+        )
         assert engine.statistics.bloom_filtered_tuples >= 1
         assert engine.statistics.backend_round_trips == 0
         assert not outcome.sketch_delta
@@ -323,7 +334,7 @@ class TestJoinMaintenance:
         database.delete_rows("r", [transient])
         db_delta = database.database_delta_since(plan.referenced_tables(), version)
         assert dict(db_delta.get("r").inserts()) == dict(db_delta.get("r").deletes())
-        outcome = engine.maintain(db_delta)
+        outcome = engine.maintain(db_delta, database.version)
         assert not outcome.sketch_delta
         statistics = engine.statistics
         assert statistics.tuples_processed == 2  # the table access saw both
@@ -353,7 +364,7 @@ class TestJoinMaintenance:
         database.insert("r", [(50_000 + i, i % 20, 10_000 + i, i) for i in range(1000)])
         database.insert("s", [(60_000 + i, 10_000 + i, i % 50) for i in range(1000)])
         outcome = engine.maintain(
-            database.database_delta_since(plan.referenced_tables(), version)
+            database.database_delta_since(plan.referenced_tables(), version), database.version
         )
         assert len(checked) == 3 * 1000  # one partner per delta tuple and term
         sketch = sketch.apply_delta(outcome.sketch_delta)
@@ -361,8 +372,8 @@ class TestJoinMaintenance:
 
     def test_initialize_counts_nothing_and_seeds_both_filters(self):
         """A from-scratch pass is not delta work: no counter moves, the join
-        takes the single ΔQ1 ⋈ ΔQ2 term (no round trip) and seeds its filters
-        from the two child outputs."""
+        takes the single ΔQ1 ⋈ ΔQ2 term (no side is evaluated on its own) and
+        seeds its filters from the two child outputs."""
         database, r_rows, s_rows = self._setup(seed=31)
         plan = database.plan("SELECT a, e FROM r JOIN s ON b = d")
         partition = build_database_partition(database, plan, 10)
@@ -370,9 +381,12 @@ class TestJoinMaintenance:
         sketch = engine.initialize()
         assert engine.statistics == EngineStatistics()
         join = engine._merge.child.child
-        assert all((row[2],) in join.left_bloom for row in r_rows)
-        assert all((row[1],) in join.right_bloom for row in s_rows)
-        assert (9_999,) not in join.right_bloom
+        left, right = (side.state for side in join.sides)
+        assert all((row[2],) in left.bloom for row in r_rows)
+        assert all((row[1],) in right.bloom for row in s_rows)
+        assert (9_999,) not in right.bloom
+        # Capture materialises neither side: that waits for the first probe.
+        assert left.buckets is None and right.buckets is None
         assert set(sketch.fragment_ids()) == set(
             AnnotatedEvaluator(database, partition).capture(plan).fragment_ids()
         )
@@ -394,12 +408,14 @@ class TestJoinMaintenance:
         version = database.version
         database.insert("r", [(1, 1, 7, 10), (2, 1, 8, 60)])
         database.insert("s", [(1, 7, 90)])
-        outcome = engine.maintain(database.database_delta_since(["r", "s"], version))
+        outcome = engine.maintain(
+            database.database_delta_since(["r", "s"], version), database.version
+        )
         sketch = sketch.apply_delta(outcome.sketch_delta)
         assert maintained_matches_truth(engine, sketch, plan, partition, database)
         assert len(sketch) == 2
 
-    def test_bloom_filters_disabled_forces_round_trip(self):
+    def test_bloom_filters_disabled_builds_side_for_unjoinable_delta(self):
         database, _r, _s = self._setup(seed=19)
         sql = "SELECT a, sum(e) AS se FROM r JOIN s ON b = d GROUP BY a HAVING sum(e) > 0"
         plan = database.plan(sql)
@@ -408,7 +424,9 @@ class TestJoinMaintenance:
         engine.initialize()
         version = database.version
         database.insert("r", [(88_888, 3, 9_999, 10)])
-        engine.maintain(database.database_delta_since(plan.referenced_tables(), version))
+        engine.maintain(
+            database.database_delta_since(plan.referenced_tables(), version), database.version
+        )
         assert engine.statistics.backend_round_trips >= 1
 
 
@@ -476,7 +494,9 @@ class TestScalarAggregate:
         for step in steps:
             version = database.version
             step()
-            outcome = engine.maintain(database.database_delta_since(tables, version))
+            outcome = engine.maintain(
+                database.database_delta_since(tables, version), database.version
+            )
             assert not outcome.needs_recapture
             sketch = sketch.apply_delta(outcome.sketch_delta)
             assert set(sketch.fragment_ids()) == oracle()
@@ -494,11 +514,11 @@ class TestScalarAggregate:
         assert len(aggregation.state) == 0
         version = database.version
         database.insert("r", [(1, 10)])
-        engine.maintain(database.database_delta_since(["r"], version))
+        engine.maintain(database.database_delta_since(["r"], version), database.version)
         assert len(aggregation.state) == 1 and len(engine.current_sketch()) == 1
         version = database.version
         database.delete_rows("r", [(1, 10)])
-        engine.maintain(database.database_delta_since(["r"], version))
+        engine.maintain(database.database_delta_since(["r"], version), database.version)
         assert len(aggregation.state) == 0 and len(engine.current_sketch()) == 0
 
 
@@ -517,7 +537,7 @@ class TestBufferedStateRecapture:
         # Delete the four smallest values of group 0: more than the buffer holds.
         victims = sorted((row for row in rows if row[1] == 0), key=lambda r: r[2])[:4]
         database.delete_rows("r", victims)
-        outcome = engine.maintain(database.database_delta_since(["r"], version))
+        outcome = engine.maintain(database.database_delta_since(["r"], version), database.version)
         assert outcome.needs_recapture
 
     def test_topk_buffer_exhaustion_requests_recapture(self):
@@ -533,7 +553,7 @@ class TestBufferedStateRecapture:
         version = database.version
         # Delete the 10 smallest groups: the buffered head of the ranking is gone.
         database.delete_rows("r", rows[:10])
-        outcome = engine.maintain(database.database_delta_since(["r"], version))
+        outcome = engine.maintain(database.database_delta_since(["r"], version), database.version)
         assert outcome.needs_recapture
 
     def test_large_buffers_do_not_trigger_recapture(self):
@@ -548,7 +568,7 @@ class TestBufferedStateRecapture:
         engine.initialize()
         version = database.version
         database.delete_rows("r", rows[:3])
-        outcome = engine.maintain(database.database_delta_since(["r"], version))
+        outcome = engine.maintain(database.database_delta_since(["r"], version), database.version)
         assert not outcome.needs_recapture
 
 
@@ -591,8 +611,9 @@ class TestStatisticsAndMemory:
                 (scan,) = scan.children()
             # Pushed down, the filter runs at the scan: half the table never
             # gets annotated or reaches the selection.
-            assert len(scan.process(Pass.scratch())) == (100 if pushdown else 200)
-            outputs[pushdown] = root.process(Pass.scratch())
+            whole = Pass.scratch(database.version)
+            assert len(scan.process(whole)) == (100 if pushdown else 200)
+            outputs[pushdown] = root.process(whole)
         assert len(outputs[True].rows) == 100
         assert list(outputs[True].entries()) == list(outputs[False].entries())
 
@@ -612,8 +633,8 @@ class TestStatisticsAndMemory:
         version = database.version
         database.insert("r", [(1_000 + i, i % 5, 60 + i % 40, i) for i in range(20)])
         delta = database.database_delta_since(["r"], version)
-        with_pd.maintain(delta)
-        without_pd.maintain(delta)
+        with_pd.maintain(delta, database.version)
+        without_pd.maintain(delta, database.version)
         assert with_pd.statistics.delta_tuples_filtered == 20
         assert without_pd.statistics.delta_tuples_filtered == 0
         assert with_pd.statistics.delta_tuples_fetched == 0

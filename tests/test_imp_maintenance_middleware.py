@@ -252,6 +252,35 @@ class TestMiddleware:
         assert system.statistics.sketch_captures == 1
         assert system.statistics.sketch_maintenances >= 3
 
+    def test_instrumented_plan_is_cached_by_sketch_content(self):
+        """Maintenance that leaves the sketch as it was reuses the rewritten
+        plan; only a changed sketch pays for the use rewrite and the optimizer
+        again."""
+        database = Database()
+        table = load_synthetic(database, num_rows=1500, num_groups=40, seed=3)
+        system = IMPSystem(database, num_fragments=16)
+        sql = q_groups(threshold=800)  # ... HAVING avg(c) < 800, sketch on r.a
+        system.run_query(sql)
+        (entry,) = system.store.entries()
+        plan, sketch = entry.instrumented_plan, entry.sketch
+        assert entry.instrumented_sketch == sketch
+        version = entry.valid_at_version
+        system.apply_update("r", table.make_inserts(3))
+        assert system.run_query(sql) == database.query(sql)
+        assert entry.valid_at_version > version  # maintained ...
+        assert entry.sketch == sketch  # ... to the same sketch
+        assert entry.instrumented_plan is plan
+        # Pull the average of the last group under the threshold: its
+        # fragment enters the sketch and the plan is rewritten.
+        filler = table.make_inserts(1)[0][4:]
+        system.apply_update(
+            "r", [(100_000 + i, 39, 1.0, 0.0, *filler) for i in range(300)]
+        )
+        assert system.run_query(sql) == database.query(sql)
+        assert entry.sketch != sketch
+        assert entry.instrumented_plan is not plan
+        assert entry.instrumented_sketch == entry.sketch
+
     def test_unsupported_query_falls_back_to_plain_evaluation(self):
         database = self._loaded_db()
         system = IMPSystem(database, num_fragments=16)

@@ -45,7 +45,7 @@ def test_correlated_inserts_on_both_join_sides(use_bloom):
         database.insert("orders", new_orders)
         database.insert("lineitem", new_lineitems + data.make_lineitem_inserts(60))
         outcome = engine.maintain(
-            database.database_delta_since(plan.referenced_tables(), version)
+            database.database_delta_since(plan.referenced_tables(), version), database.version
         )
         assert not outcome.needs_recapture
         sketch = sketch.apply_delta(outcome.sketch_delta)

@@ -59,7 +59,9 @@ class TestRunningExample:
         sketch = engine.initialize()
         version = sales_db.version
         sales_db.insert("sales", [S8])
-        outcome = engine.maintain(sales_db.database_delta_since(["sales"], version))
+        outcome = engine.maintain(
+            sales_db.database_delta_since(["sales"], version), sales_db.version
+        )
         maintained = sketch.apply_delta(outcome.sketch_delta)
         assert sorted(maintained.fragment_ids()) == [1, 2, 3]
         through_maintained = sorted(
@@ -110,7 +112,9 @@ class TestExample51:
         engine.initialize()
         version = database.version
         database.insert("r", [(5, 8)])
-        outcome = engine.maintain(database.database_delta_since(["r", "s"], version))
+        outcome = engine.maintain(
+            database.database_delta_since(["r", "s"], version), database.version
+        )
         added = outcome.sketch_delta.added
         assert partition.global_id("r", 0) in added  # f1
         assert partition.global_id("s", 1) in added  # g2
@@ -124,7 +128,9 @@ class TestExample51:
         version = database.version
         # Deleting (9, 9) removes the only tuple justifying f2 and g1.
         database.delete_rows("r", [(9, 9)])
-        outcome = engine.maintain(database.database_delta_since(["r", "s"], version))
+        outcome = engine.maintain(
+            database.database_delta_since(["r", "s"], version), database.version
+        )
         maintained = sketch.apply_delta(outcome.sketch_delta)
         accurate = capture_sketch(plan, partition, database)
         assert set(maintained.fragment_ids()) == set(accurate.fragment_ids())

@@ -70,8 +70,8 @@ class TestEngineStateRoundTrip:
         database.delete_rows("r", deletes)
         database.insert("r", inserts)
         delta = database.database_delta_since(plan.referenced_tables(), version)
-        live_outcome = live.maintain(delta)
-        restored_outcome = restored.maintain(delta)
+        live_outcome = live.maintain(delta, database.version)
+        restored_outcome = restored.maintain(delta, database.version)
         assert live_outcome.sketch_delta.added == restored_outcome.sketch_delta.added
         assert live_outcome.sketch_delta.removed == restored_outcome.sketch_delta.removed
 
@@ -161,8 +161,10 @@ class TestBackendPersistence:
         _sql, restored = persistence.load_maintainer("entry")
         assert restored.valid_at_version == maintainer.valid_at_version
 
-    def test_restored_join_query_skips_bloom_but_stays_correct(self, loaded_db):
-        """... until each filter has been seeded again, after which it prunes."""
+    def test_restored_join_query_rebuilds_side_state_and_stays_correct(self, loaded_db):
+        """What a join keeps of its sides is not persisted: a restored join
+        has neither filters nor indexes and builds each side's index at the
+        first delta of the other side."""
         database, table = loaded_db
         sql = q_joinsel(filter_threshold=2000, having_threshold=2000)
         plan = database.plan(sql)
@@ -183,28 +185,27 @@ class TestBackendPersistence:
             for operator in _operators_in_order(restored.engine._merge)
             if isinstance(operator, IncrementalJoin)
         ]
-        # Filters are not persisted: the restored join starts without them ...
-        assert join.left_bloom is None and join.right_bloom is None
+        left, right = (side.state for side in join.sides)
+        assert left.bloom is None and right.bloom is None
+        assert left.buckets is None and right.buckets is None
         assert_over_approximates(restored.maintain())
-        # ... and seeds each from the first whole-side evaluation it performs:
-        # a delta on r evaluates (and seeds) the tjoinhelp side, and vice versa.
-        assert join.right_bloom is not None and join.left_bloom is None
+        # A delta on r builds the tjoinhelp side, and vice versa.
+        assert right.buckets is not None and left.buckets is None
         assert restored.statistics.bloom_filtered_tuples == 0
         database.insert("tjoinhelp", [(10_000 + i, i % 60, i) for i in range(5)])
         assert_over_approximates(restored.maintain())
-        assert join.left_bloom is not None
+        assert left.buckets is not None
+        assert restored.statistics.backend_round_trips == 2
 
-        # Pruning works again: r rows whose key has no partner never reach
-        # the backend.
-        round_trips = restored.statistics.backend_round_trips
+        # Both sides are indexed now: r rows whose key has no partner find an
+        # empty bucket, and nothing is evaluated from scratch any more.
         unjoinable = [(row[0], 9_999, *row[2:]) for row in table.make_inserts(4)]
         database.insert("r", unjoinable)
         assert_over_approximates(restored.maintain())
-        assert restored.statistics.bloom_filtered_tuples == 4
-        assert restored.statistics.backend_round_trips == round_trips
+        assert restored.statistics.backend_round_trips == 2
 
-    def test_loading_into_an_initialised_engine_drops_its_filters(self, loaded_db):
-        """They were seeded from the database the engine saw, not from the
+    def test_loading_into_an_initialised_engine_drops_its_side_state(self, loaded_db):
+        """It was derived from the database the engine saw, not from the
         state being restored."""
         database, _table = loaded_db
         plan = database.plan(q_joinsel(filter_threshold=2000, having_threshold=2000))
@@ -212,6 +213,7 @@ class TestBackendPersistence:
         saved = IncrementalEngine(plan, partition, database)
         saved.initialize()
         payload = dump_engine_state(saved)
+        version = database.version
         database.insert("tjoinhelp", [(20_000 + i, 7_000 + i, i) for i in range(5)])
         engine = IncrementalEngine(plan, partition, database)
         engine.initialize()
@@ -220,9 +222,19 @@ class TestBackendPersistence:
             for operator in _operators_in_order(engine._merge)
             if isinstance(operator, IncrementalJoin)
         ]
-        assert join.left_bloom is not None and join.right_bloom is not None
+        assert all(side.state.bloom is not None for side in join.sides)
         load_engine_state(engine, payload)
-        assert join.left_bloom is None and join.right_bloom is None
+        assert all(
+            side.state.bloom is None and side.state.buckets is None
+            for side in join.sides
+        )
+        # The restored engine is at the saved version and maintains from there.
+        engine.maintain(
+            database.database_delta_since(plan.referenced_tables(), version), database.version
+        )
+        assert set(engine.current_sketch().fragment_ids()) >= set(
+            capture_sketch(plan, partition, database).fragment_ids()
+        )
 
     def test_missing_key_and_forget(self, loaded_db):
         database, _table = loaded_db

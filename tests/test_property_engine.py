@@ -64,8 +64,9 @@ OPERATOR_QUERIES = {
     "equi_join": "SELECT a, c, w FROM r JOIN s ON (a = ttid) WHERE c < 700",
     "theta_join": "SELECT a, c, w FROM r JOIN s ON (a < ttid) WHERE c < 300",
     "cross_product": "SELECT a, w FROM r, s WHERE c < 200",
-    # A stateful side plan: the join re-evaluates it from scratch whenever
-    # the other side changes, while its own copy is maintained incrementally.
+    # A stateful side plan: the join evaluates it from scratch once, when the
+    # other side first changes, and then brings that copy forward by the
+    # deltas of the incrementally maintained one.
     "aggregation_below_join": (
         "SELECT a, n, w FROM (SELECT a AS a, count(*) AS n, min(c) AS lo FROM r GROUP BY a) t "
         "JOIN s ON (a = ttid) WHERE lo < 300"
@@ -185,7 +186,7 @@ class TestMaintainedEqualsRecaptured:
                     set(dict(delta.inserts())) & set(dict(delta.deletes()))
                     for _table, delta in db_delta.items()
                 )
-            outcome = engine.maintain(db_delta)
+            outcome = engine.maintain(db_delta, database.version)
             assert not outcome.needs_recapture
             recaptured = capture_sketch(plan, partition, database)
             oracle = AnnotatedEvaluator(database, partition).capture(plan)
@@ -236,7 +237,9 @@ class TestMaintenanceProperties:
                 database.delete_rows("r", deletes)
             if not inserts and not deletes:
                 continue
-            outcome = engine.maintain(database.database_delta_since(["r"], version))
+            outcome = engine.maintain(
+                database.database_delta_since(["r"], version), database.version
+            )
             if outcome.needs_recapture:
                 engine.reset()
                 sketch = engine.initialize()
@@ -270,7 +273,9 @@ class TestMaintenanceProperties:
             for victim in deletes:
                 rows.remove(victim)
             database.delete_rows("r", deletes)
-            outcome = engine.maintain(database.database_delta_since(["r"], version))
+            outcome = engine.maintain(
+                database.database_delta_since(["r"], version), database.version
+            )
             if outcome.needs_recapture:
                 engine.reset()
                 sketch = engine.initialize()

@@ -255,7 +255,7 @@ class TestEngineRestrictDelta:
         shared.set_delta("unrelated", database.delta_since("unrelated", version))
         restricted = maintainer.engine.restrict_delta(shared)
         assert list(restricted.tables()) == ["r"]
-        outcome = maintainer.engine.maintain(restricted)
+        outcome = maintainer.engine.maintain(restricted, database.version)
         assert not outcome.needs_recapture
         sketch = maintainer.sketch.apply_delta(outcome.sketch_delta)
         # Ground truth: an identically-captured engine fed the restricted delta.
