@@ -108,7 +108,7 @@ class BaseMaintainer:
         raise NotImplementedError
 
     def maintain_with(
-        self, db_delta: DatabaseDelta, target_version: int | None = None
+        self, db_delta: DatabaseDelta, target_version: int
     ) -> MaintenanceResult:
         """Bring the sketch up to date using a delta fetched by the caller.
 
@@ -196,19 +196,19 @@ class IncrementalMaintainer(BaseMaintainer):
         return self._maintain_from(db_delta, target, started)
 
     def maintain_with(
-        self, db_delta: DatabaseDelta, target_version: int | None = None
+        self, db_delta: DatabaseDelta, target_version: int
     ) -> MaintenanceResult:
         """Maintain from a delta the caller already fetched (shared rounds).
 
         ``db_delta`` must cover all changes of the plan's referenced tables in
         ``(valid_at_version, target_version]``; deltas of unrelated tables are
-        ignored.  ``target_version`` defaults to the current database version.
+        ignored.  ``target_version`` is the version the caller fetched the
+        delta up to -- required, because the live version may already be
+        newer and the sketch must not be marked valid past what it saw.
         """
         if not self.is_captured:
             return self.capture()
         started = time.perf_counter()
-        if target_version is None:
-            target_version = self.database.version
         return self._maintain_from(db_delta, target_version, started)
 
     def _maintain_from(

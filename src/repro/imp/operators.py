@@ -231,19 +231,13 @@ class IncrementalTableAccess(IncrementalOperator):
         # Entry order: table order from scratch; otherwise inserts then
         # deletes, each in the delta's own order.
         if run.from_scratch:
-            entries = list(self.database.snapshot_relation(self.table, run.version).items())
-            inserted = len(entries)
+            table = self.database.snapshot_relation(self.table, run.version)
+            rows, counts = map(list, zip(*table.items())) if table else ([], [])
         else:
             delta = run.db_delta.get(self.table)
-            if not delta:
-                return AnnotatedDelta(self.output_schema)
-            entries = list(delta.inserts())
-            inserted = len(entries)
-            entries.extend(delta.deletes())
-        if not entries:
+            rows, counts = delta.signed_entries() if delta else ([], [])
+        if not rows:
             return AnnotatedDelta(self.output_schema)
-        rows, counts = map(list, zip(*entries))
-        counts[inserted:] = [-count for count in counts[inserted:]]
         # Annotated below, once the delta filter has dropped what it can.
         output = AnnotatedDelta(self.output_schema, rows, [0] * len(rows), counts)
         fetched = len(output)

@@ -12,8 +12,10 @@ comes from.
 Batches are immutable by convention: kernels never mutate the column lists of
 an input batch, they build new lists (or share input lists unchanged, e.g. a
 projection of plain column references).  This is what allows
-:meth:`repro.storage.table.StoredTable.as_column_batch` to cache one pivoted
-batch per table version and hand the *same* object to every scan.
+:meth:`repro.storage.table.StoredTable.as_column_batch` to keep one batch per
+table version and hand the *same* object to every scan; the next version's
+batch is a copy of the lists brought forward by the committed deltas
+(:class:`SlotMap`), never an edit of lists a reader may still hold.
 
 Entries are ``(row, multiplicity)`` pairs exactly like ``Relation.items()``;
 a batch may carry duplicate rows (e.g. after a projection).  A batch whose
@@ -27,7 +29,9 @@ bit-identical between the two engines.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
+from itertools import count
 
 from repro.relational.schema import Relation, Row, Schema
 
@@ -148,3 +152,73 @@ class ColumnBatch:
             for row, multiplicity in zip(rows, multiplicities):
                 counts[row] = get(row, 0) + multiplicity
         return counts
+
+
+class SlotMap:
+    """Which entry of a consolidated batch holds which row.
+
+    Rows are numbered in arrival order (``sequence_of[row]``) and
+    ``sequences`` lists the numbers of the live entries, ascending: entry
+    ``i`` of the batch is the row numbered ``sequences[i]``, so a row's slot is
+    one bisect away and removing an entry renumbers no other.  This is the
+    private, mutable companion of an immutable :class:`ColumnBatch`:
+    :meth:`apply` brings column lists the caller owns (fresh copies of a
+    published batch's lists) forward by one bag delta and keeps the map in
+    step.
+    """
+
+    __slots__ = ("sequence_of", "sequences", "next_sequence")
+
+    def __init__(self, rows: Iterable[Row]) -> None:
+        """Number the distinct ``rows`` of a batch in entry order."""
+        self.sequence_of: dict[Row, int] = dict(zip(rows, count()))
+        self.next_sequence = len(self.sequence_of)
+        self.sequences = list(range(self.next_sequence))
+
+    def rows(self) -> list[Row]:
+        """The rows in entry order."""
+        return list(self.sequence_of)
+
+    def apply(
+        self,
+        columns: Sequence[list],
+        multiplicities: list[int],
+        deletes: Iterable[tuple[Row, int]],
+        inserts: Iterable[tuple[Row, int]],
+    ) -> None:
+        """Apply a bag delta in place: deletes first, then inserts.
+
+        A delete lowers the entry's multiplicity and removes the entry once
+        it reaches zero; an insert raises the multiplicity of the row's entry
+        or appends a new one.  Removal closes the gap (``del list[slot]``, a
+        C-level shift of the tail), so entries stay in arrival order -- the
+        order of the stored table's row dict and of its index buckets, which
+        is what keeps every access path bit-identical on float aggregates.
+        Python-level work is per delta tuple, never per table row.  Every
+        delete must be covered by the entries, as committed deltas are.
+        ``columns`` may be empty when only rows and multiplicities are wanted.
+        """
+        sequence_of = self.sequence_of
+        sequences = self.sequences
+        for row, amount in deletes:
+            slot = bisect_left(sequences, sequence_of[row])
+            remaining = multiplicities[slot] - amount
+            if remaining > 0:
+                multiplicities[slot] = remaining
+                continue
+            del sequence_of[row]
+            del sequences[slot]
+            del multiplicities[slot]
+            for column in columns:
+                del column[slot]
+        for row, amount in inserts:
+            sequence = sequence_of.get(row)
+            if sequence is None:
+                sequence_of[row] = self.next_sequence
+                sequences.append(self.next_sequence)
+                self.next_sequence += 1
+                multiplicities.append(amount)
+                for column, value in zip(columns, row):
+                    column.append(value)
+            else:
+                multiplicities[bisect_left(sequences, sequence)] += amount

@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from repro.core.errors import StorageError
 from repro.relational.algebra import PlanNode
-from repro.relational.columnar import ColumnBatch
+from repro.relational.columnar import ColumnBatch, SlotMap
 from repro.relational.evaluator import Evaluator
 from repro.relational.expressions import compile_expression
 from repro.relational.schema import Relation, Row, Schema
@@ -38,11 +38,6 @@ from repro.storage.statistics import (
 )
 from repro.storage.table import StoredTable, canonical_items
 from repro.storage.wal import FSYNC_ALWAYS, FileFactory
-
-# Canonical snapshot ordering lives in repro.storage.table (shared with the
-# durable checkpoint writer); the old private names are kept as aliases for
-# in-repo callers that imported them.
-_canonical_items = canonical_items
 
 
 class Database:
@@ -186,7 +181,8 @@ class Database:
 
         Takes the write lock: reading live table state while a multi-table
         commit is mid-apply would observe a torn database.  Sessions read
-        pinned snapshots instead and skip this lock entirely.
+        pinned snapshots instead and skip this lock entirely.  The rows come
+        in the order :meth:`column_batch` enumerates them at this version.
         """
         with self._lock:
             self._scan_counter += 1
@@ -195,8 +191,10 @@ class Database:
     def column_batch(self, table: str):
         """The current contents of ``table`` as a shared columnar batch.
 
-        Serves the vectorized evaluator's table scans; cached per version in
-        the stored table so repeated scans do not re-pivot rows.  Counts as a
+        Serves the vectorized evaluator's table scans.  One batch object per
+        version: repeated scans share it, and the first scan after a commit
+        gets the previous batch brought forward by the committed deltas
+        (:meth:`StoredTable.as_column_batch`), not a re-pivot.  Counts as a
         full scan exactly like :meth:`relation` (it reads the whole table),
         keeping the scan-count instrumentation comparable between the row and
         vectorized engines.  The batch is shared and must not be mutated.
@@ -688,9 +686,7 @@ class Database:
             if cached is not None:
                 return cached
             if effective == stored.last_modified_version:
-                batch = ColumnBatch.from_items(
-                    stored.schema, _canonical_items(stored.items()), consolidated=True
-                )
+                entries = stored.items()
             else:
                 history = self._audit_log.table_deltas_after(stored.name, effective)
                 if len(history) < stored.modifications_after(effective):
@@ -702,16 +698,19 @@ class Database:
                         f"snapshot history of table {stored.name!r} below version "
                         f"{version} has been pruned"
                     )
-                relation = stored.as_relation()
+                # The same apply that brings the live batch forward, run
+                # backwards; no columns, the canonical sort re-pivots anyway.
+                counts = dict(stored.items())
+                slots, multiplicities = SlotMap(counts), list(counts.values())
                 for _newer, delta in reversed(history):
                     undo = delta.inverted()
-                    for row, multiplicity in undo.deletes():
-                        relation.remove(row, multiplicity)
-                    for row, multiplicity in undo.inserts():
-                        relation.add(row, multiplicity)
-                batch = ColumnBatch.from_items(
-                    stored.schema, _canonical_items(relation.items()), consolidated=True
-                )
+                    slots.apply((), multiplicities, undo.deletes(), undo.inserts())
+                entries = zip(slots.rows(), multiplicities)
+            # Canonical order makes the snapshot a function of the version's
+            # content alone (recovered and pinned reads are bit-identical).
+            batch = ColumnBatch.from_items(
+                stored.schema, canonical_items(entries), consolidated=True
+            )
             stored.store_snapshot(effective, batch)
             return batch
 

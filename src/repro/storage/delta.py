@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import neg
 
 from repro.core.errors import SchemaError
 from repro.relational.schema import Relation, Row, Schema
@@ -189,6 +190,13 @@ class Delta:
             yield DeltaTuple(INSERT, row, multiplicity)
         for row, multiplicity in self._deletes.items():
             yield DeltaTuple(DELETE, row, multiplicity)
+
+    def signed_entries(self) -> tuple[list[Row], list[int]]:
+        """Parallel lists of rows and signed counts: the inserts (positive),
+        then the deletes (negative), each bag in its own order."""
+        rows = [*self._inserts, *self._deletes]
+        counts = [*self._inserts.values(), *map(neg, self._deletes.values())]
+        return rows, counts
 
     def insert_relation(self) -> Relation:
         """Inserted tuples as a relation."""

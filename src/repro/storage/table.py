@@ -12,7 +12,7 @@ import bisect
 from collections.abc import Callable, Iterable, Iterator
 
 from repro.core.errors import SchemaError, StorageError
-from repro.relational.columnar import ColumnBatch
+from repro.relational.columnar import ColumnBatch, SlotMap
 from repro.relational.predicates import Interval
 from repro.relational.schema import Relation, Row, Schema, order_component
 from repro.storage.delta import Delta
@@ -150,6 +150,12 @@ class AttributeIndex:
 class StoredTable:
     """A named base table."""
 
+    _MAX_PENDING_DELETES = 128
+    """Bringing the batch forward removes an entry by shifting the tail of
+    every column: C-level, but about 1-2% of copying the table each, where a
+    re-pivot costs four to eight copies.  Beyond this many queued deletes the
+    re-pivot wins, whatever the table's size."""
+
     def __init__(
         self,
         name: str,
@@ -165,7 +171,18 @@ class StoredTable:
         self._key_index: dict[object, Row] = {}
         self._indexes: dict[str, AttributeIndex] = {}
         self._row_count = 0
-        self._column_cache: ColumnBatch | None = None
+        # The live columnar batch is *maintained*, not re-derived: a commit
+        # leaves ``_batch`` (the batch of the last version a scan asked for)
+        # in place and queues its delta in ``_pending``; the next scan
+        # publishes the new version's batch as the old lists copied at C speed
+        # plus the queued deltas, applied per delta tuple through ``_slots``.
+        # All three exist only while a batch does, so a table that is never
+        # scanned column-wise queues and holds nothing.
+        self._batch: ColumnBatch | None = None
+        self._slots: SlotMap | None = None
+        self._pending: list[Delta] = []
+        self._pending_tuples = 0
+        self._pending_deletes = 0
         # Version history for snapshot-isolated readers.  ``_modified_versions``
         # records every database version whose commit touched this table (a
         # plain int list, never pruned, so effective-version lookups stay
@@ -204,25 +221,72 @@ class StoredTable:
         return iter(self._rows.items())
 
     def as_relation(self) -> Relation:
-        """The table contents as a relation (a copy; safe to mutate)."""
-        return Relation(self.schema, dict(self._rows))
+        """The table contents as a relation (a copy; safe to mutate).
+
+        Enumerates the rows in the order :meth:`as_column_batch` does (see
+        the order invariant there).
+        """
+        return Relation.from_counts(self.schema, dict(self._rows))
 
     def as_column_batch(self) -> ColumnBatch:
-        """The table contents pivoted into a columnar batch, cached.
+        """The table contents as a columnar batch, one object per version.
 
-        The pivot is cached until the next mutation -- i.e. per database
-        version, since table contents only change through commits -- so
-        repeated vectorized scans do not re-pivot the rows.  The returned
-        batch is *shared*: callers must treat it as read-only (the vectorized
-        kernels never mutate input batches; relabel it to change the schema).
+        Repeated scans of one version are served the same batch.  After
+        commits the batch of the new version is *brought forward*: the
+        previous batch's lists are copied (C speed, the only O(table) work)
+        and the deltas committed since are applied per delta tuple
+        (:meth:`SlotMap.apply`).  The whole-table pivot is the cold start
+        only: the first scan, and the first scan after :meth:`_forget_batch`.
+
+        Two invariants:
+
+        1. A batch this method has returned is never mutated afterwards.
+           ``relabel()`` shares its lists and a reader in another thread may
+           still hold it, so every version publishes fresh lists; callers
+           must treat the batch as read-only in turn.
+        2. At every version the batch enumerates the rows in the order of the
+           row dict (arrival order, gaps closed) -- exactly what a cold pivot
+           yields, and the order of :meth:`as_relation`, :meth:`items` and the
+           index buckets.  The row oracle, index scans and the batch engine
+           are bit-identical on float aggregates only because they all
+           accumulate in this one order, so bringing a batch forward must
+           never reorder it.
         """
-        cached = self._column_cache
-        if cached is None:
-            cached = ColumnBatch.from_items(
+        batch = self._batch
+        if batch is None:
+            batch = ColumnBatch.from_items(
                 self.schema, self._rows.items(), consolidated=True
             )
-            self._column_cache = cached
-        return cached
+            self._slots = SlotMap(self._rows)
+        elif self._pending:
+            assert self._slots is not None
+            columns = [column.copy() for column in batch.columns]
+            multiplicities = batch.multiplicities.copy()
+            for delta in self._pending:
+                self._slots.apply(
+                    columns, multiplicities, delta.deletes(), delta.inserts()
+                )
+            batch = ColumnBatch(self.schema, columns, multiplicities, consolidated=True)
+            self._pending = []
+            self._pending_tuples = self._pending_deletes = 0
+        self._batch = batch
+        return batch
+
+    @property
+    def pending_batch_tuples(self) -> int:
+        """Committed delta tuples the live batch has not been brought forward
+        by yet (always 0 while no batch exists)."""
+        return self._pending_tuples
+
+    def _forget_batch(self) -> None:
+        """Drop the maintained batch, its slot map and the queued deltas; the
+        next column scan is a cold pivot."""
+        if self._batch is None:
+            return
+        self._batch = None
+        self._slots = None
+        self._pending = []
+        self._pending_tuples = self._pending_deletes = 0
 
     def column_values(self, attribute: str) -> list[object]:
         """All values of ``attribute`` (duplicates included, NULLs skipped)."""
@@ -349,7 +413,15 @@ class StoredTable:
     # -- mutation ----------------------------------------------------------------
 
     def insert(self, row: Row, multiplicity: int = 1) -> None:
-        """Insert ``multiplicity`` copies of ``row``."""
+        """Insert ``multiplicity`` copies of ``row``.
+
+        A direct mutation (outside :meth:`apply_delta`) leaves no delta to
+        bring the batch forward by, so it drops the batch.
+        """
+        self._insert(row, multiplicity)
+        self._forget_batch()
+
+    def _insert(self, row: Row, multiplicity: int) -> None:
         if len(row) != len(self.schema):
             raise SchemaError(
                 f"row arity {len(row)} does not match table {self.name!r} "
@@ -372,7 +444,6 @@ class StoredTable:
             self._key_index[key] = row
         self._rows[row] = self._rows.get(row, 0) + multiplicity
         self._row_count += multiplicity
-        self._column_cache = None
         for index in self._indexes.values():
             index.insert(row, multiplicity)
 
@@ -385,7 +456,15 @@ class StoredTable:
         return count
 
     def delete(self, row: Row, multiplicity: int = 1) -> int:
-        """Delete up to ``multiplicity`` copies of ``row``; return removed count."""
+        """Delete up to ``multiplicity`` copies of ``row``; return removed count.
+
+        Drops the maintained batch, like :meth:`insert`.
+        """
+        removed = self._delete(row, multiplicity)
+        self._forget_batch()
+        return removed
+
+    def _delete(self, row: Row, multiplicity: int) -> int:
         row = tuple(row)
         current = self._rows.get(row, 0)
         if current == 0 or multiplicity <= 0:
@@ -403,7 +482,6 @@ class StoredTable:
         for index in self._indexes.values():
             index.delete(row, removed)
         self._row_count -= removed
-        self._column_cache = None
         return removed
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> list[Row]:
@@ -420,23 +498,47 @@ class StoredTable:
         return deleted
 
     def apply_delta(self, delta: Delta) -> None:
-        """Apply a delta (deletions first, then insertions)."""
-        for row, multiplicity in delta.deletes():
-            removed = self.delete(row, multiplicity)
-            if removed < multiplicity:
-                raise StorageError(
-                    f"delta deletes {multiplicity} copies of a row but table "
-                    f"{self.name!r} only holds {removed}"
-                )
-        for row, multiplicity in delta.inserts():
-            self.insert(row, multiplicity)
+        """Apply a delta (deletions first, then insertions).
+
+        This is the commit path.  It does not touch the maintained batch:
+        while one exists the delta is queued (by reference -- committed
+        deltas are immutable, the audit log shares them too) for the next
+        :meth:`as_column_batch` to bring the batch forward by.  Batch and
+        queue are dropped together once a re-pivot is the cheaper way forward:
+        when the queued tuples outnumber the table's rows, or the queued
+        deletes exceed :attr:`_MAX_PENDING_DELETES`.
+        """
+        try:
+            for row, multiplicity in delta.deletes():
+                removed = self._delete(row, multiplicity)
+                if removed < multiplicity:
+                    raise StorageError(
+                        f"delta deletes {multiplicity} copies of a row but table "
+                        f"{self.name!r} only holds {removed}"
+                    )
+            for row, multiplicity in delta.inserts():
+                self._insert(row, multiplicity)
+        except BaseException:
+            # Half a delta is applied: nothing whole to bring the batch forward by.
+            self._forget_batch()
+            raise
+        if self._batch is not None:
+            deletes = delta.delete_count
+            self._pending.append(delta)
+            self._pending_tuples += delta.insert_count + deletes
+            self._pending_deletes += deletes
+            if (
+                self._pending_tuples > self._row_count
+                or self._pending_deletes > self._MAX_PENDING_DELETES
+            ):
+                self._forget_batch()
 
     def truncate(self) -> None:
         """Remove all rows (indexes are rebuilt empty)."""
         self._rows.clear()
         self._key_index.clear()
         self._row_count = 0
-        self._column_cache = None
+        self._forget_batch()
         for attribute in list(self._indexes):
             self._indexes[attribute] = AttributeIndex(
                 attribute, self.schema.index_of(attribute)

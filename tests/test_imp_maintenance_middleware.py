@@ -69,6 +69,30 @@ class TestIncrementalMaintainer:
         versions = [version for version, _sketch in maintainer.sketch_versions]
         assert versions == sorted(versions)
 
+    def test_maintain_with_stops_at_the_version_the_delta_was_fetched_for(
+        self, maintained_setup
+    ):
+        """A commit landing between the caller's delta fetch and the call must
+        stay visible as staleness: ``target_version`` is required, so the
+        sketch can never be marked valid at a version whose delta it did not
+        see (regression: it used to default to the live version)."""
+        database, plan, partition, maintainer = maintained_setup
+        tables = plan.referenced_tables()
+        captured_at = maintainer.valid_at_version
+        fetched_at = database.insert("sales", [S8])
+        db_delta = database.database_delta_since(tables, captured_at, fetched_at)
+        database.insert("sales", [(9, "HP", "HP ZBook", 4000, 2)])  # the racing commit
+        with pytest.raises(TypeError):
+            maintainer.maintain_with(db_delta)
+        maintainer.maintain_with(db_delta, fetched_at)
+        assert maintainer.valid_at_version == fetched_at
+        assert maintainer.is_stale()
+        result = maintainer.maintain()
+        assert result.delta_tuples == 1  # only the racing commit was left
+        assert maintainer.valid_at_version == database.version
+        truth = capture_sketch(plan, partition, database)
+        assert set(result.sketch.fragment_ids()) == set(truth.fragment_ids())
+
     def test_recapture_on_buffer_exhaustion(self):
         database = Database()
         database.create_table("r", ["id", "a", "b", "c"], primary_key="id")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import SchemaError, StorageError
+from repro.relational.columnar import ColumnBatch, SlotMap
 from repro.relational.schema import Relation, Schema
 from repro.storage.delta import DELETE, INSERT, DatabaseDelta, Delta, DeltaTuple
 from repro.storage.snapshots import AuditLog, AuditRecord
@@ -229,6 +230,176 @@ class TestStoredTable:
         )
         database.apply_database_delta(update)
         assert database.table("t").lookup_by_key(1) == (1, "a2")
+
+
+def entries(batch: ColumnBatch) -> list[tuple]:
+    return list(zip(batch.row_tuples(), batch.multiplicities))
+
+
+class TestSlotMap:
+    """The apply routine behind both the live bring-forward and snapshot
+    rollback: per-tuple edits of caller-owned lists, arrival order kept."""
+
+    ROWS = [(1, "a"), (2, "b"), (3, "c"), (4, "d")]
+
+    def batch_lists(self):
+        columns = [list(column) for column in zip(*self.ROWS)]
+        return SlotMap(self.ROWS), columns, [1, 2, 1, 1]
+
+    def test_bump_partial_delete_removal_and_append(self):
+        slots, columns, multiplicities = self.batch_lists()
+        slots.apply(
+            columns,
+            multiplicities,
+            deletes=[((2, "b"), 1), ((3, "c"), 1)],
+            inserts=[((1, "a"), 4), ((9, "z"), 2)],
+        )
+        assert slots.rows() == [(1, "a"), (2, "b"), (4, "d"), (9, "z")]
+        assert list(zip(*columns)) == slots.rows()
+        assert multiplicities == [5, 1, 1, 2]
+
+    def test_removed_and_reinserted_row_moves_to_the_end_like_a_dict_key(self):
+        slots, columns, multiplicities = self.batch_lists()
+        slots.apply(columns, multiplicities, [((1, "a"), 1)], [((1, "a"), 1)])
+        counts = dict(zip(self.ROWS, [1, 2, 1, 1]))
+        del counts[(1, "a")]
+        counts[(1, "a")] = 1
+        assert list(zip(slots.rows(), multiplicities)) == list(counts.items())
+        assert list(zip(*columns)) == slots.rows()
+
+    def test_slots_stay_exact_after_many_removals(self):
+        rows = [(i,) for i in range(50)]
+        slots, columns, multiplicities = SlotMap(rows), [list(range(50))], [1] * 50
+        slots.apply(columns, multiplicities, [((i,), 1) for i in range(0, 50, 3)], [])
+        slots.apply(columns, multiplicities, [((49,), 1)], [((7,), 2), ((100,), 1)])
+        expected = [i for i in range(49) if i % 3] + [100]
+        assert columns[0] == expected
+        assert multiplicities == [3 if i == 7 else 1 for i in expected]
+
+    def test_without_columns(self):
+        slots, _columns, multiplicities = self.batch_lists()
+        slots.apply((), multiplicities, [((4, "d"), 1)], [((5, "e"), 1)])
+        assert slots.rows() == [(1, "a"), (2, "b"), (3, "c"), (5, "e")]
+        assert multiplicities == [1, 2, 1, 1]
+
+    def test_uncovered_delete_is_an_error(self):
+        slots, columns, multiplicities = self.batch_lists()
+        with pytest.raises(KeyError):
+            slots.apply(columns, multiplicities, [((7, "q"), 1)], [])
+
+
+class TestMaintainedColumnBatch:
+    """``StoredTable.as_column_batch``: commits bring the batch forward; the
+    whole-table pivot is the cold start only."""
+
+    SCHEMA = Schema(["id", "v"])
+
+    def table(self, rows=((1, 1.5), (2, 2.5), (3, 3.5))) -> StoredTable:
+        table = StoredTable("t", self.SCHEMA)
+        table.apply_delta(Delta.from_rows(self.SCHEMA, inserts=rows))
+        return table
+
+    @pytest.fixture()
+    def pivots(self, monkeypatch):
+        """Counts whole-table pivots made by stored tables."""
+        calls = []
+        original = ColumnBatch.from_items.__func__
+
+        def counting(cls, schema, items, consolidated=False):
+            calls.append(schema)
+            return original(cls, schema, items, consolidated)
+
+        monkeypatch.setattr(ColumnBatch, "from_items", classmethod(counting))
+        return calls
+
+    def test_nothing_is_queued_for_a_table_without_a_batch(self):
+        table = self.table()
+        table.apply_delta(Delta.from_rows(self.SCHEMA, inserts=[(4, 4.5)]))
+        assert table.pending_batch_tuples == 0
+        assert table._pending == [] and table._slots is None
+
+    def test_commit_keeps_the_batch_and_the_next_scan_brings_it_forward(self, pivots):
+        table = self.table()
+        first = table.as_column_batch()
+        assert table.as_column_batch() is first
+        assert len(pivots) == 1
+        held = entries(first)
+        table.apply_delta(
+            Delta.from_rows(self.SCHEMA, inserts=[(4, 4.5)], deletes=[(2, 2.5)])
+        )
+        assert table.pending_batch_tuples == 2
+        second = table.as_column_batch()
+        assert len(pivots) == 1  # brought forward, not re-pivoted
+        assert second is not first and table.as_column_batch() is second
+        assert table.pending_batch_tuples == 0
+        assert entries(second) == [((1, 1.5), 1), ((3, 3.5), 1), ((4, 4.5), 1)]
+        assert entries(second) == list(table.items()) == list(table.as_relation().items())
+        # Invariant 1: the batch handed out earlier shares no list with the new one.
+        assert entries(first) == held
+        assert all(a is not b for a, b in zip(first.columns, second.columns))
+        assert first.multiplicities is not second.multiplicities
+
+    def test_several_queued_commits_apply_in_order(self, pivots):
+        table = self.table([(i, i + 0.5) for i in range(1, 9)])
+        table.as_column_batch()
+        table.apply_delta(Delta.from_rows(self.SCHEMA, inserts=[(9, 9.5)]))
+        table.apply_delta(Delta.from_rows(self.SCHEMA, deletes=[(9, 9.5), (1, 1.5)]))
+        table.apply_delta(Delta.from_rows(self.SCHEMA, inserts=[(1, 1.5), (2, 2.5)]))
+        assert table.pending_batch_tuples == 5
+        assert entries(table.as_column_batch()) == list(table.items())
+        assert entries(table.as_column_batch()) == [
+            ((2, 2.5), 2), *(((i, i + 0.5), 1) for i in range(3, 9)), ((1, 1.5), 1)
+        ]
+        assert len(pivots) == 1
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda table: table.insert((9, 9.5)),
+            lambda table: table.delete((1, 1.5)),
+            lambda table: table.delete_where(lambda row: row[0] == 2),
+            lambda table: table.truncate(),
+        ],
+        ids=["insert", "delete", "delete_where", "truncate"],
+    )
+    def test_direct_mutation_is_a_cold_start(self, pivots, mutate):
+        table = self.table()
+        table.as_column_batch()
+        table.apply_delta(Delta.from_rows(self.SCHEMA, inserts=[(4, 4.5)]))
+        mutate(table)
+        assert table.pending_batch_tuples == 0 and table._batch is None
+        assert entries(table.as_column_batch()) == list(table.items())
+        assert len(pivots) == 2
+
+    def test_pending_tuples_outnumbering_the_rows_is_a_cold_start(self, pivots):
+        table = self.table()
+        table.as_column_batch()
+        table.apply_delta(Delta.from_rows(self.SCHEMA, deletes=[(1, 1.5)]))
+        assert table.pending_batch_tuples == 1  # 1 queued <= 2 rows
+        table.apply_delta(Delta.from_rows(self.SCHEMA, deletes=[(2, 2.5), (3, 3.5)]))
+        assert table.pending_batch_tuples == 0 and table._batch is None
+        assert len(table.as_column_batch()) == 0
+        assert len(pivots) == 2
+
+    def test_too_many_queued_deletes_is_a_cold_start(self, pivots, monkeypatch):
+        monkeypatch.setattr(StoredTable, "_MAX_PENDING_DELETES", 2)
+        table = self.table([(i, float(i)) for i in range(20)])
+        table.as_column_batch()
+        table.apply_delta(Delta.from_rows(self.SCHEMA, deletes=[(0, 0.0), (1, 1.0)]))
+        assert table._batch is not None
+        table.apply_delta(Delta.from_rows(self.SCHEMA, deletes=[(2, 2.0)]))
+        assert table._batch is None
+        assert entries(table.as_column_batch()) == list(table.items())
+        assert len(pivots) == 2
+
+    def test_half_applied_delta_is_a_cold_start(self, pivots):
+        table = self.table()
+        table.as_column_batch()
+        bad = Delta.from_rows(self.SCHEMA, deletes=[(1, 1.5), (9, 9.5)])
+        with pytest.raises(StorageError):
+            table.apply_delta(bad)
+        assert table._batch is None and table.pending_batch_tuples == 0
+        assert entries(table.as_column_batch()) == list(table.items())
 
 
 class TestAttributeIndex:
