@@ -32,6 +32,7 @@ from repro.relational.optimizer import PlanOptimizer
 from repro.relational.schema import Relation, Row
 from repro.sketch.selection import build_database_partition
 from repro.sketch.use import instrument_plan
+from repro.sql import translator as sql_translator
 from repro.sql.template import QueryTemplate, template_of
 from repro.storage.database import Database
 from repro.storage.delta import Delta
@@ -191,8 +192,11 @@ class SketchBasedSystem(WorkloadSystem):
     def run_query(self, sql: str) -> Relation:
         started = time.perf_counter()
         try:
-            plan = self.database.plan(sql)
-            template = template_of(sql)
+            # One parse feeds both the plan and the store key; it goes
+            # through the translator module's name, as Database.plan does.
+            statement = sql_translator.parse_select(sql)
+            plan = self.database.translator().translate(statement)
+            template = template_of(statement)
             entry = self.store.get(template)
             if entry is None:
                 entry = self._capture_entry(sql, template, plan)

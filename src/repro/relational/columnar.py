@@ -17,6 +17,13 @@ table version and hand the *same* object to every scan; the next version's
 batch is a copy of the lists brought forward by the committed deltas
 (:class:`SlotMap`), never an edit of lists a reader may still hold.
 
+Those per-version table batches (and snapshots) are fully materialised.  The
+batches one query evaluation derives and owns -- the pivot of an index range
+scan, the output of a filter -- are *lazy*: entry count, order, multiplicities
+and the ``consolidated`` flag are fixed at construction, but a value column is
+built when something first reads it (:class:`LazyColumns`), so an aggregate
+over two attributes of an eleven-column table builds two columns.
+
 Entries are ``(row, multiplicity)`` pairs exactly like ``Relation.items()``;
 a batch may carry duplicate rows (e.g. after a projection).  A batch whose
 entries are known to be distinct is flagged ``consolidated`` -- conversions
@@ -30,10 +37,50 @@ bit-identical between the two engines.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import count
+from operator import itemgetter
 
 from repro.relational.schema import Relation, Row, Schema
+
+
+class LazyColumns:
+    """The columns of a per-query batch, each built when first read.
+
+    ``build(position)`` produces one column from whatever the batch was
+    derived from (the row tuples an index scan fetched, the columns and mask
+    of a filter); it runs at most once per position.  Indexing builds that
+    column, iterating builds the missing ones, and once the last column
+    exists ``build`` -- and with it the source it closes over -- is dropped,
+    so a fully read batch holds its own lists and nothing else.
+
+    Building is not synchronised: a lazy batch belongs to the one query
+    evaluation that made it.  Batches shared between threads (the per-version
+    table batch, snapshots) are built eagerly and never use this class.
+    """
+
+    __slots__ = ("_built", "_build")
+
+    def __init__(self, arity: int, build: Callable[[int], list]) -> None:
+        self._built: list[list | None] = [None] * arity
+        self._build = build if arity else None
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, position: int) -> list:
+        column = self._built[position]
+        if column is None:
+            column = self._built[position] = self._build(position)
+            if None not in self._built:
+                self._build = None
+        return column
+
+    def __iter__(self) -> Iterator[list]:
+        if self._build is not None:
+            for position in range(len(self._built)):
+                self[position]
+        return iter(self._built)
 
 
 class ColumnBatch:
@@ -49,7 +96,9 @@ class ColumnBatch:
         consolidated: bool = False,
     ) -> None:
         self.schema = schema
-        self.columns = tuple(columns)
+        self.columns: Sequence[list] = (
+            columns if type(columns) is LazyColumns else tuple(columns)
+        )
         self.multiplicities = multiplicities
         self.consolidated = consolidated
 
@@ -78,6 +127,26 @@ class ColumnBatch:
             columns: Iterable[list] = (list(column) for column in zip(*rows))
             return cls(schema, columns, list(multiplicities), consolidated)
         return cls(schema, ([] for _ in range(len(schema))), [], consolidated)
+
+    @classmethod
+    def from_fetched_items(
+        cls, schema: Schema, items: list[tuple[Row, int]], consolidated: bool = False
+    ) -> "ColumnBatch":
+        """The per-query pivot of fetched ``(row, multiplicity)`` pairs.
+
+        Same entries, order and flag as :meth:`from_items`, but the row
+        tuples are kept and a column is extracted only when something reads
+        it (see :class:`LazyColumns`), so a plan that touches two attributes
+        of a wide table never builds the others.  For batches one evaluation
+        owns; a batch that is cached or shared uses :meth:`from_items`.
+        """
+        if not items:
+            return cls.from_items(schema, items, consolidated)
+        rows, multiplicities = zip(*items)
+        columns = LazyColumns(
+            len(schema), lambda position: list(map(itemgetter(position), rows))
+        )
+        return cls(schema, columns, list(multiplicities), consolidated)
 
     @classmethod
     def from_relation(cls, relation: Relation) -> "ColumnBatch":

@@ -276,7 +276,9 @@ class Evaluator:
         if choice is None:
             return None
         schema, attribute, intervals = choice
-        fetched = ColumnBatch.from_items(
+        # Lazy pivot: only the columns the recheck and the operators above
+        # read are ever extracted from the fetched rows.
+        fetched = ColumnBatch.from_fetched_items(
             schema,
             self._provider.index_scan(node.child.table, attribute, intervals),
             consolidated=True,

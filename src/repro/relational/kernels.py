@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import compress
 
 from repro.relational.algebra import Aggregate
-from repro.relational.columnar import ColumnBatch
+from repro.relational.columnar import ColumnBatch, LazyColumns
 from repro.relational.expressions import (
     Between,
     Comparison,
@@ -49,11 +49,18 @@ def filter_batch(batch: ColumnBatch, values: list, strict: bool) -> ColumnBatch:
 
     ``values`` is the predicate's value column; with ``strict`` the values
     are known to be ``True/False/None`` so truthiness equals ``is True`` and
-    the C-level ``compress`` consumes them directly.
+    the C-level ``compress`` consumes them directly.  The multiplicities are
+    compressed here (every consumer needs the entry count); the result keeps
+    the input's columns and the mask and compresses a column when it is first
+    read, so an operator above that reads two attributes never pays for the
+    rest (see :class:`~repro.relational.columnar.LazyColumns`).
     """
     if not strict:
         values = [value is True for value in values]
-    columns = (list(compress(column, values)) for column in batch.columns)
+    source = batch.columns
+    columns = LazyColumns(
+        len(source), lambda position: list(compress(source[position], values))
+    )
     multiplicities = list(compress(batch.multiplicities, values))
     return ColumnBatch(batch.schema, columns, multiplicities, batch.consolidated)
 

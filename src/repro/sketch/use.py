@@ -120,8 +120,10 @@ def _requalify(expression: Expression, bare: str, replacement: ColumnRef) -> Exp
 def estimated_selectivity(sketch: ProvenanceSketch, table: str) -> float:
     """Fraction of fragments of ``table`` retained by the sketch.
 
-    A rough proxy for how much data the use rewrite skips, used by the
-    middleware to decide whether using a sketch is worthwhile at all.
+    A rough proxy for how much data the use rewrite skips (1.0 when the
+    sketch has no partition of ``table``).  Reporting only: the middleware
+    uses a sketch whenever one is stored, whatever this fraction -- the
+    ablation benchmark and the tests print and assert on it.
     """
     if not sketch.partition.has_table(table):
         return 1.0

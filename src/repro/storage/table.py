@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 
 from repro.core.errors import SchemaError, StorageError
 from repro.relational.columnar import ColumnBatch, SlotMap
@@ -73,12 +74,19 @@ class AttributeIndex:
         self._tombstones = 0
 
     def insert(self, row: Row, multiplicity: int) -> None:
-        """Register ``multiplicity`` copies of ``row``."""
+        """Register ``multiplicity`` copies of ``row``.
+
+        NULL and NaN are not indexed: no interval predicate is true of
+        either, and NaN compares false with everything, so ``insort`` would
+        leave the value list unsorted and later range scans would miss rows.
+        """
         value = row[self.position]
         if value is None:
             return
         bucket = self._buckets.get(value)
         if bucket is None:
+            if value != value:
+                return
             bucket = {}
             self._buckets[value] = bucket
             bisect.insort(self._values, value)
@@ -94,6 +102,7 @@ class AttributeIndex:
             return
         bucket = self._buckets.get(value)
         if not bucket:
+            # Also a NaN: it never got a bucket.
             return
         remaining = bucket.get(row, 0) - multiplicity
         if remaining > 0:
@@ -118,24 +127,41 @@ class AttributeIndex:
         self._tombstones = 0
 
     def rows_in_intervals(self, intervals: Iterable[Interval]) -> Iterator[tuple[Row, int]]:
-        """Rows whose indexed value falls into any of ``intervals``."""
-        seen: set[Row] = set()
+        """Rows whose indexed value falls into any of ``intervals``.
+
+        Every qualifying row comes exactly once, ascending by indexed value
+        and in bucket (arrival) order within one value, whatever the order or
+        overlap of the intervals: they are turned into disjoint ascending
+        spans of the value list first (one bisect pair each, overlapping
+        spans merged).  The buckets of the spans are then streamed whole at C
+        speed, so the Python-level work is per interval, not per row; a
+        tombstoned bucket is empty and contributes nothing.
+        """
+        values = self._values
+        spans: list[tuple[int, int]] = []
         for interval in intervals:
-            low_index = bisect.bisect_left(self._values, interval.low)
-            if not interval.low_inclusive:
-                low_index = bisect.bisect_right(self._values, interval.low)
-            high_index = bisect.bisect_right(self._values, interval.high)
-            if not interval.high_inclusive:
-                high_index = bisect.bisect_left(self._values, interval.high)
-            for value in self._values[low_index:high_index]:
-                bucket = self._buckets.get(value)
-                if not bucket:
-                    continue
-                for row, multiplicity in bucket.items():
-                    if row in seen:
-                        continue
-                    seen.add(row)
-                    yield row, multiplicity
+            if interval.low_inclusive:
+                low = bisect.bisect_left(values, interval.low)
+            else:
+                low = bisect.bisect_right(values, interval.low)
+            if interval.high_inclusive:
+                high = bisect.bisect_right(values, interval.high)
+            else:
+                high = bisect.bisect_left(values, interval.high)
+            if low < high:
+                spans.append((low, high))
+        spans.sort()
+        merged: list[tuple[int, int]] = []
+        for low, high in spans:
+            if merged and low <= merged[-1][1]:
+                if high > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], high)
+            else:
+                merged.append((low, high))
+        in_spans = chain.from_iterable(values[low:high] for low, high in merged)
+        return chain.from_iterable(
+            map(dict.items, map(self._buckets.__getitem__, in_spans))
+        )
 
     def distinct_value_count(self) -> int:
         """Number of distinct indexed values currently carrying live rows.
