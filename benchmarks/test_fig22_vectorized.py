@@ -1,11 +1,10 @@
-"""Figure 22 (extension): the vectorized columnar execution engine.
+"""Figure 22 (extension): the columnar batch engine.
 
-The engine's claim here is purely about constant factors: plan subtrees
-built from kernel-covered operators execute column-at-a-time over
+The engine's claim here is purely about constant factors: every plan node
+executes column-at-a-time over
 :class:`~repro.relational.columnar.ColumnBatch` data (batch-compiled
 expression kernels, per-version column caches in the stored tables) instead
-of running the row operators per tuple -- while every relation stays
-bit-identical to the reference oracle
+of per tuple -- while every relation stays bit-identical to the row oracle
 (``Database.query(..., optimize_plans=False, vectorize=False)``).
 
 Run on full-scan workloads over a >= 100k row table (no indexes and
@@ -15,10 +14,10 @@ oracle cannot fail it:
 
 * results are bit-identical for every workload, and ``IMPSystem`` answers
   equal the oracle's after every update batch,
-* full-scan selection, projection (with arithmetic), grouped aggregation and
-  distinct each read the table through exactly one ``column_batch`` call and
-  never through the row engine's ``relation`` scan, and every scan of the one
-  version is served the *same* batch object (no re-pivot),
+* full-scan selection, projection (with arithmetic), grouped aggregation,
+  distinct and top-k each read the table through exactly one ``column_batch``
+  call and never through the oracle's ``relation`` scan, and every scan of
+  the one version is served the *same* batch object (no re-pivot),
 * the oracle reads it through ``relation`` only.
 
 What is *reported* (``BENCH_fig22.json``, never asserted): median seconds of
@@ -45,16 +44,13 @@ SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 NUM_ROWS = 20_000 if SMOKE else 120_000
 NUM_GROUPS = 200
 REPEATS = 1 if SMOKE else 3
-KERNEL_COVERED = ("selection", "projection", "aggregation", "distinct")
 
 WORKLOADS = [
     ("selection", "SELECT id, a, b, c FROM big WHERE b < 900"),
     ("projection", "SELECT id, a, b * c AS p FROM big"),
     ("aggregation", "SELECT a, sum(b) AS sb, avg(c) AS ac, count(*) AS n FROM big GROUP BY a"),
     ("distinct", "SELECT DISTINCT a FROM big WHERE b < 500"),
-    # TopK has no kernel: the subtree below the LIMIT runs vectorized, the
-    # LIMIT itself on the row operator (fallback boundary; no speedup claim).
-    ("topk-fallback", "SELECT id, b FROM big WHERE b < 200 ORDER BY b, id LIMIT 10"),
+    ("topk", "SELECT id, b FROM big WHERE b < 200 ORDER BY b, id LIMIT 10"),
 ]
 
 RESULTS = ExperimentResult("fig22")
@@ -104,7 +100,7 @@ def test_fig22_vectorized_speedup_and_bit_identity(benchmark):
         ("reference", functools.partial(reference_query, database)),
     )
 
-    # What the engine did: one shared batch, no row-engine table scan.
+    # What the engine did: one shared batch, no row scan of the table.
     calls = spy_on_scans(database)
     batches = []
     for name, _sql in WORKLOADS:
@@ -114,10 +110,9 @@ def test_fig22_vectorized_speedup_and_bit_identity(benchmark):
         engine_calls = list(calls)
         calls.clear()
         assert answer == reference_query(database, plan), name
-        if name in KERNEL_COVERED:
-            assert [method for method, _batch in engine_calls] == ["column_batch"], name
-            assert database.scan_count == scans + 2, name  # one scan per system
-            batches.append(engine_calls[0][1])
+        assert [method for method, _batch in engine_calls] == ["column_batch"], name
+        assert database.scan_count == scans + 2, name  # one scan per system
+        batches.append(engine_calls[0][1])
         assert [method for method, _batch in calls] == ["relation"], name
         calls.clear()
     assert all(batch is batches[0] for batch in batches)
@@ -145,8 +140,7 @@ def test_fig22_vectorized_speedup_and_bit_identity(benchmark):
 
 def test_fig22_imp_answers_match_the_reference_oracle():
     """IMP answers every query exactly as the reference oracle does, after
-    every update batch (capture and incremental maintenance are row-based
-    annotated semantics; only the final evaluation is vectorized)."""
+    every update batch."""
     rng = random.Random(13)
     queries = [
         "SELECT a, avg(b) AS ab FROM r GROUP BY a HAVING avg(c) < 1500",

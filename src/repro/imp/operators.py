@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 from repro.core.bloom import BloomFilter
 from repro.relational.algebra import Aggregate, OrderItem, PlanNode
-from repro.relational.evaluator import make_order_key
 from repro.relational.expressions import (
     ColumnRef,
     CompiledBatchExpression,
@@ -43,7 +42,7 @@ from repro.relational.expressions import (
     compile_row_expressions,
 )
 from repro.relational.kernels import strict_boolean
-from repro.relational.schema import Row, Schema
+from repro.relational.schema import Row, Schema, make_order_key
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import SketchDelta
 from repro.storage.database import Database

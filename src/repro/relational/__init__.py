@@ -30,7 +30,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.columnar import ColumnBatch
 from repro.relational.evaluator import Evaluator, RelationProvider
-from repro.relational.optimizer import CardinalityEstimator, PlanOptimizer, optimize_plan
+from repro.relational.optimizer import CardinalityEstimator, PlanOptimizer
 from repro.relational.expressions import (
     BinaryOp,
     Between,
@@ -77,6 +77,5 @@ __all__ = [
     "TableScan",
     "TopK",
     "UnaryMinus",
-    "optimize_plan",
     "walk_plan",
 ]

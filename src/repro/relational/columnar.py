@@ -1,13 +1,12 @@
-"""Columnar batches: the data representation of the vectorized engine.
+"""Columnar batches: the data representation of the query engine.
 
 A :class:`ColumnBatch` holds the same bag of tuples as a
 :class:`~repro.relational.schema.Relation`, but pivoted: one Python list per
 attribute (parallel value columns) plus a parallel multiplicity list.  The
-vectorized operator kernels (:mod:`repro.relational.kernels`) and the
-batch-compiled expressions (``Expression.compile_batch``) run whole-column
-loops over this layout instead of dispatching per row, which is where the
-vectorized engine's constant-factor win over the row-at-a-time evaluator
-comes from.
+operator kernels (:mod:`repro.relational.kernels`) and the batch-compiled
+expressions (``Expression.compile_batch``) run whole-column loops over this
+layout instead of dispatching per row; every plan node runs on it, and a
+:class:`Relation` is only made from the root batch of a query.
 
 Batches are immutable by convention: kernels never mutate the column lists of
 an input batch, they build new lists (or share input lists unchanged, e.g. a
@@ -28,10 +27,11 @@ Entries are ``(row, multiplicity)`` pairs exactly like ``Relation.items()``;
 a batch may carry duplicate rows (e.g. after a projection).  A batch whose
 entries are known to be distinct is flagged ``consolidated`` -- conversions
 and grouping kernels use the flag to skip the duplicate-merge pass.  The
-entry *order* of a batch mirrors the row engine's processing order, so
-consolidation reproduces the exact insertion order of the row engine's result
-relations; float aggregates therefore accumulate in the same order and stay
-bit-identical between the two engines.
+entry *order* of a batch is part of its value: float aggregates accumulate in
+entry order and LIMIT ties are cut in it.  A table batch lists the rows in
+arrival order, each kernel states the order of its output, and consolidation
+keeps first occurrences in place -- which is the order the row oracle's
+``Relation`` dicts take on, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -148,11 +148,6 @@ class ColumnBatch:
         )
         return cls(schema, columns, list(multiplicities), consolidated)
 
-    @classmethod
-    def from_relation(cls, relation: Relation) -> "ColumnBatch":
-        """Pivot a relation (bag entries are distinct by construction)."""
-        return cls.from_items(relation.schema, relation.items(), consolidated=True)
-
     # -- inspection ------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -184,9 +179,8 @@ class ColumnBatch:
     def consolidate(self) -> "ColumnBatch":
         """A batch with duplicate rows merged (multiplicities summed).
 
-        First-occurrence order is kept, which is exactly the insertion order
-        the row engine's ``Relation.add`` loop would produce for the same
-        entry sequence.
+        First-occurrence order is kept: a merged row stays where it first
+        appeared.
         """
         if self.consolidated:
             return self
@@ -198,7 +192,7 @@ class ColumnBatch:
         return ColumnBatch(self.schema, columns, list(counts.values()), consolidated=True)
 
     def to_relation(self) -> Relation:
-        """The batch as a :class:`Relation` (the vectorized/row boundary)."""
+        """The batch as a :class:`Relation` (the result of a query)."""
         if self.consolidated:
             counts = dict(zip(self.row_tuples(), self.multiplicities))
         else:

@@ -1,13 +1,16 @@
-"""Vectorized operator kernels over :class:`~repro.relational.columnar.ColumnBatch`.
+"""Operator kernels over :class:`~repro.relational.columnar.ColumnBatch`.
 
 Each kernel implements one relational operator column-at-a-time: it receives
 input batches plus pre-evaluated value columns (produced by batch-compiled
-expressions, see ``Expression.compile_batch``) and returns a new batch.  The
-kernels mirror the row engine's semantics *and* its processing order exactly
--- entry order equals the order in which the row loops of
-:class:`~repro.relational.evaluator.Evaluator` would visit the same tuples --
-so converting a kernel pipeline's output at the boundary yields bit-identical
-relations, including the accumulation order of float aggregates.
+expressions, see ``Expression.compile_batch``) and returns a new batch.
+Every plan node has a kernel; :class:`~repro.relational.evaluator.Evaluator`
+only wires them together.
+
+The entry order of a kernel's output is part of its contract and is stated on
+the kernel: float aggregates accumulate in entry order and LIMIT ties are cut
+in entry order, so the order decides results bit for bit.  The row oracle
+(:mod:`repro.relational.oracle`) is held to the same results by the
+differential tests; nothing here imports it.
 
 Input batches are never mutated; output batches may share input column lists
 (both sides treat them as read-only).
@@ -15,6 +18,8 @@ Input batches are never mutated; output batches may share input column lists
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from heapq import nsmallest
 from itertools import compress
 
 from repro.relational.algebra import Aggregate
@@ -28,7 +33,7 @@ from repro.relational.expressions import (
     LogicalOp,
     Not,
 )
-from repro.relational.schema import Schema
+from repro.relational.schema import Schema, descending_component, order_component
 
 
 def strict_boolean(expression: Expression) -> bool:
@@ -38,8 +43,8 @@ def strict_boolean(expression: Expression) -> bool:
     three-valued logic, so their value columns can drive
     :func:`itertools.compress` directly.  Any other expression (a bare column
     reference, arithmetic, a scalar function call) may produce arbitrary
-    truthy values, which the row engine's ``predicate(row) is True`` test
-    would reject -- those masks must be normalised first.
+    truthy values, which SQL selection (``predicate is True``) rejects --
+    those masks must be normalised first.
     """
     return isinstance(expression, (Comparison, Between, IsNull, LogicalOp, Not, Literal))
 
@@ -81,14 +86,16 @@ def hash_join_batch(
     right: ColumnBatch,
     pairs: list[tuple[int, int]],
 ) -> ColumnBatch:
-    """Equi hash join: build over the right columns, probe with the left.
+    """Hash join: build over the right columns, probe with the left.
 
-    ``pairs`` are ``(left position, right position)`` equality columns.  Like
-    the row engine, key matching uses plain ``==`` (so ``None`` keys *do*
-    match here); the caller re-checks the full join condition on the output
-    batch, which rejects NULL matches and applies any residual conjuncts.
-    Output order is the row engine's: left entries outer, per-key build order
-    inner.
+    ``pairs`` are ``(left position, right position)`` equality columns; with
+    no pairs every entry has the key ``()``, one bucket holds the whole right
+    side and the result is the cross product (which is how theta joins run:
+    cross, then the caller's filter).  Key matching uses plain ``==`` (so
+    ``None`` keys *do* match here); the caller re-checks the full join
+    condition on the output batch, which rejects NULL matches and applies any
+    residual conjuncts.  Output order: left entries outer, the right entries
+    of the key in their input order inner.
     """
     schema = left.schema.concat(right.schema)
     left_keys = _key_column(left, [p for p, _ in pairs])
@@ -124,6 +131,8 @@ def _key_column(batch: ColumnBatch, positions: list[int]) -> list:
     """Join-key values per entry: the raw column for one key, tuples otherwise."""
     if len(positions) == 1:
         return batch.columns[positions[0]]
+    if not positions:
+        return [()] * len(batch)
     return list(zip(*(batch.columns[p] for p in positions)))
 
 
@@ -143,10 +152,10 @@ def aggregate_batch(
 ) -> ColumnBatch:
     """Grouped aggregation over pre-evaluated key and argument columns.
 
-    The input entries must be consolidated (the caller guarantees it) so the
-    per-group value sequences -- and hence the float accumulation order --
-    equal the row engine's.  ``argument_columns`` holds ``None`` for
-    ``count(*)``.
+    The input entries must be consolidated (the caller guarantees it): each
+    group then accumulates one term per distinct input row, in entry order,
+    which fixes the low bits of float sums.  Groups come out in order of
+    first occurrence.  ``argument_columns`` holds ``None`` for ``count(*)``.
     """
     groups: dict[tuple, list[int]] = {}
     if key_columns:
@@ -189,15 +198,14 @@ def _aggregate_positions(
 ) -> object:
     """One aggregate over the group's entries.
 
-    Inlined accumulation loops mirror
-    :func:`repro.relational.evaluator.compute_aggregate` operation-for-
-    operation (NULL skipping, ``total += value * multiplicity`` in entry
-    order, first-wins ties of min/max) so results are bit-identical.
+    NULL values are ignored (SQL semantics); an empty or all-NULL group
+    yields NULL for sum/avg/min/max and 0 for count.  Sums start from
+    ``0.0`` and add ``value * multiplicity`` in entry order; the first
+    occurrence wins ties of min/max.
     """
     if column is None:
         return sum(multiplicities[i] for i in positions)
-    function = aggregate.function
-    name = function.value
+    name = aggregate.function.value
     if name == "count":
         count = 0
         for i in positions:
@@ -220,8 +228,6 @@ def _aggregate_positions(
         if name == "sum":
             return total
         return total / count if count else None
-    # min / max: first occurrence wins ties, exactly like min()/max() over
-    # the incremental pairs of compute_aggregate.
     best = None
     if name == "min":
         for i in positions:
@@ -231,16 +237,50 @@ def _aggregate_positions(
             if best is None or value < best:
                 best = value
         return best
-    if name == "max":
-        for i in positions:
-            value = column[i]
-            if value is None:
-                continue
-            if best is None or value > best:
-                best = value
-        return best
-    from repro.relational.evaluator import compute_aggregate
+    for i in positions:  # max
+        value = column[i]
+        if value is None:
+            continue
+        if best is None or value > best:
+            best = value
+    return best
 
-    return compute_aggregate(
-        function, ((column[i], multiplicities[i]) for i in positions)
+
+def top_k_batch(
+    batch: ColumnBatch, key_columns: list[list], ascending: Sequence[bool], k: int
+) -> ColumnBatch:
+    """The first ``k`` tuples of ``batch`` in ORDER BY order (SQL LIMIT).
+
+    ``key_columns`` are the value columns of the ORDER BY expressions and
+    ``ascending`` their directions; values are keyed by
+    :func:`~repro.relational.schema.order_component` (``descending_component``
+    for DESC items), the rule every ORDER BY in the system shares.  ``batch``
+    must be consolidated (the caller guarantees it).  Output order: ascending
+    by key, entries with equal keys in their input order (``nsmallest`` is
+    ``sorted(...)[:k]``, which is stable); the multiplicity of the last entry
+    taken is cut so that the output holds at most ``k`` tuples.
+    """
+    keys = list(
+        zip(
+            *(
+                map(order_component if asc else descending_component, column)
+                for column, asc in zip(key_columns, ascending)
+            )
+        )
     )
+    # Every entry holds at least one tuple, so k entries always suffice.
+    taken = nsmallest(k, range(len(keys)), key=keys.__getitem__)
+    multiplicities: list[int] = []
+    remaining = k
+    for i in taken:
+        if not remaining:
+            break
+        take = min(batch.multiplicities[i], remaining)
+        multiplicities.append(take)
+        remaining -= take
+    del taken[len(multiplicities) :]
+    source = batch.columns
+    columns = LazyColumns(
+        len(source), lambda position: [source[position][i] for i in taken]
+    )
+    return ColumnBatch(batch.schema, columns, multiplicities, consolidated=True)

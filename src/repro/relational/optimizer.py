@@ -855,9 +855,3 @@ class PlanOptimizer:
             return TopK(children[0], node.k, node.order_by)
         return node
 
-
-def optimize_plan(
-    plan: PlanNode, catalog: SchemaProvider, statistics: object | None = None
-) -> PlanNode:
-    """Convenience wrapper: optimize ``plan`` against ``catalog``."""
-    return PlanOptimizer(catalog, statistics).optimize(plan)

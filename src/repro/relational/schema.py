@@ -8,7 +8,7 @@ formalisation (a function ``U^n -> N``, Sec. 4).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import SchemaError
 
@@ -237,7 +237,7 @@ class Relation:
 
     def to_sorted_list(self) -> list[Row]:
         """Rows with duplicates, deterministically sorted (for tests/reports)."""
-        return sorted(self.rows(), key=lambda row: tuple(_sort_key(v) for v in row))
+        return sorted(self.rows(), key=lambda row: tuple(map(order_component, row)))
 
     # -- bag algebra ----------------------------------------------------------------
 
@@ -281,15 +281,71 @@ def order_component(value: object) -> tuple[int, object]:
     """The ``(tag, comparable)`` ordering component of one heterogeneous value.
 
     None sorts first; booleans are numerics (SQL boolean ordering: False <
-    True, comparable with ints/floats); everything else falls back to its
-    string form.  Single source of truth for the ordering rules -- row
-    sorting, ORDER BY and top-k keys all derive from it.
+    True, comparable with ints/floats); NaN, whose own comparisons are all
+    false, gets a tag of its own right after the numbers (distinct NaN
+    objects tie); everything else falls back to its string form.  Single
+    source of truth for the ordering rules -- row sorting, the canonical
+    snapshot order, ORDER BY and top-k keys all derive from it, and all of
+    them are total orders determined by content.
     """
     if value is None:
         return (0, 0)
     if isinstance(value, (int, float)):
-        return (1, value)
-    return (2, str(value))
+        if value != value:
+            return (3, 0)
+        return (2, value)
+    return (4, str(value))
 
 
-_sort_key = order_component
+def descending_component(value: object) -> tuple[int, object]:
+    """:func:`order_component` for an ``ORDER BY ... DESC`` item.
+
+    Tags and numbers are negated and strings compare reversed, so the
+    ascending sort of these components is the descending order of the
+    values -- except that NaN keeps its place after every number.
+    """
+    tag, component = order_component(value)
+    if tag == 4:
+        return (-4, _Reversed(component))
+    if tag == 3:
+        return (-1, 0)
+    return (-tag, -component)  # type: ignore[operator]
+
+
+def make_order_key(
+    order_by: Sequence, compiled: Sequence[Callable[[Row], object]]
+) -> Callable[[Row], tuple]:
+    """Build a sort-key function for ORDER BY items with compiled expressions.
+
+    The one ORDER BY rule: the batch engine's top-k kernel keys its columns
+    with the same two component functions, and the row oracle, the annotated
+    capture oracle and the incremental top-k operator sort by this key, so
+    all of them order rows identically.
+    """
+    keyed = [
+        (fn, order_component if item.ascending else descending_component)
+        for fn, item in zip(compiled, order_by)
+    ]
+
+    def order_key(row: Row) -> tuple:
+        return tuple(component(fn(row)) for fn, component in keyed)
+
+    return order_key
+
+
+class _Reversed:
+    """Wrapper that reverses comparison order for non-numeric sort keys."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: object) -> None:
+        self.value = value
+
+    def __lt__(self, other: "_Reversed") -> bool:
+        return other.value < self.value  # type: ignore[operator]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Reversed) and other.value == self.value
+
+    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
+        return hash(self.value)

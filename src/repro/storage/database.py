@@ -191,13 +191,13 @@ class Database:
     def column_batch(self, table: str):
         """The current contents of ``table`` as a shared columnar batch.
 
-        Serves the vectorized evaluator's table scans.  One batch object per
+        Serves the evaluator's table scans.  One batch object per
         version: repeated scans share it, and the first scan after a commit
         gets the previous batch brought forward by the committed deltas
         (:meth:`StoredTable.as_column_batch`), not a re-pivot.  Counts as a
         full scan exactly like :meth:`relation` (it reads the whole table),
-        keeping the scan-count instrumentation comparable between the row and
-        vectorized engines.  The batch is shared and must not be mutated.
+        keeping the scan-count instrumentation comparable between the engine
+        and the row oracle.  The batch is shared and must not be mutated.
         """
         with self._lock:
             self._scan_counter += 1
@@ -521,8 +521,8 @@ class Database:
         """The query engine bound to this database.
 
         Plans are optimized (predicate pushdown to the scans, join
-        reordering, projection pruning) and executed on the vectorized
-        columnar engine where kernels exist.
+        reordering, projection pruning) and executed on the columnar batch
+        kernels.
         """
         return Evaluator(self)
 
@@ -542,10 +542,11 @@ class Database:
     ) -> Relation:
         """Evaluate a SQL string, parsed statement, or logical plan.
 
-        ``optimize_plans=False, vectorize=False`` selects the reference
-        oracle (literal plan shape, row-at-a-time operators) that the
-        differential tests and the benchmark's verify pass compare against;
-        see :class:`~repro.relational.evaluator.Evaluator`.
+        ``vectorize=False`` selects the reference oracle
+        (:class:`~repro.relational.oracle.RowEvaluator`, row-at-a-time
+        operators; with ``optimize_plans=False`` on the literal plan shape)
+        that the differential tests and the benchmark's verify pass compare
+        the engine against.  Nothing else should pass it.
         """
         if isinstance(query, str):
             plan = self.plan(query)
@@ -553,9 +554,11 @@ class Database:
             plan = self.translator().translate(query)
         else:
             plan = query
-        return Evaluator(
-            self, optimize_plans=optimize_plans, vectorize=vectorize
-        ).evaluate(plan)
+        if vectorize:
+            return Evaluator(self, optimize_plans).evaluate(plan)
+        from repro.relational.oracle import RowEvaluator
+
+        return RowEvaluator(self, optimize_plans).evaluate(plan)
 
     def execute(self, sql: str) -> Relation | int:
         """Execute any supported statement.

@@ -19,21 +19,6 @@ from repro.relational.schema import Relation, Row, Schema, order_component
 from repro.storage.delta import Delta
 
 
-def canonical_component(value: object) -> tuple:
-    """One sort-key component of the canonical snapshot order.
-
-    NaN breaks ``sorted``'s total order (every comparison is False), so it is
-    keyed by an explicit flag at a fixed position instead of by its own
-    comparisons.  Distinct NaN objects necessarily tie -- they are
-    content-indistinguishable -- and keep their insertion order among
-    themselves (``sorted`` is stable).
-    """
-    tag, component = order_component(value)
-    if isinstance(component, float) and component != component:
-        return (tag, 1, 0.0)
-    return (tag, 0, component)
-
-
 def canonical_items(items: Iterable[tuple[Row, int]]) -> list[tuple[Row, int]]:
     """Sort ``(row, multiplicity)`` pairs into a content-determined order.
 
@@ -44,12 +29,11 @@ def canonical_items(items: Iterable[tuple[Row, int]]) -> list[tuple[Row, int]]:
     materializations of the same version could answer SUM queries with
     different low bits.  The differential concurrency harness and the
     crash-recovery harness both assert bit-identical reads; this is what
-    makes that hold.
+    makes that hold.  :func:`order_component` is a total order even over NaN;
+    rows it cannot tell apart keep their insertion order (``sorted`` is
+    stable).
     """
-    return sorted(
-        items,
-        key=lambda item: tuple(canonical_component(value) for value in item[0]),
-    )
+    return sorted(items, key=lambda item: tuple(map(order_component, item[0])))
 
 
 class AttributeIndex:

@@ -11,8 +11,9 @@ it (:func:`checked_value`).  It deliberately shares no code with
 ``repro.relational.expressions`` beyond the node classes themselves.
 
 Whole queries: the reference oracle is
-``Database.query(q, optimize_plans=False, vectorize=False)`` (literal plan,
-row-at-a-time operators); :func:`assert_systems_match_oracle` drives the
+``Database.query(q, optimize_plans=False, vectorize=False)`` -- the literal
+plan on ``repro.relational.oracle.RowEvaluator``, the row-at-a-time module
+the engine never imports; :func:`assert_systems_match_oracle` drives the
 middleware systems against it.
 
 Sketch capture: :class:`AnnotatedEvaluator` evaluates a plan under the
@@ -45,11 +46,7 @@ from repro.relational.algebra import (
     TableScan,
     TopK,
 )
-from repro.relational.evaluator import (
-    RelationProvider,
-    compute_aggregate,
-    make_order_key,
-)
+from repro.relational.evaluator import RelationProvider
 from repro.relational.expressions import (
     AGGREGATE_FUNCTIONS,
     Between,
@@ -69,7 +66,8 @@ from repro.relational.expressions import (
     compile_expression,
     compile_row_expressions,
 )
-from repro.relational.schema import Relation, Row, Schema
+from repro.relational.oracle import compute_aggregate
+from repro.relational.schema import Relation, Row, Schema, make_order_key
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import ProvenanceSketch
 

@@ -19,7 +19,15 @@ from repro.relational.algebra import (
     walk_plan,
 )
 from repro.relational.evaluator import Evaluator
-from repro.relational.expressions import BinaryOp, ColumnRef, Comparison, Literal
+from repro.relational.expressions import (
+    BinaryOp,
+    ColumnRef,
+    Comparison,
+    Literal,
+    LogicalOp,
+)
+from repro.relational.oracle import RowEvaluator
+from repro.relational.schema import Relation
 from repro.storage.database import Database
 
 
@@ -97,7 +105,149 @@ def evaluator_for(request):
     """The engine and the reference oracle give every operator one semantics."""
     if request.param == "engine":
         return Evaluator
-    return lambda provider: Evaluator(provider, optimize_plans=False, vectorize=False)
+    return lambda provider: RowEvaluator(provider, optimize_plans=False)
+
+
+NAN = float("nan")
+
+
+def make_order_join_db() -> Database:
+    """Tied order keys, repeated rows, mixed-type and NaN keys, NULL join
+    operands and an empty table -- what LIMIT and non-equi joins turn on."""
+    database = Database()
+    database.create_table("t", ["id", "g", "v"])
+    database.insert(
+        "t",
+        [
+            (1, 2, "oak"),
+            (2, 1, None),
+            (3, 1, True),
+            (3, 1, True),
+            (3, 1, True),
+            (4, 2, 2.5),
+            (5, 1, NAN),
+            (6, None, "ash"),
+            (7, 2, 0),
+            (7, 2, 0),
+        ],
+    )
+    database.create_table("u", ["k", "w"])
+    database.insert("u", [(1, 10), (2, 20), (2, 20), (None, 30)])
+    database.create_table("e", ["z"])
+    return database
+
+
+def col(name: str) -> ColumnRef:
+    return ColumnRef(name)
+
+
+def top(child, k, *order):
+    return TopK(child, k, [OrderItem(col(name), ascending) for name, ascending in order])
+
+
+T, U, E = TableScan("t"), TableScan("u"), TableScan("e")
+DESC, ASC = False, True
+
+ORDER_JOIN_CASES = {
+    # ``g`` ties: equal keys are cut in table order.
+    "ties_keep_table_order": (top(T, 3, ("g", ASC)), [(6, None, "ash"), (2, 1, None), (3, 1, True)]),
+    "multiplicity_straddles_k": (
+        top(T, 4, ("g", ASC)),
+        [(6, None, "ash"), (2, 1, None), (3, 1, True), (3, 1, True)],
+    ),
+    "multiplicity_cut_inside_first_entry": (
+        top(T, 2, ("id", DESC)),
+        [(7, 2, 0), (7, 2, 0)],
+    ),
+    "k_larger_than_input": (top(U, 99, ("k", ASC)), [(None, 30), (1, 10), (2, 20), (2, 20)]),
+    # Ascending: NULL, numbers (bools are numbers), NaN, strings.
+    "mixed_types_ascending": (
+        top(T, 6, ("v", ASC)),
+        [(2, 1, None), (7, 2, 0), (7, 2, 0), (3, 1, True), (3, 1, True), (3, 1, True)],
+    ),
+    # Descending: strings reversed, numbers high to low with NaN still after
+    # every number, NULL last.
+    "mixed_types_descending": (
+        top(T, 8, ("v", DESC)),
+        [
+            (1, 2, "oak"),
+            (6, None, "ash"),
+            (4, 2, 2.5),
+            (3, 1, True),
+            (3, 1, True),
+            (3, 1, True),
+            (7, 2, 0),
+            (7, 2, 0),
+        ],
+    ),
+    "nan_after_numbers_before_null_descending": (
+        Projection(
+            top(Selection(T, Comparison("=", col("g"), Literal(1))), 9, ("v", DESC)),
+            [ProjectionItem(col("id"))],
+        ),
+        [(3,), (3,), (3,), (5,), (2,)],
+    ),
+    "two_keys_mixed_directions": (
+        top(T, 3, ("g", DESC), ("id", ASC)),
+        [(1, 2, "oak"), (4, 2, 2.5), (7, 2, 0)],
+    ),
+    "top_k_above_selection": (
+        top(Selection(T, Comparison(">", col("id"), Literal(2))), 2, ("g", ASC)),
+        [(6, None, "ash"), (3, 1, True)],
+    ),
+    "selection_above_top_k": (
+        Selection(top(T, 5, ("id", ASC)), Comparison("=", col("g"), Literal(1))),
+        [(2, 1, None), (3, 1, True), (3, 1, True), (3, 1, True)],
+    ),
+    # The projection makes equal rows out of different ones: they merge at
+    # their first occurrence before the limit is cut.
+    "top_k_over_merging_projection": (
+        top(Projection(T, [ProjectionItem(col("g"))]), 6, ("g", DESC)),
+        [(2,), (2,), (2,), (2,), (1,), (1,)],
+    ),
+    "cross_product_with_empty_left": (CrossProduct(E, U), []),
+    "cross_product_with_empty_right": (CrossProduct(U, E), []),
+    "cross_product_multiplies_multiplicities": (
+        Selection(CrossProduct(T, U), Comparison("=", col("id"), Literal(7))),
+        [(7, 2, 0, None, 30), (7, 2, 0, None, 30)]
+        + [(7, 2, 0, 1, 10)] * 2
+        + [(7, 2, 0, 2, 20)] * 4,
+    ),
+    # NULL operands make the comparison unknown: (6, NULL, ...) and
+    # (NULL, 30) never qualify.
+    "theta_less_than": (
+        Projection(
+            Join(T, U, Comparison("<", col("g"), col("k"))),
+            [ProjectionItem(col("id")), ProjectionItem(col("k"))],
+        ),
+        [(2, 2)] * 2 + [(3, 2)] * 6 + [(5, 2)] * 2,
+    ),
+    "theta_not_equal": (
+        Projection(
+            Join(U, TableScan("u", "x"), Comparison("<>", col("u.k"), col("x.k"))),
+            [ProjectionItem(col("u.k")), ProjectionItem(col("x.k"), "xk")],
+        ),
+        [(1, 2), (1, 2), (2, 1), (2, 1)],
+    ),
+    # An equality that is not column = column cannot key the hash join.
+    "residual_equality_on_an_expression": (
+        Projection(
+            Join(
+                T,
+                U,
+                LogicalOp(
+                    "AND",
+                    [
+                        Comparison("=", BinaryOp("+", col("g"), Literal(0)), col("k")),
+                        Comparison("<", col("id"), Literal(3)),
+                    ],
+                ),
+            ),
+            [ProjectionItem(col("id")), ProjectionItem(col("w"))],
+        ),
+        [(1, 20), (1, 20), (2, 10)],
+    ),
+}
 
 
 class TestEvaluator:
@@ -192,6 +342,12 @@ class TestEvaluator:
         result = evaluator_for(small_db).evaluate(plan)
         assert len(result) == 1
         assert result.multiplicity((1, 10)) == 1
+
+    @pytest.mark.parametrize("case", sorted(ORDER_JOIN_CASES))
+    def test_limit_ties_cross_and_theta_joins(self, case, evaluator_for):
+        plan, expected = ORDER_JOIN_CASES[case]
+        result = evaluator_for(make_order_join_db()).evaluate(plan)
+        assert result == Relation(result.schema, expected)
 
     def test_aggregation_ignores_nulls(self, evaluator_for):
         database = Database()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import UnsupportedOperationError
-from repro.relational.evaluator import order_sort_key
 from repro.relational.expressions import (
     Between,
     BinaryOp,
@@ -25,7 +24,7 @@ from repro.relational.expressions import (
     clear_compile_cache,
     compile_expression,
 )
-from repro.relational.schema import Schema
+from repro.relational.schema import Schema, order_component
 from repro.storage.database import Database
 from tests.reference import checked_value
 
@@ -127,12 +126,11 @@ class TestCompileCache:
 
 class TestBooleanOrdering:
     def test_bools_sort_as_numerics(self):
-        assert order_sort_key((True,)) == ((1, True),)
-        assert order_sort_key((False,)) == ((1, False),)
+        assert order_component(True) == order_component(1)
+        assert order_component(False) == order_component(0)
         # A column mixing bools and ints orders numerically, not lexically.
-        values = [(3,), (True,), (0,), (False,), (2,)]
-        ordered = sorted(values, key=order_sort_key)
-        assert [v[0] for v in ordered] == [0, False, True, 2, 3]
+        ordered = sorted([3, True, 0, False, 2], key=order_component)
+        assert ordered == [0, False, True, 2, 3]
 
     def test_evaluator_orders_bools_with_numbers(self):
         # flag mixes bools and ints: True=1, False=0 must order numerically,

@@ -13,12 +13,21 @@ import pytest
 from repro.core.errors import PlanError
 from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch, compile_plan
 from repro.imp.maintenance import IncrementalMaintainer
-from repro.imp.operators import EngineStatistics, Pass
+from repro.imp.operators import EngineStatistics, IncrementalTopK, Pass
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.selection import build_database_partition
 from repro.storage.database import Database
 from tests.conftest import Q_TOP, S8
 from tests.reference import AnnotatedEvaluator, engine_output
+
+
+def walk_operators(engine):
+    """Every operator of the engine's compiled tree."""
+    stack = [engine._merge]
+    while stack:
+        operator = stack.pop()
+        yield operator
+        stack.extend(operator.children())
 
 
 def maintained_matches_truth(engine, maintainer_sketch, plan, partition, database):
@@ -555,6 +564,56 @@ class TestBufferedStateRecapture:
         database.delete_rows("r", rows[:10])
         outcome = engine.maintain(database.database_delta_since(["r"], version), database.version)
         assert outcome.needs_recapture
+
+    def test_nan_order_keys_leave_the_topk_state_a_search_tree(self):
+        # NaN answers False to every comparison; keyed by itself it would sit
+        # anywhere in the red-black tree.  order_component gives it one place
+        # (after every number), so the maintained state, its top-k and the
+        # sketch depend on the content only, not on the order of arrival.
+        nan = float("nan")
+        arrivals = [(i, 10 * i, nan if i % 3 == 0 else float(i % 7)) for i in range(1, 31)]
+        departures = [arrivals[2], arrivals[5], arrivals[6], arrivals[0]]
+        plan_sql = "SELECT id, p, x FROM t ORDER BY x DESC, id LIMIT 4"
+        outcomes = []
+        for order in (arrivals, arrivals[::-1]):
+            database = Database()
+            database.create_table("t", ["id", "p", "x"], primary_key="id")
+            database.insert("t", [(100 + i, 3 * i, float(i)) for i in range(10)])
+            plan = database.plan(plan_sql)
+            partition = DatabasePartition(
+                [RangePartition.from_boundaries("t", "p", [0, 100, 200, 400])]
+            )
+            engine = IncrementalEngine(plan, partition, database)
+            engine.initialize()
+            for batch in (order[:11], order[11:]):
+                version = database.version
+                database.insert("t", batch)
+                engine.maintain(database.database_delta_since(["t"], version), database.version)
+            version = database.version
+            database.delete_rows("t", departures)
+            outcome = engine.maintain(
+                database.database_delta_since(["t"], version), database.version
+            )
+            assert not outcome.needs_recapture
+            (topk,) = [
+                operator
+                for operator in walk_operators(engine)
+                if isinstance(operator, IncrementalTopK)
+            ]
+            topk.state.tree.check_invariants()
+            assert len(topk.state.tree) == 10 + len(arrivals) - len(departures)
+            assert set(engine.current_sketch().fragment_ids()) == set(
+                capture_sketch(plan, partition, database).fragment_ids()
+            )
+            outcomes.append(
+                (
+                    [row for row, _annotation, _count in topk.state.top_k(4)],
+                    set(engine.current_sketch().fragment_ids()),
+                    database.query(plan_sql).to_sorted_list(),
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        assert [row[0] for row in outcomes[0][0]] == [109, 108, 107, 13]
 
     def test_large_buffers_do_not_trigger_recapture(self):
         database = Database()

@@ -26,6 +26,7 @@ from repro.relational.algebra import (
     walk_plan,
 )
 from repro.relational.evaluator import Evaluator
+from repro.relational.oracle import RowEvaluator
 from repro.relational.expressions import (
     BinaryOp,
     ColumnRef,
@@ -369,8 +370,8 @@ class TestEvaluatorIntegration:
         result = Evaluator(database).evaluate(TableScan("r", "x"))
         assert list(result.schema) == ["x.id", "x.a", "x.b", "x.c"]
 
-    @pytest.mark.parametrize("vectorize", [False, True])
-    def test_hash_join_with_mixed_condition(self, vectorize):
+    @pytest.mark.parametrize("evaluator_class", [RowEvaluator, Evaluator])
+    def test_hash_join_with_mixed_condition(self, evaluator_class):
         database = make_three_table_db()
         condition = LogicalOp(
             "AND",
@@ -382,7 +383,7 @@ class TestEvaluatorIntegration:
         join = Join(TableScan("r"), TableScan("s"), condition)
         # Unoptimized on purpose: the optimizer would rewrite the reference
         # below into the very join it is compared against.
-        evaluator = Evaluator(database, optimize_plans=False, vectorize=vectorize)
+        evaluator = evaluator_class(database, optimize_plans=False)
         hashed = evaluator.evaluate(join)
         # Reference: the same theta join as a filtered cross product.
         reference = evaluator.evaluate(

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.rbtree import RedBlackTree, SortedMultiSet
+from repro.relational.schema import order_component
 
 
 class TestRedBlackTreeBasics:
@@ -99,6 +100,27 @@ class TestRedBlackTreeInvariants:
         tree.check_invariants()
         assert sorted(tree.keys()) == sorted(reference)
         assert len(tree) == len(reference)
+
+    def test_nan_keys_have_one_place_under_order_component(self):
+        # Ordered by its own comparisons a NaN key is neither less nor greater
+        # than anything, so it lands wherever the walk happens to end and
+        # later lookups miss it.  order_component puts it after every number.
+        rng = random.Random(7)
+        tree = RedBlackTree(sort_key=order_component)
+        values = [float("nan"), None, True, "oak"] + [float(i) for i in range(40)]
+        present: set = set()
+        for _ in range(1500):
+            value = rng.choice(values)
+            if rng.random() < 0.6:
+                tree.insert(value, None)
+                present.add(value)
+            else:
+                assert tree.delete(value) == (value in present)
+                present.discard(value)
+            tree.check_invariants()
+        assert list(tree.keys()) == sorted(present, key=order_component)
+        tree.insert(float("nan"), "another NaN object is the same key")
+        assert len(tree) == len(present | {values[0]})
 
     def test_sequential_inserts_stay_balanced(self):
         tree = RedBlackTree()

@@ -1,27 +1,43 @@
-"""Tests for the vectorized columnar execution engine.
+"""Tests for the columnar batch engine against the row oracle.
 
-The engine must be *invisible* in results: every kernel (scan, selection
-including the index recheck path, projection, hash join, distinct, grouped
-aggregation) and every batch-compiled expression produces bit-identical
-relations to the row-at-a-time reference, and ``IMPSystem`` /
-``NoSketchSystem`` answers equal the reference oracle
-(``Database.query(..., optimize_plans=False, vectorize=False)``) after every
-update batch.  The Hypothesis differential tests run generated query/update workloads over
-mixed-type columns with NULLs; the unit tests pin down the batch
-representation, the three-valued-logic kernels, the fallback boundary around
-TopK and the index-ranking selection.
+Every kernel (scan, selection including the index recheck path, projection,
+hash/cross/theta join, distinct, grouped aggregation, top-k) and every
+batch-compiled expression produces bit-identical relations to the row oracle
+(``Database.query(..., optimize_plans=False, vectorize=False)``), and
+``IMPSystem`` / ``NoSketchSystem`` answers equal it after every update batch.
+The Hypothesis differential tests run generated query/update workloads over
+mixed-type columns with NULLs; LIMIT ties, multiplicities cut at ``k``, NaN
+order keys and non-equi joins are additionally held to plans spelled out with
+the expression interpreter of ``tests.reference``; the unit tests pin down
+the batch representation, the three-valued-logic kernels and the
+index-ranking selection.
 """
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.relational.algebra import OrderItem, Selection, TableScan, TopK
+from repro.relational.algebra import (
+    Aggregate,
+    AggregateFunction,
+    Aggregation,
+    Join,
+    OrderItem,
+    Projection,
+    ProjectionItem,
+    Selection,
+    TableScan,
+    TopK,
+)
 from repro.relational.columnar import ColumnBatch
-from repro.relational.evaluator import Evaluator
 from repro.relational.expressions import (
     BinaryOp,
     ColumnRef,
@@ -39,7 +55,8 @@ from repro.relational.schema import Relation, Schema
 from repro.imp.middleware import IMPSystem
 from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta, Delta
-from tests.reference import assert_systems_match_oracle, random_insert_batches
+from tests.reference import assert_systems_match_oracle, interpret, random_insert_batches
+from tests.test_algebra_evaluator import NAN, ORDER_JOIN_CASES, make_order_join_db
 
 STRINGS = ["ash", "birch", "cedar", "oak", None]
 
@@ -79,7 +96,7 @@ class TestColumnBatch:
     def test_relation_roundtrip(self):
         schema = Schema(["x", "y"])
         relation = Relation(schema, {(1, "a"): 2, (None, "b"): 1, (3, None): 4})
-        batch = ColumnBatch.from_relation(relation)
+        batch = ColumnBatch.from_items(schema, relation.items(), consolidated=True)
         assert len(batch) == 3
         assert batch.consolidated
         assert batch.to_relation() == relation
@@ -232,37 +249,224 @@ class TestSelectionSemantics:
             assert len(vectorized) == expected
 
 
-# -- fallback boundary (row-based TopK) ------------------------------------------------
+# -- LIMIT, cross and theta joins: engine == oracle == interpreted plan ------------------
 
 
-class TestFallbackBoundary:
-    def test_vectorized_subtree_under_row_topk(self):
+def compare_order_values(a, b, ascending: bool) -> int:
+    """ORDER BY on one pair of values, spelled out: NULL first, then numbers
+    (booleans count) with NaN after all of them, then everything else by its
+    string form; DESC turns all of that around except that NaN stays behind
+    the other numbers."""
+
+    def kind(value):
+        return 0 if value is None else 1 if isinstance(value, (int, float)) else 2
+
+    if kind(a) != kind(b):
+        outcome = kind(a) - kind(b)
+    elif a is None:
+        outcome = 0
+    elif kind(a) == 1:
+        if a != a or b != b:
+            return (a != a) - (b != b)
+        outcome = (a > b) - (a < b)
+    else:
+        outcome = (str(a) > str(b)) - (str(a) < str(b))
+    return outcome if ascending else -outcome
+
+
+def interpreted(plan, database: Database) -> Relation:
+    """A plan of scans, selections, projections, joins and top-k evaluated
+    with the expression interpreter and nested loops -- no compiled
+    expression, no kernel, no row operator of ``src``."""
+    if isinstance(plan, TableScan):
+        stored = database.table(plan.table)
+        return Relation(stored.schema.qualify(plan.alias), dict(stored.items()))
+    if isinstance(plan, Join):
+        left, right = interpreted(plan.left, database), interpreted(plan.right, database)
+        result = Relation(left.schema.concat(right.schema))
+        for left_row, left_count in left.items():
+            for right_row, right_count in right.items():
+                row = left_row + right_row
+                if plan.condition is None or interpret(plan.condition, row, result.schema) is True:
+                    result.add(row, left_count * right_count)
+        return result
+    child = interpreted(plan.child, database)
+    if isinstance(plan, Selection):
+        kept = {
+            row: count
+            for row, count in child.items()
+            if interpret(plan.predicate, row, child.schema) is True
+        }
+        return Relation(child.schema, kept)
+    if isinstance(plan, Projection):
+        result = Relation(Schema(item.alias for item in plan.items))
+        for row, count in child.items():
+            values = [interpret(item.expression, row, child.schema) for item in plan.items]
+            result.add(tuple(values), count)
+        return result
+    assert isinstance(plan, TopK), plan
+
+    def compare(one, other) -> int:
+        for item in plan.order_by:
+            outcome = compare_order_values(
+                interpret(item.expression, one[0], child.schema),
+                interpret(item.expression, other[0], child.schema),
+                item.ascending,
+            )
+            if outcome:
+                return outcome
+        return 0
+
+    result = Relation(child.schema)
+    remaining = plan.k
+    for row, count in sorted(child.items(), key=cmp_to_key(compare)):  # stable: ties in child order
+        result.add(row, min(count, remaining))
+        remaining -= min(count, remaining)
+    return result
+
+
+ORDER_VALUES = [None, True, False, 0, 1, -1, 2.5, NAN, "ash", "oak", "10"]
+SUMMANDS = [0.1, 0.2, 0.3, 1e16, -1e16, 7.25]
+
+
+@st.composite
+def limit_and_join_case(draw):
+    """A small database with repeated rows and a plan over it whose answer
+    hangs on entry order: a LIMIT over tied, mixed-type keys or a join
+    without a hashable equality, optionally under a float sum."""
+    database = Database()
+    database.create_table("t", ["id", "g", "v"])
+    database.create_table("u", ["k", "w"])
+    database.insert(
+        "t",
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 5),
+                    st.sampled_from([None, 0, 1, 2]),
+                    st.sampled_from(ORDER_VALUES),
+                ),
+                max_size=14,
+            )
+        ),
+    )
+    database.insert(
+        "u",
+        draw(
+            st.lists(
+                st.tuples(st.sampled_from([None, 0, 1, 2, 3]), st.sampled_from(SUMMANDS)),
+                max_size=7,
+            )
+        ),
+    )
+    t, u = TableScan("t"), TableScan("u")
+    g, k, v, w = ColumnRef("g"), ColumnRef("k"), ColumnRef("v"), ColumnRef("w")
+    if draw(st.booleans()):
+        child = draw(
+            st.sampled_from(
+                [
+                    t,
+                    Selection(t, Comparison("<", ColumnRef("id"), Literal(4))),
+                    Projection(t, [ProjectionItem(g), ProjectionItem(v)]),
+                ]
+            )
+        )
+        order_by = [
+            OrderItem(expression, draw(st.booleans()))
+            for expression in draw(st.sampled_from([[v], [g], [g, v], [v, g]]))
+        ]
+        plan = TopK(child, draw(st.integers(1, 12)), order_by)
+        if draw(st.booleans()):
+            plan = Selection(plan, IsNull(g, negated=True))
+    else:
+        plan = Join(
+            t,
+            u,
+            draw(
+                st.sampled_from(
+                    [
+                        None,
+                        Comparison("<", g, k),
+                        Comparison("<>", g, k),
+                        Comparison("=", BinaryOp("+", g, Literal(1)), k),
+                        Comparison("=", k, Literal(2)),
+                        LogicalOp("OR", [Comparison("=", g, k), IsNull(k)]),
+                        LogicalOp(
+                            "AND", [Comparison("=", g, k), Comparison("<", ColumnRef("id"), w)]
+                        ),
+                    ]
+                )
+            ),
+        )
+        if draw(st.booleans()):
+            plan = TopK(plan, draw(st.integers(1, 9)), [OrderItem(k, draw(st.booleans()))])
+    return database, plan
+
+
+def float_sum(plan, argument: str):
+    return Aggregation(
+        plan, [], [Aggregate(AggregateFunction.SUM, ColumnRef(argument), "total")]
+    )
+
+
+class TestLimitCrossAndThetaJoins:
+    @pytest.mark.parametrize("case", sorted(ORDER_JOIN_CASES))
+    def test_engine_oracle_and_interpreted_plan_agree(self, case):
+        plan, _expected = ORDER_JOIN_CASES[case]  # pinned in test_algebra_evaluator
+        database = make_order_join_db()
+        literal = database.query(plan, optimize_plans=False)
+        assert literal == database.query(plan, optimize_plans=False, vectorize=False)
+        assert literal == interpreted(plan, database)
+        assert database.query(plan) == database.query(plan, vectorize=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(limit_and_join_case())
+    def test_generated_plans(self, case):
+        database, plan = case
+        literal = database.query(plan, optimize_plans=False)
+        assert literal == database.query(plan, optimize_plans=False, vectorize=False)
+        assert literal == interpreted(plan, database)
+        assert database.query(plan) == database.query(plan, vectorize=False)
+        # The entry *order* below a float sum decides its low bits.
+        if "u.w" in literal.schema.attributes:
+            total = float_sum(plan, "w")
+            for optimize in (False, True):
+                assert database.query(total, optimize_plans=optimize) == database.query(
+                    total, optimize_plans=optimize, vectorize=False
+                )
+
+    def test_sql_limit_over_a_selection(self):
         database = make_mixed_db()
         sql = "SELECT id, b FROM m WHERE b < 80 ORDER BY b, id LIMIT 7"
-        assert database.query(sql, vectorize=True) == database.query(sql, vectorize=False)
+        assert database.query(sql) == database.query(sql, vectorize=False)
 
-    def test_row_topk_under_vectorized_selection(self):
-        database = make_mixed_db()
-        topk = TopK(
-            TableScan("m"),
-            k=25,
-            order_by=[OrderItem(ColumnRef("id"))],
-        )
-        plan = Selection(topk, Comparison("<", ColumnRef("b"), Literal(50)))
-        vectorized = database.query(plan, optimize_plans=False, vectorize=True)
-        row = database.query(plan, optimize_plans=False, vectorize=False)
-        assert vectorized == row
-        assert len(vectorized) > 0
+    def test_nan_keys_do_not_make_the_limit_depend_on_insertion_order(self):
+        rows = [(1, 5.0), (2, NAN), (3, 1.0), (4, 3.0)]
+        expected = {
+            "SELECT id, x FROM t ORDER BY x LIMIT 2": {3, 4},
+            "SELECT id, x FROM t ORDER BY x LIMIT 3": {3, 4, 1},
+            "SELECT id, x FROM t ORDER BY x DESC LIMIT 2": {1, 4},
+            "SELECT id, x FROM t ORDER BY x DESC LIMIT 3": {1, 4, 3},
+        }
+        for order in (rows, rows[::-1], [rows[1], rows[0], rows[3], rows[2]]):
+            database = Database()
+            database.create_table("t", ["id", "x"])
+            database.insert("t", order)
+            for sql, ids in expected.items():
+                for vectorize in (True, False):
+                    answer = database.query(sql, vectorize=vectorize)
+                    assert {row[0] for row in answer.rows()} == ids, (sql, order, vectorize)
 
-    def test_scan_counts_match_between_engines(self):
-        # The vectorized engine must not change the I/O instrumentation:
-        # column_batch counts like relation, index scans like index scans.
+    def test_scan_counts_match_between_engine_and_oracle(self):
+        # The oracle reads what the engine reads: column_batch counts like
+        # relation, index scans like index scans.
         database = make_mixed_db()
         database.create_index("m", "b")
         queries = [
             "SELECT a, b FROM m WHERE b BETWEEN 10 AND 20",
             "SELECT m.id, o.w FROM m JOIN o ON (a = g)",
             "SELECT a, count(*) AS n FROM m GROUP BY a",
+            "SELECT id, b FROM m ORDER BY b DESC LIMIT 3",
         ]
         for sql in queries:
             counters = []
@@ -364,6 +568,10 @@ QUERY_TEMPLATES = [
     "SELECT id, b FROM m WHERE b < {high} ORDER BY b, id LIMIT 5",
     "SELECT count(*) AS n FROM m WHERE b BETWEEN {low} AND {high}",
     "SELECT abs(b) AS ab, lower(s) AS ls FROM m WHERE b > {low}",
+    "SELECT id, a FROM m WHERE b < {high} ORDER BY a LIMIT 7",
+    "SELECT id, s, b FROM m ORDER BY s DESC, b LIMIT 6",
+    "SELECT m.id, o.oid FROM m JOIN o ON (m.a < o.g) WHERE m.b < {low}",
+    "SELECT m.id, o.oid FROM m JOIN o ON (m.a <> o.g AND m.b = o.oid)",
 ]
 
 
@@ -529,27 +737,80 @@ class TestFloatAggregatesUnderMaintenance:
         assert system.statistics.sketch_hits > 0
 
 
-# -- evaluator without the database provider -------------------------------------------
+# -- the engine never leaves its pipeline ----------------------------------------------
+
+PIPELINE_PROBE = """
+import sys
+
+sys.path.insert(0, "bench")
+from streams import WORKLOADS
+
+from repro.relational.algebra import (
+    Aggregate, AggregateFunction, Aggregation, Distinct, Join, OrderItem,
+    Projection, ProjectionItem, Selection, TableScan, TopK,
+)
+from repro.relational.expressions import ColumnRef, Comparison, Literal
+from repro.storage.database import Database
+from repro.workloads import TPCH_QUERIES
+
+row_scans = []
+Database.relation = lambda self, table: row_scans.append(table)
+
+ran = set()
+for workload in WORKLOADS.values():
+    inputs = workload.inputs(seed=11, scale="smoke", lap_seconds=1.0)
+    database = Database()
+    for table in inputs.tables:
+        database.create_table(table.name, table.columns, primary_key=table.primary_key)
+        database.insert(table.name, table.rows)
+    for sql in inputs.templates:
+        assert len(database.query(sql)) >= 0
+        ran.add(sql)
+assert set(TPCH_QUERIES.values()) <= ran
+
+database = Database()
+database.create_table("t", ["a", "b"])
+database.create_table("u", ["c"])
+database.insert("t", [(i, i % 4) for i in range(50)])
+database.insert("u", [(i,) for i in range(5)])
+database.create_index("t", "a")
+t, u, a, b, c = TableScan("t"), TableScan("u"), ColumnRef("a"), ColumnRef("b"), ColumnRef("c")
+plans = [
+    t,
+    Selection(t, Comparison("<", b, Literal(2))),
+    Selection(t, Comparison("<", a, Literal(9))),  # served by the index
+    Projection(t, [ProjectionItem(b)]),
+    Join(t, u, Comparison("=", b, c)),
+    Join(t, u, None),
+    Join(t, u, Comparison("<", b, c)),
+    Aggregation(t, [b], [Aggregate(AggregateFunction.SUM, a, "total")]),
+    Distinct(Projection(t, [ProjectionItem(b)])),
+    TopK(t, 3, [OrderItem(b, False), OrderItem(a)]),
+]
+for plan in plans:
+    for optimize in (True, False):
+        assert len(database.query(plan, optimize_plans=optimize)) > 0
+assert database.index_scan_count == 2
+
+assert not row_scans, row_scans
+assert "repro.relational.oracle" not in sys.modules
+print("stayed on the batch pipeline:", len(ran), "templates,", len(plans), "plans")
+"""
 
 
-class _PlainProvider:
-    """A RelationProvider without column_batch/index hooks (protocol floor)."""
-
-    def __init__(self):
-        self.schema = Schema(["x", "y"])
-        self.data = Relation(self.schema, {(1, 2): 1, (3, 4): 2, (None, 6): 1})
-
-    def relation(self, table):
-        return self.data.copy()
-
-    def schema_of(self, table):
-        return self.schema
-
-
-def test_vectorized_evaluator_works_without_column_batch_provider():
-    provider = _PlainProvider()
-    plan = Selection(TableScan("t"), Comparison(">", ColumnRef("x"), Literal(1)))
-    engine = Evaluator(provider).evaluate(plan)
-    reference = Evaluator(provider, optimize_plans=False, vectorize=False).evaluate(plan)
-    assert engine == reference
-    assert engine.to_set() == {(3, 4)}
+def test_the_engine_never_leaves_the_batch_pipeline():
+    """Every benchmark template and every plan node type is answered without
+    one ``Database.relation`` call and without importing the row oracle (a
+    fresh interpreter: this process has long imported it)."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    environment = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = subprocess.run(
+        [sys.executable, "-c", PIPELINE_PROBE],
+        cwd=root,
+        env=environment,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert "stayed on the batch pipeline" in probe.stdout
