@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import compress
+from operator import itemgetter
 
+from repro.relational.columnar import LazyColumns
 from repro.relational.schema import Row, Schema
 
 
@@ -51,9 +53,13 @@ class AnnotatedDelta:
         """Iterate over ``(row, annotation mask, signed count)`` triples."""
         return zip(self.rows, self.annotations, self.counts)
 
-    def columns(self) -> list[tuple]:
-        """The rows pivoted into value columns (input of batch expressions)."""
-        return list(zip(*self.rows))
+    def columns(self) -> LazyColumns:
+        """The rows pivoted into value columns (input of batch expressions),
+        each column built when an expression first reads it."""
+        rows = self.rows
+        return LazyColumns(
+            len(self.schema), lambda position: list(map(itemgetter(position), rows))
+        )
 
     def filter(self, keep: Iterable[object]) -> "AnnotatedDelta":
         """The entries whose ``keep`` value is truthy."""

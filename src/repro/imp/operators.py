@@ -27,22 +27,22 @@ Annotations are plain ``int`` fragment masks throughout.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import itemgetter
 
 from repro.core.bloom import BloomFilter
 from repro.relational.algebra import Aggregate, OrderItem, PlanNode
 from repro.relational.expressions import (
-    ColumnRef,
     CompiledBatchExpression,
     Expression,
     Literal,
     compile_batch_expression,
-    compile_expression,
-    compile_row_expressions,
+    strict_boolean,
 )
-from repro.relational.kernels import strict_boolean
-from repro.relational.schema import Row, Schema, make_order_key
+from repro.relational.kernels import order_keys
+from repro.relational.schema import Row, Schema
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import SketchDelta
 from repro.storage.database import Database
@@ -62,11 +62,17 @@ def compile_batch_predicate(
     predicate: Expression, schema: Schema
 ) -> CompiledBatchExpression:
     """Batch form of a selection predicate whose value column can drive
-    :func:`itertools.compress`: true exactly where the row form ``is True``."""
+    :func:`itertools.compress`: true exactly where the predicate ``is True``."""
     evaluate = compile_batch_expression(predicate, schema)
     if strict_boolean(predicate):
         return evaluate
     return lambda columns, n: [value is True for value in evaluate(columns, n)]
+
+
+def _row_tuples(value_columns: list[list], n: int) -> Iterable[tuple]:
+    """The ``n`` entries of parallel value columns as tuples (``()`` each when
+    there is no column)."""
+    return zip(*value_columns) if value_columns else [()] * n
 
 
 @dataclass
@@ -311,7 +317,7 @@ class IncrementalProjection(IncrementalOperator):
         run.statistics.tuples_processed += len(child)
         columns, n = child.columns(), len(child.rows)
         values = [evaluate(columns, n) for evaluate in self._project_batch]
-        return child.with_rows(self.output_schema, list(zip(*values)) if values else [()] * n)
+        return child.with_rows(self.output_schema, list(_row_tuples(values, n)))
 
     def describe(self) -> str:
         return f"IncProjection({len(self.expressions)} expressions)"
@@ -330,6 +336,21 @@ class JoinSide:
 
 def _no_key(_row: Row) -> tuple:
     return ()
+
+
+# Candidate pairs a join hands to its condition at a time: enough to amortise
+# a kernel call, few enough that a batch's tuples stay cache-resident (theta
+# capture over 1500 x 1500 rows: 0.9 s at 512, 1.35 s at 4096).
+_PAIR_BATCH = 512
+
+
+def _key_getter(schema: Schema, names: Sequence[str]) -> Callable[[Row], tuple]:
+    """``row -> join key tuple`` over the named attributes (at least one)."""
+    positions = [schema.index_of(name) for name in names]
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    (position,) = positions
+    return lambda row: (row[position],)
 
 
 class IncrementalJoin(IncrementalOperator):
@@ -373,10 +394,10 @@ class IncrementalJoin(IncrementalOperator):
         self.left = left
         self.right = right
         self.condition = condition
-        self._condition_fn = (
+        self._condition_batch = (
             None
             if condition is None
-            else compile_expression(condition, self.output_schema)
+            else compile_batch_predicate(condition, self.output_schema)
         )
         self._compile_side = compile_side
         self.use_bloom_filters = use_bloom_filters
@@ -402,10 +423,7 @@ class IncrementalJoin(IncrementalOperator):
             left_keys, right_keys = second, first
         else:
             return None
-        return (
-            compile_row_expressions([ColumnRef(k) for k in left_keys], left_schema),
-            compile_row_expressions([ColumnRef(k) for k in right_keys], right_schema),
-        )
+        return _key_getter(left_schema, left_keys), _key_getter(right_schema, right_keys)
 
     def forget_sides(self) -> None:
         """Drop what is kept of both sides (filters and indexes are derived
@@ -515,8 +533,30 @@ class IncrementalJoin(IncrementalOperator):
         delta_on_left: bool,
     ) -> None:
         """Append every combination of a delta tuple with a tuple in its join
-        key's bucket that satisfies the join condition."""
-        condition, append = self._condition_fn, output.append
+        key's bucket that satisfies the join condition.
+
+        The condition filters the candidate pairs a batch at a time, and at
+        most ``_PAIR_BATCH`` of them exist at once: a theta join's only
+        bucket is the whole other side, so a term has ``|Δ| · |side|``
+        candidates however few survive."""
+        condition = self._condition_batch
+        candidates = self._candidate_pairs(delta, delta_key, buckets, delta_on_left)
+        while batch := list(islice(candidates, _PAIR_BATCH)):
+            if condition is not None:
+                columns = list(zip(*[joined for joined, _annotation, _count in batch]))
+                batch = compress(batch, condition(columns, len(batch)))
+            for entry in batch:
+                output.append(*entry)
+
+    @staticmethod
+    def _candidate_pairs(
+        delta: AnnotatedDelta,
+        delta_key: Callable[[Row], tuple],
+        buckets: dict[tuple, dict[tuple[Row, int], int]],
+        delta_on_left: bool,
+    ) -> Iterator[tuple[Row, int, int]]:
+        """``(joined row, annotation, count)`` of every delta tuple with every
+        tuple in its join key's bucket, delta order then bucket order."""
         for key, (row, annotation, count) in zip(
             map(delta_key, delta.rows), delta.entries()
         ):
@@ -525,8 +565,7 @@ class IncrementalJoin(IncrementalOperator):
                 continue
             for (other_row, other_annotation), multiplicity in bucket.items():
                 joined = row + other_row if delta_on_left else other_row + row
-                if condition is None or condition(joined) is True:
-                    append(joined, annotation | other_annotation, count * multiplicity)
+                yield joined, annotation | other_annotation, count * multiplicity
 
     def memory_bytes(self) -> int:
         return sum(side.state.memory_bytes() for side in self.sides)
@@ -563,16 +602,19 @@ class IncrementalAggregation(IncrementalOperator):
         self.min_max_buffer = min_max_buffer
         self.state = AggregationState()
         child_schema = child.output_schema
-        self._group_key = compile_row_expressions(self.group_by, child_schema)
+        self._group_key = [
+            compile_batch_expression(expression, child_schema)
+            for expression in self.group_by
+        ]
         # COUNT(*) has no argument; a constant placeholder keeps the value
         # tuple aligned with the accumulators (CountStarAccumulator ignores it).
-        self._argument_values = compile_row_expressions(
-            [
-                Literal(0) if aggregate.argument is None else aggregate.argument
-                for aggregate in self.aggregates
-            ],
-            child_schema,
-        )
+        self._argument_values = [
+            compile_batch_expression(
+                Literal(0) if aggregate.argument is None else aggregate.argument,
+                child_schema,
+            )
+            for aggregate in self.aggregates
+        ]
         # The aggregates over no input tuples: what new accumulators report.
         self._over_nothing = tuple(
             accumulator.result() for accumulator in self._new_accumulators()
@@ -608,9 +650,10 @@ class IncrementalAggregation(IncrementalOperator):
         # produced before, not even the scalar group.
         absent = (self._over_nothing, 0) if scalar and not run.from_scratch else None
         snapshots: dict[tuple, tuple[tuple, int] | None] = {}
+        columns, n = child.columns(), len(child.rows)
         for key, values, annotation, count in zip(
-            map(self._group_key, child.rows),
-            map(self._argument_values, child.rows),
+            _row_tuples([evaluate(columns, n) for evaluate in self._group_key], n),
+            _row_tuples([evaluate(columns, n) for evaluate in self._argument_values], n),
             child.annotations,
             child.counts,
         ):
@@ -702,13 +745,11 @@ class IncrementalTopK(IncrementalOperator):
             buffer_limit = k
         self.buffer_limit = buffer_limit
         self.state = TopKState(buffer_limit)
-        self._sort_key = make_order_key(
-            self.order_by,
-            [
-                compile_expression(item.expression, child.output_schema)
-                for item in self.order_by
-            ],
-        )
+        self._sort_values = [
+            compile_batch_expression(item.expression, child.output_schema)
+            for item in self.order_by
+        ]
+        self._ascending = [item.ascending for item in self.order_by]
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
@@ -721,8 +762,12 @@ class IncrementalTopK(IncrementalOperator):
         run.statistics.tuples_processed += len(child)
         state = self.state
         old_top = state.top_k(self.k) if state.can_answer(self.k) else []
+        columns, n = child.columns(), len(child.rows)
+        sort_keys = order_keys(
+            [evaluate(columns, n) for evaluate in self._sort_values], self._ascending
+        )
         for sort_key, row, annotation, count in zip(
-            map(self._sort_key, child.rows), child.rows, child.annotations, child.counts
+            sort_keys, child.rows, child.annotations, child.counts
         ):
             if count > 0:
                 state.add(sort_key, row, annotation, count)

@@ -423,7 +423,9 @@ class JoinSideState:
         The index is not walked (a store with a memory budget asks after every
         round): its bucket and entry counts are multiplied by the size of the
         first bucket's key tuple (its values are the rows' own) and the deep
-        size of that bucket's first entry, dict slots included.
+        size of that bucket's first entry plus its dict slot.  The slot is
+        priced on a fresh one-entry dict, not on the sampled bucket: a dict
+        that has shrunk keeps the capacity it grew to.
         """
         buckets = self.buckets
         if buckets is None:
@@ -435,7 +437,7 @@ class JoinSideState:
             size += len(buckets) * sys.getsizeof(join_key)
             size += self._entries * (
                 MemoryMeter().measure_many((entry, bucket[entry]))
-                + sys.getsizeof(bucket) // len(bucket)
+                + sys.getsizeof({entry: bucket[entry]})
             )
         return size
 

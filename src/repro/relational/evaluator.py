@@ -31,6 +31,7 @@ from repro.relational.expressions import (
     Literal,
     compile_batch_expression,
     conjuncts,
+    strict_boolean,
 )
 from repro.relational.schema import Relation, Schema
 
@@ -130,11 +131,15 @@ class Evaluator:
         base = self._provider.column_batch(node.table)
         return base.relabel(base.schema.qualify(node.alias))
 
+    @staticmethod
+    def _values(batch: ColumnBatch, expression: Expression) -> list:
+        """The value column of ``expression`` over ``batch`` (its one lowering)."""
+        return compile_batch_expression(expression, batch.schema)(batch.columns, len(batch))
+
     def _filter(self, batch: ColumnBatch, predicate: Expression) -> ColumnBatch:
-        values = compile_batch_expression(predicate, batch.schema)(
-            batch.columns, len(batch)
+        return kernels.filter_batch(
+            batch, self._values(batch, predicate), strict_boolean(predicate)
         )
-        return kernels.filter_batch(batch, values, kernels.strict_boolean(predicate))
 
     def _selection_batch(self, node: Selection) -> ColumnBatch:
         if isinstance(node.predicate, Literal):
@@ -161,11 +166,7 @@ class Evaluator:
 
     def _projection_batch(self, node: Projection) -> ColumnBatch:
         child = self._batch(node.child)
-        n = len(child)
-        value_columns = [
-            compile_batch_expression(item.expression, child.schema)(child.columns, n)
-            for item in node.items
-        ]
+        value_columns = [self._values(child, item.expression) for item in node.items]
         return kernels.project_batch(
             child, Schema(item.alias for item in node.items), value_columns
         )
@@ -186,17 +187,9 @@ class Evaluator:
         # One entry per distinct child row, in first-occurrence order: that
         # fixes the accumulation order of each group's float sums.
         child = self._batch(node.child).consolidate()
-        n = len(child)
-        key_columns = [
-            compile_batch_expression(expression, child.schema)(child.columns, n)
-            for expression in node.group_by
-        ]
+        key_columns = [self._values(child, expression) for expression in node.group_by]
         argument_columns = [
-            None
-            if aggregate.argument is None
-            else compile_batch_expression(aggregate.argument, child.schema)(
-                child.columns, n
-            )
+            None if aggregate.argument is None else self._values(child, aggregate.argument)
             for aggregate in node.aggregates
         ]
         return kernels.aggregate_batch(
@@ -212,11 +205,7 @@ class Evaluator:
         # Consolidated like an aggregation's input: equal rows are one entry
         # at their first occurrence, so LIMIT ties are cut in that order.
         child = self._batch(node.child).consolidate()
-        n = len(child)
-        key_columns = [
-            compile_batch_expression(item.expression, child.schema)(child.columns, n)
-            for item in node.order_by
-        ]
+        key_columns = [self._values(child, item.expression) for item in node.order_by]
         return kernels.top_k_batch(
             child, key_columns, [item.ascending for item in node.order_by], node.k
         )

@@ -9,18 +9,18 @@ evaluated).
 
 Every node implements
 
-* ``compile(schema)`` -- specialise the expression for a schema, returning a
-  closure ``row -> value`` with all column positions pre-resolved,
-* ``compile_batch(schema)`` -- the column-at-a-time twin of ``compile``,
+* ``compile_batch(schema)`` -- the one lowering: specialise the expression
+  for a schema, returning a column kernel ``(columns, n) -> value column``
+  with all column positions pre-resolved,
 * ``columns()`` -- the set of referenced attribute names,
 * ``rename(mapping)`` -- structural copy with column names substituted, and
 * a deterministic ``canonical()`` string used for query templates.
 
-Callers go through :func:`compile_expression` /
-:func:`compile_batch_expression`, which cache compiled forms per
+Callers go through :func:`compile_batch_expression`, which caches kernels per
 ``(expression, schema)`` so repeated maintenance rounds reuse them.  The
-tree-walking interpreter that defines the semantics both lowerings are tested
-against lives with the tests (``tests/reference.py``).
+tree-walking interpreter that defines the semantics the lowering is tested
+against is the oracle's (:mod:`repro.relational.oracle`); nothing here
+evaluates an expression tree.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from repro.core.errors import SchemaError, UnsupportedOperationError
-from repro.relational.schema import Row, Schema
-
-CompiledExpression = Callable[[Row], Any]
-"""A schema-specialised evaluator: maps a row to the expression's value."""
+from repro.relational.schema import Schema
 
 CompiledBatchExpression = Callable[[Sequence[list], int], list]
 """A schema-specialised *columnar* evaluator.
@@ -49,61 +46,27 @@ reference) -- callers must treat both as read-only.
 class Expression:
     """Base class for scalar expressions."""
 
-    def compile(self, schema: Schema) -> CompiledExpression:
-        """Specialise the expression for ``schema``.
-
-        Constant subexpressions are folded: an expression referencing no
-        columns is evaluated once at compile time (unless evaluating it
-        raises, in which case folding is skipped so the error surfaces
-        per-row).
-        """
-        fn = self._compile(schema)
-        if not self.columns() and not self.contains_aggregate():
-            try:
-                value = fn(())
-            except Exception:
-                return fn
-            return lambda row: value
-        return fn
-
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        """Node-specific compilation (no constant folding)."""
-        raise NotImplementedError
-
     def compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         """Specialise the expression for column-at-a-time evaluation.
 
-        The returned closure maps a batch's columns to the value column of
-        this expression, element-for-element identical to calling the
-        compiled row form on every row.  Constant subexpressions are folded
-        exactly as in :meth:`compile` (evaluated once unless evaluation
-        raises, in which case the error keeps surfacing per element).
+        The returned kernel maps a batch's columns to the value column of
+        this expression.  Constant subexpressions are folded: an expression
+        referencing no columns is evaluated once, over a one-entry batch
+        without columns (unless evaluating it raises, in which case folding
+        is skipped so the error keeps surfacing whenever there is an entry).
         """
+        fn = self._compile_batch(schema)
         if not self.columns() and not self.contains_aggregate():
-            fn = self.compile(schema)
             try:
-                value = fn(())
+                (value,) = fn((), 1)
             except Exception:
-                pass
-            else:
-                return lambda columns, n: [value] * n
-        return self._compile_batch(schema)
+                return fn
+            return lambda columns, n: [value] * n
+        return fn
 
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
-        """Node-specific batch compilation.
-
-        The default pivots the columns back into row tuples and maps the
-        compiled row form over them -- correct for every node, overridden
-        with hoisted whole-column loops for the hot node types.
-        """
-        fn = self.compile(schema)
-
-        def run(columns: Sequence[list], n: int) -> list:
-            if not columns:
-                return [fn(()) for _ in range(n)]
-            return [fn(row) for row in zip(*columns)]
-
-        return run
+        """Node-specific lowering (no constant folding)."""
+        raise NotImplementedError
 
     def columns(self) -> set[str]:
         """Attribute names referenced by the expression."""
@@ -141,9 +104,6 @@ class ColumnRef(Expression):
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        return operator.itemgetter(schema.index_of(self.name))
-
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         index = schema.index_of(self.name)
         # The input column *is* the value column (shared, read-only).
@@ -166,10 +126,6 @@ class Literal(Expression):
 
     def __init__(self, value: Any) -> None:
         self.value = value
-
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        value = self.value
-        return lambda row: value
 
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         value = self.value
@@ -210,20 +166,6 @@ class BinaryOp(Expression):
         self.left = left
         self.right = right
 
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        operation = _ARITHMETIC[self.op]
-
-        def run(row: Row) -> Any:
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            return operation(a, b)
-
-        return run
-
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         left = self.left.compile_batch(schema)
         right = self.right.compile_batch(schema)
@@ -260,15 +202,6 @@ class UnaryMinus(Expression):
 
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
-
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        operand = self.operand.compile(schema)
-
-        def run(row: Row) -> Any:
-            value = operand(row)
-            return None if value is None else -value
-
-        return run
 
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         operand = self.operand.compile_batch(schema)
@@ -314,38 +247,9 @@ class Comparison(Expression):
         self.left = left
         self.right = right
 
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        operation = _COMPARISONS[self.op]
-        # Fast path for the dominant predicate shape, ``column <op> constant``:
-        # a single tuple access and one comparison per row.
-        if isinstance(self.left, ColumnRef) and isinstance(self.right, Literal):
-            index = schema.index_of(self.left.name)
-            constant = self.right.value
-            if constant is None:
-                return lambda row: None
-
-            def fast(row: Row) -> bool | None:
-                value = row[index]
-                if value is None:
-                    return None
-                return bool(operation(value, constant))
-
-            return fast
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-
-        def run(row: Row) -> bool | None:
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            return bool(operation(a, b))
-
-        return run
-
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         operation = _COMPARISONS[self.op]
-        # Same fast path as the row compile: ``column <op> constant`` becomes
+        # Fast path for the dominant predicate shape, ``column <op> constant``:
         # one hoisted comprehension over the value column.
         if isinstance(self.left, ColumnRef) and isinstance(self.right, Literal):
             index = schema.index_of(self.left.name)
@@ -397,21 +301,6 @@ class Between(Expression):
         self.operand = operand
         self.low = low
         self.high = high
-
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        operand = self.operand.compile(schema)
-        low = self.low.compile(schema)
-        high = self.high.compile(schema)
-
-        def run(row: Row) -> bool | None:
-            value = operand(row)
-            lo = low(row)
-            hi = high(row)
-            if value is None or lo is None or hi is None:
-                return None
-            return lo <= value <= hi
-
-        return run
 
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         operand = self.operand.compile_batch(schema)
@@ -474,12 +363,6 @@ class IsNull(Expression):
         self.operand = operand
         self.negated = negated
 
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        operand = self.operand.compile(schema)
-        if self.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
-
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         operand = self.operand.compile_batch(schema)
         if self.negated:
@@ -516,82 +399,31 @@ class LogicalOp(Expression):
         self.op = op
         self.operands = tuple(operands)
 
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        # Every operand is evaluated (no short-circuit): a later operand
-        # that raises must raise whatever the earlier ones return.
-        compiled = [operand.compile(schema) for operand in self.operands]
-        if self.op == "AND":
-
-            def run_and(row: Row) -> bool | None:
-                # Three-valued AND: False dominates, then None, then True.
-                saw_false = False
-                saw_null = False
-                for fn in compiled:
-                    value = fn(row)
-                    if value is False:
-                        saw_false = True
-                    elif value is None:
-                        saw_null = True
-                if saw_false:
-                    return False
-                return None if saw_null else True
-
-            return run_and
-
-        def run_or(row: Row) -> bool | None:
-            saw_true = False
-            saw_null = False
-            for fn in compiled:
-                value = fn(row)
-                if value is True:
-                    saw_true = True
-                elif value is None:
-                    saw_null = True
-            if saw_true:
-                return True
-            return None if saw_null else False
-
-        return run_or
-
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
-        # Like the row form, every operand column is fully evaluated (no
-        # short-circuit) so a later operand that raises still raises.  The
-        # merge classifies operand values exactly as the row loops do:
-        # literal False / None are tracked, anything else counts as true.
+        # Every operand column is fully evaluated (no short-circuit): a later
+        # operand that raises must raise whatever the earlier ones return.
+        # Three-valued merge: the dominating constant (False for AND, True
+        # for OR) wins, then None, and anything else counts as the identity.
         compiled = [operand.compile_batch(schema) for operand in self.operands]
         first = compiled[0]
         rest = compiled[1:]
-        if self.op == "AND":
+        dominating = self.op == "OR"
+        identity = not dominating
 
-            def run_and(columns: Sequence[list], n: int) -> list:
-                result = [
-                    False if value is False else None if value is None else True
-                    for value in first(columns, n)
-                ]
-                for fn in rest:
-                    for i, value in enumerate(fn(columns, n)):
-                        if value is False:
-                            result[i] = False
-                        elif value is None and result[i] is True:
-                            result[i] = None
-                return result
-
-            return run_and
-
-        def run_or(columns: Sequence[list], n: int) -> list:
+        def run(columns: Sequence[list], n: int) -> list:
             result = [
-                True if value is True else None if value is None else False
+                dominating if value is dominating else None if value is None else identity
                 for value in first(columns, n)
             ]
             for fn in rest:
                 for i, value in enumerate(fn(columns, n)):
-                    if value is True:
-                        result[i] = True
-                    elif value is None and result[i] is False:
+                    if value is dominating:
+                        result[i] = dominating
+                    elif value is None and result[i] is identity:
                         result[i] = None
             return result
 
-        return run_or
+        return run
 
     def columns(self) -> set[str]:
         result: set[str] = set()
@@ -617,17 +449,6 @@ class Not(Expression):
 
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
-
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        operand = self.operand.compile(schema)
-
-        def run(row: Row) -> bool | None:
-            value = operand(row)
-            if value is None:
-                return None
-            return not value
-
-        return run
 
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         operand = self.operand.compile_batch(schema)
@@ -672,7 +493,7 @@ class FunctionCall(Expression):
     Aggregate calls (``sum``, ``count``, ``avg``, ``min``, ``max``) are never
     evaluated directly: the SQL translator rewrites plans so aggregation
     operators compute them and downstream expressions reference the result via
-    a :class:`ColumnRef`.  Evaluating an aggregate call on a single row raises.
+    a :class:`ColumnRef`.  Evaluating an aggregate call on any entry raises.
     """
 
     __slots__ = ("name", "args", "star")
@@ -687,36 +508,24 @@ class FunctionCall(Expression):
         """Whether this is one of the supported aggregate functions."""
         return self.name in AGGREGATE_FUNCTIONS
 
-    def _compile(self, schema: Schema) -> CompiledExpression:
-        # Aggregates and unknown functions raise per-row: the error belongs
-        # to evaluation, not planning.
-        if self.is_aggregate:
-            name = self.name
-
-            def fail_aggregate(row: Row) -> Any:
-                raise UnsupportedOperationError(
-                    f"aggregate {name}() cannot be evaluated per-row; "
-                    "the translator must place it in an Aggregation operator"
-                )
-
-            return fail_aggregate
-        handler = _SCALAR_FUNCTIONS.get(self.name)
-        if handler is None:
-            name = self.name
-
-            def fail_scalar(row: Row) -> Any:
-                raise UnsupportedOperationError(f"unsupported scalar function {name!r}")
-
-            return fail_scalar
-        compiled = [arg.compile(schema) for arg in self.args]
-        return lambda row: handler([fn(row) for fn in compiled])
-
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         handler = _SCALAR_FUNCTIONS.get(self.name)
         if self.is_aggregate or handler is None:
-            # Keep raising per element via the generic row fallback, matching
-            # the row-compiled semantics.
-            return super()._compile_batch(schema)
+            # Aggregates and unknown functions raise as soon as there is an
+            # entry to evaluate: the error belongs to evaluation, not planning.
+            message = (
+                f"aggregate {self.name}() cannot be evaluated per entry; "
+                "the translator must place it in an Aggregation operator"
+                if self.is_aggregate
+                else f"unsupported scalar function {self.name!r}"
+            )
+
+            def fail(columns: Sequence[list], n: int) -> list:
+                if n:
+                    raise UnsupportedOperationError(message)
+                return []
+
+            return fail
         compiled = [arg.compile_batch(schema) for arg in self.args]
 
         def run(columns: Sequence[list], n: int) -> list:
@@ -746,38 +555,20 @@ class FunctionCall(Expression):
         return self.is_aggregate or any(arg.contains_aggregate() for arg in self.args)
 
 
-_COMPILE_CACHE: dict[tuple[str, Schema, str], Callable] = {}
+_COMPILE_CACHE: dict[tuple[str, Schema], CompiledBatchExpression] = {}
 _COMPILE_CACHE_LIMIT = 4096
-
-
-def compile_expression(expression: Expression, schema: Schema) -> CompiledExpression:
-    """Compiled form of ``expression`` under ``schema``, cached.
-
-    Compiled closures depend only on the expression structure, the schema and
-    the compilation mode, so they are shared across plan nodes and
-    maintenance rounds via a process-wide cache keyed on ``(canonical form,
-    schema, mode)`` -- row-compiled and batch-compiled forms of the same
-    expression coexist.
-    """
-    key = (expression.canonical(), schema, "row")
-    compiled = _COMPILE_CACHE.get(key)
-    if compiled is None:
-        if len(_COMPILE_CACHE) >= _COMPILE_CACHE_LIMIT:
-            _COMPILE_CACHE.clear()
-        compiled = expression.compile(schema)
-        _COMPILE_CACHE[key] = compiled
-    return compiled
 
 
 def compile_batch_expression(
     expression: Expression, schema: Schema
 ) -> CompiledBatchExpression:
-    """Batch-compiled form of ``expression`` under ``schema``, cached.
+    """Column kernel of ``expression`` under ``schema``, cached.
 
-    The columnar twin of :func:`compile_expression`, sharing its cache under
-    the ``"batch"`` mode key.
+    Kernels depend only on the expression structure and the schema, so they
+    are shared across plan nodes and maintenance rounds via a process-wide
+    cache keyed on ``(canonical form, schema)``.
     """
-    key = (expression.canonical(), schema, "batch")
+    key = (expression.canonical(), schema)
     compiled = _COMPILE_CACHE.get(key)
     if compiled is None:
         if len(_COMPILE_CACHE) >= _COMPILE_CACHE_LIMIT:
@@ -792,37 +583,38 @@ def clear_compile_cache() -> None:
     _COMPILE_CACHE.clear()
 
 
-def compile_row_expressions(
-    expressions: Sequence[Expression], schema: Schema
-) -> Callable[[Row], tuple]:
-    """Compile a list of expressions into one ``row -> tuple`` closure.
+def strict_boolean(expression: Expression) -> bool:
+    """Whether the value column of ``expression`` holds only ``True/False/None``.
 
-    This is the shape of projection lists and GROUP BY keys.  When every
-    expression is a plain column reference the whole tuple is produced by a
-    single :func:`operator.itemgetter` call (C speed); otherwise each compiled
-    expression is invoked in turn.
+    The boolean-producing node types normalise their output to strict
+    three-valued logic, so their value columns can drive
+    :func:`itertools.compress` directly.  Any other expression (a bare column
+    reference, arithmetic, a scalar function call, a literal such as ``1``)
+    may produce arbitrary truthy values, which SQL selection (``predicate is
+    True``) rejects -- those masks must be normalised first.
     """
-    if not expressions:
-        return lambda row: ()
-    if all(isinstance(e, ColumnRef) for e in expressions):
-        positions = [schema.index_of(e.name) for e in expressions]
-        if len(positions) == 1:
-            getter = operator.itemgetter(positions[0])
-            return lambda row: (getter(row),)
-        # itemgetter with several indices already returns a tuple.
-        return operator.itemgetter(*positions)
-    compiled = [compile_expression(e, schema) for e in expressions]
-    return lambda row: tuple(fn(row) for fn in compiled)
+    if isinstance(expression, Literal):
+        return expression.value is None or isinstance(expression.value, bool)
+    return isinstance(expression, (Comparison, Between, IsNull, LogicalOp, Not))
 
 
 def conjuncts(expression: Expression | None) -> list[Expression]:
-    """Split an expression into its top-level AND conjuncts."""
+    """Split an expression into its top-level AND conjuncts.
+
+    AND counts every operand value but False/NULL as true while a selection
+    keeps only ``is True``, so an operand that is not :func:`strict_boolean`
+    stays inside a one-operand AND: each conjunct can then be selected on
+    alone (``σ[a AND b] = σ[a](σ[b])``).
+    """
     if expression is None:
         return []
     if isinstance(expression, LogicalOp) and expression.op == "AND":
         result: list[Expression] = []
         for operand in expression.operands:
-            result.extend(conjuncts(operand))
+            if strict_boolean(operand):
+                result.extend(conjuncts(operand))
+            else:
+                result.append(LogicalOp("AND", [operand]))
         return result
     return [expression]
 

@@ -24,29 +24,7 @@ from itertools import compress
 
 from repro.relational.algebra import Aggregate
 from repro.relational.columnar import ColumnBatch, LazyColumns
-from repro.relational.expressions import (
-    Between,
-    Comparison,
-    Expression,
-    IsNull,
-    Literal,
-    LogicalOp,
-    Not,
-)
 from repro.relational.schema import Schema, descending_component, order_component
-
-
-def strict_boolean(expression: Expression) -> bool:
-    """Whether a batch-compiled ``expression`` yields only ``True/False/None``.
-
-    The boolean-producing node types normalise their output to strict
-    three-valued logic, so their value columns can drive
-    :func:`itertools.compress` directly.  Any other expression (a bare column
-    reference, arithmetic, a scalar function call) may produce arbitrary
-    truthy values, which SQL selection (``predicate is True``) rejects --
-    those masks must be normalised first.
-    """
-    return isinstance(expression, (Comparison, Between, IsNull, LogicalOp, Not, Literal))
 
 
 def filter_batch(batch: ColumnBatch, values: list, strict: bool) -> ColumnBatch:
@@ -246,21 +224,15 @@ def _aggregate_positions(
     return best
 
 
-def top_k_batch(
-    batch: ColumnBatch, key_columns: list[list], ascending: Sequence[bool], k: int
-) -> ColumnBatch:
-    """The first ``k`` tuples of ``batch`` in ORDER BY order (SQL LIMIT).
+def order_keys(key_columns: list[list], ascending: Sequence[bool]) -> list[tuple]:
+    """Per-entry sort keys for ORDER BY value columns and their directions.
 
-    ``key_columns`` are the value columns of the ORDER BY expressions and
-    ``ascending`` their directions; values are keyed by
-    :func:`~repro.relational.schema.order_component` (``descending_component``
-    for DESC items), the rule every ORDER BY in the system shares.  ``batch``
-    must be consolidated (the caller guarantees it).  Output order: ascending
-    by key, entries with equal keys in their input order (``nsmallest`` is
-    ``sorted(...)[:k]``, which is stable); the multiplicity of the last entry
-    taken is cut so that the output holds at most ``k`` tuples.
+    Values are keyed by :func:`~repro.relational.schema.order_component`
+    (``descending_component`` for DESC items), the rule every ORDER BY in the
+    system shares: the top-k kernel and the incremental top-k operator key
+    their entries here, and the oracles apply the same components per row.
     """
-    keys = list(
+    return list(
         zip(
             *(
                 map(order_component if asc else descending_component, column)
@@ -268,6 +240,21 @@ def top_k_batch(
             )
         )
     )
+
+
+def top_k_batch(
+    batch: ColumnBatch, key_columns: list[list], ascending: Sequence[bool], k: int
+) -> ColumnBatch:
+    """The first ``k`` tuples of ``batch`` in ORDER BY order (SQL LIMIT).
+
+    ``key_columns`` are the value columns of the ORDER BY expressions and
+    ``ascending`` their directions, keyed by :func:`order_keys`.  ``batch``
+    must be consolidated (the caller guarantees it).  Output order: ascending
+    by key, entries with equal keys in their input order (``nsmallest`` is
+    ``sorted(...)[:k]``, which is stable); the multiplicity of the last entry
+    taken is cut so that the output holds at most ``k`` tuples.
+    """
+    keys = order_keys(key_columns, ascending)
     # Every entry holds at least one tuple, so k entries always suffice.
     taken = nsmallest(k, range(len(keys)), key=keys.__getitem__)
     multiplicities: list[int] = []

@@ -66,6 +66,7 @@ from repro.relational.expressions import (
     UnaryMinus,
     conjuncts,
     conjunction,
+    strict_boolean,
 )
 from repro.relational.predicates import extract_intervals, intervals_are_selective
 from repro.relational.schema import Schema
@@ -91,20 +92,22 @@ class _CannotRewrite(Exception):
 def fold_expression(expression: Expression) -> Expression:
     """Constant-fold ``expression`` bottom-up.
 
-    Literal-only subtrees are evaluated once (matching the semantics of
-    ``Expression.compile``: when evaluation raises, folding is skipped so the
-    error still surfaces per row); AND/OR are simplified with their dominating
-    and identity constants, which is sound under three-valued logic because
-    ``False AND x = False`` and ``True OR x = True`` hold for NULL ``x`` too.
+    Literal-only subtrees are evaluated once, through the batch form over one
+    entry (matching ``Expression.compile_batch``: when evaluation raises,
+    folding is skipped so the error still surfaces at evaluation); AND/OR are
+    simplified with their dominating and identity constants, which is sound
+    under three-valued logic because ``False AND x = False`` and
+    ``True OR x = True`` hold for NULL ``x`` too.
     """
     folded = _rebuild_expression(expression, fold_expression)
     if isinstance(folded, (Literal, ColumnRef)):
         return folded
     if not folded.columns() and not folded.contains_aggregate():
         try:
-            return Literal(folded.compile(_EMPTY_SCHEMA)(()))
+            (value,) = folded.compile_batch(_EMPTY_SCHEMA)((), 1)
         except Exception:
             return folded
+        return Literal(value)
     if isinstance(folded, LogicalOp):
         return _fold_logical(folded)
     return folded
@@ -121,7 +124,9 @@ def _fold_logical(expression: LogicalOp) -> Expression:
         kept.append(operand)
     if not kept:
         return Literal(not dominating)
-    if len(kept) == 1:
+    if len(kept) == 1 and strict_boolean(kept[0]):
+        # A non-boolean survivor keeps its one-operand AND/OR, which turns
+        # any value that is not False/NULL (True/NULL for OR) into a boolean.
         return kept[0]
     if len(kept) == len(expression.operands):
         return expression

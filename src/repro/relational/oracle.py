@@ -1,9 +1,16 @@
-"""The reference oracle: plans evaluated one row at a time.
+"""The reference oracle: expressions interpreted and plans evaluated one row
+at a time.
+
+:func:`interpret` states what an expression means -- SQL three-valued logic,
+NULL propagation, NULL on division by zero -- by walking the tree one node at
+a time with no folding, caching or fast paths.  The engine never calls it: it
+runs the column kernels of ``Expression.compile_batch``, which the tests hold
+to this interpreter, and the two share no code beyond the node classes.
 
 :class:`RowEvaluator` states what a plan means with the plainest loops that
-say it -- ``Relation.add`` per output row, compiled row expressions, a nested
-loop for joins without an equality, ``sorted`` for top-k -- so that the batch
-engine (:class:`~repro.relational.evaluator.Evaluator` over
+say it -- ``Relation.add`` per output row, every expression interpreted per
+row, a nested loop for joins without an equality, ``sorted`` for top-k -- so
+that the batch engine (:class:`~repro.relational.evaluator.Evaluator` over
 :mod:`repro.relational.kernels`) can be compared against it bit for bit,
 float-aggregate accumulation order and LIMIT ties included.
 ``Database.query(q, optimize_plans=False, vectorize=False)`` selects it; the
@@ -13,13 +20,16 @@ nothing on the engine path imports this module.
 It inherits from the engine the plan handling (:meth:`Evaluator.evaluate`)
 and the two decisions that change *which* rows are read in *which* order and
 so must be taken alike (index choice, hash-join key pairs); the ORDER BY rule
-is :func:`repro.relational.schema.make_order_key`.  Every operator below
-evaluates its own children row-at-a-time.
+is :func:`repro.relational.schema.order_component`, applied per row by
+:func:`make_order_key`.  Every operator below evaluates its own children
+row-at-a-time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import operator
+from collections.abc import Callable, Iterable, Sequence
+from typing import Any
 
 from repro.core.errors import PlanError, UnsupportedOperationError
 from repro.relational.algebra import (
@@ -35,11 +45,132 @@ from repro.relational.algebra import (
 )
 from repro.relational.evaluator import Evaluator
 from repro.relational.expressions import (
+    AGGREGATE_FUNCTIONS,
+    Between,
+    BinaryOp,
+    ColumnRef,
+    Comparison,
+    Expression,
+    FunctionCall,
+    IsNull,
     Literal,
-    compile_expression,
-    compile_row_expressions,
+    LogicalOp,
+    Not,
+    UnaryMinus,
 )
-from repro.relational.schema import Relation, Row, Schema, make_order_key
+from repro.relational.schema import (
+    Relation,
+    Row,
+    Schema,
+    descending_component,
+    order_component,
+)
+
+_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+_SCALAR_FUNCTIONS = frozenset({"abs", "round", "coalesce", "to_date", "lower", "upper"})
+
+
+def _scalar_function(name: str, args: list) -> Any:
+    if name == "coalesce":
+        return next((arg for arg in args if arg is not None), None)
+    first = args[0]
+    if name in ("lower", "upper"):
+        return getattr(first, name)() if isinstance(first, str) else first
+    if name == "to_date" or first is None:
+        return first
+    if name == "abs":
+        return abs(first)
+    return round(first, int(args[1]) if len(args) > 1 else 0)
+
+
+def interpret(expression: Expression, row: Row, schema: Schema) -> Any:
+    """The value of ``expression`` for ``row`` interpreted under ``schema``."""
+
+    def value_of(operand: Expression) -> Any:
+        return interpret(operand, row, schema)
+
+    if isinstance(expression, ColumnRef):
+        return row[schema.index_of(expression.name)]
+    if isinstance(expression, Literal):
+        return expression.value
+    if isinstance(expression, BinaryOp):
+        left, right = value_of(expression.left), value_of(expression.right)
+        if left is None or right is None:
+            return None
+        if expression.op in "/%" and right == 0:
+            return None
+        return _OPERATORS[expression.op](left, right)
+    if isinstance(expression, UnaryMinus):
+        value = value_of(expression.operand)
+        return None if value is None else -value
+    if isinstance(expression, Comparison):
+        left, right = value_of(expression.left), value_of(expression.right)
+        if left is None or right is None:
+            return None
+        return bool(_OPERATORS[expression.op](left, right))
+    if isinstance(expression, Between):
+        value = value_of(expression.operand)
+        low, high = value_of(expression.low), value_of(expression.high)
+        if value is None or low is None or high is None:
+            return None
+        return low <= value <= high
+    if isinstance(expression, IsNull):
+        return (value_of(expression.operand) is None) is not expression.negated
+    if isinstance(expression, LogicalOp):
+        # Every operand is evaluated (an operand that raises must raise), then
+        # the dominating constant wins, then UNKNOWN, then the identity.
+        values = [value_of(operand) for operand in expression.operands]
+        dominating = expression.op == "OR"
+        if any(value is dominating for value in values):
+            return dominating
+        if any(value is None for value in values):
+            return None
+        return not dominating
+    if isinstance(expression, Not):
+        value = value_of(expression.operand)
+        return None if value is None else not value
+    if isinstance(expression, FunctionCall):
+        if expression.name in AGGREGATE_FUNCTIONS:
+            raise UnsupportedOperationError(
+                f"aggregate {expression.name}() cannot be evaluated per-row"
+            )
+        if expression.name not in _SCALAR_FUNCTIONS:
+            raise UnsupportedOperationError(
+                f"unsupported scalar function {expression.name!r}"
+            )
+        return _scalar_function(expression.name, [value_of(arg) for arg in expression.args])
+    raise TypeError(f"no reference semantics for {type(expression).__name__}")
+
+
+def make_order_key(order_by: Sequence, schema: Schema) -> Callable[[Row], tuple]:
+    """Sort key of a row: the ORDER BY items interpreted over ``schema``, each
+    value keyed by the rule the engine's top-k uses
+    (:func:`~repro.relational.schema.order_component`, negated for DESC)."""
+    components = [
+        order_component if item.ascending else descending_component for item in order_by
+    ]
+
+    def order_key(row: Row) -> tuple:
+        return tuple(
+            component(interpret(item.expression, row, schema))
+            for item, component in zip(order_by, components)
+        )
+
+    return order_key
 
 
 def compute_aggregate(
@@ -126,30 +257,24 @@ class RowEvaluator(Evaluator):
             schema, attribute, intervals = choice
             items = self._provider.index_scan(node.child.table, attribute, intervals)
         result = Relation(schema)
-        predicate = compile_expression(node.predicate, schema)
         for row, multiplicity in items:
-            if predicate(row) is True:
+            if interpret(node.predicate, row, schema) is True:
                 result.add(row, multiplicity)
         return result
 
     def _projection(self, node: Projection) -> Relation:
         child = self._evaluate(node.child)
         result = Relation(Schema(item.alias for item in node.items))
-        project = compile_row_expressions(
-            [item.expression for item in node.items], child.schema
-        )
         for row, multiplicity in child.items():
-            result.add(project(row), multiplicity)
+            values = [interpret(item.expression, row, child.schema) for item in node.items]
+            result.add(tuple(values), multiplicity)
         return result
 
     def _join(self, node: Join) -> Relation:
         left = self._evaluate(node.left)
         right = self._evaluate(node.right)
-        schema = left.schema.concat(right.schema)
+        schema, condition = left.schema.concat(right.schema), node.condition
         result = Relation(schema)
-        condition = (
-            None if node.condition is None else compile_expression(node.condition, schema)
-        )
         # A nested loop that skips the pairs an equality conjunct rules out:
         # the right rows are grouped by the values the conjuncts compare
         # (one group, every row, when there is none), and the pairs that are
@@ -163,20 +288,16 @@ class RowEvaluator(Evaluator):
             key = tuple(left_row[p] for p, _ in pairs)
             for right_row, right_mult in groups.get(key, ()):
                 combined = left_row + right_row
-                if condition is None or condition(combined) is True:
+                if condition is None or interpret(condition, combined, schema) is True:
                     result.add(combined, left_mult * right_mult)
         return result
 
     def _aggregation(self, node: Aggregation) -> Relation:
         child = self._evaluate(node.child)
-        group_key = compile_row_expressions(node.group_by, child.schema)
-        arguments = [
-            None if agg.argument is None else compile_expression(agg.argument, child.schema)
-            for agg in node.aggregates
-        ]
         groups: dict[tuple, list[tuple[Row, int]]] = {}
         for row, multiplicity in child.items():
-            groups.setdefault(group_key(row), []).append((row, multiplicity))
+            key = tuple(interpret(e, row, child.schema) for e in node.group_by)
+            groups.setdefault(key, []).append((row, multiplicity))
         if not groups and not node.group_by:
             # Aggregation without GROUP BY over an empty input produces one row.
             groups[()] = []
@@ -184,12 +305,15 @@ class RowEvaluator(Evaluator):
         for key, rows in groups.items():
             values = tuple(
                 sum(multiplicity for _row, multiplicity in rows)
-                if argument is None
+                if agg.argument is None
                 else compute_aggregate(
                     agg.function,
-                    ((argument(row), multiplicity) for row, multiplicity in rows),
+                    (
+                        (interpret(agg.argument, row, child.schema), multiplicity)
+                        for row, multiplicity in rows
+                    ),
                 )
-                for agg, argument in zip(node.aggregates, arguments)
+                for agg in node.aggregates
             )
             result.add(key + values, 1)
         return result
@@ -203,10 +327,7 @@ class RowEvaluator(Evaluator):
 
     def _top_k(self, node: TopK) -> Relation:
         child = self._evaluate(node.child)
-        order_key = make_order_key(
-            node.order_by,
-            [compile_expression(item.expression, child.schema) for item in node.order_by],
-        )
+        order_key = make_order_key(node.order_by, child.schema)
         ordered = sorted(child.items(), key=lambda item: order_key(item[0]))
         result = Relation(child.schema)
         remaining = node.k

@@ -8,7 +8,7 @@ formalisation (a function ``U^n -> N``, Sec. 4).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 
 from repro.core.errors import SchemaError
 
@@ -310,27 +310,6 @@ def descending_component(value: object) -> tuple[int, object]:
     if tag == 3:
         return (-1, 0)
     return (-tag, -component)  # type: ignore[operator]
-
-
-def make_order_key(
-    order_by: Sequence, compiled: Sequence[Callable[[Row], object]]
-) -> Callable[[Row], tuple]:
-    """Build a sort-key function for ORDER BY items with compiled expressions.
-
-    The one ORDER BY rule: the batch engine's top-k kernel keys its columns
-    with the same two component functions, and the row oracle, the annotated
-    capture oracle and the incremental top-k operator sort by this key, so
-    all of them order rows identically.
-    """
-    keyed = [
-        (fn, order_component if item.ascending else descending_component)
-        for fn, item in zip(compiled, order_by)
-    ]
-
-    def order_key(row: Row) -> tuple:
-        return tuple(component(fn(row)) for fn, component in keyed)
-
-    return order_key
 
 
 class _Reversed:

@@ -22,7 +22,8 @@ from repro.core.errors import StorageError
 from repro.relational.algebra import PlanNode
 from repro.relational.columnar import ColumnBatch, SlotMap
 from repro.relational.evaluator import Evaluator
-from repro.relational.expressions import compile_expression
+from repro.relational.expressions import compile_batch_expression, strict_boolean
+from repro.relational.kernels import filter_batch
 from repro.relational.schema import Relation, Row, Schema
 from repro.sql.ast import DeleteStatement, InsertStatement, SelectStatement
 from repro.sql.parser import parse_statement
@@ -395,8 +396,6 @@ class Database:
             for row, multiplicity in stored.items():
                 if predicate(row):
                     victims.extend([row] * multiplicity)
-            if not victims:
-                return self._version
             return self.delete_rows(table, victims)
 
     def apply_database_delta(self, delta: DatabaseDelta) -> int:
@@ -599,11 +598,16 @@ class Database:
 
     def _execute_delete(self, statement: DeleteStatement) -> int:
         stored = self.table(statement.table)
-        schema = stored.schema
         if statement.where is None:
             return self.delete_rows(stored.name, list(stored.rows()))
-        predicate = compile_expression(statement.where, schema)
-        return self.delete_where(stored.name, lambda row: predicate(row) is True)
+        where = statement.where
+        # As in :meth:`delete_where`, victims are collected and committed
+        # under one lock acquisition.
+        with self._lock:
+            batch = stored.as_column_batch()
+            values = compile_batch_expression(where, stored.schema)(batch.columns, len(batch))
+            victims = filter_batch(batch, values, strict_boolean(where)).to_relation()
+            return self.delete_rows(stored.name, victims.rows())
 
     # -- statistics ---------------------------------------------------------------------------
 

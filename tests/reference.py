@@ -1,14 +1,10 @@
 """Reference semantics the engine is held to.
 
-Scalar expressions: a tree-walking interpreter.
-
-The engine only ever runs lowered expressions (``Expression.compile`` row
-closures and ``Expression.compile_batch`` column kernels).  :func:`interpret`
-states what those lowerings must compute -- SQL three-valued logic, NULL
-propagation, NULL on division by zero -- one node at a time with no folding,
-caching or fast paths, so the differential tests can hold both lowerings to
-it (:func:`checked_value`).  It deliberately shares no code with
-``repro.relational.expressions`` beyond the node classes themselves.
+Scalar expressions: the tree-walking interpreter
+``repro.relational.oracle.interpret`` (re-exported here).  The engine only
+ever runs the one lowering, ``Expression.compile_batch`` column kernels;
+:func:`checked_value` holds that lowering to the interpreter, over a single
+entry and over a whole generated column.
 
 Whole queries: the reference oracle is
 ``Database.query(q, optimize_plans=False, vectorize=False)`` -- the literal
@@ -18,25 +14,27 @@ middleware systems against it.
 
 Sketch capture: :class:`AnnotatedEvaluator` evaluates a plan under the
 paper's annotated semantics (Sec. 4.3) one row at a time over a dict of
-``(row, BitSet)`` entries.  The engine's only annotated evaluation is a
-from-scratch pass of the columnar, int-mask incremental operators
-(``repro.imp.operators``); this oracle shares no code with ``repro.imp`` and
-states what that pass must produce, tuple by tuple and as a sketch.
+``(row, BitSet)`` entries, every expression interpreted per row.  The engine's
+only annotated evaluation is a from-scratch pass of the columnar, int-mask
+incremental operators (``repro.imp.operators``); this oracle shares no code
+with ``repro.imp`` and states what that pass must produce, tuple by tuple and
+as a sketch.
 """
 
 from __future__ import annotations
 
-import operator
+from collections.abc import Iterator
 from typing import Any
 
-from collections.abc import Iterator
+import pytest
 
 from repro.core.bitset import BitSet
-from repro.core.errors import PlanError, UnsupportedOperationError
+from repro.core.errors import PlanError
 from repro.imp.engine import IMPConfig, compile_plan
 from repro.imp.middleware import IMPSystem, NoSketchSystem
 from repro.imp.operators import Pass
 from repro.relational.algebra import (
+    Aggregate,
     Aggregation,
     Distinct,
     Join,
@@ -47,132 +45,32 @@ from repro.relational.algebra import (
     TopK,
 )
 from repro.relational.evaluator import RelationProvider
-from repro.relational.expressions import (
-    AGGREGATE_FUNCTIONS,
-    Between,
-    BinaryOp,
-    ColumnRef,
-    Comparison,
-    Expression,
-    FunctionCall,
-    IsNull,
-    Literal,
-    LogicalOp,
-    Not,
-    UnaryMinus,
-)
-from repro.relational.expressions import (
-    CompiledExpression,
-    compile_expression,
-    compile_row_expressions,
-)
-from repro.relational.oracle import compute_aggregate
-from repro.relational.schema import Relation, Row, Schema, make_order_key
+from repro.relational.expressions import Expression
+from repro.relational.oracle import compute_aggregate, interpret, make_order_key
+from repro.relational.schema import Relation, Row, Schema
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import ProvenanceSketch
 
-_ARITHMETIC = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "%": operator.mod,
-}
-
-_COMPARISONS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-_SCALAR_FUNCTIONS = frozenset({"abs", "round", "coalesce", "to_date", "lower", "upper"})
-
-
-def _scalar_function(name: str, args: list) -> Any:
-    if name == "coalesce":
-        return next((arg for arg in args if arg is not None), None)
-    first = args[0]
-    if name in ("lower", "upper"):
-        return getattr(first, name)() if isinstance(first, str) else first
-    if name == "to_date" or first is None:
-        return first
-    if name == "abs":
-        return abs(first)
-    return round(first, int(args[1]) if len(args) > 1 else 0)
-
-
-def interpret(expression: Expression, row: Row, schema: Schema) -> Any:
-    """The value of ``expression`` for ``row`` interpreted under ``schema``."""
-
-    def value_of(operand: Expression) -> Any:
-        return interpret(operand, row, schema)
-
-    if isinstance(expression, ColumnRef):
-        return row[schema.index_of(expression.name)]
-    if isinstance(expression, Literal):
-        return expression.value
-    if isinstance(expression, BinaryOp):
-        left, right = value_of(expression.left), value_of(expression.right)
-        if left is None or right is None:
-            return None
-        if expression.op in "/%" and right == 0:
-            return None
-        return _ARITHMETIC[expression.op](left, right)
-    if isinstance(expression, UnaryMinus):
-        value = value_of(expression.operand)
-        return None if value is None else -value
-    if isinstance(expression, Comparison):
-        left, right = value_of(expression.left), value_of(expression.right)
-        if left is None or right is None:
-            return None
-        return bool(_COMPARISONS[expression.op](left, right))
-    if isinstance(expression, Between):
-        value = value_of(expression.operand)
-        low, high = value_of(expression.low), value_of(expression.high)
-        if value is None or low is None or high is None:
-            return None
-        return low <= value <= high
-    if isinstance(expression, IsNull):
-        return (value_of(expression.operand) is None) is not expression.negated
-    if isinstance(expression, LogicalOp):
-        # Every operand is evaluated (an operand that raises must raise), then
-        # the dominating constant wins, then UNKNOWN, then the identity.
-        values = [value_of(operand) for operand in expression.operands]
-        dominating = expression.op == "OR"
-        if any(value is dominating for value in values):
-            return dominating
-        if any(value is None for value in values):
-            return None
-        return not dominating
-    if isinstance(expression, Not):
-        value = value_of(expression.operand)
-        return None if value is None else not value
-    if isinstance(expression, FunctionCall):
-        if expression.name in AGGREGATE_FUNCTIONS:
-            raise UnsupportedOperationError(
-                f"aggregate {expression.name}() cannot be evaluated per-row"
-            )
-        if expression.name not in _SCALAR_FUNCTIONS:
-            raise UnsupportedOperationError(
-                f"unsupported scalar function {expression.name!r}"
-            )
-        return _scalar_function(expression.name, [value_of(arg) for arg in expression.args])
-    raise TypeError(f"no reference semantics for {type(expression).__name__}")
-
-
 def checked_value(expression: Expression, row: Row, schema: Schema) -> Any:
-    """The interpreted value, after asserting that the row-compiled and the
-    batch-compiled form both produce exactly it (same value, same type)."""
-    expected = interpret(expression, row, schema)
-    compiled = expression.compile(schema)(row)
-    assert compiled == expected and type(compiled) is type(expected)
-    (batched,) = expression.compile_batch(schema)([[value] for value in row], 1)
-    assert batched == expected and type(batched) is type(expected)
+    """The interpreted value of ``expression`` for ``row``, after asserting
+    that the engine's lowering produces exactly it (same value, same type):
+    over ``row`` as the only entry (``n = 1``) and over a whole column batch
+    holding ``row``, an all-NULL row and ``row`` again.  A node that raises
+    for ``row`` must raise the same way at ``n = 1`` -- and not at ``n = 0``.
+    """
+    kernel = expression.compile_batch(schema)
+    assert kernel([[] for _ in schema], 0) == []
+    try:
+        expected = interpret(expression, row, schema)
+    except Exception as error:
+        with pytest.raises(type(error)):
+            kernel([[value] for value in row], 1)
+        raise
+    for entries in ([row], [row, (None,) * len(row), row]):
+        reference = [interpret(expression, each, schema) for each in entries]
+        values = kernel([list(column) for column in zip(*entries)], len(entries))
+        assert values == reference
+        assert list(map(type, values)) == list(map(type, reference))
     return expected
 
 
@@ -302,9 +200,8 @@ class AnnotatedEvaluator:
     def _selection(self, node: Selection) -> AnnotatedRelation:
         child = self._evaluate(node.child)
         result = AnnotatedRelation(child.schema)
-        predicate = compile_expression(node.predicate, child.schema)
         for row, annotation, multiplicity in child.items():
-            if predicate(row) is True:
+            if interpret(node.predicate, row, child.schema) is True:
                 result.add(row, annotation, multiplicity)
         return result
 
@@ -312,11 +209,9 @@ class AnnotatedEvaluator:
         child = self._evaluate(node.child)
         schema = Schema(item.alias for item in node.items)
         result = AnnotatedRelation(schema)
-        project = compile_row_expressions(
-            [item.expression for item in node.items], child.schema
-        )
         for row, annotation, multiplicity in child.items():
-            result.add(project(row), annotation, multiplicity)
+            values = [interpret(item.expression, row, child.schema) for item in node.items]
+            result.add(tuple(values), annotation, multiplicity)
         return result
 
     def _join(self, node: Join) -> AnnotatedRelation:
@@ -324,13 +219,13 @@ class AnnotatedEvaluator:
         right = self._evaluate(node.right)
         schema = left.schema.concat(right.schema)
         result = AnnotatedRelation(schema)
-        condition = (
-            None if node.condition is None else compile_expression(node.condition, schema)
-        )
         for left_row, left_annotation, left_mult in left.items():
             for right_row, right_annotation, right_mult in right.items():
                 combined = left_row + right_row
-                if condition is None or condition(combined) is True:
+                if (
+                    node.condition is None
+                    or interpret(node.condition, combined, schema) is True
+                ):
                     result.add(
                         combined, left_annotation | right_annotation, left_mult * right_mult
                     )
@@ -339,45 +234,38 @@ class AnnotatedEvaluator:
     def _aggregation(self, node: Aggregation) -> AnnotatedRelation:
         child = self._evaluate(node.child)
         schema = node.output_schema(self._provider)  # type: ignore[arg-type]
-        group_key = compile_row_expressions(node.group_by, child.schema)
-        argument_fns = [
-            None if agg.argument is None else compile_expression(agg.argument, child.schema)
-            for agg in node.aggregates
-        ]
         groups: dict[tuple, dict[str, object]] = {}
         for row, annotation, multiplicity in child.items():
-            key = group_key(row)
+            key = tuple(interpret(e, row, child.schema) for e in node.group_by)
             group = groups.setdefault(key, {"rows": [], "annotation": BitSet()})
             group["rows"].append((row, multiplicity))  # type: ignore[union-attr]
             group["annotation"].update(annotation)  # type: ignore[union-attr]
         result = AnnotatedRelation(schema)
         if not groups and not node.group_by:
             values = tuple(
-                self._aggregate(node, agg_index, argument_fns[agg_index], [])
-                for agg_index in range(len(node.aggregates))
+                self._aggregate(aggregate, child.schema, []) for aggregate in node.aggregates
             )
             result.add(values, BitSet(), 1)
             return result
         for key, group in groups.items():
             rows = group["rows"]
             values = tuple(
-                self._aggregate(node, agg_index, argument_fns[agg_index], rows)  # type: ignore[arg-type]
-                for agg_index in range(len(node.aggregates))
+                self._aggregate(aggregate, child.schema, rows)  # type: ignore[arg-type]
+                for aggregate in node.aggregates
             )
             result.add(key + values, group["annotation"], 1)  # type: ignore[arg-type]
         return result
 
     @staticmethod
     def _aggregate(
-        node: Aggregation,
-        agg_index: int,
-        argument: CompiledExpression | None,
-        rows: list[tuple[Row, int]],
+        aggregate: Aggregate, schema: Schema, rows: list[tuple[Row, int]]
     ) -> object:
-        aggregate = node.aggregates[agg_index]
-        if argument is None:
+        if aggregate.argument is None:
             return sum(multiplicity for _row, multiplicity in rows)
-        values = ((argument(row), multiplicity) for row, multiplicity in rows)
+        values = (
+            (interpret(aggregate.argument, row, schema), multiplicity)
+            for row, multiplicity in rows
+        )
         return compute_aggregate(aggregate.function, values)
 
     def _distinct(self, node: Distinct) -> AnnotatedRelation:
@@ -396,10 +284,7 @@ class AnnotatedEvaluator:
 
     def _top_k(self, node: TopK) -> AnnotatedRelation:
         child = self._evaluate(node.child)
-        order_key = make_order_key(
-            node.order_by,
-            [compile_expression(item.expression, child.schema) for item in node.order_by],
-        )
+        order_key = make_order_key(node.order_by, child.schema)
         entries = sorted(child.items(), key=lambda entry: order_key(entry[0]))
         result = AnnotatedRelation(child.schema)
         remaining = node.k

@@ -1,8 +1,8 @@
 """Tests for the compiled-expression layer.
 
-``Expression.compile(schema)`` (row closures) and
-``Expression.compile_batch(schema)`` (column kernels) must agree with the
-reference interpreter (:func:`tests.reference.interpret`) on every input.
+``Expression.compile_batch(schema)`` (column kernels, the engine's one
+lowering) must agree with the reference interpreter
+(:func:`repro.relational.oracle.interpret`) on every input.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.relational.expressions import (
     Not,
     UnaryMinus,
     clear_compile_cache,
-    compile_expression,
+    compile_batch_expression,
 )
 from repro.relational.schema import Schema, order_component
 from repro.storage.database import Database
@@ -33,7 +33,8 @@ ROWS = [(10, 4, None), (0, -3, 7), (None, None, None), (5, 5, 5)]
 
 
 def both(expression, row):
-    """Interpreted ≡ row-compiled ≡ batch-compiled; returns the value."""
+    """Interpreted ≡ batch-compiled (one entry and a whole column); returns
+    the value."""
     return checked_value(expression, row, SCHEMA)
 
 
@@ -78,22 +79,29 @@ class TestCompileMatchesEvaluate:
 
     def test_constant_folding(self):
         folded = BinaryOp("+", Literal(2), BinaryOp("*", Literal(3), Literal(4)))
-        fn = folded.compile(SCHEMA)
-        # The folded closure ignores the row entirely.
-        assert fn(()) == 14
-        assert fn((99, 99, 99)) == 14
+        fn = folded.compile_batch(SCHEMA)
+        # The folded kernel ignores the columns entirely.
+        assert fn((), 1) == [14]
+        assert fn(([99, 98], [99, 98], [99, 98]), 2) == [14, 14]
 
-    def test_aggregate_call_raises_per_row(self):
+    def test_folding_skips_a_constant_that_raises(self):
+        # sqrt(1) references no column but cannot be evaluated: compiling it
+        # must not raise, and the error surfaces once there is an entry.
+        raising = Comparison("=", FunctionCall("sqrt", [Literal(1)]), Literal(1))
+        fn = raising.compile_batch(SCHEMA)
+        assert fn(([], [], []), 0) == []
+        with pytest.raises(UnsupportedOperationError):
+            fn(([1], [2], [3]), 1)
+
+    def test_aggregate_call_raises_on_any_entry(self):
         aggregate = FunctionCall("sum", [ColumnRef("a")])
-        fn = aggregate.compile(SCHEMA)
         with pytest.raises(UnsupportedOperationError):
-            fn((1, 2, 3))
+            both(aggregate, (1, 2, 3))
 
-    def test_unknown_scalar_function_raises_per_row(self):
+    def test_unknown_scalar_function_raises_on_any_entry(self):
         unknown = FunctionCall("sqrt", [ColumnRef("a")])
-        fn = unknown.compile(SCHEMA)
         with pytest.raises(UnsupportedOperationError):
-            fn((1, 2, 3))
+            both(unknown, (1, 2, 3))
 
     def test_logical_ops_do_not_short_circuit(self):
         # The reference semantics evaluate every operand, so a raising later
@@ -104,24 +112,24 @@ class TestCompileMatchesEvaluate:
         raising = FunctionCall("sqrt", [ColumnRef("a")])
         row = (5, 0, 0)
         with pytest.raises(UnsupportedOperationError):
-            LogicalOp("AND", [decided_false, raising]).compile(SCHEMA)(row)
+            both(LogicalOp("AND", [decided_false, raising]), row)
         with pytest.raises(UnsupportedOperationError):
-            LogicalOp("OR", [decided_true, raising]).compile(SCHEMA)(row)
+            both(LogicalOp("OR", [decided_true, raising]), row)
 
 
 class TestCompileCache:
     def test_equal_expressions_share_compiled_form(self):
         clear_compile_cache()
-        first = compile_expression(Comparison("<", ColumnRef("a"), Literal(5)), SCHEMA)
-        second = compile_expression(Comparison("<", ColumnRef("a"), Literal(5)), SCHEMA)
+        first = compile_batch_expression(Comparison("<", ColumnRef("a"), Literal(5)), SCHEMA)
+        second = compile_batch_expression(Comparison("<", ColumnRef("a"), Literal(5)), SCHEMA)
         assert first is second
 
     def test_different_schema_gets_own_compiled_form(self):
         clear_compile_cache()
         other = Schema(["x", "a"])
         expression = ColumnRef("a")
-        assert compile_expression(expression, SCHEMA)((1, 2, 3)) == 1
-        assert compile_expression(expression, other)((1, 2)) == 2
+        assert compile_batch_expression(expression, SCHEMA)(([1], [2], [3]), 1) == [1]
+        assert compile_batch_expression(expression, other)(([1], [2]), 1) == [2]
 
 
 class TestBooleanOrdering:

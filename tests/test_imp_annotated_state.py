@@ -51,7 +51,11 @@ class TestAnnotatedDelta:
         assert len(delta) == 3
 
     def test_columns_pivot_rows(self):
-        assert self._delta().columns() == [(1, 3, 5), (2, 4, 6)]
+        columns = self._delta().columns()
+        assert columns[1] == [2, 4, 6]  # built when read, in any order
+        assert list(columns) == [[1, 3, 5], [2, 4, 6]]
+        assert len(AnnotatedDelta(SCHEMA).columns()) == 2  # no rows: empty columns
+        assert AnnotatedDelta(SCHEMA).columns()[0] == []
 
     def test_filter_keeps_the_three_lists_aligned(self):
         kept = self._delta().filter([True, False, True])

@@ -13,7 +13,7 @@ import pytest
 from repro.core.errors import PlanError
 from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch, compile_plan
 from repro.imp.maintenance import IncrementalMaintainer
-from repro.imp.operators import EngineStatistics, IncrementalTopK, Pass
+from repro.imp.operators import _PAIR_BATCH, EngineStatistics, IncrementalTopK, Pass
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.selection import build_database_partition
 from repro.storage.database import Database
@@ -353,7 +353,8 @@ class TestJoinMaintenance:
 
     def test_two_sided_join_delta_only_pairs_key_matches(self):
         """The ΔQ1 ⋈ ΔQ2 term probes a hash index: 1000 x 1000 delta tuples
-        with one partner each cost 1000 condition checks, not a million."""
+        with one partner each hand 1000 candidate pairs per term to the batch
+        condition, not a million."""
         database, _r, _s = self._setup(seed=29)
         plan = database.plan("SELECT a, e FROM r JOIN s ON b = d")
         partition = build_database_partition(database, plan, 10)
@@ -361,13 +362,13 @@ class TestJoinMaintenance:
         sketch = engine.initialize()
         join = engine._merge.child.child
         checked = []
-        condition = join._condition_fn
+        condition = join._condition_batch
 
-        def counting_condition(row):
-            checked.append(row)
-            return condition(row)
+        def counting_condition(columns, n):
+            checked.append(n)
+            return condition(columns, n)
 
-        join._condition_fn = counting_condition
+        join._condition_batch = counting_condition
         version = database.version
         # Keys 10_000.. exist on neither side before the batch.
         database.insert("r", [(50_000 + i, i % 20, 10_000 + i, i) for i in range(1000)])
@@ -375,7 +376,38 @@ class TestJoinMaintenance:
         outcome = engine.maintain(
             database.database_delta_since(plan.referenced_tables(), version), database.version
         )
-        assert len(checked) == 3 * 1000  # one partner per delta tuple and term
+        assert sum(checked) == 3 * 1000  # one partner per delta tuple and term
+        sketch = sketch.apply_delta(outcome.sketch_delta)
+        assert maintained_matches_truth(engine, sketch, plan, partition, database)
+
+    def test_theta_join_candidates_reach_the_condition_in_bounded_batches(self):
+        """A theta join's one bucket is the whole other side, so capture has
+        500 x 200 candidate pairs of which a handful survive: the condition
+        sees all of them, never more than ``_PAIR_BATCH`` at a time, in
+        capture and in a maintenance round alike."""
+        database, _r, _s = self._setup(seed=31)
+        plan = database.plan("SELECT id, sid FROM r JOIN s ON c + 40 < e AND id > sid")
+        partition = build_database_partition(database, plan, 10)
+        engine = IncrementalEngine(plan, partition, database)
+        join = engine._merge.child.child
+        assert join.describe().startswith("IncJoin(theta")
+        checked = []
+        condition = join._condition_batch
+
+        def counting_condition(columns, n):
+            checked.append(n)
+            return condition(columns, n)
+
+        join._condition_batch = counting_condition
+        sketch = engine.initialize()
+        assert sum(checked) == 500 * 200 and max(checked) <= _PAIR_BATCH
+        del checked[:]
+        version = database.version
+        database.insert("r", [(70_000 + i, i % 20, i, i % 9) for i in range(30)])
+        outcome = engine.maintain(
+            database.database_delta_since(plan.referenced_tables(), version), database.version
+        )
+        assert sum(checked) == 30 * 200 and max(checked) <= _PAIR_BATCH
         sketch = sketch.apply_delta(outcome.sketch_delta)
         assert maintained_matches_truth(engine, sketch, plan, partition, database)
 

@@ -90,6 +90,14 @@ class TestConstantFolding:
         assert isinstance(folded, Literal) and folded.value is True
         assert fold_expression(LogicalOp("OR", [Literal(False), p])) == p
 
+    def test_non_boolean_survivor_keeps_its_connective(self):
+        # True AND 3 is True, but a bare 3 is not: dropping the identity
+        # constant must not drop the AND that makes the operand a boolean.
+        a = ColumnRef("a")
+        for op, identity in (("AND", True), ("OR", False)):
+            folded = fold_expression(LogicalOp(op, [Literal(identity), a]))
+            assert folded == LogicalOp(op, [a])
+
     def test_null_operand_is_not_simplified_away(self):
         # NULL AND p is not p (three-valued logic), so it must be kept.
         p = Comparison("<", ColumnRef("b"), Literal(5))
@@ -492,6 +500,8 @@ QUERY_TEMPLATES = [
     "SELECT r.id, s.e, t.f FROM r, s, t WHERE a = d AND d = f AND r.c < {high}",
     "SELECT id, b FROM r WHERE b < {high} ORDER BY b, id LIMIT 7",
     "SELECT count(*) AS n FROM r WHERE b BETWEEN {low} AND {high}",
+    # A non-boolean conjunct: ``True AND a`` is true for every non-NULL a.
+    "SELECT id FROM r WHERE 1 = 1 AND a",
 ]
 
 

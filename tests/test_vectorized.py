@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from functools import cmp_to_key
@@ -25,6 +26,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.errors import UnsupportedOperationError
 from repro.relational.algebra import (
     Aggregate,
     AggregateFunction,
@@ -47,9 +49,7 @@ from repro.relational.expressions import (
     Literal,
     LogicalOp,
     Not,
-    clear_compile_cache,
     compile_batch_expression,
-    compile_expression,
 )
 from repro.relational.schema import Relation, Schema
 from repro.imp.middleware import IMPSystem
@@ -134,12 +134,13 @@ class TestColumnBatch:
 
 
 def assert_batch_matches_rows(expression, schema, rows):
-    """The batch kernel's value column equals per-row compiled evaluation."""
-    row_fn = compile_expression(expression, schema)
+    """The batch kernel's value column equals per-row interpretation."""
     batch = ColumnBatch.from_items(schema, [(row, 1) for row in rows])
     batch_fn = compile_batch_expression(expression, schema)
     values = batch_fn(batch.columns, len(batch))
-    assert values == [row_fn(row) for row in rows], expression.canonical()
+    expected = [interpret(expression, row, schema) for row in rows]
+    assert values == expected, expression.canonical()
+    assert list(map(type, values)) == list(map(type, expected)), expression.canonical()
 
 
 class TestBatchCompiledExpressions:
@@ -186,7 +187,7 @@ class TestBatchCompiledExpressions:
             FunctionCall("coalesce", [ColumnRef("x"), ColumnRef("y"), Literal(-1)]),
         ],
     )
-    def test_batch_equals_row_evaluation(self, expression):
+    def test_batch_equals_interpretation(self, expression):
         assert_batch_matches_rows(expression, self.SCHEMA, self.ROWS)
 
     def test_three_valued_logic_tables(self):
@@ -205,21 +206,12 @@ class TestBatchCompiledExpressions:
         )
         assert fn((["a", "b"],), 2) == [12, 12]
 
-    def test_row_and_batch_modes_share_the_cache_without_clashing(self):
-        clear_compile_cache()
-        schema = Schema(["x"])
-        expression = Comparison("<", ColumnRef("x"), Literal(5))
-        row_fn = compile_expression(expression, schema)
-        batch_fn = compile_batch_expression(expression, schema)
-        assert row_fn is compile_expression(expression, schema)
-        assert batch_fn is compile_batch_expression(expression, schema)
-        assert row_fn is not batch_fn
-
-    def test_aggregate_call_still_raises_per_element(self):
+    def test_aggregate_call_raises_when_there_is_an_entry(self):
         fn = compile_batch_expression(
             FunctionCall("sum", [ColumnRef("x")]), Schema(["x"])
         )
-        with pytest.raises(Exception):
+        assert fn(([],), 0) == []
+        with pytest.raises(UnsupportedOperationError):
             fn(([1, 2],), 2)
 
 
@@ -238,6 +230,27 @@ class TestSelectionSemantics:
         row = database.query(plan, optimize_plans=False, vectorize=False)
         assert vectorized == row
         assert vectorized.to_set() == {(1, True)}
+
+    def test_non_boolean_conjuncts_and_join_conditions(self):
+        # ``True AND b`` is true for every b but False/NULL, ``ON 1`` for no
+        # pair: the optimizer may neither split the AND into a bare ``b`` nor
+        # may any kernel take a truthy value for True.
+        database = make_mixed_db(30)
+        database.create_table("s", ["sid", "d"], primary_key="sid")
+        database.insert("s", [(1, 3), (2, None)])
+        imp = IMPSystem(database, num_fragments=4)
+        non_null = sum(row[2] is not None for row in database.table("m").rows())
+        expected = {
+            "SELECT id FROM m WHERE 1 = 1 AND b": non_null,
+            "SELECT id, sid FROM m JOIN s ON 1": 0,
+            "SELECT id, sid FROM m JOIN s ON b AND d = 3": non_null,
+        }
+        for sql, count in expected.items():
+            oracle = database.query(sql, optimize_plans=False, vectorize=False)
+            assert len(oracle) == count, sql
+            assert database.query(sql) == oracle, sql
+            assert database.query(sql, optimize_plans=False) == oracle, sql
+            assert imp.run_query(sql) == oracle, sql
 
     def test_constant_predicates(self):
         database = make_mixed_db(20)
@@ -386,6 +399,7 @@ def limit_and_join_case(draw):
                 st.sampled_from(
                     [
                         None,
+                        Literal(1),  # ON 1 is not ON TRUE: it selects nothing
                         Comparison("<", g, k),
                         Comparison("<>", g, k),
                         Comparison("=", BinaryOp("+", g, Literal(1)), k),
@@ -749,11 +763,13 @@ from repro.relational.algebra import (
     Aggregate, AggregateFunction, Aggregation, Distinct, Join, OrderItem,
     Projection, ProjectionItem, Selection, TableScan, TopK,
 )
+from repro.imp.middleware import IMPSystem
 from repro.relational.expressions import ColumnRef, Comparison, Literal
 from repro.storage.database import Database
 from repro.workloads import TPCH_QUERIES
 
 row_scans = []
+relation = Database.relation
 Database.relation = lambda self, table: row_scans.append(table)
 
 ran = set()
@@ -793,6 +809,28 @@ for plan in plans:
 assert database.index_scan_count == 2
 
 assert not row_scans, row_scans
+
+# Beyond queries: DELETE ... WHERE, and sketch capture plus one maintenance
+# round (which do read whole tables through Database.relation) over a grouped
+# aggregate, a top-k and a theta join -- no expression may reach the oracle.
+Database.relation = relation
+database.execute("DELETE FROM t WHERE b = 3 AND a > 40")
+assert len(database.table("t")) == 48
+system = IMPSystem(database, num_fragments=4)
+maintained = [
+    "SELECT b, sum(a) AS total FROM t GROUP BY b HAVING sum(a) > 100",
+    "SELECT a, b FROM t ORDER BY b DESC, a LIMIT 3",
+    "SELECT b, count(*) AS n FROM t JOIN u ON b < c GROUP BY b HAVING count(*) > 3",
+]
+for sql in maintained:
+    assert len(system.run_query(sql)) > 0
+system.apply_update("t", inserts=[(100, 1), (101, 2)], deletes=[(0, 0)])
+for sql in maintained:
+    assert len(system.run_query(sql)) > 0
+assert system.statistics.sketch_captures == len(maintained)
+assert system.statistics.sketch_maintenances == len(maintained)
+assert system.statistics.fallback_queries == 0
+
 assert "repro.relational.oracle" not in sys.modules
 print("stayed on the batch pipeline:", len(ran), "templates,", len(plans), "plans")
 """
@@ -800,8 +838,9 @@ print("stayed on the batch pipeline:", len(ran), "templates,", len(plans), "plan
 
 def test_the_engine_never_leaves_the_batch_pipeline():
     """Every benchmark template and every plan node type is answered without
-    one ``Database.relation`` call and without importing the row oracle (a
-    fresh interpreter: this process has long imported it)."""
+    one ``Database.relation`` call, and those queries, a ``DELETE ... WHERE``
+    and sketch capture and maintenance run without importing the oracle
+    module (a fresh interpreter: this process has long imported it)."""
     root = pathlib.Path(__file__).resolve().parent.parent
     environment = dict(os.environ, PYTHONPATH=str(root / "src"))
     probe = subprocess.run(
@@ -814,3 +853,17 @@ def test_the_engine_never_leaves_the_batch_pipeline():
     )
     assert probe.returncode == 0, probe.stderr
     assert "stayed on the batch pipeline" in probe.stdout
+
+
+def test_the_interpreter_is_the_oracle_module_only():
+    """One lowering in ``src``: nothing but ``relational/oracle.py`` mentions
+    the tree-walking interpreter, and ``expressions.py`` defines no row form."""
+    source = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    mentions = {
+        path.relative_to(source).as_posix()
+        for path in source.rglob("*.py")
+        if re.search(r"\binterpret\b", path.read_text())
+    }
+    assert mentions == {"relational/oracle.py"}
+    expressions = (source / "relational" / "expressions.py").read_text()
+    assert not re.search(r"def _?compile\(", expressions)
