@@ -16,6 +16,7 @@ This package contains small, dependency-free building blocks:
 from repro.core.bitset import BitSet
 from repro.core.bloom import BloomFilter
 from repro.core.errors import (
+    AggregateError,
     IMPError,
     ParseError,
     PlanError,
@@ -29,6 +30,7 @@ from repro.core.rbtree import RedBlackTree, SortedMultiSet
 from repro.core.timing import MemoryMeter, Stopwatch
 
 __all__ = [
+    "AggregateError",
     "BitSet",
     "BloomFilter",
     "IMPError",

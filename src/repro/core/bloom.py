@@ -55,15 +55,18 @@ class BloomFilter:
         num_bits = max(8, int(math.ceil(-expected_items * math.log(false_positive_rate) / ln2**2)))
         self._num_bits = num_bits
         self._num_hashes = max(1, int(round(num_bits / expected_items * ln2)))
-        self._bits = 0
+        # Bit ``p`` is bit ``p & 7`` of byte ``p >> 3``: setting or testing one
+        # touches one byte, not a filter-sized integer.
+        self._bits = bytearray((num_bits + 7) // 8)
         self._count = 0
 
     # -- population -----------------------------------------------------------
 
     def add(self, value: Hashable) -> None:
         """Insert ``value`` into the filter."""
+        bits = self._bits
         for position in self._positions(value):
-            self._bits |= 1 << position
+            bits[position >> 3] |= 1 << (position & 7)
         self._count += 1
 
     def add_all(self, values: Iterable[Hashable]) -> None:
@@ -80,7 +83,8 @@ class BloomFilter:
         bits = self._bits
         num_bits = self._num_bits
         for i in range(self._num_hashes):
-            if not bits >> ((h1 + i * h2) % num_bits) & 1:
+            position = (h1 + i * h2) % num_bits
+            if not bits[position >> 3] >> (position & 7) & 1:
                 return False
         return True
 
@@ -110,7 +114,7 @@ class BloomFilter:
 
     def fill_ratio(self) -> float:
         """Fraction of bits currently set; useful to detect saturation."""
-        return self._bits.bit_count() / self._num_bits
+        return int.from_bytes(self._bits, "little").bit_count() / self._num_bits
 
     # -- internals ------------------------------------------------------------
 

@@ -56,6 +56,15 @@ class SketchError(IMPError):
     """
 
 
+class AggregateError(IMPError):
+    """Raised when an aggregate meets a value it cannot aggregate.
+
+    ``sum``/``avg`` over a non-numeric value (text) or ``min``/``max`` over
+    values that do not compare.  The batch engine, the reference oracle and
+    the incremental engine raise it alike, naming the aggregate.
+    """
+
+
 class StateError(IMPError):
     """Raised when incremental operator state is missing or inconsistent.
 

@@ -33,29 +33,22 @@ from itertools import compress, islice
 from operator import itemgetter
 
 from repro.core.bloom import BloomFilter
+from repro.core.errors import AggregateError
 from repro.relational.algebra import Aggregate, OrderItem, PlanNode
 from repro.relational.expressions import (
     CompiledBatchExpression,
     Expression,
-    Literal,
     compile_batch_expression,
     strict_boolean,
 )
-from repro.relational.kernels import order_keys
+from repro.relational.kernels import order_keys, over_nothing
 from repro.relational.schema import Row, Schema
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import SketchDelta
 from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta
 from repro.imp.annotated import AnnotatedDelta
-from repro.imp.state import (
-    AggregationState,
-    DistinctState,
-    JoinSideState,
-    MergeState,
-    TopKState,
-    make_accumulator,
-)
+from repro.imp.state import AggregationState, JoinSideState, MergeState, TopKState
 
 
 def compile_batch_predicate(
@@ -237,7 +230,8 @@ class IncrementalTableAccess(IncrementalOperator):
         # deletes, each in the delta's own order.
         if run.from_scratch:
             table = self.database.snapshot_relation(self.table, run.version)
-            rows, counts = map(list, zip(*table.items())) if table else ([], [])
+            rows = list(table.distinct_rows())
+            counts = list(map(itemgetter(1), table.items()))
         else:
             delta = run.db_delta.get(self.table)
             rows, counts = delta.signed_entries() if delta else ([], [])
@@ -585,7 +579,14 @@ def _indexed(
 
 
 class IncrementalAggregation(IncrementalOperator):
-    """Incremental group-by aggregation (Sec. 5.2.5, 5.2.6)."""
+    """Incremental group-by aggregation (Sec. 5.2.5, 5.2.6).
+
+    A pass numbers its entries by group slot and folds them into the slot
+    lists of :class:`~repro.imp.state.AggregationState` with the batch
+    kernel's fold at signed counts -- from scratch the same fold over the
+    whole input into empty state.  Each touched group is snapshotted once
+    before the fold and emits ``-old, +new`` after it.
+    """
 
     def __init__(
         self,
@@ -600,86 +601,90 @@ class IncrementalAggregation(IncrementalOperator):
         self.group_by = list(group_by)
         self.aggregates = list(aggregates)
         self.min_max_buffer = min_max_buffer
-        self.state = AggregationState()
+        self.state = AggregationState(self.aggregates, min_max_buffer)
         child_schema = child.output_schema
         self._group_key = [
             compile_batch_expression(expression, child_schema)
             for expression in self.group_by
         ]
-        # COUNT(*) has no argument; a constant placeholder keeps the value
-        # tuple aligned with the accumulators (CountStarAccumulator ignores it).
+        # COUNT(*) reads no column.
         self._argument_values = [
-            compile_batch_expression(
-                Literal(0) if aggregate.argument is None else aggregate.argument,
-                child_schema,
-            )
+            None
+            if aggregate.argument is None
+            else compile_batch_expression(aggregate.argument, child_schema)
             for aggregate in self.aggregates
         ]
-        # The aggregates over no input tuples: what new accumulators report.
-        self._over_nothing = tuple(
-            accumulator.result() for accumulator in self._new_accumulators()
-        )
+        # The aggregates over no input tuples: what an absent group stands for.
+        self._over_nothing = tuple(over_nothing(aggregate) for aggregate in self.aggregates)
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
 
-    def _new_accumulators(self) -> list:
-        return [
-            make_accumulator(
-                aggregate.function, aggregate.argument is not None, self.min_max_buffer
-            )
-            for aggregate in self.aggregates
-        ]
-
     def process(self, run: Pass) -> AnnotatedDelta:
         child = self.child.process(run)
-        output = AnnotatedDelta(self.output_schema)
         # Without GROUP BY the single group ``()`` is part of the result even
         # over empty input, as ``_over_nothing`` annotated with no fragment.
         # It is not stored: an absent group stands for it.
         scalar = not self.group_by
         if not child:
+            output = AnnotatedDelta(self.output_schema)
             if scalar and run.from_scratch:
                 output.append(self._over_nothing, 0, 1)
             return output
         run.statistics.tuples_processed += len(child)
         state = self.state
-        factory = self._new_accumulators
-        # Output values and sketch mask each touched group had before the batch
-        # (None: the group produced no output tuple).  From scratch nothing was
-        # produced before, not even the scalar group.
-        absent = (self._over_nothing, 0) if scalar and not run.from_scratch else None
-        snapshots: dict[tuple, tuple[tuple, int] | None] = {}
         columns, n = child.columns(), len(child.rows)
-        for key, values, annotation, count in zip(
-            _row_tuples([evaluate(columns, n) for evaluate in self._group_key], n),
-            _row_tuples([evaluate(columns, n) for evaluate in self._argument_values], n),
-            child.annotations,
-            child.counts,
-        ):
-            group = state.get_or_create(key, factory)
-            if key not in snapshots:
-                if not group.exists:
-                    snapshots[key] = absent
-                elif group.exhausted():
-                    snapshots[key] = None
-                else:
-                    snapshots[key] = (group.output_values(), group.mask)
-            group.apply(values, annotation, count)
-        for key, snapshot in snapshots.items():
-            group = state.groups[key]
-            exhausted = group.exhausted()
-            if exhausted:
-                self.needs_recapture = True
-            if snapshot is not None:
-                output.append(key + snapshot[0], snapshot[1], -1)
-            if not group.exists:
-                state.drop(key)
-                if scalar:
-                    output.append(self._over_nothing, 0, 1)
-            elif not exhausted:
-                output.append(key + group.output_values(), group.mask, 1)
-        return output
+        ids = state.slot_ids(
+            _row_tuples([evaluate(columns, n) for evaluate in self._group_key], n)
+        )
+        # The touched groups in first-touch order, and the output tuple each
+        # had before the batch.  From scratch nothing was output before, not
+        # even the scalar group.
+        touched = list(dict.fromkeys(ids))
+        absent = (self._over_nothing, 0) if scalar else None
+        before = self._outputs(touched, None if run.from_scratch else absent)
+        arguments = [
+            None if evaluate is None else evaluate(columns, n)
+            for evaluate in self._argument_values
+        ]
+        try:
+            state.fold(ids, arguments, child.annotations, child.counts)
+        except AggregateError:
+            # Free the slots this batch allocated (still empty).  The other
+            # touched groups may be folded in part, which only a recapture
+            # repairs: the engine reports one as needed from now on.
+            for slot in touched:
+                if state.total_count[slot] <= 0:
+                    state.drop(slot)
+            self.needs_recapture = True
+            raise
+        after = self._outputs(touched, absent)
+        if state.exhausted(touched):
+            self.needs_recapture = True
+        entries = []
+        keys, total_count = state.keys, state.total_count
+        for slot, old, new in zip(touched, before, after):
+            key = keys[slot]
+            if old is not None:
+                entries.append((key + old[0], old[1], -1))
+            if new is not None:
+                entries.append((key + new[0], new[1], 1))
+            if total_count[slot] <= 0:
+                state.drop(slot)
+        return AnnotatedDelta(self.output_schema, *map(list, zip(*entries)))
+
+    def _outputs(self, slots: list[int], absent: tuple | None) -> list[tuple | None]:
+        """The output tuple's ``(values, mask)`` of each group in ``slots``:
+        ``absent`` for a group without input tuples, None for one whose
+        min/max lost track of its extreme."""
+        state = self.state
+        total_count, mask = state.total_count, state.mask
+        exhausted = state.exhausted(slots)
+        shown = [slot for slot in slots if total_count[slot] > 0 and slot not in exhausted]
+        outputs = dict(zip(shown, zip(state.values(shown), [mask[slot] for slot in shown])))
+        return [
+            outputs.get(slot, absent if total_count[slot] <= 0 else None) for slot in slots
+        ]
 
     def memory_bytes(self) -> int:
         return self.state.memory_bytes()
@@ -690,12 +695,13 @@ class IncrementalAggregation(IncrementalOperator):
 
 
 class IncrementalDistinct(IncrementalOperator):
-    """Incremental duplicate elimination (``δ``), kept as per-row counts."""
+    """Incremental duplicate elimination (``δ``): per-row counts, kept as
+    aggregation slots with no aggregate."""
 
     def __init__(self, child: IncrementalOperator) -> None:
         super().__init__(child.output_schema)
         self.child = child
-        self.state = DistinctState()
+        self.state = AggregationState()
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
@@ -706,21 +712,21 @@ class IncrementalDistinct(IncrementalOperator):
         if not child:
             return output
         run.statistics.tuples_processed += len(child)
+        state = self.state
+        ids = state.slot_ids(child.rows)
+        touched = list(dict.fromkeys(ids))
+        total_count, mask = state.total_count, state.mask
         # Sketch mask each touched row had before the batch (None: absent).
-        snapshots: dict[Row, int | None] = {}
-        for row, annotation, count in child.entries():
-            group = self.state.get_or_create(row)
-            if row not in snapshots:
-                snapshots[row] = group.mask if group.exists else None
-            group.apply((), annotation, count)
-        for row, old_mask in snapshots.items():
-            group = self.state.rows[row]
+        old_masks = [mask[slot] if total_count[slot] > 0 else None for slot in touched]
+        state.fold(ids, (), child.annotations, child.counts)
+        for slot, old_mask in zip(touched, old_masks):
+            row = state.keys[slot]
             if old_mask is not None:
                 output.append(row, old_mask, -1)
-            if group.exists:
-                output.append(row, group.mask, 1)
+            if total_count[slot] > 0:
+                output.append(row, mask[slot], 1)
             else:
-                self.state.drop(row)
+                state.drop(slot)
         return output
 
     def memory_bytes(self) -> int:

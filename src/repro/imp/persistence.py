@@ -42,7 +42,8 @@ from repro.imp.operators import (
     IncrementalTopK,
     MergeOperator,
 )
-from repro.imp.state import AggregationState, GroupState, MergeState
+from repro.imp.state import AggregationState, MergeState, MinMaxAccumulator
+from repro.relational.algebra import AggregateFunction
 from repro.relational.schema import Schema
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.sketch import ProvenanceSketch
@@ -90,45 +91,105 @@ def _decode_value(value: Any) -> Any:
     return value
 
 
-def _group_state_payload(group: GroupState) -> dict[str, Any]:
-    payload = group.to_payload()
-    payload["key"] = _encode_value(tuple(payload["key"]))
-    return payload
+def _groups_payload(state: AggregationState) -> list[dict[str, Any]]:
+    """One dict per live group, in order of creation: the per-group payload
+    format the state was persisted in before it became slot lists."""
+    return [
+        {
+            "key": _encode_value(key),
+            "total_count": state.total_count[slot],
+            "fragment_counts": dict(state.fragment_counts[slot]),
+            "accumulators": [
+                _accumulator_payload(state, index, slot)
+                for index in range(len(state.aggregates))
+            ],
+        }
+        for key, slot in state.slots.items()
+    ]
 
 
-def _group_state_from_payload(payload: dict[str, Any]) -> GroupState:
-    decoded = dict(payload)
-    decoded["key"] = list(_decode_value(payload["key"]))
-    return GroupState.from_payload(decoded)
-
-
-def _aggregation_payload(operator: IncrementalAggregation) -> dict[str, Any]:
+def _accumulator_payload(state: AggregationState, index: int, slot: int) -> dict[str, Any]:
+    extremes = state.extremes[index]
+    if extremes is not None:
+        accumulator = extremes[slot]
+        return {
+            "kind": "min_max",
+            "function": accumulator.function.value,
+            "buffer_limit": accumulator.buffer_limit,
+            "overflow_count": accumulator.overflow_count,
+            "exhausted": accumulator.exhausted,
+            "values": list(accumulator.values.items()),
+        }
+    star_count = state.total_count[slot]
+    if state.aggregates[index].argument is None:
+        return {
+            "kind": "count_star",
+            "function": "count",
+            "total": 0.0,
+            "non_null_count": star_count,
+            "star_count": star_count,
+        }
+    totals = state.totals[index]
     return {
-        "kind": "aggregation",
-        "groups": [_group_state_payload(group) for group in operator.state],
+        "kind": "sum_count",
+        "function": state.aggregates[index].function.value,
+        "total": 0.0 if totals is None else totals[slot],
+        "non_null_count": state.non_null[index][slot],
+        "star_count": star_count,
     }
 
 
+def _load_groups(state: AggregationState, payloads: list[dict[str, Any]]) -> None:
+    for payload in payloads:
+        accumulators = payload["accumulators"]
+        if len(accumulators) != len(state.aggregates):
+            raise StateError(
+                f"persisted group has {len(accumulators)} aggregates, "
+                f"the operator {len(state.aggregates)}"
+            )
+        (slot,) = state.slot_ids([tuple(_decode_value(payload["key"]))])
+        state.total_count[slot] = payload["total_count"]
+        fragment_counts = {int(k): v for k, v in payload["fragment_counts"].items()}
+        state.fragment_counts[slot] = fragment_counts
+        state.mask[slot] = sum(1 << k for k, v in fragment_counts.items() if v > 0)
+        for index, accumulator in enumerate(accumulators):
+            extremes = state.extremes[index]
+            if extremes is not None:
+                restored = MinMaxAccumulator(
+                    AggregateFunction(accumulator["function"]), accumulator["buffer_limit"]
+                )
+                restored.overflow_count = accumulator["overflow_count"]
+                restored.exhausted = accumulator["exhausted"]
+                for value, count in accumulator["values"]:
+                    restored.values.add(value, count)
+                extremes[slot] = restored
+                continue
+            totals = state.totals[index]
+            if totals is not None:
+                totals[slot] = accumulator["total"]
+            non_null = state.non_null[index]
+            if non_null is not None:
+                non_null[slot] = accumulator["non_null_count"]
+
+
+def _aggregation_payload(operator: IncrementalAggregation) -> dict[str, Any]:
+    return {"kind": "aggregation", "groups": _groups_payload(operator.state)}
+
+
 def _load_aggregation(operator: IncrementalAggregation, payload: dict[str, Any]) -> None:
-    state = AggregationState()
-    for group_payload in payload["groups"]:
-        group = _group_state_from_payload(group_payload)
-        state.groups[group.key] = group
+    state = AggregationState(operator.aggregates, operator.min_max_buffer)
+    _load_groups(state, payload["groups"])
     operator.state = state
 
 
 def _distinct_payload(operator: IncrementalDistinct) -> dict[str, Any]:
-    return {
-        "kind": "distinct",
-        "rows": [_group_state_payload(group) for group in operator.state.rows.values()],
-    }
+    return {"kind": "distinct", "rows": _groups_payload(operator.state)}
 
 
 def _load_distinct(operator: IncrementalDistinct, payload: dict[str, Any]) -> None:
-    operator.state.rows.clear()
-    for group_payload in payload["rows"]:
-        group = _group_state_from_payload(group_payload)
-        operator.state.rows[group.key] = group
+    state = AggregationState()
+    _load_groups(state, payload["rows"])
+    operator.state = state
 
 
 def _topk_payload(operator: IncrementalTopK) -> dict[str, Any]:

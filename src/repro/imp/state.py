@@ -3,31 +3,36 @@
 Each stateful incremental operator keeps exactly the state described in
 Sec. 5.2 of the paper:
 
-* aggregation with ``sum``/``count``/``avg``: per-group ``SUM``/``CNT`` plus a
-  map ``ℱ_g`` counting, for every range of the partition, how many input
-  tuples of the group carry that range in their sketch;
-* aggregation with ``min``/``max``: the same ``ℱ_g`` plus a balanced search
-  tree over the aggregate values (optionally truncated to a top-``l`` buffer,
-  Sec. 7.2);
+* aggregation (:class:`AggregationState`): per group its tuple count, the map
+  ``ℱ_g`` counting, for every range of the partition, how many input tuples
+  of the group carry that range in their sketch, and per aggregate
+  ``SUM``/``CNT`` (``sum``/``count``/``avg``) or a balanced search tree over
+  the values (``min``/``max``, optionally truncated to a top-``l`` buffer,
+  Sec. 7.2).  Groups are *slots*: the key maps to an index into one list per
+  quantity, and a batch is folded into the lists column by column with the
+  batch kernel's ``fold_aggregate`` at signed counts;
 * top-k: an ordered map from ORDER BY keys to annotated tuples and their
   multiplicities (optionally truncated to ``l ≥ k`` entries);
-* duplicate elimination: per-row reference counts with their ``ℱ`` map;
+* duplicate elimination: the aggregation slots with no aggregate, keyed by
+  row -- per-row reference counts and their ``ℱ``;
 * join: per input, a Bloom filter over its join keys until a delta of the
   other input first needs partners, and from then on the input's annotated
   result as a key index, brought forward by the input's own deltas;
 * the merge operator ``μ``: a count per range of how many result tuples carry
   that range.
 
-All states support byte-size estimation (for the memory experiments) and, all
-but the join's, a plain-Python payload serialisation so the middleware can
-persist and restore them through the backend database (Sec. 2).  Join state
-is derived data: a restored join rebuilds it lazily.
+All states support byte-size estimation (for the memory experiments), and
+:mod:`repro.imp.persistence` serialises all but the join's so the middleware
+can persist and restore them through the backend database (Sec. 2).  Join
+state is derived data: a restored join rebuilds it lazily.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
+from functools import partial
 from typing import Any
 
 from repro.core.bitset import iter_bits
@@ -36,80 +41,14 @@ from repro.core.errors import StateError
 from repro.core.rbtree import RedBlackTree, SortedMultiSet
 from repro.core.timing import MemoryMeter
 from repro.imp.annotated import AnnotatedDelta
-from repro.relational.algebra import AggregateFunction
+from repro.relational import kernels
+from repro.relational.algebra import Aggregate, AggregateFunction
 from repro.relational.schema import Row
 
 
-class SumCountAccumulator:
-    """Accumulator shared by ``sum``, ``count`` and ``avg`` (Sec. 5.2.5)."""
-
-    __slots__ = ("function", "total", "non_null_count", "star_count")
-
-    #: Only min/max accumulators can lose track of their value (Sec. 7.2).
-    exhausted = False
-
-    def __init__(self, function: AggregateFunction) -> None:
-        self.function = function
-        self.total = 0.0
-        self.non_null_count = 0
-        self.star_count = 0
-
-    def update(self, value: object, multiplicity: int) -> None:
-        """Apply ``multiplicity`` (signed) occurrences of ``value``."""
-        self.star_count += multiplicity
-        if value is None:
-            return
-        self.non_null_count += multiplicity
-        if self.function in (AggregateFunction.SUM, AggregateFunction.AVG):
-            self.total += float(value) * multiplicity  # type: ignore[arg-type]
-
-    def result(self) -> object:
-        """Current aggregate value (matching full evaluation semantics)."""
-        if self.function is AggregateFunction.COUNT:
-            return self.non_null_count if self.non_null_count or self.star_count == 0 else 0
-        if self.non_null_count == 0:
-            return None
-        if self.function is AggregateFunction.SUM:
-            return self.total
-        if self.function is AggregateFunction.AVG:
-            return self.total / self.non_null_count
-        raise StateError(f"accumulator does not support {self.function}")
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "kind": "sum_count",
-            "function": self.function.value,
-            "total": self.total,
-            "non_null_count": self.non_null_count,
-            "star_count": self.star_count,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "SumCountAccumulator":
-        accumulator = cls(AggregateFunction(payload["function"]))
-        accumulator.total = payload["total"]
-        accumulator.non_null_count = payload["non_null_count"]
-        accumulator.star_count = payload["star_count"]
-        return accumulator
-
-
-class CountStarAccumulator(SumCountAccumulator):
-    """Accumulator for ``count(*)`` which counts NULLs as well."""
-
-    def __init__(self) -> None:
-        super().__init__(AggregateFunction.COUNT)
-
-    def result(self) -> object:
-        return self.star_count
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = super().to_payload()
-        payload["kind"] = "count_star"
-        return payload
-
-
 class MinMaxAccumulator:
-    """Accumulator for ``min``/``max`` backed by a sorted multiset (Sec. 5.2.6).
+    """One group's values of a ``min``/``max`` aggregate, as a sorted multiset
+    (Sec. 5.2.6); :class:`AggregationState` keeps one per slot.
 
     With a ``buffer_limit`` only the ``l`` best values are retained
     (smallest for min, largest for max); values beyond the buffer are only
@@ -142,15 +81,24 @@ class MinMaxAccumulator:
             self._delete(value, -multiplicity)
 
     def _insert(self, value: object, count: int) -> None:
+        # No counted-only value beats a buffered one, so a value worse than the
+        # buffer's worst is only counted: buffered, it could hide a better one.
+        if self.overflow_count and self.values:
+            worst = self._worst()
+            if (value > worst) if self.function is AggregateFunction.MIN else (value < worst):
+                self.overflow_count += count
+                return
         self.values.add(value, count)
         self._evict_overflow()
+
+    def _worst(self) -> object:
+        return self.values.max() if self.function is AggregateFunction.MIN else self.values.min()
 
     def _evict_overflow(self) -> None:
         if self.buffer_limit is None:
             return
         while len(self.values) > self.buffer_limit:
-            victim = self.values.max() if self.function is AggregateFunction.MIN else self.values.min()
-            removed = self.values.remove(victim, 1)
+            removed = self.values.remove(self._worst(), 1)
             if removed == 0:  # pragma: no cover - defensive
                 break
             self.overflow_count += removed
@@ -179,178 +127,198 @@ class MinMaxAccumulator:
             return None
         return self.values.min() if self.function is AggregateFunction.MIN else self.values.max()
 
-    @property
-    def stored_count(self) -> int:
-        """Number of values currently kept in the buffer."""
-        return len(self.values)
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "kind": "min_max",
-            "function": self.function.value,
-            "buffer_limit": self.buffer_limit,
-            "overflow_count": self.overflow_count,
-            "exhausted": self.exhausted,
-            "values": list(self.values.items()),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "MinMaxAccumulator":
-        accumulator = cls(AggregateFunction(payload["function"]), payload["buffer_limit"])
-        accumulator.overflow_count = payload["overflow_count"]
-        accumulator.exhausted = payload["exhausted"]
-        for value, count in payload["values"]:
-            accumulator.values.add(value, count)
-        return accumulator
-
-
-def make_accumulator(
-    function: AggregateFunction,
-    has_argument: bool,
-    min_max_buffer: int | None = None,
-) -> SumCountAccumulator | MinMaxAccumulator:
-    """Create the appropriate accumulator for an aggregate specification."""
-    if function in (AggregateFunction.MIN, AggregateFunction.MAX):
-        return MinMaxAccumulator(function, min_max_buffer)
-    if function is AggregateFunction.COUNT and not has_argument:
-        return CountStarAccumulator()
-    return SumCountAccumulator(function)
-
-
-class GroupState:
-    """Per-group state of an incremental aggregation operator.
-
-    ``mask`` is the group's sketch as a fragment bit mask: the ranges whose
-    ``ℱ_g`` count is positive.  It only changes when a count crosses zero,
-    so it is kept up to date there instead of being rebuilt from the counts.
-    """
-
-    __slots__ = ("key", "total_count", "fragment_counts", "mask", "accumulators")
-
-    def __init__(self, key: tuple, accumulators: list) -> None:
-        self.key = key
-        self.total_count = 0
-        self.fragment_counts: dict[int, int] = {}
-        self.mask = 0
-        self.accumulators = accumulators
-
-    def apply(self, argument_values: Iterable[object], annotation: int, count: int) -> None:
-        """Apply ``count`` (signed) occurrences of one annotated input tuple."""
-        self.total_count += count
-        for accumulator, value in zip(self.accumulators, argument_values):
-            accumulator.update(value, count)
-        fragment_counts = self.fragment_counts
-        for fragment in iter_bits(annotation):
-            updated = fragment_counts.get(fragment, 0) + count
-            if updated:
-                fragment_counts[fragment] = updated
-            else:
-                fragment_counts.pop(fragment, None)
-            # ``updated - count`` is the count before: touch the mask only
-            # when the count crosses zero.
-            if updated > 0:
-                if updated <= count:
-                    self.mask |= 1 << fragment
-            elif updated > count:
-                self.mask &= ~(1 << fragment)
-
-    @property
-    def exists(self) -> bool:
-        """Whether the group still has input tuples."""
-        return self.total_count > 0
-
-    def output_values(self) -> tuple:
-        """The aggregate results for the group."""
-        return tuple([accumulator.result() for accumulator in self.accumulators])
-
-    def exhausted(self) -> bool:
-        """Whether any min/max accumulator lost track of its extreme value."""
-        return any([accumulator.exhausted for accumulator in self.accumulators])
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "key": list(self.key),
-            "total_count": self.total_count,
-            "fragment_counts": dict(self.fragment_counts),
-            "accumulators": [accumulator.to_payload() for accumulator in self.accumulators],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "GroupState":
-        accumulators = []
-        for accumulator_payload in payload["accumulators"]:
-            if accumulator_payload["kind"] == "min_max":
-                accumulators.append(MinMaxAccumulator.from_payload(accumulator_payload))
-            elif accumulator_payload["kind"] == "count_star":
-                accumulators.append(CountStarAccumulator.from_payload(accumulator_payload))
-            else:
-                accumulators.append(SumCountAccumulator.from_payload(accumulator_payload))
-        state = cls(tuple(payload["key"]), accumulators)
-        state.total_count = payload["total_count"]
-        state.fragment_counts = {int(k): v for k, v in payload["fragment_counts"].items()}
-        state.mask = sum(1 << k for k, v in state.fragment_counts.items() if v > 0)
-        return state
+# Which aggregates keep a per-slot total, non-NULL count or multiset.
+_SUMMED = (AggregateFunction.SUM, AggregateFunction.AVG)
+_COUNTED = (*_SUMMED, AggregateFunction.COUNT)
+_EXTREMES = (AggregateFunction.MIN, AggregateFunction.MAX)
 
 
 class AggregationState:
-    """State of an incremental aggregation operator: a map group -> GroupState."""
+    """State of an incremental aggregation operator, one slot per group.
 
-    def __init__(self) -> None:
-        self.groups: dict[tuple, GroupState] = {}
+    ``slots`` maps each live group key to its slot, in order of creation, and
+    every quantity of a group is an entry of a list indexed by slot:
 
-    def get_or_create(self, key: tuple, accumulator_factory) -> GroupState:
-        state = self.groups.get(key)
-        if state is None:
-            state = GroupState(key, accumulator_factory())
-            self.groups[key] = state
-        return state
+    * ``keys``; ``total_count``, the group's signed tuple count (the group
+      exists while it is positive, and it is every ``count(*)``);
+      ``fragment_counts``, the map ``ℱ_g`` from fragment to count; ``mask``,
+      the fragments whose count is positive (the group's sketch, changed only
+      where a count crosses zero);
+    * per aggregate, ``totals`` (``sum``/``avg``) and ``non_null`` (the
+      tuples with a non-NULL value: ``sum``/``avg``/``count``), or
+      ``extremes`` (``min``/``max``: a :class:`MinMaxAccumulator` per slot);
+      the entry is ``None`` for a list the aggregate does not keep.
 
-    def drop(self, key: tuple) -> None:
-        self.groups.pop(key, None)
+    A dropped group's slot is cleared and kept on ``free`` for the next new
+    key.  With no aggregates this is duplicate elimination's state: per-row
+    reference counts and their ``ℱ``.  :mod:`repro.imp.persistence` writes
+    and reads it as one dict per group.
+    """
+
+    def __init__(
+        self, aggregates: Sequence[Aggregate] = (), min_max_buffer: int | None = None
+    ) -> None:
+        self.aggregates = tuple(aggregates)
+        self.min_max_buffer = min_max_buffer
+        self.slots: dict[Any, int] = {}
+        self.keys: list = []
+        self.total_count: list[int] = []
+        self.fragment_counts: list[dict[int, int]] = []
+        self.mask: list[int] = []
+        functions = [None if a.argument is None else a.function for a in self.aggregates]
+        self.totals = [[] if function in _SUMMED else None for function in functions]
+        self.non_null = [[] if function in _COUNTED else None for function in functions]
+        self.extremes = [[] if function in _EXTREMES else None for function in functions]
+        self.free: list[int] = []
+        self._results = [self._result(index) for index in range(len(functions))]
+
+    def _result(self, index: int) -> Callable[[list[int]], list]:
+        """``slots -> values`` of one aggregate (full-evaluation semantics)."""
+        aggregate = self.aggregates[index]
+        if aggregate.argument is None:
+            total_count = self.total_count
+            return lambda slots: [total_count[slot] for slot in slots]
+        extremes = self.extremes[index]
+        if extremes is not None:
+            return lambda slots: [extremes[slot].result() for slot in slots]
+        non_null = self.non_null[index]
+        if aggregate.function is AggregateFunction.COUNT:
+            return lambda slots: [non_null[slot] for slot in slots]
+        totals = self.totals[index]
+        if aggregate.function is AggregateFunction.SUM:
+            return lambda slots: [totals[s] if non_null[s] else None for s in slots]
+        return lambda slots: [totals[s] / non_null[s] if non_null[s] else None for s in slots]
+
+    def slot_ids(self, keys: Iterable) -> list[int]:
+        """The slot of each key; new keys get one (freed slots first) in
+        order of first occurrence."""
+        keys = list(keys)
+        slots = self.slots
+        new_keys = [key for key in dict.fromkeys(keys) if key not in slots]
+        if new_keys:
+            self._allocate(new_keys)
+        return list(map(slots.__getitem__, keys))
+
+    def _allocate(self, new_keys: list) -> None:
+        slots, free = self.slots, self.free
+        grown = max(0, len(new_keys) - len(free))
+        if grown:
+            start = len(self.keys)
+            self.keys.extend([None] * grown)
+            for column, empty in self._defaults():
+                column.extend([empty() for _ in range(grown)])
+            free[:0] = range(start + grown - 1, start - 1, -1)  # popped after the freed
+        for key in new_keys:
+            slot = free.pop()
+            self.keys[slot] = key
+            slots[key] = slot
+
+    def drop(self, slot: int) -> None:
+        """Forget the group in ``slot`` and free the slot."""
+        del self.slots[self.keys[slot]]
+        self.keys[slot] = None
+        for column, empty in self._defaults():
+            column[slot] = empty()
+        self.free.append(slot)
+
+    def _defaults(self) -> list[tuple[list, Callable[[], object]]]:
+        """Each per-slot list but ``keys``, with what an empty slot holds."""
+        defaults: list[tuple[list, Callable[[], object]]] = [
+            (self.total_count, int),
+            (self.fragment_counts, dict),
+            (self.mask, int),
+        ]
+        for aggregate, totals, non_null, extremes in zip(
+            self.aggregates, self.totals, self.non_null, self.extremes
+        ):
+            if totals is not None:
+                defaults.append((totals, float))
+            if non_null is not None:
+                defaults.append((non_null, int))
+            if extremes is not None:
+                empty = partial(MinMaxAccumulator, aggregate.function, self.min_max_buffer)
+                defaults.append((extremes, empty))
+        return defaults
+
+    def fold(
+        self,
+        ids: list[int],
+        arguments: Sequence[list | None],
+        annotations: list[int],
+        counts: list[int],
+    ) -> None:
+        """Add ``counts[i]`` (signed) annotated tuples to slot ``ids[i]``;
+        ``arguments`` holds one value column per aggregate (``None`` for
+        ``count(*)``).  Sums and counts are the batch kernel's fold; min/max
+        update their slot's multiset per entry.
+
+        A value an aggregate cannot fold raises :class:`AggregateError`
+        before any ``total_count`` or ``ℱ`` changes, so a slot this batch
+        allocated is still empty -- but aggregates of the batch's groups may
+        already be folded in part."""
+        for aggregate, column, totals, non_null, extremes in zip(
+            self.aggregates, arguments, self.totals, self.non_null, self.extremes
+        ):
+            try:
+                if non_null is not None:
+                    kernels.fold_aggregate(ids, column, counts, non_null, totals)
+                if extremes is not None:
+                    for slot, value, count in zip(ids, column, counts):
+                        extremes[slot].update(value, count)
+            except TypeError as exc:
+                raise kernels.fold_error(aggregate) from exc
+        kernels.fold_aggregate(ids, None, counts, self.total_count)
+        fragment_counts, mask = self.fragment_counts, self.mask
+        entries: Iterable[tuple[int, int, int]] = zip(ids, annotations, counts)
+        if counts.count(1) == len(counts):
+            # Every count is 1 (a capture, an insert-only delta): fold each
+            # distinct annotated slot once, with its number of entries.
+            pairs = Counter(zip(ids, annotations))
+            entries = ((slot, annotation, count) for (slot, annotation), count in pairs.items())
+        for slot, annotation, count in entries:
+            per_fragment = fragment_counts[slot]
+            while annotation:
+                low = annotation & -annotation
+                annotation ^= low
+                fragment = low.bit_length() - 1
+                updated = per_fragment.get(fragment, 0) + count
+                if updated:
+                    per_fragment[fragment] = updated
+                else:
+                    per_fragment.pop(fragment, None)
+                # ``updated - count`` is the count before: touch the mask only
+                # when the count crosses zero.
+                if updated > 0:
+                    if updated <= count:
+                        mask[slot] |= low
+                elif updated > count:
+                    mask[slot] &= ~low
+
+    def values(self, slots: list[int]) -> list[tuple]:
+        """The aggregate results of each group in ``slots`` (``()`` per group
+        with no aggregate)."""
+        if not self._results:
+            return [()] * len(slots)
+        return list(zip(*[result(slots) for result in self._results]))
+
+    def exhausted(self, slots: list[int]) -> set[int]:
+        """The groups in ``slots`` where a min/max lost track of its extreme."""
+        return {
+            slot
+            for extremes in self.extremes
+            if extremes is not None
+            for slot in slots
+            if extremes[slot].exhausted
+        }
 
     def __len__(self) -> int:
-        return len(self.groups)
-
-    def __iter__(self) -> Iterator[GroupState]:
-        return iter(self.groups.values())
+        return len(self.slots)
 
     def memory_bytes(self) -> int:
         """Estimated memory footprint of the aggregation state."""
-        return MemoryMeter().measure(self.groups)
-
-    def to_payload(self) -> dict[str, Any]:
-        return {"groups": [state.to_payload() for state in self.groups.values()]}
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "AggregationState":
-        state = cls()
-        for group_payload in payload["groups"]:
-            group = GroupState.from_payload(group_payload)
-            state.groups[group.key] = group
-        return state
-
-
-class DistinctState:
-    """Per-row reference counts for incremental duplicate elimination."""
-
-    def __init__(self) -> None:
-        self.rows: dict[Row, GroupState] = {}
-
-    def get_or_create(self, row: Row) -> GroupState:
-        state = self.rows.get(row)
-        if state is None:
-            state = GroupState(row, [])
-            self.rows[row] = state
-        return state
-
-    def drop(self, row: Row) -> None:
-        self.rows.pop(row, None)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def memory_bytes(self) -> int:
-        return MemoryMeter().measure(self.rows)
+        columns = [column for column, _empty in self._defaults()]
+        return MemoryMeter().measure_many([self.slots, self.keys, *columns, self.free])
 
 
 class JoinSideState:
@@ -600,12 +568,3 @@ class MergeState:
 
     def memory_bytes(self) -> int:
         return MemoryMeter().measure(self.counts)
-
-    def to_payload(self) -> dict[str, Any]:
-        return {"counts": dict(self.counts)}
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "MergeState":
-        state = cls()
-        state.counts = {int(k): v for k, v in payload["counts"].items()}
-        return state

@@ -18,11 +18,14 @@ Input batches are never mutated; output batches may share input column lists
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Sequence
 from heapq import nsmallest
 from itertools import compress
+from operator import gt, lt
 
-from repro.relational.algebra import Aggregate
+from repro.core.errors import AggregateError
+from repro.relational.algebra import Aggregate, AggregateFunction
 from repro.relational.columnar import ColumnBatch, LazyColumns
 from repro.relational.schema import Schema, descending_component, order_component
 
@@ -130,98 +133,133 @@ def aggregate_batch(
 ) -> ColumnBatch:
     """Grouped aggregation over pre-evaluated key and argument columns.
 
-    The input entries must be consolidated (the caller guarantees it): each
-    group then accumulates one term per distinct input row, in entry order,
-    which fixes the low bits of float sums.  Groups come out in order of
-    first occurrence.  ``argument_columns`` holds ``None`` for ``count(*)``.
+    One grouped fold: :func:`group_ids` numbers the groups, then each
+    aggregate is one pass over ``(group id, value, multiplicity)`` into
+    per-group lists (:func:`fold_aggregate`, which the incremental
+    aggregation applies at signed counts).  ``argument_columns`` holds
+    ``None`` for ``count(*)``; NULL values are ignored.
+
+    The input must be consolidated (the caller guarantees it).  Output order:
+    one entry per group, in order of first occurrence.  A group's sum adds
+    ``value * multiplicity`` to ``0.0`` in entry order, which fixes the low
+    bits of float sums; the first occurrence wins ties of min/max.
     """
-    groups: dict[tuple, list[int]] = {}
-    if key_columns:
-        if len(key_columns) == 1:
-            keys: list[tuple] = [(key,) for key in key_columns[0]]
-        else:
-            keys = list(zip(*key_columns))
-        get = groups.get
-        for i, key in enumerate(keys):
-            positions = get(key)
-            if positions is None:
-                groups[key] = [i]
-            else:
-                positions.append(i)
-    elif multiplicities:
-        groups[()] = list(range(len(multiplicities)))
-    if not groups and not grouped:
+    n = len(multiplicities)
+    ids, keys = group_ids(key_columns, n)
+    if not keys and not grouped:
         # Aggregation without GROUP BY over an empty input produces one row.
-        groups[()] = []
-    rows: list[tuple] = []
-    for key, positions in groups.items():
-        values = tuple(
-            _aggregate_positions(aggregate, column, positions, multiplicities)
-            for aggregate, column in zip(aggregates, argument_columns)
-        )
-        rows.append(key + values)
-    if rows:
-        columns = (list(column) for column in zip(*rows))
+        columns = [[over_nothing(aggregate)] for aggregate in aggregates]
+        return ColumnBatch(schema, columns, [1], consolidated=True)
+    # count(*), and count and avg over a column without NULLs, share this list.
+    sizes = fold_aggregate(ids, None, multiplicities, [0] * len(keys))
+    if len(key_columns) == 1:
+        columns = [keys]
     else:
-        columns = ([] for _ in range(len(schema)))
+        columns = [list(column) for column in zip(*keys)] or [[] for _ in key_columns]
+    for aggregate, column in zip(aggregates, argument_columns):
+        try:
+            columns.append(_fold(aggregate.function, ids, column, multiplicities, sizes))
+        except TypeError as exc:
+            raise fold_error(aggregate) from exc
     # Group keys are distinct and prefix every output row, so rows are too.
-    return ColumnBatch(schema, columns, [1] * len(rows), consolidated=True)
+    return ColumnBatch(schema, columns, [1] * len(keys), consolidated=True)
 
 
-def _aggregate_positions(
-    aggregate: Aggregate,
+def _fold(
+    function: AggregateFunction,
+    ids: list[int],
     column: list | None,
-    positions: list[int],
     multiplicities: list[int],
-) -> object:
-    """One aggregate over the group's entries.
-
-    NULL values are ignored (SQL semantics); an empty or all-NULL group
-    yields NULL for sum/avg/min/max and 0 for count.  Sums start from
-    ``0.0`` and add ``value * multiplicity`` in entry order; the first
-    occurrence wins ties of min/max.
-    """
+    sizes: list[int],
+) -> list:
+    """One aggregate's value per group."""
     if column is None:
-        return sum(multiplicities[i] for i in positions)
-    name = aggregate.function.value
-    if name == "count":
-        count = 0
-        for i in positions:
-            if column[i] is not None:
-                count += multiplicities[i]
-        return count
-    if name in ("sum", "avg"):
-        total = 0.0
-        count = 0
-        seen_any = False
-        for i in positions:
-            value = column[i]
-            if value is None:
-                continue
-            seen_any = True
-            count += multiplicities[i]
-            total += value * multiplicities[i]
-        if not seen_any:
-            return None
-        if name == "sum":
-            return total
-        return total / count if count else None
-    best = None
-    if name == "min":
-        for i in positions:
-            value = column[i]
-            if value is None:
-                continue
-            if best is None or value < best:
-                best = value
+        return sizes
+    if function is AggregateFunction.MIN or function is AggregateFunction.MAX:
+        better = lt if function is AggregateFunction.MIN else gt
+        best: list = [None] * len(sizes)
+        for slot, value in zip(ids, column):
+            if value is not None and (best[slot] is None or better(value, best[slot])):
+                best[slot] = value
         return best
-    for i in positions:  # max
-        value = column[i]
-        if value is None:
-            continue
-        if best is None or value > best:
-            best = value
-    return best
+    totals = None if function is AggregateFunction.COUNT else [0.0] * len(sizes)
+    non_null = fold_aggregate(ids, column, multiplicities, [0] * len(sizes), totals, sizes)
+    if totals is None:
+        return non_null
+    if function is AggregateFunction.SUM:
+        return [total if count else None for total, count in zip(totals, non_null)]
+    return [total / count if count else None for total, count in zip(totals, non_null)]
+
+
+def group_ids(key_columns: list[list], n: int) -> tuple[list[int], list]:
+    """The group id of each of ``n`` entries, numbered by first occurrence,
+    and the group keys in id order: raw values for one key column, value
+    tuples for several, the one group ``()`` for none."""
+    if not key_columns:
+        return [0] * n, [()] if n else []
+    keys = key_columns[0] if len(key_columns) == 1 else zip(*key_columns)
+    # A missing key gets the next id: the dict's size before it is added.
+    slots: defaultdict = defaultdict()
+    slots.default_factory = slots.__len__
+    return list(map(slots.__getitem__, keys)), list(slots)
+
+
+def fold_aggregate(
+    ids: list[int],
+    column: list | None,
+    multiplicities: list[int],
+    non_null: list[int],
+    totals: list[float] | None = None,
+    sizes: list[int] | None = None,
+) -> list[int]:
+    """Fold one aggregate's value column into per-slot lists, entry ``i``
+    into slot ``ids[i]``: its multiplicity into ``non_null`` unless its
+    value is NULL (``column`` None is ``count(*)``: every entry counts) and,
+    given ``totals``, ``value * multiplicity`` into ``totals`` in entry
+    order.  A non-numeric value raises ``TypeError``.
+
+    Returns the per-slot non-NULL counts: ``non_null``, or, if the caller
+    passes the slots' entry counts as ``sizes`` and no value is NULL, those.
+    """
+    # Every multiplicity is 1 (a query over consolidated input, a capture,
+    # an insert-only delta): then ``value * 1`` is ``value``, bit for bit.
+    unit = multiplicities.count(1) == len(multiplicities)
+    if column is not None and None in column:
+        for slot, value, multiplicity in zip(ids, column, multiplicities):
+            if value is not None:
+                non_null[slot] += multiplicity
+                if totals is not None:
+                    totals[slot] += value * multiplicity
+        return non_null
+    if totals is not None:
+        if unit:
+            for slot, value in zip(ids, column):
+                totals[slot] += value
+        else:
+            for slot, value, multiplicity in zip(ids, column, multiplicities):
+                totals[slot] += value * multiplicity
+    if sizes is not None:
+        return sizes
+    if unit:
+        for slot in ids:
+            non_null[slot] += 1
+    else:
+        for slot, multiplicity in zip(ids, multiplicities):
+            non_null[slot] += multiplicity
+    return non_null
+
+
+def over_nothing(aggregate: Aggregate) -> object:
+    """The aggregate over no input: 0 for count, NULL otherwise."""
+    return 0 if aggregate.function is AggregateFunction.COUNT else None
+
+
+def fold_error(aggregate: Aggregate) -> AggregateError:
+    """The error for a fold that met a value ``aggregate`` cannot aggregate."""
+    argument = "*" if aggregate.argument is None else aggregate.argument.canonical()
+    return AggregateError(
+        f"{aggregate.function.value}({argument}) cannot aggregate a value of that type"
+    )
 
 
 def order_keys(key_columns: list[list], ascending: Sequence[bool]) -> list[tuple]:

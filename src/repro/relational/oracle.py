@@ -31,7 +31,7 @@ import operator
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
-from repro.core.errors import PlanError, UnsupportedOperationError
+from repro.core.errors import AggregateError, PlanError, UnsupportedOperationError
 from repro.relational.algebra import (
     AggregateFunction,
     Aggregation,
@@ -179,7 +179,9 @@ def compute_aggregate(
     """Compute an aggregate over ``(value, multiplicity)`` pairs.
 
     NULL values are ignored (SQL semantics); an empty input yields NULL for
-    sum/avg/min/max and 0 for count.
+    sum/avg/min/max and 0 for count.  A value the function cannot aggregate
+    (text in a sum, incomparable values in a min) raises
+    :class:`AggregateError`.
     """
     total = 0.0
     count = 0
@@ -191,12 +193,17 @@ def compute_aggregate(
             continue
         seen_any = True
         count += multiplicity
-        if function in (AggregateFunction.SUM, AggregateFunction.AVG):
-            total += value * multiplicity  # type: ignore[operator]
-        if function is AggregateFunction.MIN:
-            minimum = value if minimum is None else min(minimum, value)  # type: ignore[type-var]
-        if function is AggregateFunction.MAX:
-            maximum = value if maximum is None else max(maximum, value)  # type: ignore[type-var]
+        try:
+            if function in (AggregateFunction.SUM, AggregateFunction.AVG):
+                total += value * multiplicity  # type: ignore[operator]
+            if function is AggregateFunction.MIN:
+                minimum = value if minimum is None else min(minimum, value)  # type: ignore[type-var]
+            if function is AggregateFunction.MAX:
+                maximum = value if maximum is None else max(maximum, value)  # type: ignore[type-var]
+        except TypeError as exc:
+            raise AggregateError(
+                f"{function.value}() cannot aggregate {type(value).__name__} value {value!r}"
+            ) from exc
     if function is AggregateFunction.COUNT:
         return count
     if not seen_any:

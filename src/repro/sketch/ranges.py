@@ -13,6 +13,9 @@ import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, repeat
+from operator import eq
 
 from repro.core.errors import SketchError
 
@@ -164,20 +167,25 @@ class RangePartition:
         A NULL value belongs to no fragment (``None``); a value outside the
         partition's domain raises like the per-value lookup.
         """
+        values = list(values)
+        present = [v for v in values if v is not None] if None in values else values
         boundaries = self._boundaries
-        low, high = boundaries[0], boundaries[-1]
-        if low != -math.inf or high != math.inf:
-            values = list(values)
-            for value in values:
-                if value is not None and (value < low or value > high):
-                    raise self._outside_domain(value)
-        shift = offset - 1
-        last = offset + self.num_fragments - 1
-        search = bisect.bisect_right
-        return [
-            None if value is None else min(search(boundaries, value) + shift, last)
-            for value in values
-        ]
+        end = len(boundaries)
+        positions = list(map(partial(bisect.bisect_right, boundaries), present))
+        # A position is 0 below the domain and ``end`` from its upper bound on,
+        # which the last fragment includes.
+        if 0 in positions:
+            raise self._outside_domain(present[positions.index(0)])
+        high = boundaries[-1]
+        for value in compress(present, map(eq, positions, repeat(end))):
+            if value > high:
+                raise self._outside_domain(value)
+        shift, last = offset - 1, offset + self.num_fragments - 1
+        fragments = [position + shift if position < end else last for position in positions]
+        if present is values:
+            return fragments
+        next_fragment = iter(fragments).__next__
+        return [None if value is None else next_fragment() for value in values]
 
     def byte_size(self) -> int:
         """Memory footprint of the boundary list (Fig. 18, "Memory of Ranges")."""

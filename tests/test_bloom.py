@@ -49,6 +49,19 @@ class TestMembership:
         assert ("a", 1) in bloom
         assert ("a", 2) not in bloom
 
+    @pytest.mark.parametrize("expected_items", [1, 7, 64, 3000])
+    def test_membership_equals_a_set_of_positions(self, expected_items):
+        """The byte array answers exactly what the set of hashed positions
+        does: a value is in the filter iff all its positions were set."""
+        bloom = BloomFilter(expected_items=expected_items, false_positive_rate=0.05)
+        inserted = [("k", i) for i in range(0, 2 * expected_items, 2)]
+        bloom.add_all(inserted)
+        positions = {p for value in inserted for p in bloom._positions(value)}
+        for value in inserted + [("k", i) for i in range(1, 2 * expected_items, 2)]:
+            assert (value in bloom) == positions.issuperset(bloom._positions(value))
+        assert bloom.fill_ratio() == len(positions) / bloom.num_bits
+        assert all(p < bloom.num_bits for p in positions)
+
     def test_stable_across_instances(self):
         # Hashing must not depend on PYTHONHASHSEED: two filters built from the
         # same values answer membership identically.

@@ -4,19 +4,12 @@ import pytest
 
 from repro.core.bitset import BitSet
 from repro.core.errors import StateError
-from repro.relational.algebra import AggregateFunction
+from repro.relational.algebra import Aggregate, AggregateFunction
+from repro.relational.expressions import ColumnRef
 from repro.relational.schema import Schema
 from repro.imp.annotated import AnnotatedDelta
-from repro.imp.state import (
-    AggregationState,
-    CountStarAccumulator,
-    GroupState,
-    MergeState,
-    MinMaxAccumulator,
-    SumCountAccumulator,
-    TopKState,
-    make_accumulator,
-)
+from repro.imp.persistence import _groups_payload, _load_groups
+from repro.imp.state import AggregationState, MergeState, MinMaxAccumulator, TopKState
 
 SCHEMA = Schema(["a", "b"])
 
@@ -87,32 +80,57 @@ class TestAnnotatedDelta:
         assert not delta.consolidated()
 
 
+def aggregate(function: AggregateFunction, argument: str | None = "v") -> Aggregate:
+    return Aggregate(function, None if argument is None else ColumnRef(argument), "x")
+
+
+def fold(state: AggregationState, entries) -> list[int]:
+    """Fold ``(key, argument values, annotation, count)`` entries as one
+    batch; returns their slots."""
+    ids = state.slot_ids([key for key, _values, _annotation, _count in entries])
+    arguments = [
+        None if spec.argument is None else [values[i] for _key, values, _a, _c in entries]
+        for i, spec in enumerate(state.aggregates)
+    ]
+    state.fold(
+        ids,
+        arguments,
+        [annotation for _key, _values, annotation, _count in entries],
+        [count for _key, _values, _annotation, count in entries],
+    )
+    return ids
+
+
+def group(state: AggregationState, key: tuple) -> int:
+    return state.slots[key]
+
+
 class TestAccumulators:
     def test_sum_avg_accumulator(self):
-        accumulator = SumCountAccumulator(AggregateFunction.SUM)
-        accumulator.update(10, 2)
-        accumulator.update(None, 1)
-        accumulator.update(5, -1)
-        assert accumulator.result() == 15.0
-        avg = SumCountAccumulator(AggregateFunction.AVG)
-        avg.update(10, 1)
-        avg.update(20, 1)
-        assert avg.result() == 15.0
+        state = AggregationState(
+            [aggregate(AggregateFunction.SUM), aggregate(AggregateFunction.AVG)]
+        )
+        fold(state, [((1,), (10, 10), 0, 2), ((1,), (None, None), 0, 1)])
+        fold(state, [((1,), (5, 5), 0, -1)])
+        # 2 * 10 - 5 over 2 - 1 non-NULL tuples; the NULL counts for neither.
+        assert state.values([group(state, (1,))]) == [(15.0, 15.0)]
+        fold(state, [((2,), (10, 10), 0, 1), ((2,), (20, 20), 0, 1)])
+        assert state.values([group(state, (2,))]) == [(30.0, 15.0)]
 
     def test_sum_of_only_nulls_is_null(self):
-        accumulator = SumCountAccumulator(AggregateFunction.SUM)
-        accumulator.update(None, 3)
-        assert accumulator.result() is None
+        state = AggregationState([aggregate(AggregateFunction.SUM)])
+        fold(state, [((), (None,), 0, 3)])
+        assert state.values([group(state, ())]) == [(None,)]
+        assert state.total_count[group(state, ())] == 3
 
     def test_count_accumulators(self):
-        count_attr = SumCountAccumulator(AggregateFunction.COUNT)
-        count_attr.update(None, 1)
-        count_attr.update(5, 2)
-        assert count_attr.result() == 2
-        count_star = CountStarAccumulator()
-        count_star.update(None, 1)
-        count_star.update(5, 2)
-        assert count_star.result() == 3
+        state = AggregationState(
+            [aggregate(AggregateFunction.COUNT), aggregate(AggregateFunction.COUNT, None)]
+        )
+        fold(state, [((), (None, None), 0, 1), ((), (5, None), 0, 2)])
+        assert state.values([group(state, ())]) == [(2, 3)]
+        # count(*) is the group's tuple count; it keeps no list of its own.
+        assert state.non_null[1] is None and state.totals[0] is None
 
     def test_minmax_accumulator_tracks_extremes(self):
         minimum = MinMaxAccumulator(AggregateFunction.MIN)
@@ -130,7 +148,7 @@ class TestAccumulators:
         minimum = MinMaxAccumulator(AggregateFunction.MIN, buffer_limit=2)
         for value in [1, 2, 3, 4]:
             minimum.update(value, 1)
-        assert minimum.stored_count == 2
+        assert len(minimum.values) == 2
         assert minimum.overflow_count == 2
         # Delete both buffered values: the true minimum is now unknown.
         minimum.update(1, -1)
@@ -148,64 +166,106 @@ class TestAccumulators:
         assert not maximum.exhausted
         assert maximum.result() == 4
 
-    def test_make_accumulator_dispatch(self):
-        assert isinstance(
-            make_accumulator(AggregateFunction.MIN, True, 5), MinMaxAccumulator
+    def test_slot_lists_follow_the_aggregate_functions(self):
+        state = AggregationState(
+            [
+                aggregate(AggregateFunction.MIN),
+                aggregate(AggregateFunction.COUNT, None),
+                aggregate(AggregateFunction.SUM),
+                aggregate(AggregateFunction.COUNT),
+            ],
+            min_max_buffer=5,
         )
-        assert isinstance(make_accumulator(AggregateFunction.COUNT, False), CountStarAccumulator)
-        assert isinstance(make_accumulator(AggregateFunction.SUM, True), SumCountAccumulator)
+        assert [column is not None for column in state.extremes] == [True, False, False, False]
+        assert [column is not None for column in state.totals] == [False, False, True, False]
+        assert [column is not None for column in state.non_null] == [False, False, True, True]
+        (slot,) = fold(state, [((1,), (4, None, 4, 4), 0, 1)])
+        assert state.extremes[0][slot].buffer_limit == 5
+        assert state.exhausted([slot]) == set()
 
     def test_payload_roundtrip(self):
-        accumulator = MinMaxAccumulator(AggregateFunction.MAX, buffer_limit=3)
-        accumulator.update(7, 2)
-        restored = MinMaxAccumulator.from_payload(accumulator.to_payload())
-        assert restored.result() == 7
-        sums = SumCountAccumulator(AggregateFunction.AVG)
-        sums.update(4, 2)
-        assert SumCountAccumulator.from_payload(sums.to_payload()).result() == 4.0
+        specs = [aggregate(AggregateFunction.MAX), aggregate(AggregateFunction.AVG)]
+        state = AggregationState(specs, min_max_buffer=3)
+        fold(state, [((1,), (7, 4), 0, 2), ((1,), (9, 5), 0, 1)])
+        assert _groups_payload(state)[0]["accumulators"][0] == {
+            "kind": "min_max",
+            "function": "max",
+            "buffer_limit": 3,
+            "overflow_count": 0,
+            "exhausted": False,
+            "values": [(7, 2), (9, 1)],
+        }
+        restored = AggregationState(specs, min_max_buffer=3)
+        _load_groups(restored, _groups_payload(state))
+        assert restored.values([group(restored, (1,))]) == [(9, 13 / 3)]
 
 
 class TestGroupAndMergeState:
     def test_group_state_tracks_fragments_and_existence(self):
-        group = GroupState((1,), [SumCountAccumulator(AggregateFunction.SUM)])
-        group.apply([10], 1 << 2, 1)
-        group.apply([20], 1 << 3, 1)
-        assert group.exists
-        assert group.mask == 1 << 2 | 1 << 3
-        group.apply([10], 1 << 2, -1)
-        assert group.mask == 1 << 3
-        group.apply([20], 1 << 3, -1)
-        assert not group.exists
-        assert group.mask == 0 and group.fragment_counts == {}
+        state = AggregationState([aggregate(AggregateFunction.SUM)])
+        (slot, _) = fold(state, [((1,), (10,), 1 << 2, 1), ((1,), (20,), 1 << 3, 1)])
+        assert state.total_count[slot] > 0
+        assert state.mask[slot] == 1 << 2 | 1 << 3
+        fold(state, [((1,), (10,), 1 << 2, -1)])
+        assert state.mask[slot] == 1 << 3
+        fold(state, [((1,), (20,), 1 << 3, -1)])
+        assert state.total_count[slot] == 0
+        assert state.mask[slot] == 0 and state.fragment_counts[slot] == {}
+        # A dropped group's slot is cleared and reused by the next new key.
+        state.drop(slot)
+        assert len(state) == 0 and state.free == [slot]
+        assert fold(state, [((7,), (1,), 1, 1)]) == [slot]
+        assert state.values([slot]) == [(1.0,)] and state.keys[slot] == (7,)
 
     def test_group_mask_changes_only_at_zero_crossings(self):
-        group = GroupState((1,), [])
-        group.apply((), 0b101, 2)
-        assert group.mask == 0b101
-        group.apply((), 0b100, -1)
-        assert group.mask == 0b101 and group.fragment_counts == {0: 2, 2: 1}
-        group.apply((), 0b100, -1)
-        assert group.mask == 0b001
+        state = AggregationState()
+        (slot,) = fold(state, [((1,), (), 0b101, 2)])
+        assert state.mask[slot] == 0b101
+        fold(state, [((1,), (), 0b100, -1)])
+        assert state.mask[slot] == 0b101 and state.fragment_counts[slot] == {0: 2, 2: 1}
+        fold(state, [((1,), (), 0b100, -1)])
+        assert state.mask[slot] == 0b001
         # A count below zero (a delete seen before its insert) is not in the sketch.
-        group.apply((), 0b010, -1)
-        assert group.mask == 0b001
-        group.apply((), 0b010, 2)
-        assert group.mask == 0b011
+        fold(state, [((1,), (), 0b010, -1)])
+        assert state.mask[slot] == 0b001
+        fold(state, [((1,), (), 0b010, 2)])
+        assert state.mask[slot] == 0b011
 
     def test_group_state_payload_roundtrip(self):
-        group = GroupState((1, "x"), [SumCountAccumulator(AggregateFunction.SUM)])
-        group.apply([5], 1 << 1, 2)
-        restored = GroupState.from_payload(group.to_payload())
-        assert restored.output_values() == group.output_values()
-        assert restored.mask == group.mask == 1 << 1
+        state = AggregationState([aggregate(AggregateFunction.SUM)])
+        (slot,) = fold(state, [((1, "x"), (5,), 1 << 1, 2)])
+        payload = _groups_payload(state)
+        assert payload == [
+            {
+                "key": {"__tuple__": [1, "x"]},
+                "total_count": 2,
+                "fragment_counts": {1: 2},
+                "accumulators": [
+                    {
+                        "kind": "sum_count",
+                        "function": "sum",
+                        "total": 10.0,
+                        "non_null_count": 2,
+                        "star_count": 2,
+                    }
+                ],
+            }
+        ]
+        restored = AggregationState([aggregate(AggregateFunction.SUM)])
+        _load_groups(restored, payload)
+        restored_slot = group(restored, (1, "x"))
+        assert restored.values([restored_slot]) == state.values([slot])
+        assert restored.mask[restored_slot] == state.mask[slot] == 1 << 1
 
     def test_aggregation_state_payload_roundtrip(self):
-        state = AggregationState()
-        group = state.get_or_create((5,), lambda: [SumCountAccumulator(AggregateFunction.SUM)])
-        group.apply([2], 1, 1)
-        restored = AggregationState.from_payload(state.to_payload())
+        state = AggregationState([aggregate(AggregateFunction.SUM)])
+        fold(state, [((5,), (2,), 1, 1)])
+        restored = AggregationState([aggregate(AggregateFunction.SUM)])
+        _load_groups(restored, _groups_payload(state))
         assert len(restored) == 1
-        assert restored.groups[(5,)].output_values() == (2.0,)
+        assert restored.values([group(restored, (5,))]) == [(2.0,)]
+        with pytest.raises(StateError, match="aggregates"):
+            _load_groups(AggregationState(), _groups_payload(state))
 
     def test_merge_state_counts(self):
         merge = MergeState()
@@ -215,13 +275,10 @@ class TestGroupAndMergeState:
         # Entering and leaving within one batch is no change.
         assert merge.apply([(0b0100, 1), (0b1100, -1)]) == (set(), {3})
         assert merge.active_fragments() == {1}
-        restored = MergeState.from_payload(merge.to_payload())
-        assert restored.active_fragments() == {1}
 
     def test_memory_accounting_is_positive(self):
-        state = AggregationState()
-        group = state.get_or_create((1,), lambda: [SumCountAccumulator(AggregateFunction.SUM)])
-        group.apply([1], 1, 1)
+        state = AggregationState([aggregate(AggregateFunction.SUM)])
+        fold(state, [((1,), (1,), 1, 1)])
         assert state.memory_bytes() > 0
         assert MergeState().memory_bytes() > 0
 
