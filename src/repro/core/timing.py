@@ -58,11 +58,11 @@ class MemoryMeter:
     """Estimate the deep in-memory size of Python object graphs.
 
     ``sys.getsizeof`` only reports shallow sizes, so the meter walks
-    containers (dict/list/tuple/set) and objects exposing ``__dict__`` or
-    ``__slots__`` while guarding against shared sub-objects and cycles.
-    Objects can opt into precise accounting by implementing a
-    ``byte_size() -> int`` method (BitSet, BloomFilter and the sketch classes
-    do), in which case that value is used directly.
+    containers (dict/list/tuple/set), objects exposing ``__dict__`` and the
+    ``__slots__`` of any class (a container subclass's too) while guarding
+    against shared sub-objects and cycles.  Objects can opt into precise
+    accounting by implementing a ``byte_size() -> int`` method (BloomFilter
+    and the sketch classes do), in which case that value is used directly.
     """
 
     def __init__(self) -> None:
@@ -102,10 +102,9 @@ class MemoryMeter:
             instance_dict = getattr(obj, "__dict__", None)
             if instance_dict is not None:
                 size += self._sizeof(instance_dict)
-            slots = getattr(type(obj), "__slots__", ())
-            for slot in slots:
-                if hasattr(obj, slot):
-                    size += self._sizeof(getattr(obj, slot))
+        for slot in getattr(type(obj), "__slots__", ()):
+            if hasattr(obj, slot):
+                size += self._sizeof(getattr(obj, slot))
         return size
 
 

@@ -21,12 +21,12 @@ class AnnotatedDelta:
     """A bag of signed annotated tuples over one schema, stored column-wise.
 
     Entry ``i`` is the tuple ``rows[i]`` annotated with the fragment bit mask
-    ``annotations[i]`` (a plain ``int``; :class:`~repro.core.bitset.BitSet` is
-    the API-edge type, not the pipeline's) occurring ``counts[i]`` times:
-    positive counts are insertions (``Δ+``), negative counts deletions
-    (``Δ-``).  Entries are not merged -- every operator is linear in the
-    counts; only the join calls :meth:`consolidated` -- and their order is the
-    order the child produced them in, which is what float accumulators add in.
+    ``annotations[i]`` (a plain ``int``, like a sketch's ``mask``) occurring
+    ``counts[i]`` times: positive counts are insertions (``Δ+``), negative
+    counts deletions (``Δ-``).  Entries are not merged -- every operator is
+    linear in the counts; only the join calls :meth:`consolidated` -- and their
+    order is the order the child produced them in, which is what float
+    accumulators add in.
     """
 
     __slots__ = ("schema", "rows", "annotations", "counts")

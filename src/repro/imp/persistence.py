@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.bitset import BitSet
 from repro.core.errors import StateError
 from repro.imp.engine import IMPConfig, IncrementalEngine
 from repro.imp.maintenance import IncrementalMaintainer
@@ -76,16 +75,12 @@ def _encode_value(value: Any) -> Any:
     """Encode a tuple/row value into a JSON-friendly structure."""
     if isinstance(value, tuple):
         return {"__tuple__": [_encode_value(item) for item in value]}
-    if isinstance(value, BitSet):
-        return {"__bitset__": value.mask}
     return value
 
 
 def _decode_value(value: Any) -> Any:
     if isinstance(value, dict) and "__tuple__" in value:
         return tuple(_decode_value(item) for item in value["__tuple__"])
-    if isinstance(value, dict) and "__bitset__" in value:
-        return BitSet.from_mask(int(value["__bitset__"]))
     if isinstance(value, list):
         return [_decode_value(item) for item in value]
     return value
@@ -118,7 +113,7 @@ def _accumulator_payload(state: AggregationState, index: int, slot: int) -> dict
             "buffer_limit": accumulator.buffer_limit,
             "overflow_count": accumulator.overflow_count,
             "exhausted": accumulator.exhausted,
-            "values": list(accumulator.values.items()),
+            "values": accumulator.items(),
         }
     star_count = state.total_count[slot]
     if state.aggregates[index].argument is None:
@@ -161,7 +156,7 @@ def _load_groups(state: AggregationState, payloads: list[dict[str, Any]]) -> Non
                 restored.overflow_count = accumulator["overflow_count"]
                 restored.exhausted = accumulator["exhausted"]
                 for value, count in accumulator["values"]:
-                    restored.values.add(value, count)
+                    restored.hold(value, count)
                 extremes[slot] = restored
                 continue
             totals = state.totals[index]
@@ -194,7 +189,7 @@ def _load_distinct(operator: IncrementalDistinct, payload: dict[str, Any]) -> No
 
 def _topk_payload(operator: IncrementalTopK) -> dict[str, Any]:
     entries = []
-    for sort_key, bucket in operator.state.tree.items():
+    for sort_key, bucket in operator.state.buckets.items():
         for (row, annotation), multiplicity in bucket.items():
             entries.append(
                 {

@@ -6,12 +6,12 @@ Sec. 5.2 of the paper:
 * aggregation (:class:`AggregationState`): per group its tuple count, the map
   ``ℱ_g`` counting, for every range of the partition, how many input tuples
   of the group carry that range in their sketch, and per aggregate
-  ``SUM``/``CNT`` (``sum``/``count``/``avg``) or a balanced search tree over
-  the values (``min``/``max``, optionally truncated to a top-``l`` buffer,
-  Sec. 7.2).  Groups are *slots*: the key maps to an index into one list per
-  quantity, and a batch is folded into the lists column by column with the
-  batch kernel's ``fold_aggregate`` at signed counts;
-* top-k: an ordered map from ORDER BY keys to annotated tuples and their
+  ``SUM``/``CNT`` (``sum``/``count``/``avg``) or the values with their counts
+  in sorted order (``min``/``max``, optionally truncated to a top-``l``
+  buffer, Sec. 7.2).  Groups are *slots*: the key maps to an index into one
+  list per quantity, and a batch is folded into the lists column by column
+  with the batch kernel's ``fold_aggregate`` at signed counts;
+* top-k: a sorted map from ORDER BY keys to annotated tuples and their
   multiplicities (optionally truncated to ``l ≥ k`` entries);
 * duplicate elimination: the aggregation slots with no aggregate, keyed by
   row -- per-row reference counts and their ``ℱ``;
@@ -29,26 +29,66 @@ state is derived data: a restored join rebuilds it lazily.
 
 from __future__ import annotations
 
+import math
 import sys
+from bisect import bisect_left, insort
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from typing import Any
 
-from repro.core.bitset import iter_bits
 from repro.core.bloom import BloomFilter
 from repro.core.errors import StateError
-from repro.core.rbtree import RedBlackTree, SortedMultiSet
 from repro.core.timing import MemoryMeter
 from repro.imp.annotated import AnnotatedDelta
 from repro.relational import kernels
 from repro.relational.algebra import Aggregate, AggregateFunction
 from repro.relational.schema import Row
+from repro.sketch.sketch import iter_bits
+
+
+class _SortedDict(dict):
+    """A dict whose keys are also kept in a sorted list, ``order`` -- the
+    paper's ordered ``CNT`` structure (Sec. 5.2.6, 5.2.7).
+
+    The smallest key is ``order[0]``, the largest ``order[-1]``, and
+    :meth:`items` walks ``order``.  A new key is placed by bisection, a
+    removed one found by bisection, and the list shifts at C speed, which
+    beats a balanced tree up to tens of thousands of keys.  Keys must be
+    hashable, mutually comparable and equal exactly when neither sorts
+    before the other -- so NaN is never a key.  Only ``d[key] = value`` and
+    ``del d[key]`` may change the keys.
+    """
+
+    __slots__ = ("order",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.order: list = []
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        if key not in self:
+            insort(self.order, key)  # an incomparable key raises before any change
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key: Any) -> None:
+        super().__delitem__(key)
+        del self.order[bisect_left(self.order, key)]
+
+    def items(self) -> Iterator[tuple[Any, Any]]:  # type: ignore[override]
+        """``(key, value)`` pairs in ascending key order."""
+        return ((key, self[key]) for key in self.order)
 
 
 class MinMaxAccumulator:
-    """One group's values of a ``min``/``max`` aggregate, as a sorted multiset
-    (Sec. 5.2.6); :class:`AggregationState` keeps one per slot.
+    """One group's values of a ``min``/``max`` aggregate (Sec. 5.2.6);
+    :class:`AggregationState` keeps one per slot.
+
+    ``values`` counts each value in a :class:`_SortedDict`.  NaN, which no
+    comparison orders, is not a key: ``nan_count`` counts it, and it sorts
+    after every number (:func:`~repro.relational.schema.order_component`'s
+    rule, and PostgreSQL's) -- ``min`` is NaN only when every value is, and
+    ``max`` is NaN once any value is.
 
     With a ``buffer_limit`` only the ``l`` best values are retained
     (smallest for min, largest for max); values beyond the buffer are only
@@ -58,13 +98,17 @@ class MinMaxAccumulator:
     "Optimizing Minimum, Maximum, and Top-k").
     """
 
-    __slots__ = ("function", "values", "buffer_limit", "overflow_count", "exhausted")
+    __slots__ = (
+        "function", "values", "nan_count", "stored", "buffer_limit", "overflow_count", "exhausted"
+    )
 
     def __init__(self, function: AggregateFunction, buffer_limit: int | None = None) -> None:
         if function not in (AggregateFunction.MIN, AggregateFunction.MAX):
             raise StateError("MinMaxAccumulator only supports min and max")
         self.function = function
-        self.values: SortedMultiSet[Any] = SortedMultiSet()
+        self.values = _SortedDict()
+        self.nan_count = 0
+        self.stored = 0  # values held, NaN included
         self.buffer_limit = buffer_limit
         self.overflow_count = 0
         self.exhausted = False
@@ -75,6 +119,10 @@ class MinMaxAccumulator:
         """Apply a signed multiplicity of ``value``."""
         if value is None:
             return
+        if value != value or self.nan_count:
+            # NaN is a float: a value no float orders with raises here, as it
+            # does in the batch kernel's fold, even though NaN is not a key.
+            _ = value < (self.values.order[0] if self.values else math.nan)
         if multiplicity > 0:
             self._insert(value, multiplicity)
         elif multiplicity < 0:
@@ -83,29 +131,51 @@ class MinMaxAccumulator:
     def _insert(self, value: object, count: int) -> None:
         # No counted-only value beats a buffered one, so a value worse than the
         # buffer's worst is only counted: buffered, it could hide a better one.
-        if self.overflow_count and self.values:
+        if self.overflow_count and self.stored:
             worst = self._worst()
-            if (value > worst) if self.function is AggregateFunction.MIN else (value < worst):
+            pair = (worst, value) if self.function is AggregateFunction.MIN else (value, worst)
+            if self._before(*pair):
                 self.overflow_count += count
                 return
-        self.values.add(value, count)
-        self._evict_overflow()
+        self.hold(value, count)
+        while self.buffer_limit is not None and self.stored > self.buffer_limit:
+            self.overflow_count += self._remove(self._worst(), self.stored - self.buffer_limit)
+
+    def hold(self, value: object, count: int) -> None:
+        """Store ``count`` copies of ``value``, bypassing the buffer."""
+        if value != value:
+            self.nan_count += count
+        else:
+            self.values[value] = self.values.get(value, 0) + count
+        self.stored += count
+
+    @staticmethod
+    def _before(first: object, second: object) -> bool:
+        """Whether ``first`` sorts before ``second``, NaN after every number."""
+        return first == first and (second != second or first < second)  # type: ignore[operator]
 
     def _worst(self) -> object:
-        return self.values.max() if self.function is AggregateFunction.MIN else self.values.min()
+        if self.function is AggregateFunction.MIN:
+            return math.nan if self.nan_count else self.values.order[-1]
+        return self.values.order[0] if self.values else math.nan
 
-    def _evict_overflow(self) -> None:
-        if self.buffer_limit is None:
-            return
-        while len(self.values) > self.buffer_limit:
-            removed = self.values.remove(self._worst(), 1)
-            if removed == 0:  # pragma: no cover - defensive
-                break
-            self.overflow_count += removed
+    def _remove(self, value: object, count: int) -> int:
+        """Remove up to ``count`` stored copies of ``value``; how many went."""
+        if value != value:
+            removed = min(self.nan_count, count)
+            self.nan_count -= removed
+        else:
+            held = self.values.get(value, 0)
+            removed = min(held, count)
+            if removed < held:
+                self.values[value] = held - removed
+            elif held:
+                del self.values[value]
+        self.stored -= removed
+        return removed
 
     def _delete(self, value: object, count: int) -> None:
-        removed = self.values.remove(value, count)
-        missing = count - removed
+        missing = count - self._remove(value, count)
         if missing > 0:
             # The deleted values were (presumably) beyond the buffer.
             if self.overflow_count >= missing:
@@ -113,19 +183,29 @@ class MinMaxAccumulator:
             else:
                 self.overflow_count = 0
                 self.exhausted = True
-        if len(self.values) == 0 and self.overflow_count > 0:
+        if not self.stored and self.overflow_count > 0:
             # We know values exist but not what they are.
             self.exhausted = True
 
     # -- results -------------------------------------------------------------------
 
+    def items(self) -> list[tuple[object, int]]:
+        """``(value, count)`` of the stored values in ascending order, NaN last."""
+        items = list(self.values.items())
+        if self.nan_count:
+            items.append((math.nan, self.nan_count))
+        return items
+
     def result(self) -> object:
         """The current minimum / maximum (None when no non-null values exist)."""
         if self.exhausted:
             raise StateError("min/max state exhausted; sketch must be recaptured")
-        if len(self.values) == 0:
-            return None
-        return self.values.min() if self.function is AggregateFunction.MIN else self.values.max()
+        if self.function is AggregateFunction.MAX and self.nan_count:
+            return math.nan
+        if self.values:
+            order = self.values.order
+            return order[0] if self.function is AggregateFunction.MIN else order[-1]
+        return math.nan if self.nan_count else None
 
 
 # Which aggregates keep a per-slot total, non-NULL count or multiset.
@@ -413,14 +493,15 @@ class JoinSideState:
 class TopKState:
     """State of the incremental top-k operator (Sec. 5.2.7).
 
-    A balanced search tree maps ORDER BY sort keys to the annotated tuples
-    sharing that key and their multiplicities.  With a ``buffer_limit`` only
+    ``buckets`` maps ORDER BY sort keys (``order_component`` tuples, never
+    NaN) to the annotated tuples sharing that key and their multiplicities,
+    in a :class:`_SortedDict`.  With a ``buffer_limit`` only
     the best ``l`` tuples are stored; the rest are only counted so deletions of
     buffered tuples can be detected as exhausting the buffer.
     """
 
     def __init__(self, buffer_limit: int | None = None) -> None:
-        self.tree: RedBlackTree[tuple, dict[tuple[Row, int], int]] = RedBlackTree()
+        self.buckets = _SortedDict()  # sort key -> {(row, annotation): count}
         self.buffer_limit = buffer_limit
         self.stored_count = 0
         self.overflow_count = 0
@@ -434,27 +515,28 @@ class TopKState:
         The buffer holds the first ``buffer_limit`` copies in ``(sort key,
         arrival)`` order -- what a stable sort of everything added would keep.
         """
-        bucket = self.tree.get(sort_key)
+        bucket = self.buckets.get(sort_key)
         entry = (row, annotation)
         if (
             self.buffer_limit is not None
-            and self.stored_count >= self.buffer_limit
+            and (self.stored_count >= self.buffer_limit or self.overflow_count)
             and (bucket is None or entry not in bucket)
-            and not (self.tree and sort_key < self.tree.max_key())
+            and not (self.buckets and sort_key < self.buckets.order[-1])
         ):
-            # A new entry that sorts behind everything stored is only counted.
+            # A new entry that sorts behind everything stored is only counted
+            # once the buffer is full or holds less than there is: stored, it
+            # could hide a counted-only entry that sorts before it.
             self.overflow_count += multiplicity
             return
         if bucket is None:
-            bucket = {}
-            self.tree.insert(sort_key, bucket)
+            bucket = self.buckets[sort_key] = {}
         bucket[entry] = bucket.get(entry, 0) + multiplicity
         self.stored_count += multiplicity
         self._evict_overflow()
 
     def remove(self, sort_key: tuple, row: Row, annotation: int, multiplicity: int) -> None:
         """Remove up to ``multiplicity`` copies of an annotated tuple."""
-        bucket = self.tree.get(sort_key)
+        bucket = self.buckets.get(sort_key)
         entry = (row, annotation)
         available = bucket.get(entry, 0) if bucket else 0
         removed = min(available, multiplicity)
@@ -465,7 +547,7 @@ class TopKState:
             else:
                 del bucket[entry]  # type: ignore[arg-type]
                 if not bucket:
-                    self.tree.delete(sort_key)
+                    del self.buckets[sort_key]
             self.stored_count -= removed
         missing = multiplicity - removed
         if missing > 0:
@@ -479,8 +561,8 @@ class TopKState:
         if self.buffer_limit is None:
             return
         while self.stored_count > self.buffer_limit:
-            largest_key = self.tree.max_key()
-            bucket = self.tree[largest_key]
+            largest_key = self.buckets.order[-1]
+            bucket = self.buckets[largest_key]
             entry = next(reversed(bucket))  # the latest arrival of the worst key
             count = bucket[entry]
             evict = min(count, self.stored_count - self.buffer_limit)
@@ -490,7 +572,7 @@ class TopKState:
             else:
                 del bucket[entry]
                 if not bucket:
-                    self.tree.delete(largest_key)
+                    del self.buckets[largest_key]
             self.stored_count -= evict
             self.overflow_count += evict
 
@@ -503,7 +585,7 @@ class TopKState:
             raise StateError("top-k state exhausted; sketch must be recaptured")
         result: list[tuple[Row, int, int]] = []
         remaining = k
-        for _key, bucket in self.tree.items():
+        for _key, bucket in self.buckets.items():
             for (row, annotation), multiplicity in bucket.items():
                 if remaining <= 0:
                     return result
@@ -523,11 +605,7 @@ class TopKState:
         return self.stored_count >= k
 
     def memory_bytes(self) -> int:
-        entries = []
-        for key, bucket in self.tree.items():
-            entries.append(key)
-            entries.append(bucket)
-        return MemoryMeter().measure_many(entries) + 64
+        return MemoryMeter().measure(self.buckets) + 64
 
     def __len__(self) -> int:
         return self.stored_count

@@ -22,7 +22,6 @@ from collections import defaultdict
 from collections.abc import Sequence
 from heapq import nsmallest
 from itertools import compress
-from operator import gt, lt
 
 from repro.core.errors import AggregateError
 from repro.relational.algebra import Aggregate, AggregateFunction
@@ -175,12 +174,23 @@ def _fold(
     """One aggregate's value per group."""
     if column is None:
         return sizes
-    if function is AggregateFunction.MIN or function is AggregateFunction.MAX:
-        better = lt if function is AggregateFunction.MIN else gt
-        best: list = [None] * len(sizes)
+    # NaN sorts after every number (``order_component``'s rule): min holds a
+    # NaN only until a number comes, max takes one as soon as it comes.
+    # ``<``/``>`` are evaluated first, so values that do not compare raise.
+    best: list = [None] * len(sizes)
+    if function is AggregateFunction.MIN:
         for slot, value in zip(ids, column):
-            if value is not None and (best[slot] is None or better(value, best[slot])):
-                best[slot] = value
+            if value is not None:
+                current = best[slot]
+                if current is None or value < current or current != current:
+                    best[slot] = value
+        return best
+    if function is AggregateFunction.MAX:
+        for slot, value in zip(ids, column):
+            if value is not None:
+                current = best[slot]
+                if current is None or value > current or value != value:
+                    best[slot] = value
         return best
     totals = None if function is AggregateFunction.COUNT else [0.0] * len(sizes)
     non_null = fold_aggregate(ids, column, multiplicities, [0] * len(sizes), totals, sizes)

@@ -179,9 +179,10 @@ def compute_aggregate(
     """Compute an aggregate over ``(value, multiplicity)`` pairs.
 
     NULL values are ignored (SQL semantics); an empty input yields NULL for
-    sum/avg/min/max and 0 for count.  A value the function cannot aggregate
-    (text in a sum, incomparable values in a min) raises
-    :class:`AggregateError`.
+    sum/avg/min/max and 0 for count.  NaN sorts after every number, as in
+    PostgreSQL: the min is NaN only when every value is, the max as soon as
+    one is.  A value the function cannot aggregate (text in a sum,
+    incomparable values in a min) raises :class:`AggregateError`.
     """
     total = 0.0
     count = 0
@@ -197,9 +198,11 @@ def compute_aggregate(
             if function in (AggregateFunction.SUM, AggregateFunction.AVG):
                 total += value * multiplicity  # type: ignore[operator]
             if function is AggregateFunction.MIN:
-                minimum = value if minimum is None else min(minimum, value)  # type: ignore[type-var]
+                if minimum is None or _sorts_before(value, minimum):
+                    minimum = value
             if function is AggregateFunction.MAX:
-                maximum = value if maximum is None else max(maximum, value)  # type: ignore[type-var]
+                if maximum is None or _sorts_before(maximum, value):
+                    maximum = value
         except TypeError as exc:
             raise AggregateError(
                 f"{function.value}() cannot aggregate {type(value).__name__} value {value!r}"
@@ -217,6 +220,13 @@ def compute_aggregate(
     if function is AggregateFunction.MAX:
         return maximum
     raise UnsupportedOperationError(f"unknown aggregate {function}")
+
+
+def _sorts_before(first: object, second: object) -> bool:
+    """``first < second`` with NaN after every number; values that do not
+    compare raise ``TypeError`` (NaN included: it is a float)."""
+    less = first < second  # type: ignore[operator]
+    return less or (second != second and first == first)
 
 
 class RowEvaluator(Evaluator):

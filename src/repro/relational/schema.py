@@ -326,5 +326,5 @@ class _Reversed:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversed) and other.value == self.value
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
+    def __hash__(self) -> int:  # top-k state keys its buckets by sort key
         return hash(self.value)

@@ -10,11 +10,22 @@ with tens of thousands of ranges (Fig. 18).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.bitset import BitSet
 from repro.core.errors import SketchError
 from repro.sketch.ranges import DatabasePartition, Range
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask`` in ascending order.
+
+    Peels the lowest set bit per step, so the cost is proportional to the
+    number of set bits, not to the position of the highest one.
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -45,27 +56,18 @@ class SketchDelta:
 class ProvenanceSketch:
     """A provenance sketch over a :class:`DatabasePartition`.
 
-    Sketches are treated as immutable by IMP's middleware (new versions are
-    created by :meth:`apply_delta`), but the class also offers in-place
-    mutation for the internal bookkeeping of the incremental engine.
+    The sketch is the bitvector ``mask``: bit ``i`` is set iff the fragment
+    with global id ``i`` belongs to it (Sec. 7.1).  Sketches are treated as
+    immutable by IMP's middleware (new versions are created by
+    :meth:`apply_delta`), but the class also offers in-place mutation for the
+    internal bookkeeping of the incremental engine.
     """
 
-    def __init__(
-        self,
-        partition: DatabasePartition,
-        fragments: Iterable[int] | BitSet | None = None,
-    ) -> None:
+    def __init__(self, partition: DatabasePartition, fragments: Iterable[int] = ()) -> None:
         self.partition = partition
-        if isinstance(fragments, BitSet):
-            self._fragments = fragments.copy()
-        else:
-            self._fragments = BitSet(fragments or ())
-        max_bit = self._fragments.max_bit()
-        if max_bit >= partition.total_fragments:
-            raise SketchError(
-                f"fragment id {max_bit} outside partition with "
-                f"{partition.total_fragments} fragments"
-            )
+        self.mask = 0
+        for global_id in fragments:
+            self.add(global_id)
 
     # -- constructors -------------------------------------------------------------
 
@@ -77,19 +79,28 @@ class ProvenanceSketch:
     @classmethod
     def full(cls, partition: DatabasePartition) -> "ProvenanceSketch":
         """A sketch containing every fragment (covers the entire database)."""
-        return cls(partition, range(partition.total_fragments))
+        return cls._of_mask(partition, (1 << partition.total_fragments) - 1)
+
+    @classmethod
+    def _of_mask(cls, partition: DatabasePartition, mask: int) -> "ProvenanceSketch":
+        sketch = cls(partition)
+        sketch.mask = mask
+        return sketch
 
     def copy(self) -> "ProvenanceSketch":
         """An independent copy."""
-        return ProvenanceSketch(self.partition, self._fragments.copy())
+        return ProvenanceSketch._of_mask(self.partition, self.mask)
 
     # -- membership ----------------------------------------------------------------
 
     def add(self, global_id: int) -> None:
         """Add a fragment by global id."""
-        if global_id >= self.partition.total_fragments:
-            raise SketchError(f"fragment id {global_id} outside the partition")
-        self._fragments.add(global_id)
+        if not 0 <= global_id < self.partition.total_fragments:
+            raise SketchError(
+                f"fragment id {global_id} outside the partition with "
+                f"{self.partition.total_fragments} fragments"
+            )
+        self.mask |= 1 << global_id
 
     def add_fragment(self, table: str, fragment_index: int) -> None:
         """Add a fragment identified by table and local index."""
@@ -97,40 +108,37 @@ class ProvenanceSketch:
 
     def discard(self, global_id: int) -> None:
         """Remove a fragment by global id (no error when absent)."""
-        self._fragments.discard(global_id)
+        if global_id >= 0:
+            self.mask &= ~(1 << global_id)
 
     def __contains__(self, global_id: int) -> bool:
-        return global_id in self._fragments
+        return global_id >= 0 and bool(self.mask >> global_id & 1)
 
     def contains_fragment(self, table: str, fragment_index: int) -> bool:
         """Whether the fragment of ``table`` with local index is in the sketch."""
-        return self.partition.global_id(table, fragment_index) in self._fragments
+        return self.partition.global_id(table, fragment_index) in self
 
     def __len__(self) -> int:
         """Number of fragments in the sketch."""
-        return len(self._fragments)
+        return self.mask.bit_count()
 
     def __bool__(self) -> bool:
-        return bool(self._fragments)
+        return self.mask != 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProvenanceSketch):
             return NotImplemented
-        return self.partition is other.partition and self._fragments == other._fragments
+        return self.partition is other.partition and self.mask == other.mask
 
     def __hash__(self) -> int:  # pragma: no cover - sketches are not dict keys
-        return hash((id(self.partition), self._fragments))
+        return hash((id(self.partition), self.mask))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProvenanceSketch({sorted(self._fragments)})"
+        return f"ProvenanceSketch({list(self.fragment_ids())})"
 
     def fragment_ids(self) -> Iterator[int]:
-        """Iterate over global fragment ids in the sketch."""
-        return iter(self._fragments)
-
-    def bitset(self) -> BitSet:
-        """A copy of the underlying bitvector."""
-        return self._fragments.copy()
+        """Iterate over global fragment ids in the sketch, ascending."""
+        return iter_bits(self.mask)
 
     # -- per-table views ---------------------------------------------------------------
 
@@ -181,16 +189,16 @@ class ProvenanceSketch:
     def union(self, other: "ProvenanceSketch") -> "ProvenanceSketch":
         """Union of two sketches over the same partition."""
         self._check_same_partition(other)
-        return ProvenanceSketch(self.partition, self._fragments | other._fragments)
+        return ProvenanceSketch._of_mask(self.partition, self.mask | other.mask)
 
     def is_superset_of(self, other: "ProvenanceSketch") -> bool:
         """Whether this sketch over-approximates ``other``."""
         self._check_same_partition(other)
-        return self._fragments.issuperset(other._fragments)
+        return other.mask & ~self.mask == 0
 
     def covers(self, table: str, value: float) -> bool:
         """Whether the tuple with ``value`` in the partition attribute is covered."""
-        return self.partition.fragment_of(table, value) in self._fragments
+        return self.partition.fragment_of(table, value) in self
 
     def _check_same_partition(self, other: "ProvenanceSketch") -> None:
         if self.partition is not other.partition:
@@ -201,8 +209,8 @@ class ProvenanceSketch:
     def delta_to(self, other: "ProvenanceSketch") -> SketchDelta:
         """The delta that transforms this sketch into ``other``."""
         self._check_same_partition(other)
-        added = frozenset(other._fragments.difference(self._fragments))
-        removed = frozenset(self._fragments.difference(other._fragments))
+        added = frozenset(iter_bits(other.mask & ~self.mask))
+        removed = frozenset(iter_bits(self.mask & ~other.mask))
         return SketchDelta(added, removed)
 
     def apply_delta(self, delta: SketchDelta) -> "ProvenanceSketch":
@@ -231,7 +239,7 @@ class ProvenanceSketch:
         over-approximation after ranges are split or merged.
         """
         result = ProvenanceSketch.empty(new_partition)
-        for global_id in self._fragments:
+        for global_id in self.fragment_ids():
             table, local_index = self.partition.resolve(global_id)
             if not new_partition.has_table(table):
                 continue

@@ -14,7 +14,8 @@ middleware systems against it.
 
 Sketch capture: :class:`AnnotatedEvaluator` evaluates a plan under the
 paper's annotated semantics (Sec. 4.3) one row at a time over a dict of
-``(row, BitSet)`` entries, every expression interpreted per row.  The engine's
+``(row, frozenset of fragment ids)`` entries, every expression interpreted
+per row.  The engine's
 only annotated evaluation is a from-scratch pass of the columnar, int-mask
 incremental operators (``repro.imp.operators``); this oracle shares no code
 with ``repro.imp`` and states what that pass must produce, tuple by tuple and
@@ -28,7 +29,6 @@ from typing import Any
 
 import pytest
 
-from repro.core.bitset import BitSet
 from repro.core.errors import PlanError
 from repro.imp.engine import IMPConfig, compile_plan
 from repro.imp.middleware import IMPSystem, NoSketchSystem
@@ -113,21 +113,21 @@ class AnnotatedRelation:
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
-        self._entries: dict[tuple[Row, BitSet], int] = {}
+        self._entries: dict[tuple[Row, frozenset[int]], int] = {}
 
-    def add(self, row: Row, annotation: BitSet, multiplicity: int = 1) -> None:
+    def add(self, row: Row, annotation: frozenset[int], multiplicity: int = 1) -> None:
         """Add ``multiplicity`` copies of the annotated tuple."""
         if multiplicity <= 0:
             return
         key = (tuple(row), annotation)
         self._entries[key] = self._entries.get(key, 0) + multiplicity
 
-    def items(self) -> Iterator[tuple[Row, BitSet, int]]:
+    def items(self) -> Iterator[tuple[Row, frozenset[int], int]]:
         """Iterate over ``(row, annotation, multiplicity)`` triples."""
         for (row, annotation), multiplicity in self._entries.items():
             yield row, annotation, multiplicity
 
-    def entries(self) -> dict[tuple[Row, BitSet], int]:
+    def entries(self) -> dict[tuple[Row, frozenset[int]], int]:
         """``(row, annotation) -> multiplicity``."""
         return dict(self._entries)
 
@@ -138,12 +138,9 @@ class AnnotatedRelation:
             result.add(row, multiplicity)
         return result
 
-    def combined_annotation(self) -> BitSet:
+    def combined_annotation(self) -> frozenset[int]:
         """Union of all annotations (the ``S(F(...))`` of the correctness proof)."""
-        combined = BitSet()
-        for _row, annotation, _multiplicity in self.items():
-            combined.update(annotation)
-        return combined
+        return frozenset().union(*(annotation for _row, annotation, _m in self.items()))
 
 
 class AnnotatedEvaluator:
@@ -191,9 +188,9 @@ class AnnotatedEvaluator:
             attribute = self._partition.partition_of(node.table).attribute
             position = base.schema.index_of(attribute)
         for row, multiplicity in base.items():
-            annotation = BitSet()
+            annotation: frozenset[int] = frozenset()
             if position is not None and row[position] is not None:
-                annotation.add(self._partition.fragment_of(node.table, row[position]))
+                annotation = frozenset({self._partition.fragment_of(node.table, row[position])})
             result.add(row, annotation, multiplicity)
         return result
 
@@ -237,15 +234,15 @@ class AnnotatedEvaluator:
         groups: dict[tuple, dict[str, object]] = {}
         for row, annotation, multiplicity in child.items():
             key = tuple(interpret(e, row, child.schema) for e in node.group_by)
-            group = groups.setdefault(key, {"rows": [], "annotation": BitSet()})
+            group = groups.setdefault(key, {"rows": [], "annotation": frozenset()})
             group["rows"].append((row, multiplicity))  # type: ignore[union-attr]
-            group["annotation"].update(annotation)  # type: ignore[union-attr]
+            group["annotation"] |= annotation  # type: ignore[operator]
         result = AnnotatedRelation(schema)
         if not groups and not node.group_by:
             values = tuple(
                 self._aggregate(aggregate, child.schema, []) for aggregate in node.aggregates
             )
-            result.add(values, BitSet(), 1)
+            result.add(values, frozenset(), 1)
             return result
         for key, group in groups.items():
             rows = group["rows"]
@@ -271,13 +268,9 @@ class AnnotatedEvaluator:
     def _distinct(self, node: Distinct) -> AnnotatedRelation:
         child = self._evaluate(node.child)
         result = AnnotatedRelation(child.schema)
-        merged: dict[Row, BitSet] = {}
+        merged: dict[Row, frozenset[int]] = {}
         for row, annotation, _multiplicity in child.items():
-            existing = merged.get(row)
-            if existing is None:
-                merged[row] = annotation.copy()
-            else:
-                existing.update(annotation)
+            merged[row] = merged.get(row, frozenset()) | annotation
         for row, annotation in merged.items():
             result.add(row, annotation, 1)
         return result
@@ -297,13 +290,14 @@ class AnnotatedEvaluator:
         return result
 
 
-def engine_output(plan, partition, database) -> dict[tuple[Row, BitSet], int]:
+def engine_output(plan, partition, database) -> dict[tuple[Row, frozenset[int]], int]:
     """The root output of the engine's from-scratch pass, shaped like the
-    oracle's entries: ``(row, annotation) -> multiplicity``."""
+    oracle's entries: ``(row, annotation) -> multiplicity``, each int mask
+    spelled out as the set of its bit positions."""
     root = compile_plan(plan, partition, database, IMPConfig())
     output = root.process(Pass.scratch(database.version))
-    entries: dict[tuple[Row, BitSet], int] = {}
+    entries: dict[tuple[Row, frozenset[int]], int] = {}
     for row, mask, count in output.entries():
-        key = (row, BitSet.from_mask(mask))
+        key = (row, frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
         entries[key] = entries.get(key, 0) + count
     return entries

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.bitset import BitSet
 from repro.core.errors import StateError
 from repro.relational.algebra import Aggregate, AggregateFunction
 from repro.relational.expressions import ColumnRef
@@ -10,6 +9,7 @@ from repro.relational.schema import Schema
 from repro.imp.annotated import AnnotatedDelta
 from repro.imp.persistence import _groups_payload, _load_groups
 from repro.imp.state import AggregationState, MergeState, MinMaxAccumulator, TopKState
+from repro.sketch.sketch import iter_bits
 
 SCHEMA = Schema(["a", "b"])
 
@@ -33,7 +33,7 @@ class TestAnnotatedDelta:
     def test_annotations_are_plain_masks(self):
         delta = self._delta()
         assert all(type(annotation) is int for annotation in delta.annotations)
-        assert sorted(BitSet.from_mask(delta.annotations[2])) == [1, 2]
+        assert list(iter_bits(delta.annotations[2])) == [1, 2]
 
     def test_entries_stay_in_append_order_and_are_not_merged(self):
         delta = AnnotatedDelta(SCHEMA)
@@ -355,7 +355,7 @@ class TestTopKState:
         for entry in entries:
             state.add(*entry)
         buckets, stored, overflow = self._sorted_fill(entries, buffer_limit)
-        assert {key: list(bucket.items()) for key, bucket in state.tree.items()} == buckets
+        assert {key: list(bucket.items()) for key, bucket in state.buckets.items()} == buckets
         assert (state.stored_count, state.overflow_count) == (stored, overflow)
         assert stored + overflow == sum(entry[3] for entry in entries)
 
@@ -365,11 +365,11 @@ class TestTopKState:
         state.add((1,), ("b",), 0, 1)
         state.add((1,), ("c",), 0, 4)  # ties with the stored maximum: counted
         state.add((5,), ("d",), 0, 1)
-        assert list(state.tree[(1,)]) == [(("a",), 0), (("b",), 0)]
-        assert (5,) not in state.tree
+        assert list(state.buckets[(1,)]) == [(("a",), 0), (("b",), 0)]
+        assert (5,) not in state.buckets
         assert (state.stored_count, state.overflow_count) == (2, 5)
         state.add((0,), ("first",), 0, 1)  # better: evicts the latest tie
-        assert list(state.tree[(1,)]) == [(("a",), 0)]
+        assert list(state.buckets[(1,)]) == [(("a",), 0)]
         assert (state.stored_count, state.overflow_count) == (2, 6)
 
     def test_exhausted_topk_raises(self):

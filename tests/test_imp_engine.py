@@ -597,11 +597,37 @@ class TestBufferedStateRecapture:
         outcome = engine.maintain(database.database_delta_since(["r"], version), database.version)
         assert outcome.needs_recapture
 
+    def test_a_row_behind_counted_only_rows_is_not_buffered(self):
+        """A deletion leaves the top-3 buffer one short while 14 and 15 are
+        only counted.  A new 45 sorts behind the buffer: stored, it would
+        stand in for 14, and the next deletion would answer the top-2 with 45
+        and keep fragment 4 in the sketch instead of fragment 1."""
+        database = Database()
+        database.create_table("t", ["id", "p"], primary_key="id")
+        rows = list(enumerate([1, 2, 3, 14, 15]))
+        database.insert("t", rows)
+        plan = database.plan("SELECT id, p FROM t ORDER BY p LIMIT 2")
+        partition = DatabasePartition(
+            [RangePartition.from_boundaries("t", "p", [0, 10, 20, 30, 40, 50])]
+        )
+        engine = IncrementalEngine(plan, partition, database, IMPConfig(topk_buffer=3))
+        engine.initialize()
+        for deletes, inserts in (([rows[0]], []), ([], [(5, 45)]), ([rows[1]], [])):
+            version = database.version
+            database.delete_rows("t", deletes)
+            database.insert("t", inserts)
+            outcome = engine.maintain(
+                database.database_delta_since(["t"], version), database.version
+            )
+        # Two buffered rows can no longer answer a top-2 behind counted-only ones.
+        assert outcome.needs_recapture
+
     def test_nan_order_keys_leave_the_topk_state_a_search_tree(self):
         # NaN answers False to every comparison; keyed by itself it would sit
-        # anywhere in the red-black tree.  order_component gives it one place
-        # (after every number), so the maintained state, its top-k and the
-        # sketch depend on the content only, not on the order of arrival.
+        # anywhere in the sorted key list and never be found by bisection.
+        # order_component gives it one place (after every number), so the
+        # maintained state, its top-k and the sketch depend on the content
+        # only, not on the order of arrival.
         nan = float("nan")
         arrivals = [(i, 10 * i, nan if i % 3 == 0 else float(i % 7)) for i in range(1, 31)]
         departures = [arrivals[2], arrivals[5], arrivals[6], arrivals[0]]
@@ -632,8 +658,9 @@ class TestBufferedStateRecapture:
                 for operator in walk_operators(engine)
                 if isinstance(operator, IncrementalTopK)
             ]
-            topk.state.tree.check_invariants()
-            assert len(topk.state.tree) == 10 + len(arrivals) - len(departures)
+            buckets = topk.state.buckets
+            assert buckets.order == sorted(buckets)  # sorted, and exactly the dict's keys
+            assert len(buckets) == 10 + len(arrivals) - len(departures)
             assert set(engine.current_sketch().fragment_ids()) == set(
                 capture_sketch(plan, partition, database).fragment_ids()
             )

@@ -7,7 +7,6 @@ maintenance -> use) on every dataset family used in the evaluation.
 
 import pytest
 
-from repro.core.bitset import BitSet
 from repro.imp.engine import IncrementalEngine, capture_sketch
 from repro.imp.middleware import FullMaintenanceSystem, IMPSystem, NoSketchSystem
 from repro.sketch.ranges import DatabasePartition, RangePartition
@@ -148,8 +147,8 @@ class TestAnnotatedSemantics:
         )
         plan = database.plan(TestExample51.SQL)
         expected = {
-            (5, 7.0): BitSet([partition.global_id("r", 0), partition.global_id("s", 1)]),
-            (9, 6.0): BitSet([partition.global_id("r", 1), partition.global_id("s", 0)]),
+            (5, 7.0): frozenset({partition.global_id("r", 0), partition.global_id("s", 1)}),
+            (9, 6.0): frozenset({partition.global_id("r", 1), partition.global_id("s", 0)}),
         }
         oracle = AnnotatedEvaluator(database, partition).evaluate(plan).entries()
         for entries in (oracle, engine_output(plan, partition, database)):

@@ -3,10 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.errors import SketchError
 from repro.sketch.ranges import DatabasePartition, RangePartition
-from repro.sketch.sketch import ProvenanceSketch, SketchDelta
+from repro.sketch.sketch import ProvenanceSketch, SketchDelta, iter_bits
 
 
 @pytest.fixture()
@@ -196,6 +198,69 @@ class TestProvenanceSketch:
         covered = {r.index for r in rebased.ranges_for("sales")}
         assert covered == {0, 1}
 
+    def test_sketch_is_a_plain_int_mask(self, database_partition):
+        sketch = ProvenanceSketch(database_partition, [5, 1, 1])
+        assert type(sketch.mask) is int and sketch.mask == 0b100010
+        assert list(sketch.fragment_ids()) == [1, 5] and len(sketch) == 2
+        clone = sketch.copy()
+        clone.discard(5)
+        clone.discard(3)  # absent: no error
+        assert list(clone.fragment_ids()) == [1] and 5 in sketch
+
+    @pytest.mark.parametrize("fragment", [-1, 6, 100])
+    def test_ids_outside_the_partition_are_rejected(self, database_partition, fragment):
+        with pytest.raises(SketchError):
+            ProvenanceSketch(database_partition, [0, fragment])
+        assert fragment not in ProvenanceSketch.full(database_partition)
+
+    def test_union(self, database_partition):
+        union = ProvenanceSketch(database_partition, [0, 1]).union(
+            ProvenanceSketch(database_partition, [1, 5])
+        )
+        assert list(union.fragment_ids()) == [0, 1, 5]
+        other = DatabasePartition([RangePartition("t", "a", [0, 1, 2, 3, 4, 5, 6])])
+        with pytest.raises(SketchError):
+            union.union(ProvenanceSketch(other, [0]))
+
+    def test_copy_and_apply_delta_leave_the_original(self, database_partition):
+        sketch = ProvenanceSketch(database_partition, [1])
+        clone = sketch.copy()
+        clone.add(4)
+        moved = sketch.apply_delta(SketchDelta(frozenset({2}), frozenset({1})))
+        assert list(sketch.fragment_ids()) == [1]
+        assert list(clone.fragment_ids()) == [1, 4] and list(moved.fragment_ids()) == [2]
+
+    def test_equality_needs_the_same_partition_and_fragments(self, database_partition):
+        twin = DatabasePartition(list(database_partition))
+        assert ProvenanceSketch(database_partition, [1, 2]) == ProvenanceSketch(
+            database_partition, [2, 1]
+        )
+        assert ProvenanceSketch(database_partition, [1]) != ProvenanceSketch(
+            database_partition, [2]
+        )
+        assert ProvenanceSketch(database_partition, [1]) != ProvenanceSketch(twin, [1])
+
+    @pytest.mark.parametrize("relation", ["is_superset_of", "delta_to"])
+    def test_relations_across_partitions_are_rejected(self, database_partition, relation):
+        other = DatabasePartition([RangePartition("t", "a", [0, 1, 2, 3, 4, 5, 6])])
+        with pytest.raises(SketchError):
+            getattr(ProvenanceSketch(database_partition, [0]), relation)(
+                ProvenanceSketch(other, [0])
+            )
+
+    def test_a_sparse_sketch_over_a_wide_partition(self):
+        wide = DatabasePartition([RangePartition("t", "a", list(range(100_002)))])
+        sketch = ProvenanceSketch(wide, [3, 100_000])
+        assert 100_000 in sketch and 99_999 not in sketch and -1 not in sketch
+        assert list(sketch.fragment_ids()) == [3, 100_000]
+
+    def test_byte_size_grows_with_the_partition(self):
+        """Fig. 18: one bit per range, whole bytes, a small fixed header."""
+        small = DatabasePartition([RangePartition("t", "a", list(range(11)))])
+        large = DatabasePartition([RangePartition("t", "a", list(range(10_001)))])
+        assert ProvenanceSketch(small, [0]).byte_size() == 2 + 8
+        assert ProvenanceSketch(large, [0]).byte_size() == 1250 + 8
+
     def test_sketch_delta_merge(self):
         first = SketchDelta(frozenset({1}), frozenset({2}))
         second = SketchDelta(frozenset({2}), frozenset({1}))
@@ -203,3 +268,28 @@ class TestProvenanceSketch:
         assert merged.added == frozenset({2})
         assert merged.removed == frozenset({1})
         assert not SketchDelta.empty()
+
+
+WIDE = DatabasePartition([RangePartition("t", "a", list(range(514)))])  # 513 fragments
+fragment_sets = st.frozensets(st.integers(0, 512), max_size=40)
+
+
+class TestSketchSetAlgebra:
+    """The mask answers what the same ids in a ``frozenset`` answer."""
+
+    @given(fragment_sets, fragment_sets)
+    def test_union_superset_and_delta_match_python_sets(self, a, b):
+        first, second = ProvenanceSketch(WIDE, a), ProvenanceSketch(WIDE, b)
+        assert set(first.union(second).fragment_ids()) == a | b
+        assert first.is_superset_of(second) == (a >= b)
+        delta = first.delta_to(second)
+        assert (delta.added, delta.removed) == (b - a, a - b)
+        assert first.apply_delta(delta) == second
+        assert len(first) == len(a) and bool(first) == bool(a)
+
+    @given(st.sets(st.integers(0, 512), max_size=40), st.integers(200_000, 400_000))
+    def test_bit_iteration_is_sorted_members_also_when_sparse(self, members, far_bit):
+        # One step per member, not per bit position.
+        sparse = members | {far_bit}
+        assert list(iter_bits(sum(1 << bit for bit in sparse))) == sorted(sparse)
+        assert list(iter_bits(0)) == []

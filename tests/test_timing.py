@@ -2,7 +2,7 @@
 
 import time
 
-from repro.core.bitset import BitSet
+from repro.core.bloom import BloomFilter
 from repro.core.timing import MemoryMeter, Stopwatch, deep_size
 
 
@@ -55,8 +55,16 @@ class TestMemoryMeter:
         assert double < 2 * single
 
     def test_byte_size_hook_is_used(self):
-        bits = BitSet([1_000_000])
-        assert deep_size(bits) == bits.byte_size()
+        bloom = BloomFilter(1_000)
+        assert deep_size(bloom) == bloom.byte_size()
+
+    def test_slots_of_a_container_subclass_are_walked(self):
+        class Indexed(dict):
+            __slots__ = ("index",)
+
+        indexed = Indexed(a=1)
+        indexed.index = ["x" * 1_000]
+        assert deep_size(indexed) > deep_size({"a": 1}) + 1_000
 
     def test_objects_with_dict_are_walked(self):
         class Holder:
