@@ -125,13 +125,19 @@ def _accumulator_payload(state: AggregationState, index: int, slot: int) -> dict
             "star_count": star_count,
         }
     totals = state.totals[index]
-    return {
+    payload = {
         "kind": "sum_count",
         "function": state.aggregates[index].function.value,
         "total": 0.0 if totals is None else totals[slot],
         "non_null_count": state.non_null[index][slot],
         "star_count": star_count,
     }
+    non_finite = state.non_finite[index]
+    if non_finite and slot in non_finite:
+        # Written only when there are such values: other payloads keep the
+        # format they had before the counts existed.
+        payload["non_finite"] = list(non_finite[slot])
+    return payload
 
 
 def _load_groups(state: AggregationState, payloads: list[dict[str, Any]]) -> None:
@@ -165,6 +171,8 @@ def _load_groups(state: AggregationState, payloads: list[dict[str, Any]]) -> Non
             non_null = state.non_null[index]
             if non_null is not None:
                 non_null[slot] = accumulator["non_null_count"]
+            if "non_finite" in accumulator:
+                state.non_finite[index][slot] = list(accumulator["non_finite"])
 
 
 def _aggregation_payload(operator: IncrementalAggregation) -> dict[str, Any]:

@@ -228,7 +228,12 @@ class AggregationState:
     * per aggregate, ``totals`` (``sum``/``avg``) and ``non_null`` (the
       tuples with a non-NULL value: ``sum``/``avg``/``count``), or
       ``extremes`` (``min``/``max``: a :class:`MinMaxAccumulator` per slot);
-      the entry is ``None`` for a list the aggregate does not keep.
+      the entry is ``None`` for a list the aggregate does not keep;
+    * per ``sum``/``avg``, ``non_finite``: ``slot -> [NaN, +inf, -inf]``
+      counts for the slots holding such values.  They never enter the total
+      (``total - nan`` is still NaN, so a deleted NaN would never leave it):
+      the result is NaN while there is a NaN or both infinities, else the
+      one infinity held, else the total.
 
     A dropped group's slot is cleared and kept on ``free`` for the next new
     key.  With no aggregates this is duplicate elimination's state: per-row
@@ -250,6 +255,9 @@ class AggregationState:
         self.totals = [[] if function in _SUMMED else None for function in functions]
         self.non_null = [[] if function in _COUNTED else None for function in functions]
         self.extremes = [[] if function in _EXTREMES else None for function in functions]
+        self.non_finite: list[dict[int, list[int]] | None] = [
+            {} if function in _SUMMED else None for function in functions
+        ]
         self.free: list[int] = []
         self._results = [self._result(index) for index in range(len(functions))]
 
@@ -265,10 +273,24 @@ class AggregationState:
         non_null = self.non_null[index]
         if aggregate.function is AggregateFunction.COUNT:
             return lambda slots: [non_null[slot] for slot in slots]
-        totals = self.totals[index]
-        if aggregate.function is AggregateFunction.SUM:
-            return lambda slots: [totals[s] if non_null[s] else None for s in slots]
-        return lambda slots: [totals[s] / non_null[s] if non_null[s] else None for s in slots]
+        totals, non_finite = self.totals[index], self.non_finite[index]
+        average = aggregate.function is AggregateFunction.AVG
+
+        def sums(slots: list[int]) -> list:
+            if average:
+                values = [totals[s] / non_null[s] if non_null[s] else None for s in slots]
+            else:
+                values = [totals[s] if non_null[s] else None for s in slots]
+            if non_finite:
+                # A slot holding NaN or ±inf shows its non-finite total, as
+                # an average too.
+                values = [
+                    _non_finite_total(non_finite[s]) if s in non_finite else value
+                    for s, value in zip(slots, values)
+                ]
+            return values
+
+        return sums
 
     def slot_ids(self, keys: Iterable) -> list[int]:
         """The slot of each key; new keys get one (freed slots first) in
@@ -300,6 +322,11 @@ class AggregationState:
         self.keys[slot] = None
         for column, empty in self._defaults():
             column[slot] = empty()
+        for non_finite in self.non_finite:
+            if non_finite:
+                # Net counts are zero by now, unless a fold that failed on a
+                # later aggregate counted values in a slot it allocated.
+                non_finite.pop(slot, None)
         self.free.append(slot)
 
     def _defaults(self) -> list[tuple[list, Callable[[], object]]]:
@@ -331,16 +358,25 @@ class AggregationState:
         """Add ``counts[i]`` (signed) annotated tuples to slot ``ids[i]``;
         ``arguments`` holds one value column per aggregate (``None`` for
         ``count(*)``).  Sums and counts are the batch kernel's fold; min/max
-        update their slot's multiset per entry.
+        update their slot's multiset per entry.  A ``sum``/``avg`` column
+        whose C-level sum is not finite takes a per-value pass first that
+        moves its NaN and ±inf into ``non_finite``.
 
         A value an aggregate cannot fold raises :class:`AggregateError`
         before any ``total_count`` or ``ℱ`` changes, so a slot this batch
         allocated is still empty -- but aggregates of the batch's groups may
         already be folded in part."""
-        for aggregate, column, totals, non_null, extremes in zip(
-            self.aggregates, arguments, self.totals, self.non_null, self.extremes
+        for aggregate, column, totals, non_null, extremes, non_finite in zip(
+            self.aggregates,
+            arguments,
+            self.totals,
+            self.non_null,
+            self.extremes,
+            self.non_finite,
         ):
             try:
+                if non_finite is not None and not math.isfinite(sum(filter(None, column))):
+                    column = _count_non_finite(non_finite, ids, column, counts)
                 if non_null is not None:
                     kernels.fold_aggregate(ids, column, counts, non_null, totals)
                 if extremes is not None:
@@ -398,7 +434,38 @@ class AggregationState:
     def memory_bytes(self) -> int:
         """Estimated memory footprint of the aggregation state."""
         columns = [column for column, _empty in self._defaults()]
+        columns += [non_finite for non_finite in self.non_finite if non_finite]
         return MemoryMeter().measure_many([self.slots, self.keys, *columns, self.free])
+
+
+def _count_non_finite(
+    non_finite: dict[int, list[int]], ids: list[int], column: list, counts: list[int]
+) -> list:
+    """Add the signed count of each NaN, +inf and -inf of ``column`` to its
+    slot's ``[NaN, +inf, -inf]`` in ``non_finite``; the column with each of
+    them replaced by ``0.0``, which leaves a total as it is but is still a
+    non-NULL value."""
+    finite = list(column)
+    touched = set()
+    for i, value in enumerate(column):
+        if value is not None and not math.isfinite(value):
+            slot = ids[i]
+            kinds = non_finite.setdefault(slot, [0, 0, 0])
+            kinds[0 if value != value else 1 if value > 0 else 2] += counts[i]
+            finite[i] = 0.0
+            touched.add(slot)
+    for slot in touched:
+        if not any(non_finite[slot]):
+            del non_finite[slot]
+    return finite
+
+
+def _non_finite_total(kinds: list[int]) -> float:
+    """The sum of a slot's values given its ``[NaN, +inf, -inf]`` counts."""
+    nan, positive, negative = kinds
+    if nan or (positive and negative):
+        return math.nan
+    return math.inf if positive else -math.inf
 
 
 class JoinSideState:

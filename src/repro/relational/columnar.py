@@ -180,11 +180,14 @@ class ColumnBatch:
         """A batch with duplicate rows merged (multiplicities summed).
 
         First-occurrence order is kept: a merged row stays where it first
-        appeared.
+        appeared.  Without duplicates the result shares this batch's lists.
         """
         if self.consolidated:
             return self
         counts = self._merged_counts()
+        if len(counts) == len(self.multiplicities):
+            # Nothing merged: the same entries, now known to be distinct.
+            return ColumnBatch(self.schema, self.columns, self.multiplicities, consolidated=True)
         if counts:
             columns: Iterable[list] = (list(column) for column in zip(*counts))
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.core.errors import PlanError
+from repro.core.errors import PlanError, SchemaError
 from repro.relational.algebra import (
     Aggregation,
     Distinct,
@@ -290,7 +290,7 @@ class Evaluator:
             try:
                 a = combined.index_of(conjunct.left.name)
                 b = combined.index_of(conjunct.right.name)
-            except Exception:
+            except SchemaError:
                 # Unresolvable or ambiguous references: the error belongs to
                 # condition compilation, which the recheck will surface.
                 continue

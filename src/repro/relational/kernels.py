@@ -76,10 +76,25 @@ def hash_join_batch(
     condition on the output batch, which rejects NULL matches and applies any
     residual conjuncts.  Output order: left entries outer, the right entries
     of the key in their input order inner.
+
+    A side whose every column is a key column (a zero-column side included)
+    is consolidated first: for it equal keys are equal rows, so a duplicate
+    would only be paired with every partner and merged again above.  The
+    output is flagged ``consolidated`` when both inputs are, since pairs of
+    distinct rows are distinct.  Neither rule changes the consolidated
+    result: a merged pair sits where the pair of its left row's first
+    occurrence (or of the first occurrence in the right bucket) would, and
+    multiplicities are integer products and sums.
     """
     schema = left.schema.concat(right.schema)
-    left_keys = _key_column(left, [p for p, _ in pairs])
-    right_keys = _key_column(right, [p for _, p in pairs])
+    left_positions = [p for p, _ in pairs]
+    right_positions = [p for _, p in pairs]
+    if len(set(left_positions)) == len(left.schema):
+        left = left.consolidate()
+    if len(set(right_positions)) == len(right.schema):
+        right = right.consolidate()
+    left_keys = _key_column(left, left_positions)
+    right_keys = _key_column(right, right_positions)
     index: dict = {}
     for j, key in enumerate(right_keys):
         bucket = index.get(key)
@@ -104,7 +119,9 @@ def hash_join_batch(
             multiplicities.append(left_mult * right_mults[j])
     columns = [[column[i] for i in take_left] for column in left.columns]
     columns.extend([column[j] for j in take_right] for column in right.columns)
-    return ColumnBatch(schema, columns, multiplicities, consolidated=False)
+    return ColumnBatch(
+        schema, columns, multiplicities, consolidated=left.consolidated and right.consolidated
+    )
 
 
 def _key_column(batch: ColumnBatch, positions: list[int]) -> list:

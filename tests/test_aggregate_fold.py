@@ -15,6 +15,9 @@
 (d) min/max over NaN follow one rule everywhere -- NaN sorts after every
     number, so min ignores it unless every value is NaN and max is NaN once
     one value is -- whatever the order the values arrive in.
+(e) An incremental sum/avg forgets a deleted NaN or infinity: the maintained
+    state equals a fresh capture and the batch kernel, and its non-finite
+    counts survive persistence.
 
 Plus the typed error for aggregates over values they cannot aggregate.
 """
@@ -553,15 +556,15 @@ def extremes_operator(buffer: int | None) -> IncrementalAggregation:
     )
 
 
-def kernel_rows(live: list) -> list[tuple]:
-    """``(g, min, max)`` per group of the live ``((g, v), annotation, 1)``
+def kernel_rows(live: list, aggregates: list[Aggregate] = EXTREMES) -> list[tuple]:
+    """``(g, *aggregates)`` per group of the live ``((g, v), annotation, 1)``
     entries, by the batch kernel, in entry order."""
     rows = [row for row, _annotation, _count in live]
     return kernels.aggregate_batch(
-        Schema(["g", "lo", "hi"]),
-        tuple(EXTREMES),
+        Schema(["g"] + [aggregate.alias for aggregate in aggregates]),
+        tuple(aggregates),
         [[g for g, _v in rows]],
-        [[v for _g, v in rows]] * 2,
+        [[v for _g, v in rows]] * len(aggregates),
         [1] * len(rows),
         grouped=True,
     ).row_tuples()
@@ -653,6 +656,92 @@ class TestMinMaxOverNaN:
             database.query(sql, optimize_plans=False, vectorize=False)
         with pytest.raises(AggregateError, match="min"):
             capture_sketch(database.plan(sql), partition, database)
+
+
+# -- (e) sum/avg over NaN and +-inf ------------------------------------------------------
+
+SUMMED = [
+    Aggregate(SUM, ColumnRef("v"), "s"),
+    Aggregate(AVG, ColumnRef("v"), "av"),
+    Aggregate(COUNT, ColumnRef("v"), "c"),
+]
+# The finite values sum exactly in any order, so maintained and fresh totals
+# agree bit for bit.
+NON_FINITE = st.sampled_from([NAN, math.inf, -math.inf, 1.0, 2.5, -3, 0.5, None])
+
+
+def summed_operator() -> IncrementalAggregation:
+    return IncrementalAggregation(
+        Feed(SCHEMA), [ColumnRef("g")], SUMMED, Schema(["g", "s", "av", "c"])
+    )
+
+
+class TestSumOverNonFinite:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), NON_FINITE), min_size=1, max_size=12),
+        st.data(),
+    )
+    def test_maintained_equals_fresh_capture_and_kernel(self, rows, data):
+        """Inserts in two batches, then deletes: the maintained output and
+        state equal a from-scratch pass over what is left, and its rows equal
+        the batch kernel's by value."""
+        entries = [((g, v), 1 << (i % 4), 1) for i, (g, v) in enumerate(rows)]
+        doomed = data.draw(st.sets(st.sampled_from(range(len(entries)))))
+        live = [entry for i, entry in enumerate(entries) if i not in doomed]
+        fresh = summed_operator()
+        scratch = rows_of(run(fresh, live, from_scratch=True))
+        operator = summed_operator()
+        running = run(operator, [], from_scratch=True)
+        half = len(entries) // 2
+        departures = [(row, a, -c) for i, (row, a, c) in enumerate(entries) if i in doomed]
+        for batch in (entries[:half], entries[half:], departures):
+            running.update(run(operator, batch))
+        maintained = rows_of(running)
+        assert set(maintained.values()) <= {1}  # every retraction met its row
+        assert by_value(maintained) == by_value(scratch) == by_value(kernel_rows(live, SUMMED))
+        assert canonical_state(operator.state) == canonical_state(fresh.state)
+
+    def test_deleting_a_nan_maintains_the_sketch_a_fresh_capture_gives(self):
+        """Group 3's sum is NaN until its NaN row goes, then 1 010.0 < 2 000:
+        the maintained sketch must gain the group as a fresh capture does."""
+        database = Database()
+        database.create_table("r", ["id", "a", "x"], primary_key="id")
+        database.insert("r", [(0, 3, NAN)] + [(i, i % 10, float(i)) for i in range(1, 200)])
+        imp = IMPSystem(database, num_fragments=10)
+        sql = "SELECT a, sum(x) AS s FROM r GROUP BY a HAVING sum(x) < 2000"
+        assert [row[0] for row in imp.run_query(sql).to_sorted_list()] == [0, 1, 2, 4]
+        imp.apply_update("r", deletes=[(0, 3, NAN)])
+        expected = database.query(sql).to_sorted_list()
+        assert [row[0] for row in expected] == [0, 1, 2, 3, 4]
+        assert imp.run_query(sql).to_sorted_list() == expected
+        (entry,) = imp.store.entries()
+        fresh = capture_sketch(entry.plan, entry.partition, database)
+        assert list(entry.maintainer.sketch.fragment_ids()) == list(fresh.fragment_ids())
+
+    def test_non_finite_counts_round_trip_through_persistence(self):
+        """A payload writes ``non_finite`` only for a group holding such a
+        value; a restored engine maintains on to the fresh capture."""
+        database, partition = persisted_database()
+        database.insert("t", [(20, 1, math.inf, 1), (21, 2, NAN, 1), (22, 2, -math.inf, 1)])
+        sql = "SELECT a, sum(b) AS sb, avg(b) AS ab FROM t GROUP BY a"
+        engine = IncrementalEngine(database.plan(sql), partition, database)
+        engine.initialize()
+        payload = json.dumps(dump_engine_state(engine))
+        assert payload.count('"non_finite": [0, 1, 0]') == 2  # group 1: sum and avg
+        assert payload.count('"non_finite": [1, 0, 1]') == 2  # group 2
+        assert payload.count('"non_finite"') == 4  # group 3 has none
+        restored = IncrementalEngine(database.plan(sql), partition, database)
+        load_engine_state(restored, json.loads(payload))
+        assert json.dumps(dump_engine_state(restored)) == payload
+        version = database.version
+        database.delete_rows("t", [(21, 2, NAN, 1), (22, 2, -math.inf, 1)])
+        restored.maintain(database.database_delta_since(["t"], version), database.version)
+        assert json.dumps(dump_engine_state(restored)).count('"non_finite"') == 2
+        fresh = IncrementalEngine(database.plan(sql), partition, database)
+        fresh.initialize()
+        operators = [dump_engine_state(e)["operators"] for e in (restored, fresh)]
+        assert json.dumps(operators[0]) == json.dumps(operators[1])
 
 
 # -- typed error for values an aggregate cannot aggregate ----------------------------

@@ -116,6 +116,13 @@ class TestColumnBatch:
         assert merged.multiplicities == [2, 2, 1]
         assert merged.consolidated
 
+    def test_consolidating_distinct_entries_keeps_the_columns(self):
+        batch = ColumnBatch(Schema(["x"]), [[7, 3, 9]], [1, 2, 1])
+        merged = batch.consolidate()
+        assert merged.consolidated
+        assert merged.columns[0] is batch.columns[0]
+        assert merged.multiplicities == [1, 2, 1]
+
     def test_relabel_shares_columns(self):
         schema = Schema(["x", "y"])
         batch = ColumnBatch(schema, [[1], [2]], [1], consolidated=True)
