@@ -119,7 +119,7 @@ class ColumnBatch:
         """Pivot ``(row, multiplicity)`` pairs into a batch.
 
         Pass ``consolidated=True`` only when the rows are known distinct
-        (e.g. items of a :class:`Relation` bag or an index range scan).
+        (e.g. items of a :class:`Relation` bag).
         """
         pairs = items if isinstance(items, list) else list(items)
         if pairs:
@@ -129,24 +129,26 @@ class ColumnBatch:
         return cls(schema, ([] for _ in range(len(schema))), [], consolidated)
 
     @classmethod
-    def from_fetched_items(
-        cls, schema: Schema, items: list[tuple[Row, int]], consolidated: bool = False
+    def from_fetched_rows(
+        cls,
+        schema: Schema,
+        rows: list[Row],
+        multiplicities: list[int],
+        consolidated: bool = False,
     ) -> "ColumnBatch":
-        """The per-query pivot of fetched ``(row, multiplicity)`` pairs.
+        """The per-query pivot of fetched rows and their parallel multiplicities.
 
-        Same entries, order and flag as :meth:`from_items`, but the row
-        tuples are kept and a column is extracted only when something reads
-        it (see :class:`LazyColumns`), so a plan that touches two attributes
-        of a wide table never builds the others.  For batches one evaluation
-        owns; a batch that is cached or shared uses :meth:`from_items`.
+        The entries of :meth:`from_items` over ``zip(rows, multiplicities)``,
+        but the row tuples are kept and a column is extracted only when
+        something reads it (see :class:`LazyColumns`), so a plan that touches
+        two attributes of a wide table never builds the others.  For batches
+        one evaluation owns (the index range scan's); a batch that is cached
+        or shared uses :meth:`from_items`.
         """
-        if not items:
-            return cls.from_items(schema, items, consolidated)
-        rows, multiplicities = zip(*items)
         columns = LazyColumns(
             len(schema), lambda position: list(map(itemgetter(position), rows))
         )
-        return cls(schema, columns, list(multiplicities), consolidated)
+        return cls(schema, columns, multiplicities, consolidated)
 
     # -- inspection ------------------------------------------------------------
 

@@ -30,9 +30,11 @@ from repro.relational.expressions import (
     Expression,
     Literal,
     compile_batch_expression,
+    conjunction,
     conjuncts,
     strict_boolean,
 )
+from repro.relational.predicates import extract_intervals, intervals_are_selective, is_exact_bound
 from repro.relational.schema import Relation, Schema
 
 
@@ -46,7 +48,8 @@ class RelationProvider(Protocol):
     result), so a provider must not return internal mutable state
     (:meth:`repro.storage.database.Database.relation` returns a fresh copy).
     Providers with ordered indexes also offer ``indexed_attributes`` and
-    ``index_scan``.
+    ``index_scan`` (a caller-owned batch of the fetched rows over the table's
+    schema, ascending by indexed value; NULL and NaN are never fetched).
     """
 
     def column_batch(self, table: str) -> ColumnBatch:  # pragma: no cover - protocol
@@ -152,17 +155,18 @@ class Evaluator:
         choice = self._index_choice(node)
         if choice is None:
             return self._filter(self._batch(node.child), node.predicate)
-        schema, attribute, intervals = choice
+        attribute, intervals = choice
         # Lazy pivot: only the columns the recheck and the operators above
         # read are ever extracted from the fetched rows.
-        fetched = ColumnBatch.from_fetched_items(
-            schema,
-            self._provider.index_scan(node.child.table, attribute, intervals),
-            consolidated=True,
+        fetched = self._provider.index_scan(node.child.table, attribute, intervals)
+        fetched = fetched.relabel(fetched.schema.qualify(node.child.alias))
+        # Over-approximated index bounds stay sound because the fetched rows
+        # are re-checked -- with the conjuncts the intervals do not prove
+        # exactly; a sketch's range disjunction needs no recheck at all.
+        residual = conjunction(
+            [c for c in conjuncts(node.predicate) if not is_exact_bound(c, attribute)]
         )
-        # Re-check the full predicate on the fetched rows, so that
-        # over-approximated index bounds stay sound.
-        return self._filter(fetched, node.predicate)
+        return fetched if residual is None else self._filter(fetched, residual)
 
     def _projection_batch(self, node: Projection) -> ColumnBatch:
         child = self._batch(node.child)
@@ -175,13 +179,11 @@ class Evaluator:
         left = self._batch(node.left)
         right = self._batch(node.right)
         # Without an equality pair this is the cross product (empty key).
-        pairs = self._equi_pairs(node.condition, left.schema, right.schema)
+        pairs, residual = self._equi_pairs(node.condition, left.schema, right.schema)
         combined = kernels.hash_join_batch(left, right, pairs)
-        if node.condition is None:
-            return combined
-        # The full condition is re-checked on every matching pair: hash keys
-        # match NULLs, and theta and residual conjuncts are applied here.
-        return self._filter(combined, node.condition)
+        # A key pair matches exactly where its SQL equality is true, so only
+        # the theta and other residual conjuncts are checked on the pairs.
+        return combined if residual is None else self._filter(combined, residual)
 
     def _aggregation_batch(self, node: Aggregation) -> ColumnBatch:
         # One entry per distinct child row, in first-occurrence order: that
@@ -212,9 +214,7 @@ class Evaluator:
 
     # -- decisions shared with the oracle ----------------------------------------
 
-    def _index_choice(
-        self, node: Selection
-    ) -> tuple[Schema, str, list] | None:
+    def _index_choice(self, node: Selection) -> tuple[str, list] | None:
         """Pick the index to serve a selection-over-scan from, or None.
 
         This is the physical design hook provenance-based data skipping relies
@@ -236,8 +236,6 @@ class Evaluator:
         provider = self._provider
         if not hasattr(provider, "indexed_attributes") or not hasattr(provider, "index_scan"):
             return None
-        from repro.relational.predicates import extract_intervals, intervals_are_selective
-
         candidates: list[tuple[str, list]] = []
         for attribute in provider.indexed_attributes(child.table):
             intervals = extract_intervals(node.predicate, attribute)
@@ -252,9 +250,7 @@ class Evaluator:
                     child.table, candidate[0], candidate[1]
                 )
             )
-        attribute, intervals = candidates[0]
-        schema = provider.schema_of(child.table).qualify(child.alias)
-        return schema, attribute, intervals
+        return candidates[0]
 
     def _cardinality_estimator(self):
         if self._estimator is None:
@@ -266,36 +262,44 @@ class Evaluator:
     @staticmethod
     def _equi_pairs(
         condition: Expression | None, left: Schema, right: Schema
-    ) -> list[tuple[int, int]]:
-        """Hashable ``(left position, right position)`` pairs of the condition.
+    ) -> tuple[list[tuple[int, int]], Expression | None]:
+        """Hashable ``(left position, right position)`` pairs of the condition,
+        and the conjunction of the conjuncts that did not become one.
 
         Any equality conjunct between one attribute of each side can drive a
         hash join, even when other conjuncts (range predicates pushed into the
-        condition by the optimizer) ride along: the full condition is still
-        re-checked on every matching pair.  Names resolve against the combined
+        condition by the optimizer) ride along; those are the residual, which
+        is checked on every matching pair.  Names resolve against the combined
         schema, exactly as the compiled condition will bind them.
         """
-        if condition is None:
-            return []
         combined = left.concat(right)
-        split = len(left)
         pairs: list[tuple[int, int]] = []
+        residual: list[Expression] = []
         for conjunct in conjuncts(condition):
-            if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-                continue
-            if not isinstance(conjunct.left, ColumnRef) or not isinstance(
-                conjunct.right, ColumnRef
-            ):
-                continue
-            try:
-                a = combined.index_of(conjunct.left.name)
-                b = combined.index_of(conjunct.right.name)
-            except SchemaError:
-                # Unresolvable or ambiguous references: the error belongs to
-                # condition compilation, which the recheck will surface.
-                continue
-            if a < split <= b:
-                pairs.append((a, b - split))
-            elif b < split <= a:
-                pairs.append((b, a - split))
-        return pairs
+            pair = _key_pair(conjunct, combined, len(left))
+            if pair is None:
+                residual.append(conjunct)
+            else:
+                pairs.append(pair)
+        return pairs, conjunction(residual)
+
+
+def _key_pair(conjunct: Expression, combined: Schema, split: int) -> tuple[int, int] | None:
+    """``(left position, right position)`` of an equality between an attribute
+    of each side of ``combined`` (the left side's ``split`` columns first)."""
+    if not isinstance(conjunct, Comparison) or conjunct.op != "=":
+        return None
+    if not isinstance(conjunct.left, ColumnRef) or not isinstance(conjunct.right, ColumnRef):
+        return None
+    try:
+        a = combined.index_of(conjunct.left.name)
+        b = combined.index_of(conjunct.right.name)
+    except SchemaError:
+        # Unresolvable or ambiguous references: the error belongs to
+        # condition compilation, which the residual surfaces.
+        return None
+    if a < split <= b:
+        return a, b - split
+    if b < split <= a:
+        return b, a - split
+    return None

@@ -22,6 +22,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from heapq import nsmallest
 from itertools import compress
+from operator import ne
 
 from repro.core.errors import AggregateError
 from repro.relational.algebra import Aggregate, AggregateFunction
@@ -71,11 +72,12 @@ def hash_join_batch(
     ``pairs`` are ``(left position, right position)`` equality columns; with
     no pairs every entry has the key ``()``, one bucket holds the whole right
     side and the result is the cross product (which is how theta joins run:
-    cross, then the caller's filter).  Key matching uses plain ``==`` (so
-    ``None`` keys *do* match here); the caller re-checks the full join
-    condition on the output batch, which rejects NULL matches and applies any
-    residual conjuncts.  Output order: left entries outer, the right entries
-    of the key in their input order inner.
+    cross, then the caller's filter).  Keys match exactly where SQL ``=`` on
+    every pair is true: a key holding NULL or NaN matches nothing (a dict
+    would match ``None`` to ``None`` and a NaN object to itself), so the
+    caller checks only the conjuncts that are not key pairs.  Output order:
+    left entries outer, the right entries of the key in their input order
+    inner.
 
     A side whose every column is a key column (a zero-column side included)
     is consolidated first: for it equal keys are equal rows, so a duplicate
@@ -102,6 +104,14 @@ def hash_join_batch(
             index[key] = [j]
         else:
             bucket.append(j)
+    if len(pairs) == 1:
+        # NULL, and NaN: the one value unequal to itself (C-level ``ne``).
+        index.pop(None, None)
+        unequal = list(compress(index, map(ne, index, index)))
+    else:
+        unequal = [key for key in index if any(v is None or v != v for v in key)]
+    for key in unequal:
+        del index[key]
     left_mults = left.multiplicities
     right_mults = right.multiplicities
     take_left: list[int] = []

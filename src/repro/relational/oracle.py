@@ -271,8 +271,9 @@ class RowEvaluator(Evaluator):
         else:
             # The rows the engine's index scan reads, in the order it reads
             # them; the full predicate is re-checked on them all the same.
-            schema, attribute, intervals = choice
-            items = self._provider.index_scan(node.child.table, attribute, intervals)
+            fetched = self._provider.index_scan(node.child.table, *choice)
+            schema = fetched.schema.qualify(node.child.alias)
+            items = zip(fetched.row_tuples(), fetched.multiplicities)
         result = Relation(schema)
         for row, multiplicity in items:
             if interpret(node.predicate, row, schema) is True:
@@ -296,7 +297,7 @@ class RowEvaluator(Evaluator):
         # the right rows are grouped by the values the conjuncts compare
         # (one group, every row, when there is none), and the pairs that are
         # visited come in nested-loop order.
-        pairs = self._equi_pairs(node.condition, left.schema, right.schema)
+        pairs, _residual = self._equi_pairs(node.condition, left.schema, right.schema)
         groups: dict[tuple, list[tuple[Row, int]]] = {}
         for right_row, right_mult in right.items():
             key = tuple(right_row[p] for _, p in pairs)

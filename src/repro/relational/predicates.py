@@ -5,9 +5,10 @@ index range scan instead of a full table scan -- this is the physical design
 (indexes, zone maps) that provenance-based data skipping piggybacks on.  The
 functions here derive, from an arbitrary selection predicate, a set of value
 intervals for one attribute such that every satisfying tuple falls into one of
-the intervals.  The intervals may over-approximate the predicate (the full
-predicate is re-checked on the fetched rows), so returning a superset is
-always sound; returning ``None`` means the predicate gives no usable bound.
+the intervals; returning ``None`` means the predicate gives no usable bound.
+The intervals may over-approximate the predicate, so the fetched rows are
+re-checked -- but only with the conjuncts the intervals do not prove exactly
+(:func:`is_exact_bound`), which for a sketch's range disjunction is none.
 """
 
 from __future__ import annotations
@@ -28,7 +29,11 @@ from repro.relational.schema import Schema
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed/open value interval ``low .. high``."""
+    """A closed/open value interval ``low .. high``.
+
+    Bounds keep the literal's own value: Python compares int and float
+    exactly, where ``float()`` would round an int above ``2**53``.
+    """
 
     low: float
     high: float
@@ -63,9 +68,10 @@ def _matches_attribute(column: ColumnRef, attribute: str) -> bool:
 
 
 def _numeric(value: object) -> float | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``value`` as an interval bound: a number that is neither a bool nor NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         return None
-    return float(value)
+    return value
 
 
 def _comparison_interval(expression: Comparison, attribute: str) -> Interval | None:
@@ -144,6 +150,26 @@ def extract_intervals(predicate: Expression, attribute: str) -> list[Interval] |
                 union.extend(intervals)
             return union
     return None
+
+
+def is_exact_bound(predicate: Expression, attribute: str) -> bool:
+    """Whether ``predicate`` is true of exactly the rows whose ``attribute``
+    value lies in ``extract_intervals(predicate, attribute)``.
+
+    True for a comparison of the attribute with a number under ``= < <= >
+    >=`` (either operand order), a BETWEEN of two numbers, and any AND/OR
+    tree of those (a sketch's range disjunction): the bounds are exact, and
+    NULL and NaN, which satisfy no such comparison, are not indexed -- so the
+    rows an index scan fetches over the intervals need no recheck of it.
+    ``<>``, a comparison with another column, or another attribute are not
+    proven.
+    """
+    if isinstance(predicate, LogicalOp):
+        return all(is_exact_bound(operand, attribute) for operand in predicate.operands)
+    return (
+        isinstance(predicate, (Comparison, Between))
+        and extract_intervals(predicate, attribute) is not None
+    )
 
 
 def intervals_are_selective(intervals: list[Interval] | None) -> bool:

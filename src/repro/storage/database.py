@@ -226,11 +226,17 @@ class Database:
         """Attributes of ``table`` that carry an ordered index."""
         return self.table(table).indexed_attributes()
 
-    def index_scan(self, table: str, attribute: str, intervals) -> list[tuple[Row, int]]:
-        """Index range scan over ``table.attribute`` (used by the evaluator)."""
+    def index_scan(self, table: str, attribute: str, intervals) -> ColumnBatch:
+        """Index range scan over ``table.attribute`` (used by the evaluator):
+        a lazy per-query batch over the table's schema, one entry per fetched
+        row, in index order (:meth:`ColumnBatch.from_fetched_rows`)."""
         with self._lock:
             self._index_scan_counter += 1
-            return list(self.table(table).rows_in_intervals(attribute, intervals))
+            stored = self.table(table)
+            rows, multiplicities = stored.rows_in_intervals(attribute, intervals)
+        return ColumnBatch.from_fetched_rows(
+            stored.schema, rows, multiplicities, consolidated=True
+        )
 
     @property
     def index_scan_count(self) -> int:

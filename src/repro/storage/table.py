@@ -110,16 +110,18 @@ class AttributeIndex:
         self._buckets = {value: self._buckets[value] for value in self._values}
         self._tombstones = 0
 
-    def rows_in_intervals(self, intervals: Iterable[Interval]) -> Iterator[tuple[Row, int]]:
-        """Rows whose indexed value falls into any of ``intervals``.
+    def rows_in_intervals(self, intervals: Iterable[Interval]) -> tuple[list[Row], list[int]]:
+        """Rows whose indexed value falls into any of ``intervals``, and their
+        multiplicities, as two parallel lists.
 
         Every qualifying row comes exactly once, ascending by indexed value
         and in bucket (arrival) order within one value, whatever the order or
         overlap of the intervals: they are turned into disjoint ascending
         spans of the value list first (one bisect pair each, overlapping
-        spans merged).  The buckets of the spans are then streamed whole at C
-        speed, so the Python-level work is per interval, not per row; a
-        tombstoned bucket is empty and contributes nothing.
+        spans merged).  The buckets of the spans are then read whole at C
+        speed -- their keys into one list, their values into the other -- so
+        the Python-level work is per interval, not per row, and no pair is
+        built per row; a tombstoned bucket is empty and contributes nothing.
         """
         values = self._values
         spans: list[tuple[int, int]] = []
@@ -143,8 +145,10 @@ class AttributeIndex:
             else:
                 merged.append((low, high))
         in_spans = chain.from_iterable(values[low:high] for low, high in merged)
-        return chain.from_iterable(
-            map(dict.items, map(self._buckets.__getitem__, in_spans))
+        buckets = list(map(self._buckets.__getitem__, in_spans))
+        return (
+            list(chain.from_iterable(buckets)),
+            list(chain.from_iterable(map(dict.values, buckets))),
         )
 
     def distinct_value_count(self) -> int:
@@ -416,7 +420,7 @@ class StoredTable:
 
     def rows_in_intervals(
         self, attribute: str, intervals: Iterable[Interval]
-    ) -> Iterator[tuple[Row, int]]:
+    ) -> tuple[list[Row], list[int]]:
         """Index range scan: rows whose ``attribute`` value lies in the intervals."""
         return self.index_on(attribute).rows_in_intervals(intervals)
 

@@ -5,7 +5,8 @@ key before it probes (for such a side equal keys are equal rows, so a
 duplicate would only be multiplied by its partners and merged again above),
 and flags its output ``consolidated`` when both inputs are.  Neither may
 change an answer: the kernel's consolidated output equals a nested loop over
-the unmerged inputs merged afterwards, and the engine equals the row oracle
+the unmerged inputs with SQL key equality (a NULL or NaN key matches
+nothing) merged afterwards, and the engine equals the row oracle
 by ``repr`` -- entry order, value types and float low bits included -- with
 and without the optimizer, over duplicate, NULL, NaN (one shared object and
 distinct ones) and ``1`` / ``1.0`` / ``True`` keys.  A counter test pins what
@@ -52,12 +53,21 @@ def answer(relation) -> str:
 # -- the kernel: merged before == merged after --------------------------------------
 
 
+def sql_equal(a, b) -> bool:
+    """SQL ``a = b`` is true: never for NULL, never for NaN (not even the
+    same NaN object), ``1 = 1.0 = TRUE`` as in Python."""
+    return a is not None and b is not None and a == b
+
+
 def nested_loop(left: ColumnBatch, right: ColumnBatch, pairs) -> ColumnBatch:
-    """The join of the unmerged inputs, left outer and right inner."""
+    """The join of the unmerged inputs, left outer and right inner.
+
+    A pair is joined where SQL equality holds on every key pair: the kernel's
+    keys mean exactly that, so the engine checks no key pair again."""
     rows, multiplicities = [], []
     for left_row, left_count in zip(left.row_tuples(), left.multiplicities):
         for right_row, right_count in zip(right.row_tuples(), right.multiplicities):
-            if all(left_row[p] == right_row[q] or left_row[p] is right_row[q] for p, q in pairs):
+            if all(sql_equal(left_row[p], right_row[q]) for p, q in pairs):
                 rows.append(left_row + right_row)
                 multiplicities.append(left_count * right_count)
     schema = left.schema.concat(right.schema)

@@ -119,12 +119,20 @@ class TestExtractIntervals:
         assert intervals_are_selective([])
 
 
+def scanned(index: AttributeIndex, intervals) -> list:
+    """``rows_in_intervals`` returns the rows and their multiplicities as two
+    parallel lists (no pair per row); zipped here to compare entries."""
+    rows, multiplicities = index.rows_in_intervals(intervals)
+    assert len(rows) == len(multiplicities)
+    return list(zip(rows, multiplicities))
+
+
 class TestAttributeIndex:
     def test_range_scan(self):
         index = AttributeIndex("v", 1)
         for i in range(20):
             index.insert((i, i * 10), 1)
-        rows = list(index.rows_in_intervals([Interval(30, 60)]))
+        rows = scanned(index, [Interval(30, 60)])
         values = sorted(row[1] for row, _m in rows)
         assert values == [30, 40, 50, 60]
 
@@ -132,26 +140,26 @@ class TestAttributeIndex:
         index = AttributeIndex("v", 0)
         for value in [1, 2, 3]:
             index.insert((value,), 1)
-        rows = list(index.rows_in_intervals([Interval(1, 3, False, False)]))
+        rows = scanned(index, [Interval(1, 3, False, False)])
         assert [row[0] for row, _m in rows] == [2]
 
     def test_deletes_and_tombstones(self):
         index = AttributeIndex("v", 0)
         index.insert((5,), 2)
         index.delete((5,), 1)
-        assert list(index.rows_in_intervals([Interval(0, 10)])) == [((5,), 1)]
+        assert scanned(index, [Interval(0, 10)]) == [((5,), 1)]
         index.delete((5,), 1)
-        assert list(index.rows_in_intervals([Interval(0, 10)])) == []
+        assert scanned(index, [Interval(0, 10)]) == []
 
     def test_null_values_are_skipped(self):
         index = AttributeIndex("v", 0)
         index.insert((None,), 1)
-        assert list(index.rows_in_intervals([Interval(-1e9, 1e9)])) == []
+        assert scanned(index, [Interval(-1e9, 1e9)]) == []
 
     def test_duplicate_rows_reported_once(self):
         index = AttributeIndex("v", 0)
         index.insert((7,), 3)
-        rows = list(index.rows_in_intervals([Interval(0, 10), Interval(5, 9)]))
+        rows = scanned(index, [Interval(0, 10), Interval(5, 9)])
         assert rows == [((7,), 3)]
 
 
@@ -170,7 +178,8 @@ class TestIndexedSelection:
         table.create_index("v")
         assert table.has_index("v")
         assert table.indexed_attributes() == ["v"]
-        assert len(list(table.rows_in_intervals("v", [Interval(2, 4)]))) == 3
+        rows, multiplicities = table.rows_in_intervals("v", [Interval(2, 4)])
+        assert (len(rows), multiplicities) == (3, [1, 1, 1])
         with pytest.raises(StorageError):
             table.index_on("missing")
 
