@@ -218,13 +218,17 @@ class IncrementalEngine:
         """The sketch justified by the current operator state."""
         return ProvenanceSketch(self.partition, self._merge.current_fragments())
 
-    def maintain(self, db_delta: DatabaseDelta, target_version: int) -> MaintenanceOutcome:
+    def maintain(
+        self, db_delta: DatabaseDelta, target_version: int, memo: dict | None = None
+    ) -> MaintenanceOutcome:
         """Incrementally maintain the sketch for a database delta.
 
         ``db_delta`` brings the referenced tables to ``target_version``.
         Whatever the pass has to read beside the delta -- a join side it
         evaluates for the first time -- is read as of that version, so commits
         that land while the pass runs are left, whole, to the next delta.
+        ``memo`` is the :attr:`Pass.memo` a maintenance round shares between
+        the engines it feeds the same deltas to (a new one when None).
         """
         if not self._initialized:
             raise PlanError("engine must be initialized before maintenance")
@@ -232,7 +236,7 @@ class IncrementalEngine:
             raise PlanError("maintenance needs a database delta")
         self.statistics.maintenance_runs += 1
         sketch_delta = self._merge.process_to_sketch_delta(
-            Pass(db_delta, self.statistics, target_version)
+            Pass(db_delta, self.statistics, target_version, {} if memo is None else memo)
         )
         needs_recapture = self._merge.recapture_needed()
         if needs_recapture:

@@ -108,15 +108,16 @@ class BaseMaintainer:
         raise NotImplementedError
 
     def maintain_with(
-        self, db_delta: DatabaseDelta, target_version: int
+        self, db_delta: DatabaseDelta, target_version: int, memo: dict | None = None
     ) -> MaintenanceResult:
         """Bring the sketch up to date using a delta fetched by the caller.
 
         Entry point of the shared-delta maintenance scheduler: the scheduler
         extracts each table's delta from the audit log once per round and fans
-        it out to every stale maintainer.  The base implementation ignores the
-        delta and performs a regular :meth:`maintain` -- correct for the
-        full-maintenance baseline, whose repair never looks at deltas.
+        it out to every stale maintainer, with the round's annotation ``memo``
+        (:attr:`~repro.imp.operators.Pass.memo`).  The base implementation
+        ignores both and performs a regular :meth:`maintain` -- correct for
+        the full-maintenance baseline, whose repair never looks at deltas.
         """
         return self.maintain()
 
@@ -193,10 +194,10 @@ class IncrementalMaintainer(BaseMaintainer):
         db_delta = self.database.database_delta_since(
             tables, self.valid_at_version, target
         )
-        return self._maintain_from(db_delta, target, started)
+        return self._maintain_from(db_delta, target, started, None)
 
     def maintain_with(
-        self, db_delta: DatabaseDelta, target_version: int
+        self, db_delta: DatabaseDelta, target_version: int, memo: dict | None = None
     ) -> MaintenanceResult:
         """Maintain from a delta the caller already fetched (shared rounds).
 
@@ -205,14 +206,15 @@ class IncrementalMaintainer(BaseMaintainer):
         ignored.  ``target_version`` is the version the caller fetched the
         delta up to -- required, because the live version may already be
         newer and the sketch must not be marked valid past what it saw.
+        ``memo`` is the round's, shared by every maintainer it feeds.
         """
         if not self.is_captured:
             return self.capture()
         started = time.perf_counter()
-        return self._maintain_from(db_delta, target_version, started)
+        return self._maintain_from(db_delta, target_version, started, memo)
 
     def _maintain_from(
-        self, db_delta: DatabaseDelta, target_version: int, started: float
+        self, db_delta: DatabaseDelta, target_version: int, started: float, memo: dict | None
     ) -> MaintenanceResult:
         assert self.sketch is not None
         relevant = self.engine.restrict_delta(db_delta)
@@ -222,7 +224,7 @@ class IncrementalMaintainer(BaseMaintainer):
             return MaintenanceResult(
                 sketch=self.sketch, seconds=time.perf_counter() - started
             )
-        outcome = self.engine.maintain(relevant, target_version)
+        outcome = self.engine.maintain(relevant, target_version, memo)
         if outcome.needs_recapture:
             # Deletions exhausted a min/max or top-k buffer: fall back to a
             # full recapture (Sec. 7.2).  The recapture scans *live* tables,

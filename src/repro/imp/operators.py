@@ -122,11 +122,17 @@ class Pass:
 
     Either way nothing newer than ``version`` is read: a commit that lands
     while the pass runs is left, whole, to the next delta.
+
+    ``memo`` holds the table accesses' annotated entries by source (a
+    :class:`~repro.storage.delta.Delta`, which hashes by identity, or a table
+    name from scratch) and partition value; a maintenance round shares one
+    between all its engines' passes, every other pass has its own.
     """
 
     db_delta: DatabaseDelta | None
     statistics: EngineStatistics
     version: int
+    memo: dict[tuple, tuple[list[Row], list[int], list[int]]] = field(default_factory=dict)
 
     @classmethod
     def scratch(cls, version: int) -> "Pass":
@@ -181,9 +187,12 @@ class IncrementalTableAccess(IncrementalOperator):
 
     Reads the table's delta out of the database delta -- or, on a from-scratch
     pass, the whole table as of the pass's version as an insert delta --
-    pre-filters it with pushed-down selection conditions (Sec. 7.2, "Filtering
-    Deltas Based On Selections") and annotates each surviving tuple with the
-    range its partition-attribute value belongs to.
+    annotates each tuple with the range its partition-attribute value belongs
+    to (the table's outside fragment for NULL and NaN), and pre-filters the
+    annotated entries with pushed-down selection conditions (Sec. 7.2,
+    "Filtering Deltas Based On Selections").  The annotated entries come from
+    the pass's memo: engines of one round whose partitions agree on this
+    table read the same lists, which are therefore never modified.
     """
 
     def __init__(
@@ -205,9 +214,11 @@ class IncrementalTableAccess(IncrementalOperator):
         self._delta_filter_fn: CompiledBatchExpression | None = None
         self.delta_filter = delta_filter
         self._attribute_index: int | None = None
+        self._memo_key: tuple = (self.table,)
         if partition.has_table(self.table):
             attribute = partition.partition_of(self.table).attribute
             self._attribute_index = base_schema.index_of(attribute)
+            self._memo_key = partition.masks_key(self.table)
 
     @property
     def delta_filter(self) -> Expression | None:
@@ -226,19 +237,10 @@ class IncrementalTableAccess(IncrementalOperator):
         )
 
     def process(self, run: Pass) -> AnnotatedDelta:
-        # Entry order: table order from scratch; otherwise inserts then
-        # deletes, each in the delta's own order.
-        if run.from_scratch:
-            table = self.database.snapshot_relation(self.table, run.version)
-            rows = list(table.distinct_rows())
-            counts = list(map(itemgetter(1), table.items()))
-        else:
-            delta = run.db_delta.get(self.table)
-            rows, counts = delta.signed_entries() if delta else ([], [])
+        rows, masks, counts = self._annotated(run)
         if not rows:
             return AnnotatedDelta(self.output_schema)
-        # Annotated below, once the delta filter has dropped what it can.
-        output = AnnotatedDelta(self.output_schema, rows, [0] * len(rows), counts)
+        output = AnnotatedDelta(self.output_schema, rows, masks, counts)
         fetched = len(output)
         run.statistics.tuples_processed += fetched
         if self._delta_filter_fn is not None:
@@ -246,15 +248,30 @@ class IncrementalTableAccess(IncrementalOperator):
             run.statistics.delta_tuples_filtered += fetched - len(output)
             fetched = len(output)
         run.statistics.delta_tuples_fetched += fetched
-        if self._attribute_index is not None:
-            position = self._attribute_index
-            fragments = self.partition.fragments_of(
-                self.table, [row[position] for row in output.rows]
-            )
-            output.annotations = [
-                0 if fragment is None else 1 << fragment for fragment in fragments
-            ]
         return output
+
+    def _annotated(self, run: Pass) -> tuple[list[Row], list[int], list[int]]:
+        """The pass's rows of the table, their masks and signed counts, from
+        the memo or annotated into it.  Entry order: table order from scratch;
+        otherwise inserts then deletes, each in the delta's own order."""
+        source = self.table if run.from_scratch else run.db_delta.get(self.table)
+        if not source:
+            return [], [], []
+        key = (source, self._memo_key)
+        if key not in run.memo:
+            if run.from_scratch:
+                table = self.database.snapshot_relation(self.table, run.version)
+                rows = list(table.distinct_rows())
+                counts = list(map(itemgetter(1), table.items()))
+            else:
+                rows, counts = source.signed_entries()
+            position = self._attribute_index
+            if position is None:
+                masks = [0] * len(rows)
+            else:
+                masks = self.partition.masks_of(self.table, list(map(itemgetter(position), rows)))
+            run.memo[key] = rows, masks, counts
+        return run.memo[key]
 
     def describe(self) -> str:
         suffix = " [delta filter]" if self.delta_filter is not None else ""

@@ -21,12 +21,17 @@ view maintenance systems (DBToaster-style shared delta processing) do:
    again within the window cancels, so every engine downstream processes the
    *net* delta only;
 4. the shared per-table deltas are fanned out to each stale maintainer through
-   :meth:`~repro.imp.maintenance.BaseMaintainer.maintain_with`.
+   :meth:`~repro.imp.maintenance.BaseMaintainer.maintain_with`;
+5. each shared delta is annotated once per partition: the round's one memo
+   (:attr:`~repro.imp.operators.Pass.memo`, dropped with the round) hands
+   every engine whose partition agrees on a table the same signed entries
+   and fragment masks.
 
 The resulting sketches are identical to maintaining each sketch on its own --
 the incremental operators are linear in the delta -- but the audit-log work
 per round is bounded by the number of distinct (table, version-range) groups,
-not by the number of registered sketches.
+and the annotation work by the distinct (delta, partition) pairs, not by the
+number of registered sketches.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from repro.storage.delta import DatabaseDelta, Delta
 
 @dataclass
 class RoundReport:
-    """Outcome of one shared-delta maintenance round."""
+    """Outcome of one shared-delta maintenance round; ``annotations`` counts
+    its annotation passes, one per distinct (shared delta, partition)."""
 
     examined: int = 0
     maintained: int = 0
@@ -53,6 +59,7 @@ class RoundReport:
     delta_fetches: int = 0
     fetched_tuples: int = 0
     compacted_tuples: int = 0
+    annotations: int = 0
     seconds: float = 0.0
 
     @property
@@ -78,6 +85,7 @@ class SchedulerStatistics:
     delta_fetches: int = 0
     fetched_tuples: int = 0
     compacted_tuples: int = 0
+    annotations: int = 0
     seconds: float = 0.0
 
     def absorb(self, report: RoundReport, as_round: bool = True) -> None:
@@ -92,6 +100,7 @@ class SchedulerStatistics:
         self.delta_fetches += report.delta_fetches
         self.fetched_tuples += report.fetched_tuples
         self.compacted_tuples += report.compacted_tuples
+        self.annotations += report.annotations
         self.seconds += report.seconds
 
 
@@ -170,8 +179,9 @@ class MaintenanceScheduler:
                 self.statistics.absorb(report)
                 return report
             shared = self._fetch_shared_deltas(stale, target, report)
+            memo: dict = {}
             for entry in stale:
-                result = self._fan_out(entry, shared, target)
+                result = self._fan_out(entry, shared, target, memo)
                 report.maintained += 1
                 if result.changed or result.delta_tuples:
                     report.changed += 1
@@ -180,6 +190,7 @@ class MaintenanceScheduler:
                 if result.recaptured:
                     report.recaptured += 1
                 entry.maintenance_seconds += result.seconds
+            report.annotations = len(memo)
             self.store.enforce_memory_budget()
             report.seconds = time.perf_counter() - started
             self.statistics.absorb(report)
@@ -205,8 +216,10 @@ class MaintenanceScheduler:
             report = RoundReport(examined=1)
             target = self.database.version
             shared = self._fetch_shared_deltas([entry], target, report)
-            result = self._fan_out(entry, shared, target)
+            memo: dict = {}
+            result = self._fan_out(entry, shared, target, memo)
             report.maintained = 1
+            report.annotations = len(memo)
             if result.changed or result.delta_tuples:
                 report.changed = 1
             if result.recaptured:
@@ -253,15 +266,17 @@ class MaintenanceScheduler:
         entry: SketchEntry,
         shared: dict[tuple[str, int], Delta],
         target: int,
+        memo: dict,
     ) -> MaintenanceResult:
-        """Feed the shared deltas for one entry through its maintainer."""
+        """Feed the shared deltas for one entry through its maintainer, with
+        the round's annotation memo."""
         since = entry.valid_at_version
         db_delta = DatabaseDelta()
         for table in entry.referenced_tables():
             delta = shared.get((table, since))
             if delta:
                 db_delta.set_delta(table, delta)
-        return entry.maintainer.maintain_with(db_delta, target)
+        return entry.maintainer.maintain_with(db_delta, target, memo)
 
     # -- reporting ------------------------------------------------------------------------
 
@@ -275,6 +290,7 @@ class MaintenanceScheduler:
             "delta_fetches": stats.delta_fetches,
             "fetched_tuples": stats.fetched_tuples,
             "compacted_tuples": stats.compacted_tuples,
+            "annotations": stats.annotations,
             "recaptures": stats.recaptured,
             "seconds": stats.seconds,
         }

@@ -44,7 +44,6 @@ from repro.imp.annotated import AnnotatedDelta
 from repro.relational import kernels
 from repro.relational.algebra import Aggregate, AggregateFunction
 from repro.relational.schema import Row
-from repro.sketch.sketch import iter_bits
 
 
 class _SortedDict(dict):
@@ -692,13 +691,22 @@ class MergeState:
 
         Returns the fragments that ``(entered, left)`` the sketch, i.e. whose
         reference count became positive / stopped being positive.
+
+        Entries are applied one by one, in order, without netting the counts
+        of equal masks first: a count that passes through zero drops its
+        fragment and re-inserts it at the end of ``counts``, and that order
+        is what a persisted payload lists.
         """
         totals = self.counts
         before: dict[int, int] = {}
         for annotation, count in entries:
-            for fragment in iter_bits(annotation):
+            while annotation:
+                low = annotation & -annotation
+                annotation ^= low
+                fragment = low.bit_length() - 1
                 current = totals.get(fragment, 0)
-                before.setdefault(fragment, current)
+                if fragment not in before:
+                    before[fragment] = current
                 if current + count:
                     totals[fragment] = current + count
                 else:

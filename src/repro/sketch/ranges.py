@@ -3,7 +3,9 @@
 A range partition (paper Def. 4.1) divides the domain of a partition attribute
 into disjoint intervals that together cover the whole domain.  Tuples belong to
 the fragment whose interval contains their attribute value; provenance sketches
-record which fragments overlap a query's provenance.
+record which fragments overlap a query's provenance.  NULL and NaN lie in no
+interval: a database partition gives each table one more fragment id for them,
+numbered after every range.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
-from operator import eq
 
 from repro.core.errors import SketchError
 
@@ -67,6 +67,7 @@ class RangePartition:
         self.table = table.lower()
         self.attribute = attribute
         self._boundaries = cleaned
+        self._position_masks: dict[int, list[int]] = {}
 
     # -- constructors -------------------------------------------------------------
 
@@ -146,9 +147,10 @@ class RangePartition:
 
     def fragment_of(self, value: float) -> int:
         """Fragment index containing ``value`` (binary search over boundaries)."""
-        if value is None:
+        if value is None or value != value:
             raise SketchError(
-                f"NULL value has no fragment in partition on {self.table}.{self.attribute}"
+                f"{'NULL' if value is None else 'NaN'} value has no fragment in "
+                f"partition on {self.table}.{self.attribute}"
             )
         if value < self._boundaries[0] or value > self._boundaries[-1]:
             raise self._outside_domain(value)
@@ -161,31 +163,40 @@ class RangePartition:
             f"{self.table}.{self.attribute}"
         )
 
-    def fragments_of(self, values: Iterable[float | None], offset: int = 0) -> list[int | None]:
-        """Batch :meth:`fragment_of`: ``offset`` + fragment index per value.
+    def masks_of(self, values: Iterable[float | None], offset: int, outside: int) -> list[int]:
+        """Batch :meth:`fragment_of` as masks: ``1 << (offset + fragment)``
+        per value, from one bisection pass and one lookup pass.
 
-        A NULL value belongs to no fragment (``None``); a value outside the
-        partition's domain raises like the per-value lookup.
+        A NULL or NaN value lies in no range and gets the ``outside`` mask; a
+        value outside the partition's domain raises like the per-value lookup.
         """
         values = list(values)
-        present = [v for v in values if v is not None] if None in values else values
+        if None in values:
+            present = iter(self.masks_of([v for v in values if v is not None], offset, outside))
+            return [outside if value is None else next(present) for value in values]
         boundaries = self._boundaries
         end = len(boundaries)
-        positions = list(map(partial(bisect.bisect_right, boundaries), present))
+        positions = list(map(partial(bisect.bisect_right, boundaries), values))
         # A position is 0 below the domain and ``end`` from its upper bound on,
-        # which the last fragment includes.
+        # which the last fragment includes -- and so is NaN's, which no
+        # comparison orders.
         if 0 in positions:
-            raise self._outside_domain(present[positions.index(0)])
-        high = boundaries[-1]
-        for value in compress(present, map(eq, positions, repeat(end))):
-            if value > high:
-                raise self._outside_domain(value)
-        shift, last = offset - 1, offset + self.num_fragments - 1
-        fragments = [position + shift if position < end else last for position in positions]
-        if present is values:
-            return fragments
-        next_fragment = iter(fragments).__next__
-        return [None if value is None else next_fragment() for value in values]
+            raise self._outside_domain(values[positions.index(0)])
+        by_position = self._position_masks.get(offset)
+        if by_position is None:
+            fragments = [*range(self.num_fragments), self.num_fragments - 1]
+            by_position = [0, *(1 << (offset + fragment) for fragment in fragments)]
+            self._position_masks[offset] = by_position
+        masks = list(map(by_position.__getitem__, positions))
+        if end in positions:
+            high = boundaries[-1]
+            for index in [i for i, position in enumerate(positions) if position == end]:
+                value = values[index]
+                if value != value:
+                    masks[index] = outside
+                elif value > high:
+                    raise self._outside_domain(value)
+        return masks
 
     def byte_size(self) -> int:
         """Memory footprint of the boundary list (Fig. 18, "Memory of Ranges")."""
@@ -228,7 +239,9 @@ class DatabasePartition:
 
     Every range of every member partition is assigned a global fragment
     identifier, so a provenance sketch over ``Φ`` can be stored as a single
-    bitvector even when the query accesses several partitioned tables.
+    bitvector even when the query accesses several partitioned tables.  After
+    the ranges, each table has one *outside* id, in table order: the fragment
+    of its rows whose partition value is NULL or NaN, which no range holds.
     """
 
     def __init__(self, partitions: Iterable[RangePartition] = ()) -> None:
@@ -284,12 +297,21 @@ class DatabasePartition:
             raise SketchError(f"fragment index {fragment_index} out of bounds for {table}")
         return self._offsets[table] + fragment_index
 
-    def resolve(self, global_id: int) -> tuple[str, int]:
-        """Map a global fragment id back to ``(table, fragment_index)``."""
+    def outside_id(self, table: str) -> int:
+        """Global id of the fragment of ``table``'s NULL and NaN values."""
+        partition = self.partition_of(table)
+        return self._total + list(self._partitions).index(partition.table)
+
+    def resolve(self, global_id: int) -> tuple[str, int | None]:
+        """Map a global fragment id back to ``(table, fragment_index)``; the
+        index of an outside id is None."""
         for table, partition in self._partitions.items():
             offset = self._offsets[table]
             if offset <= global_id < offset + partition.num_fragments:
                 return table, global_id - offset
+        tables = list(self._partitions)
+        if 0 <= global_id - self._total < len(tables):
+            return tables[global_id - self._total], None
         raise SketchError(f"unknown global fragment id {global_id}")
 
     def fragment_of(self, table: str, value: float) -> int:
@@ -297,10 +319,22 @@ class DatabasePartition:
         partition = self.partition_of(table)
         return self._offsets[partition.table] + partition.fragment_of(value)
 
-    def fragments_of(self, table: str, values: Iterable[float | None]) -> list[int | None]:
-        """Global fragment id per value (``None`` for NULL) in one pass."""
+    def masks_of(self, table: str, values: Iterable[float | None]) -> list[int]:
+        """Global fragment mask per value in one pass, the outside id's for
+        NULL and NaN."""
         partition = self.partition_of(table)
-        return partition.fragments_of(values, self._offsets[partition.table])
+        return partition.masks_of(
+            values, self._offsets[partition.table], 1 << self.outside_id(table)
+        )
+
+    def masks_key(self, table: str) -> tuple:
+        """What :meth:`masks_of` depends on beside the values: partitions
+        with equal keys for a table give its values equal masks."""
+        partition = self.partition_of(table)
+        return (
+            partition.table, partition.attribute, tuple(partition.boundaries),
+            self._offsets[partition.table], self.outside_id(table),
+        )
 
     def byte_size(self) -> int:
         """Memory footprint of all boundary lists."""

@@ -78,7 +78,8 @@ class ProvenanceSketch:
 
     @classmethod
     def full(cls, partition: DatabasePartition) -> "ProvenanceSketch":
-        """A sketch containing every fragment (covers the entire database)."""
+        """A sketch containing every range (covers every non-NULL, non-NaN
+        value of the partitioned tables)."""
         return cls._of_mask(partition, (1 << partition.total_fragments) - 1)
 
     @classmethod
@@ -94,12 +95,10 @@ class ProvenanceSketch:
     # -- membership ----------------------------------------------------------------
 
     def add(self, global_id: int) -> None:
-        """Add a fragment by global id."""
-        if not 0 <= global_id < self.partition.total_fragments:
-            raise SketchError(
-                f"fragment id {global_id} outside the partition with "
-                f"{self.partition.total_fragments} fragments"
-            )
+        """Add a fragment by global id (a range's or a table's outside id)."""
+        ids = self.partition.total_fragments + len(self.partition)
+        if not 0 <= global_id < ids:
+            raise SketchError(f"fragment id {global_id} outside the partition with {ids} ids")
         self.mask |= 1 << global_id
 
     def add_fragment(self, table: str, fragment_index: int) -> None:
@@ -242,6 +241,9 @@ class ProvenanceSketch:
         for global_id in self.fragment_ids():
             table, local_index = self.partition.resolve(global_id)
             if not new_partition.has_table(table):
+                continue
+            if local_index is None:
+                result.add(new_partition.outside_id(table))
                 continue
             old_range = self.partition.partition_of(table).range_at(local_index)
             new_table_partition = new_partition.partition_of(table)

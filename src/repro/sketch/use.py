@@ -36,11 +36,13 @@ def sketch_predicate(
 ) -> Expression | None:
     """The filter predicate for ``table`` induced by ``sketch``.
 
-    Returns None when the table is not partitioned (no filtering possible) and
-    a contradiction (``1 = 0``) when the sketch covers no fragment of the
-    table, since no tuple of that table contributes to the query result.
+    Returns None when the table is not partitioned (no filtering possible) or
+    the sketch holds the table's outside fragment (a NULL or NaN value no
+    range condition selects), and a contradiction (``1 = 0``) when the sketch
+    covers no fragment of the table, since no tuple of that table contributes
+    to the query result.
     """
-    if not sketch.partition.has_table(table):
+    if not sketch.partition.has_table(table) or sketch.partition.outside_id(table) in sketch:
         return None
     partition = sketch.partition.partition_of(table)
     column = ColumnRef(attribute or partition.attribute)

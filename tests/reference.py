@@ -180,7 +180,8 @@ class AnnotatedEvaluator:
 
     def _table_scan(self, node: TableScan) -> AnnotatedRelation:
         """Each row annotated with the fragment its partition value falls into
-        (no fragment for NULL values and unpartitioned tables)."""
+        (the table's outside fragment for NULL and NaN, no fragment for
+        unpartitioned tables)."""
         base = self._provider.relation(node.table)
         result = AnnotatedRelation(base.schema.qualify(node.alias))
         position = None
@@ -189,8 +190,12 @@ class AnnotatedEvaluator:
             position = base.schema.index_of(attribute)
         for row, multiplicity in base.items():
             annotation: frozenset[int] = frozenset()
-            if position is not None and row[position] is not None:
-                annotation = frozenset({self._partition.fragment_of(node.table, row[position])})
+            if position is not None:
+                value = row[position]
+                if value is None or value != value:
+                    annotation = frozenset({self._partition.outside_id(node.table)})
+                else:
+                    annotation = frozenset({self._partition.fragment_of(node.table, value)})
             result.add(row, annotation, multiplicity)
         return result
 

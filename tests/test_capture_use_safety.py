@@ -5,10 +5,14 @@ Example 1.1/1.2): the accurate sketch of Q_top is {ρ3, ρ4}, and inserting the
 tuple s8 extends it with ρ2.
 """
 
+import math
+
 import pytest
 
 from repro.relational.algebra import Selection, TableScan, walk_plan
 from repro.imp.engine import capture_sketch
+from repro.imp.middleware import IMPSystem
+from repro.storage.database import Database
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.safety import SafetyAnalyzer, safe_attributes
 from repro.sketch.selection import build_database_partition, build_partition, choose_sketch_attribute
@@ -121,6 +125,51 @@ class TestUseRewrite:
         half = ProvenanceSketch(sales_partition, [0, 1])
         assert estimated_selectivity(half, "sales") == 0.5
         assert estimated_selectivity(half, "unknown") == 1.0
+
+
+class TestValuesNoRangeHolds:
+    """A NULL or NaN partition value lies in no range: its rows carry the
+    table's outside fragment, and a sketch holding it does not filter the
+    table, so the sketch-answered result keeps them."""
+
+    SQL = "SELECT a, sum(b) AS s FROM t GROUP BY a HAVING sum(b) > 100"
+
+    @pytest.mark.parametrize("odd", [None, math.nan], ids=["null", "nan"])
+    @pytest.mark.parametrize("at_capture", [True, False], ids=["captured", "inserted"])
+    def test_sketch_answer_equals_full_query(self, odd, at_capture):
+        database = Database()
+        database.create_table("t", ["id", "a", "b"], primary_key="id")
+        database.insert("t", [(i, float(i % 10), 1.0) for i in range(200)])
+        row = (1000, odd, 500.0)
+        if at_capture:
+            database.insert("t", [row])
+        imp = IMPSystem(database, num_fragments=4)
+
+        def check(has_row: bool) -> None:
+            answer = imp.run_query(self.SQL).to_sorted_list()
+            assert repr(answer) == repr(database.query(self.SQL).to_sorted_list())
+            assert len(answer) == has_row
+            (entry,) = imp.store.entries()
+            assert (entry.partition.outside_id("t") in entry.sketch) == has_row
+
+        check(at_capture)
+        for _ in range(2):
+            if at_capture:
+                imp.apply_update("t", deletes=[row])
+            else:
+                imp.apply_update("t", inserts=[row])
+            at_capture = not at_capture
+            check(at_capture)
+
+    def test_engine_annotates_like_the_oracle(self):
+        database = Database()
+        database.create_table("t", ["a", "b"])
+        database.insert("t", [(1.0, 1), (None, 2), (math.nan, 3), (7.0, 4)])
+        partition = DatabasePartition([RangePartition.from_boundaries("t", "a", [0, 5, 10])])
+        plan = database.plan("SELECT a, b FROM t")
+        annotated = AnnotatedEvaluator(database, partition).evaluate(plan)
+        assert engine_output(plan, partition, database) == annotated.entries()
+        assert sorted(capture_sketch(plan, partition, database).fragment_ids()) == [0, 1, 2]
 
 
 class TestSafety:

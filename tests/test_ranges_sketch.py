@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.errors import SketchError
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.sketch import ProvenanceSketch, SketchDelta, iter_bits
+from repro.sketch.use import sketch_predicate
 
 
 @pytest.fixture()
@@ -35,6 +36,8 @@ class TestRangePartition:
             price_partition.fragment_of(0)
         with pytest.raises(SketchError):
             price_partition.fragment_of(None)
+        with pytest.raises(SketchError):
+            price_partition.fragment_of(math.nan)
 
     def test_num_fragments_and_ranges(self, price_partition):
         assert price_partition.num_fragments == 4
@@ -95,34 +98,44 @@ class TestDatabasePartition:
         assert database_partition.fragment_of("sales", 349) == 0
         assert database_partition.fragment_of("s", 75) == 5
 
-    def test_fragments_of_matches_per_value_lookup(self, database_partition):
+    def test_masks_of_matches_per_value_lookup(self, database_partition):
         # Boundaries, both closed domain ends, interior values and NULLs.
         prices = [1, 600, 601, 1000.5, 1001, 1501, 9999, 10000, None, 349]
-        assert database_partition.fragments_of("sales", prices) == [
-            None if price is None else database_partition.fragment_of("sales", price)
+        outside = 1 << database_partition.outside_id("sales")
+        assert database_partition.masks_of("sales", prices) == [
+            outside if price is None else 1 << database_partition.fragment_of("sales", price)
             for price in prices
         ]
-        assert database_partition.fragments_of("S", [0, 50, None, 100]) == [4, 5, None, 5]
-        assert database_partition.fragments_of("s", iter([])) == []
+        assert database_partition.masks_of("S", [0, 50, None, 100]) == [16, 32, 128, 32]
+        assert database_partition.masks_of("s", iter([])) == []
 
-    def test_fragments_of_covered_domain_ends(self):
+    def test_masks_of_covered_domain_ends(self):
         covered = RangePartition.from_boundaries("t", "a", [10, 20, 30], cover_domain=True)
         partition = DatabasePartition([RangePartition("u", "x", [0, 1]), covered])
-        values = [-math.inf, -1e300, 10, 19.999, 20, 1e300, math.inf, None]
-        assert partition.fragments_of("t", values) == [1, 1, 1, 1, 2, 2, 2, None]
-        assert partition.fragments_of("t", values[:-1]) == [
-            partition.fragment_of("t", value) for value in values[:-1]
+        values = [-math.inf, -1e300, 10, 19.999, 20, 1e300, math.inf, None, math.nan]
+        assert partition.masks_of("t", values) == [2, 2, 2, 2, 4, 4, 4, 16, 16]
+        assert partition.masks_of("t", values[:-2]) == [
+            1 << partition.fragment_of("t", value) for value in values[:-2]
         ]
 
-    def test_fragments_of_rejects_out_of_domain_values(self):
+    def test_masks_of_rejects_out_of_domain_values(self):
         bounded = RangePartition.equi_width("t", "a", 0, 100, 4, cover_domain=False)
         partition = DatabasePartition([bounded])
-        assert partition.fragments_of("t", [0, 25, 100]) == [0, 1, 3]
+        assert partition.masks_of("t", [0, 25, 100, math.nan]) == [1, 2, 8, 16]
         for outside in (-0.5, 100.5):
             with pytest.raises(SketchError, match="outside the domain"):
-                partition.fragments_of("t", [50, None, outside])
+                partition.masks_of("t", [50, None, math.nan, outside])
         with pytest.raises(SketchError):
-            partition.fragments_of("missing", [1])
+            partition.masks_of("missing", [1])
+
+    def test_outside_ids_follow_every_range(self, database_partition):
+        assert [database_partition.outside_id(t) for t in ("sales", "S")] == [6, 7]
+        assert database_partition.resolve(6) == ("sales", None)
+        assert database_partition.resolve(7) == ("s", None)
+        with pytest.raises(SketchError):
+            database_partition.resolve(8)
+        with pytest.raises(SketchError, match="NaN"):
+            database_partition.fragment_of("sales", math.nan)
 
     def test_duplicate_table_rejected(self, price_partition):
         partition = DatabasePartition([price_partition])
@@ -207,11 +220,22 @@ class TestProvenanceSketch:
         clone.discard(3)  # absent: no error
         assert list(clone.fragment_ids()) == [1] and 5 in sketch
 
-    @pytest.mark.parametrize("fragment", [-1, 6, 100])
+    @pytest.mark.parametrize("fragment", [-1, 8, 100])
     def test_ids_outside_the_partition_are_rejected(self, database_partition, fragment):
         with pytest.raises(SketchError):
             ProvenanceSketch(database_partition, [0, fragment])
         assert fragment not in ProvenanceSketch.full(database_partition)
+
+    def test_outside_ids_are_fragments_but_not_ranges(self, database_partition):
+        sketch = ProvenanceSketch(database_partition, [1, 6])
+        assert 6 in sketch and [r.index for r in sketch.ranges_for("sales")] == [1]
+        # A NULL or NaN sales row is in the provenance: no range condition
+        # would select it, so sales is not filtered.
+        assert sketch_predicate(sketch, "sales") is None
+        assert sketch_predicate(sketch, "s").canonical() == "(1 = 0)"
+        assert sketch_predicate(ProvenanceSketch(database_partition, [1]), "sales") is not None
+        narrower = DatabasePartition([RangePartition("sales", "price", [1, 301, 601, 10000])])
+        assert list(sketch.rebase(narrower).fragment_ids()) == [2, 3]
 
     def test_union(self, database_partition):
         union = ProvenanceSketch(database_partition, [0, 1]).union(
