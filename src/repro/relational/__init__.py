@@ -17,7 +17,6 @@ from repro.relational.algebra import (
     Aggregate,
     AggregateFunction,
     Aggregation,
-    CrossProduct,
     Distinct,
     Join,
     PlanNode,
@@ -56,7 +55,6 @@ __all__ = [
     "ColumnBatch",
     "ColumnRef",
     "Comparison",
-    "CrossProduct",
     "Distinct",
     "Evaluator",
     "Expression",

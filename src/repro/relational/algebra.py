@@ -6,6 +6,11 @@ max), duplicate removal and top-k.  Plans are immutable trees; both the
 backend evaluator (:mod:`repro.relational.evaluator`) and the IMP incremental
 compiler (:mod:`repro.imp.engine`) consume the same representation, which is
 what lets IMP maintain exactly the queries the backend can answer.
+
+Every node has ``children()`` and ``with_children(children)``, a copy of the
+node over new children that keeps its own fields (predicate, items, keys); a
+leaf returns itself.  Plan rewrites (the optimizer, the use rewrite) handle
+the node types they change and rebuild every other node through it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from collections.abc import Iterator, Sequence
 from typing import Protocol
 
 from repro.core.errors import PlanError
-from repro.relational.expressions import ColumnRef, Expression
+from repro.relational.expressions import ColumnRef, Expression, column_equality, conjuncts
 from repro.relational.schema import Schema
 
 
@@ -36,6 +41,10 @@ class PlanNode:
 
     def children(self) -> tuple["PlanNode", ...]:
         """The child operators (empty for leaves)."""
+        raise NotImplementedError
+
+    def with_children(self, children: Sequence["PlanNode"]) -> "PlanNode":
+        """A copy of this operator over ``children`` (in :meth:`children` order)."""
         raise NotImplementedError
 
     def output_schema(self, catalog: SchemaProvider) -> Schema:
@@ -95,6 +104,9 @@ class TableScan(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return ()
 
+    def with_children(self, children: Sequence[PlanNode]) -> "TableScan":
+        return self
+
     def output_schema(self, catalog: SchemaProvider) -> Schema:
         return catalog.schema_of(self.table).qualify(self.alias)
 
@@ -113,6 +125,9 @@ class Selection(PlanNode):
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
+
+    def with_children(self, children: Sequence[PlanNode]) -> "Selection":
+        return Selection(*children, self.predicate)
 
     def output_schema(self, catalog: SchemaProvider) -> Schema:
         return self.child.output_schema(catalog)
@@ -151,6 +166,9 @@ class Projection(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
+    def with_children(self, children: Sequence[PlanNode]) -> "Projection":
+        return Projection(*children, self.items)
+
     def output_schema(self, catalog: SchemaProvider) -> Schema:
         return Schema(item.alias for item in self.items)
 
@@ -175,6 +193,9 @@ class Join(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
+    def with_children(self, children: Sequence[PlanNode]) -> "Join":
+        return Join(*children, self.condition)
+
     def output_schema(self, catalog: SchemaProvider) -> Schema:
         return self.left.output_schema(catalog).concat(self.right.output_schema(catalog))
 
@@ -190,29 +211,12 @@ class Join(PlanNode):
         Used by the incremental engine to maintain Bloom filters on the join
         attributes (Sec. 7.2).  Returns None for non-equi joins.
         """
-        from repro.relational.expressions import Comparison, conjuncts
-
         if self.condition is None:
             return None
-        left_keys: list[str] = []
-        right_keys: list[str] = []
-        for conjunct in conjuncts(self.condition):
-            if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-                return None
-            if not isinstance(conjunct.left, ColumnRef) or not isinstance(
-                conjunct.right, ColumnRef
-            ):
-                return None
-            left_keys.append(conjunct.left.name)
-            right_keys.append(conjunct.right.name)
-        return left_keys, right_keys
-
-
-class CrossProduct(Join):
-    """Explicit cross product node (a :class:`Join` without a condition)."""
-
-    def __init__(self, left: PlanNode, right: PlanNode) -> None:
-        super().__init__(left, right, condition=None)
+        pairs = [column_equality(conjunct) for conjunct in conjuncts(self.condition)]
+        if None in pairs:
+            return None
+        return [left for left, _ in pairs], [right for _, right in pairs]
 
 
 class AggregateFunction(enum.Enum):
@@ -278,6 +282,9 @@ class Aggregation(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
+    def with_children(self, children: Sequence[PlanNode]) -> "Aggregation":
+        return Aggregation(*children, self.group_by, self.aggregates)
+
     def group_attribute_names(self) -> list[str]:
         """Output attribute names of the grouping expressions."""
         names = []
@@ -307,6 +314,9 @@ class Distinct(PlanNode):
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
+
+    def with_children(self, children: Sequence[PlanNode]) -> "Distinct":
+        return Distinct(*children)
 
     def output_schema(self, catalog: SchemaProvider) -> Schema:
         return self.child.output_schema(catalog)
@@ -342,6 +352,9 @@ class TopK(PlanNode):
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
+
+    def with_children(self, children: Sequence[PlanNode]) -> "TopK":
+        return TopK(*children, self.k, self.order_by)
 
     def output_schema(self, catalog: SchemaProvider) -> Schema:
         return self.child.output_schema(catalog)

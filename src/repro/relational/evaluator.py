@@ -25,10 +25,9 @@ from repro.relational.algebra import (
 from repro.relational import kernels
 from repro.relational.columnar import ColumnBatch
 from repro.relational.expressions import (
-    ColumnRef,
-    Comparison,
     Expression,
     Literal,
+    column_equality,
     compile_batch_expression,
     conjunction,
     conjuncts,
@@ -287,13 +286,11 @@ class Evaluator:
 def _key_pair(conjunct: Expression, combined: Schema, split: int) -> tuple[int, int] | None:
     """``(left position, right position)`` of an equality between an attribute
     of each side of ``combined`` (the left side's ``split`` columns first)."""
-    if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-        return None
-    if not isinstance(conjunct.left, ColumnRef) or not isinstance(conjunct.right, ColumnRef):
+    names = column_equality(conjunct)
+    if names is None:
         return None
     try:
-        a = combined.index_of(conjunct.left.name)
-        b = combined.index_of(conjunct.right.name)
+        a, b = map(combined.index_of, names)
     except SchemaError:
         # Unresolvable or ambiguous references: the error belongs to
         # condition compilation, which the residual surfaces.

@@ -12,9 +12,15 @@ Every node implements
 * ``compile_batch(schema)`` -- the one lowering: specialise the expression
   for a schema, returning a column kernel ``(columns, n) -> value column``
   with all column positions pre-resolved,
-* ``columns()`` -- the set of referenced attribute names,
-* ``rename(mapping)`` -- structural copy with column names substituted, and
+* ``children()`` -- the direct sub-expressions (empty for a leaf),
+* ``with_children(children)`` -- a copy of the node over new children, in
+  :meth:`~Expression.children` order (a leaf returns itself), and
 * a deterministic ``canonical()`` string used for query templates.
+
+``columns()`` and ``contains_aggregate()`` are walks over ``children()``;
+every rewrite (constant folding, substitution through a projection, the
+translator's post-aggregation rewrite) rebuilds a node through
+``with_children`` and handles only the node types it changes.
 
 Callers go through :func:`compile_batch_expression`, which caches kernels per
 ``(expression, schema)`` so repeated maintenance rounds reuse them.  The
@@ -26,7 +32,7 @@ evaluates an expression tree.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.core.errors import SchemaError, UnsupportedOperationError
@@ -68,13 +74,20 @@ class Expression:
         """Node-specific lowering (no constant folding)."""
         raise NotImplementedError
 
-    def columns(self) -> set[str]:
-        """Attribute names referenced by the expression."""
+    def children(self) -> tuple["Expression", ...]:
+        """The direct sub-expressions (empty for leaves)."""
         raise NotImplementedError
 
-    def rename(self, mapping: Mapping[str, str]) -> "Expression":
-        """Return a copy with column references substituted via ``mapping``."""
+    def with_children(self, children: Sequence["Expression"]) -> "Expression":
+        """A copy of this node over ``children`` (in :meth:`children` order)."""
         raise NotImplementedError
+
+    def columns(self) -> set[str]:
+        """Attribute names referenced by the expression."""
+        result: set[str] = set()
+        for child in self.children():
+            result |= child.columns()
+        return result
 
     def canonical(self, parameterize: bool = False) -> str:
         """Deterministic textual form; with ``parameterize`` literals become ``?``."""
@@ -82,7 +95,7 @@ class Expression:
 
     def contains_aggregate(self) -> bool:
         """Whether the expression (transitively) contains an aggregate call."""
-        return False
+        return any(child.contains_aggregate() for child in self.children())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.canonical()
@@ -109,11 +122,14 @@ class ColumnRef(Expression):
         # The input column *is* the value column (shared, read-only).
         return lambda columns, n: columns[index]
 
+    def children(self) -> tuple[Expression, ...]:
+        return ()
+
+    def with_children(self, children: Sequence[Expression]) -> "ColumnRef":
+        return self
+
     def columns(self) -> set[str]:
         return {self.name}
-
-    def rename(self, mapping: Mapping[str, str]) -> "ColumnRef":
-        return ColumnRef(mapping.get(self.name, self.name))
 
     def canonical(self, parameterize: bool = False) -> str:
         return self.name
@@ -131,11 +147,11 @@ class Literal(Expression):
         value = self.value
         return lambda columns, n: [value] * n
 
-    def columns(self) -> set[str]:
-        return set()
+    def children(self) -> tuple[Expression, ...]:
+        return ()
 
-    def rename(self, mapping: Mapping[str, str]) -> "Literal":
-        return Literal(self.value)
+    def with_children(self, children: Sequence[Expression]) -> "Literal":
+        return self
 
     def canonical(self, parameterize: bool = False) -> str:
         if parameterize:
@@ -179,20 +195,17 @@ class BinaryOp(Expression):
 
         return run
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.left, self.right)
 
-    def rename(self, mapping: Mapping[str, str]) -> "BinaryOp":
-        return BinaryOp(self.op, self.left.rename(mapping), self.right.rename(mapping))
+    def with_children(self, children: Sequence[Expression]) -> "BinaryOp":
+        return BinaryOp(self.op, *children)
 
     def canonical(self, parameterize: bool = False) -> str:
         return (
             f"({self.left.canonical(parameterize)} {self.op} "
             f"{self.right.canonical(parameterize)})"
         )
-
-    def contains_aggregate(self) -> bool:
-        return self.left.contains_aggregate() or self.right.contains_aggregate()
 
 
 class UnaryMinus(Expression):
@@ -211,17 +224,14 @@ class UnaryMinus(Expression):
 
         return run
 
-    def columns(self) -> set[str]:
-        return self.operand.columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand,)
 
-    def rename(self, mapping: Mapping[str, str]) -> "UnaryMinus":
-        return UnaryMinus(self.operand.rename(mapping))
+    def with_children(self, children: Sequence[Expression]) -> "UnaryMinus":
+        return UnaryMinus(*children)
 
     def canonical(self, parameterize: bool = False) -> str:
         return f"(-{self.operand.canonical(parameterize)})"
-
-    def contains_aggregate(self) -> bool:
-        return self.operand.contains_aggregate()
 
 
 _COMPARISONS = {
@@ -275,11 +285,11 @@ class Comparison(Expression):
 
         return run_batch
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.left, self.right)
 
-    def rename(self, mapping: Mapping[str, str]) -> "Comparison":
-        return Comparison(self.op, self.left.rename(mapping), self.right.rename(mapping))
+    def with_children(self, children: Sequence[Expression]) -> "Comparison":
+        return Comparison(self.op, *children)
 
     def canonical(self, parameterize: bool = False) -> str:
         op = "<>" if self.op == "!=" else self.op
@@ -287,9 +297,6 @@ class Comparison(Expression):
             f"({self.left.canonical(parameterize)} {op} "
             f"{self.right.canonical(parameterize)})"
         )
-
-    def contains_aggregate(self) -> bool:
-        return self.left.contains_aggregate() or self.right.contains_aggregate()
 
 
 class Between(Expression):
@@ -332,25 +339,16 @@ class Between(Expression):
 
         return run_batch
 
-    def columns(self) -> set[str]:
-        return self.operand.columns() | self.low.columns() | self.high.columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand, self.low, self.high)
 
-    def rename(self, mapping: Mapping[str, str]) -> "Between":
-        return Between(
-            self.operand.rename(mapping), self.low.rename(mapping), self.high.rename(mapping)
-        )
+    def with_children(self, children: Sequence[Expression]) -> "Between":
+        return Between(*children)
 
     def canonical(self, parameterize: bool = False) -> str:
         return (
             f"({self.operand.canonical(parameterize)} BETWEEN "
             f"{self.low.canonical(parameterize)} AND {self.high.canonical(parameterize)})"
-        )
-
-    def contains_aggregate(self) -> bool:
-        return (
-            self.operand.contains_aggregate()
-            or self.low.contains_aggregate()
-            or self.high.contains_aggregate()
         )
 
 
@@ -371,18 +369,15 @@ class IsNull(Expression):
             ]
         return lambda columns, n: [value is None for value in operand(columns, n)]
 
-    def columns(self) -> set[str]:
-        return self.operand.columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand,)
 
-    def rename(self, mapping: Mapping[str, str]) -> "IsNull":
-        return IsNull(self.operand.rename(mapping), self.negated)
+    def with_children(self, children: Sequence[Expression]) -> "IsNull":
+        return IsNull(*children, self.negated)
 
     def canonical(self, parameterize: bool = False) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.operand.canonical(parameterize)} {suffix})"
-
-    def contains_aggregate(self) -> bool:
-        return self.operand.contains_aggregate()
 
 
 class LogicalOp(Expression):
@@ -425,21 +420,15 @@ class LogicalOp(Expression):
 
         return run
 
-    def columns(self) -> set[str]:
-        result: set[str] = set()
-        for operand in self.operands:
-            result |= operand.columns()
-        return result
+    def children(self) -> tuple[Expression, ...]:
+        return self.operands
 
-    def rename(self, mapping: Mapping[str, str]) -> "LogicalOp":
-        return LogicalOp(self.op, [operand.rename(mapping) for operand in self.operands])
+    def with_children(self, children: Sequence[Expression]) -> "LogicalOp":
+        return LogicalOp(self.op, children)
 
     def canonical(self, parameterize: bool = False) -> str:
         inner = f" {self.op} ".join(op.canonical(parameterize) for op in self.operands)
         return f"({inner})"
-
-    def contains_aggregate(self) -> bool:
-        return any(operand.contains_aggregate() for operand in self.operands)
 
 
 class Not(Expression):
@@ -460,17 +449,14 @@ class Not(Expression):
 
         return run
 
-    def columns(self) -> set[str]:
-        return self.operand.columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand,)
 
-    def rename(self, mapping: Mapping[str, str]) -> "Not":
-        return Not(self.operand.rename(mapping))
+    def with_children(self, children: Sequence[Expression]) -> "Not":
+        return Not(*children)
 
     def canonical(self, parameterize: bool = False) -> str:
         return f"(NOT {self.operand.canonical(parameterize)})"
-
-    def contains_aggregate(self) -> bool:
-        return self.operand.contains_aggregate()
 
 
 AGGREGATE_FUNCTIONS = frozenset({"sum", "count", "avg", "min", "max"})
@@ -536,14 +522,11 @@ class FunctionCall(Expression):
 
         return run
 
-    def columns(self) -> set[str]:
-        result: set[str] = set()
-        for arg in self.args:
-            result |= arg.columns()
-        return result
+    def children(self) -> tuple[Expression, ...]:
+        return self.args
 
-    def rename(self, mapping: Mapping[str, str]) -> "FunctionCall":
-        return FunctionCall(self.name, [arg.rename(mapping) for arg in self.args], self.star)
+    def with_children(self, children: Sequence[Expression]) -> "FunctionCall":
+        return FunctionCall(self.name, children, self.star)
 
     def canonical(self, parameterize: bool = False) -> str:
         if self.star:
@@ -552,7 +535,7 @@ class FunctionCall(Expression):
         return f"{self.name}({inner})"
 
     def contains_aggregate(self) -> bool:
-        return self.is_aggregate or any(arg.contains_aggregate() for arg in self.args)
+        return self.is_aggregate or super().contains_aggregate()
 
 
 _COMPILE_CACHE: dict[tuple[str, Schema], CompiledBatchExpression] = {}
@@ -627,3 +610,32 @@ def conjunction(expressions: Sequence[Expression]) -> Expression | None:
     if len(expressions) == 1:
         return expressions[0]
     return LogicalOp("AND", expressions)
+
+
+def column_equality(expression: Expression) -> tuple[str, str] | None:
+    """``(left name, right name)`` when ``expression`` is ``column = column``."""
+    if (
+        isinstance(expression, Comparison)
+        and expression.op == "="
+        and isinstance(expression.left, ColumnRef)
+        and isinstance(expression.right, ColumnRef)
+    ):
+        return expression.left.name, expression.right.name
+    return None
+
+
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def column_versus_literal(expression: Expression) -> tuple[str, str, Any] | None:
+    """``(column name, operator, constant)`` when ``expression`` compares a
+    column with a literal, mirrored so the column reads first (``5 < a`` is
+    ``("a", ">", 5)``)."""
+    if not isinstance(expression, Comparison):
+        return None
+    left, right, op = expression.left, expression.right, expression.op
+    if isinstance(right, ColumnRef) and isinstance(left, Literal):
+        left, right, op = right, left, _MIRRORED.get(op, op)
+    if isinstance(left, ColumnRef) and isinstance(right, Literal):
+        return left.name, op, right.value
+    return None

@@ -37,7 +37,7 @@ order below a LIMIT could change which tied rows are returned.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.errors import SchemaError
 from repro.relational.algebra import (
@@ -53,17 +53,12 @@ from repro.relational.algebra import (
     TopK,
 )
 from repro.relational.expressions import (
-    Between,
-    BinaryOp,
     ColumnRef,
-    Comparison,
     Expression,
-    FunctionCall,
     IsNull,
     Literal,
     LogicalOp,
-    Not,
-    UnaryMinus,
+    column_equality,
     conjuncts,
     conjunction,
     strict_boolean,
@@ -99,7 +94,7 @@ def fold_expression(expression: Expression) -> Expression:
     under three-valued logic because ``False AND x = False`` and
     ``True OR x = True`` hold for NULL ``x`` too.
     """
-    folded = _rebuild_expression(expression, fold_expression)
+    folded = expression.with_children([fold_expression(c) for c in expression.children()])
     if isinstance(folded, (Literal, ColumnRef)):
         return folded
     if not folded.columns() and not folded.contains_aggregate():
@@ -133,39 +128,6 @@ def _fold_logical(expression: LogicalOp) -> Expression:
     return LogicalOp(expression.op, kept)
 
 
-def _rebuild_expression(expression: Expression, transform) -> Expression:
-    """Structural copy of ``expression`` with ``transform`` applied to children."""
-    if isinstance(expression, (ColumnRef, Literal)):
-        return expression
-    if isinstance(expression, BinaryOp):
-        return BinaryOp(
-            expression.op, transform(expression.left), transform(expression.right)
-        )
-    if isinstance(expression, UnaryMinus):
-        return UnaryMinus(transform(expression.operand))
-    if isinstance(expression, Comparison):
-        return Comparison(
-            expression.op, transform(expression.left), transform(expression.right)
-        )
-    if isinstance(expression, Between):
-        return Between(
-            transform(expression.operand),
-            transform(expression.low),
-            transform(expression.high),
-        )
-    if isinstance(expression, IsNull):
-        return IsNull(transform(expression.operand), expression.negated)
-    if isinstance(expression, LogicalOp):
-        return LogicalOp(expression.op, [transform(o) for o in expression.operands])
-    if isinstance(expression, Not):
-        return Not(transform(expression.operand))
-    if isinstance(expression, FunctionCall):
-        return FunctionCall(
-            expression.name, [transform(a) for a in expression.args], expression.star
-        )
-    return expression
-
-
 def substitute_columns(
     expression: Expression, schema: Schema, items: Sequence[ProjectionItem]
 ) -> Expression:
@@ -186,15 +148,26 @@ def substitute_columns(
         if replacement.contains_aggregate():
             raise _CannotRewrite("cannot push an aggregate reference below a projection")
         return replacement
-    if isinstance(expression, Literal):
-        return expression
-    return _rebuild_expression(
-        expression, lambda child: substitute_columns(child, schema, items)
+    return expression.with_children(
+        [substitute_columns(child, schema, items) for child in expression.children()]
     )
 
 
 def _is_constant(expression: Expression, value: bool | None) -> bool:
     return isinstance(expression, Literal) and expression.value is value
+
+
+def _positions(names: Iterable[str], schema: Schema) -> set[int] | None:
+    """Positions of ``names`` in ``schema`` (None: one does not resolve).
+
+    Resolution mirrors how a name binds at evaluation time (exact match first,
+    then unique bare-name match), so ownership decisions agree with runtime
+    semantics even for qualified references.
+    """
+    try:
+        return {schema.index_of(name) for name in names}
+    except SchemaError:
+        return None
 
 
 # -- cardinality estimation ----------------------------------------------------------
@@ -300,16 +273,11 @@ class CardinalityEstimator:
         return _DEFAULT_ROW_COUNT
 
     def _join_conjunct_selectivity(self, conjunct: Expression, node: Join) -> float:
-        if (
-            isinstance(conjunct, Comparison)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, ColumnRef)
-            and isinstance(conjunct.right, ColumnRef)
-        ):
-            left = self._distinct_in_subtree(node, conjunct.left.name)
-            right = self._distinct_in_subtree(node, conjunct.right.name)
-            return self.equality_selectivity(left, right)
-        return _DEFAULT_PREDICATE_SELECTIVITY
+        names = column_equality(conjunct)
+        if names is None:
+            return _DEFAULT_PREDICATE_SELECTIVITY
+        left, right = (self._distinct_in_subtree(node, name) for name in names)
+        return self.equality_selectivity(left, right)
 
     # -- statistics lookups ------------------------------------------------------------
 
@@ -455,17 +423,14 @@ class PlanOptimizer:
             return self._push_projection(node, pending)
         if isinstance(node, Distinct):
             # Selection commutes with duplicate removal.
-            return Distinct(self._push(node.child, pending))
+            return node.with_children([self._push(node.child, pending)])
         if isinstance(node, Join):
             return self._push_join(node, pending)
         if isinstance(node, TableScan):
             return self._wrap(node, pending)
         if isinstance(node, Aggregation):
             # HAVING predicates reference aggregate outputs; they stay above.
-            rebuilt = Aggregation(
-                self._push(node.child, []), node.group_by, node.aggregates
-            )
-            return self._wrap(rebuilt, pending)
+            return self._wrap(node.with_children([self._push(node.child, [])]), pending)
         # TopK subtrees (and unknown operators) are left completely untouched:
         # _top_k breaks order-key ties by encounter order, so any rewrite
         # below a TopK that changes access paths or join order could change
@@ -485,8 +450,7 @@ class PlanOptimizer:
             folded = fold_expression(rewritten)
             if not _is_constant(folded, True):
                 passed.append(folded)
-        rebuilt = Projection(self._push(node.child, passed), node.items)
-        return self._wrap(rebuilt, kept)
+        return self._wrap(node.with_children([self._push(node.child, passed)]), kept)
 
     def _push_join(self, node: Join, pending: list[Expression]) -> PlanNode:
         left_schema = node.left.output_schema(self._catalog)
@@ -502,8 +466,8 @@ class PlanOptimizer:
         right_parts: list[Expression] = []
         join_parts: list[Expression] = []
         for predicate in parts:
-            positions = self._column_positions(predicate, combined)
-            if positions is None or not positions:
+            positions = _positions(predicate.columns(), combined)
+            if not positions:
                 join_parts.append(predicate)
             elif all(position < split for position in positions):
                 left_parts.append(predicate)
@@ -516,22 +480,6 @@ class PlanOptimizer:
             self._push(node.right, right_parts),
             conjunction(join_parts),
         )
-
-    @staticmethod
-    def _column_positions(predicate: Expression, schema: Schema) -> set[int] | None:
-        """Positions of the predicate's columns in ``schema`` (None: unresolvable).
-
-        Resolution mirrors how the predicate would bind at evaluation time
-        (exact match first, then unique bare-name match), so ownership
-        decisions agree with runtime semantics even for qualified references.
-        """
-        positions: set[int] = set()
-        for column in predicate.columns():
-            try:
-                positions.add(schema.index_of(column))
-            except SchemaError:
-                return None
-        return positions
 
     @staticmethod
     def _wrap(node: PlanNode, pending: Sequence[Expression]) -> PlanNode:
@@ -559,10 +507,7 @@ class PlanOptimizer:
             self._flatten_join(node, leaves, parts)
             if len(leaves) >= 3:
                 return self._reorder_cluster(node, leaves, parts)
-            return Join(
-                self._reorder(node.left), self._reorder(node.right), node.condition
-            )
-        return self._rebuild_node(node, [self._reorder(child) for child in node.children()])
+        return node.with_children([self._reorder(child) for child in node.children()])
 
     def _flatten_join(
         self, node: PlanNode, leaves: list[PlanNode], parts: list[Expression]
@@ -597,7 +542,7 @@ class PlanOptimizer:
         assigned: list[tuple[Expression, frozenset[int]]] = []
         residual: list[Expression] = []
         for predicate in parts:
-            positions = self._column_positions(predicate, combined)
+            positions = _positions(predicate.columns(), combined)
             if positions is None:
                 residual.append(predicate)
             else:
@@ -662,22 +607,16 @@ class PlanOptimizer:
         return order
 
     def _predicate_factor(self, predicate: Expression, leaves: list[PlanNode]) -> float:
-        if (
-            isinstance(predicate, Comparison)
-            and predicate.op == "="
-            and isinstance(predicate.left, ColumnRef)
-            and isinstance(predicate.right, ColumnRef)
-        ):
-            distincts = []
-            for column in (predicate.left.name, predicate.right.name):
-                best = 1.0
-                for leaf in leaves:
-                    best = max(
-                        best, self.estimator._distinct_in_subtree(leaf, column)
-                    )
-                distincts.append(best)
-            return self.estimator.equality_selectivity(distincts[0], distincts[1])
-        return _DEFAULT_PREDICATE_SELECTIVITY
+        names = column_equality(predicate)
+        if names is None:
+            return _DEFAULT_PREDICATE_SELECTIVITY
+        distincts = []
+        for column in names:
+            best = 1.0
+            for leaf in leaves:
+                best = max(best, self.estimator._distinct_in_subtree(leaf, column))
+            distincts.append(best)
+        return self.estimator.equality_selectivity(distincts[0], distincts[1])
 
     def _build_left_deep(
         self,
@@ -709,9 +648,7 @@ class PlanOptimizer:
     def _collapse(self, node: PlanNode) -> PlanNode:
         if isinstance(node, TopK):
             return node
-        node = self._rebuild_node(
-            node, [self._collapse(child) for child in node.children()]
-        )
+        node = node.with_children([self._collapse(child) for child in node.children()])
         if isinstance(node, Projection) and isinstance(node.child, Projection):
             inner = node.child
             alias_schema = Schema(item.alias for item in inner.items)
@@ -756,16 +693,14 @@ class PlanOptimizer:
             for aggregate in node.aggregates:
                 if aggregate.argument is not None:
                     columns |= aggregate.argument.columns()
-            return Aggregation(
-                self._prune(node.child, columns), node.group_by, node.aggregates
-            )
+            return node.with_children([self._prune(node.child, columns)])
         if isinstance(node, Selection):
             child_needed = (
                 None if needed is None else needed | node.predicate.columns()
             )
-            return Selection(self._prune(node.child, child_needed), node.predicate)
+            return node.with_children([self._prune(node.child, child_needed)])
         if isinstance(node, Distinct):
-            return Distinct(self._prune(node.child, None))
+            return node.with_children([self._prune(node.child, None)])
         if isinstance(node, TopK):
             return node
         if isinstance(node, Join):
@@ -777,14 +712,8 @@ class PlanOptimizer:
     ) -> tuple[ProjectionItem, ...]:
         if needed is None:
             return node.items
-        alias_schema = Schema(item.alias for item in node.items)
-        positions: set[int] = set()
-        for name in needed:
-            try:
-                positions.add(alias_schema.index_of(name))
-            except SchemaError:
-                return node.items
-        if len(positions) >= len(node.items):
+        positions = _positions(needed, Schema(item.alias for item in node.items))
+        if positions is None or len(positions) >= len(node.items):
             return node.items
         items = tuple(
             item for index, item in enumerate(node.items) if index in positions
@@ -804,17 +733,11 @@ class PlanOptimizer:
             names = set(needed)
             if node.condition is not None:
                 names |= node.condition.columns()
-            left_needed, right_needed = set(), set()
-            for name in names:
-                try:
-                    position = combined.index_of(name)
-                except SchemaError:
-                    left_needed = right_needed = None
-                    break
-                if position < split:
-                    left_needed.add(combined.attributes[position])
-                else:
-                    right_needed.add(combined.attributes[position])
+            positions = _positions(names, combined)
+            if positions is not None:
+                attributes = combined.attributes
+                left_needed = {attributes[p] for p in positions if p < split}
+                right_needed = {attributes[p] for p in positions if p >= split}
         left = self._narrow(self._prune(node.left, left_needed), left_needed)
         right = self._narrow(self._prune(node.right, right_needed), right_needed)
         return Join(left, right, node.condition)
@@ -823,13 +746,8 @@ class PlanOptimizer:
         if needed is None:
             return node
         schema = node.output_schema(self._catalog)
-        positions: set[int] = set()
-        for name in needed:
-            try:
-                positions.add(schema.index_of(name))
-            except SchemaError:
-                return node
-        if len(positions) >= len(schema):
+        positions = _positions(needed, schema)
+        if positions is None or len(positions) >= len(schema):
             return node
         kept = [
             attribute
@@ -841,22 +759,4 @@ class PlanOptimizer:
             kept = [schema.attributes[0]]
         items = [ProjectionItem(ColumnRef(name), name) for name in kept]
         return Projection(node, items)
-
-    # -- generic rebuild -----------------------------------------------------------------
-
-    @staticmethod
-    def _rebuild_node(node: PlanNode, children: list[PlanNode]) -> PlanNode:
-        if isinstance(node, Selection):
-            return Selection(children[0], node.predicate)
-        if isinstance(node, Projection):
-            return Projection(children[0], node.items)
-        if isinstance(node, Join):
-            return Join(children[0], children[1], node.condition)
-        if isinstance(node, Aggregation):
-            return Aggregation(children[0], node.group_by, node.aggregates)
-        if isinstance(node, Distinct):
-            return Distinct(children[0])
-        if isinstance(node, TopK):
-            return TopK(children[0], node.k, node.order_by)
-        return node
 

@@ -23,6 +23,7 @@ from repro.relational.expressions import (
     Expression,
     Literal,
     LogicalOp,
+    column_versus_literal,
 )
 from repro.relational.schema import Schema
 
@@ -63,8 +64,8 @@ class Interval:
         return Interval(low, high, low_inclusive, high_inclusive)
 
 
-def _matches_attribute(column: ColumnRef, attribute: str) -> bool:
-    return Schema.bare_name(column.name) == Schema.bare_name(attribute)
+def _matches_attribute(name: str, attribute: str) -> bool:
+    return Schema.bare_name(name) == Schema.bare_name(attribute)
 
 
 def _numeric(value: object) -> float | None:
@@ -75,15 +76,11 @@ def _numeric(value: object) -> float | None:
 
 
 def _comparison_interval(expression: Comparison, attribute: str) -> Interval | None:
-    left, right, op = expression.left, expression.right, expression.op
-    if isinstance(right, ColumnRef) and isinstance(left, Literal):
-        left, right = right, left
-        op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-    if not isinstance(left, ColumnRef) or not isinstance(right, Literal):
+    shape = column_versus_literal(expression)
+    if shape is None or not _matches_attribute(shape[0], attribute):
         return None
-    if not _matches_attribute(left, attribute):
-        return None
-    value = _numeric(right.value)
+    _name, op, constant = shape
+    value = _numeric(constant)
     if value is None:
         return None
     if op == "=":
@@ -113,7 +110,7 @@ def extract_intervals(predicate: Expression, attribute: str) -> list[Interval] |
         operand, low, high = predicate.operand, predicate.low, predicate.high
         if (
             isinstance(operand, ColumnRef)
-            and _matches_attribute(operand, attribute)
+            and _matches_attribute(operand.name, attribute)
             and isinstance(low, Literal)
             and isinstance(high, Literal)
         ):

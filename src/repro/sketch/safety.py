@@ -44,9 +44,9 @@ from repro.relational.algebra import (
 )
 from repro.relational.expressions import (
     ColumnRef,
-    Comparison,
     Expression,
-    Literal,
+    column_equality,
+    column_versus_literal,
     conjuncts,
 )
 from repro.relational.schema import Schema
@@ -142,16 +142,9 @@ class SafetyAnalyzer:
 
     def _record_equalities(self, predicates: Iterable[Expression]) -> None:
         for predicate in predicates:
-            if (
-                isinstance(predicate, Comparison)
-                and predicate.op == "="
-                and isinstance(predicate.left, ColumnRef)
-                and isinstance(predicate.right, ColumnRef)
-            ):
-                self._equivalences.union(
-                    Schema.bare_name(predicate.left.name),
-                    Schema.bare_name(predicate.right.name),
-                )
+            pair = column_equality(predicate)
+            if pair is not None:
+                self._equivalences.union(*map(Schema.bare_name, pair))
 
     def _check_having(self, predicate: Expression) -> None:
         """Record whether the HAVING condition is monotone-safe."""
@@ -172,15 +165,11 @@ class SafetyAnalyzer:
     def _monotone_conjunct(
         self, conjunct: Expression, aggregates: dict[str, Aggregate]
     ) -> bool:
-        if not isinstance(conjunct, Comparison):
+        shape = column_versus_literal(conjunct)
+        if shape is None:
             return False
-        left, right, op = conjunct.left, conjunct.right, conjunct.op
-        if isinstance(right, ColumnRef) and isinstance(left, Literal):
-            left, right = right, left
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if not isinstance(left, ColumnRef) or not isinstance(right, Literal):
-            return False
-        aggregate = aggregates.get(Schema.bare_name(left.name))
+        name, op, _constant = shape
+        aggregate = aggregates.get(Schema.bare_name(name))
         if aggregate is None:
             # Condition on a group-by attribute: always safe (it only removes
             # whole groups independent of other data).

@@ -11,16 +11,7 @@ from __future__ import annotations
 
 import math
 
-from repro.relational.algebra import (
-    Aggregation,
-    Distinct,
-    Join,
-    PlanNode,
-    Projection,
-    Selection,
-    TableScan,
-    TopK,
-)
+from repro.relational.algebra import PlanNode, Selection, TableScan
 from repro.relational.expressions import (
     ColumnRef,
     Comparison,
@@ -72,51 +63,13 @@ def sketch_predicate(
 
 def instrument_plan(plan: PlanNode, sketch: ProvenanceSketch) -> PlanNode:
     """Rewrite ``plan`` so scans of partitioned tables filter by ``sketch``."""
-    if isinstance(plan, TableScan):
-        predicate = sketch_predicate(sketch, plan.table)
-        if predicate is None:
-            return plan
-        partition = sketch.partition.partition_of(plan.table)
-        qualified = ColumnRef(f"{plan.alias}.{partition.attribute}")
-        predicate = _requalify(predicate, partition.attribute, qualified)
-        return Selection(plan, predicate)
-    if isinstance(plan, Selection):
-        return Selection(instrument_plan(plan.child, sketch), plan.predicate)
-    if isinstance(plan, Projection):
-        return Projection(instrument_plan(plan.child, sketch), plan.items)
-    if isinstance(plan, Join):
-        return Join(
-            instrument_plan(plan.left, sketch),
-            instrument_plan(plan.right, sketch),
-            plan.condition,
-        )
-    if isinstance(plan, Aggregation):
-        return Aggregation(instrument_plan(plan.child, sketch), plan.group_by, plan.aggregates)
-    if isinstance(plan, Distinct):
-        return Distinct(instrument_plan(plan.child, sketch))
-    if isinstance(plan, TopK):
-        return TopK(instrument_plan(plan.child, sketch), plan.k, plan.order_by)
-    return plan
-
-
-def _requalify(expression: Expression, bare: str, replacement: ColumnRef) -> Expression:
-    """Replace bare references to the partition attribute with a qualified one."""
-    if isinstance(expression, ColumnRef):
-        if expression.name == bare:
-            return replacement
-        return expression
-    if isinstance(expression, Comparison):
-        return Comparison(
-            expression.op,
-            _requalify(expression.left, bare, replacement),
-            _requalify(expression.right, bare, replacement),
-        )
-    if isinstance(expression, LogicalOp):
-        return LogicalOp(
-            expression.op,
-            [_requalify(operand, bare, replacement) for operand in expression.operands],
-        )
-    return expression
+    if not isinstance(plan, TableScan):
+        return plan.with_children([instrument_plan(child, sketch) for child in plan.children()])
+    if not sketch.partition.has_table(plan.table):
+        return plan
+    attribute = sketch.partition.partition_of(plan.table).attribute
+    predicate = sketch_predicate(sketch, plan.table, f"{plan.alias}.{attribute}")
+    return plan if predicate is None else Selection(plan, predicate)
 
 
 def estimated_selectivity(sketch: ProvenanceSketch, table: str) -> float:

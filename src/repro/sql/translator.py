@@ -30,17 +30,9 @@ from repro.relational.algebra import (
     TopK,
 )
 from repro.relational.expressions import (
-    Between,
-    BinaryOp,
     ColumnRef,
-    Comparison,
     Expression,
     FunctionCall,
-    IsNull,
-    Literal,
-    LogicalOp,
-    Not,
-    UnaryMinus,
     conjunction,
     conjuncts,
 )
@@ -65,13 +57,21 @@ class Translator:
     # -- public API --------------------------------------------------------------
 
     def translate(self, statement: SelectStatement) -> PlanNode:
-        """Translate ``statement`` into a logical plan."""
-        plan = self._build_from(statement)
-        plan = self._apply_where(plan, statement.where)
-        plan = self._apply_aggregation(plan, statement)
+        """Translate ``statement`` into a logical plan.
+
+        Everything one statement's clauses share (the WHERE conjuncts left
+        above the joins, the aggregate aliases ORDER BY may mention) is passed
+        along as arguments, so a subquery translated on the way leaves
+        nothing behind for the statement that contains it.
+        """
+        plan, pending = self._build_from(statement)
+        where = conjunction(pending)
+        if where is not None:
+            plan = Selection(plan, where)
+        plan, alias_by_call, group_rename = self._apply_aggregation(plan, statement)
         if statement.distinct:
             plan = Distinct(plan)
-        return self._apply_top_k(plan, statement)
+        return self._apply_top_k(plan, statement, alias_by_call, group_rename)
 
     def translate_sql(self, sql: str) -> PlanNode:
         """Parse and translate a SQL string."""
@@ -79,7 +79,8 @@ class Translator:
 
     # -- FROM clause -------------------------------------------------------------
 
-    def _build_from(self, statement: SelectStatement) -> PlanNode:
+    def _build_from(self, statement: SelectStatement) -> tuple[PlanNode, list[Expression]]:
+        """The joined FROM sources and the WHERE conjuncts not placed in them."""
         if not statement.from_sources:
             raise PlanError("query requires a FROM clause")
         where_parts = conjuncts(statement.where)
@@ -125,8 +126,7 @@ class Translator:
                     still_pending.append(predicate)
             combined = Join(combined, plan, conjunction(join_conditions))
             pending = still_pending
-        self._pending_where = pending
-        return combined
+        return combined, pending
 
     def _build_source(self, source: FromSource) -> PlanNode:
         if isinstance(source, TableSource):
@@ -178,28 +178,21 @@ class Translator:
                 return False
         return True
 
-    # -- WHERE -------------------------------------------------------------------
-
-    def _apply_where(self, plan: PlanNode, where: Expression | None) -> PlanNode:
-        pending = getattr(self, "_pending_where", None)
-        if pending is None:
-            pending = conjuncts(where)
-        predicate = conjunction(pending)
-        self._pending_where = None
-        if predicate is None:
-            return plan
-        return Selection(plan, predicate)
-
     # -- aggregation / SELECT list -------------------------------------------------
 
-    def _apply_aggregation(self, plan: PlanNode, statement: SelectStatement) -> PlanNode:
+    def _apply_aggregation(
+        self, plan: PlanNode, statement: SelectStatement
+    ) -> tuple[PlanNode, dict[str, str], dict[str, str]]:
+        """The plan with GROUP BY, HAVING and the SELECT list applied, plus the
+        aggregate aliases and group renames ORDER BY needs (both empty
+        without aggregation)."""
         aggregate_calls = self._collect_aggregates(statement)
         has_aggregation = bool(statement.group_by) or bool(aggregate_calls)
 
         if not has_aggregation:
             if statement.having is not None:
                 raise PlanError("HAVING requires GROUP BY or aggregate functions")
-            return self._apply_projection(plan, statement)
+            return self._apply_projection(plan, statement), {}, {}
 
         aggregates, alias_by_call = self._build_aggregates(statement, aggregate_calls)
         aggregation = Aggregation(plan, list(statement.group_by), aggregates)
@@ -207,29 +200,23 @@ class Translator:
 
         group_names = aggregation.group_attribute_names()
         group_rename = self._group_rename(statement.group_by, group_names)
-        # Remember the rewriting context so ORDER BY expressions that mention
-        # aggregates (e.g. ``ORDER BY sum(price)``) can be resolved later.
-        self._alias_by_call = alias_by_call
-        self._group_rename_map = group_rename
 
         if statement.having is not None:
-            having = self._rewrite_post_aggregation(
-                statement.having, alias_by_call, group_rename
-            )
+            having = _rewrite_post_aggregation(statement.having, alias_by_call, group_rename)
             result = Selection(result, having)
 
         items: list[ProjectionItem] = []
         for select_item in statement.select_items:
             if isinstance(select_item.expression, ColumnRef) and select_item.expression.name == "*":
                 raise PlanError("SELECT * cannot be combined with GROUP BY")
-            rewritten = self._rewrite_post_aggregation(
+            rewritten = _rewrite_post_aggregation(
                 select_item.expression, alias_by_call, group_rename
             )
             alias = select_item.alias
             if alias is None and isinstance(select_item.expression, FunctionCall):
                 alias = alias_by_call.get(select_item.expression.canonical())
             items.append(ProjectionItem(rewritten, alias))
-        return Projection(result, items)
+        return Projection(result, items), alias_by_call, group_rename
 
     def _apply_projection(self, plan: PlanNode, statement: SelectStatement) -> PlanNode:
         if len(statement.select_items) == 1:
@@ -248,7 +235,7 @@ class Translator:
             if isinstance(expression, FunctionCall) and expression.is_aggregate:
                 calls.setdefault(expression.canonical(), expression)
                 return
-            for child in _expression_children(expression):
+            for child in expression.children():
                 visit(child)
 
         for item in statement.select_items:
@@ -303,81 +290,15 @@ class Translator:
                 rename[Schema.bare_name(expression.name)] = name
         return rename
 
-    def _rewrite_post_aggregation(
-        self,
-        expression: Expression,
-        alias_by_call: dict[str, str],
-        group_rename: dict[str, str],
-    ) -> Expression:
-        """Rewrite an expression evaluated above an Aggregation operator.
-
-        Aggregate calls become references to the aggregate output attribute;
-        grouping columns are renamed to their output names.
-        """
-        if isinstance(expression, FunctionCall) and expression.is_aggregate:
-            alias = alias_by_call.get(expression.canonical())
-            if alias is None:
-                raise PlanError(
-                    f"aggregate {expression.canonical()} not available after aggregation"
-                )
-            return ColumnRef(alias)
-        if isinstance(expression, ColumnRef):
-            return ColumnRef(group_rename.get(expression.name, expression.name))
-        if isinstance(expression, Literal):
-            return expression
-        if isinstance(expression, BinaryOp):
-            return BinaryOp(
-                expression.op,
-                self._rewrite_post_aggregation(expression.left, alias_by_call, group_rename),
-                self._rewrite_post_aggregation(expression.right, alias_by_call, group_rename),
-            )
-        if isinstance(expression, UnaryMinus):
-            return UnaryMinus(
-                self._rewrite_post_aggregation(expression.operand, alias_by_call, group_rename)
-            )
-        if isinstance(expression, Comparison):
-            return Comparison(
-                expression.op,
-                self._rewrite_post_aggregation(expression.left, alias_by_call, group_rename),
-                self._rewrite_post_aggregation(expression.right, alias_by_call, group_rename),
-            )
-        if isinstance(expression, Between):
-            return Between(
-                self._rewrite_post_aggregation(expression.operand, alias_by_call, group_rename),
-                self._rewrite_post_aggregation(expression.low, alias_by_call, group_rename),
-                self._rewrite_post_aggregation(expression.high, alias_by_call, group_rename),
-            )
-        if isinstance(expression, IsNull):
-            return IsNull(
-                self._rewrite_post_aggregation(expression.operand, alias_by_call, group_rename),
-                expression.negated,
-            )
-        if isinstance(expression, LogicalOp):
-            return LogicalOp(
-                expression.op,
-                [
-                    self._rewrite_post_aggregation(operand, alias_by_call, group_rename)
-                    for operand in expression.operands
-                ],
-            )
-        if isinstance(expression, Not):
-            return Not(
-                self._rewrite_post_aggregation(expression.operand, alias_by_call, group_rename)
-            )
-        if isinstance(expression, FunctionCall):
-            return FunctionCall(
-                expression.name,
-                [
-                    self._rewrite_post_aggregation(arg, alias_by_call, group_rename)
-                    for arg in expression.args
-                ],
-                expression.star,
-            )
-        return expression
-
     # -- ORDER BY / LIMIT ----------------------------------------------------------
 
-    def _apply_top_k(self, plan: PlanNode, statement: SelectStatement) -> PlanNode:
+    def _apply_top_k(
+        self,
+        plan: PlanNode,
+        statement: SelectStatement,
+        alias_by_call: dict[str, str],
+        group_rename: dict[str, str],
+    ) -> PlanNode:
         if statement.limit is None:
             # Without LIMIT the result is a bag; ORDER BY alone does not change
             # its contents so it is dropped (matching the engine's semantics).
@@ -385,15 +306,11 @@ class Translator:
         if not statement.order_by:
             raise PlanError("LIMIT requires an ORDER BY clause")
         schema = plan.output_schema(self._catalog)
-        alias_by_call = getattr(self, "_alias_by_call", {})
-        group_rename = getattr(self, "_group_rename_map", {})
         order_items = []
         for spec in statement.order_by:
             expression = spec.expression
             if expression.contains_aggregate() or alias_by_call:
-                expression = self._rewrite_post_aggregation(
-                    expression, alias_by_call, group_rename
-                )
+                expression = _rewrite_post_aggregation(expression, alias_by_call, group_rename)
             if not all(self._schema_covers_column(schema, c) for c in expression.columns()):
                 raise PlanError(
                     f"ORDER BY expression {spec.expression.canonical()} must reference "
@@ -403,21 +320,29 @@ class Translator:
         return TopK(plan, statement.limit, order_items)
 
 
-def _expression_children(expression: Expression) -> list[Expression]:
-    """Direct sub-expressions of ``expression`` (used for traversal)."""
-    if isinstance(expression, BinaryOp):
-        return [expression.left, expression.right]
-    if isinstance(expression, Comparison):
-        return [expression.left, expression.right]
-    if isinstance(expression, Between):
-        return [expression.operand, expression.low, expression.high]
-    if isinstance(expression, (UnaryMinus, Not, IsNull)):
-        return [expression.operand]
-    if isinstance(expression, LogicalOp):
-        return list(expression.operands)
-    if isinstance(expression, FunctionCall):
-        return list(expression.args)
-    return []
+def _rewrite_post_aggregation(
+    expression: Expression, alias_by_call: dict[str, str], group_rename: dict[str, str]
+) -> Expression:
+    """Rewrite an expression evaluated above an Aggregation operator.
+
+    Aggregate calls become references to the aggregate output attribute;
+    grouping columns are renamed to their output names.
+    """
+    if isinstance(expression, FunctionCall) and expression.is_aggregate:
+        alias = alias_by_call.get(expression.canonical())
+        if alias is None:
+            raise PlanError(
+                f"aggregate {expression.canonical()} not available after aggregation"
+            )
+        return ColumnRef(alias)
+    if isinstance(expression, ColumnRef):
+        return ColumnRef(group_rename.get(expression.name, expression.name))
+    return expression.with_children(
+        [
+            _rewrite_post_aggregation(child, alias_by_call, group_rename)
+            for child in expression.children()
+        ]
+    )
 
 
 def translate(sql: str, catalog: SchemaProvider) -> PlanNode:

@@ -7,7 +7,6 @@ from repro.relational.algebra import (
     Aggregate,
     AggregateFunction,
     Aggregation,
-    CrossProduct,
     Distinct,
     Join,
     OrderItem,
@@ -72,7 +71,9 @@ class TestPlanNodes:
             TableScan("r"), TableScan("s"), Comparison("<", ColumnRef("b"), ColumnRef("c"))
         )
         assert theta.equi_join_keys() is None
-        assert CrossProduct(TableScan("r"), TableScan("s")).equi_join_keys() is None
+        cross = Join(TableScan("r"), TableScan("s"))
+        assert cross.equi_join_keys() is None
+        assert cross.describe() == "CrossProduct"
 
     def test_aggregation_output_schema(self, small_db):
         node = Aggregation(
@@ -205,10 +206,10 @@ ORDER_JOIN_CASES = {
         top(Projection(T, [ProjectionItem(col("g"))]), 6, ("g", DESC)),
         [(2,), (2,), (2,), (2,), (1,), (1,)],
     ),
-    "cross_product_with_empty_left": (CrossProduct(E, U), []),
-    "cross_product_with_empty_right": (CrossProduct(U, E), []),
+    "cross_product_with_empty_left": (Join(E, U), []),
+    "cross_product_with_empty_right": (Join(U, E), []),
     "cross_product_multiplies_multiplicities": (
-        Selection(CrossProduct(T, U), Comparison("=", col("id"), Literal(7))),
+        Selection(Join(T, U), Comparison("=", col("id"), Literal(7))),
         [(7, 2, 0, None, 30), (7, 2, 0, None, 30)]
         + [(7, 2, 0, 1, 10)] * 2
         + [(7, 2, 0, 2, 20)] * 4,
@@ -285,7 +286,7 @@ class TestEvaluator:
         assert len(theta_result) > len(equi_result)
 
     def test_cross_product_cardinality(self, small_db, evaluator_for):
-        result = evaluator_for(small_db).evaluate(CrossProduct(TableScan("r"), TableScan("s")))
+        result = evaluator_for(small_db).evaluate(Join(TableScan("r"), TableScan("s")))
         assert len(result) == 4 * 3
 
     def test_aggregation_sum_count_avg(self, small_db, evaluator_for):

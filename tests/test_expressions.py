@@ -133,10 +133,12 @@ class TestStructuralHelpers:
             ">", ColumnRef("a"), Literal(1)
         )
 
-    def test_rename(self):
+    def test_with_children_substitutes_a_column(self):
         expr = Comparison("=", ColumnRef("a"), ColumnRef("b"))
-        renamed = expr.rename({"a": "x"})
+        renamed = expr.with_children([ColumnRef("x"), expr.right])
         assert renamed.columns() == {"x", "b"}
+        assert renamed.canonical() == "(x = b)"
+        assert expr.canonical() == "(a = b)"
 
     def test_conjuncts_flatten_nested_ands(self):
         expr = LogicalOp(

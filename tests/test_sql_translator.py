@@ -147,6 +147,31 @@ class TestTranslationResults:
         result = catalog.query("SELECT a, b FROM r ORDER BY b DESC LIMIT 2")
         assert sorted(result.rows()) == [(2, 20), (2, 30)]
 
+    @pytest.mark.parametrize(
+        "inner, answer",
+        [
+            (
+                "SELECT t.g, sum(t.v) AS s FROM t GROUP BY t.g",
+                [(3, 30, 3, 30.0), (2, 20, 2, 20.0)],
+            ),
+            ("SELECT t.g, t.v AS s FROM t", [(3, 30, 3, 30), (2, 20, 2, 20)]),
+        ],
+        ids=["aggregated", "plain"],
+    )
+    def test_subquery_leaves_no_state_for_the_outer_order_by(self, inner, answer):
+        # An aggregated subquery's GROUP BY renames and aggregate aliases
+        # belong to it alone; the outer ORDER BY must not resolve through them.
+        database = Database()
+        database.create_table("t", ["g", "v"])
+        database.insert("t", [(1, 10), (2, 20), (3, 30)])
+        sql = (
+            f"SELECT * FROM t, ({inner}) AS q WHERE t.g = q.g "
+            "ORDER BY t.g DESC LIMIT 2"
+        )
+        expected = database.query(sql, optimize_plans=False, vectorize=False)
+        assert database.query(sql) == expected
+        assert sorted(expected.rows(), reverse=True) == answer
+
 
 class TestTemplates:
     def test_constants_are_parameterized(self):
