@@ -16,6 +16,12 @@ Asserted as counters, per round (the seconds are printed, not asserted):
 * annotation passes -- the K sketches share one partition, so a round
   annotates the shared delta once (``RoundReport.annotations``), while the
   per-sketch path annotates it K times;
+* aggregation passes -- the engine folds only what the sketch reads, the
+  HAVING's ``avg``, and the store shares one aggregation per HAVING
+  attribute, so a round at K = 16 folds twice (9 templates filter on
+  ``avg(b)``, 7 on ``avg(c)``; ``RoundReport.folds``), while the per-sketch
+  path folds 16 times.  When every HAVING attribute differs nothing is
+  shared: K folds, and the fetches and annotations stay at one;
 * both paths produce identical sketches every round.
 
 (a) prints the per-round maintenance time at K = 16, (b) how it grows with K.
@@ -34,6 +40,7 @@ import pytest
 
 from repro.bench.harness import ExperimentResult
 from repro.imp.maintenance import IncrementalMaintainer
+from repro.imp.operators import IncrementalAggregation
 from repro.imp.scheduler import MaintenanceScheduler
 from repro.imp.sketch_store import SketchEntry, SketchStore
 from repro.sketch.ranges import DatabasePartition
@@ -53,22 +60,36 @@ NUM_GROUPS = 100
 NUM_FRAGMENTS = 16
 
 
+def distinct_having_templates(count: int) -> list[str]:
+    """``count`` (at most nine) of :func:`multi_sketch_templates`' queries
+    whose HAVING attributes all differ: the attribute moves on every nine
+    templates, so every ninth one is taken."""
+    return multi_sketch_templates(9 * count)[::9]
+
+
 @contextmanager
-def counted_annotations():
-    """Count the annotation passes (``DatabasePartition.masks_of`` calls)
-    made inside the block."""
-    calls = [0]
-    original = DatabasePartition.masks_of
+def counted_passes():
+    """Count the annotation passes (``DatabasePartition.masks_of`` calls) and
+    the aggregation passes (``IncrementalAggregation.process`` calls) made
+    inside the block."""
+    calls = {"annotations": 0, "folds": 0}
+    masks_of, process = DatabasePartition.masks_of, IncrementalAggregation.process
 
-    def masks_of(self, table, values):
-        calls[0] += 1
-        return original(self, table, values)
+    def counted_masks_of(self, table, values):
+        calls["annotations"] += 1
+        return masks_of(self, table, values)
 
-    DatabasePartition.masks_of = masks_of
+    def counted_process(self, run):
+        calls["folds"] += 1
+        return process(self, run)
+
+    DatabasePartition.masks_of = counted_masks_of
+    IncrementalAggregation.process = counted_process
     try:
         yield calls
     finally:
-        DatabasePartition.masks_of = original
+        DatabasePartition.masks_of = masks_of
+        IncrementalAggregation.process = process
 
 
 def _make_row(row_id: int) -> tuple:
@@ -83,8 +104,8 @@ class MultiSketchPair:
     """Two identical databases: K sketches behind a scheduler on one, the same
     K sketches as independent maintainers on the other."""
 
-    def __init__(self, num_sketches: int, seed: int = 7) -> None:
-        self.num_sketches = num_sketches
+    def __init__(self, templates: list[str], seed: int = 7) -> None:
+        self.num_sketches = len(templates)
         self.scheduler_db = Database()
         self.per_sketch_db = Database()
         for database in (self.scheduler_db, self.per_sketch_db):
@@ -94,7 +115,7 @@ class MultiSketchPair:
         self.store = SketchStore()
         self.scheduler = MaintenanceScheduler(self.scheduler_db, self.store)
         self.per_sketch: list[IncrementalMaintainer] = []
-        for sql in multi_sketch_templates(num_sketches):
+        for sql in templates:
             plan = self.scheduler_db.plan(sql)
             partition = build_database_partition(self.scheduler_db, plan, NUM_FRAGMENTS)
             maintainer = IncrementalMaintainer(self.scheduler_db, plan, partition)
@@ -133,11 +154,11 @@ class MultiSketchPair:
             previous = batch
 
     def maintain_both(self) -> dict[str, float]:
-        """One maintenance pass on each side: its seconds, audit-log fetches
-        and annotation passes."""
+        """One maintenance pass on each side: its seconds, audit-log
+        fetches, annotation passes and aggregation passes."""
         fetches_before = self.scheduler_db.delta_fetch_count
         started = time.perf_counter()
-        with counted_annotations() as scheduler_annotations:
+        with counted_passes() as scheduler_passes:
             report = self.scheduler.run_round()
         scheduler_seconds = time.perf_counter() - started
         scheduler_fetches = self.scheduler_db.delta_fetch_count - fetches_before
@@ -146,11 +167,12 @@ class MultiSketchPair:
             "shared rounds must fetch at most one delta per distinct "
             "(table, version-range) group"
         )
-        assert report.annotations == scheduler_annotations[0]
+        assert report.annotations == scheduler_passes["annotations"]
+        assert report.folds == scheduler_passes["folds"]
 
         fetches_before = self.per_sketch_db.delta_fetch_count
         started = time.perf_counter()
-        with counted_annotations() as per_sketch_annotations:
+        with counted_passes() as per_sketch_passes:
             for maintainer in self.per_sketch:
                 maintainer.ensure_current()
         per_sketch_seconds = time.perf_counter() - started
@@ -162,8 +184,10 @@ class MultiSketchPair:
             "per_sketch_seconds": per_sketch_seconds,
             "scheduler_fetches": scheduler_fetches,
             "per_sketch_fetches": per_sketch_fetches,
-            "scheduler_annotations": scheduler_annotations[0],
-            "per_sketch_annotations": per_sketch_annotations[0],
+            "scheduler_annotations": scheduler_passes["annotations"],
+            "per_sketch_annotations": per_sketch_passes["annotations"],
+            "scheduler_folds": scheduler_passes["folds"],
+            "per_sketch_folds": per_sketch_passes["folds"],
         }
 
     def assert_sketches_identical(self) -> None:
@@ -194,22 +218,26 @@ def _run_rounds(pair: MultiSketchPair) -> dict[str, float]:
     return measured
 
 
-def _assert_shared(measured: dict[str, float], num_sketches: int) -> None:
+def _assert_shared(measured: dict[str, float], num_sketches: int, folds: int) -> None:
     """All sketches share one table, go stale at the same version and have
-    equal partitions: a round is one fetch and one annotation pass, while the
+    equal partitions: a round is one fetch, one annotation pass and one
+    aggregation pass per distinct HAVING attribute (``folds``), while the
     per-sketch path pays one of each per sketch."""
     assert measured["scheduler_fetches"] == 1
     assert measured["per_sketch_fetches"] == num_sketches
     assert measured["scheduler_annotations"] == 1
     assert measured["per_sketch_annotations"] == num_sketches
+    assert measured["scheduler_folds"] == folds
+    assert measured["per_sketch_folds"] == num_sketches
 
 
 @pytest.mark.parametrize("num_sketches", [16])
 def test_fig20a_scheduler_beats_per_sketch_maintenance(benchmark, num_sketches):
     """At 16 registered sketches, a shared-delta round fetches and annotates
-    the delta once where independent maintenance does it 16 times, with
+    the delta once where independent maintenance does it 16 times, and folds
+    it into two aggregations where independent maintenance folds 16, with
     identical resulting sketches."""
-    pair = MultiSketchPair(num_sketches)
+    pair = MultiSketchPair(multi_sketch_templates(num_sketches))
 
     def run():
         return _run_rounds(pair)
@@ -220,9 +248,27 @@ def test_fig20a_scheduler_beats_per_sketch_maintenance(benchmark, num_sketches):
         result.add(path=path.replace("_", "-"), sketches=num_sketches,
                    fetches_per_round=measured[f"{path}_fetches"],
                    annotations_per_round=measured[f"{path}_annotations"],
+                   folds_per_round=measured[f"{path}_folds"],
                    seconds=round(measured[f"{path}_seconds"], 5))
     print_rows(result, "Fig. 20a: maintenance per round, scheduler vs per-sketch")
-    _assert_shared(measured, num_sketches)
+    _assert_shared(measured, num_sketches, folds=2)
+
+
+def test_fig20a_distinct_having_attributes_share_nothing_but_the_delta(benchmark):
+    """The multi-tenant case: eight templates whose HAVING attributes all
+    differ share no aggregation, so a round folds eight times -- and still
+    fetches and annotates the delta once, with identical sketches."""
+    pair = MultiSketchPair(distinct_having_templates(8))
+    measured = benchmark.pedantic(lambda: _run_rounds(pair), rounds=1, iterations=1)
+    result = ExperimentResult("fig20a-distinct")
+    for path in ("scheduler", "per_sketch"):
+        result.add(path=path.replace("_", "-"), sketches=8,
+                   fetches_per_round=measured[f"{path}_fetches"],
+                   annotations_per_round=measured[f"{path}_annotations"],
+                   folds_per_round=measured[f"{path}_folds"],
+                   seconds=round(measured[f"{path}_seconds"], 5))
+    print_rows(result, "Fig. 20a: distinct HAVING attributes, scheduler vs per-sketch")
+    _assert_shared(measured, 8, folds=8)
 
 
 def test_fig20b_speedup_grows_with_registered_sketches(benchmark):
@@ -232,7 +278,7 @@ def test_fig20b_speedup_grows_with_registered_sketches(benchmark):
     def run():
         rows = []
         for num_sketches in (4, 16):
-            pair = MultiSketchPair(num_sketches)
+            pair = MultiSketchPair(multi_sketch_templates(num_sketches))
             measured = _run_rounds(pair)
             rows.append((num_sketches, measured))
         return rows
@@ -250,4 +296,4 @@ def test_fig20b_speedup_grows_with_registered_sketches(benchmark):
         )
     print_rows(result, "Fig. 20b: scheduler speedup as registered sketches grow")
     for num_sketches, measured in rows:
-        _assert_shared(measured, num_sketches)
+        _assert_shared(measured, num_sketches, folds=1 if num_sketches <= 9 else 2)

@@ -1,12 +1,15 @@
 """The IMP incremental engine.
 
 :func:`compile_plan` turns a logical query plan into a tree of incremental
-operators (Sec. 5.2); :class:`IncrementalEngine` tops it with the merge
-operator ``μ`` (Sec. 5.1) and runs it in two ways.  ``initialize`` is one
-from-scratch pass -- the whole database as an insert delta through empty
-state -- which builds operator state and doubles as sketch capture;
+operators (Sec. 5.2); :class:`IncrementalEngine` compiles the plan
+:func:`prune_plan` leaves of it -- only what ``μ`` reads -- tops the tree with
+the merge operator ``μ`` (Sec. 5.1) and runs it in two ways.  ``initialize``
+is one from-scratch pass -- the whole database as an insert delta through
+empty state -- which builds operator state and doubles as sketch capture;
 ``maintain`` is a delta pass that turns a database delta into a sketch delta
-in time proportional to the delta size.
+in time proportional to the delta size.  The engine's stateful operators form
+one :class:`~repro.imp.operators.SharedNode`, which the sketch store may hand
+to several engines.
 
 :func:`capture_sketch` is the same from-scratch pass over a tree that is
 thrown away afterwards.  It is the only annotated evaluation of a plan in
@@ -16,15 +19,18 @@ thrown away afterwards.  It is the only annotated evaluation of a plan in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 from repro.core.errors import PlanError
 from repro.relational.algebra import (
+    Aggregate,
     Aggregation,
     Distinct,
     Join,
     PlanNode,
     Projection,
+    ProjectionItem,
+    SchemaProvider,
     Selection,
     TableScan,
     TopK,
@@ -43,10 +49,12 @@ from repro.imp.operators import (
     IncrementalOperator,
     IncrementalProjection,
     IncrementalSelection,
+    IncrementalShared,
     IncrementalTableAccess,
     IncrementalTopK,
     MergeOperator,
     Pass,
+    SharedNode,
 )
 
 
@@ -82,6 +90,72 @@ class MaintenanceOutcome:
     sketch_delta: SketchDelta
     needs_recapture: bool = False
     statistics: EngineStatistics = field(default_factory=EngineStatistics)
+
+
+def prune_plan(plan: PlanNode, catalog: SchemaProvider) -> PlanNode:
+    """The plan an engine compiles for ``plan``: what ``μ`` reads of it.
+
+    ``μ`` reads masks and counts only, so the projections directly under it
+    go, and every aggregate and projected column that no operator between it
+    and ``μ`` reads is dropped.  A GROUP BY left without an aggregate becomes
+    ``Distinct`` over a projection on its keys (the same rows, masks and
+    counts); a scalar aggregation keeps its first aggregate, since its one
+    row exists even over empty input.  The query's own plan -- which the use
+    rewrite and the query answers run on -- is left as it is.
+    """
+    while isinstance(plan, Projection):
+        plan = plan.child
+    return _prune(plan, set(), catalog)
+
+
+def _prune(node: PlanNode, needed: set[int], catalog: SchemaProvider) -> PlanNode:
+    """``node`` computing at least the output positions in ``needed``."""
+    if isinstance(node, Projection):
+        items = [item for i, item in enumerate(node.items) if i in needed] or node.items[:1]
+        read = _positions(node.child, [item.expression for item in items], catalog)
+        return Projection(_prune(node.child, read, catalog), items)
+    if isinstance(node, Aggregation):
+        width = len(node.group_by)
+        aggregates = [a for i, a in enumerate(node.aggregates) if width + i in needed]
+        if not aggregates and not node.group_by:
+            aggregates = list(node.aggregates[:1])
+        read = [*node.group_by, *(a.argument for a in aggregates if a.argument is not None)]
+        child = _prune(node.child, _positions(node.child, read, catalog), catalog)
+        if aggregates:
+            return Aggregation(child, node.group_by, aggregates)
+        keys = zip(node.group_by, node.group_attribute_names())
+        return Distinct(Projection(child, [ProjectionItem(e, name) for e, name in keys]))
+    if isinstance(node, Selection):
+        read = needed | _positions(node.child, [node.predicate], catalog)
+        return Selection(_prune(node.child, read, catalog), node.predicate)
+    if isinstance(node, Join):
+        width = len(node.left.output_schema(catalog))
+        condition = [] if node.condition is None else [node.condition]
+        read = needed | _positions(node, condition, catalog)
+        return Join(
+            _prune(node.left, {p for p in read if p < width}, catalog),
+            _prune(node.right, {p - width for p in read if p >= width}, catalog),
+            node.condition,
+        )
+    # Distinct and top-k read whole rows: a row's identity and the ties a
+    # top-k breaks by arrival depend on every column.
+    children = node.children()
+    if not children:
+        return node
+    return node.with_children(
+        [
+            _prune(child, set(range(len(child.output_schema(catalog)))), catalog)
+            for child in children
+        ]
+    )
+
+
+def _positions(
+    node: PlanNode, expressions: list[Expression], catalog: SchemaProvider
+) -> set[int]:
+    """The positions of ``node``'s output the expressions read."""
+    schema = node.output_schema(catalog)
+    return {schema.index_of(column) for e in expressions for column in e.columns()}
 
 
 def compile_plan(
@@ -167,15 +241,20 @@ def capture_sketch(
 ) -> ProvenanceSketch:
     """Capture a provenance sketch for ``plan`` over the current database state:
     one from-scratch pass over an operator tree that is thrown away."""
-    merge = MergeOperator(
-        compile_plan(plan, partition, database, IMPConfig(use_bloom_filters=False))
-    )
-    merge.process_to_sketch_delta(Pass.scratch(database.version))
-    return ProvenanceSketch(partition, merge.current_fragments())
+    return IncrementalEngine(
+        plan, partition, database, IMPConfig(use_bloom_filters=False)
+    ).initialize()
 
 
 class IncrementalEngine:
-    """Compiles and drives the incremental operator tree for one query."""
+    """Compiles and drives the incremental operator tree for one query.
+
+    The tree is compiled from :func:`prune_plan`'s plan, and the outermost
+    stateful operator with everything below it is a :class:`SharedNode` that
+    the sketch store may replace by an equal one other engines hold
+    (:meth:`share`); ``μ`` and the stateless operators above the node are the
+    engine's own.
+    """
 
     def __init__(
         self,
@@ -189,9 +268,66 @@ class IncrementalEngine:
         self.database = database
         self.config = config or IMPConfig()
         self.statistics = EngineStatistics()
-        self._merge = MergeOperator(compile_plan(plan, partition, database, self.config))
+        self.pruned = prune_plan(plan, database)
+        self._merge = self._compile()
         self._initialized = False
         self.initialized_at_version: int | None = None
+
+    def _compile(self) -> MergeOperator:
+        """The operator tree, with a view of a :class:`SharedNode` put under
+        the selections and projections that sit above the first stateful
+        operator (the only one on that path: every binary operator is
+        stateful)."""
+        merge = MergeOperator(
+            compile_plan(self.pruned, self.partition, self.database, self.config)
+        )
+        above, plan = merge, self.pruned
+        while isinstance(above.child, (IncrementalSelection, IncrementalProjection)):
+            above, plan = above.child, plan.child
+        self._view: IncrementalShared | None = None
+        if isinstance(plan, (Aggregation, Distinct, Join, TopK)):
+            operator = above.child
+            self._view = IncrementalShared(
+                SharedNode(operator, self.fingerprint(plan)), operator.output_schema
+            )
+            above.child = self._view
+        return merge
+
+    def fingerprint(self, node: PlanNode) -> tuple:
+        """What the stateful subplan ``node`` of this engine computes: the
+        subplan with its output aliases replaced by positions, the partition
+        of every table it reads (:meth:`DatabasePartition.masks_key`) and the
+        configuration."""
+        if isinstance(node, Aggregation):
+            width = len(node.group_by)
+            aggregates = [
+                Aggregate(a.function, a.argument, f"#{width + i}")
+                for i, a in enumerate(node.aggregates)
+            ]
+            node = Aggregation(node.child, node.group_by, aggregates)
+        elif isinstance(node, Distinct) and isinstance(node.child, Projection):
+            items = [
+                ProjectionItem(item.expression, f"#{i}") for i, item in enumerate(node.child.items)
+            ]
+            node = Distinct(Projection(node.child.child, items))
+        partition = self.partition
+        tables = tuple(
+            partition.masks_key(table) if partition.has_table(table) else (table,)
+            for table in sorted(node.referenced_tables())
+        )
+        return node.explain(), tables, astuple(self.config)
+
+    @property
+    def shared(self) -> SharedNode | None:
+        """The node holding the engine's stateful operators (None for a plan
+        without any)."""
+        return None if self._view is None else self._view.node
+
+    def share(self, node: SharedNode) -> None:
+        """Read ``node`` -- equal to the engine's own in fingerprint and state
+        -- in place of the engine's own node."""
+        assert self._view is not None and node.fingerprint == self._view.node.fingerprint
+        self._view.node = node
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -265,11 +401,10 @@ class IncrementalEngine:
         return restricted
 
     def reset(self) -> None:
-        """Discard all operator state (e.g. before a recapture); the counters
-        are cumulative over the engine's lifetime and stay."""
-        self._merge = MergeOperator(
-            compile_plan(self.plan, self.partition, self.database, self.config)
-        )
+        """Discard all operator state (e.g. before a recapture) -- a shared
+        node is left to its other consumers; the counters are cumulative over
+        the engine's lifetime and stay."""
+        self._merge = self._compile()
         self._initialized = False
         self.initialized_at_version = None
 

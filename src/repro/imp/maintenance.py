@@ -53,6 +53,10 @@ class BaseMaintainer:
     scheduler skips audit-log fetches for groups only referenced by
     maintainers that repair without deltas (the full-maintenance baseline)."""
 
+    engine: IncrementalEngine | None = None
+    """The incremental engine whose state the maintainer keeps (None for
+    full maintenance, which keeps none)."""
+
     def __init__(
         self,
         database: Database,
@@ -164,6 +168,13 @@ class IncrementalMaintainer(BaseMaintainer):
     def statistics(self) -> EngineStatistics:
         """Counters collected by the engine across maintenance runs."""
         return self.engine.statistics
+
+    @property
+    def is_captured(self) -> bool:
+        """Whether an initial sketch exists and the engine holds the state to
+        maintain it (a sketch store resets the engine of an entry it drops
+        while other entries read its state)."""
+        return self.sketch is not None and self.engine.is_initialized
 
     def capture(self) -> MaintenanceResult:
         started = time.perf_counter()

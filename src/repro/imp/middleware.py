@@ -268,7 +268,10 @@ class SketchBasedSystem(WorkloadSystem):
             capture_seconds=capture_seconds,
         )
         entry.maintenance_seconds += result.seconds
-        self.store.put(entry)
+        # Registration may hand the entry's engine a node other entries read:
+        # no round may move that node on meanwhile.
+        with self.scheduler.round_lock:
+            self.store.put(entry)
         with self._statistics_lock:
             self.statistics.sketch_captures += 1
             self.statistics.capture_seconds += capture_seconds
@@ -296,9 +299,7 @@ class SketchBasedSystem(WorkloadSystem):
         with self._statistics_lock:
             self.statistics.maintenance_seconds += maintenance_seconds
             if result.changed or result.delta_tuples:
-                entry.maintenance_count += 1
                 self.statistics.sketch_maintenances += 1
-                self.store.statistics.maintenances += 1
         self.store.record_use(entry)
         sketch = entry.sketch
         assert sketch is not None

@@ -22,6 +22,11 @@ the row a scalar aggregate has over empty input:
   forward by the side's own deltas, so no delta pass after it reads a whole
   table again.
 
+An engine's outermost stateful operator and everything below it form a
+:class:`SharedNode`, read through an :class:`IncrementalShared` view: engines
+the sketch store hands one node process it once per pass, through the pass's
+memo.
+
 Annotations are plain ``int`` fragment masks throughout.
 """
 
@@ -125,14 +130,15 @@ class Pass:
 
     ``memo`` holds the table accesses' annotated entries by source (a
     :class:`~repro.storage.delta.Delta`, which hashes by identity, or a table
-    name from scratch) and partition value; a maintenance round shares one
-    between all its engines' passes, every other pass has its own.
+    name from scratch) and partition value, and each :class:`SharedNode`'s
+    output; a maintenance round shares one between all its engines' passes,
+    every other pass has its own.
     """
 
     db_delta: DatabaseDelta | None
     statistics: EngineStatistics
     version: int
-    memo: dict[tuple, tuple[list[Row], list[int], list[int]]] = field(default_factory=dict)
+    memo: dict[object, object] = field(default_factory=dict)
 
     @classmethod
     def scratch(cls, version: int) -> "Pass":
@@ -143,6 +149,15 @@ class Pass:
     def from_scratch(self) -> bool:
         """Whether the pass reads the whole database instead of a delta."""
         return self.db_delta is None
+
+
+def memo_counts(memo: dict) -> tuple[int, int]:
+    """What a round's memo holds: its annotation passes (one per distinct
+    (delta, partition)) and its stateful-operator passes (each shared node's
+    stateful operators, once)."""
+    annotations = sum(isinstance(key, tuple) for key in memo)
+    folds = sum(key.stateful for key in memo if isinstance(key, SharedNode))
+    return annotations, folds
 
 
 class IncrementalOperator:
@@ -237,27 +252,34 @@ class IncrementalTableAccess(IncrementalOperator):
         )
 
     def process(self, run: Pass) -> AnnotatedDelta:
-        rows, masks, counts = self._annotated(run)
+        # From scratch the delta filter runs before the annotation (no other
+        # engine reads that pass's memo); a delta's entries are annotated
+        # whole, once for every engine of the round, and filtered after.
+        prefiltered = run.from_scratch and self._delta_filter is not None
+        rows, masks, counts = self._annotated(run, prefiltered)
         if not rows:
             return AnnotatedDelta(self.output_schema)
         output = AnnotatedDelta(self.output_schema, rows, masks, counts)
         fetched = len(output)
         run.statistics.tuples_processed += fetched
-        if self._delta_filter_fn is not None:
+        if self._delta_filter_fn is not None and not prefiltered:
             output = output.filter(self._delta_filter_fn(output.columns(), len(rows)))
             run.statistics.delta_tuples_filtered += fetched - len(output)
             fetched = len(output)
         run.statistics.delta_tuples_fetched += fetched
         return output
 
-    def _annotated(self, run: Pass) -> tuple[list[Row], list[int], list[int]]:
-        """The pass's rows of the table, their masks and signed counts, from
-        the memo or annotated into it.  Entry order: table order from scratch;
-        otherwise inserts then deletes, each in the delta's own order."""
+    def _annotated(
+        self, run: Pass, prefiltered: bool
+    ) -> tuple[list[Row], list[int], list[int]]:
+        """The pass's rows of the table (only those passing the delta filter
+        when ``prefiltered``), their masks and signed counts, from the memo or
+        annotated into it.  Entry order: table order from scratch; otherwise
+        inserts then deletes, each in the delta's own order."""
         source = self.table if run.from_scratch else run.db_delta.get(self.table)
         if not source:
             return [], [], []
-        key = (source, self._memo_key)
+        key = (source, self._memo_key, self._delta_filter.canonical() if prefiltered else None)
         if key not in run.memo:
             if run.from_scratch:
                 table = self.database.snapshot_relation(self.table, run.version)
@@ -265,6 +287,10 @@ class IncrementalTableAccess(IncrementalOperator):
                 counts = list(map(itemgetter(1), table.items()))
             else:
                 rows, counts = source.signed_entries()
+            if prefiltered:
+                columns = AnnotatedDelta(self.output_schema, rows).columns()
+                keep = self._delta_filter_fn(columns, len(rows))
+                rows, counts = list(compress(rows, keep)), list(compress(counts, keep))
             position = self._attribute_index
             if position is None:
                 masks = [0] * len(rows)
@@ -817,6 +843,70 @@ class IncrementalTopK(IncrementalOperator):
     def describe(self) -> str:
         buffer = self.buffer_limit if self.buffer_limit is not None else "all"
         return f"IncTopK(k={self.k}, buffer={buffer})"
+
+
+class SharedNode:
+    """The operators of one stateful subplan, as a unit several engines can
+    hold.
+
+    ``operator`` is the root of the subtree -- the outermost stateful operator
+    of an engine's plan, with everything below it -- and ``fingerprint`` says
+    what it computes (:meth:`~repro.imp.engine.IncrementalEngine.fingerprint`).
+    The sketch store hands one node to every engine whose fingerprint and
+    state agree (and keeps the list of them: a node refers to no engine); a
+    pass computes its output once into :attr:`Pass.memo`.  ``built_at`` is
+    the version of the from-scratch pass that built its state, or None once a
+    delta pass has moved it on (or it was restored): a node is handed on only
+    while its state is bit for bit what any capture at that version builds.
+    """
+
+    def __init__(self, operator: IncrementalOperator, fingerprint: tuple) -> None:
+        self.operator = operator
+        self.fingerprint = fingerprint
+        self.built_at: int | None = None
+        self.stateful = sum(isinstance(op, _STATEFUL) for op in _subtree(operator))
+
+    def memory_bytes(self) -> int:
+        """Footprint of the subtree's state."""
+        return self.operator.total_memory_bytes()
+
+
+class IncrementalShared(IncrementalOperator):
+    """An engine's view of a :class:`SharedNode`: the node's output delta once
+    per pass, under the engine's own output schema (engines that share a node
+    may name its columns differently).  The lists are the node's, which the
+    stateless operators above it only read."""
+
+    def __init__(self, node: SharedNode, output_schema: Schema) -> None:
+        super().__init__(output_schema)
+        self.node = node
+
+    def children(self) -> Sequence[IncrementalOperator]:
+        return (self.node.operator,)
+
+    def process(self, run: Pass) -> AnnotatedDelta:
+        node = self.node
+        output = run.memo.get(node)
+        if output is None:
+            output = run.memo[node] = node.operator.process(run)
+            node.built_at = run.version if run.from_scratch else None
+        return AnnotatedDelta(
+            self.output_schema, output.rows, output.annotations, output.counts
+        )
+
+    def describe(self) -> str:
+        return "IncShared"
+
+
+def _subtree(root: IncrementalOperator) -> Iterator[IncrementalOperator]:
+    stack = [root]
+    while stack:
+        operator = stack.pop()
+        yield operator
+        stack.extend(operator.children())
+
+
+_STATEFUL = (IncrementalAggregation, IncrementalDistinct, IncrementalJoin, IncrementalTopK)
 
 
 def _to_bag(entries: list[tuple[Row, int, int]]) -> dict[tuple[Row, int], int]:

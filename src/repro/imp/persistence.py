@@ -12,7 +12,9 @@ This module implements that capability for the reproduction:
   every stateful operator of an :class:`~repro.imp.engine.IncrementalEngine`
   into plain JSON-compatible Python values and restore it into a freshly
   compiled engine (same plan, same partition) without re-running the capture
-  query.
+  query.  The payload carries a format number (:data:`FORMAT`); the one
+  payload format before it, which listed the operators of the unpruned plan,
+  is read into the pruned engine.
 * :class:`StatePersistence` stores those payloads -- together with the sketch,
   the SQL text and the version the sketch is valid for -- in a regular table of
   the backend database, and rebuilds maintainers from it.
@@ -38,11 +40,18 @@ from repro.imp.operators import (
     IncrementalDistinct,
     IncrementalJoin,
     IncrementalOperator,
+    IncrementalShared,
     IncrementalTopK,
     MergeOperator,
 )
 from repro.imp.state import AggregationState, MergeState, MinMaxAccumulator
-from repro.relational.algebra import AggregateFunction
+from repro.relational.algebra import (
+    AggregateFunction,
+    Aggregation,
+    Distinct,
+    PlanNode,
+    Projection,
+)
 from repro.relational.schema import Schema
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.sketch import ProvenanceSketch
@@ -56,8 +65,15 @@ STATE_TABLE = "_imp_persisted_state"
 # Operator-tree serialisation
 # ---------------------------------------------------------------------------
 
+FORMAT = 2
+"""Format of :func:`dump_engine_state`'s payload.  Format 1 (no ``"format"``
+key) listed the operators of the unpruned plan; :func:`load_engine_state`
+reads it into the pruned engine."""
+
+
 def _operators_in_order(root: IncrementalOperator) -> list[IncrementalOperator]:
-    """Deterministic pre-order listing of the operator tree.
+    """Deterministic pre-order listing of the operator tree; the view of a
+    shared node is not listed (it holds no state), the node's operators are.
 
     Serialisation and deserialisation both compile the engine from the same
     logical plan, so walking the trees in the same order pairs up operators.
@@ -66,9 +82,50 @@ def _operators_in_order(root: IncrementalOperator) -> list[IncrementalOperator]:
     stack = [root]
     while stack:
         operator = stack.pop()
-        ordered.append(operator)
+        if not isinstance(operator, IncrementalShared):
+            ordered.append(operator)
         stack.extend(reversed(list(operator.children())))
     return ordered
+
+
+def _upgraded(payloads: list, plan: PlanNode, pruned: PlanNode) -> list:
+    """Format-1 operator payloads, listed for ``plan``'s operators, as the
+    pruned engine lists them: the projections under ``μ`` and their
+    ``null``\\ s go, a pruned aggregation keeps the accumulators of the
+    aggregates it kept, and one that became ``Distinct`` over a projection
+    keeps its groups' counts as the distinct rows."""
+    saved = iter(payloads)
+    merge = next(saved, None)
+    return [merge, *_upgraded_node(plan, pruned, saved)]
+
+
+def _upgraded_node(old: PlanNode, new: PlanNode, saved) -> list:
+    payload = next(saved, None)
+    if isinstance(old, Projection) and not isinstance(new, Projection):
+        return _upgraded_node(old.child, new, saved)
+    if isinstance(old, Aggregation) and isinstance(new, Distinct):
+        rows = [{**group, "accumulators": []} for group in payload["groups"]]
+        below = _upgraded_node(old.child, new.child.child, saved)
+        return [{"kind": "distinct", "rows": rows}, None, *below]
+    if isinstance(old, Aggregation):
+        kept = [old.aggregates.index(aggregate) for aggregate in new.aggregates]
+        for group in payload["groups"]:
+            if len(group["accumulators"]) != len(old.aggregates):
+                raise StateError(
+                    f"persisted group has {len(group['accumulators'])} aggregates, "
+                    f"the operator {len(old.aggregates)}"
+                )
+        payload = {
+            "kind": "aggregation",
+            "groups": [
+                {**group, "accumulators": [group["accumulators"][i] for i in kept]}
+                for group in payload["groups"]
+            ],
+        }
+    upgraded = [payload]
+    for old_child, new_child in zip(old.children(), new.children()):
+        upgraded += _upgraded_node(old_child, new_child, saved)
+    return upgraded
 
 
 def _encode_value(value: Any) -> Any:
@@ -261,15 +318,22 @@ def dump_engine_state(engine: IncrementalEngine) -> dict[str, Any]:
         else:
             payloads.append(None)
     return {
+        "format": FORMAT,
         "version": engine.initialized_at_version,
         "operators": payloads,
     }
 
 
 def load_engine_state(engine: IncrementalEngine, payload: dict[str, Any]) -> None:
-    """Restore operator state into a freshly compiled (uninitialised) engine."""
+    """Restore operator state into a freshly compiled (uninitialised) engine,
+    from a payload of this format or of format 1."""
     operators = _operators_in_order(engine._merge)
     saved = payload["operators"]
+    stamped = payload.get("format", 1)
+    if stamped == 1:
+        saved = _upgraded(saved, engine.plan, engine.pruned)
+    elif stamped != FORMAT:
+        raise StateError(f"persisted engine state has unknown format {stamped!r}")
     if len(saved) != len(operators):
         raise StateError(
             "persisted state does not match the engine's operator tree "
@@ -410,7 +474,7 @@ class StatePersistence:
             valid_at_version = int(payload["valid_at_version"])
         except StateError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise StateError(
                 f"persisted state for key {key!r} is malformed: {exc!r}"
             ) from exc

@@ -25,12 +25,18 @@ view maintenance systems (DBToaster-style shared delta processing) do:
 5. each shared delta is annotated once per partition: the round's one memo
    (:attr:`~repro.imp.operators.Pass.memo`, dropped with the round) hands
    every engine whose partition agrees on a table the same signed entries
-   and fragment masks.
+   and fragment masks;
+6. each stateful subplan the store shares between engines
+   (:class:`~repro.imp.operators.SharedNode`) processes the delta once, into
+   the same memo, and every consumer's own selection and ``μ`` read that
+   output.  A node's consumers are maintained in the same round -- a lazy
+   ensure of one of them too -- so the node never moves on without one.
 
 The resulting sketches are identical to maintaining each sketch on its own --
 the incremental operators are linear in the delta -- but the audit-log work
 per round is bounded by the number of distinct (table, version-range) groups,
-and the annotation work by the distinct (delta, partition) pairs, not by the
+the annotation work by the distinct (delta, partition) pairs and the
+group-level work by the distinct (subplan, partition) pairs, not by the
 number of registered sketches.
 """
 
@@ -41,6 +47,7 @@ import time
 from dataclasses import dataclass
 
 from repro.imp.maintenance import MaintenanceResult
+from repro.imp.operators import memo_counts
 from repro.imp.sketch_store import SketchEntry, SketchStore
 from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta, Delta
@@ -49,7 +56,9 @@ from repro.storage.delta import DatabaseDelta, Delta
 @dataclass
 class RoundReport:
     """Outcome of one shared-delta maintenance round; ``annotations`` counts
-    its annotation passes, one per distinct (shared delta, partition)."""
+    its annotation passes, one per distinct (shared delta, partition), and
+    ``folds`` its stateful-operator passes, one per stateful operator of each
+    shared node processed."""
 
     examined: int = 0
     maintained: int = 0
@@ -60,6 +69,7 @@ class RoundReport:
     fetched_tuples: int = 0
     compacted_tuples: int = 0
     annotations: int = 0
+    folds: int = 0
     seconds: float = 0.0
 
     @property
@@ -86,6 +96,7 @@ class SchedulerStatistics:
     fetched_tuples: int = 0
     compacted_tuples: int = 0
     annotations: int = 0
+    folds: int = 0
     seconds: float = 0.0
 
     def absorb(self, report: RoundReport, as_round: bool = True) -> None:
@@ -101,6 +112,7 @@ class SchedulerStatistics:
         self.fetched_tuples += report.fetched_tuples
         self.compacted_tuples += report.compacted_tuples
         self.annotations += report.annotations
+        self.folds += report.folds
         self.seconds += report.seconds
 
 
@@ -167,30 +179,22 @@ class MaintenanceScheduler:
             # would fetch an inverted delta window (since > until) or label a
             # newer sketch with an older version.  Such entries are simply
             # left for the next round.
-            stale = [
-                entry
-                for entry in self.stale_entries(tables)
-                if entry.valid_at_version is not None
-                and entry.valid_at_version <= target
-            ]
+            stale = self._lockstep(
+                [
+                    entry
+                    for entry in self.stale_entries(tables)
+                    if entry.valid_at_version is not None
+                    and entry.valid_at_version <= target
+                ],
+                target,
+            )
             report.examined = len(stale)
             if not stale:
                 report.seconds = time.perf_counter() - started
                 self.statistics.absorb(report)
                 return report
-            shared = self._fetch_shared_deltas(stale, target, report)
-            memo: dict = {}
-            for entry in stale:
-                result = self._fan_out(entry, shared, target, memo)
-                report.maintained += 1
-                if result.changed or result.delta_tuples:
-                    report.changed += 1
-                    entry.maintenance_count += 1
-                    self.store.statistics.maintenances += 1
-                if result.recaptured:
-                    report.recaptured += 1
+            for entry, result in zip(stale, self._maintain_together(stale, target, report)):
                 entry.maintenance_seconds += result.seconds
-            report.annotations = len(memo)
             self.store.enforce_memory_budget()
             report.seconds = time.perf_counter() - started
             self.statistics.absorb(report)
@@ -200,10 +204,11 @@ class MaintenanceScheduler:
         """Capture or maintain a single entry (the lazy query-time path).
 
         Uses the same fetch-once-and-compact pipeline as :meth:`run_round`,
-        restricted to one entry, so the lazy path also benefits from net-delta
-        processing and the version-indexed audit log.  Serialized against
-        shared rounds by the round lock: maintainer state must never be fed
-        two deltas concurrently.
+        restricted to the entry and the other consumers of its shared node
+        (which must move on with it), so the lazy path also benefits from
+        net-delta processing and the version-indexed audit log.  Serialized
+        against shared rounds by the round lock: maintainer state must never
+        be fed two deltas concurrently.
         """
         with self._round_lock:
             maintainer = entry.maintainer
@@ -213,17 +218,14 @@ class MaintenanceScheduler:
                 assert maintainer.sketch is not None
                 return MaintenanceResult(sketch=maintainer.sketch)
             started = time.perf_counter()
-            report = RoundReport(examined=1)
             target = self.database.version
-            shared = self._fetch_shared_deltas([entry], target, report)
-            memo: dict = {}
-            result = self._fan_out(entry, shared, target, memo)
-            report.maintained = 1
-            report.annotations = len(memo)
-            if result.changed or result.delta_tuples:
-                report.changed = 1
-            if result.recaptured:
-                report.recaptured = 1
+            group = self._lockstep([entry], target)
+            report = RoundReport(examined=len(group))
+            result, *others = self._maintain_together(group, target, report)
+            # The entry's own time is the caller's to book (it includes the
+            # staleness check); the others' is booked here.
+            for member, outcome in zip(group[1:], others):
+                member.maintenance_seconds += outcome.seconds
             # Maintenance grows operator state and retained versions, so the
             # lazy path must re-check the memory budget too -- but never by
             # evicting the entry that is about to answer the query.
@@ -233,6 +235,51 @@ class MaintenanceScheduler:
             return result
 
     # -- internals ------------------------------------------------------------------------
+
+    @staticmethod
+    def _due(entry: SketchEntry, target: int) -> bool:
+        """Whether a round to ``target`` maintains ``entry``."""
+        return (
+            entry.maintainer.is_captured
+            and entry.valid_at_version is not None
+            and entry.valid_at_version <= target
+            and entry.maintainer.is_stale()
+        )
+
+    def _lockstep(self, entries: list[SketchEntry], target: int) -> list[SketchEntry]:
+        """``entries`` and, after them, every other due consumer of their
+        shared nodes: a node moves on with all its consumers or with none."""
+        group = {entry.template.text: entry for entry in entries}
+        for entry in entries:
+            for member in self.store.share_group(entry):
+                if member.template.text not in group and self._due(member, target):
+                    group[member.template.text] = member
+        return list(group.values())
+
+    def _maintain_together(
+        self, entries: list[SketchEntry], target: int, report: RoundReport
+    ) -> list[MaintenanceResult]:
+        """Maintain ``entries`` to ``target`` with one fetch per (table,
+        since) group and one memo, so each delta is annotated once per
+        partition and each shared node processes it once."""
+        shared = self._fetch_shared_deltas(entries, target, report)
+        memo: dict = {}
+        results = []
+        for entry in entries:
+            result = self._fan_out(entry, shared, target, memo)
+            report.maintained += 1
+            if result.changed or result.delta_tuples:
+                report.changed += 1
+                entry.maintenance_count += 1
+                self.store.statistics.maintenances += 1
+            if result.recaptured:
+                report.recaptured += 1
+                # A fresh node: the other recaptured consumers of the old one
+                # share it again.
+                self.store.intern(entry)
+            results.append(result)
+        report.annotations, report.folds = memo_counts(memo)
+        return results
 
     def _fetch_shared_deltas(
         self, stale: list[SketchEntry], target: int, report: RoundReport
@@ -291,6 +338,7 @@ class MaintenanceScheduler:
             "fetched_tuples": stats.fetched_tuples,
             "compacted_tuples": stats.compacted_tuples,
             "annotations": stats.annotations,
+            "folds": stats.folds,
             "recaptures": stats.recaptured,
             "seconds": stats.seconds,
         }

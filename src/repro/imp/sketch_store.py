@@ -14,15 +14,26 @@ The store supports two eviction modes that can be combined:
 * ``max_bytes`` bounds the total memory of sketches plus maintenance state;
   victims are chosen by recency (least recently used first, lowest
   ``use_count`` on ties) until the store fits the budget again.
+
+The store also interns the engines' stateful subplans: entries whose engines
+compute the same subplan over the same partition
+(:meth:`~repro.imp.engine.IncrementalEngine.fingerprint`) from the same
+from-scratch state read one :class:`~repro.imp.operators.SharedNode`, which a
+maintenance round processes once for all of them.  Which node an entry reads
+is its engine's (``engine.shared``) and nothing else; the entries in the
+store that read one node are its share group.  Shared state is charged once,
+and stays while any of its consumers does.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.imp.maintenance import BaseMaintainer
+from repro.imp.operators import SharedNode
 from repro.relational.algebra import PlanNode, walk_plan
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import ProvenanceSketch
@@ -81,10 +92,17 @@ class SketchEntry:
         return self.plan.referenced_tables()
 
     def memory_bytes(self) -> int:
-        """Memory used by the sketch, its maintenance state and the cached
-        instrumented plan."""
+        """Memory used by the sketch, its maintenance state (a shared node's
+        included) and the cached instrumented plan."""
         sketch_bytes = self.sketch.byte_size() if self.sketch is not None else 0
         return sketch_bytes + self.maintainer.memory_bytes() + self.instrumented_bytes
+
+    @property
+    def shared(self) -> SharedNode | None:
+        """The node holding the entry's stateful operators (None under full
+        maintenance, or for a plan without any)."""
+        engine = self.maintainer.engine
+        return None if engine is None else engine.shared
 
 
 @dataclass
@@ -197,28 +215,82 @@ class SketchStore:
         new capture or triggering capacity eviction.
         """
         with self._lock:
-            is_new = entry.template.text not in self._entries
+            previous = self._entries.get(entry.template.text)
             if (
-                is_new
+                previous is None
                 and self._capacity is not None
                 and len(self._entries) >= self._capacity
             ):
                 self._evict_one()
             self.touch(entry)
             self._entries[entry.template.text] = entry
-            if is_new:
+            if previous is not None and previous is not entry:
+                self._release(previous)
+            self.intern(entry)
+            if previous is None:
                 self.statistics.captures += 1
             self.enforce_memory_budget(protect=entry)
+
+    def intern(self, entry: SketchEntry) -> None:
+        """Hand ``entry``'s engine the node of another entry in the store
+        that has the same fingerprint and was built by a from-scratch pass at
+        the version the entry's own was, and has not been maintained since.
+
+        Its state is then bit for bit the entry's own, so the entry's ``μ``
+        stays consistent with it.  Called on registration and again after
+        the entry's engine was recaptured.  Maintenance rounds must not run
+        meanwhile: a node must not move on without one of its consumers.
+        """
+        with self._lock:
+            own = entry.shared
+            if (
+                own is None
+                or own.built_at is None
+                or self._entries.get(entry.template.text) is not entry
+            ):
+                return
+            for other in self._entries.values():
+                node = other.shared
+                if (
+                    node is not None
+                    and node is not own
+                    and node.fingerprint == own.fingerprint
+                    and node.built_at == own.built_at
+                ):
+                    entry.maintainer.engine.share(node)
+                    return
+
+    def share_group(self, entry: SketchEntry) -> list[SketchEntry]:
+        """The entries in the store whose engines read ``entry``'s shared
+        node, in registration order (``[entry]`` for an entry not in the
+        store): they are maintained together."""
+        with self._lock:
+            node = entry.shared
+            if node is None or self._entries.get(entry.template.text) is not entry:
+                return [entry]
+            return [other for other in self._entries.values() if other.shared is node]
+
+    def _release(self, entry: SketchEntry) -> None:
+        """Detach ``entry``, which just left the store, from a node entries
+        in the store still read: its engine starts over, and recaptures when
+        the entry is next ensured, so it can never move the node on without
+        them.  The last consumer to leave keeps the node."""
+        node = entry.shared
+        if node is not None and any(other.shared is node for other in self._entries.values()):
+            entry.maintainer.engine.reset()
 
     def remove(self, template: QueryTemplate) -> None:
         """Drop the entry for a template (no error when absent)."""
         with self._lock:
-            self._entries.pop(template.text, None)
+            entry = self._entries.pop(template.text, None)
+            if entry is not None:
+                self._release(entry)
 
     def clear(self) -> None:
         """Drop all entries."""
         with self._lock:
-            self._entries.clear()
+            while self._entries:
+                self._release(self._entries.popitem()[1])
 
     def _evict_one(self) -> None:
         # Least useful first; least recently used breaks use_count ties so the
@@ -229,6 +301,7 @@ class SketchStore:
             key=lambda entry: (entry.use_count, entry.last_used_tick),
         )
         del self._entries[victim.template.text]
+        self._release(victim)
         self.statistics.evictions += 1
 
     def enforce_memory_budget(self, protect: SketchEntry | None = None) -> int:
@@ -245,12 +318,9 @@ class SketchStore:
         with self._lock:
             # Size each entry once and evict cheapest-first from a sorted
             # victim list, keeping a running total: evicting k of N entries
-            # costs one footprint walk, not one per eviction.
-            sizes = {
-                entry.template.text: entry.memory_bytes()
-                for entry in self._entries.values()
-            }
-            total = sum(sizes.values())
+            # costs one footprint walk, not one per eviction.  A victim frees
+            # a shared node's state only as its last consumer.
+            sizes, consumers, total = self._footprint()
             victims = sorted(
                 (entry for entry in self._entries.values() if entry is not protect),
                 key=lambda entry: (entry.last_used_tick, entry.use_count),
@@ -259,19 +329,37 @@ class SketchStore:
             for victim in victims:
                 if total <= self._max_bytes:
                     break
+                node = victim.shared
+                kept = node.memory_bytes() if node is not None and consumers[node] > 1 else 0
+                consumers[node] -= 1
                 del self._entries[victim.template.text]
-                total -= sizes[victim.template.text]
+                self._release(victim)
+                total -= sizes[victim.template.text] - kept
                 self.statistics.evictions += 1
                 self.statistics.bytes_evictions += 1
                 evicted += 1
             return evicted
 
+    def _footprint(self) -> tuple[dict[str, int], Counter, int]:
+        """Each entry's memory (its shared node's included), each node's
+        number of consumers in the store, and the store's total, which
+        charges a shared node once."""
+        sizes = {text: entry.memory_bytes() for text, entry in self._entries.items()}
+        consumers = Counter(entry.shared for entry in self._entries.values())
+        total = sum(sizes.values()) - sum(
+            node.memory_bytes() * (count - 1)
+            for node, count in consumers.items()
+            if node is not None and count > 1
+        )
+        return sizes, consumers, total
+
     # -- reporting ---------------------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Total memory used by sketches and their maintenance state."""
+        """Total memory used by sketches and their maintenance state, shared
+        state counted once."""
         with self._lock:
-            return sum(entry.memory_bytes() for entry in self._entries.values())
+            return self._footprint()[2]
 
     def summary(self) -> dict[str, object]:
         """A compact report used by the examples and the benchmark harness."""

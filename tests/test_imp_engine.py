@@ -13,7 +13,14 @@ import pytest
 from repro.core.errors import PlanError
 from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch, compile_plan
 from repro.imp.maintenance import IncrementalMaintainer
-from repro.imp.operators import _PAIR_BATCH, EngineStatistics, IncrementalTopK, Pass
+from repro.imp.operators import (
+    _PAIR_BATCH,
+    EngineStatistics,
+    IncrementalAggregation,
+    IncrementalJoin,
+    IncrementalTopK,
+    Pass,
+)
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.selection import build_database_partition
 from repro.storage.database import Database
@@ -28,6 +35,12 @@ def walk_operators(engine):
         operator = stack.pop()
         yield operator
         stack.extend(operator.children())
+
+
+def operator_of(engine, kind):
+    """The engine's (only) operator of type ``kind``."""
+    (operator,) = [op for op in walk_operators(engine) if isinstance(op, kind)]
+    return operator
 
 
 def maintained_matches_truth(engine, maintainer_sketch, plan, partition, database):
@@ -168,6 +181,70 @@ def run_random_maintenance(
         if maintained_matches_truth(engine, sketch, plan, partition, database):
             exact_steps += 1
     return exact_steps, steps
+
+
+class TestPrunedPlan:
+    """The engine compiles the plan pruned to what ``μ`` reads (the oracle
+    differentials in ``test_property_engine.py`` hold it to the unpruned
+    plan); the plan it was handed is left as it is."""
+
+    @staticmethod
+    def _pruned(sql: str) -> str:
+        database = Database()
+        database.create_table("r", ["id", "a", "b", "c"], primary_key="id")
+        database.create_table("s", ["x", "y"])
+        plan = database.plan(sql)
+        before = plan.explain()
+        engine = IncrementalEngine(plan, DatabasePartition([]), database)
+        assert engine.plan is plan and plan.explain() == before
+        return engine.pruned.explain()
+
+    def test_only_what_the_having_reads_is_kept_and_the_projection_under_mu_goes(self):
+        assert self._pruned(
+            "SELECT a, avg(c) AS v1, min(id) AS lo FROM r GROUP BY a HAVING avg(b) < 1001"
+        ).splitlines() == [
+            "Selection((agg_2 < 1001))",
+            "  Aggregation(group by a; avg(b) AS agg_2)",
+            "    TableScan(r)",
+        ]
+
+    def test_a_group_by_without_a_live_aggregate_becomes_distinct_on_its_keys(self):
+        pruned = self._pruned("SELECT a, c, sum(b) AS sb FROM r GROUP BY a, c")
+        assert pruned.splitlines() == [
+            "Distinct",
+            "  Projection(a AS a, c AS c)",
+            "    TableScan(r)",
+        ]
+
+    def test_a_scalar_aggregation_keeps_one_aggregate(self):
+        """Its one row exists even over empty input, which a join above it
+        sees."""
+        assert self._pruned(
+            "SELECT y FROM (SELECT max(b) AS hi, count(*) AS n FROM r) t, s"
+        ).splitlines() == [
+            "CrossProduct",
+            "  Projection(hi AS t.hi)",
+            "    Projection(hi AS hi)",
+            "      Aggregation(group by <global>; max(b) AS hi)",
+            "        TableScan(r)",
+            "  TableScan(s)",
+        ]
+
+    def test_a_join_reads_its_condition_and_a_top_k_whole_rows(self):
+        assert self._pruned(
+            "SELECT y FROM (SELECT a, b + c AS bc FROM r) t JOIN s ON t.a = s.x"
+        ).splitlines() == [
+            "Join((t.a = s.x))",
+            "  Projection(a AS t.a)",
+            "    Projection(a AS a)",
+            "      TableScan(r)",
+            "  TableScan(s)",
+        ]
+        assert self._pruned("SELECT a, b FROM r ORDER BY b LIMIT 3").splitlines() == [
+            "TopK(k=3; order by b ASC)",
+            "  Projection(a AS a, b AS b)",
+            "    TableScan(r)",
+        ]
 
 
 class TestTheorem61:
@@ -360,7 +437,7 @@ class TestJoinMaintenance:
         partition = build_database_partition(database, plan, 10)
         engine = IncrementalEngine(plan, partition, database)
         sketch = engine.initialize()
-        join = engine._merge.child.child
+        join = operator_of(engine, IncrementalJoin)
         checked = []
         condition = join._condition_batch
 
@@ -389,7 +466,7 @@ class TestJoinMaintenance:
         plan = database.plan("SELECT id, sid FROM r JOIN s ON c + 40 < e AND id > sid")
         partition = build_database_partition(database, plan, 10)
         engine = IncrementalEngine(plan, partition, database)
-        join = engine._merge.child.child
+        join = operator_of(engine, IncrementalJoin)
         assert join.describe().startswith("IncJoin(theta")
         checked = []
         condition = join._condition_batch
@@ -421,7 +498,7 @@ class TestJoinMaintenance:
         engine = IncrementalEngine(plan, partition, database)
         sketch = engine.initialize()
         assert engine.statistics == EngineStatistics()
-        join = engine._merge.child.child
+        join = operator_of(engine, IncrementalJoin)
         left, right = (side.state for side in join.sides)
         assert all((row[2],) in left.bloom for row in r_rows)
         assert all((row[1],) in right.bloom for row in s_rows)
@@ -549,9 +626,7 @@ class TestScalarAggregate:
         plan = database.plan("SELECT sum(b) AS sb FROM r")
         engine = IncrementalEngine(plan, partition, database)
         engine.initialize()
-        aggregation = engine._merge.child
-        while not hasattr(aggregation, "state"):
-            aggregation = aggregation.child
+        aggregation = operator_of(engine, IncrementalAggregation)
         assert len(aggregation.state) == 0
         version = database.version
         database.insert("r", [(1, 10)])

@@ -83,6 +83,16 @@ OPERATOR_QUERIES = {
         "SELECT n, w FROM (SELECT count(*) AS n, sum(b) AS sb FROM r WHERE c > 900) t "
         "JOIN s ON (n < ttid)"
     ),
+    # The engine's plan is pruned to what μ reads: a dead aggregate leaves
+    # Distinct on the group keys, below a join too, and a dead projected
+    # column goes from a subquery the join reads only the key of.
+    "dead_aggregate": "SELECT a, sum(c) AS sc, min(b) AS lo FROM r GROUP BY a",
+    "dead_aggregate_below_join": (
+        "SELECT w FROM (SELECT a, max(c) AS hi FROM r GROUP BY a) t JOIN s ON (a = ttid)"
+    ),
+    "dead_column_below_join": (
+        "SELECT w FROM (SELECT a, b + c AS bc FROM r) t JOIN s ON (a = ttid)"
+    ),
 }
 
 

@@ -286,7 +286,16 @@ class TestDeltaCompaction:
         assert len(delta.compacted()) == 0
 
 
+def _unshared_templates(count: int) -> list[str]:
+    """Multi-sketch templates whose HAVING attributes differ (the attribute
+    moves on every nine templates), so no two entries share state."""
+    return multi_sketch_templates(9 * count)[::9]
+
+
 class TestStoreMemoryBudget:
+    """Over templates that share no state, so an entry's footprint is all
+    its own (``test_shared_round.py`` budgets shared state)."""
+
     def _entry(self, database: Database, sql: str) -> SketchEntry:
         plan = database.plan(sql)
         partition = build_database_partition(database, plan, 6)
@@ -307,9 +316,7 @@ class TestStoreMemoryBudget:
 
     def test_budget_evicts_down_to_max_bytes(self):
         database = self._database()
-        entries = [
-            self._entry(database, sql) for sql in multi_sketch_templates(4)
-        ]
+        entries = [self._entry(database, sql) for sql in _unshared_templates(4)]
         budget = entries[0].memory_bytes() * 2 + entries[0].memory_bytes() // 2
         store = SketchStore(max_bytes=budget)
         for entry in entries:
@@ -320,9 +327,7 @@ class TestStoreMemoryBudget:
 
     def test_budget_prefers_recently_used_entries(self):
         database = self._database()
-        first, second, third = (
-            self._entry(database, sql) for sql in multi_sketch_templates(3)
-        )
+        first, second, third = (self._entry(database, sql) for sql in _unshared_templates(3))
         # Budget fits exactly `first` and `third` together, so registering
         # `third` must evict one of the residents.
         store = SketchStore(max_bytes=first.memory_bytes() + third.memory_bytes() + 1)
@@ -337,7 +342,7 @@ class TestStoreMemoryBudget:
 
     def test_budget_smaller_than_one_sketch_keeps_newest(self):
         database = self._database()
-        first, second = (self._entry(database, sql) for sql in multi_sketch_templates(2))
+        first, second = (self._entry(database, sql) for sql in _unshared_templates(2))
         store = SketchStore(max_bytes=1)
         store.put(first)
         store.put(second)
@@ -347,7 +352,7 @@ class TestStoreMemoryBudget:
     def test_scheduler_round_reenforces_budget(self):
         database = self._database()
         table = database.table("r")
-        entries = [self._entry(database, sql) for sql in multi_sketch_templates(3)]
+        entries = [self._entry(database, sql) for sql in _unshared_templates(3)]
         store = SketchStore(max_bytes=sum(e.memory_bytes() for e in entries) + 64)
         for entry in entries:
             store.put(entry)
