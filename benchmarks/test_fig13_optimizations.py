@@ -133,18 +133,26 @@ def test_fig13b_bloom_filter_join_pruning(benchmark, join_selectivity, delta_siz
 
     def run():
         scenarios = {use_bloom: build(use_bloom) for use_bloom in (True, False)}
+        rounds: list[dict[bool, tuple[int, int]]] = []
 
         def one_round() -> tuple[float, float]:
             seconds = []
-            for database, table, maintainer in scenarios.values():
+            outcome = {}
+            for use_bloom, (database, table, maintainer) in scenarios.items():
                 deletes = table.pick_deletes(delta_size // 2)
                 inserts = table.make_inserts(delta_size - len(deletes))
                 if deletes:
                     database.delete_rows("r", deletes)
                 database.insert("r", inserts)
+                processed = maintainer.statistics.tuples_processed
                 started = time.perf_counter()
                 maintainer.maintain()
                 seconds.append(time.perf_counter() - started)
+                outcome[use_bloom] = (
+                    maintainer.statistics.tuples_processed - processed,
+                    maintainer.sketch.mask,
+                )
+            rounds.append(outcome)
             return tuple(seconds)
 
         # Interleaved rounds on two warm scenarios (see fig13a).
@@ -152,9 +160,9 @@ def test_fig13b_bloom_filter_join_pruning(benchmark, join_selectivity, delta_siz
         for use_bloom, (_database, _table, maintainer) in scenarios.items():
             timings[f"stats_{use_bloom}"] = maintainer.statistics.bloom_filtered_tuples
             timings[f"builds_{use_bloom}"] = maintainer.statistics.backend_round_trips
-        return timings
+        return timings, rounds
 
-    timings = benchmark.pedantic(run, rounds=1, iterations=1)
+    timings, rounds = benchmark.pedantic(run, rounds=1, iterations=1)
     result = ExperimentResult("fig13b")
     result.add(optimization="bloom", selectivity=join_selectivity, delta=delta_size,
                seconds=round(timings[True], 5), pruned=timings["stats_True"],
@@ -174,12 +182,14 @@ def test_fig13b_bloom_filter_join_pruning(benchmark, join_selectivity, delta_siz
     # tuple first gets past the filter -- and nothing is pruned without them.
     assert timings["builds_True"] <= timings["builds_False"] == 1
     assert timings["stats_False"] == 0
-    # The filter must never hurt badly.  Once the side is built both variants
-    # probe the same index, so the medians differ only by the rounds before
-    # the build, where the pure-Python per-key filter probe can make bloom-on
-    # slightly slower at millisecond scale -- bound the regression rather than
-    # demand a win.
-    assert timings[True] <= timings[False] * 2.0
+    # The filter never costs work: both scenarios replay the same update
+    # stream (the tables are seeded alike), so in every round the variant with
+    # filters processes at most the tuples the one without does, and both
+    # maintain the same sketch.  The seconds are printed, not asserted.
+    for outcome in rounds:
+        (processed, mask), (unpruned, unpruned_mask) = outcome[True], outcome[False]
+        assert processed <= unpruned
+        assert mask == unpruned_mask
 
 
 @pytest.mark.parametrize("buffer_size", [10, 50, None])

@@ -174,7 +174,7 @@ class MultiSketchPair:
         started = time.perf_counter()
         with counted_passes() as per_sketch_passes:
             for maintainer in self.per_sketch:
-                maintainer.ensure_current()
+                maintainer.maintain()
         per_sketch_seconds = time.perf_counter() - started
         per_sketch_fetches = self.per_sketch_db.delta_fetch_count - fetches_before
 

@@ -19,7 +19,7 @@ thrown away afterwards.  It is the only annotated evaluation of a plan in
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 
 from repro.core.errors import PlanError
 from repro.relational.algebra import (
@@ -80,7 +80,6 @@ class IMPConfig:
     selection_pushdown: bool = True
     min_max_buffer: int | None = None
     topk_buffer: int | None = None
-    bloom_false_positive_rate: float = 0.01
 
 
 @dataclass
@@ -89,7 +88,6 @@ class MaintenanceOutcome:
 
     sketch_delta: SketchDelta
     needs_recapture: bool = False
-    statistics: EngineStatistics = field(default_factory=EngineStatistics)
 
 
 def prune_plan(plan: PlanNode, catalog: SchemaProvider) -> PlanNode:
@@ -194,7 +192,6 @@ def compile_plan(
             node.equi_join_keys(),
             lambda plan: compile_plan(plan, partition, database, side_config),
             use_bloom_filters=config.use_bloom_filters,
-            bloom_false_positive_rate=config.bloom_false_positive_rate,
         )
     if isinstance(node, Aggregation):
         return IncrementalAggregation(
@@ -380,7 +377,6 @@ class IncrementalEngine:
         return MaintenanceOutcome(
             sketch_delta=sketch_delta,
             needs_recapture=needs_recapture,
-            statistics=self.statistics,
         )
 
     def restrict_delta(self, db_delta: DatabaseDelta) -> DatabaseDelta:

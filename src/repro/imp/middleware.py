@@ -5,7 +5,10 @@ application and the backend database, parses incoming SQL, decides whether a
 query can be answered from an existing sketch (maintaining it first when
 stale), captures new sketches when needed, rewrites queries to skip data using
 sketches, and routes updates to the database while triggering eager or lazy
-maintenance.
+maintenance.  Every maintenance runs through the system's
+:class:`~repro.imp.scheduler.MaintenanceScheduler`, which alone counts and
+times it: ``SystemStatistics.sketch_maintenances`` and
+``maintenance_seconds`` read the scheduler's statistics.
 
 Two baselines mirror the paper's experiments:
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.errors import IMPError, PlanError, SketchError
 from repro.imp.engine import IMPConfig
 from repro.imp.maintenance import BaseMaintainer, FullMaintainer, IncrementalMaintainer
-from repro.imp.scheduler import MaintenanceScheduler
+from repro.imp.scheduler import MaintenanceScheduler, SchedulerStatistics
 from repro.imp.sketch_store import SketchEntry, SketchStore
 from repro.imp.strategies import LazyStrategy, MaintenanceStrategy
 from repro.relational.algebra import PlanNode
@@ -40,20 +43,29 @@ from repro.storage.delta import Delta
 
 @dataclass
 class SystemStatistics:
-    """End-to-end counters of a query/update processing system."""
+    """End-to-end counters of a query/update processing system; those of
+    maintenance are the ``scheduler``'s (zero for a system without one)."""
 
     queries: int = 0
     updates: int = 0
     update_tuples: int = 0
     sketch_hits: int = 0
     sketch_captures: int = 0
-    sketch_maintenances: int = 0
     fallback_queries: int = 0
     query_seconds: float = 0.0
     update_seconds: float = 0.0
-    maintenance_seconds: float = 0.0
     capture_seconds: float = 0.0
-    extra: dict[str, float] = field(default_factory=dict)
+    scheduler: SchedulerStatistics = field(default_factory=SchedulerStatistics)
+
+    @property
+    def sketch_maintenances(self) -> int:
+        """Sketches maintained that changed or read a delta."""
+        return self.scheduler.changed
+
+    @property
+    def maintenance_seconds(self) -> float:
+        """Time spent in maintenance rounds and lazy ensures."""
+        return self.scheduler.seconds
 
     def total_seconds(self) -> float:
         """Total time spent across queries, updates and maintenance."""
@@ -170,6 +182,7 @@ class SketchBasedSystem(WorkloadSystem):
         # per distinct (table, version) group per round, compacted before
         # fan-out to the stale maintainers.
         self.scheduler = MaintenanceScheduler(database, self.store)
+        self.statistics.scheduler = self.scheduler.statistics
         # Serializes first-capture of a template: two sessions racing on the
         # same cold query must not both build partitions, indexes and
         # operator state.
@@ -254,9 +267,7 @@ class SketchBasedSystem(WorkloadSystem):
             for table_partition in partition:
                 self.database.create_index(table_partition.table, table_partition.attribute)
             maintainer = self._make_maintainer(plan, partition)
-            capture_started = time.perf_counter()
-            result = maintainer.capture()
-            capture_seconds = time.perf_counter() - capture_started
+            capture_seconds = maintainer.capture().seconds
         except (SketchError, PlanError):
             return None
         entry = SketchEntry(
@@ -265,9 +276,7 @@ class SketchBasedSystem(WorkloadSystem):
             plan=plan,
             partition=partition,
             maintainer=maintainer,
-            capture_seconds=capture_seconds,
         )
-        entry.maintenance_seconds += result.seconds
         # Registration may hand the entry's engine a node other entries read:
         # no round may move that node on meanwhile.
         with self.scheduler.round_lock:
@@ -290,16 +299,7 @@ class SketchBasedSystem(WorkloadSystem):
             return self._answer_with_sketch_locked(entry)
 
     def _answer_with_sketch_locked(self, entry: SketchEntry) -> Relation:
-        maintenance_started = time.perf_counter()
-        result = self.scheduler.ensure_entry(entry)
-        maintenance_seconds = time.perf_counter() - maintenance_started
-        # The staleness check and audit-log scan cost time even when they find
-        # an empty delta; dropping no-op runs would understate maintenance.
-        entry.maintenance_seconds += maintenance_seconds
-        with self._statistics_lock:
-            self.statistics.maintenance_seconds += maintenance_seconds
-            if result.changed or result.delta_tuples:
-                self.statistics.sketch_maintenances += 1
+        self.scheduler.ensure_entry(entry)
         self.store.record_use(entry)
         sketch = entry.sketch
         assert sketch is not None
@@ -322,16 +322,9 @@ class SketchBasedSystem(WorkloadSystem):
     def _after_update(self, table: str, delta_tuples: int) -> None:
         self.strategy.register_update(table, delta_tuples)
         tables = self.strategy.tables_to_maintain()
-        if not tables:
-            return
-        started = time.perf_counter()
-        report = self.scheduler.run_round(tables)
-        self.strategy.acknowledge_round(tables, report)
-        # Recorded regardless of whether the round changed anything: a round
-        # that only discovers empty deltas still spent maintenance time.
-        with self._statistics_lock:
-            self.statistics.sketch_maintenances += report.changed
-            self.statistics.maintenance_seconds += time.perf_counter() - started
+        if tables:
+            self.scheduler.run_round(tables)
+            self.strategy.acknowledge_maintenance(tables)
 
     # -- background maintenance thread -----------------------------------------------------------
 
@@ -363,13 +356,9 @@ class SketchBasedSystem(WorkloadSystem):
             def loop() -> None:
                 while not stop.wait(interval):
                     try:
-                        report = self.scheduler.run_round()
+                        self.scheduler.run_round()
                     except Exception as exc:  # noqa: BLE001 - surfaced on stop()
                         self.maintenance_errors.append(exc)
-                        continue
-                    with self._statistics_lock:
-                        self.statistics.sketch_maintenances += report.changed
-                        self.statistics.maintenance_seconds += report.seconds
 
             self._maintenance_thread = threading.Thread(
                 target=loop, name=f"{self.name}-maintenance", daemon=True
@@ -390,10 +379,7 @@ class SketchBasedSystem(WorkloadSystem):
             thread.join()
             self._maintenance_thread = None
         if drain:
-            report = self.scheduler.run_round()
-            with self._statistics_lock:
-                self.statistics.sketch_maintenances += report.changed
-                self.statistics.maintenance_seconds += report.seconds
+            self.scheduler.run_round()
         if self.maintenance_errors:
             errors, self.maintenance_errors = self.maintenance_errors, []
             raise IMPError(

@@ -99,18 +99,6 @@ class EngineStatistics:
     tuples_processed: int = 0
     maintenance_runs: int = 0
     recaptures: int = 0
-    extra: dict[str, float] = field(default_factory=dict)
-
-    def merge(self, other: "EngineStatistics") -> None:
-        """Accumulate another statistics object into this one."""
-        self.delta_tuples_fetched += other.delta_tuples_fetched
-        self.delta_tuples_filtered += other.delta_tuples_filtered
-        self.bloom_filtered_tuples += other.bloom_filtered_tuples
-        self.backend_round_trips += other.backend_round_trips
-        self.tuples_shipped_to_backend += other.tuples_shipped_to_backend
-        self.tuples_processed += other.tuples_processed
-        self.maintenance_runs += other.maintenance_runs
-        self.recaptures += other.recaptures
 
 
 @dataclass
@@ -380,6 +368,9 @@ def _no_key(_row: Row) -> tuple:
 # capture over 1500 x 1500 rows: 0.9 s at 512, 1.35 s at 4096).
 _PAIR_BATCH = 512
 
+# False-positive rate of the Bloom filter summarising a join side.
+_BLOOM_FALSE_POSITIVE_RATE = 0.01
+
 
 def _key_getter(schema: Schema, names: Sequence[str]) -> Callable[[Row], tuple]:
     """``row -> join key tuple`` over the named attributes (at least one)."""
@@ -425,7 +416,6 @@ class IncrementalJoin(IncrementalOperator):
         equi_keys: tuple[list[str], list[str]] | None,
         compile_side: Callable[[PlanNode], IncrementalOperator],
         use_bloom_filters: bool = True,
-        bloom_false_positive_rate: float = 0.01,
     ) -> None:
         super().__init__(left.output_schema.concat(right.output_schema))
         self.left = left
@@ -438,7 +428,6 @@ class IncrementalJoin(IncrementalOperator):
         )
         self._compile_side = compile_side
         self.use_bloom_filters = use_bloom_filters
-        self.bloom_false_positive_rate = bloom_false_positive_rate
         keys = None if equi_keys is None else self._resolve_keys(equi_keys)
         # Whether the condition is a conjunction of attribute equalities.
         self.is_equi_join = keys is not None
@@ -478,7 +467,7 @@ class IncrementalJoin(IncrementalOperator):
             # they seed the filters and ΔQ1 ⋈ ΔQ2 is the whole join.
             if self.is_equi_join and self.use_bloom_filters:
                 for side, whole in ((left, left_delta), (right, right_delta)):
-                    side.state.summarise(side.key, whole, self.bloom_false_positive_rate)
+                    side.state.summarise(side.key, whole, _BLOOM_FALSE_POSITIVE_RATE)
             self._join_pairs(
                 left_delta, left.key, _indexed(right_delta, right.key), output, True
             )

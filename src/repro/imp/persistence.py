@@ -30,6 +30,7 @@ filter hit does on a freshly captured engine.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from typing import Any
 
 from repro.core.errors import StateError
@@ -404,12 +405,7 @@ class StatePersistence:
             "partition": _partition_payload(maintainer.partition),
             "sketch_fragments": sorted(maintainer.sketch.fragment_ids()),
             "valid_at_version": maintainer.valid_at_version,
-            "config": {
-                "use_bloom_filters": maintainer.config.use_bloom_filters,
-                "selection_pushdown": maintainer.config.selection_pushdown,
-                "min_max_buffer": maintainer.config.min_max_buffer,
-                "topk_buffer": maintainer.config.topk_buffer,
-            },
+            "config": asdict(maintainer.config),
             "engine_state": dump_engine_state(maintainer.engine),
         }
         serialised = json.dumps(payload)
@@ -456,12 +452,7 @@ class StatePersistence:
             # earlier versions carry settings that no longer exist, and those
             # must not make a good entry unreadable.
             stored_config = payload["config"]
-            config = IMPConfig(
-                use_bloom_filters=stored_config["use_bloom_filters"],
-                selection_pushdown=stored_config["selection_pushdown"],
-                min_max_buffer=stored_config["min_max_buffer"],
-                topk_buffer=stored_config["topk_buffer"],
-            )
+            config = IMPConfig(**{f.name: stored_config[f.name] for f in fields(IMPConfig)})
         except (KeyError, TypeError, ValueError) as exc:
             raise StateError(
                 f"persisted state for key {key!r} is malformed: {exc!r}"
@@ -480,7 +471,6 @@ class StatePersistence:
             ) from exc
         maintainer.sketch = sketch
         maintainer.valid_at_version = valid_at_version
-        maintainer.sketch_versions.append((valid_at_version, sketch))
         return sql, maintainer
 
     def load_or_capture(self, key, capture):

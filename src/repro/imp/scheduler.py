@@ -38,6 +38,11 @@ per round is bounded by the number of distinct (table, version-range) groups,
 the annotation work by the distinct (delta, partition) pairs and the
 group-level work by the distinct (subplan, partition) pairs, not by the
 number of registered sketches.
+
+Every maintenance of a stored sketch -- eager round, background round or lazy
+ensure -- runs here, so the scheduler alone counts and times maintenance
+(:class:`SchedulerStatistics`); the middleware's ``sketch_maintenances`` and
+``maintenance_seconds`` read it.
 """
 
 from __future__ import annotations
@@ -72,15 +77,13 @@ class RoundReport:
     folds: int = 0
     seconds: float = 0.0
 
-    @property
-    def compaction_savings(self) -> int:
-        """Delta tuples cancelled before fan-out."""
-        return self.fetched_tuples - self.compacted_tuples
-
 
 @dataclass
 class SchedulerStatistics:
-    """Aggregate counters across all rounds of a scheduler.
+    """Aggregate counters across all rounds of a scheduler: the one record
+    of how many sketches were maintained (``maintained``), how many of them
+    changed or read a delta (``changed``), and how long it took
+    (``seconds``).
 
     ``rounds`` counts shared-delta rounds only; lazy query-time single-entry
     maintenance is counted separately in ``ensures`` so per-round ratios
@@ -142,23 +145,6 @@ class MaintenanceScheduler:
         """
         return self._round_lock
 
-    # -- staleness ----------------------------------------------------------------------
-
-    def stale_entries(self, tables: set[str] | None = None) -> list[SketchEntry]:
-        """Captured entries that are stale (optionally filtered to ``tables``)."""
-        wanted = {table.lower() for table in tables} if tables is not None else None
-        stale: list[SketchEntry] = []
-        for entry in self.store.entries():
-            if not entry.maintainer.is_captured:
-                # Uncaptured entries have no version to maintain from; they are
-                # captured lazily when their query next runs (ensure_entry).
-                continue
-            if wanted is not None and not (entry.referenced_tables() & wanted):
-                continue
-            if entry.maintainer.is_stale():
-                stale.append(entry)
-        return stale
-
     # -- rounds --------------------------------------------------------------------------
 
     def run_round(self, tables: set[str] | None = None) -> RoundReport:
@@ -173,29 +159,20 @@ class MaintenanceScheduler:
             started = time.perf_counter()
             report = RoundReport()
             target = self.database.version
-            # First captures run outside the round lock (only the middleware
-            # capture lock), so an entry can appear with valid_at_version
-            # *newer* than this round's target; maintaining it "to target"
-            # would fetch an inverted delta window (since > until) or label a
-            # newer sketch with an older version.  Such entries are simply
-            # left for the next round.
+            wanted = None if tables is None else {table.lower() for table in tables}
             stale = self._lockstep(
                 [
                     entry
-                    for entry in self.stale_entries(tables)
-                    if entry.valid_at_version is not None
-                    and entry.valid_at_version <= target
+                    for entry in self.store.entries()
+                    if (wanted is None or entry.referenced_tables() & wanted)
+                    and self._due(entry, target)
                 ],
                 target,
             )
             report.examined = len(stale)
-            if not stale:
-                report.seconds = time.perf_counter() - started
-                self.statistics.absorb(report)
-                return report
-            for entry, result in zip(stale, self._maintain_together(stale, target, report)):
-                entry.maintenance_seconds += result.seconds
-            self.store.enforce_memory_budget()
+            if stale:
+                self._maintain_together(stale, target, report)
+                self.store.enforce_memory_budget()
             report.seconds = time.perf_counter() - started
             self.statistics.absorb(report)
             return report
@@ -221,14 +198,10 @@ class MaintenanceScheduler:
             target = self.database.version
             group = self._lockstep([entry], target)
             report = RoundReport(examined=len(group))
-            result, *others = self._maintain_together(group, target, report)
-            # The entry's own time is the caller's to book (it includes the
-            # staleness check); the others' is booked here.
-            for member, outcome in zip(group[1:], others):
-                member.maintenance_seconds += outcome.seconds
-            # Maintenance grows operator state and retained versions, so the
-            # lazy path must re-check the memory budget too -- but never by
-            # evicting the entry that is about to answer the query.
+            result = self._maintain_together(group, target, report)[0]
+            # Maintenance grows operator state, so the lazy path must re-check
+            # the memory budget too -- but never by evicting the entry that is
+            # about to answer the query.
             self.store.enforce_memory_budget(protect=entry)
             report.seconds = time.perf_counter() - started
             self.statistics.absorb(report, as_round=False)
@@ -238,7 +211,9 @@ class MaintenanceScheduler:
 
     @staticmethod
     def _due(entry: SketchEntry, target: int) -> bool:
-        """Whether a round to ``target`` maintains ``entry``."""
+        """Whether a round to ``target`` maintains ``entry``: captured, stale
+        and valid at or before ``target`` (a first capture runs outside the
+        round lock, so it may be newer; the next round takes it)."""
         return (
             entry.maintainer.is_captured
             and entry.valid_at_version is not None
@@ -270,8 +245,6 @@ class MaintenanceScheduler:
             report.maintained += 1
             if result.changed or result.delta_tuples:
                 report.changed += 1
-                entry.maintenance_count += 1
-                self.store.statistics.maintenances += 1
             if result.recaptured:
                 report.recaptured += 1
                 # A fresh node: the other recaptured consumers of the old one
@@ -291,7 +264,7 @@ class MaintenanceScheduler:
         """
         groups: set[tuple[str, int]] = set()
         for entry in stale:
-            if not entry.maintainer.consumes_deltas:
+            if entry.maintainer.engine is None:
                 continue
             since = entry.valid_at_version
             assert since is not None

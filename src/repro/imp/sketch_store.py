@@ -50,9 +50,6 @@ class SketchEntry:
     partition: DatabasePartition
     maintainer: BaseMaintainer
     use_count: int = 0
-    maintenance_count: int = 0
-    capture_seconds: float = 0.0
-    maintenance_seconds: float = 0.0
     last_used_tick: int = 0
     # Cache of the (optimized) instrumented plan, valid while the sketch
     # equals ``instrumented_sketch``: the rewritten plan is a function of
@@ -112,7 +109,6 @@ class StoreStatistics:
     hits: int = 0
     misses: int = 0
     captures: int = 0
-    maintenances: int = 0
     evictions: int = 0
     bytes_evictions: int = 0
 
@@ -196,15 +192,6 @@ class SketchStore:
         """
         with self._lock:
             return iter(list(self._entries.values()))
-
-    def entries_for_table(self, table: str) -> list[SketchEntry]:
-        """Entries whose query references ``table`` (candidates for maintenance)."""
-        table = table.lower()
-        with self._lock:
-            candidates = list(self._entries.values())
-        return [
-            entry for entry in candidates if table in entry.referenced_tables()
-        ]
 
     # -- mutation --------------------------------------------------------------------
 
@@ -368,7 +355,6 @@ class SketchStore:
             "hits": self.statistics.hits,
             "misses": self.statistics.misses,
             "captures": self.statistics.captures,
-            "maintenances": self.statistics.maintenances,
             "evictions": self.statistics.evictions,
             "memory_bytes": self.memory_bytes(),
         }

@@ -9,7 +9,8 @@ The paper supports two primitives (Sec. 2, evaluated in Sec. 8.5):
   maintains a sketch when it is needed to answer a query.
 
 More advanced policies can be composed from these two; the classes below make
-the decision points explicit so the middleware stays strategy-agnostic.
+the decision points explicit so the middleware stays strategy-agnostic.  A
+strategy decides *when*; what a round did is the scheduler's to count.
 """
 
 from __future__ import annotations
@@ -33,17 +34,6 @@ class MaintenanceStrategy:
     def acknowledge_maintenance(self, tables: set[str]) -> None:
         """Tell the strategy that the given tables' sketches were maintained."""
         raise NotImplementedError
-
-    def acknowledge_round(self, tables: set[str], report: object) -> None:
-        """Tell the strategy that one shared-delta maintenance round ran.
-
-        ``report`` is the scheduler's
-        :class:`~repro.imp.scheduler.RoundReport`; strategies that batch by
-        statements or tuples use it to account per-round work (how much was
-        actually maintained) instead of assuming one maintenance per sketch.
-        The default simply acknowledges the tables.
-        """
-        self.acknowledge_maintenance(tables)
 
     def describe(self) -> str:
         """Readable description used in benchmark reports."""
@@ -78,8 +68,6 @@ class EagerStrategy(MaintenanceStrategy):
     batch_size: int = 1
     count_tuples: bool = False
     name = "eager"
-    rounds: int = 0
-    sketches_maintained: int = 0
     _pending: dict[str, int] = field(default_factory=dict)
 
     def register_update(self, table: str, delta_tuples: int) -> None:
@@ -94,14 +82,6 @@ class EagerStrategy(MaintenanceStrategy):
     def acknowledge_maintenance(self, tables: set[str]) -> None:
         for table in tables:
             self._pending.pop(table.lower(), None)
-
-    def acknowledge_round(self, tables: set[str], report: object) -> None:
-        """Account one shared-delta round: a batch triggers *one* round whose
-        work is bounded by distinct (table, version) groups, not one
-        maintenance per registered sketch."""
-        self.rounds += 1
-        self.sketches_maintained += getattr(report, "maintained", 0)
-        self.acknowledge_maintenance(tables)
 
     def pending(self, table: str) -> int:
         """Pending updates (or delta tuples) recorded for ``table``."""

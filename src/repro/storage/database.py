@@ -37,7 +37,7 @@ from repro.storage.statistics import (
     collect_column_statistics,
     equi_depth_boundaries,
 )
-from repro.storage.table import StoredTable, canonical_items
+from repro.storage.table import AttributeIndex, StoredTable, canonical_items
 from repro.storage.wal import FSYNC_ALWAYS, FileFactory
 
 
@@ -214,8 +214,13 @@ class Database:
         """Create an ordered index on ``table.attribute`` (idempotent)."""
         with self._lock:
             stored = self.table(table)
-            if self._durability is not None and not stored.has_index(attribute):
-                self._durability.log_create_index(stored.name, attribute)
+            if not stored.has_index(attribute):
+                # Refused before the record is logged: a logged index that
+                # cannot be built would stop the data directory from opening.
+                index = AttributeIndex(attribute, stored.schema.index_of(attribute))
+                index.check_orderable([row for row, _multiplicity in stored.items()])
+                if self._durability is not None:
+                    self._durability.log_create_index(stored.name, attribute)
             stored.create_index(attribute)
 
     def has_index(self, table: str, attribute: str) -> bool:
@@ -339,7 +344,8 @@ class Database:
         then earlier rows of the batch are already applied while the commit
         never lands in the audit log; validating up front keeps commits
         atomic.  Checks: (1) every delete is covered by stored copies,
-        (2) no insert reuses a primary key -- deletes are applied before
+        (2) every inserted value an index takes orders against its values,
+        (3) no insert reuses a primary key -- deletes are applied before
         inserts, so a key whose current holder is fully deleted by the same
         delta is free for reuse.
         """
@@ -353,6 +359,7 @@ class Database:
                     f"delta deletes {multiplicity} copies of a row but table "
                     f"{stored.name!r} only holds {held}"
                 )
+        stored.check_indexable(delta.inserted_rows())
         if stored.primary_key is None:
             return
         position = stored.schema.index_of(stored.primary_key)

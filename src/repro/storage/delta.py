@@ -8,7 +8,7 @@ each signed tuple carries a multiplicity.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, KeysView
 from dataclasses import dataclass
 from operator import neg
 
@@ -197,6 +197,10 @@ class Delta:
         rows = [*self._inserts, *self._deletes]
         counts = [*self._inserts.values(), *map(neg, self._deletes.values())]
         return rows, counts
+
+    def inserted_rows(self) -> KeysView[Row]:
+        """The distinct inserted rows (a view, not a copy)."""
+        return self._inserts.keys()
 
     def insert_relation(self) -> Relation:
         """Inserted tuples as a relation."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.errors import StorageError
@@ -221,7 +221,6 @@ class SessionStatistics:
     writes: int = 0
     refreshes: int = 0
     query_seconds: float = 0.0
-    extra: dict[str, float] = field(default_factory=dict)
 
 
 class Session:

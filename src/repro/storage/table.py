@@ -9,7 +9,7 @@ its contents as a :class:`~repro.relational.schema.Relation` for evaluation.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from itertools import chain
 
 from repro.core.errors import SchemaError, StorageError
@@ -78,6 +78,29 @@ class AttributeIndex:
             # Re-populating a tombstoned value revives it.
             self._tombstones -= 1
         bucket[row] = bucket.get(row, 0) + multiplicity
+
+    def check_orderable(self, rows: Collection[Row]) -> None:
+        """Raise :class:`StorageError` unless the values ``rows`` would add
+        order against the indexed ones and each other (NULL and NaN are not
+        indexed, so never refused).  Run before a commit or an index build
+        logs or changes anything: ``insort`` failing half way would leave rows
+        stored that no delta carries.  One comparison per new type decides."""
+        position = self.position
+        reference = self._values[0] if self._values else None
+        kinds = {type(row[position]) for row in rows} - {type(None), type(reference)}
+        for kind in kinds:
+            sample = next((v for row in rows if type(v := row[position]) is kind and v == v), None)
+            if sample is None:
+                continue
+            if reference is None:
+                reference = sample
+            try:
+                sample < reference  # noqa: B015 - only whether it raises
+            except TypeError:
+                raise StorageError(
+                    f"value {sample!r} does not order against {reference!r} "
+                    f"in the index on {self.attribute!r}"
+                ) from None
 
     def delete(self, row: Row, multiplicity: int) -> None:
         """Remove up to ``multiplicity`` copies of ``row``."""
@@ -413,6 +436,11 @@ class StoredTable:
         if bare not in self._indexes:
             raise StorageError(f"no index on {self.name}.{bare}")
         return self._indexes[bare]
+
+    def check_indexable(self, rows: Collection[Row]) -> None:
+        """Raise :class:`StorageError` unless every index can take ``rows``."""
+        for index in self._indexes.values():
+            index.check_orderable(rows)
 
     def indexed_attributes(self) -> list[str]:
         """Attributes that currently carry an ordered index."""

@@ -54,20 +54,15 @@ class TestIncrementalMaintainer:
         assert not result.recaptured
         assert result.changed
 
-    def test_ensure_current_is_idempotent(self, maintained_setup):
-        _database, _plan, _partition, maintainer = maintained_setup
-        first = maintainer.ensure_current()
-        second = maintainer.ensure_current()
-        assert first.sketch == second.sketch
-        assert second.delta_tuples == 0
-
-    def test_sketch_versions_are_retained(self, maintained_setup):
+    def test_maintain_is_idempotent(self, maintained_setup):
         database, _plan, _partition, maintainer = maintained_setup
-        database.insert("sales", [S8])
-        maintainer.maintain()
-        assert len(maintainer.sketch_versions) == 2
-        versions = [version for version, _sketch in maintainer.sketch_versions]
-        assert versions == sorted(versions)
+        fetches = database.delta_fetch_count
+        first = maintainer.maintain()
+        second = maintainer.maintain()
+        assert first.sketch == second.sketch
+        assert second.delta_tuples == 0 and not second.changed
+        # A current sketch is returned at once: no delta is fetched.
+        assert database.delta_fetch_count == fetches
 
     def test_maintain_with_stops_at_the_version_the_delta_was_fetched_for(
         self, maintained_setup
@@ -172,12 +167,6 @@ class TestSketchStore:
         assert store.statistics.hits == 1
         assert store.statistics.misses == 1
         assert len(store) == 1
-
-    def test_entries_for_table(self, sales_db, sales_partition):
-        store = SketchStore()
-        store.put(self._entry(sales_db, sales_partition))
-        assert store.entries_for_table("sales")
-        assert store.entries_for_table("other") == []
 
     def test_capacity_eviction(self, sales_db, sales_partition):
         store = SketchStore(capacity=1)

@@ -5,12 +5,12 @@ with it."""
 from __future__ import annotations
 
 import random
+import time
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.imp.engine import IMPConfig
+from repro.imp.engine import capture_sketch
 from repro.imp.maintenance import IncrementalMaintainer
 from repro.imp.middleware import IMPSystem
 from repro.imp.scheduler import MaintenanceScheduler
@@ -118,7 +118,7 @@ class _Mirror:
     def maintain_per_sketch(self, tables: set[str] | None = None) -> None:
         for maintainer in self.per_sketch:
             if tables is None or maintainer.plan.referenced_tables() & tables:
-                maintainer.ensure_current()
+                maintainer.maintain()
 
     def assert_sketches_identical(self) -> None:
         for index, entry in enumerate(self.store.entries()):
@@ -169,7 +169,7 @@ class TestSchedulerRounds:
             mirror.commit("s", inserts=5, deletes=2, rng=rng)
         mirror.maintain_scheduler()
         mirror.maintain_per_sketch()
-        assert mirror.scheduler.stale_entries() == []
+        assert not any(entry.maintainer.is_stale() for entry in mirror.store.entries())
         mirror.assert_sketches_identical()
 
     def test_compaction_cancels_churn_before_fan_out(self):
@@ -217,8 +217,9 @@ class TestSchedulerDifferential:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_scheduler_rounds_match_independent_maintenance(self, steps, seed):
-        """Shared-delta rounds and independent per-sketch ``ensure_current``
-        produce identical sketches across randomized update sequences."""
+        """Shared-delta rounds and the standalone per-sketch ``maintain()``
+        produce identical sketches across randomized update sequences, and
+        both equal a fresh capture."""
         mirror = _Mirror(num_templates=4, num_rows=120)
         rng = random.Random(seed)
         for tables_key, commits, inserts, deletes in steps:
@@ -232,6 +233,9 @@ class TestSchedulerDifferential:
         mirror.maintain_scheduler()
         mirror.maintain_per_sketch()
         mirror.assert_sketches_identical()
+        for maintainer in mirror.per_sketch:
+            fresh = capture_sketch(maintainer.plan, maintainer.partition, mirror.per_sketch_db)
+            assert maintainer.sketch == fresh
 
 
 class TestEngineRestrictDelta:
@@ -367,29 +371,6 @@ class TestStoreMemoryBudget:
 
 
 class TestBugfixSweep:
-    def test_sketch_version_retention_is_bounded(self, sales_db, sales_partition):
-        plan = sales_db.plan(
-            "SELECT brand, SUM(price * numsold) AS rev FROM sales "
-            "GROUP BY brand HAVING SUM(price * numsold) > 5000"
-        )
-        maintainer = IncrementalMaintainer(
-            sales_db, plan, sales_partition, retain_versions=2
-        )
-        maintainer.capture()
-        for i in range(5):
-            sales_db.insert(
-                "sales", [(100 + i, "HP", f"HP Omnibook {i}", 700 + i, 1)]
-            )
-            maintainer.maintain()
-        assert len(maintainer.sketch_versions) == 2
-        # Retained past versions are part of the maintainer's footprint.
-        assert maintainer.memory_bytes() >= maintainer.retained_version_bytes() > 0
-
-    def test_retention_must_be_positive(self, sales_db, sales_partition):
-        plan = sales_db.plan("SELECT brand, SUM(price) AS sp FROM sales GROUP BY brand")
-        with pytest.raises(ValueError):
-            IncrementalMaintainer(sales_db, plan, sales_partition, retain_versions=0)
-
     def test_noop_maintenance_time_is_recorded(self):
         database = Database()
         load_synthetic(database, num_rows=400, num_groups=16, seed=4)
@@ -497,7 +478,61 @@ class TestBugfixSweep:
         for sql in multi_sketch_templates(3):
             system.run_query(sql)
         system.apply_update("r", inserts=[_make_row(7_000_000)])
-        assert strategy.rounds == 1
-        assert strategy.sketches_maintained == 3
-        assert system.scheduler.statistics.rounds == 1
-        assert system.scheduler.statistics.delta_fetches == 1
+        assert strategy.pending("r") == 0
+        statistics = system.scheduler.statistics
+        assert statistics.rounds == 1 and statistics.ensures == 0
+        assert statistics.maintained == 3
+        assert statistics.delta_fetches == 1
+        assert system.statistics.sketch_maintenances == statistics.changed == 3
+
+
+class TestSchedulerOwnsMaintenanceCounters:
+    """Every maintenance of a stored sketch -- eager round, lazy ensure,
+    background round, drain -- is counted and timed by the scheduler alone,
+    and the middleware's counters read it."""
+
+    def test_pinned_counters_over_a_mixed_stream(self):
+        database = Database()
+        load_synthetic(database, num_rows=300, num_groups=10, seed=6)
+        system = IMPSystem(database, num_fragments=8, strategy=EagerStrategy(batch_size=2))
+        group = multi_sketch_templates(3)
+        for sql in [*group, _unshared_templates(2)[1]]:
+            system.run_query(sql)
+        assert len(system.store.share_group(next(iter(system.store.entries())))) == 3
+        # Two eager rounds; the second window inserts and deletes row 1.
+        rows = [_make_row(9_000_000 + i) for i in range(6)]
+        system.apply_update("r", inserts=rows[:2])
+        system.apply_update("r", inserts=rows[2:3], deletes=rows[:1])
+        system.apply_update("r", inserts=rows[3:4])
+        system.apply_update("r", inserts=rows[4:5], deletes=rows[3:4])
+        # One pending commit, then a lazy ensure of one share-group member
+        # moves the whole group on; the loner stays stale.
+        system.apply_update("r", deletes=rows[1:2])
+        system.run_query(group[1])
+        # One background round over a commit the strategy never saw.
+        database.insert("r", [_make_row(9_000_010)])
+        rounds = system.scheduler.statistics.rounds
+        system.start_background_maintenance(interval=0.2)
+        deadline = time.monotonic() + 30
+        while system.scheduler.statistics.rounds == rounds and time.monotonic() < deadline:
+            time.sleep(0.001)
+        database.insert("r", [_make_row(9_000_011)])
+        system.stop_background_maintenance(drain=True)
+
+        summary = system.scheduler.summary()
+        assert {
+            key: summary[key]
+            for key in ("rounds", "ensures", "delta_fetches", "fetched_tuples",
+                        "compacted_tuples", "recaptures")
+        } == {
+            "rounds": 4,
+            "ensures": 1,
+            "delta_fetches": 6,
+            "fetched_tuples": 12,
+            "compacted_tuples": 8,
+            "recaptures": 0,
+        }
+        assert system.summary()["maintenances"] == system.scheduler.statistics.changed
+        assert system.statistics.sketch_maintenances == system.scheduler.statistics.changed
+        assert system.statistics.maintenance_seconds == system.scheduler.statistics.seconds > 0
+        assert not any(entry.maintainer.is_stale() for entry in system.store.entries())

@@ -327,7 +327,7 @@ class TestShareGroups:
         assert loner.maintainer.is_stale()
         assert scheduler.statistics.ensures == 1 and scheduler.statistics.maintained == 3
         assert scheduler.statistics.folds == 1  # one aggregation pass for the three
-        assert [entry.maintenance_count for entry in group] == [1, 1, 1]
+        assert scheduler.statistics.changed == 3
         # The group moved together: a round now maintains only the loner.
         assert scheduler.run_round().maintained == 1
         assert_fresh(entries, database)

@@ -1,10 +1,14 @@
 """Tests for deltas, stored tables and the audit log."""
 
+import math
+
 import pytest
 
 from repro.core.errors import SchemaError, StorageError
 from repro.relational.columnar import ColumnBatch, SlotMap
+from repro.relational.predicates import Interval
 from repro.relational.schema import Relation, Schema
+from repro.storage.database import Database
 from repro.storage.delta import DELETE, INSERT, DatabaseDelta, Delta, DeltaTuple
 from repro.storage.snapshots import AuditLog, AuditRecord
 from repro.storage.table import StoredTable
@@ -436,6 +440,56 @@ class TestAttributeIndex:
         rows, multiplicities = index.rows_in_intervals([Interval(0.0, 299.0)])
         assert multiplicities == [1] * 150
         assert all(row[1] % 2 == 1 for row in rows)
+
+
+class TestUnorderableIndexedValue:
+    """A value an attribute index cannot order against its values is refused
+    before a commit or an index build changes anything."""
+
+    @staticmethod
+    def _database() -> Database:
+        database = Database()
+        database.create_table("r", ["id", "a", "b"], primary_key="id")
+        database.create_index("r", "a")
+        database.insert("r", [(i, i % 5, float(i)) for i in range(20)])
+        return database
+
+    @staticmethod
+    def _state(database: Database) -> tuple:
+        table = database.table("r")
+        return (
+            database.version,
+            sorted(table.items()),
+            list(database.audit_log.records()),
+            table.rows_in_intervals("a", [Interval(-math.inf, 1)]),
+        )
+
+    def test_an_insert_is_refused_whole(self):
+        database = self._database()
+        before = self._state(database)
+        with pytest.raises(StorageError, match="does not order"):
+            database.insert("r", [(100, 1, 1.0), (101, "x", 2.0)])
+        assert self._state(database) == before
+        # The same commit without the stray value goes through.
+        database.insert("r", [(100, 1, 1.0)])
+        assert database.version == before[0] + 1
+
+    def test_null_and_nan_are_never_refused(self):
+        database = Database()
+        database.create_table("s", ["id", "name"])
+        database.create_index("s", "name")
+        database.insert("s", [(1, "x"), (2, None), (3, math.nan)])
+        with pytest.raises(StorageError, match="does not order"):
+            database.insert("s", [(4, 1)])
+        assert len(database.table("s")) == 3
+
+    def test_an_index_over_unorderable_values_is_refused(self):
+        database = Database()
+        database.create_table("t", ["id", "c"])
+        database.insert("t", [(1, 1), (2, "x")])
+        with pytest.raises(StorageError, match="does not order"):
+            database.create_index("t", "c")
+        assert not database.has_index("t", "c")
 
 
 class TestAuditLog:

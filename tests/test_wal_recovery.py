@@ -575,3 +575,33 @@ class TestRecoveredDatabaseIsFirstClass:
             fresh.capture().sketch.fragment_ids()
         )
         recovered.close()
+
+
+class TestUnorderableIndexedValue:
+    """A value the index cannot order is refused before its record reaches
+    the WAL, so the directory still opens at the previous version."""
+
+    def test_a_refused_insert_leaves_the_directory_readable(self, tmp_path):
+        db = build_sample_db(str(tmp_path / "d"))
+        before = state_fingerprint(db)
+        with pytest.raises(StorageError, match="does not order"):
+            db.insert("r", [(100, 1, 1.0), (101, "x", 2.0)])
+        assert state_fingerprint(db) == before
+        db.close()
+        recovered, _report = recover_database(str(tmp_path / "d"))
+        assert state_fingerprint(recovered) == before
+        assert recovered.version == 3
+        recovered.close()
+
+    def test_a_refused_create_index_leaves_the_directory_readable(self, tmp_path):
+        db = build_sample_db(str(tmp_path / "d"))
+        db.create_table("t", ["id", "c"])
+        db.insert("t", [(1, 1), (2, "x")])
+        before = state_fingerprint(db)
+        with pytest.raises(StorageError, match="does not order"):
+            db.create_index("t", "c")
+        db.close()
+        recovered, _report = recover_database(str(tmp_path / "d"))
+        assert state_fingerprint(recovered) == before
+        assert not recovered.has_index("t", "c")
+        recovered.close()
