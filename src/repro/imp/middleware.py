@@ -38,7 +38,7 @@ from repro.sketch.use import instrument_plan
 from repro.sql import translator as sql_translator
 from repro.sql.template import QueryTemplate, template_of
 from repro.storage.database import Database
-from repro.storage.delta import Delta
+from repro.storage.delta import DatabaseDelta, Delta
 
 
 @dataclass
@@ -112,8 +112,6 @@ class WorkloadSystem:
             delta.add_delete(tuple(row))
         version = self.database.version
         if delta:
-            from repro.storage.delta import DatabaseDelta
-
             database_delta = DatabaseDelta()
             database_delta.set_delta(stored.name, delta)
             version = self.database.apply_database_delta(database_delta)

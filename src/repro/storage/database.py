@@ -218,7 +218,7 @@ class Database:
                 # Refused before the record is logged: a logged index that
                 # cannot be built would stop the data directory from opening.
                 index = AttributeIndex(attribute, stored.schema.index_of(attribute))
-                index.check_orderable([row for row, _multiplicity in stored.items()])
+                index.check_orderable(row for row, _multiplicity in stored.items())
                 if self._durability is not None:
                     self._durability.log_create_index(stored.name, attribute)
             stored.create_index(attribute)

@@ -79,26 +79,29 @@ class AttributeIndex:
             self._tombstones -= 1
         bucket[row] = bucket.get(row, 0) + multiplicity
 
-    def check_orderable(self, rows: Collection[Row]) -> None:
+    def check_orderable(self, rows: Iterable[Row]) -> None:
         """Raise :class:`StorageError` unless the values ``rows`` would add
         order against the indexed ones and each other (NULL and NaN are not
         indexed, so never refused).  Run before a commit or an index build
         logs or changes anything: ``insort`` failing half way would leave rows
-        stored that no delta carries.  One comparison per new type decides."""
+        stored that no delta carries.  A value of the reference's type costs
+        one identity test (a plain loop: with a commit's cold caches it beat
+        a ``set(map(type, ...))`` pass twice over); others are compared."""
         position = self.position
         reference = self._values[0] if self._values else None
-        kinds = {type(row[position]) for row in rows} - {type(None), type(reference)}
-        for kind in kinds:
-            sample = next((v for row in rows if type(v := row[position]) is kind and v == v), None)
-            if sample is None:
+        kind = type(reference)
+        for row in rows:
+            value = row[position]
+            if type(value) is kind or value is None or value != value:
                 continue
             if reference is None:
-                reference = sample
+                reference, kind = value, type(value)
+                continue
             try:
-                sample < reference  # noqa: B015 - only whether it raises
+                value < reference  # noqa: B015 - only whether it raises
             except TypeError:
                 raise StorageError(
-                    f"value {sample!r} does not order against {reference!r} "
+                    f"value {value!r} does not order against {reference!r} "
                     f"in the index on {self.attribute!r}"
                 ) from None
 

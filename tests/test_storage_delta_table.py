@@ -483,6 +483,17 @@ class TestUnorderableIndexedValue:
             database.insert("s", [(4, 1)])
         assert len(database.table("s")) == 3
 
+    def test_an_empty_index_orders_the_commit_against_itself(self):
+        database = Database()
+        database.create_table("s", ["id", "v"])
+        database.create_index("s", "v")
+        with pytest.raises(StorageError, match="does not order"):
+            database.insert("s", [(1, math.nan), (2, 2.5), (3, "x")])
+        assert len(database.table("s")) == 0
+        # Numbers of different types order against each other.
+        database.insert("s", [(1, 2.5), (2, 1), (3, True), (4, None)])
+        assert len(database.table("s")) == 4
+
     def test_an_index_over_unorderable_values_is_refused(self):
         database = Database()
         database.create_table("t", ["id", "c"])
