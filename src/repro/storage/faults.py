@@ -8,7 +8,10 @@ module provides the machinery to prove it mechanically:
   durability layer performs (each file write, fsync, truncate, rename,
   directory sync) and can be armed to misbehave at exactly one of them --
   simulate a process kill (optionally mid-write, landing only a prefix of
-  the bytes), raise ``ENOSPC``, or fail an fsync.
+  the bytes), raise ``ENOSPC``, or fail an fsync.  Separately,
+  :meth:`FaultInjector.lose_power` simulates an OS crash or power loss:
+  every file it opened drops the bytes written since its last successful
+  fsync.
 * :class:`FaultyFileFactory` / :class:`FaultyFile` are drop-in replacements
   for the real :class:`~repro.storage.wal.FileFactory` surface that route
   every operation through the injector.
@@ -24,6 +27,7 @@ process keep appending to a log it believes is dead).
 from __future__ import annotations
 
 import errno
+import os
 
 from repro.storage.wal import FileFactory, OsFile
 
@@ -67,6 +71,7 @@ class FaultInjector:
         self.error = error
         self.ops = 0
         self.log: list[str] = []
+        self.opened: list[FaultyFile] = []
 
     def files(self) -> "FaultyFileFactory":
         """A file factory routing every I/O point through this injector."""
@@ -93,6 +98,17 @@ class FaultInjector:
             raise CrashError(f"injected crash at I/O point {index} ({kind})")
         return None
 
+    def lose_power(self) -> None:
+        """Simulate an OS crash or power loss, after the fact.
+
+        Every file opened through this injector is cut back to what its
+        last successful ``sync`` made durable (its length when opened, if
+        it was never synced).  Only file contents are modelled: renames,
+        removals and directory syncs count as durable once they returned.
+        """
+        for handle in self.opened:
+            handle.lose_unsynced()
+
     def crash(self, kind: str) -> None:
         """Raise the armed fault after a partial write landed."""
         if self.ops - 1 == self.error_at:
@@ -103,16 +119,23 @@ class FaultInjector:
 class FaultyFile:
     """A WAL-protocol file that consults a :class:`FaultInjector` per op."""
 
-    def __init__(self, inner: OsFile, injector: FaultInjector) -> None:
+    def __init__(self, inner: OsFile, injector: FaultInjector, path: str) -> None:
         self._inner = inner
         self._injector = injector
+        self._path = path
+        # Length of the file as written, and the part of it a sync made
+        # durable (what :meth:`lose_unsynced` keeps).
+        self._size = self._synced = os.path.getsize(path)
 
     def write(self, data: bytes) -> int:
         budget = self._injector.point("write", len(data))
         if budget is None:
-            return self._inner.write(data)
+            written = self._inner.write(data)
+            self._size = max(self._size, self._inner.tell())
+            return written
         if budget:
             self._inner.write(data[:budget])
+            self._size = max(self._size, self._inner.tell())
         self._injector.crash("write")
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -122,10 +145,19 @@ class FaultyFile:
     def sync(self) -> None:
         self._injector.point("sync")
         self._inner.sync()
+        self._synced = self._size
 
     def truncate(self, size: int) -> None:
         self._injector.point("truncate")
         self._inner.truncate(size)
+        self._size = size
+        self._synced = min(self._synced, size)
+
+    def lose_unsynced(self) -> None:
+        """Drop the bytes written since the last successful sync."""
+        if self._size > self._synced:
+            os.truncate(self._path, self._synced)
+            self._size = self._synced
 
     def seek(self, offset: int) -> None:
         self._inner.seek(offset)
@@ -149,7 +181,9 @@ class FaultyFileFactory(FileFactory):
         self.injector = injector
 
     def open(self, path: str) -> FaultyFile:
-        return FaultyFile(super().open(path), self.injector)
+        handle = FaultyFile(super().open(path), self.injector, path)
+        self.injector.opened.append(handle)
+        return handle
 
     def replace(self, source: str, destination: str) -> None:
         self.injector.point("replace")

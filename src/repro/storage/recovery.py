@@ -5,11 +5,17 @@ A durable data directory holds two kinds of files::
     <data_dir>/wal.log                   the write-ahead log (repro.storage.wal)
     <data_dir>/checkpoint-<version>.ckpt full snapshots, newest wins
 
-A *checkpoint* is one framed (length + CRC32) canonical-JSON document holding
-the whole database: catalog (schemas, primary keys, secondary-index
-attributes), every table's rows in canonical content order
+A *checkpoint* is one framed (length + CRC32) document holding the whole
+database: catalog (schemas, primary keys, secondary-index attributes), every
+table's rows in canonical content order
 (:func:`~repro.storage.table.canonical_items`), the version, and the LSN of
-the newest WAL record the snapshot already contains.  Persisted incremental
+the newest WAL record the snapshot already contains.  It is encoded like a
+WAL record (:func:`~repro.storage.wal.encode_record`, marshal format 2, about
+15% larger than the canonical JSON it replaced and written in about half the
+time) and carries ``"format": 2``; a format-1 (JSON) checkpoint is still
+read.  Opening a directory whose log or newest checkpoint is format 1
+replays it, then checkpoints it, and the rotation restarts the log in format
+2: from then on nothing is written in format 1.  Persisted incremental
 -maintenance state travels for free: :class:`~repro.imp.persistence.
 StatePersistence` stores it in a regular table, so a recovered database can
 rebuild its maintainers through the existing persistence module instead of
@@ -37,7 +43,6 @@ The recovered state is bit-identical to replaying the audit log serially;
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import zlib
@@ -49,13 +54,16 @@ from repro.relational.schema import Schema
 from repro.storage.table import StoredTable, canonical_items
 from repro.storage.wal import (
     FSYNC_ALWAYS,
+    RECORD_FORMAT,
     FileFactory,
     WriteAheadLog,
     decode_delta,
+    decode_record,
     encode_delta,
     encode_record,
     encode_rows,
     frame,
+    payload_format,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -64,7 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 WAL_FILE = "wal.log"
 """Name of the write-ahead log inside a data directory."""
 
-CHECKPOINT_FORMAT = 1
 _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{12})\.ckpt$")
 _CHECKPOINTS_KEPT = 2
 
@@ -140,7 +147,7 @@ def _checkpoint_payload(db: "Database", wal_lsn: int) -> dict:
             }
         )
     return {
-        "format": CHECKPOINT_FORMAT,
+        "format": RECORD_FORMAT,
         "database": db.name,
         "version": db.version,
         "wal_lsn": wal_lsn,
@@ -152,7 +159,8 @@ def load_checkpoint(path: str) -> dict:
     """Read and validate one checkpoint file.
 
     Raises :class:`StorageError` on any problem (truncated frame, checksum
-    mismatch, malformed document); recovery treats that as "this checkpoint
+    mismatch, a payload that does not decode, a document without its
+    version, LSN and table list); recovery treats that as "this checkpoint
     does not exist" and falls back to the next-older one.
     """
     try:
@@ -169,13 +177,66 @@ def load_checkpoint(path: str) -> dict:
         raise StorageError(f"checkpoint {path!r} is truncated")
     if zlib.crc32(payload) != crc:
         raise StorageError(f"checkpoint {path!r} failed its checksum")
+    format = payload_format(payload)
     try:
-        document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StorageError(f"checkpoint {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict) or document.get("format") != CHECKPOINT_FORMAT:
+        document = decode_record(payload, format)
+    except StorageError as exc:
+        raise StorageError(f"checkpoint {path!r}: {exc}") from exc
+    if not isinstance(document, dict) or document.get("format") != format:
         raise StorageError(f"checkpoint {path!r} has an unsupported format")
+    if not _has_shape(document, _CHECKPOINT_SHAPE):
+        raise StorageError(f"checkpoint {path!r} is malformed")
     return document
+
+
+# The shape of every decoded document recovery reads: field -> check.  A
+# record or checkpoint that decodes (its CRC held) but fails its shape is
+# refused as malformed instead of failing deep inside the apply.
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_name(value) -> bool:
+    return type(value) is str
+
+
+def _is_names(value) -> bool:
+    return type(value) is list and all(type(name) is str for name in value)
+
+
+def _is_key(value) -> bool:
+    return value is None or type(value) is str
+
+
+def _is_list(value) -> bool:
+    return type(value) is list
+
+
+def _is_table_map(value) -> bool:
+    return type(value) is dict and all(type(name) is str for name in value)
+
+
+_CHECKPOINT_SHAPE = {"version": _is_int, "wal_lsn": _is_int, "tables": _is_list}
+_TABLE_SHAPE = {
+    "name": _is_name,
+    "attributes": _is_names,
+    "primary_key": _is_key,
+    "indexes": _is_names,
+    "last_modified": _is_int,
+    "rows": _is_list,
+}
+_RECORD_SHAPES = {
+    "commit": {"version": _is_int, "tables": _is_table_map},
+    "create_table": {"name": _is_name, "attributes": _is_names, "primary_key": _is_key},
+    "drop_table": {"name": _is_name},
+    "create_index": {"table": _is_name, "attribute": _is_name},
+}
+
+
+def _has_shape(document, shape: dict) -> bool:
+    return type(document) is dict and all(
+        check(document.get(name)) for name, check in shape.items()
+    )
 
 
 def state_fingerprint(db: "Database") -> dict:
@@ -257,7 +318,9 @@ class DurabilityManager:
         """Recover the directory's state into ``db`` and open the WAL.
 
         ``db`` must be freshly constructed (no tables, version 0); existing
-        directories are replayed into it, fresh ones leave it empty.
+        directories are replayed into it, fresh ones leave it empty.  A
+        directory whose log or newest checkpoint is format 1 is checkpointed
+        once replayed, which restarts its log in the current format.
         """
         try:
             os.makedirs(self.data_dir, exist_ok=True)
@@ -269,8 +332,9 @@ class DurabilityManager:
         checkpoint = self._load_latest_checkpoint(report)
         if checkpoint is not None:
             self._apply_checkpoint(db, checkpoint, report)
+        skip_lsn = checkpoint["wal_lsn"] if checkpoint is not None else -1
         try:
-            scan = self._wal.open()
+            scan = self._wal.open(first_lsn=skip_lsn + 1)
         except OSError as exc:
             raise StorageError(
                 f"cannot open write-ahead log in {self.data_dir!r}: {exc}"
@@ -278,7 +342,6 @@ class DurabilityManager:
         report.wal_records_seen = len(scan.records)
         report.torn_bytes_truncated = scan.torn_bytes
         report.wal_notes = list(scan.notes)
-        skip_lsn = checkpoint["wal_lsn"] if checkpoint is not None else -1
         for record in scan.records:
             if record["lsn"] <= skip_lsn:
                 report.wal_records_skipped += 1
@@ -287,6 +350,10 @@ class DurabilityManager:
         report.fresh = (
             checkpoint is None and not scan.existed and not scan.records
         )
+        if scan.format != RECORD_FORMAT or (
+            checkpoint is not None and checkpoint["format"] != RECORD_FORMAT
+        ):
+            self.checkpoint(db)
         report.recovered_version = db.version
         report.tables = {name: len(db.table(name)) for name in db.table_names()}
         return report
@@ -315,6 +382,10 @@ class DurabilityManager:
     ) -> None:
         try:
             for entry in checkpoint["tables"]:
+                if not _has_shape(entry, _TABLE_SHAPE):
+                    raise StorageError(
+                        f"checkpoint {report.checkpoint_path!r} is malformed"
+                    )
                 stored = StoredTable(
                     entry["name"], Schema(entry["attributes"]), entry["primary_key"]
                 )
@@ -323,9 +394,9 @@ class DurabilityManager:
                 for attribute in entry["indexes"]:
                     stored.create_index(attribute)
                 if entry["last_modified"]:
-                    stored.record_modified(int(entry["last_modified"]))
+                    stored.record_modified(entry["last_modified"])
                 db._restore_table(stored)
-            db._restore_version(int(checkpoint["version"]))
+            db._restore_version(checkpoint["version"])
         except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(
                 f"checkpoint {report.checkpoint_path!r} is malformed: {exc!r}"
@@ -337,8 +408,13 @@ class DurabilityManager:
     ) -> None:
         try:
             kind = record["type"]
+            shape = _RECORD_SHAPES.get(kind)
+            if shape is None:
+                raise StorageError(f"unknown WAL record type {kind!r}")
+            if not _has_shape(record, shape):
+                raise StorageError(f"WAL record lsn={record['lsn']} is malformed")
             if kind == "commit":
-                version = int(record["version"])
+                version = record["version"]
                 if version != db.version + 1:
                     raise StorageError(
                         f"WAL replay expected commit version {db.version + 1} "
@@ -359,11 +435,9 @@ class DurabilityManager:
             elif kind == "drop_table":
                 db._restore_drop_table(record["name"])
                 report.ddl_replayed += 1
-            elif kind == "create_index":
+            else:  # create_index
                 db.table(record["table"]).create_index(record["attribute"])
                 report.ddl_replayed += 1
-            else:
-                raise StorageError(f"unknown WAL record type {kind!r}")
         except StorageError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

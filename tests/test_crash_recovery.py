@@ -25,6 +25,7 @@ replaying the operation prefix in memory, floats included.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import tempfile
 
@@ -34,8 +35,14 @@ from hypothesis import strategies as st
 from repro.core.errors import StorageError
 from repro.storage.database import Database
 from repro.storage.faults import CrashError, FaultInjector, count_io_points
-from repro.storage.recovery import recover_database, state_fingerprint
-from repro.storage.wal import FSYNC_ALWAYS
+from repro.storage.recovery import (
+    WAL_FILE,
+    load_checkpoint,
+    recover_database,
+    state_fingerprint,
+)
+from repro.storage.wal import FSYNC_ALWAYS, RECORD_FORMAT, scan_wal
+from tests.legacy_format import downgrade_to_v1
 
 
 def fingerprint_key(db: Database) -> str:
@@ -168,6 +175,70 @@ class TestCrashPointSweep:
                 assert fingerprint_key(recovered) == live_key, f"point {point}"
             else:
                 assert fingerprint_key(recovered) == fps[0]
+
+
+class TestFormatOneUpgradeSweep:
+    """Opening a format-1 directory replays it (truncating a torn tail),
+    checkpoints it and rotates its log into format 2.  A kill or an I/O
+    error at any point of that sequence leaves a directory that recovers to
+    the same state, and the next successful open finishes the upgrade."""
+
+    @staticmethod
+    def format_one_directory(path: str) -> str:
+        db = Database("crash", data_dir=path)
+        for op in SCRIPT:
+            apply_op(db, op)
+        expected = fingerprint_key(db)
+        db.close()
+        downgrade_to_v1(path)
+        with open(os.path.join(path, WAL_FILE), "ab") as handle:
+            handle.write(b"\x00\x00\x00\x40torn")  # a crash mid-append
+        return expected
+
+    @staticmethod
+    def assert_upgraded_to(data_dir: str, expected: str) -> None:
+        recovered, _report = recover_database(data_dir)
+        assert fingerprint_key(recovered) == expected
+        recovered.close()
+        assert scan_wal(os.path.join(data_dir, WAL_FILE)).format == RECORD_FORMAT
+        newest = max(entry for entry in os.listdir(data_dir) if entry.endswith(".ckpt"))
+        assert load_checkpoint(os.path.join(data_dir, newest))["format"] == RECORD_FORMAT
+
+    def open_copy(self, source: str, data_dir: str, files) -> None:
+        shutil.copytree(source, data_dir)
+        Database("crash", data_dir=data_dir, fsync=FSYNC_ALWAYS, files=files)
+
+    def test_kill_at_every_io_point_of_the_upgrade(self, tmp_path):
+        source = str(tmp_path / "v1")
+        expected = self.format_one_directory(source)
+        total = count_io_points(
+            lambda files: self.open_copy(source, str(tmp_path / "dry"), files)
+        )
+        # torn-tail truncate + sync, checkpoint (4), rotation (3), prune
+        assert total >= 10
+        for point in range(total):
+            for partial in (0, 1, 7):
+                data_dir = str(tmp_path / f"kill_{point}_{partial}")
+                injector = FaultInjector(crash_at=point, partial_bytes=partial)
+                try:
+                    self.open_copy(source, data_dir, injector.files())
+                except CrashError:
+                    pass
+                self.assert_upgraded_to(data_dir, expected)
+
+    def test_io_error_at_every_point_of_the_upgrade(self, tmp_path):
+        source = str(tmp_path / "v1")
+        expected = self.format_one_directory(source)
+        total = count_io_points(
+            lambda files: self.open_copy(source, str(tmp_path / "dry"), files)
+        )
+        for point in range(total):
+            data_dir = str(tmp_path / f"err_{point}")
+            try:
+                self.open_copy(source, data_dir, FaultInjector(error_at=point).files())
+            except StorageError:
+                pass  # the directory could not be opened -- loud, not silent
+            self.assert_upgraded_to(data_dir, expected)
 
 
 # ---------------------------------------------------------------------------

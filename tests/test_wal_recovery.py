@@ -11,10 +11,11 @@ exhaustive every-I/O-point crash sweep lives in ``test_crash_recovery.py``.
 
 from __future__ import annotations
 
+import decimal
+import enum
 import errno
-import json
 import os
-import zlib
+import struct
 
 import pytest
 
@@ -36,10 +37,17 @@ from repro.storage.wal import (
     FSYNC_OFF,
     WAL_MAGIC,
     WriteAheadLog,
+    encode_record,
+    frame,
     scan_wal,
 )
 from repro.workloads.queries import q_groups
 from repro.workloads.synthetic import load_synthetic
+from tests.legacy_format import frame_v1, write_v1_log
+
+
+class Color(enum.IntEnum):
+    RED = 1
 
 
 def wal_path(tmp_path) -> str:
@@ -174,9 +182,56 @@ class TestWalFormat:
     def test_unserializable_record_is_a_storage_error(self, tmp_path):
         log = WriteAheadLog(wal_path(tmp_path))
         log.open()
-        with pytest.raises(StorageError, match="not serializable"):
-            log.append({"bad": object()})
+        for bad in (object(), Color.RED, decimal.Decimal("1.5")):
+            with pytest.raises(StorageError, match="not serializable"):
+                log.append({"bad": [bad]})
+        assert log.size_bytes == len(WAL_MAGIC)
         log.close()
+
+    def test_unserializable_value_leaves_memory_and_log_untouched(self, tmp_path):
+        db = build_sample_db(str(tmp_path / "d"))
+        before = state_fingerprint(db)
+        wal_size = db._durability.wal.size_bytes
+        for bad in (Color.RED, decimal.Decimal("1.5")):
+            with pytest.raises(StorageError, match="not serializable"):
+                db.insert("r", [(50, 5, bad)])
+        assert state_fingerprint(db) == before
+        assert db._durability.wal.size_bytes == wal_size
+        assert os.path.getsize(tmp_path / "d" / WAL_FILE) == wal_size
+        db.close()
+        recovered, _report = recover_database(str(tmp_path / "d"))
+        assert state_fingerprint(recovered) == before
+
+    def test_values_round_trip_exactly(self, tmp_path):
+        """bytes, -0.0, a NaN with payload bits and ints above 2**63 come
+        back with their type and bits, through the log and a checkpoint."""
+        odd_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0123))[0]
+        rows = [
+            (1, b"\x00\xffraw", -0.0),
+            (2, 2**70, odd_nan),
+            (3, -(2**70), True),
+            (4, None, "t\u00e9xt"),
+        ]
+
+        def bits(row):
+            return tuple(
+                (type(value), struct.pack("<d", value) if type(value) is float else value)
+                for value in row
+            )
+
+        expected = sorted(bits(row) for row in rows)
+        for checkpoint in (False, True):
+            data_dir = str(tmp_path / f"d{checkpoint}")
+            db = Database("exact", data_dir=data_dir)
+            db.create_table("t", ["id", "x", "y"], primary_key="id")
+            db.insert("t", rows)
+            if checkpoint:
+                db.checkpoint()
+            db.close()
+            recovered, report = recover_database(data_dir)
+            assert report.checkpoint_version == (1 if checkpoint else 0)
+            got = sorted(bits(row) for row, _count in recovered.table("t").items())
+            assert got == expected
 
 
 class TestDurableDatabase:
@@ -344,18 +399,109 @@ class TestDurableDatabase:
         with open(path, "wb") as handle:
             handle.write(WAL_MAGIC)
             for record in records:
-                if record.get("version") == 2:
-                    continue
-                payload = json.dumps(
-                    record, sort_keys=True, separators=(",", ":")
-                ).encode()
-                handle.write(
-                    len(payload).to_bytes(4, "big")
-                    + zlib.crc32(payload).to_bytes(4, "big")
-                    + payload
-                )
+                if record.get("version") != 2:
+                    handle.write(frame(encode_record(record)))
         with pytest.raises(StorageError, match="expected commit version 2"):
             recover_database(str(tmp_path / "d"))
+
+    def test_wal_version_gap_fails_loudly_in_a_format_1_log(self, tmp_path):
+        db = build_sample_db(str(tmp_path / "d"))
+        db.close()
+        path = str(tmp_path / "d" / WAL_FILE)
+        records = scan_wal(path).records
+        write_v1_log(path, [r for r in records if r.get("version") != 2])
+        with pytest.raises(StorageError, match="expected commit version 2"):
+            recover_database(str(tmp_path / "d"))
+
+    def test_reopened_directory_keeps_lsns_past_its_checkpoint(self, tmp_path):
+        """Regression test: a log rotated by a checkpoint and reopened used
+        to number new records from 0 again, at or below the checkpoint's
+        LSN, so the next recovery skipped them as already checkpointed."""
+        data_dir = str(tmp_path / "d")
+        db = build_sample_db(data_dir)
+        db.checkpoint()
+        db.close()
+        db = Database("sample", data_dir=data_dir)
+        db.insert("r", [(8, 80, 8.5)])
+        before = state_fingerprint(db)
+        db.close()
+        recovered, report = recover_database(data_dir)
+        assert state_fingerprint(recovered) == before
+        assert report.commits_replayed == 1 and report.wal_records_skipped == 0
+        assert [r["lsn"] for r in scan_wal(str(tmp_path / "d" / WAL_FILE)).records] == [5]
+
+
+class TestMalformedRecords:
+    """A record whose CRC holds but whose shape is wrong is refused as
+    malformed: recovery raises StorageError, never a raw exception from
+    deep inside the apply."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"type": "commit", "version": 4, "tables": ["r"]},
+            {"type": "commit", "version": 4, "tables": "r"},
+            {"type": "commit", "version": "4", "tables": {}},
+            {"type": "commit", "version": 4, "tables": {7: {}}},
+            {"type": "create_table", "name": None, "attributes": ["x"], "primary_key": None},
+            {"type": "create_table", "name": "t", "attributes": [1], "primary_key": None},
+            {"type": "create_table", "name": "t", "attributes": "xy", "primary_key": None},
+            {"type": "create_table", "name": "t", "attributes": ["x"], "primary_key": 0},
+            {"type": "drop_table", "name": ["r"]},
+            {"type": "create_index", "table": "r", "attribute": None},
+            {"type": ["commit"]},
+        ],
+    )
+    def test_malformed_record_is_a_storage_error(self, tmp_path, record):
+        data_dir = str(tmp_path / "d")
+        build_sample_db(data_dir).close()
+        log = WriteAheadLog(os.path.join(data_dir, WAL_FILE))
+        log.open()
+        log.append(record)
+        log.close()
+        with pytest.raises(StorageError, match=r"WAL record lsn=5 is malformed"):
+            recover_database(data_dir)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("name", None),
+            ("attributes", ["id", 2, "v"]),
+            ("primary_key", 1),
+            ("indexes", "a"),
+            ("last_modified", "3"),
+            ("rows", {"not": "a list"}),
+        ],
+    )
+    def test_malformed_checkpoint_table_is_a_storage_error(self, tmp_path, field, value):
+        data_dir = str(tmp_path / "d")
+        db = build_sample_db(data_dir)
+        path = db.checkpoint()
+        db.close()
+        document = load_checkpoint(path)
+        document["tables"][0][field] = value
+        with open(path, "wb") as handle:
+            handle.write(frame(encode_record(document)))
+        with pytest.raises(StorageError, match="is malformed"):
+            recover_database(data_dir)
+
+    @pytest.mark.parametrize("field", ["version", "wal_lsn", "tables"])
+    def test_checkpoint_missing_a_header_field_counts_as_corrupt(self, tmp_path, field):
+        data_dir = str(tmp_path / "d")
+        db = build_sample_db(data_dir)
+        path = db.checkpoint()
+        db.insert("r", [(6, 60, 6.0)])
+        db.close()
+        document = load_checkpoint(path)
+        del document[field]
+        with open(path, "wb") as handle:
+            handle.write(frame(encode_record(document)))
+        with pytest.raises(StorageError, match="is malformed"):
+            load_checkpoint(path)
+        # The only checkpoint is skipped and the rotated log starts at
+        # version 4: recovery refuses the gap.
+        with pytest.raises(StorageError, match="history gap"):
+            recover_database(data_dir)
 
 
 class TestDirtyShutdownEdges:
