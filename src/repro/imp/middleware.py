@@ -162,19 +162,16 @@ class SketchBasedSystem(WorkloadSystem):
         self,
         database: Database,
         num_fragments: int = 100,
-        partition_method: str = "equi-depth",
         strategy: MaintenanceStrategy | None = None,
-        store_capacity: int | None = None,
         store_max_bytes: int | None = None,
     ) -> None:
         super().__init__(database)
         self.num_fragments = num_fragments
-        self.partition_method = partition_method
         self.strategy = strategy or LazyStrategy()
         # One optimizer per system: its cardinality estimator shares the
         # database's per-version statistics cache across queries.
         self._plan_optimizer = PlanOptimizer(database)
-        self.store = SketchStore(capacity=store_capacity, max_bytes=store_max_bytes)
+        self.store = SketchStore(max_bytes=store_max_bytes)
         # Both the eager (after-update) and lazy (query-time) maintenance
         # paths run through the shared-delta scheduler: one audit-log fetch
         # per distinct (table, version) group per round, compacted before
@@ -256,9 +253,7 @@ class SketchBasedSystem(WorkloadSystem):
         self, sql: str, template: QueryTemplate, plan: PlanNode
     ) -> SketchEntry | None:
         try:
-            partition = build_database_partition(
-                self.database, plan, self.num_fragments, self.partition_method
-            )
+            partition = build_database_partition(self.database, plan, self.num_fragments)
             # Sketch attributes are chosen so that an efficient access path
             # exists (Sec. 7.4); create the backend index the use rewrite will
             # exploit for data skipping.
@@ -298,7 +293,7 @@ class SketchBasedSystem(WorkloadSystem):
 
     def _answer_with_sketch_locked(self, entry: SketchEntry) -> Relation:
         self.scheduler.ensure_entry(entry)
-        self.store.record_use(entry)
+        self.store.touch(entry)
         sketch = entry.sketch
         assert sketch is not None
         # Optimizing the instrumented plan merges the injected sketch
@@ -409,28 +404,8 @@ class IMPSystem(SketchBasedSystem):
 
     name = "imp"
 
-    def __init__(
-        self,
-        database: Database,
-        config: IMPConfig | None = None,
-        num_fragments: int = 100,
-        partition_method: str = "equi-depth",
-        strategy: MaintenanceStrategy | None = None,
-        store_capacity: int | None = None,
-        store_max_bytes: int | None = None,
-    ) -> None:
-        self.config = config or IMPConfig()
-        super().__init__(
-            database,
-            num_fragments=num_fragments,
-            partition_method=partition_method,
-            strategy=strategy,
-            store_capacity=store_capacity,
-            store_max_bytes=store_max_bytes,
-        )
-
     def _make_maintainer(self, plan: PlanNode, partition) -> BaseMaintainer:
-        return IncrementalMaintainer(self.database, plan, partition, self.config)
+        return IncrementalMaintainer(self.database, plan, partition, IMPConfig())
 
 
 class FullMaintenanceSystem(SketchBasedSystem):
@@ -440,15 +415,3 @@ class FullMaintenanceSystem(SketchBasedSystem):
 
     def _make_maintainer(self, plan: PlanNode, partition) -> BaseMaintainer:
         return FullMaintainer(self.database, plan, partition)
-
-
-def make_system(kind: str, database: Database, **kwargs) -> WorkloadSystem:
-    """Factory used by the benchmark harness (``imp``, ``fm`` or ``ns``)."""
-    kind = kind.lower()
-    if kind in ("imp", "incremental"):
-        return IMPSystem(database, **kwargs)
-    if kind in ("fm", "full", "full-maintenance"):
-        return FullMaintenanceSystem(database, **kwargs)
-    if kind in ("ns", "none", "no-sketch"):
-        return NoSketchSystem(database, **kwargs)
-    raise IMPError(f"unknown system kind {kind!r}")

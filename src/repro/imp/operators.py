@@ -205,7 +205,6 @@ class IncrementalTableAccess(IncrementalOperator):
         base_schema: Schema,
         partition: DatabasePartition,
         database: Database,
-        delta_filter: Expression | None = None,
     ) -> None:
         super().__init__(base_schema.qualify(alias))
         self.table = table.lower()
@@ -215,7 +214,6 @@ class IncrementalTableAccess(IncrementalOperator):
         self.database = database
         self._delta_filter: Expression | None = None
         self._delta_filter_fn: CompiledBatchExpression | None = None
-        self.delta_filter = delta_filter
         self._attribute_index: int | None = None
         self._memo_key: tuple = (self.table,)
         if partition.has_table(self.table):

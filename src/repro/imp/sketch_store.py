@@ -7,13 +7,10 @@ is valid for, and the maintainer (whose incremental operator state can also be
 persisted into the backend database so maintenance can resume after a restart
 or after state eviction, Sec. 2).
 
-The store supports two eviction modes that can be combined:
-
-* ``capacity`` bounds the number of entries; the victim is the least useful
-  entry (lowest ``use_count``, least recently used on ties).
-* ``max_bytes`` bounds the total memory of sketches plus maintenance state;
-  victims are chosen by recency (least recently used first, lowest
-  ``use_count`` on ties) until the store fits the budget again.
+Under memory pressure the store evicts (Sec. 2): ``max_bytes`` bounds the
+total memory of sketches plus maintenance state, and the least recently used
+entries leave until the store fits the budget again.  Every registration and
+use takes a fresh tick, so recency alone orders the victims.
 
 The store also interns the engines' stateful subplans: entries whose engines
 compute the same subplan over the same partition
@@ -49,7 +46,6 @@ class SketchEntry:
     plan: PlanNode
     partition: DatabasePartition
     maintainer: BaseMaintainer
-    use_count: int = 0
     last_used_tick: int = 0
     # Cache of the (optimized) instrumented plan, valid while the sketch
     # equals ``instrumented_sketch``: the rewritten plan is a function of
@@ -110,25 +106,20 @@ class StoreStatistics:
     misses: int = 0
     captures: int = 0
     evictions: int = 0
-    bytes_evictions: int = 0
 
 
 class SketchStore:
     """A template-keyed collection of :class:`SketchEntry` objects.
 
-    Thread-safe: lookups, recency ticks, use-counts and eviction run under
-    one internal lock, so the query path and the background maintenance
-    thread can touch the store concurrently without losing ticks or counts
-    (interleaved ``tick += 1`` / ``use_count += 1`` updates are not atomic in
-    CPython).  The lock is reentrant because registration re-checks the
-    memory budget.
+    Thread-safe: lookups, recency ticks and eviction run under one internal
+    lock, so the query path and the background maintenance thread can touch
+    the store concurrently without losing ticks (interleaved ``tick += 1``
+    updates are not atomic in CPython).  The lock is reentrant because
+    registration re-checks the memory budget.
     """
 
-    def __init__(
-        self, capacity: int | None = None, max_bytes: int | None = None
-    ) -> None:
+    def __init__(self, max_bytes: int | None = None) -> None:
         self._entries: dict[str, SketchEntry] = {}
-        self._capacity = capacity
         self._max_bytes = max_bytes
         self._tick = 0
         self._lock = threading.RLock()
@@ -167,17 +158,6 @@ class SketchStore:
             self._tick += 1
             entry.last_used_tick = self._tick
 
-    def record_use(self, entry: SketchEntry) -> None:
-        """Count one sketch use and refresh recency, atomically.
-
-        The query path and the background maintenance thread both mutate
-        entry metadata; doing the increment under the store lock keeps
-        ``use_count`` (an eviction input) exact under concurrency.
-        """
-        with self._lock:
-            entry.use_count += 1
-            self.touch(entry)
-
     def __contains__(self, template: QueryTemplate) -> bool:
         return template.text in self._entries
 
@@ -196,19 +176,13 @@ class SketchStore:
     # -- mutation --------------------------------------------------------------------
 
     def put(self, entry: SketchEntry) -> None:
-        """Register a new entry, evicting the least recently useful one if full.
+        """Register a new entry, then evict down to the memory budget.
 
         Re-putting an existing template replaces the entry without counting a
-        new capture or triggering capacity eviction.
+        new capture.
         """
         with self._lock:
             previous = self._entries.get(entry.template.text)
-            if (
-                previous is None
-                and self._capacity is not None
-                and len(self._entries) >= self._capacity
-            ):
-                self._evict_one()
             self.touch(entry)
             self._entries[entry.template.text] = entry
             if previous is not None and previous is not entry:
@@ -279,18 +253,6 @@ class SketchStore:
             while self._entries:
                 self._release(self._entries.popitem()[1])
 
-    def _evict_one(self) -> None:
-        # Least useful first; least recently used breaks use_count ties so the
-        # choice is deterministic (dict order would silently depend on
-        # insertion history otherwise).
-        victim = min(
-            self._entries.values(),
-            key=lambda entry: (entry.use_count, entry.last_used_tick),
-        )
-        del self._entries[victim.template.text]
-        self._release(victim)
-        self.statistics.evictions += 1
-
     def enforce_memory_budget(self, protect: SketchEntry | None = None) -> int:
         """Evict least-recently-used entries until the store fits ``max_bytes``.
 
@@ -310,7 +272,7 @@ class SketchStore:
             sizes, consumers, total = self._footprint()
             victims = sorted(
                 (entry for entry in self._entries.values() if entry is not protect),
-                key=lambda entry: (entry.last_used_tick, entry.use_count),
+                key=lambda entry: entry.last_used_tick,
             )
             evicted = 0
             for victim in victims:
@@ -323,7 +285,6 @@ class SketchStore:
                 self._release(victim)
                 total -= sizes[victim.template.text] - kept
                 self.statistics.evictions += 1
-                self.statistics.bytes_evictions += 1
                 evicted += 1
             return evicted
 

@@ -3,8 +3,9 @@
 The paper supports two primitives (Sec. 2, evaluated in Sec. 8.5):
 
 * **Eager** maintenance maintains every sketch that may be affected by an
-  update right after the update (optionally batching several updates before
-  triggering maintenance).
+  update right after the update (optionally batching several update
+  statements before triggering maintenance; Fig. 16's batching benchmark
+  drives the maintainers itself).
 * **Lazy** maintenance passes updates straight to the database and only
   maintains a sketch when it is needed to answer a query.
 
@@ -58,21 +59,15 @@ class LazyStrategy(MaintenanceStrategy):
 
 @dataclass
 class EagerStrategy(MaintenanceStrategy):
-    """Maintain affected sketches after every ``batch_size`` updates.
-
-    ``batch_size`` counts update statements by default; set
-    ``count_tuples=True`` to batch by the number of delta tuples instead
-    (the granularity used by Fig. 16).
-    """
+    """Maintain affected sketches after every ``batch_size`` update
+    statements."""
 
     batch_size: int = 1
-    count_tuples: bool = False
     name = "eager"
-    _pending: dict[str, int] = field(default_factory=dict)
+    _pending: dict[str, int] = field(default_factory=dict, init=False)
 
     def register_update(self, table: str, delta_tuples: int) -> None:
-        increment = delta_tuples if self.count_tuples else 1
-        self._pending[table.lower()] = self._pending.get(table.lower(), 0) + increment
+        self._pending[table.lower()] = self._pending.get(table.lower(), 0) + 1
 
     def tables_to_maintain(self) -> set[str]:
         return {
@@ -84,9 +79,8 @@ class EagerStrategy(MaintenanceStrategy):
             self._pending.pop(table.lower(), None)
 
     def pending(self, table: str) -> int:
-        """Pending updates (or delta tuples) recorded for ``table``."""
+        """Pending update statements recorded for ``table``."""
         return self._pending.get(table.lower(), 0)
 
     def describe(self) -> str:
-        unit = "tuples" if self.count_tuples else "updates"
-        return f"eager(batch={self.batch_size} {unit})"
+        return f"eager(batch={self.batch_size} updates)"

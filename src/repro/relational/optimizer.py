@@ -1,7 +1,7 @@
 """Rule-based, cost-aware logical plan optimizer.
 
 The reference evaluator can serve a selection from an ordered index only when
-the selection sits *directly* on a table scan (``Evaluator._try_index_scan``).
+the selection sits *directly* on a table scan (``Evaluator._index_choice``).
 Real plans rarely look like that: the SQL translator leaves WHERE predicates
 above explicit JOINs, the use rewrite injects its BETWEEN disjunctions in a
 separate selection below the user predicate, and subqueries hide scans behind
@@ -185,10 +185,9 @@ class CardinalityEstimator:
     defaults -- because a cost model must not break query evaluation.
     """
 
-    def __init__(self, catalog: SchemaProvider, statistics: object | None = None) -> None:
+    def __init__(self, catalog: SchemaProvider) -> None:
         self._catalog = catalog
-        source = statistics if statistics is not None else catalog
-        self._statistics = source if hasattr(source, "column_statistics") else None
+        self._statistics = catalog if hasattr(catalog, "column_statistics") else None
 
     # -- public API ------------------------------------------------------------------
 
@@ -389,15 +388,14 @@ def _scans_below(node: PlanNode) -> list[TableScan]:
 class PlanOptimizer:
     """Applies the rewrite rules to a logical plan.
 
-    ``catalog`` resolves table schemas (any :class:`SchemaProvider`);
-    ``statistics`` optionally provides row counts / column statistics /
-    histogram boundaries for the cost model and defaults to the catalog when
-    it quacks like the backend database.
+    ``catalog`` resolves table schemas (any :class:`SchemaProvider`); when
+    it quacks like the backend database it also provides the row counts,
+    column statistics and histogram boundaries of the cost model.
     """
 
-    def __init__(self, catalog: SchemaProvider, statistics: object | None = None) -> None:
+    def __init__(self, catalog: SchemaProvider) -> None:
         self._catalog = catalog
-        self.estimator = CardinalityEstimator(catalog, statistics)
+        self.estimator = CardinalityEstimator(catalog)
 
     def optimize(self, plan: PlanNode) -> PlanNode:
         """Return an equivalent plan with the same output schema."""

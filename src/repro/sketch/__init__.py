@@ -11,11 +11,13 @@ This package implements the machinery from Niu et al. [37] that IMP builds on:
   (:mod:`repro.sketch.use`),
 * the safety analysis deciding which attributes may carry a sketch
   (:mod:`repro.sketch.safety`), and
-* heuristics for picking sketch attributes and ranges
+* heuristics for picking sketch attributes and equi-depth ranges
   (:mod:`repro.sketch.selection`).
+
+Ranges are fixed once a sketch is captured: IMP's operator state is keyed by
+global fragment ids, so a sketch over new ranges is a new capture.
 """
 
-from repro.sketch.adaptive import PartitionMonitor, RebalanceDecision
 from repro.sketch.ranges import DatabasePartition, Range, RangePartition
 from repro.sketch.safety import SafetyAnalyzer, safe_attributes
 from repro.sketch.selection import build_partition, choose_sketch_attribute
@@ -24,11 +26,9 @@ from repro.sketch.use import instrument_plan, sketch_predicate
 
 __all__ = [
     "DatabasePartition",
-    "PartitionMonitor",
     "ProvenanceSketch",
     "Range",
     "RangePartition",
-    "RebalanceDecision",
     "SafetyAnalyzer",
     "SketchDelta",
     "build_partition",

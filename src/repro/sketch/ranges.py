@@ -77,16 +77,15 @@ class RangePartition:
         table: str,
         attribute: str,
         boundaries: Sequence[float],
-        cover_domain: bool = True,
     ) -> "RangePartition":
         """Build a partition from histogram boundaries.
 
-        With ``cover_domain`` the first and last boundary are stretched to the
-        whole attribute domain (the paper generates ranges covering the full
-        domain, not just the active domain, Sec. 7.4).
+        The first and last boundary are stretched to the whole attribute
+        domain (the paper generates ranges covering the full domain, not just
+        the active domain, Sec. 7.4).
         """
         values = [float(b) for b in boundaries]
-        if cover_domain and values:
+        if values:
             values[0] = -math.inf
             values[-1] = math.inf
         return cls(table, attribute, values)
@@ -99,14 +98,14 @@ class RangePartition:
         low: float,
         high: float,
         num_fragments: int,
-        cover_domain: bool = True,
     ) -> "RangePartition":
-        """An equi-width partition of ``[low, high]`` into ``num_fragments`` ranges."""
+        """An equi-width partition of ``[low, high]`` into ``num_fragments``
+        ranges, the outer two stretched to the whole domain."""
         if num_fragments <= 0:
             raise SketchError("num_fragments must be positive")
         width = (high - low) / num_fragments if high > low else 1.0
         boundaries = [low + i * width for i in range(num_fragments)] + [high]
-        return cls.from_boundaries(table, attribute, boundaries, cover_domain)
+        return cls.from_boundaries(table, attribute, boundaries)
 
     # -- inspection -----------------------------------------------------------------
 
@@ -210,29 +209,6 @@ class RangePartition:
             f"fragments={self.num_fragments})"
         )
 
-    def split_range(self, index: int) -> "RangePartition":
-        """Return a new partition where fragment ``index`` is split in half.
-
-        Supports the adaptive re-partitioning discussed in Sec. 7.4; sketches
-        referencing the split range must be updated to contain both halves
-        (see :meth:`repro.sketch.sketch.ProvenanceSketch.rebase`).
-        """
-        target = self.range_at(index)
-        low = target.low if math.isfinite(target.low) else self._boundaries[1] - 1.0
-        high = target.high if math.isfinite(target.high) else self._boundaries[-2] + 1.0
-        midpoint = (low + high) / 2
-        boundaries = list(self._boundaries)
-        boundaries.insert(index + 1, midpoint)
-        return RangePartition(self.table, self.attribute, boundaries)
-
-    def merge_ranges(self, index: int) -> "RangePartition":
-        """Return a new partition where fragments ``index`` and ``index + 1`` merge."""
-        if index + 1 >= self.num_fragments:
-            raise SketchError("cannot merge the last fragment with its successor")
-        boundaries = list(self._boundaries)
-        del boundaries[index + 1]
-        return RangePartition(self.table, self.attribute, boundaries)
-
 
 class DatabasePartition:
     """A set of per-table range partitions (``Φ`` in the paper).
@@ -301,18 +277,6 @@ class DatabasePartition:
         """Global id of the fragment of ``table``'s NULL and NaN values."""
         partition = self.partition_of(table)
         return self._total + list(self._partitions).index(partition.table)
-
-    def resolve(self, global_id: int) -> tuple[str, int | None]:
-        """Map a global fragment id back to ``(table, fragment_index)``; the
-        index of an outside id is None."""
-        for table, partition in self._partitions.items():
-            offset = self._offsets[table]
-            if offset <= global_id < offset + partition.num_fragments:
-                return table, global_id - offset
-        tables = list(self._partitions)
-        if 0 <= global_id - self._total < len(tables):
-            return tables[global_id - self._total], None
-        raise SketchError(f"unknown global fragment id {global_id}")
 
     def fragment_of(self, table: str, value: float) -> int:
         """Global fragment id of ``value`` in the partition of ``table``."""

@@ -3,7 +3,9 @@
 Paper Sec. 7.4: IMP first identifies safe attributes, then prefers attributes
 that are "important" for the query -- group-by attributes or attributes with an
 efficient access path -- and derives ranges from the bounds of equi-depth
-histograms so that data is spread evenly across fragments.  Ranges cover the
+histograms so that data is spread evenly across fragments; equi-depth is the
+only partitioning.  The histogram is built over the attribute's orderable
+values (NULL and NaN sit in the table's outside fragment).  Ranges cover the
 whole attribute domain, not only the active domain, so newly inserted values
 still fall into some fragment.
 """
@@ -68,37 +70,25 @@ def build_partition(
     table: str,
     attribute: str,
     num_fragments: int,
-    method: str = "equi-depth",
-    cover_domain: bool = True,
 ) -> RangePartition:
-    """Build a range partition for ``table.attribute``.
-
-    ``method`` is ``"equi-depth"`` (histogram bounds, the paper's default) or
-    ``"equi-width"``.
-    """
+    """Build an equi-depth range partition for ``table.attribute`` from the
+    bounds of its histogram, ignoring NULL and NaN (they sit in the table's
+    outside fragment)."""
     if num_fragments <= 0:
         raise SketchError("num_fragments must be positive")
-    bounds = database.table(table).attribute_bounds(attribute)
-    if bounds is None:
+    try:
+        boundaries = database.equi_depth_ranges(table, attribute, num_fragments)
+    except ValueError as exc:
         raise SketchError(
             f"cannot partition empty column {table}.{attribute}; load data first"
-        )
-    low, high = float(bounds[0]), float(bounds[1])
-    if method == "equi-width":
-        return RangePartition.equi_width(
-            table, attribute, low, high, num_fragments, cover_domain=cover_domain
-        )
-    if method != "equi-depth":
-        raise SketchError(f"unknown partitioning method {method!r}")
-    boundaries = database.equi_depth_ranges(table, attribute, num_fragments)
-    return RangePartition.from_boundaries(table, attribute, boundaries, cover_domain)
+        ) from exc
+    return RangePartition.from_boundaries(table, attribute, boundaries)
 
 
 def build_database_partition(
     database: Database,
     plan: PlanNode,
     num_fragments: int,
-    method: str = "equi-depth",
 ) -> DatabasePartition:
     """Build partitions for every referenced table with a safe attribute.
 
@@ -111,7 +101,7 @@ def build_database_partition(
         attribute = choose_sketch_attribute(plan, database, table)
         if attribute is None:
             continue
-        partition.add(build_partition(database, table, attribute, num_fragments, method))
+        partition.add(build_partition(database, table, attribute, num_fragments))
     if not partition.tables():
         raise SketchError("no referenced table has a safe sketch attribute")
     return partition

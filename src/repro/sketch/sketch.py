@@ -227,29 +227,3 @@ class ProvenanceSketch:
         """Physical size of the sketch bitvector in bytes (Fig. 18)."""
         width = (self.partition.total_fragments + 7) // 8
         return max(width, 1) + 8
-
-    # -- re-partitioning ---------------------------------------------------------------------
-
-    def rebase(self, new_partition: DatabasePartition) -> "ProvenanceSketch":
-        """Translate the sketch onto a re-partitioned ``Φ`` (Sec. 7.4).
-
-        A fragment of the old partition maps to every fragment of the new
-        partition whose range overlaps it, which keeps the sketch an
-        over-approximation after ranges are split or merged.
-        """
-        result = ProvenanceSketch.empty(new_partition)
-        for global_id in self.fragment_ids():
-            table, local_index = self.partition.resolve(global_id)
-            if not new_partition.has_table(table):
-                continue
-            if local_index is None:
-                result.add(new_partition.outside_id(table))
-                continue
-            old_range = self.partition.partition_of(table).range_at(local_index)
-            new_table_partition = new_partition.partition_of(table)
-            for candidate in new_table_partition.ranges():
-                overlaps = candidate.low < old_range.high and old_range.low < candidate.high
-                touches = candidate.low == old_range.low or candidate.high == old_range.high
-                if overlaps or touches:
-                    result.add_fragment(table, candidate.index)
-        return result

@@ -29,7 +29,7 @@ from repro.storage.recovery import (
 )
 from repro.storage.sessions import Session, SessionRegistry, SnapshotView
 from repro.storage.snapshots import AuditLog, AuditRecord
-from repro.storage.statistics import equi_depth_boundaries, equi_width_boundaries
+from repro.storage.statistics import equi_depth_boundaries
 from repro.storage.table import StoredTable
 from repro.storage.wal import (
     FSYNC_ALWAYS,
@@ -64,7 +64,6 @@ __all__ = [
     "WriteAheadLog",
     "count_io_points",
     "equi_depth_boundaries",
-    "equi_width_boundaries",
     "recover_database",
     "scan_wal",
     "state_fingerprint",

@@ -611,12 +611,12 @@ class Database:
 
     def _execute_delete(self, statement: DeleteStatement) -> int:
         stored = self.table(statement.table)
-        if statement.where is None:
-            return self.delete_rows(stored.name, list(stored.rows()))
         where = statement.where
         # As in :meth:`delete_where`, victims are collected and committed
         # under one lock acquisition.
         with self._lock:
+            if where is None:
+                return self.delete_rows(stored.name, list(stored.rows()))
             batch = stored.as_column_batch()
             values = compile_batch_expression(where, stored.schema)(batch.columns, len(batch))
             victims = filter_batch(batch, values, strict_boolean(where)).to_relation()

@@ -1,14 +1,15 @@
-"""Table statistics used for sketch range selection.
+"""Table statistics used for sketch range selection and cost estimates.
 
 The paper uses the bounds of equi-depth histograms maintained by the DBMS as
 the ranges of a partition (Sec. 7.4) and generates ranges that cover the whole
-domain of an attribute, not only its active domain.  This module provides both
-equi-depth and equi-width boundary computation plus simple column statistics.
+domain of an attribute, not only its active domain.  This module provides
+equi-depth boundary computation, the optimizer's interval-selectivity
+estimate over those boundaries, and simple column statistics.  NULL and NaN
+have no place in an order, so neither bounds nor minimum/maximum see them.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -26,15 +27,21 @@ class ColumnStatistics:
 
 
 def collect_column_statistics(attribute: str, values: Sequence[object]) -> ColumnStatistics:
-    """Compute :class:`ColumnStatistics` for a column's values."""
+    """Compute :class:`ColumnStatistics` for a column's values (the
+    minimum and maximum of its orderable ones: NaN is skipped like NULL)."""
     non_null = [value for value in values if value is not None]
+    # NaN compares false, so min and max pass over it -- unless they start
+    # from it, as the first value.
+    ordered = non_null
+    if non_null and non_null[0] != non_null[0]:
+        ordered = [value for value in non_null if value == value]
     return ColumnStatistics(
         attribute=attribute,
         row_count=len(values),
         null_count=len(values) - len(non_null),
         distinct_count=len(set(non_null)),
-        minimum=min(non_null) if non_null else None,
-        maximum=max(non_null) if non_null else None,
+        minimum=min(ordered) if ordered else None,
+        maximum=max(ordered) if ordered else None,
     )
 
 
@@ -47,11 +54,11 @@ def equi_depth_boundaries(
     pair delimits a bucket containing roughly the same number of values.
     Duplicate boundaries caused by heavy hitters are collapsed, so the result
     may contain fewer buckets than requested (matching how DBMS statistics
-    behave on skewed data).
+    behave on skewed data).  NULL and NaN are skipped: no order places them.
     """
     if num_buckets <= 0:
         raise ValueError("num_buckets must be positive")
-    data = sorted(value for value in values if value is not None)
+    data = sorted(value for value in values if value is not None and value == value)
     if not data:
         raise ValueError("cannot build a histogram over an empty column")
     boundaries = [data[0]]
@@ -69,47 +76,6 @@ def equi_depth_boundaries(
         # final boundary and a degenerate zero-width last bucket.
         boundaries.append(boundaries[-1])
     return boundaries
-
-
-def equi_width_boundaries(
-    low: float, high: float, num_buckets: int
-) -> list[float]:
-    """Boundaries of an equi-width histogram over ``[low, high]``."""
-    if num_buckets <= 0:
-        raise ValueError("num_buckets must be positive")
-    if high < low:
-        raise ValueError("high must be at least low")
-    if high == low:
-        return [low, high]
-    width = (high - low) / num_buckets
-    boundaries = [low + i * width for i in range(num_buckets)]
-    boundaries.append(high)
-    return boundaries
-
-
-def histogram_counts(values: Sequence[float], boundaries: Sequence[float]) -> list[int]:
-    """Count values per bucket given histogram ``boundaries``.
-
-    A value belongs to bucket ``i`` when ``boundaries[i] <= v < boundaries[i+1]``
-    except the last bucket which is right-inclusive.
-    """
-    if len(boundaries) < 2:
-        raise ValueError("need at least two boundaries")
-    num_buckets = len(boundaries) - 1
-    counts = [0] * num_buckets
-    for value in values:
-        if value is None:
-            continue
-        if value < boundaries[0] or value > boundaries[-1]:
-            continue
-        # Binary search over the sorted boundaries instead of a per-value
-        # linear bucket scan; a value equal to the last boundary falls into
-        # the final (right-inclusive) bucket.
-        index = bisect.bisect_right(boundaries, value) - 1
-        if index >= num_buckets:
-            index = num_buckets - 1
-        counts[index] += 1
-    return counts
 
 
 def equi_depth_fraction(

@@ -339,23 +339,6 @@ class StoredTable:
             values.extend([value] * multiplicity)
         return values
 
-    def attribute_bounds(self, attribute: str) -> tuple[object, object] | None:
-        """The ``(min, max)`` of an attribute, or None for an empty table."""
-        index = self.schema.index_of(attribute)
-        minimum: object | None = None
-        maximum: object | None = None
-        for row in self._rows:
-            value = row[index]
-            if value is None:
-                continue
-            if minimum is None or value < minimum:  # type: ignore[operator]
-                minimum = value
-            if maximum is None or value > maximum:  # type: ignore[operator]
-                maximum = value
-        if minimum is None:
-            return None
-        return minimum, maximum
-
     # -- version history (snapshot-isolated readers) ------------------------------
 
     @property

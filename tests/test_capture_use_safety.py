@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from repro.core.errors import SketchError
 from repro.relational.algebra import Selection, TableScan, walk_plan
 from repro.imp.engine import capture_sketch
 from repro.imp.middleware import IMPSystem
@@ -99,7 +100,7 @@ class TestUseRewrite:
 
     def test_full_coverage_skips_filtering(self, sales_db):
         partition = DatabasePartition(
-            [RangePartition.from_boundaries("sales", "price", [1, 10000], cover_domain=True)]
+            [RangePartition.from_boundaries("sales", "price", [1, 10000])]
         )
         sketch = ProvenanceSketch.full(partition)
         assert sketch_predicate(sketch, "sales") is None
@@ -172,6 +173,52 @@ class TestValuesNoRangeHolds:
         assert sorted(capture_sketch(plan, partition, database).fragment_ids()) == [0, 1, 2]
 
 
+class TestPartitionIgnoresNaN:
+    """Equi-depth ranges come from a column's orderable values: NaN, like
+    NULL, sits in the table's outside fragment and has no place in the
+    histogram."""
+
+    SQL = "SELECT a, sum(b) AS s FROM t GROUP BY a HAVING sum(b) > 100"
+
+    @staticmethod
+    def _database(rows) -> Database:
+        database = Database()
+        database.create_table("t", ["id", "a", "b"], primary_key="id")
+        database.insert("t", rows)
+        return database
+
+    @pytest.mark.parametrize("position", [0, 1000, 2000], ids=["first", "middle", "last"])
+    def test_a_nan_row_leaves_the_ranges_and_the_answer_alone(self, position):
+        # 200 groups of ten rows; five groups pass the HAVING.
+        rows = [(i, float(i * 7 % 200), 50.0 if i * 7 % 40 == 0 else 1.0) for i in range(2000)]
+        plain = self._database(rows)
+        odd = self._database([*rows[:position], (5000, math.nan, 1.0), *rows[position:]])
+        expected = build_partition(plain, "t", "a", 16)
+        assert expected.num_fragments == 16
+        assert build_partition(odd, "t", "a", 16).boundaries == expected.boundaries
+        statistics = odd.column_statistics("t", "a")
+        assert (statistics.minimum, statistics.maximum) == (0.0, 199.0)
+        imp = IMPSystem(odd, num_fragments=16)
+        for step in range(2):
+            answer = imp.run_query(self.SQL).to_sorted_list()
+            assert repr(answer) == repr(odd.query(self.SQL).to_sorted_list())
+            (entry,) = imp.store.entries()
+            assert entry.partition.partition_of("t").boundaries == expected.boundaries
+            assert len(entry.sketch) < entry.partition.total_fragments
+            inserts = [(6000 + 2 * step, math.nan, 500.0), (6001 + 2 * step, 3.0, 500.0)]
+            imp.apply_update("t", inserts=inserts)
+
+    def test_a_column_of_null_and_nan_is_not_numeric(self):
+        database = self._database([(i, (None, math.nan)[i % 2], 1.0) for i in range(20)])
+        plan = database.plan(self.SQL)
+        assert database.column_statistics("t", "a").minimum is None
+        assert choose_sketch_attribute(plan, database, "t") == "id"
+        with pytest.raises(SketchError, match="empty column"):
+            build_partition(database, "t", "a", 4)
+        with pytest.raises(SketchError, match="positive"):
+            build_partition(database, "t", "id", 0)
+
+
 class TestSafety:
     def test_group_by_attribute_is_safe(self, sales_db):
         plan = sales_db.plan(Q_TOP)
@@ -234,15 +281,6 @@ class TestAttributeSelection:
         )
         # The only safe attribute (productname) is non-numeric.
         assert choose_sketch_attribute(plan, sales_db, "sales") is None
-
-    def test_build_partition_equi_depth_and_width(self, synthetic_db):
-        database, _rows = synthetic_db
-        depth = build_partition(database, "r", "a", 8, method="equi-depth")
-        width = build_partition(database, "r", "a", 8, method="equi-width")
-        assert depth.num_fragments <= 8
-        assert width.num_fragments == 8
-        with pytest.raises(Exception):
-            build_partition(database, "r", "a", 0)
 
     def test_build_database_partition(self, join_db):
         plan = join_db.plan(

@@ -29,6 +29,7 @@ from repro.core.errors import StorageError
 from repro.imp.middleware import IMPSystem
 from repro.imp.sketch_store import SketchStore
 from repro.storage.database import Database
+from repro.storage.table import StoredTable
 from repro.workloads.synthetic import load_synthetic
 
 # --------------------------------------------------------------------------------------
@@ -543,19 +544,18 @@ def test_audit_prune_respects_pinned_floor():
 
 
 # --------------------------------------------------------------------------------------
-# SketchStore synchronization regression (ticks / use-counts)
+# SketchStore synchronization regression (ticks)
 # --------------------------------------------------------------------------------------
 
 
-def test_sketch_store_ticks_and_use_counts_are_exact_under_threads():
-    """Regression for unsynchronized recency ticks and use-counts: N threads
-    hammering record_use must account every single use."""
+def test_sketch_store_ticks_are_exact_under_threads():
+    """Regression for unsynchronized recency ticks: N threads hammering
+    touch must account every single use, and no two uses share a tick."""
     database, _table = make_database(num_rows=200, num_groups=8)
     system = make_system(database)
     entries = list(system.store.entries())
     store: SketchStore = system.store
     base_tick = store._tick
-    base_uses = {id(entry): entry.use_count for entry in entries}
 
     per_thread = 400
     num_threads = 8
@@ -564,17 +564,47 @@ def test_sketch_store_ticks_and_use_counts_are_exact_under_threads():
     def hammer(slot: int) -> None:
         barrier.wait()
         for index in range(per_thread):
-            store.record_use(entries[(slot + index) % len(entries)])
+            store.touch(entries[(slot + index) % len(entries)])
 
     threads = [threading.Thread(target=hammer, args=(slot,)) for slot in range(num_threads)]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
 
-    total = num_threads * per_thread
-    assert store._tick == base_tick + total
-    gained = sum(
-        entry.use_count - base_uses[id(entry)] for entry in entries
-    )
-    assert gained == total
+    assert store._tick == base_tick + num_threads * per_thread
+    ticks = [entry.last_used_tick for entry in entries]
+    assert len(set(ticks)) == len(ticks) and max(ticks) == store._tick
+
+
+# --------------------------------------------------------------------------------------
+# DELETE without WHERE under the write lock
+# --------------------------------------------------------------------------------------
+
+
+def test_delete_without_where_collects_its_victims_under_the_write_lock(monkeypatch):
+    """A commit racing ``DELETE FROM t`` waits until the statement has
+    collected and committed its victims; it used to change the rows being
+    walked, and the statement raised a bare ``RuntimeError``."""
+    database = Database()
+    database.create_table("t", ["id", "v"], primary_key="id")
+    database.insert("t", [(i, i) for i in range(5)])
+    rows = StoredTable.rows
+    writers: list[threading.Thread] = []
+
+    def racing_rows(self):
+        for row in rows(self):
+            yield row
+            if not writers:
+                writer = threading.Thread(target=database.insert, args=("t", [(99, 99)]))
+                writers.append(writer)
+                writer.start()
+                writer.join(timeout=0.2)  # returns at once unless the lock holds it
+
+    monkeypatch.setattr(StoredTable, "rows", racing_rows)
+    database.execute("DELETE FROM t")
+    writers[0].join(timeout=10)
+    assert not writers[0].is_alive()
+    monkeypatch.undo()
+    assert list(database.table("t").rows()) == [(99, 99)]

@@ -7,8 +7,6 @@ from repro.storage.database import Database
 from repro.storage.statistics import (
     collect_column_statistics,
     equi_depth_boundaries,
-    equi_width_boundaries,
-    histogram_counts,
 )
 
 
@@ -149,15 +147,3 @@ class TestStatistics:
     def test_equi_depth_rejects_empty(self):
         with pytest.raises(ValueError):
             equi_depth_boundaries([], 4)
-
-    def test_equi_width(self):
-        assert equi_width_boundaries(0, 10, 2) == [0, 5, 10]
-        assert equi_width_boundaries(5, 5, 3) == [5, 5]
-        with pytest.raises(ValueError):
-            equi_width_boundaries(0, 10, 0)
-
-    def test_histogram_counts(self):
-        counts = histogram_counts([1, 2, 3, 4, 5], [1, 3, 5])
-        assert counts == [2, 3]
-        with pytest.raises(ValueError):
-            histogram_counts([1], [1])

@@ -453,7 +453,7 @@ class TestStoreBudgetSeesJoinState:
         # A budget that fits both captured entries but not the join state.
         budget = captured_bytes + side_bytes // 4
         system, database, _bytes = self._run(budget)
-        assert system.store.statistics.bytes_evictions >= 1
+        assert system.store.statistics.evictions >= 1
         assert [entry.sql for entry in system.store.entries()] == [self.JOIN]
         # Evicted entries are captured again and answer correctly.
         for sql in (self.OTHER, self.JOIN, self.OTHER):

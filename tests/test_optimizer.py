@@ -42,7 +42,6 @@ from tests.reference import assert_systems_match_oracle, random_insert_batches
 from repro.storage.statistics import (
     equi_depth_boundaries,
     equi_depth_fraction,
-    histogram_counts,
 )
 
 
@@ -429,38 +428,6 @@ class TestStatisticsFixes:
 
     def test_single_value_column_keeps_two_boundaries(self):
         assert equi_depth_boundaries([7, 7, 7], 4) == [7, 7]
-
-    def test_histogram_counts_matches_linear_reference(self):
-        def reference(values, boundaries):
-            counts = [0] * (len(boundaries) - 1)
-            for value in values:
-                if value is None or value < boundaries[0] or value > boundaries[-1]:
-                    continue
-                placed = False
-                for i in range(len(boundaries) - 2):
-                    if boundaries[i] <= value < boundaries[i + 1]:
-                        counts[i] += 1
-                        placed = True
-                        break
-                if not placed:
-                    counts[-1] += 1
-            return counts
-
-        rng = random.Random(23)
-        for _ in range(30):
-            values = [rng.uniform(-5, 105) for _ in range(rng.randrange(0, 80))]
-            values += [None, -1000.0, 1000.0]
-            boundaries = sorted(
-                {rng.uniform(0, 100) for _ in range(rng.randrange(2, 12))}
-            )
-            if len(boundaries) < 2:
-                continue
-            assert histogram_counts(values, boundaries) == reference(values, boundaries)
-
-    def test_histogram_counts_boundary_values(self):
-        counts = histogram_counts([1, 2, 3, 4, 5], [1, 3, 5])
-        assert counts == [2, 3]
-        assert histogram_counts([5], [1, 3, 5]) == [0, 1]
 
     def test_equi_depth_fraction(self):
         boundaries = [0.0, 25.0, 50.0, 75.0, 100.0]

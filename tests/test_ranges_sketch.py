@@ -56,24 +56,15 @@ class TestRangePartition:
         assert partition.num_fragments == 2
 
     def test_cover_domain_extends_to_infinity(self):
-        partition = RangePartition.from_boundaries("t", "a", [10, 20, 30], cover_domain=True)
+        partition = RangePartition.from_boundaries("t", "a", [10, 20, 30])
         assert partition.fragment_of(-1e9) == 0
         assert partition.fragment_of(1e9) == 1
         assert math.isinf(partition.boundaries[0])
 
     def test_equi_width(self):
-        partition = RangePartition.equi_width("t", "a", 0, 100, 4, cover_domain=False)
+        partition = RangePartition.equi_width("t", "a", 0, 100, 4)
         assert partition.num_fragments == 4
         assert partition.fragment_of(49) == 1
-
-    def test_split_and_merge(self):
-        partition = RangePartition("t", "a", [0, 10, 20])
-        split = partition.split_range(0)
-        assert split.num_fragments == 3
-        merged = split.merge_ranges(0)
-        assert merged.num_fragments == 2
-        with pytest.raises(SketchError):
-            partition.merge_ranges(1)
 
     def test_byte_size_scales_with_fragments(self):
         small = RangePartition("t", "a", list(range(11)))
@@ -92,7 +83,6 @@ class TestDatabasePartition:
         assert database_partition.total_fragments == 6
         assert database_partition.global_id("sales", 0) == 0
         assert database_partition.global_id("s", 0) == 4
-        assert database_partition.resolve(5) == ("s", 1)
 
     def test_fragment_of_uses_global_ids(self, database_partition):
         assert database_partition.fragment_of("sales", 349) == 0
@@ -110,7 +100,7 @@ class TestDatabasePartition:
         assert database_partition.masks_of("s", iter([])) == []
 
     def test_masks_of_covered_domain_ends(self):
-        covered = RangePartition.from_boundaries("t", "a", [10, 20, 30], cover_domain=True)
+        covered = RangePartition.from_boundaries("t", "a", [10, 20, 30])
         partition = DatabasePartition([RangePartition("u", "x", [0, 1]), covered])
         values = [-math.inf, -1e300, 10, 19.999, 20, 1e300, math.inf, None, math.nan]
         assert partition.masks_of("t", values) == [2, 2, 2, 2, 4, 4, 4, 16, 16]
@@ -119,7 +109,7 @@ class TestDatabasePartition:
         ]
 
     def test_masks_of_rejects_out_of_domain_values(self):
-        bounded = RangePartition.equi_width("t", "a", 0, 100, 4, cover_domain=False)
+        bounded = RangePartition("t", "a", [0, 25, 50, 75, 100])
         partition = DatabasePartition([bounded])
         assert partition.masks_of("t", [0, 25, 100, math.nan]) == [1, 2, 8, 16]
         for outside in (-0.5, 100.5):
@@ -130,10 +120,6 @@ class TestDatabasePartition:
 
     def test_outside_ids_follow_every_range(self, database_partition):
         assert [database_partition.outside_id(t) for t in ("sales", "S")] == [6, 7]
-        assert database_partition.resolve(6) == ("sales", None)
-        assert database_partition.resolve(7) == ("s", None)
-        with pytest.raises(SketchError):
-            database_partition.resolve(8)
         with pytest.raises(SketchError, match="NaN"):
             database_partition.fragment_of("sales", math.nan)
 
@@ -145,8 +131,6 @@ class TestDatabasePartition:
     def test_unknown_lookups_raise(self, database_partition):
         with pytest.raises(SketchError):
             database_partition.partition_of("missing")
-        with pytest.raises(SketchError):
-            database_partition.resolve(99)
         with pytest.raises(SketchError):
             database_partition.global_id("sales", 10)
 
@@ -201,16 +185,6 @@ class TestProvenanceSketch:
         sketch = ProvenanceSketch.full(database_partition)
         assert sketch.byte_size() < 64
 
-    def test_rebase_after_split_is_superset(self, database_partition):
-        sketch = ProvenanceSketch(database_partition, [0])
-        new_sales = RangePartition("sales", "price", [1, 301, 601, 1001, 1501, 10000])
-        new_partition = DatabasePartition(
-            [new_sales, RangePartition("s", "d", [0, 50, 100])]
-        )
-        rebased = sketch.rebase(new_partition)
-        covered = {r.index for r in rebased.ranges_for("sales")}
-        assert covered == {0, 1}
-
     def test_sketch_is_a_plain_int_mask(self, database_partition):
         sketch = ProvenanceSketch(database_partition, [5, 1, 1])
         assert type(sketch.mask) is int and sketch.mask == 0b100010
@@ -234,8 +208,6 @@ class TestProvenanceSketch:
         assert sketch_predicate(sketch, "sales") is None
         assert sketch_predicate(sketch, "s").canonical() == "(1 = 0)"
         assert sketch_predicate(ProvenanceSketch(database_partition, [1]), "sales") is not None
-        narrower = DatabasePartition([RangePartition("sales", "price", [1, 301, 601, 10000])])
-        assert list(sketch.rebase(narrower).fragment_ids()) == [2, 3]
 
     def test_union(self, database_partition):
         union = ProvenanceSketch(database_partition, [0, 1]).union(

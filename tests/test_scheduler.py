@@ -327,7 +327,7 @@ class TestStoreMemoryBudget:
             store.put(entry)
         assert store.memory_bytes() <= budget
         assert 0 < len(store) < 4
-        assert store.statistics.bytes_evictions >= 1
+        assert store.statistics.evictions >= 1
 
     def test_budget_prefers_recently_used_entries(self):
         database = self._database()
@@ -430,32 +430,6 @@ class TestBugfixSweep:
         store.put(entry)  # re-putting the same template is a replacement
         assert store.statistics.captures == 1
         assert len(store) == 1
-
-    def test_eviction_breaks_use_count_ties_by_recency(self):
-        database = Database()
-        load_synthetic(database, num_rows=200, num_groups=8, seed=2)
-        entries = []
-        for sql in multi_sketch_templates(3):
-            plan = database.plan(sql)
-            partition = build_database_partition(database, plan, 4)
-            maintainer = IncrementalMaintainer(database, plan, partition)
-            maintainer.capture()
-            entries.append(
-                SketchEntry(
-                    template=template_of(sql), sql=sql, plan=plan,
-                    partition=partition, maintainer=maintainer,
-                )
-            )
-        store = SketchStore(capacity=2)
-        store.put(entries[0])
-        store.put(entries[1])
-        store.get(entries[0].template)  # equal use_count=0? get() bumps hits only
-        # Both entries have use_count == 0; entry 0 was touched more recently,
-        # so entry 1 is the least-recently-used victim.
-        store.put(entries[2])
-        remaining = {entry.template.text for entry in store.entries()}
-        assert entries[0].template.text in remaining
-        assert entries[1].template.text not in remaining
 
     def test_empty_update_does_not_advance_eager_batches(self):
         database = Database()

@@ -398,7 +398,7 @@ class TestShareGroups:
         for entry in entries:
             store.put(entry)
         first, second, third = entries
-        assert len(store) == 2 and store.statistics.bytes_evictions == 1
+        assert len(store) == 2 and store.statistics.evictions == 1
         node = second.shared
         assert node is third.shared and store.share_group(second) == [second, third]
         state = node.operator.state

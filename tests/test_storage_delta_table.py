@@ -116,13 +116,11 @@ class TestStoredTable:
         with pytest.raises(StorageError):
             table.apply_delta(bad)
 
-    def test_attribute_bounds_and_values(self):
+    def test_column_values(self):
         table = StoredTable("t", ["id", "v"])
         table.insert_many([(1, 10), (2, None), (3, 30)])
-        assert table.attribute_bounds("v") == (10, 30)
         assert sorted(table.column_values("v")) == [10, 30]
-        empty = StoredTable("e", ["x"])
-        assert empty.attribute_bounds("x") is None
+        assert StoredTable("e", ["x"]).column_values("x") == []
 
     def test_primary_key_must_exist(self):
         with pytest.raises(SchemaError):
