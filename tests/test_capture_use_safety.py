@@ -282,6 +282,42 @@ class TestAttributeSelection:
         # The only safe attribute (productname) is non-numeric.
         assert choose_sketch_attribute(plan, sales_db, "sales") is None
 
+    def test_build_partition_is_equi_depth_over_the_whole_domain(self, synthetic_db):
+        database, rows = synthetic_db
+        partition = build_partition(database, "r", "a", 8)
+        interior = database.equi_depth_ranges("r", "a", 8)[1:-1]
+        assert partition.boundaries == [-math.inf, *interior, math.inf]
+        assert partition.num_fragments == 8
+        # Equi-depth: no range holds much more than its share of the rows.
+        counts = [0] * partition.num_fragments
+        for row in rows:
+            counts[partition.fragment_of(row[1])] += 1
+        assert max(counts) <= 2 * len(rows) / partition.num_fragments
+        with pytest.raises(SketchError, match="positive"):
+            build_partition(database, "r", "a", 0)
+
+    def test_repartitioning_is_a_recapture_with_fresh_bounds(self, synthetic_db):
+        # After skewed inserts one range holds most rows; re-partitioning
+        # builds fresh equi-depth bounds and captures again, and the new
+        # sketch answers the query like the full evaluation.
+        database, _rows = synthetic_db
+        sql = "SELECT a, avg(b) AS ab FROM r GROUP BY a HAVING avg(c) < 500"
+        plan = database.plan(sql)
+        before = build_database_partition(database, plan, 4).partition_of("r")
+        database.insert("r", [(1000 + i, 1000 + i % 40, i % 500, i % 700) for i in range(1800)])
+        stale_counts = [0] * before.num_fragments
+        for row in database.table("r").rows():
+            stale_counts[before.fragment_of(row[1])] += 1
+        assert max(stale_counts) > 0.7 * sum(stale_counts)
+        fresh = build_database_partition(database, plan, 4)
+        assert fresh.partition_of("r").boundaries != before.boundaries
+        fresh_counts = [0] * fresh.partition_of("r").num_fragments
+        for row in database.table("r").rows():
+            fresh_counts[fresh.partition_of("r").fragment_of(row[1])] += 1
+        assert max(fresh_counts) < 0.5 * sum(fresh_counts)
+        sketch = capture_sketch(plan, fresh, database)
+        assert database.query(instrument_plan(plan, sketch)) == database.query(plan)
+
     def test_build_database_partition(self, join_db):
         plan = join_db.plan(
             "SELECT a, sum(e) AS se FROM r JOIN s ON b = d GROUP BY a HAVING sum(e) > 0"

@@ -608,3 +608,33 @@ def test_delete_without_where_collects_its_victims_under_the_write_lock(monkeypa
     assert not writers[0].is_alive()
     monkeypatch.undo()
     assert list(database.table("t").rows()) == [(99, 99)]
+
+
+def test_session_delete_without_where_collects_its_victims_under_the_write_lock(monkeypatch):
+    """``Session.execute`` runs DELETE through the same path, and a racing
+    commit waits for it there too; the session re-pins at the DELETE's own
+    version and reads its own write."""
+    database = Database()
+    database.create_table("t", ["id", "v"], primary_key="id")
+    database.insert("t", [(i, i) for i in range(5)])
+    rows = StoredTable.rows
+    writers: list[threading.Thread] = []
+
+    def racing_rows(self):
+        for row in rows(self):
+            yield row
+            if not writers:
+                writer = threading.Thread(target=database.insert, args=("t", [(99, 99)]))
+                writers.append(writer)
+                writer.start()
+                writer.join(timeout=0.2)  # returns at once unless the lock holds it
+
+    with database.connect() as session:
+        monkeypatch.setattr(StoredTable, "rows", racing_rows)
+        version = session.execute("DELETE FROM t")
+        writers[0].join(timeout=10)
+        assert not writers[0].is_alive()
+        monkeypatch.undo()
+        assert session.pinned_version == version
+        assert list(session.query("SELECT id FROM t").rows()) == []
+    assert list(database.table("t").rows()) == [(99, 99)]

@@ -1,6 +1,10 @@
 """Tests for the versioned in-memory backend database."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.errors import StorageError
 from repro.storage.database import Database
@@ -147,3 +151,31 @@ class TestStatistics:
     def test_equi_depth_rejects_empty(self):
         with pytest.raises(ValueError):
             equi_depth_boundaries([], 4)
+
+    @given(
+        values=st.lists(st.integers(-50, 50), min_size=1, max_size=60),
+        positions=st.lists(st.integers(0, 60), max_size=4),
+        num_buckets=st.integers(1, 12),
+    )
+    def test_equi_depth_boundaries_skip_nan(self, values, positions, num_buckets):
+        # NaN has no place in an order: wherever it sits in the column, the
+        # boundaries are those of the orderable values alone.
+        data = [float(value) for value in values]
+        with_nan = list(data)
+        for position in positions:
+            with_nan.insert(min(position, len(with_nan)), math.nan)
+        assert equi_depth_boundaries(with_nan, num_buckets) == equi_depth_boundaries(
+            data, num_buckets
+        )
+
+    def test_equi_depth_rejects_a_column_of_null_and_nan(self):
+        with pytest.raises(ValueError, match="empty column"):
+            equi_depth_boundaries([math.nan, None, math.nan], 4)
+
+    @pytest.mark.parametrize("values", [[math.nan, 3.0, 1.0, None], [3.0, math.nan, 1.0]])
+    def test_collect_column_statistics_skips_nan(self, values):
+        stats = collect_column_statistics("x", values)
+        assert (stats.minimum, stats.maximum) == (1.0, 3.0)
+        assert stats.null_count == values.count(None)
+        only_nan = collect_column_statistics("x", [math.nan, None])
+        assert only_nan.minimum is None and only_nan.maximum is None

@@ -16,6 +16,7 @@ from repro.imp.sketch_store import SketchEntry, SketchStore
 from repro.imp.strategies import EagerStrategy, LazyStrategy
 from repro.sketch.selection import build_database_partition
 from repro.sql.template import template_of
+from repro.workloads.mixed import multi_sketch_templates
 from repro.workloads.queries import q_endtoend, q_groups, q_join
 from repro.workloads.synthetic import load_join_helper, load_synthetic
 from repro.storage.database import Database
@@ -187,6 +188,20 @@ class TestSketchStore:
         store.clear()
         assert len(store) == 0
 
+    def test_store_without_budget_never_evicts(self, sales_db, sales_partition):
+        store = SketchStore()
+        sqls = [
+            Q_TOP,
+            "SELECT brand, SUM(price) AS sp FROM sales GROUP BY brand HAVING SUM(price) > 100",
+            "SELECT brand, MAX(numsold) AS m FROM sales GROUP BY brand HAVING MAX(numsold) > 1",
+        ]
+        for sql in sqls:
+            store.put(self._entry(sales_db, sales_partition, sql=sql))
+        assert store.max_bytes is None
+        assert store.enforce_memory_budget() == 0
+        assert len(store) == 3 and store.statistics.evictions == 0
+        assert store.statistics.captures == 3
+
 
 class TestStrategies:
     def test_lazy_never_maintains_eagerly(self):
@@ -203,6 +218,17 @@ class TestStrategies:
         assert strategy.tables_to_maintain() == {"r"}
         strategy.acknowledge_maintenance({"r"})
         assert strategy.pending("r") == 0
+
+    def test_eager_counts_statements_not_tuples(self):
+        # A batch is a number of update statements, however many tuples
+        # each one carries.
+        strategy = EagerStrategy(batch_size=2)
+        strategy.register_update("R", 10_000)
+        assert strategy.tables_to_maintain() == set()
+        assert strategy.pending("r") == 1
+        strategy.register_update("r", 0)
+        assert strategy.tables_to_maintain() == {"r"}
+        assert strategy.describe() == "eager(batch=2 updates)"
 
     def test_describe(self):
         assert "eager" in EagerStrategy(batch_size=5).describe()
@@ -323,6 +349,28 @@ class TestMiddleware:
         assert system.statistics.sketch_maintenances >= 1
         assert sorted(system.run_query(sql).rows()) == sorted(reference.query(sql).rows())
 
+    def test_query_hits_decide_what_the_byte_budget_evicts(self):
+        # Three templates whose HAVING attributes differ, so no state is
+        # shared and each entry's footprint is its own.
+        first, second, third = multi_sketch_templates(27)[::9]
+        unbounded = IMPSystem(self._loaded_db(), num_fragments=16)
+        for sql in (first, second, third):
+            unbounded.run_query(sql)
+        sizes = {entry.sql: entry.memory_bytes() for entry in unbounded.store.entries()}
+        database = self._loaded_db()
+        system = IMPSystem(
+            database, num_fragments=16, store_max_bytes=sizes[first] + sizes[third]
+        )
+        system.run_query(first)
+        system.run_query(second)
+        system.run_query(first)  # a hit: `second` is now the least recently used
+        assert system.run_query(third) == database.query(third)
+        assert {entry.sql for entry in system.store.entries()} == {first, third}
+        assert system.store.statistics.evictions == 1
+        # The evicted template is captured again and still answers correctly.
+        assert system.run_query(second) == database.query(second)
+        assert system.statistics.sketch_captures == 4
+
     def test_apply_update_without_rows_is_noop(self):
         database = self._loaded_db()
         system = NoSketchSystem(database)
@@ -339,22 +387,35 @@ class TestMiddleware:
         assert "total_seconds" in summary
 
 
-def test_every_option_has_a_caller():
+def _parameters(function) -> list[str]:
+    return list(inspect.signature(function).parameters)
+
+
+def _init_fields(cls) -> list[str]:
+    return [field.name for field in dataclasses.fields(cls) if field.init]
+
+
+@pytest.mark.parametrize(
+    ("surface", "options"),
+    [
+        (lambda: _parameters(IMPSystem),
+         ["database", "num_fragments", "strategy", "store_max_bytes"]),
+        (lambda: _parameters(FullMaintenanceSystem),
+         ["database", "num_fragments", "strategy", "store_max_bytes"]),
+        (lambda: _parameters(SketchStore), ["max_bytes"]),
+        (lambda: _init_fields(EagerStrategy), ["batch_size"]),
+        (lambda: _init_fields(IMPConfig),
+         ["use_bloom_filters", "selection_pushdown", "min_max_buffer", "topk_buffer"]),
+        (lambda: _parameters(build_database_partition),
+         ["database", "plan", "num_fragments"]),
+    ],
+    ids=[
+        "IMPSystem", "FullMaintenanceSystem", "SketchStore", "EagerStrategy",
+        "IMPConfig", "build_database_partition",
+    ],
+)
+def test_every_option_has_a_caller(surface, options):
     """The settable options of the middleware's surfaces, pinned: each has a
     caller in ``src/``, ``bench/``, ``benchmarks/``, ``examples/`` or the
     CLI.  A new one is a deliberate edit here, not a silent addition."""
-
-    def parameters(function) -> list[str]:
-        return list(inspect.signature(function).parameters)
-
-    def init_fields(cls) -> list[str]:
-        return [field.name for field in dataclasses.fields(cls) if field.init]
-
-    for system in (IMPSystem, FullMaintenanceSystem):
-        assert parameters(system) == ["database", "num_fragments", "strategy", "store_max_bytes"]
-    assert parameters(SketchStore) == ["max_bytes"]
-    assert init_fields(EagerStrategy) == ["batch_size"]
-    assert init_fields(IMPConfig) == [
-        "use_bloom_filters", "selection_pushdown", "min_max_buffer", "topk_buffer",
-    ]
-    assert parameters(build_database_partition) == ["database", "plan", "num_fragments"]
+    assert surface() == options

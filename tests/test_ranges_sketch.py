@@ -66,6 +66,16 @@ class TestRangePartition:
         assert partition.num_fragments == 4
         assert partition.fragment_of(49) == 1
 
+    def test_equi_width_covers_the_domain(self):
+        partition = RangePartition.equi_width("t", "a", 0, 100, 4)
+        assert partition.boundaries == [-math.inf, 25.0, 50.0, 75.0, math.inf]
+        assert partition.fragment_of(-1e9) == 0 and partition.fragment_of(1e9) == 3
+        # A constant column still gets one range over the whole domain.
+        constant = RangePartition.equi_width("t", "a", 5, 5, 1)
+        assert constant.boundaries == [-math.inf, math.inf]
+        with pytest.raises(SketchError, match="positive"):
+            RangePartition.equi_width("t", "a", 0, 100, 0)
+
     def test_byte_size_scales_with_fragments(self):
         small = RangePartition("t", "a", list(range(11)))
         large = RangePartition("t", "a", list(range(1001)))
@@ -83,6 +93,17 @@ class TestDatabasePartition:
         assert database_partition.total_fragments == 6
         assert database_partition.global_id("sales", 0) == 0
         assert database_partition.global_id("s", 0) == 4
+
+    def test_global_ids_number_every_fragment_once(self, database_partition):
+        # Ranges first, table by table, then one outside id per table: a
+        # sketch's bits are dense and no two fragments share one.
+        ids = [
+            database_partition.global_id(partition.table, index)
+            for partition in database_partition
+            for index in range(partition.num_fragments)
+        ]
+        ids += [database_partition.outside_id(table) for table in database_partition.tables()]
+        assert ids == list(range(database_partition.total_fragments + len(database_partition)))
 
     def test_fragment_of_uses_global_ids(self, database_partition):
         assert database_partition.fragment_of("sales", 349) == 0
