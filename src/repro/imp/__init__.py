@@ -5,8 +5,10 @@ This package contains the paper's primary contribution:
 * :mod:`repro.imp.annotated` -- sketch-annotated delta relations and their
   columnar chunk storage (Sec. 4.3, 7.1),
 * :mod:`repro.imp.state` -- operator state (group accumulators, min/max trees,
-  top-k trees, join-side key indexes, merge counts) with persistence support
-  (Sec. 5.2, 7.1),
+  top-k trees, join-side key indexes, merge counts) (Sec. 5.2, 7.1),
+* :mod:`repro.imp.persistence` -- the canonical serialised view of an engine's
+  state, :func:`dump_engine_state`; the paper's restart persistence (Sec. 2)
+  is not implemented,
 * :mod:`repro.imp.operators` -- the incremental relational algebra operators
   over annotated deltas (Sec. 5.2),
 * :mod:`repro.imp.engine` -- compiling logical plans into incremental operator
@@ -28,7 +30,7 @@ from repro.imp.annotated import AnnotatedDelta
 from repro.imp.engine import EngineStatistics, IMPConfig, IncrementalEngine, capture_sketch
 from repro.imp.maintenance import FullMaintainer, IncrementalMaintainer, MaintenanceResult
 from repro.imp.middleware import IMPSystem, NoSketchSystem, FullMaintenanceSystem
-from repro.imp.persistence import StatePersistence, dump_engine_state, load_engine_state
+from repro.imp.persistence import dump_engine_state
 from repro.imp.scheduler import MaintenanceScheduler, RoundReport, SchedulerStatistics
 from repro.imp.sketch_store import SketchEntry, SketchStore
 from repro.imp.strategies import EagerStrategy, LazyStrategy, MaintenanceStrategy
@@ -52,8 +54,6 @@ __all__ = [
     "SchedulerStatistics",
     "SketchEntry",
     "SketchStore",
-    "StatePersistence",
     "capture_sketch",
     "dump_engine_state",
-    "load_engine_state",
 ]

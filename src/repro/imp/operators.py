@@ -449,12 +449,6 @@ class IncrementalJoin(IncrementalOperator):
             return None
         return _key_getter(left_schema, left_keys), _key_getter(right_schema, right_keys)
 
-    def forget_sides(self) -> None:
-        """Drop what is kept of both sides (filters and indexes are derived
-        from the database; the next delta pass rebuilds what it needs)."""
-        for side in self.sides:
-            side.state = JoinSideState()
-
     def process(self, run: Pass) -> AnnotatedDelta:
         left, right = self.sides
         left_delta = self.left.process(run)
@@ -843,8 +837,8 @@ class SharedNode:
     state agree (and keeps the list of them: a node refers to no engine); a
     pass computes its output once into :attr:`Pass.memo`.  ``built_at`` is
     the version of the from-scratch pass that built its state, or None once a
-    delta pass has moved it on (or it was restored): a node is handed on only
-    while its state is bit for bit what any capture at that version builds.
+    delta pass has moved it on: a node is handed on only while its state is
+    bit for bit what any capture at that version builds.
     """
 
     def __init__(self, operator: IncrementalOperator, fingerprint: tuple) -> None:

@@ -3,9 +3,10 @@
 IMP stores sketches in a hash table keyed by the query template of the query
 they were captured for (paper Sec. 7.1).  Each entry holds the sketch itself,
 the query and plan, the partition it is defined over, the database version it
-is valid for, and the maintainer (whose incremental operator state can also be
-persisted into the backend database so maintenance can resume after a restart
-or after state eviction, Sec. 2).
+is valid for, and the maintainer with its incremental operator state.  The
+paper can persist that state so maintenance resumes after a restart or an
+eviction (Sec. 2); here it lives in memory only, and an entry that leaves the
+store, like any entry after a restart, is captured again when next queried.
 
 Under memory pressure the store evicts (Sec. 2): ``max_bytes`` bounds the
 total memory of sketches plus maintenance state, and the least recently used

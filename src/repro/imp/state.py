@@ -22,9 +22,8 @@ Sec. 5.2 of the paper:
   that range.
 
 All states support byte-size estimation (for the memory experiments), and
-:mod:`repro.imp.persistence` serialises all but the join's so the middleware
-can persist and restore them through the backend database (Sec. 2).  Join
-state is derived data: a restored join rebuilds it lazily.
+:mod:`repro.imp.persistence` writes all but the join's as the canonical view
+tests compare engines by.  Join state is derived data, rebuilt lazily.
 """
 
 from __future__ import annotations
@@ -237,7 +236,7 @@ class AggregationState:
     A dropped group's slot is cleared and kept on ``free`` for the next new
     key.  With no aggregates this is duplicate elimination's state: per-row
     reference counts and their ``ℱ``.  :mod:`repro.imp.persistence` writes
-    and reads it as one dict per group.
+    it as one dict per group.
     """
 
     def __init__(
@@ -475,8 +474,8 @@ class JoinSideState:
     from the first time a partner is actually needed, *materialised* as a key
     index ``buckets[join key][(row, annotation)] = signed count``.
     Materialising releases the filter: the index answers exactly.  A side
-    with neither (filters disabled, state restored from the backend) prunes
-    nothing and is materialised by the first delta of the other side.
+    with neither (filters disabled) prunes nothing and is materialised by the
+    first delta of the other side.
 
     Buckets are dicts, never sets: probe results feed float accumulators in
     entry order, so a bucket iterates in insertion order.  A theta or cross
@@ -695,7 +694,7 @@ class MergeState:
         Entries are applied one by one, in order, without netting the counts
         of equal masks first: a count that passes through zero drops its
         fragment and re-inserts it at the end of ``counts``, and that order
-        is what a persisted payload lists.
+        is what a dumped payload lists.
         """
         totals = self.counts
         before: dict[int, int] = {}

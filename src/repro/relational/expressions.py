@@ -32,7 +32,7 @@ evaluates an expression tree.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 from repro.core.errors import SchemaError, UnsupportedOperationError
@@ -47,6 +47,24 @@ is the entry count; returns the expression's value column (length ``n``).
 The returned list may be one of the input columns (e.g. for a plain column
 reference) -- callers must treat both as read-only.
 """
+
+
+def _rejected(
+    symbol: str, operation: Callable, operands: Iterable[tuple]
+) -> UnsupportedOperationError:
+    """The error for operator ``symbol``, naming the types of the first
+    NULL-free operand tuple that ``operation`` raises ``TypeError`` on
+    (``'x' + 1``, ``-'x'``, ``'x' < 2``).  A kernel calls this once its
+    comprehension raised one, so there is such a tuple."""
+    for values in operands:
+        if None not in values:
+            try:
+                operation(*values)
+            except TypeError:
+                break
+    *rest, last = [type(value).__name__ for value in values]
+    named = f"{', '.join(rest)} and {last}" if rest else last
+    return UnsupportedOperationError(f"operator {symbol} does not apply to {named}")
 
 
 class Expression:
@@ -186,12 +204,17 @@ class BinaryOp(Expression):
         left = self.left.compile_batch(schema)
         right = self.right.compile_batch(schema)
         operation = _ARITHMETIC[self.op]
+        symbol = self.op
 
         def run(columns: Sequence[list], n: int) -> list:
-            return [
-                None if a is None or b is None else operation(a, b)
-                for a, b in zip(left(columns, n), right(columns, n))
-            ]
+            lefts, rights = left(columns, n), right(columns, n)
+            try:
+                return [
+                    None if a is None or b is None else operation(a, b)
+                    for a, b in zip(lefts, rights)
+                ]
+            except TypeError:
+                raise _rejected(symbol, operation, zip(lefts, rights)) from None
 
         return run
 
@@ -220,7 +243,11 @@ class UnaryMinus(Expression):
         operand = self.operand.compile_batch(schema)
 
         def run(columns: Sequence[list], n: int) -> list:
-            return [None if value is None else -value for value in operand(columns, n)]
+            values = operand(columns, n)
+            try:
+                return [None if value is None else -value for value in values]
+            except TypeError:
+                raise _rejected("-", operator.neg, zip(values)) from None
 
         return run
 
@@ -259,6 +286,7 @@ class Comparison(Expression):
 
     def _compile_batch(self, schema: Schema) -> CompiledBatchExpression:
         operation = _COMPARISONS[self.op]
+        symbol = self.op
         # Fast path for the dominant predicate shape, ``column <op> constant``:
         # one hoisted comprehension over the value column.
         if isinstance(self.left, ColumnRef) and isinstance(self.right, Literal):
@@ -268,20 +296,29 @@ class Comparison(Expression):
                 return lambda columns, n: [None] * n
 
             def fast(columns: Sequence[list], n: int) -> list:
-                return [
-                    None if value is None else bool(operation(value, constant))
-                    for value in columns[index]
-                ]
+                values = columns[index]
+                try:
+                    return [
+                        None if value is None else bool(operation(value, constant))
+                        for value in values
+                    ]
+                except TypeError:
+                    pairs = ((value, constant) for value in values)
+                    raise _rejected(symbol, operation, pairs) from None
 
             return fast
         left = self.left.compile_batch(schema)
         right = self.right.compile_batch(schema)
 
         def run_batch(columns: Sequence[list], n: int) -> list:
-            return [
-                None if a is None or b is None else bool(operation(a, b))
-                for a, b in zip(left(columns, n), right(columns, n))
-            ]
+            lefts, rights = left(columns, n), right(columns, n)
+            try:
+                return [
+                    None if a is None or b is None else bool(operation(a, b))
+                    for a, b in zip(lefts, rights)
+                ]
+            except TypeError:
+                raise _rejected(symbol, operation, zip(lefts, rights)) from None
 
         return run_batch
 
@@ -297,6 +334,10 @@ class Comparison(Expression):
             f"({self.left.canonical(parameterize)} {op} "
             f"{self.right.canonical(parameterize)})"
         )
+
+
+def _between(value: Any, low: Any, high: Any) -> bool:
+    return low <= value <= high
 
 
 class Between(Expression):
@@ -320,22 +361,26 @@ class Between(Expression):
                 return lambda columns, n: [None] * n
 
             def fast(columns: Sequence[list], n: int) -> list:
-                return [
-                    None if value is None else lo <= value <= hi
-                    for value in operand(columns, n)
-                ]
+                values = operand(columns, n)
+                try:
+                    return [None if value is None else lo <= value <= hi for value in values]
+                except TypeError:
+                    triples = ((value, lo, hi) for value in values)
+                    raise _rejected("BETWEEN", _between, triples) from None
 
             return fast
         low = self.low.compile_batch(schema)
         high = self.high.compile_batch(schema)
 
         def run_batch(columns: Sequence[list], n: int) -> list:
-            return [
-                None if value is None or lo is None or hi is None else lo <= value <= hi
-                for value, lo, hi in zip(
-                    operand(columns, n), low(columns, n), high(columns, n)
-                )
-            ]
+            values, lows, highs = operand(columns, n), low(columns, n), high(columns, n)
+            try:
+                return [
+                    None if value is None or lo is None or hi is None else lo <= value <= hi
+                    for value, lo, hi in zip(values, lows, highs)
+                ]
+            except TypeError:
+                raise _rejected("BETWEEN", _between, zip(values, lows, highs)) from None
 
         return run_batch
 

@@ -97,6 +97,14 @@ def _scalar_function(name: str, args: list) -> Any:
     return round(first, int(args[1]) if len(args) > 1 else 0)
 
 
+def _operand_error(symbol: str, *operands: Any) -> UnsupportedOperationError:
+    """The error for operator ``symbol`` over operands of types it does not
+    take, naming the operator and the operand types."""
+    *rest, last = [type(value).__name__ for value in operands]
+    named = f"{', '.join(rest)} and {last}" if rest else last
+    return UnsupportedOperationError(f"operator {symbol} does not apply to {named}")
+
+
 def interpret(expression: Expression, row: Row, schema: Schema) -> Any:
     """The value of ``expression`` for ``row`` interpreted under ``schema``."""
 
@@ -113,21 +121,35 @@ def interpret(expression: Expression, row: Row, schema: Schema) -> Any:
             return None
         if expression.op in "/%" and right == 0:
             return None
-        return _OPERATORS[expression.op](left, right)
+        try:
+            return _OPERATORS[expression.op](left, right)
+        except TypeError:
+            raise _operand_error(expression.op, left, right) from None
     if isinstance(expression, UnaryMinus):
         value = value_of(expression.operand)
-        return None if value is None else -value
+        if value is None:
+            return None
+        try:
+            return -value
+        except TypeError:
+            raise _operand_error("-", value) from None
     if isinstance(expression, Comparison):
         left, right = value_of(expression.left), value_of(expression.right)
         if left is None or right is None:
             return None
-        return bool(_OPERATORS[expression.op](left, right))
+        try:
+            return bool(_OPERATORS[expression.op](left, right))
+        except TypeError:
+            raise _operand_error(expression.op, left, right) from None
     if isinstance(expression, Between):
         value = value_of(expression.operand)
         low, high = value_of(expression.low), value_of(expression.high)
         if value is None or low is None or high is None:
             return None
-        return low <= value <= high
+        try:
+            return low <= value <= high
+        except TypeError:
+            raise _operand_error("BETWEEN", value, low, high) from None
     if isinstance(expression, IsNull):
         return (value_of(expression.operand) is None) is not expression.negated
     if isinstance(expression, LogicalOp):

@@ -19,7 +19,7 @@ experiments.  It provides exactly the services IMP needs from a backend
 """
 
 from repro.storage.database import Database
-from repro.storage.delta import Delta, DeltaTuple, DatabaseDelta, INSERT, DELETE
+from repro.storage.delta import Delta, DatabaseDelta
 from repro.storage.faults import CrashError, FaultInjector, count_io_points
 from repro.storage.recovery import (
     DurabilityManager,
@@ -46,16 +46,13 @@ __all__ = [
     "CrashError",
     "Database",
     "DatabaseDelta",
-    "DELETE",
     "Delta",
-    "DeltaTuple",
     "DurabilityManager",
     "FaultInjector",
     "FSYNC_ALWAYS",
     "FSYNC_BATCH",
     "FSYNC_OFF",
     "FSYNC_POLICIES",
-    "INSERT",
     "RecoveryReport",
     "Session",
     "SessionRegistry",

@@ -9,40 +9,10 @@ each signed tuple carries a multiplicity.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, KeysView
-from dataclasses import dataclass
 from operator import neg
 
 from repro.core.errors import SchemaError
-from repro.relational.schema import Relation, Row, Schema
-
-INSERT = +1
-"""Sign of an insertion delta tuple (``Δ+``)."""
-
-DELETE = -1
-"""Sign of a deletion delta tuple (``Δ-``)."""
-
-
-@dataclass(frozen=True)
-class DeltaTuple:
-    """A signed tuple with multiplicity."""
-
-    sign: int
-    row: Row
-    multiplicity: int = 1
-
-    def __post_init__(self) -> None:
-        if self.sign not in (INSERT, DELETE):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.multiplicity <= 0:
-            raise ValueError("multiplicity must be positive")
-
-    @property
-    def is_insert(self) -> bool:
-        return self.sign == INSERT
-
-    @property
-    def is_delete(self) -> bool:
-        return self.sign == DELETE
+from repro.relational.schema import Row, Schema
 
 
 class Delta:
@@ -80,28 +50,6 @@ class Delta:
             delta.add_delete(row)
         return delta
 
-    @classmethod
-    def between(cls, old: Relation, new: Relation) -> "Delta":
-        """Symmetric difference ``Δ(old, new)`` of two relation versions."""
-        if len(old.schema) != len(new.schema):
-            raise SchemaError("cannot diff relations with different arities")
-        delta = cls(new.schema)
-        rows = set(old.distinct_rows()) | set(new.distinct_rows())
-        for row in rows:
-            before = old.multiplicity(row)
-            after = new.multiplicity(row)
-            if after > before:
-                delta.add_insert(row, after - before)
-            elif before > after:
-                delta.add_delete(row, before - after)
-        return delta
-
-    def copy(self) -> "Delta":
-        clone = Delta(self.schema)
-        clone._inserts = dict(self._inserts)
-        clone._deletes = dict(self._deletes)
-        return clone
-
     # -- mutation ----------------------------------------------------------------
 
     def add_insert(self, row: Row, multiplicity: int = 1) -> None:
@@ -115,13 +63,6 @@ class Delta:
         self._check(row, multiplicity)
         row = tuple(row)
         self._deletes[row] = self._deletes.get(row, 0) + multiplicity
-
-    def add(self, delta_tuple: DeltaTuple) -> None:
-        """Record a signed delta tuple."""
-        if delta_tuple.is_insert:
-            self.add_insert(delta_tuple.row, delta_tuple.multiplicity)
-        else:
-            self.add_delete(delta_tuple.row, delta_tuple.multiplicity)
 
     def merge(self, other: "Delta") -> None:
         """Append another delta of the same schema (used for batching)."""
@@ -184,13 +125,6 @@ class Delta:
         """Iterate over deleted rows with multiplicities."""
         return iter(self._deletes.items())
 
-    def tuples(self) -> Iterator[DeltaTuple]:
-        """Iterate over all signed delta tuples."""
-        for row, multiplicity in self._inserts.items():
-            yield DeltaTuple(INSERT, row, multiplicity)
-        for row, multiplicity in self._deletes.items():
-            yield DeltaTuple(DELETE, row, multiplicity)
-
     def signed_entries(self) -> tuple[list[Row], list[int]]:
         """Parallel lists of rows and signed counts: the inserts (positive),
         then the deletes (negative), each bag in its own order."""
@@ -201,14 +135,6 @@ class Delta:
     def inserted_rows(self) -> KeysView[Row]:
         """The distinct inserted rows (a view, not a copy)."""
         return self._inserts.keys()
-
-    def insert_relation(self) -> Relation:
-        """Inserted tuples as a relation."""
-        return Relation(self.schema, dict(self._inserts))
-
-    def delete_relation(self) -> Relation:
-        """Deleted tuples as a relation."""
-        return Relation(self.schema, dict(self._deletes))
 
     @property
     def insert_count(self) -> int:
@@ -229,17 +155,6 @@ class Delta:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Delta(+{self.insert_count}/-{self.delete_count})"
 
-    # -- application -------------------------------------------------------------
-
-    def apply_to(self, relation: Relation) -> Relation:
-        """Return ``relation ∪• delta`` (the paper's delta application)."""
-        result = relation.copy()
-        for row, multiplicity in self._deletes.items():
-            result.remove(row, multiplicity)
-        for row, multiplicity in self._inserts.items():
-            result.add(row, multiplicity)
-        return result
-
 
 class DatabaseDelta:
     """A delta database: one :class:`Delta` per affected relation."""
@@ -247,21 +162,9 @@ class DatabaseDelta:
     def __init__(self) -> None:
         self._deltas: dict[str, Delta] = {}
 
-    def delta_for(self, table: str, schema: Schema | None = None) -> Delta:
-        """Return (creating if necessary) the delta for ``table``."""
-        if table not in self._deltas:
-            if schema is None:
-                raise SchemaError(f"no delta recorded for table {table!r}")
-            self._deltas[table] = Delta(schema)
-        return self._deltas[table]
-
     def set_delta(self, table: str, delta: Delta) -> None:
         """Register the delta for ``table`` (replacing any previous delta)."""
         self._deltas[table] = delta
-
-    def tables(self) -> Iterator[str]:
-        """Names of tables with a recorded delta."""
-        return iter(self._deltas)
 
     def items(self) -> Iterator[tuple[str, Delta]]:
         """Iterate over ``(table, delta)`` pairs."""

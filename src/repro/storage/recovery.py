@@ -15,11 +15,10 @@ WAL record (:func:`~repro.storage.wal.encode_record`, marshal format 2, about
 time) and carries ``"format": 2``; a format-1 (JSON) checkpoint is still
 read.  Opening a directory whose log or newest checkpoint is format 1
 replays it, then checkpoints it, and the rotation restarts the log in format
-2: from then on nothing is written in format 1.  Persisted incremental
--maintenance state travels for free: :class:`~repro.imp.persistence.
-StatePersistence` stores it in a regular table, so a recovered database can
-rebuild its maintainers through the existing persistence module instead of
-cold re-capturing sketches.
+2: from then on nothing is written in format 1.  Incremental-maintenance
+state is not part of either file: a system over a recovered database starts
+with an empty sketch store and captures each template again on its first
+query.
 
 Checkpoints are written crash-safely (tmp file -> fsync -> atomic rename ->
 directory fsync) and only then is the WAL rotated, so every instant of the

@@ -28,20 +28,28 @@ class ColumnStatistics:
 
 def collect_column_statistics(attribute: str, values: Sequence[object]) -> ColumnStatistics:
     """Compute :class:`ColumnStatistics` for a column's values (the
-    minimum and maximum of its orderable ones: NaN is skipped like NULL)."""
+    minimum and maximum of its orderable ones: NaN is skipped like NULL, and
+    a column holding values that do not compare, such as ``1`` and ``'x'``,
+    has neither)."""
     non_null = [value for value in values if value is not None]
     # NaN compares false, so min and max pass over it -- unless they start
     # from it, as the first value.
     ordered = non_null
     if non_null and non_null[0] != non_null[0]:
         ordered = [value for value in non_null if value == value]
+    minimum = maximum = None
+    if ordered:
+        try:
+            minimum, maximum = min(ordered), max(ordered)
+        except TypeError:
+            pass
     return ColumnStatistics(
         attribute=attribute,
         row_count=len(values),
         null_count=len(values) - len(non_null),
         distinct_count=len(set(non_null)),
-        minimum=min(ordered) if ordered else None,
-        maximum=max(ordered) if ordered else None,
+        minimum=minimum,
+        maximum=maximum,
     )
 
 

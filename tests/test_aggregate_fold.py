@@ -8,18 +8,18 @@
     pass over the net input and the end state equals a fresh capture, through
     groups emptied and re-created (free-slot reuse) and a scalar aggregate
     going empty and back; an exhausted min/max buffer requests a recapture.
-(c) Persisted payloads are byte-pinned.  A payload of format 1 -- the
-    operators of the unpruned plan, written by the per-group accumulator
-    objects -- loads into the pruned engine and maintains to the sketch a
-    fresh capture gives; one of the current format, whose HAVING reads all
-    six aggregates, loads, maintains on and re-serialises byte for byte.
+(c) Engine-state dumps are byte-pinned through capture and two updates:
+    for two queries whose aggregation the pruned engine turns into
+    ``Distinct``, by SHA-256, maintaining to the sketch a fresh capture
+    gives; for one whose HAVING reads all six aggregates, the captured dump
+    byte for byte, then by SHA-256.
 
 (d) min/max over NaN follow one rule everywhere -- NaN sorts after every
     number, so min ignores it unless every value is NaN and max is NaN once
     one value is -- whatever the order the values arrive in.
 (e) An incremental sum/avg forgets a deleted NaN or infinity: the maintained
-    state equals a fresh capture and the batch kernel, and its non-finite
-    counts survive persistence.
+    state equals a fresh capture and the batch kernel, and its dump lists
+    the non-finite counts of exactly the groups that hold them.
 
 Plus the typed error for aggregates over values they cannot aggregate.
 """
@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import AggregateError, PlanError, StateError
+from repro.core.errors import AggregateError, PlanError
 from repro.imp.annotated import AnnotatedDelta
 from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch
 from repro.imp.middleware import IMPSystem
@@ -45,7 +45,7 @@ from repro.imp.operators import (
     IncrementalOperator,
     Pass,
 )
-from repro.imp.persistence import dump_engine_state, load_engine_state
+from repro.imp.persistence import dump_engine_state
 from repro.relational import kernels
 from repro.relational.algebra import Aggregate, AggregateFunction
 from repro.relational.expressions import ColumnRef
@@ -425,65 +425,29 @@ class TestIncrementalEqualsFromScratch:
             assert canonical_state(operator.state) == canonical_state(fresh.state)
 
 
-# -- (c) persisted payloads in the per-group accumulator format ----------------------
+# -- (c) byte-pinned engine-state dumps ----------------------------------------------
 
-PERSISTED_ROWS = [
+PINNED_ROWS = [
     (1, 1, 0.1, 5), (2, 1, 0.2, None), (3, 2, 1e16, 7), (4, 2, -0.7, 3),
     (5, 3, 7.25, 9), (6, 1, 1 / 3, 5), (7, 2, 3, 1), (8, 3, None, 2),
 ]
-PERSISTED_UPDATES = [
+PINNED_UPDATES = [
     # Group 3 empties, group 4 is new, group 1 changes.
-    ([(9, 4, 2.5, 8), (11, 1, 0.1, None)], [PERSISTED_ROWS[i] for i in (4, 7, 0)]),
+    ([(9, 4, 2.5, 8), (11, 1, 0.1, None)], [PINNED_ROWS[i] for i in (4, 7, 0)]),
     # Group 3 comes back; group 2 loses its minimum and maximum.
-    ([(10, 3, 0.3, 4), (12, 2, 0.1, 6)], [PERSISTED_ROWS[i] for i in (2, 6)]),
+    ([(10, 3, 0.3, 4), (12, 2, 0.1, 6)], [PINNED_ROWS[i] for i in (2, 6)]),
 ]
 
-#: Per query: what ``dump_engine_state`` wrote after capture in format 1,
-#: while each group was a ``GroupState`` of accumulator objects (the literal);
-#: the SHA-256 of what the pruned engine writes once it has loaded it; then
-#: per update the SHA-256 of what it writes after it and whether the update
-#: asked for a recapture.  Neither query has a HAVING, so the aggregation
-#: becomes ``Distinct`` on ``a`` and no min/max buffer is left to exhaust.
-FORMAT_1 = {
+#: Per query: the SHA-256 of what ``dump_engine_state`` writes after
+#: capture, then per update the SHA-256 of what it writes after it and
+#: whether the update asked for a recapture.  Neither query has a HAVING, so
+#: the aggregation becomes ``Distinct`` on ``a`` and no min/max buffer is left
+#: to exhaust.
+PRUNED_TO_DISTINCT = {
     (
         "SELECT a, sum(b) AS sb, count(*) AS n, count(c) AS cc, avg(b) AS ab, "
         "min(c) AS lo, max(b) AS hi FROM t GROUP BY a"
     ): [
-        (
-            '{"version": 1, "operators": [{"kind": "merge", "counts": {"0": 1, "2": 2, "1'
-            '": 1, "3": 2}}, null, {"kind": "aggregation", "groups": [{"key": {"__tuple__'
-            '": [1]}, "total_count": 3, "fragment_counts": {"0": 2, "2": 1}, "accumulator'
-            's": [{"kind": "sum_count", "function": "sum", "total": 0.6333333333333333, "'
-            'non_null_count": 3, "star_count": 3}, {"kind": "count_star", "function": "co'
-            'unt", "total": 0.0, "non_null_count": 3, "star_count": 3}, {"kind": "sum_cou'
-            'nt", "function": "count", "total": 0.0, "non_null_count": 2, "star_count": 3'
-            '}, {"kind": "sum_count", "function": "avg", "total": 0.6333333333333333, "no'
-            'n_null_count": 3, "star_count": 3}, {"kind": "min_max", "function": "min", "'
-            'buffer_limit": 2, "overflow_count": 0, "exhausted": false, "values": [[5, 2]'
-            ']}, {"kind": "min_max", "function": "max", "buffer_limit": 2, "overflow_coun'
-            't": 1, "exhausted": false, "values": [[0.2, 1], [0.3333333333333333, 1]]}]},'
-            ' {"key": {"__tuple__": [2]}, "total_count": 3, "fragment_counts": {"1": 2, "'
-            '3": 1}, "accumulators": [{"kind": "sum_count", "function": "sum", "total": 1'
-            '.0000000000000004e+16, "non_null_count": 3, "star_count": 3}, {"kind": "coun'
-            't_star", "function": "count", "total": 0.0, "non_null_count": 3, "star_count'
-            '": 3}, {"kind": "sum_count", "function": "count", "total": 0.0, "non_null_co'
-            'unt": 3, "star_count": 3}, {"kind": "sum_count", "function": "avg", "total":'
-            ' 1.0000000000000004e+16, "non_null_count": 3, "star_count": 3}, {"kind": "mi'
-            'n_max", "function": "min", "buffer_limit": 2, "overflow_count": 1, "exhauste'
-            'd": false, "values": [[1, 1], [3, 1]]}, {"kind": "min_max", "function": "max'
-            '", "buffer_limit": 2, "overflow_count": 1, "exhausted": false, "values": [[3'
-            ', 1], [1e+16, 1]]}]}, {"key": {"__tuple__": [3]}, "total_count": 2, "fragmen'
-            't_counts": {"2": 1, "3": 1}, "accumulators": [{"kind": "sum_count", "functio'
-            'n": "sum", "total": 7.25, "non_null_count": 1, "star_count": 2}, {"kind": "c'
-            'ount_star", "function": "count", "total": 0.0, "non_null_count": 2, "star_co'
-            'unt": 2}, {"kind": "sum_count", "function": "count", "total": 0.0, "non_null'
-            '_count": 2, "star_count": 2}, {"kind": "sum_count", "function": "avg", "tota'
-            'l": 7.25, "non_null_count": 1, "star_count": 2}, {"kind": "min_max", "functi'
-            'on": "min", "buffer_limit": 2, "overflow_count": 0, "exhausted": false, "val'
-            'ues": [[2, 1], [9, 1]]}, {"kind": "min_max", "function": "max", "buffer_limi'
-            't": 2, "overflow_count": 0, "exhausted": false, "values": [[7.25, 1]]}]}]}, '
-            'null]}'
-        ),
         '367b93350994abf21b710e0def0db95a75b9c7faa901912db2552731293e3719',
         '89b373c64c2cb35e323666c078bf87e36359721dacbdc4544f9420cbc5ea66e4',
         False,
@@ -491,20 +455,6 @@ FORMAT_1 = {
         False,
     ],
     'SELECT DISTINCT a, c FROM t': [
-        (
-            '{"version": 1, "operators": [{"kind": "merge", "counts": {"0": 2, "2": 2, "1'
-            '": 2, "3": 2}}, {"kind": "distinct", "rows": [{"key": {"__tuple__": [1, 5]},'
-            ' "total_count": 2, "fragment_counts": {"0": 1, "2": 1}, "accumulators": []},'
-            ' {"key": {"__tuple__": [1, null]}, "total_count": 1, "fragment_counts": {"0"'
-            ': 1}, "accumulators": []}, {"key": {"__tuple__": [2, 7]}, "total_count": 1, '
-            '"fragment_counts": {"1": 1}, "accumulators": []}, {"key": {"__tuple__": [2, '
-            '3]}, "total_count": 1, "fragment_counts": {"1": 1}, "accumulators": []}, {"k'
-            'ey": {"__tuple__": [3, 9]}, "total_count": 1, "fragment_counts": {"2": 1}, "'
-            'accumulators": []}, {"key": {"__tuple__": [2, 1]}, "total_count": 1, "fragme'
-            'nt_counts": {"3": 1}, "accumulators": []}, {"key": {"__tuple__": [3, 2]}, "t'
-            'otal_count": 1, "fragment_counts": {"3": 1}, "accumulators": []}]}, null, nu'
-            'll]}'
-        ),
         '1c7bf16578ccd517290104de2d52238588d9ca5a50dd2a2b751ab26ce3a83eaa',
         '509e518bb3403cdfb49911572799c39d6ba10a78999d0726986818640050d52d',
         False,
@@ -568,10 +518,10 @@ CURRENT = {
 }
 
 
-def persisted_database():
+def pinned_database():
     database = Database()
     database.create_table("t", ["id", "a", "b", "c"], primary_key="id")
-    database.insert("t", PERSISTED_ROWS)
+    database.insert("t", PINNED_ROWS)
     partition = DatabasePartition(
         [RangePartition.from_boundaries("t", "id", [0, 3, 5, 7, 100])]
     )
@@ -582,27 +532,27 @@ def sha256_of_state(engine) -> str:
     return hashlib.sha256(json.dumps(dump_engine_state(engine)).encode()).hexdigest()
 
 
-def maintain_persisted(engine, database, inserts, deletes):
+def maintain_pinned(engine, database, inserts, deletes):
     version = database.version
     database.delete_rows("t", deletes)
     database.insert("t", inserts)
     return engine.maintain(database.database_delta_since(["t"], version), database.version)
 
 
-@pytest.mark.parametrize("sql", sorted(FORMAT_1))
-def test_format_1_payload_loads_into_the_pruned_engine_and_maintains_to_a_fresh_capture(sql):
-    literal, loaded, *after_updates = FORMAT_1[sql]
-    database, partition = persisted_database()
+@pytest.mark.parametrize("sql", sorted(PRUNED_TO_DISTINCT))
+def test_pruned_engine_state_is_pinned_and_maintains_to_a_fresh_capture(sql):
+    captured, *after_updates = PRUNED_TO_DISTINCT[sql]
+    database, partition = pinned_database()
     engine = IncrementalEngine(
         database.plan(sql), partition, database, IMPConfig(min_max_buffer=2)
     )
-    load_engine_state(engine, json.loads(literal))
-    assert sha256_of_state(engine) == loaded
+    engine.initialize()
+    assert sha256_of_state(engine) == captured
     assert engine.current_sketch() == capture_sketch(engine.plan, partition, database)
     for (inserts, deletes), digest, recapture in zip(
-        PERSISTED_UPDATES, after_updates[0::2], after_updates[1::2]
+        PINNED_UPDATES, after_updates[0::2], after_updates[1::2]
     ):
-        outcome = maintain_persisted(engine, database, inserts, deletes)
+        outcome = maintain_pinned(engine, database, inserts, deletes)
         assert sha256_of_state(engine) == digest
         assert outcome.needs_recapture == recapture
         sketch = engine.current_sketch()
@@ -610,46 +560,22 @@ def test_format_1_payload_loads_into_the_pruned_engine_and_maintains_to_a_fresh_
 
 
 @pytest.mark.parametrize("sql", sorted(CURRENT))
-def test_payload_loads_maintains_and_reserialises_byte_identically(sql):
+def test_engine_state_is_byte_pinned_through_capture_and_maintenance(sql):
     literal, *after_updates = CURRENT[sql]
-    database, partition = persisted_database()
+    database, partition = pinned_database()
     engine = IncrementalEngine(
         database.plan(sql), partition, database, IMPConfig(min_max_buffer=2)
     )
-    load_engine_state(engine, json.loads(literal))
+    engine.initialize()
     assert json.dumps(dump_engine_state(engine)) == literal
     for (inserts, deletes), digest, recapture in zip(
-        PERSISTED_UPDATES, after_updates[0::2], after_updates[1::2]
+        PINNED_UPDATES, after_updates[0::2], after_updates[1::2]
     ):
-        outcome = maintain_persisted(engine, database, inserts, deletes)
+        outcome = maintain_pinned(engine, database, inserts, deletes)
         assert sha256_of_state(engine) == digest
         assert outcome.needs_recapture == recapture
         if not recapture:
             assert engine.current_sketch() == capture_sketch(engine.plan, partition, database)
-
-
-def test_a_payload_of_an_unknown_format_is_refused():
-    database, partition = persisted_database()
-    sql = "SELECT DISTINCT a, c FROM t"
-    engine = IncrementalEngine(database.plan(sql), partition, database)
-    engine.initialize()
-    payload = dump_engine_state(engine)
-    assert payload["format"] == 2
-    restored = IncrementalEngine(database.plan(sql), partition, database)
-    with pytest.raises(StateError, match="format 3"):
-        load_engine_state(restored, {**payload, "format": 3})
-    # A format-1 payload (the projection under μ listed too) whose group
-    # lost an accumulator is malformed, not an index out of range.
-    ((sql, (literal, *_)),) = CURRENT.items()
-    truncated = json.loads(literal)
-    del truncated["format"]
-    truncated["operators"].insert(1, None)
-    truncated["operators"][3]["groups"][0]["accumulators"].pop()
-    restored = IncrementalEngine(
-        database.plan(sql), partition, database, IMPConfig(min_max_buffer=2)
-    )
-    with pytest.raises(StateError, match="5 aggregates, the operator 6"):
-        load_engine_state(restored, truncated)
 
 
 # -- (d) min/max over NaN --------------------------------------------------------------
@@ -829,10 +755,10 @@ class TestSumOverNonFinite:
         fresh = capture_sketch(entry.plan, entry.partition, database)
         assert list(entry.maintainer.sketch.fragment_ids()) == list(fresh.fragment_ids())
 
-    def test_non_finite_counts_round_trip_through_persistence(self):
-        """A payload writes ``non_finite`` only for a group holding such a
-        value; a restored engine maintains on to the fresh capture."""
-        database, partition = persisted_database()
+    def test_non_finite_counts_are_dumped_only_where_held(self):
+        """A dump writes ``non_finite`` only for a group holding such a
+        value; the engine maintains on to the fresh capture's state."""
+        database, partition = pinned_database()
         database.insert("t", [(20, 1, math.inf, 1), (21, 2, NAN, 1), (22, 2, -math.inf, 1)])
         sql = (
             "SELECT a, sum(b) AS sb, avg(b) AS ab FROM t GROUP BY a "
@@ -844,16 +770,13 @@ class TestSumOverNonFinite:
         assert payload.count('"non_finite": [0, 1, 0]') == 2  # group 1: sum and avg
         assert payload.count('"non_finite": [1, 0, 1]') == 2  # group 2
         assert payload.count('"non_finite"') == 4  # group 3 has none
-        restored = IncrementalEngine(database.plan(sql), partition, database)
-        load_engine_state(restored, json.loads(payload))
-        assert json.dumps(dump_engine_state(restored)) == payload
         version = database.version
         database.delete_rows("t", [(21, 2, NAN, 1), (22, 2, -math.inf, 1)])
-        restored.maintain(database.database_delta_since(["t"], version), database.version)
-        assert json.dumps(dump_engine_state(restored)).count('"non_finite"') == 2
+        engine.maintain(database.database_delta_since(["t"], version), database.version)
+        assert json.dumps(dump_engine_state(engine)).count('"non_finite"') == 2
         fresh = IncrementalEngine(database.plan(sql), partition, database)
         fresh.initialize()
-        operators = [dump_engine_state(e)["operators"] for e in (restored, fresh)]
+        operators = [dump_engine_state(e)["operators"] for e in (engine, fresh)]
         assert json.dumps(operators[0]) == json.dumps(operators[1])
 
 

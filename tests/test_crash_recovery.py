@@ -196,7 +196,7 @@ class TestFormatOneUpgradeSweep:
         return expected
 
     @staticmethod
-    def assert_upgraded_to(data_dir: str, expected: str) -> None:
+    def assert_recovers_in_current_format(data_dir: str, expected: str) -> None:
         recovered, _report = recover_database(data_dir)
         assert fingerprint_key(recovered) == expected
         recovered.close()
@@ -224,7 +224,7 @@ class TestFormatOneUpgradeSweep:
                     self.open_copy(source, data_dir, injector.files())
                 except CrashError:
                     pass
-                self.assert_upgraded_to(data_dir, expected)
+                self.assert_recovers_in_current_format(data_dir, expected)
 
     def test_io_error_at_every_point_of_the_upgrade(self, tmp_path):
         source = str(tmp_path / "v1")
@@ -238,7 +238,7 @@ class TestFormatOneUpgradeSweep:
                 self.open_copy(source, data_dir, FaultInjector(error_at=point).files())
             except StorageError:
                 pass  # the directory could not be opened -- loud, not silent
-            self.assert_upgraded_to(data_dir, expected)
+            self.assert_recovers_in_current_format(data_dir, expected)
 
 
 # ---------------------------------------------------------------------------

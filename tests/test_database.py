@@ -179,3 +179,10 @@ class TestStatistics:
         assert stats.null_count == values.count(None)
         only_nan = collect_column_statistics("x", [math.nan, None])
         assert only_nan.minimum is None and only_nan.maximum is None
+
+    def test_a_column_of_values_that_do_not_compare_has_no_bounds(self):
+        """So sketch selection treats it as non-numeric instead of raising
+        ``TypeError`` from ``min``."""
+        stats = collect_column_statistics("x", [1, None, "x", 2])
+        assert (stats.minimum, stats.maximum) == (None, None)
+        assert stats.null_count == 1 and stats.distinct_count == 3

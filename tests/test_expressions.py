@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.errors import UnsupportedOperationError
+from repro.imp.middleware import IMPSystem
+from repro.imp.strategies import EagerStrategy
 from repro.relational.expressions import (
     Between,
     BinaryOp,
@@ -18,6 +20,7 @@ from repro.relational.expressions import (
     conjuncts,
 )
 from repro.relational.schema import Schema
+from repro.storage.database import Database
 from tests.reference import checked_value
 
 SCHEMA = Schema(["a", "b", "c"])
@@ -163,3 +166,80 @@ class TestStructuralHelpers:
         assert isinstance(combined, LogicalOp)
         assert conjunction([]) is None
         assert conjunction(parts[:1]) is parts[0]
+
+
+
+class TestOperandTypeErrors:
+    """An operator applied to operand types it does not take raises
+    :class:`UnsupportedOperationError` naming the operator and the operand
+    types -- from the engine's kernels and the oracle alike, never a raw
+    ``TypeError``."""
+
+    TEXT_ROW = ("x", 4, None)
+    CASES = [
+        (BinaryOp("+", ColumnRef("a"), Literal(1)), "+ does not apply to str and int"),
+        (BinaryOp("*", ColumnRef("a"), ColumnRef("a")), "* does not apply to str and str"),
+        (UnaryMinus(ColumnRef("a")), "- does not apply to str"),
+        (Comparison("<", ColumnRef("a"), Literal(2)), "< does not apply to str and int"),
+        (Comparison(">=", ColumnRef("b"), ColumnRef("a")), ">= does not apply to int and str"),
+        (
+            Between(ColumnRef("a"), Literal(1), Literal(2)),
+            "BETWEEN does not apply to str, int and int",
+        ),
+        (
+            Between(ColumnRef("b"), ColumnRef("a"), Literal(9)),
+            "BETWEEN does not apply to int, str and int",
+        ),
+        (
+            Comparison("=", ColumnRef("b"), BinaryOp("+", Literal("x"), Literal(1))),
+            "+ does not apply to str and int",
+        ),
+    ]
+
+    @pytest.mark.parametrize("expression, message", CASES)
+    def test_engine_and_oracle_raise_the_same_typed_error(self, expression, message):
+        with pytest.raises(UnsupportedOperationError) as oracle:
+            checked_value(expression, self.TEXT_ROW, SCHEMA)
+        assert str(oracle.value) == f"operator {message}"
+        # The kernel names the first offending entry of a longer column.
+        columns = [[None, 1, "x"], [4, 4, 4], [None, None, None]]
+        with pytest.raises(UnsupportedOperationError) as kernel:
+            expression.compile_batch(SCHEMA)(columns, 3)
+        assert str(kernel.value) == f"operator {message}"
+
+    QUERIES = [
+        "SELECT a + 1 FROM t",
+        "SELECT -a FROM t",
+        "SELECT a FROM t WHERE a < 2",
+        "SELECT a FROM t WHERE a = 'x' + 1",
+        "SELECT id FROM t WHERE a BETWEEN 1 AND 2",
+    ]
+
+    @staticmethod
+    def _database():
+        database = Database()
+        database.create_table("t", ["id", "a", "b"], primary_key="id")
+        database.insert("t", [(i, i % 3, 10 * i) for i in range(1, 9)] + [(9, "x", 5)])
+        return database
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_through_database_query_and_imp_system(self, sql):
+        database = self._database()
+        with pytest.raises(UnsupportedOperationError) as engine:
+            database.query(sql)
+        with pytest.raises(UnsupportedOperationError) as oracle:
+            database.query(sql, optimize_plans=False, vectorize=False)
+        assert str(engine.value) == str(oracle.value)
+        with pytest.raises(UnsupportedOperationError):
+            IMPSystem(database, num_fragments=4).run_query(sql)
+
+    def test_eager_maintenance_round_raises_it_after_the_commit(self):
+        database = self._database()
+        database.delete_rows("t", [(9, "x", 5)])
+        system = IMPSystem(database, num_fragments=4, strategy=EagerStrategy())
+        sql = "SELECT a, count(*) AS n FROM t WHERE b < 30 GROUP BY a"
+        assert system.run_query(sql) == database.query(sql)
+        version = database.version
+        with pytest.raises(UnsupportedOperationError, match="< does not apply to str and int"):
+            system.apply_update("t", inserts=[(10, 1, "x")])
+        assert database.version == version + 1

@@ -5,7 +5,7 @@ tuple of the other side needs partners -- and from then on brought forward by
 its own child deltas.  These tests hold the maintained index, the operator
 state above it and the sketch to a fresh evaluation after random and targeted
 update sequences, bound the number of whole-side evaluations, and walk the
-state through reset, recapture, persistence and store eviction.
+state through reset, recapture and store eviction.
 """
 
 import random
@@ -18,7 +18,7 @@ from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch, compi
 from repro.imp.maintenance import IncrementalMaintainer
 from repro.imp.middleware import IMPSystem
 from repro.imp.operators import IncrementalJoin, Pass
-from repro.imp.persistence import StatePersistence, _operators_in_order
+from repro.imp.persistence import _operators_in_order
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.storage.database import Database
 
@@ -413,15 +413,6 @@ class TestJoinStateLifecycle:
         database.delete_rows("r", [row for row in rows if row[1] == lowest])
         assert maintainer.maintain().recaptured
         self._assert_rebuilt_by_next_round(maintainer, database, contents, partition, plan)
-
-    def test_persistence_round_trip_drops_the_state(self):
-        database, contents, partition, plan, maintainer = self._materialised()
-        persistence = StatePersistence(database)
-        persistence.save_maintainer("join", self.SQL, maintainer)
-        _sql, restored = persistence.load_maintainer("join")
-        self._assert_rebuilt_by_next_round(
-            restored, database, contents, restored.partition, restored.plan
-        )
 
 
 class TestStoreBudgetSeesJoinState:

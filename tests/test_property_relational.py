@@ -1,4 +1,4 @@
-"""Property-based tests for relations, deltas, range partitions and the
+"""Property-based tests for relations, range partitions and the
 compiled-expression layer."""
 
 from hypothesis import given, settings
@@ -18,7 +18,6 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Relation, Schema
 from repro.sketch.ranges import RangePartition
-from repro.storage.delta import Delta
 from tests.reference import checked_value
 
 SCHEMA = Schema(["a", "b"])
@@ -49,27 +48,6 @@ class TestRelationProperties:
     @given(bags)
     def test_difference_with_self_is_empty(self, a):
         assert len(relation_of(a).difference(relation_of(a))) == 0
-
-
-class TestDeltaProperties:
-    @given(bags, bags)
-    @settings(max_examples=60)
-    def test_delta_between_then_apply_roundtrips(self, old_bag, new_bag):
-        old = relation_of(old_bag)
-        new = relation_of(new_bag)
-        delta = Delta.between(old, new)
-        assert delta.apply_to(old) == new
-
-    @given(bags)
-    def test_delta_between_identical_states_is_empty(self, bag):
-        assert not Delta.between(relation_of(bag), relation_of(bag))
-
-    @given(bags, bags)
-    def test_delta_size_bounds_symmetric_difference(self, old_bag, new_bag):
-        old = relation_of(old_bag)
-        new = relation_of(new_bag)
-        delta = Delta.between(old, new)
-        assert len(delta) <= len(old) + len(new)
 
 
 # -- compiled expressions ------------------------------------------------------

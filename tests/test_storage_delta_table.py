@@ -7,23 +7,11 @@ import pytest
 from repro.core.errors import SchemaError, StorageError
 from repro.relational.columnar import ColumnBatch, SlotMap
 from repro.relational.predicates import Interval
-from repro.relational.schema import Relation, Schema
+from repro.relational.schema import Schema
 from repro.storage.database import Database
-from repro.storage.delta import DELETE, INSERT, DatabaseDelta, Delta, DeltaTuple
+from repro.storage.delta import DatabaseDelta, Delta
 from repro.storage.snapshots import AuditLog, AuditRecord
 from repro.storage.table import StoredTable
-
-
-class TestDeltaTuple:
-    def test_sign_validation(self):
-        with pytest.raises(ValueError):
-            DeltaTuple(0, (1,))
-        with pytest.raises(ValueError):
-            DeltaTuple(INSERT, (1,), 0)
-
-    def test_flags(self):
-        assert DeltaTuple(INSERT, (1,)).is_insert
-        assert DeltaTuple(DELETE, (1,)).is_delete
 
 
 class TestDelta:
@@ -40,21 +28,6 @@ class TestDelta:
         with pytest.raises(SchemaError):
             Delta(Schema(["a"])).add_insert((1, 2))
 
-    def test_between_computes_symmetric_difference(self):
-        schema = Schema(["a"])
-        old = Relation(schema, {(1,): 2, (2,): 1})
-        new = Relation(schema, {(1,): 1, (3,): 1})
-        delta = Delta.between(old, new)
-        assert dict(delta.deletes()) == {(1,): 1, (2,): 1}
-        assert dict(delta.inserts()) == {(3,): 1}
-
-    def test_apply_to_roundtrip(self):
-        schema = Schema(["a"])
-        old = Relation(schema, {(1,): 2, (2,): 1})
-        new = Relation(schema, {(2,): 3, (4,): 1})
-        delta = Delta.between(old, new)
-        assert delta.apply_to(old) == new
-
     def test_merge(self):
         schema = Schema(["a"])
         first = Delta.from_rows(schema, inserts=[(1,)])
@@ -62,34 +35,16 @@ class TestDelta:
         first.merge(second)
         assert first.insert_count == 1 and first.delete_count == 1
 
-    def test_tuples_iteration(self):
-        delta = Delta.from_rows(Schema(["a"]), inserts=[(1,)], deletes=[(2,)])
-        signs = sorted(t.sign for t in delta.tuples())
-        assert signs == [DELETE, INSERT]
-
-    def test_insert_and_delete_relations(self):
-        delta = Delta.from_rows(Schema(["a"]), inserts=[(1,), (1,)], deletes=[(2,)])
-        assert delta.insert_relation().multiplicity((1,)) == 2
-        assert delta.delete_relation().multiplicity((2,)) == 1
-
 
 class TestDatabaseDelta:
-    def test_requires_schema_for_new_table(self):
-        dd = DatabaseDelta()
-        with pytest.raises(SchemaError):
-            dd.delta_for("r")
-        delta = dd.delta_for("r", Schema(["a"]))
-        delta.add_insert((1,))
-        assert "r" in dd
-        assert len(dd) == 1
-
     def test_set_and_get(self):
         dd = DatabaseDelta()
         delta = Delta.from_rows(Schema(["a"]), inserts=[(1,)])
         dd.set_delta("r", delta)
         assert dd.get("r") is delta
         assert dd.get("unknown") is None
-        assert list(dd.tables()) == ["r"]
+        assert "r" in dd and "unknown" not in dd
+        assert len(dd) == 1
 
 
 class TestStoredTable:

@@ -20,9 +20,8 @@ import struct
 import pytest
 
 from repro.core.errors import StorageError
-from repro.imp.maintenance import IncrementalMaintainer
-from repro.imp.persistence import StatePersistence
-from repro.sketch.selection import build_database_partition
+from repro.imp.engine import capture_sketch
+from repro.imp.middleware import IMPSystem
 from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta, Delta
 from repro.storage.faults import FaultInjector
@@ -349,8 +348,8 @@ class TestDurableDatabase:
         db.insert("r", [(1, 10)])
         db.insert("s", [(1, 99)])
         delta = DatabaseDelta()
-        delta.delta_for("r", db.schema_of("r")).add_insert((2, 20))
-        delta.delta_for("s", db.schema_of("s")).add_delete((1, 99))
+        delta.set_delta("r", Delta.from_rows(db.schema_of("r"), inserts=[(2, 20)]))
+        delta.set_delta("s", Delta.from_rows(db.schema_of("s"), deletes=[(1, 99)]))
         db.apply_database_delta(delta)
         before = state_fingerprint(db)
         db.close()
@@ -692,34 +691,30 @@ class TestRecoveredDatabaseIsFirstClass:
             == live_rows
         )
 
-    def test_persisted_imp_state_survives_recovery(self, tmp_path):
+    def test_imp_over_a_recovered_database_captures_afresh(self, tmp_path):
+        """Engine state is in neither the WAL nor a checkpoint: an IMP system
+        over the recovered database captures the template on its first query
+        and maintains it from there like any capture."""
         data_dir = str(tmp_path / "d")
         db = Database("imp", data_dir=data_dir)
         load_synthetic(db, num_rows=600, num_groups=30, seed=17)
         sql = q_groups(threshold=900)
-        plan = db.plan(sql)
-        partition = build_database_partition(db, plan, 16)
-        maintainer = IncrementalMaintainer(db, plan, partition)
-        maintainer.capture()
-        persistence = StatePersistence(db)
-        persistence.save_maintainer("q", sql, maintainer)
-        expected_sketch = sorted(maintainer.sketch.fragment_ids())
+        IMPSystem(db, num_fragments=16).run_query(sql)
+        expected = db.query(sql).to_sorted_list()
         db.close()
 
         recovered, _report = recover_database(data_dir)
-        restored_sql, restored = StatePersistence(recovered).load_maintainer("q")
-        assert restored_sql == sql
-        assert sorted(restored.sketch.fragment_ids()) == expected_sketch
-        # The restored maintainer keeps maintaining incrementally on the
-        # recovered database, staying identical to a from-scratch capture.
-        recovered.insert(
-            "r", [(100_000, 5, 100.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)]
+        system = IMPSystem(recovered, num_fragments=16)
+        assert system.run_query(sql).to_sorted_list() == expected
+        assert system.statistics.sketch_captures == 1
+        system.apply_update(
+            "r", inserts=[(100_000, 5, 100.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)]
         )
-        result = restored.maintain()
-        fresh = IncrementalMaintainer(recovered, recovered.plan(sql), partition)
-        assert sorted(result.sketch.fragment_ids()) == sorted(
-            fresh.capture().sketch.fragment_ids()
-        )
+        assert system.run_query(sql) == recovered.query(sql)
+        assert system.statistics.sketch_captures == 1
+        (entry,) = system.store.entries()
+        fresh = capture_sketch(entry.plan, entry.partition, recovered)
+        assert entry.maintainer.sketch == fresh
         recovered.close()
 
 
