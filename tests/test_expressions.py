@@ -243,3 +243,36 @@ class TestOperandTypeErrors:
         with pytest.raises(UnsupportedOperationError, match="< does not apply to str and int"):
             system.apply_update("t", inserts=[(10, 1, "x")])
         assert database.version == version + 1
+        # The system answers again once the offending row is gone.
+        system.apply_update("t", deletes=[(10, 1, "x")], inserts=[(11, 2, 5)])
+        assert system.run_query(sql) == database.query(sql)
+
+    FINE = [
+        (Comparison("=", ColumnRef("a"), Literal(1)), False),
+        (Comparison("<>", ColumnRef("a"), ColumnRef("b")), True),
+        (Comparison("<", ColumnRef("a"), Literal("y")), True),
+        (Between(ColumnRef("a"), Literal("a"), Literal("z")), True),
+        (BinaryOp("+", ColumnRef("a"), ColumnRef("c")), None),
+        (Comparison("<", ColumnRef("c"), ColumnRef("a")), None),
+        (Between(ColumnRef("a"), Literal(1), ColumnRef("c")), None),
+    ]
+
+    @pytest.mark.parametrize("expression, expected", FINE)
+    def test_equality_like_types_and_null_operands_do_not_raise(self, expression, expected):
+        """Equality across types is false, not an error; operands of one
+        type compare; a NULL operand yields NULL before any type is looked at."""
+        assert checked_value(expression, self.TEXT_ROW, SCHEMA) is expected
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id FROM t WHERE a = 'x'",
+            "SELECT id FROM t WHERE a <> 1",
+            "SELECT a, count(*) AS n FROM t GROUP BY a",
+        ],
+    )
+    def test_a_mixed_type_column_still_answers_what_does_not_order_it(self, sql):
+        database = self._database()
+        expected = database.query(sql, optimize_plans=False, vectorize=False)
+        assert database.query(sql) == expected
+        assert IMPSystem(database, num_fragments=4).run_query(sql) == expected

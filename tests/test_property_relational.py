@@ -1,4 +1,4 @@
-"""Property-based tests for relations, range partitions and the
+"""Property-based tests for relations, deltas, range partitions and the
 compiled-expression layer."""
 
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Relation, Schema
 from repro.sketch.ranges import RangePartition
+from repro.storage.delta import Delta
 from tests.reference import checked_value
 
 SCHEMA = Schema(["a", "b"])
@@ -48,6 +49,54 @@ class TestRelationProperties:
     @given(bags)
     def test_difference_with_self_is_empty(self, a):
         assert len(relation_of(a).difference(relation_of(a))) == 0
+
+
+def delta_of(inserts: dict, deletes: dict) -> Delta:
+    delta = Delta(SCHEMA)
+    for row, multiplicity in inserts.items():
+        delta.add_insert(row, multiplicity)
+    for row, multiplicity in deletes.items():
+        delta.add_delete(row, multiplicity)
+    return delta
+
+
+def net_of(delta: Delta) -> dict:
+    """Each row's inserted minus deleted multiplicity, zeros dropped."""
+    net: dict = {}
+    for row, count in zip(*delta.signed_entries()):
+        net[row] = net.get(row, 0) + count
+    return {row: count for row, count in net.items() if count}
+
+
+class TestDeltaProperties:
+    @given(bags, bags)
+    def test_compaction_keeps_the_net_effect_and_one_sign_per_row(self, inserts, deletes):
+        delta = delta_of(inserts, deletes)
+        compact = delta.compacted()
+        assert net_of(compact) == net_of(delta)
+        assert not set(dict(compact.inserts())) & set(dict(compact.deletes()))
+
+    @given(bags, bags)
+    def test_compaction_is_idempotent(self, inserts, deletes):
+        compact = delta_of(inserts, deletes).compacted()
+        again = compact.compacted()
+        assert dict(again.inserts()) == dict(compact.inserts())
+        assert dict(again.deletes()) == dict(compact.deletes())
+
+    @given(bags, bags)
+    def test_a_delta_merged_with_its_inverse_compacts_to_nothing(self, inserts, deletes):
+        delta = delta_of(inserts, deletes)
+        assert net_of(delta.inverted()) == {row: -n for row, n in net_of(delta).items()}
+        delta.merge(delta.inverted())
+        assert not delta.compacted()
+
+    @given(bags, bags)
+    def test_signed_entries_sum_to_the_counts(self, inserts, deletes):
+        delta = delta_of(inserts, deletes)
+        rows, counts = delta.signed_entries()
+        assert len(rows) == len(counts) == len(inserts) + len(deletes)
+        assert sum(counts) == delta.insert_count - delta.delete_count
+        assert sum(map(abs, counts)) == len(delta)
 
 
 # -- compiled expressions ------------------------------------------------------

@@ -35,6 +35,32 @@ class TestDelta:
         first.merge(second)
         assert first.insert_count == 1 and first.delete_count == 1
 
+    def test_merge_checks_arity(self):
+        with pytest.raises(SchemaError):
+            Delta(Schema(["a"])).merge(Delta(Schema(["a", "b"])))
+
+    def test_multiplicity_must_be_positive(self):
+        delta = Delta(Schema(["a"]))
+        for multiplicity in (0, -1):
+            with pytest.raises(ValueError):
+                delta.add_insert((1,), multiplicity)
+            with pytest.raises(ValueError):
+                delta.add_delete((1,), multiplicity)
+        assert not delta
+
+    def test_signed_entries_list_inserts_then_deletes(self):
+        delta = Delta.from_rows(Schema(["a"]), inserts=[(1,), (1,), (3,)], deletes=[(2,)])
+        assert delta.signed_entries() == ([(1,), (3,), (2,)], [2, 1, -1])
+        assert set(delta.inserted_rows()) == {(1,), (3,)}
+
+    def test_inverted_swaps_the_bags(self):
+        delta = Delta.from_rows(Schema(["a"]), inserts=[(1,), (1,)], deletes=[(2,)])
+        inverse = delta.inverted()
+        assert dict(inverse.inserts()) == {(2,): 1}
+        assert dict(inverse.deletes()) == {(1,): 2}
+        inverse.add_insert((5,))
+        assert dict(delta.deletes()) == {(2,): 1}
+
 
 class TestDatabaseDelta:
     def test_set_and_get(self):
@@ -45,6 +71,14 @@ class TestDatabaseDelta:
         assert dd.get("unknown") is None
         assert "r" in dd and "unknown" not in dd
         assert len(dd) == 1
+
+    def test_a_database_delta_of_empty_deltas_is_empty(self):
+        dd = DatabaseDelta()
+        dd.set_delta("r", Delta(Schema(["a"])))
+        assert "r" in dd and not dd and len(dd) == 0
+        dd.set_delta("s", Delta.from_rows(Schema(["b"]), deletes=[(1,), (2,)]))
+        assert dd and len(dd) == 2
+        assert [table for table, _delta in dd.items()] == ["r", "s"]
 
 
 class TestStoredTable:
