@@ -37,6 +37,7 @@ keeps first occurrences in place -- which is the order the row oracle's
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import count
 from operator import itemgetter
@@ -205,14 +206,20 @@ class ColumnBatch:
         return Relation.from_counts(self.schema, counts)
 
     def _merged_counts(self) -> dict[Row, int]:
-        """Entries merged into a ``row -> multiplicity`` mapping.
+        """Entries merged into a ``row -> multiplicity`` mapping, each row at
+        its first occurrence.
 
-        Fast path: build the dict in one C-level ``dict(zip(...))`` and only
-        fall back to the per-row merge loop when the length reveals duplicate
-        rows (whose multiplicities the zip would have overwritten).
+        When every multiplicity is 1 (say, a projection of a table's distinct
+        rows), ``Counter`` counts the rows at C speed, duplicates or not.
+        Otherwise the dict is built in one C-level ``dict(zip(...))``, and only
+        when its length reveals duplicate rows (whose multiplicities the zip
+        overwrote) are they merged by a per-row loop.  Either way a dict keeps
+        each row at its first occurrence, under its first spelling.
         """
         rows = self.row_tuples()
         multiplicities = self.multiplicities
+        if multiplicities.count(1) == len(multiplicities):
+            return dict(Counter(rows))
         counts = dict(zip(rows, multiplicities))
         if len(counts) != len(rows):
             counts = {}

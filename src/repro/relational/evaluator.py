@@ -33,8 +33,13 @@ from repro.relational.expressions import (
     conjuncts,
     strict_boolean,
 )
+from repro.relational.optimizer import CardinalityEstimator, PlanOptimizer
 from repro.relational.predicates import extract_intervals, intervals_are_selective, is_exact_bound
 from repro.relational.schema import Relation, Schema
+
+_LOOKUP_MAX_SHARE = 0.5
+"""A lookup join fetches at most this share of the table's rows: past half,
+copying the buckets costs more than hashing the cached table batch."""
 
 
 class RelationProvider(Protocol):
@@ -46,9 +51,14 @@ class RelationProvider(Protocol):
     re-labels it with the scan alias and may hand it out as the query
     result), so a provider must not return internal mutable state
     (:meth:`repro.storage.database.Database.relation` returns a fresh copy).
-    Providers with ordered indexes also offer ``indexed_attributes`` and
+    Providers with ordered indexes also offer ``indexed_attributes``,
     ``index_scan`` (a caller-owned batch of the fetched rows over the table's
-    schema, ascending by indexed value; NULL and NaN are never fetched).
+    schema, ascending by indexed value; NULL and NaN are never fetched) and
+    ``index_lookup(table, attribute, values, max_share)`` (a caller-owned
+    batch of the rows whose indexed value is one of the distinct ``values``,
+    one bucket per value in the order of ``values``, arrival order within
+    one; or None, reading no row, when they are more than ``max_share`` of
+    the table's rows).
     """
 
     def column_batch(self, table: str) -> ColumnBatch:  # pragma: no cover - protocol
@@ -80,14 +90,16 @@ class Evaluator:
     reference oracle is :class:`repro.relational.oracle.RowEvaluator`, which
     shares with this class only the decisions both must take alike to agree
     bit for bit (:meth:`_index_choice`, :meth:`_equi_pairs` and the ORDER BY
-    rule of :mod:`repro.relational.schema`).
+    rule of :mod:`repro.relational.schema`).  The lookup join
+    (:meth:`_lookup_batch`) is engine-only: it hands the unchanged hash join
+    the same right entries, in the same order, that a key can match.
     """
 
     def __init__(self, provider: RelationProvider, optimize_plans: bool = True) -> None:
         self._provider = provider
         self._optimize_plans = optimize_plans
-        self._optimizer = None
-        self._estimator = None
+        self._optimizer: PlanOptimizer | None = None
+        self._estimator: CardinalityEstimator | None = None
 
     # -- public API --------------------------------------------------------------
 
@@ -100,8 +112,6 @@ class Evaluator:
     def optimized(self, plan: PlanNode) -> PlanNode:
         """The plan as the optimizer would rewrite it (EXPLAIN-style hook)."""
         if self._optimizer is None:
-            from repro.relational.optimizer import PlanOptimizer
-
             self._optimizer = PlanOptimizer(self._provider)
         return self._optimizer.optimize(plan)
 
@@ -176,13 +186,59 @@ class Evaluator:
 
     def _join_batch(self, node: Join) -> ColumnBatch:
         left = self._batch(node.left)
-        right = self._batch(node.right)
+        right = self._lookup_batch(node, left)
+        if right is None:
+            right = self._batch(node.right)
         # Without an equality pair this is the cross product (empty key).
         pairs, residual = self._equi_pairs(node.condition, left.schema, right.schema)
         combined = kernels.hash_join_batch(left, right, pairs)
         # A key pair matches exactly where its SQL equality is true, so only
         # the theta and other residual conjuncts are checked on the pairs.
         return combined if residual is None else self._filter(combined, residual)
+
+    def _lookup_batch(self, node: Join, left: ColumnBatch) -> ColumnBatch | None:
+        """The right input of ``node`` fetched through an index on its join
+        key -- or None, and the caller evaluates it as usual.
+
+        Taken when the right input is selections over a scan that no index
+        serves today, one key pair's right attribute is indexed, and the
+        buckets of the left side's distinct keys hold at most
+        ``_LOOKUP_MAX_SHARE`` of the table.  The fetched rows are filtered by
+        the same selections.  The hash join's result is unchanged, entry for
+        entry: a left key's partners are one bucket's rows, a bucket keeps
+        table batch order and finds its value by dict equality, which is the
+        hash join's, and a key with NULL or NaN has no partner either way.
+        """
+        provider = self._provider
+        if not hasattr(provider, "index_lookup"):
+            return None
+        selections: list[Selection] = []
+        scan = node.right
+        while isinstance(scan, Selection) and not isinstance(scan.predicate, Literal):
+            selections.append(scan)
+            scan = scan.child
+        if not selections or not isinstance(scan, TableScan):
+            return None
+        if self._index_choice(selections[-1]) is not None:
+            return None
+        schema = scan.output_schema(provider)
+        pairs, _residual = self._equi_pairs(node.condition, left.schema, schema)
+        indexed = provider.indexed_attributes(scan.table)
+        for left_position, right_position in pairs:
+            attribute = Schema.bare_name(schema.attributes[right_position])
+            if attribute in indexed:
+                break
+        else:
+            return None
+        # Each key once, in left order: 1, 1.0 and True fetch one bucket.
+        keys = dict.fromkeys(left.columns[left_position])
+        fetched = provider.index_lookup(scan.table, attribute, keys, _LOOKUP_MAX_SHARE)
+        if fetched is None:
+            return None
+        batch = fetched.relabel(schema)
+        for selection in reversed(selections):
+            batch = self._filter(batch, selection.predicate)
+        return batch
 
     def _aggregation_batch(self, node: Aggregation) -> ColumnBatch:
         # One entry per distinct child row, in first-occurrence order: that
@@ -251,10 +307,8 @@ class Evaluator:
             )
         return candidates[0]
 
-    def _cardinality_estimator(self):
+    def _cardinality_estimator(self) -> CardinalityEstimator:
         if self._estimator is None:
-            from repro.relational.optimizer import CardinalityEstimator
-
             self._estimator = CardinalityEstimator(self._provider)
         return self._estimator
 

@@ -62,9 +62,13 @@ def _rejected(
                 operation(*values)
             except TypeError:
                 break
+    return UnsupportedOperationError(f"operator {symbol} does not apply to {_types(values)}")
+
+
+def _types(values: tuple) -> str:
+    """The type names of ``values``: ``str``, ``str and int``, ``int, str and int``."""
     *rest, last = [type(value).__name__ for value in values]
-    named = f"{', '.join(rest)} and {last}" if rest else last
-    return UnsupportedOperationError(f"operator {symbol} does not apply to {named}")
+    return f"{', '.join(rest)} and {last}" if rest else last
 
 
 class Expression:
@@ -508,9 +512,9 @@ AGGREGATE_FUNCTIONS = frozenset({"sum", "count", "avg", "min", "max"})
 
 _SCALAR_FUNCTIONS = {
     "abs": lambda args: abs(args[0]) if args[0] is not None else None,
-    "round": lambda args: round(args[0], int(args[1]) if len(args) > 1 else 0)
-    if args[0] is not None
-    else None,
+    "round": lambda args: None
+    if None in args
+    else round(args[0], int(args[1]) if len(args) > 1 else 0),
     "coalesce": lambda args: next((a for a in args if a is not None), None),
     "to_date": lambda args: args[0],
     "lower": lambda args: args[0].lower() if isinstance(args[0], str) else args[0],
@@ -558,12 +562,25 @@ class FunctionCall(Expression):
 
             return fail
         compiled = [arg.compile_batch(schema) for arg in self.args]
+        name = self.name
 
         def run(columns: Sequence[list], n: int) -> list:
             argument_columns = [fn(columns, n) for fn in compiled]
             if not argument_columns:
                 return [handler([]) for _ in range(n)]
-            return [handler(values) for values in zip(*argument_columns)]
+            try:
+                return [handler(values) for values in zip(*argument_columns)]
+            except (TypeError, ValueError):
+                # ``abs('x')``, ``round('x')``, ``round(1, 'x')``: name the
+                # argument types of the first entry that raises.
+                for values in zip(*argument_columns):
+                    try:
+                        handler(values)
+                    except (TypeError, ValueError):
+                        break
+                raise UnsupportedOperationError(
+                    f"function {name}() does not apply to {_types(values)}"
+                ) from None
 
         return run
 

@@ -51,6 +51,7 @@ from repro.relational.algebra import (
     Selection,
     TableScan,
     TopK,
+    walk_plan,
 )
 from repro.relational.expressions import (
     ColumnRef,
@@ -353,6 +354,9 @@ class CardinalityEstimator:
         boundaries = self._boundaries(table, attribute)
         if boundaries is None or len(boundaries) < 2:
             return None
+        # Not hoisted: importing repro.storage runs its package __init__,
+        # which imports storage.database -> relational.evaluator -> this
+        # module, still half-initialised when relational is imported first.
         from repro.storage.statistics import equi_depth_fraction
 
         total = 0.0
@@ -377,8 +381,6 @@ class CardinalityEstimator:
 
 
 def _scans_below(node: PlanNode) -> list[TableScan]:
-    from repro.relational.algebra import walk_plan
-
     return [n for n in walk_plan(node) if isinstance(n, TableScan)]
 
 

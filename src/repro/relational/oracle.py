@@ -92,17 +92,22 @@ def _scalar_function(name: str, args: list) -> Any:
         return getattr(first, name)() if isinstance(first, str) else first
     if name == "to_date" or first is None:
         return first
-    if name == "abs":
-        return abs(first)
-    return round(first, int(args[1]) if len(args) > 1 else 0)
+    try:
+        if name == "abs":
+            return abs(first)
+        return None if None in args else round(first, int(args[1]) if len(args) > 1 else 0)
+    except (TypeError, ValueError):
+        raise _operand_error(f"{name}()", *args, kind="function") from None
 
 
-def _operand_error(symbol: str, *operands: Any) -> UnsupportedOperationError:
-    """The error for operator ``symbol`` over operands of types it does not
-    take, naming the operator and the operand types."""
+def _operand_error(
+    symbol: str, *operands: Any, kind: str = "operator"
+) -> UnsupportedOperationError:
+    """The error for operator (or function) ``symbol`` over operands of
+    types it does not take, naming it and the operand types."""
     *rest, last = [type(value).__name__ for value in operands]
     named = f"{', '.join(rest)} and {last}" if rest else last
-    return UnsupportedOperationError(f"operator {symbol} does not apply to {named}")
+    return UnsupportedOperationError(f"{kind} {symbol} does not apply to {named}")
 
 
 def interpret(expression: Expression, row: Row, schema: Schema) -> Any:

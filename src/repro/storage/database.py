@@ -243,9 +243,31 @@ class Database:
             stored.schema, rows, multiplicities, consolidated=True
         )
 
+    def index_lookup(
+        self, table: str, attribute: str, values: Iterable[object], max_share: float
+    ) -> ColumnBatch | None:
+        """Index point lookup (the evaluator's lookup join): a lazy per-query
+        batch over the table's schema of the rows whose ``attribute`` value is
+        one of ``values`` -- one index bucket per value, in the order of
+        ``values``, arrival order within one -- or None, reading no row, when
+        those rows are more than ``max_share`` of the table's.  ``values``
+        must be distinct by dict equality.  A lookup taken counts as an index
+        scan."""
+        with self._lock:
+            stored = self.table(table)
+            fetched = stored.rows_with_values(attribute, values, max_share)
+            if fetched is None:
+                return None
+            self._index_scan_counter += 1
+        rows, multiplicities = fetched
+        return ColumnBatch.from_fetched_rows(
+            stored.schema, rows, multiplicities, consolidated=True
+        )
+
     @property
     def index_scan_count(self) -> int:
-        """Number of selections served by an index range scan."""
+        """Number of selections served by an index range scan, and of join
+        inputs served by an index lookup."""
         return self._index_scan_counter
 
     def row_count(self, table: str) -> int:

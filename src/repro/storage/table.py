@@ -177,6 +177,27 @@ class AttributeIndex:
             list(chain.from_iterable(map(dict.values, buckets))),
         )
 
+    def rows_with_values(
+        self, values: Iterable[object], limit: float
+    ) -> tuple[list[Row], list[int]] | None:
+        """Rows whose indexed value equals one of ``values``, and their
+        multiplicities, as two parallel lists -- or None when those rows are
+        more than ``limit``, decided on the bucket sizes before a row is read.
+
+        One bucket per value, in the order of ``values``, each in bucket
+        (arrival) order; ``values`` must be distinct by dict equality, which
+        is also how a value finds its bucket (``1``, ``1.0`` and ``True``
+        share one).  NULL, NaN and values of another type have no bucket and
+        fetch nothing.
+        """
+        buckets = [bucket for bucket in map(self._buckets.get, values) if bucket]
+        if sum(map(len, buckets)) > limit:
+            return None
+        return (
+            list(chain.from_iterable(buckets)),
+            list(chain.from_iterable(map(dict.values, buckets))),
+        )
+
     def distinct_value_count(self) -> int:
         """Number of distinct indexed values currently carrying live rows.
 
@@ -437,6 +458,14 @@ class StoredTable:
     ) -> tuple[list[Row], list[int]]:
         """Index range scan: rows whose ``attribute`` value lies in the intervals."""
         return self.index_on(attribute).rows_in_intervals(intervals)
+
+    def rows_with_values(
+        self, attribute: str, values: Iterable[object], max_share: float
+    ) -> tuple[list[Row], list[int]] | None:
+        """Index point lookup: rows whose ``attribute`` value is one of
+        ``values``, or None when they are more than ``max_share`` of the
+        table's distinct rows (see :meth:`AttributeIndex.rows_with_values`)."""
+        return self.index_on(attribute).rows_with_values(values, max_share * len(self._rows))
 
     # -- mutation ----------------------------------------------------------------
 

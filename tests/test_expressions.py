@@ -207,12 +207,34 @@ class TestOperandTypeErrors:
             expression.compile_batch(SCHEMA)(columns, 3)
         assert str(kernel.value) == f"operator {message}"
 
+    FUNCTION_CASES = [
+        (FunctionCall("abs", [ColumnRef("a")]), "abs() does not apply to str"),
+        (FunctionCall("round", [ColumnRef("a")]), "round() does not apply to str"),
+        (
+            FunctionCall("round", [ColumnRef("b"), ColumnRef("a")]),
+            "round() does not apply to int and str",
+        ),
+    ]
+
+    @pytest.mark.parametrize("expression, message", FUNCTION_CASES)
+    def test_a_scalar_function_raises_it_too(self, expression, message):
+        with pytest.raises(UnsupportedOperationError) as oracle:
+            checked_value(expression, self.TEXT_ROW, SCHEMA)
+        assert str(oracle.value) == f"function {message}"
+        columns = [[None, 1, "x"], [4, 4, 4], [None, None, None]]
+        with pytest.raises(UnsupportedOperationError) as kernel:
+            expression.compile_batch(SCHEMA)(columns, 3)
+        assert str(kernel.value) == f"function {message}"
+
     QUERIES = [
         "SELECT a + 1 FROM t",
         "SELECT -a FROM t",
         "SELECT a FROM t WHERE a < 2",
         "SELECT a FROM t WHERE a = 'x' + 1",
         "SELECT id FROM t WHERE a BETWEEN 1 AND 2",
+        "SELECT abs(a) FROM t",
+        "SELECT round(a) FROM t",
+        "SELECT id FROM t WHERE abs(a) > 1",
     ]
 
     @staticmethod
@@ -255,6 +277,7 @@ class TestOperandTypeErrors:
         (BinaryOp("+", ColumnRef("a"), ColumnRef("c")), None),
         (Comparison("<", ColumnRef("c"), ColumnRef("a")), None),
         (Between(ColumnRef("a"), Literal(1), ColumnRef("c")), None),
+        (FunctionCall("round", [ColumnRef("b"), ColumnRef("c")]), None),
     ]
 
     @pytest.mark.parametrize("expression, expected", FINE)
