@@ -162,9 +162,10 @@ def lookup_case(draw):
     u_rows = draw(
         st.lists(st.tuples(INDEXED_KEYS, st.sampled_from([None, 0, 1]), SUMMANDS), max_size=12)
     )
-    # Inserting a list twice over gives multiplicities above one.
-    database.insert("t", t_rows + draw(st.lists(st.sampled_from(t_rows), max_size=3)) if t_rows else [])
-    database.insert("u", u_rows + draw(st.lists(st.sampled_from(u_rows), max_size=4)) if u_rows else [])
+    # Rows drawn again are inserted again: multiplicities above one.
+    for table, rows in (("t", t_rows), ("u", u_rows)):
+        again = draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+        database.insert(table, rows + again)
     predicates = draw(st.lists(st.sampled_from(sorted(SELECTIONS)), min_size=1, max_size=2))
     right = U
     for name in predicates:
