@@ -99,11 +99,6 @@ class BloomFilter:
         return self._num_bits
 
     @property
-    def num_hashes(self) -> int:
-        """Number of hash functions."""
-        return self._num_hashes
-
-    @property
     def approximate_count(self) -> int:
         """Number of insertions performed (duplicates counted)."""
         return self._count

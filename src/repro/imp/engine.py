@@ -186,10 +186,7 @@ def compile_plan(
         return IncrementalJoin(
             compile_child(node.left),
             compile_child(node.right),
-            node.left,
-            node.right,
-            node.condition,
-            node.equi_join_keys(),
+            node,
             lambda plan: compile_plan(plan, partition, database, side_config),
             use_bloom_filters=config.use_bloom_filters,
         )

@@ -34,19 +34,26 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, islice
-from operator import itemgetter
+from itertools import compress
+from operator import add, itemgetter, or_
 
 from repro.core.bloom import BloomFilter
 from repro.core.errors import AggregateError
-from repro.relational.algebra import Aggregate, OrderItem, PlanNode
+from repro.relational.algebra import Aggregate, Join, OrderItem, PlanNode
+from repro.relational.columnar import LazyColumns
 from repro.relational.expressions import (
     CompiledBatchExpression,
     Expression,
     compile_batch_expression,
     strict_boolean,
 )
-from repro.relational.kernels import order_keys, over_nothing
+from repro.relational.kernels import (
+    join_index,
+    join_positions,
+    key_column,
+    order_keys,
+    over_nothing,
+)
 from repro.relational.schema import Row, Schema
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import SketchDelta
@@ -348,35 +355,28 @@ class IncrementalProjection(IncrementalOperator):
 
 @dataclass
 class JoinSide:
-    """One input of an incremental join: the plan that computes it, the join
-    key of its rows (``()`` for every row of a theta or cross join) and what
-    the join keeps of its current result."""
+    """One input of an incremental join: the plan that computes it, the
+    positions of its join key columns (none for a join without a key pair)
+    and what the join keeps of its current result."""
 
     plan: PlanNode
-    key: Callable[[Row], tuple]
+    positions: list[int]
     state: JoinSideState = field(default_factory=JoinSideState)
 
+    def keys(self, delta: AnnotatedDelta) -> list:
+        """The join key of each entry of ``delta`` (one of this side's)."""
+        return key_column(delta.columns(), self.positions, len(delta.rows))
 
-def _no_key(_row: Row) -> tuple:
-    return ()
 
-
-# Candidate pairs a join hands to its condition at a time: enough to amortise
-# a kernel call, few enough that a batch's tuples stay cache-resident (theta
-# capture over 1500 x 1500 rows: 0.9 s at 512, 1.35 s at 4096).
+# A join without a key pair probes a delta in slices of at most this many
+# candidate pairs (at least one entry a slice): its one bucket is the whole
+# other side, so a term has |Δ| · |side| candidates however few survive.  A
+# memory bound, not a fast path: without it a 1500 x 1500 theta capture would
+# hold all 2.25 million candidate pairs at once.
 _PAIR_BATCH = 512
 
 # False-positive rate of the Bloom filter summarising a join side.
 _BLOOM_FALSE_POSITIVE_RATE = 0.01
-
-
-def _key_getter(schema: Schema, names: Sequence[str]) -> Callable[[Row], tuple]:
-    """``row -> join key tuple`` over the named attributes (at least one)."""
-    positions = [schema.index_of(name) for name in names]
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    (position,) = positions
-    return lambda row: (row[position],)
 
 
 class IncrementalJoin(IncrementalOperator):
@@ -387,6 +387,13 @@ class IncrementalJoin(IncrementalOperator):
 
         Δ(Q1 ⋈ Q2) = ΔQ1 ⋈ Q2'  ∪  Q1' ⋈ ΔQ2  −  ΔQ1 ⋈ ΔQ2
 
+    Each term is the query engine's hash join: the condition is split by
+    :meth:`~repro.relational.algebra.Join.key_pairs`, the delta's entries
+    probe the other operand with :func:`~repro.relational.kernels.join_positions`
+    (delta entries outer, the other operand's entries of the key in their
+    order inner), rows are concatenated left to right, masks OR-ed, counts
+    multiplied, and only the residual is checked on the pairs.
+
     Each side's ``Q'`` is a :class:`~repro.imp.state.JoinSideState`.  While no
     delta tuple of the other side has needed a partner, the side is only
     summarised by a Bloom filter on its join keys, which prunes delta tuples
@@ -396,7 +403,8 @@ class IncrementalJoin(IncrementalOperator):
     version, over a throwaway operator tree for the side's plan
     (``compile_side``) -- and keep the result as a key index.  From then on
     every delta pass first brings the index forward by the side's own child
-    delta, and terms A and B are key probes of it: a round costs
+    delta, and terms A and B probe the index's buckets of the delta's keys
+    (:meth:`~repro.imp.state.JoinSideState.partners`): a round costs
     ``O(|Δ| · fan-out)``, whatever the size of the sides.
 
     On a from-scratch pass the old state of both sides is empty, ``Q1' = ΔQ1``
@@ -408,46 +416,28 @@ class IncrementalJoin(IncrementalOperator):
         self,
         left: IncrementalOperator,
         right: IncrementalOperator,
-        left_plan: PlanNode,
-        right_plan: PlanNode,
-        condition: Expression | None,
-        equi_keys: tuple[list[str], list[str]] | None,
+        node: Join,
         compile_side: Callable[[PlanNode], IncrementalOperator],
         use_bloom_filters: bool = True,
     ) -> None:
         super().__init__(left.output_schema.concat(right.output_schema))
         self.left = left
         self.right = right
-        self.condition = condition
-        self._condition_batch = (
-            None
-            if condition is None
-            else compile_batch_predicate(condition, self.output_schema)
+        pairs, residual = node.key_pairs(left.output_schema, right.output_schema)
+        self._residual_batch = (
+            None if residual is None else compile_batch_predicate(residual, self.output_schema)
         )
         self._compile_side = compile_side
         self.use_bloom_filters = use_bloom_filters
-        keys = None if equi_keys is None else self._resolve_keys(equi_keys)
-        # Whether the condition is a conjunction of attribute equalities.
-        self.is_equi_join = keys is not None
-        left_key, right_key = keys or (_no_key, _no_key)
-        self.sides = (JoinSide(left_plan, left_key), JoinSide(right_plan, right_key))
+        # Whether the condition has an equality key pair.
+        self.is_equi_join = bool(pairs)
+        self.sides = (
+            JoinSide(node.left, [p for p, _ in pairs]),
+            JoinSide(node.right, [p for _, p in pairs]),
+        )
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.left, self.right)
-
-    def _resolve_keys(
-        self, equi_keys: tuple[list[str], list[str]]
-    ) -> tuple[Callable[[Row], tuple], Callable[[Row], tuple]] | None:
-        """``row -> join key tuple`` for the left and the right input."""
-        first, second = equi_keys
-        left_schema, right_schema = self.left.output_schema, self.right.output_schema
-        if all(left_schema.has(k) for k in first) and all(right_schema.has(k) for k in second):
-            left_keys, right_keys = first, second
-        elif all(left_schema.has(k) for k in second) and all(right_schema.has(k) for k in first):
-            left_keys, right_keys = second, first
-        else:
-            return None
-        return _key_getter(left_schema, left_keys), _key_getter(right_schema, right_keys)
 
     def process(self, run: Pass) -> AnnotatedDelta:
         left, right = self.sides
@@ -457,12 +447,12 @@ class IncrementalJoin(IncrementalOperator):
         if run.from_scratch:
             # The old state is ∅: the child outputs are the complete sides, so
             # they seed the filters and ΔQ1 ⋈ ΔQ2 is the whole join.
+            right_delta = right_delta.consolidated()
+            left_keys, right_keys = left.keys(left_delta), right.keys(right_delta)
             if self.is_equi_join and self.use_bloom_filters:
-                for side, whole in ((left, left_delta), (right, right_delta)):
-                    side.state.summarise(side.key, whole, _BLOOM_FALSE_POSITIVE_RATE)
-            self._join_pairs(
-                left_delta, left.key, _indexed(right_delta, right.key), output, True
-            )
+                left.state.summarise(left_keys, _BLOOM_FALSE_POSITIVE_RATE)
+                right.state.summarise(right_keys, _BLOOM_FALSE_POSITIVE_RATE)
+            self._join(left_delta, left_keys, right_delta, right_keys, output, True)
             return output
         if not left_delta and not right_delta:
             return output
@@ -470,18 +460,19 @@ class IncrementalJoin(IncrementalOperator):
         # anything is probed, shipped or joined.
         left_delta = left_delta.consolidated()
         right_delta = right_delta.consolidated()
+        left_keys, right_keys = left.keys(left_delta), right.keys(right_delta)
         # Bring both sides forward FIRST: terms A and B join with the *new*
         # state of the other side, so a delta tuple may join with a row that
         # arrives on the other side within the same batch.  Probing (or
         # pruning against) the old state would drop those combinations while
         # the ΔQ1 ⋈ ΔQ2 correction still subtracts them, breaking the
         # over-approximation guarantee.
-        left.state.apply(left.key, left_delta)
-        right.state.apply(right.key, right_delta)
+        left.state.apply(left_keys, left_delta)
+        right.state.apply(right_keys, right_delta)
         # Term A: ΔQ1 ⋈ Q2'.
-        self._join_with_side(left_delta, left.key, right, output, run, delta_on_left=True)
+        self._join_with_side(left_delta, left_keys, right, output, run, delta_on_left=True)
         # Term B: Q1' ⋈ ΔQ2.
-        self._join_with_side(right_delta, right.key, left, output, run, delta_on_left=False)
+        self._join_with_side(right_delta, right_keys, left, output, run, delta_on_left=False)
         # Term C: − ΔQ1 ⋈ ΔQ2 (corrects double counting).
         if left_delta and right_delta:
             negated = AnnotatedDelta(
@@ -490,16 +481,14 @@ class IncrementalJoin(IncrementalOperator):
                 left_delta.annotations,
                 [-count for count in left_delta.counts],
             )
-            self._join_pairs(
-                negated, left.key, _indexed(right_delta, right.key), output, True
-            )
+            self._join(negated, left_keys, right_delta, right_keys, output, True)
         # Entries of opposite sign cancel across the three terms.
         return output.consolidated()
 
     def _join_with_side(
         self,
         delta: AnnotatedDelta,
-        delta_key: Callable[[Row], tuple],
+        keys: list,
         other: JoinSide,
         output: AnnotatedDelta,
         run: Pass,
@@ -509,28 +498,34 @@ class IncrementalJoin(IncrementalOperator):
         materialising that side if a delta tuple gets past its filter."""
         state = other.state
         if state.buckets is None:
-            delta = self._bloom_filter(delta, delta_key, state.bloom, run)
+            delta, keys = self._bloom_filter(delta, keys, state.bloom, run)
             if delta:
-                state.materialise(other.key, self._evaluate_side(other.plan, delta, run))
+                whole = self._evaluate_side(other.plan, delta, run)
+                state.materialise(other.keys(whole), whole)
         if delta:
             run.statistics.tuples_processed += len(delta)
-            self._join_pairs(delta, delta_key, state.buckets, output, delta_on_left)
+            partner_keys, *entries = state.partners(dict.fromkeys(keys))
+            schema = (self.right if delta_on_left else self.left).output_schema
+            partners = AnnotatedDelta(schema, *entries)
+            self._join(delta, keys, partners, partner_keys, output, delta_on_left)
 
     def _bloom_filter(
         self,
         delta: AnnotatedDelta,
-        key: Callable[[Row], tuple],
+        keys: list,
         other_bloom: BloomFilter | None,
         run: Pass,
-    ) -> AnnotatedDelta:
+    ) -> tuple[AnnotatedDelta, list]:
+        """The entries of ``delta`` whose join key may be in ``other_bloom``,
+        and their keys."""
         if not delta or other_bloom is None:
-            return delta
+            return delta, keys
         # Delta tuples share join keys: probe the filter once per distinct key.
-        keys = list(map(key, delta.rows))
-        passes = {k: k in other_bloom for k in set(keys)}
-        surviving = delta.filter([passes[k] for k in keys])
+        passes = {key: key in other_bloom for key in set(keys)}
+        keep = [passes[key] for key in keys]
+        surviving = delta.filter(keep)
         run.statistics.bloom_filtered_tuples += len(delta) - len(surviving)
-        return surviving
+        return surviving, list(compress(keys, keep))
 
     def _evaluate_side(
         self, plan: PlanNode, shipped: AnnotatedDelta, run: Pass
@@ -542,64 +537,67 @@ class IncrementalJoin(IncrementalOperator):
         run.statistics.tuples_shipped_to_backend += len(shipped.rows)
         return self._compile_side(plan).process(Pass.scratch(run.version))
 
-    def _join_pairs(
+    def _join(
         self,
-        delta: AnnotatedDelta,
-        delta_key: Callable[[Row], tuple],
-        buckets: dict[tuple, dict[tuple[Row, int], int]],
+        probe: AnnotatedDelta,
+        probe_keys: list,
+        build: AnnotatedDelta,
+        build_keys: list,
         output: AnnotatedDelta,
-        delta_on_left: bool,
+        probe_on_left: bool,
     ) -> None:
-        """Append every combination of a delta tuple with a tuple in its join
-        key's bucket that satisfies the join condition.
+        """Append every pair of a ``probe`` entry and a ``build`` entry with an
+        equal join key whose residual holds, in the matcher's order.
 
-        The condition filters the candidate pairs a batch at a time, and at
-        most ``_PAIR_BATCH`` of them exist at once: a theta join's only
-        bucket is the whole other side, so a term has ``|Δ| · |side|``
-        candidates however few survive."""
-        condition = self._condition_batch
-        candidates = self._candidate_pairs(delta, delta_key, buckets, delta_on_left)
-        while batch := list(islice(candidates, _PAIR_BATCH)):
-            if condition is not None:
-                columns = list(zip(*[joined for joined, _annotation, _count in batch]))
-                batch = compress(batch, condition(columns, len(batch)))
-            for entry in batch:
-                output.append(*entry)
-
-    @staticmethod
-    def _candidate_pairs(
-        delta: AnnotatedDelta,
-        delta_key: Callable[[Row], tuple],
-        buckets: dict[tuple, dict[tuple[Row, int], int]],
-        delta_on_left: bool,
-    ) -> Iterator[tuple[Row, int, int]]:
-        """``(joined row, annotation, count)`` of every delta tuple with every
-        tuple in its join key's bucket, delta order then bucket order."""
-        for key, (row, annotation, count) in zip(
-            map(delta_key, delta.rows), delta.entries()
-        ):
-            bucket = buckets.get(key)
-            if bucket is None:
-                continue
-            for (other_row, other_annotation), multiplicity in bucket.items():
-                joined = row + other_row if delta_on_left else other_row + row
-                yield joined, annotation | other_annotation, count * multiplicity
+        The residual reads the pairs' columns through the take lists, so only
+        the pairs it keeps become rows.  Without a key pair every probe entry
+        meets every build entry, so the probe goes in slices of at most
+        ``_PAIR_BATCH`` candidate pairs."""
+        index = join_index(build_keys)
+        residual = self._residual_batch
+        build_columns = build.columns()
+        n = len(probe.rows)
+        step = n or 1
+        if not self.is_equi_join:
+            step = max(1, _PAIR_BATCH // max(1, len(build.rows)))
+        for start in range(0, n, step):
+            stop = start + step
+            rows, masks = probe.rows[start:stop], probe.annotations[start:stop]
+            take, partner, counts = join_positions(
+                probe_keys[start:stop], index, probe.counts[start:stop], build.counts
+            )
+            if residual is not None and take:
+                sides = (
+                    (AnnotatedDelta(probe.schema, rows).columns(), take),
+                    (build_columns, partner),
+                )
+                (left, left_take), (right, right_take) = sides if probe_on_left else sides[::-1]
+                split = len(left)
+                columns = LazyColumns(
+                    len(self.output_schema),
+                    lambda p: list(map(left[p].__getitem__, left_take))
+                    if p < split
+                    else list(map(right[p - split].__getitem__, right_take)),
+                )
+                keep = residual(columns, len(take))
+                take, partner, counts = (
+                    list(compress(taken, keep)) for taken in (take, partner, counts)
+                )
+            mine = map(rows.__getitem__, take)
+            theirs = map(build.rows.__getitem__, partner)
+            output.rows += map(add, mine, theirs) if probe_on_left else map(add, theirs, mine)
+            output.annotations += map(
+                or_, map(masks.__getitem__, take), map(build.annotations.__getitem__, partner)
+            )
+            output.counts += counts
 
     def memory_bytes(self) -> int:
         return sum(side.state.memory_bytes() for side in self.sides)
 
     def describe(self) -> str:
-        kind = "equi" if self.is_equi_join else ("cross" if self.condition is None else "theta")
+        kind = "cross" if self._residual_batch is None else "theta"
+        kind = "equi" if self.is_equi_join else kind
         return f"IncJoin({kind}, bloom={'on' if self.use_bloom_filters else 'off'})"
-
-
-def _indexed(
-    side: AnnotatedDelta, key: Callable[[Row], tuple]
-) -> dict[tuple, dict[tuple[Row, int], int]]:
-    """A throwaway key index of ``side``."""
-    state = JoinSideState()
-    state.materialise(key, side)
-    return state.buckets
 
 
 class IncrementalAggregation(IncrementalOperator):

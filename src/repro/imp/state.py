@@ -477,32 +477,32 @@ class JoinSideState:
     with neither (filters disabled) prunes nothing and is materialised by the
     first delta of the other side.
 
+    Every method takes the join keys of its rows, spelled as
+    :func:`~repro.relational.kernels.key_column` spells them (``()`` for
+    every row of a join without a key pair, which keeps a single bucket).
     Buckets are dicts, never sets: probe results feed float accumulators in
-    entry order, so a bucket iterates in insertion order.  A theta or cross
-    join keys every row by ``()`` and so keeps a single bucket.
+    entry order, so a bucket iterates in insertion order.
     """
 
     def __init__(self) -> None:
         self.bloom: BloomFilter | None = None
-        self.buckets: dict[tuple, dict[tuple[Row, int], int]] | None = None
+        self.buckets: dict[Any, dict[tuple[Row, int], int]] | None = None
         self._entries = 0  # entries over all buckets, for memory_bytes()
 
-    def summarise(
-        self, key: Callable[[Row], tuple], whole: AnnotatedDelta, false_positive_rate: float
-    ) -> None:
-        """Seed the filter from the side's ``whole`` result."""
-        keys = set(map(key, whole.rows))
-        self.bloom = BloomFilter(max(len(keys), 16), false_positive_rate)
-        self.bloom.add_all(keys)
+    def summarise(self, keys: list, false_positive_rate: float) -> None:
+        """Seed the filter from the join keys of the side's whole result."""
+        distinct = set(keys)
+        self.bloom = BloomFilter(max(len(distinct), 16), false_positive_rate)
+        self.bloom.add_all(distinct)
 
-    def materialise(self, key: Callable[[Row], tuple], whole: AnnotatedDelta) -> None:
+    def materialise(self, keys: list, whole: AnnotatedDelta) -> None:
         """Index the side's ``whole`` result and release the filter."""
         self.bloom = None
         self.buckets = {}
         self._entries = 0
-        self.apply(key, whole)
+        self.apply(keys, whole)
 
-    def apply(self, key: Callable[[Row], tuple], delta: AnnotatedDelta) -> None:
+    def apply(self, keys: list, delta: AnnotatedDelta) -> None:
         """Bring the side forward by its own delta.  Inserted keys enter the
         filter of a summarised side; a materialised side adds the signed
         counts and drops entries (and buckets) that reach zero."""
@@ -510,11 +510,11 @@ class JoinSideState:
         if buckets is None:
             if self.bloom is not None:
                 self.bloom.add_all(
-                    {key(row) for row, count in zip(delta.rows, delta.counts) if count > 0}
+                    {key for key, count in zip(keys, delta.counts) if count > 0}
                 )
             return
         for join_key, entry, count in zip(
-            map(key, delta.rows), zip(delta.rows, delta.annotations), delta.counts
+            keys, zip(delta.rows, delta.annotations), delta.counts
         ):
             bucket = buckets.get(join_key)
             if bucket is None:
@@ -530,12 +530,28 @@ class JoinSideState:
                 if not bucket:
                     del buckets[join_key]
 
+    def partners(self, keys: Iterable) -> tuple[list, list[Row], list[int], list[int]]:
+        """The join keys, rows, annotations and signed counts of the entries
+        in the buckets of ``keys`` (distinct as dict keys), bucket after
+        bucket, each in insertion order."""
+        join_keys: list = []
+        entries: list[tuple[Row, int]] = []
+        counts: list[int] = []
+        for key in keys:
+            bucket = self.buckets.get(key)
+            if bucket:
+                join_keys += [key] * len(bucket)
+                entries += bucket
+                counts += bucket.values()
+        rows, annotations = map(list, zip(*entries)) if entries else ([], [])
+        return join_keys, rows, annotations, counts
+
     def memory_bytes(self) -> int:
         """Footprint of the filter or of the index, whichever the side has.
 
         The index is not walked (a store with a memory budget asks after every
         round): its bucket and entry counts are multiplied by the size of the
-        first bucket's key tuple (its values are the rows' own) and the deep
+        first bucket's key (a key tuple's values are the rows' own) and the deep
         size of that bucket's first entry plus its dict slot.  The slot is
         priced on a fresh one-entry dict, not on the sampled bucket: a dict
         that has shrunk keeps the capacity it grew to.

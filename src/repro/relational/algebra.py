@@ -19,8 +19,14 @@ import enum
 from collections.abc import Iterator, Sequence
 from typing import Protocol
 
-from repro.core.errors import PlanError
-from repro.relational.expressions import ColumnRef, Expression, column_equality, conjuncts
+from repro.core.errors import PlanError, SchemaError
+from repro.relational.expressions import (
+    ColumnRef,
+    Expression,
+    column_equality,
+    conjunction,
+    conjuncts,
+)
 from repro.relational.schema import Schema
 
 
@@ -204,19 +210,36 @@ class Join(PlanNode):
             return "CrossProduct"
         return f"Join({self.condition.canonical()})"
 
-    def equi_join_keys(self) -> tuple[list[str], list[str]] | None:
-        """When the condition is a conjunction of equalities between one
-        attribute from each side, return ``(left_attrs, right_attrs)``.
-
-        Used by the incremental engine to maintain Bloom filters on the join
-        attributes (Sec. 7.2).  Returns None for non-equi joins.
+    def key_pairs(
+        self, left: Schema, right: Schema
+    ) -> tuple[list[tuple[int, int]], Expression | None]:
+        """Split the condition for a hash join of inputs with the ``left`` and
+        ``right`` schemas: the ``(left position, right position)`` pairs of
+        its equality conjuncts between one attribute of each side, and the
+        conjunction of the other conjuncts (None if there are none), which is
+        all a join checks on the pairs its keys match.  Both engines split a
+        condition here; the incremental join also keys its side state and
+        Bloom filters (Sec. 7.2) by the pairs.  Names resolve against the
+        combined schema, as the compiled residual binds them; a reference that
+        does not resolve stays in the residual, whose compilation reports it.
         """
-        if self.condition is None:
-            return None
-        pairs = [column_equality(conjunct) for conjunct in conjuncts(self.condition)]
-        if None in pairs:
-            return None
-        return [left for left, _ in pairs], [right for _, right in pairs]
+        combined = left.concat(right)
+        split = len(left)
+        pairs: list[tuple[int, int]] = []
+        residual: list[Expression] = []
+        for conjunct in conjuncts(self.condition):
+            names = column_equality(conjunct)
+            low = high = split  # a key pair only if the names resolve across the split
+            if names is not None:
+                try:
+                    low, high = sorted(map(combined.index_of, names))
+                except SchemaError:
+                    pass
+            if low < split <= high:
+                pairs.append((low, high - split))
+            else:
+                residual.append(conjunct)
+        return pairs, conjunction(residual)
 
 
 class AggregateFunction(enum.Enum):

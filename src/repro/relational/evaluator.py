@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.core.errors import PlanError, SchemaError
+from repro.core.errors import PlanError
 from repro.relational.algebra import (
     Aggregation,
     Distinct,
@@ -27,7 +27,6 @@ from repro.relational.columnar import ColumnBatch
 from repro.relational.expressions import (
     Expression,
     Literal,
-    column_equality,
     compile_batch_expression,
     conjunction,
     conjuncts,
@@ -89,8 +88,9 @@ class Evaluator:
     tests use it to tell an optimizer defect from a kernel defect.  The
     reference oracle is :class:`repro.relational.oracle.RowEvaluator`, which
     shares with this class only the decisions both must take alike to agree
-    bit for bit (:meth:`_index_choice`, :meth:`_equi_pairs` and the ORDER BY
-    rule of :mod:`repro.relational.schema`).  The lookup join
+    bit for bit (:meth:`_index_choice`, the condition split
+    :meth:`~repro.relational.algebra.Join.key_pairs` and the ORDER BY rule of
+    :mod:`repro.relational.schema`).  The lookup join
     (:meth:`_lookup_batch`) is engine-only: it hands the unchanged hash join
     the same right entries, in the same order, that a key can match.
     """
@@ -190,7 +190,7 @@ class Evaluator:
         if right is None:
             right = self._batch(node.right)
         # Without an equality pair this is the cross product (empty key).
-        pairs, residual = self._equi_pairs(node.condition, left.schema, right.schema)
+        pairs, residual = node.key_pairs(left.schema, right.schema)
         combined = kernels.hash_join_batch(left, right, pairs)
         # A key pair matches exactly where its SQL equality is true, so only
         # the theta and other residual conjuncts are checked on the pairs.
@@ -222,7 +222,7 @@ class Evaluator:
         if self._index_choice(selections[-1]) is not None:
             return None
         schema = scan.output_schema(provider)
-        pairs, _residual = self._equi_pairs(node.condition, left.schema, schema)
+        pairs, _residual = node.key_pairs(left.schema, schema)
         indexed = provider.indexed_attributes(scan.table)
         for left_position, right_position in pairs:
             attribute = Schema.bare_name(schema.attributes[right_position])
@@ -311,46 +311,3 @@ class Evaluator:
         if self._estimator is None:
             self._estimator = CardinalityEstimator(self._provider)
         return self._estimator
-
-    @staticmethod
-    def _equi_pairs(
-        condition: Expression | None, left: Schema, right: Schema
-    ) -> tuple[list[tuple[int, int]], Expression | None]:
-        """Hashable ``(left position, right position)`` pairs of the condition,
-        and the conjunction of the conjuncts that did not become one.
-
-        Any equality conjunct between one attribute of each side can drive a
-        hash join, even when other conjuncts (range predicates pushed into the
-        condition by the optimizer) ride along; those are the residual, which
-        is checked on every matching pair.  Names resolve against the combined
-        schema, exactly as the compiled condition will bind them.
-        """
-        combined = left.concat(right)
-        pairs: list[tuple[int, int]] = []
-        residual: list[Expression] = []
-        for conjunct in conjuncts(condition):
-            pair = _key_pair(conjunct, combined, len(left))
-            if pair is None:
-                residual.append(conjunct)
-            else:
-                pairs.append(pair)
-        return pairs, conjunction(residual)
-
-
-def _key_pair(conjunct: Expression, combined: Schema, split: int) -> tuple[int, int] | None:
-    """``(left position, right position)`` of an equality between an attribute
-    of each side of ``combined`` (the left side's ``split`` columns first)."""
-    names = column_equality(conjunct)
-    if names is None:
-        return None
-    try:
-        a, b = map(combined.index_of, names)
-    except SchemaError:
-        # Unresolvable or ambiguous references: the error belongs to
-        # condition compilation, which the residual surfaces.
-        return None
-    if a < split <= b:
-        return a, b - split
-    if b < split <= a:
-        return b, a - split
-    return None

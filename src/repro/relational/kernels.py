@@ -72,12 +72,11 @@ def hash_join_batch(
     ``pairs`` are ``(left position, right position)`` equality columns; with
     no pairs every entry has the key ``()``, one bucket holds the whole right
     side and the result is the cross product (which is how theta joins run:
-    cross, then the caller's filter).  Keys match exactly where SQL ``=`` on
-    every pair is true: a key holding NULL or NaN matches nothing (a dict
-    would match ``None`` to ``None`` and a NaN object to itself), so the
-    caller checks only the conjuncts that are not key pairs.  Output order:
-    left entries outer, the right entries of the key in their input order
-    inner.
+    cross, then the caller's filter).  Entries are paired by
+    :func:`join_positions`, the matcher the incremental join shares, and a
+    key holding NULL or NaN matches nothing, so the caller checks only the
+    conjuncts that are not key pairs.  Output order: left entries outer, the
+    right entries of the key in their input order inner.
 
     A side whose every column is a key column (a zero-column side included)
     is consolidated first: for it equal keys are equal rows, so a duplicate
@@ -95,38 +94,12 @@ def hash_join_batch(
         left = left.consolidate()
     if len(set(right_positions)) == len(right.schema):
         right = right.consolidate()
-    left_keys = _key_column(left, left_positions)
-    right_keys = _key_column(right, right_positions)
-    index: dict = {}
-    for j, key in enumerate(right_keys):
-        bucket = index.get(key)
-        if bucket is None:
-            index[key] = [j]
-        else:
-            bucket.append(j)
-    if len(pairs) == 1:
-        # NULL, and NaN: the one value unequal to itself (C-level ``ne``).
-        index.pop(None, None)
-        unequal = list(compress(index, map(ne, index, index)))
-    else:
-        unequal = [key for key in index if any(v is None or v != v for v in key)]
-    for key in unequal:
-        del index[key]
-    left_mults = left.multiplicities
-    right_mults = right.multiplicities
-    take_left: list[int] = []
-    take_right: list[int] = []
-    multiplicities: list[int] = []
-    get = index.get
-    for i, key in enumerate(left_keys):
-        bucket = get(key)
-        if not bucket:
-            continue
-        left_mult = left_mults[i]
-        for j in bucket:
-            take_left.append(i)
-            take_right.append(j)
-            multiplicities.append(left_mult * right_mults[j])
+    take_left, take_right, multiplicities = join_positions(
+        key_column(left.columns, left_positions, len(left)),
+        join_index(key_column(right.columns, right_positions, len(right))),
+        left.multiplicities,
+        right.multiplicities,
+    )
     columns = [[column[i] for i in take_left] for column in left.columns]
     columns.extend([column[j] for j in take_right] for column in right.columns)
     return ColumnBatch(
@@ -134,13 +107,62 @@ def hash_join_batch(
     )
 
 
-def _key_column(batch: ColumnBatch, positions: list[int]) -> list:
-    """Join-key values per entry: the raw column for one key, tuples otherwise."""
+def key_column(columns: Sequence[list], positions: list[int], n: int) -> list:
+    """The join key of each of ``n`` entries over the key columns at
+    ``positions``: the raw value for one key column, value tuples for
+    several, ``()`` for none."""
     if len(positions) == 1:
-        return batch.columns[positions[0]]
+        return columns[positions[0]]
     if not positions:
-        return [()] * len(batch)
-    return list(zip(*(batch.columns[p] for p in positions)))
+        return [()] * n
+    return list(zip(*(columns[p] for p in positions)))
+
+
+def join_index(build_keys: list) -> dict:
+    """``join key -> build positions`` in entry order.  A key holding NULL or
+    NaN is left out: SQL ``=`` is never true for it, while a dict would match
+    ``None`` to ``None`` and a NaN object to itself."""
+    index: dict = {}
+    for j, key in enumerate(build_keys):
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [j]
+        else:
+            bucket.append(j)
+    # Every key of one column has one spelling: tuples, or raw values.
+    if type(next(iter(index), None)) is tuple:
+        unequal = [key for key in index if any(v is None or v != v for v in key)]
+    else:
+        # NULL, and NaN: the one value unequal to itself (C-level ``ne``).
+        index.pop(None, None)
+        unequal = list(compress(index, map(ne, index, index)))
+    for key in unequal:
+        del index[key]
+    return index
+
+
+def join_positions(
+    probe_keys: list, index: dict, probe_counts: list[int], build_counts: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """The hash join's matcher: every probe entry paired with every build
+    entry of its key in ``index`` (:func:`join_index` of the build keys).
+    Returns the take lists (probe and build position of each pair) and each
+    pair's count, the product of the two entries' counts.  Order: probe
+    entries outer, a key's build entries in their order inner."""
+    take_probe: list[int] = []
+    take_build: list[int] = []
+    counts: list[int] = []
+    get = index.get
+    for i, key in enumerate(probe_keys):
+        bucket = get(key)
+        if not bucket:
+            continue
+        probe_count = probe_counts[i]
+        for j in bucket:
+            take_probe.append(i)
+            take_build.append(j)
+            counts.append(probe_count * build_counts[j])
+    return take_probe, take_build, counts
 
 
 def distinct_batch(batch: ColumnBatch) -> ColumnBatch:

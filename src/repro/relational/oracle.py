@@ -324,7 +324,7 @@ class RowEvaluator(Evaluator):
         # the right rows are grouped by the values the conjuncts compare
         # (one group, every row, when there is none), and the pairs that are
         # visited come in nested-loop order.
-        pairs, _residual = self._equi_pairs(node.condition, left.schema, right.schema)
+        pairs, _residual = node.key_pairs(left.schema, right.schema)
         groups: dict[tuple, list[tuple[Row, int]]] = {}
         for right_row, right_mult in right.items():
             key = tuple(right_row[p] for _, p in pairs)

@@ -73,10 +73,6 @@ class _EquivalenceClasses:
     def equivalent(self, a: str, b: str) -> bool:
         return self._find(a) == self._find(b)
 
-    def class_of(self, name: str) -> set[str]:
-        root = self._find(name)
-        return {candidate for candidate in self._parent if self._find(candidate) == root}
-
 
 class SafetyAnalyzer:
     """Decides which attributes of which tables are safe for a query."""

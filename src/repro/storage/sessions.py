@@ -105,11 +105,6 @@ class SessionRegistry:
         with self._lock:
             return min(self._pins) if self._pins else None
 
-    def pinned_versions(self) -> list[int]:
-        """All currently pinned versions, ascending."""
-        with self._lock:
-            return sorted(self._pins)
-
     def active_sessions(self) -> int:
         """Number of currently open sessions."""
         with self._lock:

@@ -69,12 +69,6 @@ class AuditLog:
         """All records, oldest first."""
         return iter(self._records)
 
-    def records_between(self, since: int, until: int) -> Iterator[AuditRecord]:
-        """Records with ``since < version <= until``."""
-        low = bisect.bisect_right(self._versions, since)
-        high = bisect.bisect_right(self._versions, until)
-        return iter(self._records[low:high])
-
     def delta_between(
         self, table: str, schema: Schema, since: int, until: int
     ) -> Delta:

@@ -74,19 +74,6 @@ def multi_sketch_templates(
     return templates
 
 
-def rotating_query_factory(queries: Sequence[str]) -> Callable[[random.Random], str]:
-    """A query factory for :class:`MixedWorkload` that cycles through a fixed
-    template list, so a workload exercises many registered sketches."""
-    state = {"next": 0}
-
-    def factory(_rng: random.Random) -> str:
-        sql = queries[state["next"] % len(queries)]
-        state["next"] += 1
-        return sql
-
-    return factory
-
-
 class MixedWorkload:
     """Generates an interleaved sequence of queries and updates."""
 

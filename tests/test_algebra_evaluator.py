@@ -62,17 +62,30 @@ class TestPlanNodes:
         kinds = [type(node).__name__ for node in walk_plan(plan)]
         assert kinds == ["Projection", "Selection", "TableScan"]
 
-    def test_equi_join_keys_detection(self):
-        join = Join(
-            TableScan("r"), TableScan("s"), Comparison("=", ColumnRef("b"), ColumnRef("c"))
-        )
-        assert join.equi_join_keys() == (["b"], ["c"])
-        theta = Join(
-            TableScan("r"), TableScan("s"), Comparison("<", ColumnRef("b"), ColumnRef("c"))
-        )
-        assert theta.equi_join_keys() is None
-        cross = Join(TableScan("r"), TableScan("s"))
-        assert cross.equi_join_keys() is None
+    def test_key_pairs_split_the_condition(self, small_db):
+        r, s = TableScan("r"), TableScan("s")
+        left, right = r.output_schema(small_db), s.output_schema(small_db)
+        b_is_c = Comparison("=", ColumnRef("b"), ColumnRef("c"))
+        assert Join(r, s, b_is_c).key_pairs(left, right) == ([(1, 0)], None)
+        # Either spelling of the equality gives the same (left, right) pair.
+        c_is_b = Comparison("=", ColumnRef("c"), ColumnRef("b"))
+        assert Join(r, s, c_is_b).key_pairs(left, right) == ([(1, 0)], None)
+        # An equality plus a range: the range is the residual, the pair stays.
+        a_below_d = Comparison("<", ColumnRef("a"), ColumnRef("d"))
+        mixed = Join(r, s, LogicalOp("AND", [a_below_d, b_is_c]))
+        assert mixed.key_pairs(left, right) == ([(1, 0)], a_below_d)
+        # Equalities within one side, with a literal or with an unknown
+        # column are no key pairs.
+        a_is_b = Comparison("=", ColumnRef("a"), ColumnRef("b"))
+        assert Join(r, s, a_is_b).key_pairs(left, right) == ([], a_is_b)
+        a_is_1 = Comparison("=", ColumnRef("a"), Literal(1))
+        assert Join(r, s, a_is_1).key_pairs(left, right) == ([], a_is_1)
+        a_is_z = Comparison("=", ColumnRef("a"), ColumnRef("z"))
+        assert Join(r, s, a_is_z).key_pairs(left, right) == ([], a_is_z)
+        theta = Join(r, s, Comparison("<", ColumnRef("b"), ColumnRef("c")))
+        assert theta.key_pairs(left, right) == ([], theta.condition)
+        cross = Join(r, s)
+        assert cross.key_pairs(left, right) == ([], None)
         assert cross.describe() == "CrossProduct"
 
     def test_aggregation_output_schema(self, small_db):

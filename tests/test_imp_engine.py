@@ -428,24 +428,29 @@ class TestJoinMaintenance:
         assert statistics.tuples_shipped_to_backend == 0
         assert statistics.bloom_filtered_tuples == 0
 
-    def test_two_sided_join_delta_only_pairs_key_matches(self):
-        """The ΔQ1 ⋈ ΔQ2 term probes a hash index: 1000 x 1000 delta tuples
-        with one partner each hand 1000 candidate pairs per term to the batch
-        condition, not a million."""
-        database, _r, _s = self._setup(seed=29)
-        plan = database.plan("SELECT a, e FROM r JOIN s ON b = d")
+    @staticmethod
+    def _count_residual(join):
+        """Record how many candidate pairs each call of the join's residual sees."""
+        checked = []
+        residual = join._residual_batch
+
+        def counting_residual(columns, n):
+            checked.append(n)
+            return residual(columns, n)
+
+        join._residual_batch = counting_residual
+        return checked
+
+    def _two_sided_delta(self, sql, seed):
+        """Maintain ``sql`` over 1000 r and 1000 s inserts, each with exactly
+        one partner on the other side under ``b = d``."""
+        database, _r, _s = self._setup(seed=seed)
+        plan = database.plan(sql)
         partition = build_database_partition(database, plan, 10)
         engine = IncrementalEngine(plan, partition, database)
         sketch = engine.initialize()
         join = operator_of(engine, IncrementalJoin)
-        checked = []
-        condition = join._condition_batch
-
-        def counting_condition(columns, n):
-            checked.append(n)
-            return condition(columns, n)
-
-        join._condition_batch = counting_condition
+        checked = None if join._residual_batch is None else self._count_residual(join)
         version = database.version
         # Keys 10_000.. exist on neither side before the batch.
         database.insert("r", [(50_000 + i, i % 20, 10_000 + i, i) for i in range(1000)])
@@ -453,29 +458,39 @@ class TestJoinMaintenance:
         outcome = engine.maintain(
             database.database_delta_since(plan.referenced_tables(), version), database.version
         )
-        assert sum(checked) == 3 * 1000  # one partner per delta tuple and term
         sketch = sketch.apply_delta(outcome.sketch_delta)
         assert maintained_matches_truth(engine, sketch, plan, partition, database)
+        return join, checked
+
+    def test_two_sided_join_delta_only_pairs_key_matches(self):
+        """A pure equi-join matches on its keys alone: there is no residual
+        to check pairs against."""
+        join, checked = self._two_sided_delta("SELECT a, e FROM r JOIN s ON b = d", seed=29)
+        assert join._residual_batch is None and checked is None
+
+    def test_key_pair_beside_a_residual_pairs_key_matches_only(self):
+        """The ΔQ1 ⋈ ΔQ2 term and both side terms probe by the key pair: 1000
+        x 1000 delta tuples with one partner each hand 1000 candidate pairs
+        per term to the residual, not a million."""
+        join, checked = self._two_sided_delta(
+            "SELECT a, e FROM r JOIN s ON b = d AND c < e", seed=29
+        )
+        assert join.describe().startswith("IncJoin(equi")
+        assert sum(checked) == 3 * 1000  # one partner per delta tuple and term
 
     def test_theta_join_candidates_reach_the_condition_in_bounded_batches(self):
         """A theta join's one bucket is the whole other side, so capture has
-        500 x 200 candidate pairs of which a handful survive: the condition
-        sees all of them, never more than ``_PAIR_BATCH`` at a time, in
-        capture and in a maintenance round alike."""
+        500 x 200 candidate pairs of which a handful survive: the residual
+        (the whole condition) sees all of them, never more than
+        ``_PAIR_BATCH`` at a time, in capture and in a maintenance round
+        alike."""
         database, _r, _s = self._setup(seed=31)
         plan = database.plan("SELECT id, sid FROM r JOIN s ON c + 40 < e AND id > sid")
         partition = build_database_partition(database, plan, 10)
         engine = IncrementalEngine(plan, partition, database)
         join = operator_of(engine, IncrementalJoin)
         assert join.describe().startswith("IncJoin(theta")
-        checked = []
-        condition = join._condition_batch
-
-        def counting_condition(columns, n):
-            checked.append(n)
-            return condition(columns, n)
-
-        join._condition_batch = counting_condition
+        checked = self._count_residual(join)
         sketch = engine.initialize()
         assert sum(checked) == 500 * 200 and max(checked) <= _PAIR_BATCH
         del checked[:]
@@ -500,9 +515,9 @@ class TestJoinMaintenance:
         assert engine.statistics == EngineStatistics()
         join = operator_of(engine, IncrementalJoin)
         left, right = (side.state for side in join.sides)
-        assert all((row[2],) in left.bloom for row in r_rows)
-        assert all((row[1],) in right.bloom for row in s_rows)
-        assert (9_999,) not in right.bloom
+        assert all(row[2] in left.bloom for row in r_rows)
+        assert all(row[1] in right.bloom for row in s_rows)
+        assert 9_999 not in right.bloom
         # Capture materialises neither side: that waits for the first probe.
         assert left.buckets is None and right.buckets is None
         assert set(sketch.fragment_ids()) == set(

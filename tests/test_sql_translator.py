@@ -58,9 +58,17 @@ class TestTranslation:
         assert "total" in aliases and len(aliases) == 2
 
     def test_explicit_join_condition_preserved(self, catalog):
-        plan = translate("SELECT a, e FROM r JOIN s ON b = d", catalog)
-        join = next(n for n in walk_plan(plan) if isinstance(n, Join))
-        assert join.equi_join_keys() == (["b"], ["d"])
+        # The key pair survives beside a range conjunct, in either spelling.
+        for sql, residual in (
+            ("SELECT a, e FROM r JOIN s ON b = d", None),
+            ("SELECT a, e FROM r JOIN s ON d = b AND c < e", "(c < e)"),
+        ):
+            plan = translate(sql, catalog)
+            join = next(n for n in walk_plan(plan) if isinstance(n, Join))
+            left, right = join.left.output_schema(catalog), join.right.output_schema(catalog)
+            pairs, rest = join.key_pairs(left, right)
+            assert pairs == [(2, 1)]
+            assert (rest and rest.canonical()) == residual
 
     def test_comma_join_where_becomes_join_condition(self, catalog):
         plan = translate("SELECT a, e FROM r, s WHERE b = d AND a > 1", catalog)
