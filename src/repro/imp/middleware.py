@@ -105,11 +105,7 @@ class WorkloadSystem:
         """Apply an update (insert and/or delete batches) to the database."""
         started = time.perf_counter()
         stored = self.database.table(table)
-        delta = Delta(stored.schema)
-        for row in inserts:
-            delta.add_insert(tuple(row))
-        for row in deletes:
-            delta.add_delete(tuple(row))
+        delta = Delta.from_rows(stored.schema, inserts, deletes)
         version = self.database.version
         if delta:
             database_delta = DatabaseDelta()

@@ -349,72 +349,16 @@ class Database:
     def insert(self, table: str, rows: Iterable[Row]) -> int:
         """Insert rows into ``table``; returns the new snapshot identifier."""
         stored = self.table(table)
-        delta = Delta(stored.schema)
-        count = 0
-        for row in rows:
-            delta.add_insert(tuple(row))
-            count += 1
-        if count == 0:
+        delta = Delta.from_rows(stored.schema, inserts=rows)
+        if not delta:
             return self._version
         return self._commit({stored.name: delta})
-
-    @staticmethod
-    def _validate_delta(stored: StoredTable, delta: Delta) -> None:
-        """Reject infeasible deltas before any row of a commit is applied.
-
-        ``StoredTable`` raises on duplicate keys and over-deletes too, but by
-        then earlier rows of the batch are already applied while the commit
-        never lands in the audit log; validating up front keeps commits
-        atomic.  Checks: (1) every delete is covered by stored copies,
-        (2) every inserted value an index takes orders against its values,
-        (3) no insert reuses a primary key -- deletes are applied before
-        inserts, so a key whose current holder is fully deleted by the same
-        delta is free for reuse.
-        """
-        deleted: dict[Row, int] = {}
-        for row, multiplicity in delta.deletes():
-            deleted[row] = deleted.get(row, 0) + multiplicity
-        for row, multiplicity in deleted.items():
-            held = stored.multiplicity(row)
-            if multiplicity > held:
-                raise StorageError(
-                    f"delta deletes {multiplicity} copies of a row but table "
-                    f"{stored.name!r} only holds {held}"
-                )
-        stored.check_indexable(delta.inserted_rows())
-        if stored.primary_key is None:
-            return
-        position = stored.schema.index_of(stored.primary_key)
-        batch: dict[object, Row] = {}
-        for row, _multiplicity in delta.inserts():
-            key = row[position]
-            other = batch.get(key)
-            if other is not None and other != row:
-                raise StorageError(
-                    f"duplicate primary key {key!r} within one update batch "
-                    f"for table {stored.name!r}"
-                )
-            batch[key] = row
-            existing = stored.lookup_by_key(key)
-            if (
-                existing is not None
-                and existing != row
-                and deleted.get(existing, 0) < stored.multiplicity(existing)
-            ):
-                raise StorageError(
-                    f"duplicate primary key {key!r} in table {stored.name!r}: "
-                    f"row {existing!r} already holds it"
-                )
 
     def delete_rows(self, table: str, rows: Iterable[Row]) -> int:
         """Delete specific rows from ``table``; returns the new snapshot identifier."""
         stored = self.table(table)
-        delta = Delta(stored.schema)
-        count = 0
-        for row in rows:
-            delta.add_delete(tuple(row))
-            count += 1
-        if count == 0:
+        delta = Delta.from_rows(stored.schema, deletes=rows)
+        if not delta:
             return self._version
         return self._commit({stored.name: delta})
 
@@ -446,9 +390,10 @@ class Database:
         # concurrent readers and writers never observe a torn state.
         with self._lock:
             # Validate before mutating anything: a mid-apply error would leave
-            # table contents diverged from the audit log.
+            # table contents diverged from the audit log.  Applying freezes
+            # each delta, which the table's queue and the audit log then share.
             for table, delta in deltas.items():
-                self._validate_delta(self.table(table), delta)
+                self.table(table).check_delta(delta)
             # Write-ahead: the commit record must be in the log before any
             # in-memory effect.  A failed append (disk full, I/O error) raises
             # StorageError here, the commit is cleanly aborted, and the WAL has
@@ -539,6 +484,8 @@ class Database:
         self._audit_floor = version
 
     def _restore_commit(self, version: int, deltas: dict[str, Delta]) -> None:
+        for table, delta in deltas.items():
+            self.table(table).check_delta(delta)
         for table, delta in deltas.items():
             self.table(table).apply_delta(delta)
         self._version = version
@@ -741,12 +688,13 @@ class Database:
                         f"{version} has been pruned"
                     )
                 # The same apply that brings the live batch forward, run
-                # backwards; no columns, the canonical sort re-pivots anyway.
+                # backwards (a delta's inserts undone as deletes and its
+                # deletes as inserts); no columns, the canonical sort
+                # re-pivots anyway.
                 counts = dict(stored.items())
                 slots, multiplicities = SlotMap(counts), list(counts.values())
                 for _newer, delta in reversed(history):
-                    undo = delta.inverted()
-                    slots.apply((), multiplicities, undo.deletes(), undo.inserts())
+                    slots.apply((), multiplicities, delta.inserts(), delta.deletes())
                 entries = zip(slots.rows(), multiplicities)
             # Canonical order makes the snapshot a function of the version's
             # content alone (recovered and pinned reads are bit-identical).

@@ -8,10 +8,11 @@ each signed tuple carries a multiplicity.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, KeysView
 from operator import neg
 
-from repro.core.errors import SchemaError
+from repro.core.errors import SchemaError, StorageError
 from repro.relational.schema import Row, Schema
 
 
@@ -20,18 +21,27 @@ class Delta:
 
     Insertions and deletions are kept in separate bags so that applying the
     delta and feeding it to the incremental engine are both straightforward.
-    The class does *not* cancel opposite-signed occurrences of the same tuple:
-    the paper treats the delta as the symmetric difference produced by the
-    backend, which never reports both signs for one tuple, but IMP's operator
-    rules are correct either way.
+    Each bag maps a row to its multiplicity and iterates the rows in first
+    occurrence order.  The class does *not* cancel opposite-signed
+    occurrences of the same tuple: the paper treats the delta as the
+    symmetric difference produced by the backend, which never reports both
+    signs for one tuple, but IMP's operator rules are correct either way.
+
+    A commit freezes its delta (:meth:`freeze`) and the table's pending
+    queue, the audit log and a one-record maintenance window share it: its
+    mutators raise :class:`StorageError`, and its counts and
+    :meth:`signed_entries` are computed once.
     """
 
-    __slots__ = ("schema", "_inserts", "_deletes")
+    __slots__ = ("schema", "_inserts", "_deletes", "_counts", "_signed")
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self._inserts: dict[Row, int] = {}
         self._deletes: dict[Row, int] = {}
+        # (insert_count, delete_count) once frozen; None while mutable.
+        self._counts: tuple[int, int] | None = None
+        self._signed: tuple[list[Row], list[int]] | None = None
 
     # -- construction ------------------------------------------------------------
 
@@ -42,12 +52,11 @@ class Delta:
         inserts: Iterable[Row] = (),
         deletes: Iterable[Row] = (),
     ) -> "Delta":
-        """Build a delta from plain row iterables."""
+        """Build a delta from plain row iterables: each bag is counted at C
+        speed, in first-occurrence order, and its arity checked once."""
         delta = cls(schema)
-        for row in inserts:
-            delta.add_insert(row)
-        for row in deletes:
-            delta.add_delete(row)
+        delta._inserts = _counted(schema, inserts)
+        delta._deletes = _counted(schema, deletes)
         return delta
 
     # -- mutation ----------------------------------------------------------------
@@ -65,13 +74,24 @@ class Delta:
         self._deletes[row] = self._deletes.get(row, 0) + multiplicity
 
     def merge(self, other: "Delta") -> None:
-        """Append another delta of the same schema (used for batching)."""
+        """Append another delta of the same schema (used for batching), one
+        pass per bag: ``other``'s rows were checked when it was built."""
+        self._check_mutable()
         if len(other.schema) != len(self.schema):
             raise SchemaError("cannot merge deltas with different arities")
-        for row, multiplicity in other._inserts.items():
-            self.add_insert(row, multiplicity)
-        for row, multiplicity in other._deletes.items():
-            self.add_delete(row, multiplicity)
+        for bag, counts in ((self._inserts, other._inserts), (self._deletes, other._deletes)):
+            if not bag:
+                bag.update(counts)  # a C-level copy, hashes reused
+                continue
+            held = bag.get
+            for row, count in counts.items():
+                bag[row] = held(row, 0) + count
+
+    def freeze(self) -> "Delta":
+        """Make this delta immutable (idempotent); return it."""
+        if self._counts is None:
+            self._counts = (sum(self._inserts.values()), sum(self._deletes.values()))
+        return self
 
     def compacted(self) -> "Delta":
         """Cancel matching insert/delete pairs, keeping only the net effect.
@@ -83,37 +103,37 @@ class Delta:
         compacted delta yields the same state and sketch as replaying every
         intermediate change -- in time proportional to the *net* delta
         (DBToaster-style shared delta processing).
+
+        The result is a new, frozen delta; when no row is in both bags it
+        shares the bags of a frozen ``self`` instead of rebuilding them.
         """
         compact = Delta(self.schema)
-        for row, inserted in self._inserts.items():
-            net = inserted - self._deletes.get(row, 0)
+        inserts, deletes = self._inserts, self._deletes
+        if self._counts is not None and deletes.keys().isdisjoint(inserts):
+            compact._inserts, compact._deletes = inserts, deletes
+            return compact.freeze()
+        for row, inserted in inserts.items():
+            net = inserted - deletes.get(row, 0)
             if net > 0:
                 compact._inserts[row] = net
-        for row, deleted in self._deletes.items():
-            net = deleted - self._inserts.get(row, 0)
+        for row, deleted in deletes.items():
+            net = deleted - inserts.get(row, 0)
             if net > 0:
                 compact._deletes[row] = net
-        return compact
-
-    def inverted(self) -> "Delta":
-        """The delta that undoes this one (inserts and deletes swapped).
-
-        Applying ``delta.inverted()`` to a state that ``delta`` produced
-        yields the pre-delta state; snapshot materialization uses it to roll
-        the current table contents back to a pinned version.
-        """
-        inverse = Delta(self.schema)
-        inverse._inserts = dict(self._deletes)
-        inverse._deletes = dict(self._inserts)
-        return inverse
+        return compact.freeze()
 
     def _check(self, row: Row, multiplicity: int) -> None:
+        self._check_mutable()
         if len(row) != len(self.schema):
             raise SchemaError(
                 f"delta row arity {len(row)} does not match schema arity {len(self.schema)}"
             )
         if multiplicity <= 0:
             raise ValueError("multiplicity must be positive")
+
+    def _check_mutable(self) -> None:
+        if self._counts is not None:
+            raise StorageError("a committed delta is frozen: build a new Delta instead")
 
     # -- queries -----------------------------------------------------------------
 
@@ -127,10 +147,19 @@ class Delta:
 
     def signed_entries(self) -> tuple[list[Row], list[int]]:
         """Parallel lists of rows and signed counts: the inserts (positive),
-        then the deletes (negative), each bag in its own order."""
-        rows = [*self._inserts, *self._deletes]
-        counts = [*self._inserts.values(), *map(neg, self._deletes.values())]
-        return rows, counts
+        then the deletes (negative), each bag in its own order.
+
+        A frozen delta builds them once and hands every caller the same two
+        lists, which callers must not modify."""
+        signed = self._signed
+        if signed is None:
+            signed = (
+                [*self._inserts, *self._deletes],
+                [*self._inserts.values(), *map(neg, self._deletes.values())],
+            )
+            if self._counts is not None:
+                self._signed = signed
+        return signed
 
     def inserted_rows(self) -> KeysView[Row]:
         """The distinct inserted rows (a view, not a copy)."""
@@ -139,11 +168,15 @@ class Delta:
     @property
     def insert_count(self) -> int:
         """Total number of inserted tuples (with multiplicities)."""
+        if self._counts is not None:
+            return self._counts[0]
         return sum(self._inserts.values())
 
     @property
     def delete_count(self) -> int:
         """Total number of deleted tuples (with multiplicities)."""
+        if self._counts is not None:
+            return self._counts[1]
         return sum(self._deletes.values())
 
     def __len__(self) -> int:
@@ -154,6 +187,29 @@ class Delta:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Delta(+{self.insert_count}/-{self.delete_count})"
+
+
+def _counted(schema: Schema, rows: Iterable[Row]) -> dict[Row, int]:
+    """``rows`` as a bag: the first occurrence of each row keyed to its count.
+
+    Raises :class:`SchemaError` -- naming the first offending row -- for a
+    row of another arity than ``schema`` or one holding an unhashable value.
+    """
+    rows = list(map(tuple, rows))
+    try:
+        bag = dict(Counter(rows))
+    except TypeError:
+        for row in rows:
+            try:
+                hash(row)
+            except TypeError:
+                raise SchemaError(f"row {row!r} holds an unhashable value") from None
+        raise
+    arity = len(schema)
+    if bag and set(map(len, bag)) != {arity}:
+        bad = next(len(row) for row in bag if len(row) != arity)
+        raise SchemaError(f"delta row arity {bad} does not match schema arity {arity}")
+    return bag
 
 
 class DatabaseDelta:

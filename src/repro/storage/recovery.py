@@ -388,8 +388,10 @@ class DurabilityManager:
                 stored = StoredTable(
                     entry["name"], Schema(entry["attributes"]), entry["primary_key"]
                 )
-                for row, multiplicity in entry["rows"]:
-                    stored.insert(tuple(row), int(multiplicity))
+                # A checkpointed table loads as the one delta inserting its rows.
+                rows = decode_delta({"inserts": entry["rows"], "deletes": []}, stored.schema)
+                stored.check_delta(rows)
+                stored.apply_delta(rows)
                 for attribute in entry["indexes"]:
                     stored.create_index(attribute)
                 if entry["last_modified"]:

@@ -50,7 +50,8 @@ class AuditLog:
         self._table_deltas: dict[str, list[Delta]] = {}
 
     def append(self, record: AuditRecord) -> None:
-        """Append a record; versions must be strictly increasing."""
+        """Append a record; versions must be strictly increasing.  Its deltas
+        are frozen: reads share them (:meth:`delta_between`)."""
         if self._records and record.version <= self._records[-1].version:
             raise StorageError(
                 f"audit record version {record.version} is not greater than "
@@ -60,7 +61,7 @@ class AuditLog:
         self._versions.append(record.version)
         for table, delta in record.deltas.items():
             self._table_versions.setdefault(table, []).append(record.version)
-            self._table_deltas.setdefault(table, []).append(delta)
+            self._table_deltas.setdefault(table, []).append(delta.freeze())
 
     def __len__(self) -> int:
         return len(self._records)
@@ -80,17 +81,23 @@ class AuditLog:
         that want the net effect compact the result (:meth:`Delta.compacted`).
         Served from the per-table version index, so cost is proportional to the
         records of ``table`` inside the window, not the full history.
+
+        The result is frozen.  A window of one record returns that record's
+        own (committed, frozen) delta; a longer one is merged bag by bag into
+        a new delta, with no row checked again.
         """
         versions = self._table_versions.get(table)
+        window: list[Delta] = []
+        if versions:
+            low = bisect.bisect_right(versions, since)
+            high = bisect.bisect_right(versions, until)
+            window = self._table_deltas[table][low:high]
+        if len(window) == 1:
+            return window[0]
         combined = Delta(schema)
-        if not versions:
-            return combined
-        deltas = self._table_deltas[table]
-        low = bisect.bisect_right(versions, since)
-        high = bisect.bisect_right(versions, until)
-        for position in range(low, high):
-            combined.merge(deltas[position])
-        return combined
+        for delta in window:
+            combined.merge(delta)
+        return combined.freeze()
 
     def database_delta_between(
         self, schemas: dict[str, Schema], since: int, until: int

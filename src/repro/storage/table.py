@@ -9,8 +9,9 @@ its contents as a :class:`~repro.relational.schema.Relation` for evaluation.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
+from operator import itemgetter
 
 from repro.core.errors import SchemaError, StorageError
 from repro.relational.columnar import ColumnBatch, SlotMap
@@ -57,27 +58,30 @@ class AttributeIndex:
         self._buckets: dict[float, dict[Row, int]] = {}
         self._tombstones = 0
 
-    def insert(self, row: Row, multiplicity: int) -> None:
-        """Register ``multiplicity`` copies of ``row``.
+    def insert_items(self, items: Iterable[tuple[Row, int]]) -> None:
+        """Register ``(row, multiplicity)`` pairs, each row appended to its
+        value's bucket.
 
         NULL and NaN are not indexed: no interval predicate is true of
         either, and NaN compares false with everything, so ``insort`` would
         leave the value list unsorted and later range scans would miss rows.
         """
-        value = row[self.position]
-        if value is None:
-            return
-        bucket = self._buckets.get(value)
-        if bucket is None:
-            if value != value:
-                return
-            bucket = {}
-            self._buckets[value] = bucket
-            bisect.insort(self._values, value)
-        elif not bucket:
-            # Re-populating a tombstoned value revives it.
-            self._tombstones -= 1
-        bucket[row] = bucket.get(row, 0) + multiplicity
+        position = self.position
+        buckets = self._buckets
+        for row, multiplicity in items:
+            value = row[position]
+            if value is None:
+                continue
+            bucket = buckets.get(value)
+            if bucket is None:
+                if value != value:
+                    continue
+                bucket = buckets[value] = {}
+                bisect.insort(self._values, value)
+            elif not bucket:
+                # Re-populating a tombstoned value revives it.
+                self._tombstones -= 1
+            bucket[row] = bucket.get(row, 0) + multiplicity
 
     def check_orderable(self, rows: Iterable[Row]) -> None:
         """Raise :class:`StorageError` unless the values ``rows`` would add
@@ -105,30 +109,32 @@ class AttributeIndex:
                     f"in the index on {self.attribute!r}"
                 ) from None
 
-    def delete(self, row: Row, multiplicity: int) -> None:
-        """Remove up to ``multiplicity`` copies of ``row``."""
-        value = row[self.position]
-        if value is None:
-            return
-        bucket = self._buckets.get(value)
-        if not bucket:
-            # Also a NaN: it never got a bucket.
-            return
-        remaining = bucket.get(row, 0) - multiplicity
-        if remaining > 0:
-            bucket[row] = remaining
-        else:
+    def delete_items(self, items: Iterable[tuple[Row, int]]) -> None:
+        """Remove ``(row, multiplicity)`` pairs the index holds (rows with a
+        NULL or NaN value never got a bucket and are skipped).
+
+        Empty buckets are kept in the value list (tombstones); range scans
+        skip them.  This keeps deletes O(1) amortised.  Once tombstones
+        outnumber live values the sorted list is compacted in one pass.
+        """
+        position = self.position
+        buckets = self._buckets
+        for row, multiplicity in items:
+            bucket = buckets.get(row[position])
+            if not bucket:
+                continue
+            remaining = bucket.get(row, 0) - multiplicity
+            if remaining > 0:
+                bucket[row] = remaining
+                continue
             bucket.pop(row, None)
-        # Empty buckets are kept in the value list (tombstones); range scans
-        # skip them.  This keeps deletes O(1) amortised.  Once tombstones
-        # outnumber live values the sorted list is compacted in one pass.
-        if not bucket:
-            self._tombstones += 1
-            if (
-                self._tombstones >= self._COMPACT_MIN_TOMBSTONES
-                and self._tombstones * 2 > len(self._values)
-            ):
-                self._compact()
+            if not bucket:
+                self._tombstones += 1
+        if (
+            self._tombstones >= self._COMPACT_MIN_TOMBSTONES
+            and self._tombstones * 2 > len(self._values)
+        ):
+            self._compact()
 
     def _compact(self) -> None:
         """Drop tombstoned values from the sorted list and bucket map."""
@@ -228,6 +234,7 @@ class StoredTable:
         if primary_key is not None and not self.schema.has(primary_key):
             raise SchemaError(f"primary key {primary_key!r} is not in schema")
         self.primary_key = primary_key
+        self._key_position = None if primary_key is None else self.schema.index_of(primary_key)
         self._rows: dict[Row, int] = {}
         self._key_index: dict[object, Row] = {}
         self._indexes: dict[str, AttributeIndex] = {}
@@ -272,10 +279,6 @@ class StoredTable:
         for row, multiplicity in self._rows.items():
             for _ in range(multiplicity):
                 yield row
-
-    def multiplicity(self, row: Row) -> int:
-        """Number of stored copies of ``row`` (zero when absent)."""
-        return self._rows.get(tuple(row), 0)
 
     def items(self) -> Iterator[tuple[Row, int]]:
         """Iterate over ``(row, multiplicity)`` pairs."""
@@ -428,8 +431,7 @@ class StoredTable:
         if existing is not None:
             return existing
         index = AttributeIndex(bare, self.schema.index_of(attribute))
-        for row, multiplicity in self._rows.items():
-            index.insert(row, multiplicity)
+        index.insert_items(self._rows.items())
         self._indexes[bare] = index
         return index
 
@@ -443,11 +445,6 @@ class StoredTable:
         if bare not in self._indexes:
             raise StorageError(f"no index on {self.name}.{bare}")
         return self._indexes[bare]
-
-    def check_indexable(self, rows: Collection[Row]) -> None:
-        """Raise :class:`StorageError` unless every index can take ``rows``."""
-        for index in self._indexes.values():
-            index.check_orderable(rows)
 
     def indexed_attributes(self) -> list[str]:
         """Attributes that currently carry an ordered index."""
@@ -469,118 +466,117 @@ class StoredTable:
 
     # -- mutation ----------------------------------------------------------------
 
-    def insert(self, row: Row, multiplicity: int = 1) -> None:
-        """Insert ``multiplicity`` copies of ``row``.
+    def check_delta(self, delta: Delta) -> None:
+        """Reject a delta that cannot apply whole, before a commit logs or
+        changes anything.
 
-        A direct mutation (outside :meth:`apply_delta`) leaves no delta to
-        bring the batch forward by, so it drops the batch.
+        :meth:`apply_delta` trusts what this checks, so a commit never stops
+        half way with table contents diverged from the audit log.  Checks:
+        (1) every delete is covered by stored copies, (2) inserted rows have
+        the table's arity, (3) every inserted value an index takes orders
+        against its values, (4) no insert reuses a primary key -- deletes are
+        applied before inserts, so a key whose current holder is fully
+        deleted by the same delta is free for reuse.  Each bag is read once;
+        the per-row key loop runs only when some inserted key repeats or is
+        already held.
         """
-        self._insert(row, multiplicity)
-        self._forget_batch()
-
-    def _insert(self, row: Row, multiplicity: int) -> None:
-        if len(row) != len(self.schema):
+        held = self._rows.get
+        for row, multiplicity in delta.deletes():
+            if multiplicity > held(row, 0):
+                raise StorageError(
+                    f"delta deletes {multiplicity} copies of a row but table "
+                    f"{self.name!r} only holds {held(row, 0)}"
+                )
+        inserted = delta.inserted_rows()
+        if not inserted:
+            return
+        if len(delta.schema) != len(self.schema):
             raise SchemaError(
-                f"row arity {len(row)} does not match table {self.name!r} "
+                f"row arity {len(delta.schema)} does not match table {self.name!r} "
                 f"arity {len(self.schema)}"
             )
-        if multiplicity <= 0:
-            raise ValueError("multiplicity must be positive")
-        row = tuple(row)
-        if self.primary_key is not None:
-            key = row[self.schema.index_of(self.primary_key)]
+        for index in self._indexes.values():
+            index.check_orderable(inserted)
+        position = self._key_position
+        if position is None:
+            return
+        keys = list(map(itemgetter(position), inserted))
+        if len(set(keys)) == len(keys) and self._key_index.keys().isdisjoint(keys):
+            return
+        deleted = dict(delta.deletes())
+        batch: dict[object, Row] = {}
+        for key, row in zip(keys, inserted):
+            other = batch.get(key)
+            if other is not None and other != row:
+                raise StorageError(
+                    f"duplicate primary key {key!r} within one update batch "
+                    f"for table {self.name!r}"
+                )
+            batch[key] = row
             existing = self._key_index.get(key)
-            if existing is not None and existing != row:
-                # Overwriting the index entry would orphan the existing row:
-                # deleting the newcomer later would drop the key entirely even
-                # though the old row is still stored.
+            if (
+                existing is not None
+                and existing != row
+                and deleted.get(existing, 0) < self._rows[existing]
+            ):
                 raise StorageError(
                     f"duplicate primary key {key!r} in table {self.name!r}: "
                     f"row {existing!r} already holds it"
                 )
-            self._key_index[key] = row
-        self._rows[row] = self._rows.get(row, 0) + multiplicity
-        self._row_count += multiplicity
-        for index in self._indexes.values():
-            index.insert(row, multiplicity)
-
-    def insert_many(self, rows: Iterable[Row]) -> int:
-        """Insert every row of ``rows``; return the number inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
-
-    def delete(self, row: Row, multiplicity: int = 1) -> int:
-        """Delete up to ``multiplicity`` copies of ``row``; return removed count.
-
-        Drops the maintained batch, like :meth:`insert`.
-        """
-        removed = self._delete(row, multiplicity)
-        self._forget_batch()
-        return removed
-
-    def _delete(self, row: Row, multiplicity: int) -> int:
-        row = tuple(row)
-        current = self._rows.get(row, 0)
-        if current == 0 or multiplicity <= 0:
-            return 0
-        removed = min(current, multiplicity)
-        remaining = current - removed
-        if remaining:
-            self._rows[row] = remaining
-        else:
-            del self._rows[row]
-            if self.primary_key is not None:
-                key = row[self.schema.index_of(self.primary_key)]
-                if self._key_index.get(key) == row:
-                    del self._key_index[key]
-        for index in self._indexes.values():
-            index.delete(row, removed)
-        self._row_count -= removed
-        return removed
-
-    def delete_where(self, predicate: Callable[[Row], bool]) -> list[Row]:
-        """Delete all rows satisfying ``predicate``; return them (with duplicates)."""
-        victims = [
-            (row, multiplicity)
-            for row, multiplicity in self._rows.items()
-            if predicate(row)
-        ]
-        deleted: list[Row] = []
-        for row, multiplicity in victims:
-            self.delete(row, multiplicity)
-            deleted.extend([row] * multiplicity)
-        return deleted
 
     def apply_delta(self, delta: Delta) -> None:
-        """Apply a delta (deletions first, then insertions).
+        """Apply a delta :meth:`check_delta` accepted (deletions first, then
+        insertions) and freeze it.
 
-        This is the commit path.  It does not touch the maintained batch:
-        while one exists the delta is queued (by reference -- committed
-        deltas are immutable, the audit log shares them too) for the next
-        :meth:`as_column_batch` to bring the batch forward by.  Batch and
-        queue are dropped together once a re-pivot is the cheaper way forward:
-        when the queued tuples outnumber the table's rows, or the queued
-        deletes exceed :attr:`_MAX_PENDING_DELETES`.
+        This is the commit path and the only way rows change: one pass per
+        bag over the row dict, then the key index and each attribute index
+        take each bag whole, with the key position and dict methods resolved
+        once per delta.  A row whose count stays positive keeps its place
+        (get, then set): row order is batch order.  Only an over-delete is
+        still caught here; on any failure the maintained batch is dropped.
+
+        It does not touch the maintained batch: while one exists the delta is
+        queued (by reference -- committed deltas are frozen, the audit log
+        shares them too) for the next :meth:`as_column_batch` to bring the
+        batch forward by.  Batch and queue are dropped together once a
+        re-pivot is the cheaper way forward: when the queued tuples outnumber
+        the table's rows, or the queued deletes exceed
+        :attr:`_MAX_PENDING_DELETES`.
         """
+        delta.freeze()
+        rows = self._rows
+        held = rows.get
+        key_position = self._key_position
+        key_index = self._key_index
         try:
             for row, multiplicity in delta.deletes():
-                removed = self._delete(row, multiplicity)
-                if removed < multiplicity:
+                remaining = held(row, 0) - multiplicity
+                if remaining > 0:
+                    rows[row] = remaining
+                    continue
+                if remaining < 0:
                     raise StorageError(
                         f"delta deletes {multiplicity} copies of a row but table "
-                        f"{self.name!r} only holds {removed}"
+                        f"{self.name!r} only holds {held(row, 0)}"
                     )
+                del rows[row]
+                if key_position is not None:
+                    del key_index[row[key_position]]
             for row, multiplicity in delta.inserts():
-                self._insert(row, multiplicity)
+                rows[row] = held(row, 0) + multiplicity
+            if key_position is not None:
+                inserted = delta.inserted_rows()
+                key_index.update(zip(map(itemgetter(key_position), inserted), inserted))
+            for index in self._indexes.values():
+                index.delete_items(delta.deletes())
+                index.insert_items(delta.inserts())
         except BaseException:
             # Half a delta is applied: nothing whole to bring the batch forward by.
             self._forget_batch()
             raise
+        deletes = delta.delete_count
+        self._row_count += delta.insert_count - deletes
         if self._batch is not None:
-            deletes = delta.delete_count
             self._pending.append(delta)
             self._pending_tuples += delta.insert_count + deletes
             self._pending_deletes += deletes
@@ -589,14 +585,3 @@ class StoredTable:
                 or self._pending_deletes > self._MAX_PENDING_DELETES
             ):
                 self._forget_batch()
-
-    def truncate(self) -> None:
-        """Remove all rows (indexes are rebuilt empty)."""
-        self._rows.clear()
-        self._key_index.clear()
-        self._row_count = 0
-        self._forget_batch()
-        for attribute in list(self._indexes):
-            self._indexes[attribute] = AttributeIndex(
-                attribute, self.schema.index_of(attribute)
-            )

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.errors import StorageError
+from repro.core.errors import SchemaError, StorageError
+from repro.imp.middleware import IMPSystem
 from repro.storage.database import Database
+from repro.storage.recovery import WAL_FILE
+from repro.storage.wal import scan_wal
 from repro.storage.statistics import (
     collect_column_statistics,
     equi_depth_boundaries,
@@ -124,6 +127,41 @@ class TestQueriesAndUpdates:
         before = db.scan_count
         db.query("SELECT * FROM t")
         assert db.scan_count > before
+
+
+class TestUnhashableValues:
+    """A value a row dict cannot key (a list, a dict) is refused as a
+    :class:`SchemaError` naming the row, before anything is logged or
+    applied."""
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "data_dir"])
+    def test_is_a_schema_error_that_commits_nothing(self, tmp_path, durable):
+        path = str(tmp_path / "db")
+        database = Database(data_dir=path if durable else None)
+        database.create_table("t", ["id", "v"], primary_key="id")
+        database.insert("t", [(1, 1)])
+        system = IMPSystem(database)
+        version = database.version
+
+        def wal_records() -> int:
+            return len(scan_wal(f"{path}/{WAL_FILE}").records) if durable else 0
+
+        logged = wal_records()
+        with pytest.raises(SchemaError, match=r"row \(3, \[1\]\) holds an unhashable value"):
+            database.insert("t", [(2, 2), (3, [1])])
+        with pytest.raises(SchemaError, match=r"row \(4, \{'a': 1\}\)"):
+            system.apply_update("t", inserts=[(4, {"a": 1})], deletes=[(1, 1)])
+        with pytest.raises(SchemaError, match=r"row \(1, \[1\]\)"):
+            database.delete_rows("t", [(1, [1])])
+        assert database.version == version
+        assert list(database.table("t").items()) == [((1, 1), 1)]
+        assert wal_records() == logged
+        if durable:
+            database.close()
+            reopened = Database(data_dir=path)
+            assert reopened.version == version
+            assert list(reopened.table("t").items()) == [((1, 1), 1)]
+            reopened.close()
 
 
 class TestStatistics:

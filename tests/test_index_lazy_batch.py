@@ -38,6 +38,7 @@ from repro.relational.expressions import (
 from repro.relational.predicates import Interval
 from repro.relational.schema import Schema
 from repro.storage.database import Database
+from repro.storage.delta import Delta
 from repro.storage.table import AttributeIndex, StoredTable
 
 NAN = float("nan")
@@ -118,10 +119,12 @@ class TestRowsInIntervals:
         AttributeIndex._COMPACT_MIN_TOMBSTONES = compact_after
         try:
             for kind, row_id, value, amount in operations:
+                row = (row_id, value)
                 if kind == "insert":
-                    table.insert((row_id, value), amount)
+                    table.apply_delta(Delta.from_rows(table.schema, [row] * amount))
                 elif kind == "delete":
-                    table.delete((row_id, value), amount)
+                    amount = min(amount, dict(table.items()).get(row, 0))
+                    table.apply_delta(Delta.from_rows(table.schema, deletes=[row] * amount))
                 else:
                     table.create_index("v")
         finally:
@@ -133,8 +136,7 @@ class TestRowsInIntervals:
 
     def test_nested_and_overlapping_intervals_return_each_row_once_ascending(self):
         index = AttributeIndex("v", 0)
-        for value in (5, 1, 9, 3, 7):
-            index.insert((value,), 1)
+        index.insert_items(((value,), 1) for value in (5, 1, 9, 3, 7))
         intervals = [Interval(6, 9), Interval(0, 10), Interval(3, 5), Interval(7, 7)]
         assert scanned(index, intervals) == [
             ((value,), 1) for value in (1, 3, 5, 7, 9)
@@ -142,10 +144,9 @@ class TestRowsInIntervals:
 
     def test_rows_of_one_value_come_in_arrival_order(self):
         index = AttributeIndex("v", 1)
-        for row in [("c", 2), ("a", 2), ("b", 1), ("a", 2)]:
-            index.insert(row, 1)
-        index.delete(("c", 2), 1)
-        index.insert(("c", 2), 1)
+        index.insert_items((row, 1) for row in [("c", 2), ("a", 2), ("b", 1), ("a", 2)])
+        index.delete_items([(("c", 2), 1)])
+        index.insert_items([(("c", 2), 1)])
         assert scanned(index, [Interval(2, 2), Interval(1, 2)]) == [
             (("b", 1), 1),
             (("a", 2), 2),
@@ -185,8 +186,8 @@ class TestNaNIsNotIndexed:
     def test_nan_rows_are_neither_indexed_nor_lost(self):
         table = StoredTable("t", ["id", "a"])
         index = table.create_index("a")
-        for row in [(1, 5.0), (2, NAN), (3, 1.0), (4, NAN), (5, 3.0)]:
-            table.insert(row)
+        rows = [(1, 5.0), (2, NAN), (3, 1.0), (4, NAN), (5, 3.0)]
+        table.apply_delta(Delta.from_rows(table.schema, rows))
         assert index.distinct_value_count() == 3
         rows, _multiplicities = index.rows_in_intervals([Interval.everything()])
         assert [row[0] for row in rows] == [
@@ -194,7 +195,7 @@ class TestNaNIsNotIndexed:
             5,
             1,
         ]
-        table.delete((2, NAN))
+        table.apply_delta(Delta.from_rows(table.schema, deletes=[(2, NAN)]))
         assert [row[0] for row in table.rows()] == [1, 3, 4, 5]
 
 

@@ -21,6 +21,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.predicates import Interval, extract_intervals, intervals_are_selective
 from repro.storage.database import Database
+from repro.storage.delta import Delta
 from repro.storage.table import AttributeIndex, StoredTable
 
 
@@ -130,35 +131,33 @@ def scanned(index: AttributeIndex, intervals) -> list:
 class TestAttributeIndex:
     def test_range_scan(self):
         index = AttributeIndex("v", 1)
-        for i in range(20):
-            index.insert((i, i * 10), 1)
+        index.insert_items(((i, i * 10), 1) for i in range(20))
         rows = scanned(index, [Interval(30, 60)])
         values = sorted(row[1] for row, _m in rows)
         assert values == [30, 40, 50, 60]
 
     def test_open_bounds(self):
         index = AttributeIndex("v", 0)
-        for value in [1, 2, 3]:
-            index.insert((value,), 1)
+        index.insert_items(((value,), 1) for value in [1, 2, 3])
         rows = scanned(index, [Interval(1, 3, False, False)])
         assert [row[0] for row, _m in rows] == [2]
 
     def test_deletes_and_tombstones(self):
         index = AttributeIndex("v", 0)
-        index.insert((5,), 2)
-        index.delete((5,), 1)
+        index.insert_items([((5,), 2)])
+        index.delete_items([((5,), 1)])
         assert scanned(index, [Interval(0, 10)]) == [((5,), 1)]
-        index.delete((5,), 1)
+        index.delete_items([((5,), 1)])
         assert scanned(index, [Interval(0, 10)]) == []
 
     def test_null_values_are_skipped(self):
         index = AttributeIndex("v", 0)
-        index.insert((None,), 1)
+        index.insert_items([((None,), 1)])
         assert scanned(index, [Interval(-1e9, 1e9)]) == []
 
     def test_duplicate_rows_reported_once(self):
         index = AttributeIndex("v", 0)
-        index.insert((7,), 3)
+        index.insert_items([((7,), 3)])
         rows = scanned(index, [Interval(0, 10), Interval(5, 9)])
         assert rows == [((7,), 3)]
 
@@ -174,7 +173,7 @@ class TestIndexedSelection:
 
     def test_table_level_index_api(self):
         table = StoredTable("t", ["id", "v"])
-        table.insert_many([(i, i) for i in range(10)])
+        table.apply_delta(Delta.from_rows(table.schema, [(i, i) for i in range(10)]))
         table.create_index("v")
         assert table.has_index("v")
         assert table.indexed_attributes() == ["v"]

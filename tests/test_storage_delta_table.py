@@ -53,13 +53,71 @@ class TestDelta:
         assert delta.signed_entries() == ([(1,), (3,), (2,)], [2, 1, -1])
         assert set(delta.inserted_rows()) == {(1,), (3,)}
 
-    def test_inverted_swaps_the_bags(self):
-        delta = Delta.from_rows(Schema(["a"]), inserts=[(1,), (1,)], deletes=[(2,)])
-        inverse = delta.inverted()
-        assert dict(inverse.inserts()) == {(2,): 1}
-        assert dict(inverse.deletes()) == {(1,): 2}
-        inverse.add_insert((5,))
-        assert dict(delta.deletes()) == {(2,): 1}
+
+class TestFrozenDelta:
+    """A committed delta is frozen: the table's pending queue, the audit log
+    and a one-record maintenance window share it."""
+
+    @staticmethod
+    def _database() -> Database:
+        database = Database()
+        database.create_table("t", ["k", "v"])
+        database.insert("t", [(1, 1.0)])
+        database.column_batch("t")  # a live batch, so commits are queued
+        return database
+
+    def test_the_caller_cannot_change_a_committed_delta(self):
+        database = self._database()
+        since = database.version
+        delta = Delta.from_rows(database.schema_of("t"), inserts=[(2, 2.0)])
+        update = DatabaseDelta()
+        update.set_delta("t", delta)
+        database.apply_database_delta(update)
+        for mutate in (
+            lambda: delta.add_insert((99, 99.0)),
+            lambda: delta.add_delete((1, 1.0)),
+            lambda: delta.merge(Delta.from_rows(delta.schema, inserts=[(98, 98.0)])),
+        ):
+            with pytest.raises(StorageError, match="frozen"):
+                mutate()
+        assert database.table("t").pending_batch_tuples == 1
+        assert database.query("SELECT k, v FROM t").to_sorted_list() == [(1, 1.0), (2, 2.0)]
+        assert list(database.table("t").items()) == [((1, 1.0), 1), ((2, 2.0), 1)]
+        assert dict(database.delta_since("t", since).inserts()) == {(2, 2.0): 1}
+
+    def test_windows_share_or_merge_the_committed_deltas(self):
+        database = self._database()
+        since = database.version
+        database.insert("t", [(2, 2.0), (2, 2.0)])
+        first = database.delta_since("t", since)
+        assert database.delta_since("t", since) is first  # the record's own delta
+        assert (first.insert_count, first.delete_count, len(first)) == (2, 0, 2)
+        assert first.signed_entries() is first.signed_entries()
+        database.delete_rows("t", [(1, 1.0), (2, 2.0)])
+        window = database.delta_since("t", since)
+        assert dict(window.inserts()) == {(2, 2.0): 2}
+        assert dict(window.deletes()) == {(1, 1.0): 1, (2, 2.0): 1}
+        with pytest.raises(StorageError):
+            window.add_insert((3, 3.0))
+        # Merging left the record's own delta as it was.
+        assert dict(first.inserts()) == {(2, 2.0): 2} and not dict(first.deletes())
+        compact = window.compacted()
+        assert dict(compact.inserts()) == {(2, 2.0): 1}
+        assert dict(compact.deletes()) == {(1, 1.0): 1}
+
+    def test_from_rows_counts_in_first_occurrence_order(self):
+        rows = [(3,), (1,), (3,), (True,), (2,), (1.0,)]
+        delta = Delta.from_rows(Schema(["a"]), inserts=rows, deletes=[(5,), (4,), (5,)])
+        # 1, 1.0 and True are one key, spelled as it first came.
+        assert list(delta.inserts()) == [((3,), 2), ((1,), 3), ((2,), 1)]
+        assert list(delta.deletes()) == [((5,), 2), ((4,), 1)]
+        assert [type(row[0]) for row in delta.inserted_rows()] == [int, int, int]
+
+    def test_from_rows_checks_arity_naming_the_first_offending_row(self):
+        with pytest.raises(SchemaError, match="delta row arity 3 does not match schema arity 2"):
+            Delta.from_rows(Schema(["a", "b"]), inserts=[(1, 2), (1, 2, 3), (4,)])
+        with pytest.raises(SchemaError, match="delta row arity 1"):
+            Delta.from_rows(Schema(["a", "b"]), deletes=[[1, 2], [1]])
 
 
 class TestDatabaseDelta:
@@ -81,33 +139,41 @@ class TestDatabaseDelta:
         assert [table for table, _delta in dd.items()] == ["r", "s"]
 
 
+def commit(table: StoredTable, inserts=(), deletes=()) -> None:
+    """Check and apply one delta, as a database commit does."""
+    delta = Delta.from_rows(table.schema, inserts, deletes)
+    table.check_delta(delta)
+    table.apply_delta(delta)
+
+
 class TestStoredTable:
     def test_insert_delete_roundtrip(self):
         table = StoredTable("t", ["id", "v"], primary_key="id")
-        table.insert((1, "a"))
-        table.insert((2, "b"), 2)
+        commit(table, inserts=[(1, "a"), (2, "b"), (2, "b")])
         assert len(table) == 3
         assert table.lookup_by_key(2) == (2, "b")
-        assert table.delete((2, "b")) == 1
+        commit(table, deletes=[(2, "b")])
         assert len(table) == 2
-
-    def test_delete_where(self):
-        table = StoredTable("t", ["id", "v"])
-        table.insert_many([(1, 5), (2, 50), (3, 500)])
-        deleted = table.delete_where(lambda row: row[1] > 10)
-        assert sorted(deleted) == [(2, 50), (3, 500)]
-        assert len(table) == 1
+        assert list(table.items()) == [((1, "a"), 1), ((2, "b"), 1)]
 
     def test_apply_delta_checks_existence(self):
         table = StoredTable("t", ["id"])
-        table.insert((1,))
+        commit(table, inserts=[(1,)])
         bad = Delta.from_rows(Schema(["id"]), deletes=[(9,)])
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="only holds 0"):
+            table.check_delta(bad)
+        with pytest.raises(StorageError, match="only holds 0"):
             table.apply_delta(bad)
+
+    def test_check_delta_refuses_another_arity(self):
+        table = StoredTable("t", ["id", "v"])
+        with pytest.raises(SchemaError, match="row arity 1 does not match table 't' arity 2"):
+            table.check_delta(Delta.from_rows(Schema(["id"]), inserts=[(1,)]))
+        assert len(table) == 0
 
     def test_column_values(self):
         table = StoredTable("t", ["id", "v"])
-        table.insert_many([(1, 10), (2, None), (3, 30)])
+        commit(table, inserts=[(1, 10), (2, None), (3, 30)])
         assert sorted(table.column_values("v")) == [10, 30]
         assert StoredTable("e", ["x"]).column_values("x") == []
 
@@ -115,17 +181,11 @@ class TestStoredTable:
         with pytest.raises(SchemaError):
             StoredTable("t", ["a"], primary_key="nope")
 
-    def test_truncate(self):
-        table = StoredTable("t", ["a"])
-        table.insert((1,))
-        table.truncate()
-        assert len(table) == 0
-
     def test_duplicate_key_insert_rejected(self):
         table = StoredTable("t", ["id", "v"], primary_key="id")
-        table.insert((1, "a"))
-        with pytest.raises(StorageError):
-            table.insert((1, "b"))
+        commit(table, inserts=[(1, "a")])
+        with pytest.raises(StorageError, match="row \\(1, 'a'\\) already holds it"):
+            commit(table, inserts=[(1, "b")])
         # The original row is untouched and still findable by key.
         assert table.lookup_by_key(1) == (1, "a")
         assert len(table) == 1
@@ -135,29 +195,30 @@ class TestStoredTable:
         # row -- deleting the newer duplicate made lookup_by_key return None
         # even though a row with that key remained stored.
         table = StoredTable("t", ["id", "v"], primary_key="id")
-        table.insert((1, "a"))
+        commit(table, inserts=[(1, "a")])
         with pytest.raises(StorageError):
-            table.insert((1, "b"))
-        assert table.delete((1, "b")) == 0
+            commit(table, inserts=[(1, "b")])
+        with pytest.raises(StorageError):
+            commit(table, deletes=[(1, "b")])
         assert table.lookup_by_key(1) == (1, "a")
 
     def test_same_row_duplicate_copies_allowed(self):
         # Bag semantics: extra copies of the identical row share the key entry.
         table = StoredTable("t", ["id", "v"], primary_key="id")
-        table.insert((2, "b"), 2)
-        table.insert((2, "b"))
+        commit(table, inserts=[(2, "b"), (2, "b")])
+        commit(table, inserts=[(2, "b")])
         assert len(table) == 3
         assert table.lookup_by_key(2) == (2, "b")
-        table.delete((2, "b"), 2)
+        commit(table, deletes=[(2, "b"), (2, "b")])
         assert table.lookup_by_key(2) == (2, "b")
-        table.delete((2, "b"))
+        commit(table, deletes=[(2, "b")])
         assert table.lookup_by_key(2) is None
 
     def test_key_reusable_after_delete(self):
         table = StoredTable("t", ["id", "v"], primary_key="id")
-        table.insert((1, "a"))
-        table.delete((1, "a"))
-        table.insert((1, "b"))
+        commit(table, inserts=[(1, "a")])
+        commit(table, deletes=[(1, "a")])
+        commit(table, inserts=[(1, "b")])
         assert table.lookup_by_key(1) == (1, "b")
 
     def test_duplicate_key_in_insert_batch_is_atomic(self):
@@ -343,25 +404,6 @@ class TestMaintainedColumnBatch:
         ]
         assert len(pivots) == 1
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda table: table.insert((9, 9.5)),
-            lambda table: table.delete((1, 1.5)),
-            lambda table: table.delete_where(lambda row: row[0] == 2),
-            lambda table: table.truncate(),
-        ],
-        ids=["insert", "delete", "delete_where", "truncate"],
-    )
-    def test_direct_mutation_is_a_cold_start(self, pivots, mutate):
-        table = self.table()
-        table.as_column_batch()
-        table.apply_delta(Delta.from_rows(self.SCHEMA, inserts=[(4, 4.5)]))
-        mutate(table)
-        assert table.pending_batch_tuples == 0 and table._batch is None
-        assert entries(table.as_column_batch()) == list(table.items())
-        assert len(pivots) == 2
-
     def test_pending_tuples_outnumbering_the_rows_is_a_cold_start(self, pivots):
         table = self.table()
         table.as_column_batch()
@@ -396,32 +438,30 @@ class TestMaintainedColumnBatch:
 class TestAttributeIndex:
     def test_distinct_value_count_excludes_tombstones(self):
         table = StoredTable("t", ["id", "v"])
-        table.insert_many([(i, i * 10) for i in range(5)])
+        commit(table, inserts=[(i, i * 10) for i in range(5)])
         index = table.create_index("v")
         assert index.distinct_value_count() == 5
-        for i in range(4):
-            table.delete((i, i * 10))
+        commit(table, deletes=[(i, i * 10) for i in range(4)])
         assert index.distinct_value_count() == 1
 
     def test_distinct_value_count_revives_on_reinsert(self):
         table = StoredTable("t", ["id", "v"])
-        table.insert((1, 10))
-        table.insert((2, 20))
+        commit(table, inserts=[(1, 10), (2, 20)])
         index = table.create_index("v")
-        table.delete((2, 20))
+        commit(table, deletes=[(2, 20)])
         assert index.distinct_value_count() == 1
-        table.insert((3, 20))
+        commit(table, inserts=[(3, 20)])
         assert index.distinct_value_count() == 2
 
     def test_compaction_keeps_range_scans_correct(self):
         from repro.relational.predicates import Interval
 
         table = StoredTable("t", ["id", "v"])
-        table.insert_many([(i, float(i)) for i in range(300)])
+        commit(table, inserts=[(i, float(i)) for i in range(300)])
         index = table.create_index("v")
         # Delete enough distinct values to trigger tombstone compaction.
         for i in range(0, 300, 2):
-            table.delete((i, float(i)))
+            commit(table, deletes=[(i, float(i))])
         assert index.distinct_value_count() == 150
         # Rows and multiplicities come back as two parallel lists.
         rows, multiplicities = index.rows_in_intervals([Interval(0.0, 299.0)])

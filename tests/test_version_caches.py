@@ -202,9 +202,6 @@ bag_operation = st.one_of(
     st.tuples(st.just("delete-copies"), st.lists(pick, min_size=1, max_size=4)),
     st.tuples(st.just("delete-and-reinsert"), pick),
     st.tuples(st.just("mixed-commit"), st.tuples(bag_rows, pick)),
-    st.tuples(st.just("direct-insert"), bag_row),
-    st.tuples(st.just("direct-delete"), pick),
-    st.tuples(st.just("truncate"), st.just(None)),
     st.tuples(st.just("drop-recreate"), st.just(None)),
     st.tuples(st.just("prune"), st.just(None)),
     st.tuples(st.just("replay"), bag_rows),
@@ -231,10 +228,10 @@ def nth_row(database: Database, position: int):
     max_pending_deletes=st.sampled_from([1, 3, 128]),
 )
 def test_maintained_batch_tracks_every_kind_of_change(operations, max_pending_deletes):
-    """A primary-key-less table with repeated rows under commits, direct
-    mutation, truncate, drop/recreate, audit pruning, the pending caps and
-    WAL-replay commits: after every operation the batch is the from-scratch
-    pivot in ``relation`` order, and no batch handed out earlier has moved."""
+    """A primary-key-less table with repeated rows under commits,
+    drop/recreate, audit pruning, the pending caps and WAL-replay commits:
+    after every operation the batch is the from-scratch pivot in ``relation``
+    order, and no batch handed out earlier has moved."""
     with patch.object(StoredTable, "_MAX_PENDING_DELETES", max_pending_deletes):
         run_bag_operations(operations)
 
@@ -250,14 +247,14 @@ def run_bag_operations(operations) -> None:
     pinned: list[tuple] = []
 
     def unpin() -> None:
-        # Direct mutation and DDL bypass the audit log: nothing to roll back by.
+        # DDL bypasses the audit log: nothing to roll back by.
         for session, _expected in pinned:
             session.close()
         pinned.clear()
 
     for kind, payload in operations:
         stored = database.table("bag")
-        if kind in ("direct-insert", "direct-delete", "truncate", "drop-recreate"):
+        if kind == "drop-recreate":
             unpin()
         if kind == "insert":
             database.insert("bag", payload)
@@ -273,15 +270,6 @@ def run_bag_operations(operations) -> None:
             rows, position = payload
             row = nth_row(database, position)
             commit_bag(database, inserts=rows, deletes=[] if row is None else [row])
-        elif kind == "direct-insert":
-            stored.insert(payload)
-            assert stored.pending_batch_tuples == 0
-        elif kind == "direct-delete":
-            row = nth_row(database, payload)
-            if row is not None:
-                stored.delete(row)
-        elif kind == "truncate":
-            stored.truncate()
         elif kind == "drop-recreate":
             database.drop_table("bag")
             database.create_table("bag", BAG_COLUMNS)
