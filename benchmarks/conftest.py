@@ -1,22 +1,21 @@
-"""Shared fixtures and helpers for the benchmark suite.
+"""Shared helpers for the benchmark suite.
 
 Every file in this directory regenerates one table or figure of the paper's
 evaluation (Sec. 8).  The data sizes are scaled down so the full suite runs in
-CI time; the assertions check the *shape* of each result (who wins, and by
-roughly what factor), not absolute runtimes.
+the test gate.  The assertions check the *shape* of each result on what the
+systems read and processed -- full scans, delta fetches, delta tuples, join
+side builds, bytes -- which repeats exactly on any machine; the seconds are
+printed beside them and never asserted.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass
 
-import pytest
-
 from repro.bench.harness import ExperimentResult
-from repro.bench.reporting import format_series, format_table, write_json
+from repro.bench.reporting import format_table, write_json
 from repro.imp.engine import IMPConfig
 from repro.imp.maintenance import FullMaintainer, IncrementalMaintainer
 from repro.sketch.selection import build_database_partition
@@ -75,56 +74,87 @@ def build_scenario(
     return MaintenanceScenario(database, table, sql, incremental, full)
 
 
-def measure_maintenance(scenario: MaintenanceScenario, delta_size: int, repeats: int = 3):
-    """Apply ``repeats`` update batches of ``delta_size`` tuples and return the
-    median per-batch maintenance time of IMP and FM.
+@dataclass
+class MaintenanceRound:
+    """What IMP and FM read and did to absorb one update batch.
 
-    Timing-shape assertions must always be made on medians of at least 3
-    repeats: single wall-clock samples flake under scheduler noise when the
-    whole suite runs (see ``median_rounds`` for ad-hoc round functions).
+    ``delta`` is the number of tuples the batch inserted and deleted.  IMP's
+    counters are its maintainer's ``MaintenanceResult`` and the growth of the
+    database and engine counters while it ran; FM's are the full scans of its
+    recapture and the rows of the query's tables it read.  The seconds are
+    reported, never asserted.
     """
-    imp_times = []
-    fm_times = []
-    for _ in range(repeats):
-        deletes = scenario.table_handle.pick_deletes(delta_size // 2)
-        inserts = scenario.table_handle.make_inserts(delta_size - len(deletes))
-        scenario.apply_update(inserts, deletes)
-        started = time.perf_counter()
-        scenario.incremental.maintain()
-        imp_times.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        scenario.full.maintain()
-        fm_times.append(time.perf_counter() - started)
-    imp_times.sort()
-    fm_times.sort()
-    return imp_times[len(imp_times) // 2], fm_times[len(fm_times) // 2]
+
+    delta: int
+    imp_seconds: float
+    fm_seconds: float
+    imp_scans: int
+    imp_fetches: int
+    imp_side_builds: int
+    imp_delta_tuples: int
+    imp_processed: int
+    imp_recaptured: bool
+    fm_scans: int
+    fm_rows: int
+
+    @property
+    def read_ratio(self) -> float:
+        """Rows FM reads per delta tuple IMP's operators process."""
+        return self.fm_rows / max(self.imp_processed, 1)
+
+    def assert_reads(self, tables: int) -> None:
+        """IMP absorbs the batch from its delta: no recapture, every delta
+        tuple counted, at most one fetch per table and a full scan only to
+        build a join side (once per side); FM rescans every table."""
+        assert not self.imp_recaptured, "IMP must maintain, not recapture"
+        assert self.imp_delta_tuples == self.delta
+        assert 0 < self.imp_fetches <= tables
+        assert self.imp_scans == self.imp_side_builds, "IMP scans a table only to build a join side"
+        assert self.fm_scans == tables, "FM recaptures from every table of the query"
 
 
-def median_rounds(one_round, repeats: int = 3):
-    """Run ``one_round`` (returning a tuple of timings) ``repeats`` times and
-    return the element-wise medians.
+def maintain_round(database, incremental, full, delta: int) -> MaintenanceRound:
+    """Maintain IMP, then FM, after a committed batch of ``delta`` tuples."""
+    tables = incremental.plan.referenced_tables()
+    statistics = incremental.statistics
+    scans, fetches = database.scan_count, database.delta_fetch_count
+    builds, processed = statistics.backend_round_trips, statistics.tuples_processed
+    started = time.perf_counter()
+    result = incremental.maintain()
+    imp_seconds = time.perf_counter() - started
+    imp_scans = database.scan_count - scans
+    imp_fetches = database.delta_fetch_count - fetches
+    fm_rows = sum(database.row_count(table) for table in tables)
+    scans = database.scan_count
+    started = time.perf_counter()
+    full.maintain()
+    fm_seconds = time.perf_counter() - started
+    return MaintenanceRound(
+        delta=delta,
+        imp_seconds=imp_seconds,
+        fm_seconds=fm_seconds,
+        imp_scans=imp_scans,
+        imp_fetches=imp_fetches,
+        imp_side_builds=statistics.backend_round_trips - builds,
+        imp_delta_tuples=result.delta_tuples,
+        imp_processed=statistics.tuples_processed - processed,
+        imp_recaptured=result.recaptured,
+        fm_scans=database.scan_count - scans,
+        fm_rows=fm_rows,
+    )
 
-    Deflaking helper for benchmark shape assertions: comparisons like
-    ``imp_seconds < fm_seconds`` are only stable when each side is a median of
-    several samples, not a single wall-clock measurement.
-    """
-    samples = [one_round() for _ in range(repeats)]
-    medians = []
-    for position in range(len(samples[0])):
-        column = sorted(sample[position] for sample in samples)
-        medians.append(column[len(column) // 2])
-    return tuple(medians)
 
-
-def median_seconds(one_round, repeats: int = 3) -> float:
-    """Median of a scalar-returning round function (see ``median_rounds``)."""
-    return median_rounds(lambda: (one_round(),), repeats)[0]
-
-
-def print_report(result: ExperimentResult, title: str, x_key: str, y_key: str = "seconds"):
-    """Print a figure-style series table (captured by pytest -s / the report)."""
-    print()
-    print(format_series(result, x_key=x_key, y_key=y_key, title=title))
+def measure_maintenance(scenario: MaintenanceScenario, delta_size: int) -> MaintenanceRound:
+    """Commit one batch of ``delta_size`` tuples (half deletes, half inserts)
+    and maintain both sketches, checking what each read."""
+    deletes = scenario.table_handle.pick_deletes(delta_size // 2)
+    inserts = scenario.table_handle.make_inserts(delta_size - len(deletes))
+    scenario.apply_update(inserts, deletes)
+    measured = maintain_round(
+        scenario.database, scenario.incremental, scenario.full, delta_size
+    )
+    measured.assert_reads(len(scenario.incremental.plan.referenced_tables()))
+    return measured
 
 
 def print_rows(result: ExperimentResult, title: str):
@@ -147,21 +177,3 @@ def save_artifact(result: ExperimentResult, fig: str) -> str:
     return written
 
 
-_BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
-
-
-def pytest_collection_modifyitems(items):
-    """Mark every test under ``benchmarks/`` with the ``bench`` marker.
-
-    CI runs the correctness gate with ``-m "not bench"`` so timing-shape
-    assertions can never flake it; the benchmark job selects ``-m bench``.
-    The hook receives the whole session's items, so filter by location.
-    """
-    for item in items:
-        if os.path.abspath(str(item.fspath)).startswith(_BENCH_DIR + os.sep):
-            item.add_marker(pytest.mark.bench)
-
-
-@pytest.fixture(scope="session")
-def rng() -> random.Random:
-    return random.Random(1234)

@@ -8,7 +8,9 @@ and small deltas and loses its edge only for extreme update-heavy workloads
 with large deltas.
 
 Scaled down here: 30-operation workloads over a 4k-row synthetic table with
-delta sizes 1 / 20 / 200.
+delta sizes 1 / 20 / 200.  The seconds are printed; the asserts count table
+reads (full scans, index scans, recaptures), which repeat exactly on any
+machine.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ NUM_GROUPS = 200
 NUM_OPERATIONS = 30
 RATIOS = ["1U5Q", "1U1Q", "5U1Q"]
 DELTA_SIZES = [1, 20, 200]
-
-RESULTS = ExperimentResult("fig08")
+SYSTEMS = ["ns", "fm", "imp"]
 
 
 def _materialise_operations(ratio: str, delta_size: int):
@@ -57,24 +58,58 @@ def _make_system(kind: str):
     return IMPSystem(database, num_fragments=64)
 
 
+def _run(kind: str, ratio: str, delta_size: int) -> dict:
+    """Seconds and table reads of one system on one workload."""
+    operations = _materialise_operations(ratio, delta_size)
+    system = _make_system(kind)
+    database = system.database
+    scans, index_scans = database.scan_count, database.index_scan_count
+    seconds = WorkloadRunner(system).run_operations(operations).total_seconds
+    scheduler = getattr(system, "scheduler", None)
+    return {
+        "seconds": round(seconds, 4),
+        "queries": sum(operation.kind == "query" for operation in operations),
+        "full_scans": database.scan_count - scans,
+        "index_scans": database.index_scan_count - index_scans,
+        "maintenances": system.statistics.sketch_maintenances,
+        "recaptures": scheduler.summary()["recaptures"] if scheduler else 0,
+    }
+
+
+@pytest.fixture(scope="module")
+def runs() -> dict:
+    return {
+        (kind, ratio, delta_size): _run(kind, ratio, delta_size)
+        for kind in SYSTEMS
+        for ratio in RATIOS
+        for delta_size in DELTA_SIZES
+    }
+
+
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("delta_size", DELTA_SIZES)
-@pytest.mark.parametrize("system_kind", ["ns", "fm", "imp"])
-def test_fig08_mixed_workload(benchmark, ratio, delta_size, system_kind):
-    """End-to-end runtime of one system on one (ratio, delta size) workload."""
-    operations = _materialise_operations(ratio, delta_size)
-
-    def run_workload():
-        system = _make_system(system_kind)
-        report = WorkloadRunner(system).run_operations(operations)
-        return report.total_seconds
-
-    seconds = benchmark.pedantic(run_workload, rounds=1, iterations=1)
-    RESULTS.add(system=system_kind, ratio=ratio, delta=delta_size, seconds=seconds)
+@pytest.mark.parametrize("system_kind", SYSTEMS)
+def test_fig08_mixed_workload(runs, ratio, delta_size, system_kind):
+    """One system on one (ratio, delta size) workload: NS scans the table for
+    every query, IMP captures once and answers every query through an index
+    scan, FM recaptures -- a full scan -- at every maintenance."""
+    counters = runs[(system_kind, ratio, delta_size)]
+    result = ExperimentResult("fig08")
+    result.add(system=system_kind, ratio=ratio, delta=delta_size, **counters)
+    print_rows(result, f"Fig. 8 (scaled): {system_kind}, ratio {ratio}, delta {delta_size}")
+    queries = counters["queries"]
+    if system_kind == "ns":
+        assert (counters["full_scans"], counters["index_scans"]) == (queries, 0)
+    elif system_kind == "imp":
+        assert (counters["full_scans"], counters["recaptures"]) == (1, 0)
+        assert counters["index_scans"] == queries
+    else:
+        assert 0 < counters["maintenances"] == counters["recaptures"]
+        assert counters["full_scans"] == 1 + counters["recaptures"]
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
-def test_fig08_shape_imp_beats_full_maintenance(benchmark, ratio):
+def test_fig08_shape_imp_beats_full_maintenance(runs, ratio):
     """Shape check on what each system reads, for every delta size: IMP
     captures its sketch once (one full scan) and maintains it from the
     deltas, FM recaptures it -- a full scan -- at every maintenance, and NS
@@ -83,42 +118,9 @@ def test_fig08_shape_imp_beats_full_maintenance(benchmark, ratio):
 
     Asserted on counters (deterministic); the seconds go to the printed table.
     """
-
-    def run_comparison():
-        rows = []
-        for delta_size in [1, 20]:
-            operations = _materialise_operations(ratio, delta_size)
-            queries = sum(operation.kind == "query" for operation in operations)
-            counters = {}
-            for kind in ["ns", "fm", "imp"]:
-                system = _make_system(kind)
-                database = system.database
-                scans, index_scans = database.scan_count, database.index_scan_count
-                seconds = WorkloadRunner(system).run_operations(operations).total_seconds
-                scheduler = getattr(system, "scheduler", None)
-                counters[kind] = {
-                    "seconds": round(seconds, 4),
-                    "full_scans": database.scan_count - scans,
-                    "index_scans": database.index_scan_count - index_scans,
-                    "maintenances": system.statistics.sketch_maintenances,
-                    "recaptures": scheduler.summary()["recaptures"] if scheduler else 0,
-                }
-            rows.append((delta_size, queries, counters))
-        return rows
-
-    rows = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
-    local = ExperimentResult(f"fig08-shape-{ratio}")
-    for delta_size, _queries, counters in rows:
-        for kind, values in counters.items():
-            local.add(system=kind, ratio=ratio, delta=delta_size, **values)
-    print_rows(local, f"Fig. 8 (scaled): end-to-end seconds and table reads, ratio {ratio}")
-    for delta_size, queries, counters in rows:
-        ns, fm, imp = counters["ns"], counters["fm"], counters["imp"]
-        assert (ns["full_scans"], ns["index_scans"]) == (queries, 0)
-        assert (imp["full_scans"], imp["recaptures"]) == (1, 0), delta_size
-        assert imp["index_scans"] == queries, delta_size
-        assert 0 < fm["maintenances"] == fm["recaptures"], delta_size
-        assert fm["full_scans"] == 1 + fm["recaptures"] > imp["full_scans"], (
+    for delta_size in DELTA_SIZES:
+        ns, fm, imp = (runs[(kind, ratio, delta_size)] for kind in SYSTEMS)
+        assert fm["full_scans"] > imp["full_scans"], (
             f"IMP should read less than full maintenance for ratio {ratio}, delta {delta_size}"
         )
         if ratio == "1U5Q":

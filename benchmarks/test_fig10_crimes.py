@@ -5,11 +5,15 @@ beat and year) and CQ2 (areas with more than 1000 crimes) -- with realistic
 delta sizes of 10 to 1000 rows and finds incremental maintenance at least two
 orders of magnitude faster than full maintenance; Fig. 10b repeats the
 experiment with mixed insertions and deletions.
+
+Scaled down to a 12k-row table, one maintenance round per point.  The seconds
+are printed; the asserts count what each maintainer reads: IMP absorbs the
+delta without a table scan, while FM rescans the whole table, so the rows FM
+reads outnumber the delta tuples IMP's operators process -- by more than 5x
+for deltas up to 100 rows.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -19,7 +23,7 @@ from repro.sketch.selection import build_database_partition
 from repro.storage.database import Database
 from repro.workloads.crimes import CRIMES_Q1, crimes_q2, load_crimes
 
-from benchmarks.conftest import median_rounds, print_rows
+from benchmarks.conftest import maintain_round, print_rows
 
 NUM_ROWS = 12_000
 DELTAS = [10, 100, 1000]
@@ -38,57 +42,36 @@ def _build(sql: str):
     return database, data, incremental, full
 
 
+def _report(name: str, query_name: str, measured) -> None:
+    result = ExperimentResult(name)
+    result.add(system="imp", query=query_name, delta=measured.delta,
+               seconds=round(measured.imp_seconds, 5), tuples=measured.imp_processed)
+    result.add(system="fm", query=query_name, delta=measured.delta,
+               seconds=round(measured.fm_seconds, 5), tuples=measured.fm_rows)
+    print_rows(result, f"Fig. {name[-3:]} (scaled): {query_name}, delta={measured.delta}")
+
+
 @pytest.mark.parametrize("query_name", list(QUERIES))
 @pytest.mark.parametrize("delta_size", DELTAS)
-def test_fig10a_incremental_vs_full(benchmark, query_name, delta_size):
+def test_fig10a_incremental_vs_full(query_name, delta_size):
     database, data, incremental, full = _build(QUERIES[query_name])
-
-    def one_round():
-        database.insert("crimes", data.make_inserts(delta_size))
-        started = time.perf_counter()
-        incremental.maintain()
-        imp_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        full.maintain()
-        fm_seconds = time.perf_counter() - started
-        return imp_seconds, fm_seconds
-
-    imp_seconds, fm_seconds = benchmark.pedantic(
-        median_rounds, args=(one_round,), rounds=1, iterations=1
+    database.insert("crimes", data.make_inserts(delta_size))
+    measured = maintain_round(database, incremental, full, delta_size)
+    _report("fig10a", query_name, measured)
+    measured.assert_reads(tables=1)
+    assert measured.fm_rows == NUM_ROWS + delta_size
+    assert measured.read_ratio > (5 if delta_size <= 100 else 1), (
+        f"FM should read far more than IMP processes (got {measured.read_ratio:.1f}x)"
     )
-    result = ExperimentResult("fig10a")
-    result.add(system="imp", query=query_name, delta=delta_size, seconds=round(imp_seconds, 5))
-    result.add(system="fm", query=query_name, delta=delta_size, seconds=round(fm_seconds, 5))
-    print_rows(result, f"Fig. 10a (scaled): {query_name}, delta={delta_size}")
-    assert imp_seconds < fm_seconds
-    if delta_size <= 100:
-        speedup = fm_seconds / max(imp_seconds, 1e-9)
-        assert speedup > 5, (
-            f"IMP should beat FM by a wide margin for small deltas (got {speedup:.1f}x)"
-        )
 
 
 @pytest.mark.parametrize("query_name", list(QUERIES))
-def test_fig10b_insert_and_delete(benchmark, query_name):
+def test_fig10b_insert_and_delete(query_name):
     database, data, incremental, full = _build(QUERIES[query_name])
-
-    def one_round():
-        deletes = data.pick_deletes(50)
-        database.delete_rows("crimes", deletes)
-        database.insert("crimes", data.make_inserts(50))
-        started = time.perf_counter()
-        incremental.maintain()
-        imp_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        full.maintain()
-        fm_seconds = time.perf_counter() - started
-        return imp_seconds, fm_seconds
-
-    imp_seconds, fm_seconds = benchmark.pedantic(
-        median_rounds, args=(one_round,), rounds=1, iterations=1
-    )
-    assert imp_seconds < fm_seconds
-    result = ExperimentResult("fig10b")
-    result.add(system="imp", query=query_name, delta=100, seconds=round(imp_seconds, 5))
-    result.add(system="fm", query=query_name, delta=100, seconds=round(fm_seconds, 5))
-    print_rows(result, f"Fig. 10b (scaled): insert+delete, {query_name}")
+    database.delete_rows("crimes", data.pick_deletes(50))
+    database.insert("crimes", data.make_inserts(50))
+    measured = maintain_round(database, incremental, full, 100)
+    _report("fig10b", query_name, measured)
+    measured.assert_reads(tables=1)
+    assert measured.fm_rows == NUM_ROWS
+    assert measured.read_ratio > 5

@@ -48,9 +48,17 @@ def run_memory_trace(buffer_size: int) -> list[int]:
     return trace
 
 
-@pytest.mark.parametrize("buffer_size", [20, 100])
-def test_fig15_memory_trace(benchmark, buffer_size):
-    trace = benchmark.pedantic(run_memory_trace, args=(buffer_size,), rounds=1, iterations=1)
+BUFFERS = [20, 100]
+
+
+@pytest.fixture(scope="module")
+def traces() -> dict:
+    return {buffer_size: run_memory_trace(buffer_size) for buffer_size in BUFFERS}
+
+
+@pytest.mark.parametrize("buffer_size", BUFFERS)
+def test_fig15_memory_trace(traces, buffer_size):
+    trace = traces[buffer_size]
     result = ExperimentResult("fig15")
     for step, memory in enumerate(trace):
         result.add(buffer=buffer_size, operation=step, memory_bytes=memory)
@@ -58,16 +66,7 @@ def test_fig15_memory_trace(benchmark, buffer_size):
     assert all(memory > 0 for memory in trace)
     # Memory trends downward as the table shrinks under deletions.
     assert trace[-1] <= trace[0]
-    _TRACES[buffer_size] = trace
 
 
-_TRACES: dict = {}
-
-
-def test_fig15_larger_buffer_uses_more_memory(benchmark):
-    def collect():
-        return dict(_TRACES)
-
-    traces = benchmark.pedantic(collect, rounds=1, iterations=1)
-    if 20 in traces and 100 in traces:
-        assert traces[100][0] >= traces[20][0]
+def test_fig15_larger_buffer_uses_more_memory(traces):
+    assert traces[100][0] >= traces[20][0]

@@ -6,12 +6,17 @@ HAVING query (Q_endtoend) and a join query (Q_joinsel at 5% selectivity).
 Finding: batch sizes below ~50 significantly inflate the total maintenance
 cost; larger batches amortise the per-maintenance overhead.
 
-Scaled down: 120 single-tuple updates, batch sizes 1 / 10 / 60.
+Scaled down: 120 single-tuple updates, batch sizes 1 / 10 / 60.  The seconds
+are printed; the asserts count maintenance passes (one delta fetch per table
+each): batch 60 makes 1/60 as many as batch 1 and processes no more delta
+tuples, and after the capture neither reads a table except to build a join
+side once.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -33,7 +38,20 @@ QUERIES = {
 }
 
 
-def run_batched_maintenance(query_key: str, batch_size: int) -> float:
+@dataclass
+class BatchedRun:
+    """What IMP did to absorb ``TOTAL_UPDATES`` single-tuple updates."""
+
+    seconds: float
+    tables: int
+    fetches: int
+    scans: int
+    side_builds: int
+    delta_tuples: int
+    processed: int
+
+
+def run_batched_maintenance(query_key: str, batch_size: int) -> BatchedRun:
     sql, needs_helper = QUERIES[query_key]
     database = Database()
     table = load_synthetic(database, num_rows=3000, num_groups=200, seed=51)
@@ -45,51 +63,58 @@ def run_batched_maintenance(query_key: str, batch_size: int) -> float:
     partition = build_database_partition(database, plan, 48)
     maintainer = IncrementalMaintainer(database, plan, partition, IMPConfig())
     maintainer.capture()
+    scans, fetches = database.scan_count, database.delta_fetch_count
     total_seconds = 0.0
-    pending = 0
-    for _ in range(TOTAL_UPDATES):
+    delta_tuples = 0
+    for update in range(1, TOTAL_UPDATES + 1):
         database.insert("r", table.make_inserts(1))
-        pending += 1
-        if pending >= batch_size:
+        if update % batch_size == 0:
             started = time.perf_counter()
-            maintainer.maintain()
+            delta_tuples += maintainer.maintain().delta_tuples
             total_seconds += time.perf_counter() - started
-            pending = 0
-    if pending:
-        started = time.perf_counter()
-        maintainer.maintain()
-        total_seconds += time.perf_counter() - started
-    return total_seconds
+    statistics = maintainer.statistics
+    return BatchedRun(
+        seconds=total_seconds,
+        tables=len(plan.referenced_tables()),
+        fetches=database.delta_fetch_count - fetches,
+        scans=database.scan_count - scans,
+        side_builds=statistics.backend_round_trips,
+        delta_tuples=delta_tuples,
+        processed=statistics.tuples_processed,
+    )
+
+
+@pytest.fixture(scope="module")
+def runs() -> dict:
+    return {
+        (query_key, batch_size): run_batched_maintenance(query_key, batch_size)
+        for query_key in QUERIES
+        for batch_size in BATCH_SIZES
+    }
 
 
 @pytest.mark.parametrize("query_key", list(QUERIES))
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_fig16_eager_batch_size(benchmark, query_key, batch_size):
-    seconds = benchmark.pedantic(
-        run_batched_maintenance, args=(query_key, batch_size), rounds=1, iterations=1
-    )
+def test_fig16_eager_batch_size(runs, query_key, batch_size):
+    run = runs[(query_key, batch_size)]
     result = ExperimentResult("fig16")
-    result.add(query=query_key, batch=batch_size, seconds=round(seconds, 5))
+    result.add(query=query_key, batch=batch_size, seconds=round(run.seconds, 5),
+               fetches=run.fetches, processed=run.processed)
     print_rows(result, f"Fig. 16 (scaled): eager maintenance, {query_key}, batch={batch_size}")
-    _TOTALS[(query_key, batch_size)] = seconds
+    # One fetch per table per maintenance pass, every update absorbed from
+    # the delta, and a full scan after the capture only to build a join side.
+    assert run.fetches == run.tables * (TOTAL_UPDATES // batch_size)
+    assert run.delta_tuples == TOTAL_UPDATES
+    assert run.scans == run.side_builds < run.tables
 
 
-_TOTALS: dict = {}
-
-
-def test_fig16_small_batches_cost_more(benchmark):
-    """Shape: maintaining after every single update costs more in total than
-    batching tens of updates (the paper recommends batch sizes >= 50)."""
-
-    def collect():
-        return dict(_TOTALS)
-
-    totals = benchmark.pedantic(collect, rounds=1, iterations=1)
+def test_fig16_small_batches_cost_more(runs):
+    """Shape: maintaining after every single update makes 60 times as many
+    maintenance passes as batching 60 updates, processes at least as many
+    delta tuples, and reads the same tables (the paper recommends batch
+    sizes >= 50)."""
     for query_key in QUERIES:
-        small = totals.get((query_key, 1))
-        large = totals.get((query_key, 60))
-        if small is None or large is None:
-            continue
-        assert large < small, (
-            f"batching should reduce total maintenance cost for {query_key}"
-        )
+        small, large = runs[(query_key, 1)], runs[(query_key, 60)]
+        assert small.fetches == 60 * large.fetches, query_key
+        assert large.processed <= small.processed, query_key
+        assert small.scans == large.scans == large.side_builds, query_key

@@ -8,6 +8,8 @@ benchmark regenerates the same table and checks the orders of magnitude.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.bench.harness import ExperimentResult
@@ -26,15 +28,8 @@ def build_sketch_and_ranges(num_ranges: int) -> tuple[int, int]:
     return sketch.byte_size(), partition.byte_size()
 
 
-def test_fig18_sketch_and_range_sizes(benchmark):
-    def run():
-        rows = []
-        for count in RANGE_COUNTS:
-            sketch_bytes, range_bytes = build_sketch_and_ranges(count)
-            rows.append((count, sketch_bytes, range_bytes))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig18_sketch_and_range_sizes():
+    rows = [(count, *build_sketch_and_ranges(count)) for count in RANGE_COUNTS]
     result = ExperimentResult("fig18")
     for count, sketch_bytes, range_bytes in rows:
         result.add(
@@ -58,7 +53,11 @@ def test_fig18_sketch_and_range_sizes(benchmark):
 
 
 @pytest.mark.parametrize("num_ranges", [1000, 100000])
-def test_fig18_sketch_construction_cost(benchmark, num_ranges):
-    """Building a full sketch over many ranges stays cheap (microseconds-ms)."""
-    sketch_bytes, _ranges_bytes = benchmark(build_sketch_and_ranges, num_ranges)
-    assert sketch_bytes > 0
+def test_fig18_sketch_construction_cost(num_ranges):
+    """Building a full sketch over many ranges stays cheap (microseconds-ms):
+    the seconds are printed; the sketch holds one bit per range."""
+    started = time.perf_counter()
+    sketch_bytes, _ranges_bytes = build_sketch_and_ranges(num_ranges)
+    seconds = time.perf_counter() - started
+    print(f"\nFig. 18: sketch and ranges over {num_ranges} ranges built in {seconds:.6f} s")
+    assert num_ranges // 8 <= sketch_bytes < num_ranges // 8 + 100

@@ -232,17 +232,12 @@ def _assert_shared(measured: dict[str, float], num_sketches: int, folds: int) ->
 
 
 @pytest.mark.parametrize("num_sketches", [16])
-def test_fig20a_scheduler_beats_per_sketch_maintenance(benchmark, num_sketches):
+def test_fig20a_scheduler_beats_per_sketch_maintenance(num_sketches):
     """At 16 registered sketches, a shared-delta round fetches and annotates
     the delta once where independent maintenance does it 16 times, and folds
     it into two aggregations where independent maintenance folds 16, with
     identical resulting sketches."""
-    pair = MultiSketchPair(multi_sketch_templates(num_sketches))
-
-    def run():
-        return _run_rounds(pair)
-
-    measured = benchmark.pedantic(run, rounds=1, iterations=1)
+    measured = _run_rounds(MultiSketchPair(multi_sketch_templates(num_sketches)))
     result = ExperimentResult("fig20a")
     for path in ("scheduler", "per_sketch"):
         result.add(path=path.replace("_", "-"), sketches=num_sketches,
@@ -254,12 +249,11 @@ def test_fig20a_scheduler_beats_per_sketch_maintenance(benchmark, num_sketches):
     _assert_shared(measured, num_sketches, folds=2)
 
 
-def test_fig20a_distinct_having_attributes_share_nothing_but_the_delta(benchmark):
+def test_fig20a_distinct_having_attributes_share_nothing_but_the_delta():
     """The multi-tenant case: eight templates whose HAVING attributes all
     differ share no aggregation, so a round folds eight times -- and still
     fetches and annotates the delta once, with identical sketches."""
-    pair = MultiSketchPair(distinct_having_templates(8))
-    measured = benchmark.pedantic(lambda: _run_rounds(pair), rounds=1, iterations=1)
+    measured = _run_rounds(MultiSketchPair(distinct_having_templates(8)))
     result = ExperimentResult("fig20a-distinct")
     for path in ("scheduler", "per_sketch"):
         result.add(path=path.replace("_", "-"), sketches=8,
@@ -271,19 +265,14 @@ def test_fig20a_distinct_having_attributes_share_nothing_but_the_delta(benchmark
     _assert_shared(measured, 8, folds=8)
 
 
-def test_fig20b_speedup_grows_with_registered_sketches(benchmark):
+def test_fig20b_speedup_grows_with_registered_sketches():
     """The scheduler's advantage widens as more sketches share the delta:
     fetch, compaction and annotation are paid once per round whatever K,
     while the per-sketch path pays them K times."""
-    def run():
-        rows = []
-        for num_sketches in (4, 16):
-            pair = MultiSketchPair(multi_sketch_templates(num_sketches))
-            measured = _run_rounds(pair)
-            rows.append((num_sketches, measured))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = [
+        (num_sketches, _run_rounds(MultiSketchPair(multi_sketch_templates(num_sketches))))
+        for num_sketches in (4, 16)
+    ]
     result = ExperimentResult("fig20b")
     for num_sketches, measured in rows:
         result.add(

@@ -7,7 +7,7 @@ expression kernels, per-version column caches in the stored tables) instead
 of per tuple -- while every relation stays bit-identical to the row oracle
 (``Database.query(..., optimize_plans=False, vectorize=False)``).
 
-Run on full-scan workloads over a >= 100k row table (no indexes and
+Run on full-scan workloads over a 20k-row table (no indexes and
 single-table plans, so the optimizer has nothing to rewrite and only the
 execution differs).  What is *asserted* is what the engine did, so a faster
 oracle cannot fail it:
@@ -20,30 +20,24 @@ oracle cannot fail it:
   the one version is served the *same* batch object (no re-pivot),
 * the oracle reads it through ``relation`` only.
 
-What is *reported* (``BENCH_fig22.json``, never asserted): median seconds of
->= 3 GC-quiesced repeats (``time_callable``) per workload and system, and the
-reference / engine ratio (about 2-5x here).
-
-Set ``BENCH_SMOKE=1`` (the gating CI job does) to shrink the table to one
-repeat; every assertion and the JSON artifact still run.
+What is *reported* (``BENCH_fig22.json``, never asserted): the seconds of
+one run per workload and system, and the reference / engine ratio.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import random
+import time
 
-from repro.bench.harness import ExperimentResult, time_callable
+from repro.bench.harness import ExperimentResult
 from repro.imp.middleware import IMPSystem
 from repro.storage.database import Database
 
 from benchmarks.conftest import print_rows, save_artifact
 
-SMOKE = os.environ.get("BENCH_SMOKE") == "1"
-NUM_ROWS = 20_000 if SMOKE else 120_000
+NUM_ROWS = 20_000
 NUM_GROUPS = 200
-REPEATS = 1 if SMOKE else 3
 
 WORKLOADS = [
     ("selection", "SELECT id, a, b, c FROM big WHERE b < 900"),
@@ -52,9 +46,6 @@ WORKLOADS = [
     ("distinct", "SELECT DISTINCT a FROM big WHERE b < 500"),
     ("topk", "SELECT id, b FROM big WHERE b < 200 ORDER BY b, id LIMIT 10"),
 ]
-
-RESULTS = ExperimentResult("fig22")
-
 
 def load_big(database: Database, seed: int = 7) -> None:
     rng = random.Random(seed)
@@ -91,7 +82,7 @@ def spy_on_scans(database: Database) -> list[tuple[str, object]]:
     return calls
 
 
-def test_fig22_vectorized_speedup_and_bit_identity(benchmark):
+def test_fig22_vectorized_speedup_and_bit_identity():
     database = Database()
     load_big(database)
     plans = {name: database.plan(sql) for name, sql in WORKLOADS}
@@ -118,24 +109,23 @@ def test_fig22_vectorized_speedup_and_bit_identity(benchmark):
     assert all(batch is batches[0] for batch in batches)
     del database.relation, database.column_batch  # time the unwrapped methods
 
-    def run_all():
-        for name, _sql in WORKLOADS:
-            seconds = {
-                system: time_callable(lambda: run(plans[name]), repeats=REPEATS, warmup=1)
-                for system, run in systems
-            }
-            for system, _run in systems:
-                RESULTS.add(
-                    workload=name,
-                    system=system,
-                    rows=NUM_ROWS,
-                    seconds=seconds[system],
-                    reference_over_this=seconds["reference"] / max(seconds[system], 1e-12),
-                )
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-    print_rows(RESULTS, "Fig. 22: engine vs reference oracle (median seconds)")
-    save_artifact(RESULTS, "fig22")
+    result = ExperimentResult("fig22")
+    for name, _sql in WORKLOADS:
+        seconds = {}
+        for system, run in systems:
+            started = time.perf_counter()
+            run(plans[name])
+            seconds[system] = time.perf_counter() - started
+        for system, _run in systems:
+            result.add(
+                workload=name,
+                system=system,
+                rows=NUM_ROWS,
+                seconds=seconds[system],
+                reference_over_this=seconds["reference"] / max(seconds[system], 1e-12),
+            )
+    print_rows(result, "Fig. 22: engine vs reference oracle (seconds of one run)")
+    save_artifact(result, "fig22")
 
 
 def test_fig22_imp_answers_match_the_reference_oracle():

@@ -14,19 +14,17 @@ A writer thread commits update batches throughout every measurement, and a
 coarse-locking baseline (each query holds the database write lock end to
 end, i.e. no MVCC) is reported alongside.
 
-Asserted (non-smoke): aggregate throughput with 4 reader sessions is >= 2x a
-single session.  Always asserted: every session's pinned reads stay
-bit-identical while the writer commits, and match a post-hoc session
-re-pinned at the same version.  The measurements are written to the
-``BENCH_fig23.json`` artifact.
-
-Set ``BENCH_SMOKE=1`` to shrink the run and skip the wall-clock ratio (the
-deterministic consistency assertions and the artifact always run).
+Asserted: every session's pinned reads stay bit-identical while the writer
+commits, and match a post-hoc session re-pinned at the same version.  The
+throughput of each configuration is reported, never asserted (it follows the
+machine's speed); the measurements are written to the ``BENCH_fig23.json``
+artifact.  That a session read at a materialized snapshot never waits for the
+write lock is tested directly, with threads in lock step, in
+``tests/test_concurrency.py``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
@@ -36,10 +34,9 @@ from repro.workloads.synthetic import load_synthetic
 
 from benchmarks.conftest import print_rows, save_artifact
 
-SMOKE = os.environ.get("BENCH_SMOKE") == "1"
-NUM_ROWS = 500 if SMOKE else 1_000
+NUM_ROWS = 500
 NUM_GROUPS = 50
-DURATION = 0.25 if SMOKE else 1.5
+DURATION = 0.25
 # The serving model: ~5 ms of client think time per query against ~0.3 ms of
 # query CPU, so a single session is latency-bound and concurrent sessions can
 # overlap their idle gaps without saturating the interpreter.
@@ -47,11 +44,8 @@ THINK_SECONDS = 0.005
 WRITER_PAUSE = 0.005
 WRITER_DELTA = 25
 READER_COUNTS = (1, 2, 4)
-MIN_SCALING = 2.0
 
 SQL = "SELECT a, SUM(c) AS total FROM r GROUP BY a HAVING SUM(c) > 500"
-
-RESULTS = ExperimentResult("fig23")
 
 
 def run_configuration(
@@ -115,60 +109,32 @@ def run_configuration(
     return elapsed, sum(counts), observations, database
 
 
-def test_fig23_read_throughput_scales_with_sessions(benchmark):
-    throughputs: dict[int, float] = {}
+def test_fig23_read_throughput_scales_with_sessions():
+    result = ExperimentResult("fig23")
     all_observations: list[tuple[int, tuple, Database]] = []
-
-    def run_all() -> None:
-        for readers in READER_COUNTS:
-            elapsed, queries, observations, database = run_configuration(
-                readers, coarse=False
-            )
-            throughput = queries / elapsed
-            throughputs[readers] = throughput
-            all_observations.extend(
-                (pinned, rows, database) for pinned, rows in observations
-            )
-            RESULTS.add(
-                readers=readers,
-                mode="sessions",
-                queries=queries,
-                seconds=elapsed,
-                throughput=round(throughput, 1),
-            )
-        # The no-MVCC baseline at peak concurrency, for the report.
-        elapsed, queries, observations, database = run_configuration(
-            max(READER_COUNTS), coarse=True
-        )
-        all_observations.extend(
-            (pinned, rows, database) for pinned, rows in observations
-        )
-        RESULTS.add(
-            readers=max(READER_COUNTS),
-            mode="coarse-lock",
+    # The sessions at each reader count, then the no-MVCC baseline at peak
+    # concurrency, for the report.
+    configurations = [(readers, False) for readers in READER_COUNTS]
+    configurations.append((max(READER_COUNTS), True))
+    for readers, coarse in configurations:
+        elapsed, queries, observations, database = run_configuration(readers, coarse)
+        all_observations.extend((pinned, rows, database) for pinned, rows in observations)
+        result.add(
+            readers=readers,
+            mode="coarse-lock" if coarse else "sessions",
             queries=queries,
             seconds=elapsed,
             throughput=round(queries / elapsed, 1),
         )
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-    print_rows(RESULTS, "Fig. 23: aggregate read throughput (queries/sec)")
-    save_artifact(RESULTS, "fig23")
+    print_rows(result, "Fig. 23: aggregate read throughput (queries/sec)")
+    save_artifact(result, "fig23")
 
     # Differential consistency: every result observed at a pinned version
     # equals a fresh session re-pinned there after all the commits landed.
-    for pinned, result, database in all_observations:
+    assert len(all_observations) == sum(readers for readers, _coarse in configurations)
+    for pinned, rows, database in all_observations:
         with database.connect() as check:
             check.refresh(pinned)
-            assert tuple(check.query(SQL).to_sorted_list()) == result, (
+            assert tuple(check.query(SQL).to_sorted_list()) == rows, (
                 f"snapshot at version {pinned} not reproducible post-hoc"
             )
-
-    if SMOKE:
-        return
-    scaling = throughputs[max(READER_COUNTS)] / max(throughputs[1], 1e-9)
-    assert scaling >= MIN_SCALING, (
-        f"expected >= {MIN_SCALING}x aggregate read throughput with "
-        f"{max(READER_COUNTS)} readers vs 1, measured {scaling:.2f}x "
-        f"({throughputs})"
-    )

@@ -13,7 +13,7 @@ package re-exports the pieces a typical application needs:
 
 Sub-packages:
 
-* :mod:`repro.core` -- bit sets, Bloom filters, red-black trees, timing.
+* :mod:`repro.core` -- errors, Bloom filters, memory accounting.
 * :mod:`repro.relational` -- bag-semantics relational algebra and evaluation.
 * :mod:`repro.sql` -- SQL parser and translation to algebra.
 * :mod:`repro.storage` -- the versioned in-memory backend database.

@@ -1,21 +1,6 @@
-"""Benchmark harness: experiment runners and paper-style reporting."""
+"""Benchmark harness: experiment results and paper-style reporting."""
 
-from repro.bench.harness import (
-    ExperimentResult,
-    compare_systems,
-    fresh_database,
-    median,
-    time_callable,
-)
-from repro.bench.reporting import format_series, format_table, speedup
+from repro.bench.harness import ExperimentResult
+from repro.bench.reporting import format_series, format_table, write_json
 
-__all__ = [
-    "ExperimentResult",
-    "compare_systems",
-    "format_series",
-    "format_table",
-    "fresh_database",
-    "median",
-    "speedup",
-    "time_callable",
-]
+__all__ = ["ExperimentResult", "format_series", "format_table", "write_json"]

@@ -1,57 +1,16 @@
-"""Utilities shared by the benchmark suite.
+"""The result rows shared by the benchmark suite.
 
 Every ``benchmarks/test_fig*.py`` file regenerates one table or figure of the
-paper: it builds the workload, measures IMP and its baselines, prints the
-series the paper plots (runtime or memory against the swept parameter) and
-asserts the qualitative shape (who wins, and roughly by how much).  The
-helpers here keep those files small and uniform.
+paper: it builds the workload, runs IMP and its baselines, prints the series
+the paper plots (seconds or memory against the swept parameter) and asserts
+the shape on what each system read and processed -- counters, which do not
+drift with the machine's speed.  :class:`ExperimentResult` holds those rows.
 """
 
 from __future__ import annotations
 
-import gc
 import json
-import statistics
-import time
-from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-
-from repro.storage.database import Database
-
-
-def median(values: Iterable[float]) -> float:
-    """Median of a sequence (the paper reports median runtimes)."""
-    data = list(values)
-    if not data:
-        raise ValueError("median of an empty sequence")
-    return statistics.median(data)
-
-
-def time_callable(
-    function: Callable[[], object], repeats: int = 3, warmup: int = 0
-) -> float:
-    """Median wall-clock seconds of ``repeats`` executions of ``function``.
-
-    The garbage collector is disabled while the timed samples run and
-    restored afterwards (also on exception), so an unlucky collection inside
-    a single sample cannot skew the median -- the main remaining source of
-    flaky timing-shape assertions.  Warmup runs are untimed and execute with
-    GC in its original state.
-    """
-    for _ in range(warmup):
-        function()
-    samples = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(max(repeats, 1)):
-            started = time.perf_counter()
-            function()
-            samples.append(time.perf_counter() - started)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return median(samples)
 
 
 @dataclass
@@ -100,45 +59,3 @@ class ExperimentResult:
     def __len__(self) -> int:
         return len(self.rows)
 
-
-def fresh_database(loader: Callable[[Database], object], name: str = "bench") -> Database:
-    """Create a database and populate it with ``loader`` (which may return a
-    dataset handle; it is ignored here)."""
-    database = Database(name)
-    loader(database)
-    return database
-
-
-def compare_systems(
-    results: ExperimentResult,
-    faster: str,
-    slower: str,
-    key: str = "seconds",
-    group_keys: Sequence[str] = (),
-    min_speedup: float = 1.0,
-) -> list[tuple[dict[str, object], float]]:
-    """Check that ``faster`` beats ``slower`` for every parameter combination.
-
-    Returns the list of ``(parameters, speedup)`` pairs and raises
-    ``AssertionError`` when any speedup falls below ``min_speedup``.
-    """
-    comparisons: list[tuple[dict[str, object], float]] = []
-    fast_rows = [row for row in results.rows if row.get("system") == faster]
-    for fast_row in fast_rows:
-        criteria = {k: fast_row[k] for k in group_keys}
-        slow_candidates = [
-            row
-            for row in results.rows
-            if row.get("system") == slower
-            and all(row.get(k) == v for k, v in criteria.items())
-        ]
-        if not slow_candidates:
-            continue
-        slow_row = slow_candidates[0]
-        ratio = float(slow_row[key]) / max(float(fast_row[key]), 1e-12)
-        comparisons.append((criteria, ratio))
-        assert ratio >= min_speedup, (
-            f"{faster} expected to beat {slower} by at least {min_speedup}x for "
-            f"{criteria}, measured {ratio:.2f}x"
-        )
-    return comparisons

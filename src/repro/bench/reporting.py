@@ -14,11 +14,6 @@ from collections.abc import Sequence
 from repro.bench.harness import ExperimentResult
 
 
-def speedup(slow: float, fast: float) -> float:
-    """How many times faster ``fast`` is than ``slow``."""
-    return slow / max(fast, 1e-12)
-
-
 def write_json(result: ExperimentResult, path: str) -> str:
     """Write ``result`` as a JSON artifact to ``path``; returns the path.
 

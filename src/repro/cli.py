@@ -489,7 +489,7 @@ def command_info(_args: argparse.Namespace) -> int:
     print(f"repro {__version__} — In-memory Incremental Maintenance of Provenance Sketches")
     print("subsystems:")
     subsystems = [
-        ("repro.core", "bit sets, bloom filters, red-black trees, timing"),
+        ("repro.core", "errors, bloom filters, memory accounting"),
         ("repro.relational", "bag-semantics relational algebra and evaluation"),
         ("repro.sql", "SQL parser and translation to algebra"),
         ("repro.storage", "versioned in-memory backend database with indexes"),

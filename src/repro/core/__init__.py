@@ -5,8 +5,8 @@ This package contains small, dependency-free building blocks:
 * :mod:`repro.core.errors` -- the exception hierarchy used across the library.
 * :mod:`repro.core.bloom` -- a Bloom filter used by the join optimization
   (Sec. 7.2, "Bloom Filters For Join").
-* :mod:`repro.core.timing` -- timers and simple memory accounting used by the
-  benchmark harness.
+* :mod:`repro.core.timing` -- deep-size memory accounting of operator state
+  and sketches.
 """
 
 from repro.core.bloom import BloomFilter
@@ -21,7 +21,7 @@ from repro.core.errors import (
     StorageError,
     UnsupportedOperationError,
 )
-from repro.core.timing import MemoryMeter, Stopwatch
+from repro.core.timing import MemoryMeter
 
 __all__ = [
     "AggregateError",
@@ -33,7 +33,6 @@ __all__ = [
     "SchemaError",
     "SketchError",
     "StateError",
-    "Stopwatch",
     "StorageError",
     "UnsupportedOperationError",
 ]

@@ -44,7 +44,7 @@ class BloomFilter:
         Target false-positive probability at ``expected_items`` insertions.
     """
 
-    __slots__ = ("_bits", "_num_bits", "_num_hashes", "_count")
+    __slots__ = ("_bits", "_num_bits", "_num_hashes")
 
     def __init__(self, expected_items: int = 1024, false_positive_rate: float = 0.01) -> None:
         if expected_items <= 0:
@@ -58,7 +58,6 @@ class BloomFilter:
         # Bit ``p`` is bit ``p & 7`` of byte ``p >> 3``: setting or testing one
         # touches one byte, not a filter-sized integer.
         self._bits = bytearray((num_bits + 7) // 8)
-        self._count = 0
 
     # -- population -----------------------------------------------------------
 
@@ -67,7 +66,6 @@ class BloomFilter:
         bits = self._bits
         for position in self._positions(value):
             bits[position >> 3] |= 1 << (position & 7)
-        self._count += 1
 
     def add_all(self, values: Iterable[Hashable]) -> None:
         """Insert every value of ``values`` into the filter."""
@@ -97,11 +95,6 @@ class BloomFilter:
     def num_bits(self) -> int:
         """Size of the bit array."""
         return self._num_bits
-
-    @property
-    def approximate_count(self) -> int:
-        """Number of insertions performed (duplicates counted)."""
-        return self._count
 
     def byte_size(self) -> int:
         """Physical size of the filter payload in bytes."""

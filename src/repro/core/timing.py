@@ -1,57 +1,16 @@
-"""Timers and memory accounting used by the benchmark harness.
+"""Memory accounting for operator state, sketches and ranges.
 
-The paper reports runtimes (median over repetitions) and memory consumption of
-operator state, sketches and ranges.  :class:`Stopwatch` provides monotonic
-wall-clock timing with accumulation; :class:`MemoryMeter` estimates the deep
-size of Python object graphs, which is how state/sketch memory figures
-(Fig. 13e/f, 15, 17, 18) are produced.
+The paper reports the memory consumption of operator state, sketches and
+ranges.  :class:`MemoryMeter` estimates the deep size of Python object graphs,
+which is how the state/sketch memory figures (Fig. 13e/f, 15, 17, 18) are
+produced.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from collections.abc import Iterable
 from typing import Any
-
-
-class Stopwatch:
-    """Accumulating wall-clock stopwatch based on ``time.perf_counter``."""
-
-    def __init__(self) -> None:
-        self._elapsed = 0.0
-        self._started_at: float | None = None
-
-    def start(self) -> "Stopwatch":
-        """Start (or restart) timing; returns ``self`` for chaining."""
-        self._started_at = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop timing and return the total elapsed seconds so far."""
-        if self._started_at is not None:
-            self._elapsed += time.perf_counter() - self._started_at
-            self._started_at = None
-        return self._elapsed
-
-    def reset(self) -> None:
-        """Reset the accumulated time."""
-        self._elapsed = 0.0
-        self._started_at = None
-
-    @property
-    def elapsed(self) -> float:
-        """Elapsed seconds, including the currently running interval."""
-        running = 0.0
-        if self._started_at is not None:
-            running = time.perf_counter() - self._started_at
-        return self._elapsed + running
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
 
 class MemoryMeter:

@@ -100,13 +100,6 @@ class Schema:
             f"{prefix}.{self.bare_name(name)}" for name in self._attributes
         )
 
-    def unqualified(self) -> "Schema":
-        """Return a schema with all qualifiers stripped.
-
-        Raises :class:`SchemaError` when stripping creates duplicates.
-        """
-        return Schema(self.bare_name(name) for name in self._attributes)
-
     def concat(self, other: "Schema") -> "Schema":
         """Return the concatenation of two schemas (used for joins)."""
         return Schema(self._attributes + other._attributes)
@@ -230,10 +223,6 @@ class Relation:
     def distinct_rows(self) -> Iterator[Row]:
         """Iterate over distinct rows once each."""
         return iter(self._rows)
-
-    def to_set(self) -> set[Row]:
-        """The set of distinct rows."""
-        return set(self._rows)
 
     def to_sorted_list(self) -> list[Row]:
         """Rows with duplicates, deterministically sorted (for tests/reports)."""

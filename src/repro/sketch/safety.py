@@ -38,7 +38,6 @@ from repro.relational.algebra import (
     Projection,
     SchemaProvider,
     Selection,
-    TableScan,
     TopK,
     walk_plan,
 )
@@ -107,10 +106,6 @@ class SafetyAnalyzer:
         if self._aggregations and not self._top_ks and self._monotone_having:
             safe = attributes
         return safe
-
-    def is_safe(self, table: str, attribute: str) -> bool:
-        """Whether ``table.attribute`` is a safe sketch attribute for the query."""
-        return Schema.bare_name(attribute) in self.safe_attributes(table)
 
     # -- analysis --------------------------------------------------------------------
 
@@ -200,16 +195,6 @@ class SafetyAnalyzer:
             self._equivalences.equivalent(attribute, group_name)
             for group_name in group_names
         )
-
-    # -- table access helpers -------------------------------------------------------------
-
-    def partitionable_tables(self) -> set[str]:
-        """Tables with at least one safe attribute."""
-        return {
-            node.table
-            for node in walk_plan(self._plan)
-            if isinstance(node, TableScan) and self.safe_attributes(node.table)
-        }
 
 
 def safe_attributes(plan: PlanNode, catalog: SchemaProvider, table: str) -> set[str]:

@@ -101,10 +101,6 @@ class ProvenanceSketch:
             raise SketchError(f"fragment id {global_id} outside the partition with {ids} ids")
         self.mask |= 1 << global_id
 
-    def add_fragment(self, table: str, fragment_index: int) -> None:
-        """Add a fragment identified by table and local index."""
-        self.add(self.partition.global_id(table, fragment_index))
-
     def discard(self, global_id: int) -> None:
         """Remove a fragment by global id (no error when absent)."""
         if global_id >= 0:

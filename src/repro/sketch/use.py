@@ -71,19 +71,3 @@ def instrument_plan(plan: PlanNode, sketch: ProvenanceSketch) -> PlanNode:
     predicate = sketch_predicate(sketch, plan.table, f"{plan.alias}.{attribute}")
     return plan if predicate is None else Selection(plan, predicate)
 
-
-def estimated_selectivity(sketch: ProvenanceSketch, table: str) -> float:
-    """Fraction of fragments of ``table`` retained by the sketch.
-
-    A rough proxy for how much data the use rewrite skips (1.0 when the
-    sketch has no partition of ``table``).  Reporting only: the middleware
-    uses a sketch whenever one is stored, whatever this fraction -- the
-    ablation benchmark and the tests print and assert on it.
-    """
-    if not sketch.partition.has_table(table):
-        return 1.0
-    partition = sketch.partition.partition_of(table)
-    if partition.num_fragments == 0:
-        return 1.0
-    selected = len(sketch.ranges_for(table))
-    return selected / partition.num_fragments

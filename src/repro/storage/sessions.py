@@ -105,11 +105,6 @@ class SessionRegistry:
         with self._lock:
             return min(self._pins) if self._pins else None
 
-    def active_sessions(self) -> int:
-        """Number of currently open sessions."""
-        with self._lock:
-            return sum(self._pins.values())
-
     def summary(self) -> dict[str, int]:
         """Compact report (sessions opened/closed/active, pin spread)."""
         with self._lock:

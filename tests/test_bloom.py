@@ -74,11 +74,6 @@ class TestMembership:
 
 
 class TestAccounting:
-    def test_count_tracks_insertions(self):
-        bloom = BloomFilter(expected_items=16)
-        bloom.add_all(range(5))
-        assert bloom.approximate_count == 5
-
     def test_fill_ratio_increases(self):
         bloom = BloomFilter(expected_items=64)
         before = bloom.fill_ratio()

@@ -18,7 +18,7 @@ from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.safety import SafetyAnalyzer, safe_attributes
 from repro.sketch.selection import build_database_partition, build_partition, choose_sketch_attribute
 from repro.sketch.sketch import ProvenanceSketch
-from repro.sketch.use import estimated_selectivity, instrument_plan, sketch_predicate
+from repro.sketch.use import instrument_plan, sketch_predicate
 from tests.conftest import Q_TOP, S8
 from tests.reference import AnnotatedEvaluator, engine_output
 
@@ -121,11 +121,6 @@ class TestUseRewrite:
         sketch = capture_sketch(plan, sales_partition, sales_db)
         instrumented = instrument_plan(plan, sketch)
         assert sales_db.query(instrumented) == sales_db.query(plan)
-
-    def test_estimated_selectivity(self, sales_partition):
-        half = ProvenanceSketch(sales_partition, [0, 1])
-        assert estimated_selectivity(half, "sales") == 0.5
-        assert estimated_selectivity(half, "unknown") == 1.0
 
 
 class TestValuesNoRangeHolds:
@@ -256,16 +251,12 @@ class TestSafety:
         analyzer = SafetyAnalyzer(plan, join_db)
         # a is join-equivalent to the group-by attribute d.
         assert "a" in analyzer.safe_attributes("r")
-        assert analyzer.is_safe("s", "d")
+        assert "d" in analyzer.safe_attributes("s")
 
     def test_unreferenced_table_has_no_safe_attributes(self, sales_db):
         plan = sales_db.plan(Q_TOP)
         sales_db.create_table("unrelated", ["x"])
         assert safe_attributes(plan, sales_db, "unrelated") == set()
-
-    def test_partitionable_tables(self, sales_db):
-        analyzer = SafetyAnalyzer(sales_db.plan(Q_TOP), sales_db)
-        assert analyzer.partitionable_tables() == {"sales"}
 
 
 class TestAttributeSelection:

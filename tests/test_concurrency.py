@@ -407,6 +407,41 @@ def test_free_running_readers_see_stable_snapshots():
         assert concurrent_sketches[entry.sql] is not None
 
 
+def test_a_materialized_snapshot_is_read_without_the_write_lock():
+    """A session whose pinned snapshot is materialized answers a query while
+    another thread holds the database write lock: committed versions are
+    immutable, so serving them needs no lock.  The threads move in lock step
+    (events, no sleeps); a read that waited for the lock fails the join's
+    timeout instead of hanging the suite."""
+    database, table = make_database(num_rows=200, num_groups=10)
+    session = database.connect()
+    expected = session.query(QUERIES[0])  # materializes the pinned snapshot
+    database.insert("r", table.make_inserts(5))  # the writer moves on
+    held, release = threading.Event(), threading.Event()
+    answers = []
+
+    def hold_the_lock() -> None:
+        with database.lock:
+            held.set()
+            release.wait(timeout=60.0)
+
+    holder = threading.Thread(target=hold_the_lock)
+    reader = threading.Thread(target=lambda: answers.append(session.query(QUERIES[0])))
+    holder.start()
+    try:
+        assert held.wait(timeout=60.0)
+        reader.start()
+        reader.join(timeout=10.0)
+        waited = reader.is_alive()
+    finally:
+        release.set()
+        holder.join(timeout=60.0)
+    reader.join(timeout=60.0)
+    assert not waited, "a read of a materialized snapshot waited for the write lock"
+    assert answers == [expected]
+    session.close()
+
+
 def test_round_skips_entries_captured_past_its_target(monkeypatch):
     """Regression: a sketch captured after a round read its target version
     must be left for the next round, not maintained through an inverted
@@ -451,7 +486,7 @@ def test_session_registry_retention_and_pruning():
     early.close()
     # ...and closing it reclaims everything below the current version.
     assert stored.snapshot_memory_entries() <= 1
-    assert database.session_registry.active_sessions() == 0
+    assert database.session_registry.summary()["active"] == 0
 
 
 def test_snapshot_batch_rejects_unknown_versions_even_when_cached():

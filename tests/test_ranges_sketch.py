@@ -159,7 +159,7 @@ class TestDatabasePartition:
 class TestProvenanceSketch:
     def test_add_and_membership(self, database_partition):
         sketch = ProvenanceSketch.empty(database_partition)
-        sketch.add_fragment("sales", 2)
+        sketch.add(database_partition.global_id("sales", 2))
         sketch.add(5)
         assert sketch.contains_fragment("sales", 2)
         assert 5 in sketch

@@ -38,10 +38,9 @@ class TestSchema:
         assert schema.has("r.a")
         assert not schema.has("nope")
 
-    def test_qualify_and_unqualify(self):
+    def test_qualify(self):
         schema = Schema(["a", "b"]).qualify("t")
         assert schema.attributes == ("t.a", "t.b")
-        assert schema.unqualified().attributes == ("a", "b")
 
     def test_concat(self):
         left = Schema(["r.a"])

@@ -1,44 +1,7 @@
 """Tests for :mod:`repro.core.timing`."""
 
-import time
-
 from repro.core.bloom import BloomFilter
-from repro.core.timing import MemoryMeter, Stopwatch, deep_size
-
-
-class TestStopwatch:
-    def test_measures_elapsed_time(self):
-        watch = Stopwatch().start()
-        time.sleep(0.01)
-        elapsed = watch.stop()
-        assert elapsed >= 0.005
-
-    def test_accumulates_across_intervals(self):
-        watch = Stopwatch()
-        watch.start()
-        time.sleep(0.005)
-        first = watch.stop()
-        watch.start()
-        time.sleep(0.005)
-        second = watch.stop()
-        assert second > first
-
-    def test_reset(self):
-        watch = Stopwatch().start()
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-
-    def test_context_manager(self):
-        with Stopwatch() as watch:
-            time.sleep(0.003)
-        assert watch.elapsed >= 0.001
-
-    def test_elapsed_includes_running_interval(self):
-        watch = Stopwatch().start()
-        time.sleep(0.003)
-        assert watch.elapsed > 0.0
-        watch.stop()
+from repro.core.timing import MemoryMeter, deep_size
 
 
 class TestMemoryMeter:

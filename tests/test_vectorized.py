@@ -236,7 +236,7 @@ class TestSelectionSemantics:
         vectorized = database.query(plan, optimize_plans=False, vectorize=True)
         row = database.query(plan, optimize_plans=False, vectorize=False)
         assert vectorized == row
-        assert vectorized.to_set() == {(1, True)}
+        assert vectorized.to_sorted_list() == [(1, True)]
 
     def test_non_boolean_conjuncts_and_join_conditions(self):
         # ``True AND b`` is true for every b but False/NULL, ``ON 1`` for no

@@ -32,6 +32,7 @@ from repro.storage.recovery import (
     state_fingerprint,
 )
 from repro.storage.wal import (
+    FSYNC_ALWAYS,
     FSYNC_BATCH,
     FSYNC_OFF,
     WAL_MAGIC,
@@ -386,6 +387,30 @@ class TestDurableDatabase:
             db.close()
             recovered, _report = recover_database(data_dir)
             assert state_fingerprint(recovered) == before, policy
+
+    def test_each_fsync_policy_syncs_as_specified(self, tmp_path):
+        """Over N commits, ``always`` issues one more sync per commit than
+        ``off`` and ``batch`` one per ``batch_interval`` commits -- counted
+        at the I/O layer, not timed."""
+        commits, interval = 12, 4
+
+        def syncs(policy: str) -> int:
+            injector = FaultInjector()
+            db = Database(
+                "s", data_dir=str(tmp_path / policy), fsync=policy,
+                batch_interval=interval, files=injector.files(),
+            )
+            db.create_table("r", ["id"], primary_key="id")
+            before = len(injector.log)
+            for i in range(commits):
+                db.insert("r", [(i,)])
+            window = injector.log[before:]
+            db.close()
+            return sum(point.split(":", 1)[1].startswith("sync(") for point in window)
+
+        off = syncs(FSYNC_OFF)
+        assert syncs(FSYNC_ALWAYS) - off == commits
+        assert syncs(FSYNC_BATCH) - off == commits // interval
 
     def test_wal_version_gap_fails_loudly(self, tmp_path):
         db = build_sample_db(str(tmp_path / "d"))
