@@ -9,10 +9,13 @@ reference it is tested against lives in :mod:`repro.relational.oracle`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Protocol
 
-from repro.core.errors import PlanError
+from repro.core.errors import PlanError, SchemaError
 from repro.relational.algebra import (
+    Aggregate,
+    AggregateFunction,
     Aggregation,
     Distinct,
     Join,
@@ -25,6 +28,7 @@ from repro.relational.algebra import (
 from repro.relational import kernels
 from repro.relational.columnar import ColumnBatch
 from repro.relational.expressions import (
+    ColumnRef,
     Expression,
     Literal,
     compile_batch_expression,
@@ -39,6 +43,48 @@ from repro.relational.schema import Relation, Schema
 _LOOKUP_MAX_SHARE = 0.5
 """A lookup join fetches at most this share of the table's rows: past half,
 copying the buckets costs more than hashing the cached table batch."""
+
+
+_EXACT_TYPES = frozenset({int, bool, type(None)})
+_EXACT_BOUND = 2**53
+"""Every integer of magnitude up to this converts to a float exactly."""
+
+
+def _fold_input(batch: ColumnBatch, aggregates: Sequence[Aggregate]) -> ColumnBatch:
+    """``batch`` as an aggregation folds it: consolidated -- one entry per
+    distinct row, in first-occurrence order, which fixes the accumulation
+    order of each group's float sums -- unless no fold can see a merge.
+
+    Counts are integer sums and min/max keep the first of equal values, so
+    neither depends on merging.  A sum or avg over a column reference whose
+    values are ints, bools or NULL, of magnitude at most ``m``, over entries
+    whose multiplicities add up to ``n``, adds integers to ``0.0`` exactly as
+    long as ``m * n <= 2**53``, in any order and whether equal rows are
+    merged or not.  Every other argument keeps the merge; a float column is
+    told by sampled values before any full pass.
+    """
+    if batch.consolidated:
+        return batch
+    columns = []
+    for aggregate in aggregates:
+        if aggregate.function not in (AggregateFunction.SUM, AggregateFunction.AVG):
+            continue
+        if not isinstance(aggregate.argument, ColumnRef):
+            return batch.consolidate()
+        try:
+            column = batch.columns[batch.schema.index_of(aggregate.argument.name)]
+        except SchemaError:
+            return batch.consolidate()
+        if column and not {type(column[i]) for i in (0, len(column) // 2, -1)} <= _EXACT_TYPES:
+            return batch.consolidate()
+        columns.append(column)
+    total = sum(batch.multiplicities)
+    for column in columns:
+        if not set(map(type, column)) <= _EXACT_TYPES:
+            return batch.consolidate()
+        if max(map(abs, filter(None, column)), default=0) * total > _EXACT_BOUND:
+            return batch.consolidate()
+    return batch
 
 
 class RelationProvider(Protocol):
@@ -92,7 +138,10 @@ class Evaluator:
     :meth:`~repro.relational.algebra.Join.key_pairs` and the ORDER BY rule of
     :mod:`repro.relational.schema`).  The lookup join
     (:meth:`_lookup_batch`) is engine-only: it hands the unchanged hash join
-    the same right entries, in the same order, that a key can match.
+    the same right entries, in the same order, that a key can match.  So are
+    the group-join (:meth:`_group_join_batch`) and the merge an aggregation
+    skips when no fold can tell (:func:`_fold_input`); the oracle always
+    joins, merges, then aggregates.
     """
 
     def __init__(self, provider: RelationProvider, optimize_plans: bool = True) -> None:
@@ -241,10 +290,16 @@ class Evaluator:
         return batch
 
     def _aggregation_batch(self, node: Aggregation) -> ColumnBatch:
-        # One entry per distinct child row, in first-occurrence order: that
-        # fixes the accumulation order of each group's float sums.
-        child = self._batch(node.child).consolidate()
+        grouped = self._group_join_batch(node)
+        if grouped is not None:
+            return grouped
+        child = _fold_input(self._batch(node.child), node.aggregates)
         key_columns = [self._values(child, expression) for expression in node.group_by]
+        return self._fold(node, child, key_columns)
+
+    def _fold(
+        self, node: Aggregation, child: ColumnBatch, key_columns: list[list]
+    ) -> ColumnBatch:
         argument_columns = [
             None if aggregate.argument is None else self._values(child, aggregate.argument)
             for aggregate in node.aggregates
@@ -257,6 +312,79 @@ class Evaluator:
             child.multiplicities,
             grouped=bool(node.group_by),
         )
+
+    def _group_join_batch(self, node: Aggregation) -> ColumnBatch | None:
+        """The aggregation of a join grouped by its key-only left side, folded
+        from the right side's partners without running the join -- or None,
+        and the caller joins and aggregates as usual.
+
+        Taken when the child is a join whose left input has one column, the
+        condition is one key pair and nothing else, the one GROUP BY item is
+        that left column and every aggregate argument resolves in the right
+        input (Moerkotte & Neumann's groupjoin).  The right entries whose key
+        is a left key are folded, each at its multiplicity times its key's
+        left count, grouped by the right key; the groups are then put in left
+        order and keyed by the left side's spelling of the value.  That is the
+        join-then-aggregate result entry for entry: the join pairs each left
+        entry (the left side is consolidated, so its keys are distinct) with
+        its key's right entries in right order at the product of the counts,
+        so each group folds the same values at the same multiplicities in the
+        same order, its groups appear in left order, and merging the pairs'
+        duplicates merges exactly the duplicate right rows of one key.
+        """
+        join = node.child
+        if not isinstance(join, Join) or len(node.group_by) != 1:
+            return None
+        provider = self._provider
+        left_schema = join.left.output_schema(provider)
+        if len(left_schema) != 1:
+            return None
+        right_schema = join.right.output_schema(provider)
+        pairs, residual = join.key_pairs(left_schema, right_schema)
+        if len(pairs) != 1 or residual is not None:
+            return None
+        # Names resolve against the join's output, as the aggregation binds them.
+        combined = left_schema.concat(right_schema)
+        group = node.group_by[0]
+        try:
+            if not isinstance(group, ColumnRef) or combined.index_of(group.name) != 0:
+                return None
+            for aggregate in node.aggregates:
+                if aggregate.argument is not None and 0 in {
+                    combined.index_of(name) for name in aggregate.argument.columns()
+                }:
+                    return None
+        except SchemaError:
+            return None
+        left = self._batch(join.left).consolidate()
+        right = self._lookup_batch(join, left)
+        if right is None:
+            right = self._batch(join.right)
+        (_, key_position), = pairs
+        # Left key -> its one position; NULL and NaN keys have no partner.
+        index = kernels.join_index(left.columns[0])
+        kept = kernels.filter_batch(
+            right, list(map(index.__contains__, right.columns[key_position])), True
+        )
+        counts = left.multiplicities
+        if counts.count(1) != len(counts):
+            count_of = dict(zip(left.columns[0], counts))
+            keys = kept.columns[key_position]
+            kept = ColumnBatch(
+                kept.schema,
+                kept.columns,
+                [count_of[key] * count for key, count in zip(keys, kept.multiplicities)],
+                kept.consolidated,
+            )
+        kept = _fold_input(kept, node.aggregates)
+        folded = self._fold(node, kept, [kept.columns[key_position]])
+        # Groups come in right order, keyed by the right spelling.
+        positions = [index[key][0] for key in folded.columns[0]]
+        order = sorted(range(len(positions)), key=positions.__getitem__)
+        left_keys = left.columns[0]
+        columns = [[left_keys[positions[g]] for g in order]]
+        columns.extend([column[g] for g in order] for column in folded.columns[1:])
+        return ColumnBatch(folded.schema, columns, folded.multiplicities, consolidated=True)
 
     def _top_k_batch(self, node: TopK) -> ColumnBatch:
         # Consolidated like an aggregation's input: equal rows are one entry

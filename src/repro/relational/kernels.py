@@ -187,8 +187,12 @@ def aggregate_batch(
     aggregation applies at signed counts).  ``argument_columns`` holds
     ``None`` for ``count(*)``; NULL values are ignored.
 
-    The input must be consolidated (the caller guarantees it).  Output order:
-    one entry per group, in order of first occurrence.  A group's sum adds
+    The input must be consolidated unless no fold can tell (the caller
+    guarantees it): counts and min/max never can, nor can a sum or avg whose
+    values are ints, bools and NULL of magnitude at most ``m`` over entries
+    whose multiplicities add up to ``n`` with ``m * n <= 2**53``, since those
+    add up exactly.  Output order: one entry per group, in order of first
+    occurrence.  A group's sum adds
     ``value * multiplicity`` to ``0.0`` in entry order, which fixes the low
     bits of float sums; the first occurrence wins ties of min/max.
     """

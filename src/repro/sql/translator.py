@@ -283,11 +283,16 @@ class Translator:
     def _group_rename(
         group_by: Sequence[Expression], group_names: Sequence[str]
     ) -> dict[str, str]:
+        """Where each GROUP BY item is found above the aggregation: a column
+        under its name and bare name, any other expression under its
+        ``canonical()`` text."""
         rename: dict[str, str] = {}
         for expression, name in zip(group_by, group_names):
             if isinstance(expression, ColumnRef):
                 rename[expression.name] = name
                 rename[Schema.bare_name(expression.name)] = name
+            else:
+                rename[expression.canonical()] = name
         return rename
 
     # -- ORDER BY / LIMIT ----------------------------------------------------------
@@ -326,7 +331,8 @@ def _rewrite_post_aggregation(
     """Rewrite an expression evaluated above an Aggregation operator.
 
     Aggregate calls become references to the aggregate output attribute;
-    grouping columns are renamed to their output names.
+    grouping columns and grouping expressions become references to their
+    output attributes.
     """
     if isinstance(expression, FunctionCall) and expression.is_aggregate:
         alias = alias_by_call.get(expression.canonical())
@@ -337,6 +343,9 @@ def _rewrite_post_aggregation(
         return ColumnRef(alias)
     if isinstance(expression, ColumnRef):
         return ColumnRef(group_rename.get(expression.name, expression.name))
+    group = group_rename.get(expression.canonical())
+    if group is not None:
+        return ColumnRef(group)
     return expression.with_children(
         [
             _rewrite_post_aggregation(child, alias_by_call, group_rename)

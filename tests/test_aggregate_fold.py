@@ -20,6 +20,9 @@
 (e) An incremental sum/avg forgets a deleted NaN or infinity: the maintained
     state equals a fresh capture and the batch kernel, and its dump lists
     the non-finite counts of exactly the groups that hold them.
+(f) The engine merges an aggregation's duplicate input rows only where a sum
+    or avg could tell (floats, expressions, ints past 2**53); the result
+    equals the always-merging oracle by ``repr`` either way.
 
 Plus the typed error for aggregates over values they cannot aggregate.
 """
@@ -47,8 +50,16 @@ from repro.imp.operators import (
 )
 from repro.imp.persistence import dump_engine_state
 from repro.relational import kernels
-from repro.relational.algebra import Aggregate, AggregateFunction
-from repro.relational.expressions import ColumnRef
+from repro.relational.algebra import (
+    Aggregate,
+    AggregateFunction,
+    Aggregation,
+    Projection,
+    ProjectionItem,
+    TableScan,
+)
+from repro.relational.columnar import ColumnBatch
+from repro.relational.expressions import BinaryOp, ColumnRef, Literal
 from repro.relational.oracle import compute_aggregate
 from repro.relational.schema import Schema
 from repro.sketch.ranges import DatabasePartition, RangePartition
@@ -778,6 +789,116 @@ class TestSumOverNonFinite:
         fresh.initialize()
         operators = [dump_engine_state(e)["operators"] for e in (engine, fresh)]
         assert json.dumps(operators[0]) == json.dumps(operators[1])
+
+
+# -- (f) exact folds skip the merge ------------------------------------------------------
+#
+# The engine merges an aggregation's duplicate input rows only where a sum or
+# avg could tell: ints, bools and NULL of magnitude at most m, over entries
+# holding n tuples, add up exactly while m * n <= 2**53.  Counts and min/max
+# never tell.  The oracle always merges, so it is the reference.
+
+EDGE = 2**53
+EXACT_VALUES = st.sampled_from(
+    [None, 0, 1, True, False, -1, 2**52, -(2**52), EDGE, EDGE + 1, -(EDGE + 1)]
+)
+INEXACT_VALUES = st.sampled_from([None, NAN, 1, 1.0, True, 0.1, 1e16, -1e16, EDGE + 1])
+GROUP_KEYS = st.sampled_from([None, 0, 1, 1.0, True, NAN])
+T_SCAN = TableScan("t")
+
+
+def pruned(*names: str) -> Projection:
+    """``t`` pruned to ``names``: equal rows become duplicate entries."""
+    return Projection(T_SCAN, [ProjectionItem(ColumnRef(name)) for name in names])
+
+
+@st.composite
+def duplicated_table(draw):
+    database = Database()
+    database.create_table("t", ["id", "g", "v"])
+    values = EXACT_VALUES if draw(st.booleans()) else INEXACT_VALUES
+    rows = draw(st.lists(st.tuples(st.integers(0, 3), GROUP_KEYS, values), max_size=12))
+    again = draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    database.insert("t", rows + again)
+    return database
+
+
+def merged_schemas(monkeypatch) -> list:
+    """The schema of every batch merged from now on."""
+    merged: list = []
+    original = ColumnBatch._merged_counts
+
+    def spy(batch):
+        merged.append(list(batch.schema))
+        return original(batch)
+
+    monkeypatch.setattr(ColumnBatch, "_merged_counts", spy)
+    return merged
+
+
+class TestExactFoldsSkipTheMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(duplicated_table())
+    def test_engine_equals_the_oracle_bit_for_bit(self, database):
+        doubled = Aggregate(SUM, BinaryOp("*", ColumnRef("v"), Literal(2)), "s2")
+        plans = [
+            Aggregation(pruned("g", "v"), [ColumnRef("g")], all_aggregates("v")),
+            Aggregation(pruned("v"), [], all_aggregates("v")),
+            Aggregation(pruned("g", "v"), [ColumnRef("g")], [doubled]),
+            database.plan(
+                "SELECT g, sum(v) AS s, avg(v) AS av, count(*) AS n, min(v) AS lo "
+                "FROM t GROUP BY g"
+            ),
+        ]
+        for plan in plans:
+            for optimize in (False, True):
+                engine = database.query(plan, optimize_plans=optimize)
+                oracle = database.query(plan, optimize_plans=optimize, vectorize=False)
+                assert repr(list(engine.items())) == repr(list(oracle.items())), (
+                    plan.explain(),
+                    optimize,
+                )
+
+    @pytest.mark.parametrize(
+        "values, merges, total",
+        [
+            ([2**52, 2**52], False, float(EDGE)),  # 2**52 * 2 tuples: at the bound
+            ([2**52, 2**52, 1], True, float(EDGE + 1)),  # one tuple past it
+            # Past the bound the merge decides a bit: 2**53 + 1 + 1 is 2**53
+            # unmerged (each + 1 rounds away) but 2**53 + 2 merged.
+            ([EDGE, 1, 1], True, float(EDGE + 2)),
+            # Floats always merge: 1e16 + 1.0 + 1.0 - 1e16 is 0.0 unmerged.
+            ([1e16, 1.0, 1.0, -1e16], True, 2.0),
+            # Ints where the values are sampled, floats between: the full
+            # pass finds them (5.3999999999999995 unmerged).
+            ([1, 0.1, 0.1, 3, 0.1, 0.1, 1], True, 5.4),
+        ],
+    )
+    def test_a_sum_merges_only_where_it_could_tell(self, monkeypatch, values, merges, total):
+        database = Database()
+        database.create_table("t", ["id", "g", "v"])
+        database.insert("t", [(i, 0, value) for i, value in enumerate(values)])
+        total_of_v = Aggregate(SUM, ColumnRef("v"), "s")
+        plan = Aggregation(pruned("g", "v"), [ColumnRef("g")], [total_of_v])
+        merged = merged_schemas(monkeypatch)
+        result = database.query(plan, optimize_plans=False)
+        assert merged == ([["g", "v"]] if merges else [])
+        assert repr(list(result.rows())) == repr([(0, total)])
+        monkeypatch.undo()
+        assert result == database.query(plan, optimize_plans=False, vectorize=False)
+
+    def test_counts_and_min_max_never_merge(self, monkeypatch):
+        database = Database()
+        database.create_table("t", ["id", "g", "v"])
+        database.insert("t", [(i, i % 2, value) for i, value in enumerate([0.1, 1, 1.0, NAN] * 3)])
+        aggregates = [a for a in all_aggregates("v") if a.function not in (SUM, AVG)]
+        plan = Aggregation(pruned("g", "v"), [ColumnRef("g")], aggregates)
+        merged = merged_schemas(monkeypatch)
+        result = database.query(plan, optimize_plans=False)
+        assert merged == []
+        monkeypatch.undo()
+        expected = database.query(plan, optimize_plans=False, vectorize=False)
+        assert repr(list(result.items())) == repr(list(expected.items()))
 
 
 # -- typed error for values an aggregate cannot aggregate ----------------------------

@@ -11,6 +11,13 @@ by ``repr`` -- entry order, value types and float low bits included -- with
 and without the optimizer, over duplicate, NULL, NaN (one shared object and
 distinct ones) and ``1`` / ``1.0`` / ``True`` keys.  A counter test pins what
 the rule buys on the benchmark's join shape.
+
+An aggregation grouped by the one column of a key-only left side is a
+group-join: it folds the right side's partners without running the hash join.
+It is held to the oracle the same way, also over ``2**53 + 1`` keys, duplicate
+right rows, sketch-instrumented and looked-up inputs and float sums that only
+a merge gets right, and counters pin that the TPC-H ``order_volume`` template
+takes it.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.imp.middleware import IMPSystem
 from repro.relational import kernels
 from repro.relational.algebra import (
     Aggregate,
@@ -29,13 +37,18 @@ from repro.relational.algebra import (
     OrderItem,
     Projection,
     ProjectionItem,
+    Selection,
     TableScan,
     TopK,
 )
 from repro.relational.columnar import ColumnBatch
-from repro.relational.expressions import BinaryOp, ColumnRef, Comparison, LogicalOp
+from repro.relational.expressions import BinaryOp, ColumnRef, Comparison, IsNull, LogicalOp
 from repro.relational.schema import Schema
+from repro.sketch.ranges import DatabasePartition, RangePartition
+from repro.sketch.sketch import ProvenanceSketch
+from repro.sketch.use import instrument_plan
 from repro.storage.database import Database
+from repro.workloads.tpch import load_tpch, tpch_having_revenue, tpch_order_volume
 
 NAN = math.nan
 KEYS = st.one_of(
@@ -233,9 +246,9 @@ def test_sql_joins_over_pruned_key_columns():
 
 def test_a_key_only_side_is_merged_before_the_probe(monkeypatch):
     """The benchmark's join shape: 25 000 rows of ``r`` pruned to ``a`` (500
-    keys) against 2 000 helper rows.  The join emits one pair per helper row,
-    not one per ``r`` row, flags it consolidated, and the aggregation above
-    merges nothing again."""
+    keys) against 2 000 helper rows, grouped by ``a``.  It is a group-join:
+    the key-only side is merged once, the helper rows are folded without a
+    hash join, and an integer sum merges nothing else."""
     rng = random.Random(7)
     database = Database()
     database.create_table("r", ["id", "a", "b"], primary_key="id")
@@ -260,8 +273,197 @@ def test_a_key_only_side_is_merged_before_the_probe(monkeypatch):
     result = database.query(sql)
     helper_rows = len(database.column_batch("u"))
     assert 1_900 < helper_rows <= 2_000
-    assert joins == [(helper_rows, True)]
-    # The key-only side, then the root projection's groups; never the join.
+    assert joins == []
+    # The key-only side, then the root projection's groups; never the partners.
     assert merges == [25_000, len(result)]
     monkeypatch.undo()
     assert answer(result) == answer(database.query(sql, optimize_plans=False, vectorize=False))
+
+
+# -- the group-join ------------------------------------------------------------------
+#
+# An aggregation grouped by the one column of a key-only left side folds the
+# right side's partners without running the join.  It must equal the oracle's
+# join-then-aggregate by ``repr``: groups in left order under the left
+# spelling, each group's floats in right order at left count x right count.
+
+BIG = 2**53 + 1  # the first int a float cannot hold: float(BIG) == 2**53
+GROUP_KEYS = st.one_of(
+    st.sampled_from([None, NAN, 0, 1, 1.0, True, 2, BIG, -BIG, float(BIG)]),
+    st.builds(float, st.just("nan")),
+)
+# Ints only: every sum is exact, so the fold skips the merge.
+EXACT_VALUES = st.sampled_from([None, 0, 1, True, -3, 2**40])
+# Mixed with floats: sums merge duplicates first.
+MIXED_VALUES = st.sampled_from([None, NAN, 0, 1, 1.0, True, -3, 0.1, 7.25, 1e16, -1e16])
+U_PAIRS = Projection(U, [ProjectionItem(k), ProjectionItem(w)])  # duplicate rows
+U_SELECTED = Selection(U, IsNull(l, negated=True))  # a lookup when ``k`` is indexed
+
+
+def group_join_plans(left) -> list:
+    """Aggregations grouped by ``left``'s one column over joins with ``u``."""
+    every = [
+        Aggregate(AggregateFunction.COUNT, None, "n"),
+        Aggregate(AggregateFunction.COUNT, w, "c"),
+        Aggregate(AggregateFunction.MIN, w, "lo"),
+        Aggregate(AggregateFunction.MAX, w, "hi"),
+        Aggregate(AggregateFunction.SUM, w, "s"),
+        Aggregate(AggregateFunction.AVG, w, "av"),
+    ]
+    plans = [
+        Aggregation(Join(left, right, condition), [g], every)
+        for right in (U, U_PAIRS, U_SELECTED)
+        for condition in (equal(g, k), equal(k, g))
+    ]
+    sum_of_keys = Aggregate(AggregateFunction.SUM, k, "sk")
+    plans.append(Aggregation(Join(left, U_KEYS, equal(g, k)), [g], [sum_of_keys]))
+    return plans
+
+
+@st.composite
+def group_join_case(draw):
+    """``t`` with repeated keys (``t`` pruned to ``g`` has multiplicities
+    above one) and ``u`` with repeated rows; perhaps an index on ``u.k`` and a
+    sketch over ``t.id`` on the left side."""
+    database = Database()
+    database.create_table("t", ["id", "g", "h", "v"])
+    database.create_table("u", ["k", "l", "w"])
+    if draw(st.booleans()):
+        database.create_index("u", "k")
+    values = EXACT_VALUES if draw(st.booleans()) else MIXED_VALUES
+    t_rows = draw(st.lists(st.tuples(st.integers(0, 5), GROUP_KEYS, KEYS, SUMMANDS), max_size=10))
+    u_rows = draw(
+        st.lists(st.tuples(GROUP_KEYS, st.sampled_from([None, 0, 1]), values), max_size=12)
+    )
+    for table, rows in (("t", t_rows), ("u", u_rows)):
+        again = draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+        database.insert(table, rows + again)
+    left = T_KEYS
+    if draw(st.booleans()):
+        database.create_index("t", "id")
+        partition = DatabasePartition([RangePartition.from_boundaries("t", "id", [0, 2, 4, 6])])
+        fragments = draw(st.sets(st.integers(0, partition.total_fragments - 1)))
+        left = instrument_plan(T_KEYS, ProvenanceSketch(partition, fragments))
+    return database, left
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_join_case())
+def test_the_group_join_equals_the_oracle_bit_for_bit(case):
+    database, left = case
+    for plan in group_join_plans(left):
+        for optimize in (False, True):
+            engine = database.query(plan, optimize_plans=optimize)
+            oracle = database.query(plan, optimize_plans=optimize, vectorize=False)
+            assert answer(engine) == answer(oracle), (plan.explain(), optimize)
+
+
+def spied(monkeypatch) -> dict:
+    """Calls of the hash join and the index lookup, and the schemas of the
+    batches merged, from now on."""
+    seen = {"joins": 0, "lookups": 0, "merged": []}
+    original_join, original_lookup = kernels.hash_join_batch, Database.index_lookup
+    original_merge = ColumnBatch._merged_counts
+
+    def join(left, right, pairs):
+        seen["joins"] += 1
+        return original_join(left, right, pairs)
+
+    def lookup(self, *args):
+        seen["lookups"] += 1
+        return original_lookup(self, *args)
+
+    def merge(batch):
+        seen["merged"].append(list(batch.schema))
+        return original_merge(batch)
+
+    monkeypatch.setattr(kernels, "hash_join_batch", join)
+    monkeypatch.setattr(Database, "index_lookup", lookup)
+    monkeypatch.setattr(ColumnBatch, "_merged_counts", merge)
+    return seen
+
+
+def test_the_group_join_keys_and_order(monkeypatch):
+    """Groups in left order under the left spelling (``True`` for ``1`` and
+    ``1.0``), NULL and NaN keys dropped on both sides, ``2**53 + 1`` apart
+    from its float, and each float sum over duplicate partners merged first:
+    ``1e16 + 1.0 + 1.0 - 1e16`` is ``0.0`` unmerged but ``2.0`` merged."""
+    database = Database()
+    database.create_table("t", ["id", "g", "h", "v"])
+    database.create_table("u", ["k", "l", "w"])
+    lefts = [2, True, None, NAN, BIG, 2]
+    database.insert("t", [(i, key, 0, 0.5) for i, key in enumerate(lefts)])
+    database.insert(
+        "u",
+        [
+            (True, 0, 1e16),
+            (2, 0, 0.5),
+            (1.0, 0, 1.0),
+            (1, 1, 1.0),
+            (float(BIG), 0, 3.0),
+            (BIG, 0, 4.0),
+            (None, 0, 5.0),
+            (NAN, 0, 6.0),
+            (1, 0, -1e16),
+        ],
+    )
+    plan = Aggregation(
+        Join(T_KEYS, U_PAIRS, equal(g, k)),
+        [g],
+        [Aggregate(AggregateFunction.SUM, w, "s"), Aggregate(AggregateFunction.COUNT, None, "n")],
+    )
+    seen = spied(monkeypatch)
+    result = database.query(plan, optimize_plans=False)
+    assert seen["joins"] == 0
+    expected = [((2, 1.0, 2), 1), ((True, 2.0, 4), 1), ((BIG, 4.0, 1), 1)]
+    assert repr(list(result.items())) == repr(expected)
+    monkeypatch.undo()
+    assert answer(result) == answer(database.query(plan, optimize_plans=False, vectorize=False))
+
+
+def test_a_small_left_side_looks_its_partners_up(monkeypatch):
+    """A key-only left side over a few keys fetches their index buckets and
+    folds them; the hash join never runs."""
+    database = Database()
+    database.create_table("t", ["id", "g", "h", "v"])
+    database.create_table("u", ["k", "l", "w"])
+    database.insert("t", [(i, key, 0, 0.5) for i, key in enumerate([7, 3, 7, 3.0])])
+    database.insert("u", [(i % 20, i % 2, 0.1 * i) for i in range(60)])
+    database.create_index("u", "k")
+    plan = group_join_plans(T_KEYS)[4]  # U_SELECTED, g = k
+    seen = spied(monkeypatch)
+    result = database.query(plan, optimize_plans=False)
+    assert (seen["joins"], seen["lookups"]) == (0, 1)
+    assert [row[:2] for row in result.rows()] == [(7, 6), (3, 6)]
+    monkeypatch.undo()
+    assert answer(result) == answer(database.query(plan, optimize_plans=False, vectorize=False))
+
+
+def test_the_tpch_templates_fold_without_a_join_where_they_can(monkeypatch):
+    """``order_volume`` (orders pruned to ``o_orderkey``, grouped by it) is a
+    group-join, also when a sketch answers it; ``having_revenue`` groups by
+    the customer key over two columns, so it joins, and its float-expression
+    sum still merges the join's output."""
+    database = Database()
+    load_tpch(database, scale=0.02, seed=5)
+    volume, revenue = tpch_order_volume(60.0), tpch_having_revenue(20_000.0)
+    seen = spied(monkeypatch)
+    volume_result = database.query(volume)
+    # An integer sum: only the key-only side and the root projection merge.
+    assert seen["joins"] == 0
+    assert seen["merged"] == [["orders.o_orderkey"], ["o_orderkey", "total_quantity"]]
+    revenue_result = database.query(revenue)
+    assert seen["joins"] == 2
+    assert any(
+        "customer.c_custkey" in schema and "lineitem.l_extendedprice" in schema
+        for schema in seen["merged"]
+    )
+    system = IMPSystem(database, num_fragments=8)
+    seen["joins"] = 0
+    assert system.run_query(volume) == volume_result  # captures
+    assert system.run_query(volume) == volume_result  # answered with the sketch
+    assert system.statistics.sketch_hits == 2
+    assert seen["joins"] == 0
+    monkeypatch.undo()
+    for sql, result in ((volume, volume_result), (revenue, revenue_result)):
+        assert answer(result) == answer(database.query(sql, optimize_plans=False, vectorize=False))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import PlanError
+from repro.imp.middleware import IMPSystem
 from repro.relational.algebra import (
     Aggregation,
     Distinct,
@@ -179,6 +180,43 @@ class TestTranslationResults:
         expected = database.query(sql, optimize_plans=False, vectorize=False)
         assert database.query(sql) == expected
         assert sorted(expected.rows(), reverse=True) == answer
+
+    @pytest.mark.parametrize(
+        "sql, answer, sketched",
+        [
+            (
+                "SELECT a % 3 AS m, count(*) AS n FROM t GROUP BY a % 3",
+                [(0, 14), (1, 13), (2, 13)],
+                True,
+            ),
+            (
+                "SELECT b + 1 AS m, sum(a) AS s FROM t GROUP BY b + 1 HAVING sum(a) > 300",
+                [(4, 345.0)],
+                True,
+            ),
+            (
+                "SELECT b + 1, max(a) AS hi FROM t GROUP BY b + 1 "
+                "ORDER BY b + 1 DESC LIMIT 2",
+                [(3, 29), (4, 39)],
+                False,  # top-k by a GROUP BY expression: no safe sketch attribute
+            ),
+        ],
+        ids=["select", "having", "order-by"],
+    )
+    def test_a_group_by_expression_is_read_above_the_aggregation(self, sql, answer, sketched):
+        """A GROUP BY expression repeated in SELECT, HAVING or ORDER BY is its
+        group attribute, through the engine and through a sketch."""
+        database = Database()
+        database.create_table("t", ["a", "b"])
+        database.insert("t", [(i, i // 10) for i in range(40)])
+        expected = database.query(sql, optimize_plans=False, vectorize=False)
+        assert sorted(expected.rows()) == answer
+        assert database.query(sql) == expected
+        system = IMPSystem(database, num_fragments=4)
+        assert system.run_query(sql) == expected  # captures
+        assert system.run_query(sql) == expected  # answered with the sketch
+        assert system.statistics.sketch_hits == (2 if sketched else 0)
+
 
 
 class TestTemplates:
