@@ -184,6 +184,8 @@ class ColumnBatch:
 
         First-occurrence order is kept: a merged row stays where it first
         appeared.  Without duplicates the result shares this batch's lists.
+        A one-column batch is merged by value (see :meth:`_merged_counts`),
+        so its merged column is the dict's keys as they are.
         """
         if self.consolidated:
             return self
@@ -191,8 +193,10 @@ class ColumnBatch:
         if len(counts) == len(self.multiplicities):
             # Nothing merged: the same entries, now known to be distinct.
             return ColumnBatch(self.schema, self.columns, self.multiplicities, consolidated=True)
-        if counts:
-            columns: Iterable[list] = (list(column) for column in zip(*counts))
+        if len(self.columns) == 1:
+            columns: Iterable[list] = [list(counts)]
+        elif counts:
+            columns = (list(column) for column in zip(*counts))
         else:
             columns = ([] for _ in range(len(self.schema)))
         return ColumnBatch(self.schema, columns, list(counts.values()), consolidated=True)
@@ -203,29 +207,39 @@ class ColumnBatch:
             counts = dict(zip(self.row_tuples(), self.multiplicities))
         else:
             counts = self._merged_counts()
+            if len(self.columns) == 1:
+                counts = dict(zip(zip(counts), counts.values()))
         return Relation.from_counts(self.schema, counts)
 
-    def _merged_counts(self) -> dict[Row, int]:
-        """Entries merged into a ``row -> multiplicity`` mapping, each row at
-        its first occurrence.
+    def _merged_counts(self) -> dict:
+        """Entries merged into a ``key -> multiplicity`` mapping, each key at
+        its first occurrence.  The key is the row tuple, except in a
+        one-column batch, where it is the raw value: no 1-tuple is built.
+
+        Keying by value merges exactly what keying by ``(v,)`` merges: a dict
+        matches two keys when they are the same object or ``==`` (equal
+        values hash equally), and tuple equality compares elements by the same
+        identity-or-``==`` rule.  So one NaN object repeated merges, distinct
+        NaN objects do not, and ``1``/``1.0``/``True`` (or ``-0.0``/``0.0``)
+        merge under the first spelling, as they would in 1-tuples.
 
         When every multiplicity is 1 (say, a projection of a table's distinct
-        rows), ``Counter`` counts the rows at C speed, duplicates or not.
+        rows), ``Counter`` counts the keys at C speed, duplicates or not.
         Otherwise the dict is built in one C-level ``dict(zip(...))``, and only
-        when its length reveals duplicate rows (whose multiplicities the zip
-        overwrote) are they merged by a per-row loop.  Either way a dict keeps
-        each row at its first occurrence, under its first spelling.
+        when its length reveals duplicate keys (whose multiplicities the zip
+        overwrote) are they merged by a per-entry loop.  Either way a dict keeps
+        each key at its first occurrence, under its first spelling.
         """
-        rows = self.row_tuples()
+        keys = self.columns[0] if len(self.columns) == 1 else self.row_tuples()
         multiplicities = self.multiplicities
         if multiplicities.count(1) == len(multiplicities):
-            return dict(Counter(rows))
-        counts = dict(zip(rows, multiplicities))
-        if len(counts) != len(rows):
+            return dict(Counter(keys))
+        counts = dict(zip(keys, multiplicities))
+        if len(counts) != len(keys):
             counts = {}
             get = counts.get
-            for row, multiplicity in zip(rows, multiplicities):
-                counts[row] = get(row, 0) + multiplicity
+            for key, multiplicity in zip(keys, multiplicities):
+                counts[key] = get(key, 0) + multiplicity
         return counts
 
 

@@ -275,6 +275,19 @@ _COMPARISONS = {
     ">=": operator.ge,
 }
 
+# ``column <op> constant``, one comprehension per operator: comparing two
+# stored values (int, float, bool, str) yields a bool or raises TypeError,
+# so the inlined operator equals ``bool(operation(value, constant))``.
+_CONSTANT_COMPARISONS: dict[str, Callable[[list, Any], list]] = {
+    "=": lambda values, c: [None if v is None else v == c for v in values],
+    "<>": lambda values, c: [None if v is None else v != c for v in values],
+    "!=": lambda values, c: [None if v is None else v != c for v in values],
+    "<": lambda values, c: [None if v is None else v < c for v in values],
+    "<=": lambda values, c: [None if v is None else v <= c for v in values],
+    ">": lambda values, c: [None if v is None else v > c for v in values],
+    ">=": lambda values, c: [None if v is None else v >= c for v in values],
+}
+
 
 class Comparison(Expression):
     """Comparison predicate between two scalar expressions."""
@@ -292,20 +305,19 @@ class Comparison(Expression):
         operation = _COMPARISONS[self.op]
         symbol = self.op
         # Fast path for the dominant predicate shape, ``column <op> constant``:
-        # one hoisted comprehension over the value column.
+        # one comprehension over the value column with the operator inlined
+        # (``_CONSTANT_COMPARISONS``), no call per value.
         if isinstance(self.left, ColumnRef) and isinstance(self.right, Literal):
             index = schema.index_of(self.left.name)
             constant = self.right.value
             if constant is None:
                 return lambda columns, n: [None] * n
+            compare = _CONSTANT_COMPARISONS[symbol]
 
             def fast(columns: Sequence[list], n: int) -> list:
                 values = columns[index]
                 try:
-                    return [
-                        None if value is None else bool(operation(value, constant))
-                        for value in values
-                    ]
+                    return compare(values, constant)
                 except TypeError:
                     pairs = ((value, constant) for value in values)
                     raise _rejected(symbol, operation, pairs) from None

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Sequence
 from heapq import nsmallest
-from itertools import compress
+from itertools import compress, count
 from operator import ne
 
 from repro.core.errors import AggregateError
@@ -86,6 +86,11 @@ def hash_join_batch(
     result: a merged pair sits where the pair of its left row's first
     occurrence (or of the first occurrence in the right bucket) would, and
     multiplicities are integer products and sums.
+
+    A key-only right side, once merged, holds one entry per key, so each
+    left entry has at most one partner and the pairs are the matched left
+    entries in left order: :func:`semi_join_batch` builds exactly them
+    without pair lists.
     """
     schema = left.schema.concat(right.schema)
     left_positions = [p for p, _ in pairs]
@@ -93,7 +98,9 @@ def hash_join_batch(
     if len(set(left_positions)) == len(left.schema):
         left = left.consolidate()
     if len(set(right_positions)) == len(right.schema):
-        right = right.consolidate()
+        return semi_join_batch(
+            schema, left, right.consolidate(), left_positions, right_positions
+        )
     take_left, take_right, multiplicities = join_positions(
         key_column(left.columns, left_positions, len(left)),
         join_index(key_column(right.columns, right_positions, len(right))),
@@ -105,6 +112,48 @@ def hash_join_batch(
     return ColumnBatch(
         schema, columns, multiplicities, consolidated=left.consolidated and right.consolidated
     )
+
+
+def semi_join_batch(
+    schema: Schema,
+    left: ColumnBatch,
+    right: ColumnBatch,
+    left_positions: list[int],
+    right_positions: list[int],
+) -> ColumnBatch:
+    """The hash join's output for a consolidated right side whose key
+    columns cover all of its columns, so that its keys are distinct.
+
+    Each left key looks up its one partner position (a key holding NULL or
+    NaN has none, as in :func:`join_index`); the matched left entries are
+    kept with ``compress`` at their count times the partner's.  Output
+    order: matched left entries in left order -- the hash join's, since each
+    bucket holds one entry.  Columns are built when first read
+    (:class:`~repro.relational.columnar.LazyColumns`): a left column is
+    compressed, a right column gathered at the partner positions.  The
+    output is ``consolidated`` when the left side is.
+    """
+    partners = without_unequal_keys(
+        dict(zip(key_column(right.columns, right_positions, len(right)), count()))
+    )
+    found = list(map(partners.get, key_column(left.columns, left_positions, len(left))))
+    keep = [j is not None for j in found]
+    taken = list(compress(found, keep))
+    right_counts = right.multiplicities
+    multiplicities = [
+        left_count * right_counts[j]
+        for left_count, j in zip(compress(left.multiplicities, keep), taken)
+    ]
+    left_columns, right_columns = left.columns, right.columns
+    width = len(left_columns)
+
+    def build(position: int) -> list:
+        if position < width:
+            return list(compress(left_columns[position], keep))
+        return list(map(right_columns[position - width].__getitem__, taken))
+
+    columns = LazyColumns(width + len(right_columns), build)
+    return ColumnBatch(schema, columns, multiplicities, left.consolidated)
 
 
 def key_column(columns: Sequence[list], positions: list[int], n: int) -> list:
@@ -120,8 +169,7 @@ def key_column(columns: Sequence[list], positions: list[int], n: int) -> list:
 
 def join_index(build_keys: list) -> dict:
     """``join key -> build positions`` in entry order.  A key holding NULL or
-    NaN is left out: SQL ``=`` is never true for it, while a dict would match
-    ``None`` to ``None`` and a NaN object to itself."""
+    NaN is left out (:func:`without_unequal_keys`)."""
     index: dict = {}
     for j, key in enumerate(build_keys):
         bucket = index.get(key)
@@ -129,6 +177,13 @@ def join_index(build_keys: list) -> dict:
             index[key] = [j]
         else:
             bucket.append(j)
+    return without_unequal_keys(index)
+
+
+def without_unequal_keys(index: dict) -> dict:
+    """``index`` with every key holding NULL or NaN deleted.  SQL ``=`` is
+    never true for such a key, while a dict would match ``None`` to ``None``
+    and a NaN object to itself."""
     # Every key of one column has one spelling: tuples, or raw values.
     if type(next(iter(index), None)) is tuple:
         unequal = [key for key in index if any(v is None or v != v for v in key)]

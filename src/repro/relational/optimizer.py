@@ -354,11 +354,6 @@ class CardinalityEstimator:
         boundaries = self._boundaries(table, attribute)
         if boundaries is None or len(boundaries) < 2:
             return None
-        # Not hoisted: importing repro.storage runs its package __init__,
-        # which imports storage.database -> relational.evaluator -> this
-        # module, still half-initialised when relational is imported first.
-        from repro.storage.statistics import equi_depth_fraction
-
         total = 0.0
         for interval in intervals:
             if interval.is_empty():
@@ -378,6 +373,39 @@ class CardinalityEstimator:
             )
         except Exception:
             return None
+
+
+def equi_depth_fraction(
+    boundaries: Sequence[float], low: float, high: float
+) -> float:
+    """Fraction of values in ``[low, high]`` under an equi-depth histogram.
+
+    Each of the ``len(boundaries) - 1`` buckets is assumed to hold the same
+    share of values, uniformly distributed inside the bucket; a zero-width
+    bucket contributes its full share when the query interval contains it.
+    This is the interval-selectivity estimate the plan optimizer's cost model
+    uses (row count x selectivity).
+    """
+    num_buckets = len(boundaries) - 1
+    if num_buckets <= 0:
+        raise ValueError("need at least two boundaries")
+    if high < low:
+        return 0.0
+    low = max(low, boundaries[0])
+    high = min(high, boundaries[-1])
+    if high < low:
+        return 0.0
+    total = 0.0
+    for i in range(num_buckets):
+        bucket_low, bucket_high = boundaries[i], boundaries[i + 1]
+        if bucket_high < low or bucket_low > high:
+            continue
+        if bucket_high == bucket_low:
+            total += 1.0 if low <= bucket_low <= high else 0.0
+        else:
+            overlap = min(high, bucket_high) - max(low, bucket_low)
+            total += max(0.0, min(1.0, overlap / (bucket_high - bucket_low)))
+    return min(1.0, total / num_buckets)
 
 
 def _scans_below(node: PlanNode) -> list[TableScan]:
@@ -759,4 +787,3 @@ class PlanOptimizer:
             kept = [schema.attributes[0]]
         items = [ProjectionItem(ColumnRef(name), name) for name in kept]
         return Projection(node, items)
-

@@ -3,8 +3,9 @@
 The paper uses the bounds of equi-depth histograms maintained by the DBMS as
 the ranges of a partition (Sec. 7.4) and generates ranges that cover the whole
 domain of an attribute, not only its active domain.  This module provides
-equi-depth boundary computation, the optimizer's interval-selectivity
-estimate over those boundaries, and simple column statistics.  NULL and NaN
+equi-depth boundary computation and simple column statistics; the
+optimizer's interval-selectivity estimate over those boundaries lives beside
+its caller, in :mod:`repro.relational.optimizer`.  NULL and NaN
 have no place in an order, so neither bounds nor minimum/maximum see them.
 """
 
@@ -84,36 +85,3 @@ def equi_depth_boundaries(
         # final boundary and a degenerate zero-width last bucket.
         boundaries.append(boundaries[-1])
     return boundaries
-
-
-def equi_depth_fraction(
-    boundaries: Sequence[float], low: float, high: float
-) -> float:
-    """Fraction of values in ``[low, high]`` under an equi-depth histogram.
-
-    Each of the ``len(boundaries) - 1`` buckets is assumed to hold the same
-    share of values, uniformly distributed inside the bucket; a zero-width
-    bucket contributes its full share when the query interval contains it.
-    This is the interval-selectivity estimate the plan optimizer's cost model
-    uses (row count x selectivity).
-    """
-    num_buckets = len(boundaries) - 1
-    if num_buckets <= 0:
-        raise ValueError("need at least two boundaries")
-    if high < low:
-        return 0.0
-    low = max(low, boundaries[0])
-    high = min(high, boundaries[-1])
-    if high < low:
-        return 0.0
-    total = 0.0
-    for i in range(num_buckets):
-        bucket_low, bucket_high = boundaries[i], boundaries[i + 1]
-        if bucket_high < low or bucket_low > high:
-            continue
-        if bucket_high == bucket_low:
-            total += 1.0 if low <= bucket_low <= high else 0.0
-        else:
-            overlap = min(high, bucket_high) - max(low, bucket_low)
-            total += max(0.0, min(1.0, overlap / (bucket_high - bucket_low)))
-    return min(1.0, total / num_buckets)

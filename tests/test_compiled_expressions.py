@@ -7,7 +7,11 @@ lowering) must agree with the reference interpreter
 
 from __future__ import annotations
 
+import math
+import operator
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import UnsupportedOperationError
 from repro.relational.expressions import (
@@ -155,3 +159,56 @@ class TestBooleanOrdering:
         database.insert("t", [(1, True), (2, 0), (3, 5), (4, False), (5, 2)])
         descending = database.query("SELECT id, flag FROM t ORDER BY flag DESC LIMIT 2")
         assert {row[0] for row in descending.rows()} == {3, 5}
+
+
+# -- ``column <op> constant``: the inlined comparison ---------------------------------
+
+OPERATORS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+STORED = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -0.0, math.nan, math.inf, "", "a", "b"]),
+    st.integers(-3, 3),
+    st.floats(-3, 3),
+    st.text(max_size=2),
+)
+CONSTANTS = st.one_of(st.integers(-3, 3), st.floats(allow_nan=True), st.text(max_size=2))
+
+
+def called_comparison(symbol: str, values: list, constant) -> list:
+    """``bool(operation(value, constant))`` per value, NULL for NULL; raises
+    the engine's error for the first value the operation rejects."""
+    operation = OPERATORS[symbol]
+    column = []
+    for value in values:
+        if value is None:
+            column.append(None)
+            continue
+        try:
+            column.append(bool(operation(value, constant)))
+        except TypeError:
+            types = f"{type(value).__name__} and {type(constant).__name__}"
+            raise UnsupportedOperationError(f"operator {symbol} does not apply to {types}")
+    return column
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(OPERATORS)), st.lists(STORED, max_size=8), CONSTANTS)
+def test_a_comparison_with_a_constant_equals_the_called_operator(symbol, values, constant):
+    kernel = Comparison(symbol, ColumnRef("v"), Literal(constant)).compile_batch(Schema(["v"]))
+    try:
+        expected = called_comparison(symbol, values, constant)
+    except UnsupportedOperationError as error:
+        with pytest.raises(UnsupportedOperationError) as raised:
+            kernel((values,), len(values))
+        assert str(raised.value) == str(error)
+        return
+    column = kernel((values,), len(values))
+    assert repr(column) == repr(expected)
+    assert all(value is None or type(value) is bool for value in column)

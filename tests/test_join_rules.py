@@ -18,6 +18,10 @@ It is held to the oracle the same way, also over ``2**53 + 1`` keys, duplicate
 right rows, sketch-instrumented and looked-up inputs and float sums that only
 a merge gets right, and counters pin that the TPC-H ``order_volume`` template
 takes it.
+
+A one-column batch merges by raw value, and a join whose right side is only
+its keys runs as a semi-join.  Each is held to the path it replaced, entry
+for entry: the merge keyed by 1-tuples and the ``join_positions`` pair lists.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.sketch import ProvenanceSketch
 from repro.sketch.use import instrument_plan
 from repro.storage.database import Database
+from repro.workloads.queries import q_join
+from repro.workloads.synthetic import load_join_helper, load_synthetic
 from repro.workloads.tpch import load_tpch, tpch_having_revenue, tpch_order_volume
 
 NAN = math.nan
@@ -88,10 +94,10 @@ def nested_loop(left: ColumnBatch, right: ColumnBatch, pairs) -> ColumnBatch:
 
 
 @st.composite
-def side(draw, name: str):
-    """A batch of 0-2 columns with repeated rows, flagged consolidated only
-    when its rows are distinct."""
-    width = draw(st.integers(0, 2))
+def side(draw, name: str, widths=st.integers(0, 2)):
+    """A batch of 0-2 columns (or of a width drawn from ``widths``) with
+    repeated rows, flagged consolidated only when its rows are distinct."""
+    width = draw(widths)
     rows = draw(st.lists(st.tuples(*[KEYS] * width), max_size=7))
     counts = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
     schema = Schema([f"{name}{i}" for i in range(width)])
@@ -467,3 +473,186 @@ def test_the_tpch_templates_fold_without_a_join_where_they_can(monkeypatch):
     monkeypatch.undo()
     for sql, result in ((volume, volume_result), (revenue, revenue_result)):
         assert answer(result) == answer(database.query(sql, optimize_plans=False, vectorize=False))
+
+
+# -- the one-column merge and the key-only right side --------------------------------
+#
+# A one-column batch merges by value, building no 1-tuples, and a join whose
+# right side is made only of its keys runs as a semi-join.  Each must equal the
+# path it replaced entry for entry, by ``repr``: the merge keyed by row tuples,
+# and the output built from ``kernels.join_positions`` pair lists.
+
+MERGE_VALUES = st.one_of(
+    st.sampled_from([None, NAN, 1, 1.0, True, -0.0, 0.0, BIG, -BIG, float(BIG)]),
+    st.builds(float, st.just("nan")),  # a NaN object of its own
+)
+
+
+def tuple_merge(column: list, multiplicities: list[int]) -> dict:
+    """The merge of a one-column batch keyed by 1-tuples, as wider rows are."""
+    counts: dict = {}
+    for row, multiplicity in zip(zip(column), multiplicities):
+        counts[row] = counts.get(row, 0) + multiplicity
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(MERGE_VALUES, st.integers(1, 3)), max_size=12), st.booleans())
+def test_a_one_column_merge_equals_the_tuple_merge(entries, unit):
+    column = [value for value, _ in entries]
+    counts = [1 if unit else count for _, count in entries]
+    batch = ColumnBatch(Schema(["a"]), [column], counts)
+    expected = tuple_merge(column, counts)
+    merged = batch.consolidate()
+    assert merged.consolidated
+    assert repr(merged.row_tuples()) == repr(list(expected))
+    assert merged.multiplicities == list(expected.values())
+    # The first occurrence's object, so NaN identity is kept as well.
+    assert all(value is row[0] for value, row in zip(merged.columns[0], expected))
+    distinct = kernels.distinct_batch(batch)
+    assert repr(distinct.row_tuples()) == repr(list(expected))
+    assert distinct.multiplicities == [1] * len(expected)
+    relation = batch.to_relation()
+    assert repr(list(relation.items())) == repr(list(expected.items()))
+    assert all(row[0] is key[0] for (row, _), key in zip(relation.items(), expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(MERGE_VALUES, SUMMANDS), max_size=10),
+    st.lists(st.tuples(MERGE_VALUES, SUMMANDS), max_size=8),
+)
+def test_one_column_merges_in_queries_equal_the_oracle(t_rows, u_rows):
+    """``DISTINCT``, the group-join's left side and a top-k over one column
+    merge one column by value; the oracle merges 1-tuple rows."""
+    database = Database()
+    database.create_table("t", ["g", "v"])
+    database.create_table("u", ["k", "w"])
+    for table, rows in (("t", t_rows), ("u", u_rows)):
+        again = rows[: len(rows) // 2]
+        database.insert(table, rows + again)
+    for sql in [
+        "SELECT DISTINCT g FROM t",
+        "SELECT g, sum(w) AS s, count(*) AS n FROM t JOIN u ON (g = k) GROUP BY g",
+        "SELECT g FROM t ORDER BY g DESC LIMIT 3",
+    ]:
+        for optimize in (False, True):
+            engine = database.query(sql, optimize_plans=optimize)
+            oracle = database.query(sql, optimize_plans=optimize, vectorize=False)
+            assert answer(engine) == answer(oracle), (sql, optimize)
+
+
+def pair_list_join(left: ColumnBatch, right: ColumnBatch, pairs) -> ColumnBatch:
+    """The hash join built from ``kernels.join_positions`` pair lists, after
+    the kernel's merges of key-only sides."""
+    left_positions = [p for p, _ in pairs]
+    right_positions = [q for _, q in pairs]
+    if len(set(left_positions)) == len(left.schema):
+        left = left.consolidate()
+    right = right.consolidate()
+    take_left, take_right, multiplicities = kernels.join_positions(
+        kernels.key_column(left.columns, left_positions, len(left)),
+        kernels.join_index(kernels.key_column(right.columns, right_positions, len(right))),
+        left.multiplicities,
+        right.multiplicities,
+    )
+    columns = [[column[i] for i in take_left] for column in left.columns]
+    columns.extend([column[j] for j in take_right] for column in right.columns)
+    return ColumnBatch(
+        left.schema.concat(right.schema),
+        columns,
+        multiplicities,
+        consolidated=left.consolidated and right.consolidated,
+    )
+
+
+@st.composite
+def key_only_right_case(draw):
+    """A left side of 1-3 columns and a right side of 0-2 columns whose every
+    column is a join key: one or two key pairs, perhaps one right column
+    keyed twice (``ON a = x AND b = x``)."""
+    left = draw(side("l", st.integers(1, 3)))
+    right = draw(side("r"))
+    width = len(right.schema)
+    right_positions = list(range(width))
+    if width:
+        right_positions += draw(st.lists(st.integers(0, width - 1), max_size=1))
+    right_positions = draw(st.permutations(right_positions))
+    left_position = st.integers(0, len(left.schema) - 1)
+    pairs = [(draw(left_position), q) for q in right_positions]
+    return left, right, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(key_only_right_case())
+def test_a_key_only_right_side_joins_as_the_pair_lists_do(case):
+    left, right, pairs = case
+    joined = kernels.hash_join_batch(left, right, pairs)
+    expected = pair_list_join(left, right, pairs)
+    assert list(joined.schema) == list(expected.schema)
+    assert repr([list(column) for column in joined.columns]) == repr(
+        [list(column) for column in expected.columns]
+    )
+    assert joined.multiplicities == expected.multiplicities
+    assert joined.consolidated == expected.consolidated
+
+
+def test_a_key_only_right_side_builds_no_pair_list(monkeypatch):
+    """Left entries keep their order, NULL and NaN keys match nothing (not
+    even the same NaN object), duplicate right rows multiply, and the
+    columns are built only when read."""
+    calls = []
+    original = kernels.join_positions
+    monkeypatch.setattr(
+        kernels, "join_positions", lambda *args: calls.append(1) or original(*args)
+    )
+    left = ColumnBatch(
+        Schema(["a", "b"]),
+        [[2, None, NAN, 1.0, 2, 5], ["p", "q", "r", "s", "t", "u"]],
+        [1, 1, 1, 2, 3, 1],
+    )
+    right = ColumnBatch(Schema(["x"]), [[True, NAN, None, 2, 2, 7]], [1, 1, 1, 1, 4, 1])
+    joined = kernels.hash_join_batch(left, right, [(0, 0)])
+    assert calls == []
+    assert joined.multiplicities == [5, 2, 15]
+    assert joined.columns[2] == [2, True, 2]
+    assert joined.columns[0] == [2, 1.0, 2]
+    assert joined.columns[1] == ["p", "s", "t"]
+    assert not joined.consolidated
+
+
+def test_q_join_answers_alike_with_and_without_a_sketch(monkeypatch):
+    """``q_join``'s helper side is pruned to its key, so the query's join is a
+    semi-join: the sketch-answered query, the full query and the oracle agree
+    by ``repr``, also after an update is maintained into the sketch.  A
+    sketch answer is read through an index, in another entry order, so it is
+    compared as a bag of ``repr``s."""
+    database = Database()
+    table = load_synthetic(database, num_rows=600, num_groups=30, seed=5)
+    load_join_helper(database, num_rows=120, join_selectivity=0.7, join_domain=30, seed=6)
+    sql = q_join(filter_threshold=1_200, having_threshold=1_000)
+    system = IMPSystem(database, num_fragments=8)
+    calls = {"semi": 0, "pairs": 0}
+    original_semi, original_pairs = kernels.semi_join_batch, kernels.join_positions
+
+    def semi(*args):
+        calls["semi"] += 1
+        return original_semi(*args)
+
+    def pairs(*args):
+        calls["pairs"] += 1
+        return original_pairs(*args)
+
+    monkeypatch.setattr(kernels, "semi_join_batch", semi)
+    monkeypatch.setattr(kernels, "join_positions", pairs)
+    for _ in range(2):
+        full = database.query(sql)
+        assert len(full) > 0
+        bag = sorted(map(repr, full.items()))
+        assert sorted(map(repr, system.run_query(sql).items())) == bag  # captures, then uses
+        assert sorted(map(repr, system.run_query(sql).items())) == bag
+        assert answer(full) == answer(database.query(sql, vectorize=False))
+        system.apply_update("r", inserts=table.make_inserts(30), deletes=table.pick_deletes(20))
+    assert system.statistics.sketch_hits >= 3
+    assert calls["semi"] >= 4
+    assert calls["pairs"] == 0

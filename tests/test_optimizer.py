@@ -36,13 +36,10 @@ from repro.relational.expressions import (
     LogicalOp,
     conjuncts,
 )
-from repro.relational.optimizer import PlanOptimizer, fold_expression
+from repro.relational.optimizer import PlanOptimizer, equi_depth_fraction, fold_expression
 from repro.storage.database import Database
+from repro.storage.statistics import equi_depth_boundaries
 from tests.reference import assert_systems_match_oracle, random_insert_batches
-from repro.storage.statistics import (
-    equi_depth_boundaries,
-    equi_depth_fraction,
-)
 
 
 def make_three_table_db(num_rows: int = 300, seed: int = 3) -> Database:
