@@ -2,9 +2,10 @@
 
 :func:`compile_plan` turns a logical query plan into a tree of incremental
 operators (Sec. 5.2); :class:`IncrementalEngine` compiles the plan
-:func:`prune_plan` leaves of it -- only what ``μ`` reads -- tops the tree with
-the merge operator ``μ`` (Sec. 5.1) and runs it in two ways.  ``initialize``
-is one from-scratch pass -- the whole database as an insert delta through
+:func:`prune_plan` leaves of it -- only what ``μ`` reads, cut by the query
+optimizer's pruning pass, which here narrows no join input -- tops the tree
+with the merge operator ``μ`` (Sec. 5.1) and runs it in two ways.
+``initialize`` is one from-scratch pass -- the whole database as an insert delta through
 empty state -- which builds operator state and doubles as sketch capture;
 ``maintain`` is a delta pass that turns a database delta into a sketch delta
 in time proportional to the delta size.  The engine's stateful operators form
@@ -36,6 +37,7 @@ from repro.relational.algebra import (
     TopK,
 )
 from repro.relational.expressions import Expression, conjuncts, conjunction
+from repro.relational.optimizer import PlanOptimizer
 from repro.relational.schema import Schema
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import ProvenanceSketch, SketchDelta
@@ -94,66 +96,17 @@ def prune_plan(plan: PlanNode, catalog: SchemaProvider) -> PlanNode:
     """The plan an engine compiles for ``plan``: what ``μ`` reads of it.
 
     ``μ`` reads masks and counts only, so the projections directly under it
-    go, and every aggregate and projected column that no operator between it
-    and ``μ`` reads is dropped.  A GROUP BY left without an aggregate becomes
-    ``Distinct`` over a projection on its keys (the same rows, masks and
-    counts); a scalar aggregation keeps its first aggregate, since its one
-    row exists even over empty input.  The query's own plan -- which the use
-    rewrite and the query answers run on -- is left as it is.
+    go, and :meth:`~repro.relational.optimizer.PlanOptimizer.prune` runs on
+    the rest with no column needed at its root: every aggregate and projected
+    column that no operator between it and ``μ`` reads is dropped, a GROUP BY
+    left without an aggregate becomes ``Distinct`` over its keys, and a top-k
+    subtree stays whole.  Unlike a query's, no join input is narrowed.  The
+    query's own plan -- which the use rewrite and the query answers run on --
+    is left as it is.
     """
     while isinstance(plan, Projection):
         plan = plan.child
-    return _prune(plan, set(), catalog)
-
-
-def _prune(node: PlanNode, needed: set[int], catalog: SchemaProvider) -> PlanNode:
-    """``node`` computing at least the output positions in ``needed``."""
-    if isinstance(node, Projection):
-        items = [item for i, item in enumerate(node.items) if i in needed] or node.items[:1]
-        read = _positions(node.child, [item.expression for item in items], catalog)
-        return Projection(_prune(node.child, read, catalog), items)
-    if isinstance(node, Aggregation):
-        width = len(node.group_by)
-        aggregates = [a for i, a in enumerate(node.aggregates) if width + i in needed]
-        if not aggregates and not node.group_by:
-            aggregates = list(node.aggregates[:1])
-        read = [*node.group_by, *(a.argument for a in aggregates if a.argument is not None)]
-        child = _prune(node.child, _positions(node.child, read, catalog), catalog)
-        if aggregates:
-            return Aggregation(child, node.group_by, aggregates)
-        keys = zip(node.group_by, node.group_attribute_names())
-        return Distinct(Projection(child, [ProjectionItem(e, name) for e, name in keys]))
-    if isinstance(node, Selection):
-        read = needed | _positions(node.child, [node.predicate], catalog)
-        return Selection(_prune(node.child, read, catalog), node.predicate)
-    if isinstance(node, Join):
-        width = len(node.left.output_schema(catalog))
-        condition = [] if node.condition is None else [node.condition]
-        read = needed | _positions(node, condition, catalog)
-        return Join(
-            _prune(node.left, {p for p in read if p < width}, catalog),
-            _prune(node.right, {p - width for p in read if p >= width}, catalog),
-            node.condition,
-        )
-    # Distinct and top-k read whole rows: a row's identity and the ties a
-    # top-k breaks by arrival depend on every column.
-    children = node.children()
-    if not children:
-        return node
-    return node.with_children(
-        [
-            _prune(child, set(range(len(child.output_schema(catalog)))), catalog)
-            for child in children
-        ]
-    )
-
-
-def _positions(
-    node: PlanNode, expressions: list[Expression], catalog: SchemaProvider
-) -> set[int]:
-    """The positions of ``node``'s output the expressions read."""
-    schema = node.output_schema(catalog)
-    return {schema.index_of(column) for e in expressions for column in e.columns()}
+    return PlanOptimizer(catalog).prune(plan, set())
 
 
 def compile_plan(

@@ -31,6 +31,7 @@ evaluates an expression tree.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
@@ -183,12 +184,26 @@ class Literal(Expression):
         return repr(self.value)
 
 
+def _remainder(a: Any, b: Any) -> Any:
+    """``a % b`` with the sign of ``a``, as SQL has it (Python's ``%`` floors);
+    exact for ints of any size, NULL for ``% 0``."""
+    if b == 0:
+        return None
+    if isinstance(a, float) or isinstance(b, float):
+        try:
+            return math.fmod(a, b)
+        except ValueError:  # an infinite dividend
+            return math.nan
+    remainder = abs(a) % abs(b)
+    return -remainder if a < 0 else remainder
+
+
 _ARITHMETIC = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
     "/": lambda a, b: a / b if b != 0 else None,
-    "%": lambda a, b: a % b if b != 0 else None,
+    "%": _remainder,
 }
 
 

@@ -18,9 +18,10 @@ skipping reaches every scan:
 * **conjunct merging at scans** -- pushed conjuncts and use-rewrite sketch
   predicates end up in one selection directly over the scan, so interval
   extraction intersects all of them for a single index range scan;
-* **projection collapsing and pruning** -- adjacent projections are composed,
-  unused projection items are dropped, and join inputs are narrowed to the
-  attributes actually referenced above;
+* **projection collapsing and pruning** -- adjacent projections are composed;
+  one pass (:meth:`PlanOptimizer.prune`, IMP's too) drops unused projection
+  items and unread aggregates, and ``optimize`` alone narrows join inputs to
+  the attributes referenced above;
 * **greedy join reordering** -- join clusters of three or more inputs are
   re-ordered smallest-first using cardinality estimates (base row counts
   scaled by interval selectivity from equi-depth histogram boundaries); a
@@ -41,6 +42,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.errors import SchemaError
 from repro.relational.algebra import (
+    Aggregate,
     Aggregation,
     Distinct,
     Join,
@@ -432,7 +434,7 @@ class PlanOptimizer:
         plan = self._push(plan, [])
         plan = self._reorder(plan)
         plan = self._collapse(plan)
-        plan = self._prune(plan, None)
+        plan = self._prune(plan, None, True)
         plan.optimized = True
         return plan
 
@@ -697,42 +699,56 @@ class PlanOptimizer:
 
     # -- projection pruning --------------------------------------------------------------
 
-    def _prune(self, node: PlanNode, needed: set[str] | None) -> PlanNode:
-        """Drop columns no ancestor references.
+    def prune(self, plan: PlanNode, needed: set[str] | None) -> PlanNode:
+        """``plan`` computing only its output columns ``needed`` (None: all)
+        and what its operators read; no join input is narrowed."""
+        return self._prune(plan, needed, False)
+
+    def _prune(self, node: PlanNode, needed: set[str] | None, narrow: bool) -> PlanNode:
+        """Drop columns and aggregates no ancestor references.
 
         ``needed`` is the set of column names referenced above ``node`` (None
         means every column must survive, e.g. at the plan root or below
         row-identity operators like Distinct and TopK).  The returned plan's
         schema is a subset of the original that still resolves every needed
-        name; operators that consume rows by name tolerate the narrowing,
-        and the plan root is called with ``needed=None`` so the query's
-        output schema never changes.
+        name; operators that consume rows by name tolerate the narrowing.  A
+        GROUP BY left with no aggregate read above becomes ``Distinct`` over
+        its keys; a scalar aggregation keeps its first, since its one row
+        exists even over empty input.  With ``narrow``, a join input is
+        wrapped in a projection of the columns read above it.
         """
         if isinstance(node, Projection):
             items = self._needed_items(node, needed)
             columns: set[str] = set()
             for item in items:
                 columns |= item.expression.columns()
-            return Projection(self._prune(node.child, columns), items)
+            return Projection(self._prune(node.child, columns, narrow), items)
         if isinstance(node, Aggregation):
+            aggregates = node.aggregates
+            if needed is not None and not needed.issuperset(a.alias for a in aggregates):
+                aggregates = self._needed_aggregates(node, needed)
             columns = set()
             for expression in node.group_by:
                 columns |= expression.columns()
-            for aggregate in node.aggregates:
+            for aggregate in aggregates:
                 if aggregate.argument is not None:
                     columns |= aggregate.argument.columns()
-            return node.with_children([self._prune(node.child, columns)])
+            child = self._prune(node.child, columns, narrow)
+            if aggregates:
+                return Aggregation(child, node.group_by, aggregates)
+            keys = zip(node.group_by, node.group_attribute_names())
+            return Distinct(Projection(child, [ProjectionItem(e, name) for e, name in keys]))
         if isinstance(node, Selection):
             child_needed = (
                 None if needed is None else needed | node.predicate.columns()
             )
-            return node.with_children([self._prune(node.child, child_needed)])
+            return node.with_children([self._prune(node.child, child_needed, narrow)])
         if isinstance(node, Distinct):
-            return node.with_children([self._prune(node.child, None)])
+            return node.with_children([self._prune(node.child, None, narrow)])
         if isinstance(node, TopK):
             return node
         if isinstance(node, Join):
-            return self._prune_join(node, needed)
+            return self._prune_join(node, needed, narrow)
         return node
 
     def _needed_items(
@@ -750,7 +766,20 @@ class PlanOptimizer:
         # under a global COUNT(*), where any column carries the multiplicities.
         return items or node.items[:1]
 
-    def _prune_join(self, node: Join, needed: set[str] | None) -> PlanNode:
+    def _needed_aggregates(self, node: Aggregation, needed: set[str]) -> tuple[Aggregate, ...]:
+        positions = _positions(needed, node.output_schema(self._catalog))
+        if positions is None:
+            return node.aggregates
+        aggregates = tuple(
+            aggregate
+            for index, aggregate in enumerate(node.aggregates, len(node.group_by))
+            if index in positions
+        )
+        if aggregates or node.group_by:
+            return aggregates
+        return node.aggregates[:1]
+
+    def _prune_join(self, node: Join, needed: set[str] | None, narrow: bool) -> PlanNode:
         left_schema = node.left.output_schema(self._catalog)
         right_schema = node.right.output_schema(self._catalog)
         combined = left_schema.concat(right_schema)
@@ -766,8 +795,10 @@ class PlanOptimizer:
                 attributes = combined.attributes
                 left_needed = {attributes[p] for p in positions if p < split}
                 right_needed = {attributes[p] for p in positions if p >= split}
-        left = self._narrow(self._prune(node.left, left_needed), left_needed)
-        right = self._narrow(self._prune(node.right, right_needed), right_needed)
+        left = self._prune(node.left, left_needed, narrow)
+        right = self._prune(node.right, right_needed, narrow)
+        if narrow:
+            left, right = self._narrow(left, left_needed), self._narrow(right, right_needed)
         return Join(left, right, node.condition)
 
     def _narrow(self, node: PlanNode, needed: set[str] | None) -> PlanNode:

@@ -27,6 +27,7 @@ row-at-a-time.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
@@ -66,12 +67,24 @@ from repro.relational.schema import (
     order_component,
 )
 
+
+def _truncated_remainder(left: Any, right: Any) -> Any:
+    """SQL's ``%``: the remainder takes the dividend's sign."""
+    if isinstance(left, float) or isinstance(right, float):
+        try:
+            return math.fmod(left, right)
+        except ValueError:  # fmod(inf, x)
+            return math.nan
+    magnitude = abs(left) % abs(right)
+    return -magnitude if left < 0 else magnitude
+
+
 _OPERATORS = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
     "/": operator.truediv,
-    "%": operator.mod,
+    "%": _truncated_remainder,
     "=": operator.eq,
     "<>": operator.ne,
     "!=": operator.ne,

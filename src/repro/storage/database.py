@@ -16,7 +16,7 @@ its audit log.  IMP talks to it for
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.errors import StorageError
 from repro.relational.algebra import PlanNode
@@ -36,9 +36,18 @@ from repro.storage.statistics import (
     ColumnStatistics,
     collect_column_statistics,
     equi_depth_boundaries,
+    expand_multiplicities,
 )
 from repro.storage.table import AttributeIndex, StoredTable, canonical_items
 from repro.storage.wal import FSYNC_ALWAYS, FileFactory
+
+
+def _column(stored: StoredTable, attribute: str) -> list[object]:
+    """Every value of ``attribute`` in ``stored``, repeated by its row's
+    multiplicity."""
+    index = stored.schema.index_of(attribute)
+    column = [row[index] for row, _ in stored.items()]
+    return expand_multiplicities(column, [count for _, count in stored.items()])
 
 
 class Database:
@@ -86,9 +95,9 @@ class Database:
         # version; every committed update invalidates the whole cache, so a
         # cached entry is always as fresh as the data it summarises.
         self._statistics_cache: dict[tuple, object] = {}
-        # The single write lock.  Reentrant so compound update paths
-        # (delete_where: collect victims, then commit) stay atomic without
-        # special-casing the nested _commit acquisition.
+        # The single write lock.  Reentrant so compound update paths (a
+        # DELETE statement collects its victims, then commits) stay atomic
+        # without special-casing the nested _commit acquisition.
         self._lock = threading.RLock()
         self._sessions = SessionRegistry()
         # Highest version whose audit records have been reclaimed
@@ -362,21 +371,6 @@ class Database:
             return self._version
         return self._commit({stored.name: delta})
 
-    def delete_where(self, table: str, predicate: Callable[[Row], bool]) -> int:
-        """Delete rows satisfying ``predicate``; returns the new snapshot identifier.
-
-        Victim collection and the commit happen under one lock acquisition
-        (the lock is reentrant), so a concurrent writer cannot delete the
-        victims first and fail this commit's validation.
-        """
-        with self._lock:
-            stored = self.table(table)
-            victims: list[Row] = []
-            for row, multiplicity in stored.items():
-                if predicate(row):
-                    victims.extend([row] * multiplicity)
-            return self.delete_rows(table, victims)
-
     def apply_database_delta(self, delta: DatabaseDelta) -> int:
         """Apply a multi-table delta as a single committed update."""
         per_table = {table: d for table, d in delta.items() if d}
@@ -400,13 +394,7 @@ class Database:
             # rolled itself back to the previous record boundary.
             if self._durability is not None:
                 self._durability.log_commit(self._version + 1, deltas)
-            for table, delta in deltas.items():
-                self.table(table).apply_delta(delta)
-            self._version += 1
-            for table in deltas:
-                self.table(table).record_modified(self._version)
-            self._audit_log.append(AuditRecord(self._version, dict(deltas)))
-            self._statistics_cache.clear()
+            self._apply(self._version + 1, deltas)
             if self._durability is not None and self._durability.auto_checkpoint_due():
                 try:
                     self._durability.checkpoint(self)
@@ -418,6 +406,18 @@ class Database:
                     # ``self._durability.last_checkpoint_error``).
                     pass
             return self._version
+
+    def _apply(self, version: int, deltas: dict[str, Delta]) -> None:
+        """Make checked ``deltas`` commit ``version``: the tables, the version,
+        the tables' modification history, the audit log and the statistics
+        cache -- for a live commit and a replayed one alike."""
+        for table, delta in deltas.items():
+            self.table(table).apply_delta(delta)
+        self._version = version
+        for table in deltas:
+            self.table(table).record_modified(version)
+        self._audit_log.append(AuditRecord(version, dict(deltas)))
+        self._statistics_cache.clear()
 
     # -- durability -----------------------------------------------------------------------
 
@@ -486,15 +486,10 @@ class Database:
     def _restore_commit(self, version: int, deltas: dict[str, Delta]) -> None:
         for table, delta in deltas.items():
             self.table(table).check_delta(delta)
-        for table, delta in deltas.items():
-            self.table(table).apply_delta(delta)
-        self._version = version
-        for table in deltas:
-            self.table(table).record_modified(version)
         # Reseeding the audit log makes replayed history first-class: sessions
         # can pin and roll back to any replayed version, and incremental
         # maintainers resume delta extraction across the crash.
-        self._audit_log.append(AuditRecord(version, dict(deltas)))
+        self._apply(version, deltas)
 
     # -- query evaluation -----------------------------------------------------------------
 
@@ -581,8 +576,6 @@ class Database:
     def _execute_delete(self, statement: DeleteStatement) -> int:
         stored = self.table(statement.table)
         where = statement.where
-        # As in :meth:`delete_where`, victims are collected and committed
-        # under one lock acquisition.
         with self._lock:
             if where is None:
                 return self.delete_rows(stored.name, list(stored.rows()))
@@ -606,9 +599,7 @@ class Database:
             cached = self._statistics_cache.get(key)
             if cached is not None:
                 return cached  # type: ignore[return-value]
-            index = stored.schema.index_of(attribute)
-            values = [row[index] for row in stored.rows()]
-            statistics = collect_column_statistics(attribute, values)
+            statistics = collect_column_statistics(attribute, _column(stored, attribute))
             self._statistics_cache[key] = statistics
             return statistics
 
@@ -625,8 +616,7 @@ class Database:
             key = ("equi-depth", stored.name, attribute, num_buckets)
             cached = self._statistics_cache.get(key)
             if cached is None:
-                values = stored.column_values(attribute)
-                cached = equi_depth_boundaries([float(v) for v in values], num_buckets)
+                cached = equi_depth_boundaries(_column(stored, attribute), num_buckets)
                 self._statistics_cache[key] = cached
             return list(cached)  # type: ignore[arg-type]
 

@@ -47,6 +47,7 @@ from repro.storage.statistics import (
     ColumnStatistics,
     collect_column_statistics,
     equi_depth_boundaries,
+    expand_multiplicities,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -155,6 +156,12 @@ class SnapshotView:
 
     # -- duck-typed statistics interface (plan optimizer) --------------------------
 
+    def _column(self, table: str, attribute: str) -> list[object]:
+        """Every value of the snapshot column, repeated by its multiplicity."""
+        batch = self._batch(table)
+        column = batch.columns[batch.schema.index_of(attribute)]
+        return expand_multiplicities(column, batch.multiplicities)
+
     def row_count(self, table: str) -> int:
         """Snapshot row count of ``table`` (duplicates included).
 
@@ -170,14 +177,7 @@ class SnapshotView:
         key = (table.lower(), attribute)
         cached = self._statistics.get(key)
         if cached is None:
-            batch = self._batch(table)
-            position = batch.schema.index_of(attribute)
-            values: list[object] = []
-            for value, multiplicity in zip(
-                batch.columns[position], batch.multiplicities
-            ):
-                values.extend([value] * multiplicity)
-            cached = collect_column_statistics(attribute, values)
+            cached = collect_column_statistics(attribute, self._column(table, attribute))
             self._statistics[key] = cached
         return cached
 
@@ -188,16 +188,7 @@ class SnapshotView:
         key = (table.lower(), attribute, num_buckets)
         cached = self._ranges.get(key)
         if cached is None:
-            batch = self._batch(table)
-            position = batch.schema.index_of(attribute)
-            values: list[float] = []
-            for value, multiplicity in zip(
-                batch.columns[position], batch.multiplicities
-            ):
-                if value is None:
-                    continue
-                values.extend([float(value)] * multiplicity)
-            cached = equi_depth_boundaries(values, num_buckets)
+            cached = equi_depth_boundaries(self._column(table, attribute), num_buckets)
             self._ranges[key] = cached
         return list(cached)
 

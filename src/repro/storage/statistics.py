@@ -27,6 +27,16 @@ class ColumnStatistics:
     maximum: object | None
 
 
+def expand_multiplicities(
+    values: Sequence[object], multiplicities: Sequence[int]
+) -> list[object]:
+    """A bag column as a list: each value repeated by its (positive)
+    multiplicity, in order (NULL and NaN included)."""
+    if sum(multiplicities) == len(multiplicities):  # every multiplicity is 1
+        return list(values)
+    return [value for value, count in zip(values, multiplicities) for _ in range(count)]
+
+
 def collect_column_statistics(attribute: str, values: Sequence[object]) -> ColumnStatistics:
     """Compute :class:`ColumnStatistics` for a column's values (the
     minimum and maximum of its orderable ones: NaN is skipped like NULL, and
@@ -54,20 +64,19 @@ def collect_column_statistics(attribute: str, values: Sequence[object]) -> Colum
     )
 
 
-def equi_depth_boundaries(
-    values: Sequence[float], num_buckets: int
-) -> list[float]:
+def equi_depth_boundaries(values: Sequence[object], num_buckets: int) -> list[float]:
     """Boundaries of an equi-depth histogram with ``num_buckets`` buckets.
 
     Returns ``num_buckets + 1`` increasing boundary values where each adjacent
     pair delimits a bucket containing roughly the same number of values.
     Duplicate boundaries caused by heavy hitters are collapsed, so the result
     may contain fewer buckets than requested (matching how DBMS statistics
-    behave on skewed data).  NULL and NaN are skipped: no order places them.
+    behave on skewed data).  NULL and NaN are skipped: no order places them;
+    every other value is read as a float.
     """
     if num_buckets <= 0:
         raise ValueError("num_buckets must be positive")
-    data = sorted(value for value in values if value is not None and value == value)
+    data = sorted(float(value) for value in values if value is not None and value == value)
     if not data:
         raise ValueError("cannot build a histogram over an empty column")
     boundaries = [data[0]]

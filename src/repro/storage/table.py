@@ -1,9 +1,10 @@
 """Base table storage for the in-memory backend.
 
 A :class:`StoredTable` is a named, mutable bag of rows with a fixed schema.
-It tracks basic statistics (row count, per-attribute min/max) that the sketch
-range-selection heuristics and the backend "optimizer" consult, and exposes
-its contents as a :class:`~repro.relational.schema.Relation` for evaluation.
+A checked :class:`~repro.storage.delta.Delta` is its only mutation; it keeps
+the table's :class:`AttributeIndex` objects and its maintained
+:class:`~repro.relational.columnar.ColumnBatch` current, and caches one
+batch per version a pinned reader asked for.
 """
 
 from __future__ import annotations
@@ -351,17 +352,6 @@ class StoredTable:
         self._slots = None
         self._pending = []
         self._pending_tuples = self._pending_deletes = 0
-
-    def column_values(self, attribute: str) -> list[object]:
-        """All values of ``attribute`` (duplicates included, NULLs skipped)."""
-        index = self.schema.index_of(attribute)
-        values: list[object] = []
-        for row, multiplicity in self._rows.items():
-            value = row[index]
-            if value is None:
-                continue
-            values.extend([value] * multiplicity)
-        return values
 
     # -- version history (snapshot-isolated readers) ------------------------------
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sqlite3
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,3 +213,69 @@ def test_a_comparison_with_a_constant_equals_the_called_operator(symbol, values,
     column = kernel((values,), len(values))
     assert repr(column) == repr(expected)
     assert all(value is None or type(value) is bool for value in column)
+
+
+# -- ``%``: the remainder takes the sign of the dividend, as in SQL ------------------
+
+
+class TestRemainder:
+    @staticmethod
+    def _answers(rows: list[tuple], sql: str) -> tuple[list, list]:
+        database = Database()
+        database.create_table("t", ["id", "c", "d"])
+        database.insert("t", rows)
+        engine = database.query(sql).to_sorted_list()
+        oracle = database.query(sql, optimize_plans=False, vectorize=False).to_sorted_list()
+        return engine, oracle
+
+    def test_int_operands_agree_with_sqlite(self):
+        pairs = [(c, d) for c in range(-7, 8) for d in (-4, -3, -2, -1, 0, 1, 2, 3, 4)]
+        rows = [(i, c, d) for i, (c, d) in enumerate(pairs)]
+        sql = "SELECT id, c % d AS m FROM t"
+        engine, oracle = self._answers(rows, sql)
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE t (id INTEGER, c INTEGER, d INTEGER)")
+        connection.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+        expected = sorted(connection.execute(sql).fetchall())
+        connection.close()
+        assert engine == oracle == expected
+        remainders = dict(engine)
+        # Python's ``%`` floors: -5 % 3 == 1 and 5 % -3 == -1.
+        assert remainders[pairs.index((-5, 3))] == -2
+        assert remainders[pairs.index((5, -3))] == 2
+
+    def test_a_filter_on_the_remainder_keeps_no_negative_dividend(self):
+        database = Database()
+        database.create_table("t", ["id", "c"])
+        database.insert("t", [(1, -5), (2, 4), (3, -2), (4, 7)])
+        sql = "SELECT id FROM t WHERE c % 3 = 1"
+        engine = database.query(sql).to_sorted_list()
+        assert engine == database.query(sql, optimize_plans=False, vectorize=False).to_sorted_list()
+        assert engine == [(2,), (4,)]
+
+    def test_float_and_big_int_operands(self):
+        """sqlite truncates floats to ints for ``%``, so these are literal."""
+        rows = [
+            (1, -5.5, 2),
+            (2, 5.5, -2),
+            (3, -5.5, -2),
+            (4, 5.5, 2),
+            (5, -7, 2.5),
+            (6, 7.0, 0),
+            (7, -(10**30) - 7, 3),
+            (8, 10**30 + 7, -3),
+            (9, math.inf, 2),
+        ]
+        engine, oracle = self._answers(rows, "SELECT id, c % d AS m FROM t")
+        assert repr(engine) == repr(oracle)
+        assert engine[:8] == [
+            (1, -1.5),
+            (2, 1.5),
+            (3, -1.5),
+            (4, 1.5),
+            (5, -2.0),
+            (6, None),
+            (7, -2),
+            (8, 2),
+        ]
+        assert math.isnan(engine[8][1])

@@ -10,10 +10,12 @@ from repro.core.errors import SchemaError, StorageError
 from repro.imp.middleware import IMPSystem
 from repro.storage.database import Database
 from repro.storage.recovery import WAL_FILE
+from repro.storage.sessions import SnapshotView
 from repro.storage.wal import scan_wal
 from repro.storage.statistics import (
     collect_column_statistics,
     equi_depth_boundaries,
+    expand_multiplicities,
 )
 
 
@@ -62,7 +64,7 @@ class TestVersionsAndDeltas:
     def test_empty_update_does_not_bump_version(self, db):
         version = db.version
         assert db.insert("t", []) == version
-        assert db.delete_where("t", lambda row: False) == version
+        assert db.execute("DELETE FROM t WHERE v < 0") == version
 
     def test_delta_since(self, db):
         version = db.version
@@ -119,8 +121,8 @@ class TestQueriesAndUpdates:
         result = db.execute("SELECT id FROM t WHERE id < 2")
         assert sorted(result.rows()) == [(0,), (1,)]
 
-    def test_delete_where_callable(self, db):
-        db.delete_where("t", lambda row: row[1] >= 50)
+    def test_execute_delete_of_several_rows(self, db):
+        db.execute("DELETE FROM t WHERE v >= 50")
         assert len(db.table("t")) == 5
 
     def test_scan_counter_increases(self, db):
@@ -170,6 +172,32 @@ class TestStatistics:
         assert stats.row_count == 10
         assert stats.minimum == 0 and stats.maximum == 90
         assert stats.distinct_count == 10
+
+    def test_expand_multiplicities(self):
+        """A bag column as a list, NULL included (the callers skip what they
+        must)."""
+        assert expand_multiplicities([10, None, 30], [1, 1, 1]) == [10, None, 30]
+        assert expand_multiplicities([10, None, 30], [2, 3, 1]) == [10, 10, None, None, None, 30]
+        assert expand_multiplicities([], []) == []
+
+    def test_a_snapshot_at_the_current_version_reports_the_database_statistics(self):
+        database = Database()
+        database.create_table("t", ["a", "b"])
+        database.insert("t", [(1, 5), (1, 5), (2, None), (3, 7), (3, 7), (3, 7), (4, 2.5)])
+        database.delete_rows("t", [(3, 7), (1, 5)])
+        database.insert("t", [(5, None), (6, 9), (6, 9)])
+        view = SnapshotView(database, database.version)
+        for attribute in ("a", "b"):
+            assert view.column_statistics("t", attribute) == database.column_statistics(
+                "t", attribute
+            )
+            for buckets in (1, 2, 3, 8):
+                assert view.equi_depth_ranges(
+                    "t", attribute, buckets
+                ) == database.equi_depth_ranges("t", attribute, buckets)
+        statistics = database.column_statistics("t", "b")
+        assert (statistics.row_count, statistics.null_count) == (8, 2)
+        assert (statistics.distinct_count, statistics.minimum, statistics.maximum) == (4, 2.5, 9)
 
     def test_collect_column_statistics_handles_nulls(self):
         stats = collect_column_statistics("x", [1, None, 3])

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.imp.middleware import IMPSystem
 from repro.relational.algebra import (
     Aggregation,
+    Distinct,
     Join,
     Selection,
     TableScan,
@@ -297,6 +298,39 @@ class TestProjectionPruning:
         assert database.query(sql, optimize_plans=False) == database.query(
             sql, optimize_plans=True
         )
+
+    @staticmethod
+    def _answers_like_the_oracle(database: Database, sql: str) -> None:
+        engine = database.query(sql)
+        oracle = database.query(sql, optimize_plans=False, vectorize=False)
+        assert repr(list(engine.items())) == repr(list(oracle.items()))
+
+    def test_a_group_by_with_no_aggregate_read_above_becomes_distinct(self):
+        database = make_three_table_db()
+        sql = "SELECT a FROM (SELECT a, sum(b) AS s FROM r GROUP BY a) t"
+        optimized = PlanOptimizer(database).optimize(database.plan(sql))
+        assert any(isinstance(node, Distinct) for node in walk_plan(optimized))
+        assert not any(isinstance(node, Aggregation) for node in walk_plan(optimized))
+        assert "sum" not in optimized.explain()
+        self._answers_like_the_oracle(database, sql)
+
+    def test_a_scalar_aggregation_keeps_only_the_aggregates_read_above(self):
+        database = make_three_table_db()
+        sql = "SELECT n FROM (SELECT count(*) AS n, sum(b) AS s FROM r) t"
+        optimized = PlanOptimizer(database).optimize(database.plan(sql))
+        (aggregation,) = [n for n in walk_plan(optimized) if isinstance(n, Aggregation)]
+        assert [repr(a) for a in aggregation.aggregates] == ["count(*) AS n"]
+        self._answers_like_the_oracle(database, sql)
+
+    def test_a_scalar_aggregation_nothing_reads_keeps_its_first_aggregate(self):
+        """Its one row exists even over empty input, which a consumer that
+        reads none of its columns still sees."""
+        database = make_three_table_db()
+        plan = database.plan("SELECT max(b) AS m, sum(c) AS s FROM r WHERE b < 0")
+        aggregation = next(n for n in walk_plan(plan) if isinstance(n, Aggregation))
+        pruned = PlanOptimizer(database).prune(aggregation, set())
+        assert pruned.explain().splitlines()[0] == "Aggregation(group by <global>; max(b) AS m)"
+        assert list(database.query(pruned).items()) == [((None,), 1)]
 
     def test_output_schema_is_never_changed(self):
         database = make_three_table_db()

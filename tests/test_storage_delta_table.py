@@ -171,12 +171,6 @@ class TestStoredTable:
             table.check_delta(Delta.from_rows(Schema(["id"]), inserts=[(1,)]))
         assert len(table) == 0
 
-    def test_column_values(self):
-        table = StoredTable("t", ["id", "v"])
-        commit(table, inserts=[(1, 10), (2, None), (3, 30)])
-        assert sorted(table.column_values("v")) == [10, 30]
-        assert StoredTable("e", ["x"]).column_values("x") == []
-
     def test_primary_key_must_exist(self):
         with pytest.raises(SchemaError):
             StoredTable("t", ["a"], primary_key="nope")
