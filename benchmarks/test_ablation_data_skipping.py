@@ -1,8 +1,8 @@
 """Ablation: how much of IMP's end-to-end win comes from each design choice.
 
-DESIGN.md calls out the design choices worth ablating.  Fig. 13 covers the
-engine-internal optimizations (Bloom filters, delta push-down, state buffers);
-this file ablates the two remaining pieces of the end-to-end story:
+Fig. 13 covers the engine-internal optimizations README.md describes (Bloom
+filters, delta push-down, state buffers); this file ablates the two remaining
+pieces of the end-to-end story:
 
 * **Physical data skipping** -- answering a query through a sketch only helps
   if the backend can exploit the injected range predicates.  We compare what

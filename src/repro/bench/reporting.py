@@ -2,8 +2,8 @@
 
 The paper presents its evaluation as plots; the benchmark harness prints the
 same data as aligned text tables (one row per parameter combination, one
-column per system) so the numbers behind every figure can be inspected and
-recorded in ``EXPERIMENTS.md``.
+column per system) so the numbers behind every figure can be inspected; the
+README's "Tests and benchmarks" section says how to print them.
 """
 
 from __future__ import annotations

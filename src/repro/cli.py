@@ -493,14 +493,14 @@ def command_info(_args: argparse.Namespace) -> int:
         ("repro.relational", "bag-semantics relational algebra and evaluation"),
         ("repro.sql", "SQL parser and translation to algebra"),
         ("repro.storage", "versioned in-memory backend database with indexes"),
-        ("repro.sketch", "provenance sketches: partitions, use, safety, adaptivity"),
+        ("repro.sketch", "provenance sketches: partitions, attribute choice, safety, use"),
         ("repro.imp", "sketch capture, incremental maintenance engine, strategies, middleware"),
         ("repro.workloads", "synthetic / TPC-H / Crimes data and query templates"),
         ("repro.bench", "benchmark harness and reporting"),
     ]
     for name, description in subsystems:
         print(f"  {name:<18} {description}")
-    print("\nsee README.md, DESIGN.md and EXPERIMENTS.md for details")
+    print("\nsee README.md and ROADMAP.md for details")
     return 0
 
 

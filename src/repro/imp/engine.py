@@ -299,7 +299,7 @@ class IncrementalEngine:
 
     def current_sketch(self) -> ProvenanceSketch:
         """The sketch justified by the current operator state."""
-        return ProvenanceSketch(self.partition, self._merge.current_fragments())
+        return ProvenanceSketch.of_mask(self.partition, self._merge.mask)
 
     def maintain(
         self, db_delta: DatabaseDelta, target_version: int, memo: dict | None = None

@@ -39,6 +39,7 @@ from operator import add, itemgetter, or_
 
 from repro.core.bloom import BloomFilter
 from repro.core.errors import AggregateError
+from repro.core.timing import MemoryMeter
 from repro.relational.algebra import Aggregate, Join, OrderItem, PlanNode
 from repro.relational.columnar import LazyColumns
 from repro.relational.expressions import (
@@ -56,11 +57,11 @@ from repro.relational.kernels import (
 )
 from repro.relational.schema import Row, Schema
 from repro.sketch.ranges import DatabasePartition
-from repro.sketch.sketch import SketchDelta
+from repro.sketch.sketch import SketchDelta, iter_bits
 from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta
 from repro.imp.annotated import AnnotatedDelta
-from repro.imp.state import AggregationState, JoinSideState, MergeState, TopKState
+from repro.imp.state import AggregationState, JoinSideState, TopKState, fold_fragments
 
 
 def compile_batch_predicate(
@@ -897,27 +898,37 @@ def _to_bag(entries: list[tuple[Row, int, int]]) -> dict[tuple[Row, int], int]:
 
 
 class MergeOperator(IncrementalOperator):
-    """The merge operator ``μ`` turning result deltas into sketch deltas (Sec. 5.1)."""
+    """The merge operator ``μ`` turning result deltas into sketch deltas (Sec. 5.1).
+
+    ``counts`` maps each fragment to the number of result tuples carrying it,
+    and ``mask``, the current sketch, holds the fragments counted positive:
+    one slot of :func:`~repro.imp.state.fold_fragments`.
+    """
 
     def __init__(self, child: IncrementalOperator) -> None:
         super().__init__(child.output_schema)
         self.child = child
-        self.state = MergeState()
+        self.counts: dict[int, int] = {}
+        self.mask = 0
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
-
-    def current_fragments(self) -> set[int]:
-        """The fragments currently justified by at least one result tuple."""
-        return self.state.active_fragments()
 
     def process(self, run: Pass) -> AnnotatedDelta:  # pragma: no cover
         raise NotImplementedError("use process_to_sketch_delta for the merge operator")
 
     def process_to_sketch_delta(self, run: Pass) -> SketchDelta:
-        """Run one pass over the tree and return the resulting sketch delta."""
+        """Run one pass over the tree and return the fragments that entered
+        and that left the sketch."""
         child = self.child.process(run)
-        return SketchDelta(*self.state.apply(zip(child.annotations, child.counts)))
+        before = self.mask
+        masks = [before]
+        counts = child.counts
+        fold_fragments([0] * len(counts), child.annotations, counts, [self.counts], masks)
+        self.mask = after = masks[0]
+        return SketchDelta(
+            frozenset(iter_bits(after & ~before)), frozenset(iter_bits(before & ~after))
+        )
 
     def memory_bytes(self) -> int:
-        return self.state.memory_bytes()
+        return MemoryMeter().measure(self.counts)

@@ -142,7 +142,7 @@ def _topk_payload(operator: IncrementalTopK) -> dict[str, Any]:
 
 
 def _merge_payload(operator: MergeOperator) -> dict[str, Any]:
-    return {"kind": "merge", "counts": dict(operator.state.counts)}
+    return {"kind": "merge", "counts": dict(operator.counts)}
 
 
 def dump_engine_state(engine: IncrementalEngine) -> dict[str, Any]:

@@ -19,7 +19,11 @@ Sec. 5.2 of the paper:
   other input first needs partners, and from then on the input's annotated
   result as a key index, brought forward by the input's own deltas;
 * the merge operator ``μ``: a count per range of how many result tuples carry
-  that range.
+  that range, and the sketch as the mask of the ranges counted positive.
+
+Every per-key map from fragment to count -- ``ℱ_g`` of a group, ``ℱ`` of a
+distinct row, ``μ``'s counts -- is kept by one fold, :func:`fold_fragments`:
+the aggregation's slots are its slots, and ``μ`` is a single slot.
 
 All states support byte-size estimation (for the memory experiments), and
 :mod:`repro.imp.persistence` writes all but the join's as the canonical view
@@ -380,34 +384,10 @@ class AggregationState:
                 if extremes is not None:
                     for slot, value, count in zip(ids, column, counts):
                         extremes[slot].update(value, count)
-            except TypeError as exc:
-                raise kernels.fold_error(aggregate) from exc
+            except (TypeError, OverflowError) as exc:
+                raise kernels.fold_error(aggregate, exc) from exc
         kernels.fold_aggregate(ids, None, counts, self.total_count)
-        fragment_counts, mask = self.fragment_counts, self.mask
-        entries: Iterable[tuple[int, int, int]] = zip(ids, annotations, counts)
-        if counts.count(1) == len(counts):
-            # Every count is 1 (a capture, an insert-only delta): fold each
-            # distinct annotated slot once, with its number of entries.
-            pairs = Counter(zip(ids, annotations))
-            entries = ((slot, annotation, count) for (slot, annotation), count in pairs.items())
-        for slot, annotation, count in entries:
-            per_fragment = fragment_counts[slot]
-            while annotation:
-                low = annotation & -annotation
-                annotation ^= low
-                fragment = low.bit_length() - 1
-                updated = per_fragment.get(fragment, 0) + count
-                if updated:
-                    per_fragment[fragment] = updated
-                else:
-                    per_fragment.pop(fragment, None)
-                # ``updated - count`` is the count before: touch the mask only
-                # when the count crosses zero.
-                if updated > 0:
-                    if updated <= count:
-                        mask[slot] |= low
-                elif updated > count:
-                    mask[slot] &= ~low
+        fold_fragments(ids, annotations, counts, self.fragment_counts, self.mask)
 
     def values(self, slots: list[int]) -> list[tuple]:
         """The aggregate results of each group in ``slots`` (``()`` per group
@@ -434,6 +414,49 @@ class AggregationState:
         columns = [column for column, _empty in self._defaults()]
         columns += [non_finite for non_finite in self.non_finite if non_finite]
         return MemoryMeter().measure_many([self.slots, self.keys, *columns, self.free])
+
+
+def fold_fragments(
+    ids: list[int],
+    annotations: list[int],
+    counts: list[int],
+    fragment_counts: list[dict[int, int]],
+    masks: list[int],
+) -> None:
+    """Add ``counts[i]`` (signed) to the count of every fragment of
+    ``annotations[i]`` in slot ``ids[i]``: ``fragment_counts[slot]`` maps a
+    fragment to its count (the map ``ℱ``, Sec. 5.2.5), and ``masks[slot]``
+    holds the fragments whose count is positive, changed only where a count
+    crosses zero.  A count that reaches zero leaves its map, so one that
+    passes through zero is re-appended at the end of it.
+
+    Entries are applied one by one, in order, unless every count is 1 (a
+    capture, an insert-only delta): then each distinct ``(slot, annotation)``
+    is applied once, with its number of entries -- the same maps in the same
+    order, since no count falls on the way.
+    """
+    if counts and counts.count(1) == len(counts):
+        pairs = Counter(zip(ids, annotations))
+        ids, annotations = zip(*pairs)
+        counts = pairs.values()
+    for slot, annotation, count in zip(ids, annotations, counts):
+        per_fragment = fragment_counts[slot]
+        while annotation:
+            low = annotation & -annotation
+            annotation ^= low
+            fragment = low.bit_length() - 1
+            updated = per_fragment.get(fragment, 0) + count
+            if updated:
+                per_fragment[fragment] = updated
+            else:
+                per_fragment.pop(fragment, None)
+            # ``updated - count`` is the count before: touch the mask only
+            # when the count crosses zero.
+            if updated > 0:
+                if updated <= count:
+                    masks[slot] |= low
+            elif updated > count:
+                masks[slot] &= ~low
 
 
 def _count_non_finite(
@@ -691,48 +714,3 @@ class TopKState:
     def __len__(self) -> int:
         return self.stored_count
 
-
-class MergeState:
-    """Reference counts of the merge operator ``μ`` (Sec. 5.1)."""
-
-    def __init__(self) -> None:
-        self.counts: dict[int, int] = {}
-
-    def apply(
-        self, entries: Iterable[tuple[int, int]]
-    ) -> tuple[frozenset[int], frozenset[int]]:
-        """Add ``count`` (signed) references to every fragment of each
-        ``(annotation mask, count)`` entry.
-
-        Returns the fragments that ``(entered, left)`` the sketch, i.e. whose
-        reference count became positive / stopped being positive.
-
-        Entries are applied one by one, in order, without netting the counts
-        of equal masks first: a count that passes through zero drops its
-        fragment and re-inserts it at the end of ``counts``, and that order
-        is what a dumped payload lists.
-        """
-        totals = self.counts
-        before: dict[int, int] = {}
-        for annotation, count in entries:
-            while annotation:
-                low = annotation & -annotation
-                annotation ^= low
-                fragment = low.bit_length() - 1
-                current = totals.get(fragment, 0)
-                if fragment not in before:
-                    before[fragment] = current
-                if current + count:
-                    totals[fragment] = current + count
-                else:
-                    totals.pop(fragment, None)
-        entered = {f for f, old in before.items() if old <= 0 < totals.get(f, 0)}
-        left = {f for f, old in before.items() if old > 0 >= totals.get(f, 0)}
-        return frozenset(entered), frozenset(left)
-
-    def active_fragments(self) -> set[int]:
-        """Fragments with a positive reference count (the current sketch)."""
-        return {fragment for fragment, count in self.counts.items() if count > 0}
-
-    def memory_bytes(self) -> int:
-        return MemoryMeter().measure(self.counts)

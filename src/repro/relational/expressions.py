@@ -55,7 +55,8 @@ def _rejected(
 ) -> UnsupportedOperationError:
     """The error for operator ``symbol``, naming the types of the first
     NULL-free operand tuple that ``operation`` raises ``TypeError`` on
-    (``'x' + 1``, ``-'x'``, ``'x' < 2``).  A kernel calls this once its
+    (``'x' + 1``, ``-'x'``, ``'x' < 2``) or ``OverflowError`` (an int out of
+    float range in ``/`` or beside a float).  A kernel calls this once its
     comprehension raised one, so there is such a tuple."""
     for values in operands:
         if None not in values:
@@ -63,6 +64,10 @@ def _rejected(
                 operation(*values)
             except TypeError:
                 break
+            except OverflowError:
+                return UnsupportedOperationError(
+                    f"operator {symbol} on {_types(values)} is out of float range"
+                )
     return UnsupportedOperationError(f"operator {symbol} does not apply to {_types(values)}")
 
 
@@ -232,7 +237,7 @@ class BinaryOp(Expression):
                     None if a is None or b is None else operation(a, b)
                     for a, b in zip(lefts, rights)
                 ]
-            except TypeError:
+            except (TypeError, OverflowError):
                 raise _rejected(symbol, operation, zip(lefts, rights)) from None
 
         return run

@@ -266,8 +266,8 @@ def aggregate_batch(
     for aggregate, column in zip(aggregates, argument_columns):
         try:
             columns.append(_fold(aggregate.function, ids, column, multiplicities, sizes))
-        except TypeError as exc:
-            raise fold_error(aggregate) from exc
+        except (TypeError, OverflowError) as exc:
+            raise fold_error(aggregate, exc) from exc
     # Group keys are distinct and prefix every output row, so rows are too.
     return ColumnBatch(schema, columns, [1] * len(keys), consolidated=True)
 
@@ -372,11 +372,14 @@ def over_nothing(aggregate: Aggregate) -> object:
     return 0 if aggregate.function is AggregateFunction.COUNT else None
 
 
-def fold_error(aggregate: Aggregate) -> AggregateError:
-    """The error for a fold that met a value ``aggregate`` cannot aggregate."""
+def fold_error(aggregate: Aggregate, error: Exception) -> AggregateError:
+    """The error for a fold that met a value ``aggregate`` cannot aggregate:
+    ``error`` is the ``TypeError`` (a value of the wrong type) or the
+    ``OverflowError`` (an int out of float range) the fold raised."""
     argument = "*" if aggregate.argument is None else aggregate.argument.canonical()
+    problem = "out of float range" if isinstance(error, OverflowError) else "of that type"
     return AggregateError(
-        f"{aggregate.function.value}({argument}) cannot aggregate a value of that type"
+        f"{aggregate.function.value}({argument}) cannot aggregate a value {problem}"
     )
 
 

@@ -118,9 +118,15 @@ def _operand_error(
 ) -> UnsupportedOperationError:
     """The error for operator (or function) ``symbol`` over operands of
     types it does not take, naming it and the operand types."""
+    return UnsupportedOperationError(
+        f"{kind} {symbol} does not apply to {_type_names(*operands)}"
+    )
+
+
+def _type_names(*operands: Any) -> str:
+    """``str``, ``str and int``, ``int, str and int``."""
     *rest, last = [type(value).__name__ for value in operands]
-    named = f"{', '.join(rest)} and {last}" if rest else last
-    return UnsupportedOperationError(f"{kind} {symbol} does not apply to {named}")
+    return f"{', '.join(rest)} and {last}" if rest else last
 
 
 def interpret(expression: Expression, row: Row, schema: Schema) -> Any:
@@ -143,6 +149,10 @@ def interpret(expression: Expression, row: Row, schema: Schema) -> Any:
             return _OPERATORS[expression.op](left, right)
         except TypeError:
             raise _operand_error(expression.op, left, right) from None
+        except OverflowError:
+            raise UnsupportedOperationError(
+                f"operator {expression.op} on {_type_names(left, right)} is out of float range"
+            ) from None
     if isinstance(expression, UnaryMinus):
         value = value_of(expression.operand)
         if value is None:
@@ -222,7 +232,8 @@ def compute_aggregate(
     sum/avg/min/max and 0 for count.  NaN sorts after every number, as in
     PostgreSQL: the min is NaN only when every value is, the max as soon as
     one is.  A value the function cannot aggregate (text in a sum,
-    incomparable values in a min) raises :class:`AggregateError`.
+    incomparable values in a min, an int out of float range in a sum) raises
+    :class:`AggregateError`.
     """
     total = 0.0
     count = 0
@@ -246,6 +257,11 @@ def compute_aggregate(
         except TypeError as exc:
             raise AggregateError(
                 f"{function.value}() cannot aggregate {type(value).__name__} value {value!r}"
+            ) from exc
+        except OverflowError as exc:
+            raise AggregateError(
+                f"{function.value}() cannot aggregate an {type(value).__name__} "
+                "value out of float range"
             ) from exc
     if function is AggregateFunction.COUNT:
         return count

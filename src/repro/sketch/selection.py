@@ -82,6 +82,10 @@ def build_partition(
         raise SketchError(
             f"cannot partition empty column {table}.{attribute}; load data first"
         ) from exc
+    except OverflowError as exc:
+        raise SketchError(
+            f"cannot partition {table}.{attribute}: a value is out of float range"
+        ) from exc
     return RangePartition.from_boundaries(table, attribute, boundaries)
 
 

@@ -80,17 +80,18 @@ class ProvenanceSketch:
     def full(cls, partition: DatabasePartition) -> "ProvenanceSketch":
         """A sketch containing every range (covers every non-NULL, non-NaN
         value of the partitioned tables)."""
-        return cls._of_mask(partition, (1 << partition.total_fragments) - 1)
+        return cls.of_mask(partition, (1 << partition.total_fragments) - 1)
 
     @classmethod
-    def _of_mask(cls, partition: DatabasePartition, mask: int) -> "ProvenanceSketch":
+    def of_mask(cls, partition: DatabasePartition, mask: int) -> "ProvenanceSketch":
+        """The sketch whose fragments are the set bits of ``mask``."""
         sketch = cls(partition)
         sketch.mask = mask
         return sketch
 
     def copy(self) -> "ProvenanceSketch":
         """An independent copy."""
-        return ProvenanceSketch._of_mask(self.partition, self.mask)
+        return ProvenanceSketch.of_mask(self.partition, self.mask)
 
     # -- membership ----------------------------------------------------------------
 
@@ -184,7 +185,7 @@ class ProvenanceSketch:
     def union(self, other: "ProvenanceSketch") -> "ProvenanceSketch":
         """Union of two sketches over the same partition."""
         self._check_same_partition(other)
-        return ProvenanceSketch._of_mask(self.partition, self.mask | other.mask)
+        return ProvenanceSketch.of_mask(self.partition, self.mask | other.mask)
 
     def is_superset_of(self, other: "ProvenanceSketch") -> bool:
         """Whether this sketch over-approximates ``other``."""

@@ -106,7 +106,8 @@ class Database:
         self._audit_floor = 0
         # Durability: None (the default) keeps the database purely in-memory.
         # ``_durability`` is assigned only after recovery finishes, so the
-        # _restore_* hooks recovery drives never write back to the WAL.
+        # commits and DDL recovery replays through the live methods never
+        # write back to the WAL or checkpoint.
         self._durability: DurabilityManager | None = None
         self._recovery_report: RecoveryReport | None = None
         if data_dir is not None:
@@ -394,7 +395,15 @@ class Database:
             # rolled itself back to the previous record boundary.
             if self._durability is not None:
                 self._durability.log_commit(self._version + 1, deltas)
-            self._apply(self._version + 1, deltas)
+            for table, delta in deltas.items():
+                self.table(table).apply_delta(delta)
+            self._version += 1
+            for table in deltas:
+                self.table(table).record_modified(self._version)
+            # WAL replay commits here too, so the audit log holds replayed
+            # history: sessions pin it and maintainers resume across a crash.
+            self._audit_log.append(AuditRecord(self._version, dict(deltas)))
+            self._statistics_cache.clear()
             if self._durability is not None and self._durability.auto_checkpoint_due():
                 try:
                     self._durability.checkpoint(self)
@@ -406,18 +415,6 @@ class Database:
                     # ``self._durability.last_checkpoint_error``).
                     pass
             return self._version
-
-    def _apply(self, version: int, deltas: dict[str, Delta]) -> None:
-        """Make checked ``deltas`` commit ``version``: the tables, the version,
-        the tables' modification history, the audit log and the statistics
-        cache -- for a live commit and a replayed one alike."""
-        for table, delta in deltas.items():
-            self.table(table).apply_delta(delta)
-        self._version = version
-        for table in deltas:
-            self.table(table).record_modified(version)
-        self._audit_log.append(AuditRecord(version, dict(deltas)))
-        self._statistics_cache.clear()
 
     # -- durability -----------------------------------------------------------------------
 
@@ -463,18 +460,11 @@ class Database:
             if self._durability is not None:
                 self._durability.close()
 
-    # Restore hooks -- driven only by DurabilityManager.attach() during
-    # recovery, before ``_durability`` is assigned, so nothing here writes
-    # back to the WAL.
+    # Checkpoint-load hooks -- driven only by DurabilityManager.attach()
+    # during recovery, before ``_durability`` is assigned.
 
     def _restore_table(self, stored: StoredTable) -> None:
         self._tables[stored.name] = stored
-
-    def _restore_drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise StorageError(f"WAL replays DROP of unknown table {name!r}")
-        del self._tables[name]
-        self._audit_log.forget_table(name)
 
     def _restore_version(self, version: int) -> None:
         # The checkpoint is the oldest state recovery can reconstruct: audit
@@ -482,14 +472,6 @@ class Database:
         # segments, so delta reads reaching below it must fail loudly.
         self._version = version
         self._audit_floor = version
-
-    def _restore_commit(self, version: int, deltas: dict[str, Delta]) -> None:
-        for table, delta in deltas.items():
-            self.table(table).check_delta(delta)
-        # Reseeding the audit log makes replayed history first-class: sessions
-        # can pin and roll back to any replayed version, and incremental
-        # maintainers resume delta extraction across the crash.
-        self._apply(version, deltas)
 
     # -- query evaluation -----------------------------------------------------------------
 

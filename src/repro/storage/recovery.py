@@ -425,19 +425,18 @@ class DurabilityManager:
                 deltas = {}
                 for table, payload in record["tables"].items():
                     deltas[table] = decode_delta(payload, db.table(table).schema)
-                db._restore_commit(version, deltas)
+                db._commit(deltas)
                 report.commits_replayed += 1
             elif kind == "create_table":
-                stored = StoredTable(
+                db.create_table(
                     record["name"], Schema(record["attributes"]), record["primary_key"]
                 )
-                db._restore_table(stored)
                 report.ddl_replayed += 1
             elif kind == "drop_table":
-                db._restore_drop_table(record["name"])
+                db.drop_table(record["name"])
                 report.ddl_replayed += 1
             else:  # create_index
-                db.table(record["table"]).create_index(record["attribute"])
+                db.create_index(record["table"], record["attribute"])
                 report.ddl_replayed += 1
         except StorageError:
             raise

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.imp.middleware import WorkloadSystem
@@ -163,40 +163,16 @@ class WorkloadRunner:
 
     def run(self, workload: MixedWorkload) -> WorkloadReport:
         """Run every operation of ``workload`` and return a timing report."""
-        queries = updates = 0
-        query_seconds = update_seconds = 0.0
-        started = time.perf_counter()
-        for operation in workload.operations():
-            if operation.kind == "query":
-                assert operation.sql is not None
-                op_started = time.perf_counter()
-                self.system.run_query(operation.sql)
-                query_seconds += time.perf_counter() - op_started
-                queries += 1
-            else:
-                assert operation.table is not None
-                op_started = time.perf_counter()
-                self.system.apply_update(
-                    operation.table, operation.inserts, operation.deletes
-                )
-                update_seconds += time.perf_counter() - op_started
-                updates += 1
-        total = time.perf_counter() - started
-        return WorkloadReport(
-            system=self.system.name,
-            ratio=workload.ratio,
-            delta_size=workload.delta_size,
-            operations=queries + updates,
-            queries=queries,
-            updates=updates,
-            total_seconds=total,
-            query_seconds=query_seconds,
-            update_seconds=update_seconds,
-        )
+        return self._run(workload.operations(), workload.ratio, workload.delta_size)
 
     def run_operations(self, operations: Sequence[Operation]) -> WorkloadReport:
         """Run a pre-materialised operation list (used when comparing systems
         on byte-identical workloads)."""
+        return self._run(operations, "custom", 0)
+
+    def _run(self, operations: Iterable[Operation], ratio: str, delta_size: int) -> WorkloadReport:
+        """Time each operation and the whole run; the report carries the
+        workload's ``ratio`` and ``delta_size``."""
         queries = updates = 0
         query_seconds = update_seconds = 0.0
         started = time.perf_counter()
@@ -218,8 +194,8 @@ class WorkloadRunner:
         total = time.perf_counter() - started
         return WorkloadReport(
             system=self.system.name,
-            ratio="custom",
-            delta_size=0,
+            ratio=ratio,
+            delta_size=delta_size,
             operations=queries + updates,
             queries=queries,
             updates=updates,

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -33,6 +36,10 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "repro.imp" in output
         assert "repro.sketch" in output
+        # Every document it points to is at the repo root.
+        root = Path(__file__).resolve().parent.parent
+        named = re.findall(r"[\w-]+\.md", output)
+        assert named and all((root / name).is_file() for name in named)
 
     def test_demo_runs_the_running_example(self, capsys):
         assert main(["demo"]) == 0

@@ -8,7 +8,13 @@ from repro.relational.expressions import ColumnRef
 from repro.relational.schema import Schema
 from repro.imp.annotated import AnnotatedDelta
 from repro.imp.persistence import _groups_payload
-from repro.imp.state import AggregationState, MergeState, MinMaxAccumulator, TopKState
+from repro.imp.operators import IncrementalOperator, MergeOperator
+from repro.imp.state import (
+    AggregationState,
+    MinMaxAccumulator,
+    TopKState,
+    fold_fragments,
+)
 from repro.sketch.sketch import iter_bits
 
 SCHEMA = Schema(["a", "b"])
@@ -248,20 +254,49 @@ class TestGroupAndMergeState:
             }
         ]
 
-    def test_merge_state_counts(self):
-        merge = MergeState()
-        assert merge.apply([(0b1000, 2)]) == ({3}, set())
-        assert merge.apply([(0b1000, -1), (0b0010, 1)]) == ({1}, set())
+    def test_merge_operator_counts(self):
+        merge = MergeOperator(Feed())
+
+        def apply(entries):
+            annotations, counts = map(list, zip(*entries))
+            merge.child.queue(annotations, counts)
+            delta = merge.process_to_sketch_delta(None)
+            return delta.added, delta.removed
+
+        assert apply([(0b1000, 2)]) == ({3}, set())
+        assert apply([(0b1000, -1), (0b0010, 1)]) == ({1}, set())
         assert merge.counts == {3: 1, 1: 1}
         # Entering and leaving within one batch is no change.
-        assert merge.apply([(0b0100, 1), (0b1100, -1)]) == (set(), {3})
-        assert merge.active_fragments() == {1}
+        assert apply([(0b0100, 1), (0b1100, -1)]) == (set(), {3})
+        assert merge.mask == 0b0010 and merge.counts == {1: 1}
+
+    def test_shared_fold_with_one_slot(self):
+        counts, masks = {}, [0]
+        fold_fragments([0, 0], [0b101, 0b100], [1, 1], [counts], masks)
+        assert counts == {0: 1, 2: 2} and masks == [0b101]
+        # A count that passes through zero is re-appended at the end.
+        fold_fragments([0, 0], [0b001, 0b001], [-1, 1], [counts], masks)
+        assert list(counts.items()) == [(2, 2), (0, 1)] and masks == [0b101]
 
     def test_memory_accounting_is_positive(self):
         state = AggregationState([aggregate(AggregateFunction.SUM)])
         fold(state, [((1,), (1,), 1, 1)])
         assert state.memory_bytes() > 0
-        assert MergeState().memory_bytes() > 0
+        assert MergeOperator(Feed()).memory_bytes() > 0
+
+
+class Feed(IncrementalOperator):
+    """A child that hands ``μ`` the annotations and counts queued last."""
+
+    def __init__(self) -> None:
+        super().__init__(SCHEMA)
+        self.delta = AnnotatedDelta(SCHEMA)
+
+    def queue(self, annotations: list[int], counts: list[int]) -> None:
+        self.delta = AnnotatedDelta(SCHEMA, [()] * len(counts), annotations, counts)
+
+    def process(self, run) -> AnnotatedDelta:
+        return self.delta
 
 
 class TestTopKState:

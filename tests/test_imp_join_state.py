@@ -102,7 +102,7 @@ def assert_equals_fresh(engine, plan, partition, database):
     fresh engine over the current database has."""
     fresh = IncrementalEngine(plan, partition, database)
     fresh.initialize()
-    assert engine._merge.state.counts == fresh._merge.state.counts
+    assert engine._merge.counts == fresh._merge.counts
     assert set(engine.current_sketch().fragment_ids()) == set(
         capture_sketch(plan, partition, database).fragment_ids()
     )
@@ -350,8 +350,8 @@ class TestWholeSideReadsAreAsOfTheTargetVersion:
         )
         fresh = IncrementalEngine(plan, partition, database)
         fresh.initialize()
-        assert maintainer.engine._merge.state.counts == fresh._merge.state.counts
-        assert fresh._merge.state.counts[0] == 9
+        assert maintainer.engine._merge.counts == fresh._merge.counts
+        assert fresh._merge.counts[0] == 9
         assert_equals_fresh(maintainer.engine, plan, partition, database)
 
     def test_snapshot_relation_reads_live_table_unless_it_moved_on(self):

@@ -279,7 +279,7 @@ def run_bag_operations(operations) -> None:
         elif kind == "replay":
             # What recovery drives for every WAL commit record.
             delta = Delta.from_rows(stored.schema, inserts=payload)
-            database._restore_commit(database.version + 1, {"bag": delta})
+            database._commit({"bag": delta})
         elif kind == "commit-unscanned":
             # Two commits with no scan between them queue two deltas.
             database.insert("bag", payload)
@@ -301,7 +301,7 @@ def run_bag_operations(operations) -> None:
 
 
 def test_recovered_database_replays_into_fresh_batches(tmp_path):
-    """WAL replay goes through ``_restore_commit`` -> ``apply_delta``: nothing
+    """WAL replay goes through ``_commit`` -> ``apply_delta``: nothing
     is queued for tables recovery never scanned, and the first scan of the
     recovered table is the from-scratch pivot in ``relation`` order."""
     path = str(tmp_path / "db")
