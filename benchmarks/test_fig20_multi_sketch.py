@@ -22,6 +22,10 @@ Asserted as counters, per round (the seconds are printed, not asserted):
   ``avg(b)``, 7 on ``avg(c)``; ``RoundReport.folds``), while the per-sketch
   path folds 16 times.  When every HAVING attribute differs nothing is
   shared: K folds, and the fetches and annotations stay at one;
+* aggregation passes of the captures -- a capture adopts the store's equal
+  node built at its version and reads the result from the node's state, so
+  the scheduler side folds once per distinct node while the per-sketch side
+  folds K times;
 * both paths produce identical sketches every round.
 
 (a) prints the per-round maintenance time at K = 16, (b) how it grows with K.
@@ -115,24 +119,32 @@ class MultiSketchPair:
         self.store = SketchStore()
         self.scheduler = MaintenanceScheduler(self.scheduler_db, self.store)
         self.per_sketch: list[IncrementalMaintainer] = []
-        for sql in templates:
-            plan = self.scheduler_db.plan(sql)
-            partition = build_database_partition(self.scheduler_db, plan, NUM_FRAGMENTS)
-            maintainer = IncrementalMaintainer(self.scheduler_db, plan, partition)
-            maintainer.capture()
-            self.store.put(
-                SketchEntry(
+        with counted_passes() as scheduler_captures:
+            for sql in templates:
+                plan = self.scheduler_db.plan(sql)
+                partition = build_database_partition(self.scheduler_db, plan, NUM_FRAGMENTS)
+                maintainer = IncrementalMaintainer(self.scheduler_db, plan, partition)
+                entry = SketchEntry(
                     template=template_of(sql), sql=sql, plan=plan,
                     partition=partition, maintainer=maintainer,
                 )
-            )
-            other_plan = self.per_sketch_db.plan(sql)
-            other_partition = build_database_partition(
-                self.per_sketch_db, other_plan, NUM_FRAGMENTS
-            )
-            other = IncrementalMaintainer(self.per_sketch_db, other_plan, other_partition)
-            other.capture()
-            self.per_sketch.append(other)
+                # As the middleware captures: adopt an equal node built at
+                # this version first, then capture from its state.
+                self.store.intern(entry, self.scheduler_db.version)
+                maintainer.capture()
+                self.store.put(entry)
+        with counted_passes() as per_sketch_captures:
+            for sql in templates:
+                other_plan = self.per_sketch_db.plan(sql)
+                other_partition = build_database_partition(
+                    self.per_sketch_db, other_plan, NUM_FRAGMENTS
+                )
+                other = IncrementalMaintainer(self.per_sketch_db, other_plan, other_partition)
+                other.capture()
+                self.per_sketch.append(other)
+        # Aggregation passes of the captures: one per distinct node, and one
+        # per sketch on the per-sketch side.
+        self.capture_folds = (scheduler_captures["folds"], per_sketch_captures["folds"])
         self._next_id = 10_000_000
 
     def apply_churn_round(self) -> None:
@@ -215,6 +227,7 @@ def _run_rounds(pair: MultiSketchPair) -> dict[str, float]:
         else:
             assert values[0] == values[-1], f"{key} varies between rounds: {values}"
             measured[key] = values[0]
+    measured["scheduler_capture_folds"], measured["per_sketch_capture_folds"] = pair.capture_folds
     return measured
 
 
@@ -222,7 +235,11 @@ def _assert_shared(measured: dict[str, float], num_sketches: int, folds: int) ->
     """All sketches share one table, go stale at the same version and have
     equal partitions: a round is one fetch, one annotation pass and one
     aggregation pass per distinct HAVING attribute (``folds``), while the
-    per-sketch path pays one of each per sketch."""
+    per-sketch path pays one of each per sketch.  So are the captures: each
+    sketch whose aggregation the store already holds, built at the same
+    version, adopts it and folds nothing."""
+    assert measured["scheduler_capture_folds"] == folds
+    assert measured["per_sketch_capture_folds"] == num_sketches
     assert measured["scheduler_fetches"] == 1
     assert measured["per_sketch_fetches"] == num_sketches
     assert measured["scheduler_annotations"] == 1

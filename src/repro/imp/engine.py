@@ -271,8 +271,9 @@ class IncrementalEngine:
         return None if self._view is None else self._view.node
 
     def share(self, node: SharedNode) -> None:
-        """Read ``node`` -- equal to the engine's own in fingerprint and state
-        -- in place of the engine's own node."""
+        """Read ``node`` -- equal to the engine's own in fingerprint, and in
+        state to what the engine's own holds, or will hold once the engine
+        has captured -- in place of the engine's own node."""
         assert self._view is not None and node.fingerprint == self._view.node.fingerprint
         self._view.node = node
 
@@ -283,8 +284,10 @@ class IncrementalEngine:
 
         This corresponds to executing the capture query: one from-scratch pass
         that simultaneously fills the state of every stateful operator, which
-        must be empty (a new engine, or one that was :meth:`reset`).  It is not
-        delta work, so the engine's counters stay as they are.
+        must be empty (a new engine, or one that was :meth:`reset`) -- or be a
+        node the engine was handed (:meth:`share`) that a pass built at this
+        version, whose result the pass reads back.  It is not delta work, so
+        the engine's counters stay as they are.
         """
         version = self.database.version
         self._merge.process_to_sketch_delta(Pass.scratch(version))

@@ -256,7 +256,6 @@ class SketchBasedSystem(WorkloadSystem):
             for table_partition in partition:
                 self.database.create_index(table_partition.table, table_partition.attribute)
             maintainer = self._make_maintainer(plan, partition)
-            capture_seconds = maintainer.capture().seconds
         except (SketchError, PlanError):
             return None
         entry = SketchEntry(
@@ -266,9 +265,17 @@ class SketchBasedSystem(WorkloadSystem):
             partition=partition,
             maintainer=maintainer,
         )
-        # Registration may hand the entry's engine a node other entries read:
-        # no round may move that node on meanwhile.
-        with self.scheduler.round_lock:
+        # The store may hand the new engine a node other entries read, built
+        # at this version, and the capture then reads the node's result back.
+        # From that hand-over through registration no commit may move the
+        # version and no round the node: round lock, then database lock, as
+        # on the query path.
+        with self.scheduler.round_lock, self.database.lock:
+            self.store.intern(entry, self.database.version)
+            try:
+                capture_seconds = maintainer.capture().seconds
+            except (SketchError, PlanError):
+                return None
             self.store.put(entry)
         with self._statistics_lock:
             self.statistics.sketch_captures += 1

@@ -25,7 +25,8 @@ the row a scalar aggregate has over empty input:
 An engine's outermost stateful operator and everything below it form a
 :class:`SharedNode`, read through an :class:`IncrementalShared` view: engines
 the sketch store hands one node process it once per pass, through the pass's
-memo.
+memo.  A from-scratch pass over a node another engine's pass just built reads
+the node's result back from its state (``replay()``) and folds nothing.
 
 Annotations are plain ``int`` fragment masks throughout.
 """
@@ -38,7 +39,7 @@ from itertools import compress
 from operator import add, itemgetter, or_
 
 from repro.core.bloom import BloomFilter
-from repro.core.errors import AggregateError
+from repro.core.errors import AggregateError, StateError
 from repro.core.timing import MemoryMeter
 from repro.relational.algebra import Aggregate, Join, OrderItem, PlanNode
 from repro.relational.columnar import LazyColumns
@@ -696,6 +697,25 @@ class IncrementalAggregation(IncrementalOperator):
                 state.drop(slot)
         return AnnotatedDelta(self.output_schema, *map(list, zip(*entries)))
 
+    def replay(self) -> AnnotatedDelta:
+        """The output of the from-scratch pass that built the state, entry for
+        entry, read back from the state: each live group in first-touch order
+        (the order of ``state.slots``) at count +1, an exhausted min/max left
+        out as that pass left it out, and without GROUP BY over no input the
+        row over nothing.  Valid only while no pass has moved the state on
+        (:attr:`SharedNode.built_at`)."""
+        state = self.state
+        slots = list(state.slots.values())
+        if not slots and not self.group_by:
+            return AnnotatedDelta(self.output_schema, [self._over_nothing], [0], [1])
+        keys = state.keys
+        entries = [
+            (keys[slot] + new[0], new[1], 1)
+            for slot, new in zip(slots, self._outputs(slots, None))
+            if new is not None
+        ]
+        return AnnotatedDelta(self.output_schema, *map(list, zip(*entries)))
+
     def _outputs(self, slots: list[int], absent: tuple | None) -> list[tuple | None]:
         """The output tuple's ``(values, mask)`` of each group in ``slots``:
         ``absent`` for a group without input tuples, None for one whose
@@ -751,6 +771,20 @@ class IncrementalDistinct(IncrementalOperator):
             else:
                 state.drop(slot)
         return output
+
+    def replay(self) -> AnnotatedDelta:
+        """The output of the from-scratch pass that built the state, entry for
+        entry: each row in first-touch order at count +1 (see
+        :meth:`IncrementalAggregation.replay`)."""
+        state = self.state
+        slots = list(state.slots.values())
+        keys, mask = state.keys, state.mask
+        return AnnotatedDelta(
+            self.output_schema,
+            [keys[slot] for slot in slots],
+            [mask[slot] for slot in slots],
+            [1] * len(slots),
+        )
 
     def memory_bytes(self) -> int:
         return self.state.memory_bytes()
@@ -838,6 +872,12 @@ class SharedNode:
     the version of the from-scratch pass that built its state, or None once a
     delta pass has moved it on: a node is handed on only while its state is
     bit for bit what any capture at that version builds.
+
+    A new engine is handed a built node *before* its capture when the node's
+    root can :attr:`replay` that pass's output from its state (an aggregation
+    or a duplicate elimination; a join's state does not hold its result, and
+    neither does a top-k's buffer): the capture then reads the output back
+    instead of scanning and folding the tables again.
     """
 
     def __init__(self, operator: IncrementalOperator, fingerprint: tuple) -> None:
@@ -845,6 +885,12 @@ class SharedNode:
         self.fingerprint = fingerprint
         self.built_at: int | None = None
         self.stateful = sum(isinstance(op, _STATEFUL) for op in _subtree(operator))
+
+    @property
+    def replayable(self) -> bool:
+        """Whether the root can give back the output of the from-scratch pass
+        that built it."""
+        return isinstance(self.operator, (IncrementalAggregation, IncrementalDistinct))
 
     def memory_bytes(self) -> int:
         """Footprint of the subtree's state."""
@@ -868,8 +914,19 @@ class IncrementalShared(IncrementalOperator):
         node = self.node
         output = run.memo.get(node)
         if output is None:
-            output = run.memo[node] = node.operator.process(run)
-            node.built_at = run.version if run.from_scratch else None
+            if run.from_scratch and node.built_at is not None:
+                # An adopted node: its state is this pass's result already,
+                # and folding the tables into it again would count them twice.
+                if node.built_at != run.version or not node.replayable:
+                    raise StateError(
+                        f"a from-scratch pass at version {run.version} cannot read "
+                        f"back {node.operator.describe()} built at version {node.built_at}"
+                    )
+                output = node.operator.replay()
+            else:
+                output = node.operator.process(run)
+                node.built_at = run.version if run.from_scratch else None
+            run.memo[node] = output
         return AnnotatedDelta(
             self.output_schema, output.rows, output.annotations, output.counts
         )

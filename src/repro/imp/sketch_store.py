@@ -21,6 +21,12 @@ maintenance round processes once for all of them.  Which node an entry reads
 is its engine's (``engine.shared``) and nothing else; the entries in the
 store that read one node are its share group.  Shared state is charged once,
 and stays while any of its consumers does.
+
+A new entry is interned before its capture when the store holds an equal
+node built at the current version whose root can replay its result from its
+state: the capture then reads that result instead of building the same state
+again.  Other nodes -- a join's state does not hold its result -- are
+interned after the capture, as are recaptured ones.
 """
 
 from __future__ import annotations
@@ -193,31 +199,43 @@ class SketchStore:
                 self.statistics.captures += 1
             self.enforce_memory_budget(protect=entry)
 
-    def intern(self, entry: SketchEntry) -> None:
+    def intern(self, entry: SketchEntry, version: int | None = None) -> None:
         """Hand ``entry``'s engine the node of another entry in the store
         that has the same fingerprint and was built by a from-scratch pass at
         the version the entry's own was, and has not been maintained since.
 
         Its state is then bit for bit the entry's own, so the entry's ``μ``
         stays consistent with it.  Called on registration and again after
-        the entry's engine was recaptured.  Maintenance rounds must not run
-        meanwhile: a node must not move on without one of its consumers.
+        the entry's engine was recaptured.
+
+        With ``version``, ``entry`` is a new entry that has not captured yet
+        and will capture at ``version``: it is handed such a node built at
+        ``version`` whose root can replay its output, and the capture reads
+        that output from the node's state
+        (:meth:`~repro.imp.operators.IncrementalShared.process`) instead of
+        building the same state again.  Until the entry is registered, no
+        commit may move the version on.
+
+        Either way maintenance rounds must not run meanwhile: a node must not
+        move on without one of its consumers.
         """
         with self._lock:
             own = entry.shared
-            if (
-                own is None
-                or own.built_at is None
-                or self._entries.get(entry.template.text) is not entry
-            ):
+            if own is None:
                 return
+            if version is None:
+                version = own.built_at
+                if version is None or self._entries.get(entry.template.text) is not entry:
+                    return
             for other in self._entries.values():
                 node = other.shared
                 if (
                     node is not None
                     and node is not own
                     and node.fingerprint == own.fingerprint
-                    and node.built_at == own.built_at
+                    and node.built_at == version
+                    # An engine yet to capture reads the node's output back.
+                    and (own.built_at is not None or node.replayable)
                 ):
                     entry.maintainer.engine.share(node)
                     return

@@ -24,7 +24,7 @@ class Schema:
     long as the bare name is unambiguous within the schema.
     """
 
-    __slots__ = ("_attributes", "_index", "_bare_index")
+    __slots__ = ("_attributes", "_index", "_bare_index", "_qualified")
 
     def __init__(self, attributes: Iterable[str]) -> None:
         self._attributes = tuple(attributes)
@@ -35,6 +35,9 @@ class Schema:
         for i, name in enumerate(self._attributes):
             bare.setdefault(self.bare_name(name), []).append(i)
         self._bare_index = bare
+        # ``prefix -> Schema``, made by the first :meth:`qualify`: a schema
+        # never changes, so neither does its qualification.
+        self._qualified: dict[str, Schema] | None = None
 
     @staticmethod
     def bare_name(name: str) -> str:
@@ -95,10 +98,17 @@ class Schema:
         raise SchemaError(f"ambiguous attribute {name!r} in schema {list(self._attributes)}")
 
     def qualify(self, prefix: str) -> "Schema":
-        """Return a schema where every bare attribute is prefixed with ``prefix.``."""
-        return Schema(
-            f"{prefix}.{self.bare_name(name)}" for name in self._attributes
-        )
+        """Return a schema where every bare attribute is prefixed with ``prefix.``
+        (built once per prefix)."""
+        qualified = self._qualified
+        if qualified is None:
+            qualified = self._qualified = {}
+        schema = qualified.get(prefix)
+        if schema is None:
+            schema = qualified[prefix] = Schema(
+                f"{prefix}.{self.bare_name(name)}" for name in self._attributes
+            )
+        return schema
 
     def concat(self, other: "Schema") -> "Schema":
         """Return the concatenation of two schemas (used for joins)."""

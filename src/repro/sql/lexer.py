@@ -127,9 +127,21 @@ def tokenize(text: str) -> list[Token]:
             start = i
             while i < length and (text[i].isdigit() or text[i] == "."):
                 i += 1
+            if i < length and text[i] in "eE":
+                # An exponent: ``e``, an optional sign and at least one digit.
+                i += 1
+                if i < length and text[i] in "+-":
+                    i += 1
+                digits = i
+                while i < length and text[i].isdigit():
+                    i += 1
+                if i == digits:
+                    raise ParseError(f"malformed number {text[start:i]!r}", start)
             value = text[start:i]
-            if value.count(".") > 1:
-                raise ParseError(f"malformed number {value!r}", start)
+            if value.count(".") > 1 or (i < length and (text[i].isalpha() or text[i] == "_")):
+                # A name never starts with a digit: ``3abc`` is one bad token,
+                # not the number 3 aliased ``abc``.
+                raise ParseError(f"malformed number {text[start : i + 1]!r}", start)
             tokens.append(Token("NUMBER", value, start))
             continue
         if ch.isalpha() or ch == "_" or ch == '"':

@@ -14,6 +14,10 @@ Grammar (the subset exercised by the paper's workloads, Appendix A)::
 
 Expression precedence (lowest to highest): OR, AND, NOT, comparison /
 BETWEEN / IS NULL, additive, multiplicative, unary minus, primary.
+
+Nesting is bounded by :data:`MAX_EXPRESSION_DEPTH`, so input nested too deeply
+for the recursive walks after the parser ends in a :class:`ParseError`, never
+in a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -46,6 +50,15 @@ from repro.sql.ast import (
 )
 from repro.sql.lexer import Token, tokenize
 
+MAX_EXPRESSION_DEPTH = 64
+"""How deeply a statement may nest: both the depth of each expression tree
+(an operand one level below its operator, a column or literal one level) and
+the parser's own nesting (a clause's expression, each parenthesis, ``NOT``,
+unary minus and parenthesised FROM item one level).  The parser spends about
+ten interpreter frames per parenthesis, and the translator, the optimizer,
+the compilers and the oracle walk the trees recursively, so the bound keeps
+all of them well inside Python's default recursion limit of 1 000."""
+
 
 class _Parser:
     """Stateful cursor over the token stream."""
@@ -53,6 +66,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
+        self._in_expression = False
 
     # -- token helpers ----------------------------------------------------------
 
@@ -83,6 +98,16 @@ class _Parser:
             self._advance()
             return True
         return False
+
+    def _nest(self) -> None:
+        """Enter one level of nesting (:data:`MAX_EXPRESSION_DEPTH`); the
+        caller leaves it with ``self._depth -= 1``."""
+        self._depth += 1
+        if self._depth > MAX_EXPRESSION_DEPTH:
+            raise ParseError(
+                f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep",
+                self._peek().position,
+            )
 
     def _expect_type(self, token_type: str) -> Token:
         token = self._peek()
@@ -133,7 +158,10 @@ class _Parser:
         limit = None
         if self._match_keyword("limit"):
             token = self._expect_type("NUMBER")
-            limit = int(float(token.value))
+            try:
+                limit = int(float(token.value))
+            except OverflowError:
+                raise ParseError(f"LIMIT {token.value} is out of range", token.position) from None
         return SelectStatement(
             select_items=select_items,
             from_sources=from_sources,
@@ -194,7 +222,9 @@ class _Parser:
             return None
         if token.type == "MINUS":
             self._advance()
+            self._nest()
             value = self._parse_literal_value()
+            self._depth -= 1
             return -value  # type: ignore[operator]
         raise ParseError(f"expected literal value, found {token.value!r}", token.position)
 
@@ -262,6 +292,7 @@ class _Parser:
     def _parse_from_primary(self) -> FromSource:
         token = self._peek()
         if token.type == "LPAREN":
+            self._nest()
             self._advance()
             if self._peek().is_keyword("select"):
                 query = self.parse_select()
@@ -273,9 +304,11 @@ class _Parser:
                     alias = self._advance().value
                 # Unaliased subqueries are tolerated; the translator generates
                 # a unique alias so output attributes stay addressable.
+                self._depth -= 1
                 return SubquerySource(query, alias or "")
             source = self._parse_join_source()
             self._expect_type("RPAREN")
+            self._depth -= 1
             return source
         name = self._expect_type("IDENT").value
         alias = None
@@ -288,7 +321,19 @@ class _Parser:
     # -- expressions -------------------------------------------------------------
 
     def _parse_expression(self) -> Expression:
-        return self._parse_or()
+        outermost = not self._in_expression
+        self._in_expression = True
+        start = self._pos
+        self._nest()
+        expression = self._parse_or()
+        self._depth -= 1
+        # Every level of a tree takes at least one token of its own, so only
+        # an expression longer than the bound can be too deep.
+        if outermost:
+            self._in_expression = False
+            if self._pos - start > MAX_EXPRESSION_DEPTH:
+                _check_depth(expression, self._peek().position)
+        return expression
 
     def _parse_or(self) -> Expression:
         operands = [self._parse_and()]
@@ -308,7 +353,10 @@ class _Parser:
 
     def _parse_not(self) -> Expression:
         if self._match_keyword("not"):
-            return Not(self._parse_not())
+            self._nest()
+            operand = self._parse_not()
+            self._depth -= 1
+            return Not(operand)
         return self._parse_predicate()
 
     def _parse_predicate(self) -> Expression:
@@ -360,12 +408,12 @@ class _Parser:
         return left
 
     def _parse_unary(self) -> Expression:
-        if self._peek().type == "MINUS":
-            self._advance()
-            return UnaryMinus(self._parse_unary())
-        if self._peek().type == "PLUS":
-            self._advance()
-            return self._parse_unary()
+        if self._peek().type in ("MINUS", "PLUS"):
+            sign = self._advance().type
+            self._nest()
+            operand = self._parse_unary()
+            self._depth -= 1
+            return UnaryMinus(operand) if sign == "MINUS" else operand
         return self._parse_primary()
 
     def _parse_primary(self) -> Expression:
@@ -406,9 +454,23 @@ class _Parser:
         return FunctionCall(name, args)
 
 
+def _check_depth(expression: Expression, position: int) -> None:
+    """Raise :class:`ParseError` when the tree of ``expression`` is deeper
+    than :data:`MAX_EXPRESSION_DEPTH` (walked without recursion)."""
+    stack = [(expression, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise ParseError(
+                f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep", position
+            )
+        stack.extend((child, depth + 1) for child in node.children())
+
+
 def _number(text: str) -> int | float:
-    """Parse a numeric literal, preferring int when exact."""
-    if "." in text:
+    """Parse a numeric literal: a float with a fraction or an exponent, else
+    an int."""
+    if "." in text or "e" in text or "E" in text:
         return float(text)
     return int(text)
 

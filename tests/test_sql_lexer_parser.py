@@ -1,8 +1,11 @@
 """Tests for the SQL lexer and parser."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.errors import ParseError
+from repro.imp.middleware import IMPSystem
 from repro.relational.expressions import Between, Comparison, FunctionCall, LogicalOp
 from repro.sql.ast import (
     DeleteStatement,
@@ -13,7 +16,8 @@ from repro.sql.ast import (
     TableSource,
 )
 from repro.sql.lexer import tokenize
-from repro.sql.parser import parse_select, parse_statement
+from repro.sql.parser import MAX_EXPRESSION_DEPTH, parse_select, parse_statement
+from repro.storage.database import Database
 
 
 class TestLexer:
@@ -163,3 +167,154 @@ class TestParseUpdates:
     def test_unknown_statement_raises(self):
         with pytest.raises(ParseError):
             parse_statement("UPDATE t SET a = 1")
+
+
+def _sqlite_and_engine(setup: list[str], sql: str) -> tuple[list, list]:
+    """``sql``'s rows from stdlib ``sqlite3`` and from the engine, after the
+    same ``setup`` statements, both sorted."""
+    connection = sqlite3.connect(":memory:")
+    database = Database()
+    database.create_table("t", ["id", "a"], primary_key="id")
+    connection.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a)")
+    for statement in setup:
+        connection.execute(statement)
+        database.execute(statement)
+    expected = sorted(connection.execute(sql).fetchall())
+    connection.close()
+    return expected, database.query(sql).to_sorted_list()
+
+
+class TestNumberExponents:
+    """A number with an exponent is one float literal, as in sqlite."""
+
+    SETUP = ["INSERT INTO t VALUES (1, 5)", "INSERT INTO t VALUES (2, 2000)"]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT 1e3 AS x FROM t",
+            "SELECT 2.5e1 AS x FROM t",
+            "SELECT 1E-2 AS x FROM t",
+            "SELECT 1e+2 AS x FROM t",
+            "SELECT .5e1 AS x FROM t",
+            "SELECT id FROM t WHERE a < 1e3",
+            "SELECT id, a * 1e-3 AS x FROM t",
+        ],
+    )
+    def test_answers_match_sqlite(self, sql):
+        expected, engine = _sqlite_and_engine(self.SETUP, sql)
+        assert engine == expected
+        assert [type(value) for row in engine for value in row] == [
+            type(value) for row in expected for value in row
+        ]
+
+    def test_a_bare_exponent_literal_is_not_a_column_alias(self):
+        database = Database()
+        database.create_table("t", ["id"])
+        database.insert("t", [(1,)])
+        result = database.query("SELECT 1e3 FROM t")
+        assert result.to_sorted_list() == [(1000.0,)]
+        assert "e3" not in result.schema.attributes
+
+    def test_insert_values_with_an_exponent(self):
+        expected, engine = _sqlite_and_engine(
+            ["INSERT INTO t VALUES (1, 1e3)", "INSERT INTO t VALUES (2, -2.5E-1)"],
+            "SELECT id, a FROM t",
+        )
+        assert engine == expected == [(1, 1000.0), (2, -0.25)]
+
+    def test_tokens(self):
+        assert [t.value for t in tokenize("1e3 2.5E+10 7")[:-1]] == ["1e3", "2.5E+10", "7"]
+
+    def test_limit_with_an_exponent(self):
+        assert parse_select("SELECT a FROM t LIMIT 1e1").limit == 10
+        with pytest.raises(ParseError, match="out of range"):
+            parse_select("SELECT a FROM t LIMIT 1e400")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT 1e FROM t",
+            "SELECT 1e+ FROM t",
+            "SELECT 2.5E- AS x FROM t",
+            "SELECT 3abc FROM t",
+            "SELECT 1e3x FROM t",
+        ],
+    )
+    def test_malformed_numbers_are_parse_errors(self, text):
+        """sqlite rejects each of these as an unrecognized token."""
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE t (id)")
+        with pytest.raises(sqlite3.Error):
+            connection.execute(text)
+        connection.close()
+        with pytest.raises(ParseError, match="malformed number"):
+            parse_select(text)
+
+
+class TestNestingDepth:
+    """Nesting deeper than ``MAX_EXPRESSION_DEPTH`` ends in a ParseError
+    before any recursive walk can overflow the interpreter's stack; at the
+    bound, the engine and IMP answer."""
+
+    @staticmethod
+    def _shapes(depth: int) -> dict[str, str]:
+        """Statements whose deepest expression (or FROM nesting) is ``depth``."""
+        sub = "".join(f") AS s{i}" for i in range(depth - 2))
+        return {
+            "parentheses": "SELECT " + "(" * (depth - 1) + "a" + ")" * (depth - 1) + " AS x FROM t",
+            "not": "SELECT id FROM t WHERE " + "NOT " * (depth - 2) + "a > 3",
+            "plus": "SELECT " + " + ".join(["a"] * depth) + " AS x FROM t",
+            "minus": "SELECT id FROM t WHERE " + "- " * (depth - 2) + "a > 3",
+            "having": "SELECT g, count(*) AS n FROM t GROUP BY g HAVING "
+            + " + ".join(["count(*)"] * (depth - 1))
+            + " > 3",
+            "subqueries": "SELECT x FROM "
+            + "(SELECT x FROM " * (depth - 2)
+            + "(SELECT a AS x FROM t) AS s"
+            + sub,
+        }
+
+    @staticmethod
+    def _database() -> Database:
+        database = Database()
+        database.create_table("t", ["id", "g", "a"], primary_key="id")
+        database.insert("t", [(i, i % 3, i) for i in range(30)])
+        return database
+
+    @pytest.mark.parametrize("shape", ["parentheses", "not", "plus", "minus", "having", "subqueries"])
+    def test_at_the_bound_both_answer_and_one_past_both_raise(self, shape):
+        at_bound = self._shapes(MAX_EXPRESSION_DEPTH)[shape]
+        past = self._shapes(MAX_EXPRESSION_DEPTH + 1)[shape]
+        database = self._database()
+        expected = database.query(at_bound).to_sorted_list()
+        system = IMPSystem(self._database(), num_fragments=4)
+        assert system.run_query(at_bound).to_sorted_list() == expected
+        for run in (database.query, system.run_query):
+            with pytest.raises(ParseError, match="nested more than"):
+                run(past)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id FROM t WHERE " + "(" * 109 + "a > 3" + ")" * 109,
+            "SELECT id FROM t WHERE " + "NOT " * 330 + "a > 3",
+            "SELECT " + " + ".join(["a"] * 495) + " AS x FROM t",
+            "SELECT id FROM t WHERE " + "+ " * 2000 + "a > 3",
+            "SELECT a FROM " + "(" * 2000 + "t" + ")" * 2000,
+            "INSERT INTO t VALUES (1, 2, " + "- " * 2000 + "3)",
+        ],
+        ids=["parentheses", "not", "plus", "unary-plus", "from-parentheses", "insert-minus"],
+    )
+    def test_deep_input_is_a_parse_error(self, sql):
+        with pytest.raises(ParseError, match="nested more than"):
+            self._database().execute(sql)
+
+    @pytest.mark.parametrize("connective", ["AND", "OR"])
+    def test_long_and_or_chains_still_answer(self, connective):
+        sql = "SELECT id FROM t WHERE " + f" {connective} ".join(["a >= 0"] * 5000)
+        database = self._database()
+        expected = [(i,) for i in range(30)]
+        assert database.query(sql).to_sorted_list() == expected
+        system = IMPSystem(self._database(), num_fragments=4)
+        assert system.run_query(sql).to_sorted_list() == expected
