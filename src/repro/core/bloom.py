@@ -7,15 +7,31 @@ delta tuple passes, the round trip to the database is skipped entirely.
 
 The implementation is a classic partitioned Bloom filter with ``k`` hash
 functions derived from two independent hashes (Kirsch & Mitzenmacher double
-hashing), sized from a target false-positive rate.
+hashing), sized from a target false-positive rate: position ``i`` of a value
+is ``(h1 + i*h2) % m``.
+
+A capture seeds a filter with every join key of a side at once, so the batch
+methods (:meth:`BloomFilter.add_all`, :meth:`BloomFilter.might_contain_all`)
+derive positions in whole-list passes: one comprehension per finaliser step,
+then ``p = h1 % m`` and ``s = h2 % m`` for every value, and each next
+position ``p + s``, minus ``m`` when that reaches ``m``.  Both terms are
+below ``m``, so one subtraction reduces the sum, and by induction round ``i``
+holds ``(h1 % m + i*(h2 % m)) % m = (h1 + i*h2) % m``: the very bits the
+per-value reference :meth:`BloomFilter._positions` sets, so a filter's bytes
+do not depend on which path filled it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Iterator
+from itertools import compress
+from operator import add
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# Seeds of the two hashes (h1, h2) and the splitmix64 finaliser's multipliers.
+_SEED1, _SEED2 = 0x9E3779B1, 0x85EBCA77
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _stable_hash(value: Hashable, seed: int) -> int:
@@ -28,9 +44,18 @@ def _stable_hash(value: Hashable, seed: int) -> int:
     false-positive pattern changes, never its correctness (no false negatives).
     """
     mixed = (hash(value) ^ seed) & _MASK64
-    mixed = ((mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    mixed = ((mixed ^ (mixed >> 27)) * 0x94D049BB133111EB) & _MASK64
+    mixed = ((mixed ^ (mixed >> 30)) * _MIX1) & _MASK64
+    mixed = ((mixed ^ (mixed >> 27)) * _MIX2) & _MASK64
     return mixed ^ (mixed >> 31)
+
+
+def _stable_hashes(hashes: list[int], seed: int) -> list[int]:
+    """:func:`_stable_hash` of every value whose built-in hash is in
+    ``hashes``, one list pass per line of the finaliser."""
+    mixed = [(h ^ seed) & _MASK64 for h in hashes]
+    mixed = [((x ^ (x >> 30)) * _MIX1) & _MASK64 for x in mixed]
+    mixed = [((x ^ (x >> 27)) * _MIX2) & _MASK64 for x in mixed]
+    return [x ^ (x >> 31) for x in mixed]
 
 
 class BloomFilter:
@@ -69,22 +94,46 @@ class BloomFilter:
 
     def add_all(self, values: Iterable[Hashable]) -> None:
         """Insert every value of ``values`` into the filter."""
-        for value in values:
-            self.add(value)
+        bits = self._bits
+        m = self._num_bits
+        positions, steps = self._starts_and_steps(values)
+        for i in range(self._num_hashes):
+            if i:
+                positions = [p - m if p >= m else p for p in map(add, positions, steps)]
+            for position in positions:
+                bits[position >> 3] |= 1 << (position & 7)
 
     # -- membership -----------------------------------------------------------
 
     def might_contain(self, value: Hashable) -> bool:
         """Return False when ``value`` is definitely absent, True otherwise."""
-        h1 = _stable_hash(value, 0x9E3779B1)
-        h2 = _stable_hash(value, 0x85EBCA77) | 1
         bits = self._bits
-        num_bits = self._num_bits
+        return all(bits[p >> 3] >> (p & 7) & 1 for p in self._positions(value))
+
+    def might_contain_all(self, values: Iterable[Hashable]) -> list[bool]:
+        """:meth:`might_contain` of every value of ``values``, in order.
+
+        Like the per-value test, a value stops being probed at its first
+        clear bit: each round probes only the values every earlier round
+        found set."""
+        bits = self._bits
+        m = self._num_bits
+        positions, steps = self._starts_and_steps(values)
+        found = [False] * len(positions)
+        alive = range(len(positions))
         for i in range(self._num_hashes):
-            position = (h1 + i * h2) % num_bits
-            if not bits[position >> 3] >> (position & 7) & 1:
-                return False
-        return True
+            if i:
+                positions = [p - m if p >= m else p for p in map(add, positions, steps)]
+            hits = [bits[p >> 3] >> (p & 7) & 1 for p in positions]
+            if not all(hits):
+                alive, positions, steps = (
+                    list(compress(column, hits)) for column in (alive, positions, steps)
+                )
+                if not alive:
+                    break
+        for index in alive:
+            found[index] = True
+        return found
 
     def __contains__(self, value: Hashable) -> bool:
         return self.might_contain(value)
@@ -106,8 +155,18 @@ class BloomFilter:
 
     # -- internals ------------------------------------------------------------
 
-    def _positions(self, value: Hashable) -> Iterable[int]:
-        h1 = _stable_hash(value, 0x9E3779B1)
-        h2 = _stable_hash(value, 0x85EBCA77) | 1
+    def _positions(self, value: Hashable) -> Iterator[int]:
+        """The bit positions of one value: the reference derivation."""
+        h1 = _stable_hash(value, _SEED1)
+        h2 = _stable_hash(value, _SEED2) | 1
         for i in range(self._num_hashes):
             yield (h1 + i * h2) % self._num_bits
+
+    def _starts_and_steps(self, values: Iterable[Hashable]) -> tuple[list[int], list[int]]:
+        """``h1 % m`` and ``h2 % m`` of every value, in whole-list passes:
+        position ``i`` of a value is its start plus ``i`` steps, modulo ``m``
+        (see the module docstring); equal to :meth:`_positions`."""
+        hashes = list(map(hash, values))
+        m = self._num_bits
+        starts = [h % m for h in _stable_hashes(hashes, _SEED1)]
+        return starts, [(h | 1) % m for h in _stable_hashes(hashes, _SEED2)]

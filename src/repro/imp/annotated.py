@@ -9,6 +9,7 @@ separate column of bit sets -- here three parallel lists per delta.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import compress
 from operator import itemgetter
@@ -77,14 +78,29 @@ class AnnotatedDelta:
 
     def consolidated(self) -> "AnnotatedDelta":
         """One entry per ``(row, annotation)`` holding the summed count, in
-        first-occurrence order; entries whose counts cancel are dropped."""
-        totals: dict[tuple[Row, int], int] = {}
-        for key, count in zip(zip(self.rows, self.annotations), self.counts):
-            total = totals.get(key, 0) + count
-            if total:
-                totals[key] = total
-            else:
-                del totals[key]
+        first-occurrence order; entries whose counts cancel are dropped.
+
+        The merge runs at C speed where it can: unit counts are summed by a
+        ``Counter``, and a delta without a repeated ``(row, annotation)`` is
+        returned as it is (deltas are read-only once built).  Only repeated
+        pairs with other counts take the per-entry loop, where a pair whose
+        total passes through zero moves to its next occurrence."""
+        counts = self.counts
+        totals: dict[tuple[Row, int], int]
+        if counts.count(1) == len(counts):
+            totals = Counter(zip(self.rows, self.annotations))
+        else:
+            totals = dict(zip(zip(self.rows, self.annotations), counts))
+            if len(totals) < len(counts):
+                totals = {}
+                for key, count in zip(zip(self.rows, self.annotations), counts):
+                    total = totals.get(key, 0) + count
+                    if total:
+                        totals[key] = total
+                    else:
+                        del totals[key]
+        if len(totals) == len(counts):
+            return self
         if not totals:
             return AnnotatedDelta(self.schema)
         rows, annotations = map(list, zip(*totals))

@@ -26,19 +26,15 @@ def choose_sketch_attribute(
 ) -> str | None:
     """Pick a sketch attribute of ``table`` for ``plan`` (None when unsafe).
 
-    Preference order: numeric group-by attributes, then any numeric safe
-    attribute, then any safe attribute at all.
+    Preference order: numeric group-by attributes (in plan order), then any
+    numeric safe attribute (in table order).  The search stops at the first
+    hit, so column statistics are computed only for the attributes it tests
+    up to that one.
     """
     analyzer = SafetyAnalyzer(plan, database)
     safe = analyzer.safe_attributes(table)
     if not safe:
         return None
-    group_attributes: list[str] = []
-    for node in walk_plan(plan):
-        if isinstance(node, Aggregation):
-            for expression in node.group_by:
-                if isinstance(expression, ColumnRef):
-                    group_attributes.append(Schema.bare_name(expression.name))
     schema = database.schema_of(table)
     table_attributes = [Schema.bare_name(name) for name in schema]
 
@@ -48,18 +44,16 @@ def choose_sketch_attribute(
             statistics.minimum, bool
         )
 
-    preferred = [
-        attribute
-        for attribute in group_attributes
-        if attribute in safe and attribute in table_attributes and numeric(attribute)
-    ]
-    if preferred:
-        return preferred[0]
-    numeric_safe = [
-        attribute for attribute in table_attributes if attribute in safe and numeric(attribute)
-    ]
-    if numeric_safe:
-        return numeric_safe[0]
+    for node in walk_plan(plan):
+        if isinstance(node, Aggregation):
+            for expression in node.group_by:
+                if isinstance(expression, ColumnRef):
+                    attribute = Schema.bare_name(expression.name)
+                    if attribute in safe and attribute in table_attributes and numeric(attribute):
+                        return attribute
+    for attribute in table_attributes:
+        if attribute in safe and numeric(attribute):
+            return attribute
     # Range partitions are defined over ordered numeric domains; a table whose
     # only safe attributes are non-numeric is left unpartitioned.
     return None

@@ -11,7 +11,7 @@ have no place in an order, so neither bounds nor minimum/maximum see them.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 
@@ -28,7 +28,7 @@ class ColumnStatistics:
 
 
 def expand_multiplicities(
-    values: Sequence[object], multiplicities: Sequence[int]
+    values: Sequence[object], multiplicities: Collection[int]
 ) -> list[object]:
     """A bag column as a list: each value repeated by its (positive)
     multiplicity, in order (NULL and NaN included)."""
