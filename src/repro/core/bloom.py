@@ -10,22 +10,21 @@ functions derived from two independent hashes (Kirsch & Mitzenmacher double
 hashing), sized from a target false-positive rate: position ``i`` of a value
 is ``(h1 + i*h2) % m``.
 
-A capture seeds a filter with every join key of a side at once, so the batch
-methods (:meth:`BloomFilter.add_all`, :meth:`BloomFilter.might_contain_all`)
-derive positions in whole-list passes: one comprehension per finaliser step,
-then ``p = h1 % m`` and ``s = h2 % m`` for every value, and each next
-position ``p + s``, minus ``m`` when that reaches ``m``.  Both terms are
-below ``m``, so one subtraction reduces the sum, and by induction round ``i``
-holds ``(h1 % m + i*(h2 % m)) % m = (h1 + i*h2) % m``: the very bits the
-per-value reference :meth:`BloomFilter._positions` sets, so a filter's bytes
-do not depend on which path filled it.
+A capture seeds a filter with every join key of a side at once, so
+:meth:`BloomFilter.add_all` derives positions in whole-list passes: one
+comprehension per finaliser step, then ``p = h1 % m`` and ``s = h2 % m`` for
+every value, and each next position ``p + s``, minus ``m`` when that reaches
+``m``.  Both terms are below ``m``, so one subtraction reduces the sum, and
+by induction round ``i`` holds ``(h1 % m + i*(h2 % m)) % m = (h1 + i*h2) % m``:
+the very bits the per-value reference :meth:`BloomFilter._positions` sets, so
+a filter's bytes do not depend on which path filled it.  A delta probes a
+filter with a few distinct keys at a time, so probing stays per value.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Hashable, Iterable, Iterator
-from itertools import compress
 from operator import add
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -93,10 +92,14 @@ class BloomFilter:
             bits[position >> 3] |= 1 << (position & 7)
 
     def add_all(self, values: Iterable[Hashable]) -> None:
-        """Insert every value of ``values`` into the filter."""
+        """Insert every value of ``values`` into the filter: the bits of
+        :meth:`_positions`, derived in whole-list passes (see the module
+        docstring)."""
         bits = self._bits
         m = self._num_bits
-        positions, steps = self._starts_and_steps(values)
+        hashes = list(map(hash, values))
+        positions = [h % m for h in _stable_hashes(hashes, _SEED1)]
+        steps = [(h | 1) % m for h in _stable_hashes(hashes, _SEED2)]
         for i in range(self._num_hashes):
             if i:
                 positions = [p - m if p >= m else p for p in map(add, positions, steps)]
@@ -109,31 +112,6 @@ class BloomFilter:
         """Return False when ``value`` is definitely absent, True otherwise."""
         bits = self._bits
         return all(bits[p >> 3] >> (p & 7) & 1 for p in self._positions(value))
-
-    def might_contain_all(self, values: Iterable[Hashable]) -> list[bool]:
-        """:meth:`might_contain` of every value of ``values``, in order.
-
-        Like the per-value test, a value stops being probed at its first
-        clear bit: each round probes only the values every earlier round
-        found set."""
-        bits = self._bits
-        m = self._num_bits
-        positions, steps = self._starts_and_steps(values)
-        found = [False] * len(positions)
-        alive = range(len(positions))
-        for i in range(self._num_hashes):
-            if i:
-                positions = [p - m if p >= m else p for p in map(add, positions, steps)]
-            hits = [bits[p >> 3] >> (p & 7) & 1 for p in positions]
-            if not all(hits):
-                alive, positions, steps = (
-                    list(compress(column, hits)) for column in (alive, positions, steps)
-                )
-                if not alive:
-                    break
-        for index in alive:
-            found[index] = True
-        return found
 
     def __contains__(self, value: Hashable) -> bool:
         return self.might_contain(value)
@@ -161,12 +139,3 @@ class BloomFilter:
         h2 = _stable_hash(value, _SEED2) | 1
         for i in range(self._num_hashes):
             yield (h1 + i * h2) % self._num_bits
-
-    def _starts_and_steps(self, values: Iterable[Hashable]) -> tuple[list[int], list[int]]:
-        """``h1 % m`` and ``h2 % m`` of every value, in whole-list passes:
-        position ``i`` of a value is its start plus ``i`` steps, modulo ``m``
-        (see the module docstring); equal to :meth:`_positions`."""
-        hashes = list(map(hash, values))
-        m = self._num_bits
-        starts = [h % m for h in _stable_hashes(hashes, _SEED1)]
-        return starts, [(h | 1) % m for h in _stable_hashes(hashes, _SEED2)]

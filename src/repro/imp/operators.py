@@ -523,8 +523,7 @@ class IncrementalJoin(IncrementalOperator):
         if not delta or other_bloom is None:
             return delta, keys
         # Delta tuples share join keys: probe the filter once per distinct key.
-        distinct = list(set(keys))
-        passes = dict(zip(distinct, other_bloom.might_contain_all(distinct)))
+        passes = {key: key in other_bloom for key in set(keys)}
         keep = [passes[key] for key in keys]
         surviving = delta.filter(keep)
         run.statistics.bloom_filtered_tuples += len(delta) - len(surviving)

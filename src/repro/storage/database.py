@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Sequence
-from operator import itemgetter
 
 from repro.core.errors import StorageError
 from repro.relational.algebra import PlanNode
@@ -46,10 +45,7 @@ from repro.storage.wal import FSYNC_ALWAYS, FileFactory
 def _column(stored: StoredTable, attribute: str) -> list[object]:
     """Every value of ``attribute`` in ``stored``, repeated by its row's
     multiplicity."""
-    # The live row dict, read in place: a copy would re-hash every row.
-    rows = stored._rows
-    column = list(map(itemgetter(stored.schema.index_of(attribute)), rows))
-    return expand_multiplicities(column, rows.values())
+    return expand_multiplicities(*stored.column(stored.schema.index_of(attribute)))
 
 
 class Database:

@@ -10,7 +10,7 @@ batch per version a pinned reader asked for.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from itertools import chain
 from operator import itemgetter
 
@@ -284,6 +284,12 @@ class StoredTable:
     def items(self) -> Iterator[tuple[Row, int]]:
         """Iterate over ``(row, multiplicity)`` pairs."""
         return iter(self._rows.items())
+
+    def column(self, index: int) -> tuple[list[object], Collection[int]]:
+        """The value at ``index`` of every distinct row, and the rows'
+        multiplicities in the same order."""
+        rows = self._rows
+        return list(map(itemgetter(index), rows)), rows.values()
 
     def as_relation(self) -> Relation:
         """The table contents as a relation (a copy; safe to mutate).
