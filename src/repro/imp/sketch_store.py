@@ -63,9 +63,21 @@ class SketchEntry:
     instrumented_plan: PlanNode | None = None
     instrumented_sketch: ProvenanceSketch | None = None
     instrumented_bytes: int = 0
+    # Whether the use rewrite filtered no scan for ``instrumented_sketch``:
+    # the cached plan is then the plain plan, right at every version.
+    skips_nothing: bool = False
+    # ``(valid_at_version, delta tuples committed to the entry's tables,
+    # rows they held)`` when a query last found the sketch current: the
+    # query path answers a sketch that skips nothing without maintaining it
+    # while the tuples committed since stay fewer than those rows.
+    caught_up: tuple[int, int, int] | None = None
 
-    def set_instrumented(self, plan: PlanNode, sketch: ProvenanceSketch) -> None:
-        """Cache the instrumented plan built for ``sketch``.
+    def set_instrumented(
+        self, plan: PlanNode, sketch: ProvenanceSketch, skips_nothing: bool
+    ) -> None:
+        """Cache the instrumented plan built for ``sketch``, and whether the
+        rewrite left the plan as it was
+        (:func:`~repro.sketch.use.skips_nothing`).
 
         The plan's footprint is estimated once (node overhead plus rendered
         operator descriptions, which include the sketch's BETWEEN disjunction)
@@ -73,6 +85,7 @@ class SketchEntry:
         """
         self.instrumented_plan = plan
         self.instrumented_sketch = sketch
+        self.skips_nothing = skips_nothing
         self.instrumented_bytes = sum(
             64 + 2 * len(node.describe()) for node in walk_plan(plan)
         )
@@ -87,7 +100,7 @@ class SketchEntry:
         """Database version the sketch is valid for."""
         return self.maintainer.valid_at_version
 
-    def referenced_tables(self) -> set[str]:
+    def referenced_tables(self) -> frozenset[str]:
         """Tables whose updates can make this sketch stale."""
         return self.plan.referenced_tables()
 

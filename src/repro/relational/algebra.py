@@ -57,12 +57,16 @@ class PlanNode:
         """The schema of the operator's output relation."""
         raise NotImplementedError
 
-    def referenced_tables(self) -> set[str]:
-        """Names of base tables accessed anywhere below this node."""
-        tables: set[str] = set()
-        for node in walk_plan(self):
-            if isinstance(node, TableScan):
-                tables.add(node.table)
+    _referenced_tables: frozenset[str] | None = None
+
+    def referenced_tables(self) -> frozenset[str]:
+        """Names of base tables accessed anywhere below this node (walked
+        once: a node's children are fixed when it is built)."""
+        tables = self._referenced_tables
+        if tables is None:
+            tables = self._referenced_tables = frozenset(
+                node.table for node in walk_plan(self) if isinstance(node, TableScan)
+            )
         return tables
 
     def describe(self) -> str:

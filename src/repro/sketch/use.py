@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from repro.relational.algebra import PlanNode, Selection, TableScan
+from repro.relational.algebra import PlanNode, Selection, TableScan, walk_plan
 from repro.relational.expressions import (
     ColumnRef,
     Comparison,
@@ -61,13 +61,28 @@ def sketch_predicate(
     return LogicalOp("OR", disjuncts)
 
 
+def _scan_predicate(scan: TableScan, sketch: ProvenanceSketch) -> Expression | None:
+    """The filter the use rewrite puts over ``scan`` (None: none)."""
+    if not sketch.partition.has_table(scan.table):
+        return None
+    attribute = sketch.partition.partition_of(scan.table).attribute
+    return sketch_predicate(sketch, scan.table, f"{scan.alias}.{attribute}")
+
+
 def instrument_plan(plan: PlanNode, sketch: ProvenanceSketch) -> PlanNode:
     """Rewrite ``plan`` so scans of partitioned tables filter by ``sketch``."""
     if not isinstance(plan, TableScan):
         return plan.with_children([instrument_plan(child, sketch) for child in plan.children()])
-    if not sketch.partition.has_table(plan.table):
-        return plan
-    attribute = sketch.partition.partition_of(plan.table).attribute
-    predicate = sketch_predicate(sketch, plan.table, f"{plan.alias}.{attribute}")
+    predicate = _scan_predicate(plan, sketch)
     return plan if predicate is None else Selection(plan, predicate)
 
+
+def skips_nothing(plan: PlanNode, sketch: ProvenanceSketch) -> bool:
+    """Whether :func:`instrument_plan` filters no scan of ``plan``: the
+    instrumented plan is then the plain plan, whose answer needs no sketch,
+    current or stale."""
+    return all(
+        _scan_predicate(node, sketch) is None
+        for node in walk_plan(plan)
+        if isinstance(node, TableScan)
+    )

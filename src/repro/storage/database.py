@@ -89,6 +89,10 @@ class Database:
         self._scan_counter = 0
         self._index_scan_counter = 0
         self._delta_fetch_counter = 0
+        # table -> delta tuples ever committed to it (multiplicities counted),
+        # a running total: the tuples committed between two moments are the
+        # difference of two readings (:meth:`tuple_counts`).
+        self._committed_tuples: dict[str, int] = {}
         # Statistics are cached per (table, attribute) for the *current*
         # version; every committed update invalidates the whole cache, so a
         # cached entry is always as fresh as the data it summarises.
@@ -335,6 +339,16 @@ class Database:
             self._validate_versions(since, until)
             return self._audit_log.tables_changed_between(since, until)
 
+    def tuple_counts(self, tables: Iterable[str]) -> tuple[int, int]:
+        """The delta tuples ever committed to ``tables`` and the rows they
+        hold now (duplicates counted)."""
+        with self._lock:
+            committed = self._committed_tuples
+            return (
+                sum(committed.get(table, 0) for table in tables),
+                sum(len(self.table(table)) for table in tables),
+            )
+
     def _validate_versions(self, since: int, until: int) -> None:
         if since < 0 or until > self._version or since > until:
             raise StorageError(
@@ -396,8 +410,10 @@ class Database:
             for table, delta in deltas.items():
                 self.table(table).apply_delta(delta)
             self._version += 1
-            for table in deltas:
+            committed = self._committed_tuples
+            for table, delta in deltas.items():
                 self.table(table).record_modified(self._version)
+                committed[table] = committed.get(table, 0) + len(delta)
             # WAL replay commits here too, so the audit log holds replayed
             # history: sessions pin it and maintainers resume across a crash.
             self._audit_log.append(AuditRecord(self._version, dict(deltas)))

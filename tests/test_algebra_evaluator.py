@@ -53,6 +53,9 @@ class TestPlanNodes:
             Comparison(">", ColumnRef("a"), Literal(0)),
         )
         assert plan.referenced_tables() == {"r", "s"}
+        # Walked once: the same frozenset on every call.
+        assert isinstance(plan.referenced_tables(), frozenset)
+        assert plan.referenced_tables() is plan.referenced_tables()
 
     def test_walk_plan_visits_all_nodes(self, small_db):
         plan = Projection(
