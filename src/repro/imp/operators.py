@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import add, itemgetter, or_
+from itertools import chain, compress, repeat
+from operator import add, is_not, itemgetter, or_
 
 from repro.core.bloom import BloomFilter
 from repro.core.errors import AggregateError, StateError
@@ -645,6 +645,10 @@ class IncrementalAggregation(IncrementalOperator):
         return (self.child,)
 
     def process(self, run: Pass) -> AnnotatedDelta:
+        """Fold the child's batch, then emit each touched group's ``-old,
+        +new`` pair in first-touch order (an absent side left out) as whole
+        lists; a group left with no tuple is then dropped and its slot
+        freed."""
         child = self.child.process(run)
         # Without GROUP BY the single group ``()`` is part of the result even
         # over empty input, as ``_over_nothing`` annotated with no fragment.
@@ -685,17 +689,28 @@ class IncrementalAggregation(IncrementalOperator):
         after = self._outputs(touched, absent)
         if state.exhausted(touched):
             self.needs_recapture = True
-        entries = []
-        keys, total_count = state.keys, state.total_count
-        for slot, old, new in zip(touched, before, after):
-            key = keys[slot]
-            if old is not None:
-                entries.append((key + old[0], old[1], -1))
-            if new is not None:
-                entries.append((key + new[0], new[1], 1))
+        # Each group's key twice beside its old and new output, counts -1, +1;
+        # absent outputs (None) leave through one selector.  Building no
+        # tuple per entry also spares the collector.
+        keys = list(map(state.keys.__getitem__, touched))
+        keys = list(chain.from_iterable(zip(keys, keys)))
+        outputs = list(chain.from_iterable(zip(before, after)))
+        counts = [-1, 1] * len(touched)
+        if None in outputs:
+            shown = list(map(is_not, outputs, repeat(None)))
+            keys = list(compress(keys, shown))
+            outputs = list(compress(outputs, shown))
+            counts = list(compress(counts, shown))
+        total_count = state.total_count
+        for slot in touched:
             if total_count[slot] <= 0:
                 state.drop(slot)
-        return AnnotatedDelta(self.output_schema, *map(list, zip(*entries)))
+        return AnnotatedDelta(
+            self.output_schema,
+            list(map(add, keys, map(itemgetter(0), outputs))),
+            list(map(itemgetter(1), outputs)),
+            counts,
+        )
 
     def replay(self) -> AnnotatedDelta:
         """The output of the from-scratch pass that built the state, entry for

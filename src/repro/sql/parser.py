@@ -362,33 +362,41 @@ class _Parser:
     def _parse_predicate(self) -> Expression:
         left = self._parse_additive()
         token = self._peek()
+        if token.is_keyword("not") and self._peek(1).is_keyword("in", "between"):
+            # ``x NOT IN (...)`` and ``x NOT BETWEEN a AND b`` are ``NOT (...)``
+            # of the plain predicate; the Not is one more level of the tree.
+            self._advance()
+            return Not(self._parse_in_or_between(left))
         if token.type == "OP":
             self._advance()
             right = self._parse_additive()
             return Comparison(token.value, left, right)
-        if token.is_keyword("between"):
-            self._advance()
-            low = self._parse_additive()
-            self._expect_keyword("and")
-            high = self._parse_additive()
-            return Between(left, low, high)
         if token.is_keyword("is"):
             self._advance()
             negated = self._match_keyword("not")
             self._expect_keyword("null")
             return IsNull(left, negated)
-        if token.is_keyword("in"):
-            self._advance()
-            self._expect_type("LPAREN")
-            values = [self._parse_additive()]
-            while self._match_type("COMMA"):
-                values.append(self._parse_additive())
-            self._expect_type("RPAREN")
-            comparisons: list[Expression] = [Comparison("=", left, value) for value in values]
-            if len(comparisons) == 1:
-                return comparisons[0]
-            return LogicalOp("OR", comparisons)
+        if token.is_keyword("in", "between"):
+            return self._parse_in_or_between(left)
         return left
+
+    def _parse_in_or_between(self, left: Expression) -> Expression:
+        """``left IN (...)`` (an OR of equalities) or ``left BETWEEN a AND b``,
+        from the IN or BETWEEN keyword on."""
+        if self._advance().is_keyword("between"):
+            low = self._parse_additive()
+            self._expect_keyword("and")
+            high = self._parse_additive()
+            return Between(left, low, high)
+        self._expect_type("LPAREN")
+        values = [self._parse_additive()]
+        while self._match_type("COMMA"):
+            values.append(self._parse_additive())
+        self._expect_type("RPAREN")
+        comparisons: list[Expression] = [Comparison("=", left, value) for value in values]
+        if len(comparisons) == 1:
+            return comparisons[0]
+        return LogicalOp("OR", comparisons)
 
     def _parse_additive(self) -> Expression:
         left = self._parse_multiplicative()

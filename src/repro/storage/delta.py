@@ -59,6 +59,25 @@ class Delta:
         delta._deletes = _counted(schema, deletes)
         return delta
 
+    @classmethod
+    def union(cls, schema: Schema, deltas: Iterable["Delta"]) -> "Delta":
+        """The bag sum of ``deltas`` (a window of commits), frozen: each bag
+        is one ``dict.update`` per delta, which reuses the stored row hashes;
+        no row is checked again, only each delta's arity.
+
+        A row held by several deltas' bags keeps its first position and gets
+        the sum of its counts.  The union sees one by a length check and only
+        then sums that bag row by row.
+        """
+        deltas = list(deltas)
+        arity = len(schema)
+        if any(len(delta.schema) != arity for delta in deltas):
+            raise SchemaError("cannot combine deltas with different arities")
+        union = cls(schema)
+        union._inserts = _bag_sum([delta._inserts for delta in deltas])
+        union._deletes = _bag_sum([delta._deletes for delta in deltas])
+        return union.freeze()
+
     # -- mutation ----------------------------------------------------------------
 
     def add_insert(self, row: Row, multiplicity: int = 1) -> None:
@@ -72,20 +91,6 @@ class Delta:
         self._check(row, multiplicity)
         row = tuple(row)
         self._deletes[row] = self._deletes.get(row, 0) + multiplicity
-
-    def merge(self, other: "Delta") -> None:
-        """Append another delta of the same schema (used for batching), one
-        pass per bag: ``other``'s rows were checked when it was built."""
-        self._check_mutable()
-        if len(other.schema) != len(self.schema):
-            raise SchemaError("cannot merge deltas with different arities")
-        for bag, counts in ((self._inserts, other._inserts), (self._deletes, other._deletes)):
-            if not bag:
-                bag.update(counts)  # a C-level copy, hashes reused
-                continue
-            held = bag.get
-            for row, count in counts.items():
-                bag[row] = held(row, 0) + count
 
     def freeze(self) -> "Delta":
         """Make this delta immutable (idempotent); return it."""
@@ -104,22 +109,29 @@ class Delta:
         intermediate change -- in time proportional to the *net* delta
         (DBToaster-style shared delta processing).
 
-        The result is a new, frozen delta; when no row is in both bags it
-        shares the bags of a frozen ``self`` instead of rebuilding them.
+        Only the rows in both bags change: one ``keys() & keys()`` finds
+        them, looking each row of the smaller bag up in the larger, and they
+        are fixed on C-level copies of the bags, so every other entry keeps
+        its count and its position.  The result is a new, frozen delta; when
+        no row is in both bags it shares the bags of a frozen ``self``
+        instead of copying them.
         """
         compact = Delta(self.schema)
         inserts, deletes = self._inserts, self._deletes
-        if self._counts is not None and deletes.keys().isdisjoint(inserts):
-            compact._inserts, compact._deletes = inserts, deletes
-            return compact.freeze()
-        for row, inserted in inserts.items():
-            net = inserted - deletes.get(row, 0)
+        both = inserts.keys() & deletes.keys()
+        if both or self._counts is None:
+            inserts, deletes = dict(inserts), dict(deletes)
+        for row in both:
+            net = inserts[row] - deletes[row]
             if net > 0:
-                compact._inserts[row] = net
-        for row, deleted in deletes.items():
-            net = deleted - inserts.get(row, 0)
-            if net > 0:
-                compact._deletes[row] = net
+                inserts[row] = net
+                del deletes[row]
+            elif net < 0:
+                deletes[row] = -net
+                del inserts[row]
+            else:
+                del inserts[row], deletes[row]
+        compact._inserts, compact._deletes = inserts, deletes
         return compact.freeze()
 
     def _check(self, row: Row, multiplicity: int) -> None:
@@ -187,6 +199,22 @@ class Delta:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Delta(+{self.insert_count}/-{self.delete_count})"
+
+
+def _bag_sum(bags: list[dict[Row, int]]) -> dict[Row, int]:
+    """The sum of ``bags``, each row at its first position: one C-level
+    ``update`` per bag, then a per-row sum only if a row repeats."""
+    total: dict[Row, int] = {}
+    for bag in bags:
+        total.update(bag)
+    if len(total) == sum(map(len, bags)):
+        return total
+    total = {}
+    held = total.get
+    for bag in bags:
+        for row, count in bag.items():
+            total[row] = held(row, 0) + count
+    return total
 
 
 def _counted(schema: Schema, rows: Iterable[Row]) -> dict[Row, int]:

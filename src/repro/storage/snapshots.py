@@ -83,8 +83,10 @@ class AuditLog:
         records of ``table`` inside the window, not the full history.
 
         The result is frozen.  A window of one record returns that record's
-        own (committed, frozen) delta; a longer one is merged bag by bag into
-        a new delta, with no row checked again.
+        own (committed, frozen) delta; a longer one is their union
+        (:meth:`Delta.union`): one ``dict.update`` per record and bag, which
+        reuses the stored row hashes, and a per-row sum only for a bag in
+        which some row repeats.
         """
         versions = self._table_versions.get(table)
         window: list[Delta] = []
@@ -94,10 +96,7 @@ class AuditLog:
             window = self._table_deltas[table][low:high]
         if len(window) == 1:
             return window[0]
-        combined = Delta(schema)
-        for delta in window:
-            combined.merge(delta)
-        return combined.freeze()
+        return Delta.union(schema, window)
 
     def database_delta_between(
         self, schemas: dict[str, Schema], since: int, until: int

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import ParseError
 from repro.imp.middleware import IMPSystem
-from repro.relational.expressions import Between, Comparison, FunctionCall, LogicalOp
+from repro.relational.expressions import Between, Comparison, FunctionCall, LogicalOp, Not
 from repro.sql.ast import (
     DeleteStatement,
     InsertStatement,
@@ -252,6 +252,70 @@ class TestNumberExponents:
             parse_select(text)
 
 
+class TestNegatedInAndBetween:
+    """``x NOT IN (...)`` and ``x NOT BETWEEN a AND b`` are ``NOT (...)`` of
+    the plain predicate, NULL rules included, as in sqlite."""
+
+    SETUP = [
+        "INSERT INTO t VALUES (1, 5)",
+        "INSERT INTO t VALUES (2, NULL)",
+        "INSERT INTO t VALUES (3, 2000)",
+        "INSERT INTO t VALUES (4, 7)",
+        "INSERT INTO t VALUES (5, 6.5)",
+    ]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id FROM t WHERE a NOT IN (5, 7)",
+            "SELECT id FROM t WHERE a NOT IN (1)",
+            "SELECT id FROM t WHERE a NOT IN (5, NULL)",
+            "SELECT id FROM t WHERE a NOT IN (NULL)",
+            "SELECT id FROM t WHERE NULL NOT IN (1, 2)",
+            "SELECT id FROM t WHERE NULL NOT BETWEEN 1 AND 2",
+            "SELECT id FROM t WHERE a NOT BETWEEN 5 AND 7",
+            "SELECT id FROM t WHERE a + 1 NOT BETWEEN id AND 10",
+            "SELECT id FROM t WHERE NOT a NOT IN (5, 7)",
+            "SELECT id FROM t WHERE id NOT IN (1, 3) AND a NOT BETWEEN 6 AND 10",
+            "SELECT id FROM t WHERE a NOT IN (5, 7) OR id NOT BETWEEN 2 AND 4",
+            "SELECT id, a NOT IN (5, NULL) AS x FROM t",
+            "SELECT id, a NOT BETWEEN 5 AND 7 AS x FROM t",
+        ],
+    )
+    def test_answers_match_sqlite(self, sql):
+        expected, engine = _sqlite_and_engine(self.SETUP, sql)
+        assert engine == expected
+
+    def test_they_parse_to_not_of_the_plain_predicate(self):
+        for negated, plain in [
+            ("a NOT IN (1, 2)", "a IN (1, 2)"),
+            ("a NOT IN (1)", "a IN (1)"),
+            ("a NOT BETWEEN 1 AND 2", "a BETWEEN 1 AND 2"),
+        ]:
+            assert parse_select(f"SELECT a FROM t WHERE {negated}").where == Not(
+                parse_select(f"SELECT a FROM t WHERE {plain}").where
+            )
+
+    def test_not_alone_after_an_operand_is_still_an_error(self):
+        with pytest.raises(ParseError):
+            parse_select("SELECT a FROM t WHERE a NOT 3")
+
+    def test_imp_answers_not_in_from_a_sketch(self):
+        database = Database()
+        database.create_table("t", ["id", "g", "b"], primary_key="id")
+        database.insert("t", [(i, i % 10, i * 3 % 17) for i in range(200)])
+        system = IMPSystem(database, num_fragments=4)
+        sql = (
+            "SELECT g, sum(b) AS s FROM t WHERE g NOT IN (2, 5, NULL) OR g NOT BETWEEN 3 AND 8"
+            " GROUP BY g HAVING sum(b) > 150"
+        )
+        assert system.run_query(sql) == database.query(sql)
+        system.apply_update("t", inserts=[(200, 2, 90), (201, 4, 99)], deletes=[(7, 7, 4)])
+        assert system.run_query(sql) == database.query(sql)
+        assert system.statistics.sketch_captures == 1
+        assert system.statistics.sketch_hits == 2
+
+
 class TestNestingDepth:
     """Nesting deeper than ``MAX_EXPRESSION_DEPTH`` ends in a ParseError
     before any recursive walk can overflow the interpreter's stack; at the
@@ -266,6 +330,11 @@ class TestNestingDepth:
             "not": "SELECT id FROM t WHERE " + "NOT " * (depth - 2) + "a > 3",
             "plus": "SELECT " + " + ".join(["a"] * depth) + " AS x FROM t",
             "minus": "SELECT id FROM t WHERE " + "- " * (depth - 2) + "a > 3",
+            # NOT(OR(=, =)) and NOT(BETWEEN): the postfix NOT is a level.
+            "not-in": "SELECT id FROM t WHERE " + "NOT " * (depth - 4) + "a NOT IN (1, 2)",
+            "not-between": "SELECT id FROM t WHERE "
+            + "NOT " * (depth - 3)
+            + "a NOT BETWEEN 1 AND 9",
             "having": "SELECT g, count(*) AS n FROM t GROUP BY g HAVING "
             + " + ".join(["count(*)"] * (depth - 1))
             + " > 3",
@@ -282,7 +351,10 @@ class TestNestingDepth:
         database.insert("t", [(i, i % 3, i) for i in range(30)])
         return database
 
-    @pytest.mark.parametrize("shape", ["parentheses", "not", "plus", "minus", "having", "subqueries"])
+    @pytest.mark.parametrize(
+        "shape",
+        ["parentheses", "not", "not-in", "not-between", "plus", "minus", "having", "subqueries"],
+    )
     def test_at_the_bound_both_answer_and_one_past_both_raise(self, shape):
         at_bound = self._shapes(MAX_EXPRESSION_DEPTH)[shape]
         past = self._shapes(MAX_EXPRESSION_DEPTH + 1)[shape]

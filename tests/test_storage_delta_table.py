@@ -28,16 +28,19 @@ class TestDelta:
         with pytest.raises(SchemaError):
             Delta(Schema(["a"])).add_insert((1, 2))
 
-    def test_merge(self):
+    def test_union_sums_the_bags(self):
         schema = Schema(["a"])
         first = Delta.from_rows(schema, inserts=[(1,)])
-        second = Delta.from_rows(schema, deletes=[(2,)])
-        first.merge(second)
-        assert first.insert_count == 1 and first.delete_count == 1
+        second = Delta.from_rows(schema, inserts=[(3,), (1,)], deletes=[(2,)])
+        union = Delta.union(schema, [first, second])
+        assert union.insert_count == 3 and union.delete_count == 1
+        assert list(union.inserts()) == [((1,), 2), ((3,), 1)]
+        assert list(union.deletes()) == [((2,), 1)]
 
-    def test_merge_checks_arity(self):
+    def test_union_checks_arity(self):
+        schema = Schema(["a"])
         with pytest.raises(SchemaError):
-            Delta(Schema(["a"])).merge(Delta(Schema(["a", "b"])))
+            Delta.union(schema, [Delta(schema), Delta(Schema(["a", "b"]))])
 
     def test_multiplicity_must_be_positive(self):
         delta = Delta(Schema(["a"]))
@@ -76,7 +79,7 @@ class TestFrozenDelta:
         for mutate in (
             lambda: delta.add_insert((99, 99.0)),
             lambda: delta.add_delete((1, 1.0)),
-            lambda: delta.merge(Delta.from_rows(delta.schema, inserts=[(98, 98.0)])),
+            lambda: delta.add_delete((2, 2.0), 2),
         ):
             with pytest.raises(StorageError, match="frozen"):
                 mutate()
