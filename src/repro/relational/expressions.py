@@ -372,8 +372,29 @@ class Comparison(Expression):
         )
 
 
-def _between(value: Any, low: Any, high: Any) -> bool:
-    return low <= value <= high
+def _between(value: Any, low: Any, high: Any) -> bool | None:
+    """``value >= low AND value <= high`` under three-valued logic: a NULL
+    bound leaves the other comparison to decide between FALSE and NULL."""
+    if value is None:
+        return None
+    above = None if low is None else low <= value
+    if above is False:
+        return False
+    below = None if high is None else value <= high
+    if below is False:
+        return False
+    return None if above is None or below is None else True
+
+
+def _between_error(triples: Iterable[tuple]) -> UnsupportedOperationError:
+    """The error for the first triple :func:`_between` raises ``TypeError``
+    on (a NULL bound may sit beside the offending pair)."""
+    for triple in triples:
+        try:
+            _between(*triple)
+        except TypeError:
+            break
+    return UnsupportedOperationError(f"operator BETWEEN does not apply to {_types(triple)}")
 
 
 class Between(Expression):
@@ -393,18 +414,16 @@ class Between(Expression):
         if isinstance(self.low, Literal) and isinstance(self.high, Literal):
             lo = self.low.value
             hi = self.high.value
-            if lo is None or hi is None:
-                return lambda columns, n: [None] * n
 
             def fast(columns: Sequence[list], n: int) -> list:
                 values = operand(columns, n)
                 try:
                     return [None if value is None else lo <= value <= hi for value in values]
                 except TypeError:
-                    triples = ((value, lo, hi) for value in values)
-                    raise _rejected("BETWEEN", _between, triples) from None
+                    raise _between_error((value, lo, hi) for value in values) from None
 
-            return fast
+            if lo is not None and hi is not None:  # a NULL bound: the general path
+                return fast
         low = self.low.compile_batch(schema)
         high = self.high.compile_batch(schema)
 
@@ -412,11 +431,13 @@ class Between(Expression):
             values, lows, highs = operand(columns, n), low(columns, n), high(columns, n)
             try:
                 return [
-                    None if value is None or lo is None or hi is None else lo <= value <= hi
+                    _between(value, lo, hi)
+                    if value is None or lo is None or hi is None
+                    else lo <= value <= hi
                     for value, lo, hi in zip(values, lows, highs)
                 ]
             except TypeError:
-                raise _rejected("BETWEEN", _between, zip(values, lows, highs)) from None
+                raise _between_error(zip(values, lows, highs)) from None
 
         return run_batch
 

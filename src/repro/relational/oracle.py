@@ -172,12 +172,17 @@ def interpret(expression: Expression, row: Row, schema: Schema) -> Any:
     if isinstance(expression, Between):
         value = value_of(expression.operand)
         low, high = value_of(expression.low), value_of(expression.high)
-        if value is None or low is None or high is None:
+        if value is None:
             return None
+        # ``value >= low AND value <= high``: a NULL bound is one UNKNOWN side.
         try:
-            return low <= value <= high
+            above = None if low is None else low <= value
+            below = None if above is False or high is None else value <= high
         except TypeError:
             raise _operand_error("BETWEEN", value, low, high) from None
+        if above is False or below is False:
+            return False
+        return None if above is None or below is None else True
     if isinstance(expression, IsNull):
         return (value_of(expression.operand) is None) is not expression.negated
     if isinstance(expression, LogicalOp):

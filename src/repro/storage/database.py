@@ -517,8 +517,9 @@ class Database:
         ``vectorize=False`` selects the reference oracle
         (:class:`~repro.relational.oracle.RowEvaluator`, row-at-a-time
         operators; with ``optimize_plans=False`` on the literal plan shape)
-        that the differential tests and the benchmark's verify pass compare
-        the engine against.  Nothing else should pass it.
+        that the engine is compared against.  The two keyword arguments have
+        two callers, ``tests/reference.py`` (``oracle`` and ``engine``) and
+        ``bench/run.py::verify``; nothing else should pass them.
         """
         if isinstance(query, str):
             plan = self.plan(query)

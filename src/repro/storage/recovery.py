@@ -7,9 +7,10 @@ A durable data directory holds two kinds of files::
 
 A *checkpoint* is one framed (length + CRC32) document holding the whole
 database: catalog (schemas, primary keys, secondary-index attributes), every
-table's rows in canonical content order
-(:func:`~repro.storage.table.canonical_items`), the version, and the LSN of
-the newest WAL record the snapshot already contains.  It is encoded like a
+table's rows in the live table's entry order (``StoredTable.items()``, the
+order its column batch and float aggregates follow, so a restart answers
+with the live bits), the version, and the LSN of the newest WAL record the
+snapshot already contains.  It is encoded like a
 WAL record (:func:`~repro.storage.wal.encode_record`, marshal format 2, about
 15% larger than the canonical JSON it replaced and written in about half the
 time) and carries ``"format": 2``; a format-1 (JSON) checkpoint is still
@@ -142,7 +143,7 @@ def _checkpoint_payload(db: "Database", wal_lsn: int) -> dict:
                 "primary_key": stored.primary_key,
                 "indexes": stored.indexed_attributes(),
                 "last_modified": stored.last_modified_version,
-                "rows": encode_rows(canonical_items(stored.items())),
+                "rows": encode_rows(list(stored.items())),
             }
         )
     return {

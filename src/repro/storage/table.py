@@ -24,16 +24,15 @@ from repro.storage.delta import Delta
 def canonical_items(items: Iterable[tuple[Row, int]]) -> list[tuple[Row, int]]:
     """Sort ``(row, multiplicity)`` pairs into a content-determined order.
 
-    Snapshot batches -- and durable checkpoints -- are built in this
-    canonical order so they are a pure function of the *content* of a
-    version, not of the insertion history that produced it: float aggregates
-    accumulate in batch order, so without canonicalization two
-    materializations of the same version could answer SUM queries with
-    different low bits.  The differential concurrency harness and the
-    crash-recovery harness both assert bit-identical reads; this is what
-    makes that hold.  :func:`order_component` is a total order even over NaN;
-    rows it cannot tell apart keep their insertion order (``sorted`` is
-    stable).
+    Snapshot batches are built in this canonical order so they are a pure
+    function of the *content* of a version, not of the insertion history
+    that produced it: float aggregates accumulate in batch order, so two
+    snapshots of one version answer SUM queries with the same low bits.
+    ``recovery.state_fingerprint`` hashes tables in this order too.  A
+    durable checkpoint does not: it writes the live entry order
+    (``StoredTable.items()``), so a restart answers as the live database
+    did.  :func:`order_component` is a total order even over NaN; rows it
+    cannot tell apart keep their insertion order (``sorted`` is stable).
     """
     return sorted(items, key=lambda item: tuple(map(order_component, item[0])))
 

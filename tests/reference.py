@@ -1,4 +1,4 @@
-"""Reference semantics the engine is held to.
+"""Reference semantics the engine is held to, and the one differential harness.
 
 Scalar expressions: the tree-walking interpreter
 ``repro.relational.oracle.interpret`` (re-exported here).  The engine only
@@ -6,16 +6,34 @@ ever runs the one lowering, ``Expression.compile_batch`` column kernels;
 :func:`checked_value` holds that lowering to the interpreter, over a single
 entry and over a whole generated column.
 
-Whole queries: the reference oracle is
-``Database.query(q, optimize_plans=False, vectorize=False)`` -- the literal
-plan on ``repro.relational.oracle.RowEvaluator``, the row-at-a-time module
-the engine never imports; :func:`assert_systems_match_oracle` drives the
-middleware systems against it.
+Whole queries: :func:`oracle` is the one entry point to the reference oracle
+-- the literal (or optimized) plan on ``repro.relational.oracle.RowEvaluator``,
+the row-at-a-time module the engine never imports -- and :func:`engine` the
+one to the batch pipeline on either plan.  :func:`assert_matches_oracle`
+compares the two by ``repr`` (entry order, value types, NaN and float low
+bits) over a plan and the consumers whose answer hangs on its entry order;
+:func:`tables` draws the two tables ``t(id, g, h, v)`` and ``u(k, l, w)``
+every differential runs on, and :data:`CATALOGUE` holds the plan shapes.
+:func:`assert_systems_match_oracle` drives the middleware systems against
+the oracle.
+
+**The rule:** a kernel change adds its plan shape to :data:`CATALOGUE` (and,
+if it needs one, a value to the key pool), not a test file.  A kernel test
+of its own is kept only for what engine ≡ oracle cannot see: which path ran
+(spies on lookups, pair lists, filter calls), laziness, counters and the
+entry order of the incremental operators.
+
+Bags: :func:`merge` is the one per-entry, first-occurrence bag merge every
+merging kernel (batch consolidation, delta windows, compaction, annotated
+consolidation, ``μ``) is held to, and :class:`Feed` the one stand-in child
+operator that hands an incremental operator a prepared delta.
 
 Sketch capture: :class:`AnnotatedEvaluator` evaluates a plan under the
 paper's annotated semantics (Sec. 4.3) one row at a time over a dict of
 ``(row, frozenset of fragment ids)`` entries, every expression interpreted
-per row.  The engine's
+per row and ORDER BY spelled out; without a partition it is a plain
+row-at-a-time plan interpreter, which the LIMIT, cross and theta shapes
+hold the oracle itself to.  The engine's
 only annotated evaluation is a from-scratch pass of the columnar, int-mask
 incremental operators (``repro.imp.operators``); this oracle shares no code
 with ``repro.imp`` and states what that pass must produce, tuple by tuple and
@@ -24,32 +42,52 @@ as a sketch.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Iterable, Iterator
+from functools import cmp_to_key
 from typing import Any
 
 import pytest
+from hypothesis import strategies as st
 
-from repro.core.errors import PlanError
+from repro.core.errors import IMPError, PlanError
+from repro.imp.annotated import AnnotatedDelta
 from repro.imp.engine import IMPConfig, compile_plan
 from repro.imp.middleware import IMPSystem, NoSketchSystem
-from repro.imp.operators import Pass
+from repro.imp.operators import IncrementalOperator, Pass
 from repro.relational.algebra import (
     Aggregate,
+    AggregateFunction,
     Aggregation,
     Distinct,
     Join,
+    OrderItem,
     PlanNode,
     Projection,
+    ProjectionItem,
     Selection,
     TableScan,
     TopK,
 )
-from repro.relational.evaluator import RelationProvider
-from repro.relational.expressions import Expression
-from repro.relational.oracle import compute_aggregate, interpret, make_order_key
+from repro.relational.evaluator import Evaluator, RelationProvider
+from repro.relational.expressions import (
+    Between,
+    BinaryOp,
+    ColumnRef,
+    Comparison,
+    Expression,
+    IsNull,
+    Literal,
+    LogicalOp,
+    Not,
+)
+from repro.relational.oracle import RowEvaluator, compute_aggregate, interpret
 from repro.relational.schema import Relation, Row, Schema
-from repro.sketch.ranges import DatabasePartition
+from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.sketch import ProvenanceSketch
+from repro.sketch.use import instrument_plan
+from repro.storage.database import Database
+
 
 def checked_value(expression: Expression, row: Row, schema: Schema) -> Any:
     """The interpreted value of ``expression`` for ``row``, after asserting
@@ -74,6 +112,413 @@ def checked_value(expression: Expression, row: Row, schema: Schema) -> Any:
     return expected
 
 
+# -- whole queries: the oracle, the engine and engine ≡ oracle ---------------------
+
+
+def oracle(database, query, optimize: bool = False) -> Relation:
+    """The reference answer of ``query`` (SQL, statement or plan): the
+    row-at-a-time oracle on the literal plan, or on the optimized one."""
+    return database.query(query, optimize_plans=optimize, vectorize=False)
+
+
+def engine(database, query, optimize: bool = True) -> Relation:
+    """The engine's answer: the batch pipeline on the optimized plan, or on
+    the literal one."""
+    return database.query(query, optimize_plans=optimize)
+
+
+def evaluator(provider, optimize: bool = True, rows: bool = False) -> Evaluator:
+    """An evaluator over any relation provider: the engine, or with
+    ``rows`` the row oracle."""
+    return (RowEvaluator if rows else Evaluator)(provider, optimize_plans=optimize)
+
+
+def answer(relation) -> str:
+    """A relation compared bit for bit: entry order, types, NaN and low bits."""
+    return repr(list(relation.items()))
+
+
+def _outcome(run, database, plan, optimize: bool) -> str:
+    """The answer, or the type of the typed error raised instead (engine and
+    oracle evaluate different rows first, so messages may name other ones)."""
+    try:
+        return answer(run(database, plan, optimize))
+    except IMPError as error:
+        return type(error).__name__
+
+
+def consumers(plan: PlanNode, schema: Schema) -> list[PlanNode]:
+    """``plan`` and plans above it whose answer hangs on its entry order:
+    GROUP BY its key with a float sum, avg and count, a scalar float sum and
+    top-k over tied keys.  The key is ``g`` (else ``k``, else the first
+    column), the summand ``w`` or ``v`` where there is one."""
+    names = {Schema.bare_name(name): name for name in reversed(schema.attributes)}
+    key = ColumnRef(names.get("g") or names.get("k") or schema.attributes[0])
+    count = Aggregate(AggregateFunction.COUNT, None, "n")
+    plans = [plan, TopK(plan, 3, [OrderItem(key, False)])]
+    summand = names.get("w") or names.get("v")
+    if summand is None:
+        return plans + [Aggregation(plan, [key], [count])]
+    value = ColumnRef(summand)
+    return plans + [
+        Aggregation(
+            plan,
+            [key],
+            [
+                Aggregate(AggregateFunction.SUM, value, "s"),
+                Aggregate(AggregateFunction.AVG, value, "av"),
+                count,
+            ],
+        ),
+        Aggregation(plan, [], [Aggregate(AggregateFunction.SUM, value, "s"), count]),
+        TopK(plan, 4, [OrderItem(value), OrderItem(key, False)]),
+    ]
+
+
+def assert_matches_oracle(database, plan: PlanNode | str) -> None:
+    """Engine ≡ oracle by :func:`answer` for ``plan`` (a plan or SQL) and its
+    :func:`consumers`, on the literal and on the optimized plan.  Where the
+    oracle raises a typed error, the engine raises one of the same type."""
+    if isinstance(plan, str):
+        plan = database.plan(plan)
+    for each in consumers(plan, plan.output_schema(database)):
+        for optimize in (False, True):
+            expected = _outcome(oracle, database, each, optimize)
+            assert _outcome(engine, database, each, optimize) == expected, (
+                each.explain(),
+                optimize,
+            )
+
+
+# -- the two tables ------------------------------------------------------------------
+
+NAN = math.nan  # one shared NaN object
+BIG = 2**53 + 1  # the first int a float cannot hold: float(BIG) == 2**53
+OWN_NAN = object()  # drawn as a NaN object of its own
+KEYS = [None, NAN, OWN_NAN, 0, 1, 1.0, True, False, 2, 2.5, -3, BIG, -BIG, float(BIG), 2**53]
+TEXT = ["x", "1"]
+# Float sums whose low bits hang on entry order and on merging duplicates
+# first; int sums stay exact up to 2**53, where the fold stops merging.
+SUMMANDS = [0.1, 0.2, 0.3, 1e16, -1e16, 7.25, 1.0, 2, True, None, NAN, BIG]
+EXACT = [None, 0, 1, True, False, -3, 2**40, 2**52, -(2**52), 2**53, BIG, -BIG]
+
+
+def _spelled(value):
+    return float("nan") if value is OWN_NAN else value
+
+
+def keys(text: bool = False) -> st.SearchStrategy:
+    """Join and group keys where SQL ``=`` and dict equality part: NULL, a
+    shared NaN and NaNs of their own, ``0``/``1``/``1.0``/``True``/``2``,
+    ±(2**53 + 1) beside ``float(2**53 + 1)``; with ``text``, ``'x'`` and ``'1'``."""
+    return st.sampled_from(KEYS + TEXT * text).map(_spelled)
+
+
+@st.composite
+def tables(draw) -> tuple[Database, list]:
+    """``t(id, g, h, v)`` and ``u(k, l, w)`` with repeated rows, float (or
+    int-only) summands and optional indexes, and rows of ``u`` to delete and
+    re-insert (:func:`move`).  Text keys go to ``t.g`` only, which then has
+    no index: an index holds values that order against each other."""
+    text = draw(st.booleans())
+    database = two_tables()
+    indexable = [("u", "k"), ("u", "l"), ("t", "h"), ("t", "id")] + [("t", "g")] * (not text)
+    for table, attribute in indexable:
+        if draw(st.booleans()):
+            database.create_index(table, attribute)
+    v, w = (st.sampled_from(draw(st.sampled_from([SUMMANDS, EXACT]))) for _ in "vw")
+    t_rows = draw(st.lists(st.tuples(st.integers(0, 5), keys(text), keys(), v), max_size=10))
+    u_rows = draw(st.lists(st.tuples(keys(), keys(), w), max_size=10))
+    for table, rows in (("t", t_rows), ("u", u_rows)):
+        again = draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+        database.insert(table, rows + again)
+    moved = draw(st.lists(st.sampled_from(u_rows), max_size=2)) if u_rows else []
+    return database, moved
+
+
+def two_tables(t_rows=(), u_rows=()) -> Database:
+    """A database of ``t(id, g, h, v)`` and ``u(k, l, w)`` holding the rows."""
+    database = Database()
+    database.create_table("t", ["id", "g", "h", "v"])
+    database.create_table("u", ["k", "l", "w"])
+    database.insert("t", list(t_rows))
+    database.insert("u", list(u_rows))
+    return database
+
+
+def move(database: Database, rows: list) -> None:
+    """Delete and re-insert each row of ``u``: it moves to the end of its
+    index bucket and of the table batch alike."""
+    for row in rows:
+        database.delete_rows("u", [row])
+        database.insert("u", [row])
+
+
+# -- the catalogue of plan shapes ------------------------------------------------------
+
+T, U = TableScan("t"), TableScan("u")
+id_, g, h, v = ColumnRef("id"), ColumnRef("g"), ColumnRef("h"), ColumnRef("v")
+k, l, w = ColumnRef("k"), ColumnRef("l"), ColumnRef("w")
+T_KEYS = Projection(T, [ProjectionItem(g)])  # a key-only side: merged before the probe
+T_TWO = Projection(T, [ProjectionItem(g), ProjectionItem(h)])
+U_KEYS = Projection(U, [ProjectionItem(k)])  # a key-only right side: a semi-join
+U_PAIRS = Projection(U, [ProjectionItem(k), ProjectionItem(w)])  # duplicate rows
+U_SELECTED = Selection(U, IsNull(l, negated=True))  # an index lookup when ``k`` is indexed
+
+
+def equal(a, b) -> Comparison:
+    return Comparison("=", a, b)
+
+
+def both(*conjuncts) -> LogicalOp:
+    return LogicalOp("AND", list(conjuncts))
+
+
+def aggregate(function: str, argument, alias: str) -> Aggregate:
+    return Aggregate(AggregateFunction[function], argument, alias)
+
+
+# The hash join's duplicate rules: key-only sides, one and two key pairs, one
+# column keyed twice, a residual, no key pair.
+JOINS = [
+    Join(T_KEYS, U, equal(g, k)),
+    Join(T, U_KEYS, equal(g, k)),
+    Join(T_KEYS, U_KEYS, equal(k, g)),
+    Join(T_TWO, U, both(equal(g, k), equal(h, l))),
+    Join(T_KEYS, U, both(equal(g, k), equal(g, l))),
+    Join(T_KEYS, U, both(equal(g, k), Comparison("<", g, w))),
+    Join(T_KEYS, U, Comparison("<", g, k)),
+    Join(T_KEYS, U_KEYS, None),
+]
+
+# The index lookup join: selections over ``u`` (the last two served by an
+# index on ``k`` or ``l``, which keeps the hash path) under key conditions.
+LOOKUP_SELECTIONS = [
+    Comparison("<", w, Literal(1)),
+    IsNull(l, negated=True),
+    Comparison("<>", w, Literal(7.25)),
+    Between(k, Literal(0), Literal(2)),
+    Comparison("<", l, Literal(2)),
+]
+LOOKUP_CONDITIONS = [
+    equal(g, k),
+    equal(k, g),
+    both(equal(g, k), equal(h, l)),
+    both(equal(h, l), equal(g, k)),
+    both(equal(g, k), Comparison("<", w, Literal(1))),
+]
+
+
+@st.composite
+def lookup_joins(draw) -> Join:
+    right = U
+    for predicate in draw(st.lists(st.sampled_from(LOOKUP_SELECTIONS), min_size=1, max_size=2)):
+        right = Selection(right, predicate)
+    left = draw(st.sampled_from([T, Selection(T, Comparison(">", v, Literal(0)))]))
+    return Join(left, right, draw(st.sampled_from(LOOKUP_CONDITIONS)))
+
+
+def _all_of(argument) -> list[Aggregate]:
+    return [
+        aggregate("SUM", argument, "s"),
+        aggregate("COUNT", None, "n"),
+        aggregate("COUNT", argument, "c"),
+        aggregate("AVG", argument, "av"),
+        aggregate("MIN", argument, "lo"),
+        aggregate("MAX", argument, "hi"),
+    ]
+
+
+@st.composite
+def group_joins(draw) -> Aggregation:
+    """An aggregation grouped by the one column of a key-only left side,
+    perhaps under a sketch over ``t.id``: it folds the right side's partners
+    without running the join."""
+    left = T_KEYS
+    if draw(st.booleans()):
+        partition = DatabasePartition([RangePartition.from_boundaries("t", "id", [0, 2, 4, 6])])
+        fragments = draw(st.sets(st.integers(0, partition.total_fragments - 1)))
+        left = instrument_plan(T_KEYS, ProvenanceSketch(partition, fragments))
+    right = draw(st.sampled_from([U, U_PAIRS, U_SELECTED, U_KEYS]))
+    if right is U_KEYS:
+        return Aggregation(Join(left, U_KEYS, equal(g, k)), [g], [aggregate("SUM", k, "sk")])
+    condition = draw(st.sampled_from([equal(g, k), equal(k, g)]))
+    return Aggregation(Join(left, right, condition), [g], _all_of(w))
+
+
+# Aggregations over ``t`` pruned to the aggregated columns: equal rows become
+# duplicate entries, merged only where a sum or avg could tell.
+T_VALUES = Projection(T, [ProjectionItem(g), ProjectionItem(v)])
+PRUNED = [
+    Aggregation(T_VALUES, [g], _all_of(v)),
+    Aggregation(Projection(T, [ProjectionItem(v)]), [], _all_of(v)),
+    Aggregation(T_VALUES, [g], [aggregate("SUM", BinaryOp("*", v, Literal(2)), "s2")]),
+]
+
+# Joins without a hashable equality (``ON 1`` is not ``ON TRUE``: it selects nothing).
+THETA = [
+    None,
+    Literal(1),
+    Comparison("<", g, k),
+    Comparison("<>", g, k),
+    equal(BinaryOp("+", g, Literal(1)), k),
+    equal(k, Literal(2)),
+    LogicalOp("OR", [equal(g, k), IsNull(k)]),
+    both(equal(g, k), Comparison("<", id_, w)),
+]
+
+
+@st.composite
+def theta_joins(draw) -> PlanNode:
+    plan = Join(T, U, draw(st.sampled_from(THETA)))
+    if draw(st.booleans()):
+        plan = TopK(plan, draw(st.integers(1, 9)), [OrderItem(k, draw(st.booleans()))])
+    return plan
+
+
+@st.composite
+def limits(draw) -> PlanNode:
+    """LIMIT over tied, mixed-type and NaN keys, multiplicities cut at ``k``."""
+    child = draw(
+        st.sampled_from(
+            [T, Selection(T, Comparison("<", id_, Literal(4))), T_VALUES]
+        )
+    )
+    columns = draw(st.sampled_from([[v], [g], [g, v], [v, g]]))
+    order_by = [OrderItem(column, draw(st.booleans())) for column in columns]
+    plan = TopK(child, draw(st.integers(1, 12)), order_by)
+    if draw(st.booleans()):
+        plan = Selection(plan, IsNull(g, negated=True))
+    return plan
+
+
+LITERALS = [None, NAN, 0, 1, 1.0, True, 2, 2.5, -3, BIG, -BIG, 2**53]
+OPERATORS = ["=", "<", "<=", ">", ">=", "<>"]
+
+
+@st.composite
+def _comparison(draw) -> Expression:
+    """A leaf over ``g`` or ``h``: against a literal on either side, BETWEEN
+    or NOT BETWEEN (NULL bounds included), or column against column."""
+    column = draw(st.sampled_from([g, g, ColumnRef("t.g"), h]))
+    literal = st.sampled_from(LITERALS).map(Literal)
+    kind = draw(st.sampled_from(["literal", "reversed", "between", "not between", "columns"]))
+    if kind in ("between", "not between"):
+        between = Between(column, draw(literal), draw(literal))
+        return Not(between) if kind == "not between" else between
+    other = draw(st.sampled_from([g, h]) if kind == "columns" else literal)
+    operator = draw(st.sampled_from(OPERATORS))
+    if kind == "reversed":
+        return Comparison(operator, other, column)
+    return Comparison(operator, column, other)
+
+
+PREDICATES = st.recursive(
+    _comparison(),
+    lambda children: st.builds(
+        LogicalOp, st.sampled_from(["AND", "OR"]), st.lists(children, min_size=1, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+# SQL spellings: pruning leaves key-only sides, WHERE conjuncts meet key pairs.
+SQL = [
+    "SELECT g, k, w FROM t JOIN u ON (g = k)",
+    "SELECT g, h, w FROM t JOIN u ON (k = g AND h = l)",
+    "SELECT g, w FROM t JOIN u ON (g = k AND h < l)",
+    "SELECT g, w FROM t JOIN u ON (g = k AND h <> l)",
+    "SELECT g, w FROM t JOIN u ON (g = k AND g = l)",
+    "SELECT g, sum(v * w) AS s FROM t JOIN u ON (g = k AND h = l) WHERE v < 100 GROUP BY g",
+    "SELECT g, avg(w) AS aw FROM t JOIN u ON (g = k) WHERE g >= 1 AND l < 2 GROUP BY g",
+    "SELECT h, w FROM t JOIN u ON (g = k) ORDER BY w DESC LIMIT 3",
+    "SELECT k, count(*) AS n FROM t JOIN u ON (g = k) GROUP BY k",
+    "SELECT DISTINCT k FROM t JOIN u ON (g = k)",
+    "SELECT g, sum(v) AS s, avg(v) AS av, count(*) AS n, min(v) AS lo FROM t GROUP BY g",
+]
+
+# Selections, groups and LIMIT over ``t`` with drawn bounds.
+SQL_TEMPLATES = [
+    "SELECT id, g, h FROM t WHERE h BETWEEN {low} AND {high}",
+    "SELECT g, h, v FROM t WHERE h < {high} OR g = 'x'",
+    "SELECT DISTINCT g FROM t WHERE h > {low}",
+    "SELECT g, count(*) AS n, sum(h) AS sh, min(v) AS lo FROM t GROUP BY g",
+    "SELECT g, avg(v) AS av FROM t WHERE v IS NOT NULL GROUP BY g HAVING avg(v) > {low}",
+    "SELECT t.id, u.w FROM t JOIN u ON (g = k) WHERE t.h < {high}",
+    "SELECT id, v * 2 AS vv FROM t WHERE h IS NULL",
+    "SELECT id, h FROM t WHERE h < {high} ORDER BY h, id LIMIT 5",
+    "SELECT count(*) AS n FROM t WHERE h BETWEEN {low} AND {high}",
+    "SELECT abs(v) AS av FROM t WHERE h > {low}",
+    "SELECT id, g FROM t WHERE h < {high} ORDER BY g LIMIT 7",
+    "SELECT id, g, h FROM t ORDER BY g DESC, h LIMIT 6",
+    "SELECT t.id, u.k FROM t JOIN u ON (t.h < u.l) WHERE t.v < {low}",
+    "SELECT t.id, u.k FROM t JOIN u ON (t.h <> u.l AND t.id = u.k)",
+]
+
+
+@st.composite
+def sql_templates(draw) -> str:
+    low = draw(st.integers(-3, 3))
+    high = low + draw(st.integers(0, 4))
+    return draw(st.sampled_from(SQL_TEMPLATES)).format(low=low, high=high)
+
+
+CATALOGUE: dict[str, st.SearchStrategy] = {
+    "hash join": st.sampled_from(JOINS),
+    "index lookup join": lookup_joins(),
+    "group-join": group_joins(),
+    "theta and cross join": theta_joins(),
+    "limit": limits(),
+    "aggregation over pruned duplicates": st.sampled_from(PRUNED),
+    "one column merged by value": st.sampled_from(
+        [Distinct(T_KEYS), TopK(T_KEYS, 3, [OrderItem(g, False)])]
+    ),
+    "selection, index-served or not": PREDICATES.map(lambda predicate: Selection(T, predicate)),
+    "sql": st.sampled_from(SQL),
+    "sql with drawn bounds": sql_templates(),
+}
+# One plan of every shape: each example's tables are drawn once, checked often.
+PLANS = st.fixed_dictionaries(CATALOGUE)
+
+
+# -- bags: the one merge and the one feed ----------------------------------------------
+
+
+def merge(entries: Iterable[tuple[Any, int]], totals: dict | None = None) -> dict:
+    """The bag merge, entry by entry: each key's counts summed under its
+    first occurrence (object and position; ``1``, ``1.0`` and ``True`` are
+    one key), a key whose total reaches zero dropped -- it re-enters at its
+    next occurrence, at the end.  Merges into ``totals`` if given."""
+    totals = {} if totals is None else totals
+    for key, count in entries:
+        total = totals.get(key, 0) + count
+        if total:
+            totals[key] = total
+        else:
+            del totals[key]
+    return totals
+
+
+class Feed(IncrementalOperator):
+    """A child operator that hands its parent the delta queued last."""
+
+    def __init__(self, schema: Schema) -> None:
+        super().__init__(schema)
+        self.next = AnnotatedDelta(schema)
+
+    def queue(self, entries: Iterable[tuple[Row, int, int]]) -> None:
+        """Queue ``(row, annotation, count)`` entries."""
+        entries = list(entries)
+        self.next = AnnotatedDelta(
+            self.output_schema,
+            [row for row, _a, _c in entries],
+            [annotation for _r, annotation, _c in entries],
+            [count for _r, _a, count in entries],
+        )
+
+    def process(self, run: Pass) -> AnnotatedDelta:
+        return self.next
+
+
 def assert_systems_match_oracle(database, queries, insert_batches, num_fragments=16):
     """Run every query through ``IMPSystem`` and ``NoSketchSystem`` before each
     batch of inserts into ``r`` and assert both answer exactly as the
@@ -82,7 +527,7 @@ def assert_systems_match_oracle(database, queries, insert_batches, num_fragments
     no_sketch = NoSketchSystem(database)
     for inserts in insert_batches:
         for sql in queries:
-            reference = database.query(sql, optimize_plans=False, vectorize=False)
+            reference = oracle(database, sql)
             assert imp.run_query(sql) == reference, sql
             assert no_sketch.run_query(sql) == reference, sql
         imp.apply_update("r", inserts=inserts)
@@ -141,6 +586,28 @@ class AnnotatedRelation:
     def combined_annotation(self) -> frozenset[int]:
         """Union of all annotations (the ``S(F(...))`` of the correctness proof)."""
         return frozenset().union(*(annotation for _row, annotation, _m in self.items()))
+
+
+def _compare_order_values(a, b, ascending: bool) -> int:
+    """ORDER BY on one pair of values, spelled out: NULL first, then numbers
+    (booleans count) with NaN after all of them, then everything else by its
+    string form; DESC turns all of that around except that NaN stays behind
+    the other numbers."""
+
+    def kind(value):
+        return 0 if value is None else 1 if isinstance(value, (int, float)) else 2
+
+    if kind(a) != kind(b):
+        outcome = kind(a) - kind(b)
+    elif a is None:
+        outcome = 0
+    elif kind(a) == 1:
+        if a != a or b != b:
+            return (a != a) - (b != b)
+        outcome = (a > b) - (a < b)
+    else:
+        outcome = (str(a) > str(b)) - (str(a) < str(b))
+    return outcome if ascending else -outcome
 
 
 class AnnotatedEvaluator:
@@ -282,8 +749,19 @@ class AnnotatedEvaluator:
 
     def _top_k(self, node: TopK) -> AnnotatedRelation:
         child = self._evaluate(node.child)
-        order_key = make_order_key(node.order_by, child.schema)
-        entries = sorted(child.items(), key=lambda entry: order_key(entry[0]))
+
+        def compare(one, other) -> int:
+            for item in node.order_by:
+                outcome = _compare_order_values(
+                    interpret(item.expression, one[0], child.schema),
+                    interpret(item.expression, other[0], child.schema),
+                    item.ascending,
+                )
+                if outcome:
+                    return outcome
+            return 0
+
+        entries = sorted(child.items(), key=cmp_to_key(compare))  # stable: ties in child order
         result = AnnotatedRelation(child.schema)
         remaining = node.k
         for row, annotation, multiplicity in entries:

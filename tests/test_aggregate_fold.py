@@ -21,8 +21,10 @@
     state equals a fresh capture and the batch kernel, and its dump lists
     the non-finite counts of exactly the groups that hold them.
 (f) The engine merges an aggregation's duplicate input rows only where a sum
-    or avg could tell (floats, expressions, ints past 2**53); the result
-    equals the always-merging oracle by ``repr`` either way.
+    or avg could tell (floats, expressions, ints past 2**53); spies pin when
+    it merges.  That the result equals the always-merging oracle by ``repr``
+    either way is the "aggregation over pruned duplicates" shape of
+    ``tests.reference.CATALOGUE``.
 
 Plus the typed error for aggregates over values they cannot aggregate.
 """
@@ -38,14 +40,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import AggregateError, PlanError
-from repro.imp.annotated import AnnotatedDelta
 from repro.imp.engine import IMPConfig, IncrementalEngine, capture_sketch
 from repro.imp.middleware import IMPSystem
 from repro.imp.operators import (
     EngineStatistics,
     IncrementalAggregation,
     IncrementalDistinct,
-    IncrementalOperator,
     Pass,
 )
 from repro.imp.persistence import dump_engine_state
@@ -59,12 +59,13 @@ from repro.relational.algebra import (
     TableScan,
 )
 from repro.relational.columnar import ColumnBatch
-from repro.relational.expressions import BinaryOp, ColumnRef, Literal
+from repro.relational.expressions import ColumnRef
 from repro.relational.oracle import compute_aggregate
 from repro.relational.schema import Schema
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta
+from tests.reference import Feed, engine, oracle
 
 SUM, COUNT, AVG, MIN, MAX = (
     AggregateFunction.SUM,
@@ -192,22 +193,11 @@ def test_one_fold_serves_queries_and_maintenance(monkeypatch):
     database.insert("t", [(1, 0.5)])
     engine.maintain(database.database_delta_since(["t"], version), database.version)
     assert calls == {"aggregate_batch": 1, "fold_aggregate": 6}
-    database.query(sql, optimize_plans=False, vectorize=False)
+    oracle(database, sql)
     assert calls == {"aggregate_batch": 1, "fold_aggregate": 6}
 
 
 # -- (b) incremental vs from scratch -----------------------------------------------
-
-
-class Feed(IncrementalOperator):
-    """A child operator that hands its parent a prepared delta."""
-
-    def __init__(self, schema: Schema) -> None:
-        super().__init__(schema)
-        self.next = AnnotatedDelta(schema)
-
-    def process(self, run: Pass) -> AnnotatedDelta:
-        return self.next
 
 
 SCHEMA = Schema(["g", "v"])
@@ -223,12 +213,7 @@ def aggregation(scalar: bool, buffer: int | None = None) -> IncrementalAggregati
 def run(operator, entries, from_scratch: bool = False) -> Counter:
     """Push ``(row, annotation, count)`` entries through ``operator``; its
     output as a bag."""
-    operator.child.next = AnnotatedDelta(
-        operator.child.output_schema,
-        [row for row, _a, _c in entries],
-        [annotation for _r, annotation, _c in entries],
-        [count for _r, _a, count in entries],
-    )
+    operator.child.queue(entries)
     step = Pass.scratch(0) if from_scratch else Pass(DatabaseDelta(), EngineStatistics(), 0)
     bag: Counter = Counter()
     for row, annotation, count in operator.process(step).entries():
@@ -700,7 +685,7 @@ class TestMinMaxOverNaN:
         with pytest.raises(AggregateError, match="min"):
             database.query(sql)
         with pytest.raises(AggregateError, match="min"):
-            database.query(sql, optimize_plans=False, vectorize=False)
+            oracle(database, sql)
         with pytest.raises(AggregateError, match="min"):
             capture_sketch(database.plan(sql), partition, database)
 
@@ -799,28 +784,12 @@ class TestSumOverNonFinite:
 # never tell.  The oracle always merges, so it is the reference.
 
 EDGE = 2**53
-EXACT_VALUES = st.sampled_from(
-    [None, 0, 1, True, False, -1, 2**52, -(2**52), EDGE, EDGE + 1, -(EDGE + 1)]
-)
-INEXACT_VALUES = st.sampled_from([None, NAN, 1, 1.0, True, 0.1, 1e16, -1e16, EDGE + 1])
-GROUP_KEYS = st.sampled_from([None, 0, 1, 1.0, True, NAN])
 T_SCAN = TableScan("t")
 
 
 def pruned(*names: str) -> Projection:
     """``t`` pruned to ``names``: equal rows become duplicate entries."""
     return Projection(T_SCAN, [ProjectionItem(ColumnRef(name)) for name in names])
-
-
-@st.composite
-def duplicated_table(draw):
-    database = Database()
-    database.create_table("t", ["id", "g", "v"])
-    values = EXACT_VALUES if draw(st.booleans()) else INEXACT_VALUES
-    rows = draw(st.lists(st.tuples(st.integers(0, 3), GROUP_KEYS, values), max_size=12))
-    again = draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
-    database.insert("t", rows + again)
-    return database
 
 
 def merged_schemas(monkeypatch) -> list:
@@ -837,28 +806,6 @@ def merged_schemas(monkeypatch) -> list:
 
 
 class TestExactFoldsSkipTheMerge:
-    @settings(max_examples=200, deadline=None)
-    @given(duplicated_table())
-    def test_engine_equals_the_oracle_bit_for_bit(self, database):
-        doubled = Aggregate(SUM, BinaryOp("*", ColumnRef("v"), Literal(2)), "s2")
-        plans = [
-            Aggregation(pruned("g", "v"), [ColumnRef("g")], all_aggregates("v")),
-            Aggregation(pruned("v"), [], all_aggregates("v")),
-            Aggregation(pruned("g", "v"), [ColumnRef("g")], [doubled]),
-            database.plan(
-                "SELECT g, sum(v) AS s, avg(v) AS av, count(*) AS n, min(v) AS lo "
-                "FROM t GROUP BY g"
-            ),
-        ]
-        for plan in plans:
-            for optimize in (False, True):
-                engine = database.query(plan, optimize_plans=optimize)
-                oracle = database.query(plan, optimize_plans=optimize, vectorize=False)
-                assert repr(list(engine.items())) == repr(list(oracle.items())), (
-                    plan.explain(),
-                    optimize,
-                )
-
     @pytest.mark.parametrize(
         "values, merges, total",
         [
@@ -881,11 +828,11 @@ class TestExactFoldsSkipTheMerge:
         total_of_v = Aggregate(SUM, ColumnRef("v"), "s")
         plan = Aggregation(pruned("g", "v"), [ColumnRef("g")], [total_of_v])
         merged = merged_schemas(monkeypatch)
-        result = database.query(plan, optimize_plans=False)
+        result = engine(database, plan, optimize=False)
         assert merged == ([["g", "v"]] if merges else [])
         assert repr(list(result.rows())) == repr([(0, total)])
         monkeypatch.undo()
-        assert result == database.query(plan, optimize_plans=False, vectorize=False)
+        assert result == oracle(database, plan)
 
     def test_counts_and_min_max_never_merge(self, monkeypatch):
         database = Database()
@@ -894,10 +841,10 @@ class TestExactFoldsSkipTheMerge:
         aggregates = [a for a in all_aggregates("v") if a.function not in (SUM, AVG)]
         plan = Aggregation(pruned("g", "v"), [ColumnRef("g")], aggregates)
         merged = merged_schemas(monkeypatch)
-        result = database.query(plan, optimize_plans=False)
+        result = engine(database, plan, optimize=False)
         assert merged == []
         monkeypatch.undo()
-        expected = database.query(plan, optimize_plans=False, vectorize=False)
+        expected = oracle(database, plan)
         assert repr(list(result.items())) == repr(list(expected.items()))
 
 
@@ -935,7 +882,7 @@ class TestAggregateTypeErrors:
         with pytest.raises(AggregateError, match=name):
             database.query(sql)
         with pytest.raises(AggregateError, match=name):
-            database.query(sql, optimize_plans=False, vectorize=False)
+            oracle(database, sql)
         with pytest.raises(AggregateError, match=name):
             capture_sketch(database.plan(sql), partition, database)
 
@@ -967,7 +914,7 @@ class TestAggregateTypeErrors:
         database, partition = self._database([(1, True), (3, False), (3, None)])
         sql = "SELECT sum(s) AS ss, avg(s) AS av FROM t"
         assert database.query(sql).to_sorted_list() == [(1.0, 0.5)]
-        assert database.query(sql, optimize_plans=False, vectorize=False).to_sorted_list() == [
+        assert oracle(database, sql).to_sorted_list() == [
             (1.0, 0.5)
         ]
         assert capture_sketch(database.plan(sql), partition, database).fragment_ids()

@@ -31,7 +31,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Schema, order_component
 from repro.storage.database import Database
-from tests.reference import checked_value
+from tests.reference import checked_value, oracle
 
 SCHEMA = Schema(["a", "b", "c"])
 ROWS = [(10, 4, None), (0, -3, 7), (None, None, None), (5, 5, 5)]
@@ -224,9 +224,7 @@ class TestRemainder:
         database = Database()
         database.create_table("t", ["id", "c", "d"])
         database.insert("t", rows)
-        engine = database.query(sql).to_sorted_list()
-        oracle = database.query(sql, optimize_plans=False, vectorize=False).to_sorted_list()
-        return engine, oracle
+        return database.query(sql).to_sorted_list(), oracle(database, sql).to_sorted_list()
 
     def test_int_operands_agree_with_sqlite(self):
         pairs = [(c, d) for c in range(-7, 8) for d in (-4, -3, -2, -1, 0, 1, 2, 3, 4)]
@@ -249,9 +247,9 @@ class TestRemainder:
         database.create_table("t", ["id", "c"])
         database.insert("t", [(1, -5), (2, 4), (3, -2), (4, 7)])
         sql = "SELECT id FROM t WHERE c % 3 = 1"
-        engine = database.query(sql).to_sorted_list()
-        assert engine == database.query(sql, optimize_plans=False, vectorize=False).to_sorted_list()
-        assert engine == [(2,), (4,)]
+        result = database.query(sql).to_sorted_list()
+        assert result == oracle(database, sql).to_sorted_list()
+        assert result == [(2,), (4,)]
 
     def test_float_and_big_int_operands(self):
         """sqlite truncates floats to ints for ``%``, so these are literal."""

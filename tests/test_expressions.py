@@ -1,5 +1,7 @@
 """Tests for :mod:`repro.relational.expressions`."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.errors import UnsupportedOperationError
@@ -21,7 +23,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Schema
 from repro.storage.database import Database
-from tests.reference import checked_value
+from tests.reference import checked_value, oracle
 
 SCHEMA = Schema(["a", "b", "c"])
 ROW = (10, 4, None)
@@ -74,6 +76,25 @@ class TestPredicates:
         expr = Between(ColumnRef("b"), Literal(4), Literal(10))
         assert value(expr) is True
         assert value(Between(ColumnRef("b"), Literal(5), Literal(10))) is False
+
+    @pytest.mark.parametrize(
+        "low, high, expected",
+        [
+            # ``b BETWEEN low AND high`` is ``b >= low AND b <= high``: a NULL
+            # bound is one UNKNOWN side, the other decides FALSE or NULL.
+            (ColumnRef("c"), Literal(3), False),
+            (ColumnRef("c"), Literal(10), None),
+            (Literal(5), ColumnRef("c"), False),
+            (Literal(3), ColumnRef("c"), None),
+            (Literal(None), Literal(3), False),
+            (Literal(3), Literal(None), None),
+            (ColumnRef("c"), ColumnRef("c"), None),
+        ],
+    )
+    def test_between_with_a_null_bound(self, low, high, expected):
+        between = Between(ColumnRef("b"), low, high)
+        assert value(between) is expected
+        assert value(Not(between)) is (None if expected is None else not expected)
 
     def test_is_null(self):
         assert value(IsNull(ColumnRef("c"))) is True
@@ -190,6 +211,11 @@ class TestOperandTypeErrors:
             Between(ColumnRef("b"), ColumnRef("a"), Literal(9)),
             "BETWEEN does not apply to int, str and int",
         ),
+        # A NULL bound leaves the other comparison to run, and it raises.
+        (
+            Between(ColumnRef("a"), Literal(1), ColumnRef("c")),
+            "BETWEEN does not apply to str, int and NoneType",
+        ),
         (
             Comparison("=", ColumnRef("b"), BinaryOp("+", Literal("x"), Literal(1))),
             "+ does not apply to str and int",
@@ -198,9 +224,9 @@ class TestOperandTypeErrors:
 
     @pytest.mark.parametrize("expression, message", CASES)
     def test_engine_and_oracle_raise_the_same_typed_error(self, expression, message):
-        with pytest.raises(UnsupportedOperationError) as oracle:
+        with pytest.raises(UnsupportedOperationError) as interpreted:
             checked_value(expression, self.TEXT_ROW, SCHEMA)
-        assert str(oracle.value) == f"operator {message}"
+        assert str(interpreted.value) == f"operator {message}"
         # The kernel names the first offending entry of a longer column.
         columns = [[None, 1, "x"], [4, 4, 4], [None, None, None]]
         with pytest.raises(UnsupportedOperationError) as kernel:
@@ -218,9 +244,9 @@ class TestOperandTypeErrors:
 
     @pytest.mark.parametrize("expression, message", FUNCTION_CASES)
     def test_a_scalar_function_raises_it_too(self, expression, message):
-        with pytest.raises(UnsupportedOperationError) as oracle:
+        with pytest.raises(UnsupportedOperationError) as interpreted:
             checked_value(expression, self.TEXT_ROW, SCHEMA)
-        assert str(oracle.value) == f"function {message}"
+        assert str(interpreted.value) == f"function {message}"
         columns = [[None, 1, "x"], [4, 4, 4], [None, None, None]]
         with pytest.raises(UnsupportedOperationError) as kernel:
             expression.compile_batch(SCHEMA)(columns, 3)
@@ -247,11 +273,11 @@ class TestOperandTypeErrors:
     @pytest.mark.parametrize("sql", QUERIES)
     def test_through_database_query_and_imp_system(self, sql):
         database = self._database()
-        with pytest.raises(UnsupportedOperationError) as engine:
+        with pytest.raises(UnsupportedOperationError) as batch:
             database.query(sql)
-        with pytest.raises(UnsupportedOperationError) as oracle:
-            database.query(sql, optimize_plans=False, vectorize=False)
-        assert str(engine.value) == str(oracle.value)
+        with pytest.raises(UnsupportedOperationError) as reference:
+            oracle(database, sql)
+        assert str(batch.value) == str(reference.value)
         with pytest.raises(UnsupportedOperationError):
             IMPSystem(database, num_fragments=4).run_query(sql)
 
@@ -276,14 +302,16 @@ class TestOperandTypeErrors:
         (Between(ColumnRef("a"), Literal("a"), Literal("z")), True),
         (BinaryOp("+", ColumnRef("a"), ColumnRef("c")), None),
         (Comparison("<", ColumnRef("c"), ColumnRef("a")), None),
-        (Between(ColumnRef("a"), Literal(1), ColumnRef("c")), None),
+        (Between(ColumnRef("c"), Literal(1), ColumnRef("a")), None),
+        (Between(ColumnRef("b"), ColumnRef("c"), Literal(3)), False),
         (FunctionCall("round", [ColumnRef("b"), ColumnRef("c")]), None),
     ]
 
     @pytest.mark.parametrize("expression, expected", FINE)
     def test_equality_like_types_and_null_operands_do_not_raise(self, expression, expected):
         """Equality across types is false, not an error; operands of one
-        type compare; a NULL operand yields NULL before any type is looked at."""
+        type compare; a NULL operand yields NULL before any type is looked at
+        (a NULL bound of BETWEEN is one side of an AND: the other decides)."""
         assert checked_value(expression, self.TEXT_ROW, SCHEMA) is expected
 
     @pytest.mark.parametrize(
@@ -296,6 +324,42 @@ class TestOperandTypeErrors:
     )
     def test_a_mixed_type_column_still_answers_what_does_not_order_it(self, sql):
         database = self._database()
-        expected = database.query(sql, optimize_plans=False, vectorize=False)
+        expected = oracle(database, sql)
         assert database.query(sql) == expected
         assert IMPSystem(database, num_fragments=4).run_query(sql) == expected
+
+
+class TestBetweenAgainstSqlite:
+    """``x BETWEEN lo AND hi`` is ``x >= lo AND x <= hi`` under three-valued
+    logic, NULL bounds included: the engine and the oracle select the rows
+    sqlite selects."""
+
+    ROWS = [(1, 5), (2, None), (3, 2000), (4, 7)]
+    CASES = {
+        "a NOT BETWEEN NULL AND 7": [(3,)],
+        "NOT (a BETWEEN NULL AND 7)": [(3,)],
+        "a NOT BETWEEN 6 AND NULL": [(1,)],
+        "a BETWEEN NULL AND 7": [],
+        "a BETWEEN 6 AND NULL": [],
+        "a NOT BETWEEN NULL AND NULL": [],
+        "a NOT BETWEEN 5 AND 7": [(3,)],
+        "a BETWEEN 5 AND 7 OR a BETWEEN NULL AND 4": [(1,), (4,)],
+        "a NOT BETWEEN NULL AND 7 OR a IS NULL": [(2,), (3,)],
+    }
+
+    @pytest.mark.parametrize("where", list(CASES))
+    def test_engine_and_oracle_select_what_sqlite_selects(self, where):
+        sql = f"SELECT id FROM t WHERE {where}"
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE t (id INTEGER, a INTEGER)")
+        connection.executemany("INSERT INTO t VALUES (?, ?)", self.ROWS)
+        expected = sorted(connection.execute(sql).fetchall())
+        connection.close()
+        database = Database()
+        database.create_table("t", ["id", "a"])
+        database.insert("t", self.ROWS)
+        assert expected == self.CASES[where]
+        assert database.query(sql).to_sorted_list() == expected
+        assert oracle(database, sql).to_sorted_list() == expected
+        database.create_index("t", "a")
+        assert database.query(sql).to_sorted_list() == expected

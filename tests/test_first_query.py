@@ -4,8 +4,9 @@ Three pieces of a from-scratch capture are held to what they replaced:
 
 * the Bloom filter's whole-list position derivation (``add_all``) to the
   per-value reference ``_positions``, bit for bit;
-* ``AnnotatedDelta.consolidated`` to the per-entry merge loop it runs only
-  for repeated pairs with other than unit counts, by ``repr`` and in order;
+* ``AnnotatedDelta.consolidated`` to the one merge of ``tests.reference``
+  (it runs its own per-entry loop only for repeated pairs with other than
+  unit counts), by ``repr`` and in order;
 * sketch-attribute choice, which stops at the first numeric candidate, to
   the ``(table, attribute)`` pairs the full candidate lists gave for every
   template of :mod:`repro.workloads`.
@@ -43,6 +44,7 @@ from repro.workloads import (
 )
 from repro.workloads.mixed import multi_sketch_templates
 from repro.workloads.synthetic import load_join_helper
+from tests.reference import merge
 
 # -- (a) Bloom filter: whole-list passes set the reference bits ---------------------
 
@@ -99,21 +101,14 @@ class TestBloomBatch:
         assert bytes(bloom._bits) == bytes(reference_filter(1, 0.0001, values)._bits)
 
 
-# -- (b) consolidated(): the per-entry loop's entries, order and spelling -----------
+# -- (b) consolidated(): the one merge's entries, order and spelling ---------------
 
 SCHEMA = Schema(["x", "y"])
 
 
-def loop_consolidated(delta: AnnotatedDelta) -> AnnotatedDelta:
-    """The merge as a plain per-entry loop: a pair whose total reaches zero is
-    dropped and re-enters at its next occurrence."""
-    totals: dict[tuple, int] = {}
-    for key, count in zip(zip(delta.rows, delta.annotations), delta.counts):
-        total = totals.get(key, 0) + count
-        if total:
-            totals[key] = total
-        else:
-            del totals[key]
+def reference(delta: AnnotatedDelta) -> AnnotatedDelta:
+    """``delta`` by the one merge, keyed by ``(row, annotation)`` pairs."""
+    totals = merge(zip(zip(delta.rows, delta.annotations), delta.counts))
     if not totals:
         return AnnotatedDelta(delta.schema)
     rows, annotations = map(list, zip(*totals))
@@ -156,15 +151,15 @@ def distinct_batches(draw):
 
 
 class TestConsolidated:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.one_of(unit_batches(), cancelling_batches(), distinct_batches()))
-    def test_equals_the_per_entry_loop(self, entries):
+    def test_equals_the_merge_reference(self, entries):
         rows = [row for row, _, _ in entries]
         masks = [mask for _, mask, _ in entries]
         counts = [count for _, _, count in entries]
         delta = AnnotatedDelta(SCHEMA, list(rows), list(masks), list(counts))
         merged = delta.consolidated()
-        assert spelled(merged) == spelled(loop_consolidated(delta))
+        assert spelled(merged) == spelled(reference(delta))
         # The input is left as it was.
         assert spelled(delta) == repr((rows, masks, counts))
 

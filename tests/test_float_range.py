@@ -11,6 +11,7 @@ from repro.core.errors import AggregateError, UnsupportedOperationError
 from repro.imp.middleware import IMPSystem
 from repro.relational.algebra import AggregateFunction
 from repro.relational.oracle import compute_aggregate
+from tests.reference import oracle
 
 HUGE = 10**400
 
@@ -34,11 +35,11 @@ def database(row=(1, HUGE, 1)) -> Database:
 )
 def test_arithmetic_raises_one_typed_error(sql, message):
     db = database()
-    with pytest.raises(UnsupportedOperationError) as engine:
+    with pytest.raises(UnsupportedOperationError) as batch:
         db.query(sql)
-    with pytest.raises(UnsupportedOperationError) as oracle:
-        db.query(sql, optimize_plans=False, vectorize=False)
-    assert str(engine.value) == str(oracle.value) == message
+    with pytest.raises(UnsupportedOperationError) as reference:
+        oracle(db, sql)
+    assert str(batch.value) == str(reference.value) == message
     with pytest.raises(UnsupportedOperationError):
         IMPSystem(db, num_fragments=4).run_query(sql)
 
@@ -50,7 +51,7 @@ def test_a_sum_raises_an_aggregate_error(function):
     with pytest.raises(AggregateError, match=f"{function}\\(a\\) .* out of float range"):
         db.query(sql)
     with pytest.raises(AggregateError, match=f"{function}\\(\\) .* out of float range"):
-        db.query(sql, optimize_plans=False, vectorize=False)
+        oracle(db, sql)
     with pytest.raises(AggregateError, match="out of float range"):
         compute_aggregate(AggregateFunction(function), [(1, 1), (HUGE, 2)])
 

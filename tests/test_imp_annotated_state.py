@@ -1,6 +1,8 @@
 """Tests for annotated deltas and incremental operator state."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import StateError
 from repro.relational.algebra import Aggregate, AggregateFunction
@@ -8,14 +10,15 @@ from repro.relational.expressions import ColumnRef
 from repro.relational.schema import Schema
 from repro.imp.annotated import AnnotatedDelta
 from repro.imp.persistence import _groups_payload
-from repro.imp.operators import IncrementalOperator, MergeOperator
+from repro.imp.operators import MergeOperator
 from repro.imp.state import (
     AggregationState,
     MinMaxAccumulator,
     TopKState,
     fold_fragments,
 )
-from repro.sketch.sketch import iter_bits
+from repro.sketch.sketch import SketchDelta, iter_bits
+from tests.reference import Feed, merge
 
 SCHEMA = Schema(["a", "b"])
 
@@ -255,11 +258,10 @@ class TestGroupAndMergeState:
         ]
 
     def test_merge_operator_counts(self):
-        merge = MergeOperator(Feed())
+        merge = MergeOperator(Feed(SCHEMA))
 
         def apply(entries):
-            annotations, counts = map(list, zip(*entries))
-            merge.child.queue(annotations, counts)
+            merge.child.queue(((0, 0), mask, count) for mask, count in entries)
             delta = merge.process_to_sketch_delta(None)
             return delta.added, delta.removed
 
@@ -282,21 +284,7 @@ class TestGroupAndMergeState:
         state = AggregationState([aggregate(AggregateFunction.SUM)])
         fold(state, [((1,), (1,), 1, 1)])
         assert state.memory_bytes() > 0
-        assert MergeOperator(Feed()).memory_bytes() > 0
-
-
-class Feed(IncrementalOperator):
-    """A child that hands ``μ`` the annotations and counts queued last."""
-
-    def __init__(self) -> None:
-        super().__init__(SCHEMA)
-        self.delta = AnnotatedDelta(SCHEMA)
-
-    def queue(self, annotations: list[int], counts: list[int]) -> None:
-        self.delta = AnnotatedDelta(SCHEMA, [()] * len(counts), annotations, counts)
-
-    def process(self, run) -> AnnotatedDelta:
-        return self.delta
+        assert MergeOperator(Feed(SCHEMA)).memory_bytes() > 0
 
 
 class TestTopKState:
@@ -398,3 +386,68 @@ class TestTopKState:
         state = TopKState()
         state.add((1,), ("payload" * 10,), 0b10, 1)
         assert state.memory_bytes() > 0
+
+
+# -- μ against the one merge ------------------------------------------------------------
+
+MASKS = st.integers(min_value=0, max_value=0b111111)
+
+
+@st.composite
+def streams(draw) -> list[tuple[list[int], list[int]]]:
+    """Batches of ``(annotations, counts)``.  A unit-count batch only inserts
+    single tuples; a mixed-sign batch inserts and deletes, in any order, and
+    deletes only annotated tuples present before it."""
+    present: dict[int, int] = {}
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        if draw(st.booleans()):
+            annotations = draw(st.lists(MASKS, max_size=12))
+            counts = [1] * len(annotations)
+        else:
+            held = {mask: count for mask, count in present.items() if count > 0}
+            entries = []
+            for _ in range(draw(st.integers(min_value=0, max_value=12))):
+                if held and draw(st.booleans()):
+                    mask = draw(st.sampled_from(sorted(held)))
+                    count = draw(st.integers(min_value=1, max_value=held[mask]))
+                    held[mask] -= count
+                    if not held[mask]:
+                        del held[mask]
+                    entries.append((mask, -count))
+                else:
+                    entries.append((draw(MASKS), draw(st.integers(min_value=1, max_value=3))))
+            annotations = [mask for mask, _count in entries]
+            counts = [count for _mask, count in entries]
+        for mask, count in zip(annotations, counts):
+            present[mask] = present.get(mask, 0) + count
+        batches.append((annotations, counts))
+    return batches
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams())
+def test_the_merge_operator_counts_fragments_as_the_one_merge_does(stream):
+    """``μ``'s counts are the one merge of each entry's count into each of its
+    fragments, entry by entry and in order, never netting equal masks: a
+    count that passes through zero leaves and re-enters at the end.  A
+    fragment enters the sketch when its count turns positive and leaves when
+    it drops to zero."""
+    merge_operator, totals = MergeOperator(Feed(SCHEMA)), {}
+    for annotations, counts in stream:
+        before = dict(totals)
+        merge(
+            (
+                (fragment, count)
+                for annotation, count in zip(annotations, counts)
+                for fragment in iter_bits(annotation)
+            ),
+            totals,
+        )
+        entries = zip([(0, 0)] * len(counts), annotations, counts)
+        merge_operator.child.queue(entries)
+        entered = frozenset(totals.keys() - before.keys())
+        left = frozenset(before.keys() - totals.keys())
+        assert merge_operator.process_to_sketch_delta(None) == SketchDelta(entered, left)
+        assert list(merge_operator.counts.items()) == list(totals.items())
+        assert merge_operator.mask == sum(1 << fragment for fragment in totals)

@@ -40,6 +40,7 @@ from repro.relational.schema import Schema
 from repro.storage.database import Database
 from repro.storage.delta import Delta
 from repro.storage.table import AttributeIndex, StoredTable
+from tests.reference import engine, oracle
 
 NAN = float("nan")
 
@@ -179,9 +180,8 @@ class TestNaNIsNotIndexed:
             before = database.index_scan_count
             served = database.query(sql)
             assert database.index_scan_count == before + 1
-            oracle = database.query(sql, optimize_plans=False, vectorize=False)
             expected = sorted((row[0],) for row in live if keep(row[1]))
-            assert served.to_sorted_list() == oracle.to_sorted_list() == expected
+            assert served.to_sorted_list() == oracle(database, sql).to_sorted_list() == expected
 
     def test_nan_rows_are_neither_indexed_nor_lost(self):
         table = StoredTable("t", ["id", "a"])
@@ -364,7 +364,7 @@ class TestOnlyTheColumnsReadAreBuilt:
         # The index-scan pivot only: the intervals prove the BETWEEN exactly,
         # so no recheck filter runs, and the pivot builds the two columns read.
         assert [(arity, sorted(positions)) for arity, positions in builds] == [(7, [1, 2])]
-        assert result == database.query(sql, optimize_plans=False, vectorize=False)
+        assert result == oracle(database, sql)
 
     def test_aggregate_over_a_filtered_table_batch_builds_what_it_reads(self, builds):
         database = wide_database()
@@ -372,8 +372,8 @@ class TestOnlyTheColumnsReadAreBuilt:
         plan = database.plan(sql)
         # The literal plan: no projection pushed under the selection, so the
         # filter runs over the whole 7-column table batch.
-        result = database.query(plan, optimize_plans=False)
-        assert result == database.query(sql, optimize_plans=False, vectorize=False)
+        result = engine(database, plan, optimize=False)
+        assert result == oracle(database, sql)
         assert [(arity, sorted(positions)) for arity, positions in builds] == [(7, [1, 4])]
 
     def test_a_column_is_built_once_however_often_it_is_read(self, builds):

@@ -11,27 +11,20 @@
 
 The row oracle re-checks the full predicate and the full join condition, so
 engine ≡ oracle by ``repr`` -- entry order, value types and float low bits --
-is what proves each elision sound.  The counter tests pin what the elision
-saves without reading a clock.  Bucket and entry order decide float sums, so
-this file runs under the ``PYTHONHASHSEED`` matrix in CI.
+is what proves each elision sound: ``tests.reference.CATALOGUE`` holds the
+index-served selections (generated AND/OR trees of comparisons, BETWEEN and
+NOT BETWEEN over indexed and unindexed columns) and the joins beside
+residuals.  Here the exact bounds are pinned, and the counter tests pin what
+the elision saves without reading a clock.
 """
 
 from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings, strategies as st
-
 from repro.imp.engine import capture_sketch
 from repro.relational import kernels
-from repro.relational.algebra import (
-    Aggregate,
-    AggregateFunction,
-    Aggregation,
-    Selection,
-    TableScan,
-    walk_plan,
-)
+from repro.relational.algebra import Selection, TableScan, walk_plan
 from repro.relational.columnar import LazyColumns
 from repro.relational.expressions import Between, ColumnRef, Comparison, Literal, LogicalOp
 from repro.relational.predicates import Interval, extract_intervals, is_exact_bound
@@ -40,15 +33,11 @@ from repro.sketch.use import instrument_plan
 from repro.storage.database import Database
 from repro.workloads.queries import q_endtoend
 from repro.workloads.synthetic import load_join_helper, load_synthetic
+from tests.reference import answer, oracle
 
 NAN = math.nan
 BIG = 2**53 + 1
 a, b = ColumnRef("a"), ColumnRef("b")
-
-
-def answer(relation) -> str:
-    """A relation compared bit for bit: entry order, types, NaN and low bits."""
-    return repr(list(relation.items()))
 
 
 # -- exact bounds -------------------------------------------------------------------
@@ -115,109 +104,6 @@ def test_what_the_intervals_prove():
     assert not any(is_exact_bound(predicate, "a") for predicate in unproven)
 
 
-# -- engine ≡ oracle over proven and unproven conjuncts -------------------------------
-
-VALUES = st.sampled_from([None, NAN, 0, 1, 1.0, True, False, 2, 2.5, -3, BIG, -BIG, 2**53])
-LITERALS = st.sampled_from([0, 1, 1.0, True, 2, 2.5, -3, BIG, -BIG, 2**53, NAN, None])
-SUMMANDS = st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, 7.25, 2])
-OPERATORS = st.sampled_from(["=", "<", "<=", ">", ">=", "<>"])
-
-
-@st.composite
-def comparison(draw):
-    """A leaf over ``a`` (indexed) or ``b``: with a literal on either side,
-    BETWEEN, or column against column."""
-    column = draw(st.sampled_from([a, a, ColumnRef("t.a"), b]))
-    kind = draw(st.sampled_from(["literal", "reversed", "between", "columns"]))
-    if kind == "between":
-        return Between(column, Literal(draw(LITERALS)), Literal(draw(LITERALS)))
-    other = Literal(draw(LITERALS)) if kind != "columns" else draw(st.sampled_from([a, b]))
-    if kind == "reversed":
-        return Comparison(draw(OPERATORS), other, column)
-    return Comparison(draw(OPERATORS), column, other)
-
-
-predicates = st.recursive(
-    comparison(),
-    lambda children: st.builds(
-        LogicalOp, st.sampled_from(["AND", "OR"]), st.lists(children, min_size=1, max_size=3)
-    ),
-    max_leaves=6,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.tuples(VALUES, VALUES, SUMMANDS), max_size=14),
-    predicates,
-    st.booleans(),
-)
-def test_index_served_selections_equal_the_oracle(rows, predicate, index_b):
-    database = Database()
-    database.create_table("t", ["id", "a", "b", "w"], primary_key="id")
-    database.insert("t", [(i, *row) for i, row in enumerate(rows)])
-    database.create_index("t", "a")
-    if index_b:
-        database.create_index("t", "b")
-    selection = Selection(TableScan("t"), predicate)
-    plans = [
-        selection,
-        Aggregation(
-            selection,
-            [],
-            [
-                Aggregate(AggregateFunction.SUM, ColumnRef("w"), "s"),
-                Aggregate(AggregateFunction.COUNT, None, "n"),
-            ],
-        ),
-    ]
-    for plan in plans:
-        for optimize in (False, True):
-            engine = database.query(plan, optimize_plans=optimize)
-            oracle = database.query(plan, optimize_plans=optimize, vectorize=False)
-            assert answer(engine) == answer(oracle), (predicate.canonical(), optimize)
-
-
-JOIN_KEYS = st.one_of(
-    st.sampled_from([None, 0, 1, 1.0, True, 2, NAN]),  # NAN: one shared object
-    st.builds(float, st.just("nan")),  # a NaN object of its own
-)
-JOIN_SQL = [
-    "SELECT g, k, w FROM t JOIN u ON (g = k)",
-    "SELECT g, h, w FROM t JOIN u ON (k = g AND h = l)",
-    "SELECT g, w FROM t JOIN u ON (g = k AND h < l)",
-    "SELECT g, w FROM t JOIN u ON (g = k AND h <> l)",
-    "SELECT g, w FROM t JOIN u ON (g = k AND g = l)",
-    "SELECT g, sum(w) AS sw, count(*) AS n FROM t JOIN u ON (g = k) GROUP BY g",
-    "SELECT g, sum(v * w) AS s FROM t JOIN u ON (g = k AND h = l) WHERE v < 100 GROUP BY g",
-    "SELECT g, avg(w) AS aw FROM t JOIN u ON (g = k) WHERE g >= 1 AND l < 2 GROUP BY g",
-    "SELECT h, w FROM t JOIN u ON (g = k) ORDER BY w DESC LIMIT 3",
-]
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.tuples(JOIN_KEYS, JOIN_KEYS, SUMMANDS), max_size=10),
-    st.lists(st.tuples(JOIN_KEYS, JOIN_KEYS, SUMMANDS), max_size=8),
-    st.booleans(),
-)
-def test_joins_recheck_only_the_residual(left, right, index_g):
-    """Key pairs alone, several, beside theta/``<>`` residuals, under an
-    index-served selection, with aggregates and LIMIT above."""
-    database = Database()
-    database.create_table("t", ["id", "g", "h", "v"], primary_key="id")
-    database.insert("t", [(i, *row) for i, row in enumerate(left)])
-    database.create_table("u", ["k", "l", "w"])
-    database.insert("u", right)
-    if index_g:
-        database.create_index("t", "g")
-    for sql in JOIN_SQL:
-        for optimize in (False, True):
-            engine = database.query(sql, optimize_plans=optimize)
-            oracle = database.query(sql, optimize_plans=optimize, vectorize=False)
-            assert answer(engine) == answer(oracle), (sql, optimize)
-
-
 # -- what the elision saves, counted ---------------------------------------------------
 
 
@@ -260,7 +146,7 @@ def test_a_sketch_only_query_runs_no_filter(monkeypatch):
     assert database.index_scan_count == before + 1
     assert calls == []
     monkeypatch.undo()
-    assert answer(result) == answer(database.query(plan, optimize_plans=False, vectorize=False))
+    assert answer(result) == answer(oracle(database, plan))
 
 
 def test_a_where_beside_the_sketch_filters_once_over_its_column(monkeypatch):
@@ -271,7 +157,7 @@ def test_a_where_beside_the_sketch_filters_once_over_its_column(monkeypatch):
     result = database.query(plan)
     assert calls == [[database.schema_of("r").index_of("b")]]
     monkeypatch.undo()
-    assert answer(result) == answer(database.query(plan, optimize_plans=False, vectorize=False))
+    assert answer(result) == answer(oracle(database, plan))
 
 
 def test_an_equi_join_on_its_keys_alone_runs_no_filter(monkeypatch):
@@ -288,7 +174,7 @@ def test_an_equi_join_on_its_keys_alone_runs_no_filter(monkeypatch):
         assert calls == expected, sql
         monkeypatch.undo()
         assert len(result) > 0
-        assert answer(result) == answer(database.query(sql, optimize_plans=False, vectorize=False))
+        assert answer(result) == answer(oracle(database, sql))
 
 
 def test_an_index_scan_has_one_entry_per_row_fetched():

@@ -5,7 +5,7 @@ predicate pushdown, conjunct merging, projection pruning, join reordering)
 preserves bag semantics and the output schema exactly.  The Hypothesis
 differential tests at the bottom check optimized against unoptimized plans,
 and ``IMPSystem`` / ``NoSketchSystem`` answers against the reference oracle
-(``Database.query(..., optimize_plans=False, vectorize=False)``) after every
+(``tests.reference.oracle``) after every
 update batch, across generated query templates and updates.
 """
 
@@ -27,7 +27,6 @@ from repro.relational.algebra import (
     walk_plan,
 )
 from repro.relational.evaluator import Evaluator
-from repro.relational.oracle import RowEvaluator
 from repro.relational.expressions import (
     BinaryOp,
     ColumnRef,
@@ -40,7 +39,14 @@ from repro.relational.expressions import (
 from repro.relational.optimizer import PlanOptimizer, equi_depth_fraction, fold_expression
 from repro.storage.database import Database
 from repro.storage.statistics import equi_depth_boundaries
-from tests.reference import assert_systems_match_oracle, random_insert_batches
+from tests.reference import (
+    answer,
+    assert_systems_match_oracle,
+    engine,
+    evaluator,
+    oracle,
+    random_insert_batches,
+)
 
 
 def make_three_table_db(num_rows: int = 300, seed: int = 3) -> Database:
@@ -130,9 +136,7 @@ class TestPushdown:
         optimized = PlanOptimizer(database).optimize(plan)
         scans = selections_on_scans(optimized)
         assert any("r.b" in s.predicate.canonical() for s in scans)
-        assert database.query(plan, optimize_plans=False) == database.query(
-            optimized, optimize_plans=False
-        )
+        assert engine(database, plan, optimize=False) == engine(database, optimized, optimize=False)
 
     def test_pushdown_through_subquery_projection(self):
         database = make_three_table_db()
@@ -143,9 +147,7 @@ class TestPushdown:
         plan = database.plan(sql)
         optimized = PlanOptimizer(database).optimize(plan)
         assert selections_on_scans(optimized), optimized.explain(database)
-        assert database.query(plan, optimize_plans=False) == database.query(
-            optimized, optimize_plans=False
-        )
+        assert engine(database, plan, optimize=False) == engine(database, optimized, optimize=False)
 
     def test_conjuncts_merge_into_one_selection_per_scan(self):
         # The shape the use rewrite produces: a sketch disjunction directly on
@@ -172,9 +174,7 @@ class TestPushdown:
         assert len(scans) == 1
         merged = conjuncts(scans[0].predicate)
         assert len(merged) == 2
-        assert database.query(plan, optimize_plans=False) == database.query(
-            optimized, optimize_plans=False
-        )
+        assert engine(database, plan, optimize=False) == engine(database, optimized, optimize=False)
 
     def test_having_stays_above_aggregation(self):
         database = make_three_table_db()
@@ -185,9 +185,7 @@ class TestPushdown:
         for node in walk_plan(optimized):
             if isinstance(node, Selection):
                 assert isinstance(node.child, Aggregation)
-        assert database.query(plan, optimize_plans=False) == database.query(
-            optimized, optimize_plans=False
-        )
+        assert engine(database, plan, optimize=False) == engine(database, optimized, optimize=False)
 
     def test_selection_is_not_pushed_below_topk(self):
         database = make_three_table_db()
@@ -198,9 +196,7 @@ class TestPushdown:
         assert not any(
             isinstance(n, Selection) for n in walk_plan(top.child)
         ), optimized.explain(database)
-        assert database.query(plan, optimize_plans=False) == database.query(
-            optimized, optimize_plans=False
-        )
+        assert engine(database, plan, optimize=False) == engine(database, optimized, optimize=False)
 
     def test_topk_with_order_key_ties_stays_bit_identical(self):
         # Regression: _top_k breaks order-key ties by encounter order, so any
@@ -217,15 +213,13 @@ class TestPushdown:
             "SELECT id, ra FROM r JOIN s ON (a = ra) "
             "WHERE b BETWEEN 0 AND 100 ORDER BY ra LIMIT 2"
         )
-        assert database.query(sql, optimize_plans=True) == database.query(
-            sql, optimize_plans=False
-        )
+        assert engine(database, sql) == engine(database, sql, optimize=False)
 
     def test_empty_sketch_contradiction_needs_no_scan(self):
         database = make_three_table_db()
         plan = Selection(TableScan("r"), Comparison("=", Literal(1), Literal(0)))
         before = database.scan_count
-        result = database.query(plan, optimize_plans=True)
+        result = engine(database, plan)
         assert len(result) == 0
         assert database.scan_count == before
 
@@ -239,7 +233,7 @@ class TestPushdown:
         )
         optimized = PlanOptimizer(database).optimize(plan)
         before = database.scan_count
-        result = database.query(optimized, optimize_plans=False)
+        result = engine(database, optimized, optimize=False)
         assert len(result) == 0
         assert database.scan_count == before
 
@@ -262,9 +256,7 @@ class TestJoinReordering:
         joins = [n for n in walk_plan(optimized) if isinstance(n, Join)]
         assert joins
         assert leftmost_scan(joins[0]).table == "t"
-        assert database.query(sql, optimize_plans=False) == database.query(
-            sql, optimize_plans=True
-        )
+        assert engine(database, sql, optimize=False) == engine(database, sql)
 
     def test_two_way_joins_keep_their_shape(self):
         database = make_three_table_db()
@@ -295,15 +287,11 @@ class TestProjectionPruning:
         # r contributes only id and the join key a; s only the join key d.
         assert left_width == 2
         assert right_width == 1
-        assert database.query(sql, optimize_plans=False) == database.query(
-            sql, optimize_plans=True
-        )
+        assert engine(database, sql, optimize=False) == engine(database, sql)
 
     @staticmethod
     def _answers_like_the_oracle(database: Database, sql: str) -> None:
-        engine = database.query(sql)
-        oracle = database.query(sql, optimize_plans=False, vectorize=False)
-        assert repr(list(engine.items())) == repr(list(oracle.items()))
+        assert answer(database.query(sql)) == answer(oracle(database, sql))
 
     def test_a_group_by_with_no_aggregate_read_above_becomes_distinct(self):
         database = make_three_table_db()
@@ -357,10 +345,10 @@ class TestEvaluatorIntegration:
         database = make_three_table_db()
         database.create_index("r", "b")
         sql = "SELECT r.id, s.e FROM r JOIN s ON (a = d) WHERE r.b BETWEEN 10 AND 20"
-        database.query(sql, optimize_plans=False)
+        engine(database, sql, optimize=False)
         unopt_index = database.index_scan_count
         unopt_full = database.scan_count
-        database.query(sql, optimize_plans=True)
+        engine(database, sql)
         assert database.index_scan_count - unopt_index == 1
         # The optimized plan reads r through the index, not a full scan.
         assert database.scan_count - unopt_full == 1  # only s
@@ -408,8 +396,8 @@ class TestEvaluatorIntegration:
         result = Evaluator(database).evaluate(TableScan("r", "x"))
         assert list(result.schema) == ["x.id", "x.a", "x.b", "x.c"]
 
-    @pytest.mark.parametrize("evaluator_class", [RowEvaluator, Evaluator])
-    def test_hash_join_with_mixed_condition(self, evaluator_class):
+    @pytest.mark.parametrize("rows", [True, False])
+    def test_hash_join_with_mixed_condition(self, rows):
         database = make_three_table_db()
         condition = LogicalOp(
             "AND",
@@ -421,10 +409,10 @@ class TestEvaluatorIntegration:
         join = Join(TableScan("r"), TableScan("s"), condition)
         # Unoptimized on purpose: the optimizer would rewrite the reference
         # below into the very join it is compared against.
-        evaluator = evaluator_class(database, optimize_plans=False)
-        hashed = evaluator.evaluate(join)
+        literal = evaluator(database, optimize=False, rows=rows)
+        hashed = literal.evaluate(join)
         # Reference: the same theta join as a filtered cross product.
-        reference = evaluator.evaluate(
+        reference = literal.evaluate(
             Selection(Join(TableScan("r"), TableScan("s"), None), condition)
         )
         assert hashed == reference
@@ -540,8 +528,8 @@ class TestDifferential:
         database.create_index("r", "b")
         for kind, payload in steps:
             if kind == "query":
-                unoptimized = database.query(payload, optimize_plans=False)
-                optimized = database.query(payload, optimize_plans=True)
+                unoptimized = engine(database, payload, optimize=False)
+                optimized = engine(database, payload)
                 assert optimized == unoptimized, payload
             elif kind == "insert":
                 database.insert("r", payload)

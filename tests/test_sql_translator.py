@@ -17,6 +17,7 @@ from repro.relational.algebra import (
 from repro.sql.template import template_of
 from repro.sql.translator import translate
 from repro.storage.database import Database
+from tests.reference import oracle
 
 
 @pytest.fixture()
@@ -177,7 +178,7 @@ class TestTranslationResults:
             f"SELECT * FROM t, ({inner}) AS q WHERE t.g = q.g "
             "ORDER BY t.g DESC LIMIT 2"
         )
-        expected = database.query(sql, optimize_plans=False, vectorize=False)
+        expected = oracle(database, sql)
         assert database.query(sql) == expected
         assert sorted(expected.rows(), reverse=True) == answer
 
@@ -209,7 +210,7 @@ class TestTranslationResults:
         database = Database()
         database.create_table("t", ["a", "b"])
         database.insert("t", [(i, i // 10) for i in range(40)])
-        expected = database.query(sql, optimize_plans=False, vectorize=False)
+        expected = oracle(database, sql)
         assert sorted(expected.rows()) == answer
         assert database.query(sql) == expected
         system = IMPSystem(database, num_fragments=4)

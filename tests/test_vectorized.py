@@ -1,15 +1,17 @@
 """Tests for the columnar batch engine against the row oracle.
 
 Every kernel (scan, selection including the index recheck path, projection,
-hash/cross/theta join, distinct, grouped aggregation, top-k) and every
-batch-compiled expression produces bit-identical relations to the row oracle
-(``Database.query(..., optimize_plans=False, vectorize=False)``), and
-``IMPSystem`` / ``NoSketchSystem`` answers equal it after every update batch.
-The Hypothesis differential tests run generated query/update workloads over
-mixed-type columns with NULLs; LIMIT ties, multiplicities cut at ``k``, NaN
-order keys and non-equi joins are additionally held to plans spelled out with
-the expression interpreter of ``tests.reference``; the unit tests pin down
-the batch representation, the three-valued-logic kernels and the
+hash/index-lookup/group/cross/theta join, distinct, grouped aggregation,
+top-k) and every batch-compiled expression produces bit-identical relations
+to the row oracle (``tests.reference.oracle``), and ``IMPSystem`` /
+``NoSketchSystem`` answers equal it after every update batch.  The one
+engine ≡ oracle differential runs every plan shape of
+``tests.reference.CATALOGUE`` over the harness's two generated tables; the
+other Hypothesis tests run generated query/update workloads over mixed-type
+columns with NULLs.  The catalogue's LIMIT, cross and theta shapes (ties,
+multiplicities cut at ``k``, NaN order keys) also hold the oracle to plans
+spelled out with the expression interpreter; the unit tests pin down the
+batch representation and its merges, the three-valued-logic kernels and the
 index-ranking selection.
 """
 
@@ -21,24 +23,15 @@ import random
 import re
 import subprocess
 import sys
-from functools import cmp_to_key
+import operator
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import UnsupportedOperationError
-from repro.relational.algebra import (
-    Aggregate,
-    AggregateFunction,
-    Aggregation,
-    Join,
-    OrderItem,
-    Projection,
-    ProjectionItem,
-    Selection,
-    TableScan,
-    TopK,
-)
+from repro.relational.algebra import Selection, TableScan
+from repro.relational import kernels
 from repro.relational.columnar import ColumnBatch
 from repro.relational.expressions import (
     BinaryOp,
@@ -53,9 +46,25 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Relation, Schema
 from repro.imp.middleware import IMPSystem
+from repro.sketch.ranges import DatabasePartition
 from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta, Delta
-from tests.reference import assert_systems_match_oracle, interpret, random_insert_batches
+from tests.reference import (
+    PLANS,
+    AnnotatedEvaluator,
+    assert_matches_oracle,
+    assert_systems_match_oracle,
+    engine,
+    interpret,
+    keys,
+    limits,
+    merge,
+    move,
+    oracle,
+    random_insert_batches,
+    tables,
+    theta_joins,
+)
 from tests.test_algebra_evaluator import NAN, ORDER_JOIN_CASES, make_order_join_db
 
 STRINGS = ["ash", "birch", "cedar", "oak", None]
@@ -135,6 +144,38 @@ class TestColumnBatch:
         batch = ColumnBatch.empty(schema)
         assert len(batch) == 0
         assert batch.to_relation() == Relation(schema)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.one_of(keys(), st.sampled_from([-0.0, 0.0, "a"])), keys()),
+            max_size=14,
+        ),
+        st.sampled_from([1, 2]),
+        st.lists(st.integers(1, 3), min_size=14, max_size=14),
+        st.booleans(),
+    )
+    def test_merges_equal_the_merge_reference(self, pairs, width, counts, unit):
+        """A one-column batch merges by raw value, unit multiplicities with
+        ``Counter``, wider rows by tuple; each equals the one merge by
+        ``repr`` and keeps the first occurrence's object (NaN identity, the
+        ``1``/``1.0``/``True`` and ``-0.0``/``0.0`` spellings)."""
+        rows = [pair[:width] for pair in pairs]
+        counts = [1] * len(rows) if unit else counts[: len(rows)]
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
+        batch = ColumnBatch(Schema(["a", "b"][:width]), columns, counts)
+        expected = merge(zip(rows, counts))
+        merged = batch.consolidate()
+        assert merged.consolidated
+        assert repr(merged.row_tuples()) == repr(list(expected))
+        assert merged.multiplicities == list(expected.values())
+        assert all(map(operator.is_, chain(*merged.row_tuples()), chain(*expected)))
+        distinct = kernels.distinct_batch(batch)
+        assert repr(distinct.row_tuples()) == repr(list(expected))
+        assert distinct.multiplicities == [1] * len(expected)
+        relation = batch.to_relation()
+        assert repr(list(relation.items())) == repr(list(expected.items()))
+        assert all(map(operator.is_, chain(*relation.distinct_rows()), chain(*expected)))
 
 
 # -- batch-compiled expressions --------------------------------------------------------
@@ -233,8 +274,8 @@ class TestSelectionSemantics:
         database.create_table("t", ["id", "flag"], primary_key="id")
         database.insert("t", [(1, True), (2, 1), (3, 0), (4, False), (5, None)])
         plan = Selection(TableScan("t"), ColumnRef("flag"))
-        vectorized = database.query(plan, optimize_plans=False, vectorize=True)
-        row = database.query(plan, optimize_plans=False, vectorize=False)
+        vectorized = engine(database, plan, optimize=False)
+        row = oracle(database, plan)
         assert vectorized == row
         assert vectorized.to_sorted_list() == [(1, True)]
 
@@ -253,18 +294,18 @@ class TestSelectionSemantics:
             "SELECT id, sid FROM m JOIN s ON b AND d = 3": non_null,
         }
         for sql, count in expected.items():
-            oracle = database.query(sql, optimize_plans=False, vectorize=False)
-            assert len(oracle) == count, sql
-            assert database.query(sql) == oracle, sql
-            assert database.query(sql, optimize_plans=False) == oracle, sql
-            assert imp.run_query(sql) == oracle, sql
+            expected = oracle(database, sql)
+            assert len(expected) == count, sql
+            assert database.query(sql) == expected, sql
+            assert engine(database, sql, optimize=False) == expected, sql
+            assert imp.run_query(sql) == expected, sql
 
     def test_constant_predicates(self):
         database = make_mixed_db(20)
         for value, expected in ((True, 20), (False, 0), (None, 0), (1, 0)):
             plan = Selection(TableScan("m"), Literal(value))
-            vectorized = database.query(plan, optimize_plans=False, vectorize=True)
-            row = database.query(plan, optimize_plans=False, vectorize=False)
+            vectorized = engine(database, plan, optimize=False)
+            row = oracle(database, plan)
             assert vectorized == row
             assert len(vectorized) == expected
 
@@ -272,162 +313,10 @@ class TestSelectionSemantics:
 # -- LIMIT, cross and theta joins: engine == oracle == interpreted plan ------------------
 
 
-def compare_order_values(a, b, ascending: bool) -> int:
-    """ORDER BY on one pair of values, spelled out: NULL first, then numbers
-    (booleans count) with NaN after all of them, then everything else by its
-    string form; DESC turns all of that around except that NaN stays behind
-    the other numbers."""
-
-    def kind(value):
-        return 0 if value is None else 1 if isinstance(value, (int, float)) else 2
-
-    if kind(a) != kind(b):
-        outcome = kind(a) - kind(b)
-    elif a is None:
-        outcome = 0
-    elif kind(a) == 1:
-        if a != a or b != b:
-            return (a != a) - (b != b)
-        outcome = (a > b) - (a < b)
-    else:
-        outcome = (str(a) > str(b)) - (str(a) < str(b))
-    return outcome if ascending else -outcome
-
-
 def interpreted(plan, database: Database) -> Relation:
-    """A plan of scans, selections, projections, joins and top-k evaluated
-    with the expression interpreter and nested loops -- no compiled
-    expression, no kernel, no row operator of ``src``."""
-    if isinstance(plan, TableScan):
-        stored = database.table(plan.table)
-        return Relation(stored.schema.qualify(plan.alias), dict(stored.items()))
-    if isinstance(plan, Join):
-        left, right = interpreted(plan.left, database), interpreted(plan.right, database)
-        result = Relation(left.schema.concat(right.schema))
-        for left_row, left_count in left.items():
-            for right_row, right_count in right.items():
-                row = left_row + right_row
-                if plan.condition is None or interpret(plan.condition, row, result.schema) is True:
-                    result.add(row, left_count * right_count)
-        return result
-    child = interpreted(plan.child, database)
-    if isinstance(plan, Selection):
-        kept = {
-            row: count
-            for row, count in child.items()
-            if interpret(plan.predicate, row, child.schema) is True
-        }
-        return Relation(child.schema, kept)
-    if isinstance(plan, Projection):
-        result = Relation(Schema(item.alias for item in plan.items))
-        for row, count in child.items():
-            values = [interpret(item.expression, row, child.schema) for item in plan.items]
-            result.add(tuple(values), count)
-        return result
-    assert isinstance(plan, TopK), plan
-
-    def compare(one, other) -> int:
-        for item in plan.order_by:
-            outcome = compare_order_values(
-                interpret(item.expression, one[0], child.schema),
-                interpret(item.expression, other[0], child.schema),
-                item.ascending,
-            )
-            if outcome:
-                return outcome
-        return 0
-
-    result = Relation(child.schema)
-    remaining = plan.k
-    for row, count in sorted(child.items(), key=cmp_to_key(compare)):  # stable: ties in child order
-        result.add(row, min(count, remaining))
-        remaining -= min(count, remaining)
-    return result
-
-
-ORDER_VALUES = [None, True, False, 0, 1, -1, 2.5, NAN, "ash", "oak", "10"]
-SUMMANDS = [0.1, 0.2, 0.3, 1e16, -1e16, 7.25]
-
-
-@st.composite
-def limit_and_join_case(draw):
-    """A small database with repeated rows and a plan over it whose answer
-    hangs on entry order: a LIMIT over tied, mixed-type keys or a join
-    without a hashable equality, optionally under a float sum."""
-    database = Database()
-    database.create_table("t", ["id", "g", "v"])
-    database.create_table("u", ["k", "w"])
-    database.insert(
-        "t",
-        draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, 5),
-                    st.sampled_from([None, 0, 1, 2]),
-                    st.sampled_from(ORDER_VALUES),
-                ),
-                max_size=14,
-            )
-        ),
-    )
-    database.insert(
-        "u",
-        draw(
-            st.lists(
-                st.tuples(st.sampled_from([None, 0, 1, 2, 3]), st.sampled_from(SUMMANDS)),
-                max_size=7,
-            )
-        ),
-    )
-    t, u = TableScan("t"), TableScan("u")
-    g, k, v, w = ColumnRef("g"), ColumnRef("k"), ColumnRef("v"), ColumnRef("w")
-    if draw(st.booleans()):
-        child = draw(
-            st.sampled_from(
-                [
-                    t,
-                    Selection(t, Comparison("<", ColumnRef("id"), Literal(4))),
-                    Projection(t, [ProjectionItem(g), ProjectionItem(v)]),
-                ]
-            )
-        )
-        order_by = [
-            OrderItem(expression, draw(st.booleans()))
-            for expression in draw(st.sampled_from([[v], [g], [g, v], [v, g]]))
-        ]
-        plan = TopK(child, draw(st.integers(1, 12)), order_by)
-        if draw(st.booleans()):
-            plan = Selection(plan, IsNull(g, negated=True))
-    else:
-        plan = Join(
-            t,
-            u,
-            draw(
-                st.sampled_from(
-                    [
-                        None,
-                        Literal(1),  # ON 1 is not ON TRUE: it selects nothing
-                        Comparison("<", g, k),
-                        Comparison("<>", g, k),
-                        Comparison("=", BinaryOp("+", g, Literal(1)), k),
-                        Comparison("=", k, Literal(2)),
-                        LogicalOp("OR", [Comparison("=", g, k), IsNull(k)]),
-                        LogicalOp(
-                            "AND", [Comparison("=", g, k), Comparison("<", ColumnRef("id"), w)]
-                        ),
-                    ]
-                )
-            ),
-        )
-        if draw(st.booleans()):
-            plan = TopK(plan, draw(st.integers(1, 9)), [OrderItem(k, draw(st.booleans()))])
-    return database, plan
-
-
-def float_sum(plan, argument: str):
-    return Aggregation(
-        plan, [], [Aggregate(AggregateFunction.SUM, ColumnRef(argument), "total")]
-    )
+    """``plan`` evaluated row by row with the expression interpreter, nested
+    loops and a spelled-out ORDER BY: the capture oracle over no partition."""
+    return AnnotatedEvaluator(database, DatabasePartition([])).evaluate(plan).to_relation()
 
 
 class TestLimitCrossAndThetaJoins:
@@ -435,31 +324,29 @@ class TestLimitCrossAndThetaJoins:
     def test_engine_oracle_and_interpreted_plan_agree(self, case):
         plan, _expected = ORDER_JOIN_CASES[case]  # pinned in test_algebra_evaluator
         database = make_order_join_db()
-        literal = database.query(plan, optimize_plans=False)
-        assert literal == database.query(plan, optimize_plans=False, vectorize=False)
+        literal = engine(database, plan, optimize=False)
+        assert literal == oracle(database, plan)
         assert literal == interpreted(plan, database)
-        assert database.query(plan) == database.query(plan, vectorize=False)
+        assert database.query(plan) == oracle(database, plan, optimize=True)
 
-    @settings(max_examples=150, deadline=None)
-    @given(limit_and_join_case())
-    def test_generated_plans(self, case):
-        database, plan = case
-        literal = database.query(plan, optimize_plans=False)
-        assert literal == database.query(plan, optimize_plans=False, vectorize=False)
-        assert literal == interpreted(plan, database)
-        assert database.query(plan) == database.query(plan, vectorize=False)
-        # The entry *order* below a float sum decides its low bits.
-        if "u.w" in literal.schema.attributes:
-            total = float_sum(plan, "w")
-            for optimize in (False, True):
-                assert database.query(total, optimize_plans=optimize) == database.query(
-                    total, optimize_plans=optimize, vectorize=False
-                )
+    @settings(max_examples=100, deadline=None)
+    @given(tables(), st.one_of(limits(), theta_joins()))
+    def test_the_oracle_equals_the_interpreted_plan(self, case, plan):
+        """The catalogue's LIMIT, cross and theta shapes, spelled out: the
+        oracle the harness holds the engine to answers as the interpreter does."""
+        database, _moved = case
+        try:
+            expected = interpreted(plan, database)
+        except UnsupportedOperationError:
+            with pytest.raises(UnsupportedOperationError):
+                oracle(database, plan)
+            return
+        assert oracle(database, plan) == expected
 
     def test_sql_limit_over_a_selection(self):
         database = make_mixed_db()
         sql = "SELECT id, b FROM m WHERE b < 80 ORDER BY b, id LIMIT 7"
-        assert database.query(sql) == database.query(sql, vectorize=False)
+        assert database.query(sql) == oracle(database, sql, optimize=True)
 
     def test_nan_keys_do_not_make_the_limit_depend_on_insertion_order(self):
         rows = [(1, 5.0), (2, NAN), (3, 1.0), (4, 3.0)]
@@ -474,9 +361,9 @@ class TestLimitCrossAndThetaJoins:
             database.create_table("t", ["id", "x"])
             database.insert("t", order)
             for sql, ids in expected.items():
-                for vectorize in (True, False):
-                    answer = database.query(sql, vectorize=vectorize)
-                    assert {row[0] for row in answer.rows()} == ids, (sql, order, vectorize)
+                for run in (engine, oracle):
+                    result = run(database, sql, True)
+                    assert {row[0] for row in result.rows()} == ids, (sql, order, run)
 
     def test_scan_counts_match_between_engine_and_oracle(self):
         # The oracle reads what the engine reads: column_batch counts like
@@ -491,9 +378,9 @@ class TestLimitCrossAndThetaJoins:
         ]
         for sql in queries:
             counters = []
-            for vectorize in (True, False):
+            for run in (engine, oracle):
                 before = (database.scan_count, database.index_scan_count)
-                database.query(sql, vectorize=vectorize)
+                run(database, sql, True)
                 after = (database.scan_count, database.index_scan_count)
                 counters.append((after[0] - before[0], after[1] - before[1]))
             assert counters[0] == counters[1], sql
@@ -521,11 +408,11 @@ class TestColumnCache:
 
     def test_cached_batch_survives_query_side_mutations(self):
         database = make_mixed_db(30)
-        result = database.query("SELECT * FROM m", vectorize=True)
+        result = engine(database, "SELECT * FROM m")
         some_row = next(iter(result.distinct_rows()))
         result.remove(some_row, 1)
         result.add((999_999, 0, 0, "x"), 5)
-        again = database.query("SELECT * FROM m", vectorize=True)
+        again = engine(database, "SELECT * FROM m")
         assert again.multiplicity((999_999, 0, 0, "x")) == 0
         assert again.multiplicity(some_row) > 0
 
@@ -556,14 +443,17 @@ class TestIndexRanking:
             return original(self, table, attribute, intervals)
 
         monkeypatch.setattr(Database, "index_scan", recording)
-        sql = (
-            "SELECT id FROM t WHERE b BETWEEN 0 AND 80 "
-            "AND z_sel BETWEEN 100 AND 200"
-        )
-        for vectorize in (True, False):
-            used.clear()
-            database.query(sql, optimize_plans=True, vectorize=vectorize)
-            assert used == ["z_sel"], used
+        chosen = {
+            "SELECT id FROM t WHERE b BETWEEN 0 AND 80 AND z_sel BETWEEN 100 AND 200": "z_sel",
+            # An empty interval list ranks first; ``b <= 3`` is ~4% of ``b``.
+            "SELECT id FROM t WHERE b < 80 AND z_sel > 200 AND z_sel < 100": "z_sel",
+            "SELECT id FROM t WHERE b <= 3 AND z_sel BETWEEN 0 AND 9000": "b",
+        }
+        for sql, attribute in chosen.items():
+            for run in (engine, oracle):
+                used.clear()
+                run(database, sql, True)
+                assert used == [attribute], (sql, used)
 
     def test_single_candidate_still_served(self):
         database = make_mixed_db()
@@ -571,79 +461,22 @@ class TestIndexRanking:
         before = database.index_scan_count
         result = database.query("SELECT id FROM m WHERE b BETWEEN 5 AND 9")
         assert database.index_scan_count == before + 1
-        assert result == database.query(
-            "SELECT id FROM m WHERE b BETWEEN 5 AND 9", optimize_plans=False, vectorize=False
-        )
+        assert result == oracle(database, "SELECT id FROM m WHERE b BETWEEN 5 AND 9")
 
 
 # -- Hypothesis differential suites ----------------------------------------------------
 
-QUERY_TEMPLATES = [
-    "SELECT id, a, b FROM m WHERE b BETWEEN {low} AND {high}",
-    "SELECT a, b, s FROM m WHERE b < {high} OR s = 'ash'",
-    "SELECT DISTINCT s FROM m WHERE b > {low}",
-    "SELECT a, count(*) AS n, sum(b) AS sb, min(s) AS ms FROM m GROUP BY a",
-    "SELECT a, avg(b) AS ab FROM m WHERE b IS NOT NULL GROUP BY a HAVING avg(b) > {low}",
-    "SELECT m.id, o.w FROM m JOIN o ON (a = g) WHERE m.b < {high}",
-    "SELECT id, b * 2 AS bb FROM m WHERE s IS NULL",
-    "SELECT id, b FROM m WHERE b < {high} ORDER BY b, id LIMIT 5",
-    "SELECT count(*) AS n FROM m WHERE b BETWEEN {low} AND {high}",
-    "SELECT abs(b) AS ab, lower(s) AS ls FROM m WHERE b > {low}",
-    "SELECT id, a FROM m WHERE b < {high} ORDER BY a LIMIT 7",
-    "SELECT id, s, b FROM m ORDER BY s DESC, b LIMIT 6",
-    "SELECT m.id, o.oid FROM m JOIN o ON (m.a < o.g) WHERE m.b < {low}",
-    "SELECT m.id, o.oid FROM m JOIN o ON (m.a <> o.g AND m.b = o.oid)",
-]
-
-
-@st.composite
-def workload(draw):
-    steps = []
-    next_id = [50_000]
-    for _ in range(draw(st.integers(1, 4))):
-        template = draw(st.sampled_from(QUERY_TEMPLATES))
-        low = draw(st.integers(0, 60))
-        high = low + draw(st.integers(0, 80))
-        steps.append(("query", template.format(low=low, high=high)))
-        kind = draw(st.sampled_from(["insert", "delete", "none"]))
-        if kind == "insert":
-            rows = []
-            for _ in range(draw(st.integers(1, 5))):
-                rows.append(
-                    (
-                        next_id[0],
-                        draw(st.integers(0, 11)),
-                        draw(st.one_of(st.none(), st.integers(0, 99))),
-                        draw(st.sampled_from(STRINGS)),
-                    )
-                )
-                next_id[0] += 1
-            steps.append(("insert", rows))
-        elif kind == "delete":
-            steps.append(("delete", draw(st.integers(0, 40))))
-    return steps
-
-
 class TestDifferential:
-    @settings(max_examples=30, deadline=None)
-    @given(workload())
-    def test_vectorized_is_bit_identical_to_row_engine(self, steps):
-        database = make_mixed_db(num_rows=120, seed=11)
-        database.create_index("m", "b")
-        for kind, payload in steps:
-            if kind == "query":
-                for optimize in (False, True):
-                    vectorized = database.query(
-                        payload, optimize_plans=optimize, vectorize=True
-                    )
-                    row = database.query(
-                        payload, optimize_plans=optimize, vectorize=False
-                    )
-                    assert vectorized == row, (payload, optimize)
-            elif kind == "insert":
-                database.insert("m", payload)
-            else:
-                database.execute(f"DELETE FROM m WHERE b < {payload}")
+    @settings(max_examples=130, deadline=None)
+    @given(tables(), PLANS)
+    def test_engine_equals_the_oracle_over_the_catalogue(self, case, plans):
+        """A plan of every shape of ``tests.reference.CATALOGUE`` over the
+        two generated tables, and again after rows of ``u`` moved."""
+        database, moved = case
+        for _ in range(2 if moved else 1):
+            for plan in plans.values():
+                assert_matches_oracle(database, plan)
+            move(database, moved)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**20), st.integers(2, 5))
@@ -722,7 +555,7 @@ class TestFloatAggregatesUnderMaintenance:
         for _ in range(commits):
             for sql in FLOAT_QUERIES:
                 answer = database.query(sql)
-                assert answer == database.query(sql, optimize_plans=False, vectorize=False), sql
+                assert answer == oracle(database, sql), sql
             victims = rng.sample(sorted(live), rng.randrange(1, 6))
             deletes = [live.pop(key) for key in victims]
             inserts = [float_row(rng, next_id + i) for i in range(rng.randrange(0, 6))]
@@ -736,7 +569,7 @@ class TestFloatAggregatesUnderMaintenance:
                 commit(target, "d", [new], [old])
         for sql in FLOAT_QUERIES:
             answer = database.query(sql)
-            assert answer == database.query(sql, optimize_plans=False, vectorize=False), sql
+            assert answer == oracle(database, sql), sql
             assert answer == replica.query(sql), sql
 
     @settings(max_examples=10, deadline=None)
@@ -771,6 +604,7 @@ from repro.relational.algebra import (
     Projection, ProjectionItem, Selection, TableScan, TopK,
 )
 from repro.imp.middleware import IMPSystem
+from repro.relational.evaluator import Evaluator
 from repro.relational.expressions import ColumnRef, Comparison, Literal
 from repro.storage.database import Database
 from repro.workloads import TPCH_QUERIES
@@ -811,8 +645,8 @@ plans = [
     TopK(t, 3, [OrderItem(b, False), OrderItem(a)]),
 ]
 for plan in plans:
-    for optimize in (True, False):
-        assert len(database.query(plan, optimize_plans=optimize)) > 0
+    for optimize in (True, False):  # the engine on the optimized and the literal plan
+        assert len(Evaluator(database, optimize).evaluate(plan)) > 0
 assert database.index_scan_count == 2
 
 assert not row_scans, row_scans

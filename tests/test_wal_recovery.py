@@ -15,6 +15,7 @@ import decimal
 import enum
 import errno
 import os
+import random
 import struct
 
 import pytest
@@ -44,6 +45,7 @@ from repro.storage.wal import (
 from repro.workloads.queries import q_groups
 from repro.workloads.synthetic import load_synthetic
 from tests.legacy_format import frame_v1, write_v1_log
+from tests.reference import answer
 
 
 class Color(enum.IntEnum):
@@ -265,6 +267,37 @@ class TestDurableDatabase:
         assert state_fingerprint(recovered) == before
         assert report.checkpoint_version == 3
         assert report.commits_replayed == 1  # only the post-checkpoint commit
+
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_a_restart_answers_as_the_live_database(self, tmp_path, tail):
+        """A checkpoint writes rows in the live entry order, so a reopened
+        database sums wide-range floats and cuts LIMIT ties as the live one
+        did, by ``repr``: right after the checkpoint and with a WAL tail."""
+        rng = random.Random(20)
+        data_dir = str(tmp_path / "d")
+        db = Database("floats", data_dir=data_dir)
+        db.create_table("t", ["id", "g", "k", "x"])
+        rows = [
+            (i, i % 7, 0, rng.uniform(-1, 1) * 10 ** rng.randrange(-6, 16)) for i in range(3000)
+        ]
+        db.insert("t", rows[:2000])
+        db.insert("t", rows[2000:])
+        moved = rows[::40]
+        db.delete_rows("t", moved)
+        db.insert("t", moved[::-1])  # deleted and re-inserted in another order
+        db.checkpoint()
+        if tail:
+            db.delete_rows("t", rows[1::90])
+            db.insert("t", rows[1::90][::-1] + [(3000, 1, 0, 1e15 / 7)])
+        queries = [
+            "SELECT g, sum(x) AS s FROM t GROUP BY g",
+            "SELECT id, k FROM t ORDER BY k LIMIT 2",
+        ]
+        live = [answer(db.query(sql)) for sql in queries]
+        db.close()
+        reopened = Database("floats", data_dir=data_dir)
+        assert [answer(reopened.query(sql)) for sql in queries] == live
+        reopened.close()
 
     def test_crash_between_checkpoint_and_rotation_is_skipped_by_lsn(self, tmp_path):
         db = build_sample_db(str(tmp_path / "d"))
