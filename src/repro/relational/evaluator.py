@@ -28,6 +28,7 @@ from repro.relational.algebra import (
 from repro.relational import kernels
 from repro.relational.columnar import ColumnBatch
 from repro.relational.expressions import (
+    BinaryOp,
     ColumnRef,
     Expression,
     Literal,
@@ -50,6 +51,19 @@ _EXACT_BOUND = 2**53
 """Every integer of magnitude up to this converts to a float exactly."""
 
 
+def _arithmetic(expression: Expression) -> bool:
+    return isinstance(expression, BinaryOp) or any(map(_arithmetic, expression.children()))
+
+
+def _spelled(batch: ColumnBatch, expressions: Sequence[Expression]) -> ColumnBatch:
+    """``batch`` consolidated where ``expressions`` compute arithmetic: the
+    oracle merges equal rows under their first spelling, and arithmetic tells
+    an int past 2**53 from its equal float (``2**53 + 1 != float(2**53) + 1``)."""
+    if batch.consolidated or not any(map(_arithmetic, expressions)):
+        return batch
+    return batch.consolidate()
+
+
 def _fold_input(batch: ColumnBatch, aggregates: Sequence[Aggregate]) -> ColumnBatch:
     """``batch`` as an aggregation folds it: consolidated -- one entry per
     distinct row, in first-occurrence order, which fixes the accumulation
@@ -63,6 +77,7 @@ def _fold_input(batch: ColumnBatch, aggregates: Sequence[Aggregate]) -> ColumnBa
     merged or not.  Every other argument keeps the merge; a float column is
     told by sampled values before any full pass.
     """
+    batch = _spelled(batch, [a.argument for a in aggregates if a.argument is not None])
     if batch.consolidated:
         return batch
     columns = []
@@ -198,6 +213,7 @@ class Evaluator:
         return compile_batch_expression(expression, batch.schema)(batch.columns, len(batch))
 
     def _filter(self, batch: ColumnBatch, predicate: Expression) -> ColumnBatch:
+        batch = _spelled(batch, [predicate])
         return kernels.filter_batch(
             batch, self._values(batch, predicate), strict_boolean(predicate)
         )
@@ -217,6 +233,8 @@ class Evaluator:
         # Lazy pivot: only the columns the recheck and the operators above
         # read are ever extracted from the fetched rows.
         fetched = self._provider.index_scan(node.child.table, attribute, intervals)
+        if fetched is None:
+            return self._filter(self._batch(node.child), node.predicate)
         fetched = fetched.relabel(fetched.schema.qualify(node.child.alias))
         # Over-approximated index bounds stay sound because the fetched rows
         # are re-checked -- with the conjuncts the intervals do not prove
@@ -227,7 +245,7 @@ class Evaluator:
         return fetched if residual is None else self._filter(fetched, residual)
 
     def _projection_batch(self, node: Projection) -> ColumnBatch:
-        child = self._batch(node.child)
+        child = _spelled(self._batch(node.child), [item.expression for item in node.items])
         value_columns = [self._values(child, item.expression) for item in node.items]
         return kernels.project_batch(
             child, Schema(item.alias for item in node.items), value_columns
@@ -293,7 +311,7 @@ class Evaluator:
         grouped = self._group_join_batch(node)
         if grouped is not None:
             return grouped
-        child = _fold_input(self._batch(node.child), node.aggregates)
+        child = _spelled(_fold_input(self._batch(node.child), node.aggregates), node.group_by)
         key_columns = [self._values(child, expression) for expression in node.group_by]
         return self._fold(node, child, key_columns)
 

@@ -51,15 +51,16 @@ reference) -- callers must treat both as read-only.
 
 
 def _rejected(
-    symbol: str, operation: Callable, operands: Iterable[tuple]
+    symbol: str, operation: Callable, operands: Iterable[tuple], nulls: bool = False
 ) -> UnsupportedOperationError:
     """The error for operator ``symbol``, naming the types of the first
-    NULL-free operand tuple that ``operation`` raises ``TypeError`` on
+    NULL-free operand tuple (with ``nulls``, of any tuple: ``operation``
+    reads NULL itself) that ``operation`` raises ``TypeError`` on
     (``'x' + 1``, ``-'x'``, ``'x' < 2``) or ``OverflowError`` (an int out of
     float range in ``/`` or beside a float).  A kernel calls this once its
     comprehension raised one, so there is such a tuple."""
     for values in operands:
-        if None not in values:
+        if nulls or None not in values:
             try:
                 operation(*values)
             except TypeError:
@@ -378,23 +379,10 @@ def _between(value: Any, low: Any, high: Any) -> bool | None:
     if value is None:
         return None
     above = None if low is None else low <= value
-    if above is False:
-        return False
-    below = None if high is None else value <= high
-    if below is False:
+    below = None if above is False or high is None else value <= high
+    if above is False or below is False:
         return False
     return None if above is None or below is None else True
-
-
-def _between_error(triples: Iterable[tuple]) -> UnsupportedOperationError:
-    """The error for the first triple :func:`_between` raises ``TypeError``
-    on (a NULL bound may sit beside the offending pair)."""
-    for triple in triples:
-        try:
-            _between(*triple)
-        except TypeError:
-            break
-    return UnsupportedOperationError(f"operator BETWEEN does not apply to {_types(triple)}")
 
 
 class Between(Expression):
@@ -420,7 +408,8 @@ class Between(Expression):
                 try:
                     return [None if value is None else lo <= value <= hi for value in values]
                 except TypeError:
-                    raise _between_error((value, lo, hi) for value in values) from None
+                    triples = ((value, lo, hi) for value in values)
+                    raise _rejected("BETWEEN", _between, triples) from None
 
             if lo is not None and hi is not None:  # a NULL bound: the general path
                 return fast
@@ -437,7 +426,7 @@ class Between(Expression):
                     for value, lo, hi in zip(values, lows, highs)
                 ]
             except TypeError:
-                raise _between_error(zip(values, lows, highs)) from None
+                raise _rejected("BETWEEN", _between, zip(values, lows, highs), True) from None
 
         return run_batch
 

@@ -326,13 +326,13 @@ class RowEvaluator(Evaluator):
                 return self._evaluate(node.child)
             return Relation(node.child.output_schema(self._provider))
         choice = self._index_choice(node)
-        if choice is None:
+        fetched = None if choice is None else self._provider.index_scan(node.child.table, *choice)
+        if fetched is None:
             child = self._evaluate(node.child)
             schema, items = child.schema, child.items()
         else:
             # The rows the engine's index scan reads, in the order it reads
             # them; the full predicate is re-checked on them all the same.
-            fetched = self._provider.index_scan(node.child.table, *choice)
             schema = fetched.schema.qualify(node.child.alias)
             items = zip(fetched.row_tuples(), fetched.multiplicities)
         result = Relation(schema)

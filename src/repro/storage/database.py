@@ -243,14 +243,19 @@ class Database:
         """Attributes of ``table`` that carry an ordered index."""
         return self.table(table).indexed_attributes()
 
-    def index_scan(self, table: str, attribute: str, intervals) -> ColumnBatch:
+    def index_scan(self, table: str, attribute: str, intervals) -> ColumnBatch | None:
         """Index range scan over ``table.attribute`` (used by the evaluator):
         a lazy per-query batch over the table's schema, one entry per fetched
-        row, in index order (:meth:`ColumnBatch.from_fetched_rows`)."""
+        row, in index order (:meth:`ColumnBatch.from_fetched_rows`) -- or
+        None where the bounds do not order against the indexed values (a
+        number against text), for the caller to filter a full scan."""
         with self._lock:
-            self._index_scan_counter += 1
             stored = self.table(table)
-            rows, multiplicities = stored.rows_in_intervals(attribute, intervals)
+            try:
+                rows, multiplicities = stored.rows_in_intervals(attribute, intervals)
+            except TypeError:
+                return None
+            self._index_scan_counter += 1
         return ColumnBatch.from_fetched_rows(
             stored.schema, rows, multiplicities, consolidated=True
         )

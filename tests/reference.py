@@ -15,7 +15,8 @@ bits) over a plan and the consumers whose answer hangs on its entry order;
 :func:`tables` draws the two tables ``t(id, g, h, v)`` and ``u(k, l, w)``
 every differential runs on, and :data:`CATALOGUE` holds the plan shapes.
 :func:`assert_systems_match_oracle` drives the middleware systems against
-the oracle.
+the oracle, and :class:`Without` hides a provider method (index scans, the
+lookup join) to force the path taken without it.
 
 **The rule:** a kernel change adds its plan shape to :data:`CATALOGUE` (and,
 if it needs one, a value to the key pool), not a test file.  A kernel test
@@ -69,7 +70,7 @@ from repro.relational.algebra import (
     TableScan,
     TopK,
 )
-from repro.relational.evaluator import Evaluator, RelationProvider
+from repro.relational.evaluator import RelationProvider
 from repro.relational.expressions import (
     Between,
     BinaryOp,
@@ -81,7 +82,7 @@ from repro.relational.expressions import (
     LogicalOp,
     Not,
 )
-from repro.relational.oracle import RowEvaluator, compute_aggregate, interpret
+from repro.relational.oracle import compute_aggregate, interpret
 from repro.relational.schema import Relation, Row, Schema
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.sketch import ProvenanceSketch
@@ -127,10 +128,19 @@ def engine(database, query, optimize: bool = True) -> Relation:
     return database.query(query, optimize_plans=optimize)
 
 
-def evaluator(provider, optimize: bool = True, rows: bool = False) -> Evaluator:
-    """An evaluator over any relation provider: the engine, or with
-    ``rows`` the row oracle."""
-    return (RowEvaluator if rows else Evaluator)(provider, optimize_plans=optimize)
+class Without:
+    """``database`` as a relation provider without the named methods, so an
+    evaluator takes the path it takes without them (``"index_scan"``: every
+    table read in table order; ``"index_lookup"``: no lookup join)."""
+
+    def __init__(self, database: Database, *hidden: str) -> None:
+        self._database = database
+        self._hidden = hidden
+
+    def __getattr__(self, name: str):
+        if name in self._hidden:
+            raise AttributeError(name)
+        return getattr(self._database, name)
 
 
 def answer(relation) -> str:
@@ -197,6 +207,7 @@ BIG = 2**53 + 1  # the first int a float cannot hold: float(BIG) == 2**53
 OWN_NAN = object()  # drawn as a NaN object of its own
 KEYS = [None, NAN, OWN_NAN, 0, 1, 1.0, True, False, 2, 2.5, -3, BIG, -BIG, float(BIG), 2**53]
 TEXT = ["x", "1"]
+WORDS = [None, "ash", "Birch", "x", "1", ""]  # an all-text column: min, lower, ORDER BY
 # Float sums whose low bits hang on entry order and on merging duplicates
 # first; int sums stay exact up to 2**53, where the fold stops merging.
 SUMMANDS = [0.1, 0.2, 0.3, 1e16, -1e16, 7.25, 1.0, 2, True, None, NAN, BIG]
@@ -218,16 +229,18 @@ def keys(text: bool = False) -> st.SearchStrategy:
 def tables(draw) -> tuple[Database, list]:
     """``t(id, g, h, v)`` and ``u(k, l, w)`` with repeated rows, float (or
     int-only) summands and optional indexes, and rows of ``u`` to delete and
-    re-insert (:func:`move`).  Text keys go to ``t.g`` only, which then has
-    no index: an index holds values that order against each other."""
-    text = draw(st.booleans())
+    re-insert (:func:`move`).  Text goes to ``t.g`` only: beside the keys, or
+    all of it (:data:`WORDS`).  An index holds values that order against each
+    other, so ``t.g`` has none when it mixes text and numbers."""
+    g_keys = draw(st.sampled_from(["numbers", "mixed", "text"]))
     database = two_tables()
-    indexable = [("u", "k"), ("u", "l"), ("t", "h"), ("t", "id")] + [("t", "g")] * (not text)
-    for table, attribute in indexable:
+    indexable = [("u", "k"), ("u", "l"), ("t", "h"), ("t", "id")]
+    for table, attribute in indexable + [("t", "g")] * (g_keys != "mixed"):
         if draw(st.booleans()):
             database.create_index(table, attribute)
     v, w = (st.sampled_from(draw(st.sampled_from([SUMMANDS, EXACT]))) for _ in "vw")
-    t_rows = draw(st.lists(st.tuples(st.integers(0, 5), keys(text), keys(), v), max_size=10))
+    g = st.sampled_from(WORDS) if g_keys == "text" else keys(g_keys == "mixed")
+    t_rows = draw(st.lists(st.tuples(st.integers(0, 5), g, keys(), v), max_size=10))
     u_rows = draw(st.lists(st.tuples(keys(), keys(), w), max_size=10))
     for table, rows in (("t", t_rows), ("u", u_rows)):
         again = draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
@@ -263,6 +276,7 @@ T_KEYS = Projection(T, [ProjectionItem(g)])  # a key-only side: merged before th
 T_TWO = Projection(T, [ProjectionItem(g), ProjectionItem(h)])
 U_KEYS = Projection(U, [ProjectionItem(k)])  # a key-only right side: a semi-join
 U_PAIRS = Projection(U, [ProjectionItem(k), ProjectionItem(w)])  # duplicate rows
+U_KEY_PAIR = Projection(U, [ProjectionItem(k), ProjectionItem(l)])  # a semi-join on two keys
 U_SELECTED = Selection(U, IsNull(l, negated=True))  # an index lookup when ``k`` is indexed
 
 
@@ -278,12 +292,17 @@ def aggregate(function: str, argument, alias: str) -> Aggregate:
     return Aggregate(AggregateFunction[function], argument, alias)
 
 
-# The hash join's duplicate rules: key-only sides, one and two key pairs, one
-# column keyed twice, a residual, no key pair.
+# The hash join's duplicate rules: key-only sides (the right one of one or
+# two columns, in either order, one of them keyed twice), one and two key
+# pairs, one column keyed twice, a residual, no key pair.
 JOINS = [
     Join(T_KEYS, U, equal(g, k)),
     Join(T, U_KEYS, equal(g, k)),
     Join(T_KEYS, U_KEYS, equal(k, g)),
+    Join(T_TWO, U_KEY_PAIR, both(equal(g, k), equal(h, l))),
+    Join(T_TWO, U_KEY_PAIR, both(equal(h, l), equal(g, k))),
+    Join(T, U_KEY_PAIR, both(equal(g, l), equal(g, k))),
+    Join(T_TWO, U_KEYS, both(equal(g, k), equal(h, k))),
     Join(T_TWO, U, both(equal(g, k), equal(h, l))),
     Join(T_KEYS, U, both(equal(g, k), equal(g, l))),
     Join(T_KEYS, U, both(equal(g, k), Comparison("<", g, w))),
@@ -441,13 +460,13 @@ SQL_TEMPLATES = [
     "SELECT id, g, h FROM t WHERE h BETWEEN {low} AND {high}",
     "SELECT g, h, v FROM t WHERE h < {high} OR g = 'x'",
     "SELECT DISTINCT g FROM t WHERE h > {low}",
-    "SELECT g, count(*) AS n, sum(h) AS sh, min(v) AS lo FROM t GROUP BY g",
+    "SELECT h, count(*) AS n, sum(v) AS sv, min(g) AS mg FROM t GROUP BY h",
     "SELECT g, avg(v) AS av FROM t WHERE v IS NOT NULL GROUP BY g HAVING avg(v) > {low}",
     "SELECT t.id, u.w FROM t JOIN u ON (g = k) WHERE t.h < {high}",
     "SELECT id, v * 2 AS vv FROM t WHERE h IS NULL",
     "SELECT id, h FROM t WHERE h < {high} ORDER BY h, id LIMIT 5",
     "SELECT count(*) AS n FROM t WHERE h BETWEEN {low} AND {high}",
-    "SELECT abs(v) AS av FROM t WHERE h > {low}",
+    "SELECT abs(v) AS av, lower(g) AS lg FROM t WHERE h > {low}",
     "SELECT id, g FROM t WHERE h < {high} ORDER BY g LIMIT 7",
     "SELECT id, g, h FROM t ORDER BY g DESC, h LIMIT 6",
     "SELECT t.id, u.k FROM t JOIN u ON (t.h < u.l) WHERE t.v < {low}",

@@ -59,13 +59,13 @@ from repro.relational.algebra import (
     TableScan,
 )
 from repro.relational.columnar import ColumnBatch
-from repro.relational.expressions import ColumnRef
+from repro.relational.expressions import ColumnRef, FunctionCall
 from repro.relational.oracle import compute_aggregate
 from repro.relational.schema import Schema
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta
-from tests.reference import Feed, engine, oracle
+from tests.reference import Feed, answer, engine, oracle, two_tables
 
 SUM, COUNT, AVG, MIN, MAX = (
     AggregateFunction.SUM,
@@ -846,6 +846,42 @@ class TestExactFoldsSkipTheMerge:
         monkeypatch.undo()
         expected = oracle(database, plan)
         assert repr(list(result.items())) == repr(list(expected.items()))
+
+    def test_a_sum_of_a_function_merges(self, monkeypatch):
+        """Only a column reference is sampled; any other summand keeps the
+        merge (``abs(v)`` of ints here, where skipping it would not show)."""
+        database = Database()
+        database.create_table("t", ["id", "g", "v"])
+        database.insert("t", [(i, 0, value) for i, value in enumerate([1, 1, -2])])
+        total = Aggregate(SUM, FunctionCall("abs", [ColumnRef("v")]), "s")
+        plan = Aggregation(pruned("g", "v"), [ColumnRef("g")], [total])
+        merged = merged_schemas(monkeypatch)
+        result = engine(database, plan, optimize=False)
+        assert merged == [["g", "v"]]
+        monkeypatch.undo()
+        assert answer(result) == answer(oracle(database, plan)) == repr([((0, 4.0), 1)])
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT g, sum(w) AS s FROM t JOIN u ON (g + 1 = k) GROUP BY g",
+            "SELECT g + 1 AS x, h FROM t JOIN u ON (g = k)",
+            "SELECT g + 1 AS x, count(*) AS n FROM t JOIN u ON (h = l) GROUP BY g + 1",
+            "SELECT min(g + 1) AS lo FROM t JOIN u ON (h = l)",
+        ],
+    )
+    def test_arithmetic_reads_merged_rows(self, sql):
+        """Once ``id`` and ``v`` are pruned, ``2**53`` and ``float(2**53)``
+        are one row to the oracle, under the first spelling, but ``+ 1``
+        tells them apart: a residual, a projection, a group key and an
+        aggregate argument computing arithmetic merge their input first."""
+        database = two_tables(
+            [(0, EDGE, 5, 0.1), (1, float(EDGE), 5, 0.2)], [(EDGE + 1, 5, 0.5), (EDGE, 5, 0.25)]
+        )
+        for optimize in (False, True):
+            assert answer(engine(database, sql, optimize)) == answer(
+                oracle(database, sql, optimize)
+            ), optimize
 
 
 # -- typed error for values an aggregate cannot aggregate ----------------------------

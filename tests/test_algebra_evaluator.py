@@ -25,9 +25,9 @@ from repro.relational.expressions import (
     Literal,
     LogicalOp,
 )
+from repro.relational.oracle import RowEvaluator
 from repro.relational.schema import Relation
 from repro.storage.database import Database
-from tests.reference import evaluator
 
 
 @pytest.fixture()
@@ -122,7 +122,7 @@ def evaluator_for(request):
     """The engine and the reference oracle give every operator one semantics."""
     if request.param == "engine":
         return Evaluator
-    return lambda provider: evaluator(provider, optimize=False, rows=True)
+    return lambda provider: RowEvaluator(provider, False)
 
 
 NAN = float("nan")

@@ -90,7 +90,7 @@ def _frozen(delta: Delta) -> bool:
 
 
 class TestWindowUnion:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(commits, st.data())
     def test_a_window_equals_the_merge_of_its_records(self, window, data):
         log, deltas = _log(window)
@@ -143,7 +143,7 @@ def _netted(delta: Delta) -> tuple[dict, dict]:
 
 
 class TestCompaction:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(bags, bags, st.booleans())
     def test_compacted_nets_the_rows_in_both_bags(self, inserts, deletes, frozen):
         delta = _delta(inserts, deletes)
@@ -188,44 +188,82 @@ FUNCTIONS = [
 ]
 
 
-def _aggregation(scalar: bool, buffer: int | None, count_star: bool) -> IncrementalAggregation:
-    aggregates = [Aggregate(function, ColumnRef("v"), alias) for function, alias in FUNCTIONS]
-    if count_star:
-        aggregates.append(Aggregate(AggregateFunction.COUNT, None, "n"))
-    group_by = [] if scalar else [ColumnRef("g")]
-    output = Schema(([] if scalar else ["g"]) + [a.alias for a in aggregates])
-    return IncrementalAggregation(Feed(Schema(["g", "v"])), group_by, aggregates, output, buffer)
+class _Checked:
+    """An aggregation beside what each pass must leave it holding: every
+    group's net tuple count (by the one merge), the slot each group holds
+    and the free slots (a new group takes the slot freed last, else the
+    lowest fresh one; a group left with no tuple frees its slot, in
+    first-touch order), and when a recapture is due."""
 
+    def __init__(self, scalar: bool, buffer: int | None, count_star: bool) -> None:
+        aggregates = [Aggregate(function, ColumnRef("v"), alias) for function, alias in FUNCTIONS]
+        if count_star:
+            aggregates.append(Aggregate(AggregateFunction.COUNT, None, "n"))
+        group_by = [] if scalar else [ColumnRef("g")]
+        output = Schema(([] if scalar else ["g"]) + [a.alias for a in aggregates])
+        self.operator = IncrementalAggregation(
+            Feed(Schema(["g", "v"])), group_by, aggregates, output, buffer
+        )
+        self.totals: dict = {}
+        self.keys: list = []
+        self.free: list[int] = []
 
-def _outputs(operator) -> dict:
-    """Each group's output tuple now, as ``replay()`` reads it from the state."""
-    width = len(operator.group_by)
-    return {row[:width]: (row, mask) for row, mask, _ in operator.replay().entries()}
+    def outputs(self) -> dict:
+        """Each group's output tuple now, as ``replay()`` reads it from the state."""
+        width = len(self.operator.group_by)
+        return {row[:width]: (row, mask) for row, mask, _ in self.operator.replay().entries()}
 
-
-def _run(operator, entries, from_scratch: bool) -> list:
-    """Push ``(row, annotation, count)`` entries through ``operator`` and
-    assert its output: each touched group in first-touch order retracts its
-    output before the pass and claims its output after it (an absent side
-    left out).  From scratch nothing was output before; over no input only a
-    from-scratch scalar aggregation outputs its row over nothing."""
-    width = len(operator.group_by)
-    before = {} if from_scratch else _outputs(operator)
-    operator.child.queue(entries)
-    step = Pass.scratch(0) if from_scratch else Pass(DatabaseDelta(), EngineStatistics(), 0)
-    output = list(operator.process(step).entries())
-    if not entries:
-        assert output == (list(operator.replay().entries()) if from_scratch and not width else [])
+    def run(self, entries, from_scratch: bool) -> list:
+        """Push ``(row, annotation, count)`` entries through the operator and
+        assert its output -- each touched group in first-touch order retracts
+        its output before the pass and claims its output after it (an absent
+        side left out); from scratch nothing was output before; over no input
+        only a from-scratch scalar aggregation outputs its row over nothing --
+        and the slots, free list and ``needs_recapture`` it leaves."""
+        operator = self.operator
+        width = len(operator.group_by)
+        before = {} if from_scratch else self.outputs()
+        recapture = operator.needs_recapture
+        operator.child.queue(entries)
+        step = Pass.scratch(0) if from_scratch else Pass(DatabaseDelta(), EngineStatistics(), 0)
+        output = list(operator.process(step).entries())
+        if not entries:
+            replayed = list(operator.replay().entries())
+            assert output == (replayed if from_scratch and not width else [])
+            return output
+        after = self.outputs()
+        touched = list(dict.fromkeys(row[:width] for row, _mask, _count in entries))
+        expected = []
+        for key in touched:
+            if key in before:
+                expected.append((*before[key], -1))
+            if key in after:
+                expected.append((*after[key], 1))
+        assert repr(output) == repr(expected)
+        self._allocate([key for key in touched if key not in self.totals])
+        merge(((row[:width], count) for row, _mask, count in entries), self.totals)
+        emptied = [key for key in touched if key not in self.totals]
+        for key in emptied:
+            slot = self.keys.index(key)
+            self.keys[slot] = None
+            self.free.append(slot)
+        assert operator.state.keys == self.keys
+        assert operator.state.free == self.free
+        # A live group that ``replay()`` leaves out lost track of its min or
+        # max: a recapture is due from now on.  A pass that leaves none out
+        # and empties no group of a bounded min/max leaves the flag alone.
+        if any(key in self.totals and key not in after for key in touched):
+            assert operator.needs_recapture
+        elif not (emptied and operator.min_max_buffer is not None):
+            assert operator.needs_recapture == recapture
         return output
-    after = _outputs(operator)
-    expected = []
-    for key in dict.fromkeys(row[:width] for row, _mask, _count in entries):
-        if key in before:
-            expected.append((*before[key], -1))
-        if key in after:
-            expected.append((*after[key], 1))
-    assert repr(output) == repr(expected)
-    return output
+
+    def _allocate(self, new: list) -> None:
+        fresh = range(len(self.keys), len(self.keys) + max(0, len(new) - len(self.free)))
+        self.keys.extend(None for _ in fresh)
+        self.free[:0] = reversed(fresh)
+        for key in new:
+            self.keys[self.free.pop()] = key
 
 
 def _batches(rng: random.Random, count: int):
@@ -266,14 +304,14 @@ class TestAggregationOutput:
         self, seed, scalar, buffer, count_star
     ):
         rng = random.Random(seed)
-        operator = _aggregation(scalar, buffer, count_star)
+        checked = _Checked(scalar, buffer, count_star)
         first = [((g, rng.choice(VALUES)), 1, 1) for g in rng.sample([None, 0, 1, 2], 2)]
-        _run(operator, first if rng.random() < 0.8 else [], True)
+        checked.run(first if rng.random() < 0.8 else [], True)
         for entries in _batches(rng, rng.randrange(1, 10)):
-            _run(operator, entries, False)
+            checked.run(entries, False)
 
     def test_emptied_scalar_group_and_reused_slot(self):
-        operator = _aggregation(True, None, True)
+        checked = _Checked(True, None, True)
         steps = [
             ([], True),
             ([((None, 1), 1, 1), ((None, NAN), 2, 1)], False),
@@ -281,22 +319,22 @@ class TestAggregationOutput:
             ([((None, INF), 4, 2)], False),
         ]
         for entries, from_scratch in steps:
-            _run(operator, entries, from_scratch)
-        assert operator.state.free == []
+            checked.run(entries, from_scratch)
+        assert checked.operator.state.free == []
 
     def test_exhausted_min_max_emits_no_new_tuple(self):
-        operator = _aggregation(False, 2, False)
-        _run(operator, [((0, v), 1, 1) for v in (1, 2, 3, 4)], True)
+        checked = _Checked(False, 2, False)
+        checked.run([((0, v), 1, 1) for v in (1, 2, 3, 4)], True)
         drain = [((0, 1), 1, -1), ((0, 2), 1, -1), ((1, -INF), 2, 1)]
-        output = _run(operator, drain, False)
-        assert operator.needs_recapture
+        output = checked.run(drain, False)
+        assert checked.operator.needs_recapture
         # Group 0's old tuple is retracted and no new one claimed; group 1 is new.
         assert [(row[0], count) for row, _mask, count in output] == [(0, -1), (1, 1)]
 
 
 @pytest.mark.parametrize("size", [0, 1, 5])
 def test_a_scalar_aggregation_over_nothing(size):
-    operator = _aggregation(True, None, True)
+    checked = _Checked(True, None, True)
     entries = [((None, v), 1, 1) for v in VALUES[:size]]
-    _run(operator, entries, True)
-    _run(operator, [(row, mask, -count) for row, mask, count in entries], False)
+    checked.run(entries, True)
+    checked.run([(row, mask, -count) for row, mask, count in entries], False)

@@ -151,7 +151,7 @@ def distinct_batches(draw):
 
 
 class TestConsolidated:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.one_of(unit_batches(), cancelling_batches(), distinct_batches()))
     def test_equals_the_merge_reference(self, entries):
         rows = [row for row, _, _ in entries]

@@ -425,7 +425,7 @@ def streams(draw) -> list[tuple[list[int], list[int]]]:
     return batches
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(streams())
 def test_the_merge_operator_counts_fragments_as_the_one_merge_does(stream):
     """``μ``'s counts are the one merge of each entry's count into each of its

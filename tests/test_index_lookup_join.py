@@ -18,6 +18,7 @@ from hypothesis import given, settings
 
 from repro.imp.middleware import IMPSystem
 from repro.relational.algebra import Join, Selection
+from repro.relational.evaluator import Evaluator
 from repro.relational.expressions import Between, Comparison, Literal
 from repro.storage.database import Database
 from repro.storage.sessions import SnapshotView
@@ -26,10 +27,10 @@ from tests.reference import (
     NAN,
     T,
     U,
+    Without,
     answer,
     assert_matches_oracle,
     equal,
-    evaluator,
     g,
     h,
     k,
@@ -41,18 +42,6 @@ from tests.reference import (
     two_tables,
     w,
 )
-
-
-class WithoutLookup:
-    """The database as a provider that offers everything but ``index_lookup``."""
-
-    def __init__(self, database: Database) -> None:
-        self._database = database
-
-    def __getattr__(self, name: str):
-        if name == "index_lookup":
-            raise AttributeError(name)
-        return getattr(self._database, name)
 
 
 def lookups(monkeypatch) -> list[list]:
@@ -71,19 +60,19 @@ def lookups(monkeypatch) -> list[list]:
 def scans(database: Database, provider, plan):
     """The answer of ``plan`` (literal shape) and the (full, index) scans it cost."""
     before = database.scan_count, database.index_scan_count
-    result = evaluator(provider, optimize=False).evaluate(plan)
+    result = Evaluator(provider, False).evaluate(plan)
     return result, (database.scan_count - before[0], database.index_scan_count - before[1])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(tables(), lookup_joins())
 def test_the_lookup_batch_is_the_full_join_entry_for_entry(case, join):
     database, moved = case
     if "k" not in database.table("u").indexed_attributes():
         database.create_index("u", "k")
     move(database, moved)
-    looked_up = evaluator(database, optimize=False)._batch(join)
-    hashed = evaluator(WithoutLookup(database), optimize=False)._batch(join)
+    looked_up = Evaluator(database, False)._batch(join)
+    hashed = Evaluator(Without(database, "index_lookup"), False)._batch(join)
     assert looked_up.schema == hashed.schema
     assert repr([list(column) for column in looked_up.columns]) == repr(
         [list(column) for column in hashed.columns]
@@ -129,7 +118,7 @@ def test_a_taken_lookup_swaps_a_full_scan_for_an_index_scan():
     database = lookup_database([3, 1, 3])
     join = Join(T, NOT_SERVED, equal(g, k))
     looked_up, taken = scans(database, database, join)
-    hashed, hash_path = scans(database, WithoutLookup(database), join)
+    hashed, hash_path = scans(database, Without(database, "index_lookup"), join)
     assert hash_path == (2, 0)
     assert taken == (1, 1)
     assert answer(looked_up) == answer(hashed)
@@ -144,7 +133,7 @@ def test_at_most_half_the_table_is_looked_up():
     more = lookup_database([0, 1, 2, 3, 4, 5])
     result, counted = scans(more, more, join)
     assert counted == (2, 0)
-    assert answer(result) == answer(scans(more, WithoutLookup(more), join)[0])
+    assert answer(result) == answer(scans(more, Without(more, "index_lookup"), join)[0])
 
 
 def test_a_selection_an_index_serves_keeps_the_hash_path(monkeypatch):
@@ -152,7 +141,7 @@ def test_a_selection_an_index_serves_keeps_the_hash_path(monkeypatch):
     seen = lookups(monkeypatch)
     served = Join(T, Selection(U, Between(k, Literal(2), Literal(4))), equal(g, k))
     result, counted = scans(database, database, served)
-    assert counted == scans(database, WithoutLookup(database), served)[1] == (1, 1)
+    assert counted == scans(database, Without(database, "index_lookup"), served)[1] == (1, 1)
     assert len(result) == 1
     assert seen == []
 

@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
+from repro.core.errors import UnsupportedOperationError
 from repro.imp.engine import capture_sketch
 from repro.relational import kernels
 from repro.relational.algebra import Selection, TableScan, walk_plan
@@ -33,7 +36,7 @@ from repro.sketch.use import instrument_plan
 from repro.storage.database import Database
 from repro.workloads.queries import q_endtoend
 from repro.workloads.synthetic import load_join_helper, load_synthetic
-from tests.reference import answer, oracle
+from tests.reference import answer, engine, oracle
 
 NAN = math.nan
 BIG = 2**53 + 1
@@ -63,6 +66,23 @@ def test_an_index_keeps_integer_bounds_above_2_53():
         before = database.index_scan_count
         assert database.query(sql).to_sorted_list() == expected, sql
         assert database.index_scan_count == before + 1, sql
+
+
+def test_an_index_over_text_leaves_a_numeric_bound_to_the_scan():
+    """A number does not order against text, so the index declines the scan
+    and the full scan answers as the comparison does: ``g = 1`` holds for no
+    row and ``g >= 1`` raises.  Both raised a bare ``TypeError`` from the
+    index's binary search before."""
+    database = Database()
+    database.create_table("t", ["id", "g"])
+    database.insert("t", [(1, "x"), (2, "ash"), (3, None)])
+    database.create_index("t", "g")
+    for run in (engine, oracle):
+        scans = database.scan_count, database.index_scan_count
+        assert answer(run(database, "SELECT id FROM t WHERE g = 1")) == "[]"
+        assert (database.scan_count, database.index_scan_count) == (scans[0] + 1, scans[1])
+        with pytest.raises(UnsupportedOperationError):
+            run(database, "SELECT id FROM t WHERE g >= 1 AND id < 3")
 
 
 def test_bounds_keep_the_literal_and_refuse_nan():

@@ -27,6 +27,7 @@ from repro.relational.algebra import (
     walk_plan,
 )
 from repro.relational.evaluator import Evaluator
+from repro.relational.oracle import RowEvaluator
 from repro.relational.expressions import (
     BinaryOp,
     ColumnRef,
@@ -43,7 +44,6 @@ from tests.reference import (
     answer,
     assert_systems_match_oracle,
     engine,
-    evaluator,
     oracle,
     random_insert_batches,
 )
@@ -396,8 +396,8 @@ class TestEvaluatorIntegration:
         result = Evaluator(database).evaluate(TableScan("r", "x"))
         assert list(result.schema) == ["x.id", "x.a", "x.b", "x.c"]
 
-    @pytest.mark.parametrize("rows", [True, False])
-    def test_hash_join_with_mixed_condition(self, rows):
+    @pytest.mark.parametrize("evaluator_class", [RowEvaluator, Evaluator])
+    def test_hash_join_with_mixed_condition(self, evaluator_class):
         database = make_three_table_db()
         condition = LogicalOp(
             "AND",
@@ -409,7 +409,7 @@ class TestEvaluatorIntegration:
         join = Join(TableScan("r"), TableScan("s"), condition)
         # Unoptimized on purpose: the optimizer would rewrite the reference
         # below into the very join it is compared against.
-        literal = evaluator(database, optimize=False, rows=rows)
+        literal = evaluator_class(database, False)
         hashed = literal.evaluate(join)
         # Reference: the same theta join as a filtered cross product.
         reference = literal.evaluate(
