@@ -33,7 +33,7 @@ Annotations are plain ``int`` fragment masks throughout.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import add, is_not, itemgetter, or_
@@ -42,19 +42,21 @@ from repro.core.bloom import BloomFilter
 from repro.core.errors import AggregateError, StateError
 from repro.core.timing import MemoryMeter
 from repro.relational.algebra import Aggregate, Join, OrderItem, PlanNode
-from repro.relational.columnar import LazyColumns
+from repro.relational.columnar import ColumnBatch, LazyColumns, merged_counts
 from repro.relational.expressions import (
-    CompiledBatchExpression,
+    ColumnRef,
     Expression,
     compile_batch_expression,
     strict_boolean,
 )
 from repro.relational.kernels import (
+    filter_batch,
     join_index,
     join_positions,
     key_column,
     order_keys,
     over_nothing,
+    project_batch,
 )
 from repro.relational.schema import Row, Schema
 from repro.sketch.ranges import DatabasePartition
@@ -65,21 +67,15 @@ from repro.imp.annotated import AnnotatedDelta
 from repro.imp.state import AggregationState, JoinSideState, TopKState, fold_fragments
 
 
-def compile_batch_predicate(
+def compile_filter(
     predicate: Expression, schema: Schema
-) -> CompiledBatchExpression:
-    """Batch form of a selection predicate whose value column can drive
-    :func:`itertools.compress`: true exactly where the predicate ``is True``."""
+) -> Callable[[ColumnBatch], ColumnBatch]:
+    """The selection ``predicate`` over batches of ``schema``: the engine's
+    filter kernel, told whether the values are strict booleans as the query
+    evaluator tells it."""
     evaluate = compile_batch_expression(predicate, schema)
-    if strict_boolean(predicate):
-        return evaluate
-    return lambda columns, n: [value is True for value in evaluate(columns, n)]
-
-
-def _row_tuples(value_columns: list[list], n: int) -> Iterable[tuple]:
-    """The ``n`` entries of parallel value columns as tuples (``()`` each when
-    there is no column)."""
-    return zip(*value_columns) if value_columns else [()] * n
+    strict = strict_boolean(predicate)
+    return lambda batch: filter_batch(batch, evaluate(batch.columns, len(batch)), strict)
 
 
 @dataclass
@@ -202,9 +198,10 @@ class IncrementalTableAccess(IncrementalOperator):
     annotates each tuple with the range its partition-attribute value belongs
     to (the table's outside fragment for NULL and NaN), and pre-filters the
     annotated entries with pushed-down selection conditions (Sec. 7.2,
-    "Filtering Deltas Based On Selections").  The annotated entries come from
-    the pass's memo: engines of one round whose partitions agree on this
-    table read the same lists, which are therefore never modified.
+    "Filtering Deltas Based On Selections").  The entries and their masks come
+    from the pass's memo: engines of one round whose partitions agree on this
+    table read the same lists, which are therefore never modified, each
+    through its own fork of the memo's lazy pivot.
     """
 
     def __init__(
@@ -222,7 +219,7 @@ class IncrementalTableAccess(IncrementalOperator):
         self.partition = partition
         self.database = database
         self._delta_filter: Expression | None = None
-        self._delta_filter_fn: CompiledBatchExpression | None = None
+        self._delta_filter_fn: Callable[[ColumnBatch], ColumnBatch] | None = None
         self._attribute_index: int | None = None
         self._memo_key: tuple = (self.table,)
         if partition.has_table(self.table):
@@ -241,9 +238,7 @@ class IncrementalTableAccess(IncrementalOperator):
         # filter after construction.
         self._delta_filter = expression
         self._delta_filter_fn = (
-            None
-            if expression is None
-            else compile_batch_predicate(expression, self.output_schema)
+            None if expression is None else compile_filter(expression, self.output_schema)
         )
 
     def process(self, run: Pass) -> AnnotatedDelta:
@@ -251,47 +246,50 @@ class IncrementalTableAccess(IncrementalOperator):
         # engine reads that pass's memo); a delta's entries are annotated
         # whole, once for every engine of the round, and filtered after.
         prefiltered = run.from_scratch and self._delta_filter is not None
-        rows, masks, counts = self._annotated(run, prefiltered)
-        if not rows:
-            return AnnotatedDelta(self.output_schema)
-        output = AnnotatedDelta(self.output_schema, rows, masks, counts)
-        fetched = len(output)
+        columns, masks, counts = self._annotated(run, prefiltered)
+        if not counts:
+            return AnnotatedDelta.empty(self.output_schema)
+        # A table's rows are distinct, and so are they annotated.
+        output = AnnotatedDelta.annotate(
+            self.output_schema, columns.fork().__getitem__, masks, counts, run.from_scratch
+        )
+        fetched = output.tuple_count
         run.statistics.tuples_processed += fetched
         if self._delta_filter_fn is not None and not prefiltered:
-            output = output.filter(self._delta_filter_fn(output.columns(), len(rows)))
-            run.statistics.delta_tuples_filtered += fetched - len(output)
-            fetched = len(output)
+            output = self._delta_filter_fn(output)
+            run.statistics.delta_tuples_filtered += fetched - output.tuple_count
+            fetched = output.tuple_count
         run.statistics.delta_tuples_fetched += fetched
         return output
 
     def _annotated(
         self, run: Pass, prefiltered: bool
-    ) -> tuple[list[Row], list[int], list[int]]:
-        """The pass's rows of the table (only those passing the delta filter
-        when ``prefiltered``), their masks and signed counts, from the memo or
-        annotated into it.  Entry order: table order from scratch; otherwise
-        inserts then deletes, each in the delta's own order."""
+    ) -> tuple[LazyColumns | tuple[()], list[int], list[int]]:
+        """The lazily pivoted value columns of the pass's rows of the table
+        (only those passing the delta filter when ``prefiltered``), their
+        masks and signed counts, from the memo or annotated into it.  Entry
+        order: table order from scratch; otherwise inserts then deletes, each
+        in the delta's own order."""
+        schema = self.output_schema
         source = self.table if run.from_scratch else run.db_delta.get(self.table)
         if not source:
-            return [], [], []
+            return (), [], []
         key = (source, self._memo_key, self._delta_filter.canonical() if prefiltered else None)
         if key not in run.memo:
             if run.from_scratch:
                 table = self.database.snapshot_relation(self.table, run.version)
-                rows = list(table.distinct_rows())
-                counts = list(map(itemgetter(1), table.items()))
+                rows, counts = list(table.distinct_rows()), list(map(itemgetter(1), table.items()))
             else:
                 rows, counts = source.signed_entries()
+            entries = ColumnBatch.from_fetched_rows(schema, rows, counts)
             if prefiltered:
-                columns = AnnotatedDelta(self.output_schema, rows).columns()
-                keep = self._delta_filter_fn(columns, len(rows))
-                rows, counts = list(compress(rows, keep)), list(compress(counts, keep))
+                entries = self._delta_filter_fn(entries)
             position = self._attribute_index
             if position is None:
-                masks = [0] * len(rows)
+                masks = [0] * len(entries)
             else:
-                masks = self.partition.masks_of(self.table, list(map(itemgetter(position), rows)))
-            run.memo[key] = rows, masks, counts
+                masks = self.partition.masks_of(self.table, entries.columns[position])
+            run.memo[key] = entries.columns, masks, entries.multiplicities
         return run.memo[key]
 
     def describe(self) -> str:
@@ -306,7 +304,7 @@ class IncrementalSelection(IncrementalOperator):
         super().__init__(child.output_schema)
         self.child = child
         self.predicate = predicate
-        self._predicate_batch = compile_batch_predicate(predicate, child.output_schema)
+        self._filter = compile_filter(predicate, child.output_schema)
 
     def children(self) -> Sequence[IncrementalOperator]:
         return (self.child,)
@@ -315,8 +313,8 @@ class IncrementalSelection(IncrementalOperator):
         child = self.child.process(run)
         if not child:
             return child
-        run.statistics.tuples_processed += len(child)
-        return child.filter(self._predicate_batch(child.columns(), len(child.rows)))
+        run.statistics.tuples_processed += child.tuple_count
+        return self._filter(child)
 
     def describe(self) -> str:
         return f"IncSelection({self.predicate.canonical()})"
@@ -345,11 +343,12 @@ class IncrementalProjection(IncrementalOperator):
     def process(self, run: Pass) -> AnnotatedDelta:
         child = self.child.process(run)
         if not child:
-            return AnnotatedDelta(self.output_schema)
-        run.statistics.tuples_processed += len(child)
-        columns, n = child.columns(), len(child.rows)
+            return AnnotatedDelta.empty(self.output_schema)
+        run.statistics.tuples_processed += child.tuple_count
+        columns, n = child.columns, len(child)
         values = [evaluate(columns, n) for evaluate in self._project_batch]
-        return child.with_rows(self.output_schema, list(_row_tuples(values, n)))
+        values.append(child.annotations)
+        return project_batch(child, self.output_schema, values)
 
     def describe(self) -> str:
         return f"IncProjection({len(self.expressions)} expressions)"
@@ -367,7 +366,7 @@ class JoinSide:
 
     def keys(self, delta: AnnotatedDelta) -> list:
         """The join key of each entry of ``delta`` (one of this side's)."""
-        return key_column(delta.columns(), self.positions, len(delta.rows))
+        return key_column(delta.columns, self.positions, len(delta))
 
 
 # A join without a key pair probes a delta in slices of at most this many
@@ -376,6 +375,10 @@ class JoinSide:
 # memory bound, not a fast path: without it a 1500 x 1500 theta capture would
 # hold all 2.25 million candidate pairs at once.
 _PAIR_BATCH = 512
+
+# The candidate pairs of a join term as a batch of positions: the probe
+# entry's and the build entry's, which the residual filters.
+_PAIR_POSITIONS = Schema(["probe", "build"])
 
 # False-positive rate of the Bloom filter summarising a join side.
 _BLOOM_FALSE_POSITIVE_RATE = 0.01
@@ -394,7 +397,8 @@ class IncrementalJoin(IncrementalOperator):
     probe the other operand with :func:`~repro.relational.kernels.join_positions`
     (delta entries outer, the other operand's entries of the key in their
     order inner), rows are concatenated left to right, masks OR-ed, counts
-    multiplied, and only the residual is checked on the pairs.
+    multiplied, and only the residual is checked on the pairs -- by the
+    engine's filter kernel, over columns gathered through the pair positions.
 
     Each side's ``Q'`` is a :class:`~repro.imp.state.JoinSideState`.  While no
     delta tuple of the other side has needed a partner, the side is only
@@ -427,8 +431,9 @@ class IncrementalJoin(IncrementalOperator):
         self.right = right
         pairs, residual = node.key_pairs(left.output_schema, right.output_schema)
         self._residual_batch = (
-            None if residual is None else compile_batch_predicate(residual, self.output_schema)
+            None if residual is None else compile_batch_expression(residual, self.output_schema)
         )
+        self._residual_strict = residual is not None and strict_boolean(residual)
         self._compile_side = compile_side
         self.use_bloom_filters = use_bloom_filters
         # Whether the condition has an equality key pair.
@@ -445,23 +450,21 @@ class IncrementalJoin(IncrementalOperator):
         left, right = self.sides
         left_delta = self.left.process(run)
         right_delta = self.right.process(run)
-        output = AnnotatedDelta(self.output_schema)
         if run.from_scratch:
             # The old state is ∅: the child outputs are the complete sides, so
             # they seed the filters and ΔQ1 ⋈ ΔQ2 is the whole join.
-            right_delta = right_delta.consolidated()
+            right_delta = right_delta.consolidate()
             left_keys, right_keys = left.keys(left_delta), right.keys(right_delta)
             if self.is_equi_join and self.use_bloom_filters:
                 left.state.summarise(left_keys, _BLOOM_FALSE_POSITIVE_RATE)
                 right.state.summarise(right_keys, _BLOOM_FALSE_POSITIVE_RATE)
-            self._join(left_delta, left_keys, right_delta, right_keys, output, True)
-            return output
+            return self._join(left_delta, left_keys, right_delta, right_keys, True)
         if not left_delta and not right_delta:
-            return output
+            return AnnotatedDelta.empty(self.output_schema)
         # An insert and a delete of the same annotated tuple cancel before
         # anything is probed, shipped or joined.
-        left_delta = left_delta.consolidated()
-        right_delta = right_delta.consolidated()
+        left_delta = left_delta.consolidate()
+        right_delta = right_delta.consolidate()
         left_keys, right_keys = left.keys(left_delta), right.keys(right_delta)
         # Bring both sides forward FIRST: terms A and B join with the *new*
         # state of the other side, so a delta tuple may join with a row that
@@ -471,32 +474,32 @@ class IncrementalJoin(IncrementalOperator):
         # over-approximation guarantee.
         left.state.apply(left_keys, left_delta)
         right.state.apply(right_keys, right_delta)
-        # Term A: ΔQ1 ⋈ Q2'.
-        self._join_with_side(left_delta, left_keys, right, output, run, delta_on_left=True)
-        # Term B: Q1' ⋈ ΔQ2.
-        self._join_with_side(right_delta, right_keys, left, output, run, delta_on_left=False)
+        terms = [
+            # Term A: ΔQ1 ⋈ Q2'.
+            self._join_with_side(left_delta, left_keys, right, run, delta_on_left=True),
+            # Term B: Q1' ⋈ ΔQ2.
+            self._join_with_side(right_delta, right_keys, left, run, delta_on_left=False),
+        ]
         # Term C: − ΔQ1 ⋈ ΔQ2 (corrects double counting).
         if left_delta and right_delta:
             negated = AnnotatedDelta(
                 left_delta.schema,
-                left_delta.rows,
-                left_delta.annotations,
-                [-count for count in left_delta.counts],
+                left_delta.columns,
+                [-count for count in left_delta.multiplicities],
             )
-            self._join(negated, left_keys, right_delta, right_keys, output, True)
+            terms.append(self._join(negated, left_keys, right_delta, right_keys, True))
         # Entries of opposite sign cancel across the three terms.
-        return output.consolidated()
+        return _union(self.output_schema, terms).consolidate()
 
     def _join_with_side(
         self,
         delta: AnnotatedDelta,
         keys: list,
         other: JoinSide,
-        output: AnnotatedDelta,
         run: Pass,
         delta_on_left: bool,
-    ) -> None:
-        """Append ``delta`` joined with the new state of the ``other`` side,
+    ) -> AnnotatedDelta:
+        """``delta`` joined with the new state of the ``other`` side,
         materialising that side if a delta tuple gets past its filter."""
         state = other.state
         if state.buckets is None:
@@ -504,12 +507,13 @@ class IncrementalJoin(IncrementalOperator):
             if delta:
                 whole = self._evaluate_side(other.plan, delta, run)
                 state.materialise(other.keys(whole), whole)
-        if delta:
-            run.statistics.tuples_processed += len(delta)
-            partner_keys, *entries = state.partners(dict.fromkeys(keys))
-            schema = (self.right if delta_on_left else self.left).output_schema
-            partners = AnnotatedDelta(schema, *entries)
-            self._join(delta, keys, partners, partner_keys, output, delta_on_left)
+        if not delta:
+            return AnnotatedDelta.empty(self.output_schema)
+        run.statistics.tuples_processed += delta.tuple_count
+        partner_keys, *entries = state.partners(dict.fromkeys(keys))
+        schema = (self.right if delta_on_left else self.left).output_schema
+        partners = AnnotatedDelta.from_rows(schema, *entries)
+        return self._join(delta, keys, partners, partner_keys, delta_on_left)
 
     def _bloom_filter(
         self,
@@ -524,9 +528,9 @@ class IncrementalJoin(IncrementalOperator):
             return delta, keys
         # Delta tuples share join keys: probe the filter once per distinct key.
         passes = {key: key in other_bloom for key in set(keys)}
-        keep = [passes[key] for key in keys]
-        surviving = delta.filter(keep)
-        run.statistics.bloom_filtered_tuples += len(delta) - len(surviving)
+        keep = list(map(passes.__getitem__, keys))
+        surviving = filter_batch(delta, keep, True)
+        run.statistics.bloom_filtered_tuples += delta.tuple_count - surviving.tuple_count
         return surviving, list(compress(keys, keep))
 
     def _evaluate_side(
@@ -536,7 +540,7 @@ class IncrementalJoin(IncrementalOperator):
         ``shipped`` to find partners in: a from-scratch pass over a throwaway
         operator tree.  Only called to materialise a side."""
         run.statistics.backend_round_trips += 1
-        run.statistics.tuples_shipped_to_backend += len(shipped.rows)
+        run.statistics.tuples_shipped_to_backend += len(shipped)
         return self._compile_side(plan).process(Pass.scratch(run.version))
 
     def _join(
@@ -545,53 +549,58 @@ class IncrementalJoin(IncrementalOperator):
         probe_keys: list,
         build: AnnotatedDelta,
         build_keys: list,
-        output: AnnotatedDelta,
         probe_on_left: bool,
-    ) -> None:
-        """Append every pair of a ``probe`` entry and a ``build`` entry with an
-        equal join key whose residual holds, in the matcher's order.
-
-        The residual reads the pairs' columns through the take lists, so only
-        the pairs it keeps become rows.  Without a key pair every probe entry
-        meets every build entry, so the probe goes in slices of at most
-        ``_PAIR_BATCH`` candidate pairs."""
+    ) -> AnnotatedDelta:
+        """Every pair of a ``probe`` entry and a ``build`` entry with an equal
+        join key whose residual holds, in the matcher's order.  The residual
+        reads its columns through the candidates' positions (:meth:`_pairs`)
+        and filters the positions.  Without a key pair every probe entry meets
+        every build entry, so the probe goes in slices of at most
+        ``_PAIR_BATCH`` candidate pairs (or of one entry)."""
         index = join_index(build_keys)
         residual = self._residual_batch
-        build_columns = build.columns()
-        n = len(probe.rows)
+
+        def pairs(take: list[int], partner: list[int], counts: list[int]) -> AnnotatedDelta:
+            sides = ((probe.columns, take), (build.columns, partner))
+            return self._pairs(*(sides if probe_on_left else sides[::-1]), counts)
+
+        n = len(probe)
         step = n or 1
         if not self.is_equi_join:
-            step = max(1, _PAIR_BATCH // max(1, len(build.rows)))
+            step = max(1, _PAIR_BATCH // max(1, len(build)))
+        slices = []
         for start in range(0, n, step):
             stop = start + step
-            rows, masks = probe.rows[start:stop], probe.annotations[start:stop]
             take, partner, counts = join_positions(
-                probe_keys[start:stop], index, probe.counts[start:stop], build.counts
+                probe_keys[start:stop], index, probe.multiplicities[start:stop],
+                build.multiplicities,
             )
+            if start:
+                take = list(map(start.__add__, take))
             if residual is not None and take:
-                sides = (
-                    (AnnotatedDelta(probe.schema, rows).columns(), take),
-                    (build_columns, partner),
-                )
-                (left, left_take), (right, right_take) = sides if probe_on_left else sides[::-1]
-                split = len(left)
-                columns = LazyColumns(
-                    len(self.output_schema),
-                    lambda p: list(map(left[p].__getitem__, left_take))
-                    if p < split
-                    else list(map(right[p - split].__getitem__, right_take)),
-                )
-                keep = residual(columns, len(take))
-                take, partner, counts = (
-                    list(compress(taken, keep)) for taken in (take, partner, counts)
-                )
-            mine = map(rows.__getitem__, take)
-            theirs = map(build.rows.__getitem__, partner)
-            output.rows += map(add, mine, theirs) if probe_on_left else map(add, theirs, mine)
-            output.annotations += map(
-                or_, map(masks.__getitem__, take), map(build.annotations.__getitem__, partner)
-            )
-            output.counts += counts
+                values = residual(pairs(take, partner, counts).columns, len(take))
+                positions = ColumnBatch(_PAIR_POSITIONS, (take, partner), counts)
+                kept = filter_batch(positions, values, self._residual_strict)
+                (take, partner), counts = kept.columns, kept.multiplicities
+            slices.append(pairs(take, partner, counts))
+        return _union(self.output_schema, slices)
+
+    def _pairs(self, left: tuple, right: tuple, counts: list[int]) -> AnnotatedDelta:
+        """The pairs of ``left`` and ``right`` entries, each side given as its
+        columns and its entry's position in each pair: rows concatenated,
+        masks OR-ed, each column gathered when first read."""
+        (left, left_take), (right, right_take) = left, right
+        split, width = len(self.left.output_schema), len(self.output_schema)
+
+        def gather(position: int) -> list:
+            if position < split:
+                return list(map(left[position].__getitem__, left_take))
+            if position < width:
+                return list(map(right[position - split].__getitem__, right_take))
+            left_masks = map(left[split].__getitem__, left_take)
+            return list(map(or_, left_masks, map(right[width - split].__getitem__, right_take)))
+
+        return AnnotatedDelta(self.output_schema, LazyColumns(width + 1, gather), counts)
 
     def memory_bytes(self) -> int:
         return sum(side.state.memory_bytes() for side in self.sides)
@@ -655,28 +664,26 @@ class IncrementalAggregation(IncrementalOperator):
         # It is not stored: an absent group stands for it.
         scalar = not self.group_by
         if not child:
-            output = AnnotatedDelta(self.output_schema)
             if scalar and run.from_scratch:
-                output.append(self._over_nothing, 0, 1)
-            return output
-        run.statistics.tuples_processed += len(child)
+                return AnnotatedDelta.from_rows(self.output_schema, [self._over_nothing], [0], [1])
+            return AnnotatedDelta.empty(self.output_schema)
+        run.statistics.tuples_processed += child.tuple_count
         state = self.state
-        columns, n = child.columns(), len(child.rows)
-        ids = state.slot_ids(
-            _row_tuples([evaluate(columns, n) for evaluate in self._group_key], n)
-        )
+        columns, n = child.columns, len(child)
+        key_columns = [evaluate(columns, n) for evaluate in self._group_key]
+        ids = state.slot_ids(zip(*key_columns) if key_columns else [()] * n)
         # The touched groups in first-touch order, and the output tuple each
         # had before the batch.  From scratch nothing was output before, not
         # even the scalar group.
         touched = list(dict.fromkeys(ids))
         absent = (self._over_nothing, 0) if scalar else None
-        before = self._outputs(touched, None if run.from_scratch else absent)
+        before = [None] * len(touched) if run.from_scratch else self._outputs(touched, absent)
         arguments = [
             None if evaluate is None else evaluate(columns, n)
             for evaluate in self._argument_values
         ]
         try:
-            state.fold(ids, arguments, child.annotations, child.counts)
+            state.fold(ids, arguments, child.annotations, child.multiplicities)
         except AggregateError:
             # Free the slots this batch allocated (still empty).  The other
             # touched groups may be folded in part, which only a recapture
@@ -686,31 +693,15 @@ class IncrementalAggregation(IncrementalOperator):
                     state.drop(slot)
             self.needs_recapture = True
             raise
-        after = self._outputs(touched, absent)
         if state.exhausted(touched):
             self.needs_recapture = True
-        # Each group's key twice beside its old and new output, counts -1, +1;
-        # absent outputs (None) leave through one selector.  Building no
-        # tuple per entry also spares the collector.
         keys = list(map(state.keys.__getitem__, touched))
-        keys = list(chain.from_iterable(zip(keys, keys)))
-        outputs = list(chain.from_iterable(zip(before, after)))
-        counts = [-1, 1] * len(touched)
-        if None in outputs:
-            shown = list(map(is_not, outputs, repeat(None)))
-            keys = list(compress(keys, shown))
-            outputs = list(compress(outputs, shown))
-            counts = list(compress(counts, shown))
+        output = _changes(self.output_schema, keys, before, self._outputs(touched, absent))
         total_count = state.total_count
         for slot in touched:
             if total_count[slot] <= 0:
                 state.drop(slot)
-        return AnnotatedDelta(
-            self.output_schema,
-            list(map(add, keys, map(itemgetter(0), outputs))),
-            list(map(itemgetter(1), outputs)),
-            counts,
-        )
+        return output
 
     def replay(self) -> AnnotatedDelta:
         """The output of the from-scratch pass that built the state, entry for
@@ -722,24 +713,24 @@ class IncrementalAggregation(IncrementalOperator):
         state = self.state
         slots = list(state.slots.values())
         if not slots and not self.group_by:
-            return AnnotatedDelta(self.output_schema, [self._over_nothing], [0], [1])
-        keys = state.keys
-        entries = [
-            (keys[slot] + new[0], new[1], 1)
-            for slot, new in zip(slots, self._outputs(slots, None))
-            if new is not None
-        ]
-        return AnnotatedDelta(self.output_schema, *map(list, zip(*entries)))
+            return AnnotatedDelta.from_rows(self.output_schema, [self._over_nothing], [0], [1])
+        keys = list(map(state.keys.__getitem__, slots))
+        return _changes(self.output_schema, keys, [None] * len(slots), self._outputs(slots, None))
 
     def _outputs(self, slots: list[int], absent: tuple | None) -> list[tuple | None]:
         """The output tuple's ``(values, mask)`` of each group in ``slots``:
         ``absent`` for a group without input tuples, None for one whose
-        min/max lost track of its extreme."""
+        min/max lost track of its extreme.  Only the groups with tuples are
+        looked up."""
         state = self.state
         total_count, mask = state.total_count, state.mask
-        exhausted = state.exhausted(slots)
-        shown = [slot for slot in slots if total_count[slot] > 0 and slot not in exhausted]
-        outputs = dict(zip(shown, zip(state.values(shown), [mask[slot] for slot in shown])))
+        held = [slot for slot in slots if total_count[slot] > 0]
+        exhausted = state.exhausted(held)
+        shown = [slot for slot in held if slot not in exhausted] if exhausted else held
+        outputs = zip(state.values(shown), map(mask.__getitem__, shown))
+        if len(shown) == len(slots):
+            return list(outputs)
+        outputs = dict(zip(shown, outputs))
         return [
             outputs.get(slot, absent if total_count[slot] <= 0 else None) for slot in slots
         ]
@@ -752,57 +743,32 @@ class IncrementalAggregation(IncrementalOperator):
         return f"IncAggregation({aggregates})"
 
 
-class IncrementalDistinct(IncrementalOperator):
-    """Incremental duplicate elimination (``δ``): per-row counts, kept as
-    aggregation slots with no aggregate."""
+class IncrementalDistinct(IncrementalAggregation):
+    """Incremental duplicate elimination (``δ``): the aggregation grouped by
+    every column with no aggregate, so per-row counts kept as its slots and
+    each touched row's ``-old, +new`` pair as its output."""
 
     def __init__(self, child: IncrementalOperator) -> None:
-        super().__init__(child.output_schema)
-        self.child = child
-        self.state = AggregationState()
+        schema = child.output_schema
+        super().__init__(child, [ColumnRef(name) for name in schema], (), schema)
 
-    def children(self) -> Sequence[IncrementalOperator]:
-        return (self.child,)
+    def describe(self) -> str:
+        return "IncrementalDistinct"
 
-    def process(self, run: Pass) -> AnnotatedDelta:
-        child = self.child.process(run)
-        output = AnnotatedDelta(self.output_schema)
-        if not child:
-            return output
-        run.statistics.tuples_processed += len(child)
-        state = self.state
-        ids = state.slot_ids(child.rows)
-        touched = list(dict.fromkeys(ids))
-        total_count, mask = state.total_count, state.mask
-        # Sketch mask each touched row had before the batch (None: absent).
-        old_masks = [mask[slot] if total_count[slot] > 0 else None for slot in touched]
-        state.fold(ids, (), child.annotations, child.counts)
-        for slot, old_mask in zip(touched, old_masks):
-            row = state.keys[slot]
-            if old_mask is not None:
-                output.append(row, old_mask, -1)
-            if total_count[slot] > 0:
-                output.append(row, mask[slot], 1)
-            else:
-                state.drop(slot)
-        return output
 
-    def replay(self) -> AnnotatedDelta:
-        """The output of the from-scratch pass that built the state, entry for
-        entry: each row in first-touch order at count +1 (see
-        :meth:`IncrementalAggregation.replay`)."""
-        state = self.state
-        slots = list(state.slots.values())
-        keys, mask = state.keys, state.mask
-        return AnnotatedDelta(
-            self.output_schema,
-            [keys[slot] for slot in slots],
-            [mask[slot] for slot in slots],
-            [1] * len(slots),
-        )
-
-    def memory_bytes(self) -> int:
-        return self.state.memory_bytes()
+def _changes(schema: Schema, keys: list, before: list, after: list) -> AnnotatedDelta:
+    """Each group's key twice, beside its output ``(values, mask)`` before
+    and after a batch at counts -1 and +1, an absent output (None) left out."""
+    keys = list(chain.from_iterable(zip(keys, keys)))
+    outputs = list(chain.from_iterable(zip(before, after)))
+    counts = [-1, 1] * len(before)
+    if None in outputs:
+        shown = list(map(is_not, outputs, repeat(None)))
+        keys = list(compress(keys, shown))
+        outputs = list(compress(outputs, shown))
+        counts = list(compress(counts, shown))
+    rows = list(map(add, keys, map(itemgetter(0), outputs)))
+    return AnnotatedDelta.from_rows(schema, rows, list(map(itemgetter(1), outputs)), counts)
 
 
 class IncrementalTopK(IncrementalOperator):
@@ -833,19 +799,22 @@ class IncrementalTopK(IncrementalOperator):
         return (self.child,)
 
     def process(self, run: Pass) -> AnnotatedDelta:
+        """Apply the child's batch to the buffer, then emit the difference
+        of the old and the new top-k bags: the annotated tuples that lost
+        copies in the old top-k's order, then those that gained copies in the
+        new one's."""
         child = self.child.process(run)
-        output = AnnotatedDelta(self.output_schema)
         if not child:
-            return output
-        run.statistics.tuples_processed += len(child)
+            return AnnotatedDelta.empty(self.output_schema)
+        run.statistics.tuples_processed += child.tuple_count
         state = self.state
         old_top = state.top_k(self.k) if state.can_answer(self.k) else []
-        columns, n = child.columns(), len(child.rows)
+        columns, n = child.columns, len(child)
         sort_keys = order_keys(
             [evaluate(columns, n) for evaluate in self._sort_values], self._ascending
         )
         for sort_key, row, annotation, count in zip(
-            sort_keys, child.rows, child.annotations, child.counts
+            sort_keys, child.rows(), child.annotations, child.multiplicities
         ):
             if count > 0:
                 state.add(sort_key, row, annotation, count)
@@ -853,18 +822,19 @@ class IncrementalTopK(IncrementalOperator):
                 state.remove(sort_key, row, annotation, -count)
         if not state.can_answer(self.k):
             self.needs_recapture = True
-            return output
-        old_bag = _to_bag(old_top)
-        new_bag = _to_bag(state.top_k(self.k))
-        for (row, annotation), multiplicity in old_bag.items():
-            dropped = multiplicity - new_bag.get((row, annotation), 0)
-            if dropped > 0:
-                output.append(row, annotation, -dropped)
-        for (row, annotation), multiplicity in new_bag.items():
-            added = multiplicity - old_bag.get((row, annotation), 0)
-            if added > 0:
-                output.append(row, annotation, added)
-        return output
+            return AnnotatedDelta.empty(self.output_schema)
+        old_bag, new_bag = _bag(old_top), _bag(state.top_k(self.k))
+        changes = [new_bag.get(key, 0) - count for key, count in old_bag.items()]
+        shown = [change < 0 for change in changes]
+        added = [count - old_bag.get(key, 0) for key, count in new_bag.items()]
+        shown += [change > 0 for change in added]
+        keys = list(compress([*old_bag, *new_bag], shown))
+        return AnnotatedDelta.from_rows(
+            self.output_schema,
+            list(map(itemgetter(0), keys)),
+            list(map(itemgetter(1), keys)),
+            list(compress(changes + added, shown)),
+        )
 
     def memory_bytes(self) -> int:
         return self.state.memory_bytes()
@@ -905,7 +875,7 @@ class SharedNode:
     def replayable(self) -> bool:
         """Whether the root can give back the output of the from-scratch pass
         that built it."""
-        return isinstance(self.operator, (IncrementalAggregation, IncrementalDistinct))
+        return isinstance(self.operator, IncrementalAggregation)
 
     def memory_bytes(self) -> int:
         """Footprint of the subtree's state."""
@@ -916,7 +886,8 @@ class IncrementalShared(IncrementalOperator):
     """An engine's view of a :class:`SharedNode`: the node's output delta once
     per pass, under the engine's own output schema (engines that share a node
     may name its columns differently).  The lists are the node's, which the
-    stateless operators above it only read."""
+    stateless operators above it only read; the columns not built yet each
+    view builds for itself (:meth:`~repro.relational.columnar.LazyColumns.fork`)."""
 
     def __init__(self, node: SharedNode, output_schema: Schema) -> None:
         super().__init__(output_schema)
@@ -942,12 +913,27 @@ class IncrementalShared(IncrementalOperator):
                 output = node.operator.process(run)
                 node.built_at = run.version if run.from_scratch else None
             run.memo[node] = output
-        return AnnotatedDelta(
-            self.output_schema, output.rows, output.annotations, output.counts
-        )
+        columns = output.columns
+        if type(columns) is LazyColumns:
+            # Each engine's view builds what it reads itself: a lazy delta
+            # belongs to one pass.
+            columns = columns.fork()
+        return AnnotatedDelta(self.output_schema, columns, output.multiplicities)
 
     def describe(self) -> str:
         return "IncShared"
+
+
+def _union(schema: Schema, parts: list[AnnotatedDelta]) -> AnnotatedDelta:
+    """The entries of ``parts`` one after the other (one part: itself)."""
+    if len(parts) == 1:
+        return parts[0]
+    columns = [
+        list(chain.from_iterable(part.columns[position] for part in parts))
+        for position in range(len(schema) + 1)
+    ]
+    counts = list(chain.from_iterable(part.multiplicities for part in parts))
+    return AnnotatedDelta(schema, columns, counts)
 
 
 def _subtree(root: IncrementalOperator) -> Iterator[IncrementalOperator]:
@@ -958,15 +944,14 @@ def _subtree(root: IncrementalOperator) -> Iterator[IncrementalOperator]:
         stack.extend(operator.children())
 
 
-_STATEFUL = (IncrementalAggregation, IncrementalDistinct, IncrementalJoin, IncrementalTopK)
+_STATEFUL = (IncrementalAggregation, IncrementalJoin, IncrementalTopK)
 
 
-def _to_bag(entries: list[tuple[Row, int, int]]) -> dict[tuple[Row, int], int]:
-    bag: dict[tuple[Row, int], int] = {}
-    for row, annotation, multiplicity in entries:
-        key = (row, annotation)
-        bag[key] = bag.get(key, 0) + multiplicity
-    return bag
+def _bag(entries: list[tuple[Row, int, int]]) -> dict[tuple[Row, int], int]:
+    """Top-k ``(row, annotation, multiplicity)`` entries as one bag keyed by
+    ``(row, annotation)``, by the one merge."""
+    pairs = [(row, annotation) for row, annotation, _ in entries]
+    return merged_counts(pairs, [multiplicity for *_, multiplicity in entries])
 
 
 class MergeOperator(IncrementalOperator):
@@ -995,7 +980,7 @@ class MergeOperator(IncrementalOperator):
         child = self.child.process(run)
         before = self.mask
         masks = [before]
-        counts = child.counts
+        counts = child.multiplicities
         fold_fragments([0] * len(counts), child.annotations, counts, [self.counts], masks)
         self.mask = after = masks[0]
         return SketchDelta(

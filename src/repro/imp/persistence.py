@@ -151,10 +151,10 @@ def dump_engine_state(engine: IncrementalEngine) -> dict[str, Any]:
         raise StateError("cannot dump an engine that has not been initialized")
     payloads: list[dict[str, Any] | None] = []
     for operator in _operators_in_order(engine._merge):
-        if isinstance(operator, IncrementalAggregation):
-            payloads.append(_aggregation_payload(operator))
-        elif isinstance(operator, IncrementalDistinct):
+        if isinstance(operator, IncrementalDistinct):  # an aggregation too: test it first
             payloads.append(_distinct_payload(operator))
+        elif isinstance(operator, IncrementalAggregation):
+            payloads.append(_aggregation_payload(operator))
         elif isinstance(operator, IncrementalTopK):
             payloads.append(_topk_payload(operator))
         elif isinstance(operator, MergeOperator):

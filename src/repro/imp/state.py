@@ -533,11 +533,11 @@ class JoinSideState:
         if buckets is None:
             if self.bloom is not None:
                 self.bloom.add_all(
-                    {key for key, count in zip(keys, delta.counts) if count > 0}
+                    {key for key, count in zip(keys, delta.multiplicities) if count > 0}
                 )
             return
         for join_key, entry, count in zip(
-            keys, zip(delta.rows, delta.annotations), delta.counts
+            keys, zip(delta.rows(), delta.annotations), delta.multiplicities
         ):
             bucket = buckets.get(join_key)
             if bucket is None:

@@ -24,9 +24,13 @@ built when something first reads it (:class:`LazyColumns`), so an aggregate
 over two attributes of an eleven-column table builds two columns.
 
 Entries are ``(row, multiplicity)`` pairs exactly like ``Relation.items()``;
-a batch may carry duplicate rows (e.g. after a projection).  A batch whose
-entries are known to be distinct is flagged ``consolidated`` -- conversions
-and grouping kernels use the flag to skip the duplicate-merge pass.  The
+a batch may carry duplicate rows (e.g. after a projection).  A query's
+multiplicities are positive, IMP's annotated deltas
+(:class:`~repro.imp.annotated.AnnotatedDelta`) hold signed ones.  A batch
+whose entries are known to be distinct is flagged ``consolidated`` --
+conversions and grouping kernels use the flag to skip the duplicate-merge
+pass.  There is one merge rule (:func:`merged_counts`): a key whose signed
+total reaches zero is dropped, so positive multiplicities only ever sum.  The
 entry *order* of a batch is part of its value: float aggregates accumulate in
 entry order and LIMIT ties are cut in it.  A table batch lists the rows in
 arrival order, each kernel states the order of its output, and consolidation
@@ -82,6 +86,13 @@ class LazyColumns:
             for position in range(len(self._built)):
                 self[position]
         return iter(self._built)
+
+    def fork(self) -> "LazyColumns":
+        """The same columns for another reader: the columns built so far are
+        shared (they are read-only), the others each reader builds itself."""
+        forked = LazyColumns(len(self._built), self._build)
+        forked._built[:] = self._built
+        return forked
 
 
 class ColumnBatch:
@@ -159,7 +170,7 @@ class ColumnBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ColumnBatch(schema={list(self.schema)}, entries={len(self)}, "
+            f"{type(self).__name__}(schema={list(self.schema)}, entries={len(self)}, "
             f"consolidated={self.consolidated})"
         )
 
@@ -177,10 +188,10 @@ class ColumnBatch:
         Used by table scans to alias-qualify the cached per-table batch
         without copying it; arities must match.
         """
-        return ColumnBatch(schema, self.columns, self.multiplicities, self.consolidated)
+        return type(self)(schema, self.columns, self.multiplicities, self.consolidated)
 
     def consolidate(self) -> "ColumnBatch":
-        """A batch with duplicate rows merged (multiplicities summed).
+        """A batch with duplicate rows merged by :func:`merged_counts`.
 
         First-occurrence order is kept: a merged row stays where it first
         appeared.  Without duplicates the result shares this batch's lists.
@@ -192,14 +203,14 @@ class ColumnBatch:
         counts = self._merged_counts()
         if len(counts) == len(self.multiplicities):
             # Nothing merged: the same entries, now known to be distinct.
-            return ColumnBatch(self.schema, self.columns, self.multiplicities, consolidated=True)
+            return type(self)(self.schema, self.columns, self.multiplicities, consolidated=True)
         if len(self.columns) == 1:
             columns: Iterable[list] = [list(counts)]
         elif counts:
             columns = (list(column) for column in zip(*counts))
         else:
-            columns = ([] for _ in range(len(self.schema)))
-        return ColumnBatch(self.schema, columns, list(counts.values()), consolidated=True)
+            columns = ([] for _ in range(len(self.columns)))
+        return type(self)(self.schema, columns, list(counts.values()), consolidated=True)
 
     def to_relation(self) -> Relation:
         """The batch as a :class:`Relation` (the result of a query)."""
@@ -212,8 +223,8 @@ class ColumnBatch:
         return Relation.from_counts(self.schema, counts)
 
     def _merged_counts(self) -> dict:
-        """Entries merged into a ``key -> multiplicity`` mapping, each key at
-        its first occurrence.  The key is the row tuple, except in a
+        """Entries merged into a ``key -> multiplicity`` mapping by
+        :func:`merged_counts`.  The key is the row tuple, except in a
         one-column batch, where it is the raw value: no 1-tuple is built.
 
         Keying by value merges exactly what keying by ``(v,)`` merges: a dict
@@ -222,25 +233,35 @@ class ColumnBatch:
         identity-or-``==`` rule.  So one NaN object repeated merges, distinct
         NaN objects do not, and ``1``/``1.0``/``True`` (or ``-0.0``/``0.0``)
         merge under the first spelling, as they would in 1-tuples.
-
-        When every multiplicity is 1 (say, a projection of a table's distinct
-        rows), ``Counter`` counts the keys at C speed, duplicates or not.
-        Otherwise the dict is built in one C-level ``dict(zip(...))``, and only
-        when its length reveals duplicate keys (whose multiplicities the zip
-        overwrote) are they merged by a per-entry loop.  Either way a dict keeps
-        each key at its first occurrence, under its first spelling.
         """
         keys = self.columns[0] if len(self.columns) == 1 else self.row_tuples()
-        multiplicities = self.multiplicities
-        if multiplicities.count(1) == len(multiplicities):
-            return dict(Counter(keys))
-        counts = dict(zip(keys, multiplicities))
-        if len(counts) != len(keys):
-            counts = {}
-            get = counts.get
-            for key, multiplicity in zip(keys, multiplicities):
-                counts[key] = get(key, 0) + multiplicity
-        return counts
+        return merged_counts(keys, self.multiplicities)
+
+
+def merged_counts(keys: Sequence, counts: list[int]) -> dict:
+    """The bag merge: ``key -> summed count``, entry by entry, each key at its
+    first occurrence under its first spelling; a key whose total reaches zero
+    is dropped and re-enters at its next occurrence (at the end).
+
+    When every count is 1 (say, a projection of a table's distinct rows),
+    ``Counter`` counts the keys at C speed, duplicates or not.  Otherwise the
+    dict is built in one C-level ``dict(zip(...))``, and only when its length
+    reveals repeated keys (whose counts the zip overwrote) does the per-entry
+    loop run.
+    """
+    if counts.count(1) == len(counts):
+        return dict(Counter(keys))
+    merged = dict(zip(keys, counts))
+    if len(merged) != len(keys):
+        merged = {}
+        get = merged.get
+        for key, count in zip(keys, counts):
+            total = get(key, 0) + count
+            if total:
+                merged[key] = total
+            else:
+                del merged[key]
+    return merged
 
 
 class SlotMap:

@@ -13,7 +13,9 @@ in entry order, so the order decides results bit for bit.  The row oracle
 differential tests; nothing here imports it.
 
 Input batches are never mutated; output batches may share input column lists
-(both sides treat them as read-only).
+(both sides treat them as read-only).  The filter and the projection return
+a batch of their input's class, so IMP's annotated deltas run through them
+too, the annotation column carried like any other.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def filter_batch(batch: ColumnBatch, values: list, strict: bool) -> ColumnBatch:
         len(source), lambda position: list(compress(source[position], values))
     )
     multiplicities = list(compress(batch.multiplicities, values))
-    return ColumnBatch(batch.schema, columns, multiplicities, batch.consolidated)
+    return type(batch)(batch.schema, columns, multiplicities, batch.consolidated)
 
 
 def project_batch(
@@ -59,7 +61,7 @@ def project_batch(
     Distinct input rows may project to equal output rows, so the result is
     never flagged consolidated.
     """
-    return ColumnBatch(schema, value_columns, batch.multiplicities, consolidated=False)
+    return type(batch)(schema, value_columns, batch.multiplicities, consolidated=False)
 
 
 def hash_join_batch(

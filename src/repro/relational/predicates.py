@@ -75,24 +75,26 @@ def _numeric(value: object) -> float | None:
     return value
 
 
-def _comparison_interval(expression: Comparison, attribute: str) -> Interval | None:
+def _comparison_interval(expression: Comparison, attribute: str) -> list[Interval] | None:
     shape = column_versus_literal(expression)
     if shape is None or not _matches_attribute(shape[0], attribute):
         return None
     _name, op, constant = shape
+    if constant is None:
+        return []  # a comparison with NULL is never TRUE
     value = _numeric(constant)
     if value is None:
         return None
     if op == "=":
-        return Interval(value, value)
+        return [Interval(value, value)]
     if op == "<":
-        return Interval(-math.inf, value, True, False)
+        return [Interval(-math.inf, value, True, False)]
     if op == "<=":
-        return Interval(-math.inf, value, True, True)
+        return [Interval(-math.inf, value, True, True)]
     if op == ">":
-        return Interval(value, math.inf, False, True)
+        return [Interval(value, math.inf, False, True)]
     if op == ">=":
-        return Interval(value, math.inf, True, True)
+        return [Interval(value, math.inf, True, True)]
     return None
 
 
@@ -101,11 +103,14 @@ def extract_intervals(predicate: Expression, attribute: str) -> list[Interval] |
 
     Guarantee: every tuple satisfying the predicate has its ``attribute`` value
     inside one of the returned intervals.  ``None`` means no bound could be
-    derived (the caller must fall back to a full scan).
+    derived (the caller must fall back to a full scan).  A comparison with
+    NULL, or a BETWEEN of two NULLs, is never TRUE: no interval.  A BETWEEN
+    with one NULL bound is never TRUE either, but where its other bound's
+    comparison raises the full scan raises, so it gives that half (for the
+    fetched rows to be rechecked, see :func:`is_exact_bound`).
     """
     if isinstance(predicate, Comparison):
-        interval = _comparison_interval(predicate, attribute)
-        return [interval] if interval is not None else None
+        return _comparison_interval(predicate, attribute)
     if isinstance(predicate, Between):
         operand, low, high = predicate.operand, predicate.low, predicate.high
         if (
@@ -114,7 +119,10 @@ def extract_intervals(predicate: Expression, attribute: str) -> list[Interval] |
             and isinstance(low, Literal)
             and isinstance(high, Literal)
         ):
-            low_value, high_value = _numeric(low.value), _numeric(high.value)
+            if low.value is None and high.value is None:
+                return []
+            low_value = -math.inf if low.value is None else _numeric(low.value)
+            high_value = math.inf if high.value is None else _numeric(high.value)
             if low_value is not None and high_value is not None:
                 return [Interval(low_value, high_value)]
         return None
@@ -157,16 +165,19 @@ def is_exact_bound(predicate: Expression, attribute: str) -> bool:
     >=`` (either operand order), a BETWEEN of two numbers, and any AND/OR
     tree of those (a sketch's range disjunction): the bounds are exact, and
     NULL and NaN, which satisfy no such comparison, are not indexed -- so the
-    rows an index scan fetches over the intervals need no recheck of it.
-    ``<>``, a comparison with another column, or another attribute are not
-    proven.
+    rows an index scan fetches over the intervals need no recheck of it.  So
+    is a comparison with NULL (no interval, no row).  ``<>``, a comparison
+    with another column, another attribute, or a BETWEEN with one NULL bound
+    (the other bound's half) are not proven.
     """
     if isinstance(predicate, LogicalOp):
         return all(is_exact_bound(operand, attribute) for operand in predicate.operands)
-    return (
-        isinstance(predicate, (Comparison, Between))
-        and extract_intervals(predicate, attribute) is not None
-    )
+    if not isinstance(predicate, (Comparison, Between)):
+        return False
+    intervals = extract_intervals(predicate, attribute)
+    if isinstance(predicate, Between) and intervals:
+        return None not in (predicate.low.value, predicate.high.value)
+    return intervals is not None
 
 
 def intervals_are_selective(intervals: list[Interval] | None) -> bool:

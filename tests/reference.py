@@ -522,12 +522,12 @@ class Feed(IncrementalOperator):
 
     def __init__(self, schema: Schema) -> None:
         super().__init__(schema)
-        self.next = AnnotatedDelta(schema)
+        self.next = AnnotatedDelta.empty(schema)
 
     def queue(self, entries: Iterable[tuple[Row, int, int]]) -> None:
         """Queue ``(row, annotation, count)`` entries."""
         entries = list(entries)
-        self.next = AnnotatedDelta(
+        self.next = AnnotatedDelta.from_rows(
             self.output_schema,
             [row for row, _a, _c in entries],
             [annotation for _r, annotation, _c in entries],

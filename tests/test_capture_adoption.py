@@ -153,9 +153,9 @@ def test_replay_is_the_from_scratch_output_entry_for_entry(rows, query):
     assert isinstance(operator, (IncrementalAggregation, IncrementalDistinct))
     built = operator.process(Pass.scratch(database.version))
     replayed = operator.replay()
-    assert repr(replayed.rows) == repr(built.rows)
+    assert repr(replayed.rows()) == repr(built.rows())
     assert replayed.annotations == built.annotations
-    assert replayed.counts == built.counts
+    assert replayed.multiplicities == built.multiplicities
 
 
 def test_a_from_scratch_pass_over_a_node_built_at_another_version_raises():

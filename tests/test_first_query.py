@@ -1,12 +1,9 @@
 """A template's first query does only the work its result needs.
 
-Three pieces of a from-scratch capture are held to what they replaced:
+Two pieces of a from-scratch capture are held to what they replaced:
 
 * the Bloom filter's whole-list position derivation (``add_all``) to the
   per-value reference ``_positions``, bit for bit;
-* ``AnnotatedDelta.consolidated`` to the one merge of ``tests.reference``
-  (it runs its own per-entry loop only for repeated pairs with other than
-  unit counts), by ``repr`` and in order;
 * sketch-attribute choice, which stops at the first numeric candidate, to
   the ``(table, attribute)`` pairs the full candidate lists gave for every
   template of :mod:`repro.workloads`.
@@ -21,8 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bloom import BloomFilter
-from repro.imp.annotated import AnnotatedDelta
-from repro.relational.schema import Schema
 from repro.sketch.selection import build_database_partition
 from repro.storage.database import Database
 from repro.workloads import (
@@ -44,7 +39,6 @@ from repro.workloads import (
 )
 from repro.workloads.mixed import multi_sketch_templates
 from repro.workloads.synthetic import load_join_helper
-from tests.reference import merge
 
 # -- (a) Bloom filter: whole-list passes set the reference bits ---------------------
 
@@ -101,93 +95,7 @@ class TestBloomBatch:
         assert bytes(bloom._bits) == bytes(reference_filter(1, 0.0001, values)._bits)
 
 
-# -- (b) consolidated(): the one merge's entries, order and spelling ---------------
-
-SCHEMA = Schema(["x", "y"])
-
-
-def reference(delta: AnnotatedDelta) -> AnnotatedDelta:
-    """``delta`` by the one merge, keyed by ``(row, annotation)`` pairs."""
-    totals = merge(zip(zip(delta.rows, delta.annotations), delta.counts))
-    if not totals:
-        return AnnotatedDelta(delta.schema)
-    rows, annotations = map(list, zip(*totals))
-    return AnnotatedDelta(delta.schema, rows, annotations, list(totals.values()))
-
-
-def spelled(delta: AnnotatedDelta) -> str:
-    return repr((delta.rows, delta.annotations, delta.counts))
-
-
-# 1, 1.0 and True are one key spelled three ways: the first spelling stays.
-VALUES = st.sampled_from([0, 1, 1.0, True, 2, -0.0, "a", None])
-ROWS = st.tuples(VALUES, VALUES)
-MASKS = st.integers(0, 3)
-
-
-@st.composite
-def unit_batches(draw):
-    entries = draw(st.lists(st.tuples(ROWS, MASKS), max_size=40))
-    return [(row, mask, 1) for row, mask in entries]
-
-
-@st.composite
-def cancelling_batches(draw):
-    """Mixed signs over few pairs, with inserts matched by deletes."""
-    entries = draw(
-        st.lists(st.tuples(ROWS, MASKS, st.sampled_from([-2, -1, 1, 2, 3])), max_size=40)
-    )
-    cancelled = [(row, mask, -count) for row, mask, count in entries[::2]]
-    return draw(st.permutations(entries + cancelled))
-
-
-@st.composite
-def distinct_batches(draw):
-    pairs = draw(st.lists(st.tuples(st.integers(-50, 50), MASKS), unique=True, max_size=40))
-    counts = draw(
-        st.lists(st.integers(-4, 4).filter(bool), min_size=len(pairs), max_size=len(pairs))
-    )
-    return [((value, value % 3), mask, count) for (value, mask), count in zip(pairs, counts)]
-
-
-class TestConsolidated:
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(unit_batches(), cancelling_batches(), distinct_batches()))
-    def test_equals_the_merge_reference(self, entries):
-        rows = [row for row, _, _ in entries]
-        masks = [mask for _, mask, _ in entries]
-        counts = [count for _, _, count in entries]
-        delta = AnnotatedDelta(SCHEMA, list(rows), list(masks), list(counts))
-        merged = delta.consolidated()
-        assert spelled(merged) == spelled(reference(delta))
-        # The input is left as it was.
-        assert spelled(delta) == repr((rows, masks, counts))
-
-    def test_a_pair_through_zero_moves_to_its_next_occurrence(self):
-        delta = AnnotatedDelta(
-            SCHEMA,
-            [(1, 1), (2, 2), (1, 1), (3, 3), (1, 1)],
-            [1, 2, 1, 4, 1],
-            [1, 2, -1, 1, 2],
-        )
-        merged = delta.consolidated()
-        assert (merged.rows, merged.annotations, merged.counts) == (
-            [(2, 2), (3, 3), (1, 1)],
-            [2, 4, 1],
-            [2, 1, 2],
-        )
-
-    def test_unit_counts_sum_per_pair_in_first_occurrence_order(self):
-        delta = AnnotatedDelta(
-            SCHEMA, [(1.0, 0), (2, 0), (1, 0), (True, 0)], [1, 1, 1, 2], [1, 1, 1, 1]
-        )
-        merged = delta.consolidated()
-        assert repr((merged.rows, merged.annotations, merged.counts)) == repr(
-            ([(1.0, 0), (2, 0), (True, 0)], [1, 1, 2], [2, 1, 1])
-        )
-
-
-# -- (c) sketch-attribute choice stops at the first numeric candidate ---------------
+# -- (b) sketch-attribute choice stops at the first numeric candidate ---------------
 
 TEMPLATES = {
     "q_having_1": q_having(1),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import StateError
+from repro.relational import kernels
 from repro.relational.algebra import Aggregate, AggregateFunction
 from repro.relational.expressions import ColumnRef
 from repro.relational.schema import Schema
@@ -23,70 +24,123 @@ from tests.reference import Feed, merge
 SCHEMA = Schema(["a", "b"])
 
 
+def delta_of(entries, schema: Schema = SCHEMA) -> AnnotatedDelta:
+    """An annotated delta of ``(row, annotation, count)`` entries."""
+    entries = list(entries)
+    return AnnotatedDelta.from_rows(
+        schema,
+        [row for row, _a, _c in entries],
+        [annotation for _r, annotation, _c in entries],
+        [count for _r, _a, count in entries],
+    )
+
+
 class TestAnnotatedDelta:
+    ENTRIES = [((1, 2), 0b001, 2), ((3, 4), 0b010, -1), ((5, 6), 0b110, 1)]
+
     def _delta(self) -> AnnotatedDelta:
-        delta = AnnotatedDelta(SCHEMA)
-        delta.append((1, 2), 0b001, 2)
-        delta.append((3, 4), 0b010, -1)
-        delta.append((5, 6), 0b110, 1)
-        return delta
+        return delta_of(self.ENTRIES)
 
     def test_signed_counts(self):
         delta = self._delta()
-        assert delta.insert_count == 3
-        assert delta.delete_count == 1
-        assert len(delta) == 4
+        assert delta.multiplicities == [2, -1, 1]
+        assert delta.tuple_count == 4
+        assert len(delta) == 3  # entries, as for any batch
         assert delta
-        assert not AnnotatedDelta(SCHEMA)
+        assert not AnnotatedDelta.empty(SCHEMA)
 
-    def test_annotations_are_plain_masks(self):
+    def test_annotations_are_plain_masks_in_the_last_column(self):
         delta = self._delta()
+        assert delta.annotations is delta.columns[2]
         assert all(type(annotation) is int for annotation in delta.annotations)
         assert list(iter_bits(delta.annotations[2])) == [1, 2]
 
-    def test_entries_stay_in_append_order_and_are_not_merged(self):
-        delta = AnnotatedDelta(SCHEMA)
-        delta.append((1, 2), 1, 1)
-        delta.append((1, 2), 1, -1)
-        delta.append((1, 2), 1, 1)
+    def test_entries_stay_in_order_and_are_not_merged(self):
+        delta = delta_of([((1, 2), 1, 1), ((1, 2), 1, -1), ((1, 2), 1, 1)])
         assert list(delta.entries()) == [((1, 2), 1, 1), ((1, 2), 1, -1), ((1, 2), 1, 1)]
         assert len(delta) == 3
 
     def test_columns_pivot_rows(self):
-        columns = self._delta().columns()
-        assert columns[1] == [2, 4, 6]  # built when read, in any order
-        assert list(columns) == [[1, 3, 5], [2, 4, 6]]
-        assert len(AnnotatedDelta(SCHEMA).columns()) == 2  # no rows: empty columns
-        assert AnnotatedDelta(SCHEMA).columns()[0] == []
+        delta = self._delta()
+        assert delta.columns[1] == [2, 4, 6]
+        assert list(delta.columns) == [[1, 3, 5], [2, 4, 6], [0b001, 0b010, 0b110]]
+        assert delta.rows() == [(1, 2), (3, 4), (5, 6)]
+        empty = AnnotatedDelta.empty(SCHEMA)
+        assert list(empty.columns) == [[], [], []]  # no rows: empty columns
+        assert empty.rows() == []
+        assert delta_of([((), 0b1, 2)], Schema([])).rows() == [()]
 
-    def test_filter_keeps_the_three_lists_aligned(self):
-        kept = self._delta().filter([True, False, True])
-        assert kept.schema == SCHEMA
+    def test_annotate_builds_each_value_column_when_first_read(self):
+        read = []
+        column = lambda position: read.append(position) or [position] * 3  # noqa: E731
+        delta = AnnotatedDelta.annotate(SCHEMA, column, [0b1, 0b10, 0b100], [1, -1, 2])
+        assert delta.annotations == [0b1, 0b10, 0b100] and read == []
+        assert delta.columns[1] == [1, 1, 1] and read == [1]
+        assert list(delta.entries()) == [((0, 1), 0b1, 1), ((0, 1), 0b10, -1), ((0, 1), 0b100, 2)]
+        assert read == [1, 0]
+
+    def test_the_filter_kernel_keeps_the_columns_aligned(self):
+        kept = kernels.filter_batch(self._delta(), [True, False, True], True)
+        assert type(kept) is AnnotatedDelta and kept.schema == SCHEMA
         assert list(kept.entries()) == [((1, 2), 0b001, 2), ((5, 6), 0b110, 1)]
-        assert not self._delta().filter([False, None, False])
+        assert not kernels.filter_batch(self._delta(), [False, None, False], False)
 
-    def test_with_rows_keeps_annotations_and_counts(self):
+    def test_the_projection_kernel_keeps_annotations_and_counts(self):
         delta = self._delta()
         narrow = Schema(["a"])
-        projected = delta.with_rows(narrow, [(row[0],) for row in delta.rows])
-        assert projected.schema == narrow
+        projected = kernels.project_batch(delta, narrow, [delta.columns[0], delta.annotations])
+        assert type(projected) is AnnotatedDelta and projected.schema == narrow
         assert list(projected.entries()) == [((1,), 0b001, 2), ((3,), 0b010, -1), ((5,), 0b110, 1)]
-        # The lists are copies: appending to one delta leaves the other aligned.
-        projected.append((7,), 0b001, 1)
-        assert len(delta.rows) == len(delta.annotations) == len(delta.counts) == 3
+        # The source is left as it was.
+        assert list(delta.entries()) == self.ENTRIES
 
-    def test_consolidated_sums_per_annotated_row_and_drops_cancelled(self):
-        delta = AnnotatedDelta(SCHEMA)
-        delta.append((1, 2), 0b01, 2)
-        delta.append((3, 4), 0b10, 1)
-        delta.append((1, 2), 0b10, 1)  # same row, other annotation: kept apart
-        delta.append((3, 4), 0b10, -1)
-        delta.append((1, 2), 0b01, -3)
-        assert list(delta.consolidated().entries()) == [((1, 2), 0b01, -1), ((1, 2), 0b10, 1)]
-        assert len(delta.rows) == 5  # the source is left as it was
-        delta.append((1, 2), 0b10, -1)
-        delta.append((1, 2), 0b01, 1)
-        assert not delta.consolidated()
+    def test_relabel_keeps_the_class_and_the_columns(self):
+        delta = self._delta()
+        relabeled = delta.relabel(SCHEMA.qualify("t"))
+        assert type(relabeled) is AnnotatedDelta
+        assert relabeled.columns is delta.columns
+        assert list(relabeled.entries()) == self.ENTRIES
+
+    def test_a_fork_shares_the_built_columns_and_builds_the_rest_itself(self):
+        """A view of a shared node's delta (one per engine) builds the
+        columns nobody built yet on its own."""
+        delta = self._delta()
+        first = delta.columns[0]
+        fork = delta.columns.fork()
+        assert fork[0] is first
+        assert fork[1] == delta.columns[1] and fork[1] is not delta.columns[1]
+        assert list(fork) == list(delta.columns)
+
+    def test_consolidate_sums_per_annotated_row_and_drops_cancelled(self):
+        entries = [
+            ((1, 2), 0b01, 2),
+            ((3, 4), 0b10, 1),
+            ((1, 2), 0b10, 1),  # same row, other annotation: kept apart
+            ((3, 4), 0b10, -1),
+            ((1, 2), 0b01, -3),
+        ]
+        delta = delta_of(entries)
+        merged = delta.consolidate()
+        assert type(merged) is AnnotatedDelta
+        assert list(merged.entries()) == [((1, 2), 0b01, -1), ((1, 2), 0b10, 1)]
+        assert list(delta.entries()) == entries  # the source is left as it was
+        assert not delta_of(entries + [((1, 2), 0b10, -1), ((1, 2), 0b01, 1)]).consolidate()
+
+    def test_a_pair_through_zero_moves_to_its_next_occurrence(self):
+        delta = delta_of(
+            [((1, 1), 1, 1), ((2, 2), 2, 2), ((1, 1), 1, -1), ((3, 3), 4, 1), ((1, 1), 1, 2)]
+        )
+        assert list(delta.consolidate().entries()) == [
+            ((2, 2), 2, 2),
+            ((3, 3), 4, 1),
+            ((1, 1), 1, 2),
+        ]
+
+    def test_unit_counts_sum_per_pair_in_first_occurrence_order(self):
+        delta = delta_of([((1.0, 0), 1, 1), ((2, 0), 1, 1), ((1, 0), 1, 1), ((True, 0), 2, 1)])
+        assert repr(list(delta.consolidate().entries())) == repr(
+            [((1.0, 0), 1, 2), ((2, 0), 1, 1), ((True, 0), 2, 1)]
+        )
 
 
 def aggregate(function: AggregateFunction, argument: str | None = "v") -> Aggregate:

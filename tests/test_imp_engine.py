@@ -822,7 +822,7 @@ class TestStatisticsAndMemory:
             whole = Pass.scratch(database.version)
             assert len(scan.process(whole)) == (100 if pushdown else 200)
             outputs[pushdown] = root.process(whole)
-        assert len(outputs[True].rows) == 100
+        assert len(outputs[True]) == 100
         assert list(outputs[True].entries()) == list(outputs[False].entries())
 
     def test_pushdown_filters_delta_tuples(self):

@@ -85,7 +85,7 @@ def fresh_buckets(side, partition, database):
     whole = (
         compile_plan(side.plan, partition, database, IMPConfig(use_bloom_filters=False))
         .process(Pass.scratch(database.version))
-        .consolidated()
+        .consolidate()
     )
     positions = side.positions
     buckets: dict = {}

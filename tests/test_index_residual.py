@@ -85,6 +85,49 @@ def test_an_index_over_text_leaves_a_numeric_bound_to_the_scan():
             run(database, "SELECT id FROM t WHERE g >= 1 AND id < 3")
 
 
+NULL_BOUNDS = {
+    "a = NULL": [],
+    "NULL > a": [],
+    "a BETWEEN NULL AND NULL": [],
+    "a BETWEEN NULL AND 7": [Interval(-math.inf, 7)],
+    "a BETWEEN 3 AND NULL": [Interval(3, math.inf)],
+}
+
+
+def outcome(run, *args) -> str:
+    """The answer of ``run(*args)`` by ``repr``, or that it raised."""
+    try:
+        return answer(run(*args))
+    except UnsupportedOperationError:
+        return "raises"
+
+
+@pytest.mark.parametrize("text", [False, True])
+def test_a_null_bound_gives_intervals(text):
+    """A comparison with NULL and a BETWEEN of two NULLs are never TRUE: no
+    interval, so one index scan that reads no row.  A BETWEEN with one NULL
+    bound is never TRUE either, but its other comparison raises where the
+    full scan raises, so it gives that half, rechecked.  Over text that
+    half does not order, and the full scan raises as without an index.
+    Every outcome is the oracle's."""
+    database = Database()
+    database.create_table("t", ["id", "a"])
+    database.insert("t", [(i, f"w{i % 10}" if text else i % 10) for i in range(100)])
+    database.create_index("t", "a")
+    for where, intervals in NULL_BOUNDS.items():
+        sql = f"SELECT id FROM t WHERE {where}"
+        predicate = database.plan(sql).child.predicate
+        assert extract_intervals(predicate, "a") == intervals, where
+        assert is_exact_bound(predicate, "a") == (intervals == []), where
+        expected = outcome(oracle, database, sql)
+        assert expected == ("raises" if text and intervals else "[]"), where
+        scans = database.scan_count, database.index_scan_count
+        assert outcome(database.query, sql) == expected, where
+        served = not (text and intervals)
+        counted = database.scan_count - scans[0], database.index_scan_count - scans[1]
+        assert counted == ((0, 1) if served else (1, 0)), where
+
+
 def test_bounds_keep_the_literal_and_refuse_nan():
     (interval,) = extract_intervals(Comparison("<", a, Literal(BIG)), "a")
     assert interval == Interval(-math.inf, BIG, True, False)

@@ -46,6 +46,7 @@ from repro.relational.expressions import (
     compile_batch_expression,
 )
 from repro.relational.schema import Relation, Schema
+from repro.imp.annotated import AnnotatedDelta
 from repro.imp.middleware import IMPSystem
 from repro.sketch.ranges import DatabasePartition
 from repro.storage.database import Database
@@ -105,6 +106,22 @@ def make_mixed_db(num_rows: int = 160, seed: int = 5) -> Database:
 
 
 # -- the columnar representation -------------------------------------------------------
+
+
+@st.composite
+def signed_batches(draw) -> tuple[int, list]:
+    """``(width, [(row, count)])`` over a few rows of 0-3 columns drawn from
+    :func:`tests.reference.keys`, each row repeated: unit counts, or signed
+    counts where every other entry is cancelled by an opposite one placed
+    anywhere, so totals pass through zero and rows re-enter."""
+    width = draw(st.integers(0, 3))
+    pool = draw(st.lists(st.tuples(*[keys()] * width), min_size=1, max_size=4))
+    rows = st.sampled_from(pool)
+    if draw(st.booleans()):
+        return width, [(row, 1) for row in draw(st.lists(rows, max_size=24))]
+    entries = draw(st.lists(st.tuples(rows, st.sampled_from([-2, -1, 1, 2, 3])), max_size=16))
+    cancelled = [(row, -count) for row, count in entries[::2]]
+    return width, draw(st.permutations(entries + cancelled))
 
 
 class TestColumnBatch:
@@ -182,6 +199,35 @@ class TestColumnBatch:
         relation = batch.to_relation()
         assert repr(list(relation.items())) == repr(list(expected.items()))
         assert all(map(operator.is_, chain(*relation.distinct_rows()), chain(*expected)))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_batches())
+    def test_consolidate_equals_the_merge_reference_at_signed_counts(self, drawn):
+        """``consolidate`` is the one merge over batches of 0-3 columns:
+        unit counts, or signed counts whose totals cancel and re-enter at the
+        next occurrence; NaN identity and the first of ``1``/``1.0``/``True``
+        kept.  An annotated delta (its last column the annotations) merges by
+        row and annotation, the same way."""
+        width, entries = drawn
+        rows = [row for row, _ in entries]
+        counts = [count for _, count in entries]
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
+        batch = ColumnBatch(Schema(["a", "b", "c"][:width]), columns, list(counts))
+        expected = merge(zip(rows, counts))
+        merged = batch.consolidate()
+        assert merged.consolidated
+        assert repr(merged.row_tuples()) == repr(list(expected))
+        assert merged.multiplicities == list(expected.values())
+        assert all(map(operator.is_, chain(*merged.row_tuples()), chain(*expected)))
+        assert repr(batch.row_tuples()) == repr(rows) and batch.multiplicities == counts
+        if width:
+            delta = AnnotatedDelta(Schema(["a", "b"][: width - 1]), columns, list(counts))
+            annotated = delta.consolidate()
+            assert type(annotated) is AnnotatedDelta
+            assert repr(list(zip(annotated.row_tuples(), annotated.multiplicities))) == repr(
+                list(expected.items())
+            )
 
 
 # -- batch-compiled expressions --------------------------------------------------------
@@ -646,6 +692,7 @@ from repro.relational.algebra import (
     Aggregate, AggregateFunction, Aggregation, Distinct, Join, OrderItem,
     Projection, ProjectionItem, Selection, TableScan, TopK,
 )
+from repro.imp.annotated import AnnotatedDelta
 from repro.imp.middleware import IMPSystem
 from repro.relational.evaluator import Evaluator
 from repro.relational.expressions import ColumnRef, Comparison, Literal
