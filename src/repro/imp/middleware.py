@@ -36,8 +36,9 @@ from repro.relational.optimizer import PlanOptimizer
 from repro.relational.schema import Relation, Row
 from repro.sketch.selection import build_database_partition
 from repro.sketch.use import instrument_plan, skips_nothing
-from repro.sql import translator as sql_translator
-from repro.sql.template import QueryTemplate, template_of
+# Unused here (``Database.translation`` templates a text), but
+# ``bench/spans.py`` wraps ``template_of`` under this module's name.
+from repro.sql.template import QueryTemplate, template_of  # noqa: F401
 from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta, Delta
 
@@ -200,23 +201,23 @@ class SketchBasedSystem(WorkloadSystem):
     def run_query(self, sql: str) -> Relation:
         started = time.perf_counter()
         try:
-            # One parse feeds both the plan and the store key; it goes
-            # through the translator module's name, as Database.plan does.
-            statement = sql_translator.parse_select(sql)
-            plan = self.database.translator().translate(statement)
-            template = template_of(statement)
+            # The plan and the store key come from the database's one
+            # SQL-text cache: a repeated text is not parsed again.
+            plan, template = self.database.translation(sql)
             entry = self.store.get(template)
             if entry is None:
                 entry = self._capture_entry(sql, template, plan)
             if (
                 entry is not None
-                and entry.sql != sql
+                and entry.plan is not plan
                 and entry.plan.explain() != plan.explain()
             ):
                 # The store is keyed by constant-free template, but an entry's
                 # sketch and plan belong to the constants it was captured
-                # with: another binding of the template is not answered from
-                # them.
+                # with and to the catalog it was translated against: another
+                # binding of the template, or this text after a DDL change
+                # moved its translation, is not answered from them.  The same
+                # text at the same catalog version is the same cached plan.
                 entry = None
             if entry is None:
                 # No usable sketch (no safe sketch attribute, unsupported

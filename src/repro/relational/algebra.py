@@ -42,8 +42,9 @@ class PlanNode:
 
     optimized = False
     """Set by :meth:`~repro.relational.optimizer.PlanOptimizer.optimize` on the
-    root of the plan it returns: the evaluator rewrites only plans that are
-    not yet optimizer output, so a cached optimized plan is evaluated as is."""
+    root of the plan it returns, a node of its own (never one of the input
+    plan's): the evaluator rewrites only plans that are not yet optimizer
+    output, so a cached optimized plan is evaluated as is."""
 
     def children(self) -> tuple["PlanNode", ...]:
         """The child operators (empty for leaves)."""

@@ -37,6 +37,7 @@ order below a LIMIT could change which tied rows are returned.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterable, Sequence
 
@@ -434,9 +435,13 @@ class PlanOptimizer:
         plan = self._push(plan, [])
         plan = self._reorder(plan)
         plan = self._collapse(plan)
-        plan = self._prune(plan, None, True)
-        plan.optimized = True
-        return plan
+        root = self._prune(plan, None, True)
+        # The flag goes on a root of its own: the rewrites may hand back a
+        # node of the input (all of it for ``SELECT * FROM t``), and an input
+        # plan is shared, cached per SQL text, and must stay unoptimized.
+        root = copy.copy(root)
+        root.optimized = True
+        return root
 
     # -- predicate decomposition & pushdown ----------------------------------------------
 

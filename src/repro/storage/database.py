@@ -15,7 +15,9 @@ its audit log.  IMP talks to it for
 
 from __future__ import annotations
 
+import functools
 import threading
+import weakref
 from collections.abc import Iterable, Sequence
 
 from repro.core.errors import StorageError
@@ -25,8 +27,10 @@ from repro.relational.evaluator import Evaluator
 from repro.relational.expressions import compile_batch_expression, strict_boolean
 from repro.relational.kernels import filter_batch
 from repro.relational.schema import Relation, Row, Schema
+from repro.sql import translator as sql_translator
 from repro.sql.ast import DeleteStatement, InsertStatement, SelectStatement
 from repro.sql.parser import parse_statement
+from repro.sql.template import QueryTemplate, template_of
 from repro.sql.translator import Translator
 from repro.storage.delta import DatabaseDelta, Delta
 from repro.storage.recovery import DurabilityManager, RecoveryReport
@@ -46,6 +50,21 @@ def _column(stored: StoredTable, attribute: str) -> list[object]:
     """Every value of ``attribute`` in ``stored``, repeated by its row's
     multiplicity."""
     return expand_multiplicities(*stored.column(stored.schema.index_of(attribute)))
+
+
+# SQL texts whose translation a database keeps; the least recently used one
+# goes first beyond it.
+PLAN_CACHE_SIZE = 256
+
+
+def _translate(
+    database: "weakref.ref[Database]", _catalog_version: int, sql: str
+) -> tuple[PlanNode, QueryTemplate]:
+    """One parse feeds both the plan and the template.  ``_catalog_version``
+    is only part of the cache key; the parser and translator are reached by
+    their module names, so tracing that wraps those names sees a miss."""
+    statement = sql_translator.parse_select(sql)
+    return Translator(database()).translate(statement), template_of(statement)
 
 
 class Database:
@@ -97,6 +116,15 @@ class Database:
         # version; every committed update invalidates the whole cache, so a
         # cached entry is always as fresh as the data it summarises.
         self._statistics_cache: dict[tuple, object] = {}
+        # SQL text -> (translated plan, template), keyed by the catalog
+        # version too (see :meth:`translation`).  The cached callable holds
+        # the database weakly: a strong reference would be a cycle, and an
+        # unreferenced database (and its open log file) would then wait for
+        # the cycle collector.
+        self._catalog_version = 0
+        self._translations = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(
+            functools.partial(_translate, weakref.ref(self))
+        )
         # The single write lock.  Reentrant so compound update paths (a
         # DELETE statement collects its victims, then commits) stay atomic
         # without special-casing the nested _commit acquisition.
@@ -150,6 +178,7 @@ class Database:
             if self._durability is not None:
                 self._durability.log_create_table(name, table.schema, table.primary_key)
             self._tables[name] = table
+            self._catalog_version += 1
             return table
 
     def drop_table(self, name: str) -> None:
@@ -169,6 +198,7 @@ class Database:
             if self._durability is not None:
                 self._durability.log_drop_table(name)
             del self._tables[name]
+            self._catalog_version += 1
             self._audit_log.forget_table(name)
             self._statistics_cache.clear()
 
@@ -484,6 +514,7 @@ class Database:
 
     def _restore_table(self, stored: StoredTable) -> None:
         self._tables[stored.name] = stored
+        self._catalog_version += 1
 
     def _restore_version(self, version: int) -> None:
         # The checkpoint is the oldest state recovery can reconstruct: audit
@@ -503,13 +534,22 @@ class Database:
         """
         return Evaluator(self)
 
-    def translator(self) -> Translator:
-        """A SQL-to-algebra translator bound to this database's catalog."""
-        return Translator(self)
+    def translation(self, sql: str) -> tuple[PlanNode, QueryTemplate]:
+        """The logical plan and the sketch template of a SQL query.
+
+        A text is parsed, translated and templated once per catalog version:
+        the pair is cached (at most :data:`PLAN_CACHE_SIZE` texts, least
+        recently used evicted), errors are not.  Every DDL change bumps the
+        catalog version after it changes the catalog and before it releases
+        the write lock.  The version is read before a miss translates, so a
+        translation that races a DDL change is stored under a key no later
+        lookup uses.  Every caller shares the returned plan: never modify it.
+        """
+        return self._translations(self._catalog_version, sql)
 
     def plan(self, sql: str) -> PlanNode:
-        """Parse and translate a SQL query into a logical plan."""
-        return self.translator().translate_sql(sql)
+        """The logical plan of a SQL query, from :meth:`translation`'s cache."""
+        return self.translation(sql)[0]
 
     def query(
         self,
@@ -529,7 +569,7 @@ class Database:
         if isinstance(query, str):
             plan = self.plan(query)
         elif isinstance(query, SelectStatement):
-            plan = self.translator().translate(query)
+            plan = Translator(self).translate(query)
         else:
             plan = query
         if vectorize:

@@ -19,6 +19,7 @@ claim two ways:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -611,6 +612,100 @@ def test_sketch_store_ticks_are_exact_under_threads():
     assert store._tick == base_tick + num_threads * per_thread
     ticks = [entry.last_used_tick for entry in entries]
     assert len(set(ticks)) == len(ticks) and max(ticks) == store._tick
+
+
+# --------------------------------------------------------------------------------------
+# The shared SQL-text plan cache under DDL
+# --------------------------------------------------------------------------------------
+
+
+def side_changes(database: Database, pause=lambda: None, count: int = 8) -> None:
+    """The writer's operations: a commit to ``side``, then a drop and a
+    recreate of it (alternately with a third column); ``pause()`` after
+    each."""
+    for index in range(count):
+        database.insert("side", [(index,) * len(database.schema_of("side").attributes)])
+        pause()
+        database.drop_table("side")
+        pause()
+        database.create_table("side", ["x", "y", "z"] if index % 2 else ["x", "y"])
+        pause()
+
+
+def test_plan_cache_readers_race_ddl_on_an_unrelated_table():
+    """One reader through ``IMPSystem.run_query`` and one through
+    ``Database.query`` repeat the shared texts over ``r`` while a writer
+    commits to, drops and recreates ``side``: every DDL change re-keys the
+    whole plan cache under the readers.  Every answer equals the serial
+    replay's answer to its text, and no thread raises."""
+    database, _table = make_database()
+    system = make_system(database)
+    database.create_table("side", ["x", "y"])
+    runs = [system.run_query, database.query]
+    answers: list[tuple[str, tuple]] = []
+    errors: list[BaseException] = []
+    ready = [threading.Event() for _ in runs]
+    answered = threading.Event()
+    done = threading.Event()
+
+    def reader(slot: int) -> None:
+        try:
+            # Until the writer is done, then one more round at the final
+            # catalog version.
+            finished = False
+            while not finished:
+                finished = done.is_set()
+                for sql in QUERIES:
+                    answers.append((sql, tuple(runs[slot](sql).to_sorted_list())))
+                    answered.set()
+                ready[slot].set()
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+            ready[slot].set()
+
+    def handshake() -> None:
+        # The next operation waits for a reader to answer after this one.
+        answered.clear()
+        assert answered.wait(timeout=30.0)
+
+    def writer() -> None:
+        try:
+            for event in ready:  # every reader has answered once
+                assert event.wait(timeout=30.0)
+            side_changes(database, handshake)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(len(runs))]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside translations too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    # The readers' first round and their round after the last DDL change
+    # translate again (the handshake puts more misses in between).
+    assert database._translations.cache_info().misses >= 2 * len(QUERIES)
+
+    serial_db, _ = make_database()
+    serial = make_system(serial_db)
+    serial_db.create_table("side", ["x", "y"])
+    side_changes(serial_db)
+    expected = {}
+    for sql in QUERIES:
+        expected[sql] = tuple(serial.run_query(sql).to_sorted_list())
+        assert tuple(serial_db.query(sql).to_sorted_list()) == expected[sql]
+    assert len(answers) >= 2 * len(runs) * len(QUERIES)
+    for sql, rows in answers:
+        assert rows == expected[sql], sql
 
 
 # --------------------------------------------------------------------------------------

@@ -41,11 +41,13 @@ from repro.relational.optimizer import PlanOptimizer, equi_depth_fraction, fold_
 from repro.storage.database import Database
 from repro.storage.statistics import equi_depth_boundaries
 from tests.reference import (
+    PLANS,
     answer,
     assert_systems_match_oracle,
     engine,
     oracle,
     random_insert_batches,
+    tables,
 )
 
 
@@ -380,6 +382,33 @@ class TestEvaluatorIntegration:
         assert system.run_query(group_sql) == system.run_query(group_sql)
         assert system.statistics.sketch_hits == 2
         assert len(calls) == 2 + 1 + 1
+
+    def test_select_star_root_is_not_marked(self):
+        """``SELECT * FROM t`` optimizes to its own scan: the flag goes on a
+        copy, so the plan the database caches for the text stays unmarked."""
+        database = make_three_table_db()
+        plan = database.plan("SELECT * FROM t")
+        optimized = PlanOptimizer(database).optimize(plan)
+        assert optimized.optimized and optimized is not plan
+        assert not plan.optimized
+        database.query("SELECT * FROM t")
+        assert database.plan("SELECT * FROM t") is plan and not plan.optimized
+
+    @settings(max_examples=40, deadline=None)
+    @given(tables(), PLANS)
+    def test_optimize_leaves_every_catalogue_plan_as_it_was(self, case, plans):
+        """No node of an input plan is marked or rewritten: every shape of
+        ``tests.reference.CATALOGUE`` keeps ``optimized`` False and its
+        ``explain()`` after ``optimize``."""
+        database, _moved = case
+        optimizer = PlanOptimizer(database)
+        for plan in plans.values():
+            if isinstance(plan, str):
+                plan = database.plan(plan)
+            before = plan.explain()
+            assert optimizer.optimize(plan).optimized
+            assert not any(node.optimized for node in walk_plan(plan))
+            assert plan.explain() == before
 
     def test_table_scan_result_is_caller_owned(self):
         database = make_three_table_db()

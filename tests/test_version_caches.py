@@ -10,23 +10,29 @@ recomputation over the live table state -- the batch as a bag *and* in entry
 order, which float aggregates depend on -- while batches handed out earlier
 must stay exactly as they were.  Snapshot caches are exercised too: a session
 pinned mid-sequence must keep answering from its version while the caches
-underneath it churn.
+underneath it churn.  The SQL-text plan cache (``Database.translation``) is
+held to a fresh translation and the oracle after every operation, across DDL
+changes, recovery and its LRU bound.
 """
 
 from __future__ import annotations
 
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import StorageError
+from repro.imp.middleware import IMPSystem
 from repro.relational.columnar import ColumnBatch
-from repro.storage.database import Database
+from repro.sql import translator as sql_translator
+from repro.sql.translator import Translator
+from repro.storage.database import PLAN_CACHE_SIZE, Database
 from repro.storage.delta import DatabaseDelta, Delta
 from repro.storage.table import StoredTable, canonical_items
 from repro.storage.statistics import collect_column_statistics, equi_depth_boundaries
+from tests.reference import oracle
 
 COLUMNS = ["id", "a", "b"]
 ATTRIBUTES = ["a", "b"]
@@ -112,6 +118,21 @@ def assert_caches_fresh(database: Database, table: str) -> ColumnBatch:
     return batch
 
 
+PLAN_TEXTS = [
+    "SELECT id, a, b FROM t WHERE a < 10",
+    "SELECT a, sum(b) AS s, count(*) AS n FROM t GROUP BY a",
+]
+
+
+def assert_plans_fresh(database: Database) -> None:
+    """Each cached plan renders as a fresh translation, and its answer is the
+    oracle's."""
+    for sql in PLAN_TEXTS:
+        fresh = Translator(database).translate_sql(sql)
+        assert database.plan(sql).explain() == fresh.explain()
+        assert database.query(sql) == oracle(database, sql)
+
+
 @settings(max_examples=60, deadline=None)
 @given(operations=st.lists(operation_strategy, min_size=1, max_size=12))
 def test_version_caches_never_stale(operations):
@@ -182,9 +203,126 @@ def test_version_caches_never_stale(operations):
 
         held.hold(assert_caches_fresh(database, "t"))
         held.assert_unchanged()
+        assert_plans_fresh(database)
 
     if pinned_session is not None:
         pinned_session.close()
+
+
+# -- the SQL-text plan cache across DDL, recovery and its bound -------------------------
+
+
+def swapped_tables(database: Database) -> None:
+    """``t`` and ``u`` dropped and recreated with each other's columns."""
+    database.drop_table("t")
+    database.drop_table("u")
+    database.create_table("t", ["k", "w"])
+    database.create_table("u", ["id", "a", "b"])
+    database.insert("t", [(i, i * 10) for i in range(20)])
+    database.insert("u", [(i, i % 4, float(i)) for i in range(40)])
+
+
+def test_a_recreated_table_answers_the_same_text_with_its_new_schema():
+    """``a < 2`` moves from ``t`` to ``u`` when the tables are recreated with
+    each other's columns: the same text re-translates, and both the database
+    and the middleware answer with the new schema, as the oracle does."""
+    database = Database()
+    database.create_table("t", ["id", "a", "b"])
+    database.create_table("u", ["k", "w"])
+    database.insert("t", [(i, i % 4, float(i)) for i in range(40)])
+    database.insert("u", [(i, i * 10) for i in range(20)])
+    system = IMPSystem(database, num_fragments=4)
+    texts = [
+        "SELECT * FROM t, u WHERE id = k AND a < 2",
+        "SELECT a, sum(w) AS s FROM t, u WHERE id = k AND a < 2 GROUP BY a",
+    ]
+    for sql in texts:
+        assert system.run_query(sql) == database.query(sql) == oracle(database, sql)
+    assert system.statistics.sketch_hits == len(texts)
+    old_plans = [database.plan(sql) for sql in texts]
+
+    swapped_tables(database)
+    for sql, old_plan in zip(texts, old_plans):
+        plan = database.plan(sql)
+        assert plan is not old_plan
+        assert plan.explain() == Translator(database).translate_sql(sql).explain()
+        assert plan.explain() != old_plan.explain()
+        expected = oracle(database, sql)
+        assert database.query(sql) == expected
+        assert system.run_query(sql) == expected
+    assert database.query(texts[0]).schema.attributes == (
+        "t.k", "t.w", "u.id", "u.a", "u.b"
+    )
+
+
+def test_a_text_on_a_missing_table_answers_once_the_table_exists():
+    """A failed translation is not cached: the same text succeeds after
+    ``create_table``, through the database and the middleware."""
+    database = Database()
+    system = IMPSystem(database, num_fragments=4)
+    sql = "SELECT id, a FROM t WHERE a < 3"
+    for run in (database.query, database.plan, system.run_query):
+        with pytest.raises(StorageError):
+            run(sql)
+    database.create_table("t", ["id", "a"])
+    database.insert("t", [(i, i % 5) for i in range(20)])
+    expected = oracle(database, sql)
+    assert len(expected) == 12
+    assert database.query(sql) == expected
+    assert system.run_query(sql) == expected
+
+
+def test_a_recovered_database_answers_with_the_recovered_schema(tmp_path):
+    """Checkpoint, then a WAL tail that swaps the tables' columns: the
+    reopened database answers with the schema recovery rebuilt."""
+    path = str(tmp_path / "db")
+    database = Database(data_dir=path)
+    database.create_table("t", ["id", "a", "b"])
+    database.create_table("u", ["k", "w"])
+    database.insert("t", [(i, i % 4, float(i)) for i in range(40)])
+    database.insert("u", [(i, i * 10) for i in range(20)])
+    sql = "SELECT * FROM t, u WHERE id = k AND a < 2"
+    before = database.query(sql)
+    database.checkpoint()
+    swapped_tables(database)
+    after = database.query(sql)
+    database.close()
+    assert after.schema != before.schema
+
+    recovered = Database(data_dir=path)
+    assert recovered.recovery_report.ddl_replayed == 4
+    answer = recovered.query(sql)
+    assert answer.schema == after.schema
+    assert answer == after == oracle(recovered, sql)
+    assert recovered.plan(sql).explain() == Translator(recovered).translate_sql(sql).explain()
+    recovered.close()
+
+
+def test_the_plan_cache_stays_within_its_bound(monkeypatch):
+    """More distinct texts than the bound: the cache never holds more, the
+    most recent texts are served without a parse, evicted ones parse again,
+    and every answer is the oracle's."""
+    database = Database()
+    database.create_table("t", ["id", "a"])
+    database.insert("t", [(i, i % 7) for i in range(30)])
+    texts = [f"SELECT id FROM t WHERE id < {bound}" for bound in range(PLAN_CACHE_SIZE + 40)]
+    # A miss parses through the translator module's name.
+    parses = Mock(wraps=sql_translator.parse_select)
+    monkeypatch.setattr(sql_translator, "parse_select", parses)
+    for sql in texts:
+        assert database.query(sql) == oracle(database, sql)
+        assert database._translations.cache_info().currsize <= PLAN_CACHE_SIZE
+    assert parses.call_count == len(texts)
+
+    recent = texts[-PLAN_CACHE_SIZE:]
+    for sql in recent:
+        database.plan(sql)
+    assert parses.call_count == len(texts)
+    evicted = texts[: len(texts) - PLAN_CACHE_SIZE]
+    for sql in evicted:
+        assert database.query(sql) == oracle(database, sql)
+    assert parses.call_count == len(texts) + len(evicted)
+    assert database._translations.cache_info().currsize == PLAN_CACHE_SIZE
 
 
 # -- the maintained batch under every way a table can change --------------------
