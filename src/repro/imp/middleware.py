@@ -43,6 +43,12 @@ from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta, Delta
 
 
+def _same_plan(stored: PlanNode, plan: PlanNode) -> bool:
+    """Whether a stored entry's plan is ``plan``: the same text at the same
+    catalog version is the same cached object, else compare renderings."""
+    return stored is plan or stored.explain() == plan.explain()
+
+
 @dataclass
 class SystemStatistics:
     """End-to-end counters of a query/update processing system; those of
@@ -207,17 +213,16 @@ class SketchBasedSystem(WorkloadSystem):
             entry = self.store.get(template)
             if entry is None:
                 entry = self._capture_entry(sql, template, plan)
-            if (
-                entry is not None
-                and entry.plan is not plan
-                and entry.plan.explain() != plan.explain()
-            ):
+            elif entry.sql == sql and not _same_plan(entry.plan, plan):
+                # This text after a DDL change moved its translation: the
+                # entry can never answer it again, so a new capture replaces
+                # it.
+                entry = self._capture_entry(sql, template, plan, stale=entry)
+            if entry is not None and not _same_plan(entry.plan, plan):
                 # The store is keyed by constant-free template, but an entry's
                 # sketch and plan belong to the constants it was captured
-                # with and to the catalog it was translated against: another
-                # binding of the template, or this text after a DDL change
-                # moved its translation, is not answered from them.  The same
-                # text at the same catalog version is the same cached plan.
+                # with: another binding of the template is not answered from
+                # them.
                 entry = None
             if entry is None:
                 # No usable sketch (no safe sketch attribute, unsupported
@@ -240,14 +245,24 @@ class SketchBasedSystem(WorkloadSystem):
                 self.statistics.query_seconds += time.perf_counter() - started
 
     def _capture_entry(
-        self, sql: str, template: QueryTemplate, plan: PlanNode
+        self,
+        sql: str,
+        template: QueryTemplate,
+        plan: PlanNode,
+        stale: SketchEntry | None = None,
     ) -> SketchEntry | None:
+        """Capture ``template``'s entry, replacing ``stale`` if it is still
+        the stored one (``store.remove`` detaches it from any shared node)."""
         with self._capture_lock:
             # Double-checked: another session may have captured this template
             # while we waited for the lock (peek keeps hit/miss stats exact).
             existing = self.store.peek(template)
-            if existing is not None:
+            if existing is not None and existing is not stale:
                 return existing
+            if existing is not None:
+                # A round may be maintaining it: leave between rounds.
+                with self.scheduler.round_lock:
+                    self.store.remove(template)
             return self._capture_entry_locked(sql, template, plan)
 
     def _capture_entry_locked(

@@ -20,8 +20,10 @@ too, the annotation column carried like any other.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Sequence
+from functools import partial
 from heapq import nsmallest
 from itertools import compress, count
 from operator import ne
@@ -244,6 +246,13 @@ def aggregate_batch(
     aggregation applies at signed counts).  ``argument_columns`` holds
     ``None`` for ``count(*)``; NULL values are ignored.
 
+    When each group's entries are contiguous -- an index range scan on the
+    group key returns them so, one bucket per value -- and the groups are
+    long enough on average, :func:`group_runs` finds their bounds once and
+    :func:`fold_aggregate` folds one group run at a time (counts always,
+    sums and avgs when every multiplicity is 1); the results do not change
+    by a bit.
+
     The input must be consolidated unless no fold can tell (the caller
     guarantees it): counts and min/max never can, nor can a sum or avg whose
     values are ints, bools and NULL of magnitude at most ``m`` over entries
@@ -259,15 +268,18 @@ def aggregate_batch(
         # Aggregation without GROUP BY over an empty input produces one row.
         columns = [[over_nothing(aggregate)] for aggregate in aggregates]
         return ColumnBatch(schema, columns, [1], consolidated=True)
+    runs = group_runs(ids, len(keys))
     # count(*), and count and avg over a column without NULLs, share this list.
-    sizes = fold_aggregate(ids, None, multiplicities, [0] * len(keys))
+    sizes = fold_aggregate(ids, None, multiplicities, [0] * len(keys), runs=runs)
     if len(key_columns) == 1:
         columns = [keys]
     else:
         columns = [list(column) for column in zip(*keys)] or [[] for _ in key_columns]
     for aggregate, column in zip(aggregates, argument_columns):
         try:
-            columns.append(_fold(aggregate.function, ids, column, multiplicities, sizes))
+            columns.append(
+                _fold(aggregate.function, ids, column, multiplicities, sizes, runs)
+            )
         except (TypeError, OverflowError) as exc:
             raise fold_error(aggregate, exc) from exc
     # Group keys are distinct and prefix every output row, so rows are too.
@@ -280,6 +292,7 @@ def _fold(
     column: list | None,
     multiplicities: list[int],
     sizes: list[int],
+    runs: list[tuple[int, int, int]] | None,
 ) -> list:
     """One aggregate's value per group."""
     if column is None:
@@ -303,7 +316,9 @@ def _fold(
                     best[slot] = value
         return best
     totals = None if function is AggregateFunction.COUNT else [0.0] * len(sizes)
-    non_null = fold_aggregate(ids, column, multiplicities, [0] * len(sizes), totals, sizes)
+    non_null = fold_aggregate(
+        ids, column, multiplicities, [0] * len(sizes), totals, sizes, runs
+    )
     if totals is None:
         return non_null
     if function is AggregateFunction.SUM:
@@ -324,6 +339,39 @@ def group_ids(key_columns: list[list], n: int) -> tuple[list[int], list]:
     return list(map(slots.__getitem__, keys)), list(slots)
 
 
+# The shortest mean group run :func:`group_runs` hands out: the break-even
+# point.  A count(*) plus a sum at unit multiplicities, folded run by run
+# with the run bounds and the sortedness test included, costs what the
+# per-entry loops cost at runs of 12 entries, about 0.7 times at 30 and 0.5
+# times at 1 000, and twice at 4 (``timeit`` inside a function over 6 000
+# values, CPython 3.11 and 3.12).
+_MIN_MEAN_RUN = 12
+
+
+def group_runs(ids: list[int], groups: int) -> list[tuple[int, int, int]] | None:
+    """``(slot, start, stop)`` of each of the ``groups`` slots that
+    :func:`group_ids` numbered, when every slot's entries are contiguous and
+    the runs are at least :data:`_MIN_MEAN_RUN` entries long on average;
+    otherwise None.
+
+    Numbered by first occurrence, the slots' entries are contiguous exactly
+    when ``ids`` is non-decreasing.  Two O(1) tests go before the O(n) one:
+    the mean run length, and the last id being the last slot.  (Every prefix
+    of new keys looks sorted, so no prefix test could reject early.)
+    """
+    n = len(ids)
+    if (
+        not groups
+        or n < _MIN_MEAN_RUN * groups
+        or ids[-1] != groups - 1
+        or ids != sorted(ids)
+    ):
+        return None
+    starts = list(map(partial(bisect_left, ids), range(groups)))
+    starts.append(n)
+    return list(zip(range(groups), starts, starts[1:]))
+
+
 def fold_aggregate(
     ids: list[int],
     column: list | None,
@@ -331,6 +379,7 @@ def fold_aggregate(
     non_null: list[int],
     totals: list[float] | None = None,
     sizes: list[int] | None = None,
+    runs: list[tuple[int, int, int]] | None = None,
 ) -> list[int]:
     """Fold one aggregate's value column into per-slot lists, entry ``i``
     into slot ``ids[i]``: its multiplicity into ``non_null`` unless its
@@ -338,13 +387,24 @@ def fold_aggregate(
     given ``totals``, ``value * multiplicity`` into ``totals`` in entry
     order.  A non-numeric value raises ``TypeError``.
 
+    Given ``runs`` (:func:`group_runs` of ``ids``) and a column without
+    NULL, each slot's entries fold as one run.  Its count is the run's
+    length, or the int sum of its multiplicities.  At unit multiplicities
+    its total is a local accumulator that starts at ``totals[slot]``, adds
+    the run's values in entry order and is written back once: the per-entry
+    loop's float additions in the same order, so every result is
+    bit-identical.  (Never ``sum()`` or ``math.fsum`` on floats: their
+    rounding differs from sequential additions, and ``sum()``'s differs
+    between Python versions.)  Other multiplicities keep the per-entry sum:
+    the ``value * multiplicity`` products cost about what a run saves.
+
     Returns the per-slot non-NULL counts: ``non_null``, or, if the caller
     passes the slots' entry counts as ``sizes`` and no value is NULL, those.
     """
     # Every multiplicity is 1 (a query over consolidated input, a capture,
     # an insert-only delta): then ``value * 1`` is ``value``, bit for bit.
     unit = multiplicities.count(1) == len(multiplicities)
-    if column is not None and None in column:
+    if column is not None and _holds_null(column):
         for slot, value, multiplicity in zip(ids, column, multiplicities):
             if value is not None:
                 non_null[slot] += multiplicity
@@ -352,7 +412,13 @@ def fold_aggregate(
                     totals[slot] += value * multiplicity
         return non_null
     if totals is not None:
-        if unit:
+        if runs is not None and unit:
+            for slot, start, stop in runs:
+                total = totals[slot]
+                for value in column[start:stop]:
+                    total += value
+                totals[slot] = total
+        elif unit:
             for slot, value in zip(ids, column):
                 totals[slot] += value
         else:
@@ -360,13 +426,32 @@ def fold_aggregate(
                 totals[slot] += value * multiplicity
     if sizes is not None:
         return sizes
-    if unit:
+    if runs is not None and unit:
+        for slot, start, stop in runs:
+            non_null[slot] += stop - start
+    elif runs is not None:
+        for slot, start, stop in runs:
+            non_null[slot] += sum(multiplicities[start:stop])
+    elif unit:
         for slot in ids:
             non_null[slot] += 1
     else:
         for slot, multiplicity in zip(ids, multiplicities):
             non_null[slot] += multiplicity
     return non_null
+
+
+def _holds_null(column: list) -> bool:
+    """Whether ``column`` holds NULL.  ``sum`` is the probe, its value
+    unused: it runs through numbers at C speed and stops at the first value
+    it cannot add, while ``None in column`` pays a rich comparison per
+    value, about ten times as much; only a column ``sum`` cannot add is
+    searched."""
+    try:
+        sum(column)
+    except (TypeError, OverflowError):
+        return None in column
+    return False
 
 
 def over_nothing(aggregate: Aggregate) -> object:

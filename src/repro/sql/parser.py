@@ -22,6 +22,8 @@ in a ``RecursionError``.
 
 from __future__ import annotations
 
+import re
+
 from repro.core.errors import ParseError
 from repro.relational.expressions import (
     Between,
@@ -489,6 +491,21 @@ def parse_select(sql: str) -> SelectStatement:
     if not isinstance(statement, SelectStatement):
         raise ParseError("expected a SELECT statement")
     return statement
+
+
+# The keyword SELECT after whitespace and line comments, as the lexer reads a
+# statement's first token.
+_SELECT_START = re.compile(r"(?:\s|--[^\n]*)*select\b", re.IGNORECASE)
+
+
+def starts_with_select(sql: str) -> bool:
+    """Whether the first token of ``sql`` is the keyword SELECT (whitespace
+    and line comments skipped): such a text can be answered through a
+    SQL-text plan cache.  A text it misses parses as before, and one it takes
+    parses through :func:`parse_select`, which reads it as
+    :func:`parse_statement` does, so a wrong guess costs a parse, never an
+    answer."""
+    return _SELECT_START.match(sql) is not None
 
 
 def parse_statement(sql: str) -> Statement:

@@ -29,7 +29,7 @@ from repro.relational.kernels import filter_batch
 from repro.relational.schema import Relation, Row, Schema
 from repro.sql import translator as sql_translator
 from repro.sql.ast import DeleteStatement, InsertStatement, SelectStatement
-from repro.sql.parser import parse_statement
+from repro.sql.parser import parse_statement, starts_with_select
 from repro.sql.template import QueryTemplate, template_of
 from repro.sql.translator import Translator
 from repro.storage.delta import DatabaseDelta, Delta
@@ -582,8 +582,11 @@ class Database:
         """Execute any supported statement.
 
         SELECT statements return a relation; INSERT/DELETE return the new
-        snapshot identifier.
+        snapshot identifier.  A SELECT text is answered by :meth:`query`, so
+        a repeat is not parsed or translated again.
         """
+        if starts_with_select(sql):
+            return self.query(sql)
         return self.execute_statement(parse_statement(sql))
 
     def execute_statement(

@@ -334,12 +334,15 @@ class Session:
     def execute(self, sql: str) -> Relation | int:
         """Execute any supported statement in this session.
 
-        SELECTs run against the pinned snapshot; INSERT/DELETE commit through
+        SELECTs run against the pinned snapshot, a SELECT text through
+        :meth:`query`'s per-pin plan caches; INSERT/DELETE commit through
         the database write lock and re-pin the session at the new version.
         """
         self._check_open()
-        from repro.sql.parser import parse_statement
+        from repro.sql.parser import parse_statement, starts_with_select
 
+        if starts_with_select(sql):
+            return self.query(sql)
         statement = parse_statement(sql)
         if isinstance(statement, SelectStatement):
             return self.query(statement)

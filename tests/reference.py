@@ -374,6 +374,13 @@ PRUNED = [
     Aggregation(T_VALUES, [g], [aggregate("SUM", BinaryOp("*", v, Literal(2)), "s2")]),
 ]
 
+# An aggregation over a range of its own group key: read through an index on
+# ``h``, each group's entries arrive together and fold as one run.
+KEY_RANGES = [
+    Aggregation(Selection(T, Between(h, Literal(-3), Literal(2))), [h], _all_of(v)),
+    Aggregation(Selection(T, Comparison(">=", h, Literal(0))), [h], _all_of(v)),
+]
+
 # Joins without a hashable equality (``ON 1`` is not ``ON TRUE``: it selects nothing).
 THETA = [
     None,
@@ -488,6 +495,7 @@ CATALOGUE: dict[str, st.SearchStrategy] = {
     "theta and cross join": theta_joins(),
     "limit": limits(),
     "aggregation over pruned duplicates": st.sampled_from(PRUNED),
+    "aggregation over a range of its group key": st.sampled_from(KEY_RANGES),
     "one column merged by value": st.sampled_from(
         [Distinct(T_KEYS), TopK(T_KEYS, 3, [OrderItem(g, False)])]
     ),

@@ -25,6 +25,10 @@
     it merges.  That the result equals the always-merging oracle by ``repr``
     either way is the "aggregation over pruned duplicates" shape of
     ``tests.reference.CATALOGUE``.
+(g) Groups whose entries arrive together -- an index range scan on the
+    group key -- fold one run at a time, long runs only: spies pin which
+    path ran, on drawn tables and on the bench templates, and the answers
+    are the oracle's.
 
 Plus the typed error for aggregates over values they cannot aggregate.
 """
@@ -34,6 +38,8 @@ import json
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -56,16 +62,21 @@ from repro.relational.algebra import (
     Aggregation,
     Projection,
     ProjectionItem,
+    Selection,
     TableScan,
 )
 from repro.relational.columnar import ColumnBatch
-from repro.relational.expressions import ColumnRef, FunctionCall
+from repro.relational.expressions import Between, ColumnRef, FunctionCall, Literal
 from repro.relational.oracle import compute_aggregate
 from repro.relational.schema import Schema
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta
-from tests.reference import Feed, answer, engine, oracle, two_tables
+from repro.workloads.mixed import multi_sketch_templates
+from repro.workloads.queries import q_endtoend, q_join, q_selpd
+from repro.workloads.synthetic import load_join_helper, load_synthetic
+from tests.reference import BIG, Feed, answer, assert_matches_oracle, engine, oracle, two_tables
+from tests.reference import keys as reference_keys
 
 SUM, COUNT, AVG, MIN, MAX = (
     AggregateFunction.SUM,
@@ -954,3 +965,133 @@ class TestAggregateTypeErrors:
             (1.0, 0.5)
         ]
         assert capture_sketch(database.plan(sql), partition, database).fragment_ids()
+
+
+# -- (g) the run fold ----------------------------------------------------------------------
+#
+# An index range scan on the group key hands each group's entries over
+# together, and the kernel then folds counts, and sums and avgs at unit
+# multiplicities, one group run at a time (``kernels.group_runs``).  The run fold makes the per-entry loop's float
+# additions in the same order, so no answer moves by a bit; spies pin which
+# path ran.
+
+RUN = kernels._MIN_MEAN_RUN
+# Sums that hang on the order of float additions, and on adding ints as
+# floats one at a time (2**53 + 1 rounds where an int sum would not).
+RUN_SUMMANDS = [NAN, -0.0, 1e16, -1e16, 0.1, BIG, True]
+# Totals a run starts from when the fold is handed them directly.
+STARTS = [0.1, 1e16, -0.0, 2.5]
+C_SCAN = TableScan("c")
+G, V = ColumnRef("g"), ColumnRef("v")
+# Every key but NULL and NaN, read through the index on ``g`` in value order.
+RANGED = Aggregation(
+    Selection(C_SCAN, Between(G, Literal(-BIG), Literal(BIG))), [G], all_aggregates("v")
+)
+SCANNED = Aggregation(C_SCAN, [G], all_aggregates("v"))
+
+
+@contextmanager
+def fold_calls():
+    """``(ids, column, multiplicities, runs)`` of each ``fold_aggregate``
+    call made in the block."""
+    calls: list = []
+    original = kernels.fold_aggregate
+
+    def spy(ids, column, multiplicities, non_null, totals=None, sizes=None, runs=None):
+        calls.append((ids, column, multiplicities, runs))
+        return original(ids, column, multiplicities, non_null, totals, sizes, runs)
+
+    with patch.object(kernels, "fold_aggregate", spy):
+        yield calls
+
+
+@st.composite
+def clustered_tables(draw) -> tuple[Database, bool]:
+    """``c(id, g, v)`` indexed on ``g``.  Each drawn key gets a run of rows,
+    every run at least ``RUN`` long or every run at most ``RUN // 4`` (so
+    that three keys of one group -- ``1``, ``1.0``, ``True`` -- stay short),
+    inserted round-robin so that the table order interleaves the groups.  In
+    some tables a row may be inserted twice: one entry of multiplicity 2."""
+    long = draw(st.booleans())
+    lengths = st.integers(RUN, RUN + 6) if long else st.integers(1, RUN // 4)
+    # A pool of its own per table: NaN or ±1e16 in a run would hide its
+    # other summands.
+    pool = draw(st.sets(st.sampled_from(range(len(RUN_SUMMANDS))), min_size=1))
+    summands = st.sampled_from(
+        [RUN_SUMMANDS[i] for i in sorted(pool)] + [None] * draw(st.booleans())
+    )
+    twice = st.booleans() if draw(st.booleans()) else st.just(False)
+    runs = [
+        [(key, draw(summands), draw(twice)) for _ in range(draw(lengths))]
+        for key in draw(st.lists(reference_keys(), min_size=1, max_size=3))
+    ]
+    rows: list = []
+    for position in range(max(map(len, runs))):
+        for run in runs:
+            if position < len(run):
+                key, value, repeated = run[position]
+                rows += [(len(rows), key, value)] * (1 + repeated)
+    database = Database()
+    database.create_table("c", ["id", "g", "v"])
+    database.create_index("c", "g")
+    database.insert("c", rows)
+    return database, long
+
+
+def assert_runs_fold_as_entries(ids, column, multiplicities, runs) -> None:
+    """The fold handed ``runs`` and the per-entry fold agree by ``repr``
+    from non-zero starting counts and totals."""
+    results = []
+    for given_runs in (runs, None):
+        totals = None if column is None else [STARTS[s % len(STARTS)] for s in range(len(runs))]
+        counts = kernels.fold_aggregate(
+            ids, column, multiplicities, [1] * len(runs), totals, runs=given_runs
+        )
+        results.append(repr((counts, totals)))
+    assert results[0] == results[1]
+
+
+class TestRunFold:
+    @settings(max_examples=120, deadline=None)
+    @given(clustered_tables())
+    def test_a_clustered_aggregation_folds_run_by_run(self, drawn):
+        """Long runs from the index fold run by run, short runs and the
+        interleaved table order entry by entry; either way the answer is the
+        oracle's, and a run fold from non-zero totals is the entry fold's."""
+        database, long = drawn
+        scans = database.index_scan_count
+        with fold_calls() as calls:
+            result = engine(database, RANGED)
+        assert database.index_scan_count == scans + 1
+        taken = [runs is not None for *_, runs in calls]
+        assert all(taken) if long and len(result) else not any(taken)
+        with fold_calls() as scanned:
+            engine(database, SCANNED)
+        for ids, *_, runs in scanned:
+            assert runs is None or ids == sorted(ids)
+        for ids, column, multiplicities, runs in calls + scanned:
+            if runs is not None:
+                assert_runs_fold_as_entries(ids, column, multiplicities, runs)
+        for plan in (RANGED, SCANNED):
+            assert_matches_oracle(database, plan)
+
+
+def test_the_bench_templates_fold_run_by_run():
+    """The premise of the run fold's speed-up: with at least ``RUN`` rows a
+    group, each sketch-answered bench template reads its groups through the
+    index on the sketch attribute ``a``, one run each, so every fold is
+    handed runs -- and the answers are the full query's and the oracle's."""
+    database = Database()
+    load_synthetic(database, num_rows=3_000, num_groups=100, seed=5)
+    load_join_helper(database, num_rows=300, join_domain=100, seed=6)
+    system = IMPSystem(database, num_fragments=16)
+    for sql in [q_endtoend(), q_selpd(), q_join(), *multi_sketch_templates(2)]:
+        system.run_query(sql)  # the capture
+        hits = system.statistics.sketch_hits
+        with fold_calls() as calls:
+            result = system.run_query(sql)
+        assert system.statistics.sketch_hits == hits + 1
+        assert calls and all(runs is not None for *_, runs in calls), sql
+        expected = repr(result.to_sorted_list())
+        assert repr(database.query(sql).to_sorted_list()) == expected
+        assert repr(oracle(database, sql, optimize=True).to_sorted_list()) == expected, sql

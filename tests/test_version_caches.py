@@ -17,6 +17,7 @@ changes, recovery and its LRU bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from unittest.mock import Mock, patch
 
 import pytest
@@ -240,6 +241,8 @@ def test_a_recreated_table_answers_the_same_text_with_its_new_schema():
         assert system.run_query(sql) == database.query(sql) == oracle(database, sql)
     assert system.statistics.sketch_hits == len(texts)
     old_plans = [database.plan(sql) for sql in texts]
+    old_entries = [system.store.peek(database.translation(sql)[1]) for sql in texts]
+    old_versions = [entry.valid_at_version for entry in old_entries]
 
     swapped_tables(database)
     for sql, old_plan in zip(texts, old_plans):
@@ -250,9 +253,89 @@ def test_a_recreated_table_answers_the_same_text_with_its_new_schema():
         expected = oracle(database, sql)
         assert database.query(sql) == expected
         assert system.run_query(sql) == expected
+        # The entry the DDL change made unusable was replaced, so the text
+        # is answered from a sketch again.
+        hits = system.statistics.sketch_hits
+        fallbacks = system.statistics.fallback_queries
+        assert system.run_query(sql) == expected
+        assert system.statistics.sketch_hits == hits + 1
+        assert system.statistics.fallback_queries == fallbacks
+        entry = system.store.peek(database.translation(sql)[1])
+        assert entry.plan is database.plan(sql)
     assert database.query(texts[0]).schema.attributes == (
         "t.k", "t.w", "u.id", "u.a", "u.b"
     )
+    database.insert("u", [(40, 1, 40.0)])
+    system.scheduler.run_round()
+    for sql in texts:
+        assert system.run_query(sql) == oracle(database, sql)
+    assert [entry.valid_at_version for entry in old_entries] == old_versions
+    assert not any(entry in system.store.entries() for entry in old_entries)
+
+
+def counted_translation(monkeypatch) -> tuple[Mock, Counter]:
+    """Wrap the translator module's parse and ``Translator.translate``."""
+    parses = Mock(wraps=sql_translator.parse_select)
+    monkeypatch.setattr(sql_translator, "parse_select", parses)
+    translations = Counter()
+    translate = Translator.translate
+
+    def counted(self, statement):
+        translations["translate"] += 1
+        return translate(self, statement)
+
+    monkeypatch.setattr(Translator, "translate", counted)
+    return parses, translations
+
+
+def test_execute_answers_a_select_text_from_the_plan_cache(monkeypatch):
+    """Three ``execute`` calls of one SELECT text translate once, as three
+    ``query`` calls do; INSERT and DELETE through ``execute`` still commit."""
+    database = Database()
+    database.create_table("t", ["a", "b"])
+    database.insert("t", [(i, i % 3) for i in range(10)])
+    parses, translations = counted_translation(monkeypatch)
+    sql = "SELECT a FROM t"
+    for run in (database.query, database.execute):
+        database._translations.cache_clear()
+        answers = [run(sql) for _ in range(3)]
+        assert parses.call_count == translations["translate"] == 1
+        assert answers == [oracle(database, sql)] * 3
+        parses.reset_mock()
+        translations.clear()
+    version = database.execute("INSERT INTO t VALUES (10, 1)")
+    assert version == database.version
+    database.execute("DELETE FROM t WHERE b = 0")
+    assert database.execute(sql) == oracle(database, sql)
+    assert len(database.execute(sql)) == 7
+
+
+def test_a_session_executes_a_select_text_from_its_pin_cache(monkeypatch):
+    """Within one pin a session translates a SELECT text once, however it
+    is sent; after a drop and recreate and a re-pin it translates again and
+    answers with the new schema."""
+    database = Database()
+    database.create_table("t", ["a", "b"])
+    database.insert("t", [(i, i % 3) for i in range(10)])
+    parses, translations = counted_translation(monkeypatch)
+    sql = "SELECT a FROM t WHERE b = 1"
+    with database.connect() as session:
+        answers = [session.execute(sql) for _ in range(3)]
+        assert parses.call_count == translations["translate"] == 1
+        assert answers == [oracle(database, sql)] * 3
+        database.drop_table("t")
+        database.create_table("t", ["b", "a"])
+        database.insert("t", [(i % 2, i) for i in range(8)])
+        session.refresh()
+        parses.reset_mock()
+        translations.clear()
+        answers = [session.execute(sql) for _ in range(2)]
+        assert parses.call_count == translations["translate"] == 1
+        assert answers == [oracle(database, sql)] * 2
+        assert sorted(answers[0].rows()) == [(1,), (3,), (5,), (7,)]
+        session.execute("INSERT INTO t VALUES (1, 9)")
+        assert session.pinned_version == database.version
+        assert session.execute(sql) == oracle(database, sql)
 
 
 def test_a_text_on_a_missing_table_answers_once_the_table_exists():
