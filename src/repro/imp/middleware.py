@@ -252,7 +252,8 @@ class SketchBasedSystem(WorkloadSystem):
         stale: SketchEntry | None = None,
     ) -> SketchEntry | None:
         """Capture ``template``'s entry, replacing ``stale`` if it is still
-        the stored one (``store.remove`` detaches it from any shared node)."""
+        the stored one and ``plan`` is still ``sql``'s translation
+        (``store.remove`` detaches it from any shared node)."""
         with self._capture_lock:
             # Double-checked: another session may have captured this template
             # while we waited for the lock (peek keeps hit/miss stats exact).
@@ -260,6 +261,15 @@ class SketchBasedSystem(WorkloadSystem):
             if existing is not None and existing is not stale:
                 return existing
             if existing is not None:
+                # A reader that translated before a DDL change holds a plan
+                # of the dropped catalog: it falls back rather than replace
+                # an entry captured for the current one.
+                try:
+                    current = self.database.plan(sql)
+                except IMPError:
+                    return None
+                if not _same_plan(current, plan):
+                    return None
                 # A round may be maintaining it: leave between rounds.
                 with self.scheduler.round_lock:
                     self.store.remove(template)

@@ -28,7 +28,7 @@ from repro.relational.expressions import compile_batch_expression, strict_boolea
 from repro.relational.kernels import filter_batch
 from repro.relational.schema import Relation, Row, Schema
 from repro.sql import translator as sql_translator
-from repro.sql.ast import DeleteStatement, InsertStatement, SelectStatement
+from repro.sql.ast import DeleteStatement, InsertStatement
 from repro.sql.parser import parse_statement, starts_with_select
 from repro.sql.template import QueryTemplate, template_of
 from repro.sql.translator import Translator
@@ -553,11 +553,11 @@ class Database:
 
     def query(
         self,
-        query: str | PlanNode | SelectStatement,
+        query: str | PlanNode,
         optimize_plans: bool = True,
         vectorize: bool = True,
     ) -> Relation:
-        """Evaluate a SQL string, parsed statement, or logical plan.
+        """Evaluate a SQL string or a logical plan.
 
         ``vectorize=False`` selects the reference oracle
         (:class:`~repro.relational.oracle.RowEvaluator`, row-at-a-time
@@ -566,12 +566,7 @@ class Database:
         two callers, ``tests/reference.py`` (``oracle`` and ``engine``) and
         ``bench/run.py::verify``; nothing else should pass them.
         """
-        if isinstance(query, str):
-            plan = self.plan(query)
-        elif isinstance(query, SelectStatement):
-            plan = Translator(self).translate(query)
-        else:
-            plan = query
+        plan = self.plan(query) if isinstance(query, str) else query
         if vectorize:
             return Evaluator(self, optimize_plans).evaluate(plan)
         from repro.relational.oracle import RowEvaluator
@@ -589,13 +584,10 @@ class Database:
             return self.query(sql)
         return self.execute_statement(parse_statement(sql))
 
-    def execute_statement(
-        self, statement: SelectStatement | InsertStatement | DeleteStatement
-    ) -> Relation | int:
-        """Execute an already-parsed statement (sessions parse once and
-        dispatch here instead of re-parsing through :meth:`execute`)."""
-        if isinstance(statement, SelectStatement):
-            return self.query(statement)
+    def execute_statement(self, statement: InsertStatement | DeleteStatement) -> int:
+        """Execute an already-parsed INSERT or DELETE (sessions parse once and
+        dispatch here instead of re-parsing through :meth:`execute`); a
+        SELECT goes through :meth:`query`."""
         if isinstance(statement, InsertStatement):
             return self._execute_insert(statement)
         if isinstance(statement, DeleteStatement):

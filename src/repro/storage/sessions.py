@@ -41,7 +41,6 @@ from repro.core.errors import StorageError
 from repro.relational.algebra import PlanNode
 from repro.relational.evaluator import Evaluator
 from repro.relational.schema import Relation, Row, Schema
-from repro.sql.ast import SelectStatement
 from repro.sql.translator import Translator
 from repro.storage.statistics import (
     ColumnStatistics,
@@ -287,10 +286,10 @@ class Session:
             self._plan_cache[sql] = plan
         return plan
 
-    def query(self, query: str | PlanNode | SelectStatement) -> Relation:
+    def query(self, query: str | PlanNode) -> Relation:
         """Evaluate a query against the pinned snapshot.
 
-        Accepts SQL text, a parsed SELECT statement, or a logical plan, like
+        Accepts SQL text or a logical plan, like
         :meth:`Database.query`, but every base-table read comes from the
         immutable snapshot -- concurrent commits are invisible until
         :meth:`refresh`.
@@ -306,8 +305,6 @@ class Session:
             if plan is None:
                 plan = evaluator.optimized(self.plan(query))
                 self._optimized_cache[query] = plan
-        elif isinstance(query, SelectStatement):
-            plan = Translator(self._view).translate(query)
         else:
             plan = query
         result = evaluator.evaluate(plan)
@@ -334,8 +331,8 @@ class Session:
     def execute(self, sql: str) -> Relation | int:
         """Execute any supported statement in this session.
 
-        SELECTs run against the pinned snapshot, a SELECT text through
-        :meth:`query`'s per-pin plan caches; INSERT/DELETE commit through
+        A SELECT runs through :meth:`query`, against the pinned snapshot and
+        with its per-pin plan caches; INSERT/DELETE commit through
         the database write lock and re-pin the session at the new version.
         """
         self._check_open()
@@ -343,13 +340,9 @@ class Session:
 
         if starts_with_select(sql):
             return self.query(sql)
-        statement = parse_statement(sql)
-        if isinstance(statement, SelectStatement):
-            return self.query(statement)
-        result = self._database.execute_statement(statement)
-        if isinstance(result, int):
-            self._after_write(result)
-        return result
+        version = self._database.execute_statement(parse_statement(sql))
+        self._after_write(version)
+        return version
 
     def _after_write(self, version: int) -> None:
         self.statistics.writes += 1

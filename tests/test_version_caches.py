@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import StorageError
+from repro.core.errors import IMPError, StorageError
 from repro.imp.middleware import IMPSystem
 from repro.relational.columnar import ColumnBatch
 from repro.sql import translator as sql_translator
@@ -271,6 +271,43 @@ def test_a_recreated_table_answers_the_same_text_with_its_new_schema():
         assert system.run_query(sql) == oracle(database, sql)
     assert [entry.valid_at_version for entry in old_entries] == old_versions
     assert not any(entry in system.store.entries() for entry in old_entries)
+
+
+def test_a_reader_holding_a_dropped_catalogs_plan_keeps_the_fresh_entry(monkeypatch):
+    """A reader that translated a text before a DDL change reaches the store
+    after another reader recaptured its entry: it falls back on its stale
+    plan and leaves the fresh entry in place."""
+    database = Database()
+    database.create_table("t", ["id", "a", "b"])
+    database.create_table("u", ["k", "w"])
+    database.insert("t", [(i, i % 4, float(i)) for i in range(40)])
+    database.insert("u", [(i, i * 10) for i in range(20)])
+    system = IMPSystem(database, num_fragments=4)
+    sql = "SELECT a, sum(w) AS s FROM t, u WHERE id = k AND a < 2 GROUP BY a"
+    system.run_query(sql)
+    held = database.translation(sql)
+
+    swapped_tables(database)
+    system.run_query(sql)
+    fresh = system.store.peek(held[1])
+    assert fresh.plan is database.plan(sql)
+
+    # The reader's translation is the held one; every later lookup is not.
+    translation = database.translation
+    answers = iter([held])
+    monkeypatch.setattr(
+        database, "translation", lambda text: next(answers, None) or translation(text)
+    )
+    fallbacks = system.statistics.fallback_queries
+    with pytest.raises(IMPError):
+        # The held plan reads columns the recreated ``t`` no longer has.
+        system.run_query(sql)
+    assert system.statistics.fallback_queries == fallbacks + 1
+    assert system.store.peek(held[1]) is fresh
+    hits = system.statistics.sketch_hits
+    assert system.run_query(sql) == oracle(database, sql)
+    assert system.statistics.sketch_hits == hits + 1
+    assert system.store.peek(held[1]) is fresh
 
 
 def counted_translation(monkeypatch) -> tuple[Mock, Counter]:
