@@ -324,12 +324,9 @@ class IncrementalEngine:
         sketch_delta = self._merge.process_to_sketch_delta(
             Pass(db_delta, self.statistics, target_version, {} if memo is None else memo)
         )
-        needs_recapture = self._merge.recapture_needed()
-        if needs_recapture:
-            self.statistics.recaptures += 1
         return MaintenanceOutcome(
             sketch_delta=sketch_delta,
-            needs_recapture=needs_recapture,
+            needs_recapture=self._merge.recapture_needed(),
         )
 
     def restrict_delta(self, db_delta: DatabaseDelta) -> DatabaseDelta:

@@ -44,8 +44,8 @@ from repro.storage.delta import DatabaseDelta, Delta
 
 
 def _same_plan(stored: PlanNode, plan: PlanNode) -> bool:
-    """Whether a stored entry's plan is ``plan``: the same text at the same
-    catalog version is the same cached object, else compare renderings."""
+    """Whether a stored entry's plan is ``plan``, the same binding: one text
+    at one catalog version is one cached object, else compare renderings."""
     return stored is plan or stored.explain() == plan.explain()
 
 
@@ -208,28 +208,28 @@ class SketchBasedSystem(WorkloadSystem):
         started = time.perf_counter()
         try:
             # The plan and the store key come from the database's one
-            # SQL-text cache: a repeated text is not parsed again.
+            # SQL-text cache: a repeated text is not parsed again.  A sketch
+            # answers only under the catalog version read before it.
+            catalog = self.database.catalog_version
             plan, template = self.database.translation(sql)
+            if catalog != self.store.catalog_version:
+                with self.scheduler.round_lock:
+                    self.store.retire(catalog)
             entry = self.store.get(template)
             if entry is None:
-                entry = self._capture_entry(sql, template, plan)
-            elif entry.sql == sql and not _same_plan(entry.plan, plan):
-                # This text after a DDL change moved its translation: the
-                # entry can never answer it again, so a new capture replaces
-                # it.
-                entry = self._capture_entry(sql, template, plan, stale=entry)
-            if entry is not None and not _same_plan(entry.plan, plan):
-                # The store is keyed by constant-free template, but an entry's
-                # sketch and plan belong to the constants it was captured
-                # with: another binding of the template is not answered from
-                # them.
-                entry = None
-            if entry is None:
+                entry = self._capture_entry(sql, template, plan, catalog)
+            # The store is keyed by constant-free template, but an entry's
+            # sketch and plan belong to the constants it was captured with:
+            # another binding of the template is not answered from them.
+            result = None
+            if entry is not None and _same_plan(entry.plan, plan):
+                result = self._answer_with_sketch(entry, catalog)
+            if result is None:
                 # No usable sketch (no safe sketch attribute, unsupported
-                # operator, or other constants): answer the query without
-                # provenance-based data skipping.  Held under the write lock
-                # so a multi-table plan cannot observe half of a concurrent
-                # commit across its scans.
+                # operator, other constants, or a DDL change): answer the
+                # query without provenance-based data skipping.  Held under
+                # the write lock so a multi-table plan cannot observe half of
+                # a concurrent commit across its scans.
                 with self._statistics_lock:
                     self.statistics.fallback_queries += 1
                 with self.database.lock:
@@ -237,7 +237,6 @@ class SketchBasedSystem(WorkloadSystem):
                 return result
             with self._statistics_lock:
                 self.statistics.sketch_hits += 1
-            result = self._answer_with_sketch(entry)
             return result
         finally:
             with self._statistics_lock:
@@ -245,74 +244,53 @@ class SketchBasedSystem(WorkloadSystem):
                 self.statistics.query_seconds += time.perf_counter() - started
 
     def _capture_entry(
-        self,
-        sql: str,
-        template: QueryTemplate,
-        plan: PlanNode,
-        stale: SketchEntry | None = None,
+        self, sql: str, template: QueryTemplate, plan: PlanNode, catalog: int
     ) -> SketchEntry | None:
-        """Capture ``template``'s entry, replacing ``stale`` if it is still
-        the stored one and ``plan`` is still ``sql``'s translation
-        (``store.remove`` detaches it from any shared node)."""
+        """Capture ``template``'s entry for ``plan``, translated under
+        ``catalog``."""
         with self._capture_lock:
             # Double-checked: another session may have captured this template
             # while we waited for the lock (peek keeps hit/miss stats exact).
             existing = self.store.peek(template)
-            if existing is not None and existing is not stale:
-                return existing
             if existing is not None:
-                # A reader that translated before a DDL change holds a plan
-                # of the dropped catalog: it falls back rather than replace
-                # an entry captured for the current one.
-                try:
-                    current = self.database.plan(sql)
-                except IMPError:
-                    return None
-                if not _same_plan(current, plan):
-                    return None
-                # A round may be maintaining it: leave between rounds.
-                with self.scheduler.round_lock:
-                    self.store.remove(template)
-            return self._capture_entry_locked(sql, template, plan)
-
-    def _capture_entry_locked(
-        self, sql: str, template: QueryTemplate, plan: PlanNode
-    ) -> SketchEntry | None:
-        try:
-            partition = build_database_partition(self.database, plan, self.num_fragments)
-            # Sketch attributes are chosen so that an efficient access path
-            # exists (Sec. 7.4); create the backend index the use rewrite will
-            # exploit for data skipping.
-            for table_partition in partition:
-                self.database.create_index(table_partition.table, table_partition.attribute)
-            maintainer = self._make_maintainer(plan, partition)
-        except (SketchError, PlanError):
-            return None
-        entry = SketchEntry(
-            template=template,
-            sql=sql,
-            plan=plan,
-            partition=partition,
-            maintainer=maintainer,
-        )
-        # The store may hand the new engine a node other entries read, built
-        # at this version, and the capture then reads the node's result back.
-        # From that hand-over through registration no commit may move the
-        # version and no round the node: round lock, then database lock, as
-        # on the query path.
-        with self.scheduler.round_lock, self.database.lock:
-            self.store.intern(entry, self.database.version)
+                return existing
             try:
-                capture_seconds = maintainer.capture().seconds
+                partition = build_database_partition(self.database, plan, self.num_fragments)
+                # Sketch attributes are chosen so that an efficient access
+                # path exists (Sec. 7.4); create the backend index the use
+                # rewrite will exploit for data skipping.
+                for table_partition in partition:
+                    self.database.create_index(table_partition.table, table_partition.attribute)
+                maintainer = self._make_maintainer(plan, partition)
             except (SketchError, PlanError):
                 return None
-            self.store.put(entry)
+            entry = SketchEntry(
+                template=template, sql=sql, plan=plan, partition=partition, maintainer=maintainer
+            )
+            # The store may hand the new engine a node other entries read,
+            # built at this version, and the capture then reads the node's
+            # result back.  From that hand-over through registration no
+            # commit may move the version and no round the node: round lock,
+            # then database lock, as on the query path.  After a DDL change
+            # the plan and partition are those of a gone catalog: no entry.
+            # Else the store is at ``catalog`` too (the query retired it).
+            with self.scheduler.round_lock, self.database.lock:
+                if self.database.catalog_version != catalog:
+                    return None
+                self.store.intern(entry, self.database.version)
+                try:
+                    capture_seconds = maintainer.capture().seconds
+                except (SketchError, PlanError):
+                    return None
+                self.store.put(entry)
         with self._statistics_lock:
             self.statistics.sketch_captures += 1
             self.statistics.capture_seconds += capture_seconds
         return entry
 
-    def _answer_with_sketch(self, entry: SketchEntry) -> Relation:
+    def _answer_with_sketch(self, entry: SketchEntry, catalog: int) -> Relation | None:
+        """``entry``'s answer, or None if the catalog moved on from
+        ``catalog`` (while it has not, the entry was captured under it)."""
         # Maintain-then-evaluate must be atomic against commits: the
         # instrumented plan's skip ranges are only sound for the version the
         # sketch was just brought to, so a commit between ensure and query
@@ -322,6 +300,8 @@ class SketchBasedSystem(WorkloadSystem):
         # maintenance rounds use -- so the two paths cannot deadlock.
         # Sessions are unaffected: their reads never touch these locks.
         with self.scheduler.round_lock, self.database.lock:
+            if self.database.catalog_version != catalog:
+                return None
             return self._answer_with_sketch_locked(entry)
 
     def _answer_with_sketch_locked(self, entry: SketchEntry) -> Relation:

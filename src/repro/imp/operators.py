@@ -103,7 +103,6 @@ class EngineStatistics:
     tuples_shipped_to_backend: int = 0
     tuples_processed: int = 0
     maintenance_runs: int = 0
-    recaptures: int = 0
 
 
 @dataclass

@@ -51,6 +51,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.core.errors import StorageError
 from repro.imp.maintenance import MaintenanceResult
 from repro.imp.operators import memo_counts
 from repro.imp.sketch_store import SketchEntry, SketchStore
@@ -158,7 +159,7 @@ class MaintenanceScheduler:
         with self._round_lock:
             started = time.perf_counter()
             report = RoundReport()
-            target = self.database.version
+            target = self._target()
             wanted = None if tables is None else {table.lower() for table in tables}
             stale = self._lockstep(
                 [
@@ -171,7 +172,13 @@ class MaintenanceScheduler:
             )
             report.examined = len(stale)
             if stale:
-                self._maintain_together(stale, target, report)
+                try:
+                    self._maintain_together(stale, target, report)
+                except StorageError:
+                    # A table dropped since the round began: the next query
+                    # or round retires every entry it maintained.
+                    if self.database.catalog_version == self.store.catalog_version:
+                        raise
                 self.store.enforce_memory_budget()
             report.seconds = time.perf_counter() - started
             self.statistics.absorb(report)
@@ -195,7 +202,7 @@ class MaintenanceScheduler:
                 assert maintainer.sketch is not None
                 return MaintenanceResult(sketch=maintainer.sketch)
             started = time.perf_counter()
-            target = self.database.version
+            target = self._target()
             group = self._lockstep([entry], target)
             report = RoundReport(examined=len(group))
             result = self._maintain_together(group, target, report)[0]
@@ -208,6 +215,14 @@ class MaintenanceScheduler:
             return result
 
     # -- internals ------------------------------------------------------------------------
+
+    def _target(self) -> int:
+        """The version a round or ensure maintains to, read under the database
+        lock with the catalog version :meth:`SketchStore.retire` checks: no
+        DDL change falls between, so no entry gets a recreated table's rows."""
+        with self.database.lock:
+            self.store.retire(self.database.catalog_version)
+            return self.database.version
 
     @staticmethod
     def _due(entry: SketchEntry, target: int) -> bool:

@@ -27,6 +27,11 @@ node built at the current version whose root can replay its result from its
 state: the capture then reads that result instead of building the same state
 again.  Other nodes -- a join's state does not hold its result -- are
 interned after the capture, as are recaptured ones.
+
+Every entry was captured under the catalog version the store records.  The
+first query or round that reads a newer one (a DDL change) empties the store
+(:meth:`SketchStore.retire`): no state built from a dropped table meets a
+recreated one's deltas, and each template's next query captures again.
 """
 
 from __future__ import annotations
@@ -144,6 +149,8 @@ class SketchStore:
         self._tick = 0
         self._lock = threading.RLock()
         self.statistics = StoreStatistics()
+        # The catalog version of every entry (None until :meth:`retire`).
+        self.catalog_version: int | None = None
 
     @property
     def max_bytes(self) -> int | None:
@@ -284,6 +291,15 @@ class SketchStore:
         with self._lock:
             while self._entries:
                 self._release(self._entries.popitem()[1])
+
+    def retire(self, catalog_version: int) -> None:
+        """Drop every entry if ``catalog_version`` is newer than theirs, and
+        record it.  Callers hold the round lock: no round may maintain an
+        entry as it leaves."""
+        with self._lock:
+            if self.catalog_version is not None and catalog_version > self.catalog_version:
+                self.clear()
+            self.catalog_version = max(catalog_version, self.catalog_version or 0)
 
     def enforce_memory_budget(self, protect: SketchEntry | None = None) -> int:
         """Evict least-recently-used entries until the store fits ``max_bytes``.

@@ -36,20 +36,9 @@ from repro.storage.delta import DatabaseDelta, Delta
 from repro.storage.recovery import DurabilityManager, RecoveryReport
 from repro.storage.sessions import Session, SessionRegistry
 from repro.storage.snapshots import AuditLog, AuditRecord
-from repro.storage.statistics import (
-    ColumnStatistics,
-    collect_column_statistics,
-    equi_depth_boundaries,
-    expand_multiplicities,
-)
+from repro.storage.statistics import ColumnStatistics, ColumnSummaries, expand_multiplicities
 from repro.storage.table import AttributeIndex, StoredTable, canonical_items
 from repro.storage.wal import FSYNC_ALWAYS, FileFactory
-
-
-def _column(stored: StoredTable, attribute: str) -> list[object]:
-    """Every value of ``attribute`` in ``stored``, repeated by its row's
-    multiplicity."""
-    return expand_multiplicities(*stored.column(stored.schema.index_of(attribute)))
 
 
 # SQL texts whose translation a database keeps; the least recently used one
@@ -112,10 +101,10 @@ class Database:
         # a running total: the tuples committed between two moments are the
         # difference of two readings (:meth:`tuple_counts`).
         self._committed_tuples: dict[str, int] = {}
-        # Statistics are cached per (table, attribute) for the *current*
-        # version; every committed update invalidates the whole cache, so a
-        # cached entry is always as fresh as the data it summarises.
-        self._statistics_cache: dict[tuple, object] = {}
+        # Column summaries of the *current* version; every committed update
+        # and every drop clears them, so a kept one is always as fresh as
+        # the data it summarises.
+        self._summaries = ColumnSummaries()
         # SQL text -> (translated plan, template), keyed by the catalog
         # version too (see :meth:`translation`).  The cached callable holds
         # the database weakly: a strong reference would be a cycle, and an
@@ -156,6 +145,11 @@ class Database:
         """The database write lock (exposed for coarse external critical
         sections, e.g. the serving benchmark's lock-everything baseline)."""
         return self._lock
+
+    @property
+    def catalog_version(self) -> int:
+        """Moved on by every DDL change and every table recovery restores."""
+        return self._catalog_version
 
     # -- catalog -------------------------------------------------------------------
 
@@ -200,7 +194,7 @@ class Database:
             del self._tables[name]
             self._catalog_version += 1
             self._audit_log.forget_table(name)
-            self._statistics_cache.clear()
+            self._summaries.clear()
 
     def has_table(self, name: str) -> bool:
         """Whether a table with this name exists."""
@@ -452,7 +446,7 @@ class Database:
             # WAL replay commits here too, so the audit log holds replayed
             # history: sessions pin it and maintainers resume across a crash.
             self._audit_log.append(AuditRecord(self._version, dict(deltas)))
-            self._statistics_cache.clear()
+            self._summaries.clear()
             if self._durability is not None and self._durability.auto_checkpoint_due():
                 try:
                     self._durability.checkpoint(self)
@@ -623,39 +617,32 @@ class Database:
 
     # -- statistics ---------------------------------------------------------------------------
 
+    def _column(self, table: str, attribute: str) -> list[object]:
+        """The values of ``table.attribute``, each repeated by its row's multiplicity."""
+        stored = self.table(table)
+        return expand_multiplicities(*stored.column(stored.schema.index_of(attribute)))
+
     def column_statistics(self, table: str, attribute: str) -> ColumnStatistics:
         """Summary statistics for one column.
 
-        Cached per (table, attribute) until the next committed update, so
+        Kept per (table, attribute) until the next committed update, so
         repeated sketch-range selection and the plan optimizer's cardinality
         estimator do not rescan whole columns.
         """
         with self._lock:
-            stored = self.table(table)
-            key = ("column", stored.name, attribute)
-            cached = self._statistics_cache.get(key)
-            if cached is not None:
-                return cached  # type: ignore[return-value]
-            statistics = collect_column_statistics(attribute, _column(stored, attribute))
-            self._statistics_cache[key] = statistics
-            return statistics
+            return self._summaries.column_statistics(self._column, table.lower(), attribute)
 
     def equi_depth_ranges(self, table: str, attribute: str, num_buckets: int) -> list[float]:
         """Equi-depth histogram boundaries for ``table.attribute``.
 
         These boundaries are the ranges used when creating sketches
         (paper Sec. 7.4) and the interval-selectivity source of the plan
-        optimizer.  Cached like :meth:`column_statistics`; a copy is returned
-        so callers cannot corrupt the cached list.
+        optimizer.  Kept like :meth:`column_statistics`; a copy is returned.
         """
         with self._lock:
-            stored = self.table(table)
-            key = ("equi-depth", stored.name, attribute, num_buckets)
-            cached = self._statistics_cache.get(key)
-            if cached is None:
-                cached = equi_depth_boundaries(_column(stored, attribute), num_buckets)
-                self._statistics_cache[key] = cached
-            return list(cached)  # type: ignore[arg-type]
+            return self._summaries.equi_depth_ranges(
+                self._column, table.lower(), attribute, num_buckets
+            )
 
     # -- sessions & snapshots ------------------------------------------------------------------
 

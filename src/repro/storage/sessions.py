@@ -42,12 +42,7 @@ from repro.relational.algebra import PlanNode
 from repro.relational.evaluator import Evaluator
 from repro.relational.schema import Relation, Row, Schema
 from repro.sql.translator import Translator
-from repro.storage.statistics import (
-    ColumnStatistics,
-    collect_column_statistics,
-    equi_depth_boundaries,
-    expand_multiplicities,
-)
+from repro.storage.statistics import ColumnStatistics, ColumnSummaries, expand_multiplicities
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.relational.columnar import ColumnBatch
@@ -128,8 +123,7 @@ class SnapshotView:
         self._database = database
         self.version = version
         self._batches: dict[str, "ColumnBatch"] = {}
-        self._statistics: dict[tuple[str, str], ColumnStatistics] = {}
-        self._ranges: dict[tuple[str, str, int], list[float]] = {}
+        self._summaries = ColumnSummaries()
 
     def _batch(self, table: str) -> "ColumnBatch":
         table = table.lower()
@@ -173,23 +167,15 @@ class SnapshotView:
 
     def column_statistics(self, table: str, attribute: str) -> ColumnStatistics:
         """Summary statistics of one snapshot column (memoized per view)."""
-        key = (table.lower(), attribute)
-        cached = self._statistics.get(key)
-        if cached is None:
-            cached = collect_column_statistics(attribute, self._column(table, attribute))
-            self._statistics[key] = cached
-        return cached
+        return self._summaries.column_statistics(self._column, table.lower(), attribute)
 
     def equi_depth_ranges(
         self, table: str, attribute: str, num_buckets: int
     ) -> list[float]:
         """Equi-depth histogram boundaries over the snapshot column."""
-        key = (table.lower(), attribute, num_buckets)
-        cached = self._ranges.get(key)
-        if cached is None:
-            cached = equi_depth_boundaries(self._column(table, attribute), num_buckets)
-            self._ranges[key] = cached
-        return list(cached)
+        return self._summaries.equi_depth_ranges(
+            self._column, table.lower(), attribute, num_buckets
+        )
 
 
 @dataclass

@@ -11,7 +11,7 @@ have no place in an order, so neither bounds nor minimum/maximum see them.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 
 
@@ -94,3 +94,27 @@ def equi_depth_boundaries(values: Sequence[object], num_buckets: int) -> list[fl
         # final boundary and a degenerate zero-width last bucket.
         boundaries.append(boundaries[-1])
     return boundaries
+
+
+class ColumnSummaries(dict):
+    """A memo of the column statistics and equi-depth boundaries of one
+    state of some tables, each computed on first request; ``clear()`` forgets
+    them.  ``column(table, attribute)`` reads a column's values, each
+    repeated by its multiplicity; tables are named in lower case."""
+
+    def column_statistics(
+        self, column: Callable[[str, str], list], table: str, attribute: str
+    ) -> ColumnStatistics:
+        key = (table, attribute)
+        if key not in self:
+            self[key] = collect_column_statistics(attribute, column(table, attribute))
+        return self[key]
+
+    def equi_depth_ranges(
+        self, column: Callable[[str, str], list], table: str, attribute: str, num_buckets: int
+    ) -> list[float]:
+        """A copy of the boundaries, so callers cannot corrupt the memo."""
+        key = (table, attribute, num_buckets)
+        if key not in self:
+            self[key] = equi_depth_boundaries(column(table, attribute), num_buckets)
+        return list(self[key])

@@ -46,6 +46,7 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Apple" in output
         assert "HP" in output
+        assert output.endswith("Sketch-based answer matches full evaluation. Done.\n")
 
     def test_maintain_reports_speedups(self, capsys):
         exit_code = main(

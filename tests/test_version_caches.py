@@ -17,6 +17,9 @@ changes, recovery and its LRU bound.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from collections import Counter
 from unittest.mock import Mock, patch
 
@@ -25,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import IMPError, StorageError
-from repro.imp.middleware import IMPSystem
+from repro.imp.middleware import FullMaintenanceSystem, IMPSystem
+from repro.imp.strategies import EagerStrategy
 from repro.relational.columnar import ColumnBatch
 from repro.sql import translator as sql_translator
 from repro.sql.translator import Translator
@@ -308,6 +312,273 @@ def test_a_reader_holding_a_dropped_catalogs_plan_keeps_the_fresh_entry(monkeypa
     assert system.run_query(sql) == oracle(database, sql)
     assert system.statistics.sketch_hits == hits + 1
     assert system.store.peek(held[1]) is fresh
+
+
+# -- the sketch store across DDL: one catalog version for every entry -------------
+
+HAVING_SQL = "SELECT a, sum(b) AS s FROM t GROUP BY a HAVING sum(b) > 1500"
+
+SYSTEMS = {
+    "lazy": lambda database: IMPSystem(database, num_fragments=8),
+    "eager": lambda database: IMPSystem(
+        database, num_fragments=8, strategy=EagerStrategy(batch_size=1)
+    ),
+    "full-maintenance": lambda database: FullMaintenanceSystem(database, num_fragments=8),
+}
+
+
+def having_database() -> Database:
+    """``t`` whose group ``a = 1`` sums far below the HAVING bound."""
+    database = Database()
+    database.create_table("t", ["id", "a", "b"], primary_key="id")
+    database.insert(
+        "t", [(i, i % 10, -10000.0 if i % 10 == 1 else float(i)) for i in range(200)]
+    )
+    return database
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_a_recreated_table_is_answered_from_a_fresh_capture(kind):
+    """``t`` dropped and recreated with the same columns, then filled so
+    that only group 1 passes the HAVING: the entry captured over the dropped
+    table must not answer, nor take the new table's rows as its deltas."""
+    database = having_database()
+    system = SYSTEMS[kind](database)
+    system.run_query(HAVING_SQL)
+    old = next(system.store.entries())
+    old_version = old.valid_at_version
+
+    database.drop_table("t")
+    database.create_table("t", ["id", "a", "b"], primary_key="id")
+    rows = [(i, i % 10, 2000.0 if i % 10 == 1 else 0.0) for i in range(100)]
+    if kind == "eager":
+        system.apply_update("t", rows)
+    else:
+        database.insert("t", rows)
+    expected = oracle(database, HAVING_SQL)
+    assert sorted(expected.rows()) == [(1, 20000.0)]
+    assert system.run_query(HAVING_SQL) == database.query(HAVING_SQL) == expected
+    assert system.statistics.sketch_captures == 2
+    assert system.statistics.sketch_hits == 2
+    assert old.valid_at_version == old_version
+    assert old not in list(system.store.entries())
+
+
+def test_a_recreate_with_permuted_columns_captures_again():
+    """``t(id, b, a)`` renders the same plan as ``t(id, a, b)``: the text is
+    answered from a new capture, not from the entry of the dropped table."""
+    database = having_database()
+    system = IMPSystem(database, num_fragments=8)
+    system.run_query(HAVING_SQL)
+    database.drop_table("t")
+    database.create_table("t", ["id", "b", "a"], primary_key="id")
+    database.insert(
+        "t", [(i, 2000.0 if i % 10 == 1 else 0.0, i % 10) for i in range(100)]
+    )
+    assert system.run_query(HAVING_SQL) == oracle(database, HAVING_SQL)
+    assert system.statistics.sketch_captures == 2
+    assert system.statistics.sketch_hits == 2
+    assert system.statistics.fallback_queries == 0
+
+
+@pytest.mark.parametrize("round_kind", ["eager", "drain"])
+def test_no_round_maintains_an_entry_captured_before_a_ddl_change(round_kind):
+    """An eager round, or the final round of a drained background thread,
+    after a drop and recreate: the entry captured before it is retired, not
+    maintained with the new table's deltas."""
+    database = having_database()
+    strategy = EagerStrategy(batch_size=1) if round_kind == "eager" else None
+    system = IMPSystem(database, num_fragments=8, strategy=strategy)
+    system.run_query(HAVING_SQL)
+    old = next(system.store.entries())
+    old_version = old.valid_at_version
+
+    database.drop_table("t")
+    database.create_table("t", ["id", "a", "b"], primary_key="id")
+    rows = [(i, i % 10, float(i)) for i in range(50)]
+    if round_kind == "eager":
+        system.apply_update("t", rows)
+        assert system.scheduler.statistics.rounds == 1
+    else:
+        system.start_background_maintenance(interval=60.0)
+        database.insert("t", rows)
+        system.stop_background_maintenance(drain=True)
+    assert old.valid_at_version == old_version
+    assert list(system.store.entries()) == []
+    assert system.run_query(HAVING_SQL) == oracle(database, HAVING_SQL)
+
+
+def test_a_round_that_loses_its_table_midway_leaves_its_entries_to_retire(monkeypatch):
+    """``t`` is dropped after a round read its target, before it fetched the
+    delta: the round ends without raising, and the next query captures over
+    the recreated table."""
+    database = having_database()
+    system = IMPSystem(database, num_fragments=8)
+    system.run_query(HAVING_SQL)
+    database.insert("t", [(1000, 1, 5.0)])
+    fetch = database.delta_since
+
+    def dropping(table, since, until=None):
+        monkeypatch.setattr(database, "delta_since", fetch)
+        database.drop_table("t")
+        return fetch(table, since, until)
+
+    monkeypatch.setattr(database, "delta_since", dropping)
+    system.scheduler.run_round()
+    database.create_table("t", ["id", "a", "b"], primary_key="id")
+    database.insert("t", [(i, i % 10, 2000.0 if i % 10 == 1 else 0.0) for i in range(100)])
+    assert system.run_query(HAVING_SQL) == oracle(database, HAVING_SQL)
+    assert system.statistics.sketch_captures == 2
+
+
+INTERLEAVED_TEXTS = [
+    "SELECT a, sum(b) AS s FROM t GROUP BY a HAVING sum(b) > 20",
+    "SELECT a, min(b) AS m FROM t GROUP BY a HAVING min(b) > 0",
+    "SELECT id, a FROM t WHERE b < 20",
+]
+INTERLEAVED_LAYOUTS = [("id", "a", "b"), ("id", "b", "a")]
+
+# A (re)created ``t`` starts with 40 rows in 8 groups whose ``b`` lie just
+# above the offset, so the sketches skip fragments and a group passes or
+# fails a HAVING by the table it was built from.
+interleaved_recreate = st.tuples(
+    st.just("recreate"),
+    st.tuples(st.sampled_from(INTERLEAVED_LAYOUTS), st.sampled_from([-20, 20])),
+)
+interleaved_operation = st.one_of(
+    interleaved_recreate,
+    st.tuples(st.just("drop"), st.just(None)),
+    st.tuples(
+        st.just("insert"),
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(-30, 30)), min_size=1, max_size=6
+        ),
+    ),
+    st.tuples(st.just("delete"), st.integers(min_value=0, max_value=10**6)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eager=st.booleans(),
+    first=interleaved_recreate,
+    operations=st.lists(interleaved_operation, min_size=1, max_size=12),
+)
+def test_ddl_interleaved_with_updates_and_queries_matches_the_oracle(eager, first, operations):
+    """Create, drop and recreate ``t`` (same or permuted columns) between
+    updates through one ``IMPSystem``: after every step each text's answer
+    is the oracle's."""
+    database = Database()
+    strategy = EagerStrategy(batch_size=1) if eager else None
+    system = IMPSystem(database, num_fragments=8, strategy=strategy)
+    layout: tuple[str, ...] | None = None
+    live: list[dict[str, int]] = []
+    next_id = 0
+
+    def commit(inserts=(), deletes=()) -> None:
+        system.apply_update(
+            "t",
+            [tuple(row[c] for c in layout) for row in inserts],
+            [tuple(row[c] for c in layout) for row in deletes],
+        )
+
+    for kind, payload in [first, *operations]:
+        if kind == "recreate":
+            if layout is not None:
+                database.drop_table("t")
+            layout, offset = payload
+            database.create_table("t", list(layout), primary_key="id")
+            live = [
+                {"id": next_id + i, "a": i % 8, "b": offset + i % 5} for i in range(40)
+            ]
+            next_id += len(live)
+            commit(live)
+        elif kind == "drop" and layout is not None:
+            database.drop_table("t")
+            layout, live = None, []
+        elif layout is None:
+            continue
+        elif kind == "insert":
+            rows = [{"id": next_id + i, "a": a, "b": b} for i, (a, b) in enumerate(payload)]
+            next_id += len(rows)
+            live.extend(rows)
+            commit(rows)
+        elif kind == "delete" and live:
+            commit(deletes=[live.pop(payload % len(live))])
+        if layout is not None:
+            for sql in INTERLEAVED_TEXTS:
+                assert system.run_query(sql) == oracle(database, sql), (kind, sql)
+
+
+MIN_SQL = "SELECT a, min(b) AS m FROM t GROUP BY a HAVING min(b) > 0"
+
+
+def generation_rows(generation: int) -> list[tuple]:
+    """Even generations fail group 1 on ``MIN_SQL``; odd ones pass every
+    group with other minima."""
+    if generation % 2:
+        return [(i, i % 10, 1000 + i) for i in range(100)]
+    return [(i, i % 10, -5 if i % 10 == 1 else 1 + i) for i in range(100)]
+
+
+def test_queries_racing_drop_and_recreate_see_one_table_state():
+    """Readers, background rounds and a thread that drops, recreates and
+    refills ``t`` race freely: each answer is that of a table state the
+    database passed through (missing, empty, or one generation's rows)."""
+    states = set()
+    for generation in range(2):
+        scratch = Database()
+        scratch.create_table("t", ["id", "a", "b"], primary_key="id")
+        states.add(tuple(scratch.query(MIN_SQL).to_sorted_list()))
+        scratch.insert("t", generation_rows(generation))
+        states.add(tuple(scratch.query(MIN_SQL).to_sorted_list()))
+    database = Database()
+    database.create_table("t", ["id", "a", "b"], primary_key="id")
+    database.insert("t", generation_rows(0))
+    system = IMPSystem(database, num_fragments=8)
+    done = threading.Event()
+    answers: list[tuple] = []
+    errors: list[BaseException] = []
+
+    def reader() -> None:
+        try:
+            while not done.is_set():
+                try:
+                    answers.append(tuple(system.run_query(MIN_SQL).to_sorted_list()))
+                except StorageError:  # the table is dropped
+                    pass
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    def recreator() -> None:
+        try:
+            for generation in range(1, 13):
+                database.drop_table("t")
+                database.create_table("t", ["id", "a", "b"], primary_key="id")
+                database.insert("t", generation_rows(generation))
+                time.sleep(0.002)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=reader) for _ in range(3)]
+    threads.append(threading.Thread(target=recreator))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    system.start_background_maintenance(interval=0.001)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        system.stop_background_maintenance(drain=True)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert answers and set(answers) <= states
+    assert system.run_query(MIN_SQL) == oracle(database, MIN_SQL)
 
 
 def counted_translation(monkeypatch) -> tuple[Mock, Counter]:
