@@ -229,10 +229,13 @@ class SketchBasedSystem(WorkloadSystem):
                 # operator, other constants, or a DDL change): answer the
                 # query without provenance-based data skipping.  Held under
                 # the write lock so a multi-table plan cannot observe half of
-                # a concurrent commit across its scans.
+                # a concurrent commit across its scans.  A plan translated
+                # under a catalog that has moved on since is translated again.
                 with self._statistics_lock:
                     self.statistics.fallback_queries += 1
                 with self.database.lock:
+                    if self.database.catalog_version != catalog:
+                        plan = self.database.translation(sql)[0]
                     result = self.database.query(plan)
                 return result
             with self._statistics_lock:

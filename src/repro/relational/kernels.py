@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from functools import partial
 from heapq import nsmallest
 from itertools import compress, count
-from operator import ne
+from operator import ne, neg
 
 from repro.core.errors import AggregateError
 from repro.relational.algebra import Aggregate, AggregateFunction
@@ -478,8 +478,12 @@ def order_keys(key_columns: list[list], ascending: Sequence[bool]) -> list[tuple
 
     Values are keyed by :func:`~repro.relational.schema.order_component`
     (``descending_component`` for DESC items), the rule every ORDER BY in the
-    system shares: the top-k kernel and the incremental top-k operator key
-    their entries here, and the oracles apply the same components per row.
+    system shares; the oracles apply the same components per row.  The
+    incremental top-k operator keys its entries here, always by components:
+    its ``TopKState`` keeps keys across deltas (a plain-number delta followed
+    by one holding NULL would put raw and component keys in one sorted key
+    list) and the engine-state dumps pin them.  :func:`top_k_batch` sorts a
+    plain-number column by its own values instead, in the same order.
     """
     return list(
         zip(
@@ -491,19 +495,48 @@ def order_keys(key_columns: list[list], ascending: Sequence[bool]) -> list[tuple
     )
 
 
+def _column_keys(column: list, ascending: bool):
+    """One ORDER BY column's sort keys for :func:`top_k_batch`, in
+    :func:`order_keys`' order.
+
+    A column of plain numbers (int, float, bool; no NaN) is its own key, or
+    its negation for DESC: ``order_component`` keys such a value ``(2, v)``
+    and ``descending_component`` ``(-2, -v)``, which compare exactly as ``v``
+    and ``-v`` do, ties included (``1``/``1.0``/``True``, ``-0.0``/``0.0``,
+    exact int/float comparison past 2**53).  ``sum`` is the probe, as in
+    :func:`_holds_null`: it runs through numbers at C speed and raises at
+    text, NULL or an int beyond float range beside a float; its value is NaN
+    when the column holds NaN (or both infinities), and of another type for
+    the numeric types ``order_component`` keys by their text (``Decimal``,
+    ``complex``).  Any such column is keyed by components."""
+    try:
+        total = sum(column)
+    except (TypeError, OverflowError):
+        total = None
+    if type(total) in (int, float) and total == total:
+        return column if ascending else map(neg, column)
+    return map(order_component if ascending else descending_component, column)
+
+
 def top_k_batch(
     batch: ColumnBatch, key_columns: list[list], ascending: Sequence[bool], k: int
 ) -> ColumnBatch:
     """The first ``k`` tuples of ``batch`` in ORDER BY order (SQL LIMIT).
 
     ``key_columns`` are the value columns of the ORDER BY expressions and
-    ``ascending`` their directions, keyed by :func:`order_keys`.  ``batch``
-    must be consolidated (the caller guarantees it).  Output order: ascending
-    by key, entries with equal keys in their input order (``nsmallest`` is
-    ``sorted(...)[:k]``, which is stable); the multiplicity of the last entry
-    taken is cut so that the output holds at most ``k`` tuples.
+    ``ascending`` their directions, sorted in :func:`order_keys`' order: a
+    plain-number column by its own values (:func:`_column_keys`), every
+    other column by its ``order_component`` keys; one key column is its key
+    list, several are zipped.  ``batch`` must be consolidated (the caller
+    guarantees it).  Output order: ascending by key, entries with equal keys
+    in their input order (``nsmallest`` is ``sorted(...)[:k]``, which is
+    stable); the multiplicity of the last entry taken is cut so that the
+    output holds at most ``k`` tuples.
     """
-    keys = order_keys(key_columns, ascending)
+    per_column = [_column_keys(column, asc) for column, asc in zip(key_columns, ascending)]
+    keys = per_column[0] if len(per_column) == 1 else zip(*per_column)
+    if not isinstance(keys, list):
+        keys = list(keys)
     # Every entry holds at least one tuple, so k entries always suffice.
     taken = nsmallest(k, range(len(keys)), key=keys.__getitem__)
     multiplicities: list[int] = []

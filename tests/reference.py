@@ -212,6 +212,11 @@ WORDS = [None, "ash", "Birch", "x", "1", ""]  # an all-text column: min, lower, 
 # first; int sums stay exact up to 2**53, where the fold stops merging.
 SUMMANDS = [0.1, 0.2, 0.3, 1e16, -1e16, 7.25, 1.0, 2, True, None, NAN, BIG]
 EXACT = [None, 0, 1, True, False, -3, 2**40, 2**52, -(2**52), 2**53, BIG, -BIG]
+# Plain numbers, which ORDER BY keys by their own values: ±0.0 and 1/1.0/True
+# tie, 2**53 + 1 sorts above float(2**53); a column that draws both
+# infinities sums to NaN and is keyed by components instead.
+PLAIN = [0, -0.0, 0.0, 1, 1.0, True, False, -3, 2.5, 2**53, BIG, float(2**53), -BIG]
+ORDERED = PLAIN + [math.inf, -math.inf]
 
 
 def _spelled(value):
@@ -228,17 +233,19 @@ def keys(text: bool = False) -> st.SearchStrategy:
 @st.composite
 def tables(draw) -> tuple[Database, list]:
     """``t(id, g, h, v)`` and ``u(k, l, w)`` with repeated rows, float (or
-    int-only) summands and optional indexes, and rows of ``u`` to delete and
-    re-insert (:func:`move`).  Text goes to ``t.g`` only: beside the keys, or
-    all of it (:data:`WORDS`).  An index holds values that order against each
-    other, so ``t.g`` has none when it mixes text and numbers."""
+    int-only, or plain-number) summands and optional indexes, and rows of
+    ``u`` to delete and re-insert (:func:`move`).  Text goes to ``t.g`` only:
+    beside the keys, or all of it (:data:`WORDS`).  An index holds values
+    that order against each other, so ``t.g`` has none when it mixes text
+    and numbers."""
     g_keys = draw(st.sampled_from(["numbers", "mixed", "text"]))
     database = two_tables()
     indexable = [("u", "k"), ("u", "l"), ("t", "h"), ("t", "id")]
     for table, attribute in indexable + [("t", "g")] * (g_keys != "mixed"):
         if draw(st.booleans()):
             database.create_index(table, attribute)
-    v, w = (st.sampled_from(draw(st.sampled_from([SUMMANDS, EXACT]))) for _ in "vw")
+    pools = [SUMMANDS, EXACT, ORDERED]
+    v, w = (st.sampled_from(draw(st.sampled_from(pools))) for _ in "vw")
     g = st.sampled_from(WORDS) if g_keys == "text" else keys(g_keys == "mixed")
     t_rows = draw(st.lists(st.tuples(st.integers(0, 5), g, keys(), v), max_size=10))
     u_rows = draw(st.lists(st.tuples(keys(), keys(), w), max_size=10))
@@ -418,6 +425,20 @@ def limits(draw) -> PlanNode:
     return plan
 
 
+@st.composite
+def top_ks(draw) -> PlanNode:
+    """ORDER BY one to three columns in drawn directions, LIMIT cutting
+    inside ties and multiplicities: plain ints (``id``), plain numbers or
+    summands (``v``, ``w``) and keys with NULL, NaN, text or mixed kinds
+    (``g``, ``h``, ``k``, ``l``)."""
+    child, columns = draw(
+        st.sampled_from([(T, [id_, g, h, v]), (U, [k, l, w]), (U_PAIRS, [k, w])])
+    )
+    columns = draw(st.permutations(columns))[: draw(st.integers(1, 3))]
+    order_by = [OrderItem(column, draw(st.booleans())) for column in columns]
+    return TopK(child, draw(st.integers(1, 12)), order_by)
+
+
 LITERALS = [None, NAN, 0, 1, 1.0, True, 2, 2.5, -3, BIG, -BIG, 2**53]
 OPERATORS = ["=", "<", "<=", ">", ">=", "<>"]
 
@@ -494,6 +515,7 @@ CATALOGUE: dict[str, st.SearchStrategy] = {
     "group-join": group_joins(),
     "theta and cross join": theta_joins(),
     "limit": limits(),
+    "top-k by plain and component keys": top_ks(),
     "aggregation over pruned duplicates": st.sampled_from(PRUNED),
     "aggregation over a range of its group key": st.sampled_from(KEY_RANGES),
     "one column merged by value": st.sampled_from(

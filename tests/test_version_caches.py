@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import IMPError, StorageError
+from repro.core.errors import StorageError
 from repro.imp.middleware import FullMaintenanceSystem, IMPSystem
 from repro.imp.strategies import EagerStrategy
 from repro.relational.columnar import ColumnBatch
@@ -279,8 +279,8 @@ def test_a_recreated_table_answers_the_same_text_with_its_new_schema():
 
 def test_a_reader_holding_a_dropped_catalogs_plan_keeps_the_fresh_entry(monkeypatch):
     """A reader that translated a text before a DDL change reaches the store
-    after another reader recaptured its entry: it falls back on its stale
-    plan and leaves the fresh entry in place."""
+    after another reader recaptured its entry: it falls back, translates the
+    text again under the current catalog and leaves the fresh entry in place."""
     database = Database()
     database.create_table("t", ["id", "a", "b"])
     database.create_table("u", ["k", "w"])
@@ -290,22 +290,28 @@ def test_a_reader_holding_a_dropped_catalogs_plan_keeps_the_fresh_entry(monkeypa
     sql = "SELECT a, sum(w) AS s FROM t, u WHERE id = k AND a < 2 GROUP BY a"
     system.run_query(sql)
     held = database.translation(sql)
+    held_catalog = database.catalog_version
 
     swapped_tables(database)
     system.run_query(sql)
     fresh = system.store.peek(held[1])
     assert fresh.plan is database.plan(sql)
 
-    # The reader's translation is the held one; every later lookup is not.
+    # The reader's catalog read and translation are the held ones; every
+    # later read and lookup is not.
     translation = database.translation
     answers = iter([held])
     monkeypatch.setattr(
         database, "translation", lambda text: next(answers, None) or translation(text)
     )
+    catalogs = iter([held_catalog])
+    monkeypatch.setattr(
+        Database, "catalog_version", property(lambda db: next(catalogs, db._catalog_version))
+    )
     fallbacks = system.statistics.fallback_queries
-    with pytest.raises(IMPError):
-        # The held plan reads columns the recreated ``t`` no longer has.
-        system.run_query(sql)
+    # The held plan reads columns the recreated ``t`` no longer has; the text
+    # is valid under the current catalog, so the fallback answers it.
+    assert system.run_query(sql) == oracle(database, sql)
     assert system.statistics.fallback_queries == fallbacks + 1
     assert system.store.peek(held[1]) is fresh
     hits = system.statistics.sketch_hits
