@@ -670,7 +670,10 @@ class IncrementalAggregation(IncrementalOperator):
         state = self.state
         columns, n = child.columns, len(child)
         key_columns = [evaluate(columns, n) for evaluate in self._group_key]
-        ids = state.slot_ids(zip(*key_columns) if key_columns else [()] * n)
+        if len(key_columns) == 1:
+            ids = state.column_slot_ids(key_columns[0])
+        else:
+            ids = state.slot_ids(zip(*key_columns) if key_columns else [()] * n)
         # The touched groups in first-touch order, and the output tuple each
         # had before the batch.  From scratch nothing was output before, not
         # even the scalar group.

@@ -37,7 +37,7 @@ from repro.storage.recovery import DurabilityManager, RecoveryReport
 from repro.storage.sessions import Session, SessionRegistry
 from repro.storage.snapshots import AuditLog, AuditRecord
 from repro.storage.statistics import ColumnStatistics, ColumnSummaries, expand_multiplicities
-from repro.storage.table import AttributeIndex, StoredTable, canonical_items
+from repro.storage.table import StoredTable, canonical_items
 from repro.storage.wal import FSYNC_ALWAYS, FileFactory
 
 
@@ -250,14 +250,14 @@ class Database:
         """Create an ordered index on ``table.attribute`` (idempotent)."""
         with self._lock:
             stored = self.table(table)
-            if not stored.has_index(attribute):
-                # Refused before the record is logged: a logged index that
-                # cannot be built would stop the data directory from opening.
-                index = AttributeIndex(attribute, stored.schema.index_of(attribute))
-                index.check_orderable(row for row, _multiplicity in stored.items())
-                if self._durability is not None:
-                    self._durability.log_create_index(stored.name, attribute)
-            stored.create_index(attribute)
+            if stored.has_index(attribute):
+                return
+            # Built (and refused) before the record is logged: a logged index
+            # that cannot be built would stop the data directory from opening.
+            index = stored.build_index(attribute)
+            if self._durability is not None:
+                self._durability.log_create_index(stored.name, attribute)
+            stored.add_index(index)
 
     def has_index(self, table: str, attribute: str) -> bool:
         """Whether ``table.attribute`` carries an ordered index."""

@@ -42,7 +42,10 @@ def collect_column_statistics(attribute: str, values: Sequence[object]) -> Colum
     minimum and maximum of its orderable ones: NaN is skipped like NULL, and
     a column holding values that do not compare, such as ``1`` and ``'x'``,
     has neither)."""
-    non_null = [value for value in values if value is not None]
+    distinct = set(values)
+    # The distinct values tell whether NULL is there; a column without it is
+    # used as it is.
+    non_null = values if None not in distinct else [v for v in values if v is not None]
     # NaN compares false, so min and max pass over it -- unless they start
     # from it, as the first value.
     ordered = non_null
@@ -58,7 +61,7 @@ def collect_column_statistics(attribute: str, values: Sequence[object]) -> Colum
         attribute=attribute,
         row_count=len(values),
         null_count=len(values) - len(non_null),
-        distinct_count=len(set(non_null)),
+        distinct_count=len(distinct) - (None in distinct),
         minimum=minimum,
         maximum=maximum,
     )
@@ -76,7 +79,16 @@ def equi_depth_boundaries(values: Sequence[object], num_buckets: int) -> list[fl
     """
     if num_buckets <= 0:
         raise ValueError("num_buckets must be positive")
-    data = sorted(float(value) for value in values if value is not None and value == value)
+    try:
+        data = list(map(float, values))
+    except TypeError:  # a NULL: skip it, and NaN, value by value
+        data = [float(value) for value in values if value is not None and value == value]
+    else:
+        # A float sum is NaN exactly when a NaN (or both infinities) is summed.
+        total = sum(data)
+        if total != total:
+            data = [value for value in data if value == value]
+    data.sort()
     if not data:
         raise ValueError("cannot build a histogram over an empty column")
     boundaries = [data[0]]

@@ -45,6 +45,9 @@ class AttributeIndex:
     the value list, which is the physical-design capability (B-tree index /
     zone map) that provenance-based data skipping exploits: a selection whose
     predicate bounds the indexed attribute only touches the qualifying rows.
+    A new index over a table's rows is bulk-loaded (:meth:`load`): one bucket
+    store per row and one sort of the distinct values; commits then keep it
+    current value by value (:meth:`insert_items`, :meth:`delete_items`).
     """
 
     __slots__ = ("attribute", "position", "_values", "_buckets", "_tombstones")
@@ -57,6 +60,31 @@ class AttributeIndex:
         self._values: list[float] = []
         self._buckets: dict[float, dict[Row, int]] = {}
         self._tombstones = 0
+
+    def load(self, items: Iterable[tuple[Row, int]]) -> None:
+        """Fill this empty index from a table's ``(row, multiplicity)``
+        pairs, each row distinct, as :meth:`insert_items` would -- the same
+        value list, bucket order and multiplicities -- without its second
+        hash of each row and its ``insort`` per new value (quadratic over
+        unsorted values): one store per row into its value's bucket, then one
+        :meth:`check_orderable` pass and one sort over the distinct values.
+        A refused load leaves the index empty."""
+        position = self.position
+        buckets: dict[float, dict[Row, int]] = {}
+        for row, multiplicity in items:
+            value = row[position]
+            bucket = buckets.get(value)
+            if bucket is None:
+                bucket = buckets[value] = {}
+            bucket[row] = multiplicity
+        # NULL and NaN are not indexed (see insert_items).
+        buckets.pop(None, None)
+        for value in [value for value in buckets if value != value]:
+            del buckets[value]
+        # One row per distinct value: the first to carry it.
+        self.check_orderable(next(iter(bucket)) for bucket in buckets.values())
+        self._values = sorted(buckets)
+        self._buckets = buckets
 
     def insert_items(self, items: Iterable[tuple[Row, int]]) -> None:
         """Register ``(row, multiplicity)`` pairs, each row appended to its
@@ -420,14 +448,26 @@ class StoredTable:
     # -- secondary indexes --------------------------------------------------------
 
     def create_index(self, attribute: str) -> AttributeIndex:
-        """Create (or return the existing) ordered index on ``attribute``."""
-        bare = Schema.bare_name(attribute)
-        existing = self._indexes.get(bare)
+        """Create (or return the existing) ordered index on ``attribute``,
+        bulk-loaded from the table's rows (:meth:`build_index`: no
+        ``insort``) and then registered (:meth:`add_index`)."""
+        existing = self._indexes.get(Schema.bare_name(attribute))
         if existing is not None:
             return existing
-        index = AttributeIndex(bare, self.schema.index_of(attribute))
-        index.insert_items(self._rows.items())
-        self._indexes[bare] = index
+        return self.add_index(self.build_index(attribute))
+
+    def build_index(self, attribute: str) -> AttributeIndex:
+        """A new index on ``attribute`` bulk-loaded with the table's rows
+        (:meth:`AttributeIndex.load`: no ``insort``), not yet registered.
+        Raises :class:`StorageError` if the column's values do not order."""
+        index = AttributeIndex(Schema.bare_name(attribute), self.schema.index_of(attribute))
+        index.load(self._rows.items())
+        return index
+
+    def add_index(self, index: AttributeIndex) -> AttributeIndex:
+        """Register ``index``, built by :meth:`build_index` with no commit
+        since, so that commits keep it current."""
+        self._indexes[index.attribute] = index
         return index
 
     def has_index(self, attribute: str) -> bool:

@@ -1,25 +1,50 @@
 """A template's first query does only the work its result needs.
 
-Two pieces of a from-scratch capture are held to what they replaced:
+Six pieces of a from-scratch capture are held to what they replaced:
 
 * the Bloom filter's whole-list position derivation (``add_all``) to the
   per-value reference ``_positions``, bit for bit;
 * sketch-attribute choice, which stops at the first numeric candidate, to
   the ``(table, attribute)`` pairs the full candidate lists gave for every
-  template of :mod:`repro.workloads`.
+  template of :mod:`repro.workloads`;
+* the partition statistics of a column holding NULL and NaN to those of its
+  other values;
+* fragment masks looked up once per distinct value to the per-value
+  ``RangePartition.fragment_of``;
+* an index's bulk load to the same index filled by ``insert_items``;
+* group slots taken once per distinct value to ``AggregationState.slot_ids``
+  over 1-tuples.
+
+Spies show that a capture takes the per-distinct paths and a small delta
+batch does not.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bloom import BloomFilter
+from repro.core.errors import SketchError, StorageError
+from repro.imp import state as state_module
+from repro.imp.middleware import IMPSystem
+from repro.imp.operators import IncrementalAggregation, Pass
+from repro.imp.state import AggregationState
+from repro.relational.algebra import Aggregate, AggregateFunction
+from repro.relational.expressions import ColumnRef
+from repro.relational.schema import Schema
+from repro.sketch import ranges
+from repro.sketch.ranges import RangePartition
 from repro.sketch.selection import build_database_partition
 from repro.storage.database import Database
+from repro.storage.statistics import collect_column_statistics, equi_depth_boundaries
+from repro.storage.table import AttributeIndex
 from repro.workloads import (
     CRIMES_Q1,
     CRIMES_Q2,
@@ -39,6 +64,7 @@ from repro.workloads import (
 )
 from repro.workloads.mixed import multi_sketch_templates
 from repro.workloads.synthetic import load_join_helper
+from tests.reference import Feed
 
 # -- (a) Bloom filter: whole-list passes set the reference bits ---------------------
 
@@ -206,3 +232,245 @@ class TestAttributeChoice:
     def test_lineitem_reads_one_column_not_ten(self, workload_db, monkeypatch):
         _, asked = chosen_with_statistics(workload_db, TPCH_QUERIES["order_volume"], monkeypatch)
         assert asked == {"lineitem": ["l_orderkey"], "orders": ["o_orderkey"]}
+
+
+# -- (c) partition statistics in whole-column passes -------------------------------
+
+ORDERABLE = st.one_of(
+    st.sampled_from([1, 1.0, True, 0, -0.0, 2**53 + 1, float(2**53), 2.5]),
+    st.integers(-50, 50),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False),
+)
+
+
+class TestPartitionStatistics:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(ORDERABLE, min_size=1, max_size=60),
+        holes=st.lists(st.sampled_from([None, math.nan]), max_size=6),
+        seed=st.integers(0, 99),
+        buckets=st.integers(1, 12),
+    )
+    def test_null_and_nan_change_no_statistic_of_the_rest(self, values, holes, seed, buckets):
+        """A column with NULL and NaN in it has the row and NULL counts it
+        holds and the distinct count, minimum, maximum and equi-depth
+        boundaries of its other values, NaN objects counted as distinct."""
+        column = values + holes + [float("nan")]
+        random.Random(seed).shuffle(column)
+        plain = [value for value in column if value is not None and value == value]
+        statistics = collect_column_statistics("a", column)
+        reference = collect_column_statistics("a", plain)
+        assert statistics.row_count == len(column)
+        assert statistics.null_count == column.count(None)
+        nans = len({id(value) for value in column if value is not None and value != value})
+        assert statistics.distinct_count == reference.distinct_count + nans
+        assert repr((statistics.minimum, statistics.maximum)) == repr(
+            (reference.minimum, reference.maximum)
+        )
+        assert equi_depth_boundaries(column, buckets) == equi_depth_boundaries(plain, buckets)
+
+    def test_a_value_past_float_range_still_refuses_the_partition(self):
+        for column in ([1, 10**400, 2], [None, 10**400], [10**400, math.nan]):
+            with pytest.raises(OverflowError):
+                equi_depth_boundaries(column, 4)
+
+
+# -- (d) fragment masks, one lookup per distinct value ------------------------------
+
+NAN = math.nan  # one NaN object, drawn again and again
+
+# Equal numbers of three types, both zeros, NULL, one repeated and many fresh
+# NaN objects, and an int one above a float it does not equal.
+SPELLINGS = [1, 1.0, True, False, 0, 0.0, -0.0, None, NAN, 2**53 + 1, float(2**53), 2.5, -7]
+NUMBERS = st.one_of(
+    st.sampled_from(SPELLINGS),
+    st.builds(float, st.just("nan")),
+    st.integers(-40, 2**55),
+    st.floats(-40.0, 2.0**55),
+)
+
+# Boundaries not stretched to the whole domain, so draws fall outside it on
+# both sides.
+DOMAIN = [-20.0, -1.0, 0.0, 1.0, 2.5, 100.0, 2.0**53, 2.0**54]
+
+# The per-value path, the per-distinct path, and the gate choosing.
+GATES = [10**9, 1, ranges._MIN_MEAN_REPEATS]
+
+
+def per_value_masks(partition: RangePartition, values: list, offset: int, outside: int):
+    """``fragment_of`` value by value: the masks, or the first error's text."""
+    masks = []
+    for value in values:
+        if value is None or value != value:
+            masks.append(outside)
+            continue
+        try:
+            masks.append(1 << (offset + partition.fragment_of(value)))
+        except SketchError as exc:
+            return str(exc)
+    return masks
+
+
+def batch_masks(partition: RangePartition, values: list, offset: int, outside: int):
+    try:
+        return partition.masks_of(iter(values), offset, outside)
+    except SketchError as exc:
+        return str(exc)
+
+
+class TestMasksPerDistinctValue:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(NUMBERS, max_size=60),
+        repeats=st.integers(1, 4),
+        offset=st.integers(0, 70),
+    )
+    def test_masks_of_equals_fragment_of_value_by_value(self, values, repeats, offset):
+        values = values * repeats
+        random.Random(len(values)).shuffle(values)
+        partition = RangePartition("t", "a", DOMAIN)
+        outside = 1 << (offset + partition.num_fragments)
+        expected = per_value_masks(partition, values, offset, outside)
+        for gate in GATES:
+            with patch.object(ranges, "_MIN_MEAN_REPEATS", gate):
+                assert batch_masks(partition, values, offset, outside) == expected
+
+    def test_out_of_domain_values_are_reported_in_column_order(self):
+        partition = RangePartition("t", "a", [0.0, 10.0, 20.0])
+        values = [5, NAN, 25, None, -1, 25, -1]
+        for gate in GATES:
+            with patch.object(ranges, "_MIN_MEAN_REPEATS", gate):
+                with pytest.raises(SketchError, match="value 25 outside the domain"):
+                    partition.masks_of(values, 0, 8)
+
+
+# -- (e) an index is bulk-loaded ----------------------------------------------------
+
+
+def index_state(index: AttributeIndex) -> tuple:
+    """The value list (spellings included) and each bucket in order."""
+    return (
+        repr(index._values),
+        [(repr(value), list(bucket.items())) for value, bucket in index._buckets.items()],
+        index._tombstones,
+    )
+
+
+class TestIndexBulkLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(NUMBERS, max_size=80),
+        multiplicities=st.lists(st.integers(1, 3), min_size=80, max_size=80),
+    )
+    def test_load_equals_insert_items(self, values, multiplicities):
+        items = [((i, value), m) for i, (value, m) in enumerate(zip(values, multiplicities))]
+        bulk, reference = AttributeIndex("v", 1), AttributeIndex("v", 1)
+        bulk.load(items)
+        reference.insert_items(items)
+        assert index_state(bulk) == index_state(reference)
+
+    def test_a_refused_load_leaves_the_index_empty(self):
+        index = AttributeIndex("v", 1)
+        with pytest.raises(StorageError, match="does not order"):
+            index.load([((1, 2.5), 1), ((2, None), 1), ((3, "x"), 1)])
+        assert index_state(index) == ("[]", [], 0)
+
+    def test_create_index_never_calls_insort(self, monkeypatch):
+        rng = random.Random(8)
+        values = [rng.uniform(-1e6, 1e6) for _ in range(20_000)]
+        database = Database()
+        database.create_table("t", ["id", "v"], primary_key="id")
+        database.insert("t", list(enumerate(values)))
+        calls = []
+        monkeypatch.setattr(bisect, "insort", lambda *args, **kwargs: calls.append(args))
+        database.create_index("t", "v")
+        index = database.table("t").index_on("v")
+        assert calls == []
+        assert index._values == sorted(values)
+
+    def test_create_index_checks_each_distinct_value_once(self, monkeypatch):
+        database = Database()
+        load_synthetic(database, num_rows=3_000, num_groups=100, seed=3)
+        checked = []
+        original = AttributeIndex.check_orderable
+
+        def spy(self, rows):
+            rows = list(rows)
+            checked.append(len(rows))
+            return original(self, rows)
+
+        monkeypatch.setattr(AttributeIndex, "check_orderable", spy)
+        database.create_index("r", "a")
+        distinct = {row[1] for row in database.table("r").rows()}
+        assert checked == [len(distinct)] and len(distinct) <= 100
+
+
+# -- (f) group slots, one per distinct raw value -------------------------------------
+
+
+GROUPED = Schema(["g", "v"])
+
+
+def grouped_count() -> IncrementalAggregation:
+    """``SELECT g, count(*) AS n ... GROUP BY g`` over a queued feed."""
+    return IncrementalAggregation(
+        Feed(GROUPED),
+        [ColumnRef("g")],
+        [Aggregate(AggregateFunction.COUNT, None, "n")],
+        Schema(["g", "n"]),
+    )
+
+
+class TestSlotsPerDistinctValue:
+    @settings(max_examples=300, deadline=None)
+    @given(column=st.lists(NUMBERS, max_size=60), repeats=st.integers(1, 4))
+    def test_a_capture_slots_as_one_tuples_do(self, column, repeats):
+        column = column * repeats
+        random.Random(len(column)).shuffle(column)
+        reference = AggregationState()
+        reference.slot_ids(zip(column))
+        for gate in [10**9, 1, state_module._MIN_MEAN_REPEATS]:
+            operator = grouped_count()
+            operator.child.queue([((g, 1.0), 0, 1) for g in column])
+            with patch.object(state_module, "_MIN_MEAN_REPEATS", gate):
+                operator.process(Pass.scratch(0))
+            state = operator.state
+            assert repr(list(state.slots.items())) == repr(list(reference.slots.items()))
+            assert repr(state.keys) == repr(reference.keys)
+            # The very objects: a NaN key holds the NaN first seen.
+            assert all(map(tuple.__eq__, state.keys, reference.keys))
+
+
+def test_a_capture_takes_the_per_distinct_paths_and_a_small_delta_does_not(monkeypatch):
+    """``q_endtoend`` over 3 000 rows of 100 groups: the capture bisects and
+    slots each distinct ``a`` once; a 20-tuple delta is bisected entry by
+    entry, as before, and maps its 1-tuples to their slots."""
+    database = Database()
+    table = load_synthetic(database, num_rows=3_000, num_groups=100, seed=3)
+    system = IMPSystem(database, num_fragments=10)
+    bisected: list[int] = []
+    slotted: list[int] = []
+    masks, slot_ids = RangePartition._masks, AggregationState.slot_ids
+
+    def masks_spy(self, values, offset, outside):
+        bisected.append(len(values))
+        return masks(self, values, offset, outside)
+
+    def slots_spy(self, keys):
+        keys = list(keys)
+        slotted.append(len(keys))
+        return slot_ids(self, keys)
+
+    monkeypatch.setattr(RangePartition, "_masks", masks_spy)
+    monkeypatch.setattr(AggregationState, "slot_ids", slots_spy)
+    sql = q_endtoend()
+    reference = database.query(sql)
+    assert system.run_query(sql) == reference
+    distinct = len({row[1] for row in database.table("r").rows()})
+    assert bisected == [distinct] and slotted == [distinct]
+    bisected.clear()
+    slotted.clear()
+    system.apply_update("r", inserts=table.make_inserts(10), deletes=table.rows[:10])
+    assert system.run_query(sql) == database.query(sql)
+    assert bisected == [20] and slotted == []
