@@ -15,10 +15,12 @@ its audit log.  IMP talks to it for
 
 from __future__ import annotations
 
+import bisect
 import functools
 import threading
 import weakref
 from collections.abc import Iterable, Sequence
+from operator import attrgetter
 
 from repro.core.errors import StorageError
 from repro.relational.algebra import PlanNode
@@ -37,7 +39,7 @@ from repro.storage.recovery import DurabilityManager, RecoveryReport
 from repro.storage.sessions import Session, SessionRegistry
 from repro.storage.snapshots import AuditLog, AuditRecord
 from repro.storage.statistics import ColumnStatistics, ColumnSummaries, expand_multiplicities
-from repro.storage.table import StoredTable, canonical_items
+from repro.storage.table import Catalog, StoredTable, canonical_items
 from repro.storage.wal import FSYNC_ALWAYS, FileFactory
 
 
@@ -46,14 +48,31 @@ from repro.storage.wal import FSYNC_ALWAYS, FileFactory
 PLAN_CACHE_SIZE = 256
 
 
-def _translate(
-    database: "weakref.ref[Database]", _catalog_version: int, sql: str
-) -> tuple[PlanNode, QueryTemplate]:
-    """One parse feeds both the plan and the template.  ``_catalog_version``
-    is only part of the cache key; the parser and translator are reached by
-    their module names, so tracing that wraps those names sees a miss."""
+class _CatalogKey:
+    """The catalog half of a plan-cache key: equal to every key of the same
+    catalog version.  It names its catalog weakly, so a cached plan keeps no
+    pruned catalog, and no dropped table, alive."""
+
+    __slots__ = ("version", "catalog")
+
+    def __init__(self, catalog: Catalog) -> None:
+        self.version = catalog.version
+        self.catalog = weakref.ref(catalog)
+
+    def __hash__(self) -> int:
+        return hash(self.version)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _CatalogKey) and other.version == self.version
+
+
+def _translate(key: _CatalogKey, sql: str) -> tuple[PlanNode, QueryTemplate]:
+    """One parse feeds both the plan and the template, translated against
+    the key's catalog (alive: the caller holds it).  The parser and
+    translator are reached by their module names, so tracing that wraps
+    those names sees a miss."""
     statement = sql_translator.parse_select(sql)
-    return Translator(database()).translate(statement), template_of(statement)
+    return Translator(key.catalog()).translate(statement), template_of(statement)
 
 
 class Database:
@@ -91,7 +110,19 @@ class Database:
         (``None`` = only explicit :meth:`checkpoint` calls).
         """
         self.name = name
+        # The live catalog.  Every DDL commit replaces it by a copy and
+        # appends that copy to ``_catalogs``, the catalog history (one
+        # :class:`Catalog` per DDL version, oldest first), so a map once
+        # published never changes and a pinned reader resolves names in the
+        # catalog of its version.  The history starts at the catalog in
+        # effect at the retention floor (see :meth:`prune_history`);
+        # ``_dropped`` holds the dropped tables it still reaches, and no
+        # catalog below ``_catalog_floor`` (the newest drop it let go, or the
+        # checkpoint a recovery loaded) can be rebuilt (:meth:`catalog_at`).
         self._tables: dict[str, StoredTable] = {}
+        self._catalogs = [Catalog(0, self._tables)]
+        self._dropped: list[StoredTable] = []
+        self._catalog_floor = 0
         self._version = 0
         self._audit_log = AuditLog()
         self._scan_counter = 0
@@ -105,15 +136,9 @@ class Database:
         # and every drop clears them, so a kept one is always as fresh as
         # the data it summarises.
         self._summaries = ColumnSummaries()
-        # SQL text -> (translated plan, template), keyed by the catalog
-        # version too (see :meth:`translation`).  The cached callable holds
-        # the database weakly: a strong reference would be a cycle, and an
-        # unreferenced database (and its open log file) would then wait for
-        # the cycle collector.
-        self._catalog_version = 0
-        self._translations = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(
-            functools.partial(_translate, weakref.ref(self))
-        )
+        # (catalog version, SQL text) -> (translated plan, template) (see
+        # :meth:`translation_at`).
+        self._translations = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(_translate)
         # The single write lock.  Reentrant so compound update paths (a
         # DELETE statement collects its victims, then commits) stay atomic
         # without special-casing the nested _commit acquisition.
@@ -148,8 +173,34 @@ class Database:
 
     @property
     def catalog_version(self) -> int:
-        """Moved on by every DDL change and every table recovery restores."""
-        return self._catalog_version
+        """The version of the newest DDL commit (``create_table`` or
+        ``drop_table``; a checkpoint load counts as one at the checkpoint's
+        version), read from the catalog history."""
+        return self._catalogs[-1].version
+
+    def catalog_at(self, version: int) -> Catalog:
+        """The catalog as of ``version``: that of the newest DDL commit at or
+        before it.
+
+        Below the oldest catalog the history keeps, every DDL commit down to
+        ``version`` is a ``create_table`` as long as ``version`` is at or
+        above the newest drop the history let go: that catalog is rebuilt
+        from the oldest one, without the tables created after ``version``.
+        Further down it is gone, and :class:`StorageError` says so.
+        """
+        catalogs = self._catalogs
+        position = bisect.bisect_right(catalogs, version, key=attrgetter("version"))
+        if position:
+            return catalogs[position - 1]
+        if version < self._catalog_floor:
+            raise StorageError(f"the catalog of version {version} has been pruned")
+        tables = {
+            name: stored
+            for name, stored in catalogs[0].tables.items()
+            if stored.created_version <= version
+        }
+        created = [stored.created_version for stored in tables.values()]
+        return Catalog(max([self._catalog_floor, *created]), tables)
 
     # -- catalog -------------------------------------------------------------------
 
@@ -167,34 +218,48 @@ class Database:
             table = StoredTable(
                 name, columns if isinstance(columns, Schema) else Schema(columns), primary_key
             )
+            table.created_version = version = self._version + 1
             # Log-before-apply: a failed WAL append raises here and the
             # catalog is untouched, so memory never runs ahead of the log.
             if self._durability is not None:
-                self._durability.log_create_table(name, table.schema, table.primary_key)
-            self._tables[name] = table
-            self._catalog_version += 1
+                self._durability.log_create_table(
+                    name, table.schema, table.primary_key, version
+                )
+            self._commit_catalog({**self._tables, name: table})
             return table
 
     def drop_table(self, name: str) -> None:
-        """Remove a table, its data and its audit history.
+        """Remove ``name`` from the catalog, as a commit of its own version.
 
-        Dropping destroys version history: snapshot sessions that already
-        materialized the table keep reading their immutable batches, but
-        un-materialized snapshot reads of a dropped table raise, and a table
-        later *recreated* under the same name is a brand-new table -- its
-        snapshots never roll back through the old table's deltas (the audit
-        log forgets the name), so old pins read the new table's history only.
+        The dropped table stays in the catalogs of the versions before the
+        drop: a session pinned there, or ``snapshot_relation`` at such a
+        version, reads its schema and rows, rolled back through its own audit
+        deltas only.  A table later *recreated* under the name is another
+        table, which versions before its creation do not see.  The table
+        goes when no session pins a version before the drop any more
+        (:meth:`prune_history`, which also runs right after the drop), and
+        a version before it is then one whose catalog has been pruned.
         """
         name = name.lower()
         with self._lock:
-            if name not in self._tables:
-                raise StorageError(f"unknown table {name!r}")
+            stored = self.table(name)
+            version = self._version + 1
             if self._durability is not None:
-                self._durability.log_drop_table(name)
-            del self._tables[name]
-            self._catalog_version += 1
-            self._audit_log.forget_table(name)
+                self._durability.log_drop_table(name, version)
+            stored.dropped_version = version
+            self._dropped.append(stored)
+            self._commit_catalog({key: t for key, t in self._tables.items() if key != name})
             self._summaries.clear()
+
+    def _commit_catalog(self, tables: dict[str, StoredTable]) -> None:
+        """Publish ``tables`` as the catalog of the next version and advance
+        the version to it (under the write lock, after the WAL record).  A
+        lock-free reader that reads the version first never sees a catalog
+        newer than it."""
+        self._tables = tables
+        self._catalogs.append(Catalog(self._version + 1, tables))
+        self._version += 1
+        self.prune_history()
 
     def has_table(self, name: str) -> bool:
         """Whether a table with this name exists."""
@@ -319,7 +384,9 @@ class Database:
 
     @property
     def version(self) -> int:
-        """The current snapshot identifier (0 for a freshly created database)."""
+        """The current snapshot identifier (0 for a freshly created database):
+        every data commit and every DDL commit (``create_table``,
+        ``drop_table``) advances it by one."""
         return self._version
 
     @property
@@ -343,30 +410,48 @@ class Database:
         return self._delta_fetch_counter
 
     def delta_since(self, table: str, since: int, until: int | None = None) -> Delta:
-        """The combined delta of ``table`` between versions ``since`` and ``until``."""
+        """The combined delta of ``table`` between versions ``since`` and
+        ``until``: the data commits of the live table, none of a table
+        dropped before it was created."""
         with self._lock:
             until = self._version if until is None else until
             self._validate_versions(since, until)
             self._delta_fetch_counter += 1
-            return self._audit_log.delta_between(table, self.schema_of(table), since, until)
+            return self._live_delta(self.table(table), since, until)
 
     def database_delta_since(
         self, tables: Iterable[str], since: int, until: int | None = None
     ) -> DatabaseDelta:
-        """Per-table deltas for ``tables`` between two versions."""
+        """Per-table deltas for ``tables`` between two versions (each as
+        :meth:`delta_since` reads it)."""
         with self._lock:
             until = self._version if until is None else until
             self._validate_versions(since, until)
-            schemas = {table: self.schema_of(table) for table in tables}
-            self._delta_fetch_counter += len(schemas)
-            return self._audit_log.database_delta_between(schemas, since, until)
+            stored = {table: self.table(table) for table in tables}
+            self._delta_fetch_counter += len(stored)
+            result = DatabaseDelta()
+            for table, live in stored.items():
+                delta = self._live_delta(live, since, until)
+                if delta:
+                    result.set_delta(table, delta)
+            return result
+
+    def _live_delta(self, stored: StoredTable, since: int, until: int) -> Delta:
+        since = max(since, stored.created_version)
+        return self._audit_log.delta_between(stored.name, stored.schema, since, until)
 
     def tables_changed_since(self, since: int, until: int | None = None) -> set[str]:
-        """Tables touched by any committed update in ``(since, until]``."""
+        """Live tables touched by any data commit in ``(since, until]``."""
         with self._lock:
             until = self._version if until is None else until
             self._validate_versions(since, until)
-            return self._audit_log.tables_changed_between(since, until)
+            return {
+                name
+                for name, stored in self._tables.items()
+                if self._audit_log.deltas_between(
+                    name, max(since, stored.created_version), until
+                )
+            }
 
     def tuple_counts(self, tables: Iterable[str]) -> tuple[int, int]:
         """The delta tuples ever committed to ``tables`` and the rows they
@@ -503,17 +588,18 @@ class Database:
             if self._durability is not None:
                 self._durability.close()
 
-    # Checkpoint-load hooks -- driven only by DurabilityManager.attach()
-    # during recovery, before ``_durability`` is assigned.
-
-    def _restore_table(self, stored: StoredTable) -> None:
-        self._tables[stored.name] = stored
-        self._catalog_version += 1
-
-    def _restore_version(self, version: int) -> None:
+    def _restore(self, version: int, tables: list[StoredTable]) -> None:
+        """Checkpoint-load hook, driven only by DurabilityManager.attach()
+        during recovery, before ``_durability`` is assigned: ``tables`` are
+        the catalog from ``version`` on."""
         # The checkpoint is the oldest state recovery can reconstruct: audit
         # records at or below its version exist only in rotated-away WAL
         # segments, so delta reads reaching below it must fail loudly.
+        for stored in tables:
+            stored.created_version = version
+        self._tables = {stored.name: stored for stored in tables}
+        self._catalogs = [Catalog(version, self._tables)]
+        self._catalog_floor = version
         self._version = version
         self._audit_floor = version
 
@@ -529,17 +615,24 @@ class Database:
         return Evaluator(self)
 
     def translation(self, sql: str) -> tuple[PlanNode, QueryTemplate]:
-        """The logical plan and the sketch template of a SQL query.
+        """The logical plan and the sketch template of a SQL query against
+        the newest catalog (:meth:`translation_at`)."""
+        catalog = self._catalogs[-1]  # held: the key names it weakly
+        return self._translations(_CatalogKey(catalog), sql)
 
-        A text is parsed, translated and templated once per catalog version:
-        the pair is cached (at most :data:`PLAN_CACHE_SIZE` texts, least
-        recently used evicted), errors are not.  Every DDL change bumps the
-        catalog version after it changes the catalog and before it releases
-        the write lock.  The version is read before a miss translates, so a
-        translation that races a DDL change is stored under a key no later
-        lookup uses.  Every caller shares the returned plan: never modify it.
+    def translation_at(self, version: int, sql: str) -> tuple[PlanNode, QueryTemplate]:
+        """The logical plan and the sketch template of a SQL query against
+        the catalog of ``version``.
+
+        A text is parsed, translated and templated once per catalog: the pair
+        is cached under ``(catalog version, text)`` (at most
+        :data:`PLAN_CACHE_SIZE` entries, least recently used evicted), errors
+        are not, and a miss translates against the catalog it looked up.
+        The live database and every session read this one cache.  Every
+        caller shares the returned plan: never modify it.
         """
-        return self._translations(self._catalog_version, sql)
+        catalog = self.catalog_at(version)  # held: the key names it weakly
+        return self._translations(_CatalogKey(catalog), sql)
 
     def plan(self, sql: str) -> PlanNode:
         """The logical plan of a SQL query, from :meth:`translation`'s cache."""
@@ -664,12 +757,14 @@ class Database:
     def snapshot_batch(self, table: str, version: int) -> ColumnBatch:
         """The contents of ``table`` as of ``version``, as an immutable batch.
 
-        The first read of a (table, effective-version) pair materializes the
-        batch under the write lock by rolling the current contents back
-        through the inverted audit deltas newer than the pinned version; the
-        result is cached in the stored table, so every later read of the same
-        snapshot -- by any session -- is a lock-free dictionary hit on
-        immutable data.
+        ``table`` is the table of that name in the catalog of ``version``
+        (:meth:`catalog_at`), dropped since or not; a name absent there is an
+        unknown table.  The first read of a (table, effective-version) pair
+        materializes the batch under the write lock by rolling the table's
+        last contents back through its inverted audit deltas newer than the
+        pinned version; the result is cached in the stored table, so every
+        later read of the same snapshot -- by any session -- is a lock-free
+        dictionary hit on immutable data.
         """
         # Validate before the lock-free fast path too: an out-of-range
         # version must never be silently served from a cache hit (reading
@@ -677,7 +772,7 @@ class Database:
         # read can only over-reject a version committed this very instant).
         if version < 0 or version > self._version:
             raise StorageError(f"unknown version {version}")
-        stored = self.table(table)
+        stored = self.catalog_at(version).table(table)
         effective = stored.effective_version(version)
         cached = stored.snapshot_batch(effective)
         if cached is not None:
@@ -691,7 +786,13 @@ class Database:
             if effective == stored.last_modified_version:
                 entries = stored.items()
             else:
-                history = self._audit_log.table_deltas_after(stored.name, effective)
+                # The table's own records: none from before its creation or
+                # after its drop, when other tables held the name.
+                history = self._audit_log.deltas_between(
+                    stored.name,
+                    max(effective, stored.created_version),
+                    stored.dropped_version,
+                )
                 if len(history) < stored.modifications_after(effective):
                     # All newer modifications must still be in the audit log
                     # to roll back to ``effective``; retention (prune floor =
@@ -707,7 +808,7 @@ class Database:
                 # re-pivots anyway.
                 counts = dict(stored.items())
                 slots, multiplicities = SlotMap(counts), list(counts.values())
-                for _newer, delta in reversed(history):
+                for delta in reversed(history):
                     slots.apply((), multiplicities, delta.inserts(), delta.deletes())
                 entries = zip(slots.rows(), multiplicities)
             # Canonical order makes the snapshot a function of the version's
@@ -726,9 +827,13 @@ class Database:
         registry (the current version when no session is open): snapshot
         batches keyed below the floor's effective version are unreachable --
         future sessions pin at or above the current version -- and are always
-        safe to drop.  Audit records at or below the floor are only dropped on
-        request (``prune_audit=True``), because incremental sketch maintainers
-        may still need deltas older than any session pin.
+        safe to drop.  So are the catalogs older than the one in effect at
+        the floor, and with them every table dropped at or below it: the
+        history keeps neither its rows nor its batches, and a version before
+        such a drop has no catalog any more (:meth:`catalog_at`).  Audit
+        records at or below the floor are only dropped on request
+        (``prune_audit=True``), because incremental sketch maintainers may
+        still need deltas older than any session pin.
 
         Durable databases additionally clamp the audit prune floor to the
         last checkpoint version: the in-memory audit tail must stay at least
@@ -742,9 +847,20 @@ class Database:
                 floor = self._version
             dropped_snapshots = 0
             for stored in self._tables.values():
-                dropped_snapshots += stored.prune_snapshots(
-                    stored.effective_version(floor)
-                )
+                dropped_snapshots += stored.prune_snapshots(stored.effective_version(floor))
+            first = bisect.bisect_right(self._catalogs, floor, key=attrgetter("version")) - 1
+            if first > 0:
+                self._catalogs = self._catalogs[first:]
+            kept = []
+            for stored in self._dropped:
+                if stored.dropped_version <= floor:
+                    # Every key is at most its last modification, before the drop.
+                    dropped_snapshots += stored.prune_snapshots(stored.dropped_version)
+                    self._catalog_floor = max(self._catalog_floor, stored.dropped_version)
+                else:
+                    dropped_snapshots += stored.prune_snapshots(stored.effective_version(floor))
+                    kept.append(stored)
+            self._dropped = kept
             dropped_records = 0
             if prune_audit:
                 protect_after = (
@@ -781,18 +897,22 @@ class Database:
     # -- maintenance helpers -------------------------------------------------------------------
 
     def snapshot_relation(self, table: str, version: int) -> Relation:
-        """The contents of ``table`` as of ``version`` (a fresh mutable copy).
+        """The contents of ``table`` as of ``version`` (a fresh mutable copy),
+        ``table`` resolved in the catalog of ``version``.
 
-        That is the live table when no commit after ``version`` touched it --
-        checked and copied under the write lock, so a racing commit falls
-        wholly before the check or wholly after the copy -- and otherwise the
-        per-version snapshot cache, which rolls the table back through the
-        audit log.  Counts as one scan like :meth:`relation`.
+        That is the live table when it is the one of that version and no
+        commit after ``version`` touched it -- checked and copied under the
+        write lock, so a racing commit falls wholly before the check or wholly
+        after the copy -- and otherwise the per-version snapshot cache, which
+        rolls the table back through the audit log.  Counts as one scan like
+        :meth:`relation`.
         """
         if version > self._version or version < 0:
             raise StorageError(f"unknown version {version}")
         with self._lock:
-            if self.table(table).last_modified_version <= version:
+            stored = self.catalog_at(version).table(table)
+            if stored.dropped_version is None and stored.last_modified_version <= version:
                 return self.relation(table)
             self._scan_counter += 1
-        return self.snapshot_batch(table, version).to_relation()
+            batch = self.snapshot_batch(table, version)
+        return batch.to_relation()

@@ -11,12 +11,15 @@ table's rows in the live table's entry order (``StoredTable.items()``, the
 order its column batch and float aggregates follow, so a restart answers
 with the live bits), the version, and the LSN of the newest WAL record the
 snapshot already contains.  It is encoded like a
-WAL record (:func:`~repro.storage.wal.encode_record`, marshal format 2, about
-15% larger than the canonical JSON it replaced and written in about half the
-time) and carries ``"format": 2``; a format-1 (JSON) checkpoint is still
-read.  Opening a directory whose log or newest checkpoint is format 1
-replays it, then checkpoints it, and the rotation restarts the log in format
-2: from then on nothing is written in format 1.  Incremental-maintenance
+WAL record (:func:`~repro.storage.wal.encode_record`, marshal version 2,
+about 15% larger than the canonical JSON it replaced and written in about
+half the time) and carries ``"format": 3``, the log's format; format-2
+(marshal, same content) and format-1 (JSON) checkpoints are still read.  A
+checkpointed table exists from the checkpoint's version on, which is as far
+back as a recovered database can be pinned.  Opening a directory whose log
+or newest checkpoint is an older format replays it, then checkpoints it,
+and the rotation restarts the log in format 3: from then on nothing is
+written in an older format.  Incremental-maintenance
 state is not part of either file: a system over a recovered database starts
 with an empty sketch store and captures each template again on its first
 query.
@@ -32,10 +35,11 @@ limit that the log may no longer reach back that far -- recovery then fails
 
 Recovery (:meth:`DurabilityManager.attach`, or :func:`recover_database` for
 the offline CLI path) loads the newest valid checkpoint, replays the WAL
-tail -- verifying that commit versions chain exactly ``+1`` from the
-checkpoint -- truncates any torn trailing record, rebuilds secondary indexes
-from the recovered rows, and seeds the audit log with the replayed deltas so
-MVCC sessions and incremental sketch maintenance resume where they left off.
+tail -- verifying that the versions of its commit and table DDL records
+chain exactly ``+1`` from the checkpoint -- truncates any torn trailing
+record, rebuilds secondary indexes from the recovered rows, and seeds the
+audit log with the replayed deltas so MVCC sessions and incremental sketch
+maintenance resume where they left off.
 The recovered state is bit-identical to replaying the audit log serially;
 ``tests/test_crash_recovery.py`` proves it at every injectable I/O point.
 """
@@ -54,6 +58,8 @@ from repro.relational.schema import Schema
 from repro.storage.table import StoredTable, canonical_items
 from repro.storage.wal import (
     FSYNC_ALWAYS,
+    LEGACY_FORMAT,
+    MARSHAL_FORMATS,
     RECORD_FORMAT,
     FileFactory,
     WriteAheadLog,
@@ -177,12 +183,13 @@ def load_checkpoint(path: str) -> dict:
         raise StorageError(f"checkpoint {path!r} is truncated")
     if zlib.crc32(payload) != crc:
         raise StorageError(f"checkpoint {path!r} failed its checksum")
-    format = payload_format(payload)
+    encoding = payload_format(payload)
     try:
-        document = decode_record(payload, format)
+        document = decode_record(payload, encoding)
     except StorageError as exc:
         raise StorageError(f"checkpoint {path!r}: {exc}") from exc
-    if not isinstance(document, dict) or document.get("format") != format:
+    formats = MARSHAL_FORMATS if encoding == RECORD_FORMAT else (LEGACY_FORMAT,)
+    if not isinstance(document, dict) or document.get("format") not in formats:
         raise StorageError(f"checkpoint {path!r} has an unsupported format")
     if not _has_shape(document, _CHECKPOINT_SHAPE):
         raise StorageError(f"checkpoint {path!r} is malformed")
@@ -227,10 +234,17 @@ _TABLE_SHAPE = {
 }
 _RECORD_SHAPES = {
     "commit": {"version": _is_int, "tables": _is_table_map},
-    "create_table": {"name": _is_name, "attributes": _is_names, "primary_key": _is_key},
-    "drop_table": {"name": _is_name},
+    "create_table": {
+        "version": _is_int,
+        "name": _is_name,
+        "attributes": _is_names,
+        "primary_key": _is_key,
+    },
+    "drop_table": {"version": _is_int, "name": _is_name},
     "create_index": {"table": _is_name, "attribute": _is_name},
 }
+# The DDL records that commit a version of their own.
+_VERSIONED_DDL = ("create_table", "drop_table")
 
 
 def _has_shape(document, shape: dict) -> bool:
@@ -319,8 +333,9 @@ class DurabilityManager:
 
         ``db`` must be freshly constructed (no tables, version 0); existing
         directories are replayed into it, fresh ones leave it empty.  A
-        directory whose log or newest checkpoint is format 1 is checkpointed
-        once replayed, which restarts its log in the current format.
+        directory whose log or newest checkpoint is an older format is
+        checkpointed once replayed, which restarts its log in the current
+        format.
         """
         try:
             os.makedirs(self.data_dir, exist_ok=True)
@@ -342,11 +357,22 @@ class DurabilityManager:
         report.wal_records_seen = len(scan.records)
         report.torn_bytes_truncated = scan.torn_bytes
         report.wal_notes = list(scan.notes)
+        # Formats 1 and 2 logged a DDL record without the version it
+        # commits: such a record takes the next version, and each later
+        # commit record of the log is that many versions behind.
+        unversioned = 0
         for record in scan.records:
             if record["lsn"] <= skip_lsn:
                 report.wal_records_skipped += 1
                 continue
-            self._replay_record(db, record, report)
+            if (
+                scan.format != RECORD_FORMAT
+                and record.get("type") in _VERSIONED_DDL
+                and "version" not in record
+            ):
+                record = {**record, "version": db.version + 1}
+                unversioned += 1
+            self._replay_record(db, record, unversioned, report)
         report.fresh = (
             checkpoint is None and not scan.existed and not scan.records
         )
@@ -381,6 +407,7 @@ class DurabilityManager:
         self, db: "Database", checkpoint: dict, report: RecoveryReport
     ) -> None:
         try:
+            tables = []
             for entry in checkpoint["tables"]:
                 if not _has_shape(entry, _TABLE_SHAPE):
                     raise StorageError(
@@ -397,8 +424,8 @@ class DurabilityManager:
                     stored.create_index(attribute)
                 if entry["last_modified"]:
                     stored.record_modified(entry["last_modified"])
-                db._restore_table(stored)
-            db._restore_version(checkpoint["version"])
+                tables.append(stored)
+            db._restore(checkpoint["version"], tables)
         except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(
                 f"checkpoint {report.checkpoint_path!r} is malformed: {exc!r}"
@@ -406,8 +433,11 @@ class DurabilityManager:
         self._checkpoint_version = checkpoint["version"]
 
     def _replay_record(
-        self, db: "Database", record: dict, report: RecoveryReport
+        self, db: "Database", record: dict, unversioned: int, report: RecoveryReport
     ) -> None:
+        """Apply one WAL record.  A commit or table DDL record must commit
+        ``db.version + 1``; a commit record's version is ``unversioned``
+        behind that in a log whose DDL records carried none."""
         try:
             kind = record["type"]
             shape = _RECORD_SHAPES.get(kind)
@@ -415,14 +445,15 @@ class DurabilityManager:
                 raise StorageError(f"unknown WAL record type {kind!r}")
             if not _has_shape(record, shape):
                 raise StorageError(f"WAL record lsn={record['lsn']} is malformed")
-            if kind == "commit":
-                version = record["version"]
+            if "version" in shape:
+                version = record["version"] + (unversioned if kind == "commit" else 0)
                 if version != db.version + 1:
                     raise StorageError(
-                        f"WAL replay expected commit version {db.version + 1} "
+                        f"WAL replay expected {kind} version {db.version + 1} "
                         f"but found {version} (history gap -- the log does not "
                         f"chain onto the recovered checkpoint)"
                     )
+            if kind == "commit":
                 deltas = {}
                 for table, payload in record["tables"].items():
                     deltas[table] = decode_delta(payload, db.table(table).schema)
@@ -459,18 +490,21 @@ class DurabilityManager:
         )
         self._commits_since_checkpoint += 1
 
-    def log_create_table(self, name: str, schema: Schema, primary_key: str | None) -> None:
+    def log_create_table(
+        self, name: str, schema: Schema, primary_key: str | None, version: int
+    ) -> None:
         self._wal.append(
             {
                 "type": "create_table",
+                "version": version,
                 "name": name,
                 "attributes": list(schema),
                 "primary_key": primary_key,
             }
         )
 
-    def log_drop_table(self, name: str) -> None:
-        self._wal.append({"type": "drop_table", "name": name})
+    def log_drop_table(self, name: str, version: int) -> None:
+        self._wal.append({"type": "drop_table", "version": version, "name": name})
 
     def log_create_index(self, table: str, attribute: str) -> None:
         self._wal.append({"type": "create_index", "table": table, "attribute": attribute})

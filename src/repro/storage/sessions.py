@@ -13,15 +13,17 @@ concurrently.  The moving parts:
   rest when sessions close.
 * :class:`SnapshotView` adapts one pinned version to the evaluator's
   ``RelationProvider`` protocol (plus the duck-typed statistics interface the
-  plan optimizer probes for).  Reads are lock-free after the first
-  materialization because committed versions are immutable; the view
-  deliberately does *not* expose the live secondary indexes -- those track
-  the current version only -- so snapshot queries run vectorized full scans
-  over the cached immutable batch.
-* :class:`Session` wraps a view with a query API (plan caching per session),
-  autocommit write passthroughs that re-pin the session at its own commit
-  (read-your-writes), explicit :meth:`Session.refresh`, and a context-manager
-  lifecycle whose close unpins the version and lets the database prune.
+  plan optimizer probes for).  It resolves table names in the catalog of its
+  version, so DDL committed after the pin is invisible too.  Reads are
+  lock-free after the first materialization because committed versions are
+  immutable; the view deliberately does *not* expose the live secondary
+  indexes -- those track the current version only -- so snapshot queries run
+  vectorized full scans over the cached immutable batch.
+* :class:`Session` wraps a view with a query API (plans from the database's
+  one SQL-text cache at the pin, optimized plans per pin), autocommit write
+  passthroughs that re-pin the session at its own commit (read-your-writes),
+  explicit :meth:`Session.refresh`, and a context-manager lifecycle whose
+  close unpins the version and lets the database prune.
 
 Concurrency contract: any number of sessions may run queries in parallel
 from different threads, and writers commit under the database's single write
@@ -41,7 +43,6 @@ from repro.core.errors import StorageError
 from repro.relational.algebra import PlanNode
 from repro.relational.evaluator import Evaluator
 from repro.relational.schema import Relation, Row, Schema
-from repro.sql.translator import Translator
 from repro.storage.statistics import ColumnStatistics, ColumnSummaries, expand_multiplicities
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -114,7 +115,8 @@ class SessionRegistry:
 class SnapshotView:
     """Relation, schema and statistics provider over one pinned version.
 
-    Batches, schemas and statistics are memoized per view: once a table is
+    Names resolve in the catalog of the version (:meth:`Database.catalog_at`).
+    Batches and statistics are memoized per view: once a table is
     materialized (see :meth:`Database.snapshot_batch`), every read is a plain
     attribute access on immutable data with no shared-state synchronization.
     """
@@ -122,6 +124,7 @@ class SnapshotView:
     def __init__(self, database: "Database", version: int) -> None:
         self._database = database
         self.version = version
+        self._catalog = database.catalog_at(version)
         self._batches: dict[str, "ColumnBatch"] = {}
         self._summaries = ColumnSummaries()
 
@@ -144,8 +147,9 @@ class SnapshotView:
         return self._batch(table)
 
     def schema_of(self, table: str) -> Schema:
-        """The schema of ``table`` as of the pinned version."""
-        return self._batch(table).schema
+        """The schema of ``table`` as of the pinned version (no batch is
+        materialized)."""
+        return self._catalog.schema_of(table)
 
     # -- duck-typed statistics interface (plan optimizer) --------------------------
 
@@ -212,11 +216,8 @@ class Session:
         self.id = registry.next_session_id()
         self.name = name or f"session-{self.id}"
         self._view = SnapshotView(database, version)
-        # Both caches are valid per pinned version only and are cleared on
-        # re-pin: optimized plans bake in the snapshot's statistics, and raw
-        # plans bind column positions of the catalog as seen at translation
-        # time (a drop+recreate with a different schema must re-translate).
-        self._plan_cache: dict[str, PlanNode] = {}
+        # Valid for the pinned version only and cleared on re-pin: optimized
+        # plans bake in the snapshot's statistics.
         self._optimized_cache: dict[str, PlanNode] = {}
         self._evaluator = Evaluator(self._view)
         self._closed = False
@@ -259,18 +260,11 @@ class Session:
     # -- reads -------------------------------------------------------------------
 
     def plan(self, sql: str) -> PlanNode:
-        """Parse and translate ``sql`` against the snapshot's catalog.
-
-        Plans are cached per SQL text for the life of the *pin*: the cache is
-        cleared on every re-pin, so a table dropped and recreated with a
-        different schema between refreshes can never be read through a plan
-        translated against the old schema.
-        """
-        plan = self._plan_cache.get(sql)
-        if plan is None:
-            plan = Translator(self._view).translate_sql(sql)
-            self._plan_cache[sql] = plan
-        return plan
+        """The plan of ``sql`` against the catalog of the pinned version, from
+        the database's SQL-text cache (:meth:`Database.translation_at`):
+        sessions pinned under one catalog, and the live database under it,
+        share one translation.  Never modify it."""
+        return self._database.translation_at(self._view.version, sql)[0]
 
     def query(self, query: str | PlanNode) -> Relation:
         """Evaluate a query against the pinned snapshot.
@@ -318,7 +312,7 @@ class Session:
         """Execute any supported statement in this session.
 
         A SELECT runs through :meth:`query`, against the pinned snapshot and
-        with its per-pin plan caches; INSERT/DELETE commit through
+        with its cached plans; INSERT/DELETE commit through
         the database write lock and re-pin the session at the new version.
         """
         self._check_open()
@@ -368,10 +362,12 @@ class Session:
         return self._view.version
 
     def _repin(self, version: int) -> None:
+        # The view first: it raises for a version whose catalog is gone,
+        # before the registry moves the pin.
+        view = SnapshotView(self._database, version)
         self._registry.repin(self._view.version, version)
-        self._view = SnapshotView(self._database, version)
+        self._view = view
         self._evaluator = Evaluator(self._view)
-        self._plan_cache.clear()
         self._optimized_cache.clear()
         # Moving a pin up can strand snapshot batches below the new retention
         # floor; pruning here keeps a long-lived refreshing session (the

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import StorageError
 from repro.relational.schema import Schema
-from repro.storage.delta import DatabaseDelta, Delta
+from repro.storage.delta import Delta
 
 
 @dataclass(frozen=True)
@@ -88,62 +88,26 @@ class AuditLog:
         reuses the stored row hashes, and a per-row sum only for a bag in
         which some row repeats.
         """
-        versions = self._table_versions.get(table)
-        window: list[Delta] = []
-        if versions:
-            low = bisect.bisect_right(versions, since)
-            high = bisect.bisect_right(versions, until)
-            window = self._table_deltas[table][low:high]
+        window = self.deltas_between(table, since, until)
         if len(window) == 1:
             return window[0]
         return Delta.union(schema, window)
 
-    def database_delta_between(
-        self, schemas: dict[str, Schema], since: int, until: int
-    ) -> DatabaseDelta:
-        """Combined per-table deltas for all tables mentioned in ``schemas``."""
-        result = DatabaseDelta()
-        for table, schema in schemas.items():
-            delta = self.delta_between(table, schema, since, until)
-            if delta:
-                result.set_delta(table, delta)
-        return result
+    def deltas_between(self, table: str, since: int, until: int | None = None) -> list[Delta]:
+        """The deltas of ``table``'s records in ``(since, until]``, oldest
+        first (``until=None``: every newer record).
 
-    def table_deltas_after(self, table: str, version: int) -> list[tuple[int, Delta]]:
-        """``(version, delta)`` pairs of ``table`` newer than ``version``.
-
-        Snapshot materialization rolls the current contents back through these
-        records (inverted, newest first) to reach a pinned version; the pairs
-        are returned oldest first, callers reverse them.
+        The records of a name span every table created under it; a caller
+        reading one incarnation bounds the window by its creation and drop
+        versions.  Snapshot materialization rolls a table back through this
+        window (inverted, newest first) to reach a pinned version.
         """
         versions = self._table_versions.get(table)
         if not versions:
             return []
-        deltas = self._table_deltas[table]
-        low = bisect.bisect_right(versions, version)
-        return list(zip(versions[low:], deltas[low:]))
-
-    def tables_changed_between(self, since: int, until: int) -> set[str]:
-        """Names of tables touched by any update in ``(since, until]``."""
-        changed: set[str] = set()
-        for table, versions in self._table_versions.items():
-            low = bisect.bisect_right(versions, since)
-            if low < bisect.bisect_right(versions, until):
-                changed.add(table)
-        return changed
-
-    def forget_table(self, table: str) -> None:
-        """Drop the per-table history indexes of ``table``.
-
-        Called when a table is dropped: a later table created under the same
-        name is a *different* table, and rolling its snapshots back through
-        the old table's deltas would produce garbage (or schema errors).
-        The flat record list keeps the old deltas for archaeology; every
-        per-table query path (``delta_between``, ``table_deltas_after``,
-        ``tables_changed_between``) serves from the forgotten indexes.
-        """
-        self._table_versions.pop(table, None)
-        self._table_deltas.pop(table, None)
+        low = bisect.bisect_right(versions, since)
+        high = len(versions) if until is None else bisect.bisect_right(versions, until)
+        return self._table_deltas[table][low:high]
 
     def prune_before(self, version: int, protect_after: int | None = None) -> int:
         """Drop records with ``version <= version``; return how many were dropped.

@@ -4,7 +4,8 @@ A :class:`StoredTable` is a named, mutable bag of rows with a fixed schema.
 A checked :class:`~repro.storage.delta.Delta` is its only mutation; it keeps
 the table's :class:`AttributeIndex` objects and its maintained
 :class:`~repro.relational.columnar.ColumnBatch` current, and caches one
-batch per version a pinned reader asked for.
+batch per version a pinned reader asked for.  A :class:`Catalog` is the
+database's ``name -> StoredTable`` map as of one DDL commit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,29 @@ def canonical_items(items: Iterable[tuple[Row, int]]) -> list[tuple[Row, int]]:
     cannot tell apart keep their insertion order (``sorted`` is stable).
     """
     return sorted(items, key=lambda item: tuple(map(order_component, item[0])))
+
+
+class Catalog:
+    """The tables of one catalog version: a ``name -> StoredTable`` map that
+    is never changed after it is published (a DDL commit publishes a copy).
+    It is a schema provider, so a plan translates against it."""
+
+    __slots__ = ("version", "tables", "__weakref__")
+
+    def __init__(self, version: int, tables: dict[str, "StoredTable"]) -> None:
+        self.version = version
+        self.tables = tables
+
+    def table(self, name: str) -> "StoredTable":
+        """The table ``name`` of this catalog."""
+        try:
+            return self.tables[name.lower()]
+        except KeyError as exc:
+            raise StorageError(f"unknown table {name!r}") from exc
+
+    def schema_of(self, name: str) -> Schema:
+        """The schema of ``name`` in this catalog."""
+        return self.table(name).schema
 
 
 class AttributeIndex:
@@ -289,6 +313,11 @@ class StoredTable:
         # read and pruned when no active session can reach it anymore.
         self._modified_versions: list[int] = []
         self._snapshots: dict[int, ColumnBatch] = {}
+        # The versions of the DDL commits that created and dropped this
+        # incarnation of the name (``dropped_version`` is None while it is
+        # live): its audit deltas are the name's records between the two.
+        self.created_version = 0
+        self.dropped_version: int | None = None
 
     # -- inspection --------------------------------------------------------------
 

@@ -15,30 +15,39 @@ On-disk format
 A WAL file starts with a fixed magic string and is followed by framed
 records::
 
-    REPROWAL2\\n | <len u32 BE> <crc32 u32 BE> <payload: len bytes> | ...
+    REPROWAL3\\n | <len u32 BE> <crc32 u32 BE> <payload: len bytes> | ...
 
-The payload is the record dict in :mod:`marshal` format 2
-(:func:`encode_record`).  Format 2 writes a double as its eight raw bytes,
-an int, str or bytes with an explicit length, and no back-references, so a
-record's bytes -- and therefore its CRC -- are a pure function of its
+The payload is the record dict in :mod:`marshal` version 2
+(:func:`encode_record`).  Marshal version 2 writes a double as its eight raw
+bytes, an int, str or bytes with an explicit length, and no back-references,
+so a record's bytes -- and therefore its CRC -- are a pure function of its
 content, and NULL, bool, int (above 2**63 too), float (-0.0 and NaN bits
 too), str and bytes read back exactly.  It replaced canonical JSON, whose
 float ``repr`` was half the cost of a durable update: a 20-row commit
 record with 180 floats took 100-140 µs to encode as JSON and about 6 µs
-with marshal, for about 16% more bytes.  Format 4 was not taken: its
-back-references depend on reference counts, so equal content could encode
-to different bytes.  Marshal's format belongs to CPython and is not
-published; format 2's type codes have been stable for many releases and
-``marshal.loads`` reads older formats, and the file's magic (a checkpoint's
-``"format"``) is where a loader for a future format would hook in.
-``marshal.loads`` is not written for arbitrary bytes, so
+with marshal, for about 16% more bytes.  Marshal version 4 was not taken:
+its back-references depend on reference counts, so equal content could
+encode to different bytes.  Marshal's format belongs to CPython and is not
+published; version 2's type codes have been stable for many releases and
+``marshal.loads`` reads older versions, and the file's magic (a
+checkpoint's ``"format"``) is where a loader for a future format would hook
+in.  ``marshal.loads`` is not written for arbitrary bytes, so
 :func:`decode_record` walks a payload's tokens before handing it over.
 
-Files written in format 1 -- ``REPROWAL1`` logs of canonical JSON (sorted
-keys, no whitespace) -- stay readable through a JSON loader that only
-reads.  Nothing is appended to such a log: recovery checkpoints a format-1
-directory when it opens it, and the rotation that follows starts the log
-over under the new magic, so no file ever mixes the two formats.
+Every commit record and every ``create_table``/``drop_table`` record carries
+the ``"version"`` it commits, and replay checks them as one ``+1`` chain.
+
+Older files stay readable; nothing is appended to them:
+
+* format 2 (``REPROWAL2``) wrote the same marshal payloads, but its DDL
+  records carry no version: replay gives such a record the next version and
+  checks the log's later commit records shifted by their count;
+* format 1 (``REPROWAL1``) wrote canonical JSON (sorted keys, no
+  whitespace), read by a JSON loader, with the same rule for its DDL.
+
+Recovery checkpoints an older directory when it opens it, and the rotation
+that follows starts the log over under the current magic, so no file ever
+mixes two formats.
 
 The CRC covers the payload only; the length prefix is validated implicitly
 (a torn or garbled length makes the frame run past the end of the file or
@@ -82,16 +91,23 @@ from dataclasses import dataclass, field
 from repro.core.errors import StorageError
 from repro.storage.delta import Delta
 
-RECORD_FORMAT = 2
-"""Payload format of everything this module writes: marshal format 2."""
+RECORD_FORMAT = 3
+"""Format of everything this module writes (a log's magic, a checkpoint's
+``"format"``): marshal payloads with versioned DDL records."""
+
+MARSHAL_FORMATS = (2, RECORD_FORMAT)
+"""The formats whose payloads are marshal; 2 is read, never written."""
 
 LEGACY_FORMAT = 1
-"""Canonical JSON, the payload format of older files; read, never written."""
+"""Canonical JSON, the payload format of the oldest files; read, never written."""
 
-WAL_MAGIC = b"REPROWAL2\n"
+_MARSHAL_VERSION = 2
+"""The :mod:`marshal` version of every marshal payload."""
+
+WAL_MAGIC = b"REPROWAL3\n"
 """File signature of a write-ahead log."""
 
-_MAGICS = {WAL_MAGIC: RECORD_FORMAT, b"REPROWAL1\n": LEGACY_FORMAT}
+_MAGICS = {WAL_MAGIC: RECORD_FORMAT, b"REPROWAL2\n": 2, b"REPROWAL1\n": LEGACY_FORMAT}
 
 FSYNC_ALWAYS = "always"
 FSYNC_BATCH = "batch"
@@ -175,7 +191,7 @@ class FileFactory:
 # ---------------------------------------------------------------------------
 
 def encode_record(record: dict) -> bytes:
-    """Serialize a record dict in marshal format 2.
+    """Serialize a record dict in marshal version 2.
 
     Raises :class:`StorageError` for a value marshal cannot write -- a
     subclass of a built-in scalar (an ``IntEnum`` member), a ``Decimal``, an
@@ -183,16 +199,16 @@ def encode_record(record: dict) -> bytes:
     append.
     """
     try:
-        return marshal.dumps(record, RECORD_FORMAT)
+        return marshal.dumps(record, _MARSHAL_VERSION)
     except ValueError as exc:
         raise StorageError(f"WAL record is not serializable: {exc}") from exc
 
 
-# The type codes format 2 writes for a value, code objects aside.  One regex
-# skips the fixed-size tokens and the headers of containers (tuple, list,
-# set, frozenset) of fewer than 256 elements; the other tokens carry a 4-byte
-# little-endian length (str, bytes), element count (a larger container) or
-# signed count of 2-byte digits (an int beyond 32 bits).
+# The type codes marshal version 2 writes for a value, code objects aside.
+# One regex skips the fixed-size tokens and the headers of containers (tuple,
+# list, set, frozenset) of fewer than 256 elements; the other tokens carry a
+# 4-byte little-endian length (str, bytes), element count (a larger
+# container) or signed count of 2-byte digits (an int beyond 32 bits).
 _SHORT_TOKENS = re.compile(
     rb"(?:g.{8}|i.{4}|y.{16}|[NTFS.{0]|[(\[<>].\x00\x00\x00)*+", re.DOTALL
 )
@@ -209,12 +225,12 @@ def _check_tokens(payload: bytes) -> None:
     it allocates a container for its declared element count before reading
     one element: a tuple header claiming 2**31 elements makes it fill 16 GB
     with NULLs.  So a CRC-valid payload is walked first and refused unless
-    every token is one format 2 writes for a value, and the element counts of
+    every token is one version 2 writes for a value, and the element counts of
     its containers of 256 or more elements add up to no more than its length
     (every element takes at least one byte).  Smaller containers need no
     count: marshal nests at most 2000 deep, so the unfilled ones hold at most
-    2000 * 255 slots at any time.  Code objects, the one other thing format 2
-    writes, are refused; no record holds one.
+    2000 * 255 slots at any time.  Code objects, the one other thing version
+    2 writes, are refused; no record holds one.
     """
     end = len(payload)
     budget = end
@@ -237,13 +253,13 @@ def _check_tokens(payload: bytes) -> None:
         elif code == _LONG:
             position += 2 * min(size, 2**32 - size)
         else:
-            raise ValueError(f"marshal type code {code:#04x} is not format 2 data")
+            raise ValueError(f"marshal type code {code:#04x} is not marshal version 2 data")
         if position > end:
             raise ValueError("marshal token runs past the payload")
 
 
 def decode_record(payload: bytes, format: int = RECORD_FORMAT):
-    """Inverse of :func:`encode_record`; ``format=1`` reads older files' JSON.
+    """Inverse of :func:`encode_record`; ``format=1`` reads the oldest files' JSON.
 
     Any payload that does not decode raises :class:`StorageError`: in a log
     it marks the torn boundary, in a checkpoint a corrupt file.
@@ -258,10 +274,12 @@ def decode_record(payload: bytes, format: int = RECORD_FORMAT):
 
 
 def payload_format(payload: bytes) -> int:
-    """The format of a payload that carries no magic (a checkpoint's).
+    """How a payload that carries no magic (a checkpoint's) is encoded:
+    :data:`LEGACY_FORMAT` or :data:`RECORD_FORMAT` (marshal, which a
+    format-2 checkpoint shares; its ``"format"`` tells them apart).
 
     Format 1 wrote canonical JSON, whose objects open with ``{"``; a
-    format-2 dict opens with ``{`` and the type code of its first key.
+    marshal dict opens with ``{`` and the type code of its first key.
     """
     return LEGACY_FORMAT if payload.startswith(b'{"') else RECORD_FORMAT
 

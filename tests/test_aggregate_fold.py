@@ -455,17 +455,17 @@ PRUNED_TO_DISTINCT = {
         "SELECT a, sum(b) AS sb, count(*) AS n, count(c) AS cc, avg(b) AS ab, "
         "min(c) AS lo, max(b) AS hi FROM t GROUP BY a"
     ): [
-        '367b93350994abf21b710e0def0db95a75b9c7faa901912db2552731293e3719',
-        '89b373c64c2cb35e323666c078bf87e36359721dacbdc4544f9420cbc5ea66e4',
+        'b422e9dc6bb30bee530797c0e16278604be58c90573e6921a43da4c1de054f97',
+        '4a4c5a809f065476756b8d8d54b3d3237073f6fc38e542ac555f939245448f02',
         False,
-        'a888ddcb9366174acc3f7c2f3417f0dc288a2da317612c43ff2666b09ed57922',
+        'aa30e0b59b017643c9f84b777bbb8cf3aca649c9b6a52522b9edfc5dc28753b3',
         False,
     ],
     'SELECT DISTINCT a, c FROM t': [
-        '1c7bf16578ccd517290104de2d52238588d9ca5a50dd2a2b751ab26ce3a83eaa',
-        '509e518bb3403cdfb49911572799c39d6ba10a78999d0726986818640050d52d',
+        'cfd10c41c9176e5f6eca865626def5d3873cb6f667954259b3882bdcdfb01f84',
+        'a98209a8573bb4c20d21fc09aa5136264af3676b919b8473b02d482b55ced245',
         False,
-        'fbde004278c0fb6d6cbdc949b50fc2a32d8dce8d44c446d6d4193f629bfa7ada',
+        '508dfca5a8a4f92753f72f129f87a6c2a4603d44d2083840b43776dbb8ddc98c',
         False,
     ],
 }
@@ -483,7 +483,7 @@ CURRENT = {
         "OR count(*) > 2 OR count(c) > 2 OR avg(b) > 1 OR min(c) > 5 OR max(b) > 7"
     ): [
         (
-            '{"format": 2, "version": 1, "operators": [{"kind": "merge", "counts": {"0": '
+            '{"format": 2, "version": 2, "operators": [{"kind": "merge", "counts": {"0": '
             '1, "2": 2, "1": 1, "3": 2}}, null, {"kind": "aggregation", "groups": [{"key"'
             ': {"__tuple__": [1]}, "total_count": 3, "fragment_counts": {"0": 2, "2": 1},'
             ' "accumulators": [{"kind": "sum_count", "function": "sum", "total": 0.633333'
@@ -517,9 +517,9 @@ CURRENT = {
             ' "buffer_limit": 2, "overflow_count": 0, "exhausted": false, "values": [[7.2'
             '5, 1]]}]}]}, null]}'
         ),
-        '6b4acda3c39cac5d208de3574a38a3c626625603bdf1e18827fe8e1ce658f515',
+        '30fa8d20ec0a0bbd1e4b611f29547ddc438c99c7f86e132df09803b80c26dd7b',
         False,
-        'a771ce5411f55075180de06641f1dd030241401c205bec30e29031f71fd7f463',
+        '02edc33df29c9c0de65bf56f0d50758c3d58e5074e5f8193938f08768d48cc56',
         True,
     ],
 }

@@ -140,7 +140,7 @@ class TestCommands:
         monkeypatch.setattr("sys.stdin", io.StringIO(script))
         assert main(["serve", "--rows", "300", "--groups", "10"]) == 0
         output = capsys.readouterr().out
-        assert "opened session 1 pinned at version 1" in output
+        assert "opened session 1 pinned at version 2" in output
         # Pinned before and after the commit, then refreshed.
         assert output.count("(300,)") == 2
         assert "(325,)" in output
@@ -210,7 +210,7 @@ class TestDurableServing:
         first = capsys.readouterr().out
         assert "durable: " in first
         assert "(120,)" in first
-        assert "checkpoint written at version 2" in first
+        assert "checkpoint written at version 3" in first
 
         # A second run recovers the directory instead of reloading synthetic
         # data: the committed rows are still there.
@@ -219,7 +219,7 @@ class TestDurableServing:
         second = capsys.readouterr().out
         assert "recovered existing data directory:" in second
         assert "(150,)" in second
-        assert "table r with 150 rows at version 2" in second
+        assert "table r with 150 rows at version 3" in second
 
     def test_serve_accepts_fsync_policy(self, capsys, monkeypatch, tmp_path):
         script = [".commit 5", ".quit"]
@@ -252,10 +252,10 @@ class TestDurableServing:
         assert main(["recover", str(data_dir)]) == 0
         output = capsys.readouterr().out
         assert "recovery report:" in output
-        assert "checkpoint-000000000002.ckpt" in output
+        assert "checkpoint-000000000003.ckpt" in output
         assert "1 commits + 0 DDL replayed" in output
         assert "table r: 137 rows" in output
-        assert "integrity: OK (version 3)" in output
+        assert "integrity: OK (version 4)" in output
         assert "sha256=" in output
 
     def test_recover_truncates_a_torn_tail(self, capsys, monkeypatch, tmp_path):
@@ -267,7 +267,7 @@ class TestDurableServing:
         assert main(["recover", str(data_dir)]) == 0
         output = capsys.readouterr().out
         assert "torn tail truncated: 18 bytes" in output
-        assert "integrity: OK (version 2)" in output
+        assert "integrity: OK (version 3)" in output
 
     def test_recover_missing_directory_fails(self, capsys, tmp_path):
         assert main(["recover", str(tmp_path / "nope")]) == 1

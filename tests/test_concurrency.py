@@ -503,21 +503,109 @@ def test_snapshot_batch_rejects_unknown_versions_even_when_cached():
 
 def test_drop_and_recreate_severs_snapshot_history():
     """Regression: a recreated table never rolls back through the dropped
-    table's audit deltas (same name, different table)."""
+    table's audit deltas (same name, different table), and the dropped
+    table's snapshots never through the recreated one's."""
     database = Database()
     database.create_table("t", ["id", "v"], primary_key="id")
     database.insert("t", [(1, 10), (2, 20)])
     session = database.connect()
     database.drop_table("t")
-    database.create_table("t", ["id", "v"], primary_key="id")
+    created = database.create_table("t", ["id", "v"], primary_key="id").created_version
     database.insert("t", [(7, 70)])
     # A fresh pin reads exactly the recreated table's contents...
     with database.connect() as fresh:
         assert sorted(fresh.query("SELECT id, v FROM t").rows()) == [(7, 70)]
-    # ...and the recreated table's snapshots come from its own (empty)
-    # pre-insert history, not the old table's deltas.
-    assert database.snapshot_batch("t", session.pinned_version).row_tuples() == []
+    # ...the recreated table's snapshots come from its own (empty)
+    # pre-insert history, not the old table's deltas...
+    assert database.snapshot_batch("t", created).row_tuples() == []
+    # ...and the pin before the drop reads the dropped table.
+    assert sorted(
+        database.snapshot_batch("t", session.pinned_version).row_tuples()
+    ) == [(1, 10), (2, 20)]
     session.close()
+
+
+def generation_table(generation: int) -> tuple[list[str], list[tuple]]:
+    """``t``'s columns and rows in one generation: odd generations have a
+    third column, and each has its own rows."""
+    if generation % 2:
+        return ["id", "b", "c"], [(i, generation, -i) for i in range(generation + 2)]
+    return ["id", "a"], [(i, generation) for i in range(generation + 2)]
+
+
+def test_sessions_racing_drop_and_recreate_answer_from_their_pins():
+    """Readers open sessions while a writer drops ``t``, recreates it with
+    other columns and refills it: every session answers each repeat of its
+    query with the schema and rows of the version it pinned (``t`` missing
+    there is an unknown table)."""
+    database = Database()
+    expected: dict[int, tuple | None] = {}
+
+    def state() -> tuple | None:
+        if not database.has_table("t"):
+            return None
+        answer = database.query("SELECT * FROM t")
+        return answer.schema.attributes, tuple(answer.to_sorted_list())
+
+    def commit(operation) -> None:
+        with database.lock:
+            operation()
+            expected[database.version] = state()
+
+    columns, rows = generation_table(0)
+    commit(lambda: database.create_table("t", columns))
+    commit(lambda: database.insert("t", rows))
+    done = threading.Event()
+    answers: list[tuple[int, tuple | None]] = []
+    errors: list[BaseException] = []
+
+    def answer(session) -> tuple | None:
+        try:
+            relation = session.query("SELECT * FROM t")
+        except StorageError as exc:
+            assert "unknown table" in str(exc)
+            return None
+        return relation.schema.attributes, tuple(relation.to_sorted_list())
+
+    def reader() -> None:
+        try:
+            while not done.is_set():
+                with database.connect() as session:
+                    first = answer(session)
+                    for _ in range(3):
+                        assert answer(session) == first
+                    answers.append((session.pinned_version, first))
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    def writer() -> None:
+        try:
+            for generation in range(1, 13):
+                columns, rows = generation_table(generation)
+                commit(lambda: database.drop_table("t"))
+                commit(lambda: database.create_table("t", columns))
+                commit(lambda: database.insert("t", rows))
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=reader) for _ in range(3)]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert answers
+    for version, first in answers:
+        assert first == expected[version], version
 
 
 def test_refresh_below_audit_floor_is_rejected():

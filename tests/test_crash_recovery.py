@@ -42,7 +42,7 @@ from repro.storage.recovery import (
     state_fingerprint,
 )
 from repro.storage.wal import FSYNC_ALWAYS, RECORD_FORMAT, scan_wal
-from tests.legacy_format import downgrade_to_v1
+from tests.legacy_format import TABLE_DDL, downgrade
 
 
 def fingerprint_key(db: Database) -> str:
@@ -97,6 +97,27 @@ def reference_fingerprints(script) -> list[str]:
         apply_op(db, op)
         fps.append(fingerprint_key(db))
     return fps
+
+
+def script_versions(script) -> tuple[list[int], list[int]]:
+    """The versions ``script``'s table DDL commits and those its checkpoints
+    are taken at, run in memory."""
+    db = Database("reference")
+    ddl, checkpoints = [], []
+    for op in script:
+        apply_op(db, op)
+        if op[0] in TABLE_DDL:
+            ddl.append(db.version)
+        elif op[0] == "checkpoint":
+            checkpoints.append(db.version)
+    return ddl, checkpoints
+
+
+def lowered(key: str, by: int) -> str:
+    """The fingerprint ``key`` with its version ``by`` lower."""
+    state = json.loads(key)
+    state["version"] -= by
+    return json.dumps(state, sort_keys=True)
 
 
 def run_until_crash(data_dir: str, files, script) -> int:
@@ -179,21 +200,25 @@ class TestCrashPointSweep:
 
 class TestFormatOneUpgradeSweep:
     """Opening a format-1 directory replays it (truncating a torn tail),
-    checkpoints it and rotates its log into format 2.  A kill or an I/O
-    error at any point of that sequence leaves a directory that recovers to
-    the same state, and the next successful open finishes the upgrade."""
+    checkpoints it and rotates its log into the current format.  A kill or
+    an I/O error at any point of that sequence leaves a directory that
+    recovers to the same state, and the next successful open finishes the
+    upgrade."""
 
     @staticmethod
     def format_one_directory(path: str) -> str:
+        """SCRIPT's directory in format 1 with a torn tail; returns the
+        fingerprint it recovers to."""
         db = Database("crash", data_dir=path)
         for op in SCRIPT:
             apply_op(db, op)
         expected = fingerprint_key(db)
         db.close()
-        downgrade_to_v1(path)
+        # Its checkpoint does not count the table DDL before it.
+        shift = downgrade(path, 1, script_versions(SCRIPT)[0])
         with open(os.path.join(path, WAL_FILE), "ab") as handle:
             handle.write(b"\x00\x00\x00\x40torn")  # a crash mid-append
-        return expected
+        return lowered(expected, shift)
 
     @staticmethod
     def assert_recovers_in_current_format(data_dir: str, expected: str) -> None:

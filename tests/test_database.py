@@ -55,11 +55,11 @@ class TestCatalog:
 
 class TestVersionsAndDeltas:
     def test_versions_increase_per_commit(self, db):
-        assert db.version == 1
-        db.insert("t", [(100, 1)])
         assert db.version == 2
-        db.delete_rows("t", [(100, 1)])
+        db.insert("t", [(100, 1)])
         assert db.version == 3
+        db.delete_rows("t", [(100, 1)])
+        assert db.version == 4
 
     def test_empty_update_does_not_bump_version(self, db):
         version = db.version

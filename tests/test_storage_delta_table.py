@@ -545,11 +545,15 @@ class TestAuditLog:
         delta = log.delta_between("r", Schema(["a"]), since=1, until=3)
         assert dict(delta.inserts()) == {(20,): 1, (30,): 1}
 
-    def test_tables_changed_between(self):
+    def test_deltas_between_windows_one_table(self):
         log = AuditLog()
-        log.append(self.make_record(1, 10))
-        assert log.tables_changed_between(0, 1) == {"r"}
-        assert log.tables_changed_between(1, 1) == set()
+        for version in range(1, 5):
+            log.append(self.make_record(version, version * 10))
+        window = log.deltas_between("r", 1, 3)
+        assert [dict(delta.inserts()) for delta in window] == [{(20,): 1}, {(30,): 1}]
+        assert len(log.deltas_between("r", 2)) == 2
+        assert log.deltas_between("r", 4) == []
+        assert log.deltas_between("s", 0) == []
 
     def test_prune(self):
         log = AuditLog()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from unittest.mock import Mock, patch
 
@@ -305,8 +306,11 @@ def test_a_reader_holding_a_dropped_catalogs_plan_keeps_the_fresh_entry(monkeypa
         database, "translation", lambda text: next(answers, None) or translation(text)
     )
     catalogs = iter([held_catalog])
+    catalog_version = Database.catalog_version.fget
     monkeypatch.setattr(
-        Database, "catalog_version", property(lambda db: next(catalogs, db._catalog_version))
+        Database,
+        "catalog_version",
+        property(lambda db: next(catalogs, None) or catalog_version(db)),
     )
     fallbacks = system.statistics.fallback_queries
     # The held plan reads columns the recreated ``t`` no longer has; the text
@@ -469,11 +473,16 @@ interleaved_operation = st.one_of(
     eager=st.booleans(),
     first=interleaved_recreate,
     operations=st.lists(interleaved_operation, min_size=1, max_size=12),
+    session_step=st.integers(min_value=0, max_value=13),
 )
-def test_ddl_interleaved_with_updates_and_queries_matches_the_oracle(eager, first, operations):
+def test_ddl_interleaved_with_updates_and_queries_matches_the_oracle(
+    eager, first, operations, session_step
+):
     """Create, drop and recreate ``t`` (same or permuted columns) between
     updates through one ``IMPSystem``: after every step each text's answer
-    is the oracle's."""
+    is the oracle's.  A session opened before step ``session_step`` answers
+    every text after every later step as the oracle did when it pinned (a
+    ``t`` missing then is an unknown table to it)."""
     database = Database()
     strategy = EagerStrategy(batch_size=1) if eager else None
     system = IMPSystem(database, num_fragments=8, strategy=strategy)
@@ -488,7 +497,12 @@ def test_ddl_interleaved_with_updates_and_queries_matches_the_oracle(eager, firs
             [tuple(row[c] for c in layout) for row in deletes],
         )
 
-    for kind, payload in [first, *operations]:
+    session = pinned = None
+    for step, (kind, payload) in enumerate([first, *operations]):
+        if step == session_step:
+            session = database.connect()
+            if layout is not None:
+                pinned = {sql: oracle(database, sql) for sql in INTERLEAVED_TEXTS}
         if kind == "recreate":
             if layout is not None:
                 database.drop_table("t")
@@ -503,7 +517,7 @@ def test_ddl_interleaved_with_updates_and_queries_matches_the_oracle(eager, firs
             database.drop_table("t")
             layout, live = None, []
         elif layout is None:
-            continue
+            pass  # no table to update
         elif kind == "insert":
             rows = [{"id": next_id + i, "a": a, "b": b} for i, (a, b) in enumerate(payload)]
             next_id += len(rows)
@@ -514,6 +528,15 @@ def test_ddl_interleaved_with_updates_and_queries_matches_the_oracle(eager, firs
         if layout is not None:
             for sql in INTERLEAVED_TEXTS:
                 assert system.run_query(sql) == oracle(database, sql), (kind, sql)
+        if session is not None:
+            for sql in INTERLEAVED_TEXTS:
+                if pinned is None:
+                    with pytest.raises(StorageError, match="unknown table"):
+                        session.query(sql)
+                else:
+                    assert session.query(sql) == pinned[sql], (kind, sql)
+    if session is not None:
+        session.close()
 
 
 MIN_SQL = "SELECT a, min(b) AS m FROM t GROUP BY a HAVING min(b) > 0"
@@ -627,7 +650,8 @@ def test_execute_answers_a_select_text_from_the_plan_cache(monkeypatch):
 def test_a_session_executes_a_select_text_from_its_pin_cache(monkeypatch):
     """Within one pin a session translates a SELECT text once, however it
     is sent; after a drop and recreate and a re-pin it translates again and
-    answers with the new schema."""
+    answers with the new schema, and a re-pin under the same catalog (its
+    own INSERT) does not translate again."""
     database = Database()
     database.create_table("t", ["a", "b"])
     database.insert("t", [(i, i % 3) for i in range(10)])
@@ -650,6 +674,177 @@ def test_a_session_executes_a_select_text_from_its_pin_cache(monkeypatch):
         session.execute("INSERT INTO t VALUES (1, 9)")
         assert session.pinned_version == database.version
         assert session.execute(sql) == oracle(database, sql)
+        assert parses.call_count == translations["translate"] == 1
+
+
+def test_the_live_database_and_sessions_share_one_translation(monkeypatch):
+    """One text sent by ``db.query`` and by two sessions pinned at different
+    versions of one catalog is parsed once: there is one plan cache."""
+    database = Database()
+    database.create_table("t", ["a", "b"])
+    database.insert("t", [(i, i % 3) for i in range(10)])
+    parses, translations = counted_translation(monkeypatch)
+    sql = "SELECT a FROM t WHERE b = 1"
+    with database.connect() as early:
+        database.insert("t", [(10, 1)])
+        with database.connect() as late:
+            assert early.pinned_version < late.pinned_version
+            assert len(database.query(sql)) == len(late.query(sql)) == 4
+            assert len(early.query(sql)) == 3
+            assert early.plan(sql) is late.plan(sql) is database.plan(sql)
+    assert parses.call_count == translations["translate"] == 1
+
+
+# -- sessions across DDL: names resolve in the catalog of the pin -----------------
+
+
+def pinned_before_ddl():
+    """``t(id, a)`` holding ``(1, 10)`` and ``u(x)`` holding ``(5,)``, two
+    sessions pinned there -- ``warm`` reads both tables, ``cold`` nothing --
+    then ``t`` dropped and recreated as ``t(id, b, c)`` with a row and ``u``
+    dropped: (database, [cold, warm], pinned version)."""
+    database = Database()
+    database.create_table("t", ["id", "a"])
+    database.create_table("u", ["x"])
+    database.insert("t", [(1, 10)])
+    database.insert("u", [(5,)])
+    cold, warm = database.connect(), database.connect()
+    warm.query("SELECT * FROM t")
+    warm.query("SELECT * FROM u")
+    database.drop_table("t")
+    database.create_table("t", ["id", "b", "c"])
+    database.insert("t", [(2, 3, 4)])
+    database.drop_table("u")
+    return database, [cold, warm], cold.pinned_version
+
+
+def test_a_session_pinned_before_a_recreate_reads_the_old_columns():
+    _database, sessions, _ = pinned_before_ddl()
+    for session in sessions:
+        for _ in range(2):  # the first read of the table, then a repeat
+            assert session.query("SELECT id, a FROM t").to_sorted_list() == [(1, 10)]
+        session.close()
+
+
+def test_a_session_pinned_before_a_recreate_selects_the_old_schema():
+    database, sessions, _ = pinned_before_ddl()
+    for session in sessions:
+        for _ in range(2):
+            answer = session.query("SELECT * FROM t")
+            assert answer.schema.attributes == ("t.id", "t.a")
+            assert answer.to_sorted_list() == [(1, 10)]
+        session.close()
+    assert database.query("SELECT * FROM t").to_sorted_list() == [(2, 3, 4)]
+
+
+def test_a_session_pinned_before_a_drop_reads_the_dropped_table():
+    database, sessions, _ = pinned_before_ddl()
+    for session in sessions:
+        for _ in range(2):
+            assert session.query("SELECT x FROM u").to_sorted_list() == [(5,)]
+        session.close()
+    with pytest.raises(StorageError, match="unknown table"):
+        database.query("SELECT x FROM u")
+
+
+def test_snapshot_relation_before_a_recreate_reads_the_old_table():
+    """While a session pins a version before the drops, the old tables stay
+    readable there; once none does, that version's catalog is gone."""
+    database, sessions, pinned = pinned_before_ddl()
+    assert database.snapshot_relation("t", pinned).to_sorted_list() == [(1, 10)]
+    assert database.snapshot_relation("t", pinned).schema.attributes == ("id", "a")
+    assert database.snapshot_relation("u", pinned).to_sorted_list() == [(5,)]
+    assert database.snapshot_relation("t", database.version).to_sorted_list() == [(2, 3, 4)]
+    for session in sessions:
+        session.close()
+    with pytest.raises(StorageError, match="catalog of version .* has been pruned"):
+        database.snapshot_relation("t", pinned)
+
+
+def test_a_refresh_to_a_version_before_a_recreate_reads_the_old_table():
+    database, sessions, pinned = pinned_before_ddl()
+    with database.connect() as late:
+        assert late.query("SELECT * FROM t").to_sorted_list() == [(2, 3, 4)]
+        assert late.refresh(pinned) == pinned
+        assert late.query("SELECT * FROM t").schema.attributes == ("t.id", "t.a")
+        assert late.query("SELECT id, a FROM t").to_sorted_list() == [(1, 10)]
+    for session in sessions:
+        session.close()
+
+
+def test_a_table_created_after_the_pin_is_unknown_to_the_session():
+    database, sessions, pinned = pinned_before_ddl()
+    database.create_table("w", ["q"])
+    database.insert("w", [(1,)])
+    for session in sessions:
+        for _ in range(2):
+            with pytest.raises(StorageError, match="unknown table 'w'"):
+                session.query("SELECT q FROM w")
+    with pytest.raises(StorageError, match="unknown table 'w'"):
+        database.snapshot_batch("w", pinned)
+    for session in sessions:
+        session.close()
+
+
+def test_a_dropped_table_goes_with_the_catalogs_that_held_it():
+    """A DDL commit and a session close let go of the catalogs below the
+    oldest pin, and of the tables dropped there with their snapshot
+    batches: many DDL statements leave a history of one catalog."""
+    database = Database()
+    database.create_table("t", ["id"])
+    first = database.insert("t", [(1,)])
+    database.insert("t", [(2,)])
+    database.snapshot_relation("t", first)  # rolled back: a cached batch
+    stored = database.table("t")
+    assert stored.snapshot_memory_entries() == 1
+    session = database.connect()
+    session.refresh(first)
+    database.drop_table("t")  # the session pins below the drop
+    database.create_table("t", ["id", "x"])
+    assert session.query("SELECT id FROM t").to_sorted_list() == [(1,)]
+    assert stored.snapshot_memory_entries() == 1
+    assert len(database._catalogs) == 3
+    session.close()
+    assert stored.snapshot_memory_entries() == 0
+    assert len(database._catalogs) == 1
+    with pytest.raises(StorageError, match="catalog of version .* has been pruned"):
+        database.snapshot_relation("t", first)
+    dropped = [weakref.ref(stored)]
+    del stored, session
+    for round in range(50):
+        database.create_table(f"w{round}", ["q"])
+        database.insert(f"w{round}", [(round,)])
+        dropped.append(weakref.ref(database.table(f"w{round}")))
+        database.drop_table(f"w{round}")
+        assert len(database._catalogs) == 1
+    assert all(table() is None for table in dropped)
+    assert database._dropped == []
+    assert database.catalog_at(database.version).tables == {"t": database.table("t")}
+
+
+def test_a_catalog_below_the_history_is_rebuilt_across_creates_only():
+    """Below the oldest catalog kept, a version is read as long as only
+    ``create_table`` commits came after it: a refresh down to it pins it,
+    and one below a drop that was let go is refused and keeps the pin."""
+    database = Database()
+    database.create_table("gone", ["g"])
+    database.drop_table("gone")
+    database.create_table("t", ["id"])
+    before = database.insert("t", [(1,)])
+    database.create_table("u", ["x"])
+    database.insert("t", [(2,)])
+    assert len(database._catalogs) == 1
+    assert database.catalog_at(before).version == before - 1
+    assert database.snapshot_relation("t", before).to_sorted_list() == [(1,)]
+    with database.connect() as session:
+        assert session.refresh(before) == before
+        assert session.query("SELECT id FROM t").to_sorted_list() == [(1,)]
+        with pytest.raises(StorageError, match="unknown table 'u'"):
+            session.query("SELECT x FROM u")
+        with pytest.raises(StorageError, match="catalog of version 1 has been pruned"):
+            session.refresh(1)
+        assert session.pinned_version == before
+        assert session.query("SELECT id FROM t").to_sorted_list() == [(1,)]
 
 
 def test_a_text_on_a_missing_table_answers_once_the_table_exists():
@@ -887,7 +1082,8 @@ def test_snapshot_batches_match_reconstruction(batches):
         for replay in replays[index:]:
             replay.insert("t", rows)
 
-    for version, replay in enumerate(replays, start=1):
+    # Version 1 is the CREATE TABLE; the k-th insert commits version k + 1.
+    for version, replay in enumerate(replays, start=2):
         snapshot = database.snapshot_batch("t", version)
         expected = replay.snapshot_batch("t", replay.version)
         assert batch_rows(snapshot) == batch_rows(expected)

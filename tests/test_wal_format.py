@@ -1,12 +1,14 @@
 """The on-disk format: format-1 directories, decoder fuzz, the batch window.
 
 * A data directory written in format 1 (a ``REPROWAL1`` log of canonical
-  JSON and ``"format": 1`` checkpoints) recovers to the state that wrote it,
-  and opening it rewrites it in format 2 once.
-* Hypothesis fuzzes the storage decoders over format-1 and format-2 logs and
-  checkpoints: byte flips, truncations, junk, CRC-valid frames around random
-  bytes and well-framed records of random shape.  Opening the directory ends
-  in a recovered prefix of the workload or an ``IMPError``, nothing else.
+  JSON and ``"format": 1`` checkpoints, versions counting commits only)
+  recovers to the state that wrote it, and opening it rewrites it in the
+  current format once.
+* Hypothesis fuzzes the storage decoders over format-1, format-2 and
+  current logs and checkpoints: byte flips, truncations, junk, CRC-valid
+  frames around random bytes and well-framed records of random shape.
+  Opening the directory ends in a recovered prefix of the workload or an
+  ``IMPError``, nothing else.
 * A power loss under ``fsync="batch"`` keeps exactly the synced batches.
 """
 
@@ -37,12 +39,14 @@ from repro.storage.wal import (
     frame,
     scan_wal,
 )
-from tests.legacy_format import V1_MAGIC, downgrade_to_v1, frame_v1
+from tests.legacy_format import V1_MAGIC, downgrade, frame_v1, legacy_version
 from tests.test_crash_recovery import (
     SCRIPT,
     apply_op,
     fingerprint_key,
+    lowered,
     reference_fingerprints,
+    script_versions,
 )
 
 
@@ -68,12 +72,15 @@ class TestFormatOneDirectory:
     def test_recovers_to_the_state_that_wrote_it(self, tmp_path):
         data_dir = str(tmp_path / "d")
         expected = run_script(data_dir)
-        downgrade_to_v1(data_dir)
+        shift = downgrade(data_dir, 1, script_versions(SCRIPT)[0])
         with open(os.path.join(data_dir, WAL_FILE), "rb") as handle:
             assert handle.read(len(V1_MAGIC)) == V1_MAGIC
         assert {load_checkpoint(p)["format"] for p in checkpoint_paths(data_dir)} == {1}
         recovered, report = recover_database(data_dir)
-        assert fingerprint_key(recovered) == expected
+        # The newest checkpoint's version does not count the two CREATE
+        # TABLEs before it; the replayed DROP TABLE takes a version.
+        assert shift == 2
+        assert fingerprint_key(recovered) == lowered(expected, shift)
         # The log after the last checkpoint: a DROP TABLE and a commit.
         assert report.commits_replayed == 1 and report.ddl_replayed == 1
         recovered.close()
@@ -81,7 +88,7 @@ class TestFormatOneDirectory:
     def test_opening_rewrites_it_in_format_2_and_appends_work(self, tmp_path):
         data_dir = str(tmp_path / "d")
         run_script(data_dir)
-        downgrade_to_v1(data_dir)
+        downgrade(data_dir, 1, script_versions(SCRIPT)[0])
         db = Database("fmt", data_dir=data_dir)
         wal_path = os.path.join(data_dir, WAL_FILE)
         with open(wal_path, "rb") as handle:
@@ -100,20 +107,24 @@ class TestFormatOneDirectory:
 
     def test_a_log_without_a_checkpoint_upgrades_too(self, tmp_path):
         data_dir = str(tmp_path / "d")
-        expected = run_script(data_dir, [op for op in SCRIPT if op[0] != "checkpoint"])
-        downgrade_to_v1(data_dir)
+        script = [op for op in SCRIPT if op[0] != "checkpoint"]
+        expected = run_script(data_dir, script)
+        # Every table DDL record takes the next version in replay.
+        assert downgrade(data_dir, 1, script_versions(script)[0]) == 0
         assert checkpoint_paths(data_dir) == []
         recovered, report = recover_database(data_dir)
         assert fingerprint_key(recovered) == expected
         assert report.checkpoint_path is None
-        assert [load_checkpoint(p)["format"] for p in checkpoint_paths(data_dir)] == [2]
+        assert [load_checkpoint(p)["format"] for p in checkpoint_paths(data_dir)] == [
+            RECORD_FORMAT
+        ]
         assert scan_wal(os.path.join(data_dir, WAL_FILE)).format == RECORD_FORMAT
         recovered.close()
 
     def test_a_log_of_another_format_takes_no_appends(self, tmp_path):
         data_dir = str(tmp_path / "d")
         run_script(data_dir)
-        downgrade_to_v1(data_dir)
+        downgrade(data_dir, 1, script_versions(SCRIPT)[0])
         log = WriteAheadLog(os.path.join(data_dir, WAL_FILE))
         log.open()
         with pytest.raises(IMPError, match="format-1"):
@@ -167,8 +178,8 @@ def valid_directory(format: int) -> tuple[tuple[str, bytes], ...]:
     data_dir = tempfile.mkdtemp(prefix="repro-format-")
     try:
         run_script(data_dir)
-        if format == 1:
-            downgrade_to_v1(data_dir)
+        if format != RECORD_FORMAT:
+            downgrade(data_dir, format, script_versions(SCRIPT)[0])
         files = []
         for entry in sorted(os.listdir(data_dir)):
             with open(os.path.join(data_dir, entry), "rb") as handle:
@@ -179,8 +190,17 @@ def valid_directory(format: int) -> tuple[tuple[str, bytes], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def prefix_fingerprints() -> frozenset:
-    return frozenset(reference_fingerprints(SCRIPT))
+def prefix_fingerprints(format: int) -> frozenset:
+    """The states SCRIPT's directory in ``format`` may recover to: a
+    prefix's.  An older format's checkpoint version does not count the
+    table DDL before it, so its versions are lower by that many, for each
+    checkpoint replay may start from (none: by nothing)."""
+    keys = reference_fingerprints(SCRIPT)
+    if format == RECORD_FORMAT:
+        return frozenset(keys)
+    ddl, checkpoints = script_versions(SCRIPT)
+    shifts = {0} | {version - legacy_version(version, ddl) for version in checkpoints}
+    return frozenset(lowered(key, shift) for key in keys for shift in shifts)
 
 
 def open_mutated(format: int, mutate, prefix: bool = True) -> None:
@@ -203,7 +223,7 @@ def open_mutated(format: int, mutate, prefix: bool = True) -> None:
         key = fingerprint_key(recovered)
         recovered.close()
         if prefix:
-            assert key in prefix_fingerprints(), "recovered state is not a prefix"
+            assert key in prefix_fingerprints(format), "recovered state is not a prefix"
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
 
@@ -220,7 +240,7 @@ def put_frame(files: dict, target: int, framed: bytes) -> None:
     files[name] = files[name] + framed if name == WAL_FILE else framed
 
 
-FORMATS = st.sampled_from([1, RECORD_FORMAT])
+FORMATS = st.sampled_from([1, 2, RECORD_FORMAT])
 TARGETS = st.integers(min_value=0, max_value=2)
 
 

@@ -44,7 +44,7 @@ from repro.storage.wal import (
 )
 from repro.workloads.queries import q_groups
 from repro.workloads.synthetic import load_synthetic
-from tests.legacy_format import frame_v1, write_v1_log
+from tests.legacy_format import frame_v1, legacy_records, write_v1_log
 from tests.reference import answer
 
 
@@ -231,7 +231,7 @@ class TestWalFormat:
                 db.checkpoint()
             db.close()
             recovered, report = recover_database(data_dir)
-            assert report.checkpoint_version == (1 if checkpoint else 0)
+            assert report.checkpoint_version == (2 if checkpoint else 0)
             got = sorted(bits(row) for row, _count in recovered.table("t").items())
             assert got == expected
 
@@ -245,7 +245,7 @@ class TestDurableDatabase:
         assert state_fingerprint(recovered) == before
         assert report.commits_replayed == 3 and report.ddl_replayed == 2
         assert recovered.has_index("r", "a")
-        assert recovered.table("r").last_modified_version == 3
+        assert recovered.table("r").last_modified_version == 4
 
     def test_recovery_without_close_models_a_kill(self, tmp_path):
         # The WAL file is unbuffered, so simply abandoning the object (no
@@ -258,14 +258,14 @@ class TestDurableDatabase:
     def test_checkpoint_rotates_and_recovery_replays_the_tail(self, tmp_path):
         db = build_sample_db(str(tmp_path / "d"))
         path = db.checkpoint()
-        assert os.path.basename(path) == "checkpoint-000000000003.ckpt"
-        assert db.last_checkpoint_version == 3
+        assert os.path.basename(path) == "checkpoint-000000000004.ckpt"
+        assert db.last_checkpoint_version == 4
         db.insert("r", [(5, 40, 5.5)])
         before = state_fingerprint(db)
         db.close()
         recovered, report = recover_database(str(tmp_path / "d"))
         assert state_fingerprint(recovered) == before
-        assert report.checkpoint_version == 3
+        assert report.checkpoint_version == 4
         assert report.commits_replayed == 1  # only the post-checkpoint commit
 
     @pytest.mark.parametrize("tail", [False, True])
@@ -306,19 +306,19 @@ class TestDurableDatabase:
         # history: records whose LSN the checkpoint already covers must be
         # skipped, not replayed (replaying would double-apply).
         checkpoint = load_checkpoint(
-            str(tmp_path / "d" / "checkpoint-000000000003.ckpt")
+            str(tmp_path / "d" / "checkpoint-000000000004.ckpt")
         )
         assert checkpoint["wal_lsn"] == 4  # 2 DDL + 3 commits
         recovered, report = recover_database(str(tmp_path / "d"))
         assert report.wal_records_skipped == 0  # rotation emptied the log
-        assert state_fingerprint(recovered)["version"] == 3
+        assert state_fingerprint(recovered)["version"] == 4
 
     def test_corrupt_checkpoint_without_full_log_fails_loudly(self, tmp_path):
         db = build_sample_db(str(tmp_path / "d"))
         db.checkpoint()
         db.insert("r", [(6, 60, 6.0)])
         db.close()
-        ckpt = tmp_path / "d" / "checkpoint-000000000003.ckpt"
+        ckpt = tmp_path / "d" / "checkpoint-000000000004.ckpt"
         blob = bytearray(ckpt.read_bytes())
         blob[-1] ^= 0xFF
         ckpt.write_bytes(bytes(blob))
@@ -330,8 +330,8 @@ class TestDurableDatabase:
 
     def test_older_checkpoint_is_used_when_newest_is_corrupt(self, tmp_path):
         db = build_sample_db(str(tmp_path / "d"))
-        db.checkpoint()  # version 3
-        db.checkpoint()  # version 3 again -- same version, same file name
+        db.checkpoint()  # version 4
+        db.checkpoint()  # version 4 again -- same version, same file name
         db.insert("r", [(7, 70, 7.0)])
         before = state_fingerprint(db)
         db.close()
@@ -343,7 +343,7 @@ class TestDurableDatabase:
         assert [os.path.basename(p) for p in report.corrupt_checkpoints] == [
             "checkpoint-000000000099.ckpt"
         ]
-        assert report.checkpoint_version == 3
+        assert report.checkpoint_version == 4
         assert state_fingerprint(recovered) == before
 
     def test_checkpoints_are_pruned_to_the_newest_two(self, tmp_path):
@@ -358,8 +358,8 @@ class TestDurableDatabase:
             if entry.startswith("checkpoint-")
         )
         assert names == [
-            "checkpoint-000000000003.ckpt",
             "checkpoint-000000000004.ckpt",
+            "checkpoint-000000000005.ckpt",
         ]
         db.close()
 
@@ -369,10 +369,10 @@ class TestDurableDatabase:
         db.insert("r", [(1,)])
         assert db.last_checkpoint_version == 0
         db.insert("r", [(2,)])
-        assert db.last_checkpoint_version == 2
+        assert db.last_checkpoint_version == 3
         db.insert("r", [(3,)])
         db.insert("r", [(4,)])
-        assert db.last_checkpoint_version == 4
+        assert db.last_checkpoint_version == 5
         db.close()
 
     def test_multi_table_commit_replays_atomically(self, tmp_path):
@@ -389,9 +389,9 @@ class TestDurableDatabase:
         db.close()
         recovered, report = recover_database(str(tmp_path / "d"))
         assert state_fingerprint(recovered) == before
-        assert recovered.version == 3
+        assert recovered.version == 5
         # Both tables moved in one version step, exactly as committed.
-        assert recovered.tables_changed_since(2) == {"r", "s"}
+        assert recovered.tables_changed_since(4) == {"r", "s"}
 
     def test_drop_table_is_durable(self, tmp_path):
         db = Database("dd", data_dir=str(tmp_path / "d"))
@@ -465,9 +465,11 @@ class TestDurableDatabase:
         db = build_sample_db(str(tmp_path / "d"))
         db.close()
         path = str(tmp_path / "d" / WAL_FILE)
-        records = scan_wal(path).records
-        write_v1_log(path, [r for r in records if r.get("version") != 2])
-        with pytest.raises(StorageError, match="expected commit version 2"):
+        # Format 1 numbered commits only: the CREATE TABLE (version 1) took
+        # no version, so the log's commits are 1, 2, 3; the first is lost.
+        records = legacy_records(scan_wal(path).records, [1])
+        write_v1_log(path, [r for r in records if r.get("version") != 1])
+        with pytest.raises(StorageError, match="expected commit version 2 but found 3"):
             recover_database(str(tmp_path / "d"))
 
     def test_reopened_directory_keeps_lsns_past_its_checkpoint(self, tmp_path):
@@ -577,7 +579,7 @@ class TestDirtyShutdownEdges:
         with pytest.raises(StorageError, match="commit aborted"):
             db.insert("r", [(2,)])
         # Memory did not move and the log matches it.
-        assert db.version == 1 and db.row_count("r") == 1
+        assert db.version == 2 and db.row_count("r") == 1
         db.insert("r", [(3,)])  # the fault fires once; the next commit lands
         before = state_fingerprint(db)
         db.close()
@@ -604,7 +606,7 @@ class TestDirtyShutdownEdges:
         assert os.path.getsize(os.path.join(data_dir, WAL_FILE)) == size_before
         db.close()
         recovered, report = recover_database(data_dir)
-        assert recovered.version == 0 and recovered.row_count("r") == 0
+        assert recovered.version == 1 and recovered.row_count("r") == 0
         assert report.torn_bytes_truncated == 0
 
     def test_failing_fsync_aborts_the_commit(self, tmp_path):
@@ -620,10 +622,10 @@ class TestDirtyShutdownEdges:
         db._durability._wal._file.seek(db._durability.wal.size_bytes)
         with pytest.raises(StorageError, match="commit aborted"):
             db.insert("r", [(1,)])
-        assert db.version == 0
+        assert db.version == 1
         db.close()
         recovered, _report = recover_database(data_dir)
-        assert recovered.version == 0 and recovered.row_count("r") == 0
+        assert recovered.version == 1 and recovered.row_count("r") == 0
 
     def test_failed_checkpoint_leaves_previous_state_intact(self, tmp_path):
         data_dir = str(tmp_path / "d")
@@ -677,7 +679,7 @@ class TestRetentionSafety:
         db.create_table("r", ["id"], primary_key="id")
         for i in range(5):
             db.insert("r", [(i,)])
-        db.checkpoint()  # durable floor at version 6 (1 DDL is version-less)
+        db.checkpoint()  # durable floor at version 6 (1 DDL + 5 commits)
         checkpoint_version = db.last_checkpoint_version
         for i in range(5, 10):
             db.insert("r", [(i,)])
@@ -713,7 +715,7 @@ class TestRetentionSafety:
         for i in range(3):
             db.insert("r", [(i,)])
         report = db.prune_history(prune_audit=True)
-        assert report["floor"] == 3 and report["audit_records"] == 3
+        assert report["floor"] == 4 and report["audit_records"] == 3
 
 
 class TestRecoveredDatabaseIsFirstClass:
@@ -722,13 +724,13 @@ class TestRecoveredDatabaseIsFirstClass:
         db.close()
         recovered, _report = recover_database(str(tmp_path / "d"))
         session = recovered.connect()
-        assert session.pinned_version == 3
+        assert session.pinned_version == 4
         baseline = session.query("SELECT id FROM r").to_sorted_list()
         recovered.insert("r", [(9, 90, 9.0)])
         # Snapshot isolation holds across the recovery boundary: the pinned
         # read rolls back through the *replayed* audit records.
         assert session.query("SELECT id FROM r").to_sorted_list() == baseline
-        assert session.refresh() == 4
+        assert session.refresh() == 5
         assert (9,) in session.query("SELECT id FROM r").to_sorted_list()
         session.close()
         recovered.close()
@@ -789,7 +791,7 @@ class TestUnorderableIndexedValue:
         db.close()
         recovered, _report = recover_database(str(tmp_path / "d"))
         assert state_fingerprint(recovered) == before
-        assert recovered.version == 3
+        assert recovered.version == 4
         recovered.close()
 
     def test_a_refused_create_index_leaves_the_directory_readable(self, tmp_path):
