@@ -27,6 +27,7 @@ from functools import partial
 from heapq import nsmallest
 from itertools import compress, count
 from operator import ne, neg
+from typing import NamedTuple
 
 from repro.core.errors import AggregateError
 from repro.relational.algebra import Aggregate, AggregateFunction
@@ -233,48 +234,49 @@ def distinct_batch(batch: ColumnBatch) -> ColumnBatch:
 def aggregate_batch(
     schema: Schema,
     aggregates: tuple[Aggregate, ...],
-    key_columns: list[list],
+    groups: Groups,
     argument_columns: list[list | None],
     multiplicities: list[int],
     grouped: bool,
 ) -> ColumnBatch:
-    """Grouped aggregation over pre-evaluated key and argument columns.
+    """Grouped aggregation over pre-evaluated argument columns, grouped by
+    ``groups`` (:func:`groups_of` the key columns).
 
-    One grouped fold: :func:`group_ids` numbers the groups, then each
-    aggregate is one pass over ``(group id, value, multiplicity)`` into
-    per-group lists (:func:`fold_aggregate`, which the incremental
-    aggregation applies at signed counts).  ``argument_columns`` holds
-    ``None`` for ``count(*)``; NULL values are ignored.
+    One grouped fold: each aggregate is one pass over ``(group id, value,
+    multiplicity)`` into per-group lists (:func:`fold_aggregate`, which the
+    incremental aggregation applies at signed counts).  ``argument_columns``
+    holds ``None`` for ``count(*)``; NULL values are ignored.
 
     When each group's entries are contiguous -- an index range scan on the
     group key returns them so, one bucket per value -- and the groups are
-    long enough on average, :func:`group_runs` finds their bounds once and
+    long enough on average, ``groups.runs`` holds their bounds and
     :func:`fold_aggregate` folds one group run at a time (counts always,
     sums and avgs when every multiplicity is 1); the results do not change
     by a bit.
 
-    The input must be consolidated unless no fold can tell (the caller
-    guarantees it): counts and min/max never can, nor can a sum or avg whose
-    values are ints, bools and NULL of magnitude at most ``m`` over entries
-    whose multiplicities add up to ``n`` with ``m * n <= 2**53``, since those
-    add up exactly.  Output order: one entry per group, in order of first
-    occurrence.  A group's sum adds
+    The input must fold as its consolidation would (the caller guarantees
+    it): it is consolidated, or consolidating it would merge nothing (the
+    evaluator proves that for clustered input, one ``set`` per group run),
+    or no fold can tell.  Counts and min/max never can, nor can a sum or avg
+    whose values are ints, bools and NULL of magnitude at most ``m`` over
+    entries whose multiplicities add up to ``n`` with ``m * n <= 2**53``,
+    since those add up exactly.  Output order: one entry per group, in order
+    of first occurrence.  A group's sum adds
     ``value * multiplicity`` to ``0.0`` in entry order, which fixes the low
     bits of float sums; the first occurrence wins ties of min/max.
     """
-    n = len(multiplicities)
-    ids, keys = group_ids(key_columns, n)
+    ids, keys, runs = groups
     if not keys and not grouped:
         # Aggregation without GROUP BY over an empty input produces one row.
         columns = [[over_nothing(aggregate)] for aggregate in aggregates]
         return ColumnBatch(schema, columns, [1], consolidated=True)
-    runs = group_runs(ids, len(keys))
     # count(*), and count and avg over a column without NULLs, share this list.
     sizes = fold_aggregate(ids, None, multiplicities, [0] * len(keys), runs=runs)
-    if len(key_columns) == 1:
+    width = len(schema) - len(aggregates)
+    if width == 1:
         columns = [keys]
     else:
-        columns = [list(column) for column in zip(*keys)] or [[] for _ in key_columns]
+        columns = [list(column) for column in zip(*keys)] or [[] for _ in range(width)]
     for aggregate, column in zip(aggregates, argument_columns):
         try:
             columns.append(
@@ -326,17 +328,29 @@ def _fold(
     return [total / count if count else None for total, count in zip(totals, non_null)]
 
 
-def group_ids(key_columns: list[list], n: int) -> tuple[list[int], list]:
-    """The group id of each of ``n`` entries, numbered by first occurrence,
-    and the group keys in id order: raw values for one key column, value
-    tuples for several, the one group ``()`` for none."""
+class Groups(NamedTuple):
+    """The groups of ``n`` entries: each entry's group id (``ids``, numbered
+    by first occurrence), the group keys in id order -- raw values for one
+    key column, value tuples for several, the one group ``()`` for none --
+    and the groups' runs (:func:`group_runs`), or None."""
+
+    ids: list[int]
+    keys: list
+    runs: list[tuple[int, int, int]] | None
+
+
+def groups_of(key_columns: list[list], n: int) -> Groups:
+    """The :class:`Groups` of ``n`` entries over the GROUP BY value columns
+    ``key_columns``."""
     if not key_columns:
-        return [0] * n, [()] if n else []
-    keys = key_columns[0] if len(key_columns) == 1 else zip(*key_columns)
-    # A missing key gets the next id: the dict's size before it is added.
-    slots: defaultdict = defaultdict()
-    slots.default_factory = slots.__len__
-    return list(map(slots.__getitem__, keys)), list(slots)
+        ids, keys = [0] * n, [()] if n else []
+    else:
+        values = key_columns[0] if len(key_columns) == 1 else zip(*key_columns)
+        # A missing key gets the next id: the dict's size before it is added.
+        slots: defaultdict = defaultdict()
+        slots.default_factory = slots.__len__
+        ids, keys = list(map(slots.__getitem__, values)), list(slots)
+    return Groups(ids, keys, group_runs(ids, len(keys)))
 
 
 # The shortest mean group run :func:`group_runs` hands out: the break-even
@@ -350,7 +364,7 @@ _MIN_MEAN_RUN = 12
 
 def group_runs(ids: list[int], groups: int) -> list[tuple[int, int, int]] | None:
     """``(slot, start, stop)`` of each of the ``groups`` slots that
-    :func:`group_ids` numbered, when every slot's entries are contiguous and
+    :func:`groups_of` numbered, when every slot's entries are contiguous and
     the runs are at least :data:`_MIN_MEAN_RUN` entries long on average;
     otherwise None.
 

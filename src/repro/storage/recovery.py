@@ -50,6 +50,7 @@ import hashlib
 import os
 import re
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -357,29 +358,36 @@ class DurabilityManager:
         report.wal_records_seen = len(scan.records)
         report.torn_bytes_truncated = scan.torn_bytes
         report.wal_notes = list(scan.notes)
-        # Formats 1 and 2 logged a DDL record without the version it
-        # commits: such a record takes the next version, and each later
-        # commit record of the log is that many versions behind.
-        unversioned = 0
-        for record in scan.records:
-            if record["lsn"] <= skip_lsn:
-                report.wal_records_skipped += 1
-                continue
-            if (
-                scan.format != RECORD_FORMAT
-                and record.get("type") in _VERSIONED_DDL
-                and "version" not in record
+        try:
+            # Formats 1 and 2 logged a DDL record without the version it
+            # commits: such a record takes the next version, and each later
+            # commit record of the log is that many versions behind.
+            unversioned = 0
+            for record in scan.records:
+                if record["lsn"] <= skip_lsn:
+                    report.wal_records_skipped += 1
+                    continue
+                if (
+                    scan.format != RECORD_FORMAT
+                    and record.get("type") in _VERSIONED_DDL
+                    and "version" not in record
+                ):
+                    record = {**record, "version": db.version + 1}
+                    unversioned += 1
+                self._replay_record(db, record, unversioned, report)
+            report.fresh = (
+                checkpoint is None and not scan.existed and not scan.records
+            )
+            if scan.format != RECORD_FORMAT or (
+                checkpoint is not None and checkpoint["format"] != RECORD_FORMAT
             ):
-                record = {**record, "version": db.version + 1}
-                unversioned += 1
-            self._replay_record(db, record, unversioned, report)
-        report.fresh = (
-            checkpoint is None and not scan.existed and not scan.records
-        )
-        if scan.format != RECORD_FORMAT or (
-            checkpoint is not None and checkpoint["format"] != RECORD_FORMAT
-        ):
-            self.checkpoint(db)
+                self.checkpoint(db)
+        except BaseException:
+            # A refused record or a failed format checkpoint leaves no open
+            # log behind; the error that refused the directory is reported.
+            with suppress(OSError):
+                self._wal.close()
+            raise
         report.recovered_version = db.version
         report.tables = {name: len(db.table(name)) for name in db.table_names()}
         return report

@@ -217,6 +217,10 @@ EXACT = [None, 0, 1, True, False, -3, 2**40, 2**52, -(2**52), 2**53, BIG, -BIG]
 # infinities sums to NaN and is keyed by components instead.
 PLAIN = [0, -0.0, 0.0, 1, 1.0, True, False, -3, 2.5, 2**53, BIG, float(2**53), -BIG]
 ORDERED = PLAIN + [math.inf, -math.inf]
+# Values one group's rows may repeat under another spelling: 1/1.0/True,
+# ±0.0, 2**53 beside its float, one shared NaN object and NaNs of their own.
+# Where no two are equal, an aggregation proves its clustered input distinct.
+SPELLINGS = [1, 1.0, True, 0.0, -0.0, 2**53, float(2**53), NAN, OWN_NAN, 0.1, 2.5, -3]
 
 
 def _spelled(value):
@@ -233,19 +237,19 @@ def keys(text: bool = False) -> st.SearchStrategy:
 @st.composite
 def tables(draw) -> tuple[Database, list]:
     """``t(id, g, h, v)`` and ``u(k, l, w)`` with repeated rows, float (or
-    int-only, or plain-number) summands and optional indexes, and rows of
-    ``u`` to delete and re-insert (:func:`move`).  Text goes to ``t.g`` only:
-    beside the keys, or all of it (:data:`WORDS`).  An index holds values
-    that order against each other, so ``t.g`` has none when it mixes text
-    and numbers."""
+    int-only, plain-number, or equal-value spelling) summands and optional
+    indexes, and rows of ``u`` to delete and re-insert (:func:`move`).  Text
+    goes to ``t.g`` only: beside the keys, or all of it (:data:`WORDS`).  An
+    index holds values that order against each other, so ``t.g`` has none
+    when it mixes text and numbers."""
     g_keys = draw(st.sampled_from(["numbers", "mixed", "text"]))
     database = two_tables()
     indexable = [("u", "k"), ("u", "l"), ("t", "h"), ("t", "id")]
     for table, attribute in indexable + [("t", "g")] * (g_keys != "mixed"):
         if draw(st.booleans()):
             database.create_index(table, attribute)
-    pools = [SUMMANDS, EXACT, ORDERED]
-    v, w = (st.sampled_from(draw(st.sampled_from(pools))) for _ in "vw")
+    pools = [SUMMANDS, EXACT, ORDERED, SPELLINGS]
+    v, w = (st.sampled_from(draw(st.sampled_from(pools))).map(_spelled) for _ in "vw")
     g = st.sampled_from(WORDS) if g_keys == "text" else keys(g_keys == "mixed")
     t_rows = draw(st.lists(st.tuples(st.integers(0, 5), g, keys(), v), max_size=10))
     u_rows = draw(st.lists(st.tuples(keys(), keys(), w), max_size=10))
@@ -388,6 +392,20 @@ KEY_RANGES = [
     Aggregation(Selection(T, Comparison(">=", h, Literal(0))), [h], _all_of(v)),
 ]
 
+# Aggregations over ``t`` pruned to ``h, v`` and read through an index range
+# on ``h`` -- alone, and joined to a key-only side of ``u`` as the bench's
+# ``q_join`` is: each group's entries arrive together, so where each run of
+# ``v`` holds no two equal values the fold reads the input unmerged.  The
+# drawn tables' runs are short and take the merge; ``tests/test_merge_proof.py``
+# draws long runs for the same plans.
+T_CLUSTERED = Projection(
+    Selection(T, Between(h, Literal(-3), Literal(BIG))), [ProjectionItem(h), ProjectionItem(v)]
+)
+CLUSTERED = [
+    Aggregation(T_CLUSTERED, [h], _all_of(v)),
+    Aggregation(Join(T_CLUSTERED, U_KEYS, equal(h, k)), [h], _all_of(v)),
+]
+
 # Joins without a hashable equality (``ON 1`` is not ``ON TRUE``: it selects nothing).
 THETA = [
     None,
@@ -518,6 +536,7 @@ CATALOGUE: dict[str, st.SearchStrategy] = {
     "top-k by plain and component keys": top_ks(),
     "aggregation over pruned duplicates": st.sampled_from(PRUNED),
     "aggregation over a range of its group key": st.sampled_from(KEY_RANGES),
+    "aggregation over clustered duplicates": st.sampled_from(CLUSTERED),
     "one column merged by value": st.sampled_from(
         [Distinct(T_KEYS), TopK(T_KEYS, 3, [OrderItem(g, False)])]
     ),

@@ -138,7 +138,7 @@ class TestKernelEqualsOracle:
         batch = kernels.aggregate_batch(
             schema,
             tuple(aggregates),
-            key_columns,
+            kernels.groups_of(key_columns, len(entries)),
             [None if a.argument is None else column for a in aggregates],
             multiplicities,
             grouped=width > 0,
@@ -169,7 +169,7 @@ class TestKernelEqualsOracle:
         batch = kernels.aggregate_batch(
             Schema(["k", "n"]),
             (Aggregate(COUNT, None, "n"),),
-            [[1.0, None, 1, True, None]],
+            kernels.groups_of([[1.0, None, 1, True, None]], 5),
             [None],
             [1, 2, 3, 4, 5],
             grouped=True,
@@ -606,7 +606,7 @@ def kernel_rows(live: list, aggregates: list[Aggregate] = EXTREMES) -> list[tupl
     return kernels.aggregate_batch(
         Schema(["g"] + [aggregate.alias for aggregate in aggregates]),
         tuple(aggregates),
-        [[g for g, _v in rows]],
+        kernels.groups_of([[g for g, _v in rows]], len(rows)),
         [[v for _g, v in rows]] * len(aggregates),
         [1] * len(rows),
         grouped=True,

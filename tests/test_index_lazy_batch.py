@@ -307,7 +307,9 @@ class TestLazyEqualsEager:
             return kernels.aggregate_batch(
                 Schema(["k", "s", "n"]),
                 aggregates,
-                [compile_batch_expression(key, batch.schema)(batch.columns, n)],
+                kernels.groups_of(
+                    [compile_batch_expression(key, batch.schema)(batch.columns, n)], n
+                ),
                 [compile_batch_expression(argument, batch.schema)(batch.columns, n), None],
                 batch.multiplicities,
                 grouped=True,

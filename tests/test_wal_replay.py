@@ -11,7 +11,7 @@ import pytest
 from repro.core.errors import StorageError
 from repro.storage.database import Database
 from repro.storage.recovery import WAL_FILE, load_checkpoint, recover_database
-from repro.storage.wal import RECORD_FORMAT, WAL_MAGIC, WriteAheadLog, scan_wal
+from repro.storage.wal import RECORD_FORMAT, WAL_MAGIC, FileFactory, WriteAheadLog, scan_wal
 from tests.legacy_format import write_v2_log
 
 
@@ -85,6 +85,30 @@ def test_a_ddl_record_that_breaks_the_version_chain_is_refused(tmp_path, record)
     append_record(path, record)
     with pytest.raises(StorageError, match="history gap|is malformed"):
         Database(data_dir=path)
+
+
+def test_a_refused_directory_leaves_its_log_closed(tmp_path, monkeypatch):
+    """Recovery opens the log before replaying it; a record replay refuses
+    closes the log again before the error reaches the caller."""
+    path = str(tmp_path / "db")
+    database = Database(data_dir=path)
+    database.create_table("t", ["a"])
+    database.close()
+    append_record(path, {"type": "drop_table", "version": 1, "name": "t"})
+    opened = []
+    original = FileFactory.open
+
+    def spy(self, file_path):
+        handle = original(self, file_path)
+        if os.path.basename(file_path) == WAL_FILE:
+            opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(FileFactory, "open", spy)
+    with pytest.raises(StorageError, match="history gap"):
+        Database(data_dir=path)
+    assert len(opened) == 1
+    assert opened[0]._raw.closed
 
 
 FORMAT_2_LOG = [
