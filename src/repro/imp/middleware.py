@@ -43,10 +43,17 @@ from repro.storage.database import Database
 from repro.storage.delta import DatabaseDelta, Delta
 
 
-def _same_plan(stored: PlanNode, plan: PlanNode) -> bool:
-    """Whether a stored entry's plan is ``plan``, the same binding: one text
-    at one catalog version is one cached object, else compare renderings."""
-    return stored is plan or stored.explain() == plan.explain()
+def _same_plan(entry: SketchEntry, plan: PlanNode) -> bool:
+    """Whether ``entry``'s plan is ``plan``, the same binding.  One text at
+    one catalog version is one cached object; an entry kept across DDL on
+    another table holds an older catalog's, so renderings are compared, and
+    when they agree the entry takes ``plan`` for the identity check next."""
+    if entry.plan is plan:
+        return True
+    if entry.plan.explain() != plan.explain():
+        return False
+    entry.plan = plan
+    return True
 
 
 @dataclass
@@ -185,10 +192,6 @@ class SketchBasedSystem(WorkloadSystem):
         # fan-out to the stale maintainers.
         self.scheduler = MaintenanceScheduler(database, self.store)
         self.statistics.scheduler = self.scheduler.statistics
-        # Serializes first-capture of a template: two sessions racing on the
-        # same cold query must not both build partitions, indexes and
-        # operator state.
-        self._capture_lock = threading.Lock()
         self._maintenance_stop = threading.Event()
         self._maintenance_thread: threading.Thread | None = None
         # Guards start/stop of the maintenance thread: without it two
@@ -205,109 +208,80 @@ class SketchBasedSystem(WorkloadSystem):
     # -- query path -------------------------------------------------------------------------
 
     def run_query(self, sql: str) -> Relation:
+        """Answer ``sql`` in one critical section: the round lock, which
+        guards the store, the engines and the scheduler, then the database
+        write lock, the order rounds take them in.  Inside, the text is
+        translated, the store retires what a DDL change left behind, the
+        template is looked up (and captured on a miss), and the query is
+        answered from the sketch or without one.  A sketch's skip ranges are
+        sound only at the version it was maintained to, so no commit may
+        land between maintaining and evaluating; snapshot sessions never
+        touch these locks."""
         started = time.perf_counter()
         try:
-            # The plan and the store key come from the database's one
-            # SQL-text cache: a repeated text is not parsed again.  A sketch
-            # answers only under the catalog version read before it.
-            catalog = self.database.catalog_version
-            plan, template = self.database.translation(sql)
-            if catalog != self.store.catalog_version:
-                with self.scheduler.round_lock:
-                    self.store.retire(catalog)
-            entry = self.store.get(template)
-            if entry is None:
-                entry = self._capture_entry(sql, template, plan, catalog)
-            # The store is keyed by constant-free template, but an entry's
-            # sketch and plan belong to the constants it was captured with:
-            # another binding of the template is not answered from them.
-            result = None
-            if entry is not None and _same_plan(entry.plan, plan):
-                result = self._answer_with_sketch(entry, catalog)
-            if result is None:
+            with self.scheduler.round_lock, self.database.lock:
+                # The plan and the store key come from the database's one
+                # SQL-text cache: a repeated text is not parsed again.
+                plan, template = self.database.translation(sql)
+                self.store.retire(self.database.catalog_at(self.database.version))
+                entry = self.store.get(template)
+                if entry is None:
+                    entry = self._capture_entry(sql, template, plan)
+                # The store is keyed by constant-free template, but an
+                # entry's sketch and plan belong to the constants it was
+                # captured with: another binding is not answered from them.
+                if entry is not None and _same_plan(entry, plan):
+                    result = self._answer_with_sketch(entry)
+                    with self._statistics_lock:
+                        self.statistics.sketch_hits += 1
+                    return result
                 # No usable sketch (no safe sketch attribute, unsupported
-                # operator, other constants, or a DDL change): answer the
-                # query without provenance-based data skipping.  Held under
-                # the write lock so a multi-table plan cannot observe half of
-                # a concurrent commit across its scans.  A plan translated
-                # under a catalog that has moved on since is translated again.
+                # operator or other constants): answer the query without
+                # provenance-based data skipping.
                 with self._statistics_lock:
                     self.statistics.fallback_queries += 1
-                with self.database.lock:
-                    if self.database.catalog_version != catalog:
-                        plan = self.database.translation(sql)[0]
-                    result = self.database.query(plan)
-                return result
-            with self._statistics_lock:
-                self.statistics.sketch_hits += 1
-            return result
+                return self.database.query(plan)
         finally:
             with self._statistics_lock:
                 self.statistics.queries += 1
                 self.statistics.query_seconds += time.perf_counter() - started
 
     def _capture_entry(
-        self, sql: str, template: QueryTemplate, plan: PlanNode, catalog: int
+        self, sql: str, template: QueryTemplate, plan: PlanNode
     ) -> SketchEntry | None:
-        """Capture ``template``'s entry for ``plan``, translated under
-        ``catalog``."""
-        with self._capture_lock:
-            # Double-checked: another session may have captured this template
-            # while we waited for the lock (peek keeps hit/miss stats exact).
-            existing = self.store.peek(template)
-            if existing is not None:
-                return existing
-            try:
-                partition = build_database_partition(self.database, plan, self.num_fragments)
-                # Sketch attributes are chosen so that an efficient access
-                # path exists (Sec. 7.4); create the backend index the use
-                # rewrite will exploit for data skipping.
-                for table_partition in partition:
-                    self.database.create_index(table_partition.table, table_partition.attribute)
-                maintainer = self._make_maintainer(plan, partition)
-            except (SketchError, PlanError):
-                return None
-            entry = SketchEntry(
-                template=template, sql=sql, plan=plan, partition=partition, maintainer=maintainer
-            )
-            # The store may hand the new engine a node other entries read,
-            # built at this version, and the capture then reads the node's
-            # result back.  From that hand-over through registration no
-            # commit may move the version and no round the node: round lock,
-            # then database lock, as on the query path.  After a DDL change
-            # the plan and partition are those of a gone catalog: no entry.
-            # Else the store is at ``catalog`` too (the query retired it).
-            with self.scheduler.round_lock, self.database.lock:
-                if self.database.catalog_version != catalog:
-                    return None
-                self.store.intern(entry, self.database.version)
-                try:
-                    capture_seconds = maintainer.capture().seconds
-                except (SketchError, PlanError):
-                    return None
-                self.store.put(entry)
+        """Capture and register ``template``'s entry for ``plan`` (None when
+        the plan has no sketch).  The caller holds the round lock and the
+        database lock: the store may hand the new engine a node other entries
+        read, built at this version, and the capture then reads the node's
+        result back, so from that hand-over through registration no commit
+        may move the version and no round the node."""
+        try:
+            partition = build_database_partition(self.database, plan, self.num_fragments)
+            # Sketch attributes are chosen so that an efficient access path
+            # exists (Sec. 7.4); create the backend index the use rewrite
+            # will exploit for data skipping.
+            for table_partition in partition:
+                self.database.create_index(table_partition.table, table_partition.attribute)
+            maintainer = self._make_maintainer(plan, partition)
+        except (SketchError, PlanError):
+            return None
+        entry = SketchEntry(
+            template=template, sql=sql, plan=plan, partition=partition, maintainer=maintainer
+        )
+        self.store.intern(entry, self.database.version)
+        try:
+            capture_seconds = maintainer.capture().seconds
+        except (SketchError, PlanError):
+            return None
+        self.store.put(entry)
         with self._statistics_lock:
             self.statistics.sketch_captures += 1
             self.statistics.capture_seconds += capture_seconds
         return entry
 
-    def _answer_with_sketch(self, entry: SketchEntry, catalog: int) -> Relation | None:
-        """``entry``'s answer, or None if the catalog moved on from
-        ``catalog`` (while it has not, the entry was captured under it)."""
-        # Maintain-then-evaluate must be atomic against commits: the
-        # instrumented plan's skip ranges are only sound for the version the
-        # sketch was just brought to, so a commit between ensure and query
-        # would produce a torn result (new rows in covered fragments visible,
-        # new rows in skipped fragments silently dropped).  Lock order is
-        # round lock then database lock -- the same order the background
-        # maintenance rounds use -- so the two paths cannot deadlock.
-        # Sessions are unaffected: their reads never touch these locks.
-        with self.scheduler.round_lock, self.database.lock:
-            if self.database.catalog_version != catalog:
-                return None
-            return self._answer_with_sketch_locked(entry)
-
-    def _answer_with_sketch_locked(self, entry: SketchEntry) -> Relation:
+    def _answer_with_sketch(self, entry: SketchEntry) -> Relation:
+        """``entry``'s answer, maintained first unless it may be deferred;
+        the caller holds the round lock and the database lock."""
         backlog = self._deferred_backlog(entry)
         if backlog is None:
             self.scheduler.ensure_entry(entry)
@@ -379,11 +353,11 @@ class SketchBasedSystem(WorkloadSystem):
         """Run shared-delta maintenance rounds on a daemon thread.
 
         Rounds execute every ``interval`` seconds until
-        :meth:`stop_background_maintenance`.  Sketch-answered queries are
-        serialized with rounds (they hold the round lock across
-        maintain+evaluate, so a query may wait for an in-flight round --
-        though one whose sketch the round already repaired then finds an
-        empty ensure); snapshot-session reads never touch these locks.
+        :meth:`stop_background_maintenance`.  Queries are serialized with
+        rounds (each holds the round lock from translation to answer, so a
+        query may wait for an in-flight round -- though one whose sketch the
+        round already repaired then finds an empty ensure); snapshot-session
+        reads never touch these locks.
         Exceptions inside a round are recorded in ``maintenance_errors``
         (re-raised by ``stop_background_maintenance``) instead of silently
         killing the thread.  Idempotent while a thread is active.
@@ -431,19 +405,22 @@ class SketchBasedSystem(WorkloadSystem):
     # -- reporting --------------------------------------------------------------------------------
 
     def summary(self) -> dict[str, object]:
-        report = super().summary()
-        report.update(
-            {
-                "sketches": len(self.store),
-                "captures": self.statistics.sketch_captures,
-                "maintenances": self.statistics.sketch_maintenances,
-                "fallback_queries": self.statistics.fallback_queries,
-                "strategy": self.strategy.describe(),
-                "sketch_memory_bytes": self.store.memory_bytes(),
-                "store_evictions": self.store.statistics.evictions,
-                "scheduler": self.scheduler.summary(),
-            }
-        )
+        """The base report plus the store's and the scheduler's, read under
+        the round lock: no round changes the operator state it sizes."""
+        with self.scheduler.round_lock:
+            report = super().summary()
+            report.update(
+                {
+                    "sketches": len(self.store),
+                    "captures": self.statistics.sketch_captures,
+                    "maintenances": self.statistics.sketch_maintenances,
+                    "fallback_queries": self.statistics.fallback_queries,
+                    "strategy": self.strategy.describe(),
+                    "sketch_memory_bytes": self.store.memory_bytes(),
+                    "store_evictions": self.store.statistics.evictions,
+                    "scheduler": self.scheduler.summary(),
+                }
+            )
         return report
 
 

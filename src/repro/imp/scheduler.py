@@ -127,22 +127,22 @@ class MaintenanceScheduler:
         self.database = database
         self.store = store
         self.statistics = SchedulerStatistics()
-        # Maintainer operator state is single-writer: one lock serializes
-        # shared-delta rounds (eager updates, the background maintenance
-        # thread) and lazy query-time ensures against each other.  Commits may
-        # interleave freely: each round reads one target version up front and
-        # fetches every delta with an explicit ``until=target``, so updates
-        # landing mid-round are simply picked up by the next round.
+        # IMP's one lock: it guards the store, the engines' operator state
+        # and this scheduler.  Commits may interleave freely with a round:
+        # it reads one target version up front and fetches every delta with
+        # an explicit ``until=target``, so updates landing mid-round are
+        # picked up by the next round.
         self._round_lock = threading.RLock()
 
     @property
     def round_lock(self) -> threading.RLock:
-        """The round-serialization lock (reentrant).
+        """The lock that guards IMP's state (reentrant): the sketch store,
+        every engine and this scheduler.
 
-        Exposed so the middleware's sketch-answered query path can hold
-        maintenance *and* the database write lock across maintain+evaluate --
-        always acquired in the order round lock, then database lock, the same
-        order :meth:`run_round` uses internally.
+        Rounds and lazy ensures hold it, and so does a middleware query from
+        translation to answer, with the database write lock inside it --
+        always round lock first, then database lock, the order
+        :meth:`run_round` takes them in too.
         """
         return self._round_lock
 
@@ -166,7 +166,7 @@ class MaintenanceScheduler:
                     entry
                     for entry in self.store.entries()
                     if (wanted is None or entry.referenced_tables() & wanted)
-                    and self._due(entry, target)
+                    and self._due(entry)
                 ],
                 target,
             )
@@ -218,23 +218,19 @@ class MaintenanceScheduler:
 
     def _target(self) -> int:
         """The version a round or ensure maintains to, read under the database
-        lock with the catalog version :meth:`SketchStore.retire` checks: no
-        DDL change falls between, so no entry gets a recreated table's rows."""
+        lock with the catalog :meth:`SketchStore.retire` checks: no DDL
+        change falls between, so no entry gets a recreated table's rows."""
         with self.database.lock:
-            self.store.retire(self.database.catalog_version)
-            return self.database.version
+            version = self.database.version
+            self.store.retire(self.database.catalog_at(version))
+            return version
 
     @staticmethod
-    def _due(entry: SketchEntry, target: int) -> bool:
-        """Whether a round to ``target`` maintains ``entry``: captured, stale
-        and valid at or before ``target`` (a first capture runs outside the
-        round lock, so it may be newer; the next round takes it)."""
-        return (
-            entry.maintainer.is_captured
-            and entry.valid_at_version is not None
-            and entry.valid_at_version <= target
-            and entry.maintainer.is_stale()
-        )
+    def _due(entry: SketchEntry) -> bool:
+        """Whether a round maintains ``entry``: captured and stale.  Every
+        entry was captured or maintained under the round lock, so none is
+        newer than a round's target."""
+        return entry.maintainer.is_captured and entry.maintainer.is_stale()
 
     def _lockstep(self, entries: list[SketchEntry], target: int) -> list[SketchEntry]:
         """``entries`` and, after them, every other due consumer of their
@@ -242,7 +238,7 @@ class MaintenanceScheduler:
         group = {entry.template.text: entry for entry in entries}
         for entry in entries:
             for member in self.store.share_group(entry):
-                if member.template.text not in group and self._due(member, target):
+                if member.template.text not in group and self._due(member):
                     group[member.template.text] = member
         return list(group.values())
 

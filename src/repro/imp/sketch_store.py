@@ -28,15 +28,20 @@ state: the capture then reads that result instead of building the same state
 again.  Other nodes -- a join's state does not hold its result -- are
 interned after the capture, as are recaptured ones.
 
-Every entry was captured under the catalog version the store records.  The
-first query or round that reads a newer one (a DDL change) empties the store
-(:meth:`SketchStore.retire`): no state built from a dropped table meets a
-recreated one's deltas, and each template's next query captures again.
+Every entry was captured under the catalog the store records: its version
+and the creation version of each table in it.  The first query or round that
+reads a newer catalog (a DDL change) retires the entries over a table created,
+dropped or recreated since (:meth:`SketchStore.retire`): no state built from a
+dropped table meets a recreated one's deltas, and those templates' next
+queries capture again.  Entries over other tables stay.
+
+The store has no lock of its own: every caller holds the maintenance
+scheduler's round lock (:attr:`~repro.imp.scheduler.MaintenanceScheduler.round_lock`),
+which guards the store, the engines and the scheduler together.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -47,6 +52,7 @@ from repro.relational.algebra import PlanNode, walk_plan
 from repro.sketch.ranges import DatabasePartition
 from repro.sketch.sketch import ProvenanceSketch
 from repro.sql.template import QueryTemplate
+from repro.storage.table import Catalog
 
 
 @dataclass
@@ -136,21 +142,21 @@ class StoreStatistics:
 class SketchStore:
     """A template-keyed collection of :class:`SketchEntry` objects.
 
-    Thread-safe: lookups, recency ticks and eviction run under one internal
-    lock, so the query path and the background maintenance thread can touch
-    the store concurrently without losing ticks (interleaved ``tick += 1``
-    updates are not atomic in CPython).  The lock is reentrant because
-    registration re-checks the memory budget.
+    Not thread-safe on its own: callers hold the scheduler's round lock
+    (the query path, rounds, lazy ensures and the middleware's summary), so
+    no two threads move ticks, entries or operator state at once.
     """
 
     def __init__(self, max_bytes: int | None = None) -> None:
         self._entries: dict[str, SketchEntry] = {}
         self._max_bytes = max_bytes
         self._tick = 0
-        self._lock = threading.RLock()
         self.statistics = StoreStatistics()
-        # The catalog version of every entry (None until :meth:`retire`).
+        # The catalog of every entry (None until :meth:`retire`): its
+        # version, and each table's creation version -- ints only, so no
+        # dropped table stays alive through the store.
         self.catalog_version: int | None = None
+        self._created: dict[str, int] = {}
 
     @property
     def max_bytes(self) -> int | None:
@@ -161,29 +167,18 @@ class SketchStore:
 
     def get(self, template: QueryTemplate) -> SketchEntry | None:
         """Look up the entry for a query template (tracks hit/miss counters)."""
-        with self._lock:
-            entry = self._entries.get(template.text)
-            if entry is None:
-                self.statistics.misses += 1
-            else:
-                self.statistics.hits += 1
-                self.touch(entry)
-            return entry
-
-    def peek(self, template: QueryTemplate) -> SketchEntry | None:
-        """Look up an entry without touching hit/miss counters or recency.
-
-        Used by capture paths that re-check the store under their own lock: a
-        double-checked re-read must not inflate the hit statistics.
-        """
-        with self._lock:
-            return self._entries.get(template.text)
+        entry = self._entries.get(template.text)
+        if entry is None:
+            self.statistics.misses += 1
+        else:
+            self.statistics.hits += 1
+            self.touch(entry)
+        return entry
 
     def touch(self, entry: SketchEntry) -> None:
         """Mark ``entry`` as just used (feeds recency-aware eviction)."""
-        with self._lock:
-            self._tick += 1
-            entry.last_used_tick = self._tick
+        self._tick += 1
+        entry.last_used_tick = self._tick
 
     def __contains__(self, template: QueryTemplate) -> bool:
         return template.text in self._entries
@@ -195,10 +190,9 @@ class SketchStore:
         """Iterate over all managed sketches.
 
         Returns an iterator over a point-in-time copy, so callers can walk it
-        while other threads register or evict entries.
+        while they register, evict or retire entries.
         """
-        with self._lock:
-            return iter(list(self._entries.values()))
+        return iter(list(self._entries.values()))
 
     # -- mutation --------------------------------------------------------------------
 
@@ -208,16 +202,15 @@ class SketchStore:
         Re-putting an existing template replaces the entry without counting a
         new capture.
         """
-        with self._lock:
-            previous = self._entries.get(entry.template.text)
-            self.touch(entry)
-            self._entries[entry.template.text] = entry
-            if previous is not None and previous is not entry:
-                self._release(previous)
-            self.intern(entry)
-            if previous is None:
-                self.statistics.captures += 1
-            self.enforce_memory_budget(protect=entry)
+        previous = self._entries.get(entry.template.text)
+        self.touch(entry)
+        self._entries[entry.template.text] = entry
+        if previous is not None and previous is not entry:
+            self._release(previous)
+        self.intern(entry)
+        if previous is None:
+            self.statistics.captures += 1
+        self.enforce_memory_budget(protect=entry)
 
     def intern(self, entry: SketchEntry, version: int | None = None) -> None:
         """Hand ``entry``'s engine the node of another entry in the store
@@ -234,41 +227,39 @@ class SketchStore:
         that output from the node's state
         (:meth:`~repro.imp.operators.IncrementalShared.process`) instead of
         building the same state again.  Until the entry is registered, no
-        commit may move the version on.
+        commit may move the version on: the caller holds the database lock.
 
-        Either way maintenance rounds must not run meanwhile: a node must not
-        move on without one of its consumers.
+        Either way the caller holds the round lock, so no round runs
+        meanwhile: a node must not move on without one of its consumers.
         """
-        with self._lock:
-            own = entry.shared
-            if own is None:
+        own = entry.shared
+        if own is None:
+            return
+        if version is None:
+            version = own.built_at
+            if version is None or self._entries.get(entry.template.text) is not entry:
                 return
-            if version is None:
-                version = own.built_at
-                if version is None or self._entries.get(entry.template.text) is not entry:
-                    return
-            for other in self._entries.values():
-                node = other.shared
-                if (
-                    node is not None
-                    and node is not own
-                    and node.fingerprint == own.fingerprint
-                    and node.built_at == version
-                    # An engine yet to capture reads the node's output back.
-                    and (own.built_at is not None or node.replayable)
-                ):
-                    entry.maintainer.engine.share(node)
-                    return
+        for other in self._entries.values():
+            node = other.shared
+            if (
+                node is not None
+                and node is not own
+                and node.fingerprint == own.fingerprint
+                and node.built_at == version
+                # An engine yet to capture reads the node's output back.
+                and (own.built_at is not None or node.replayable)
+            ):
+                entry.maintainer.engine.share(node)
+                return
 
     def share_group(self, entry: SketchEntry) -> list[SketchEntry]:
         """The entries in the store whose engines read ``entry``'s shared
         node, in registration order (``[entry]`` for an entry not in the
         store): they are maintained together."""
-        with self._lock:
-            node = entry.shared
-            if node is None or self._entries.get(entry.template.text) is not entry:
-                return [entry]
-            return [other for other in self._entries.values() if other.shared is node]
+        node = entry.shared
+        if node is None or self._entries.get(entry.template.text) is not entry:
+            return [entry]
+        return [other for other in self._entries.values() if other.shared is node]
 
     def _release(self, entry: SketchEntry) -> None:
         """Detach ``entry``, which just left the store, from a node entries
@@ -281,25 +272,22 @@ class SketchStore:
 
     def remove(self, template: QueryTemplate) -> None:
         """Drop the entry for a template (no error when absent)."""
-        with self._lock:
-            entry = self._entries.pop(template.text, None)
-            if entry is not None:
-                self._release(entry)
+        entry = self._entries.pop(template.text, None)
+        if entry is not None:
+            self._release(entry)
 
-    def clear(self) -> None:
-        """Drop all entries."""
-        with self._lock:
-            while self._entries:
-                self._release(self._entries.popitem()[1])
-
-    def retire(self, catalog_version: int) -> None:
-        """Drop every entry if ``catalog_version`` is newer than theirs, and
-        record it.  Callers hold the round lock: no round may maintain an
-        entry as it leaves."""
-        with self._lock:
-            if self.catalog_version is not None and catalog_version > self.catalog_version:
-                self.clear()
-            self.catalog_version = max(catalog_version, self.catalog_version or 0)
+    def retire(self, catalog: Catalog) -> None:
+        """Record ``catalog`` if it is newer than the entries', dropping the
+        entries over a table created, dropped or recreated since theirs."""
+        if self.catalog_version is not None and catalog.version <= self.catalog_version:
+            return
+        created = {name: stored.created_version for name, stored in catalog.tables.items()}
+        if self.catalog_version is not None:
+            moved = {name for name, _version in created.items() ^ self._created.items()}
+            for entry in self.entries():
+                if entry.referenced_tables() & moved:
+                    self.remove(entry.template)
+        self.catalog_version, self._created = catalog.version, created
 
     def enforce_memory_budget(self, protect: SketchEntry | None = None) -> int:
         """Evict least-recently-used entries until the store fits ``max_bytes``.
@@ -312,29 +300,28 @@ class SketchStore:
         """
         if self._max_bytes is None:
             return 0
-        with self._lock:
-            # Size each entry once and evict cheapest-first from a sorted
-            # victim list, keeping a running total: evicting k of N entries
-            # costs one footprint walk, not one per eviction.  A victim frees
-            # a shared node's state only as its last consumer.
-            sizes, consumers, total = self._footprint()
-            victims = sorted(
-                (entry for entry in self._entries.values() if entry is not protect),
-                key=lambda entry: entry.last_used_tick,
-            )
-            evicted = 0
-            for victim in victims:
-                if total <= self._max_bytes:
-                    break
-                node = victim.shared
-                kept = node.memory_bytes() if node is not None and consumers[node] > 1 else 0
-                consumers[node] -= 1
-                del self._entries[victim.template.text]
-                self._release(victim)
-                total -= sizes[victim.template.text] - kept
-                self.statistics.evictions += 1
-                evicted += 1
-            return evicted
+        # Size each entry once and evict cheapest-first from a sorted
+        # victim list, keeping a running total: evicting k of N entries
+        # costs one footprint walk, not one per eviction.  A victim frees
+        # a shared node's state only as its last consumer.
+        sizes, consumers, total = self._footprint()
+        victims = sorted(
+            (entry for entry in self._entries.values() if entry is not protect),
+            key=lambda entry: entry.last_used_tick,
+        )
+        evicted = 0
+        for victim in victims:
+            if total <= self._max_bytes:
+                break
+            node = victim.shared
+            kept = node.memory_bytes() if node is not None and consumers[node] > 1 else 0
+            consumers[node] -= 1
+            del self._entries[victim.template.text]
+            self._release(victim)
+            total -= sizes[victim.template.text] - kept
+            self.statistics.evictions += 1
+            evicted += 1
+        return evicted
 
     def _footprint(self) -> tuple[dict[str, int], Counter, int]:
         """Each entry's memory (its shared node's included), each node's
@@ -354,8 +341,7 @@ class SketchStore:
     def memory_bytes(self) -> int:
         """Total memory used by sketches and their maintenance state, shared
         state counted once."""
-        with self._lock:
-            return self._footprint()[2]
+        return self._footprint()[2]
 
     def summary(self) -> dict[str, object]:
         """A compact report used by the examples and the benchmark harness."""

@@ -27,11 +27,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import StorageError
+from repro.imp.maintenance import IncrementalMaintainer
 from repro.imp.middleware import IMPSystem
 from repro.imp.sketch_store import SketchStore
 from repro.storage.database import Database
 from repro.storage.table import StoredTable
 from repro.workloads.synthetic import load_synthetic
+from tests.reference import oracle
 
 # --------------------------------------------------------------------------------------
 # The barrier-stepped scheduler
@@ -443,27 +445,6 @@ def test_a_materialized_snapshot_is_read_without_the_write_lock():
     session.close()
 
 
-def test_round_skips_entries_captured_past_its_target(monkeypatch):
-    """Regression: a sketch captured after a round read its target version
-    must be left for the next round, not maintained through an inverted
-    (since > until) delta window."""
-    database, table = make_database(num_rows=100, num_groups=5)
-    system = make_system(database)  # entries captured at version 1
-    database.insert("r", table.make_inserts(5))  # stale relative to version 2
-    # Simulate the race: the round reads its target *before* the capture
-    # landed, i.e. target < every entry's valid_at_version.
-    monkeypatch.setattr(type(database), "version", property(lambda self: 0))
-    report = system.scheduler.run_round()
-    assert report.examined == 0
-    assert report.delta_fetches == 0
-    monkeypatch.undo()
-    # The next round (with a correct target) maintains them normally.
-    report = system.scheduler.run_round()
-    assert report.maintained == len(CAPTURE_QUERIES)
-    for entry in system.store.entries():
-        assert entry.valid_at_version == database.version
-
-
 def test_session_registry_retention_and_pruning():
     """Closing sessions drives snapshot-cache pruning; open pins protect
     exactly the versions they can still read."""
@@ -668,38 +649,158 @@ def test_audit_prune_respects_pinned_floor():
 
 
 # --------------------------------------------------------------------------------------
-# SketchStore synchronization regression (ticks)
+# The round lock: IMP's one lock
 # --------------------------------------------------------------------------------------
 
 
 def test_sketch_store_ticks_are_exact_under_threads():
-    """Regression for unsynchronized recency ticks: N threads hammering
-    touch must account every single use, and no two uses share a tick."""
+    """Regression for unsynchronized recency ticks: N threads answering
+    queries through the middleware account every single use, and no two
+    uses share a tick.  The store has no lock of its own; the query path's
+    round lock serializes its ticks."""
     database, _table = make_database(num_rows=200, num_groups=8)
     system = make_system(database)
-    entries = list(system.store.entries())
     store: SketchStore = system.store
-    base_tick = store._tick
+    entries = list(store.entries())
+    base_tick, base_hits = store._tick, store.statistics.hits
 
-    per_thread = 400
+    per_thread = 60
     num_threads = 8
     barrier = threading.Barrier(num_threads)
+    errors: list[BaseException] = []
 
     def hammer(slot: int) -> None:
-        barrier.wait()
-        for index in range(per_thread):
-            store.touch(entries[(slot + index) % len(entries)])
+        try:
+            barrier.wait(timeout=30.0)
+            for index in range(per_thread):
+                system.run_query(CAPTURE_QUERIES[(slot + index) % len(CAPTURE_QUERIES)])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
 
     threads = [threading.Thread(target=hammer, args=(slot,)) for slot in range(num_threads)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
-    assert store._tick == base_tick + num_threads * per_thread
+    queries = num_threads * per_thread
+    assert store.statistics.hits == base_hits + queries
+    assert system.statistics.sketch_hits == len(CAPTURE_QUERIES) + queries
+    # Each query touches its entry twice: at the lookup and at the answer.
+    assert store._tick == base_tick + 2 * queries
     ticks = [entry.last_used_tick for entry in entries]
     assert len(set(ticks)) == len(ticks) and max(ticks) == store._tick
+
+
+def test_summary_waits_for_a_round_in_flight(monkeypatch):
+    """``summary()`` sizes the operator state a round changes: it reads
+    under the round lock, so it waits while a round is paused inside
+    ``maintain_with`` and then reports the totals after the round."""
+    database, table = make_database(num_rows=200, num_groups=8)
+    system = make_system(database)
+    database.insert("r", table.make_inserts(10))
+    entered, release = threading.Event(), threading.Event()
+    maintain_with = IncrementalMaintainer.maintain_with
+
+    def paused(self, *args, **kwargs):
+        entered.set()
+        assert release.wait(timeout=60.0)
+        return maintain_with(self, *args, **kwargs)
+
+    monkeypatch.setattr(IncrementalMaintainer, "maintain_with", paused)
+    summaries: list[dict] = []
+    round_thread = threading.Thread(target=system.scheduler.run_round)
+    reader = threading.Thread(target=lambda: summaries.append(system.summary()))
+    round_thread.start()
+    try:
+        assert entered.wait(timeout=60.0)
+        reader.start()
+        reader.join(timeout=0.5)
+        returned_mid_round = not reader.is_alive()
+    finally:
+        release.set()
+        round_thread.join(timeout=60.0)
+        reader.join(timeout=60.0)
+    assert not round_thread.is_alive() and not reader.is_alive()
+    assert not returned_mid_round, "summary() returned while a round was paused"
+    (summary,) = summaries
+    assert summary["scheduler"]["rounds"] == 1
+    assert summary["scheduler"]["maintained"] == len(CAPTURE_QUERIES)
+    assert summary["sketch_memory_bytes"] == system.store.memory_bytes()
+    assert summary == system.summary()
+
+
+def commit_states(database: Database, batches, sql: str) -> set[tuple]:
+    """The oracle's answers to ``sql`` at every version ``batches`` take
+    ``database`` through, the version before them included."""
+    states = {tuple(oracle(database, sql).to_sorted_list())}
+    for batch in batches:
+        apply_batch(database, batch)
+        states.add(tuple(oracle(database, sql).to_sorted_list()))
+    return states
+
+
+def test_racing_first_queries_capture_once():
+    """N threads issue the first query of one cold template while a writer
+    commits and background rounds run: the template is captured exactly
+    once, no thread raises, and every answer is the oracle's at a version
+    the database passed through."""
+    import random
+
+    sql = QUERIES[0]
+    database, table = make_database(num_rows=300, num_groups=10)
+    batches = make_batches(table, random.Random(5), 12)
+    serial_db, _ = make_database(num_rows=300, num_groups=10)
+    states = commit_states(serial_db, batches, sql)
+
+    system = IMPSystem(database, num_fragments=16)
+    num_readers = 6
+    barrier = threading.Barrier(num_readers + 1)
+    answers: list[tuple] = []
+    errors: list[BaseException] = []
+
+    def reader() -> None:
+        try:
+            barrier.wait(timeout=30.0)
+            for _ in range(3):
+                answers.append(tuple(system.run_query(sql).to_sorted_list()))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    def writer() -> None:
+        try:
+            barrier.wait(timeout=30.0)
+            for batch in batches:
+                apply_batch(database, batch)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader) for _ in range(num_readers)]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    system.start_background_maintenance(interval=0.001)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        system.stop_background_maintenance(drain=True)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert system.statistics.sketch_captures == system.store.statistics.captures == 1
+    assert len(answers) == 3 * num_readers
+    assert set(answers) <= states
+    assert system.run_query(sql) == oracle(database, sql)
 
 
 # --------------------------------------------------------------------------------------

@@ -178,14 +178,13 @@ class TestSketchStore:
         summary = store.summary()
         assert summary["sketches"] == 1
 
-    def test_remove_and_clear(self, sales_db, sales_partition):
+    def test_remove(self, sales_db, sales_partition):
         store = SketchStore()
         entry = self._entry(sales_db, sales_partition)
         store.put(entry)
         store.remove(entry.template)
         assert len(store) == 0
-        store.put(entry)
-        store.clear()
+        store.remove(entry.template)  # absent: no error
         assert len(store) == 0
 
     def test_store_without_budget_never_evicts(self, sales_db, sales_partition):

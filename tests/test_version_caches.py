@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import StorageError
 from repro.imp.middleware import FullMaintenanceSystem, IMPSystem
-from repro.imp.strategies import EagerStrategy
+from repro.imp.strategies import EagerStrategy, LazyStrategy
 from repro.relational.columnar import ColumnBatch
 from repro.sql import translator as sql_translator
 from repro.sql.translator import Translator
@@ -228,6 +228,12 @@ def swapped_tables(database: Database) -> None:
     database.insert("u", [(i, i % 4, float(i)) for i in range(40)])
 
 
+def stored_entry(system, sql: str):
+    """The store's entry for ``sql``'s template (no hit counted)."""
+    template = system.database.translation(sql)[1]
+    return next(entry for entry in system.store.entries() if entry.template == template)
+
+
 def test_a_recreated_table_answers_the_same_text_with_its_new_schema():
     """``a < 2`` moves from ``t`` to ``u`` when the tables are recreated with
     each other's columns: the same text re-translates, and both the database
@@ -246,7 +252,7 @@ def test_a_recreated_table_answers_the_same_text_with_its_new_schema():
         assert system.run_query(sql) == database.query(sql) == oracle(database, sql)
     assert system.statistics.sketch_hits == len(texts)
     old_plans = [database.plan(sql) for sql in texts]
-    old_entries = [system.store.peek(database.translation(sql)[1]) for sql in texts]
+    old_entries = [stored_entry(system, sql) for sql in texts]
     old_versions = [entry.valid_at_version for entry in old_entries]
 
     swapped_tables(database)
@@ -265,8 +271,7 @@ def test_a_recreated_table_answers_the_same_text_with_its_new_schema():
         assert system.run_query(sql) == expected
         assert system.statistics.sketch_hits == hits + 1
         assert system.statistics.fallback_queries == fallbacks
-        entry = system.store.peek(database.translation(sql)[1])
-        assert entry.plan is database.plan(sql)
+        assert stored_entry(system, sql).plan is database.plan(sql)
     assert database.query(texts[0]).schema.attributes == (
         "t.k", "t.w", "u.id", "u.a", "u.b"
     )
@@ -276,52 +281,6 @@ def test_a_recreated_table_answers_the_same_text_with_its_new_schema():
         assert system.run_query(sql) == oracle(database, sql)
     assert [entry.valid_at_version for entry in old_entries] == old_versions
     assert not any(entry in system.store.entries() for entry in old_entries)
-
-
-def test_a_reader_holding_a_dropped_catalogs_plan_keeps_the_fresh_entry(monkeypatch):
-    """A reader that translated a text before a DDL change reaches the store
-    after another reader recaptured its entry: it falls back, translates the
-    text again under the current catalog and leaves the fresh entry in place."""
-    database = Database()
-    database.create_table("t", ["id", "a", "b"])
-    database.create_table("u", ["k", "w"])
-    database.insert("t", [(i, i % 4, float(i)) for i in range(40)])
-    database.insert("u", [(i, i * 10) for i in range(20)])
-    system = IMPSystem(database, num_fragments=4)
-    sql = "SELECT a, sum(w) AS s FROM t, u WHERE id = k AND a < 2 GROUP BY a"
-    system.run_query(sql)
-    held = database.translation(sql)
-    held_catalog = database.catalog_version
-
-    swapped_tables(database)
-    system.run_query(sql)
-    fresh = system.store.peek(held[1])
-    assert fresh.plan is database.plan(sql)
-
-    # The reader's catalog read and translation are the held ones; every
-    # later read and lookup is not.
-    translation = database.translation
-    answers = iter([held])
-    monkeypatch.setattr(
-        database, "translation", lambda text: next(answers, None) or translation(text)
-    )
-    catalogs = iter([held_catalog])
-    catalog_version = Database.catalog_version.fget
-    monkeypatch.setattr(
-        Database,
-        "catalog_version",
-        property(lambda db: next(catalogs, None) or catalog_version(db)),
-    )
-    fallbacks = system.statistics.fallback_queries
-    # The held plan reads columns the recreated ``t`` no longer has; the text
-    # is valid under the current catalog, so the fallback answers it.
-    assert system.run_query(sql) == oracle(database, sql)
-    assert system.statistics.fallback_queries == fallbacks + 1
-    assert system.store.peek(held[1]) is fresh
-    hits = system.statistics.sketch_hits
-    assert system.run_query(sql) == oracle(database, sql)
-    assert system.statistics.sketch_hits == hits + 1
-    assert system.store.peek(held[1]) is fresh
 
 
 # -- the sketch store across DDL: one catalog version for every entry -------------
@@ -345,6 +304,77 @@ def having_database() -> Database:
         "t", [(i, i % 10, -10000.0 if i % 10 == 1 else float(i)) for i in range(200)]
     )
     return database
+
+
+U_SQL = "SELECT w, count(k) AS n FROM u GROUP BY w HAVING count(k) > 5"
+JOIN_SQL = "SELECT a, sum(w) AS s FROM t, u WHERE id = k GROUP BY a HAVING sum(w) > 3"
+STRATEGIES = {
+    "lazy": LazyStrategy,
+    "eager": lambda: EagerStrategy(batch_size=1),
+}
+
+
+def add_u(database: Database) -> None:
+    """A second table ``u(k, w)`` beside ``t``."""
+    database.create_table("u", ["k", "w"], primary_key="k")
+    database.insert("u", [(i, i % 5) for i in range(50)])
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_ddl_on_an_unrelated_table_keeps_the_entries(strategy):
+    """``side`` is created, filled, dropped and recreated between updates
+    to ``t``: the entries over ``t`` stay (no capture again), and the next
+    query of each text is a sketch hit that takes the current plan."""
+    database = having_database()
+    system = IMPSystem(database, num_fragments=8, strategy=STRATEGIES[strategy]())
+    texts = [HAVING_SQL, MIN_SQL]
+    for sql in texts:
+        system.run_query(sql)
+    entries = list(system.store.entries())
+
+    database.create_table("side", ["x"])
+    system.apply_update("t", [(1000, 3, 7.0)])
+    database.insert("side", [(1,)])
+    database.drop_table("side")
+    database.create_table("side", ["x", "y"])
+    system.apply_update("t", [(1001, 4, 9.0)])
+    hits = system.statistics.sketch_hits
+    for sql in texts:
+        assert system.run_query(sql) == oracle(database, sql)
+    assert system.statistics.sketch_captures == system.store.statistics.captures == len(texts)
+    assert system.statistics.sketch_hits == hits + len(texts)
+    assert system.statistics.fallback_queries == 0
+    assert list(system.store.entries()) == entries
+    for sql in texts:
+        assert stored_entry(system, sql).plan is database.plan(sql)
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_a_recreated_table_retires_only_its_own_entries(strategy):
+    """``t`` dropped and recreated beside ``u``: the entries over ``t``,
+    the join's included, are retired and captured again, while the entry
+    over ``u`` alone stays and keeps answering as a sketch hit."""
+    database = having_database()
+    add_u(database)
+    system = IMPSystem(database, num_fragments=8, strategy=STRATEGIES[strategy]())
+    texts = [HAVING_SQL, U_SQL, JOIN_SQL]
+    for sql in texts:
+        system.run_query(sql)
+    retired = [stored_entry(system, sql) for sql in (HAVING_SQL, JOIN_SQL)]
+    kept = stored_entry(system, U_SQL)
+
+    database.drop_table("t")
+    database.create_table("t", ["id", "a", "b"], primary_key="id")
+    system.apply_update("t", [(i, i % 10, 2000.0 if i % 10 == 1 else 0.0) for i in range(100)])
+    system.apply_update("u", [(50, 2)])
+    hits = system.statistics.sketch_hits
+    for sql in texts:
+        assert system.run_query(sql) == oracle(database, sql)
+    assert system.statistics.sketch_hits == hits + len(texts)
+    assert system.statistics.sketch_captures == len(texts) + len(retired)
+    assert stored_entry(system, U_SQL) is kept
+    assert not any(entry in system.store.entries() for entry in retired)
+    assert len(system.store) == len(texts)
 
 
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
@@ -395,12 +425,15 @@ def test_a_recreate_with_permuted_columns_captures_again():
 def test_no_round_maintains_an_entry_captured_before_a_ddl_change(round_kind):
     """An eager round, or the final round of a drained background thread,
     after a drop and recreate: the entry captured before it is retired, not
-    maintained with the new table's deltas."""
+    maintained with the new table's deltas; the entry over ``u`` stays."""
     database = having_database()
+    add_u(database)
     strategy = EagerStrategy(batch_size=1) if round_kind == "eager" else None
     system = IMPSystem(database, num_fragments=8, strategy=strategy)
     system.run_query(HAVING_SQL)
-    old = next(system.store.entries())
+    old = stored_entry(system, HAVING_SQL)
+    system.run_query(U_SQL)
+    kept = stored_entry(system, U_SQL)
     old_version = old.valid_at_version
 
     database.drop_table("t")
@@ -414,7 +447,7 @@ def test_no_round_maintains_an_entry_captured_before_a_ddl_change(round_kind):
         database.insert("t", rows)
         system.stop_background_maintenance(drain=True)
     assert old.valid_at_version == old_version
-    assert list(system.store.entries()) == []
+    assert list(system.store.entries()) == [kept]
     assert system.run_query(HAVING_SQL) == oracle(database, HAVING_SQL)
 
 
