@@ -5,24 +5,32 @@ sketch built on any range partition of ``a`` is safe, i.e. evaluating ``Q``
 over the data covered by the sketch returns the same result as evaluating it
 over the full database (paper Sec. 4.4, using the test from [37]).
 
-This module implements a conservative approximation of that test which covers
-the query classes used in the paper's evaluation:
+This module approximates that test with one rule.  Dropping tuples outside
+the provenance cannot change a selection, projection, join or duplicate
+elimination over the tuples that remain, nor an aggregation whose output
+nothing filters or ranks: its groups are recomputed from the same provenance.
+It can change a group that some operator above filters or ranks, because a
+group that loses part of its tuples can pass a HAVING, a WHERE over a
+subquery's aggregate, a join or a top-k that it failed on the full data.  So
+the plan walk creates a *gate* at
 
-* **Monotone queries** (selection / projection / join without aggregation or
-  top-k): every attribute is safe -- removing irrelevant tuples cannot change
-  the surviving results' provenance coverage.
-* **Group-preserving partitions**: attributes that appear in the GROUP BY list
-  (directly, or transitively through equi-join equalities) are safe because
-  every group is fully contained in the fragments of the sketch, for any
-  HAVING condition and also below a top-k operator.
-* **Monotone HAVING**: when every HAVING conjunct keeps a group only if an
-  anti-monotone-safe aggregate crosses a threshold from below (``SUM``/
-  ``COUNT``/``MAX`` with ``>``/``>=``) or from above (``MIN`` with ``<``/
-  ``<=``), dropping non-provenance tuples cannot promote a new group into the
-  result, so any attribute of the aggregated tables is safe.
+* every ``Aggregation`` with an operator other than a projection above it,
+  keyed by its GROUP BY columns, and
+* every ``TopK`` with no aggregation below it, keyed by its ORDER BY columns,
 
-Anything else is reported unsafe, in which case IMP either picks a different
-attribute or does not use a sketch for the query.
+and an attribute of ``R`` is safe when it equals, directly or through the
+equi-join / WHERE equalities, a key of every gate over ``R``.  Partitioning on
+such an attribute keeps every gated group (or tie of the ranking) whole in
+the fragments of the sketch.  A table under no gate may use any attribute.
+
+There is no exception for "monotone" HAVING conditions such as
+``sum(b) > 0``: fewer tuples can raise a sum over signed values, lower a
+``max`` over a column that holds NaN, and a HAVING nested in a subquery or
+read through a join sits outside a one-level check.  ROADMAP item 27 route 2
+(safety under a data guard) is the way to bring such skipping back.
+
+A table with no safe numeric attribute is left unpartitioned; IMP either
+partitions another table of the query or does not use a sketch for it.
 """
 
 from __future__ import annotations
@@ -30,8 +38,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.relational.algebra import (
-    Aggregate,
-    AggregateFunction,
     Aggregation,
     Join,
     PlanNode,
@@ -45,7 +51,6 @@ from repro.relational.expressions import (
     ColumnRef,
     Expression,
     column_equality,
-    column_versus_literal,
     conjuncts,
 )
 from repro.relational.schema import Schema
@@ -80,9 +85,8 @@ class SafetyAnalyzer:
         self._plan = plan
         self._catalog = catalog
         self._equivalences = _EquivalenceClasses()
-        self._aggregations: list[Aggregation] = []
-        self._top_ks: list[TopK] = []
-        self._monotone_having = True
+        # (tables below the gate, bare names of its column keys)
+        self._gates: list[tuple[frozenset[str], set[str]]] = []
         self._analyse()
 
     # -- public API ------------------------------------------------------------------
@@ -93,108 +97,50 @@ class SafetyAnalyzer:
         if table not in self._plan.referenced_tables():
             return set()
         schema = self._catalog.schema_of(table)
-        attributes = {Schema.bare_name(name) for name in schema}
-
-        if not self._aggregations and not self._top_ks:
-            return attributes
-
-        safe = {
+        return {
             attribute
-            for attribute in attributes
-            if self._is_group_preserving(table, attribute)
+            for attribute in map(Schema.bare_name, schema)
+            if all(
+                any(self._equivalences.equivalent(attribute, key) for key in keys)
+                for tables, keys in self._gates
+                if table in tables
+            )
         }
-        if self._aggregations and not self._top_ks and self._monotone_having:
-            safe = attributes
-        return safe
 
     # -- analysis --------------------------------------------------------------------
 
     def _analyse(self) -> None:
-        aggregation_seen = False
-        for node in walk_plan(self._plan):
+        # Each entry carries whether an operator other than a projection lies
+        # above the node.
+        stack: list[tuple[PlanNode, bool]] = [(self._plan, False)]
+        while stack:
+            node, filtered = stack.pop()
             if isinstance(node, Join) and node.condition is not None:
                 self._record_equalities(conjuncts(node.condition))
             if isinstance(node, Selection):
                 self._record_equalities(conjuncts(node.predicate))
-                if aggregation_seen is False and self._above_aggregation(node):
-                    self._check_having(node.predicate)
-            if isinstance(node, Aggregation):
-                aggregation_seen = True
-                self._aggregations.append(node)
-            if isinstance(node, TopK):
-                self._top_ks.append(node)
+            if isinstance(node, Aggregation) and filtered:
+                self._add_gate(node, node.group_by)
+            if isinstance(node, TopK) and not any(
+                isinstance(below, Aggregation) for below in walk_plan(node.child)
+            ):
+                self._add_gate(node, [item.expression for item in node.order_by])
+            filtered = filtered or not isinstance(node, Projection)
+            stack.extend((child, filtered) for child in reversed(node.children()))
 
-    def _above_aggregation(self, node: Selection) -> bool:
-        """Whether ``node`` sits directly above an aggregation (a HAVING filter)."""
-        child: PlanNode = node.child
-        while isinstance(child, (Projection, Selection)):
-            child = child.children()[0]
-        return isinstance(child, Aggregation)
+    def _add_gate(self, node: PlanNode, keys: Iterable[Expression]) -> None:
+        self._gates.append(
+            (
+                node.referenced_tables(),
+                {Schema.bare_name(key.name) for key in keys if isinstance(key, ColumnRef)},
+            )
+        )
 
     def _record_equalities(self, predicates: Iterable[Expression]) -> None:
         for predicate in predicates:
             pair = column_equality(predicate)
             if pair is not None:
                 self._equivalences.union(*map(Schema.bare_name, pair))
-
-    def _check_having(self, predicate: Expression) -> None:
-        """Record whether the HAVING condition is monotone-safe."""
-        having_aggregates = self._aggregates_by_alias()
-        for conjunct in conjuncts(predicate):
-            if not self._monotone_conjunct(conjunct, having_aggregates):
-                self._monotone_having = False
-                return
-
-    def _aggregates_by_alias(self) -> dict[str, Aggregate]:
-        aliases: dict[str, Aggregate] = {}
-        for node in walk_plan(self._plan):
-            if isinstance(node, Aggregation):
-                for aggregate in node.aggregates:
-                    aliases[aggregate.alias] = aggregate
-        return aliases
-
-    def _monotone_conjunct(
-        self, conjunct: Expression, aggregates: dict[str, Aggregate]
-    ) -> bool:
-        shape = column_versus_literal(conjunct)
-        if shape is None:
-            return False
-        name, op, _constant = shape
-        aggregate = aggregates.get(Schema.bare_name(name))
-        if aggregate is None:
-            # Condition on a group-by attribute: always safe (it only removes
-            # whole groups independent of other data).
-            return True
-        increasing = aggregate.function in (
-            AggregateFunction.SUM,
-            AggregateFunction.COUNT,
-            AggregateFunction.MAX,
-        )
-        decreasing = aggregate.function is AggregateFunction.MIN
-        if increasing and op in (">", ">="):
-            return True
-        if decreasing and op in ("<", "<="):
-            return True
-        return False
-
-    def _is_group_preserving(self, table: str, attribute: str) -> bool:
-        """Whether partitioning ``table`` on ``attribute`` keeps groups intact."""
-        group_names: set[str] = set()
-        for aggregation in self._aggregations:
-            for expression in aggregation.group_by:
-                if isinstance(expression, ColumnRef):
-                    group_names.add(Schema.bare_name(expression.name))
-        if not group_names and self._top_ks:
-            for top_k in self._top_ks:
-                for item in top_k.order_by:
-                    if isinstance(item.expression, ColumnRef):
-                        group_names.add(Schema.bare_name(item.expression.name))
-        if attribute in group_names:
-            return True
-        return any(
-            self._equivalences.equivalent(attribute, group_name)
-            for group_name in group_names
-        )
 
 
 def safe_attributes(plan: PlanNode, catalog: SchemaProvider, table: str) -> set[str]:

@@ -13,6 +13,7 @@ from repro.core.errors import SketchError
 from repro.relational.algebra import Selection, TableScan, walk_plan
 from repro.imp.engine import capture_sketch
 from repro.imp.middleware import IMPSystem
+from repro.imp.strategies import EagerStrategy, LazyStrategy
 from repro.storage.database import Database
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.safety import SafetyAnalyzer, safe_attributes
@@ -210,7 +211,8 @@ class TestPartitionIgnoresNaN:
         database = self._database([(i, (None, math.nan)[i % 2], 1.0) for i in range(20)])
         plan = database.plan(self.SQL)
         assert database.column_statistics("t", "a").minimum is None
-        assert choose_sketch_attribute(plan, database, "t") == "id"
+        # ``a`` is the only safe attribute under the HAVING, and it is not numeric.
+        assert choose_sketch_attribute(plan, database, "t") is None
         with pytest.raises(SketchError, match="empty column"):
             build_partition(database, "t", "a", 4)
         with pytest.raises(SketchError, match="positive"):
@@ -222,10 +224,16 @@ class TestSafety:
         plan = sales_db.plan(Q_TOP)
         assert "brand" in safe_attributes(plan, sales_db, "sales")
 
-    def test_monotone_having_makes_all_attributes_safe(self, sales_db):
+    def test_a_sum_having_restricts_to_group_attributes(self, sales_db):
         plan = sales_db.plan(Q_TOP)
-        # SUM(...) > c is monotone, so even non-group attributes are safe.
-        assert "price" in safe_attributes(plan, sales_db, "sales")
+        # SUM(...) > c gates the aggregation like any other HAVING: a group
+        # that loses a negative or NaN summand can pass it.
+        assert safe_attributes(plan, sales_db, "sales") == {"brand"}
+
+    def test_an_unfiltered_aggregation_allows_everything(self, sales_db):
+        plan = sales_db.plan("SELECT brand, sum(price) AS s FROM sales GROUP BY brand")
+        safe = safe_attributes(plan, sales_db, "sales")
+        assert safe == {"sid", "brand", "productname", "price", "numsold"}
 
     def test_non_monotone_having_restricts_to_group_attributes(self, sales_db):
         plan = sales_db.plan(
@@ -318,3 +326,101 @@ class TestAttributeSelection:
         )
         partition = build_database_partition(join_db, plan, 6)
         assert "r" in partition.tables()
+
+
+STRATEGIES = pytest.mark.parametrize(
+    "strategy", [LazyStrategy, lambda: EagerStrategy(batch_size=1)], ids=["lazy", "eager"]
+)
+
+
+class TestFilteredAggregationsKeepGroupsWhole:
+    """An aggregation that something above filters or ranks needs a partition
+    that keeps its groups whole.  Partitioned on ``id``, a sketch keeps the
+    fragment of ``y``'s row, which also holds part of ``x``'s group, and ``x``
+    can pass on that part while it fails on the whole group.  Here ``g`` is
+    text, so ``r`` is not partitioned and the sketch-answered result is the
+    full query's."""
+
+    @staticmethod
+    def _check(system: IMPSystem, sql: str) -> None:
+        expected = repr(system.database.query(sql).to_sorted_list())
+        for _ in range(2):  # captures, then answers with the sketch
+            assert repr(system.run_query(sql).to_sorted_list()) == expected
+
+    @staticmethod
+    def _signed(last_b: float) -> Database:
+        database = Database()
+        database.create_table("r", ["id", "g", "b"], primary_key="id")
+        database.insert(
+            "r",
+            [(1, "x", 5.0), (2, "y", 1.0)]
+            + [(i, "z%d" % i, -1.0) for i in range(3, 100)]
+            + [(100, "x", last_b)],
+        )
+        return database
+
+    @STRATEGIES
+    @pytest.mark.parametrize(
+        "aggregate, last_b",
+        [("sum", -10.0), ("sum", math.nan), ("sum", -math.inf), ("max", math.nan)],
+        ids=["sum-negative", "sum-nan", "sum-minus-inf", "max-nan"],
+    )
+    def test_a_having_that_fewer_rows_can_pass(self, strategy, aggregate, last_b):
+        # Fewer rows raise a sum over signed values and lower a max whose
+        # column holds NaN: the full query drops x, a sketch on id kept it.
+        sql = f"SELECT g, {aggregate}(b) AS s FROM r GROUP BY g HAVING {aggregate}(b) > 0"
+        system = IMPSystem(self._signed(last_b), num_fragments=10, strategy=strategy())
+        self._check(system, sql)
+        assert system.database.query(sql).to_sorted_list() == [("y", 1.0)]
+
+    @STRATEGIES
+    def test_a_negative_summand_inserted_after_capture(self, strategy):
+        sql = "SELECT g, sum(b) AS s FROM r GROUP BY g HAVING sum(b) > 0"
+        database = Database()
+        database.create_table("r", ["id", "g", "b"], primary_key="id")
+        database.insert(
+            "r", [(1, "x", 5.0), (2, "y", 1.0)] + [(i, "z%d" % i, 0.0) for i in range(3, 100)]
+        )
+        system = IMPSystem(database, num_fragments=10, strategy=strategy())
+        self._check(system, sql)
+        system.apply_update("r", inserts=[(100, "x", -10.0)])
+        self._check(system, sql)
+        assert database.query(sql).to_sorted_list() == [("y", 1.0)]
+
+    @staticmethod
+    def _averages() -> Database:
+        database = Database()
+        database.create_table("r", ["id", "g", "b"], primary_key="id")
+        database.insert(
+            "r",
+            [(1, "x", 1.0), (2, "y", 1.0)]
+            + [(i, "z%d" % i, 9.0) for i in range(3, 100)]
+            + [(100, "x", 9.0)],
+        )
+        database.create_table("u", ["k", "g"])
+        database.insert("u", [(1, "x"), (2, "y")])
+        return database
+
+    @STRATEGIES
+    def test_a_having_inside_a_subquery_under_an_aggregation(self, strategy):
+        sql = (
+            "SELECT count(*) AS n FROM "
+            "(SELECT g, avg(b) AS ab FROM r GROUP BY g HAVING avg(b) < 3) s"
+        )
+        system = IMPSystem(self._averages(), num_fragments=10, strategy=strategy())
+        self._check(system, sql)
+        assert system.database.query(sql).to_sorted_list() == [(1,)]
+
+    @STRATEGIES
+    def test_a_where_over_a_subquery_aggregate_above_a_join(self, strategy):
+        sql = (
+            "SELECT t.g, t.ab FROM (SELECT g, avg(b) AS ab FROM r GROUP BY g) t "
+            "JOIN u ON t.g = u.g WHERE t.ab < 3"
+        )
+        system = IMPSystem(self._averages(), num_fragments=10, strategy=strategy())
+        self._check(system, sql)
+        assert system.database.query(sql).to_sorted_list() == [("y", 1.0)]
+        # u lies under no gate, so it keeps a sketch; r is not partitioned.
+        assert system.statistics.sketch_hits == 2
+        (entry,) = system.store.entries()
+        assert entry.partition.tables() == ["u"]

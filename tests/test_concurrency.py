@@ -739,10 +739,15 @@ def test_summary_waits_for_a_round_in_flight(monkeypatch):
 
 def commit_states(database: Database, batches, sql: str) -> set[tuple]:
     """The oracle's answers to ``sql`` at every version ``batches`` take
-    ``database`` through, the version before them included."""
+    ``database`` through, the version before them included.  A batch with
+    deletes commits twice (``apply_batch``), and a reader can answer between
+    the two, so the version after its delete commit is one of them."""
     states = {tuple(oracle(database, sql).to_sorted_list())}
-    for batch in batches:
-        apply_batch(database, batch)
+    for inserts, deletes in batches:
+        if deletes:
+            database.delete_rows("r", deletes)
+            states.add(tuple(oracle(database, sql).to_sorted_list()))
+        database.insert("r", inserts)
         states.add(tuple(oracle(database, sql).to_sorted_list()))
     return states
 
