@@ -160,9 +160,11 @@ class NoSketchSystem(WorkloadSystem):
 
     def run_query(self, sql: str) -> Relation:
         started = time.perf_counter()
-        # Under the write lock so multi-table plans read one committed state.
+        # Under the write lock so multi-table plans read one committed state,
+        # the version the answer names.
         with self.database.lock:
             result = self.database.query(sql)
+            result.version = self.database.version
         with self._statistics_lock:
             self.statistics.queries += 1
             self.statistics.query_seconds += time.perf_counter() - started
@@ -215,8 +217,8 @@ class SketchBasedSystem(WorkloadSystem):
         template is looked up (and captured on a miss), and the query is
         answered from the sketch or without one.  A sketch's skip ranges are
         sound only at the version it was maintained to, so no commit may
-        land between maintaining and evaluating; snapshot sessions never
-        touch these locks."""
+        land between maintaining and evaluating; the answer's ``version`` is
+        that one version.  Snapshot sessions never touch these locks."""
         started = time.perf_counter()
         try:
             with self.scheduler.round_lock, self.database.lock:
@@ -234,13 +236,15 @@ class SketchBasedSystem(WorkloadSystem):
                     result = self._answer_with_sketch(entry)
                     with self._statistics_lock:
                         self.statistics.sketch_hits += 1
-                    return result
-                # No usable sketch (no safe sketch attribute, unsupported
-                # operator or other constants): answer the query without
-                # provenance-based data skipping.
-                with self._statistics_lock:
-                    self.statistics.fallback_queries += 1
-                return self.database.query(plan)
+                else:
+                    # No usable sketch (no safe sketch attribute, unsupported
+                    # operator or other constants): answer the query without
+                    # provenance-based data skipping.
+                    with self._statistics_lock:
+                        self.statistics.fallback_queries += 1
+                    result = self.database.query(plan)
+                result.version = self.database.version
+                return result
         finally:
             with self._statistics_lock:
                 self.statistics.queries += 1

@@ -122,9 +122,13 @@ class Relation:
     always positive; adding a row with multiplicity zero is a no-op and
     negative multiplicities are rejected (deltas use explicit +/- tags instead,
     see :mod:`repro.storage.delta`).
+
+    ``version`` names the database version an answer was computed at, where
+    its producer knows it: a sketch-based or no-sketch system's answer, and a
+    session's (its pin).  It is None otherwise, and ``==`` ignores it.
     """
 
-    __slots__ = ("schema", "_rows")
+    __slots__ = ("schema", "_rows", "version")
 
     def __init__(
         self,
@@ -133,6 +137,7 @@ class Relation:
     ) -> None:
         self.schema = schema
         self._rows: dict[Row, int] = {}
+        self.version: int | None = None
         if rows is None:
             return
         if isinstance(rows, Mapping):

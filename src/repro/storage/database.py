@@ -19,7 +19,7 @@ import bisect
 import functools
 import threading
 import weakref
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from operator import attrgetter
 
 from repro.core.errors import StorageError
@@ -38,7 +38,7 @@ from repro.storage.delta import DatabaseDelta, Delta
 from repro.storage.recovery import DurabilityManager, RecoveryReport
 from repro.storage.sessions import Session, SessionRegistry
 from repro.storage.snapshots import AuditLog, AuditRecord
-from repro.storage.statistics import ColumnStatistics, ColumnSummaries, expand_multiplicities
+from repro.storage.statistics import ColumnStatistics, ColumnSummaries
 from repro.storage.table import Catalog, StoredTable, canonical_items
 from repro.storage.wal import FSYNC_ALWAYS, FileFactory
 
@@ -650,8 +650,11 @@ class Database:
         (:class:`~repro.relational.oracle.RowEvaluator`, row-at-a-time
         operators; with ``optimize_plans=False`` on the literal plan shape)
         that the engine is compared against.  The two keyword arguments have
-        two callers, ``tests/reference.py`` (``oracle`` and ``engine``) and
-        ``bench/run.py::verify``; nothing else should pass them.
+        four callers: ``tests/reference.py`` (``oracle`` and ``engine``),
+        ``bench/run.py::verify``, and the two figures that time the engine
+        against the oracle, ``benchmarks/test_fig21_optimizer.py`` and
+        ``benchmarks/test_fig22_vectorized.py``; nothing else should pass
+        them.  No lock is held, so the answer names no ``version``.
         """
         plan = self.plan(query) if isinstance(query, str) else query
         if vectorize:
@@ -710,10 +713,10 @@ class Database:
 
     # -- statistics ---------------------------------------------------------------------------
 
-    def _column(self, table: str, attribute: str) -> list[object]:
-        """The values of ``table.attribute``, each repeated by its row's multiplicity."""
+    def _column(self, table: str, attribute: str) -> tuple[list[object], Collection[int]]:
+        """``table.attribute`` of every distinct row, and the rows' multiplicities."""
         stored = self.table(table)
-        return expand_multiplicities(*stored.column(stored.schema.index_of(attribute)))
+        return stored.column(stored.schema.index_of(attribute))
 
     def column_statistics(self, table: str, attribute: str) -> ColumnStatistics:
         """Summary statistics for one column.

@@ -43,7 +43,7 @@ from repro.core.errors import StorageError
 from repro.relational.algebra import PlanNode
 from repro.relational.evaluator import Evaluator
 from repro.relational.schema import Relation, Row, Schema
-from repro.storage.statistics import ColumnStatistics, ColumnSummaries, expand_multiplicities
+from repro.storage.statistics import ColumnStatistics, ColumnSummaries
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.relational.columnar import ColumnBatch
@@ -153,11 +153,10 @@ class SnapshotView:
 
     # -- duck-typed statistics interface (plan optimizer) --------------------------
 
-    def _column(self, table: str, attribute: str) -> list[object]:
-        """Every value of the snapshot column, repeated by its multiplicity."""
+    def _column(self, table: str, attribute: str) -> tuple[list[object], list[int]]:
+        """The snapshot column of every batch entry, and their multiplicities."""
         batch = self._batch(table)
-        column = batch.columns[batch.schema.index_of(attribute)]
-        return expand_multiplicities(column, batch.multiplicities)
+        return batch.columns[batch.schema.index_of(attribute)], batch.multiplicities
 
     def row_count(self, table: str) -> int:
         """Snapshot row count of ``table`` (duplicates included).
@@ -272,7 +271,7 @@ class Session:
         Accepts SQL text or a logical plan, like
         :meth:`Database.query`, but every base-table read comes from the
         immutable snapshot -- concurrent commits are invisible until
-        :meth:`refresh`.
+        :meth:`refresh`.  The answer's ``version`` is the pin.
         """
         self._check_open()
         started = time.perf_counter()
@@ -288,6 +287,7 @@ class Session:
         else:
             plan = query
         result = evaluator.evaluate(plan)
+        result.version = self._view.version
         self.statistics.queries += 1
         self.statistics.query_seconds += time.perf_counter() - started
         return result

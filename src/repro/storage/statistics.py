@@ -11,8 +11,13 @@ have no place in an order, so neither bounds nor minimum/maximum see them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from operator import is_not
 
 
 @dataclass(frozen=True)
@@ -27,25 +32,20 @@ class ColumnStatistics:
     maximum: object | None
 
 
-def expand_multiplicities(
-    values: Sequence[object], multiplicities: Collection[int]
-) -> list[object]:
-    """A bag column as a list: each value repeated by its (positive)
-    multiplicity, in order (NULL and NaN included)."""
-    if sum(multiplicities) == len(multiplicities):  # every multiplicity is 1
-        return list(values)
-    return [value for value, count in zip(values, multiplicities) for _ in range(count)]
-
-
-def collect_column_statistics(attribute: str, values: Sequence[object]) -> ColumnStatistics:
-    """Compute :class:`ColumnStatistics` for a column's values (the
-    minimum and maximum of its orderable ones: NaN is skipped like NULL, and
-    a column holding values that do not compare, such as ``1`` and ``'x'``,
-    has neither)."""
+def collect_column_statistics(
+    attribute: str, values: Sequence[object], counts: Collection[int]
+) -> ColumnStatistics:
+    """Compute :class:`ColumnStatistics` for a bag column: the value of each
+    distinct row and, in the same order, its (positive) multiplicity.  The
+    minimum and maximum are those of its orderable values: NaN is skipped like
+    NULL, and a column holding values that do not compare, such as ``1`` and
+    ``'x'``, has neither."""
     distinct = set(values)
-    # The distinct values tell whether NULL is there; a column without it is
-    # used as it is.
-    non_null = values if None not in distinct else [v for v in values if v is not None]
+    null_count = 0
+    non_null = values
+    if None in distinct:
+        null_count = sum(count for value, count in zip(values, counts) if value is None)
+        non_null = [value for value in values if value is not None]
     # NaN compares false, so min and max pass over it -- unless they start
     # from it, as the first value.
     ordered = non_null
@@ -59,16 +59,19 @@ def collect_column_statistics(attribute: str, values: Sequence[object]) -> Colum
             pass
     return ColumnStatistics(
         attribute=attribute,
-        row_count=len(values),
-        null_count=len(values) - len(non_null),
+        row_count=sum(counts),
+        null_count=null_count,
         distinct_count=len(distinct) - (None in distinct),
         minimum=minimum,
         maximum=maximum,
     )
 
 
-def equi_depth_boundaries(values: Sequence[object], num_buckets: int) -> list[float]:
-    """Boundaries of an equi-depth histogram with ``num_buckets`` buckets.
+def equi_depth_boundaries(
+    values: Sequence[object], counts: Collection[int], num_buckets: int
+) -> list[float]:
+    """Boundaries of an equi-depth histogram with ``num_buckets`` buckets over
+    a bag column: the value of each distinct row and its multiplicity.
 
     Returns ``num_buckets + 1`` increasing boundary values where each adjacent
     pair delimits a bucket containing roughly the same number of values.
@@ -76,29 +79,30 @@ def equi_depth_boundaries(values: Sequence[object], num_buckets: int) -> list[fl
     may contain fewer buckets than requested (matching how DBMS statistics
     behave on skewed data).  NULL and NaN are skipped: no order places them;
     every other value is read as a float.
+
+    The boundaries are those of the sorted column with every value repeated
+    by its count, picked from the sorted distinct floats by their running
+    counts.  Equal floats are one key under the first spelling the column
+    holds, so a zero boundary keeps the sign of the column's first zero.
     """
     if num_buckets <= 0:
         raise ValueError("num_buckets must be positive")
-    try:
-        data = list(map(float, values))
-    except TypeError:  # a NULL: skip it, and NaN, value by value
-        data = [float(value) for value in values if value is not None and value == value]
-    else:
-        # A float sum is NaN exactly when a NaN (or both infinities) is summed.
-        total = sum(data)
-        if total != total:
-            data = [value for value in data if value == value]
-    data.sort()
-    if not data:
+    weights = _float_counts(values, counts)
+    for value in [value for value in weights if value != value]:
+        del weights[value]  # NaN
+    if not weights:
         raise ValueError("cannot build a histogram over an empty column")
-    boundaries = [data[0]]
+    keys = sorted(weights)
+    ends = list(accumulate(map(weights.__getitem__, keys)))
+    size = ends[-1]
+    boundaries = [keys[0]]
     for bucket in range(1, num_buckets):
-        index = min(len(data) - 1, round(bucket * len(data) / num_buckets))
-        candidate = data[index]
+        index = min(size - 1, round(bucket * size / num_buckets))
+        candidate = keys[bisect_right(ends, index)]
         if candidate > boundaries[-1]:
             boundaries.append(candidate)
-    if data[-1] > boundaries[-1]:
-        boundaries.append(data[-1])
+    if keys[-1] > boundaries[-1]:
+        boundaries.append(keys[-1])
     elif len(boundaries) == 1:
         # A single distinct value still needs two boundaries to delimit one
         # (zero-width) bucket.  For every other input the maximum is already
@@ -108,25 +112,37 @@ def equi_depth_boundaries(values: Sequence[object], num_buckets: int) -> list[fl
     return boundaries
 
 
+def _float_counts(values: Sequence[object], counts: Collection[int]) -> Counter:
+    """Each value but NULL read as a float, with the rows holding it."""
+    if sum(counts) == len(counts):  # every count is 1
+        return Counter(map(float, filter(partial(is_not, None), values)))
+    weights: Counter = Counter()
+    for value, count in zip(values, counts):
+        if value is not None:
+            weights[float(value)] += count
+    return weights
+
+
 class ColumnSummaries(dict):
     """A memo of the column statistics and equi-depth boundaries of one
     state of some tables, each computed on first request; ``clear()`` forgets
-    them.  ``column(table, attribute)`` reads a column's values, each
-    repeated by its multiplicity; tables are named in lower case."""
+    them.  ``column(table, attribute)`` reads a column as the value of each
+    distinct row and the rows' multiplicities; tables are named in lower
+    case."""
 
     def column_statistics(
-        self, column: Callable[[str, str], list], table: str, attribute: str
+        self, column: Callable[[str, str], tuple], table: str, attribute: str
     ) -> ColumnStatistics:
         key = (table, attribute)
         if key not in self:
-            self[key] = collect_column_statistics(attribute, column(table, attribute))
+            self[key] = collect_column_statistics(attribute, *column(table, attribute))
         return self[key]
 
     def equi_depth_ranges(
-        self, column: Callable[[str, str], list], table: str, attribute: str, num_buckets: int
+        self, column: Callable[[str, str], tuple], table: str, attribute: str, num_buckets: int
     ) -> list[float]:
         """A copy of the boundaries, so callers cannot corrupt the memo."""
         key = (table, attribute, num_buckets)
         if key not in self:
-            self[key] = equi_depth_boundaries(column(table, attribute), num_buckets)
+            self[key] = equi_depth_boundaries(*column(table, attribute), num_buckets)
         return list(self[key])

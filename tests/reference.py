@@ -9,7 +9,11 @@ entry and over a whole generated column.
 Whole queries: :func:`oracle` is the one entry point to the reference oracle
 -- the literal (or optimized) plan on ``repro.relational.oracle.RowEvaluator``,
 the row-at-a-time module the engine never imports -- and :func:`engine` the
-one to the batch pipeline on either plan.  :func:`assert_matches_oracle`
+one to the batch pipeline on either plan.  Concurrent answers name the
+version they were computed at and are held to the oracle there:
+:func:`oracle_at` reads a version as a session pinned there does, and
+:class:`VersionRecorder` records the live oracle's answers right after each
+commit a writer makes.  :func:`assert_matches_oracle`
 compares the two by ``repr`` (entry order, value types, NaN and float low
 bits) over a plan and the consumers whose answer hangs on its entry order;
 :func:`tables` draws the two tables ``t(id, g, h, v)`` and ``u(k, l, w)``
@@ -51,7 +55,7 @@ from typing import Any
 import pytest
 from hypothesis import strategies as st
 
-from repro.core.errors import IMPError, PlanError
+from repro.core.errors import IMPError, PlanError, StorageError
 from repro.imp.annotated import AnnotatedDelta
 from repro.imp.engine import IMPConfig, compile_plan
 from repro.imp.middleware import IMPSystem, NoSketchSystem
@@ -82,12 +86,13 @@ from repro.relational.expressions import (
     LogicalOp,
     Not,
 )
-from repro.relational.oracle import compute_aggregate, interpret
+from repro.relational.oracle import RowEvaluator, compute_aggregate, interpret
 from repro.relational.schema import Relation, Row, Schema
 from repro.sketch.ranges import DatabasePartition, RangePartition
 from repro.sketch.sketch import ProvenanceSketch
 from repro.sketch.use import instrument_plan
 from repro.storage.database import Database
+from repro.storage.sessions import SnapshotView
 
 
 def checked_value(expression: Expression, row: Row, schema: Schema) -> Any:
@@ -126,6 +131,46 @@ def engine(database, query, optimize: bool = True) -> Relation:
     """The engine's answer: the batch pipeline on the optimized plan, or on
     the literal one."""
     return database.query(query, optimize_plans=optimize)
+
+
+def oracle_at(database, version: int, sql: str) -> Relation:
+    """The reference answer of ``sql`` at ``version``, as a session pinned
+    there reads it: the literal plan of that version's catalog on the row
+    oracle over the snapshot, whose batches are in content order."""
+    plan, _template = database.translation_at(version, sql)
+    return RowEvaluator(SnapshotView(database, version), False).evaluate(plan)
+
+
+class VersionRecorder:
+    """The live oracle's answers to ``texts`` at every version a writer makes.
+
+    ``commit(operation)`` runs one commit or DDL change under
+    ``database.lock`` and records the answers right after it, keyed by the
+    new version (``at[version][sql]``; None where the version lacks a table
+    the text names); the version current at construction is recorded too.
+    An answer that names its version (``Relation.version``) is checked
+    against ``at[answer.version]``: the live state at that version, whose
+    batches are in arrival order like the live answer's."""
+
+    def __init__(self, database, texts) -> None:
+        self.database = database
+        self.texts = list(texts)
+        self.at: dict[int, dict[str, Relation | None]] = {}
+        self.commit(lambda: None)
+
+    def commit(self, operation):
+        with self.database.lock:
+            result = operation()
+            self.at[self.database.version] = {sql: self._answer(sql) for sql in self.texts}
+        return result
+
+    def _answer(self, sql: str) -> Relation | None:
+        try:
+            return oracle(self.database, sql)
+        except StorageError as error:
+            if "unknown table" not in str(error):
+                raise
+            return None
 
 
 class Without:

@@ -3,18 +3,22 @@
 The serving layer's claim is that concurrency is *invisible*: N reader
 sessions at pinned snapshots, a writer committing under the write lock and
 background sketch maintenance must together produce exactly the states a
-serial execution of the same operations produces.  These tests verify the
-claim two ways:
+serial execution of the same operations produces.  Every answer names the
+version it was computed at (``Relation.version``), so each one is checked
+against the reference oracle at that version, with no serial replay:
 
 * **Deterministic interleavings** -- real threads stepped one operation at a
   time by a :class:`TurnScheduler` whose schedule comes from a seeded RNG.
-  Every operation appends to a global log; afterwards the log is replayed
-  serially on a fresh database and every pinned-snapshot query result and
-  every maintained sketch must be bit-identical.  Runs across >= 3 seeds
-  (and a Hypothesis fuzz variant generates random schedules and op mixes).
-* **Free-running stress** -- unstepped threads race for real; snapshot
-  stability, final-state convergence and exact counter accounting are
-  asserted where determinism survives true parallelism.
+  Every session read equals ``oracle_at`` its pin, and after every
+  maintenance round every sketch equals a fresh capture at the version it
+  was maintained to.  Runs across >= 3 seeds (and a Hypothesis fuzz variant
+  generates random schedules and op mixes).
+* **Free-running stress** -- unstepped threads race for real.  A session
+  answer equals the oracle at its pin; a live answer equals the oracle's
+  answer that a :class:`~tests.reference.VersionRecorder` recorded right
+  after the writer's commit that made its version.  Snapshot stability,
+  final-state convergence and exact counter accounting are asserted where
+  determinism survives true parallelism.
 """
 
 from __future__ import annotations
@@ -27,13 +31,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import StorageError
+from repro.imp.engine import capture_sketch
 from repro.imp.maintenance import IncrementalMaintainer
 from repro.imp.middleware import IMPSystem
 from repro.imp.sketch_store import SketchStore
 from repro.storage.database import Database
 from repro.storage.table import StoredTable
 from repro.workloads.synthetic import load_synthetic
-from tests.reference import oracle
+from tests.reference import VersionRecorder, oracle, oracle_at
 
 # --------------------------------------------------------------------------------------
 # The barrier-stepped scheduler
@@ -48,8 +53,8 @@ class TurnScheduler:
     blocks on the condition variable.  Turns granted to finished workers are
     skipped, and workers with operations left after the schedule runs out
     drain in ascending worker-id order -- so the *total* operation order is a
-    pure function of (schedule, per-worker scripts), which is what makes the
-    differential replay exact.
+    pure function of (schedule, per-worker scripts), and while one worker
+    checks its operation's outcome nothing else moves.
     """
 
     def __init__(self, schedule: list[int], workers: list[int]) -> None:
@@ -136,22 +141,6 @@ QUERIES = [
 CAPTURE_QUERIES = QUERIES[:2]
 
 
-def sketch_fingerprint(sketch):
-    """Content identity of a sketch across databases.
-
-    ``ProvenanceSketch.__eq__`` requires partition *object* identity (sound
-    within one store); the differential compares sketches from two separate
-    runs, so it fingerprints the partition boundaries plus the fragment bits.
-    """
-    if sketch is None:
-        return None
-    ranges = tuple(
-        (p.table, p.attribute, tuple(p.boundaries))
-        for p in sketch.partition
-    )
-    return (ranges, tuple(sorted(sketch.fragment_ids())))
-
-
 def make_database(num_rows: int = 400, num_groups: int = 12, seed: int = 9):
     database = Database()
     table = load_synthetic(
@@ -161,7 +150,7 @@ def make_database(num_rows: int = 400, num_groups: int = 12, seed: int = 9):
 
 
 def make_batches(table, rng, count: int):
-    """Precompute commit batches (shared by the concurrent and serial runs)."""
+    """Precompute commit batches: inserts, and every third batch deletes."""
     batches = []
     for index in range(count):
         if index % 3 == 2:
@@ -173,11 +162,24 @@ def make_batches(table, rng, count: int):
     return batches
 
 
-def apply_batch(database: Database, batch) -> int:
+def apply_batch(database: Database, batch, commit=lambda operation: operation()) -> None:
+    """Commit ``batch``'s deletes, if any, then its inserts: two commits,
+    each made through ``commit`` (a :class:`VersionRecorder`'s records it)."""
     inserts, deletes = batch
     if deletes:
-        database.delete_rows("r", deletes)
-    return database.insert("r", inserts)
+        commit(lambda: database.delete_rows("r", deletes))
+    commit(lambda: database.insert("r", inserts))
+
+
+def assert_sketches_fresh(system: IMPSystem) -> None:
+    """Every entry is maintained to the current version, and its sketch is
+    the one a fresh capture takes there."""
+    database = system.database
+    for entry in system.store.entries():
+        assert entry.valid_at_version == database.version, entry.sql
+        assert entry.sketch == capture_sketch(entry.plan, entry.partition, database), (
+            f"sketch {entry.sql!r} diverged at version {database.version}"
+        )
 
 
 def make_system(database: Database) -> IMPSystem:
@@ -201,18 +203,15 @@ def reader_script(rng, num_queries: int) -> list[str]:
 
 
 # --------------------------------------------------------------------------------------
-# Concurrent execution + serial replay
+# Stepped execution, every answer checked at its version
 # --------------------------------------------------------------------------------------
 
 
-def run_interleaved(seed: int, num_readers: int = 2, num_commits: int = 6):
-    """Execute one seeded interleaving; return the global operation log.
-
-    Log entries (in deterministic total order):
-      ("commit", batch_index, produced_version)
-      ("read", reader, pinned_version, query_index, sorted_rows)
-      ("maintain", target_version, ((sql, valid_at, sketch), ...))
-    """
+def run_interleaved(seed: int, num_readers: int = 2, num_commits: int = 6) -> None:
+    """Execute one seeded interleaving, checking each outcome as it happens:
+    every session read equals ``oracle_at`` its pin, and after every round
+    the sketches are fresh (:func:`assert_sketches_fresh`) -- the stepped
+    scheduler holds every other worker while one checks."""
     import random
 
     rng = random.Random(seed)
@@ -232,7 +231,8 @@ def run_interleaved(seed: int, num_readers: int = 2, num_commits: int = 6):
     total_ops = sum(len(s) for s in scripts.values()) + num_commits + num_rounds
     schedule = rng.choices(workers, weights=weights, k=total_ops * 2)
 
-    log: list[tuple] = []
+    num_reads = sum(op.startswith("query") for script in scripts.values() for op in script)
+    reads: list[int] = []
     sessions: dict[int, object] = {}
 
     def reader_step(reader: int):
@@ -247,31 +247,27 @@ def run_interleaved(seed: int, num_readers: int = 2, num_commits: int = 6):
             elif op == "close":
                 sessions[reader].close()
             else:
-                query_index = int(op.split(":")[1])
-                session = sessions[reader]
-                rows = tuple(session.query(QUERIES[query_index]).to_sorted_list())
-                log.append(("read", reader, session.pinned_version, query_index, rows))
+                session, sql = sessions[reader], QUERIES[int(op.split(":")[1])]
+                answer = session.query(sql)
+                assert answer.version == session.pinned_version
+                assert answer == oracle_at(database, answer.version, sql), (
+                    f"snapshot read diverged: reader {reader} at version "
+                    f"{answer.version}, {sql}"
+                )
+                reads.append(answer.version)
             return bool(script)
 
         return step
 
-    pending_batches = list(range(num_commits))
-
     def writer_step() -> bool:
-        index = pending_batches.pop(0)
-        version = apply_batch(database, batches[index])
-        log.append(("commit", index, version))
-        return bool(pending_batches)
+        apply_batch(database, batches.pop(0))
+        return bool(batches)
 
     rounds_left = [num_rounds]
 
     def maintenance_step() -> bool:
         system.scheduler.run_round()
-        snapshot = tuple(
-            (entry.sql, entry.valid_at_version, sketch_fingerprint(entry.sketch))
-            for entry in system.store.entries()
-        )
-        log.append(("maintain", database.version, snapshot))
+        assert_sketches_fresh(system)
         rounds_left[0] -= 1
         return rounds_left[0] > 0
 
@@ -284,52 +280,14 @@ def run_interleaved(seed: int, num_readers: int = 2, num_commits: int = 6):
     for session in sessions.values():
         if not session.is_closed:
             session.close()
-    assert len(log) >= num_commits + num_rounds
-    return log, batches
-
-
-def replay_serially(log, batches) -> None:
-    """Re-execute the logged operation order single-threaded and assert every
-    read and every sketch is bit-identical to the concurrent run."""
-    database, _table = make_database()
-    system = make_system(database)
-
-    for entry in log:
-        kind = entry[0]
-        if kind == "commit":
-            _, index, version = entry
-            assert apply_batch(database, batches[index]) == version
-        elif kind == "read":
-            _, reader, pinned, query_index, rows = entry
-            with database.connect(name=f"replay-{reader}") as session:
-                session.refresh(pinned)
-                replayed = tuple(session.query(QUERIES[query_index]).to_sorted_list())
-            assert replayed == rows, (
-                f"snapshot read diverged: reader {reader} at version {pinned}, "
-                f"query {query_index}"
-            )
-        else:
-            _, target, sketches = entry
-            assert database.version == target
-            system.scheduler.run_round()
-            replayed = tuple(
-                (e.sql, e.valid_at_version, sketch_fingerprint(e.sketch))
-                for e in system.store.entries()
-            )
-            for (sql_a, at_a, sketch_a), (sql_b, at_b, sketch_b) in zip(
-                replayed, sketches
-            ):
-                assert sql_a == sql_b
-                assert at_a == at_b, f"sketch {sql_a!r} maintained to {at_b}, replay {at_a}"
-                assert sketch_a == sketch_b, f"sketch {sql_a!r} diverged at version {at_a}"
+    assert (len(reads), batches, rounds_left) == (num_reads, [], [0])
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47])
-def test_interleaved_execution_matches_serial_replay(seed):
-    """Pinned-snapshot reads and maintained sketches are bit-identical to a
-    serial replay of the same total operation order, across seeds."""
-    log, batches = run_interleaved(seed)
-    replay_serially(log, batches)
+def test_interleaved_reads_and_sketches_match_the_oracle_at_their_version(seed):
+    """Pinned-snapshot reads equal the oracle at their pin, and maintained
+    sketches a fresh capture, in seeded interleavings."""
+    run_interleaved(seed)
 
 
 @settings(
@@ -342,12 +300,9 @@ def test_interleaved_execution_matches_serial_replay(seed):
     num_readers=st.integers(min_value=1, max_value=3),
     num_commits=st.integers(min_value=1, max_value=8),
 )
-def test_fuzzed_schedules_match_serial_replay(seed, num_readers, num_commits):
+def test_fuzzed_schedules_match_the_oracle_at_their_version(seed, num_readers, num_commits):
     """Hypothesis sweep over random query/update/maintenance schedules."""
-    log, batches = run_interleaved(
-        seed, num_readers=num_readers, num_commits=num_commits
-    )
-    replay_serially(log, batches)
+    run_interleaved(seed, num_readers=num_readers, num_commits=num_commits)
 
 
 # --------------------------------------------------------------------------------------
@@ -356,9 +311,9 @@ def test_fuzzed_schedules_match_serial_replay(seed, num_readers, num_commits):
 
 
 def test_free_running_readers_see_stable_snapshots():
-    """Unstepped readers, writer and background maintenance: every pinned
-    read stays identical to its first answer, and after the final drain the
-    sketches equal a serial maintenance of the full history."""
+    """Unstepped readers, writer and background maintenance: every read of
+    a pinned session equals the oracle at its pin, and after the final drain
+    every sketch equals a fresh capture."""
     import random
 
     database, table = make_database(num_rows=600, num_groups=15)
@@ -373,15 +328,13 @@ def test_free_running_readers_see_stable_snapshots():
 
     def reader(slot: int) -> None:
         with database.connect(name=f"stress-{slot}") as session:
-            baselines = {
-                sql: tuple(session.query(sql).to_sorted_list()) for sql in QUERIES
-            }
+            version = session.pinned_version
+            expected = {sql: oracle_at(database, version, sql) for sql in QUERIES}
             while not stop.is_set():
-                for sql, baseline in baselines.items():
-                    if tuple(session.query(sql).to_sorted_list()) != baseline:
-                        violations.append(
-                            f"reader {slot} at {session.pinned_version}: {sql}"
-                        )
+                for sql, reference in expected.items():
+                    answer = session.query(sql)
+                    if answer != reference or answer.version != version:
+                        violations.append(f"reader {slot} at {version}: {sql}")
 
     threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(3)]
     system.start_background_maintenance(interval=0.002)
@@ -395,19 +348,7 @@ def test_free_running_readers_see_stable_snapshots():
     assert not any(thread.is_alive() for thread in threads)
     system.stop_background_maintenance(drain=True)
     assert violations == []
-
-    # Differential: serial system fed the same commits, maintained once.
-    serial_db, _ = make_database(num_rows=600, num_groups=15)
-    serial = make_system(serial_db)
-    for batch in commit_batches:
-        apply_batch(serial_db, batch)
-    serial.scheduler.run_round()
-    concurrent_sketches = {
-        e.sql: sketch_fingerprint(e.sketch) for e in system.store.entries()
-    }
-    for entry in serial.store.entries():
-        assert concurrent_sketches[entry.sql] == sketch_fingerprint(entry.sketch)
-        assert concurrent_sketches[entry.sql] is not None
+    assert_sketches_fresh(system)
 
 
 def test_a_materialized_snapshot_is_read_without_the_write_lock():
@@ -519,34 +460,23 @@ def test_sessions_racing_drop_and_recreate_answer_from_their_pins():
     other columns and refills it: every session answers each repeat of its
     query with the schema and rows of the version it pinned (``t`` missing
     there is an unknown table)."""
+    sql = "SELECT * FROM t"
     database = Database()
-    expected: dict[int, tuple | None] = {}
-
-    def state() -> tuple | None:
-        if not database.has_table("t"):
-            return None
-        answer = database.query("SELECT * FROM t")
-        return answer.schema.attributes, tuple(answer.to_sorted_list())
-
-    def commit(operation) -> None:
-        with database.lock:
-            operation()
-            expected[database.version] = state()
-
+    recorder = VersionRecorder(database, [sql])
+    commit = recorder.commit
     columns, rows = generation_table(0)
     commit(lambda: database.create_table("t", columns))
     commit(lambda: database.insert("t", rows))
     done = threading.Event()
-    answers: list[tuple[int, tuple | None]] = []
+    answers: list[tuple[int, object]] = []
     errors: list[BaseException] = []
 
-    def answer(session) -> tuple | None:
+    def answer(session):
         try:
-            relation = session.query("SELECT * FROM t")
+            return session.query(sql)
         except StorageError as exc:
             assert "unknown table" in str(exc)
             return None
-        return relation.schema.attributes, tuple(relation.to_sorted_list())
 
     def reader() -> None:
         try:
@@ -586,7 +516,7 @@ def test_sessions_racing_drop_and_recreate_answer_from_their_pins():
     assert errors == []
     assert answers
     for version, first in answers:
-        assert first == expected[version], version
+        assert first == recorder.at[version][sql], version
 
 
 def test_refresh_below_audit_floor_is_rejected():
@@ -737,55 +667,52 @@ def test_summary_waits_for_a_round_in_flight(monkeypatch):
     assert summary == system.summary()
 
 
-def commit_states(database: Database, batches, sql: str) -> set[tuple]:
-    """The oracle's answers to ``sql`` at every version ``batches`` take
-    ``database`` through, the version before them included.  A batch with
-    deletes commits twice (``apply_batch``), and a reader can answer between
-    the two, so the version after its delete commit is one of them."""
-    states = {tuple(oracle(database, sql).to_sorted_list())}
-    for inserts, deletes in batches:
-        if deletes:
-            database.delete_rows("r", deletes)
-            states.add(tuple(oracle(database, sql).to_sorted_list()))
-        database.insert("r", inserts)
-        states.add(tuple(oracle(database, sql).to_sorted_list()))
-    return states
-
-
 def test_racing_first_queries_capture_once():
-    """N threads issue the first query of one cold template while a writer
-    commits and background rounds run: the template is captured exactly
-    once, no thread raises, and every answer is the oracle's at a version
-    the database passed through."""
+    """N threads issue the first query of one cold template, and repeat it,
+    while a writer commits and background rounds run; after each commit the
+    writer waits for an answer.  The template is captured exactly once, no
+    thread raises, and every answer names a version its call spanned and
+    equals the oracle's answer recorded at that version."""
     import random
 
     sql = QUERIES[0]
     database, table = make_database(num_rows=300, num_groups=10)
     batches = make_batches(table, random.Random(5), 12)
-    serial_db, _ = make_database(num_rows=300, num_groups=10)
-    states = commit_states(serial_db, batches, sql)
-
+    recorder = VersionRecorder(database, [sql])
     system = IMPSystem(database, num_fragments=16)
     num_readers = 6
     barrier = threading.Barrier(num_readers + 1)
-    answers: list[tuple] = []
+    answers: list[tuple[int, object, int]] = []
     errors: list[BaseException] = []
+    answered, done = threading.Event(), threading.Event()
 
     def reader() -> None:
         try:
             barrier.wait(timeout=30.0)
-            for _ in range(3):
-                answers.append(tuple(system.run_query(sql).to_sorted_list()))
+            finished = False
+            while not finished:  # one more answer once the writer is done
+                finished = done.is_set()
+                before = database.version
+                answer = system.run_query(sql)
+                answers.append((before, answer, database.version))
+                answered.set()
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
+
+    def commit(operation) -> None:
+        answered.clear()
+        recorder.commit(operation)
+        assert answered.wait(timeout=30.0)
 
     def writer() -> None:
         try:
             barrier.wait(timeout=30.0)
             for batch in batches:
-                apply_batch(database, batch)
+                apply_batch(database, batch, commit)
         except Exception as exc:
             errors.append(exc)
+        finally:
+            done.set()
 
     threads = [threading.Thread(target=reader) for _ in range(num_readers)]
     threads.append(threading.Thread(target=writer))
@@ -803,8 +730,10 @@ def test_racing_first_queries_capture_once():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert system.statistics.sketch_captures == system.store.statistics.captures == 1
-    assert len(answers) == 3 * num_readers
-    assert set(answers) <= states
+    assert len(answers) >= num_readers + len(recorder.at) - 1
+    for before, answer, after in answers:
+        assert before <= answer.version <= after
+        assert answer == recorder.at[answer.version][sql], answer.version
     assert system.run_query(sql) == oracle(database, sql)
 
 
@@ -813,16 +742,18 @@ def test_racing_first_queries_capture_once():
 # --------------------------------------------------------------------------------------
 
 
-def side_changes(database: Database, pause=lambda: None, count: int = 8) -> None:
-    """The writer's operations: a commit to ``side``, then a drop and a
-    recreate of it (alternately with a third column); ``pause()`` after
-    each."""
+def side_changes(database: Database, commit, pause, count: int = 8) -> None:
+    """The writer's operations, each made through ``commit``: a commit to
+    ``side``, then a drop and a recreate of it (alternately with a third
+    column); ``pause()`` after each."""
     for index in range(count):
-        database.insert("side", [(index,) * len(database.schema_of("side").attributes)])
+        width = len(database.schema_of("side").attributes)
+        commit(lambda: database.insert("side", [(index,) * width]))
         pause()
-        database.drop_table("side")
+        commit(lambda: database.drop_table("side"))
         pause()
-        database.create_table("side", ["x", "y", "z"] if index % 2 else ["x", "y"])
+        columns = ["x", "y", "z"] if index % 2 else ["x", "y"]
+        commit(lambda: database.create_table("side", columns))
         pause()
 
 
@@ -830,13 +761,14 @@ def test_plan_cache_readers_race_ddl_on_an_unrelated_table():
     """One reader through ``IMPSystem.run_query`` and one through
     ``Database.query`` repeat the shared texts over ``r`` while a writer
     commits to, drops and recreates ``side``: every DDL change re-keys the
-    whole plan cache under the readers.  Every answer equals the serial
-    replay's answer to its text, and no thread raises."""
+    whole plan cache under the readers.  Every answer equals the oracle's
+    answer recorded at its version, and no thread raises."""
     database, _table = make_database()
     system = make_system(database)
     database.create_table("side", ["x", "y"])
+    recorder = VersionRecorder(database, QUERIES)
     runs = [system.run_query, database.query]
-    answers: list[tuple[str, tuple]] = []
+    answers: list[tuple[str, object]] = []
     errors: list[BaseException] = []
     ready = [threading.Event() for _ in runs]
     answered = threading.Event()
@@ -850,7 +782,7 @@ def test_plan_cache_readers_race_ddl_on_an_unrelated_table():
             while not finished:
                 finished = done.is_set()
                 for sql in QUERIES:
-                    answers.append((sql, tuple(runs[slot](sql).to_sorted_list())))
+                    answers.append((sql, runs[slot](sql)))
                     answered.set()
                 ready[slot].set()
         except Exception as exc:  # reported by the main thread
@@ -866,7 +798,7 @@ def test_plan_cache_readers_race_ddl_on_an_unrelated_table():
         try:
             for event in ready:  # every reader has answered once
                 assert event.wait(timeout=30.0)
-            side_changes(database, handshake)
+            side_changes(database, recorder.commit, handshake)
         except Exception as exc:
             errors.append(exc)
         finally:
@@ -889,17 +821,14 @@ def test_plan_cache_readers_race_ddl_on_an_unrelated_table():
     # translate again (the handshake puts more misses in between).
     assert database._translations.cache_info().misses >= 2 * len(QUERIES)
 
-    serial_db, _ = make_database()
-    serial = make_system(serial_db)
-    serial_db.create_table("side", ["x", "y"])
-    side_changes(serial_db)
-    expected = {}
-    for sql in QUERIES:
-        expected[sql] = tuple(serial.run_query(sql).to_sorted_list())
-        assert tuple(serial_db.query(sql).to_sorted_list()) == expected[sql]
     assert len(answers) >= 2 * len(runs) * len(QUERIES)
-    for sql, rows in answers:
-        assert rows == expected[sql], sql
+    # ``Database.query`` holds no lock and names no version; the writer never
+    # touches ``r``, so every version answers each text alike.
+    first = min(recorder.at)
+    assert all(at == recorder.at[first] for at in recorder.at.values())
+    for sql, answer in answers:
+        version = first if answer.version is None else answer.version
+        assert answer == recorder.at[version][sql], (sql, answer.version)
 
 
 # --------------------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SchemaError, StorageError
@@ -13,10 +13,24 @@ from repro.storage.recovery import WAL_FILE
 from repro.storage.sessions import SnapshotView
 from repro.storage.wal import scan_wal
 from repro.storage.statistics import (
+    ColumnStatistics,
     collect_column_statistics,
     equi_depth_boundaries,
-    expand_multiplicities,
 )
+
+
+OWN_NAN = object()  # drawn as a NaN object of its own
+# Bag column values: NULL, a shared NaN and NaNs of their own, both
+# infinities, both zeros under four spellings, 1/1.0/True, and ints past
+# 2**53 beside the float they round to.
+BAG_VALUES = [
+    None, math.nan, OWN_NAN, math.inf, -math.inf, 0.0, -0.0, 0, False,
+    1, 1.0, True, 2**53, 2**53 + 1, -(2**53 + 1), float(2**53), 2.5, -3, 0.1,
+]
+
+
+def _own_nan(value):
+    return float("nan") if value is OWN_NAN else value
 
 
 @pytest.fixture()
@@ -173,12 +187,51 @@ class TestStatistics:
         assert stats.minimum == 0 and stats.maximum == 90
         assert stats.distinct_count == 10
 
-    def test_expand_multiplicities(self):
-        """A bag column as a list, NULL included (the callers skip what they
-        must)."""
-        assert expand_multiplicities([10, None, 30], [1, 1, 1]) == [10, None, 30]
-        assert expand_multiplicities([10, None, 30], [2, 3, 1]) == [10, 10, None, None, None, 30]
-        assert expand_multiplicities([], []) == []
+    @settings(max_examples=400, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.sampled_from(BAG_VALUES), st.integers(1, 4)), max_size=24
+        ).map(lambda entries: [(_own_nan(value), count) for value, count in entries]),
+        num_buckets=st.integers(1, 12),
+    )
+    def test_statistics_read_the_stored_bag(self, entries, num_buckets):
+        """Statistics and boundaries of a bag column -- each distinct row's
+        value and its count -- are those of the column with every value
+        repeated by its count: the expansion, sorted as floats for the
+        boundaries, with NULL and NaN left out of the order.  A zero boundary
+        keeps the sign of the column's first zero."""
+        values = [value for value, _count in entries]
+        counts = [count for _value, count in entries]
+        expanded = [value for value, count in entries for _ in range(count)]
+        statistics = collect_column_statistics("x", values, counts)
+        ordered = [value for value in expanded if value is not None and value == value]
+        distinct = set(expanded)
+        assert statistics == ColumnStatistics(
+            attribute="x",
+            row_count=len(expanded),
+            null_count=expanded.count(None),
+            distinct_count=len(distinct) - (None in distinct),
+            minimum=min(ordered) if ordered else None,
+            maximum=max(ordered) if ordered else None,
+        )
+        data = sorted(map(float, ordered))
+        if not data:
+            with pytest.raises(ValueError, match="empty column"):
+                equi_depth_boundaries(values, counts, num_buckets)
+            return
+        expected = [data[0]]
+        for bucket in range(1, num_buckets):
+            candidate = data[min(len(data) - 1, round(bucket * len(data) / num_buckets))]
+            if candidate > expected[-1]:
+                expected.append(candidate)
+        if data[-1] > expected[-1] or len(expected) == 1:
+            expected.append(data[-1])
+        boundaries = equi_depth_boundaries(values, counts, num_buckets)
+        assert boundaries == expected
+        zeros = [math.copysign(1.0, float(value)) for value in ordered if value == 0]
+        for boundary in boundaries:
+            if boundary == 0:
+                assert math.copysign(1.0, boundary) == zeros[0]
 
     def test_a_snapshot_at_the_current_version_reports_the_database_statistics(self):
         database = Database()
@@ -200,7 +253,7 @@ class TestStatistics:
         assert (statistics.distinct_count, statistics.minimum, statistics.maximum) == (4, 2.5, 9)
 
     def test_collect_column_statistics_handles_nulls(self):
-        stats = collect_column_statistics("x", [1, None, 3])
+        stats = collect_column_statistics("x", [1, None, 3], [1, 1, 1])
         assert stats.null_count == 1
         assert stats.distinct_count == 2
 
@@ -210,13 +263,13 @@ class TestStatistics:
         assert boundaries == sorted(boundaries)
 
     def test_equi_depth_boundaries_on_skewed_data(self):
-        boundaries = equi_depth_boundaries([1] * 100 + [2, 3], 10)
+        boundaries = equi_depth_boundaries([1, 2, 3], [100, 1, 1], 10)
         assert boundaries[0] == 1 and boundaries[-1] == 3
         assert len(boundaries) >= 2
 
     def test_equi_depth_rejects_empty(self):
         with pytest.raises(ValueError):
-            equi_depth_boundaries([], 4)
+            equi_depth_boundaries([], [], 4)
 
     @given(
         values=st.lists(st.integers(-50, 50), min_size=1, max_size=60),
@@ -230,25 +283,25 @@ class TestStatistics:
         with_nan = list(data)
         for position in positions:
             with_nan.insert(min(position, len(with_nan)), math.nan)
-        assert equi_depth_boundaries(with_nan, num_buckets) == equi_depth_boundaries(
-            data, num_buckets
+        assert equi_depth_boundaries(with_nan, [1] * len(with_nan), num_buckets) == (
+            equi_depth_boundaries(data, [1] * len(data), num_buckets)
         )
 
     def test_equi_depth_rejects_a_column_of_null_and_nan(self):
         with pytest.raises(ValueError, match="empty column"):
-            equi_depth_boundaries([math.nan, None, math.nan], 4)
+            equi_depth_boundaries([math.nan, None, math.nan], [1, 2, 1], 4)
 
     @pytest.mark.parametrize("values", [[math.nan, 3.0, 1.0, None], [3.0, math.nan, 1.0]])
     def test_collect_column_statistics_skips_nan(self, values):
-        stats = collect_column_statistics("x", values)
+        stats = collect_column_statistics("x", values, [1] * len(values))
         assert (stats.minimum, stats.maximum) == (1.0, 3.0)
         assert stats.null_count == values.count(None)
-        only_nan = collect_column_statistics("x", [math.nan, None])
+        only_nan = collect_column_statistics("x", [math.nan, None], [1, 1])
         assert only_nan.minimum is None and only_nan.maximum is None
 
     def test_a_column_of_values_that_do_not_compare_has_no_bounds(self):
         """So sketch selection treats it as non-numeric instead of raising
         ``TypeError`` from ``min``."""
-        stats = collect_column_statistics("x", [1, None, "x", 2])
+        stats = collect_column_statistics("x", [1, None, "x", 2], [1, 1, 1, 1])
         assert (stats.minimum, stats.maximum) == (None, None)
         assert stats.null_count == 1 and stats.distinct_count == 3

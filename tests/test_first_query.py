@@ -257,8 +257,8 @@ class TestPartitionStatistics:
         column = values + holes + [float("nan")]
         random.Random(seed).shuffle(column)
         plain = [value for value in column if value is not None and value == value]
-        statistics = collect_column_statistics("a", column)
-        reference = collect_column_statistics("a", plain)
+        statistics = collect_column_statistics("a", column, [1] * len(column))
+        reference = collect_column_statistics("a", plain, [1] * len(plain))
         assert statistics.row_count == len(column)
         assert statistics.null_count == column.count(None)
         nans = len({id(value) for value in column if value is not None and value != value})
@@ -266,12 +266,14 @@ class TestPartitionStatistics:
         assert repr((statistics.minimum, statistics.maximum)) == repr(
             (reference.minimum, reference.maximum)
         )
-        assert equi_depth_boundaries(column, buckets) == equi_depth_boundaries(plain, buckets)
+        assert equi_depth_boundaries(column, [1] * len(column), buckets) == (
+            equi_depth_boundaries(plain, [1] * len(plain), buckets)
+        )
 
     def test_a_value_past_float_range_still_refuses_the_partition(self):
         for column in ([1, 10**400, 2], [None, 10**400], [10**400, math.nan]):
             with pytest.raises(OverflowError):
-                equi_depth_boundaries(column, 4)
+                equi_depth_boundaries(column, [1] * len(column), 4)
 
 
 # -- (d) fragment masks, one lookup per distinct value ------------------------------

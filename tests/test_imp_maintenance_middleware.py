@@ -21,7 +21,7 @@ from repro.workloads.queries import q_endtoend, q_groups, q_join
 from repro.workloads.synthetic import load_join_helper, load_synthetic
 from repro.storage.database import Database
 from tests.conftest import Q_TOP, S8
-from tests.reference import AnnotatedEvaluator
+from tests.reference import AnnotatedEvaluator, oracle_at
 
 
 @pytest.fixture()
@@ -384,6 +384,56 @@ class TestMiddleware:
         assert summary["system"] == "imp"
         assert summary["sketches"] == 1
         assert "total_seconds" in summary
+
+
+# Every group's sum passes, so this sketch holds every fragment (skips nothing).
+FULL = "SELECT a, sum(b) AS s FROM t GROUP BY a HAVING sum(b) > 1"
+# A string group-by under HAVING: no attribute is safe, so no sketch.
+UNSAFE = "SELECT label, count(*) AS n FROM names GROUP BY label HAVING count(*) > 0"
+RANGE = "SELECT id, b FROM t WHERE a BETWEEN {} AND {}"
+
+
+@pytest.mark.parametrize("system_class", [IMPSystem, FullMaintenanceSystem])
+def test_every_answer_names_the_version_it_was_computed_at(system_class):
+    """A sketch-based system's answer -- a hit, a deferred skip-nothing
+    answer, a fallback without a safe attribute or for another binding --
+    and a no-sketch one name the version they were computed at, a session's
+    its pin; ``Database.query`` holds no lock and names none, and ``==``
+    ignores the version."""
+    database = Database()
+    database.create_table("t", ["id", "a", "b"], primary_key="id")
+    database.insert("t", [(i, float(i % 20), 1) for i in range(40)])
+    database.create_table("names", ["label"])
+    database.insert("names", [("x",), ("y",)])
+    system = system_class(database, num_fragments=4)
+    statistics = system.statistics
+    pinned = database.version
+    assert system.run_query(FULL).version == pinned  # a capture, then a hit
+    assert statistics.sketch_hits == 1
+    session = database.connect()
+    system.apply_update("t", inserts=[(100, 3.0, 1)])
+    version = database.version
+    assert version == pinned + 1
+    deferred = system.run_query(FULL)
+    assert (statistics.deferred_ensures, deferred.version) == (1, version)
+    assert system.run_query(UNSAFE).version == version
+    assert statistics.fallback_queries == 1
+    system.run_query(RANGE.format(0, 4))
+    system.apply_update("t", inserts=[(101, 2.0, 1)])
+    version = database.version
+    hit = system.run_query(RANGE.format(0, 4))  # maintained, then answered
+    assert (statistics.sketch_hits, statistics.deferred_ensures) == (4, 1)
+    assert hit.version == version
+    assert system.run_query(RANGE.format(5, 9)).version == version  # another binding
+    assert statistics.fallback_queries == 2
+    assert NoSketchSystem(database).run_query(FULL).version == version
+    snapshot = session.query(FULL)
+    assert snapshot.version == pinned
+    assert snapshot == oracle_at(database, pinned, FULL)
+    session.close()
+    plain = database.query(FULL)
+    assert plain.version is None
+    assert plain == system.run_query(FULL) and plain != snapshot
 
 
 def _parameters(function) -> list[str]:

@@ -455,7 +455,7 @@ class TestStatisticsFixes:
     def test_equi_depth_boundaries_have_no_duplicate_tail(self):
         # Regression: the final boundary used to be appended twice whenever the
         # maximum already was a bucket boundary, yielding a zero-width bucket.
-        boundaries = equi_depth_boundaries(list(range(10)), 10)
+        boundaries = equi_depth_boundaries(list(range(10)), [1] * 10, 10)
         assert boundaries == sorted(set(boundaries))
         assert boundaries[-1] == 9
 
@@ -464,7 +464,7 @@ class TestStatisticsFixes:
         for _ in range(20):
             values = [rng.randrange(50) for _ in range(rng.randrange(1, 200))]
             for buckets in (1, 2, 7, 32):
-                boundaries = equi_depth_boundaries(values, buckets)
+                boundaries = equi_depth_boundaries(values, [1] * len(values), buckets)
                 if len(set(values)) == 1:
                     assert boundaries == [values[0], values[0]]
                 else:
@@ -475,7 +475,7 @@ class TestStatisticsFixes:
                 assert boundaries[-1] == max(values)
 
     def test_single_value_column_keeps_two_boundaries(self):
-        assert equi_depth_boundaries([7, 7, 7], 4) == [7, 7]
+        assert equi_depth_boundaries([7], [3], 4) == [7, 7]
 
     def test_equi_depth_fraction(self):
         boundaries = [0.0, 25.0, 50.0, 75.0, 100.0]

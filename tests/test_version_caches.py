@@ -32,13 +32,14 @@ from repro.core.errors import StorageError
 from repro.imp.middleware import FullMaintenanceSystem, IMPSystem
 from repro.imp.strategies import EagerStrategy, LazyStrategy
 from repro.relational.columnar import ColumnBatch
+from repro.relational.schema import Relation
 from repro.sql import translator as sql_translator
 from repro.sql.translator import Translator
 from repro.storage.database import PLAN_CACHE_SIZE, Database
 from repro.storage.delta import DatabaseDelta, Delta
 from repro.storage.table import StoredTable, canonical_items
 from repro.storage.statistics import collect_column_statistics, equi_depth_boundaries
-from tests.reference import oracle
+from tests.reference import VersionRecorder, oracle
 
 COLUMNS = ["id", "a", "b"]
 ATTRIBUTES = ["a", "b"]
@@ -114,12 +115,12 @@ def assert_caches_fresh(database: Database, table: str) -> ColumnBatch:
         index = stored.schema.index_of(attribute)
         values = [row[index] for row in stored.rows()]
         cached = database.column_statistics(table, attribute)
-        expected = collect_column_statistics(attribute, values)
+        expected = collect_column_statistics(attribute, values, [1] * len(values))
         assert cached == expected, f"stale column_statistics for {attribute}"
         non_null = sorted(float(v) for v in values if v is not None)
         if non_null:
             assert database.equi_depth_ranges(table, attribute, 4) == (
-                equi_depth_boundaries(non_null, 4)
+                equi_depth_boundaries(non_null, [1] * len(non_null), 4)
             ), f"stale equi_depth_ranges for {attribute}"
     return batch
 
@@ -585,28 +586,23 @@ def generation_rows(generation: int) -> list[tuple]:
 
 def test_queries_racing_drop_and_recreate_see_one_table_state():
     """Readers, background rounds and a thread that drops, recreates and
-    refills ``t`` race freely: each answer is that of a table state the
-    database passed through (missing, empty, or one generation's rows)."""
-    states = set()
-    for generation in range(2):
-        scratch = Database()
-        scratch.create_table("t", ["id", "a", "b"], primary_key="id")
-        states.add(tuple(scratch.query(MIN_SQL).to_sorted_list()))
-        scratch.insert("t", generation_rows(generation))
-        states.add(tuple(scratch.query(MIN_SQL).to_sorted_list()))
+    refills ``t`` race freely: each answer equals the oracle's answer
+    recorded at the version it names (``t`` empty or holding one
+    generation's rows; a reader that finds ``t`` missing answers nothing)."""
     database = Database()
     database.create_table("t", ["id", "a", "b"], primary_key="id")
     database.insert("t", generation_rows(0))
+    recorder = VersionRecorder(database, [MIN_SQL])
     system = IMPSystem(database, num_fragments=8)
     done = threading.Event()
-    answers: list[tuple] = []
+    answers: list[Relation] = []
     errors: list[BaseException] = []
 
     def reader() -> None:
         try:
             while not done.is_set():
                 try:
-                    answers.append(tuple(system.run_query(MIN_SQL).to_sorted_list()))
+                    answers.append(system.run_query(MIN_SQL))
                 except StorageError:  # the table is dropped
                     pass
         except Exception as exc:  # reported by the main thread
@@ -615,9 +611,11 @@ def test_queries_racing_drop_and_recreate_see_one_table_state():
     def recreator() -> None:
         try:
             for generation in range(1, 13):
-                database.drop_table("t")
-                database.create_table("t", ["id", "a", "b"], primary_key="id")
-                database.insert("t", generation_rows(generation))
+                recorder.commit(lambda: database.drop_table("t"))
+                recorder.commit(
+                    lambda: database.create_table("t", ["id", "a", "b"], primary_key="id")
+                )
+                recorder.commit(lambda: database.insert("t", generation_rows(generation)))
                 time.sleep(0.002)
         except Exception as exc:
             errors.append(exc)
@@ -639,7 +637,9 @@ def test_queries_racing_drop_and_recreate_see_one_table_state():
         system.stop_background_maintenance(drain=True)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert answers and set(answers) <= states
+    assert answers
+    for answer in answers:
+        assert answer == recorder.at[answer.version][MIN_SQL], answer.version
     assert system.run_query(MIN_SQL) == oracle(database, MIN_SQL)
 
 
