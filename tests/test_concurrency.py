@@ -172,9 +172,11 @@ def apply_batch(database: Database, batch, commit=lambda operation: operation())
 
 
 def assert_sketches_fresh(system: IMPSystem) -> None:
-    """Every entry is maintained to the current version, and its sketch is
-    the one a fresh capture takes there."""
+    """The store still holds exactly the captured templates, every entry is
+    maintained to the current version, and its sketch is the one a fresh
+    capture takes there."""
     database = system.database
+    assert sorted(entry.sql for entry in system.store.entries()) == sorted(CAPTURE_QUERIES)
     for entry in system.store.entries():
         assert entry.valid_at_version == database.version, entry.sql
         assert entry.sketch == capture_sketch(entry.plan, entry.partition, database), (
@@ -670,9 +672,10 @@ def test_summary_waits_for_a_round_in_flight(monkeypatch):
 def test_racing_first_queries_capture_once():
     """N threads issue the first query of one cold template, and repeat it,
     while a writer commits and background rounds run; after each commit the
-    writer waits for an answer.  The template is captured exactly once, no
-    thread raises, and every answer names a version its call spanned and
-    equals the oracle's answer recorded at that version."""
+    writer waits for an answer at the new version.  The template is captured
+    exactly once, no thread raises, every committed version is answered, and
+    every answer names a version its call spanned and equals the oracle's
+    answer recorded at that version."""
     import random
 
     sql = QUERIES[0]
@@ -684,7 +687,9 @@ def test_racing_first_queries_capture_once():
     barrier = threading.Barrier(num_readers + 1)
     answers: list[tuple[int, object, int]] = []
     errors: list[BaseException] = []
-    answered, done = threading.Event(), threading.Event()
+    done = threading.Event()
+    answered = threading.Condition()
+    newest = [0]  # the newest version an answer names
 
     def reader() -> None:
         try:
@@ -695,14 +700,17 @@ def test_racing_first_queries_capture_once():
                 before = database.version
                 answer = system.run_query(sql)
                 answers.append((before, answer, database.version))
-                answered.set()
+                with answered:
+                    newest[0] = max(newest[0], answer.version)
+                    answered.notify_all()
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
     def commit(operation) -> None:
-        answered.clear()
         recorder.commit(operation)
-        assert answered.wait(timeout=30.0)
+        with answered:
+            version = database.version
+            assert answered.wait_for(lambda: newest[0] >= version, timeout=30.0)
 
     def writer() -> None:
         try:
@@ -730,7 +738,8 @@ def test_racing_first_queries_capture_once():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert system.statistics.sketch_captures == system.store.statistics.captures == 1
-    assert len(answers) >= num_readers + len(recorder.at) - 1
+    first = min(recorder.at)
+    assert set(recorder.at) - {first} <= {answer.version for _, answer, _ in answers}
     for before, answer, after in answers:
         assert before <= answer.version <= after
         assert answer == recorder.at[answer.version][sql], answer.version
